@@ -406,6 +406,24 @@ func BenchmarkShapeInterningSpeedup(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscoverNoisy is one-shot discovery where Algorithm 2's
+// Jaccard passes do the work: LDBC scale 2 with 20% of the properties
+// and half the labels dropped, the input shape of the discover_noisy
+// regime in bench/. Thousands of unlabeled edge clusters meet
+// thousands of types; allocations stay O(clusters + types) because the
+// passes query a similarity index (internal/schema/simindex.go).
+func BenchmarkDiscoverNoisy(b *testing.B) {
+	d := datagen.InjectNoise(datagen.Generate(datagen.LDBC(), 2, 1), 0.2, 0.5, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *pghive.Result
+	for i := 0; i < b.N; i++ {
+		res = pghive.Discover(d.Graph, pghive.Options{Seed: 1})
+	}
+	b.ReportMetric(res.Timing.Extract.Seconds()/res.Timing.Total().Seconds(), "extract-share")
+	b.ReportMetric(float64(len(res.Schema.NodeTypes)+len(res.Schema.EdgeTypes)), "types")
+}
+
 func formatTheta(t float64) string {
 	switch t {
 	case 0.5:

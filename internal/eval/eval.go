@@ -72,10 +72,18 @@ func MajorityF1(pred map[pg.ID]int, truth map[pg.ID]string) float64 {
 			tp[ty]++
 		}
 	}
-	// Macro-average F1 over ground-truth types.
+	// Macro-average F1 over ground-truth types, summed in sorted name
+	// order: float addition is not associative, and map order would
+	// make the low bits differ between calls on the same input.
+	types := make([]string, 0, len(typeTotal))
+	for ty := range typeTotal {
+		types = append(types, ty)
+	}
+	sort.Strings(types)
 	var sum float64
 	n := 0
-	for ty, actual := range typeTotal {
+	for _, ty := range types {
+		actual := typeTotal[ty]
 		p := 0.0
 		if predicted[ty] > 0 {
 			p = float64(tp[ty]) / float64(predicted[ty])

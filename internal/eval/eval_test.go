@@ -73,6 +73,24 @@ func TestMajorityF1Empty(t *testing.T) {
 	}
 }
 
+// MajorityF1 is a sum of floats; summed in map order its low bits
+// changed from call to call, and callers comparing scores exactly (the
+// benchmark's pinned outcomes) had to round them first.
+func TestMajorityF1BitDeterministic(t *testing.T) {
+	pred := map[pg.ID]int{}
+	truth := map[pg.ID]string{}
+	for i := 0; i < 4000; i++ {
+		pred[pg.ID(i)] = (i*7 + i/13) % 55
+		truth[pg.ID(i)] = string(rune('A'+i%23)) + string(rune('a'+i%3))
+	}
+	want := math.Float64bits(MajorityF1(pred, truth))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(MajorityF1(pred, truth)); got != want {
+			t.Fatalf("call %d returned bits %#x, the first call %#x", i, got, want)
+		}
+	}
+}
+
 // Property: F1* is always within [0,1] and equals 1 whenever clusters
 // are singletons (every singleton is trivially pure).
 func TestMajorityF1Property(t *testing.T) {

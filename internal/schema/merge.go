@@ -27,33 +27,6 @@ func Jaccard(a, b map[string]bool) float64 {
 	return float64(inter) / float64(union)
 }
 
-// propKeySet extracts the property-key set of a type for Jaccard
-// comparison.
-func propKeySet(t *Type) map[string]bool {
-	s := make(map[string]bool, len(t.Props))
-	for k := range t.Props {
-		s[k] = true
-	}
-	return s
-}
-
-// edgeSimilaritySet extends an edge type's property keys with its
-// endpoint tokens. The paper compares unlabeled clusters by property
-// Jaccard; for edges the endpoint labels are part of the pattern
-// (Def. 3.6), so including them (namespaced) prevents structurally
-// bare edges between different endpoint types from collapsing when
-// partial label information is available.
-func edgeSimilaritySet(t *EdgeType) map[string]bool {
-	s := propKeySet(&t.Type)
-	for k := range t.SrcTokens {
-		s["\x00src:"+k] = true
-	}
-	for k := range t.DstTokens {
-		s["\x00dst:"+k] = true
-	}
-	return s
-}
-
 // ExtractNodeTypes merges candidate node types into the schema per
 // Algorithm 2 and returns, for each candidate (cluster) index, the
 // schema type the cluster ended up in. theta ≤ 0 selects
@@ -84,62 +57,7 @@ func (s *Schema) ExtractNodeTypes(cands []*NodeType, theta float64) []*NodeType 
 		}
 	}
 
-	// Pass 2 — unlabeled clusters vs labeled types: merge into the
-	// best labeled type with property Jaccard ≥ θ (lines 8–11).
-	var stillUnlabeled []int
-	for _, i := range unlabeled {
-		c := cands[i]
-		cs := propKeySet(&c.Type)
-		var best *NodeType
-		bestJ := theta
-		for _, t := range s.NodeTypes {
-			if t.Abstract {
-				continue
-			}
-			if j := Jaccard(cs, propKeySet(&t.Type)); j >= bestJ {
-				// Strictly-greater keeps the first best on ties, so
-				// extraction order (cluster ID) is deterministic.
-				if best == nil || j > bestJ {
-					best, bestJ = t, j
-				}
-			}
-		}
-		if best != nil {
-			best.mergeCore(&c.Type)
-			result[i] = best
-		} else {
-			stillUnlabeled = append(stillUnlabeled, i)
-		}
-	}
-
-	// Pass 3 — unlabeled vs unlabeled (lines 12–14): merge with an
-	// existing ABSTRACT type (incremental case) or with an earlier
-	// still-unlabeled candidate of this batch; what remains becomes a
-	// new ABSTRACT type.
-	for _, i := range stillUnlabeled {
-		c := cands[i]
-		cs := propKeySet(&c.Type)
-		var best *NodeType
-		bestJ := theta
-		for _, t := range s.NodeTypes {
-			if !t.Abstract {
-				continue
-			}
-			if j := Jaccard(cs, propKeySet(&t.Type)); j >= bestJ {
-				if best == nil || j > bestJ {
-					best, bestJ = t, j
-				}
-			}
-		}
-		if best != nil {
-			best.mergeCore(&c.Type)
-			result[i] = best
-		} else {
-			c.Abstract = true
-			s.addNodeType(c)
-			result[i] = c
-		}
-	}
+	mergeUnlabeled(&s.NodeTypes, cands, unlabeled, theta, result, s.addNodeType)
 	return result
 }
 
@@ -207,55 +125,56 @@ func (s *Schema) ExtractEdgeTypes(cands []*EdgeType, theta float64) []*EdgeType 
 		}
 	}
 
-	var stillUnlabeled []int
-	for _, i := range unlabeled {
-		c := cands[i]
-		cs := edgeSimilaritySet(c)
-		var best *EdgeType
-		bestJ := theta
-		for _, t := range s.EdgeTypes {
-			if t.Abstract {
-				continue
-			}
-			if j := Jaccard(cs, edgeSimilaritySet(t)); j >= bestJ {
-				if best == nil || j > bestJ {
-					best, bestJ = t, j
-				}
-			}
-		}
-		if best != nil {
-			best.mergeEdge(c)
-			result[i] = best
-		} else {
-			stillUnlabeled = append(stillUnlabeled, i)
-		}
-	}
-
-	for _, i := range stillUnlabeled {
-		c := cands[i]
-		cs := edgeSimilaritySet(c)
-		var best *EdgeType
-		bestJ := theta
-		for _, t := range s.EdgeTypes {
-			if !t.Abstract {
-				continue
-			}
-			if j := Jaccard(cs, edgeSimilaritySet(t)); j >= bestJ {
-				if best == nil || j > bestJ {
-					best, bestJ = t, j
-				}
-			}
-		}
-		if best != nil {
-			best.mergeEdge(c)
-			result[i] = best
-		} else {
-			c.Abstract = true
-			s.addEdgeType(c)
-			result[i] = c
-		}
-	}
+	mergeUnlabeled(&s.EdgeTypes, cands, unlabeled, theta, result, s.addEdgeType)
 	return result
+}
+
+// mergeUnlabeled runs passes 2 and 3 of Algorithm 2 over the unlabeled
+// candidates, for node and edge types alike. Pass 2 (lines 8–11)
+// merges a candidate into the labeled type with the best signature
+// Jaccard ≥ θ; pass 3 (lines 12–14) merges what is left into an
+// ABSTRACT type — one the schema already holds (the incremental case)
+// or an earlier candidate of this batch — and what still remains
+// becomes a new ABSTRACT type through add. On equal similarity the
+// first type in schema order wins, so the outcome depends only on
+// candidate order (cluster ID).
+func mergeUnlabeled[T sigType[T]](types *[]T, cands []T, unlabeled []int, theta float64, result []T, add func(T)) {
+	if theta > 1 {
+		// No Jaccard exceeds 1: this is how the baselines switch
+		// similarity merging off, and comparing would find nothing.
+		for _, i := range unlabeled {
+			cands[i].core().Abstract = true
+			add(cands[i])
+			result[i] = cands[i]
+		}
+		return
+	}
+	for _, abstract := range []bool{false, true} {
+		if len(unlabeled) == 0 {
+			return
+		}
+		ix := newSimIndex(*types, abstract)
+		var rest []int
+		for _, i := range unlabeled {
+			c := cands[i]
+			sig := encodeSig(ix, c)
+			pos := ix.best(sig, theta)
+			switch {
+			case pos >= 0:
+				(*types)[pos].absorb(c)
+			case !abstract:
+				rest = append(rest, i)
+				continue
+			default:
+				c.core().Abstract = true
+				add(c)
+				pos = len(*types) - 1
+			}
+			ix.add(pos, sig)
+			result[i] = (*types)[pos]
+		}
+		unlabeled = rest
+	}
 }
 
 // AppendNodeTypes adds every non-empty candidate as its own type with
