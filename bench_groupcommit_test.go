@@ -60,7 +60,7 @@ func (f *slowSyncFile) Sync() error {
 }
 
 // BenchmarkGroupCommitThroughput distributes b.N acked Ingest calls
-// over C concurrent ingesters against a group-commit leader whose
+// over C concurrent ingesters against a durable leader whose
 // fsync costs syncCost. Reported: ns per acked write (writes/s =
 // 1e9/ns_per_op) and fsyncs/op — the coalescing ratio; 1.0 means no
 // sharing, and it falls toward 1/C as ingesters stack up behind the
@@ -75,7 +75,6 @@ func BenchmarkGroupCommitThroughput(b *testing.B) {
 			d, err := pghive.OpenDurable("data", pghive.Options{Parallelism: 1}, pghive.DurableOptions{
 				FS:                 &slowSyncFS{FS: vfs.NewMemFS()},
 				DisableAutoCompact: true,
-				GroupCommit:        true,
 			})
 			if err != nil {
 				b.Fatal(err)

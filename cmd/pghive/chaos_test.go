@@ -120,7 +120,7 @@ func TestChaosSmoke(t *testing.T) {
 		}
 		defer dur.Close()
 		after := probe.Ops()[vfs.OpSync]
-		srv := httptest.NewServer(newServeMux(dur.Service, dur, 0, nil))
+		srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 0, nil))
 		defer srv.Close()
 		h, err := histcheck.Run(func(string) histcheck.Client {
 			return &chaosClient{ctx: context.Background(), cl: client.New(srv.URL, client.Options{HTTPClient: srv.Client()})}
@@ -187,7 +187,7 @@ func TestChaosSmoke(t *testing.T) {
 		// Write queue of 1 with two concurrent writers: backpressure
 		// 429s are part of every iteration's diet, not a corner case.
 		gate := admission.New(admission.Config{MaxWriteQueue: 1, MaxConcurrent: 32, RequestTimeout: 30 * time.Second})
-		srv := httptest.NewServer(newServeMux(dur.Service, dur, 0, gate))
+		srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 0, gate))
 
 		ctx := context.Background()
 		var clients []*client.Client

@@ -1,7 +1,9 @@
 package main
 
-// serve.go is the long-running HTTP mode: a pghive.Service fronted by
-// a small JSON/line-protocol API. Writes (POST /ingest, /retract) are
+// serve.go is the long-running HTTP mode: a serving pipeline — plain,
+// durable, or a follower replica — fronted by a small
+// JSON/line-protocol API, wired from ONE route table parameterised by
+// role (see target and routes). Writes (POST /ingest, /retract) are
 // serialized by the service; reads (GET /schema, /stats,
 // POST /validate) are lock-free against the latest published
 // snapshot, so schema queries stay fast while batches load.
@@ -89,7 +91,6 @@ func runServe(args []string) {
 		maxRuns   = fs.Int("max-runs", 0, "delta runs kept on top of the base image before compaction folds a fresh base (0 = default 6; durable mode only)")
 		noSync    = fs.Bool("no-sync", false, "skip the per-append WAL fsync: survives kill -9 but not power loss (durable mode only)")
 
-		groupCommit = fs.Bool("group-commit", false, "batch concurrent writes into shared WAL fsyncs; same acked-prefix durability, fewer flushes (durable mode only)")
 		shipDir     = fs.String("ship-dir", "", "ship sealed WAL segments and checkpoint generations into this local directory and serve them at /v1/objects (durable mode only)")
 		shipTo      = fs.String("ship-to", "", "ship artifacts to the object endpoints under this base URL instead of a local directory (durable mode only)")
 		objectToken = fs.String("object-token", "", "bearer token guarding mutating /v1/objects verbs (with -ship-dir), and sent when shipping to -ship-to")
@@ -128,8 +129,8 @@ func runServe(args []string) {
 		fmt.Fprintln(os.Stderr, "pghive serve: -ship-dir and -ship-to are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*shipDir != "" || *shipTo != "" || *groupCommit) && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "pghive serve: -group-commit, -ship-dir, and -ship-to require durable mode (serve with -data-dir)")
+	if (*shipDir != "" || *shipTo != "") && *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "pghive serve: -ship-dir and -ship-to require durable mode (serve with -data-dir)")
 		os.Exit(2)
 	}
 	var shipBackend store.Backend
@@ -145,9 +146,7 @@ func runServe(args []string) {
 		}
 	}
 
-	var svc *pghive.Service
-	var dur *pghive.DurableService
-	var fol *pghive.Follower
+	var t target
 	switch {
 	case *dataDir != "" && *restore != "":
 		fmt.Fprintln(os.Stderr, "pghive serve: -data-dir and -restore are mutually exclusive (a data directory recovers itself)")
@@ -158,21 +157,19 @@ func runServe(args []string) {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(2)
 		}
-		fol = pghive.NewFollower(opts, backend, pghive.FollowerOptions{
+		fol := pghive.NewFollower(opts, backend, pghive.FollowerOptions{
 			PollInterval: *followPoll,
-			LeaderLSN:    leaderLSNProbe(*follow),
+			LeaderLSN:    leaderLSNProbe(*follow, leaderProbeTimeout),
 		})
 		fol.Start()
-		svc = fol.Service
+		t = serveFollower(fol)
 		fmt.Fprintf(os.Stderr, "pghive serve: following %s (read-only replica)\n", *follow)
 	case *dataDir != "":
-		var err error
-		dur, err = pghive.OpenDurable(*dataDir, opts, pghive.DurableOptions{
+		dur, err := pghive.OpenDurable(*dataDir, opts, pghive.DurableOptions{
 			SegmentBytes:    *segBytes,
 			CompactInterval: *compact,
 			MaxRuns:         *maxRuns,
 			NoSync:          *noSync,
-			GroupCommit:     *groupCommit,
 			ShipTo:          shipBackend,
 			OnCompactError: func(err error) {
 				fmt.Fprintln(os.Stderr, "pghive serve: compaction:", err)
@@ -182,8 +179,14 @@ func runServe(args []string) {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(1)
 		}
-		svc = dur.Service
-		st := svc.Stats()
+		t = serveDurable(dur, nil)
+		if *shipDir != "" {
+			// The replication plane: followers (and backups) fetch the
+			// shipped artifacts from here. Reads are open; the mutating
+			// verbs the leader itself uses to ship require -object-token.
+			t.objects = store.Handler(shipBackend, *objectToken)
+		}
+		st := dur.Stats()
 		ds := dur.DurableStats()
 		fmt.Fprintf(os.Stderr, "pghive serve: recovered %d batches, %d nodes, %d edges from %s (checkpoint LSN %d, next WAL LSN %d)\n",
 			st.Batches, st.Nodes, st.Edges, *dataDir, ds.CheckpointLSN, ds.WALNextLSN)
@@ -193,17 +196,18 @@ func runServe(args []string) {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(1)
 		}
-		svc, err = pghive.RestoreService(opts, f)
+		svc, err := pghive.RestoreService(opts, f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(1)
 		}
+		t = servePlain(svc)
 		st := svc.Stats()
 		fmt.Fprintf(os.Stderr, "pghive serve: restored %d batches, %d nodes, %d edges\n",
 			st.Batches, st.Nodes, st.Edges)
 	default:
-		svc = pghive.NewService(opts)
+		t = servePlain(pghive.NewService(opts))
 	}
 
 	gate := admission.New(admission.Config{
@@ -225,26 +229,9 @@ func runServe(args []string) {
 	if *reqTimeout > 0 {
 		rwTimeout = *reqTimeout + 10*time.Second
 	}
-	var handler http.Handler
-	if fol != nil {
-		handler = newFollowerMux(fol, gate)
-	} else {
-		mux := newServeMux(svc, dur, *batchSize, gate)
-		if *shipDir != "" {
-			// The replication plane: followers (and backups) fetch the
-			// shipped artifacts from here. Reads are open; the mutating
-			// verbs the leader itself uses to ship require -object-token.
-			// Ungated on purpose — replication must keep flowing even
-			// when client traffic has the admission gate at capacity.
-			oh := store.Handler(shipBackend, *objectToken)
-			mux.Handle(store.ObjectsRoute, oh)
-			mux.Handle(store.ObjectsRoute+"/", oh)
-		}
-		handler = mux
-	}
 	server := &http.Server{
 		Addr:              *listen,
-		Handler:           handler,
+		Handler:           newServeMux(t, *batchSize, gate),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       rwTimeout,
 		WriteTimeout:      rwTimeout,
@@ -269,14 +256,14 @@ func runServe(args []string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		server.Shutdown(ctx)
-		if fol != nil {
-			fol.Close()
+		if t.fol != nil {
+			t.fol.Close()
 		}
-		if dur != nil {
-			if err := dur.Compact(); err != nil {
+		if t.dur != nil {
+			if err := t.dur.Compact(); err != nil {
 				fmt.Fprintln(os.Stderr, "pghive serve: final checkpoint:", err)
 			}
-			if err := dur.Close(); err != nil {
+			if err := t.dur.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "pghive serve: close:", err)
 			}
 		}
@@ -290,403 +277,453 @@ func runServe(args []string) {
 	select {} // Shutdown in flight; the drain goroutine exits the process
 }
 
-// newServeMux wires the service endpoints. Factored out of runServe so
-// tests can drive the full HTTP surface via httptest. dur, when
-// non-nil, is the durable wrapper around svc: writes go through its
-// write-ahead log (and can therefore fail with 500 when the log
-// cannot be made durable, or 409 when the service has degraded to
-// declared read-only mode), idempotency keys are honored, and
-// POST /checkpoint folds the log into an on-disk image instead of
-// streaming one back. gate, when nil, gets the default admission
-// limits; the /healthz and /readyz probes bypass it so orchestrators
-// can always see the truth, even at capacity or while draining.
-func newServeMux(svc *pghive.Service, dur *pghive.DurableService, batchSize int, gate *admission.Gate) *http.ServeMux {
+// target is what one serve process fronts: the read side every role
+// has, plus the capabilities only some roles have. Exactly one of svc,
+// dur and fol is set, and it names the role: plain (an in-memory
+// writer), durable (the WAL-backed writer, which can also compact and
+// re-arm), or follower (a replica — it has no writer at all).
+type target struct {
+	*pghive.Reader
+	svc *pghive.Service
+	dur *pghive.DurableService
+	fol *pghive.Follower
+	// objects, when non-nil, serves the shipped artifacts at
+	// /v1/objects: a durable leader shipping into a local directory.
+	objects http.Handler
+
+	batchSize int             // -batch-size; set by routes
+	gate      *admission.Gate // set by routes
+}
+
+func servePlain(svc *pghive.Service) target { return target{Reader: svc.Reader, svc: svc} }
+
+func serveDurable(dur *pghive.DurableService, objects http.Handler) target {
+	return target{Reader: dur.Reader, dur: dur, objects: objects}
+}
+
+func serveFollower(fol *pghive.Follower) target { return target{Reader: fol.Reader, fol: fol} }
+
+// How a route passes the admission gate: writes queue behind the
+// bounded write queue on top of everything reads get (bounded
+// concurrency, the request deadline, the body cap, panic recovery);
+// ungated routes must get through even at capacity or while draining.
+const (
+	gateWrite = "write"
+	gateRead  = "read"
+	ungated   = "ungated"
+)
+
+// route is one row of the route table.
+type route struct {
+	method, path string // method "" matches every method
+	gate         string
+	h            http.HandlerFunc
+}
+
+// routes is the one route table, parameterised by role. Every role
+// answers the same paths — a client misdirected at a replica gets the
+// machine-readable 409 read-only contract (reason "follower") on the
+// write routes, refused before the body is read, rather than a 404 it
+// might mistake for a missing feature — and the role decides what
+// stands behind each: writes go through the durable service's
+// write-ahead log when there is one (and can therefore fail with 500
+// when the log cannot be made durable, or 409 when the service has
+// degraded to declared read-only mode), idempotency keys are honored
+// only there, and POST /checkpoint folds the log into an on-disk image
+// instead of streaming one back.
+func (t target) routes(batchSize int, gate *admission.Gate) []route {
+	t.batchSize, t.gate = batchSize, gate
+	rs := []route{
+		{"POST", "/ingest", gateWrite, t.ingest},
+		{"POST", "/retract", gateWrite, t.retract},
+		{"POST", "/rearm", gateRead, t.rearm},
+		{"GET", "/schema", gateRead, t.schema},
+		{"POST", "/validate", gateRead, t.validate},
+		{"GET", "/stats", gateRead, t.stats},
+		{"POST", "/checkpoint", gateRead, t.checkpoint},
+		{"GET", "/healthz", ungated, t.healthz},
+		{"GET", "/readyz", ungated, t.readyz},
+	}
+	if t.fol != nil {
+		refuse := func(w http.ResponseWriter, r *http.Request) {
+			serviceError(w, &pghive.ReadOnlyError{Reason: pghive.ReadOnlyFollower})
+		}
+		for i := range rs[:3] { // the write routes lead the table
+			rs[i].h = refuse
+		}
+		rs = append(rs, route{"GET", "/lag", ungated, func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, t.fol.Lag(r.Context()))
+		}})
+	}
+	if t.objects != nil {
+		// Ungated on purpose — replication must keep flowing even when
+		// client traffic has the admission gate at capacity.
+		rs = append(rs,
+			route{"", store.ObjectsRoute, ungated, t.objects.ServeHTTP},
+			route{"", store.ObjectsRoute + "/", ungated, t.objects.ServeHTTP})
+	}
+	return rs
+}
+
+// newServeMux registers the role's route table behind the gate.
+// Factored out of runServe so tests can drive the full HTTP surface
+// via httptest. gate, when nil, gets the default admission limits.
+func newServeMux(t target, batchSize int, gate *admission.Gate) *http.ServeMux {
 	if gate == nil {
 		gate = admission.New(admission.Config{})
 	}
-	ingest := func(ctx context.Context, key string, g *pghive.Graph) (replayed bool, err error) {
-		if dur != nil {
-			_, replayed, err = dur.IngestIdempotent(ctx, key, g)
-			return replayed, err
-		}
-		_, err = svc.IngestContext(ctx, g)
-		return false, err
-	}
-	retract := func(ctx context.Context, key string, g *pghive.Graph) (replayed bool, err error) {
-		if dur != nil {
-			_, replayed, err = dur.RetractIdempotent(ctx, key, g)
-			return replayed, err
-		}
-		_, err = svc.RetractContext(ctx, g)
-		return false, err
-	}
-	drain := func(ctx context.Context, r pghive.StreamReader) error {
-		if dur != nil {
-			return dur.DrainStreamContext(ctx, r, nil)
-		}
-		return svc.DrainStreamContext(ctx, r, nil)
-	}
-	// idempotencyKey validates the Idempotency-Key header; on a
-	// contract violation it writes the 400 and reports ok=false.
-	idempotencyKey := func(w http.ResponseWriter, r *http.Request) (string, bool) {
-		key := r.Header.Get("Idempotency-Key")
-		if key == "" {
-			return "", true
-		}
-		if dur == nil {
-			httpError(w, http.StatusBadRequest,
-				errors.New("Idempotency-Key requires durable mode (serve with -data-dir)"))
-			return "", false
-		}
-		if len(key) > pghive.MaxIdempotencyKeyLen {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("Idempotency-Key longer than %d bytes", pghive.MaxIdempotencyKeyLen))
-			return "", false
-		}
-		return key, true
-	}
-
 	mux := http.NewServeMux()
-	handleWrite := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, gate.WrapWrite(h)) }
-	handleRead := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, gate.Wrap(h)) }
+	for _, rt := range t.routes(batchSize, gate) {
+		var h http.Handler = rt.h
+		switch rt.gate {
+		case gateWrite:
+			h = gate.WrapWrite(h)
+		case gateRead:
+			h = gate.Wrap(h)
+		}
+		mux.Handle(strings.TrimSpace(rt.method+" "+rt.path), h)
+	}
+	return mux
+}
 
-	handleWrite("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		key, ok := idempotencyKey(w, r)
-		if !ok {
+// write applies one atomic batch through the role's writer.
+func (t target) write(ctx context.Context, key string, g *pghive.Graph, retract bool) (replayed bool, err error) {
+	switch {
+	case t.dur != nil && retract:
+		_, replayed, err = t.dur.RetractIdempotent(ctx, key, g)
+	case t.dur != nil:
+		_, replayed, err = t.dur.IngestIdempotent(ctx, key, g)
+	case retract:
+		_, err = t.svc.RetractContext(ctx, g)
+	default:
+		_, err = t.svc.IngestContext(ctx, g)
+	}
+	return replayed, err
+}
+
+// idempotencyKey validates the Idempotency-Key header; on a contract
+// violation it writes the 400 and reports ok=false.
+func (t target) idempotencyKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.Header.Get("Idempotency-Key")
+	if key == "" {
+		return "", true
+	}
+	if t.dur == nil {
+		httpError(w, http.StatusBadRequest,
+			errors.New("Idempotency-Key requires durable mode (serve with -data-dir)"))
+		return "", false
+	}
+	if len(key) > pghive.MaxIdempotencyKeyLen {
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("Idempotency-Key longer than %d bytes", pghive.MaxIdempotencyKeyLen))
+		return "", false
+	}
+	return key, true
+}
+
+func (t target) ingest(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	key, ok := t.idempotencyKey(w, r)
+	if !ok {
+		return
+	}
+	replayed := false
+	if t.batchSize > 0 && key == "" {
+		// Spool the body before touching the service: DrainStream
+		// holds the write lock, and reading a slow client's upload
+		// under it would let one stalled connection block every
+		// writer.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			requestError(w, r, err)
 			return
 		}
-		replayed := false
-		if batchSize > 0 && key == "" {
-			// Spool the body before touching the service: DrainStream
-			// holds the write lock, and reading a slow client's upload
-			// under it would let one stalled connection block every
-			// writer.
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				requestError(w, r, err)
-				return
-			}
-			// The spooled body streams through in bounded pipeline
-			// batches. Streamed ingestion is NOT atomic: batches that
-			// preceded a malformed line are already published when the
-			// error returns, so the error response carries the stats
-			// the client needs to see how far the body got — blindly
-			// re-sending the same body would double-ingest the prefix.
-			if err := drain(r.Context(), pghive.NewJSONLStream(bytes.NewReader(body), batchSize)); err != nil {
-				var roe *pghive.ReadOnlyError
-				if errors.As(err, &roe) {
-					// Fail-fast: refused before any batch was applied.
-					serviceError(w, err)
-					return
-				}
-				// A durability failure (WAL append) is the server's
-				// fault and retryable — it must not masquerade as a
-				// malformed-body 400, which clients treat as permanent.
-				// A deadline expiry mid-stream is likewise the 503 kind.
-				code := http.StatusBadRequest
-				var de *pghive.DurabilityError
-				switch {
-				case errors.As(err, &de):
-					code = http.StatusInternalServerError
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-					code = http.StatusServiceUnavailable
-				}
-				writeJSONStatus(w, code, map[string]any{
-					"error": err.Error(),
-					"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
-					"stats": svc.Stats(),
-				})
-				return
-			}
+		// The spooled body streams through in bounded pipeline
+		// batches. Streamed ingestion is NOT atomic: batches that
+		// preceded a malformed line are already published when the
+		// error returns, so the error response carries the stats
+		// the client needs to see how far the body got — blindly
+		// re-sending the same body would double-ingest the prefix.
+		stream := pghive.NewJSONLStream(bytes.NewReader(body), t.batchSize)
+		if t.dur != nil {
+			err = t.dur.DrainStreamContext(r.Context(), stream, nil)
 		} else {
-			// Keyed requests always land as one atomic batch, whatever
-			// -batch-size says: a key promises all-or-nothing, and a
-			// split stream could replay half on retry.
-			g, err := pghive.ReadJSONL(r.Body, true)
-			if err != nil {
-				requestError(w, r, err)
-				return
-			}
-			if replayed, err = ingest(r.Context(), key, g); err != nil {
+			err = t.svc.DrainStreamContext(r.Context(), stream, nil)
+		}
+		if err != nil {
+			var roe *pghive.ReadOnlyError
+			if errors.As(err, &roe) {
+				// Fail-fast: refused before any batch was applied.
 				serviceError(w, err)
 				return
 			}
-		}
-		writeJSON(w, map[string]any{
-			"elapsedMs": time.Since(start).Milliseconds(),
-			"replayed":  replayed,
-			"stats":     svc.Stats(),
-		})
-	})
-	handleWrite("POST /retract", func(w http.ResponseWriter, r *http.Request) {
-		key, ok := idempotencyKey(w, r)
-		if !ok {
-			return
-		}
-		g, err := pghive.ReadJSONL(r.Body, true)
-		if err != nil {
-			requestError(w, r, err)
-			return
-		}
-		replayed, err := retract(r.Context(), key, g)
-		if err != nil {
-			serviceError(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"replayed": replayed, "stats": svc.Stats()})
-	})
-	handleRead("GET /schema", schemaHandler(svc))
-	handleRead("POST /validate", validateHandler(svc))
-	handleRead("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		if dur != nil {
-			writeJSON(w, map[string]any{
-				"stats":     svc.Stats(),
-				"durable":   dur.DurableStats(),
-				"admission": gate.Stats(),
+			// A durability failure (WAL append) is the server's
+			// fault and retryable — it must not masquerade as a
+			// malformed-body 400, which clients treat as permanent.
+			// A deadline expiry mid-stream is likewise the 503 kind.
+			code := http.StatusBadRequest
+			var de *pghive.DurabilityError
+			switch {
+			case errors.As(err, &de):
+				code = http.StatusInternalServerError
+			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+				code = http.StatusServiceUnavailable
+			}
+			writeJSONStatus(w, code, map[string]any{
+				"error": err.Error(),
+				"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
+				"stats": t.Stats(),
 			})
 			return
 		}
-		writeJSON(w, svc.Stats())
-	})
-	// Probes bypass the gate: an orchestrator must see the truth even
-	// when the server is at capacity or draining.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Liveness: the process is up and serving reads — true even in
-		// degraded read-only mode, which is declared, not fatal.
-		resp := map[string]any{"status": "ok"}
-		if dur != nil {
-			if reason, degraded := dur.Degraded(); degraded {
-				resp["status"] = "degraded"
-				resp["readOnly"] = true
-				resp["reason"] = reason
-			}
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Readiness: should the load balancer route here? No while
-		// draining. Degraded read-only still serves reads, so it stays
-		// ready — but declares itself so operators can alert.
-		if gate.Draining() {
-			w.Header().Set("Retry-After", "1")
-			writeJSONStatus(w, http.StatusServiceUnavailable,
-				map[string]any{"ready": false, "reason": "draining"})
-			return
-		}
-		resp := map[string]any{"ready": true}
-		if dur != nil {
-			if reason, degraded := dur.Degraded(); degraded {
-				resp["readOnly"] = true
-				resp["reason"] = reason
-			}
-		}
-		writeJSON(w, resp)
-	})
-	handleRead("POST /rearm", func(w http.ResponseWriter, r *http.Request) {
-		// Operator re-arm: re-open the WAL from disk and restore write
-		// service after read-only degradation. No-op when healthy.
-		if dur == nil {
-			httpError(w, http.StatusBadRequest,
-				errors.New("rearm requires durable mode (serve with -data-dir)"))
-			return
-		}
-		if err := dur.Rearm(); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, map[string]any{"rearmed": true, "durable": dur.DurableStats()})
-	})
-	handleRead("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		if dur != nil {
-			// Durable mode: fold the WAL into an on-disk image. The
-			// image lands in the data directory via temp file + rename
-			// (never a truncated file at the target path), superseded
-			// segments are pruned, and the response reports the new
-			// durability state instead of streaming the image.
-			if err := dur.Compact(); err != nil {
-				httpError(w, http.StatusInternalServerError, err)
-				return
-			}
-			writeJSON(w, map[string]any{"compacted": true, "durable": dur.DurableStats()})
-			return
-		}
-		// Serialize into memory first: WriteCheckpoint holds the
-		// service write lock, so streaming it straight to a slow (or
-		// stalled) client would block every ingest for as long as the
-		// client cares to read — and a mid-write network error would
-		// deliver a truncated image under a 200 status.
-		var buf bytes.Buffer
-		if err := svc.WriteCheckpoint(&buf); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes())
-	})
-	return mux
-}
-
-// schemaHandler serves the published schema document in the format
-// the request negotiates. Shared between the leader and follower
-// muxes: a replica answers schema reads from its own snapshot exactly
-// like a leader would.
-func schemaHandler(svc *pghive.Service) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mode := pghive.Strict
-		switch strings.ToLower(r.URL.Query().Get("mode")) {
-		case "", "strict":
-		case "loose":
-			mode = pghive.Loose
-		default:
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown mode %q (want strict or loose)", r.URL.Query().Get("mode")))
-			return
-		}
-		name := r.URL.Query().Get("name")
-		if name == "" {
-			name = "DiscoveredGraphType"
-		}
-		switch schemaFormat(r) {
-		case "json":
-			w.Header().Set("Content-Type", "application/json")
-			svc.WriteSchemaJSON(w)
-		case "pgschema":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, svc.PGSchema(mode, name))
-		case "xsd":
-			w.Header().Set("Content-Type", "application/xml")
-			fmt.Fprint(w, svc.XSD())
-		case "dot":
-			w.Header().Set("Content-Type", "text/vnd.graphviz")
-			fmt.Fprint(w, svc.DOT(name))
-		default:
-			// Only an explicit ?format= can land here (Accept
-			// negotiation always falls back to pgschema), and a bad
-			// query parameter is the client's request error, not failed
-			// content negotiation.
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown schema format (want json, pgschema, xsd, or dot)"))
-		}
-	}
-}
-
-// validateHandler checks a posted batch against the published schema
-// without ingesting it. Validation never mutates, so a follower
-// serves it too — against its replicated schema.
-func validateHandler(svc *pghive.Service) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+	} else {
+		// Keyed requests always land as one atomic batch, whatever
+		// -batch-size says: a key promises all-or-nothing, and a
+		// split stream could replay half on retry.
 		g, err := pghive.ReadJSONL(r.Body, true)
 		if err != nil {
 			requestError(w, r, err)
 			return
 		}
-		mode := pghive.ValidateLoose
-		switch strings.ToLower(r.URL.Query().Get("mode")) {
-		case "", "loose":
-		case "strict":
-			mode = pghive.ValidateStrict
-		default:
-			// A typo'd mode must not silently validate loosely — the
-			// client would read valid=true as a strict pass.
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown mode %q (want loose or strict)", r.URL.Query().Get("mode")))
+		if replayed, err = t.write(r.Context(), key, g, false); err != nil {
+			serviceError(w, err)
 			return
 		}
-		rep := svc.Validate(g, mode)
-		violations := make([]string, len(rep.Violations))
-		for i, v := range rep.Violations {
-			violations[i] = v.String()
-		}
+	}
+	writeJSON(w, map[string]any{
+		"elapsedMs": time.Since(start).Milliseconds(),
+		"replayed":  replayed,
+		"stats":     t.Stats(),
+	})
+}
+
+func (t target) retract(w http.ResponseWriter, r *http.Request) {
+	key, ok := t.idempotencyKey(w, r)
+	if !ok {
+		return
+	}
+	g, err := pghive.ReadJSONL(r.Body, true)
+	if err != nil {
+		requestError(w, r, err)
+		return
+	}
+	replayed, err := t.write(r.Context(), key, g, true)
+	if err != nil {
+		serviceError(w, err)
+		return
+	}
+	writeJSON(w, map[string]any{"replayed": replayed, "stats": t.Stats()})
+}
+
+// rearm is the operator re-arm: re-open the WAL from disk and restore
+// write service after read-only degradation. No-op when healthy.
+func (t target) rearm(w http.ResponseWriter, r *http.Request) {
+	if t.dur == nil {
+		httpError(w, http.StatusBadRequest,
+			errors.New("rearm requires durable mode (serve with -data-dir)"))
+		return
+	}
+	if err := t.dur.Rearm(); err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, map[string]any{"rearmed": true, "durable": t.dur.DurableStats()})
+}
+
+func (t target) stats(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case t.dur != nil:
 		writeJSON(w, map[string]any{
-			"checked": rep.Checked, "valid": rep.Valid(),
-			"violations": violations, "truncated": rep.Truncated,
+			"stats":     t.Stats(),
+			"durable":   t.dur.DurableStats(),
+			"admission": t.gate.Stats(),
 		})
+	case t.fol != nil:
+		writeJSON(w, map[string]any{
+			"stats":     t.Stats(),
+			"lag":       t.fol.Lag(r.Context()),
+			"admission": t.gate.Stats(),
+		})
+	default:
+		writeJSON(w, t.Stats())
 	}
 }
 
-// newFollowerMux wires the read-only replica surface: the same read
-// endpoints a leader serves (answered from the follower's replicated
-// snapshot), GET /lag for replication health, and — on every write
-// route — the machine-readable read-only refusal, so a client that
-// was misdirected at a replica gets PR 7's 409 contract rather than
-// a 404 it might mistake for a missing feature. Factored out of
-// runServe so tests can drive a replica end to end via httptest.
-func newFollowerMux(fol *pghive.Follower, gate *admission.Gate) *http.ServeMux {
-	if gate == nil {
-		gate = admission.New(admission.Config{})
-	}
-	svc := fol.Service
-	refuse := func(w http.ResponseWriter, r *http.Request) {
-		serviceError(w, &pghive.ReadOnlyError{Reason: pghive.ReadOnlyFollower})
-	}
-
-	mux := http.NewServeMux()
-	// Writes keep their leader routes but are refused up front —
-	// before reading the body, which may be large and is doomed.
-	mux.Handle("POST /ingest", gate.WrapWrite(http.HandlerFunc(refuse)))
-	mux.Handle("POST /retract", gate.WrapWrite(http.HandlerFunc(refuse)))
-	mux.Handle("POST /rearm", gate.Wrap(http.HandlerFunc(refuse)))
-
-	mux.Handle("GET /schema", gate.Wrap(schemaHandler(svc)))
-	mux.Handle("POST /validate", gate.Wrap(validateHandler(svc)))
-	mux.Handle("GET /stats", gate.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"stats":     svc.Stats(),
-			"lag":       fol.Lag(r.Context()),
-			"admission": gate.Stats(),
-		})
-	})))
-	// POST /checkpoint streams the replica's state image, exactly like
-	// a non-durable leader: the follower owns no WAL to fold, and the
-	// streamed image is how operators (and CI) verify bit-identity
-	// with the leader at the same LSN.
-	mux.Handle("POST /checkpoint", gate.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var buf bytes.Buffer
-		if err := svc.WriteCheckpoint(&buf); err != nil {
+func (t target) checkpoint(w http.ResponseWriter, r *http.Request) {
+	if t.dur != nil {
+		// Durable mode: fold the WAL into an on-disk image. The
+		// image lands in the data directory via temp file + rename
+		// (never a truncated file at the target path), superseded
+		// segments are pruned, and the response reports the new
+		// durability state instead of streaming the image.
+		if err := t.dur.Compact(); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes())
-	})))
-
-	// Probes and the lag endpoint bypass the gate: an orchestrator
-	// must see the truth even at capacity or while draining.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{"status": "ok", "role": "follower"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if gate.Draining() {
-			w.Header().Set("Retry-After", "1")
-			writeJSONStatus(w, http.StatusServiceUnavailable,
-				map[string]any{"ready": false, "reason": "draining"})
-			return
-		}
-		// Not ready until the bootstrap image is applied: routing reads
-		// to an empty replica would serve the initial snapshot as truth.
-		if !fol.Ready() {
-			w.Header().Set("Retry-After", "1")
-			writeJSONStatus(w, http.StatusServiceUnavailable,
-				map[string]any{"ready": false, "reason": "bootstrapping", "role": "follower"})
-			return
-		}
-		writeJSON(w, map[string]any{"ready": true, "role": "follower"})
-	})
-	mux.HandleFunc("GET /lag", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, fol.Lag(r.Context()))
-	})
-	return mux
+		writeJSON(w, map[string]any{"compacted": true, "durable": t.dur.DurableStats()})
+		return
+	}
+	// Plain services and followers stream their state image — a
+	// follower owns no WAL to fold, and the streamed image is how
+	// operators (and CI) verify bit-identity with the leader at the
+	// same LSN. Serialize into memory first: WriteCheckpoint holds the
+	// write lock, so streaming it straight to a slow (or stalled)
+	// client would block every ingest for as long as the client cares
+	// to read — and a mid-write network error would deliver a
+	// truncated image under a 200 status.
+	var write func(io.Writer) error
+	if t.fol != nil {
+		write = t.fol.WriteCheckpoint
+	} else {
+		write = t.svc.WriteCheckpoint
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
 }
+
+// declareRole adds what a probe response says about the role: a
+// follower names itself; a durable service in degraded read-only mode
+// declares it (reporting whether it did).
+func (t target) declareRole(resp map[string]any) (degraded bool) {
+	if t.fol != nil {
+		resp["role"] = "follower"
+	}
+	if t.dur != nil {
+		var reason string
+		if reason, degraded = t.dur.Degraded(); degraded {
+			resp["readOnly"] = true
+			resp["reason"] = reason
+		}
+	}
+	return degraded
+}
+
+// healthz is liveness: the process is up and serving reads — true even
+// in degraded read-only mode, which is declared, not fatal.
+func (t target) healthz(w http.ResponseWriter, r *http.Request) {
+	resp := map[string]any{"status": "ok"}
+	if t.declareRole(resp) {
+		resp["status"] = "degraded"
+	}
+	writeJSON(w, resp)
+}
+
+// readyz is readiness: should the load balancer route here? No while
+// draining, and no on a follower until the bootstrap image is applied
+// — routing reads to an empty replica would serve the initial snapshot
+// as truth. Degraded read-only still serves reads, so it stays ready —
+// but declares itself so operators can alert.
+func (t target) readyz(w http.ResponseWriter, r *http.Request) {
+	var notReady map[string]any
+	switch {
+	case t.gate.Draining():
+		notReady = map[string]any{"ready": false, "reason": "draining"}
+	case t.fol != nil && !t.fol.Ready():
+		notReady = map[string]any{"ready": false, "reason": "bootstrapping", "role": "follower"}
+	}
+	if notReady != nil {
+		w.Header().Set("Retry-After", "1")
+		writeJSONStatus(w, http.StatusServiceUnavailable, notReady)
+		return
+	}
+	resp := map[string]any{"ready": true}
+	t.declareRole(resp)
+	writeJSON(w, resp)
+}
+
+// schema serves the published schema document in the format the
+// request negotiates.
+func (t target) schema(w http.ResponseWriter, r *http.Request) {
+	mode := pghive.Strict
+	switch strings.ToLower(r.URL.Query().Get("mode")) {
+	case "", "strict":
+	case "loose":
+		mode = pghive.Loose
+	default:
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown mode %q (want strict or loose)", r.URL.Query().Get("mode")))
+		return
+	}
+	name := r.URL.Query().Get("name")
+	if name == "" {
+		name = "DiscoveredGraphType"
+	}
+	switch schemaFormat(r) {
+	case "json":
+		w.Header().Set("Content-Type", "application/json")
+		t.WriteSchemaJSON(w)
+	case "pgschema":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, t.PGSchema(mode, name))
+	case "xsd":
+		w.Header().Set("Content-Type", "application/xml")
+		fmt.Fprint(w, t.XSD())
+	case "dot":
+		w.Header().Set("Content-Type", "text/vnd.graphviz")
+		fmt.Fprint(w, t.DOT(name))
+	default:
+		// Only an explicit ?format= can land here (Accept
+		// negotiation always falls back to pgschema), and a bad
+		// query parameter is the client's request error, not failed
+		// content negotiation.
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown schema format (want json, pgschema, xsd, or dot)"))
+	}
+}
+
+// validate checks a posted batch against the published schema without
+// ingesting it. Validation never mutates, so a follower serves it too
+// — against its replicated schema.
+func (t target) validate(w http.ResponseWriter, r *http.Request) {
+	g, err := pghive.ReadJSONL(r.Body, true)
+	if err != nil {
+		requestError(w, r, err)
+		return
+	}
+	mode := pghive.ValidateLoose
+	switch strings.ToLower(r.URL.Query().Get("mode")) {
+	case "", "loose":
+	case "strict":
+		mode = pghive.ValidateStrict
+	default:
+		// A typo'd mode must not silently validate loosely — the
+		// client would read valid=true as a strict pass.
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown mode %q (want loose or strict)", r.URL.Query().Get("mode")))
+		return
+	}
+	rep := t.Validate(g, mode)
+	violations := make([]string, len(rep.Violations))
+	for i, v := range rep.Violations {
+		violations[i] = v.String()
+	}
+	writeJSON(w, map[string]any{
+		"checked": rep.Checked, "valid": rep.Valid(),
+		"violations": violations, "truncated": rep.Truncated,
+	})
+}
+
+// leaderProbeTimeout bounds one leader-position probe.
+const leaderProbeTimeout = 2 * time.Second
 
 // leaderLSNProbe builds the follower's leader-position callback: read
 // the leader's /stats and report its last acknowledged WAL LSN, which
 // GET /lag subtracts from the replica's applied LSN. Best effort —
 // when -follow points at a bare object store with no /stats endpoint,
-// /lag simply omits the leader position.
-func leaderLSNProbe(base string) func(context.Context) (uint64, error) {
+// /lag simply omits the leader position. Every probe carries its own
+// short deadline under the request's: GET /lag bypasses the admission
+// gate (and with it the per-request deadline), so a leader that
+// accepts the connection and never answers must not pin the handler.
+func leaderLSNProbe(base string, timeout time.Duration) func(context.Context) (uint64, error) {
 	base = strings.TrimRight(base, "/")
 	return func(ctx context.Context) (uint64, error) {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/stats", nil)
 		if err != nil {
 			return 0, err

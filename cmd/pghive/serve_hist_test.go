@@ -119,7 +119,7 @@ func (h *httpClient) Snapshot() (histcheck.Observation, bool, error) {
 // corrupting one observation and watching the same checker reject it.
 func TestServeHistoryChecked(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1, Parallelism: 2})
-	srv := httptest.NewServer(newServeMux(svc, nil, 0, nil))
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, nil))
 	defer srv.Close()
 
 	cfg := histcheck.Config{Writers: 3, BatchesPerWriter: 5, Readers: 3, ReadsPerReader: 24}

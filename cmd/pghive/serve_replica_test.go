@@ -1,7 +1,7 @@
 package main
 
 // serve_replica_test.go: the replication topology over the real HTTP
-// surface. A durable group-commit leader ships into an object store
+// surface. A durable leader ships into an object store
 // served from its own mux at /v1/objects; followers bootstrap and
 // tail that store through the same store.HTTP client a production
 // -follow deployment uses. The tests pin the operator-visible
@@ -32,7 +32,7 @@ import (
 
 const testObjectToken = "replication-smoke-token"
 
-// startShippingLeader serves a durable group-commit leader whose mux
+// startShippingLeader serves a durable leader whose mux
 // also exposes the object store it ships into, token-guarded like a
 // real -ship-dir deployment.
 func startShippingLeader(t *testing.T) (*pghive.DurableService, *httptest.Server) {
@@ -42,24 +42,19 @@ func startShippingLeader(t *testing.T) (*pghive.DurableService, *httptest.Server
 		FS:                 vfs.NewMemFS(),
 		DisableAutoCompact: true,
 		SegmentBytes:       4096,
-		GroupCommit:        true,
 		ShipTo:             backend,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dur.Close() })
-	mux := newServeMux(dur.Service, dur, 0, nil)
-	oh := store.Handler(backend, testObjectToken)
-	mux.Handle(store.ObjectsRoute, oh)
-	mux.Handle(store.ObjectsRoute+"/", oh)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(newServeMux(serveDurable(dur, store.Handler(backend, testObjectToken)), 0, nil))
 	t.Cleanup(srv.Close)
 	return dur, srv
 }
 
 // startFollower points a follower at the leader's object routes over
-// real HTTP and serves it through newFollowerMux, as -follow does.
+// real HTTP and serves it in the follower role, as -follow does.
 // The tail loop is NOT started — callers call Start themselves, so a
 // test that wants a deterministic bootstrap generation can hold the
 // follower back until the leader has shipped one.
@@ -71,10 +66,10 @@ func startFollower(t *testing.T, leader *httptest.Server) (*pghive.Follower, *ht
 	}
 	fol := pghive.NewFollower(pghive.Options{Seed: 1, Parallelism: 2}, backend, pghive.FollowerOptions{
 		PollInterval: time.Millisecond,
-		LeaderLSN:    leaderLSNProbe(leader.URL),
+		LeaderLSN:    leaderLSNProbe(leader.URL, leaderProbeTimeout),
 	})
 	t.Cleanup(func() { fol.Close() })
-	srv := httptest.NewServer(newFollowerMux(fol, nil))
+	srv := httptest.NewServer(newServeMux(serveFollower(fol), 0, nil))
 	t.Cleanup(srv.Close)
 	return fol, srv
 }
@@ -220,7 +215,7 @@ func TestServeReplicaEndToEnd(t *testing.T) {
 	// Bit-identity at the same LSN: the follower's streamed checkpoint
 	// image equals the leader's, byte for byte.
 	var want bytes.Buffer
-	if err := dur.Service.WriteCheckpoint(&want); err != nil {
+	if err := dur.WriteCheckpoint(&want); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Post(folSrv.URL+"/checkpoint", "", nil)
@@ -257,6 +252,17 @@ func TestServeReplicaEndToEnd(t *testing.T) {
 		}
 	}
 
+	// ...and refuses before touching the body, which may be large and is
+	// doomed: driven in-process, a body that fails the test when read.
+	folMux := newServeMux(serveFollower(fol), 0, nil)
+	for _, route := range []string{"/ingest", "/retract", "/rearm"} {
+		rec := httptest.NewRecorder()
+		folMux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, trapBody{t}))
+		if rec.Code != http.StatusConflict {
+			t.Fatalf("POST %s on follower: status %d, want 409", route, rec.Code)
+		}
+	}
+
 	// The follower serves the leader's schema: instance counts match.
 	resp, err = http.Get(folSrv.URL + "/stats")
 	if err != nil {
@@ -270,11 +276,61 @@ func TestServeReplicaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if lst := dur.Service.Stats(); stats.Stats.Nodes != lst.Nodes || stats.Stats.Batches != lst.Batches {
+	if lst := dur.Stats(); stats.Stats.Nodes != lst.Nodes || stats.Stats.Batches != lst.Batches {
 		t.Fatalf("follower stats %+v != leader %+v", stats.Stats, lst)
 	}
 	if stats.Lag == nil || !stats.Lag.Ready {
 		t.Fatalf("follower /stats lag block missing or not ready: %+v", stats.Lag)
+	}
+}
+
+// trapBody is a request body nobody may read.
+type trapBody struct{ t *testing.T }
+
+func (b trapBody) Read([]byte) (int, error) {
+	b.t.Error("follower read the body of a write it was always going to refuse")
+	return 0, io.EOF
+}
+
+// TestLagBoundedWhenLeaderNeverAnswers: GET /lag bypasses the
+// admission gate, so nothing but the probe's own deadline stands
+// between a black-holed leader — one that accepts the connection and
+// never answers — and a handler pinned for as long as the caller cares
+// to wait. The probe gives up within its bound and /lag still reports
+// the replica's own position, with the leader's simply absent.
+func TestLagBoundedWhenLeaderNeverAnswers(t *testing.T) {
+	blackHole := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // accept, never answer
+	}))
+	defer blackHole.Close()
+
+	const bound = 100 * time.Millisecond
+	fol := pghive.NewFollower(pghive.Options{Seed: 1}, store.NewDir(vfs.NewMemFS(), "/objects"), pghive.FollowerOptions{
+		LeaderLSN: leaderLSNProbe(blackHole.URL, bound),
+	})
+	defer fol.Close()
+	srv := httptest.NewServer(newServeMux(serveFollower(fol), 0, nil))
+	defer srv.Close()
+
+	// The client's patience is far past the bound: if it runs out, the
+	// probe was not bounded.
+	resp, err := (&http.Client{Timeout: 50 * bound}).Get(srv.URL + "/lag")
+	if err != nil {
+		t.Fatalf("/lag behind a leader that never answers (probe bound %v): %v", bound, err)
+	}
+	defer resp.Body.Close()
+	var lag map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&lag); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/lag: status %d, want 200", resp.StatusCode)
+	}
+	if _, ok := lag["appliedLSN"]; !ok {
+		t.Fatalf("/lag dropped the replica's own position: %v", lag)
+	}
+	if _, ok := lag["leaderLSN"]; ok {
+		t.Fatalf("/lag reports a leader position it cannot have: %v", lag)
 	}
 }
 

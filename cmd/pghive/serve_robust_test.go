@@ -47,7 +47,7 @@ func postKeyed(t *testing.T, srv *httptest.Server, path, key, body string) (int,
 func TestServeBodyCap413(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	gate := admission.New(admission.Config{MaxBodyBytes: 64, MaxConcurrent: -1, MaxWriteQueue: -1, RequestTimeout: -1})
-	srv := httptest.NewServer(newServeMux(svc, nil, 0, gate))
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, gate))
 	defer srv.Close()
 
 	code, body := post(t, srv, "/ingest", jsonlBatch(0)) // well over 64 bytes
@@ -67,7 +67,7 @@ func TestServeBodyCap413(t *testing.T) {
 func TestServeWriteBackpressure429(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	gate := admission.New(admission.Config{MaxWriteQueue: 1, MaxConcurrent: -1, RequestTimeout: -1})
-	mux := newServeMux(svc, nil, 0, gate)
+	mux := newServeMux(servePlain(svc), 0, gate)
 
 	// Park one write inside the gate by holding the service write
 	// lock via a slow streamed request… simpler: drive the gate
@@ -121,7 +121,7 @@ func (s *slowBody) Read(p []byte) (int, error) {
 func TestServeHealthProbesAndDrain(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	gate := admission.New(admission.Config{})
-	srv := httptest.NewServer(newServeMux(svc, nil, 0, gate))
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, gate))
 	defer srv.Close()
 
 	code, _, body := get(t, srv, "/healthz", "")
@@ -180,7 +180,7 @@ func TestServeDegradedReadOnly409AndRearm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	srv := httptest.NewServer(newServeMux(dur.Service, dur, 0, nil))
+	srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 0, nil))
 	defer srv.Close()
 
 	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
@@ -232,7 +232,7 @@ func TestServeIdempotencyKeyOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	srv := httptest.NewServer(newServeMux(dur.Service, dur, 0, nil))
+	srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 0, nil))
 	defer srv.Close()
 
 	decode := func(body []byte) (replayed bool, batches int) {
@@ -266,7 +266,7 @@ func TestServeIdempotencyKeyOverHTTP(t *testing.T) {
 
 	// Contract violations are 400s: keys without durable mode, and
 	// oversized keys.
-	plainSrv := httptest.NewServer(newServeMux(pghive.NewService(pghive.Options{Seed: 1}), nil, 0, nil))
+	plainSrv := httptest.NewServer(newServeMux(servePlain(pghive.NewService(pghive.Options{Seed: 1})), 0, nil))
 	defer plainSrv.Close()
 	if code, body := postKeyed(t, plainSrv, "/ingest", "key-1", jsonlBatch(0)); code != http.StatusBadRequest {
 		t.Fatalf("keyed ingest without durable mode: %d %s, want 400", code, body)
@@ -285,7 +285,7 @@ func TestServeRequestDeadlineAnswers503(t *testing.T) {
 	}
 	defer dur.Close()
 	gate := admission.New(admission.Config{RequestTimeout: 50 * time.Millisecond, MaxConcurrent: -1, MaxWriteQueue: -1})
-	mux := newServeMux(dur.Service, dur, 0, gate)
+	mux := newServeMux(serveDurable(dur, nil), 0, gate)
 
 	// Hold the write lock so the HTTP write must queue past its
 	// deadline.

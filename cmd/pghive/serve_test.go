@@ -68,7 +68,7 @@ func jsonlBatch(firstID int) string {
 
 func TestServeHTTPEndpoints(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
-	srv := httptest.NewServer(newServeMux(svc, nil, 0, nil))
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, nil))
 	defer srv.Close()
 
 	// Two ingest batches; the second one's edge endpoints partially
@@ -197,7 +197,7 @@ func TestServeHTTPEndpoints(t *testing.T) {
 // path (one request body split into multiple pipeline batches).
 func TestServeHTTPStreamedIngest(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
-	srv := httptest.NewServer(newServeMux(svc, nil, 5, nil))
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 5, nil))
 	defer srv.Close()
 	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
 		t.Fatalf("ingest: %d %s", code, body)
@@ -224,7 +224,7 @@ func TestServeHTTPDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newServeMux(dur.Service, dur, 0, nil))
+	srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 0, nil))
 
 	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
 		t.Fatalf("ingest 1: %d %s", code, body)
@@ -295,7 +295,7 @@ func TestServeHTTPDurable(t *testing.T) {
 	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
 		t.Fatal("recovered serve state diverges from pre-crash state")
 	}
-	srv2 := httptest.NewServer(newServeMux(dur2.Service, dur2, 0, nil))
+	srv2 := httptest.NewServer(newServeMux(serveDurable(dur2, nil), 0, nil))
 	defer srv2.Close()
 	code, _, body = get(t, srv2, "/schema?format=pgschema&mode=strict&name=G", "")
 	if code != http.StatusOK || !strings.Contains(string(body), "CREATE GRAPH TYPE G STRICT") {

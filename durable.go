@@ -75,7 +75,6 @@ import (
 	"time"
 
 	"github.com/pghive/pghive/internal/core"
-	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
@@ -156,15 +155,6 @@ type DurableOptions struct {
 	// the real OS. Fault-injection tests substitute vfs.MemFS /
 	// vfs.InjectFS to prove recovery survives hostile disks.
 	FS vfs.FS
-	// GroupCommit routes writes through a committer goroutine that
-	// coalesces concurrent appends into shared fsyncs (up to
-	// GroupCommitMaxBatch acknowledgments per flush). The durability
-	// contract is unchanged — no write is acknowledged before the
-	// fsync covering its record returns — only the fsync count drops
-	// under concurrency. Off by default.
-	GroupCommit bool
-	// GroupCommitMaxBatch bounds one commit group (default 64).
-	GroupCommitMaxBatch int
 	// ShipTo, when non-nil, enables WAL shipping: sealed segments and
 	// checkpoint generations are uploaded to the backend after every
 	// compaction so followers can bootstrap and tail. While set, local
@@ -189,19 +179,17 @@ func (o DurableOptions) withDefaults() DurableOptions {
 	if o.MaxTombstoneRatio <= 0 {
 		o.MaxTombstoneRatio = 0.5
 	}
-	if o.GroupCommitMaxBatch <= 0 {
-		o.GroupCommitMaxBatch = 64
-	}
 	return o
 }
 
-// DurableService is a Service whose every mutation is write-ahead
-// logged to a data directory. The read side (Snapshot, Schema, Stats,
-// Validate, renders) is the embedded Service's — lock-free against
-// the published snapshot, and available even in read-only degraded
-// mode. The write side appends to the WAL first and returns an error
-// when the log cannot be made durable; on success the mutation is
-// applied and published exactly as on a plain Service.
+// DurableService is a serving pipeline whose every mutation is
+// write-ahead logged to a data directory. The read side (Snapshot,
+// Schema, Stats, Validate, renders) is the embedded Reader's —
+// lock-free against the published snapshot, and available even in
+// read-only degraded mode. The write side appends to the WAL first and
+// returns an error when the log cannot be made durable; on success the
+// mutation is applied and published exactly as on a plain Service.
+// There is no write method that bypasses the log.
 //
 // The data directory holds the WAL segments (wal/*.wal), base images
 // (checkpoint-<lsn>.ckpt), delta runs (run-<from>-<to>.run) and the
@@ -209,20 +197,18 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // written atomically via temp file + rename. OpenDurable recovers
 // from the newest generation that validates.
 type DurableService struct {
-	*Service
+	*Reader
+	w     *writer
 	dir   string
 	fs    vfs.FS
 	log   atomic.Pointer[wal.Log]
 	dopts DurableOptions
 
 	// appliedLSN is the LSN of the last WAL record whose mutation the
-	// live state has absorbed. Guarded by mu. Rearm replays records
+	// live state has absorbed. Guarded by w.mu. Rearm replays records
 	// above it, which is what reconciles the live state with a frame
 	// that survived a rolled-back append.
 	appliedLSN uint64
-
-	// keys is the applied idempotency-key set (internally locked).
-	keys *idemStore
 
 	// degradedReason, when non-nil, declares read-only mode and why.
 	// Set by the write path on unrecoverable append failures; cleared
@@ -256,9 +242,10 @@ type DurableService struct {
 	// holds (see ship.go). Guarded by compactMu.
 	ship *shipper
 
-	// commitCh / commitDone exist only with DurableOptions.GroupCommit:
-	// the committer goroutine's queue and exit signal (see
-	// groupcommit.go).
+	// commitCh / commitDone are the committer goroutine's hand-off and
+	// exit signal (see groupcommit.go). The hand-off is unbuffered: a
+	// request is either still its caller's to abandon or already in the
+	// committer's hands, never parked in between.
 	commitCh   chan *commitReq
 	commitDone chan struct{}
 
@@ -301,19 +288,19 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	if err != nil {
 		return nil, err
 	}
-	svc := newService(opts, rec.rp.inc, rec.rp.resolver)
-	svc.nextEdgeID = rec.rp.nextEdgeID
 	d := &DurableService{
-		Service:    svc,
+		Reader:     rec.w.serve(),
+		w:          rec.w,
 		dir:        dir,
 		fs:         fsys,
 		dopts:      dopts,
 		appliedLSN: rec.log.NextLSN() - 1,
-		keys:       rec.rp.keys,
 		man:        rec.man,
 		prevMan:    rec.prev,
 		manSeq:     rec.maxSeq,
 		fallbacks:  rec.fallbacks,
+		commitCh:   make(chan *commitReq),
+		commitDone: make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
 	d.log.Store(rec.log)
@@ -335,11 +322,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	d.sweepLocked()
 	_ = d.shipRoundLocked(context.Background()) // best effort; retried each compaction
 	d.compactMu.Unlock()
-	if dopts.GroupCommit {
-		d.commitCh = make(chan *commitReq, 4*dopts.GroupCommitMaxBatch)
-		d.commitDone = make(chan struct{})
-		go d.commitLoop()
-	}
+	go d.commitLoop()
 	if !dopts.DisableAutoCompact {
 		d.done = make(chan struct{})
 		go d.compactLoop()
@@ -347,10 +330,10 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	return d, nil
 }
 
-// recovered is the outcome of recoverDurable: a replayer holding the
-// recovered state, the opened log, and the generation bookkeeping.
+// recovered is the outcome of recoverDurable: a shadow writer holding
+// the recovered state, the opened log, and the generation bookkeeping.
 type recovered struct {
-	rp        *walReplayer
+	w         *writer
 	log       *wal.Log
 	man       *runfile.Manifest
 	prev      *runfile.Manifest
@@ -481,9 +464,9 @@ func tryCandidate(dir string, opts Options, dopts DurableOptions, fsys vfs.FS, c
 		return nil, err
 	}
 
-	rp, err := newReplayer(opts, img, dopts.MaxIdempotencyKeys)
+	w, err := newWriter(opts, img, dopts.MaxIdempotencyKeys)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pghive: durable: restore image: %w", err)
 	}
 	covered := man.Covered()
 	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
@@ -495,11 +478,11 @@ func tryCandidate(dir string, opts Options, dopts DurableOptions, fsys vfs.FS, c
 	if err != nil {
 		return nil, &recoveryHardError{err: err}
 	}
-	if err := log.Replay(covered, rp.apply); err != nil {
+	if err := log.Replay(covered, w.apply); err != nil {
 		_ = log.Close()
 		return nil, err
 	}
-	return &recovered{rp: rp, log: log, man: man}, nil
+	return &recovered{w: w, log: log, man: man}, nil
 }
 
 // mergedImage materializes the state a generation covers: its base
@@ -573,7 +556,7 @@ func (d *DurableService) Degraded() (reason string, degraded bool) {
 }
 
 // failFastLocked rejects writes in read-only mode before they touch
-// the WAL. Callers must hold mu.
+// the WAL. Callers must hold w.mu.
 func (d *DurableService) failFastLocked() error {
 	if r := d.degradedReason.Load(); r != nil {
 		return &ReadOnlyError{Reason: *r}
@@ -586,7 +569,7 @@ func (d *DurableService) failFastLocked() error {
 // (every future append is refused anyway, better to say so cheaply)
 // or a full disk (retrying only hammers a volume that needs space
 // freed). A transient injected fault or I/O hiccup does NOT degrade —
-// the next write simply tries again. Callers must hold mu.
+// the next write simply tries again. Callers must hold w.mu.
 func (d *DurableService) maybeDegradeLocked(err error) {
 	switch {
 	case d.wal().Broken():
@@ -644,30 +627,12 @@ func encodeWALRecordPayload(t byte, key string, g *Graph) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// appendLocked encodes g and logs it as one WAL record, returning the
-// record's LSN. Callers must hold the service write lock so the log
-// order equals the apply order — replay preserves exactly that order.
-// Failures are wrapped in DurabilityError; unrecoverable ones degrade
-// the service to read-only.
-func (d *DurableService) appendLocked(t byte, key string, g *Graph) (uint64, error) {
-	payload, err := encodeWALRecordPayload(t, key, g)
-	if err != nil {
-		return 0, err
-	}
-	lsn, err := d.wal().Append(t, payload)
-	if err != nil {
-		d.maybeDegradeLocked(err)
-		return 0, &DurabilityError{Err: err}
-	}
-	return lsn, nil
-}
-
 // noteAppliedLocked records that the mutation logged at lsn is (about
-// to be) absorbed into the live state. Callers must hold mu.
+// to be) absorbed into the live state. Callers must hold w.mu.
 func (d *DurableService) noteAppliedLocked(key string, lsn uint64) {
 	d.appliedLSN = lsn
 	if key != "" {
-		d.keys.add(key, lsn)
+		d.w.keys.add(key, lsn)
 	}
 }
 
@@ -675,75 +640,34 @@ func (d *DurableService) noteAppliedLocked(key string, lsn uint64) {
 // pipeline and publishes a fresh snapshot. On error the log and the
 // served state are both unchanged.
 func (d *DurableService) Ingest(g *Graph) (BatchTiming, error) {
-	return d.IngestContext(context.Background(), g)
-}
-
-// IngestContext is Ingest with a deadline on write admission: if ctx
-// ends while the call is queued behind other writers, nothing is
-// logged or applied and ctx's error is returned.
-func (d *DurableService) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	bt, _, err := d.IngestIdempotent(ctx, "", g)
+	bt, _, err := d.IngestIdempotent(context.Background(), "", g)
 	return bt, err
 }
 
-// IngestIdempotent is IngestContext with an idempotency key (""
-// degrades to a plain ingest). If a write with the same key was
-// already applied — in this process's lifetime or recovered from the
-// WAL/checkpoint after a crash — nothing is applied again and
-// replayed is true. The key is WAL-logged inside the batch's record,
-// so the at-most-once promise survives crashes, compaction, and
-// re-arm; it is bounded only by DurableOptions.MaxIdempotencyKeys.
+// IngestIdempotent is Ingest with a deadline on write admission and an
+// optional idempotency key. If ctx ends while the call is queued
+// behind other writers, nothing is logged or applied and ctx's error
+// is returned. If a write with the same key was already applied — in
+// this process's lifetime or recovered from the WAL/checkpoint after a
+// crash — nothing is applied again and replayed is true ("" degrades
+// to an unkeyed ingest). The key is WAL-logged inside the batch's
+// record, so the at-most-once promise survives crashes, compaction,
+// and re-arm; it is bounded only by DurableOptions.MaxIdempotencyKeys.
 func (d *DurableService) IngestIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
-	return d.writeIdempotent(ctx, key, g, false)
+	return d.submitCommit(ctx, key, g, false)
 }
 
 // Retract write-ahead logs the retraction, then applies it (see
 // Service.Retract).
 func (d *DurableService) Retract(g *Graph) (BatchTiming, error) {
-	return d.RetractContext(context.Background(), g)
-}
-
-// RetractContext is Retract with a deadline on write admission.
-func (d *DurableService) RetractContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	bt, _, err := d.RetractIdempotent(ctx, "", g)
+	bt, _, err := d.RetractIdempotent(context.Background(), "", g)
 	return bt, err
 }
 
-// RetractIdempotent is RetractContext with an idempotency key (see
-// IngestIdempotent for the contract).
+// RetractIdempotent is Retract with a deadline on write admission and
+// an optional idempotency key (see IngestIdempotent for the contract).
 func (d *DurableService) RetractIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
-	return d.writeIdempotent(ctx, key, g, true)
-}
-
-// writeIdempotent is the single durable write path: admission (with
-// ctx deadline), replay detection, read-only fail-fast, WAL append,
-// apply, publish. With GroupCommit enabled the same steps run inside
-// the committer goroutine instead, batched with concurrent writers.
-func (d *DurableService) writeIdempotent(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
-	if d.commitCh != nil {
-		return d.submitCommit(ctx, key, g, retract)
-	}
-	if err := d.mu.LockContext(ctx); err != nil {
-		return BatchTiming{}, false, err
-	}
-	defer d.mu.Unlock()
-	if key != "" {
-		if _, seen := d.keys.seen(key); seen {
-			return BatchTiming{}, true, nil
-		}
-	}
-	if err := d.failFastLocked(); err != nil {
-		return BatchTiming{}, false, err
-	}
-	lsn, err := d.appendLocked(walRecTypeFor(key, retract), key, g)
-	if err != nil {
-		return BatchTiming{}, false, err
-	}
-	d.noteAppliedLocked(key, lsn)
-	if retract {
-		return d.retractLocked(g), false, nil
-	}
-	return d.ingestLocked(g), false, nil
+	return d.submitCommit(ctx, key, g, true)
 }
 
 // DrainStream feeds every batch of the stream through the pipeline,
@@ -760,25 +684,39 @@ func (d *DurableService) DrainStream(r StreamReader, onBatch func(BatchTiming)) 
 // admission and the drain itself (checked before each batch). Expiry
 // mid-stream is not a rollback: durably logged batches stay applied.
 func (d *DurableService) DrainStreamContext(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	if err := d.mu.LockContext(ctx); err != nil {
+	if err := d.w.mu.LockContext(ctx); err != nil {
 		return err
 	}
-	defer d.mu.Unlock()
+	defer d.w.mu.Unlock()
 	if err := d.failFastLocked(); err != nil {
 		return err
 	}
-	return d.drainLocked(r, onBatch, func(g *Graph) error {
+	return d.w.drain(r, onBatch, func(g *Graph) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lsn, err := d.appendLocked(walRecStream, "", g)
+		payload, err := encodeWALRecordPayload(walRecStream, "", g)
 		if err != nil {
 			return err
+		}
+		// Appending under the write lock keeps the log order equal to
+		// the apply order — replay preserves exactly that order.
+		lsn, err := d.wal().Append(walRecStream, payload)
+		if err != nil {
+			d.maybeDegradeLocked(err)
+			return &DurabilityError{Err: err}
 		}
 		d.noteAppliedLocked("", lsn)
 		return nil
 	})
 }
+
+// WriteCheckpoint serializes the served state as a restorable image
+// (see Service.WriteCheckpoint) — the bytes the bit-identity checks
+// compare between a live service, its recovery, and its followers. It
+// carries no WAL position; the durable layer's own checkpoints are
+// written by Compact.
+func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCheckpoint(w) }
 
 // Compact folds every sealed WAL segment into the checkpoint
 // generation and prunes the segments below the resulting WAL floor.
@@ -839,18 +777,18 @@ func (d *DurableService) Compact() error {
 	// records up to the target, through the same apply path recovery
 	// uses. The bound keeps the fold off the active segment entirely —
 	// concurrent appends are never even read.
-	preImg, err := mergedImage(d.fs, d.dir, d.opts, d.man)
+	preImg, err := mergedImage(d.fs, d.dir, d.w.opts, d.man)
 	if err != nil {
 		return err
 	}
-	rp, err := newReplayer(d.opts, preImg, d.dopts.MaxIdempotencyKeys)
+	shadow, err := newWriter(d.w.opts, preImg, d.dopts.MaxIdempotencyKeys)
 	if err != nil {
+		return fmt.Errorf("pghive: durable: restore image: %w", err)
+	}
+	if err := lg.ReplayRange(covered, target, shadow.apply); err != nil {
 		return err
 	}
-	if err := lg.ReplayRange(covered, target, rp.apply); err != nil {
-		return err
-	}
-	nextImg, err := rp.image(target)
+	nextImg, err := shadow.image(target)
 	if err != nil {
 		return err
 	}
@@ -990,8 +928,8 @@ func (d *DurableService) noteGCFailure(err error) {
 func (d *DurableService) Rearm() error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.w.mu.Lock()
+	defer d.w.mu.Unlock()
 	if _, degraded := d.Degraded(); !degraded {
 		return nil
 	}
@@ -1007,29 +945,22 @@ func (d *DurableService) Rearm() error {
 	if err != nil {
 		return fmt.Errorf("pghive: durable: rearm: %w", err)
 	}
-	if err := lg.Replay(d.appliedLSN, d.applyRecordLocked); err != nil {
+	// appliedLSN advances per record, so a Rearm retried after a replay
+	// that failed midway never applies a record twice.
+	err = lg.Replay(d.appliedLSN, func(rec wal.Record) error {
+		if err := d.w.apply(rec); err != nil {
+			return err
+		}
+		d.appliedLSN = rec.LSN
+		return nil
+	})
+	if err != nil {
 		_ = lg.Close()
 		return fmt.Errorf("pghive: durable: rearm: %w", err)
 	}
 	d.log.Store(lg)
 	d.appliedLSN = lg.NextLSN() - 1
 	d.degradedReason.Store(nil)
-	return nil
-}
-
-// applyRecordLocked folds one WAL record into the live service state
-// through the same rules recovery uses. Callers must hold mu.
-func (d *DurableService) applyRecordLocked(rec wal.Record) error {
-	g, key, retract, err := decodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
-	if retract {
-		d.retractLocked(g)
-	} else {
-		d.ingestLocked(g)
-	}
-	d.noteAppliedLocked(key, rec.LSN)
 	return nil
 }
 
@@ -1072,9 +1003,10 @@ type DurableStats struct {
 	// WALNextLSN is the sequence number the next mutation will carry;
 	// NextLSN-1-CheckpointLSN records replay on recovery today.
 	WALNextLSN uint64 `json:"walNextLSN"`
-	// WALSyncs counts the fsyncs the log has issued; with GroupCommit
-	// enabled, acknowledged writes divided by WALSyncs is the group-
-	// commit amplification win.
+	// WALSyncs counts the fsyncs the log has issued. Concurrent writers
+	// share them (see groupcommit.go), so acknowledged writes divided by
+	// WALSyncs is how many acks each flush carried: 1 for a lone writer,
+	// up to the commit-group bound under concurrency.
 	WALSyncs uint64 `json:"walSyncs"`
 	// ShippedLSN is the WAL shipping watermark: every record at or
 	// below it is durable in the configured backend (zero when
@@ -1108,7 +1040,7 @@ func (d *DurableService) DurableStats() DurableStats {
 		Dir:        d.dir,
 		WALNextLSN: lg.NextLSN(), WALBroken: lg.Broken(),
 		WALSyncs:        lg.Syncs(),
-		IdempotencyKeys: d.keys.len(),
+		IdempotencyKeys: d.w.keys.len(),
 		GCFailures:      d.gcFailures.Load(),
 	}
 	d.compactMu.Lock()
@@ -1149,13 +1081,11 @@ func (d *DurableService) Close() error {
 		if d.done != nil {
 			<-d.done
 		}
-		if d.commitDone != nil {
-			<-d.commitDone
-		}
+		<-d.commitDone
 		d.compactMu.Lock()
 		defer d.compactMu.Unlock()
-		d.mu.Lock()
-		defer d.mu.Unlock()
+		d.w.mu.Lock()
+		defer d.w.mu.Unlock()
 		d.closeErr = d.wal().Close()
 	})
 	return d.closeErr
@@ -1236,77 +1166,33 @@ func (st *idemStore) export() []core.AppliedKey {
 	return append([]core.AppliedKey(nil), st.fifo[st.head:]...)
 }
 
-// walReplayer folds WAL records into an incremental pipeline plus the
-// serving-layer state that lives beside it (endpoint bookkeeping, the
-// edge-ID watermark, and the applied idempotency-key set). Recovery
-// and the compactor's shadow fold both run on it, and its apply rules
-// are shared with the live write path (trackGraph / ProcessBatch /
-// RetractBatch in the same order), which is what makes replay
-// bit-identical to the logged run.
-type walReplayer struct {
-	inc        *Incremental
-	resolver   *Graph
-	nextEdgeID ID
-	keys       *idemStore
-}
-
-// newReplayer builds a replayer positioned at a materialized
-// checkpoint image (or at the empty state when img is nil).
-func newReplayer(opts Options, img *core.Image, keyCap int) (*walReplayer, error) {
-	if keyCap <= 0 {
-		keyCap = 65536
-	}
-	rp := &walReplayer{keys: newIdemStore(keyCap)}
-	if img == nil {
-		rp.inc = NewIncremental(opts)
-	} else {
-		inc, extras, err := core.RestoreImage(opts, img)
-		if err != nil {
-			return nil, fmt.Errorf("pghive: durable: restore image: %w", err)
-		}
-		rp.inc = inc
-		rp.resolver = extras.Resolver
-		rp.nextEdgeID = extras.NextEdgeID
-		for _, k := range extras.AppliedKeys {
-			rp.keys.add(k.Key, k.LSN)
-		}
-	}
-	if rp.resolver == nil {
-		rp.resolver = pg.NewGraph()
-		rp.resolver.AllowDanglingEdges(true)
-	}
-	return rp, nil
-}
-
-// image captures the replayer's state as a checkpoint image covering
-// WAL LSNs up to target.
-func (rp *walReplayer) image(target uint64) (*core.Image, error) {
-	return rp.inc.CaptureImage(&core.CheckpointExtras{
-		Resolver:    rp.resolver,
-		NextEdgeID:  rp.nextEdgeID,
+// image captures the state as a checkpoint image covering WAL LSNs up
+// to target, applied idempotency keys included.
+func (w *writer) image(target uint64) (*core.Image, error) {
+	return w.inc.CaptureImage(&core.CheckpointExtras{
+		Resolver:    w.resolver,
+		NextEdgeID:  w.nextEdgeID,
 		WALSeq:      target,
-		AppliedKeys: rp.keys.export(),
+		AppliedKeys: w.keys.export(),
 	})
 }
 
-// apply folds one WAL record.
-func (rp *walReplayer) apply(rec wal.Record) error {
+// apply folds one WAL record into the state through the same ingest
+// and retract live writes use — the one rule behind recovery, the
+// compactor's fold, Rearm's catch-up and a follower's tail — and
+// remembers the idempotency key it carried, where keys are tracked.
+func (w *writer) apply(rec wal.Record) error {
 	g, key, retract, err := decodeWALRecord(rec)
 	if err != nil {
 		return err
 	}
 	if retract {
-		rp.inc.RetractBatch(&Batch{Graph: g, Resolver: rp.resolver})
-		nodes := g.Nodes()
-		for i := range nodes {
-			rp.resolver.RemoveNode(nodes[i].ID)
-		}
+		w.retract(g)
 	} else {
-		trackGraph(rp.resolver, g, &rp.nextEdgeID)
-		rp.inc.ProcessBatch(&Batch{Graph: g, Resolver: rp.resolver, Index: rp.inc.Batches() + 1})
+		w.ingest(g)
 	}
-	if key != "" {
-		rp.keys.add(key, rec.LSN)
+	if key != "" && w.keys != nil {
+		w.keys.add(key, rec.LSN)
 	}
 	return nil
 }

@@ -1,11 +1,10 @@
 // Replication demonstrates the WAL-shipping topology end to end: a
-// durable group-commit leader ships sealed WAL segments and
-// checkpoint generations into an object store, two read-only
-// followers bootstrap from the newest shipped generation and tail the
-// stream, and the program proves the operator-facing contract at
+// durable leader ships sealed WAL segments and checkpoint generations
+// into an object store, two read-only followers bootstrap from the
+// newest shipped generation and tail the stream, and the program proves the operator-facing contract at
 // every step — followers converge to states bit-identical to the
-// leader's, refuse writes with the declared read-only reason, and
-// when the leader is killed mid-stream they keep serving their last
+// leader's (and, having no write methods, cannot be made to diverge),
+// and when the leader is killed mid-stream they keep serving their last
 // snapshot, report growing lag honestly, and catch up bit-identically
 // once a recovered leader resumes shipping. Everything runs
 // in-process over an in-memory filesystem; swap the Dir backend for
@@ -19,6 +18,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -42,23 +42,21 @@ func check(err error) {
 	}
 }
 
-// stateImage serializes a service's full state; byte-equal images
-// mean indistinguishable services.
-func stateImage(svc *pghive.Service) []byte {
+// stateImage serializes a leader's or follower's full state;
+// byte-equal images mean indistinguishable services.
+func stateImage(svc interface{ WriteCheckpoint(io.Writer) error }) []byte {
 	var buf bytes.Buffer
 	check(svc.WriteCheckpoint(&buf))
 	return buf.Bytes()
 }
 
 // openLeader starts (or recovers) the durable leader over fs,
-// shipping into backend. Group commit is on: concurrent writers
-// share WAL fsyncs without weakening the acked-prefix contract.
+// shipping into backend.
 func openLeader(fs vfs.FS, backend store.Backend) *pghive.DurableService {
 	leader, err := pghive.OpenDurable("leader-data", pghive.Options{Seed: seed}, pghive.DurableOptions{
 		FS:                 fs,
 		DisableAutoCompact: true, // compactions (and thus shipping) are explicit below
 		SegmentBytes:       16 << 10,
-		GroupCommit:        true,
 		ShipTo:             backend,
 	})
 	check(err)
@@ -119,22 +117,21 @@ func main() {
 	}
 
 	// Bit-identity: a follower at LSN n IS the leader at LSN n.
-	want := stateImage(leader.Service)
+	want := stateImage(leader)
 	for i, f := range followers {
-		if !bytes.Equal(stateImage(f.Service), want) {
+		if !bytes.Equal(stateImage(f), want) {
 			check(fmt.Errorf("follower %d diverged from leader at LSN %d", i, target))
 		}
 		fmt.Printf("follower %d: state bit-identical to leader at LSN %d (%d bytes)\n",
 			i, target, len(want))
 	}
 
-	// Read-only contract: a write against a replica is refused with a
-	// machine-readable reason, exactly like a degraded leader would.
-	if _, err := followers[0].Ingest(parts[half].Graph); err != nil {
-		fmt.Printf("follower 0 refused a write: %v\n", err)
-	} else {
-		check(fmt.Errorf("follower accepted a write"))
-	}
+	// Read-only contract: a Follower's data API is the shared
+	// *pghive.Reader — there is no write method to call. (`pghive serve
+	// -follow` answers a misdirected HTTP write with 409, reason
+	// "follower".)
+	var replica *pghive.Reader = followers[0].Reader
+	fmt.Printf("follower 0 serves %d node types through a read-only %T\n", replica.Stats().NodeTypes, replica)
 
 	// Phase 2: kill the leader mid-stream.
 	fmt.Println("\n=== kill the leader mid-stream ===")
@@ -148,7 +145,7 @@ func main() {
 		check(err) // ...these are acked and WAL-durable but NOT yet shipped
 	}
 	shippedLSN := leader.DurableStats().ShippedLSN
-	deadStats := leader.Service.Stats()
+	deadStats := leader.Stats()
 	// Abandon the instance: no Close, no final compaction — the
 	// kill -9 model. The data directory (leaderFS) survives.
 	leader = nil
@@ -171,10 +168,10 @@ func main() {
 	defer leader.Close()
 
 	target = leader.DurableStats().WALNextLSN - 1
-	want = stateImage(leader.Service)
+	want = stateImage(leader)
 	for i, f := range followers {
 		catchUp(f, target)
-		if !bytes.Equal(stateImage(f.Service), want) {
+		if !bytes.Equal(stateImage(f), want) {
 			check(fmt.Errorf("follower %d diverged after leader recovery", i))
 		}
 		lag := f.Lag(context.Background())
@@ -182,7 +179,7 @@ func main() {
 			i, lag.AppliedLSN, lag.FetchFaults, lag.BootstrapFallbacks)
 	}
 
-	st := leader.Service.Stats()
+	st := leader.Stats()
 	fmt.Printf("\nfinal state everywhere: %d batches, %d nodes, %d edges, %d node types\n",
 		st.Batches, st.Nodes, st.Edges, st.NodeTypes)
 }

@@ -93,7 +93,7 @@ func main() {
 		restored.Ingest(b.Graph)
 	}
 
-	a, b := render(svc), render(restored)
+	a, b := render(svc.Reader), render(restored.Reader)
 	fmt.Printf("restored-from-checkpoint schema identical to uninterrupted run: %v\n", a == b)
 	if a != b {
 		os.Exit(1)
@@ -102,7 +102,7 @@ func main() {
 }
 
 // render fingerprints every serialization of the published schema.
-func render(svc *pghive.Service) string {
+func render(svc *pghive.Reader) string {
 	return svc.PGSchema(pghive.Strict, "G") + svc.PGSchema(pghive.Loose, "G") +
 		svc.XSD() + svc.DOT("G")
 }

@@ -19,9 +19,11 @@ package pghive
 // newer shipped generation. The one thing a follower never does is
 // skip a record and keep serving.
 //
-// Followers refuse writes with the same machine-readable ReadOnlyError
-// contract declared read-only degradation uses, under the dedicated
-// ReadOnlyFollower reason.
+// A Follower has no write methods at all: its only mutators are
+// Bootstrap and TailOnce, which apply what the leader logged. The
+// serving layer answers a misdirected write with the machine-readable
+// ReadOnlyError contract declared read-only degradation uses, under
+// the dedicated ReadOnlyFollower reason.
 
 import (
 	"bytes"
@@ -35,16 +37,15 @@ import (
 	"time"
 
 	"github.com/pghive/pghive/internal/core"
-	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// ReadOnlyFollower is the ReadOnlyError reason every follower write
-// rejection carries: the service is a read replica, not a degraded
-// leader — writes belong on the leader.
+// ReadOnlyFollower is the ReadOnlyError reason a write misdirected at
+// a replica is refused with: the service is a read replica, not a
+// degraded leader — writes belong on the leader.
 const ReadOnlyFollower = "follower"
 
 // FollowerOptions tunes a read replica.
@@ -60,16 +61,16 @@ type FollowerOptions struct {
 }
 
 // Follower is a read-only replica of a leader that ships its WAL and
-// checkpoints to a storage backend. The embedded Service's read side —
-// Snapshot, Schema, Stats, Validate, renders — serves lock-free
-// exactly as on the leader; the write methods are shadowed to fail
-// fast with ReadOnlyError(ReadOnlyFollower). Construct with
-// NewFollower, then either call Start for the managed
-// bootstrap-and-tail loop or drive Bootstrap/TailOnce directly.
+// checkpoints to a storage backend. The embedded Reader — Snapshot,
+// Schema, Stats, Validate, renders — serves lock-free exactly as on
+// the leader, and is the replica's whole data API: there is nothing to
+// write through. Construct with NewFollower, then either call Start
+// for the managed bootstrap-and-tail loop or drive Bootstrap/TailOnce
+// directly.
 type Follower struct {
-	*Service
+	*Reader
+	w       *writer
 	backend store.Backend
-	opts    Options
 	fopts   FollowerOptions
 
 	// ready flips true once a bootstrap completes; until then the
@@ -108,10 +109,11 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 // NewFollower returns a follower serving the empty snapshot; no
 // backend IO happens until Bootstrap or Start.
 func NewFollower(opts Options, backend store.Backend, fopts FollowerOptions) *Follower {
+	w, _ := newWriter(opts, nil, 0) // the empty state cannot fail
 	return &Follower{
-		Service: newService(opts, NewIncremental(opts), nil),
+		Reader:  w.serve(),
+		w:       w,
 		backend: backend,
-		opts:    opts,
 		fopts:   fopts.withDefaults(),
 		stop:    make(chan struct{}),
 	}
@@ -174,37 +176,10 @@ func (f *Follower) Lag(ctx context.Context) FollowerLag {
 	return lag
 }
 
-// Ingest fails fast: followers are read-only replicas.
-func (f *Follower) Ingest(*Graph) (BatchTiming, error) {
-	return BatchTiming{}, &ReadOnlyError{Reason: ReadOnlyFollower}
-}
-
-// Retract fails fast: followers are read-only replicas.
-func (f *Follower) Retract(*Graph) (BatchTiming, error) {
-	return BatchTiming{}, &ReadOnlyError{Reason: ReadOnlyFollower}
-}
-
-// DrainStream fails fast: followers are read-only replicas.
-func (f *Follower) DrainStream(StreamReader, func(BatchTiming)) error {
-	return &ReadOnlyError{Reason: ReadOnlyFollower}
-}
-
-// IngestContext fails fast: followers are read-only replicas. Shadowed
-// alongside Ingest so no write variant of the embedded Service can
-// mutate the replica and diverge it from the leader.
-func (f *Follower) IngestContext(context.Context, *Graph) (BatchTiming, error) {
-	return BatchTiming{}, &ReadOnlyError{Reason: ReadOnlyFollower}
-}
-
-// RetractContext fails fast: followers are read-only replicas.
-func (f *Follower) RetractContext(context.Context, *Graph) (BatchTiming, error) {
-	return BatchTiming{}, &ReadOnlyError{Reason: ReadOnlyFollower}
-}
-
-// DrainStreamContext fails fast: followers are read-only replicas.
-func (f *Follower) DrainStreamContext(context.Context, StreamReader, func(BatchTiming)) error {
-	return &ReadOnlyError{Reason: ReadOnlyFollower}
-}
+// WriteCheckpoint serializes the replica's state as a restorable image
+// (see Service.WriteCheckpoint): at the same applied LSN it is
+// byte-identical to the leader's.
+func (f *Follower) WriteCheckpoint(w io.Writer) error { return f.w.writeCheckpoint(w) }
 
 // noteFault records one tail/bootstrap fault and returns err.
 func (f *Follower) noteFault(err error) error {
@@ -247,7 +222,7 @@ func (f *Follower) fetchGeneration(ctx context.Context, seq uint64) (*core.Image
 			return nil, nil, err
 		}
 	}
-	img, err := mergedImage(scratch, dir, f.opts, man)
+	img, err := mergedImage(scratch, dir, f.w.opts, man)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -290,54 +265,25 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	}
 	f.bootFallbacks.Store(int64(len(notes)))
 
-	var inc *Incremental
-	var resolver *Graph
-	var nextEdgeID ID
+	// img is nil when the backend holds no manifest yet: the empty state.
+	next, err := newWriter(f.w.opts, img, 0)
+	if err != nil {
+		return f.noteFault(fmt.Errorf("pghive: follower: restore image: %w", err))
+	}
 	var covered, gen uint64
-	if man == nil {
-		inc = NewIncremental(f.opts)
-	} else {
-		restored, extras, rerr := core.RestoreImage(f.opts, img)
-		if rerr != nil {
-			return f.noteFault(fmt.Errorf("pghive: follower: restore image: %w", rerr))
-		}
-		inc, resolver, nextEdgeID = restored, extras.Resolver, extras.NextEdgeID
+	if man != nil {
 		covered, gen = man.Covered(), man.Seq
 	}
 
-	f.mu.Lock()
-	f.inc = inc
-	if resolver != nil {
-		f.resolver = resolver
-	} else {
-		f.resolver = pg.NewGraph()
-		f.resolver.AllowDanglingEdges(true)
-	}
-	f.nextEdgeID = nextEdgeID
-	f.publish()
+	// Reposition the served writer in place: its lock and its Reader are
+	// what the rest of the process holds on to.
+	f.w.mu.Lock()
+	f.w.inc, f.w.resolver, f.w.nextEdgeID = next.inc, next.resolver, next.nextEdgeID
+	f.w.publish()
 	f.applied.Store(covered)
-	f.mu.Unlock()
+	f.w.mu.Unlock()
 	f.bootGen.Store(gen)
 	f.ready.Store(true)
-	return nil
-}
-
-// applyShippedRecord folds one tailed WAL record into the live state
-// and publishes, under the write lock — the same per-batch snapshot
-// cadence the leader has.
-func (f *Follower) applyShippedRecord(rec wal.Record) error {
-	g, _, retract, err := decodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	if retract {
-		f.retractLocked(g)
-	} else {
-		f.ingestLocked(g)
-	}
-	f.applied.Store(rec.LSN)
-	f.mu.Unlock()
 	return nil
 }
 
@@ -410,7 +356,15 @@ func (f *Follower) TailOnce(ctx context.Context) error {
 				gap = fmt.Errorf("pghive: follower: %s jumps LSN %d -> %d", s.obj, applied, rec.LSN)
 				return wal.ErrStopReplay
 			}
-			if err := f.applyShippedRecord(rec); err != nil {
+			// One record, one published snapshot, under the write lock —
+			// the same per-batch cadence the leader has.
+			f.w.mu.Lock()
+			err := f.w.apply(rec)
+			if err == nil {
+				f.applied.Store(rec.LSN)
+			}
+			f.w.mu.Unlock()
+			if err != nil {
 				return err
 			}
 			applied = rec.LSN

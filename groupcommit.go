@@ -1,26 +1,25 @@
 package pghive
 
-// groupcommit.go batches concurrent durable writes into shared fsyncs.
-// With DurableOptions.GroupCommit enabled, Ingest/Retract callers do
-// not take the write lock themselves: they enqueue a commit request
-// and block until a dedicated committer goroutine answers. The
-// committer drains whatever has queued (bounded by
-// GroupCommitMaxBatch), takes the channel-based write lock once, and
-// commits the group: per-request admission checks (context expiry,
-// idempotency replay, read-only fail-fast), one wal.AppendBatch — N
-// frames, ONE fsync — then applies and publishes each batch in log
-// order before acknowledging anyone.
+// groupcommit.go is the one durable commit path for Ingest/Retract.
+// Callers never take the write lock themselves: they hand a commit
+// request to a committer goroutine and block until it answers. The
+// committer takes the channel-based write lock, claims whoever else is
+// waiting (bounded by maxCommitGroup), and commits the group:
+// per-request admission checks (context expiry, idempotency replay,
+// read-only fail-fast), one wal.AppendBatch — N frames, ONE fsync —
+// then applies and publishes each batch in log order before
+// acknowledging anyone. A lone writer is a group of one: one frame, one
+// fsync, the same bytes on disk as a direct wal.Append.
 //
-// The acked-prefix durability contract is unchanged: no caller is
+// Two contracts ride on this path. Durability: no caller is
 // acknowledged before the fsync covering its record returns, and a
 // failed group fsync rolls every frame of the group back together
 // (wal.AppendBatch), so the group fails atomically and each caller may
 // retry — idempotency keys make that safe even when the failure was a
-// lying fsync. What group commit changes is only the fsync count:
-// under concurrency, up to GroupCommitMaxBatch acknowledgments share
-// one disk flush. A single uncontended writer degenerates to a group
-// of one, byte-identical in behavior (and on disk) to the ungrouped
-// path.
+// lying fsync. Deadline-bounded admission: until the committer holds
+// the write lock with a request in hand, that request's context can
+// still end the wait with nothing logged or applied — a long stream
+// drain holding the lock never parks a writer past its deadline.
 
 import (
 	"context"
@@ -28,7 +27,11 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// commitReq is one queued durable write awaiting the committer.
+// maxCommitGroup bounds how many writes share one fsync (and how long
+// the first of them waits for the last to be encoded).
+const maxCommitGroup = 64
+
+// commitReq is one durable write awaiting the committer.
 type commitReq struct {
 	ctx     context.Context
 	key     string
@@ -46,78 +49,64 @@ type commitRes struct {
 	err      error
 }
 
-// submitCommit enqueues one durable write with the committer and
-// blocks for its outcome. Enqueueing respects ctx (the admission
-// bound, mirroring LockContext); once enqueued the caller waits
-// unconditionally — the committer checks ctx again before logging,
-// and after that point the write is happening regardless.
+// submitCommit hands one durable write to the committer and blocks for
+// its outcome. The hand-off is unbuffered, so the select is the
+// admission point: until the committer receives the request, ctx (or
+// Close) withdraws it; once received it is always answered — the
+// committer watches req.ctx on the caller's behalf until it holds the
+// write lock, and after that the write is happening regardless.
 func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
 	req := &commitReq{ctx: ctx, key: key, g: g, retract: retract, res: make(chan commitRes, 1)}
 	select {
 	case d.commitCh <- req:
+		res := <-req.res
+		return res.bt, res.replayed, res.err
 	case <-ctx.Done():
 		return BatchTiming{}, false, ctx.Err()
 	case <-d.stop:
 		return BatchTiming{}, false, &DurabilityError{Err: wal.ErrClosed}
 	}
-	// The enqueue select can win the buffered commitCh send even after
-	// d.stop closed (select picks among ready cases arbitrarily); if the
-	// committer's shutdown drain already ran, this request will never be
-	// answered. Waiting on commitDone as well converts that into a clean
-	// refusal — and since the committer answers every request it dequeues
-	// before exiting, a final non-blocking read distinguishes "answered
-	// during drain" from "stranded in the queue".
-	select {
-	case res := <-req.res:
-		return res.bt, res.replayed, res.err
-	case <-d.commitDone:
-		select {
-		case res := <-req.res:
-			return res.bt, res.replayed, res.err
-		default:
-			return BatchTiming{}, false, &DurabilityError{Err: wal.ErrClosed}
-		}
-	}
 }
 
-// commitLoop is the committer goroutine: drain a group, commit it,
-// repeat. On shutdown every queued request is refused, never dropped.
+// commitLoop is the committer goroutine: receive a request, take the
+// write lock, claim the other waiting requests, commit the group,
+// repeat. Every request it receives is answered, so shutdown strands
+// nobody: callers not yet received see d.stop in their own select.
 func (d *DurableService) commitLoop() {
 	defer close(d.commitDone)
 	for {
 		select {
 		case <-d.stop:
-			for {
-				select {
-				case req := <-d.commitCh:
-					req.res <- commitRes{err: &DurabilityError{Err: wal.ErrClosed}}
-				default:
-					return
-				}
-			}
+			return
 		case req := <-d.commitCh:
+			// The lock wait is bounded by the deadline of the request in
+			// hand; the callers still parked in their hand-off select
+			// each watch their own.
+			if err := d.w.mu.LockContext(req.ctx); err != nil {
+				req.res <- commitRes{err: err}
+				continue
+			}
 			group := []*commitReq{req}
-			for len(group) < d.dopts.GroupCommitMaxBatch {
+		claim:
+			for len(group) < maxCommitGroup {
 				select {
 				case r := <-d.commitCh:
 					group = append(group, r)
 				default:
-					goto drained
+					break claim
 				}
 			}
-		drained:
-			d.commitGroup(group)
+			d.commitGroupLocked(group)
+			d.w.mu.Unlock()
 		}
 	}
 }
 
-// commitGroup commits one group under the write lock: filter, encode,
-// one AppendBatch, apply in log order, acknowledge.
-func (d *DurableService) commitGroup(group []*commitReq) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	// Admission per request. A key already in d.keys is durably applied
+// commitGroupLocked commits one group: filter, encode, one
+// AppendBatch, apply in log order, acknowledge. Callers must hold
+// w.mu.
+func (d *DurableService) commitGroupLocked(group []*commitReq) {
+	// Admission per request. A key already in w.keys is durably applied
 	// from an earlier group — safe to ack replayed immediately. groupKeys
 	// catches two requests carrying the same idempotency key inside one
 	// group: the first proceeds; the second is a replay of a write that
@@ -133,7 +122,7 @@ func (d *DurableService) commitGroup(group []*commitReq) {
 			continue
 		}
 		if req.key != "" {
-			if _, seen := d.keys.seen(req.key); seen {
+			if _, seen := d.w.keys.seen(req.key); seen {
 				req.res <- commitRes{replayed: true}
 				continue
 			}
@@ -179,14 +168,14 @@ func (d *DurableService) commitGroup(group []*commitReq) {
 	}
 
 	// Apply in log order, publishing per batch — concurrent readers
-	// see the same snapshot-per-batch sequence as without grouping.
+	// see one snapshot per batch, whatever the grouping.
 	for i, p := range pend {
 		d.noteAppliedLocked(p.key, first+uint64(i))
 		var bt BatchTiming
 		if p.retract {
-			bt = d.retractLocked(p.g)
+			bt = d.w.retract(p.g)
 		} else {
-			bt = d.ingestLocked(p.g)
+			bt = d.w.ingest(p.g)
 		}
 		p.res <- commitRes{bt: bt}
 	}

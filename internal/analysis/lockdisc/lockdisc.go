@@ -1,21 +1,29 @@
 // Package lockdisc enforces pghive's write-lock discipline. The
 // serving layer names its lock-requiring helpers with a Locked suffix
-// (ingestLocked, rotateLocked, failFastLocked, …): the name is a
+// (commitGroupLocked, rotateLocked, failFastLocked, …): the name is a
 // contract that the caller holds the write lock. This analyzer makes
 // the contract mechanical: a *Locked function may only be used inside
 // a function that is itself *Locked or that visibly acquires a write
 // lock (a Lock() or LockContext() call anywhere in its body, function
 // literals included — the sync.Once.Do(func(){ mu.Lock(); … }) idiom
-// counts). References count as uses too, so passing d.applyRecordLocked
+// counts). References count as uses too, so passing a *Locked method
 // as a replay callback from an unlocked function is flagged.
+//
+// The batch-apply rule itself (writer.ingest / retract / apply) carries
+// no suffix and is out of this analyzer's reach on purpose: it is ONE
+// function shared by owners that lock (live serving) and owners that
+// need no lock (recovery's and the compactor's private shadow state),
+// so its contract is exclusive ownership, like core.Incremental's —
+// the suffix is kept for what only ever runs under the lock.
 //
 // It also guards snapshot publication: the copy-on-publish snapshot
 // must be swapped in through an atomic.Pointer Store, never written
 // to a plain field — a direct `x.snap = …` assignment is flagged
 // wherever it appears in scope.
 //
-// Scope: the root pghive package (service.go, durable.go), and the
-// internal/wal, internal/vfs, internal/core packages.
+// Scope: the root pghive package (service.go, durable.go,
+// groupcommit.go, ship.go), and the internal/wal, internal/vfs,
+// internal/core packages.
 package lockdisc
 
 import (

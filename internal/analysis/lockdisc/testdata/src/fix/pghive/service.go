@@ -11,12 +11,17 @@ import (
 // Snapshot is an immutable published state.
 type Snapshot struct{ N int }
 
-// Service mirrors the real service's locking shape.
-type Service struct {
+// Reader mirrors the published read side.
+type Reader struct {
+	snap atomic.Pointer[Snapshot]
+}
+
+// DurableService mirrors the real durable service's locking shape.
+type DurableService struct {
+	*Reader
 	mu   sync.Mutex
 	once sync.Once
 	n    int
-	snap atomic.Pointer[Snapshot]
 }
 
 // lockCtx mirrors the channel-based writeLock.
@@ -32,58 +37,58 @@ func (l lockCtx) LockContext(ctx context.Context) error {
 }
 func (l lockCtx) Unlock() { <-l }
 
-// ingestLocked requires the write lock, by name.
-func (s *Service) ingestLocked() { s.n++ }
+// noteAppliedLocked requires the write lock, by name.
+func (s *DurableService) noteAppliedLocked() { s.n++ }
 
 // publishLocked swaps the snapshot in — the blessed publication path.
-func (s *Service) publishLocked() {
+func (s *DurableService) publishLocked() {
 	s.snap.Store(&Snapshot{N: s.n})
 }
 
-// GoodIngest acquires the lock before calling the helper.
-func (s *Service) GoodIngest() {
+// GoodDrain acquires the lock before calling the helper.
+func (s *DurableService) GoodDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ingestLocked()
+	s.noteAppliedLocked()
 	s.publishLocked()
 }
 
-// GoodIngestContext acquires via LockContext, the deadline-bounded
+// GoodDrainContext acquires via LockContext, the deadline-bounded
 // acquisition path.
-func (s *Service) GoodIngestContext(ctx context.Context, l lockCtx) error {
+func (s *DurableService) GoodDrainContext(ctx context.Context, l lockCtx) error {
 	if err := l.LockContext(ctx); err != nil {
 		return err
 	}
 	defer l.Unlock()
-	s.ingestLocked()
+	s.noteAppliedLocked()
 	return nil
 }
 
-// drainLocked is itself *Locked, so calling deeper helpers is fine.
-func (s *Service) drainLocked() {
-	s.ingestLocked()
+// commitGroupLocked is itself *Locked, so calling deeper helpers is fine.
+func (s *DurableService) commitGroupLocked() {
+	s.noteAppliedLocked()
 	s.publishLocked()
 }
 
 // GoodOnce locks inside a function literal — the sync.Once.Do close
 // idiom; the lexical body still contains the acquisition.
-func (s *Service) GoodOnce() {
+func (s *DurableService) GoodOnce() {
 	s.once.Do(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.ingestLocked()
+		s.noteAppliedLocked()
 	})
 }
 
-// BadIngest calls a *Locked helper with no lock in sight.
-func (s *Service) BadIngest() {
-	s.ingestLocked() // want `use of ingestLocked in BadIngest`
+// BadDrain calls a *Locked helper with no lock in sight.
+func (s *DurableService) BadDrain() {
+	s.noteAppliedLocked() // want `use of noteAppliedLocked in BadDrain`
 }
 
 // BadReference passes a *Locked method as a callback without holding
 // the lock — the replay-callback trap.
-func (s *Service) BadReference(replay func(func())) {
-	replay(s.drainLocked) // want `use of drainLocked in BadReference`
+func (s *DurableService) BadReference(replay func(func())) {
+	replay(s.commitGroupLocked) // want `use of commitGroupLocked in BadReference`
 }
 
 // UnsafeService publishes through a plain field — no atomic swap.

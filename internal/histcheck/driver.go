@@ -10,6 +10,7 @@ package histcheck
 // a torn one by a single element.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -286,17 +287,23 @@ func buildBatch(base pghive.ID, spec BatchSpec) *pghive.Graph {
 	return g
 }
 
-// ServiceClient adapts an in-process *pghive.Service to the Client
-// interface. Its Snapshot reads stats and schema from one published
+// ServiceClient adapts an in-process serving type to the Client
+// interface: reads go through the Reader every serving type shares —
+// its Snapshot reads stats and schema from one published
 // ServiceSnapshot, which is what makes the conservation invariant
-// checkable at all.
+// checkable at all — and writes through Write, which wraps whatever
+// the type's own write method is. Write stays nil for a follower: a
+// replica has nothing to write through.
 type ServiceClient struct {
-	Svc *pghive.Service
+	Svc   *pghive.Reader
+	Write func(*pghive.Graph) error
 }
 
 func (c ServiceClient) Ingest(g *pghive.Graph) error {
-	c.Svc.Ingest(g)
-	return nil
+	if c.Write == nil {
+		return errors.New("histcheck: read-only client")
+	}
+	return c.Write(g)
 }
 
 func (c ServiceClient) Stats() (Observation, error) {

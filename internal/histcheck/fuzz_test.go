@@ -16,7 +16,7 @@ import (
 func FuzzHistoryCheck(f *testing.F) {
 	// Seed 1: a real recorded history from a small live run.
 	svc := pghive.NewService(pghive.Options{Seed: 1, Parallelism: 1})
-	h, err := Run(func(string) Client { return ServiceClient{Svc: svc} },
+	h, err := Run(func(string) Client { return plainClient(svc) },
 		Config{Writers: 2, BatchesPerWriter: 2, Readers: 1, ReadsPerReader: 3})
 	if err != nil {
 		f.Fatal(err)

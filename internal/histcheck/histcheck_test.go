@@ -17,12 +17,17 @@ import (
 	pghive "github.com/pghive/pghive"
 )
 
+// plainClient adapts a plain in-memory service.
+func plainClient(svc *pghive.Service) Client {
+	return ServiceClient{Svc: svc.Reader, Write: func(g *pghive.Graph) error { svc.Ingest(g); return nil }}
+}
+
 // runLive drives the scripted workload against a fresh in-process
 // service and returns the recorded history.
 func runLive(t *testing.T, cfg Config) *History {
 	t.Helper()
 	svc := pghive.NewService(pghive.Options{Seed: 1, Parallelism: 2})
-	h, err := Run(func(string) Client { return ServiceClient{Svc: svc} }, cfg)
+	h, err := Run(func(string) Client { return plainClient(svc) }, cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

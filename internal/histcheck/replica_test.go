@@ -162,21 +162,7 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 	}
 }
 
-// durableClient adapts a leader *pghive.DurableService: writes go
-// through the WAL-backed Ingest, reads through the embedded service.
-type durableClient struct{ d *pghive.DurableService }
-
-func (c durableClient) Ingest(g *pghive.Graph) error {
-	_, err := c.d.Ingest(g)
-	return err
-}
-func (c durableClient) Stats() (Observation, error)  { return ServiceClient{Svc: c.d.Service}.Stats() }
-func (c durableClient) Schema() (Observation, error) { return ServiceClient{Svc: c.d.Service}.Schema() }
-func (c durableClient) Snapshot() (Observation, bool, error) {
-	return ServiceClient{Svc: c.d.Service}.Snapshot()
-}
-
-// runLiveReplicated drives the scripted workload against a group-commit
+// runLiveReplicated drives the scripted workload against a durable
 // leader shipping to an in-memory object store, with live followers
 // tailing it, and returns the recorded replicated history.
 func runLiveReplicated(t *testing.T, cfg Config) *History {
@@ -187,7 +173,6 @@ func runLiveReplicated(t *testing.T, cfg Config) *History {
 		FS:                 vfs.NewMemFS(),
 		DisableAutoCompact: true,
 		SegmentBytes:       4096,
-		GroupCommit:        true,
 		ShipTo:             backend,
 	})
 	if err != nil {
@@ -227,9 +212,13 @@ func runLiveReplicated(t *testing.T, cfg Config) *History {
 
 	h, err := RunReplicated(func(session, server string) Client {
 		if server == "" {
-			return durableClient{d: leader}
+			// Writes go through the WAL-backed Ingest.
+			return ServiceClient{Svc: leader.Reader, Write: func(g *pghive.Graph) error {
+				_, err := leader.Ingest(g)
+				return err
+			}}
 		}
-		return ServiceClient{Svc: followers[server].Service}
+		return ServiceClient{Svc: followers[server].Reader}
 	}, cfg)
 	if err != nil {
 		t.Fatalf("RunReplicated: %v", err)

@@ -13,6 +13,7 @@ package pghive_test
 // exactly-once promise for that write's idempotency key.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -220,23 +221,42 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	go func() { drainDone <- d.DrainStream(bs, nil) }()
 	<-bs.started
 
+	nextLSN := d.DurableStats().WALNextLSN
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := d.IngestContext(ctx, stressGraph(t, 0, 5))
+	_, _, err := d.IngestIdempotent(ctx, "", stressGraph(t, 0, 5))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued write under a held lock returned %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline did not interrupt the lock wait")
 	}
+	// Expiry means nothing was logged — the committer had the request in
+	// hand, but never the lock.
+	if got := d.DurableStats().WALNextLSN; got != nextLSN {
+		t.Fatalf("timed-out write moved WALNextLSN %d -> %d", nextLSN, got)
+	}
 
 	close(bs.release)
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	// The lock is free again; the same write now succeeds.
+	// The lock is free again; re-submitting the same (unkeyed) write now
+	// applies it exactly once: the timed-out attempt left nothing behind
+	// to double it.
 	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
 		t.Fatalf("post-release ingest: %v", err)
+	}
+	if got := d.DurableStats().WALNextLSN; got != nextLSN+1 {
+		t.Fatalf("WALNextLSN = %d after the retry, want %d", got, nextLSN+1)
+	}
+	clean := openDegradeService(t, vfs.NewMemFS())
+	defer clean.Close()
+	if _, err := clean.Ingest(stressGraph(t, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serviceImage(t, d), serviceImage(t, clean)) {
+		t.Fatal("state after timeout + retry differs from a run that never timed out")
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -97,37 +99,75 @@ func TestFollowerBitIdenticalToLeader(t *testing.T) {
 		t.Fatal("follower image differs from leader at the same LSN")
 	}
 
-	// The read-only contract: machine-readable refusal, reason
-	// "follower".
-	var ro *pghive.ReadOnlyError
-	if _, err := f.Ingest(stressGraph(t, 999000, 3)); !errors.As(err, &ro) || ro.Reason != pghive.ReadOnlyFollower {
-		t.Fatalf("follower Ingest returned %v, want ReadOnlyError(%q)", err, pghive.ReadOnlyFollower)
-	}
-	if _, err := f.Retract(stressGraph(t, 999000, 3)); !errors.As(err, &ro) {
-		t.Fatalf("follower Retract returned %v, want ReadOnlyError", err)
-	}
-	if err := f.DrainStream(nil, nil); !errors.As(err, &ro) {
-		t.Fatalf("follower DrainStream returned %v, want ReadOnlyError", err)
-	}
-	// The *Context write variants must be shadowed too — an unshadowed
-	// promotion of the embedded Service's method would mutate the
-	// replica and silently diverge it from the leader.
-	if _, err := f.IngestContext(ctx, stressGraph(t, 999000, 3)); !errors.As(err, &ro) || ro.Reason != pghive.ReadOnlyFollower {
-		t.Fatalf("follower IngestContext returned %v, want ReadOnlyError(%q)", err, pghive.ReadOnlyFollower)
-	}
-	if _, err := f.RetractContext(ctx, stressGraph(t, 999000, 3)); !errors.As(err, &ro) {
-		t.Fatalf("follower RetractContext returned %v, want ReadOnlyError", err)
-	}
-	if err := f.DrainStreamContext(ctx, nil, nil); !errors.As(err, &ro) {
-		t.Fatalf("follower DrainStreamContext returned %v, want ReadOnlyError", err)
-	}
-	if !bytes.Equal(serviceImage(t, w.leader), serviceImage(t, f)) {
-		t.Fatal("write refusals mutated the follower")
-	}
-
 	lag := f.Lag(ctx)
 	if !lag.Ready || lag.AppliedLSN != leaderLSN || lag.FetchFaults != 0 {
 		t.Fatalf("lag = %+v, want ready at LSN %d with no faults", lag, leaderLSN)
+	}
+}
+
+// writeMethodPrefixes name every spelling of a mutation the serving
+// layer exports.
+var writeMethodPrefixes = []string{"Ingest", "Retract", "DrainStream"}
+
+func writeMethodsOf(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumMethod(); i++ {
+		for _, p := range writeMethodPrefixes {
+			if strings.HasPrefix(t.Method(i).Name, p) {
+				out = append(out, t.String()+"."+t.Method(i).Name)
+			}
+		}
+	}
+	return out
+}
+
+// exportedReach lists every type a caller outside the package can
+// obtain from a value of type t by selecting exported fields (embedded
+// ones included), transitively.
+func exportedReach(t reflect.Type, seen map[reflect.Type]bool) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct || seen[t] {
+		return
+	}
+	seen[t] = true
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			exportedReach(f.Type, seen)
+		}
+	}
+}
+
+// TestFollowerHasNoWriteMethods pins read-only-ness as a type fact
+// rather than a set of refusing shadows: a *Follower's method set
+// (promoted methods included) has no mutation, and neither a Follower
+// nor a DurableService hands out — through any exported field — a
+// writable Service or anything else with a mutation method, which on a
+// replica would diverge it from its leader and on a durable service
+// would apply a write the WAL never saw.
+func TestFollowerHasNoWriteMethods(t *testing.T) {
+	follower := reflect.TypeOf((*pghive.Follower)(nil))
+	if w := writeMethodsOf(follower); len(w) > 0 {
+		t.Fatalf("a Follower is a read replica, yet it has write methods: %v", w)
+	}
+	service := reflect.TypeOf((*pghive.Service)(nil)).Elem()
+	durable := reflect.TypeOf((*pghive.DurableService)(nil)).Elem()
+	for _, root := range []reflect.Type{follower.Elem(), durable} {
+		reach := make(map[reflect.Type]bool)
+		exportedReach(root, reach)
+		delete(reach, root) // its own methods are its contract, checked above
+		for ty := range reach {
+			if ty == service {
+				t.Fatalf("%v reaches a writable %v through exported fields", root, ty)
+			}
+			if w := writeMethodsOf(reflect.PointerTo(ty)); len(w) > 0 {
+				t.Fatalf("%v reaches write methods that bypass it: %v", root, w)
+			}
+		}
+		if !reach[reflect.TypeOf((*pghive.Reader)(nil)).Elem()] {
+			t.Fatalf("%v does not expose the shared Reader", root)
+		}
 	}
 }
 

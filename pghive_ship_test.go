@@ -1,9 +1,9 @@
 package pghive_test
 
-// Group commit and WAL shipping. Group commit's contract: identical
-// semantics to the ungrouped write path — same bytes on disk for
-// sequential writes, same idempotency and read-only behavior — with
-// strictly fewer fsyncs under concurrency. Shipping's contract: after
+// Group commit and WAL shipping. Group commit's contract: the acked-
+// prefix durability, idempotency and read-only behavior hold whatever
+// the grouping, with strictly fewer fsyncs under concurrency (a lone
+// writer is a group of one: one frame, one fsync). Shipping's contract: after
 // a compaction round, the backend holds everything a follower needs
 // (manifest last, so a fetchable manifest implies fetchable files),
 // and NOTHING local is pruned or swept past what the backend durably
@@ -121,7 +121,7 @@ func (r *gateReader) Next() (*pghive.Batch, error) {
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	mem := vfs.NewMemFS()
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, GroupCommit: true,
+		FS: mem, DisableAutoCompact: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +129,9 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	base := d.DurableStats().WALSyncs
 
 	// Hold the write lock via a gated stream drain while a burst of
-	// writers enqueues: the committer cannot start a group until the
-	// gate opens, so the whole burst must commit in at most two groups
-	// (the request the committer already picked, then the drained
-	// rest) — a handful of fsyncs for 64 acknowledged writes.
+	// writers waits at the hand-off: the committer cannot start a group
+	// until the gate opens, and then claims everyone waiting — a handful
+	// of fsyncs for 64 acknowledged writes.
 	gate := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- d.DrainStream(gate, nil) }()
@@ -173,9 +172,8 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The grouped log recovers on a plain (ungrouped) service to the
-	// byte-identical state: grouping changed fsync scheduling, not the
-	// log's contents.
+	// The grouped log recovers to the byte-identical state: grouping
+	// changed fsync scheduling, not the log's contents.
 	d2, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
 		FS: mem, DisableAutoCompact: true,
 	})
@@ -188,52 +186,12 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	}
 }
 
-func TestGroupCommitSemanticsMatchUngrouped(t *testing.T) {
-	run := func(group bool) ([]byte, []bool) {
-		mem := vfs.NewMemFS()
-		d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-			FS: mem, DisableAutoCompact: true, GroupCommit: group,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		ctx := context.Background()
-		var replays []bool
-		for i := 0; i < 4; i++ {
-			key := fmt.Sprintf("write-%d", i%3) // keys 0..2; i=3 replays key 0
-			_, replayed, err := d.IngestIdempotent(ctx, key, stressGraph(t, pghive.ID(1000*(i%3+1)), 10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			replays = append(replays, replayed)
-		}
-		if _, err := d.Retract(stressGraph(t, 2000, 10)); err != nil {
-			t.Fatal(err)
-		}
-		return serviceImage(t, d), replays
-	}
-	plainImg, plainReplays := run(false)
-	groupImg, groupReplays := run(true)
-	if !bytes.Equal(plainImg, groupImg) {
-		t.Fatal("grouped and ungrouped write paths produced different states")
-	}
-	for i := range plainReplays {
-		if plainReplays[i] != groupReplays[i] {
-			t.Fatalf("replay flags diverge at write %d: plain=%v group=%v", i, plainReplays[i], groupReplays[i])
-		}
-	}
-	if !groupReplays[3] {
-		t.Fatal("replayed key not detected under group commit")
-	}
-}
-
 func TestGroupCommitDegradesAndFailsFast(t *testing.T) {
 	// The second write's WAL fsync reports a full disk; the committer
-	// must degrade the service exactly like the ungrouped path.
+	// must degrade the service and fail the next write fast.
 	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpSync, N: syncsThroughFirstIngest(t) + 1, Mode: vfs.FailEarly, Err: syscall.ENOSPC})
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: vfs.NewInjectFS(vfs.NewMemFS(), plan), DisableAutoCompact: true, GroupCommit: true,
+		FS: vfs.NewInjectFS(vfs.NewMemFS(), plan), DisableAutoCompact: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,26 +224,24 @@ func TestGroupCommitDegradesAndFailsFast(t *testing.T) {
 func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpSync, N: syncsThroughFirstIngest(t) + 1, Mode: vfs.FailEarly, Err: syscall.ENOSPC})
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: vfs.NewInjectFS(vfs.NewMemFS(), plan), DisableAutoCompact: true, GroupCommit: true,
+		FS: vfs.NewInjectFS(vfs.NewMemFS(), plan), DisableAutoCompact: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
-	// Hold the write lock via a gated drain; a dummy write occupies the
-	// committer (blocked on the lock), so the two keyed writes queue up
-	// and drain into one group when the gate opens.
+	// A pre-fault write, then hold the write lock via a gated drain: the
+	// committer takes the first keyed write in hand (blocked on the
+	// lock), the second waits at the hand-off, and both land in one
+	// group — the one whose fsync fails — when the gate opens.
+	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
 	gate := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- d.DrainStream(gate, nil) }()
 	<-gate.entered
-	dummyDone := make(chan error, 1)
-	go func() {
-		_, err := d.Ingest(stressGraph(t, 0, 5))
-		dummyDone <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
 
 	type keyedRes struct {
 		replayed bool
@@ -303,9 +259,6 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	if err := <-drainDone; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-dummyDone; err != nil {
-		t.Fatal(err)
-	}
 	// The keyed group's fsync failed: no ack of any kind may have gone
 	// out — not a success, and above all not a replayed:true.
 	for i := 0; i < 2; i++ {
@@ -318,7 +271,7 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 		}
 	}
 	if got := d.DurableStats().WALNextLSN - 1; got != 1 {
-		t.Fatalf("%d records durable, want only the pre-fault dummy", got)
+		t.Fatalf("%d records durable, want only the pre-fault write", got)
 	}
 }
 
@@ -328,7 +281,7 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 // group or not.
 func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: vfs.NewMemFS(), DisableAutoCompact: true, GroupCommit: true,
+		FS: vfs.NewMemFS(), DisableAutoCompact: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,15 +330,14 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 }
 
 // TestGroupCommitCloseNeverStrandsWriters is the regression test for
-// the submitCommit/Close race: a request whose enqueue select won the
-// buffered commitCh send after d.stop closed could be left forever
-// unanswered once the committer's shutdown drain had already run.
-// Every writer racing Close must return — with success or ErrClosed,
-// never a hang.
+// the submitCommit/Close race: a request handed over just as d.stop
+// closed must not be left forever unanswered by a committer that has
+// already exited. Every writer racing Close must return — with success
+// or ErrClosed, never a hang.
 func TestGroupCommitCloseNeverStrandsWriters(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-			FS: vfs.NewMemFS(), DisableAutoCompact: true, GroupCommit: true, GroupCommitMaxBatch: 4,
+			FS: vfs.NewMemFS(), DisableAutoCompact: true,
 		})
 		if err != nil {
 			t.Fatal(err)

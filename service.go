@@ -42,70 +42,123 @@ type ServiceSnapshot struct {
 	Stats  ServiceStats
 }
 
-// Service is a thread-safe serving wrapper around the §4.6
-// incremental pipeline. Any number of goroutines may call the read
-// side (Snapshot, Schema, Stats, Validate, PGSchema, XSD, DOT)
-// concurrently with each other and with writers; the write side
-// (Ingest, Retract, DrainStream, WriteCheckpoint) is serialized
-// internally.
-//
-// The service keeps its own label-only endpoint bookkeeping across
-// Ingest calls (the serving analogue of a stream reader's resolver),
-// so an edge ingested in a later request still resolves endpoint
-// labels for nodes ingested earlier. Element IDs must be unique
-// across the service's lifetime — re-ingesting an ID double-counts
-// its statistics, exactly as re-feeding it to Incremental would.
-type Service struct {
+// Reader is the read side Service, DurableService and Follower each
+// embed. Any number of goroutines may call it concurrently with each
+// other and with the owner's writes: every method answers lock-free
+// from the latest published snapshot. It has no write methods, which
+// is what makes a Follower read-only by construction.
+type Reader struct {
+	snap atomic.Pointer[ServiceSnapshot]
+}
+
+// writer is the write side behind every Reader: the §4.6 incremental
+// pipeline plus label-only endpoint bookkeeping kept across batches
+// (the serving analogue of a stream reader's resolver), so an edge
+// ingested in a later request still resolves endpoint labels for nodes
+// ingested earlier. ingest, retract and apply are the ONE batch-apply
+// rule behind live serving, WAL recovery, the compactor's fold and a
+// follower's tail, which is what makes each bit-identical to the run
+// that logged the records. Not safe for concurrent use: an owner that
+// serves it holds mu around every call; a shadow owner (recovery,
+// compaction) is the only goroutine that ever sees it.
+type writer struct {
 	mu       writeLock
+	opts     Options
 	inc      *Incremental
 	resolver *Graph // label-only, cross-ingest endpoint bookkeeping
 	// nextEdgeID carries the sequential edge-ID counter across CSV
 	// streams (and their checkpoints); CSV rows have no explicit edge
 	// IDs, so a later stream must continue numbering where the
 	// previous one stopped.
-	nextEdgeID pg.ID
-	snap       atomic.Pointer[ServiceSnapshot]
-	seq        uint64
-	opts       Options
+	nextEdgeID ID
+	// keys is the applied idempotency-key set, rebuilt from the same
+	// images and WAL records as the rest of the state. Nil where
+	// nothing is keyed: plain services and followers.
+	keys *idemStore
+	// out receives a fresh snapshot after every applied batch. It is
+	// nil on a shadow writer, which replays without paying the
+	// copy-on-publish per record.
+	out *Reader
+}
+
+// newWriter positions a writer at a materialized checkpoint image, or
+// at the empty state when img is nil (which cannot fail). keyCap > 0
+// makes it track applied idempotency keys, at most that many.
+func newWriter(opts Options, img *core.Image, keyCap int) (*writer, error) {
+	w := &writer{mu: newWriteLock(), opts: opts}
+	if keyCap > 0 {
+		w.keys = newIdemStore(keyCap)
+	}
+	if img == nil {
+		w.inc = NewIncremental(opts)
+	} else {
+		inc, extras, err := core.RestoreImage(opts, img)
+		if err != nil {
+			return nil, err
+		}
+		w.inc, w.resolver, w.nextEdgeID = inc, extras.Resolver, extras.NextEdgeID
+		if w.keys != nil {
+			for _, k := range extras.AppliedKeys {
+				w.keys.add(k.Key, k.LSN)
+			}
+		}
+	}
+	if w.resolver == nil {
+		w.resolver = pg.NewGraph()
+		w.resolver.AllowDanglingEdges(true)
+	}
+	return w, nil
+}
+
+// serve turns a shadow writer live: it attaches the Reader and
+// publishes the current state, so readers never observe a nil schema.
+func (w *writer) serve() *Reader {
+	w.out = &Reader{}
+	w.publish()
+	return w.out
+}
+
+// Service is a thread-safe serving wrapper around the §4.6
+// incremental pipeline: the embedded Reader for any number of
+// concurrent readers, and a write side (Ingest, Retract, DrainStream,
+// WriteCheckpoint) serialized internally. Element IDs must be unique
+// across the service's lifetime — re-ingesting an ID double-counts its
+// statistics, exactly as re-feeding it to Incremental would.
+type Service struct {
+	*Reader
+	w *writer
 }
 
 // NewService returns a serving pipeline with an empty schema. The
 // initial published snapshot is empty but valid, so readers never
 // observe a nil schema.
 func NewService(opts Options) *Service {
-	return newService(opts, NewIncremental(opts), nil)
+	w, _ := newWriter(opts, nil, 0) // the empty state cannot fail
+	return &Service{Reader: w.serve(), w: w}
 }
 
 // RestoreService resumes a service from a checkpoint written by
-// Service.WriteCheckpoint (or Incremental.WriteCheckpoint): schema,
+// WriteCheckpoint (or Incremental.WriteCheckpoint): schema,
 // per-element assignments, shape caches, and the cross-ingest
 // endpoint bookkeeping all carry over, and the first published
 // snapshot already reflects the checkpointed state. opts must match
 // the checkpointed run's (see ResumeFromCheckpoint).
 func RestoreService(opts Options, r io.Reader) (*Service, error) {
-	inc, extras, err := core.ResumeFromCheckpoint(opts, r)
+	img, err := core.DecodeImage(r)
 	if err != nil {
 		return nil, err
 	}
-	s := newService(opts, inc, extras.Resolver)
-	s.nextEdgeID = extras.NextEdgeID
-	return s, nil
-}
-
-func newService(opts Options, inc *Incremental, resolver *Graph) *Service {
-	if resolver == nil {
-		resolver = pg.NewGraph()
-		resolver.AllowDanglingEdges(true)
+	w, err := newWriter(opts, img, 0)
+	if err != nil {
+		return nil, err
 	}
-	s := &Service{mu: newWriteLock(), inc: inc, resolver: resolver, opts: opts}
-	s.publish()
-	return s
+	return &Service{Reader: w.serve(), w: w}, nil
 }
 
-// writeLock is the service's write mutex, built on a one-slot channel
-// so a caller can bound how long it is willing to queue: an HTTP
-// request whose deadline expires while a long stream drain holds the
-// lock abandons the wait instead of parking a goroutine forever.
+// writeLock is the write mutex, built on a one-slot channel so a
+// caller can bound how long it is willing to queue: an HTTP request
+// whose deadline expires while a long stream drain holds the lock
+// abandons the wait instead of parking a goroutine forever.
 // Lock/Unlock mirror sync.Mutex for the paths that cannot time out.
 type writeLock chan struct{}
 
@@ -131,51 +184,78 @@ func (l writeLock) LockContext(ctx context.Context) error {
 }
 
 // publish clones the live schema, finalizes constraints on the clone,
-// and swaps it in. Callers must hold mu.
-func (s *Service) publish() {
-	sch := s.inc.Schema().Clone()
-	infer.Finalize(sch, s.opts.Infer)
-	st := ServiceStats{IncrementalStats: s.inc.Stats(), Snapshot: s.seq,
+// and swaps it in under the next snapshot sequence number.
+func (w *writer) publish() {
+	if w.out == nil {
+		return
+	}
+	sch := w.inc.Schema().Clone()
+	infer.Finalize(sch, w.opts.Infer)
+	st := ServiceStats{IncrementalStats: w.inc.Stats(),
 		NodeTypes: len(sch.NodeTypes), EdgeTypes: len(sch.EdgeTypes)}
-	s.seq++
-	s.snap.Store(&ServiceSnapshot{Schema: sch, Stats: st})
+	if prev := w.out.snap.Load(); prev != nil {
+		st.Snapshot = prev.Stats.Snapshot + 1
+	}
+	w.out.snap.Store(&ServiceSnapshot{Schema: sch, Stats: st})
 }
 
-// trackGraph registers g's nodes in the cross-ingest endpoint
-// bookkeeping, skipping IDs already tracked (their first labels win,
-// matching how a stream resolver behaves), and advances the
-// sequential edge-ID watermark past g's edges so a later CSV stream —
-// which assigns IDs itself — can never collide with IDs already seen.
-// It is the single tracking rule shared by live serving and WAL
-// replay, which is what makes recovery bit-identical to the run that
-// logged the records.
-func trackGraph(resolver *Graph, g *Graph, nextEdgeID *ID) {
+// ingest runs one batch through the pipeline and publishes. It first
+// registers g's nodes in the endpoint bookkeeping, skipping IDs
+// already tracked (their first labels win, matching how a stream
+// resolver behaves), and advances the sequential edge-ID watermark
+// past g's edges so a later CSV stream — which assigns IDs itself —
+// can never collide with IDs already seen.
+func (w *writer) ingest(g *Graph) BatchTiming {
 	nodes := g.Nodes()
 	for i := range nodes {
-		if resolver.Node(nodes[i].ID) == nil {
-			// Error impossible: absence was just checked and callers
-			// serialize writes.
-			_ = resolver.PutNode(nodes[i].ID, nodes[i].Labels, nil)
+		if w.resolver.Node(nodes[i].ID) == nil {
+			// Error impossible: absence was just checked and the owner
+			// serializes writes.
+			_ = w.resolver.PutNode(nodes[i].ID, nodes[i].Labels, nil)
 		}
 	}
 	edges := g.Edges()
 	for i := range edges {
-		if id := edges[i].ID + 1; id > *nextEdgeID {
-			*nextEdgeID = id
+		if id := edges[i].ID + 1; id > w.nextEdgeID {
+			w.nextEdgeID = id
 		}
 	}
+	bt := w.inc.ProcessBatch(&Batch{Graph: g, Resolver: w.resolver, Index: w.inc.Batches() + 1})
+	w.publish()
+	return bt
 }
 
-// track applies trackGraph to the service's own state. Callers must
-// hold mu.
-func (s *Service) track(g *Graph) { trackGraph(s.resolver, g, &s.nextEdgeID) }
+// retract removes a batch of previously ingested elements and
+// publishes. The batch's nodes also leave the endpoint bookkeeping, so
+// churn does not grow the resolver (or checkpoints) without bound, and
+// a later edge naming a retracted endpoint no longer resolves its
+// stale labels.
+func (w *writer) retract(g *Graph) BatchTiming {
+	bt := w.inc.RetractBatch(&Batch{Graph: g, Resolver: w.resolver})
+	nodes := g.Nodes()
+	for i := range nodes {
+		w.resolver.RemoveNode(nodes[i].ID)
+	}
+	w.publish()
+	return bt
+}
+
+// writeCheckpoint serializes the full state under the write lock (see
+// Service.WriteCheckpoint).
+func (w *writer) writeCheckpoint(out io.Writer) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.inc.WriteCheckpoint(out, &core.CheckpointExtras{
+		Resolver:   w.resolver,
+		NextEdgeID: w.nextEdgeID,
+	})
+}
 
 // Ingest runs one batch through the pipeline and publishes a fresh
 // snapshot. The graph is read during the call and not retained.
 func (s *Service) Ingest(g *Graph) BatchTiming {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ingestLocked(g)
+	bt, _ := s.IngestContext(context.Background(), g) // Background never expires
+	return bt
 }
 
 // IngestContext is Ingest with a deadline on write admission: if ctx
@@ -184,57 +264,30 @@ func (s *Service) Ingest(g *Graph) BatchTiming {
 // processing it runs to completion — a published snapshot is never
 // half a batch.
 func (s *Service) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if err := s.mu.LockContext(ctx); err != nil {
+	if err := s.w.mu.LockContext(ctx); err != nil {
 		return BatchTiming{}, err
 	}
-	defer s.mu.Unlock()
-	return s.ingestLocked(g), nil
-}
-
-// ingestLocked is the write path shared by Ingest, DrainStream, and
-// the durable layer (which appends to its WAL first). Callers must
-// hold mu.
-func (s *Service) ingestLocked(g *Graph) BatchTiming {
-	s.track(g)
-	bt := s.inc.ProcessBatch(&Batch{Graph: g, Resolver: s.resolver, Index: s.inc.Batches() + 1})
-	s.publish()
-	return bt
+	defer s.w.mu.Unlock()
+	return s.w.ingest(g), nil
 }
 
 // Retract removes a batch of previously ingested elements (every
 // element must have been ingested earlier; see
 // Incremental.RetractBatch) and publishes a fresh snapshot. Types
-// whose last instance disappears are gone from the new snapshot. The
-// batch's nodes also leave the endpoint bookkeeping, so churn does
-// not grow the resolver (or checkpoints) without bound, and a later
-// edge naming a retracted endpoint no longer resolves its stale
-// labels.
+// whose last instance disappears are gone from the new snapshot.
 func (s *Service) Retract(g *Graph) BatchTiming {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retractLocked(g)
+	bt, _ := s.RetractContext(context.Background(), g) // Background never expires
+	return bt
 }
 
 // RetractContext is Retract with a deadline on write admission (see
 // IngestContext for the contract).
 func (s *Service) RetractContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if err := s.mu.LockContext(ctx); err != nil {
+	if err := s.w.mu.LockContext(ctx); err != nil {
 		return BatchTiming{}, err
 	}
-	defer s.mu.Unlock()
-	return s.retractLocked(g), nil
-}
-
-// retractLocked is the retraction path shared by Retract and the
-// durable layer. Callers must hold mu.
-func (s *Service) retractLocked(g *Graph) BatchTiming {
-	bt := s.inc.RetractBatch(&Batch{Graph: g, Resolver: s.resolver})
-	nodes := g.Nodes()
-	for i := range nodes {
-		s.resolver.RemoveNode(nodes[i].ID)
-	}
-	s.publish()
-	return bt
+	defer s.w.mu.Unlock()
+	return s.w.retract(g), nil
 }
 
 // csvLikeStream is the extra surface of readers that assign
@@ -264,9 +317,7 @@ type csvLikeStream interface {
 // duplicates the service's (both index the streamed nodes); the
 // overhead is bounded by the ID+labels index, never properties.
 func (s *Service) DrainStream(r StreamReader, onBatch func(BatchTiming)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainLocked(r, onBatch, nil)
+	return s.DrainStreamContext(context.Background(), r, onBatch)
 }
 
 // DrainStreamContext is DrainStream with a deadline: the ctx bounds
@@ -275,20 +326,19 @@ func (s *Service) DrainStream(r StreamReader, onBatch func(BatchTiming)) error {
 // — batches already processed stay published; the caller sees ctx's
 // error and can read Stats to learn how far the stream got.
 func (s *Service) DrainStreamContext(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	if err := s.mu.LockContext(ctx); err != nil {
+	if err := s.w.mu.LockContext(ctx); err != nil {
 		return err
 	}
-	defer s.mu.Unlock()
-	return s.drainLocked(r, onBatch, func(*Graph) error { return ctx.Err() })
+	defer s.w.mu.Unlock()
+	return s.w.drain(r, onBatch, func(*Graph) error { return ctx.Err() })
 }
 
-// drainLocked is the drain protocol shared by Service.DrainStream and
-// the durable layer: CSV-stream adoption, memory-counter observation,
-// and per-batch processing, with an optional perBatch hook running
-// before each batch is applied (the durable layer's WAL append).
-// Callers must hold mu.
-func (s *Service) drainLocked(r StreamReader, onBatch func(BatchTiming), perBatch func(*Graph) error) error {
-	defer s.seedStreamLocked(r)()
+// drain is the drain protocol shared by Service and the durable layer:
+// CSV-stream adoption, memory-counter observation, and per-batch
+// processing, with perBatch running before each batch is applied (the
+// deadline check; the durable layer's WAL append).
+func (w *writer) drain(r StreamReader, onBatch func(BatchTiming), perBatch func(*Graph) error) error {
+	defer w.seedStream(r)()
 	onBatch = core.MemObservedOnBatch(onBatch)
 	for {
 		b, err := r.Next()
@@ -298,43 +348,40 @@ func (s *Service) drainLocked(r StreamReader, onBatch func(BatchTiming), perBatc
 		if err != nil {
 			return err
 		}
-		if perBatch != nil {
-			if err := perBatch(b.Graph); err != nil {
-				return err
-			}
+		if err := perBatch(b.Graph); err != nil {
+			return err
 		}
-		// The service resolver absorbs the stream's bookkeeping so
-		// later Ingest calls still resolve endpoints of streamed nodes
-		// (ingestLocked tracks the batch before processing it).
-		bt := s.ingestLocked(b.Graph)
+		// ingest tracks the batch in the resolver before processing it,
+		// so later Ingest calls still resolve endpoints of streamed
+		// nodes.
+		bt := w.ingest(b.Graph)
 		if onBatch != nil {
 			onBatch(bt)
 		}
 	}
 }
 
-// seedStreamLocked adopts a CSV-like stream into the service's state
-// (edge-ID continuation, resolver seeding) and returns the function
-// that harvests the stream's final edge-ID watermark — callers defer
-// it around their drain loop. For other readers both halves are
-// no-ops. Callers must hold mu.
-func (s *Service) seedStreamLocked(r StreamReader) (finish func()) {
+// seedStream adopts a CSV-like stream into the writer's state (edge-ID
+// continuation, resolver seeding) and returns the function that
+// harvests the stream's final edge-ID watermark — callers defer it
+// around their drain loop. For other readers both halves are no-ops.
+func (w *writer) seedStream(r StreamReader) (finish func()) {
 	c, ok := r.(csvLikeStream)
 	if !ok {
 		return func() {}
 	}
-	if c.NextEdgeID() == 0 && s.nextEdgeID > 0 {
-		c.SetNextEdgeID(s.nextEdgeID)
+	if c.NextEdgeID() == 0 && w.nextEdgeID > 0 {
+		c.SetNextEdgeID(w.nextEdgeID)
 	}
-	nodes := s.resolver.Nodes()
+	nodes := w.resolver.Nodes()
 	for i := range nodes {
 		// Error means the reader tracked the ID already; its labels
 		// win, matching Ingest's first-labels-win rule.
 		_ = c.SeedResolver(nodes[i].ID, nodes[i].Labels)
 	}
 	return func() {
-		if id := c.NextEdgeID(); id > s.nextEdgeID {
-			s.nextEdgeID = id
+		if id := c.NextEdgeID(); id > w.nextEdgeID {
+			w.nextEdgeID = id
 		}
 	}
 }
@@ -342,38 +389,38 @@ func (s *Service) seedStreamLocked(r StreamReader) (finish func()) {
 // Snapshot returns the current published state. The returned snapshot
 // is immutable and remains valid (and consistent) forever; hold it
 // for as long as a stable view is needed.
-func (s *Service) Snapshot() *ServiceSnapshot { return s.snap.Load() }
+func (r *Reader) Snapshot() *ServiceSnapshot { return r.snap.Load() }
 
 // Schema returns the current published schema — an immutable deep
 // copy with constraints finalized. Callers must not mutate it.
-func (s *Service) Schema() *Schema { return s.Snapshot().Schema }
+func (r *Reader) Schema() *Schema { return r.Snapshot().Schema }
 
 // Stats returns the current published statistics.
-func (s *Service) Stats() ServiceStats { return s.Snapshot().Stats }
+func (r *Reader) Stats() ServiceStats { return r.Snapshot().Stats }
 
 // Validate checks a graph against the current published schema.
-func (s *Service) Validate(g *Graph, mode ValidationMode) *ValidationReport {
-	return validate.Graph(g, s.Snapshot().Schema, mode)
+func (r *Reader) Validate(g *Graph, mode ValidationMode) *ValidationReport {
+	return validate.Graph(g, r.Snapshot().Schema, mode)
 }
 
 // PGSchema renders the published schema as PG-Schema (§4.5).
-func (s *Service) PGSchema(mode SerializationMode, graphName string) string {
-	return serialize.PGSchema(s.Snapshot().Schema, mode, graphName)
+func (r *Reader) PGSchema(mode SerializationMode, graphName string) string {
+	return serialize.PGSchema(r.Snapshot().Schema, mode, graphName)
 }
 
 // XSD renders the published schema as an XML Schema document.
-func (s *Service) XSD() string { return serialize.XSD(s.Snapshot().Schema) }
+func (r *Reader) XSD() string { return serialize.XSD(r.Snapshot().Schema) }
 
 // DOT renders the published schema as Graphviz DOT.
-func (s *Service) DOT(graphName string) string {
-	return serialize.DOT(s.Snapshot().Schema, graphName)
+func (r *Reader) DOT(graphName string) string {
+	return serialize.DOT(r.Snapshot().Schema, graphName)
 }
 
 // WriteSchemaJSON writes the published schema in the persisted schema
 // format (statistics included, service state excluded — use
 // WriteCheckpoint for a restorable image).
-func (s *Service) WriteSchemaJSON(w io.Writer) error {
-	return schema.WriteJSON(w, s.Snapshot().Schema)
+func (r *Reader) WriteSchemaJSON(w io.Writer) error {
+	return schema.WriteJSON(w, r.Snapshot().Schema)
 }
 
 // WriteCheckpoint serializes the service's full state — schema,
@@ -381,11 +428,4 @@ func (s *Service) WriteSchemaJSON(w io.Writer) error {
 // can resume it bit-identically. The write lock is held for the
 // duration, so the image is consistent with exactly the batches whose
 // snapshots were published before the call returned.
-func (s *Service) WriteCheckpoint(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inc.WriteCheckpoint(w, &core.CheckpointExtras{
-		Resolver:   s.resolver,
-		NextEdgeID: s.nextEdgeID,
-	})
-}
+func (s *Service) WriteCheckpoint(w io.Writer) error { return s.w.writeCheckpoint(w) }
