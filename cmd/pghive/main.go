@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,6 +40,38 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
+// discoveryFlags registers on fs the discovery flags `pghive` and
+// `pghive serve` share. The returned function decodes them into
+// Options once fs is parsed; an error from it is a usage error.
+func discoveryFlags(fs *flag.FlagSet) func() (pghive.Options, error) {
+	var (
+		method   = fs.String("method", "elsh", "clustering method: elsh or minhash")
+		seed     = fs.Int64("seed", 1, "random seed")
+		parallel = fs.Int("parallelism", 0, "worker goroutines per pipeline phase (0 = all CPU cores, 1 = sequential); the schema is identical for every value")
+		theta    = fs.Float64("theta", 0, "Jaccard merge threshold (0 = paper default 0.9)")
+		tables   = fs.Int("tables", 0, "pin LSH table count T (0 = adaptive)")
+		bucket   = fs.Float64("bucket", 0, "pin ELSH bucket length b; only with -tables (0 = adaptive)")
+	)
+	return func() (pghive.Options, error) {
+		opts := pghive.Options{Seed: *seed, Theta: *theta, Parallelism: *parallel}
+		switch strings.ToLower(*method) {
+		case "elsh":
+		case "minhash":
+			opts.Method = pghive.MinHash
+		default:
+			return opts, fmt.Errorf("unknown method %q", *method)
+		}
+		if *bucket != 0 && *tables <= 0 {
+			return opts, errors.New("-bucket only applies with -tables (the LSH parameters are pinned together)")
+		}
+		if *tables > 0 {
+			p := &lsh.Params{Tables: *tables, BucketLength: *bucket}
+			opts.NodeParams, opts.EdgeParams = p, p
+		}
+		return opts, nil
+	}
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		runServe(os.Args[2:])
@@ -52,16 +85,9 @@ func main() {
 		scale     = flag.Float64("scale", 1, "dataset scale factor")
 		noise     = flag.Float64("noise", 0, "property-removal probability (0-1)")
 		labels    = flag.Float64("labels", 1, "label availability (0-1)")
-		method    = flag.String("method", "elsh", "clustering method: elsh or minhash")
 		format    = flag.String("format", "pgschema", "output: pgschema, xsd, dot, or none")
 		mode      = flag.String("mode", "strict", "PG-Schema mode: strict or loose")
 		name      = flag.String("name", "DiscoveredGraphType", "graph type name in PG-Schema output")
-		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallelism", 0, "worker goroutines per pipeline phase (0 = all CPU cores, 1 = sequential); the schema is identical for every value")
-		noIntern  = flag.Bool("no-intern", false, "disable shape interning (A/B measurement; the schema is identical either way)")
-		theta     = flag.Float64("theta", 0, "Jaccard merge threshold (0 = paper default 0.9)")
-		tables    = flag.Int("tables", 0, "pin LSH table count T (0 = adaptive)")
-		bucket    = flag.Float64("bucket", 0, "pin ELSH bucket length b (0 = adaptive)")
 		batches   = flag.Int("batches", 1, "process the graph incrementally in N random batches")
 		stream    = flag.Bool("stream", false, "stream -input / -nodes-csv in bounded batches instead of materializing the graph (see -batch-size)")
 		batchSize = flag.Int("batch-size", 0, "elements per streamed batch (0 = default 8192); only with -stream")
@@ -72,20 +98,13 @@ func main() {
 		schemaOut = flag.String("schema-out", "", "persist the discovered schema (with statistics) as JSON")
 		schemaIn  = flag.String("schema-in", "", "resume from a persisted schema before processing")
 	)
+	discoveryOpts := discoveryFlags(flag.CommandLine)
 	flag.Parse()
 
-	opts := pghive.Options{Seed: *seed, Theta: *theta, Parallelism: *parallel, DisableShapeInterning: *noIntern}
-	switch strings.ToLower(*method) {
-	case "elsh":
-	case "minhash":
-		opts.Method = pghive.MinHash
-	default:
-		fmt.Fprintf(os.Stderr, "pghive: unknown method %q\n", *method)
+	opts, err := discoveryOpts()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pghive:", err)
 		os.Exit(2)
-	}
-	if *tables > 0 {
-		p := &lsh.Params{Tables: *tables, BucketLength: *bucket}
-		opts.NodeParams, opts.EdgeParams = p, p
 	}
 
 	var resume *pghive.Schema
@@ -145,7 +164,7 @@ func main() {
 		return
 	}
 
-	g, err := loadGraph(*input, *nodesCSV, *edgesCSV, *dataset, *scale, *noise, *labels, *seed)
+	g, err := loadGraph(*input, *nodesCSV, *edgesCSV, *dataset, *scale, *noise, *labels, opts.Seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pghive:", err)
 		os.Exit(1)
@@ -170,7 +189,7 @@ func main() {
 	}
 
 	start := time.Now()
-	res := discover(g, opts, *batches, *seed, resume)
+	res := discover(g, opts, *batches, resume)
 	elapsed := time.Since(start)
 
 	if *alignFlag {
@@ -204,14 +223,12 @@ func main() {
 		st := pghive.ComputeStats(g)
 		fmt.Fprintf(os.Stderr, "graph: %d nodes, %d edges, %d node patterns, %d edge patterns\n",
 			st.Nodes, st.Edges, st.NodePatterns, st.EdgePatterns)
-		if res.NodeShapes > 0 || res.EdgeShapes > 0 {
-			// Distinct-shape totals accumulate per batch; the ratios are
-			// the dedup factors interning exploits (elements hashed once
-			// per shape instead of once per element).
-			fmt.Fprintf(os.Stderr, "shapes: %d distinct node shapes (dedup %.1fx), %d distinct edge shapes (dedup %.1fx)\n",
-				res.NodeShapes, dedup(st.Nodes, res.NodeShapes),
-				res.EdgeShapes, dedup(st.Edges, res.EdgeShapes))
-		}
+		// Distinct-shape totals accumulate per batch; the ratios are the
+		// dedup factors interning exploits (elements hashed once per
+		// shape instead of once per element).
+		fmt.Fprintf(os.Stderr, "shapes: %d distinct node shapes (dedup %.1fx), %d distinct edge shapes (dedup %.1fx)\n",
+			res.NodeShapes, dedup(st.Nodes, res.NodeShapes),
+			res.EdgeShapes, dedup(st.Edges, res.EdgeShapes))
 		fmt.Fprintf(os.Stderr, "schema: %d node types, %d edge types (raw clusters: %d nodes, %d edges)\n",
 			len(res.Schema.NodeTypes), len(res.Schema.EdgeTypes), res.NodeClusters, res.EdgeClusters)
 		fmt.Fprintf(os.Stderr, "time: %v total (preprocess %v, cluster %v, extract %v, post %v)\n",
@@ -407,7 +424,7 @@ func loadGraph(input, nodesCSV, edgesCSV, dataset string, scale, noise, labels f
 	}
 }
 
-func discover(g *pghive.Graph, opts pghive.Options, batches int, seed int64, resume *pghive.Schema) *pghive.Result {
+func discover(g *pghive.Graph, opts pghive.Options, batches int, resume *pghive.Schema) *pghive.Result {
 	if batches <= 1 && resume == nil {
 		return pghive.Discover(g, opts)
 	}
@@ -416,16 +433,12 @@ func discover(g *pghive.Graph, opts pghive.Options, batches int, seed int64, res
 		inc.ProcessBatch(&pghive.Batch{Graph: g, Resolver: g, Index: 1})
 		return inc.Finalize()
 	}
-	rng := newRand(seed + 21)
+	rng := newRand(opts.Seed + 21)
 	for _, b := range pghive.SplitBatches(g, batches, rng) {
 		bt := inc.ProcessBatch(b)
-		if bt.NodeShapes > 0 || bt.EdgeShapes > 0 {
-			fmt.Fprintf(os.Stderr, "batch %d: %v (%d/%d distinct node shapes, %d/%d distinct edge shapes)\n",
-				bt.Index, bt.Timing.Discovery().Round(time.Millisecond),
-				bt.NodeShapes, bt.Nodes, bt.EdgeShapes, bt.Edges)
-		} else {
-			fmt.Fprintf(os.Stderr, "batch %d: %v\n", bt.Index, bt.Timing.Discovery().Round(time.Millisecond))
-		}
+		fmt.Fprintf(os.Stderr, "batch %d: %v (%d/%d distinct node shapes, %d/%d distinct edge shapes)\n",
+			bt.Index, bt.Timing.Discovery().Round(time.Millisecond),
+			bt.NodeShapes, bt.Nodes, bt.EdgeShapes, bt.Edges)
 	}
 	return inc.Finalize()
 }

@@ -67,7 +67,6 @@ import (
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/admission"
-	"github.com/pghive/pghive/internal/lsh"
 	"github.com/pghive/pghive/internal/store"
 )
 
@@ -77,13 +76,6 @@ func runServe(args []string) {
 	var (
 		listen    = fs.String("listen", ":8080", "address to serve HTTP on")
 		restore   = fs.String("restore", "", "checkpoint file to resume from (see POST /checkpoint)")
-		method    = fs.String("method", "elsh", "clustering method: elsh or minhash")
-		seed      = fs.Int64("seed", 1, "random seed")
-		parallel  = fs.Int("parallelism", 0, "worker goroutines per pipeline phase (0 = all CPU cores)")
-		noIntern  = fs.Bool("no-intern", false, "disable shape interning")
-		theta     = fs.Float64("theta", 0, "Jaccard merge threshold (0 = paper default 0.9)")
-		tables    = fs.Int("tables", 0, "pin LSH table count T (0 = adaptive)")
-		bucket    = fs.Float64("bucket", 0, "pin ELSH bucket length b (0 = adaptive)")
 		batchSize = fs.Int("batch-size", 0, "elements per ingest batch when splitting large bodies (0 = one batch per request)")
 		dataDir   = fs.String("data-dir", "", "durable mode: write-ahead log every mutation under this directory and recover from it on start")
 		segBytes  = fs.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 8 MiB; durable mode only)")
@@ -103,20 +95,13 @@ func runServe(args []string) {
 		maxWrites  = fs.Int("max-write-queue", admission.DefaultMaxWriteQueue, "mutating requests admitted at once before 429 + Retry-After (-1 disables)")
 		drainWait  = fs.Duration("drain-timeout", 20*time.Second, "graceful-shutdown budget for in-flight requests on SIGTERM")
 	)
+	discoveryOpts := discoveryFlags(fs)
 	fs.Parse(args)
 
-	opts := pghive.Options{Seed: *seed, Theta: *theta, Parallelism: *parallel, DisableShapeInterning: *noIntern}
-	switch strings.ToLower(*method) {
-	case "elsh":
-	case "minhash":
-		opts.Method = pghive.MinHash
-	default:
-		fmt.Fprintf(os.Stderr, "pghive serve: unknown method %q\n", *method)
+	opts, err := discoveryOpts()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pghive serve:", err)
 		os.Exit(2)
-	}
-	if *tables > 0 {
-		p := &lsh.Params{Tables: *tables, BucketLength: *bucket}
-		opts.NodeParams, opts.EdgeParams = p, p
 	}
 
 	// Replication flag surface: a follower owns no log and ships

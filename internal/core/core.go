@@ -1,4 +1,4 @@
-// Package hive implements the PG-HIVE schema-discovery pipeline of
+// Package core implements the PG-HIVE schema-discovery pipeline of
 // §4 (Algorithm 1): preprocessing into representation vectors, LSH
 // clustering (ELSH or MinHash), type extraction and merging
 // (Algorithm 2), optional post-processing (constraints, data types,
@@ -81,32 +81,19 @@ type Options struct {
 	// the merge-step ablation; incremental discovery degenerates to
 	// per-batch schemas under it.
 	DisableMerging bool
-	// DisableShapeInterning turns off the shape-interning fast path.
-	// With interning (the default), elements are grouped by shape —
-	// label set, property-key set, and endpoint tokens for edges — and
-	// vectorization plus LSH signature hashing run once per distinct
-	// shape instead of once per element, so discovery cost scales with
-	// the number of distinct patterns rather than with graph size.
-	// Same-shape elements produce byte-identical representations, so
-	// the discovered schema and every per-element assignment are
-	// bit-identical with interning on or off; the switch exists for
-	// A/B measurement.
-	DisableShapeInterning bool
 	// Infer configures data-type inference sampling.
 	Infer infer.Options
 	// Seed drives every random choice in the pipeline.
 	Seed int64
 	// Parallelism is the number of worker goroutines each parallel
-	// stage uses: vectorization, LSH signature computation, and
-	// bucket sharding. 0 (the default) selects runtime.NumCPU(); 1
-	// forces fully sequential execution. With Parallelism > 1,
-	// ProcessBatch additionally overlaps edge-endpoint resolution
-	// with the node phase on one extra goroutine, so peak concurrency
-	// is Parallelism + 1. The discovered schema is bit-identical for
-	// every value: work is sharded into disjoint index ranges and
-	// merged in a fixed order, and the stochastic stages (Word2Vec
-	// training, LSH parameter adaptation) always run sequentially
-	// from Seed.
+	// stage uses: endpoint resolution, vectorization, LSH signature
+	// computation, and bucket sharding. 0 (the default) selects
+	// runtime.NumCPU(); 1 forces fully sequential execution. Stages run
+	// one after another, so Parallelism is also the peak concurrency.
+	// The discovered schema is bit-identical for every value: work is
+	// sharded into disjoint index ranges and merged in a fixed order,
+	// and the stochastic stages (Word2Vec training, LSH parameter
+	// adaptation) always run sequentially from Seed.
 	Parallelism int
 }
 
@@ -204,10 +191,8 @@ func (a *anchoredEmbedder) Vector(token string) []float64 {
 
 // Timing breaks a run into the phases reported by the efficiency
 // experiments (Fig. 5 measures preprocessing + clustering + type
-// extraction). Each field records critical-path time: work that
-// overlaps another phase (the concurrent edge-endpoint resolution
-// under Parallelism > 1) contributes only the time the pipeline
-// actually waited for it, so the phase sum tracks wall-clock.
+// extraction). Phases run back to back on the calling goroutine, so
+// the phase sum tracks wall-clock.
 type Timing struct {
 	Preprocess  time.Duration
 	Cluster     time.Duration
@@ -246,10 +231,9 @@ type Result struct {
 	NodeClusters int
 	EdgeClusters int
 	// NodeShapes / EdgeShapes accumulate the distinct element shapes
-	// per processed batch — the units of work the interned pipeline
-	// actually vectorizes and hashes. Zero when shape interning is
-	// disabled. Compare against the element counts for the dedup
-	// ratio.
+	// per processed batch — the units of work the pipeline actually
+	// vectorizes and hashes. Compare against the element counts for
+	// the dedup ratio.
 	NodeShapes int
 	EdgeShapes int
 	// NodeChoice / EdgeChoice record the adaptive parameter choices
@@ -333,7 +317,7 @@ type IncrementalStats struct {
 	NodeClusters int `json:"nodeClusters"`
 	EdgeClusters int `json:"edgeClusters"`
 	// NodeShapes / EdgeShapes accumulate per-batch distinct shape
-	// counts (0 with interning disabled).
+	// counts.
 	NodeShapes int `json:"nodeShapes"`
 	EdgeShapes int `json:"edgeShapes"`
 	// CachedNodeShapes / CachedEdgeShapes are the cross-batch shape
@@ -367,9 +351,9 @@ type BatchTiming struct {
 	// Nodes / Edges are the batch's element counts.
 	Nodes int
 	Edges int
-	// NodeShapes / EdgeShapes are the batch's distinct shape counts
-	// (0 when shape interning is disabled): the number of
-	// representatives that were actually vectorized and hashed.
+	// NodeShapes / EdgeShapes are the batch's distinct shape counts:
+	// the number of representatives that were actually vectorized and
+	// hashed.
 	NodeShapes int
 	EdgeShapes int
 	// AllocBytes is the heap allocation attributed to reading and
@@ -388,162 +372,64 @@ type BatchTiming struct {
 // merges the discovered types into the schema (Algorithm 1 lines
 // 3–6). If Options.PostProcess is set, §4.4 inference runs too.
 //
-// With Options.Parallelism > 1 the heavy stages run on worker pools
-// (vectorization, LSH signatures, bucket sharding) and the
-// label-resolvable part of edge endpoint preprocessing overlaps the
-// node phase; only the fallback to discovered node types waits for
-// node extraction. Scheduling never changes the discovered schema —
-// every parallel stage is sharded with disjoint writes and merged in
-// a fixed order.
+// Elements are grouped by shape — label set, property-key set, and
+// endpoint tokens for edges — and only the first occurrence of each
+// shape is vectorized or tokenized, hashed and clustered: same-shape
+// rows would produce byte-identical representations and collide in
+// every band anyway, so the per-element stages run once per distinct
+// pattern and each row reads its cluster through ShapeIndex.Rows.
+// Because representatives keep first-occurrence order, the partition
+// and every cluster label equal those of a per-element run
+// (core_ref_test.go holds that reference). With Options.Parallelism
+// > 1 the heavy stages run on worker pools; scheduling never changes
+// the discovered schema — every parallel stage is sharded with
+// disjoint writes and merged in a fixed order.
 func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	o := inc.opts
 	var tm Timing
 
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
-
-	// (b'-pre) Edge endpoint labels depend only on the batch and its
-	// resolver, never on discovered node types, so they resolve
-	// concurrently with the whole node phase. The Graph is read-only
-	// during discovery, which makes the overlap race-free.
-	srcToks := make([]string, len(edges))
-	dstToks := make([]string, len(edges))
-	resolveEndpoints := func(workers int) time.Duration {
-		start := time.Now()
-		ep := vectorize.BatchEndpoints(b)
-		parallel.For(len(edges), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				srcToks[i], dstToks[i] = ep(&edges[i])
-			}
-		})
-		return time.Since(start)
-	}
-	// When overlapped, the resolver stays on its single goroutine so
-	// total concurrency never exceeds Parallelism + 1; the full pool
-	// is only used when resolution runs alone on the critical path.
-	// Edge-dominated batches skip the overlap: a lone goroutine
-	// walking a huge edge set would outlive the node phase and
-	// serialize the batch, so resolving with all workers afterwards
-	// is faster. Interned batches never overlap — the node phase
-	// touches only shape representatives and is far too short to hide
-	// a serial walk over every edge; they resolve endpoints up front
-	// instead (see below), sharing the pass with the Word2Vec corpus.
-	// The choice depends only on the batch shape and options, never
-	// on scheduling, so determinism is unaffected.
-	intern := !o.DisableShapeInterning
-	var epDone chan time.Duration
-	if o.Parallelism > 1 && !intern && len(edges) > 0 && len(edges) <= 4*len(nodes) {
-		epDone = make(chan time.Duration, 1)
-		go func() { epDone <- resolveEndpoints(1) }()
-	}
-
-	// Interned endpoint resolution runs before the node phase — it
-	// depends only on the batch and resolver — and additionally keeps
-	// the batch-local endpoint tokens so the Word2Vec corpus (which
-	// by definition sees only the batch's own labels, not the
-	// resolver's) reuses this pass instead of re-resolving every
-	// edge.
-	var srcBatchToks, dstBatchToks []string
-	if intern && len(edges) > 0 {
-		epStart := time.Now()
-		if o.Method != MinHash {
-			if b.Resolver == nil || b.Resolver == b.Graph {
-				// With no separate resolver the batch-local and
-				// resolved tokens coincide; alias the arrays (the loop
-				// below writes the resolved token last, and it equals
-				// the batch-local one here).
-				srcBatchToks, dstBatchToks = srcToks, dstToks
-			} else {
-				srcBatchToks = make([]string, len(edges))
-				dstBatchToks = make([]string, len(edges))
-			}
-		}
-		parallel.For(len(edges), o.Parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &edges[i]
-				src := b.Graph.SrcLabels(e)
-				dst := b.Graph.DstLabels(e)
-				sTok, dTok := pg.LabelToken(src), pg.LabelToken(dst)
-				if srcBatchToks != nil {
-					srcBatchToks[i], dstBatchToks[i] = sTok, dTok
-				}
-				if src == nil && b.Resolver != nil {
-					sTok = pg.LabelToken(b.Resolver.SrcLabels(e))
-				}
-				if dst == nil && b.Resolver != nil {
-					dTok = pg.LabelToken(b.Resolver.DstLabels(e))
-				}
-				srcToks[i], dstToks[i] = sTok, dTok
-			}
-		})
-		tm.Preprocess += time.Since(epStart)
-	}
-
-	// (b) Preprocess nodes: shape interning, embeddings,
-	// representation structures. With interning (the default), rows
-	// are grouped by shape — same label set and property-key set —
-	// and only the first occurrence of each shape is vectorized or
-	// tokenized: same-shape rows would produce byte-identical
-	// representations anyway, so the per-element stages run once per
-	// distinct pattern instead of once per element. The distinct
-	// label and property-key sets are likewise unions over
-	// representatives, since both are shape components.
-	start := time.Now()
 	if len(inc.result.NodeAssign) == 0 && len(nodes) > 0 {
 		inc.result.NodeAssign = make(map[pg.ID]*schema.NodeType, len(nodes))
 	}
 	if len(inc.result.EdgeAssign) == 0 && len(edges) > 0 {
 		inc.result.EdgeAssign = make(map[pg.ID]*schema.EdgeType, len(edges))
 	}
-	var nodeSI *pg.ShapeIndex
-	var distinctNodeLabels int
-	if intern {
-		nodeSI = inc.nodeShapes.IndexNodes(nodes)
-		distinctNodeLabels = len(nodeSI.NodeLabels(nodes))
-	} else {
-		distinctNodeLabels = len(b.Graph.DistinctNodeLabels())
-	}
+
+	// (a) Resolve edge endpoint labels. They depend only on the batch
+	// and its resolver, never on discovered node types, so the pass
+	// runs up front and the Word2Vec corpus shares it.
+	start := time.Now()
+	srcToks, dstToks, srcLocal, dstLocal := endpointTokens(b, o.Method != MinHash, o.Parallelism)
+
+	// (b) Preprocess nodes: shape index, embeddings, representation
+	// structures of the shape representatives. The distinct label and
+	// property-key sets are unions over representatives, since both
+	// are shape components.
+	nodeSI := inc.nodeShapes.IndexNodes(nodes)
+	distinctNodeLabels := len(nodeSI.NodeLabels(nodes))
 	var emb vectorize.Embedder
 	var nodeMat *vectorize.Matrix
 	var nodeSets [][]string
-	switch o.Method {
-	case MinHash:
-		if intern {
-			nodeSets = internedNodeSets(nodes, nodeSI)
-		} else {
-			nodeSets = nodeTokenSets(nodes, o.Parallelism)
-		}
-	default:
-		emb = inc.embedder(b.Graph, nodeSI, srcBatchToks, dstBatchToks)
-		if intern {
-			nodeMat = vectorize.NodesInterned(nodes, nodeSI, nodeSI.NodePropertyKeys(nodes), emb, o.Parallelism)
-		} else {
-			nodeMat = vectorize.NodesParallel(nodes, b.Graph.DistinctNodePropertyKeys(), emb, o.Parallelism)
-		}
+	if o.Method == MinHash {
+		nodeSets = nodeItemSets(nodes, nodeSI)
+	} else {
+		emb = inc.embedder(b.Graph, nodeSI, srcLocal, dstLocal)
+		nodeMat = vectorize.NodesInterned(nodes, nodeSI, nodeSI.NodePropertyKeys(nodes), emb, o.Parallelism)
 	}
 	tm.Preprocess += time.Since(start)
 
-	// (c) Cluster nodes. Under interning the clusterer sees only the
-	// shape representatives and nodeCl is a *shape-level* clustering
-	// (rows resolve through nodeSI.Rows); same-shape rows would
-	// collide in every band anyway, so the partition — and, because
-	// representatives keep first-occurrence order, every cluster
-	// label — matches the non-interned run exactly. The adaptive
-	// parameter estimation still samples the full per-row view
-	// (representatives expanded through the row→shape map, sharing
-	// rows) so the chosen parameters match too.
+	// (c) Cluster the node shapes. The adaptive parameter estimation
+	// still samples the per-row population (through nodeSI.Rows), so
+	// the chosen parameters are those of a per-element run.
 	start = time.Now()
 	var nodeCl *lsh.Clustering
-	switch o.Method {
-	case MinHash:
+	if o.Method == MinHash {
 		np := inc.minhashParams(len(nodes), distinctNodeLabels, &inc.result.NodeChoice, o.NodeParams)
 		nodeCl = lsh.ClusterMinHash(nodeSets, np)
-	default:
-		var rows []int32
-		if intern {
-			rows = nodeSI.Rows
-		}
-		np := inc.elshParams(nodeMat.Vecs, rows, distinctNodeLabels, &inc.result.NodeChoice, o.NodeParams, true)
+	} else {
+		np := inc.elshParams(nodeMat.Vecs, nodeSI.Rows, distinctNodeLabels, &inc.result.NodeChoice, o.NodeParams, true)
 		nodeCl = lsh.ClusterEuclideanSparse(nodeMat.Vecs, nodeMat.BinStart, nodeMat.Bits, np)
 	}
 	inc.result.NodeClusters += nodeCl.NumClusters
@@ -555,43 +441,20 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	// §4.1 — Example 2 lists unlabeled Alice's KNOWS edge with a
 	// Person source).
 	start = time.Now()
-	var ncands []*schema.NodeType
-	if intern {
-		ncands = schema.BuildNodeCandidatesInterned(nodes, nodeSI, nodeCl.Assign, nodeCl.NumClusters)
-	} else {
-		ncands = schema.BuildNodeCandidates(nodes, nodeCl.Assign, nodeCl.NumClusters)
-	}
+	ncands := schema.BuildNodeCandidatesInterned(nodes, nodeSI, nodeCl.Assign, nodeCl.NumClusters)
 	var ntypes []*schema.NodeType
 	if o.DisableMerging {
 		ntypes = inc.sch.AppendNodeTypes(ncands)
 	} else {
 		ntypes = inc.sch.ExtractNodeTypes(ncands, o.Theta)
 	}
-	if intern {
-		for row := range nodes {
-			inc.result.NodeAssign[nodes[row].ID] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
-		}
-	} else {
-		for row := range nodes {
-			inc.result.NodeAssign[nodes[row].ID] = ntypes[nodeCl.Assign[row]]
-		}
+	for row := range nodes {
+		inc.result.NodeAssign[nodes[row].ID] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
 	}
 	tm.Extract += time.Since(start)
 
-	// (b') Preprocess edges: join the overlapped endpoint resolution,
-	// fill unresolvable endpoints with discovered node types, then
-	// vectorize.
-	if epDone != nil {
-		// Only the time the pipeline actually blocked on the overlapped
-		// resolver counts: its overlapped portion is already inside the
-		// node-phase timings, and double-counting would inflate
-		// Timing.Discovery() past wall-clock.
-		wait := time.Now()
-		<-epDone
-		tm.Preprocess += time.Since(wait)
-	} else if !intern {
-		tm.Preprocess += resolveEndpoints(o.Parallelism)
-	}
+	// (b') Preprocess edges: fill unresolvable endpoints with
+	// discovered node types, then index shapes and vectorize.
 	start = time.Now()
 	for i := range edges {
 		e := &edges[i]
@@ -602,76 +465,45 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 			dstToks[i] = inc.endpointTypeToken(e.Dst)
 		}
 	}
-	var edgeSI *pg.ShapeIndex
-	var distinctEdgeLabels int
-	if intern {
-		edgeSI = inc.edgeShapes.IndexEdges(edges, srcToks, dstToks)
-		distinctEdgeLabels = len(edgeSI.EdgeLabels(edges))
-	} else {
-		distinctEdgeLabels = len(b.Graph.DistinctEdgeLabels())
-	}
+	edgeSI := inc.edgeShapes.IndexEdges(edges, srcToks, dstToks)
+	distinctEdgeLabels := len(edgeSI.EdgeLabels(edges))
 	var edgeMat *vectorize.Matrix
 	var edgeSets [][]string
-	switch o.Method {
-	case MinHash:
-		if intern {
-			edgeSets = internedEdgeSets(edges, edgeSI, srcToks, dstToks)
-		} else {
-			edgeSets = edgeTokenSets(edges, srcToks, dstToks, o.Parallelism)
-		}
-	default:
-		if intern {
-			edgeMat = vectorize.EdgesInterned(edges, edgeSI, edgeSI.EdgePropertyKeys(edges), emb, srcToks, dstToks, o.Parallelism)
-		} else {
-			edgeMat = vectorize.EdgesParallel(edges, b.Graph.DistinctEdgePropertyKeys(), emb, srcToks, dstToks, o.Parallelism)
-		}
+	if o.Method == MinHash {
+		edgeSets = edgeItemSets(edges, edgeSI, srcToks, dstToks)
+	} else {
+		edgeMat = vectorize.EdgesInterned(edges, edgeSI, edgeSI.EdgePropertyKeys(edges), emb, srcToks, dstToks, o.Parallelism)
 	}
 	tm.Preprocess += time.Since(start)
 
-	// (c') Cluster edges (shape-level under interning, as for nodes).
+	// (c') Cluster the edge shapes.
 	start = time.Now()
 	var edgeCl *lsh.Clustering
-	switch o.Method {
-	case MinHash:
-		epp := inc.minhashParams(len(edges), distinctEdgeLabels, &inc.result.EdgeChoice, o.EdgeParams)
-		edgeCl = lsh.ClusterMinHash(edgeSets, epp)
-	default:
-		var rows []int32
-		if intern {
-			rows = edgeSI.Rows
-		}
-		epp := inc.elshParams(edgeMat.Vecs, rows, distinctEdgeLabels, &inc.result.EdgeChoice, o.EdgeParams, false)
-		edgeCl = lsh.ClusterEuclideanSparse(edgeMat.Vecs, edgeMat.BinStart, edgeMat.Bits, epp)
+	if o.Method == MinHash {
+		ep := inc.minhashParams(len(edges), distinctEdgeLabels, &inc.result.EdgeChoice, o.EdgeParams)
+		edgeCl = lsh.ClusterMinHash(edgeSets, ep)
+	} else {
+		ep := inc.elshParams(edgeMat.Vecs, edgeSI.Rows, distinctEdgeLabels, &inc.result.EdgeChoice, o.EdgeParams, false)
+		edgeCl = lsh.ClusterEuclideanSparse(edgeMat.Vecs, edgeMat.BinStart, edgeMat.Bits, ep)
 	}
 	inc.result.EdgeClusters += edgeCl.NumClusters
 	tm.Cluster += time.Since(start)
 
 	// (d') Extract edge types.
 	start = time.Now()
-	var ecands []*schema.EdgeType
-	if intern {
-		maxEndpoints := b.Graph.NumNodes()
-		if b.Resolver != nil && b.Resolver != b.Graph {
-			maxEndpoints += b.Resolver.NumNodes()
-		}
-		ecands = schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, srcToks, dstToks, maxEndpoints)
-	} else {
-		ecands = schema.BuildEdgeCandidates(edges, edgeCl.Assign, edgeCl.NumClusters, srcToks, dstToks)
+	maxEndpoints := b.Graph.NumNodes()
+	if b.Resolver != nil && b.Resolver != b.Graph {
+		maxEndpoints += b.Resolver.NumNodes()
 	}
+	ecands := schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, srcToks, dstToks, maxEndpoints)
 	var etypes []*schema.EdgeType
 	if o.DisableMerging {
 		etypes = inc.sch.AppendEdgeTypes(ecands)
 	} else {
 		etypes = inc.sch.ExtractEdgeTypes(ecands, o.Theta)
 	}
-	if intern {
-		for row := range edges {
-			inc.result.EdgeAssign[edges[row].ID] = etypes[edgeCl.Assign[edgeSI.Rows[row]]]
-		}
-	} else {
-		for row := range edges {
-			inc.result.EdgeAssign[edges[row].ID] = etypes[edgeCl.Assign[row]]
-		}
+	for row := range edges {
+		inc.result.EdgeAssign[edges[row].ID] = etypes[edgeCl.Assign[edgeSI.Rows[row]]]
 	}
 	tm.Extract += time.Since(start)
 
@@ -684,14 +516,54 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 
 	inc.result.Timing.add(tm)
 	inc.batches++
-	bt := BatchTiming{Index: b.Index, Timing: tm, Nodes: len(nodes), Edges: len(edges)}
-	if intern {
-		bt.NodeShapes = nodeSI.NumShapes()
-		bt.EdgeShapes = edgeSI.NumShapes()
-		inc.result.NodeShapes += bt.NodeShapes
-		inc.result.EdgeShapes += bt.EdgeShapes
+	inc.result.NodeShapes += nodeSI.NumShapes()
+	inc.result.EdgeShapes += edgeSI.NumShapes()
+	return BatchTiming{
+		Index: b.Index, Timing: tm,
+		Nodes: len(nodes), Edges: len(edges),
+		NodeShapes: nodeSI.NumShapes(), EdgeShapes: edgeSI.NumShapes(),
 	}
-	return bt
+}
+
+// endpointTokens resolves the source and target label token of every
+// edge of the batch, looking first in the batch itself and then in its
+// resolver; "" marks an endpoint neither knows (yet). With local set
+// it also returns the tokens as the batch alone sees them — the
+// Word2Vec corpus by definition sees only the batch's own labels —
+// which alias the resolved slices when there is no separate resolver.
+func endpointTokens(b *pg.Batch, local bool, workers int) (src, dst, srcLocal, dstLocal []string) {
+	edges := b.Graph.Edges()
+	src = make([]string, len(edges))
+	dst = make([]string, len(edges))
+	fallback := b.Resolver != nil && b.Resolver != b.Graph
+	if local {
+		srcLocal, dstLocal = src, dst
+		if fallback {
+			srcLocal = make([]string, len(edges))
+			dstLocal = make([]string, len(edges))
+		}
+	}
+	parallel.For(len(edges), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &edges[i]
+			srcLabels := b.Graph.SrcLabels(e)
+			dstLabels := b.Graph.DstLabels(e)
+			sTok, dTok := pg.LabelToken(srcLabels), pg.LabelToken(dstLabels)
+			if fallback {
+				if local {
+					srcLocal[i], dstLocal[i] = sTok, dTok
+				}
+				if srcLabels == nil {
+					sTok = pg.LabelToken(b.Resolver.SrcLabels(e))
+				}
+				if dstLabels == nil {
+					dTok = pg.LabelToken(b.Resolver.DstLabels(e))
+				}
+			}
+			src[i], dst[i] = sTok, dTok
+		}
+	})
+	return src, dst, srcLocal, dstLocal
 }
 
 // RetractBatch removes a batch of previously processed elements from
@@ -814,14 +686,12 @@ func (inc *Incremental) endpointTypeToken(id pg.ID) string {
 	return ""
 }
 
-// embedder builds the batch's label embedder. nodeSI, when non-nil,
-// lets the Word2Vec corpus derive its node sentences from the
-// distinct shapes (count-weighted) instead of walking every node, and
-// srcToks/dstToks (batch-local endpoint tokens from the interned
-// endpoint pass, nil otherwise) spare the corpus its own resolution
-// walk; the corpus — and so the trained model — is byte-identical
-// either way.
-func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) vectorize.Embedder {
+// embedder builds the batch's label embedder. The Word2Vec corpus
+// derives its node sentences from the distinct shapes of nodeSI
+// (count-weighted) instead of walking every node, and takes the
+// batch-local endpoint tokens srcLocal/dstLocal from the endpoint
+// pass instead of re-resolving every edge.
+func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcLocal, dstLocal []string) vectorize.Embedder {
 	o := inc.opts
 	var inner vectorize.Embedder
 	if o.Embedding == EmbedHashed {
@@ -844,7 +714,7 @@ func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, ds
 		if idDim < 4 {
 			idDim = 4
 		}
-		inner = newAnchoredEmbedder(word2vec.Train(vectorize.BuildCorpusInterned(g, nodeSI, srcToks, dstToks), cfg),
+		inner = newAnchoredEmbedder(word2vec.Train(vectorize.BuildCorpus(g, nodeSI, srcLocal, dstLocal), cfg),
 			word2vec.NewHashedEmbedder(idDim))
 	}
 	if o.LabelWeight != 1 {
@@ -855,9 +725,9 @@ func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, ds
 
 // elshParams resolves the ELSH parameters: pinned ones pass through,
 // otherwise the adaptive strategy estimates them from the vectors.
-// rows, when non-nil, is the interned row→shape map, making vecs a
-// representative matrix whose logical population is rows — the
-// adaptive choice is identical to the materialized per-row matrix.
+// vecs is the representative matrix and rows the row→shape map, so
+// the logical population is rows and the adaptive choice is that of
+// the materialized per-row matrix.
 func (inc *Incremental) elshParams(vecs [][]float64, rows []int32, labels int, choice *lsh.AdaptiveChoice, pinned *lsh.Params, isNode bool) lsh.Params {
 	if pinned != nil {
 		p := *pinned
@@ -898,26 +768,13 @@ func (inc *Incremental) withWorkers(p lsh.Params) lsh.Params {
 	return p
 }
 
-// nodeTokenSets builds the MinHash item set of each node: its label
-// token plus its property keys, each qualified by the label token.
+// nodeItemSet builds one node's MinHash item set: its label token
+// plus its property keys, each qualified by the label token.
 // Qualification is the set-world analogue of the hybrid vectors of
 // §4.1: items of differently labeled elements never coincide, so the
 // Jaccard similarity between semantically different types is 0 and
 // banding cannot chain them together, while unlabeled elements fall
 // back to raw property keys and are matched purely structurally.
-// Sets are built on a worker pool (each element's set is independent
-// of all others).
-func nodeTokenSets(nodes []pg.Node, workers int) [][]string {
-	sets := make([][]string, len(nodes))
-	parallel.For(len(nodes), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i] = nodeItemSet(&nodes[i])
-		}
-	})
-	return sets
-}
-
-// nodeItemSet builds one node's MinHash item set.
 func nodeItemSet(n *pg.Node) []string {
 	tok := n.LabelToken()
 	keys := n.PropertyKeys()
@@ -933,11 +790,11 @@ func nodeItemSet(n *pg.Node) []string {
 	return set
 }
 
-// internedNodeSets returns the item set of each distinct node shape,
-// in shape order. Sets depend only on the shape, so they are cached
-// on the cache entry and reused by later batches that see the shape
+// nodeItemSets returns the item set of each distinct node shape, in
+// shape order. Sets depend only on the shape, so they are cached on
+// the cache entry and reused by later batches that see the shape
 // again.
-func internedNodeSets(nodes []pg.Node, si *pg.ShapeIndex) [][]string {
+func nodeItemSets(nodes []pg.Node, si *pg.ShapeIndex) [][]string {
 	sets := make([][]string, si.NumShapes())
 	for s, sh := range si.Shapes {
 		if sh.Items == nil {
@@ -948,24 +805,13 @@ func internedNodeSets(nodes []pg.Node, si *pg.ShapeIndex) [][]string {
 	return sets
 }
 
-// edgeTokenSets builds the MinHash item set of each edge. Every item
-// is qualified by the full (label, source, target) pattern triple —
+// edgeItemSet builds one edge's MinHash item set. Every item is
+// qualified by the full (label, source, target) pattern triple —
 // Def. 3.6 makes the endpoint pair R part of an edge's pattern — so
 // edges of different patterns have Jaccard 0 and cannot chain
 // together, while same-pattern edges with noisy property sets still
 // collide in some band. Unlabeled, unresolvable edges degrade
-// gracefully to property-key sets. Sets are built on a worker pool.
-func edgeTokenSets(edges []pg.Edge, srcToks, dstToks []string, workers int) [][]string {
-	sets := make([][]string, len(edges))
-	parallel.For(len(edges), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i] = edgeItemSet(&edges[i], srcToks[i], dstToks[i])
-		}
-	})
-	return sets
-}
-
-// edgeItemSet builds one edge's MinHash item set.
+// gracefully to property-key sets.
 func edgeItemSet(e *pg.Edge, srcTok, dstTok string) []string {
 	tok := e.LabelToken()
 	keys := e.PropertyKeys()
@@ -982,9 +828,9 @@ func edgeItemSet(e *pg.Edge, srcTok, dstTok string) []string {
 	return set
 }
 
-// internedEdgeSets returns the item set of each distinct edge shape,
-// cached across batches like internedNodeSets.
-func internedEdgeSets(edges []pg.Edge, si *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
+// edgeItemSets returns the item set of each distinct edge shape,
+// cached across batches like nodeItemSets.
+func edgeItemSets(edges []pg.Edge, si *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
 	sets := make([][]string, si.NumShapes())
 	for s, sh := range si.Shapes {
 		if sh.Items == nil {

@@ -110,31 +110,22 @@ func euclidean(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AdaptiveNodeParams derives (b, T) for node clustering from the data,
-// per §4.2: b = 1.2·µ·α and T = b_base · max(5, α·min(25, log10 N)),
-// rounded and clamped to a practical integer range.
-func AdaptiveNodeParams(vecs [][]float64, distinctLabels int, seed int64) AdaptiveChoice {
-	return adaptiveParams(vecs, nil, distinctLabels, seed, 5, 25)
-}
-
-// AdaptiveNodeParamsInterned is AdaptiveNodeParams over a
-// shape-interned matrix: repVecs holds one vector per distinct shape
-// and rows maps each logical row to its shape, so the estimation sees
-// the same element population — and picks the same parameters — as
-// the materialized per-row matrix would, without expanding it.
+// AdaptiveNodeParamsInterned derives (b, T) for node clustering from
+// the data, per §4.2: b = 1.2·µ·α and T = b_base · max(5, α·min(25,
+// log10 N)), rounded and clamped to a practical integer range. repVecs
+// holds one vector per distinct shape and rows maps each logical row
+// to its shape, so the estimation sees the same element population —
+// and picks the same parameters — as the materialized per-row matrix
+// would, without expanding it. A nil rows makes repVecs itself the
+// per-row matrix.
 func AdaptiveNodeParamsInterned(repVecs [][]float64, rows []int32, distinctLabels int, seed int64) AdaptiveChoice {
 	return adaptiveParams(repVecs, rows, distinctLabels, seed, 5, 25)
 }
 
-// AdaptiveEdgeParams derives (b, T) for edge clustering; the paper
-// uses slightly smaller floors for edges (max(3, α·min(20, log10 E)))
-// because edge vectors are more expressive (three embeddings).
-func AdaptiveEdgeParams(vecs [][]float64, distinctLabels int, seed int64) AdaptiveChoice {
-	return adaptiveParams(vecs, nil, distinctLabels, seed, 3, 20)
-}
-
-// AdaptiveEdgeParamsInterned is AdaptiveEdgeParams over a
-// shape-interned matrix (see AdaptiveNodeParamsInterned).
+// AdaptiveEdgeParamsInterned is AdaptiveNodeParamsInterned for edge
+// clustering; the paper uses slightly smaller floors for edges
+// (max(3, α·min(20, log10 E))) because edge vectors are more
+// expressive (three embeddings).
 func AdaptiveEdgeParamsInterned(repVecs [][]float64, rows []int32, distinctLabels int, seed int64) AdaptiveChoice {
 	return adaptiveParams(repVecs, rows, distinctLabels, seed, 3, 20)
 }

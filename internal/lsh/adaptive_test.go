@@ -59,7 +59,7 @@ func TestAdaptiveNodeParams(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float64{float64(i%4) * 3, float64(i%5) * 2}
 	}
-	ch := AdaptiveNodeParams(vecs, 6, 1)
+	ch := AdaptiveNodeParamsInterned(vecs, nil, 6, 1)
 	if ch.Alpha != 1.0 {
 		t.Errorf("alpha = %v, want 1.0 for 6 labels", ch.Alpha)
 	}
@@ -81,8 +81,8 @@ func TestAdaptiveEdgeParamsUsesSmallerFloors(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float64{1, 1 + float64(i%2)*1e-9}
 	}
-	n := AdaptiveNodeParams(vecs, 5, 1)
-	e := AdaptiveEdgeParams(vecs, 5, 1)
+	n := AdaptiveNodeParamsInterned(vecs, nil, 5, 1)
+	e := AdaptiveEdgeParamsInterned(vecs, nil, 5, 1)
 	if n.Params.Tables < e.Params.Tables {
 		t.Errorf("node T (%d) should be >= edge T (%d) for identical data",
 			n.Params.Tables, e.Params.Tables)

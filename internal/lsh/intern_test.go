@@ -124,11 +124,36 @@ func TestClusterEuclideanSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// broadcast expands a clustering of shape representatives to a
+// per-row clustering through the row→shape map: row i gets the
+// cluster of its shape rowShape[i]. It is the reference form of the
+// interning contract — the pipeline inlines the same indexing
+// (Assign[rowShape[row]]) instead of materializing the per-row
+// slice, and the equivalence tests below pin the two against each
+// other.
+//
+// Same-shape rows carry byte-identical vectors or token sets, so in a
+// per-row run they collide in every band and always land in one
+// cluster; clustering only the representatives (weighted by their
+// occurrence counts — the weights cannot change bucketing, only the
+// statistics fed downstream) therefore produces the exact same
+// partition. Cluster labels also coincide: components are labeled by
+// first occurrence, and representatives are ordered by the first
+// occurrence of their shape, so label k of the representative run is
+// label k of the full run.
+func broadcast(rep *Clustering, rowShape []int32) *Clustering {
+	assign := make([]int, len(rowShape))
+	for i, s := range rowShape {
+		assign[i] = rep.Assign[s]
+	}
+	return &Clustering{Assign: assign, NumClusters: rep.NumClusters}
+}
+
 // TestBroadcast: representative clusters expand through the row→shape
 // map, preserving cluster IDs and count.
 func TestBroadcast(t *testing.T) {
 	rep := &Clustering{Assign: []int{0, 1, 0, 2}, NumClusters: 3}
-	got := Broadcast(rep, []int32{0, 0, 1, 2, 3, 1})
+	got := broadcast(rep, []int32{0, 0, 1, 2, 3, 1})
 	want := []int{0, 0, 1, 0, 2, 1}
 	if got.NumClusters != 3 || len(got.Assign) != len(want) {
 		t.Fatalf("got %v (%d clusters)", got.Assign, got.NumClusters)
@@ -165,7 +190,7 @@ func TestClusterInternedEquivalence(t *testing.T) {
 
 	p := Params{Tables: 10, BucketLength: 2.5, Seed: 9}
 	full := ClusterEuclideanSparse(fullVecs, 10, fullBits, p)
-	interned := Broadcast(ClusterEuclideanSparse(repVecs, 10, repBits, p), rows)
+	interned := broadcast(ClusterEuclideanSparse(repVecs, 10, repBits, p), rows)
 	if full.NumClusters != interned.NumClusters {
 		t.Fatalf("clusters: full %d vs interned %d", full.NumClusters, interned.NumClusters)
 	}
@@ -197,7 +222,7 @@ func TestClusterInternedEquivalence(t *testing.T) {
 	}
 	mp := Params{Tables: 16, Seed: 13}
 	mfull := ClusterMinHash(fullSets, mp)
-	minterned := Broadcast(ClusterMinHash(repSets, mp), mrows)
+	minterned := broadcast(ClusterMinHash(repSets, mp), mrows)
 	if mfull.NumClusters != minterned.NumClusters {
 		t.Fatalf("minhash clusters: full %d vs interned %d", mfull.NumClusters, minterned.NumClusters)
 	}

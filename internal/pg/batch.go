@@ -17,20 +17,6 @@ type Batch struct {
 	Index int
 }
 
-// EndpointLabels returns the label sets of the edge's endpoints,
-// looking first in the batch itself and then in the resolver graph.
-func (b *Batch) EndpointLabels(e *Edge) (src, dst []string) {
-	src = b.Graph.SrcLabels(e)
-	if src == nil && b.Resolver != nil {
-		src = b.Resolver.SrcLabels(e)
-	}
-	dst = b.Graph.DstLabels(e)
-	if dst == nil && b.Resolver != nil {
-		dst = b.Resolver.DstLabels(e)
-	}
-	return src, dst
-}
-
 // SplitBatches partitions the graph into n random batches, the way the
 // paper's incremental experiment does ("we randomly separate the graph
 // into 10 batches", §5). Every node and edge lands in exactly one

@@ -311,6 +311,9 @@ func TestSplitBatchesResolverProperty(t *testing.T) {
 	}
 }
 
+// TestEndpointLabelsAcrossBatches: an edge's endpoint labels resolve
+// in the batch itself or, failing that, in its resolver — the lookup
+// order discovery uses.
 func TestEndpointLabelsAcrossBatches(t *testing.T) {
 	g, _ := buildExampleGraph(t)
 	for seed := int64(0); seed < 5; seed++ {
@@ -318,7 +321,13 @@ func TestEndpointLabelsAcrossBatches(t *testing.T) {
 		for _, b := range batches {
 			for i := range b.Graph.Edges() {
 				e := &b.Graph.Edges()[i]
-				src, dst := b.EndpointLabels(e)
+				src, dst := b.Graph.SrcLabels(e), b.Graph.DstLabels(e)
+				if src == nil {
+					src = b.Resolver.SrcLabels(e)
+				}
+				if dst == nil {
+					dst = b.Resolver.DstLabels(e)
+				}
 				wantSrc := g.Node(e.Src).Labels
 				wantDst := g.Node(e.Dst).Labels
 				// An endpoint delivered in a *later* batch is allowed

@@ -28,20 +28,22 @@ type Shape struct {
 
 	// local / epoch implement the per-batch ordinal without a second
 	// map: local is valid only when epoch matches the cache's current
-	// indexing pass.
+	// indexing pass. The epoch advances once per pass — once per write
+	// in a serving process — and must never wrap back to a value a
+	// live shape still carries (0 for a fresh one), hence 64 bits.
 	local int32
-	epoch uint32
+	epoch uint64
 }
 
 // ShapeIndex groups one batch's rows by shape, in first-occurrence
-// order. It is the row→shape map every interned pipeline stage shares:
-// vectorization and LSH hashing run over Reps only, and cluster
-// assignments broadcast back through Rows.
+// order. It is the row→shape map every pipeline stage shares:
+// vectorization and LSH hashing run over Reps only, and rows read
+// their cluster assignments back through Rows.
 type ShapeIndex struct {
 	// Rows maps each row index to its shape ordinal in [0, NumShapes).
 	// Ordinals are assigned in first-occurrence row order, which is
-	// what makes interned LSH cluster labels identical to the
-	// non-interned first-occurrence labels.
+	// what makes shape-level LSH cluster labels identical to the
+	// per-element first-occurrence labels.
 	Rows []int32
 	// Reps maps each shape ordinal to the first row with that shape.
 	Reps []int32
@@ -53,14 +55,6 @@ type ShapeIndex struct {
 
 // NumShapes returns the number of distinct shapes in the batch.
 func (si *ShapeIndex) NumShapes() int { return len(si.Reps) }
-
-// DedupRatio returns rows per distinct shape (1 = no duplication).
-func (si *ShapeIndex) DedupRatio() float64 {
-	if si.NumShapes() == 0 {
-		return 1
-	}
-	return float64(len(si.Rows)) / float64(si.NumShapes())
-}
 
 // NodeLabels returns the sorted distinct individual labels over the
 // batch's nodes, computed from the shape representatives only — equal
@@ -116,7 +110,7 @@ func (si *ShapeIndex) EdgePropertyKeys(edges []Edge) []string {
 // per-shape work out to workers.
 type ShapeCache struct {
 	shapes map[string]*Shape
-	epoch  uint32
+	epoch  uint64
 	buf    []byte   // reusable fingerprint buffer
 	keys   []string // reusable key scratch
 }

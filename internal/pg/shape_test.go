@@ -1,6 +1,9 @@
 package pg
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func mustEdge(t *testing.T, g *Graph, labels []string, src, dst ID, props map[string]Value) ID {
 	t.Helper()
@@ -41,9 +44,6 @@ func TestIndexNodesGroupsByShape(t *testing.T) {
 	}
 	if si.Shapes[0].Token != "Person" || si.Shapes[2].Token != "Post" {
 		t.Errorf("tokens = %q/%q", si.Shapes[0].Token, si.Shapes[2].Token)
-	}
-	if got := si.DedupRatio(); got != 5.0/3.0 {
-		t.Errorf("DedupRatio = %v", got)
 	}
 }
 
@@ -121,5 +121,30 @@ func TestShapeCacheAcrossBatches(t *testing.T) {
 	c.IndexNodes(g3.Nodes())
 	if c.Size() != 3 {
 		t.Fatalf("new shape not registered: size=%d, want 3", c.Size())
+	}
+}
+
+// TestShapeCacheEpochPast32Bits: the indexing-pass epoch advances once
+// per IndexNodes/IndexEdges call, i.e. once per write in a serving
+// process. A 32-bit epoch wrapped to 0 at 2^32 — the epoch every fresh
+// Shape is born with — so new shapes skipped registration (panic on
+// the empty Counts) and stale cached ones kept a wrong ordinal.
+func TestShapeCacheEpochPast32Bits(t *testing.T) {
+	g := NewGraph()
+	g.AddNode([]string{"X"}, map[string]Value{"v": Int(1)})
+	g.AddNode([]string{"Y"}, nil)
+	g.AddNode([]string{"X"}, map[string]Value{"v": Int(2)})
+
+	c := NewShapeCache()
+	c.epoch = math.MaxUint32
+	si := c.IndexNodes(g.Nodes())
+	if si.NumShapes() != 2 || c.Size() != 2 {
+		t.Fatalf("shapes = %d, cache = %d, want 2/2", si.NumShapes(), c.Size())
+	}
+	if si.Rows[0] != 0 || si.Rows[1] != 1 || si.Rows[2] != 0 {
+		t.Fatalf("Rows = %v, want [0 1 0]", si.Rows)
+	}
+	if si.Counts[0] != 2 || si.Counts[1] != 1 {
+		t.Fatalf("Counts = %v, want [2 1]", si.Counts)
 	}
 }

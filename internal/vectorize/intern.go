@@ -6,13 +6,13 @@ import "github.com/pghive/pghive/internal/pg"
 // property-key set, and — for edges — endpoint tokens) produce
 // byte-identical representation vectors, so the pipeline vectorizes
 // only the first occurrence of each shape and shares the row. The
-// ShapeIndex carries the row→shape map used to expand per-row views
-// and to broadcast cluster assignments.
+// ShapeIndex carries the row→shape map through which per-row stages
+// read the shared rows and their cluster assignments.
 
 // NodesInterned vectorizes only the shape representatives of nodes:
 // one matrix row per distinct shape, in first-occurrence order. Row s
-// of the result is byte-identical to row si.Reps[s] of the
-// non-interned matrix.
+// of the result is byte-identical to row si.Reps[s] of the matrix
+// NodesParallel builds over every node.
 func NodesInterned(nodes []pg.Node, si *pg.ShapeIndex, keys []string, emb Embedder, workers int) *Matrix {
 	reps := make([]pg.Node, si.NumShapes())
 	for s, r := range si.Reps {
@@ -35,20 +35,6 @@ func EdgesInterned(edges []pg.Edge, si *pg.ShapeIndex, keys []string, emb Embedd
 		rdst[s] = dstToks[r]
 	}
 	return EdgesParallel(reps, keys, emb, rsrc, rdst, workers)
-}
-
-// Expand returns a per-row vector view over representative rows: row i
-// of the result aliases repVecs[rows[i]]. It is the reference form of
-// the per-row view the interned matrix stands for; the pipeline's
-// adaptive parameter estimation indexes through the row→shape map
-// directly (lsh.AdaptiveNodeParamsInterned) instead of materializing
-// it, and the tests compare against this expansion.
-func Expand(repVecs [][]float64, rows []int32) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, s := range rows {
-		out[i] = repVecs[s]
-	}
-	return out
 }
 
 // sortBits sorts a row's set-bit positions ascending. Per-row bit

@@ -2,6 +2,7 @@ package vectorize
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/pghive/pghive/internal/pg"
@@ -23,6 +24,19 @@ func randShapedNodes(rng *rand.Rand, n int) ([]pg.Node, *pg.ShapeIndex) {
 	}
 	nodes := g.Nodes()
 	return nodes, pg.NewShapeCache().IndexNodes(nodes)
+}
+
+// expand returns a per-row vector view over representative rows: row i
+// aliases repVecs[rows[i]]. It is the reference form of the per-row
+// view the interned matrix stands for; the pipeline's adaptive
+// parameter estimation indexes through the row→shape map directly
+// (lsh.AdaptiveNodeParamsInterned) instead of materializing it.
+func expand(repVecs [][]float64, rows []int32) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, s := range rows {
+		out[i] = repVecs[s]
+	}
+	return out
 }
 
 // TestNodesInternedMatchesRepresentativeRows: row s of the interned
@@ -55,7 +69,7 @@ func TestNodesInternedMatchesRepresentativeRows(t *testing.T) {
 			t.Fatalf("shape %d: bits differ", s)
 		}
 	}
-	view := Expand(interned.Vecs, si.Rows)
+	view := expand(interned.Vecs, si.Rows)
 	for i := range nodes {
 		for j := range view[i] {
 			if view[i][j] != full.Vecs[i][j] {
@@ -130,5 +144,20 @@ func TestEdgesInternedMatchesRepresentativeRows(t *testing.T) {
 				t.Fatalf("shape %d: vec[%d] differs", s, j)
 			}
 		}
+	}
+}
+
+// TestBuildCorpusFromShapesMatchesPerNode: the corpus derived from the
+// node shape index and pre-resolved endpoint tokens is identical to
+// the one BuildCorpus builds by walking every node and resolving every
+// edge itself.
+func TestBuildCorpusFromShapesMatchesPerNode(t *testing.T) {
+	g := buildGraph(400, 900, 23)
+	si := pg.NewShapeCache().IndexNodes(g.Nodes())
+	srcToks, dstToks := graphEndpointTokens(g)
+	want := BuildCorpus(g, nil, nil, nil)
+	got := BuildCorpus(g, si, srcToks, dstToks)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("corpus from shapes has %d sentences, per-node walk %d; they must be identical", len(got), len(want))
 	}
 }

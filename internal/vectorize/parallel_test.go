@@ -77,22 +77,28 @@ func TestNodesParallelEquivalence(t *testing.T) {
 	}
 }
 
+// graphEndpointTokens resolves every edge's endpoint label tokens
+// against the complete graph.
+func graphEndpointTokens(g *pg.Graph) (srcToks, dstToks []string) {
+	edges := g.Edges()
+	srcToks = make([]string, len(edges))
+	dstToks = make([]string, len(edges))
+	for i := range edges {
+		srcToks[i] = pg.LabelToken(g.SrcLabels(&edges[i]))
+		dstToks[i] = pg.LabelToken(g.DstLabels(&edges[i]))
+	}
+	return srcToks, dstToks
+}
+
 // TestEdgesParallelEquivalence mirrors the node check for the edge
-// vectorizer, including agreement with the resolver-based Edges path.
+// vectorizer.
 func TestEdgesParallelEquivalence(t *testing.T) {
 	g := buildGraph(300, 1200, 19)
 	keys := g.DistinctEdgePropertyKeys()
 	edges := g.Edges()
-	srcToks := make([]string, len(edges))
-	dstToks := make([]string, len(edges))
-	ep := GraphEndpoints(g)
-	for i := range edges {
-		srcToks[i], dstToks[i] = ep(&edges[i])
-	}
+	srcToks, dstToks := graphEndpointTokens(g)
 	emb := word2vec.NewHashedEmbedder(16)
 	seq := EdgesParallel(edges, keys, emb, srcToks, dstToks, 1)
-	resolver := Edges(edges, keys, emb, GraphEndpoints(g))
-	sameMatrix(t, "resolver vs pre-resolved", resolver, seq)
 	for _, workers := range []int{2, 4, 16} {
 		par := EdgesParallel(edges, keys, emb, srcToks, dstToks, workers)
 		sameMatrix(t, fmt.Sprintf("workers=%d", workers), seq, par)

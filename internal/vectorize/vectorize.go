@@ -109,24 +109,16 @@ func (m *Matrix) Dim() int {
 // Sentences are deduplicated and repeated with logarithmically capped
 // multiplicity, so corpus size scales with the number of distinct
 // patterns rather than with graph size.
-func BuildCorpus(g *pg.Graph) [][]string {
-	return buildCorpus(g, nil, nil, nil)
-}
-
-// BuildCorpusInterned is BuildCorpus with the node sentences derived
-// from the batch's distinct node shapes (one count-weighted addition
-// per shape instead of one per node; a node's sentence — label token
-// plus property keys — is exactly its shape), and with the edge
-// endpoint tokens supplied by the pipeline's endpoint pass instead of
-// re-resolved here. srcToks/dstToks must carry the tokens of the
-// endpoints' labels in g itself ("" for endpoints not in g), aligned
-// with g.Edges(); nil slices fall back to resolving against g. The
-// resulting corpus is byte-identical to the non-interned one.
-func BuildCorpusInterned(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
-	return buildCorpus(g, nodeSI, srcToks, dstToks)
-}
-
-func buildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
+//
+// nodeSI, when non-nil, is the shape index of g.Nodes(): node
+// sentences then come from the distinct shapes (one count-weighted
+// addition per shape instead of one per node; a node's sentence —
+// label token plus property keys — is exactly its shape). srcToks and
+// dstToks, when non-nil, carry the tokens of the endpoints' labels in
+// g itself ("" for endpoints not in g), aligned with g.Edges(), and
+// spare the corpus its own resolution walk. The corpus is
+// byte-identical with or without them.
+func BuildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
 	type sent struct {
 		words []string
 		count int
@@ -231,7 +223,7 @@ func buildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) 
 // TrainEmbedder builds the label corpus of g and trains a Word2Vec
 // model on it with the given configuration.
 func TrainEmbedder(g *pg.Graph, cfg word2vec.Config) *word2vec.Model {
-	return word2vec.Train(BuildCorpus(g), cfg)
+	return word2vec.Train(BuildCorpus(g, nil, nil, nil), cfg)
 }
 
 // Nodes vectorizes the given nodes against a fixed property-key
@@ -284,35 +276,15 @@ func NodesParallel(nodes []pg.Node, keys []string, emb Embedder, workers int) *M
 	return m
 }
 
-// EndpointTokens resolves the source and target label tokens for an
-// edge. Implementations: whole-graph resolution and batch resolution
-// (with accumulated earlier batches).
-type EndpointTokens func(e *pg.Edge) (src, dst string)
-
-// GraphEndpoints returns an EndpointTokens resolver over a complete
-// graph.
-func GraphEndpoints(g *pg.Graph) EndpointTokens {
-	return func(e *pg.Edge) (string, string) {
-		return pg.LabelToken(g.SrcLabels(e)), pg.LabelToken(g.DstLabels(e))
-	}
-}
-
-// BatchEndpoints returns an EndpointTokens resolver for a stream
-// batch, falling back to the batch's accumulated resolver graph.
-func BatchEndpoints(b *pg.Batch) EndpointTokens {
-	return func(e *pg.Edge) (string, string) {
-		src, dst := b.EndpointLabels(e)
-		return pg.LabelToken(src), pg.LabelToken(dst)
-	}
-}
-
 // EdgesParallel vectorizes edges against a fixed property-key
-// layout, with endpoint tokens supplied per edge (aligned slices) —
-// the form the pipeline uses to substitute discovered node-type
-// names for unlabeled endpoints. Because the endpoint tokens are
-// pre-resolved, rows are independent and workers fill disjoint
-// ranges; the matrix is bit-identical to the sequential one for
-// every worker count. workers <= 0 selects runtime.NumCPU().
+// layout. Each row is [embed(edgeToken) | embed(srcToken) |
+// embed(dstToken) | propertyBits] ∈ R^{3d+Q} (§4.1), with the
+// endpoint tokens supplied per edge (aligned slices) — which is how
+// the pipeline substitutes discovered node-type names for unlabeled
+// endpoints. Because the endpoint tokens are pre-resolved, rows are
+// independent and workers fill disjoint ranges; the matrix is
+// bit-identical to the sequential one for every worker count.
+// workers <= 0 selects runtime.NumCPU().
 func EdgesParallel(edges []pg.Edge, keys []string, emb Embedder, srcToks, dstToks []string, workers int) *Matrix {
 	d := emb.Dim()
 	width := 3*d + len(keys)
@@ -356,19 +328,6 @@ func EdgesParallel(edges []pg.Edge, keys []string, emb Embedder, srcToks, dstTok
 		}
 	})
 	return m
-}
-
-// Edges vectorizes the given edges against a fixed property-key
-// layout. Each row is [embed(edgeToken) | embed(srcToken) |
-// embed(dstToken) | propertyBits] ∈ R^{3d+Q} (§4.1). The resolver ep
-// is called exactly once per edge, in slice order.
-func Edges(edges []pg.Edge, keys []string, emb Embedder, ep EndpointTokens) *Matrix {
-	srcToks := make([]string, len(edges))
-	dstToks := make([]string, len(edges))
-	for i := range edges {
-		srcToks[i], dstToks[i] = ep(&edges[i])
-	}
-	return EdgesParallel(edges, keys, emb, srcToks, dstToks, 1)
 }
 
 func indexKeys(keys []string) map[string]int {

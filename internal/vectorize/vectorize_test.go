@@ -68,7 +68,8 @@ func TestEdgeVectorLayout(t *testing.T) {
 	g := exampleGraph(t)
 	emb := word2vec.NewHashedEmbedder(4)
 	keys := g.DistinctEdgePropertyKeys() // from
-	m := Edges(g.Edges(), keys, emb, GraphEndpoints(g))
+	srcToks, dstToks := graphEndpointTokens(g)
+	m := EdgesParallel(g.Edges(), keys, emb, srcToks, dstToks, 1)
 	if m.Rows() != 2 {
 		t.Fatalf("rows = %d, want 2", m.Rows())
 	}
@@ -102,7 +103,7 @@ func TestEdgeVectorLayout(t *testing.T) {
 
 func TestBuildCorpus(t *testing.T) {
 	g := exampleGraph(t)
-	corpus := BuildCorpus(g)
+	corpus := BuildCorpus(g, nil, nil, nil)
 	if len(corpus) == 0 {
 		t.Fatal("corpus must not be empty")
 	}
@@ -142,7 +143,7 @@ func TestCorpusDeduplicationIsLogCapped(t *testing.T) {
 		}
 		prev = id
 	}
-	corpus := BuildCorpus(g)
+	corpus := BuildCorpus(g, nil, nil, nil)
 	// 1024 identical node sentences + 1023 identical edge sentences
 	// must collapse to ~log2 multiplicity each, not thousands.
 	if len(corpus) > 30 {
@@ -166,37 +167,13 @@ func TestTrainEmbedderIntegration(t *testing.T) {
 	}
 }
 
-func TestBatchEndpointsFallThrough(t *testing.T) {
-	g := exampleGraph(t)
-	// Build a batch containing only the WORKS_AT edge; endpoints live
-	// in the resolver.
-	bg := pg.NewGraph()
-	bg.AllowDanglingEdges(true)
-	e := &g.Edges()[0]
-	if err := bg.PutEdge(e.ID, e.Labels, e.Src, e.Dst, e.Props); err != nil {
-		t.Fatal(err)
-	}
-	b := &pg.Batch{Graph: bg, Resolver: g, Index: 2}
-	m := Edges(bg.Edges(), []string{"from"}, word2vec.NewHashedEmbedder(4), BatchEndpoints(b))
-	if m.Rows() != 1 {
-		t.Fatalf("rows = %d", m.Rows())
-	}
-	emb := word2vec.NewHashedEmbedder(4)
-	if !reflect.DeepEqual(m.Vecs[0][4:8], emb.Vector("Person")) {
-		t.Error("batch endpoint resolution failed for source")
-	}
-	if !reflect.DeepEqual(m.Vecs[0][8:12], emb.Vector("Org.")) {
-		t.Error("batch endpoint resolution failed for target")
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	emb := word2vec.NewHashedEmbedder(4)
 	m := Nodes(nil, nil, emb)
 	if m.Rows() != 0 || m.Dim() != 0 {
 		t.Fatalf("empty node matrix: rows=%d dim=%d", m.Rows(), m.Dim())
 	}
-	me := Edges(nil, nil, emb, func(*pg.Edge) (string, string) { return "", "" })
+	me := EdgesParallel(nil, nil, emb, nil, nil, 1)
 	if me.Rows() != 0 {
 		t.Fatalf("empty edge matrix: rows=%d", me.Rows())
 	}

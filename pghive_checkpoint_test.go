@@ -141,9 +141,8 @@ func assertResultsIdentical(t *testing.T, name string, want, got *pghive.Result)
 
 // TestCheckpointRoundTripProperty is the §4.6 crash-recovery
 // contract over the full configuration matrix: batch sizes {1, 7,
-// 1000} × interning on/off × ELSH/MinHash, with a checkpoint-restore
-// cycle after every k-th batch (k scaled so each run restores several
-// times).
+// 1000} × ELSH/MinHash, with a checkpoint-restore cycle after every
+// k-th batch (k scaled so each run restores several times).
 func TestCheckpointRoundTripProperty(t *testing.T) {
 	d := datagen.Generate(datagen.LDBC(), 0.25, 42)
 	var buf bytes.Buffer
@@ -158,22 +157,20 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	ks := map[int]int{1: 97, 7: 13, 1000: 1}
 
 	for _, method := range []pghive.Method{pghive.ELSH, pghive.MinHash} {
-		for _, intern := range []bool{true, false} {
-			opts := pghive.Options{Seed: 7, Method: method, DisableShapeInterning: !intern}
-			for _, bs := range []int{1, 7, 1000} {
-				name := fmt.Sprintf("%v/intern=%v/bs=%d", method, intern, bs)
-				t.Run(name, func(t *testing.T) {
-					// The uninterrupted baseline uses the same batch
-					// size: the schema is batch-size-invariant, but the
-					// accumulated per-batch counters are not.
-					want, err := pghive.DiscoverStream(pghive.NewJSONLStream(bytes.NewReader(data), bs), opts, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := checkpointedStreamRun(t, data, opts, bs, ks[bs])
-					assertResultsIdentical(t, name, want, got)
-				})
-			}
+		opts := pghive.Options{Seed: 7, Method: method}
+		for _, bs := range []int{1, 7, 1000} {
+			name := fmt.Sprintf("%v/bs=%d", method, bs)
+			t.Run(name, func(t *testing.T) {
+				// The uninterrupted baseline uses the same batch
+				// size: the schema is batch-size-invariant, but the
+				// accumulated per-batch counters are not.
+				want, err := pghive.DiscoverStream(pghive.NewJSONLStream(bytes.NewReader(data), bs), opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := checkpointedStreamRun(t, data, opts, bs, ks[bs])
+				assertResultsIdentical(t, name, want, got)
+			})
 		}
 	}
 }

@@ -278,51 +278,49 @@ func writeCrashWAL(t *testing.T, dst string, segs []string, p crashPoint, torn [
 	}
 }
 
-// TestDurableCrashRecoveryProperty is the acceptance contract: over
-// {ELSH, MinHash} × interning on/off, for EVERY record-boundary crash
-// point — clean truncation and torn-tail variants — restore+replay
-// yields a state image bit-identical to the in-memory service that
-// applied exactly the surviving records.
+// TestDurableCrashRecoveryProperty is the acceptance contract: for
+// ELSH and MinHash, at EVERY record-boundary crash point — clean
+// truncation and torn-tail variants — restore+replay yields a state
+// image bit-identical to the in-memory service that applied exactly
+// the surviving records.
 func TestDurableCrashRecoveryProperty(t *testing.T) {
 	torn := []byte{0x13, 0x00, 0x00, 0x00, 0xaa, 0xbb, 0xcc, 0xdd, 0x01, 0x02}
 	for _, method := range []pghive.Method{pghive.ELSH, pghive.MinHash} {
-		for _, intern := range []bool{true, false} {
-			opts := pghive.Options{Seed: 7, Method: method, DisableShapeInterning: !intern}
-			t.Run(fmt.Sprintf("%v/intern=%v", method, intern), func(t *testing.T) {
-				fx := newDurableFixture(t, opts)
-				ref := fx.referenceImages(t)
+		opts := pghive.Options{Seed: 7, Method: method}
+		t.Run(method.String(), func(t *testing.T) {
+			fx := newDurableFixture(t, opts)
+			ref := fx.referenceImages(t)
 
-				dir := t.TempDir()
-				// Small segments force rotation, so crash points span
-				// multiple files.
-				dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, SegmentBytes: 32 << 10}
-				fx.runDurable(t, dir, dopts, -1)
+			dir := t.TempDir()
+			// Small segments force rotation, so crash points span
+			// multiple files.
+			dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, SegmentBytes: 32 << 10}
+			fx.runDurable(t, dir, dopts, -1)
 
-				segs := walSegments(t, dir)
-				if len(segs) < 2 {
-					t.Fatalf("want multiple WAL segments for multi-file crash points, got %d", len(segs))
-				}
-				points := crashPoints(t, segs)
-				if len(points) != len(ref) {
-					t.Fatalf("%d crash points but %d reference states", len(points), len(ref))
-				}
+			segs := walSegments(t, dir)
+			if len(segs) < 2 {
+				t.Fatalf("want multiple WAL segments for multi-file crash points, got %d", len(segs))
+			}
+			points := crashPoints(t, segs)
+			if len(points) != len(ref) {
+				t.Fatalf("%d crash points but %d reference states", len(points), len(ref))
+			}
 
-				for _, p := range points {
-					for variant, tail := range map[string][]byte{"clean": nil, "torn": torn} {
-						crashDir := buildCrashDir(t, dir, segs, p, tail)
-						rec, err := pghive.OpenDurable(crashDir, opts, dopts)
-						if err != nil {
-							t.Fatalf("recover at %d records (%s): %v", p.records, variant, err)
-						}
-						img := serviceImage(t, rec)
-						rec.Close()
-						if !bytes.Equal(img, ref[p.records]) {
-							t.Fatalf("recovery at %d records (%s) diverges from uninterrupted run", p.records, variant)
-						}
+			for _, p := range points {
+				for variant, tail := range map[string][]byte{"clean": nil, "torn": torn} {
+					crashDir := buildCrashDir(t, dir, segs, p, tail)
+					rec, err := pghive.OpenDurable(crashDir, opts, dopts)
+					if err != nil {
+						t.Fatalf("recover at %d records (%s): %v", p.records, variant, err)
+					}
+					img := serviceImage(t, rec)
+					rec.Close()
+					if !bytes.Equal(img, ref[p.records]) {
+						t.Fatalf("recovery at %d records (%s) diverges from uninterrupted run", p.records, variant)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -25,8 +25,7 @@ func schemaFingerprint(s *pghive.Schema) string {
 // determinism contract: discovery over a JSONL stream much larger
 // than one batch yields a bit-identical schema — and identical
 // per-element type assignments — to one-shot Discover over the
-// materialized graph, for every batch size, Parallelism value, and
-// interning mode.
+// materialized graph, for every batch size and Parallelism value.
 func TestDiscoverStreamMatchesOneShot(t *testing.T) {
 	d := datagen.Generate(datagen.LDBC(), 0.25, 42)
 	g := d.Graph
@@ -40,34 +39,32 @@ func TestDiscoverStreamMatchesOneShot(t *testing.T) {
 		t.Fatalf("fixture too small (%d elements) to exceed the largest batch size", total)
 	}
 
-	for _, intern := range []bool{false, true} {
-		for _, par := range []int{1, 4} {
-			opts := pghive.Options{Seed: 7, Parallelism: par, DisableShapeInterning: !intern}
-			one := pghive.Discover(g, opts)
-			oneFP := schemaFingerprint(one.Schema)
-			for _, bs := range []int{1, 7, 1000} {
-				name := fmt.Sprintf("intern=%v/par=%d/bs=%d", intern, par, bs)
-				res, err := pghive.DiscoverStream(pghive.NewJSONLStream(bytes.NewReader(data), bs), opts, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	for _, par := range []int{1, 4} {
+		opts := pghive.Options{Seed: 7, Parallelism: par}
+		one := pghive.Discover(g, opts)
+		oneFP := schemaFingerprint(one.Schema)
+		for _, bs := range []int{1, 7, 1000} {
+			name := fmt.Sprintf("par=%d/bs=%d", par, bs)
+			res, err := pghive.DiscoverStream(pghive.NewJSONLStream(bytes.NewReader(data), bs), opts, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if fp := schemaFingerprint(res.Schema); fp != oneFP {
+				t.Errorf("%s: streamed schema is not bit-identical to one-shot", name)
+				continue
+			}
+			// Element-level agreement, not just schema-level.
+			if len(res.NodeAssign) != len(one.NodeAssign) || len(res.EdgeAssign) != len(one.EdgeAssign) {
+				t.Fatalf("%s: assignment counts differ", name)
+			}
+			for id, ty := range one.NodeAssign {
+				if got := res.NodeAssign[id]; got == nil || got.Name() != ty.Name() {
+					t.Fatalf("%s: node %d assigned %v, want %s", name, id, got, ty.Name())
 				}
-				if fp := schemaFingerprint(res.Schema); fp != oneFP {
-					t.Errorf("%s: streamed schema is not bit-identical to one-shot", name)
-					continue
-				}
-				// Element-level agreement, not just schema-level.
-				if len(res.NodeAssign) != len(one.NodeAssign) || len(res.EdgeAssign) != len(one.EdgeAssign) {
-					t.Fatalf("%s: assignment counts differ", name)
-				}
-				for id, ty := range one.NodeAssign {
-					if got := res.NodeAssign[id]; got == nil || got.Name() != ty.Name() {
-						t.Fatalf("%s: node %d assigned %v, want %s", name, id, got, ty.Name())
-					}
-				}
-				for id, ty := range one.EdgeAssign {
-					if got := res.EdgeAssign[id]; got == nil || got.Name() != ty.Name() {
-						t.Fatalf("%s: edge %d assigned %v, want %s", name, id, got, ty.Name())
-					}
+			}
+			for id, ty := range one.EdgeAssign {
+				if got := res.EdgeAssign[id]; got == nil || got.Name() != ty.Name() {
+					t.Fatalf("%s: edge %d assigned %v, want %s", name, id, got, ty.Name())
 				}
 			}
 		}
