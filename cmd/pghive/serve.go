@@ -331,7 +331,7 @@ func (t target) routes(batchSize int, gate *admission.Gate) []route {
 	}
 	if t.fol != nil {
 		refuse := func(w http.ResponseWriter, r *http.Request) {
-			serviceError(w, &pghive.ReadOnlyError{Reason: pghive.ReadOnlyFollower})
+			serviceError(w, &pghive.ReadOnlyError{Reason: pghive.ReadOnlyFollower}, nil)
 		}
 		for i := range rs[:3] { // the write routes lead the table
 			rs[i].h = refuse
@@ -414,52 +414,44 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	replayed := false
 	if t.batchSize > 0 && key == "" {
-		// Spool the body before touching the service: DrainStream
-		// holds the write lock, and reading a slow client's upload
-		// under it would let one stalled connection block every
-		// writer.
+		// Spool the body before applying anything: an oversized or
+		// aborted upload must fail before its first batch is applied,
+		// not after some prefix of it was.
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			requestError(w, r, err)
 			return
 		}
-		// The spooled body streams through in bounded pipeline
-		// batches. Streamed ingestion is NOT atomic: batches that
-		// preceded a malformed line are already published when the
-		// error returns, so the error response carries the stats
-		// the client needs to see how far the body got — blindly
-		// re-sending the same body would double-ingest the prefix.
+		// The spooled body goes through as a sequence of ordinary
+		// writes, one per bounded batch, which other writers' batches
+		// may interleave with. Streamed ingestion is NOT atomic:
+		// batches that preceded a failure are already published when
+		// the error returns, so from the second batch on the error
+		// response carries the stats the client needs to see how far
+		// the body got — blindly re-sending the same body would
+		// double-ingest the prefix.
 		stream := pghive.NewJSONLStream(bytes.NewReader(body), t.batchSize)
-		if t.dur != nil {
-			err = t.dur.DrainStreamContext(r.Context(), stream, nil)
-		} else {
-			err = t.svc.DrainStreamContext(r.Context(), stream, nil)
-		}
-		if err != nil {
-			var roe *pghive.ReadOnlyError
-			if errors.As(err, &roe) {
-				// Fail-fast: refused before any batch was applied.
-				serviceError(w, err)
+		for applied := 0; ; applied++ {
+			b, err := stream.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				err = malformedBody{err}
+			} else {
+				_, err = t.write(r.Context(), "", b.Graph, false)
+			}
+			if err != nil {
+				var partial map[string]any
+				if applied > 0 {
+					partial = map[string]any{
+						"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
+						"stats": t.Stats(),
+					}
+				}
+				serviceError(w, err, partial)
 				return
 			}
-			// A durability failure (WAL append) is the server's
-			// fault and retryable — it must not masquerade as a
-			// malformed-body 400, which clients treat as permanent.
-			// A deadline expiry mid-stream is likewise the 503 kind.
-			code := http.StatusBadRequest
-			var de *pghive.DurabilityError
-			switch {
-			case errors.As(err, &de):
-				code = http.StatusInternalServerError
-			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-				code = http.StatusServiceUnavailable
-			}
-			writeJSONStatus(w, code, map[string]any{
-				"error": err.Error(),
-				"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
-				"stats": t.Stats(),
-			})
-			return
 		}
 	} else {
 		// Keyed requests always land as one atomic batch, whatever
@@ -471,7 +463,7 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if replayed, err = t.write(r.Context(), key, g, false); err != nil {
-			serviceError(w, err)
+			serviceError(w, err, nil)
 			return
 		}
 	}
@@ -494,7 +486,7 @@ func (t target) retract(w http.ResponseWriter, r *http.Request) {
 	}
 	replayed, err := t.write(r.Context(), key, g, true)
 	if err != nil {
-		serviceError(w, err)
+		serviceError(w, err, nil)
 		return
 	}
 	writeJSON(w, map[string]any{"replayed": replayed, "stats": t.Stats()})
@@ -786,25 +778,37 @@ func requestError(w http.ResponseWriter, r *http.Request, err error) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// serviceError maps a failed (non-streamed) service write to the
-// declared status contract:
+// malformedBody marks a line of a streamed body that did not parse —
+// the one write failure that is the client's fault.
+type malformedBody struct{ error }
+
+// serviceError maps a failed service write to the declared status
+// contract; partial, when non-nil, is what a streamed ingest adds once
+// some of its batches were applied:
 //
+//	400 malformed body     — permanent; fix the input
 //	409 read-only degraded — retrying is pointless until re-arm
 //	503 deadline/cancel    — the request never entered the WAL; back
 //	                         off and retry
 //	500 durability failure — the WAL rejected the append; retryable
 //	                         (idempotency keys make the retry safe)
-func serviceError(w http.ResponseWriter, err error) {
+func serviceError(w http.ResponseWriter, err error, partial map[string]any) {
+	body := map[string]any{"error": err.Error()}
+	for k, v := range partial {
+		body[k] = v
+	}
+	code := http.StatusInternalServerError
 	var roe *pghive.ReadOnlyError
+	var bad malformedBody
 	switch {
+	case errors.As(err, &bad):
+		code = http.StatusBadRequest
 	case errors.As(err, &roe):
-		writeJSONStatus(w, http.StatusConflict, map[string]any{
-			"error": err.Error(), "readOnly": true, "reason": roe.Reason,
-		})
+		code = http.StatusConflict
+		body["readOnly"], body["reason"] = true, roe.Reason
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
-	default:
-		httpError(w, http.StatusInternalServerError, err)
+		code = http.StatusServiceUnavailable
 	}
+	writeJSONStatus(w, code, body)
 }

@@ -276,45 +276,51 @@ func TestServeIdempotencyKeyOverHTTP(t *testing.T) {
 	}
 }
 
+// TestServeRequestDeadlineAnswers503: a write that queues past its
+// deadline answers 503 + Retry-After, whether the body lands as one
+// atomic batch or is split by -batch-size.
 func TestServeRequestDeadlineAnswers503(t *testing.T) {
-	dir := t.TempDir()
-	dur, err := pghive.OpenDurable(dir, pghive.Options{Seed: 1},
-		pghive.DurableOptions{NoSync: true, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dur.Close()
-	gate := admission.New(admission.Config{RequestTimeout: 50 * time.Millisecond, MaxConcurrent: -1, MaxWriteQueue: -1})
-	mux := newServeMux(serveDurable(dur, nil), 0, gate)
+	for _, batchSize := range []int{0, 5} {
+		t.Run(fmt.Sprintf("batch-size=%d", batchSize), func(t *testing.T) {
+			dir := t.TempDir()
+			dur, err := pghive.OpenDurable(dir, pghive.Options{Seed: 1},
+				pghive.DurableOptions{NoSync: true, DisableAutoCompact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dur.Close()
+			gate := admission.New(admission.Config{RequestTimeout: 50 * time.Millisecond, MaxConcurrent: -1, MaxWriteQueue: -1})
+			mux := newServeMux(serveDurable(dur, nil), batchSize, gate)
 
-	// Hold the write lock so the HTTP write must queue past its
-	// deadline.
-	release := make(chan struct{})
-	held := make(chan struct{})
-	go func() {
-		dur.DrainStream(&holdStream{held: held, release: release}, nil)
-	}()
-	<-held
-	defer close(release)
+			// Hold the write lock so the HTTP write must queue past its
+			// deadline.
+			hold := &holdWriter{held: make(chan struct{}), release: make(chan struct{})}
+			go dur.WriteCheckpoint(hold)
+			<-hold.held
+			defer close(hold.release)
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(jsonlBatch(0))))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("deadline-expired write: %d %s, want 503", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(jsonlBatch(0))))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("deadline-expired write: %d %s, want 503", rec.Code, rec.Body.String())
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("503 without Retry-After")
+			}
+		})
 	}
 }
 
-type holdStream struct {
+// holdWriter blocks WriteCheckpoint — and with it the write lock —
+// inside its first Write until released.
+type holdWriter struct {
 	held    chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (h *holdStream) Next() (*pghive.Batch, error) {
+func (h *holdWriter) Write(p []byte) (int, error) {
 	h.once.Do(func() { close(h.held) })
 	<-h.release
-	return nil, fmt.Errorf("released")
+	return len(p), nil
 }

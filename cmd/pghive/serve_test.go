@@ -12,10 +12,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	pghive "github.com/pghive/pghive"
+	"github.com/pghive/pghive/internal/wal"
 )
 
 func post(t *testing.T, srv *httptest.Server, path, body string) (int, []byte) {
@@ -208,6 +211,66 @@ func TestServeHTTPStreamedIngest(t *testing.T) {
 	}
 	if st.Batches != 4 {
 		t.Fatalf("19 elements at batch size 5 should make 4 batches, got %d", st.Batches)
+	}
+}
+
+// TestServeHTTPStreamedIngestDurable: in durable mode a -batch-size
+// body is a sequence of ordinary ingests — each batch logged as a plain
+// ingest record through the same commit path as any other write — and
+// the directory it leaves behind recovers to the same schema.
+func TestServeHTTPStreamedIngestDurable(t *testing.T) {
+	dir := t.TempDir()
+	opts := pghive.Options{Seed: 1}
+	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true}
+	dur, err := pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newServeMux(serveDurable(dur, nil), 5, nil))
+	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	if st := dur.Stats(); st.Nodes != 10 || st.Edges != 9 || st.Batches != 4 {
+		t.Fatalf("streamed ingest stats: %d/%d in %d batches, want 10/9 in 4", st.Nodes, st.Edges, st.Batches)
+	}
+	_, _, live := get(t, srv, "/schema?format=json", "")
+	srv.Close()
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []byte
+	for _, seg := range segs {
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wal.ScanSegment(f, func(rec wal.Record) error {
+			types = append(types, rec.Type)
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatalf("scan %s: %v", seg, err)
+		}
+	}
+	if !bytes.Equal(types, []byte{1, 1, 1, 1}) {
+		t.Fatalf("logged record types %v, want four plain ingest records (type 1)", types)
+	}
+
+	dur2, err := pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur2.Close()
+	srv2 := httptest.NewServer(newServeMux(serveDurable(dur2, nil), 5, nil))
+	defer srv2.Close()
+	if _, _, recovered := get(t, srv2, "/schema?format=json", ""); !bytes.Equal(live, recovered) {
+		t.Fatal("schema served from the reopened directory differs from the live one")
 	}
 }
 

@@ -81,12 +81,12 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// WAL record types. Stream batches replay identically to ingest
-// batches (a drained batch IS an ingest of its materialized graph);
-// the distinct tag records provenance for operators reading a log.
-// Keyed variants prefix the payload with the write's idempotency key
-// (u8 length + bytes), so the applied-key set is reconstructible from
-// the log alone.
+// WAL record types. Keyed variants prefix the payload with the write's
+// idempotency key (u8 length + bytes), so the applied-key set is
+// reconstructible from the log alone. Type 3 is read, never written: a
+// streamed batch IS an ingest of its materialized graph and is logged
+// as one, but existing logs and shipped segments carry the tag it once
+// had and must keep replaying.
 const (
 	walRecIngest       byte = 1
 	walRecRetract      byte = 2
@@ -670,44 +670,17 @@ func (d *DurableService) RetractIdempotent(ctx context.Context, key string, g *G
 	return d.submitCommit(ctx, key, g, true)
 }
 
-// DrainStream feeds every batch of the stream through the pipeline,
-// write-ahead logging each materialized batch before applying it, so
-// a crash mid-stream loses at most the batch being appended — every
-// earlier batch replays on recovery. Like Service.DrainStream the
-// write lock is held for the whole drain and CSV streams are adopted
-// into the service's edge-ID and resolver state.
-func (d *DurableService) DrainStream(r StreamReader, onBatch func(BatchTiming)) error {
-	return d.DrainStreamContext(context.Background(), r, onBatch)
-}
-
-// DrainStreamContext is DrainStream with a deadline covering write
-// admission and the drain itself (checked before each batch). Expiry
-// mid-stream is not a rollback: durably logged batches stay applied.
-func (d *DurableService) DrainStreamContext(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	if err := d.w.mu.LockContext(ctx); err != nil {
-		return err
-	}
-	defer d.w.mu.Unlock()
-	if err := d.failFastLocked(); err != nil {
-		return err
-	}
-	return d.w.drain(r, onBatch, func(g *Graph) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		payload, err := encodeWALRecordPayload(walRecStream, "", g)
-		if err != nil {
-			return err
-		}
-		// Appending under the write lock keeps the log order equal to
-		// the apply order — replay preserves exactly that order.
-		lsn, err := d.wal().Append(walRecStream, payload)
-		if err != nil {
-			d.maybeDegradeLocked(err)
-			return &DurabilityError{Err: err}
-		}
-		d.noteAppliedLocked("", lsn)
-		return nil
+// DrainStream feeds the stream through the committer one batch at a
+// time: each materialized batch is an ordinary unkeyed ingest — group-
+// committed, deadline-checked and degradation-checked like any other —
+// so a crash mid-stream loses at most the batches not yet acknowledged,
+// and other writers interleave between a stream's batches. CSV streams
+// are adopted into the service's edge-ID and resolver state (see
+// Service.DrainStream).
+func (d *DurableService) DrainStream(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
+	return d.w.drain(ctx, r, onBatch, func(ctx context.Context, g *Graph) (BatchTiming, error) {
+		bt, _, err := d.submitCommit(ctx, "", g, false)
+		return bt, err
 	})
 }
 

@@ -13,7 +13,14 @@ package pghive
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/pghive/pghive/internal/store"
+	"github.com/pghive/pghive/internal/vfs"
+	"github.com/pghive/pghive/internal/wal"
 )
 
 func internalStressGraph(t *testing.T, base ID, n int) *Graph {
@@ -115,5 +122,83 @@ func TestCompactorNeverBlocksWriters(t *testing.T) {
 	}
 	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
 		t.Fatal("state written during compaction did not survive recovery")
+	}
+}
+
+// TestStreamRecordTypeStillReplays: nothing writes a type-3 record any
+// more, but logs and shipped segments written before that do contain
+// them. Both replay paths — local recovery and a follower's tail — must
+// keep applying one as the ingest it always was.
+func TestStreamRecordTypeStillReplays(t *testing.T) {
+	opts := Options{Seed: 1, Parallelism: 1}
+	g := internalStressGraph(t, 0, 8)
+	want := NewService(opts)
+	want.Ingest(g)
+	var wantImg bytes.Buffer
+	if err := want.WriteCheckpoint(&wantImg); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	payload, err := encodeWALRecordPayload(walRecStream, "", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Append(walRecStream, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := lg.Sealed()
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) != 1 {
+		t.Fatalf("%d sealed segments, want 1", len(sealed))
+	}
+
+	d, err := OpenDurable(dir, opts, DurableOptions{NoSync: true, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatalf("recovery over a type-3 record: %v", err)
+	}
+	defer d.Close()
+	var got bytes.Buffer
+	if err := d.WriteCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantImg.Bytes()) {
+		t.Fatal("recovered type-3 record differs from a plain ingest of the same batch")
+	}
+
+	// The same segment as a shipped object: no manifest, so the
+	// follower bootstraps empty and tails from LSN 1.
+	seg, err := os.ReadFile(sealed[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	backend := store.NewDir(vfs.NewMemFS(), "/backend")
+	if err := backend.Put(ctx, shipObjectPrefix+filepath.Base(sealed[0].Path), seg); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(opts, backend, FollowerOptions{})
+	defer f.Close()
+	if err := f.TailOnce(ctx); err != nil {
+		t.Fatalf("tail over a type-3 record: %v", err)
+	}
+	if f.AppliedLSN() != 1 {
+		t.Fatalf("follower applied LSN %d, want 1", f.AppliedLSN())
+	}
+	got.Reset()
+	if err := f.WriteCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantImg.Bytes()) {
+		t.Fatal("follower's replay of a type-3 record differs from a plain ingest of the same batch")
 	}
 }

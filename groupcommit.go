@@ -1,6 +1,7 @@
 package pghive
 
-// groupcommit.go is the one durable commit path for Ingest/Retract.
+// groupcommit.go is the one durable commit path: every durable write —
+// Ingest, Retract, each batch of a DrainStream — goes through it.
 // Callers never take the write lock themselves: they hand a commit
 // request to a committer goroutine and block until it answers. The
 // committer takes the channel-based write lock, claims whoever else is
@@ -18,8 +19,9 @@ package pghive
 // retry — idempotency keys make that safe even when the failure was a
 // lying fsync. Deadline-bounded admission: until the committer holds
 // the write lock with a request in hand, that request's context can
-// still end the wait with nothing logged or applied — a long stream
-// drain holding the lock never parks a writer past its deadline.
+// still end the wait with nothing logged or applied — a long
+// WriteCheckpoint holding the lock never parks a writer past its
+// deadline.
 
 import (
 	"context"

@@ -318,24 +318,3 @@ func LoadImage(fsys vfs.FS, path string) (*Image, error) {
 	defer f.Close()
 	return DecodeImage(f)
 }
-
-// LoadCheckpoint opens a checkpoint image on fsys (nil selects the
-// real OS) and restores it via ResumeFromCheckpoint.
-func LoadCheckpoint(fsys vfs.FS, opts Options, path string) (*Incremental, *CheckpointExtras, error) {
-	img, err := LoadImage(fsys, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RestoreImage(opts, img)
-}
-
-// WriteCheckpointFile writes the checkpoint image crash-safely to
-// path on fsys (nil selects the real OS): the image is staged in a
-// temporary file and renamed into place, so a crash at any instant
-// leaves either the previous image or the complete new one. The
-// caller must serialize with writes, as for WriteCheckpoint.
-func (inc *Incremental) WriteCheckpointFile(fsys vfs.FS, path string, extras *CheckpointExtras) error {
-	return vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		return inc.WriteCheckpoint(w, extras)
-	})
-}

@@ -10,9 +10,7 @@ import (
 // extended.go implements the refinements the paper leaves as future
 // work in §4.4: enumerated string types and bounded integer ranges
 // ("we leave for future work the identification of more detailed
-// datatypes, such as enumerated types or bounded ranges"), and exact
-// cardinality lower bounds ("we cannot determine whether the source's
-// lower bound is exactly 0 or 1 ... we leave this as future work").
+// datatypes, such as enumerated types or bounded ranges").
 
 // EnumOptions tunes enumeration detection.
 type EnumOptions struct {
@@ -72,96 +70,4 @@ func RefineDataTypes(t *schema.Type, o EnumOptions) {
 			}
 		}
 	}
-}
-
-// CardinalityBound holds the exact participation lower bounds of an
-// edge type (0 or 1 on each side): 1 when every instance of the
-// endpoint's node type participates in at least one edge of this
-// type.
-type CardinalityBound struct {
-	SrcLower int
-	DstLower int
-}
-
-// LowerBounds computes, for each edge type, whether every node of its
-// source (respectively target) types participates — the exact lower
-// bound the paper's §4.4 approximates as unknown. nodeAssign is the
-// final node-type assignment; edgeAssign the final edge-type
-// assignment; edges the concrete edge list (endpoints + IDs).
-func LowerBounds(
-	s *schema.Schema,
-	nodeAssign map[pg.ID]*schema.NodeType,
-	edgeAssign map[pg.ID]*schema.EdgeType,
-	edges []pg.Edge,
-) map[*schema.EdgeType]CardinalityBound {
-	// Count participating nodes per (edge type, side).
-	srcSeen := map[*schema.EdgeType]map[pg.ID]bool{}
-	dstSeen := map[*schema.EdgeType]map[pg.ID]bool{}
-	// Node population per node type name (types reachable from the
-	// edge's endpoint token sets).
-	for i := range edges {
-		e := &edges[i]
-		et := edgeAssign[e.ID]
-		if et == nil {
-			continue
-		}
-		if srcSeen[et] == nil {
-			srcSeen[et] = map[pg.ID]bool{}
-			dstSeen[et] = map[pg.ID]bool{}
-		}
-		srcSeen[et][e.Src] = true
-		dstSeen[et][e.Dst] = true
-	}
-	// Population per node type.
-	population := map[*schema.NodeType]int{}
-	for _, nt := range nodeAssign {
-		population[nt]++
-	}
-	// Resolve each edge type's endpoint node types by token.
-	out := make(map[*schema.EdgeType]CardinalityBound, len(s.EdgeTypes))
-	for _, et := range s.EdgeTypes {
-		bound := CardinalityBound{}
-		bound.SrcLower = participationBound(s, et.SrcTokens, srcSeen[et], population)
-		bound.DstLower = participationBound(s, et.DstTokens, dstSeen[et], population)
-		out[et] = bound
-	}
-	return out
-}
-
-// participationBound returns 1 when the number of distinct
-// participating endpoint nodes equals the total population of the
-// endpoint node types, 0 otherwise (including when the endpoint types
-// cannot be resolved).
-func participationBound(s *schema.Schema, tokens map[string]bool, seen map[pg.ID]bool, population map[*schema.NodeType]int) int {
-	if len(tokens) == 0 || seen == nil {
-		return 0
-	}
-	total := 0
-	for tok := range tokens {
-		nt := s.NodeTypeByToken(tok)
-		if nt == nil {
-			// Endpoint resolved to an abstract type name; find it.
-			nt = abstractByName(s, tok)
-		}
-		if nt == nil {
-			return 0
-		}
-		total += population[nt]
-	}
-	if total == 0 {
-		return 0
-	}
-	if len(seen) >= total {
-		return 1
-	}
-	return 0
-}
-
-func abstractByName(s *schema.Schema, name string) *schema.NodeType {
-	for _, nt := range s.NodeTypes {
-		if nt.Abstract && nt.Name() == name {
-			return nt
-		}
-	}
-	return nil
 }

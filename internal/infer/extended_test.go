@@ -117,60 +117,3 @@ func TestRangeMergesAcrossClusters(t *testing.T) {
 		t.Errorf("merged range = [%d, %d], want [-100, 12]", ps.MinInt, ps.MaxInt)
 	}
 }
-
-func TestLowerBounds(t *testing.T) {
-	s := schema.New()
-	// Person nodes 0..3, Org node 10. Every person works somewhere →
-	// src lower bound 1. Only some orgs (here: the one org) have
-	// employees → dst lower bound 1 too. Then add an org with no
-	// employees via a second org node: dst bound drops to 0.
-	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Person"}, Props: map[string]pg.Value{"n": pg.Str("a")}},
-		{ID: 1, Labels: []string{"Person"}, Props: map[string]pg.Value{"n": pg.Str("b")}},
-		{ID: 10, Labels: []string{"Org"}, Props: map[string]pg.Value{"u": pg.Str("x")}},
-		{ID: 11, Labels: []string{"Org"}, Props: map[string]pg.Value{"u": pg.Str("y")}},
-	}
-	cands := schema.BuildNodeCandidates(nodes, []int{0, 0, 1, 1}, 2)
-	ntypes := s.ExtractNodeTypes(cands, 0.9)
-	nodeAssign := map[pg.ID]*schema.NodeType{}
-	for i, n := range nodes {
-		nodeAssign[n.ID] = ntypes[[]int{0, 0, 1, 1}[i]]
-	}
-
-	edges := []pg.Edge{
-		{ID: 0, Labels: []string{"WORKS_AT"}, Src: 0, Dst: 10},
-		{ID: 1, Labels: []string{"WORKS_AT"}, Src: 1, Dst: 10},
-	}
-	ecands := schema.BuildEdgeCandidates(edges, []int{0, 0}, 1,
-		[]string{"Person", "Person"}, []string{"Org", "Org"})
-	etypes := s.ExtractEdgeTypes(ecands, 0.9)
-	edgeAssign := map[pg.ID]*schema.EdgeType{0: etypes[0], 1: etypes[0]}
-
-	bounds := LowerBounds(s, nodeAssign, edgeAssign, edges)
-	b := bounds[etypes[0]]
-	if b.SrcLower != 1 {
-		t.Errorf("every Person participates: src lower = %d, want 1", b.SrcLower)
-	}
-	if b.DstLower != 0 {
-		t.Errorf("org 11 has no employees: dst lower = %d, want 0", b.DstLower)
-	}
-}
-
-func TestLowerBoundsFullParticipation(t *testing.T) {
-	s := schema.New()
-	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"A"}},
-		{ID: 1, Labels: []string{"B"}},
-	}
-	cands := schema.BuildNodeCandidates(nodes, []int{0, 1}, 2)
-	ntypes := s.ExtractNodeTypes(cands, 0.9)
-	nodeAssign := map[pg.ID]*schema.NodeType{0: ntypes[0], 1: ntypes[1]}
-	edges := []pg.Edge{{ID: 0, Labels: []string{"R"}, Src: 0, Dst: 1}}
-	ecands := schema.BuildEdgeCandidates(edges, []int{0}, 1, []string{"A"}, []string{"B"})
-	etypes := s.ExtractEdgeTypes(ecands, 0.9)
-	bounds := LowerBounds(s, nodeAssign, map[pg.ID]*schema.EdgeType{0: etypes[0]}, edges)
-	b := bounds[etypes[0]]
-	if b.SrcLower != 1 || b.DstLower != 1 {
-		t.Errorf("full participation: bounds = %+v, want 1/1", b)
-	}
-}

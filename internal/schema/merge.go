@@ -236,31 +236,6 @@ func (s *Schema) UnifyNodeTypes(dst, src *NodeType) {
 	}
 }
 
-// UnifyEdgeTypes merges src into dst and removes src, the edge
-// counterpart of UnifyNodeTypes.
-func (s *Schema) UnifyEdgeTypes(dst, src *EdgeType) {
-	if dst == src {
-		return
-	}
-	dst.mergeEdge(src)
-	if src.Token != "" {
-		list := s.byEdgeToken[src.Token]
-		for i, et := range list {
-			if et == src {
-				list[i] = dst
-				break
-			}
-		}
-		s.byEdgeToken[src.Token] = dedupEdgeTypes(list)
-	}
-	for i, et := range s.EdgeTypes {
-		if et == src {
-			s.EdgeTypes = append(s.EdgeTypes[:i], s.EdgeTypes[i+1:]...)
-			break
-		}
-	}
-}
-
 func dedupEdgeTypes(list []*EdgeType) []*EdgeType {
 	seen := map[*EdgeType]bool{}
 	out := list[:0]

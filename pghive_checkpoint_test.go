@@ -10,6 +10,7 @@ package pghive_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -310,16 +311,16 @@ func TestServiceCheckpointCarriesCSVState(t *testing.T) {
 
 	// Uninterrupted service: both phases into one instance.
 	stayUp := pghive.NewService(opts)
-	if err := stayUp.DrainStream(phase1(), nil); err != nil {
+	if err := stayUp.DrainStream(context.Background(), phase1(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := stayUp.DrainStream(phase2(), nil); err != nil {
+	if err := stayUp.DrainStream(context.Background(), phase2(), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restarted service: checkpoint between the phases.
 	first := pghive.NewService(opts)
-	if err := first.DrainStream(phase1(), nil); err != nil {
+	if err := first.DrainStream(context.Background(), phase1(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var ckpt bytes.Buffer
@@ -330,7 +331,7 @@ func TestServiceCheckpointCarriesCSVState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.DrainStream(phase2(), nil); err != nil {
+	if err := restored.DrainStream(context.Background(), phase2(), nil); err != nil {
 		t.Fatal(err)
 	}
 

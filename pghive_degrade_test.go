@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"syscall"
 	"testing"
 	"time"
@@ -198,28 +197,17 @@ func TestRearmOnHealthyServiceIsNoOp(t *testing.T) {
 	}
 }
 
-// blockingStream parks DrainStream on its first Next until released —
-// a stand-in for a slow upload holding the write lock.
-type blockingStream struct {
-	started chan struct{}
-	release chan struct{}
-}
-
-func (b *blockingStream) Next() (*pghive.Batch, error) {
-	close(b.started)
-	<-b.release
-	return nil, io.EOF
-}
-
 func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	mem := vfs.NewMemFS()
 	d := openDegradeService(t, mem)
 	defer d.Close()
 
-	bs := &blockingStream{started: make(chan struct{}), release: make(chan struct{})}
+	// A checkpoint into a writer that blocks stands in for whatever
+	// holds the write lock for long.
+	bs := newGateWriter()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.DrainStream(bs, nil) }()
-	<-bs.started
+	go func() { drainDone <- d.WriteCheckpoint(bs) }()
+	<-bs.entered
 
 	nextLSN := d.DurableStats().WALNextLSN
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -240,7 +228,7 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 
 	close(bs.release)
 	if err := <-drainDone; err != nil {
-		t.Fatalf("drain: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
 	// The lock is free again; re-submitting the same (unkeyed) write now
 	// applies it exactly once: the timed-out attempt left nothing behind

@@ -13,6 +13,7 @@ package pghive_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -131,7 +132,7 @@ func (fx *durableFixture) runDurable(t *testing.T, dir string, dopts pghive.Dura
 		t.Fatal(err)
 	}
 	maybeCompact()
-	if err := d.DrainStream(pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
+	if err := d.DrainStream(context.Background(), pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
 		t.Fatal(err)
 	}
 	maybeCompact()
@@ -396,7 +397,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	if st := d.DurableStats(); st.RunTombstones == 0 {
 		t.Fatal("retraction delta run carries no tombstones")
 	}
-	if err := d.DrainStream(pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
+	if err := d.DrainStream(context.Background(), pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -546,7 +547,7 @@ func replayReference(t *testing.T, svc *pghive.Service, fx *durableFixture) {
 		svc.Ingest(g)
 	}
 	svc.Retract(fx.retract)
-	if err := svc.DrainStream(pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
+	if err := svc.DrainStream(context.Background(), pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -571,6 +572,50 @@ func stressGraph(t testing.TB, base pghive.ID, n int) *pghive.Graph {
 		}
 	}
 	return g
+}
+
+// TestDurableDrainStreamInterleavesWithWriters is
+// TestDrainStreamInterleavesWithWriters on the durable service, where
+// every batch — streamed or not — goes through the committer: the
+// interleaved write is acknowledged within its deadline, and the log it
+// left recovers to the byte-identical state.
+func TestDurableDrainStreamInterleavesWithWriters(t *testing.T) {
+	opts := pghive.Options{Seed: 3, Parallelism: 1}
+	dopts := pghive.DurableOptions{FS: vfs.NewMemFS(), DisableAutoCompact: true}
+	d, err := pghive.OpenDurable("data", opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := newParkedStream(stressGraph(t, 0, 5), stressGraph(t, 1000, 5))
+	drainDone := make(chan error, 1)
+	go func() { drainDone <- d.DrainStream(context.Background(), ps, nil) }()
+	<-ps.parked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, _, err := d.IngestIdempotent(ctx, "", stressGraph(t, 2000, 5)); err != nil {
+		t.Fatalf("ingest while a stream is parked between batches: %v", err)
+	}
+	close(ps.release)
+	if err := <-drainDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := d.DurableStats().WALNextLSN - 1; got != 3 {
+		t.Fatalf("%d records logged, want 3", got)
+	}
+	live := serviceImage(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := pghive.OpenDurable("data", opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if !bytes.Equal(live, serviceImage(t, d2)) {
+		t.Fatal("recovered image differs from the live one after an interleaved stream")
+	}
 }
 
 // TestDurableServiceConcurrentStress runs writers, lock-free readers,

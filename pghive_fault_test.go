@@ -37,6 +37,7 @@ package pghive_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -317,7 +318,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 			}
 		case fStream:
 			n := 0
-			err := d.DrainStream(pghive.NewJSONLStream(bytes.NewReader(op.data), op.bs), func(pghive.BatchTiming) { n++ })
+			err := d.DrainStream(context.Background(), pghive.NewJSONLStream(bytes.NewReader(op.data), op.bs), func(pghive.BatchTiming) { n++ })
 			for j := 0; j < n; j++ {
 				ack(refRec{id: fmt.Sprintf("%s.%d", op.id, j), g: op.batches[j]})
 			}

@@ -10,12 +10,15 @@ package pghive_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/datagen"
@@ -181,7 +184,7 @@ func TestServiceCSVEdgeIDsSkipIngestedIDs(t *testing.T) {
 
 	csv := pghive.NewCSVStream(nil,
 		[]io.Reader{strings.NewReader(":START_ID,:END_ID,:TYPE\n1,2,LIKES\n2,1,LIKES\n")}, 10)
-	if err := svc.DrainStream(csv, nil); err != nil {
+	if err := svc.DrainStream(context.Background(), csv, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.Edges != 3 {
@@ -284,5 +287,77 @@ func TestServiceRetractRestoresBaseline(t *testing.T) {
 	restoredFP := restored.PGSchema(pghive.Strict, "G") + restored.PGSchema(pghive.Loose, "G") + restored.XSD() + restored.DOT("G")
 	if restoredFP != baseFP {
 		t.Error("checkpoint round trip changed the published schema")
+	}
+}
+
+// parkedStream yields its batches in order and parks between the first
+// and the second — inside the second Next — until released: a stream
+// caught between two of its batches, for as long as the test likes.
+type parkedStream struct {
+	batches []*pghive.Graph
+	parked  chan struct{}
+	release chan struct{}
+	n       int
+}
+
+func newParkedStream(batches ...*pghive.Graph) *parkedStream {
+	return &parkedStream{batches: batches, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *parkedStream) Next() (*pghive.Batch, error) {
+	if s.n == 1 {
+		close(s.parked)
+		<-s.release
+	}
+	if s.n == len(s.batches) {
+		return nil, io.EOF
+	}
+	s.n++
+	return &pghive.Batch{Graph: s.batches[s.n-1], Index: s.n}, nil
+}
+
+// TestDrainStreamInterleavesWithWriters: a stream holds the write lock
+// per batch, not per stream — a writer with a short deadline gets in
+// while a drain sits between two batches, and the drain then finishes
+// on top of it.
+func TestDrainStreamInterleavesWithWriters(t *testing.T) {
+	svc := pghive.NewService(pghive.Options{Seed: 3, Parallelism: 1})
+	ps := newParkedStream(stressGraph(t, 0, 5), stressGraph(t, 1000, 5))
+	drainDone := make(chan error, 1)
+	go func() { drainDone <- svc.DrainStream(context.Background(), ps, nil) }()
+	<-ps.parked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := svc.IngestContext(ctx, stressGraph(t, 2000, 5)); err != nil {
+		t.Fatalf("ingest while a stream is parked between batches: %v", err)
+	}
+	close(ps.release)
+	if err := <-drainDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Batches != 3 || st.Nodes != 15 {
+		t.Fatalf("after stream + interleaved ingest: %d batches, %d nodes; want 3, 15", st.Batches, st.Nodes)
+	}
+}
+
+// TestDrainStreamStopsAtEndedContext: ctx bounds the stream as a whole,
+// not just a contended lock wait — a context that ends between two
+// batches stops the drain at the next one, with the applied prefix left
+// published.
+func TestDrainStreamStopsAtEndedContext(t *testing.T) {
+	svc := pghive.NewService(pghive.Options{Seed: 3, Parallelism: 1})
+	ps := newParkedStream(stressGraph(t, 0, 5), stressGraph(t, 1000, 5))
+	ctx, cancel := context.WithCancel(context.Background())
+	drainDone := make(chan error, 1)
+	go func() { drainDone <- svc.DrainStream(ctx, ps, nil) }()
+	<-ps.parked
+	cancel()
+	close(ps.release)
+	if err := <-drainDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain past a cancelled context returned %v, want context.Canceled", err)
+	}
+	if got := svc.Stats().Batches; got != 1 {
+		t.Fatalf("%d batches applied, want the 1 that preceded the cancel", got)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -102,20 +101,25 @@ func backendManifest(t *testing.T, b store.Backend, obj string) *runfile.Manifes
 	return m
 }
 
-// gateReader is a StreamReader whose first Next signals entry and then
-// blocks until released, ending the (empty) stream. Draining it holds
-// the service write lock for exactly the gated window — the test's
-// deterministic way to pile a burst of writers onto the committer's
-// queue regardless of scheduler or core count.
-type gateReader struct {
+// gateWriter is an io.Writer whose first Write signals entry and then
+// blocks until released. WriteCheckpoint into it holds the service
+// write lock for exactly the gated window — the test's deterministic
+// way to pile a burst of writers onto the committer's queue regardless
+// of scheduler or core count.
+type gateWriter struct {
 	entered chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
 
-func (r *gateReader) Next() (*pghive.Batch, error) {
-	close(r.entered)
-	<-r.release
-	return nil, io.EOF
+func newGateWriter() *gateWriter {
+	return &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
 }
 
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
@@ -128,13 +132,13 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	}
 	base := d.DurableStats().WALSyncs
 
-	// Hold the write lock via a gated stream drain while a burst of
+	// Hold the write lock via a gated checkpoint while a burst of
 	// writers waits at the hand-off: the committer cannot start a group
 	// until the gate opens, and then claims everyone waiting — a handful
 	// of fsyncs for 64 acknowledged writes.
-	gate := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
+	gate := newGateWriter()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.DrainStream(gate, nil) }()
+	go func() { drainDone <- d.WriteCheckpoint(gate) }()
 	<-gate.entered
 
 	const writers = 64
@@ -231,16 +235,17 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	}
 	defer d.Close()
 
-	// A pre-fault write, then hold the write lock via a gated drain: the
-	// committer takes the first keyed write in hand (blocked on the
-	// lock), the second waits at the hand-off, and both land in one
-	// group — the one whose fsync fails — when the gate opens.
+	// A pre-fault write, then hold the write lock via a gated
+	// checkpoint: the committer takes the first keyed write in hand
+	// (blocked on the lock), the second waits at the hand-off, and both
+	// land in one group — the one whose fsync fails — when the gate
+	// opens.
 	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	gate := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
+	gate := newGateWriter()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.DrainStream(gate, nil) }()
+	go func() { drainDone <- d.WriteCheckpoint(gate) }()
 	<-gate.entered
 
 	type keyedRes struct {
@@ -287,9 +292,9 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	gate := &gateReader{entered: make(chan struct{}), release: make(chan struct{})}
+	gate := newGateWriter()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.DrainStream(gate, nil) }()
+	go func() { drainDone <- d.WriteCheckpoint(gate) }()
 	<-gate.entered
 	dummyDone := make(chan error, 1)
 	go func() {

@@ -2,12 +2,13 @@ package pghive
 
 // service.go turns the single-caller incremental pipeline into a
 // long-running, concurrently queryable schema service. Writes
-// (Ingest, Retract, DrainStream, checkpointing) are serialized by a
-// mutex; reads are lock-free against an immutable published snapshot
-// (copy-on-publish): after every write batch the service deep-copies
-// the evolving schema, finalizes constraints on the copy, and swaps
-// it in atomically, so a reader never observes a half-merged schema,
-// a type with zero instances, or constraints that lag the statistics.
+// (Ingest, Retract, each batch of a DrainStream, checkpointing) are
+// serialized by a mutex; reads are lock-free against an immutable
+// published snapshot (copy-on-publish): after every write batch the
+// service deep-copies the evolving schema, finalizes constraints on
+// the copy, and swaps it in atomically, so a reader never observes a
+// half-merged schema, a type with zero instances, or constraints that
+// lag the statistics.
 
 import (
 	"context"
@@ -121,9 +122,10 @@ func (w *writer) serve() *Reader {
 // Service is a thread-safe serving wrapper around the §4.6
 // incremental pipeline: the embedded Reader for any number of
 // concurrent readers, and a write side (Ingest, Retract, DrainStream,
-// WriteCheckpoint) serialized internally. Element IDs must be unique
-// across the service's lifetime — re-ingesting an ID double-counts its
-// statistics, exactly as re-feeding it to Incremental would.
+// WriteCheckpoint) serialized internally, batch by batch. Element IDs
+// must be unique across the service's lifetime — re-ingesting an ID
+// double-counts its statistics, exactly as re-feeding it to
+// Incremental would.
 type Service struct {
 	*Reader
 	w *writer
@@ -157,7 +159,7 @@ func RestoreService(opts Options, r io.Reader) (*Service, error) {
 
 // writeLock is the write mutex, built on a one-slot channel so a
 // caller can bound how long it is willing to queue: an HTTP request
-// whose deadline expires while a long stream drain holds the lock
+// whose deadline expires while a long WriteCheckpoint holds the lock
 // abandons the wait instead of parking a goroutine forever.
 // Lock/Unlock mirror sync.Mutex for the paths that cannot time out.
 type writeLock chan struct{}
@@ -167,13 +169,13 @@ func newWriteLock() writeLock { return make(writeLock, 1) }
 func (l writeLock) Lock()   { l <- struct{}{} }
 func (l writeLock) Unlock() { <-l }
 
-// LockContext acquires the lock unless ctx ends first, in which case
-// the lock is NOT held and ctx.Err() is returned.
+// LockContext acquires the lock unless ctx has ended or ends first, in
+// which case the lock is NOT held and ctx.Err() is returned. An expired
+// ctx loses even to a free lock — that is what stops a stream whose
+// deadline passed between two of its batches.
 func (l writeLock) LockContext(ctx context.Context) error {
-	select {
-	case l <- struct{}{}:
-		return nil
-	default:
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	select {
 	case l <- struct{}{}:
@@ -259,10 +261,10 @@ func (s *Service) Ingest(g *Graph) BatchTiming {
 }
 
 // IngestContext is Ingest with a deadline on write admission: if ctx
-// ends while the call is still queued behind other writers, nothing
-// is applied and ctx's error is returned. Once the batch starts
-// processing it runs to completion — a published snapshot is never
-// half a batch.
+// has ended, or ends while the call is still queued behind other
+// writers, nothing is applied and ctx's error is returned. Once the
+// batch starts processing it runs to completion — a published snapshot
+// is never half a batch.
 func (s *Service) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
 	if err := s.w.mu.LockContext(ctx); err != nil {
 		return BatchTiming{}, err
@@ -302,43 +304,38 @@ type csvLikeStream interface {
 	SeedResolver(ID, []string) error
 }
 
-// DrainStream feeds every batch of the stream through the pipeline,
-// publishing a fresh snapshot after each batch, so concurrent readers
-// watch the schema evolve while the stream loads. Like
-// Incremental.DrainStream it fills the per-batch memory counters and
-// returns on io.EOF (nil) or the first reader error; the write lock
-// is held for the whole drain, serializing it with other writers.
+// DrainStream feeds the stream through IngestContext one batch at a
+// time, publishing a fresh snapshot after each, so concurrent readers
+// watch the schema evolve while the stream loads. The write lock is
+// taken per batch: other writers interleave between a stream's batches,
+// and ctx bounds each batch's write admission exactly as it bounds an
+// Ingest. Like Incremental.DrainStream it fills the per-batch memory
+// counters and returns on io.EOF (nil) or the first error. An error
+// mid-stream is not a rollback — batches already applied stay
+// published, and Stats tells the caller how far the stream got.
 //
-// CSV streams are adopted into the service's state: a fresh reader is
-// seeded with the service's endpoint bookkeeping and its sequential
-// edge-ID counter continues from the previous stream's, so relation
-// files ingested across restarts keep globally unique edge IDs. For
-// the duration of a drain the reader's own label-only bookkeeping
-// duplicates the service's (both index the streamed nodes); the
-// overhead is bounded by the ID+labels index, never properties.
-func (s *Service) DrainStream(r StreamReader, onBatch func(BatchTiming)) error {
-	return s.DrainStreamContext(context.Background(), r, onBatch)
+// CSV streams are adopted into the service's state before the first
+// batch: a fresh reader is seeded with the service's endpoint
+// bookkeeping and its sequential edge-ID counter continues from the
+// service's, so relation files ingested across restarts keep globally
+// unique edge IDs (what other writers add while the stream runs is not
+// fed back into the reader). For the duration of a drain the reader's
+// own label-only bookkeeping duplicates the service's (both index the
+// streamed nodes); the overhead is bounded by the ID+labels index,
+// never properties.
+func (s *Service) DrainStream(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
+	return s.w.drain(ctx, r, onBatch, s.IngestContext)
 }
 
-// DrainStreamContext is DrainStream with a deadline: the ctx bounds
-// both write admission and the drain itself, checked before each
-// batch. Like every drain error, expiry mid-stream is not a rollback
-// — batches already processed stay published; the caller sees ctx's
-// error and can read Stats to learn how far the stream got.
-func (s *Service) DrainStreamContext(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	if err := s.w.mu.LockContext(ctx); err != nil {
+// drain is the one stream loop behind Service and DurableService: seed
+// a CSV-like reader, then pull batches and hand each to write — the
+// owner's own one-batch ingest, which is where locking, the deadline
+// and (for a durable owner) logging happen.
+func (w *writer) drain(ctx context.Context, r StreamReader, onBatch func(BatchTiming),
+	write func(context.Context, *Graph) (BatchTiming, error)) error {
+	if err := w.seedStream(ctx, r); err != nil {
 		return err
 	}
-	defer s.w.mu.Unlock()
-	return s.w.drain(r, onBatch, func(*Graph) error { return ctx.Err() })
-}
-
-// drain is the drain protocol shared by Service and the durable layer:
-// CSV-stream adoption, memory-counter observation, and per-batch
-// processing, with perBatch running before each batch is applied (the
-// deadline check; the durable layer's WAL append).
-func (w *writer) drain(r StreamReader, onBatch func(BatchTiming), perBatch func(*Graph) error) error {
-	defer w.seedStream(r)()
 	onBatch = core.MemObservedOnBatch(onBatch)
 	for {
 		b, err := r.Next()
@@ -348,13 +345,10 @@ func (w *writer) drain(r StreamReader, onBatch func(BatchTiming), perBatch func(
 		if err != nil {
 			return err
 		}
-		if err := perBatch(b.Graph); err != nil {
+		bt, err := write(ctx, b.Graph)
+		if err != nil {
 			return err
 		}
-		// ingest tracks the batch in the resolver before processing it,
-		// so later Ingest calls still resolve endpoints of streamed
-		// nodes.
-		bt := w.ingest(b.Graph)
 		if onBatch != nil {
 			onBatch(bt)
 		}
@@ -362,14 +356,19 @@ func (w *writer) drain(r StreamReader, onBatch func(BatchTiming), perBatch func(
 }
 
 // seedStream adopts a CSV-like stream into the writer's state (edge-ID
-// continuation, resolver seeding) and returns the function that
-// harvests the stream's final edge-ID watermark — callers defer it
-// around their drain loop. For other readers both halves are no-ops.
-func (w *writer) seedStream(r StreamReader) (finish func()) {
+// continuation, resolver seeding) under a momentary hold of the write
+// lock. The reader's final edge-ID watermark needs no harvesting:
+// ingest advances nextEdgeID past every edge it applies. For other
+// readers it is a no-op.
+func (w *writer) seedStream(ctx context.Context, r StreamReader) error {
 	c, ok := r.(csvLikeStream)
 	if !ok {
-		return func() {}
+		return nil
 	}
+	if err := w.mu.LockContext(ctx); err != nil {
+		return err
+	}
+	defer w.mu.Unlock()
 	if c.NextEdgeID() == 0 && w.nextEdgeID > 0 {
 		c.SetNextEdgeID(w.nextEdgeID)
 	}
@@ -379,11 +378,7 @@ func (w *writer) seedStream(r StreamReader) (finish func()) {
 		// win, matching Ingest's first-labels-win rule.
 		_ = c.SeedResolver(nodes[i].ID, nodes[i].Labels)
 	}
-	return func() {
-		if id := c.NextEdgeID(); id > w.nextEdgeID {
-			w.nextEdgeID = id
-		}
-	}
+	return nil
 }
 
 // Snapshot returns the current published state. The returned snapshot
