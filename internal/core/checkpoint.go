@@ -13,12 +13,18 @@ package core
 //
 // The materialized state is exposed as an Image: a plain value the
 // durable layer can capture, serialize, load, diff (delta.go) and
-// merge without holding a live pipeline. WriteCheckpoint is
+// merge without holding a live pipeline. It holds values all the way
+// down (the schema is a schema.Persisted, not its text) and is JSON
+// only past EncodeImage and before DecodeImage. WriteCheckpoint is
 // CaptureImage + EncodeImage; ResumeFromCheckpoint is DecodeImage +
 // RestoreImage. The byte format is unchanged from version 1.
+//
+// An Image never aliases a live pipeline: CaptureImage and
+// RestoreImage copy, in both directions. Compaction depends on it — it
+// restores a writer from an image, replays onto that writer, and diffs
+// the result against the very image it restored from.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,8 +56,8 @@ type ResolverNode struct {
 // checkable by comparing encoded images.
 type Image struct {
 	Version int `json:"version"`
-	// Schema is the evolving schema in WriteSchemaJSON form.
-	Schema json.RawMessage `json:"schema"`
+	// Schema is the evolving schema: what WriteSchemaJSON encodes.
+	Schema schema.Persisted `json:"schema"`
 	// Batches counts processed batches.
 	Batches int `json:"batches"`
 	// NodeAssign / EdgeAssign map element IDs to schema type IDs.
@@ -128,13 +134,9 @@ type CheckpointExtras struct {
 // batches rather than a stream. The caller must serialize the call
 // with writes (ProcessBatch / RetractBatch), like every other read.
 func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
-	var sb bytes.Buffer
-	if err := schema.WriteJSON(&sb, inc.sch); err != nil {
-		return nil, fmt.Errorf("core: checkpoint schema: %w", err)
-	}
 	img := &Image{
 		Version:        CheckpointVersion,
-		Schema:         json.RawMessage(sb.Bytes()),
+		Schema:         *schema.Persist(inc.sch),
 		Batches:        inc.batches,
 		NextTypeID:     inc.sch.NextTypeID(),
 		NodeClusters:   inc.result.NodeClusters,
@@ -188,8 +190,7 @@ func EncodeImage(w io.Writer, img *Image) error {
 // DecodeImage reads one checkpoint image and validates its version.
 func DecodeImage(r io.Reader) (*Image, error) {
 	var img Image
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&img); err != nil {
+	if err := json.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if img.Version != CheckpointVersion {
@@ -227,7 +228,7 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	if img.Version != CheckpointVersion {
 		return nil, nil, fmt.Errorf("core: unsupported checkpoint version %d", img.Version)
 	}
-	s, err := schema.ReadJSON(bytes.NewReader(img.Schema))
+	s, err := img.Schema.Restore()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: checkpoint: %w", err)
 	}

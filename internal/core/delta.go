@@ -4,19 +4,20 @@ package core
 // payload of one durable-layer run file — and folds a delta back onto
 // an image. The pair is exact by construction: for any base and next,
 // Apply(base, Diff(base, next)) rebuilds next's state (the scalar
-// fields byte-for-byte; the keyed collections as sets, which is all
+// fields value-for-value; the keyed collections as sets, which is all
 // image serialization observes since it emits them in canonical
 // order). That equivalence is what lets compaction write only what
 // changed since the previous fold while recovery still reaches the
 // bit-identical full image.
 //
-// Large collections are encoded as explicit put/delete lists — the
-// deletes are the tombstones of the run layout — while the scalars
-// (counters, adaptive choices) are carried whole: they are O(types),
-// not O(elements), and replacing them beats diffing them. The one
-// exception is the schema blob, whose per-node degree statistics grow
-// with the database: it travels as a structural patch (see
-// schema.DiffJSON) so delta runs stay proportional to what changed.
+// Every keyed collection travels as puts and deletes — the deletes
+// are the tombstones of the run layout — under one rule per shape:
+// keyed.DiffMap / ApplyMap for maps (the assignments here, the degree
+// tallies inside the schema patch), diffSorted / applySorted for
+// key-sorted slices (shape caches, resolver). The scalars (counters,
+// adaptive choices) are O(types) and carried whole; the schema, whose
+// degree statistics grow with the database, as a structural patch
+// (schema.Diff). Nothing here encodes or decodes.
 
 import (
 	"bytes"
@@ -24,27 +25,11 @@ import (
 	"fmt"
 	"slices"
 
-	"encoding/json"
-
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/lsh"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
-
-// schemaEqual compares two serialized schemas modulo whitespace: a
-// freshly captured image carries WriteJSON's indented form while a
-// decoded one carries the compact form, and the two must not produce
-// a patch for an unchanged schema.
-func schemaEqual(a, b json.RawMessage) bool {
-	if bytes.Equal(a, b) {
-		return true
-	}
-	var ca, cb bytes.Buffer
-	if json.Compact(&ca, a) != nil || json.Compact(&cb, b) != nil {
-		return false
-	}
-	return bytes.Equal(ca.Bytes(), cb.Bytes())
-}
 
 // DeltaVersion is the ImageDelta format version.
 const DeltaVersion = 1
@@ -68,9 +53,9 @@ type ImageDelta struct {
 	FromLSN uint64 `json:"fromLSN"`
 	ToLSN   uint64 `json:"toLSN"`
 
-	// SchemaPatch is the structural schema diff (schema.DiffJSON);
-	// absent when the schema did not change across the span.
-	SchemaPatch json.RawMessage `json:"schemaPatch,omitempty"`
+	// SchemaPatch is the structural schema diff (schema.Diff); absent
+	// when the schema did not change across the span.
+	SchemaPatch *schema.Patch `json:"schemaPatch,omitempty"`
 
 	// Whole-value replacements: O(schema), not O(elements).
 	Batches      int                `json:"batches"`
@@ -138,19 +123,14 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 		EdgeChoice:   next.EdgeChoice,
 		NextTypeID:   next.NextTypeID,
 		NextEdgeID:   next.NextEdgeID,
+
+		SchemaPatch: schema.Diff(&base.Schema, &next.Schema),
 	}
-	if !schemaEqual(base.Schema, next.Schema) {
-		patch, err := schema.DiffJSON(base.Schema, next.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: schema diff: %w", err)
-		}
-		d.SchemaPatch = patch
-	}
-	d.NodeAssign, d.NodeUnassign = diffAssign(base.NodeAssign, next.NodeAssign)
-	d.EdgeAssign, d.EdgeUnassign = diffAssign(base.EdgeAssign, next.EdgeAssign)
-	d.NodeShapePut, d.NodeShapeDel = diffShapes(base.NodeShapeCache, next.NodeShapeCache)
-	d.EdgeShapePut, d.EdgeShapeDel = diffShapes(base.EdgeShapeCache, next.EdgeShapeCache)
-	d.ResolverPut, d.ResolverDel = diffResolver(base.Resolver, next.Resolver)
+	d.NodeAssign, d.NodeUnassign = assignList(keyed.DiffMap(base.NodeAssign, next.NodeAssign, cmp.Compare))
+	d.EdgeAssign, d.EdgeUnassign = assignList(keyed.DiffMap(base.EdgeAssign, next.EdgeAssign, cmp.Compare))
+	d.NodeShapePut, d.NodeShapeDel = diffSorted(base.NodeShapeCache, next.NodeShapeCache, shapeKey, bytes.Compare, shapeEqual)
+	d.EdgeShapePut, d.EdgeShapeDel = diffSorted(base.EdgeShapeCache, next.EdgeShapeCache, shapeKey, bytes.Compare, shapeEqual)
+	d.ResolverPut, d.ResolverDel = diffSorted(base.Resolver, next.Resolver, resolverKey, cmp.Compare, resolverEqual)
 	for _, k := range next.AppliedKeys {
 		if k.LSN > base.WALSeq {
 			d.AppliedKeys = append(d.AppliedKeys, k)
@@ -174,11 +154,11 @@ func (d *ImageDelta) Apply(img *Image) error {
 	}
 
 	if d.SchemaPatch != nil {
-		patched, err := schema.ApplyPatchJSON(img.Schema, d.SchemaPatch)
+		patched, err := d.SchemaPatch.Apply(&img.Schema)
 		if err != nil {
 			return fmt.Errorf("core: delta: schema patch: %w", err)
 		}
-		img.Schema = patched
+		img.Schema = *patched
 	}
 	img.Batches = d.Batches
 	img.NodeClusters = d.NodeClusters
@@ -190,122 +170,59 @@ func (d *ImageDelta) Apply(img *Image) error {
 	img.NextTypeID = d.NextTypeID
 	img.NextEdgeID = d.NextEdgeID
 
-	img.NodeAssign = applyAssign(img.NodeAssign, d.NodeAssign, d.NodeUnassign)
-	img.EdgeAssign = applyAssign(img.EdgeAssign, d.EdgeAssign, d.EdgeUnassign)
-	img.NodeShapeCache = applyShapes(img.NodeShapeCache, d.NodeShapePut, d.NodeShapeDel)
-	img.EdgeShapeCache = applyShapes(img.EdgeShapeCache, d.EdgeShapePut, d.EdgeShapeDel)
-	img.Resolver = applyResolver(img.Resolver, d.ResolverPut, d.ResolverDel)
+	img.NodeAssign = keyed.ApplyMap(img.NodeAssign, assignSet(d.NodeAssign), d.NodeUnassign)
+	img.EdgeAssign = keyed.ApplyMap(img.EdgeAssign, assignSet(d.EdgeAssign), d.EdgeUnassign)
+	img.NodeShapeCache = applySorted(img.NodeShapeCache, d.NodeShapePut, d.NodeShapeDel, shapeKey, bytes.Compare)
+	img.EdgeShapeCache = applySorted(img.EdgeShapeCache, d.EdgeShapePut, d.EdgeShapeDel, shapeKey, bytes.Compare)
+	img.Resolver = applySorted(img.Resolver, d.ResolverPut, d.ResolverDel, resolverKey, cmp.Compare)
 	img.AppliedKeys = append(img.AppliedKeys, d.AppliedKeys...)
 	img.WALSeq = d.ToLSN
 	return nil
 }
 
-func diffAssign(base, next map[pg.ID]int) (puts []Assign, dels []pg.ID) {
-	for id, t := range next {
-		if bt, ok := base[id]; !ok || bt != t {
-			puts = append(puts, Assign{ID: id, Type: t})
-		}
+// assignList spells keyed.DiffMap's puts the way a run carries them —
+// {id, type} pairs, ID-ascending — and passes the tombstones through;
+// assignSet reads the list back.
+func assignList(puts map[pg.ID]int, dels []pg.ID) ([]Assign, []pg.ID) {
+	var list []Assign
+	for id, t := range puts {
+		list = append(list, Assign{ID: id, Type: t})
 	}
-	for id := range base {
-		if _, ok := next[id]; !ok {
-			dels = append(dels, id)
-		}
-	}
-	slices.SortFunc(puts, func(a, b Assign) int { return cmp.Compare(a.ID, b.ID) })
-	slices.Sort(dels)
-	return puts, dels
+	slices.SortFunc(list, func(a, b Assign) int { return cmp.Compare(a.ID, b.ID) })
+	return list, dels
 }
 
-func applyAssign(m map[pg.ID]int, puts []Assign, dels []pg.ID) map[pg.ID]int {
-	if len(puts) > 0 && m == nil {
-		m = make(map[pg.ID]int, len(puts))
+func assignSet(list []Assign) map[pg.ID]int {
+	puts := make(map[pg.ID]int, len(list))
+	for _, a := range list {
+		puts[a.ID] = a.Type
 	}
-	for _, p := range puts {
-		m[p.ID] = p.Type
-	}
-	for _, id := range dels {
-		delete(m, id)
-	}
-	if len(m) == 0 {
-		return nil // canonical: empty marshals as absent, like CaptureImage
-	}
-	return m
+	return puts
 }
 
-// diffShapes merge-walks two fingerprint-sorted exports.
-func diffShapes(base, next []pg.ShapeEntry) (puts []pg.ShapeEntry, dels [][]byte) {
+// How the two key-sorted collections are keyed and compared.
+func shapeKey(e pg.ShapeEntry) []byte { return e.Key }
+func shapeEqual(a, b pg.ShapeEntry) bool {
+	return a.Token == b.Token && slices.Equal(a.Items, b.Items)
+}
+func resolverKey(n ResolverNode) pg.ID     { return n.ID }
+func resolverEqual(a, b ResolverNode) bool { return slices.Equal(a.Labels, b.Labels) }
+
+// diffSorted merge-walks two key-sorted slices into the entries next
+// holds that base lacks or holds differently, and the keys only base
+// holds, both key-ascending.
+func diffSorted[E, K any](base, next []E, key func(E) K, compare func(a, b K) int, equal func(a, b E) bool) (puts []E, dels []K) {
 	i, j := 0, 0
 	for i < len(base) || j < len(next) {
 		switch {
-		case i == len(base):
-			puts = append(puts, next[j])
-			j++
-		case j == len(next):
-			dels = append(dels, base[i].Key)
+		case j == len(next) || i < len(base) && compare(key(base[i]), key(next[j])) < 0:
+			dels = append(dels, key(base[i]))
 			i++
-		default:
-			switch c := bytes.Compare(base[i].Key, next[j].Key); {
-			case c < 0:
-				dels = append(dels, base[i].Key)
-				i++
-			case c > 0:
-				puts = append(puts, next[j])
-				j++
-			default:
-				if base[i].Token != next[j].Token || !slices.Equal(base[i].Items, next[j].Items) {
-					puts = append(puts, next[j])
-				}
-				i, j = i+1, j+1
-			}
-		}
-	}
-	return puts, dels
-}
-
-func applyShapes(entries []pg.ShapeEntry, puts []pg.ShapeEntry, dels [][]byte) []pg.ShapeEntry {
-	if len(puts) == 0 && len(dels) == 0 {
-		return entries
-	}
-	m := make(map[string]pg.ShapeEntry, len(entries)+len(puts))
-	for _, e := range entries {
-		m[string(e.Key)] = e
-	}
-	for _, e := range puts {
-		m[string(e.Key)] = e
-	}
-	for _, k := range dels {
-		delete(m, string(k))
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]pg.ShapeEntry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, func(a, b pg.ShapeEntry) int { return bytes.Compare(a.Key, b.Key) })
-	return out
-}
-
-// diffResolver merge-walks two ID-sorted resolver exports.
-func diffResolver(base, next []ResolverNode) (puts []ResolverNode, dels []pg.ID) {
-	i, j := 0, 0
-	for i < len(base) || j < len(next) {
-		switch {
-		case i == len(base):
-			puts = append(puts, next[j])
-			j++
-		case j == len(next):
-			dels = append(dels, base[i].ID)
-			i++
-		case base[i].ID < next[j].ID:
-			dels = append(dels, base[i].ID)
-			i++
-		case base[i].ID > next[j].ID:
+		case i == len(base) || compare(key(base[i]), key(next[j])) > 0:
 			puts = append(puts, next[j])
 			j++
 		default:
-			if !slices.Equal(base[i].Labels, next[j].Labels) {
+			if !equal(base[i], next[j]) {
 				puts = append(puts, next[j])
 			}
 			i, j = i+1, j+1
@@ -314,27 +231,28 @@ func diffResolver(base, next []ResolverNode) (puts []ResolverNode, dels []pg.ID)
 	return puts, dels
 }
 
-func applyResolver(nodes []ResolverNode, puts []ResolverNode, dels []pg.ID) []ResolverNode {
+// applySorted folds puts, then dels, onto a key-sorted slice; the
+// result is key-sorted, nil when empty (canonical: marshals as
+// absent). It trusts no order in what a run file handed it: the last
+// put of a key wins, and a deleted key is gone wherever it was named.
+func applySorted[E, K any](entries, puts []E, dels []K, key func(E) K, compare func(a, b K) int) []E {
 	if len(puts) == 0 && len(dels) == 0 {
-		return nodes
+		return entries
 	}
-	m := make(map[pg.ID]ResolverNode, len(nodes)+len(puts))
-	for _, n := range nodes {
-		m[n.ID] = n
+	byKey := func(a, b E) int { return compare(key(a), key(b)) }
+	all := slices.Concat(entries, puts)
+	slices.SortStableFunc(all, byKey)
+	dels = slices.Clone(dels)
+	slices.SortFunc(dels, compare)
+	out := all[:0]
+	for i, e := range all {
+		_, gone := slices.BinarySearchFunc(dels, key(e), compare)
+		if last := i+1 == len(all) || byKey(e, all[i+1]) != 0; last && !gone {
+			out = append(out, e)
+		}
 	}
-	for _, n := range puts {
-		m[n.ID] = n
-	}
-	for _, id := range dels {
-		delete(m, id)
-	}
-	if len(m) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
-	out := make([]ResolverNode, 0, len(m))
-	for _, n := range m {
-		out = append(out, n)
-	}
-	slices.SortFunc(out, func(a, b ResolverNode) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

@@ -6,7 +6,17 @@ import (
 	"testing"
 
 	"github.com/pghive/pghive/internal/pg"
+	"github.com/pghive/pghive/internal/schema"
 )
+
+// mustSchema parses a persisted schema for a hand-built image.
+func mustSchema(text string) schema.Persisted {
+	var p schema.Persisted
+	if err := json.Unmarshal([]byte(text), &p); err != nil {
+		panic(err)
+	}
+	return p
+}
 
 // deltaBase and deltaNext are hand-built canonical images exercising
 // every collection the differ walks: assignments added, re-typed, and
@@ -15,8 +25,10 @@ import (
 // coverage.
 func deltaBase() *Image {
 	return &Image{
-		Version:      CheckpointVersion,
-		Schema:       json.RawMessage(`{"nodeTypes":1}`),
+		Version: CheckpointVersion,
+		Schema: mustSchema(`{"version":1,
+			"nodeTypes":[{"id":0,"labels":{"A":2},"token":"A","instances":2},{"id":1,"labels":{"B":1},"token":"B","instances":1}],
+			"edgeTypes":[{"id":2,"labels":{"E":1},"token":"E","instances":1,"srcTokens":["A"],"dstTokens":["B"],"srcDeg":{"1":1},"dstDeg":{"2":1}}]}`),
 		Batches:      3,
 		NodeAssign:   map[pg.ID]int{1: 0, 2: 1, 3: 0},
 		EdgeAssign:   map[pg.ID]int{10: 0},
@@ -43,8 +55,10 @@ func deltaBase() *Image {
 
 func deltaNext() *Image {
 	return &Image{
-		Version:      CheckpointVersion,
-		Schema:       json.RawMessage(`{"nodeTypes":2}`),
+		Version: CheckpointVersion,
+		Schema: mustSchema(`{"version":1,
+			"nodeTypes":[{"id":0,"labels":{"A":1},"token":"A","instances":1},{"id":1,"labels":{"B":2},"token":"B","instances":2}],
+			"edgeTypes":null}`),
 		Batches:      5,
 		NodeAssign:   map[pg.ID]int{1: 1, 3: 0, 4: 1}, // 1 re-typed, 2 gone, 4 new
 		EdgeAssign:   map[pg.ID]int{},                 // 10 gone
@@ -69,7 +83,7 @@ func deltaNext() *Image {
 	}
 }
 
-func imageBytes(t *testing.T, img *Image) []byte {
+func imageBytes(t testing.TB, img *Image) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeImage(&buf, img); err != nil {
@@ -78,7 +92,7 @@ func imageBytes(t *testing.T, img *Image) []byte {
 	return buf.Bytes()
 }
 
-func cloneImage(t *testing.T, img *Image) *Image {
+func cloneImage(t testing.TB, img *Image) *Image {
 	t.Helper()
 	out, err := DecodeImage(bytes.NewReader(imageBytes(t, img)))
 	if err != nil {

@@ -1,30 +1,35 @@
 package schema
 
-// patch.go diffs two serialized schemas (WriteJSON output) into a
-// structural patch and applies it back. The schema blob is the one
-// image scalar that is NOT O(types): each edge type carries per-node
-// degree tallies (SrcDeg/DstDeg) powering §4.4 cardinality inference,
-// so the blob grows with the database. Carrying it whole in every
-// delta run would make compaction IO proportional to database size —
-// exactly what the run layout exists to avoid — so the patch diffs
-// the degree maps key-wise and re-emits only each type's bounded
-// "head" (labels, props, tokens, counters) when it changed.
+// patch.go diffs two persisted schemas (Persisted values) into a
+// structural patch and applies it back. The schema is the one image
+// member that is NOT O(types): each edge type carries per-node degree
+// tallies (SrcDeg/DstDeg) powering §4.4 cardinality inference, so it
+// grows with the database. Carrying it whole in every delta run would
+// make compaction IO proportional to database size — exactly what the
+// run layout exists to avoid — so the patch diffs the degree maps
+// key-wise (keyed.DiffMap, the rule of every map an image holds) and
+// re-emits only each type's bounded "head" (labels, props, tokens,
+// counters) when it changed.
 //
-// Exactness contract: ApplyPatchJSON(old, DiffJSON(old, new))
-// re-serializes to JSON that is value-identical to new — byte-equal
-// once both pass through image serialization, which compacts embedded
-// raw messages. DiffJSON verifies that equivalence on every call and
-// falls back to carrying the new schema whole (a "replace" patch)
-// whenever the inputs resist structural diffing: unknown versions,
-// duplicate type IDs, round-trip-lossy bytes. The fallback degrades
-// to the old behavior, never to a wrong schema.
+// Exactness contract, on values: Diff(old, new).Apply(old) equals new
+// — the same types in the same order, deeply equal heads, equal degree
+// tallies — and so encodes to the same bytes. Diff proves that on
+// every call and falls back to carrying the new schema whole (a
+// "replace" patch) whenever the inputs resist structural diffing: an
+// unknown version, duplicate type IDs, a patch that fails its own
+// proof. The fallback degrades to the old behavior, never to a wrong
+// schema. (A fallback for new schemas with fields this model would
+// drop went with the text it guarded.) Nothing here encodes or decodes.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
+
+	"github.com/pghive/pghive/internal/keyed"
 )
 
 // patchVersion is the schema-patch format version.
@@ -35,19 +40,21 @@ const patchVersion = 1
 // any of it changed or the type is new. The degree maps themselves
 // travel as key-wise upserts and deletions.
 type jsonTypePatch struct {
-	ID        int            `json:"id"`
-	Head      *jsonType      `json:"head,omitempty"`
-	SrcDegSet map[string]int `json:"srcDegSet,omitempty"`
-	SrcDegDel []string       `json:"srcDegDel,omitempty"`
-	DstDegSet map[string]int `json:"dstDegSet,omitempty"`
-	DstDegDel []string       `json:"dstDegDel,omitempty"`
+	ID        int             `json:"id"`
+	Head      *jsonType       `json:"head,omitempty"`
+	SrcDegSet map[nodeKey]int `json:"srcDegSet,omitempty"`
+	SrcDegDel []nodeKey       `json:"srcDegDel,omitempty"`
+	DstDegSet map[nodeKey]int `json:"dstDegSet,omitempty"`
+	DstDegDel []nodeKey       `json:"dstDegDel,omitempty"`
 }
 
-type jsonSchemaPatch struct {
+// Patch is the structural difference between two Persisted schemas —
+// the schemaPatch member of a delta-run payload.
+type Patch struct {
 	Version int `json:"version"`
 	// Replace, when set, is the whole new schema and the rest of the
 	// patch is empty: the structural-diff fallback.
-	Replace json.RawMessage `json:"replace,omitempty"`
+	Replace *Persisted `json:"replace,omitempty"`
 	// NodeIDs / EdgeIDs are the new schema's complete type-ID lists in
 	// order — membership and order are authoritative, so dropped types
 	// (merged away) need no tombstone entries.
@@ -57,95 +64,81 @@ type jsonSchemaPatch struct {
 	EdgeTypes []jsonTypePatch `json:"edgeTypes,omitempty"`
 }
 
-// DiffJSON computes a patch transforming the old serialized schema
-// into the new one. It never fails on strange input: anything that
-// cannot be diffed structurally yields a replace patch carrying new
-// verbatim. The returned bytes are a self-contained JSON document for
-// a delta-run payload.
-func DiffJSON(old, new []byte) ([]byte, error) {
-	replace := func() ([]byte, error) {
-		return json.Marshal(&jsonSchemaPatch{Version: patchVersion, Replace: append(json.RawMessage(nil), new...)})
+// Diff computes the patch transforming old into new, nil when the two
+// are equal. It never fails on strange input: anything that cannot be
+// diffed structurally yields a replace patch carrying new. The patch
+// may share memory with new; neither is modified afterwards.
+func Diff(old, new *Persisted) *Patch {
+	if old.equal(new) {
+		return nil
 	}
-	oldJS, ok := decodePatchable(old)
-	if !ok {
-		return replace()
+	replace := &Patch{Version: patchVersion, Replace: new}
+	if !old.patchable() || !new.patchable() {
+		return replace
 	}
-	newJS, ok := decodePatchable(new)
-	if !ok {
-		return replace()
-	}
-	// Reject bytes the jsonSchema round trip would lose (unknown
-	// fields from a future writer): the patch applier re-marshals, so
-	// it can only promise exactness for bytes it fully models.
-	if !compactEqual(new, mustMarshal(newJS)) {
-		return replace()
-	}
-
-	p := &jsonSchemaPatch{Version: patchVersion}
-	p.NodeIDs, p.NodeTypes, ok = diffTypes(oldJS.NodeTypes, newJS.NodeTypes)
-	if !ok {
-		return replace()
-	}
-	p.EdgeIDs, p.EdgeTypes, ok = diffTypes(oldJS.EdgeTypes, newJS.EdgeTypes)
-	if !ok {
-		return replace()
-	}
+	p := &Patch{Version: patchVersion}
+	p.NodeIDs, p.NodeTypes = diffTypes(old.NodeTypes, new.NodeTypes)
+	p.EdgeIDs, p.EdgeTypes = diffTypes(old.EdgeTypes, new.EdgeTypes)
 
 	// Prove the patch reconstructs the new schema before trusting it
 	// with recovery: a diff bug must surface here, at compaction time,
 	// as a silent fallback to the always-correct replace form.
-	applied, err := applyPatchValue(oldJS, p)
-	if err != nil || !reflect.DeepEqual(mustMarshal(applied), mustMarshal(newJS)) {
-		return replace()
+	if applied, err := p.Apply(old); err != nil || !applied.equal(new) {
+		return replace
 	}
-	return json.Marshal(p)
+	return p
 }
 
-// ApplyPatchJSON applies a DiffJSON patch to the old serialized
-// schema, returning the new schema in compact form (value-identical
-// to the schema the patch was diffed against).
-func ApplyPatchJSON(old []byte, patch []byte) ([]byte, error) {
-	var p jsonSchemaPatch
-	if err := json.Unmarshal(patch, &p); err != nil {
-		return nil, fmt.Errorf("schema: patch: %w", err)
-	}
+// Apply returns the schema the patch was diffed against, built from
+// the schema it was diffed from. old is not modified: unchanged types
+// are shared with the result, patched degree maps are copied.
+func (p *Patch) Apply(old *Persisted) (*Persisted, error) {
 	if p.Version != patchVersion {
 		return nil, fmt.Errorf("schema: patch: unsupported version %d", p.Version)
 	}
 	if p.Replace != nil {
-		return append([]byte(nil), p.Replace...), nil
+		return p.Replace, nil
 	}
-	oldJS, ok := decodePatchable(old)
-	if !ok {
+	if !old.patchable() {
 		return nil, fmt.Errorf("schema: patch: base schema is not patchable")
 	}
-	applied, err := applyPatchValue(oldJS, &p)
-	if err != nil {
+	out := &Persisted{Version: persistVersion}
+	var err error
+	if out.NodeTypes, err = applyTypes(old.NodeTypes, p.NodeIDs, p.NodeTypes, "node"); err != nil {
 		return nil, err
 	}
-	return json.Marshal(applied)
+	if out.EdgeTypes, err = applyTypes(old.EdgeTypes, p.EdgeIDs, p.EdgeTypes, "edge"); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// decodePatchable parses data into the jsonSchema model, reporting
-// whether structural patching is safe: known version, unique type IDs.
-func decodePatchable(data []byte) (*jsonSchema, bool) {
-	var js jsonSchema
-	if err := json.Unmarshal(data, &js); err != nil {
-		return nil, false
+// patchable reports whether structural patching is safe: known
+// version, unique type IDs.
+func (p *Persisted) patchable() bool {
+	return p.Version == persistVersion &&
+		len(typesByID(p.NodeTypes)) == len(p.NodeTypes) && len(typesByID(p.EdgeTypes)) == len(p.EdgeTypes)
+}
+
+func typesByID(types []jsonType) map[int]*jsonType {
+	byID := make(map[int]*jsonType, len(types))
+	for i := range types {
+		byID[types[i].ID] = &types[i]
 	}
-	if js.Version != persistVersion {
-		return nil, false
+	return byID
+}
+
+// equal reports whether two schemas hold the same types in the same
+// order: deeply equal heads, and degree tallies equal as maps, so the
+// O(database) part of the comparison allocates nothing.
+func (p *Persisted) equal(o *Persisted) bool {
+	typeEqual := func(a, b jsonType) bool {
+		return maps.Equal(a.SrcDeg, b.SrcDeg) && maps.Equal(a.DstDeg, b.DstDeg) &&
+			reflect.DeepEqual(headOf(a), headOf(b))
 	}
-	for _, side := range [][]jsonType{js.NodeTypes, js.EdgeTypes} {
-		seen := make(map[int]bool, len(side))
-		for _, t := range side {
-			if seen[t.ID] {
-				return nil, false
-			}
-			seen[t.ID] = true
-		}
-	}
-	return &js, true
+	return p.Version == o.Version &&
+		slices.EqualFunc(p.NodeTypes, o.NodeTypes, typeEqual) &&
+		slices.EqualFunc(p.EdgeTypes, o.EdgeTypes, typeEqual)
 }
 
 // headOf strips the degree maps: the bounded part of a type that is
@@ -155,11 +148,13 @@ func headOf(t jsonType) jsonType {
 	return t
 }
 
-func diffTypes(old, new []jsonType) (ids []int, patches []jsonTypePatch, ok bool) {
-	byID := make(map[int]*jsonType, len(old))
-	for i := range old {
-		byID[old[i].ID] = &old[i]
-	}
+// byDecimal is the order the run format lists tombstoned keys in.
+func byDecimal(a, b nodeKey) int {
+	return strings.Compare(strconv.FormatInt(int64(a), 10), strconv.FormatInt(int64(b), 10))
+}
+
+func diffTypes(old, new []jsonType) (ids []int, patches []jsonTypePatch) {
+	byID := typesByID(old)
 	for i := range new {
 		nt := &new[i]
 		ids = append(ids, nt.ID)
@@ -175,71 +170,37 @@ func diffTypes(old, new []jsonType) (ids []int, patches []jsonTypePatch, ok bool
 			continue
 		}
 		tp := jsonTypePatch{ID: nt.ID}
-		changed := false
 		if oh, nh := headOf(*ot), headOf(*nt); !reflect.DeepEqual(oh, nh) {
 			tp.Head = &nh
-			changed = true
 		}
-		tp.SrcDegSet, tp.SrcDegDel = diffDeg(ot.SrcDeg, nt.SrcDeg)
-		tp.DstDegSet, tp.DstDegDel = diffDeg(ot.DstDeg, nt.DstDeg)
-		if changed || tp.SrcDegSet != nil || tp.SrcDegDel != nil || tp.DstDegSet != nil || tp.DstDegDel != nil {
+		tp.SrcDegSet, tp.SrcDegDel = keyed.DiffMap(ot.SrcDeg, nt.SrcDeg, byDecimal)
+		tp.DstDegSet, tp.DstDegDel = keyed.DiffMap(ot.DstDeg, nt.DstDeg, byDecimal)
+		if tp.Head != nil || tp.SrcDegSet != nil || tp.SrcDegDel != nil || tp.DstDegSet != nil || tp.DstDegDel != nil {
 			patches = append(patches, tp)
 		}
 	}
-	return ids, patches, true
-}
-
-func diffDeg(old, new map[string]int) (set map[string]int, del []string) {
-	for k, v := range new {
-		if ov, ok := old[k]; !ok || ov != v {
-			if set == nil {
-				set = map[string]int{}
-			}
-			set[k] = v
-		}
-	}
-	for k := range old {
-		if _, ok := new[k]; !ok {
-			del = append(del, k)
-		}
-	}
-	slices.Sort(del)
-	return set, del
-}
-
-func applyPatchValue(old *jsonSchema, p *jsonSchemaPatch) (*jsonSchema, error) {
-	out := &jsonSchema{Version: persistVersion}
-	var err error
-	if out.NodeTypes, err = applyTypes(old.NodeTypes, p.NodeIDs, p.NodeTypes, "node"); err != nil {
-		return nil, err
-	}
-	if out.EdgeTypes, err = applyTypes(old.EdgeTypes, p.EdgeIDs, p.EdgeTypes, "edge"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ids, patches
 }
 
 func applyTypes(old []jsonType, ids []int, patches []jsonTypePatch, kind string) ([]jsonType, error) {
-	byID := make(map[int]*jsonType, len(old))
-	for i := range old {
-		byID[old[i].ID] = &old[i]
-	}
+	byID := typesByID(old)
 	patchByID := make(map[int]*jsonTypePatch, len(patches))
 	for i := range patches {
 		patchByID[patches[i].ID] = &patches[i]
 	}
 	var out []jsonType
+	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		ot, tp := byID[id], patchByID[id]
 		var t jsonType
 		switch {
+		case seen[id]: // also bounds the work a hostile ID list can ask for
+			return nil, fmt.Errorf("schema: patch: %s type %d listed twice", kind, id)
 		case ot == nil && (tp == nil || tp.Head == nil):
 			return nil, fmt.Errorf("schema: patch: new %s type %d has no head", kind, id)
 		case ot == nil:
 			t = *tp.Head
-		case tp == nil:
-			t = *ot
-		case tp.Head != nil:
+		case tp != nil && tp.Head != nil:
 			t = *tp.Head
 			t.SrcDeg, t.DstDeg = ot.SrcDeg, ot.DstDeg
 		default:
@@ -249,49 +210,16 @@ func applyTypes(old []jsonType, ids []int, patches []jsonTypePatch, kind string)
 			t.SrcDeg = applyDeg(t.SrcDeg, tp.SrcDegSet, tp.SrcDegDel)
 			t.DstDeg = applyDeg(t.DstDeg, tp.DstDegSet, tp.DstDegDel)
 		}
+		seen[id] = true
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-func applyDeg(old, set map[string]int, del []string) map[string]int {
-	if set == nil && del == nil {
+// applyDeg is keyed.ApplyMap on a copy: old belongs to the base image.
+func applyDeg(old, set map[nodeKey]int, del []nodeKey) map[nodeKey]int {
+	if len(set) == 0 && len(del) == 0 {
 		return old
 	}
-	m := make(map[string]int, len(old)+len(set))
-	for k, v := range old {
-		m[k] = v
-	}
-	for k, v := range set {
-		m[k] = v
-	}
-	for _, k := range del {
-		delete(m, k)
-	}
-	if len(m) == 0 {
-		return nil // canonical: degToJSON emits nil for empty
-	}
-	return m
-}
-
-func mustMarshal(js *jsonSchema) []byte {
-	b, err := json.Marshal(js)
-	if err != nil {
-		// jsonSchema holds only marshalable concrete types.
-		panic(fmt.Sprintf("schema: marshal: %v", err))
-	}
-	return b
-}
-
-// compactEqual reports whether a and b are the same JSON document
-// modulo whitespace (WriteJSON indents; patches compare compact).
-func compactEqual(a, b []byte) bool {
-	var ca, cb bytes.Buffer
-	if err := json.Compact(&ca, a); err != nil {
-		return false
-	}
-	if err := json.Compact(&cb, b); err != nil {
-		return false
-	}
-	return bytes.Equal(ca.Bytes(), cb.Bytes())
+	return keyed.ApplyMap(maps.Clone(old), set, del)
 }

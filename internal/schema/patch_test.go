@@ -1,44 +1,29 @@
 package schema
 
-// patch_test.go exercises DiffJSON/ApplyPatchJSON on hand-built
-// persist-format fixtures: the patch pair operates on WriteJSON
-// bytes, so the tests construct jsonSchema values directly and
-// serialize them the same way WriteJSON does.
+// patch_test.go exercises Diff / Patch.Apply on hand-built Persisted
+// fixtures: the patch pair operates on values, so the tests construct
+// them directly and go through JSON only where a run file would — to
+// measure a patch, and to check that a value read back from its own
+// bytes patches the same way.
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// encodeFixture serializes js the way WriteJSON serializes a Schema
-// (indented Encoder output), so fixtures are format-faithful.
-func encodeFixture(t *testing.T, js *jsonSchema) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(js); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // fixtureSchema builds a schema with two node types and one edge type
 // whose degree maps hold n entries each — the O(elements) state the
 // patch must not re-emit.
-func fixtureSchema(t *testing.T, n int) []byte {
-	t.Helper()
-	deg := func(off int) map[string]int {
-		m := make(map[string]int, n)
+func fixtureSchema(n int) *Persisted {
+	deg := func(off int) map[nodeKey]int {
+		m := make(map[nodeKey]int, n)
 		for i := 0; i < n; i++ {
-			m[fmt.Sprint(off+i)] = 1 + i%3
+			m[nodeKey(off+i)] = 1 + i%3
 		}
 		return m
 	}
-	return encodeFixture(t, &jsonSchema{
+	return &Persisted{
 		Version: persistVersion,
 		NodeTypes: []jsonType{
 			{ID: 0, Labels: map[string]int{"Person": n}, Token: "Person", Instances: n,
@@ -50,25 +35,26 @@ func fixtureSchema(t *testing.T, n int) []byte {
 				SrcTokens: []string{"Person"}, DstTokens: []string{"Person"},
 				SrcDeg: deg(0), DstDeg: deg(1), Cardinality: 1},
 		},
-	})
+	}
 }
 
-func compactJSON(t *testing.T, data []byte) string {
+func marshal(t *testing.T, v any) []byte {
 	t.Helper()
-	var c bytes.Buffer
-	if err := json.Compact(&c, data); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return c.String()
+	return b
 }
 
-func decodeFixture(t *testing.T, data []byte) *jsonSchema {
+// viaJSON returns the value a reader of v's bytes would hold.
+func viaJSON[T any](t *testing.T, v *T) *T {
 	t.Helper()
-	js, ok := decodePatchable(data)
-	if !ok {
-		t.Fatal("fixture is not patchable")
+	out := new(T)
+	if err := json.Unmarshal(marshal(t, v), out); err != nil {
+		t.Fatal(err)
 	}
-	return js
+	return out
 }
 
 // TestSchemaPatchDegreeOnly: growing the edge type by a handful of
@@ -76,46 +62,41 @@ func decodeFixture(t *testing.T, data []byte) *jsonSchema {
 // the degree maps, and applies back exactly.
 func TestSchemaPatchDegreeOnly(t *testing.T) {
 	const n = 1000
-	old := fixtureSchema(t, n)
-	js := decodeFixture(t, old)
-	et := &js.EdgeTypes[0]
+	old, new_ := fixtureSchema(n), fixtureSchema(n)
+	et := &new_.EdgeTypes[0]
 	et.Instances += 5
 	et.Labels["KNOWS"] += 5
 	for i := 0; i < 5; i++ {
-		et.SrcDeg[fmt.Sprint(n+i)] = 1
-		et.DstDeg[fmt.Sprint(i)] += 1
+		et.SrcDeg[nodeKey(n+i)] = 1
+		et.DstDeg[nodeKey(i)] += 1
 	}
-	new_ := encodeFixture(t, js)
+	want := marshal(t, new_)
 
-	patch, err := DiffJSON(old, new_)
+	p := Diff(old, new_)
+	if p == nil || p.Replace != nil {
+		t.Fatalf("structural diff fell back to replace (or found no change): %+v", p)
+	}
+	got, err := p.Apply(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p jsonSchemaPatch
-	if err := json.Unmarshal(patch, &p); err != nil {
-		t.Fatal(err)
+	if string(marshal(t, got)) != string(want) {
+		t.Fatalf("patched schema differs from target:\n got %s", marshal(t, got))
 	}
-	if p.Replace != nil {
-		t.Fatal("structural diff fell back to replace")
+	if !old.equal(fixtureSchema(n)) {
+		t.Fatal("Apply modified the schema it patched")
 	}
-	got, err := ApplyPatchJSON(old, patch)
+	if patch := marshal(t, p); len(patch)*10 > len(want) {
+		t.Fatalf("touching 5 endpoints produced a %d-byte patch for a %d-byte schema", len(patch), len(want))
+	}
+	// Where the values came from must not matter: recovery holds a base
+	// and a patch it decoded from files.
+	got2, err := viaJSON(t, p).Apply(viaJSON(t, old))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != compactJSON(t, new_) {
-		t.Fatalf("patched schema differs from target:\n got %s", got)
-	}
-	if len(patch)*10 > len(new_) {
-		t.Fatalf("touching 5 endpoints produced a %d-byte patch for a %d-byte schema", len(patch), len(new_))
-	}
-	// Whitespace must not matter: the base image may carry the schema
-	// in compact (decoded) form.
-	got2, err := ApplyPatchJSON([]byte(compactJSON(t, old)), patch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got2) != string(got) {
-		t.Fatal("patch result depends on base formatting")
+	if string(marshal(t, got2)) != string(want) {
+		t.Fatal("patch result depends on whether the values were decoded")
 	}
 }
 
@@ -123,103 +104,94 @@ func TestSchemaPatchDegreeOnly(t *testing.T) {
 // vanish (merges remove types); membership and order come from the
 // patch's ID lists.
 func TestSchemaPatchTypeLifecycle(t *testing.T) {
-	old := fixtureSchema(t, 10)
-	js := decodeFixture(t, old)
-	js.NodeTypes = []jsonType{
-		js.NodeTypes[0], // Person survives
+	old, new_ := fixtureSchema(10), fixtureSchema(10)
+	new_.NodeTypes = []jsonType{
+		new_.NodeTypes[0], // Person survives
 		{ID: 3, Labels: map[string]int{"Country": 2}, Token: "Country", Instances: 2}, // City replaced
 	}
-	js.NodeTypes[0].Instances = 12 // head change
-	js.EdgeTypes = nil             // edge type merged away
-	new_ := encodeFixture(t, js)
+	new_.NodeTypes[0].Instances = 12 // head change
+	new_.EdgeTypes = nil             // edge type merged away
 
-	patch, err := DiffJSON(old, new_)
+	p := Diff(old, new_)
+	if p == nil || p.Replace != nil {
+		t.Fatalf("lifecycle diff fell back to replace (or found no change): %+v", p)
+	}
+	got, err := viaJSON(t, p).Apply(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p jsonSchemaPatch
-	if err := json.Unmarshal(patch, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Replace != nil {
-		t.Fatal("lifecycle diff fell back to replace")
-	}
-	got, err := ApplyPatchJSON(old, patch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != compactJSON(t, new_) {
-		t.Fatalf("lifecycle patch:\n got %s\nwant %s", got, compactJSON(t, new_))
+	if string(marshal(t, got)) != string(marshal(t, new_)) {
+		t.Fatalf("lifecycle patch:\n got %s\nwant %s", marshal(t, got), marshal(t, new_))
 	}
 }
 
-// TestSchemaPatchFallback: inputs the structural differ cannot model
+// TestSchemaPatchFallback: bases the structural differ cannot model
 // degrade to a replace patch that still applies exactly.
 func TestSchemaPatchFallback(t *testing.T) {
-	good := fixtureSchema(t, 10)
+	good := fixtureSchema(10)
+	var null Persisted
+	if err := json.Unmarshal([]byte("null"), &null); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		old  []byte
+		old  *Persisted
 	}{
-		{"old not json", []byte("not json")},
-		{"old empty", nil},
-		{"old null", []byte("null")},
-		{"old unknown version", []byte(`{"version":99,"nodeTypes":[],"edgeTypes":[]}`)},
-		{"old duplicate ids", []byte(`{"version":1,"nodeTypes":[{"id":0,"instances":1},{"id":0,"instances":2}],"edgeTypes":null}`)},
+		{"old empty", &Persisted{}}, // an image without a schema member decodes to this
+		{"old null", &null},
+		{"old unknown version", &Persisted{Version: 99, NodeTypes: []jsonType{}, EdgeTypes: []jsonType{}}},
+		{"old duplicate ids", &Persisted{Version: persistVersion, NodeTypes: []jsonType{{ID: 0, Instances: 1}, {ID: 0, Instances: 2}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			patch, err := DiffJSON(tc.old, good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var p jsonSchemaPatch
-			if err := json.Unmarshal(patch, &p); err != nil {
-				t.Fatal(err)
-			}
-			if p.Replace == nil {
+			p := Diff(tc.old, good)
+			if p == nil || p.Replace == nil {
 				t.Fatal("unpatchable base did not fall back to replace")
 			}
-			got, err := ApplyPatchJSON(tc.old, patch)
+			got, err := viaJSON(t, p).Apply(tc.old)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(got) != compactJSON(t, good) {
+			if string(marshal(t, got)) != string(marshal(t, good)) {
 				t.Fatal("replace patch does not carry the new schema")
 			}
 		})
 	}
-	// A future-format NEW schema (unknown fields the round trip would
-	// drop) must be carried whole, never rebuilt from the lossy model.
-	future := []byte(`{"version":1,"nodeTypes":[],"edgeTypes":[],"futureField":42}`)
-	patch, err := DiffJSON(good, future)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ApplyPatchJSON(good, patch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != compactJSON(t, future) {
-		t.Fatalf("future-format schema mangled: %s", got)
+	// Duplicate IDs in the NEW schema are carried whole, too.
+	dup := cases[3].old
+	if p := Diff(good, dup); p == nil || p.Replace == nil {
+		t.Fatal("unpatchable target did not fall back to replace")
 	}
 }
 
 func TestSchemaPatchApplyRejects(t *testing.T) {
-	good := fixtureSchema(t, 5)
-	if _, err := ApplyPatchJSON(good, []byte(`{"version":99}`)); err == nil || !strings.Contains(err.Error(), "version") {
+	good := fixtureSchema(5)
+	if _, err := (&Patch{Version: 99}).Apply(good); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("unknown patch version: %v", err)
-	}
-	if _, err := ApplyPatchJSON(good, []byte(`not json`)); err == nil {
-		t.Fatal("garbage patch accepted")
 	}
 	// A structural patch against a base it does not describe: new
 	// type ID with no head to build it from.
-	if _, err := ApplyPatchJSON(good, []byte(`{"version":1,"nodeIDs":[42]}`)); err == nil || !strings.Contains(err.Error(), "no head") {
+	if _, err := (&Patch{Version: patchVersion, NodeIDs: []int{42}}).Apply(good); err == nil || !strings.Contains(err.Error(), "no head") {
 		t.Fatalf("headless new type: %v", err)
 	}
 	// A patch cannot apply to a base that is itself unpatchable.
-	if _, err := ApplyPatchJSON([]byte("junk"), []byte(`{"version":1,"nodeIDs":[0]}`)); err == nil || !strings.Contains(err.Error(), "not patchable") {
-		t.Fatalf("junk base: %v", err)
+	if _, err := (&Patch{Version: patchVersion, NodeIDs: []int{0}}).Apply(&Persisted{}); err == nil || !strings.Contains(err.Error(), "not patchable") {
+		t.Fatalf("unpatchable base: %v", err)
+	}
+	// Malformed TEXT is refused where text is parsed — see
+	// core.TestMalformedSchemaTextRefusedAtDecode. What reaches a Patch
+	// from a file is a degree key, and only its canonical spelling does.
+	var p Patch
+	if err := json.Unmarshal([]byte(`{"version":1,"edgeIDs":[2],"edgeTypes":[{"id":2,"srcDegDel":["012"]}]}`), &p); err == nil {
+		t.Fatal("non-canonical degree tombstone accepted")
+	}
+}
+
+// TestDiffEqualIsNil: an unchanged schema yields no patch at all, from
+// whichever side of a file the two values came.
+func TestDiffEqualIsNil(t *testing.T) {
+	a := fixtureSchema(20)
+	if p := Diff(a, viaJSON(t, a)); p != nil {
+		t.Fatalf("self-diff produced a patch: %+v", p)
 	}
 }

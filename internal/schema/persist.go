@@ -9,6 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strconv"
 
 	"github.com/pghive/pghive/internal/pg"
 )
@@ -35,14 +38,21 @@ type jsonType struct {
 	Props     map[string]jsonProp `json:"props,omitempty"`
 
 	// Edge-only fields.
-	SrcTokens   []string       `json:"srcTokens,omitempty"`
-	DstTokens   []string       `json:"dstTokens,omitempty"`
-	SrcDeg      map[string]int `json:"srcDeg,omitempty"`
-	DstDeg      map[string]int `json:"dstDeg,omitempty"`
-	Cardinality uint8          `json:"cardinality,omitempty"`
+	SrcTokens   []string        `json:"srcTokens,omitempty"`
+	DstTokens   []string        `json:"dstTokens,omitempty"`
+	SrcDeg      map[nodeKey]int `json:"srcDeg,omitempty"`
+	DstDeg      map[nodeKey]int `json:"dstDeg,omitempty"`
+	Cardinality uint8           `json:"cardinality,omitempty"`
 }
 
-type jsonSchema struct {
+// Persisted is what WriteJSON encodes and ReadJSON decodes, as the
+// value the durability plane (core.Image, patch.go) holds and diffs;
+// only package schema looks inside. It shares no memory with any live
+// Schema (Persist and Restore copy every map and slice) and is never
+// modified once built. Persist emits the canonical form — outside the
+// degree tallies an empty collection is nil — so a captured type head
+// and the same head decoded from its own bytes are deeply equal.
+type Persisted struct {
 	Version   int        `json:"version"`
 	NodeTypes []jsonType `json:"nodeTypes"`
 	EdgeTypes []jsonType `json:"edgeTypes"`
@@ -50,15 +60,49 @@ type jsonSchema struct {
 
 const persistVersion = 1
 
+// nodeKey is a node ID keying a degree tally. In JSON it is its
+// canonical decimal spelling — a map key or, in a patch's tombstone
+// list, a string — and decodes from nothing else: "012", " 12" and
+// "12abc" are refused, not folded onto node 12 in map iteration order.
+type nodeKey pg.ID
+
+func (k nodeKey) MarshalText() ([]byte, error) {
+	return strconv.AppendInt(nil, int64(k), 10), nil
+}
+
+func (k *nodeKey) UnmarshalText(text []byte) error {
+	id, err := strconv.ParseInt(string(text), 10, 64)
+	if err != nil || strconv.FormatInt(id, 10) != string(text) {
+		return fmt.Errorf("bad degree key %q", text)
+	}
+	*k = nodeKey(id)
+	return nil
+}
+
+// canonMap copies a map into its canonical persisted form.
+func canonMap(m map[string]int) map[string]int {
+	if len(m) == 0 {
+		return nil
+	}
+	return maps.Clone(m)
+}
+
+// rekey copies a degree tally between its live and persisted key types.
+func rekey[To, From ~int64](m map[From]int) map[To]int {
+	out := make(map[To]int, len(m))
+	for id, d := range m {
+		out[To(id)] = d
+	}
+	return out
+}
+
 func propToJSON(ps *PropStat) jsonProp {
-	kinds := make([]int, len(ps.Kinds))
-	copy(kinds, ps.Kinds[:])
 	return jsonProp{
-		Count: ps.Count, Kinds: kinds,
+		Count: ps.Count, Kinds: slices.Clone(ps.Kinds[:]),
 		MinInt: ps.MinInt, MaxInt: ps.MaxInt,
-		Distinct: ps.Distinct, DistinctOverflow: ps.DistinctOverflow,
+		Distinct: canonMap(ps.Distinct), DistinctOverflow: ps.DistinctOverflow,
 		Mandatory: ps.Mandatory, DataType: uint8(ps.DataType),
-		Enum: ps.Enum, HasIntRange: ps.HasIntRange,
+		Enum: slices.Clone(ps.Enum), HasIntRange: ps.HasIntRange,
 	}
 }
 
@@ -67,21 +111,19 @@ func propFromJSON(jp jsonProp) (*PropStat, error) {
 		Count: jp.Count, MinInt: jp.MinInt, MaxInt: jp.MaxInt,
 		DistinctOverflow: jp.DistinctOverflow,
 		Mandatory:        jp.Mandatory, DataType: pg.Kind(jp.DataType),
-		Enum: jp.Enum, HasIntRange: jp.HasIntRange,
+		Enum: slices.Clone(jp.Enum), HasIntRange: jp.HasIntRange,
+		Distinct: canonMap(jp.Distinct),
 	}
 	if len(jp.Kinds) > len(ps.Kinds) {
 		return nil, fmt.Errorf("schema: kind tally has %d entries, max %d", len(jp.Kinds), len(ps.Kinds))
 	}
 	copy(ps.Kinds[:], jp.Kinds)
-	if len(jp.Distinct) > 0 {
-		ps.Distinct = jp.Distinct
-	}
 	return ps, nil
 }
 
 func typeToJSON(t *Type) jsonType {
 	jt := jsonType{
-		ID: t.ID, Labels: t.Labels, Token: t.Token,
+		ID: t.ID, Labels: canonMap(t.Labels), Token: t.Token,
 		Abstract: t.Abstract, Instances: t.Instances,
 	}
 	if len(t.Props) > 0 {
@@ -99,9 +141,7 @@ func typeFromJSON(jt jsonType) (Type, error) {
 	t.Token = jt.Token
 	t.Abstract = jt.Abstract
 	t.Instances = jt.Instances
-	for l, c := range jt.Labels {
-		t.Labels[l] = c
-	}
+	maps.Copy(t.Labels, jt.Labels)
 	for k, jp := range jt.Props {
 		ps, err := propFromJSON(jp)
 		if err != nil {
@@ -112,62 +152,46 @@ func typeFromJSON(jt jsonType) (Type, error) {
 	return t, nil
 }
 
-func degToJSON(m map[pg.ID]int) map[string]int {
-	if len(m) == 0 {
-		return nil
+// Persist captures the schema as a Persisted value in canonical form.
+func Persist(s *Schema) *Persisted {
+	p := &Persisted{Version: persistVersion}
+	for _, nt := range s.NodeTypes {
+		p.NodeTypes = append(p.NodeTypes, typeToJSON(&nt.Type))
 	}
-	out := make(map[string]int, len(m))
-	for id, d := range m {
-		out[fmt.Sprint(int64(id))] = d
+	for _, et := range s.EdgeTypes {
+		jt := typeToJSON(&et.Type)
+		jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
+		jt.SrcDeg, jt.DstDeg = rekey[nodeKey](et.SrcDeg), rekey[nodeKey](et.DstDeg)
+		jt.Cardinality = uint8(et.Cardinality)
+		p.EdgeTypes = append(p.EdgeTypes, jt)
 	}
-	return out
-}
-
-func degFromJSON(m map[string]int) (map[pg.ID]int, error) {
-	out := make(map[pg.ID]int, len(m))
-	for k, d := range m {
-		var id int64
-		if _, err := fmt.Sscanf(k, "%d", &id); err != nil {
-			return nil, fmt.Errorf("schema: bad degree key %q: %w", k, err)
-		}
-		out[pg.ID(id)] = d
-	}
-	return out, nil
+	return p
 }
 
 // WriteJSON serializes the schema.
 func WriteJSON(w io.Writer, s *Schema) error {
-	js := jsonSchema{Version: persistVersion}
-	for _, nt := range s.NodeTypes {
-		js.NodeTypes = append(js.NodeTypes, typeToJSON(&nt.Type))
-	}
-	for _, et := range s.EdgeTypes {
-		jt := typeToJSON(&et.Type)
-		jt.SrcTokens = et.SortedSrcTokens()
-		jt.DstTokens = et.SortedDstTokens()
-		jt.SrcDeg = degToJSON(et.SrcDeg)
-		jt.DstDeg = degToJSON(et.DstDeg)
-		jt.Cardinality = uint8(et.Cardinality)
-		js.EdgeTypes = append(js.EdgeTypes, jt)
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(&js)
+	return enc.Encode(Persist(s))
 }
 
 // ReadJSON restores a schema serialized by WriteJSON, rebuilding the
 // token indexes and the ID counter.
 func ReadJSON(r io.Reader) (*Schema, error) {
-	var js jsonSchema
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
+	var p Persisted
+	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("schema: %w", err)
 	}
-	if js.Version != persistVersion {
-		return nil, fmt.Errorf("schema: unsupported version %d", js.Version)
+	return p.Restore()
+}
+
+// Restore builds a live schema, token indexes and ID counter included.
+func (p *Persisted) Restore() (*Schema, error) {
+	if p.Version != persistVersion {
+		return nil, fmt.Errorf("schema: unsupported version %d", p.Version)
 	}
 	s := New()
-	maxID := -1
-	for _, jt := range js.NodeTypes {
+	for _, jt := range p.NodeTypes {
 		core, err := typeFromJSON(jt)
 		if err != nil {
 			return nil, fmt.Errorf("schema: node type %d: %w", jt.ID, err)
@@ -177,42 +201,27 @@ func ReadJSON(r io.Reader) (*Schema, error) {
 		if nt.Token != "" {
 			s.byNodeToken[nt.Token] = nt
 		}
-		if nt.ID > maxID {
-			maxID = nt.ID
-		}
+		s.SetNextTypeID(nt.ID + 1)
 	}
-	for _, jt := range js.EdgeTypes {
+	for _, jt := range p.EdgeTypes {
 		core, err := typeFromJSON(jt)
 		if err != nil {
 			return nil, fmt.Errorf("schema: edge type %d: %w", jt.ID, err)
 		}
-		et := &EdgeType{
-			Type:        core,
-			SrcTokens:   map[string]bool{},
-			DstTokens:   map[string]bool{},
-			Cardinality: Cardinality(jt.Cardinality),
-		}
+		et := NewEdgeCandidate()
+		et.Type, et.Cardinality = core, Cardinality(jt.Cardinality)
+		et.SrcDeg, et.DstDeg = rekey[pg.ID](jt.SrcDeg), rekey[pg.ID](jt.DstDeg)
 		for _, tok := range jt.SrcTokens {
 			et.SrcTokens[tok] = true
 		}
 		for _, tok := range jt.DstTokens {
 			et.DstTokens[tok] = true
 		}
-		var err2 error
-		if et.SrcDeg, err2 = degFromJSON(jt.SrcDeg); err2 != nil {
-			return nil, err2
-		}
-		if et.DstDeg, err2 = degFromJSON(jt.DstDeg); err2 != nil {
-			return nil, err2
-		}
 		s.EdgeTypes = append(s.EdgeTypes, et)
 		if et.Token != "" {
 			s.byEdgeToken[et.Token] = append(s.byEdgeToken[et.Token], et)
 		}
-		if et.ID > maxID {
-			maxID = et.ID
-		}
+		s.SetNextTypeID(et.ID + 1)
 	}
-	s.nextID = maxID + 1
 	return s, nil
 }

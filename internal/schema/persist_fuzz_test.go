@@ -57,6 +57,8 @@ func FuzzReadSchemaJSON(f *testing.F) {
 	f.Add([]byte(`{"version":1,"edgeTypes":[{"id":0,"instances":1,"srcDeg":{"not-a-number":3}}]}`))
 	f.Add([]byte(`{"version":1,"nodeTypes":[{"id":`))
 	f.Add([]byte(`{"version":1,"nodeTypes":[{"id":-5,"token":"T","labels":{"":0},"instances":-1}]}`))
+	// Four spellings of one node ID: only the canonical one is a key.
+	f.Add([]byte(`{"version":1,"edgeTypes":[{"id":0,"instances":1,"srcDeg":{"12abc":1,"012":5,"12":7," 12":9}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadJSON(bytes.NewReader(data))

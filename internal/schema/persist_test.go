@@ -140,3 +140,33 @@ func TestReadJSONErrors(t *testing.T) {
 		t.Error("bad degree key must error")
 	}
 }
+
+// TestReadJSONRefusesNonCanonicalDegreeKeys: a degree key is a node ID
+// in its one canonical decimal spelling. The parser used to stop at
+// the first non-digit and ignore the rest, so every key of this blob
+// landed on node 12 and the surviving tally followed map iteration
+// order — a corrupt or hostile checkpoint restored to a
+// nondeterministic state instead of being refused.
+func TestReadJSONRefusesNonCanonicalDegreeKeys(t *testing.T) {
+	read := func(srcDeg string) (*Schema, error) {
+		return ReadJSON(strings.NewReader(`{"version":1,"edgeTypes":[{"id":0,"instances":1,"srcDeg":` + srcDeg + `}]}`))
+	}
+	if _, err := read(`{"12abc":1,"012":5,"12":7," 12":9}`); err == nil || !strings.Contains(err.Error(), "bad degree key") {
+		t.Fatalf("four spellings of node 12 were accepted: %v", err)
+	}
+	for _, key := range []string{"12abc", "012", " 12", "12 ", "+12", "-0", "0x0c", "1e1", "", "9223372036854775808"} {
+		if _, err := read(`{"` + key + `":1}`); err == nil {
+			t.Errorf("degree key %q accepted", key)
+		}
+	}
+	for key, id := range map[string]pg.ID{"12": 12, "0": 0, "-12": -12, "9223372036854775807": 1<<63 - 1} {
+		s, err := read(`{"` + key + `":3}`)
+		if err != nil {
+			t.Errorf("canonical degree key %q refused: %v", key, err)
+			continue
+		}
+		if got := s.EdgeTypes[0].SrcDeg; len(got) != 1 || got[id] != 3 {
+			t.Errorf("degree key %q restored as %v", key, got)
+		}
+	}
+}

@@ -11,6 +11,8 @@ package schema
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/pghive/pghive/internal/pg"
@@ -302,14 +304,8 @@ func (t *EdgeType) SortedSrcTokens() []string { return sortedSet(t.SrcTokens) }
 // SortedDstTokens returns the target endpoint tokens in sorted order.
 func (t *EdgeType) SortedDstTokens() []string { return sortedSet(t.DstTokens) }
 
-func sortedSet(m map[string]bool) []string {
-	s := make([]string, 0, len(m))
-	for k := range m {
-		s = append(s, k)
-	}
-	sort.Strings(s)
-	return s
-}
+// sortedSet is nil for an empty set (the canonical persisted form).
+func sortedSet(m map[string]bool) []string { return slices.Sorted(maps.Keys(m)) }
 
 // MaxOutDegree returns max over sources of the per-source instance
 // count (max_out(ρ), §4.4).

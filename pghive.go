@@ -161,7 +161,7 @@ func ComputeStats(g *Graph) GraphStats { return pg.ComputeStats(g) }
 // SplitBatches partitions a graph into n random batches for streaming.
 var SplitBatches = pg.SplitBatches
 
-// Discovery pipeline (see internal/hive).
+// Discovery pipeline (see internal/core).
 type (
 	// Options configures a discovery run.
 	Options = core.Options
