@@ -397,17 +397,18 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		inc.result.EdgeAssign = make(map[pg.ID]*schema.EdgeType, len(edges))
 	}
 
-	// (a) Resolve edge endpoint labels. They depend only on the batch
-	// and its resolver, never on discovered node types, so the pass
-	// runs up front and the Word2Vec corpus shares it.
+	// (a) Index the node shapes, then resolve edge endpoint labels
+	// through them. Both depend only on the batch, never on discovered
+	// node types, so the pass runs up front and the Word2Vec corpus
+	// shares it. The distinct label and property-key sets below are
+	// unions over shape representatives, since both are shape
+	// components.
 	start := time.Now()
-	srcToks, dstToks, srcLocal, dstLocal := endpointTokens(b, o.Method != MinHash, o.Parallelism)
-
-	// (b) Preprocess nodes: shape index, embeddings, representation
-	// structures of the shape representatives. The distinct label and
-	// property-key sets are unions over representatives, since both
-	// are shape components.
 	nodeSI := inc.nodeShapes.IndexNodes(nodes)
+	ec := endpointCodes(b.Graph, nodeSI, o.Parallelism)
+
+	// (b) Preprocess nodes: embeddings and representation structures
+	// of the shape representatives.
 	distinctNodeLabels := len(nodeSI.NodeLabels(nodes))
 	var emb vectorize.Embedder
 	var nodeMat *vectorize.Matrix
@@ -415,7 +416,7 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	if o.Method == MinHash {
 		nodeSets = nodeItemSets(nodes, nodeSI)
 	} else {
-		emb = inc.embedder(b.Graph, nodeSI, srcLocal, dstLocal)
+		emb = inc.embedder(b.Graph, nodeSI, ec)
 		nodeMat = vectorize.NodesInterned(nodes, nodeSI, nodeSI.NodePropertyKeys(nodes), emb, o.Parallelism)
 	}
 	tm.Preprocess += time.Since(start)
@@ -453,26 +454,26 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	}
 	tm.Extract += time.Since(start)
 
-	// (b') Preprocess edges: fill unresolvable endpoints with
-	// discovered node types, then index shapes and vectorize.
+	// (b') Preprocess edges: complete the endpoints the batch has no
+	// label for — from the resolver, else with the discovered node
+	// type — then index shapes and vectorize.
 	start = time.Now()
 	for i := range edges {
-		e := &edges[i]
-		if srcToks[i] == "" {
-			srcToks[i] = inc.endpointTypeToken(e.Src)
+		if ec.Src[i] == 0 {
+			ec.Src[i] = ec.Intern(inc.foreignEndpointToken(b, edges[i].Src))
 		}
-		if dstToks[i] == "" {
-			dstToks[i] = inc.endpointTypeToken(e.Dst)
+		if ec.Dst[i] == 0 {
+			ec.Dst[i] = ec.Intern(inc.foreignEndpointToken(b, edges[i].Dst))
 		}
 	}
-	edgeSI := inc.edgeShapes.IndexEdges(edges, srcToks, dstToks)
+	edgeSI := inc.edgeShapes.IndexEdgesCoded(edges, ec)
 	distinctEdgeLabels := len(edgeSI.EdgeLabels(edges))
 	var edgeMat *vectorize.Matrix
 	var edgeSets [][]string
 	if o.Method == MinHash {
-		edgeSets = edgeItemSets(edges, edgeSI, srcToks, dstToks)
+		edgeSets = edgeItemSets(edges, edgeSI, ec)
 	} else {
-		edgeMat = vectorize.EdgesInterned(edges, edgeSI, edgeSI.EdgePropertyKeys(edges), emb, srcToks, dstToks, o.Parallelism)
+		edgeMat = vectorize.EdgesInterned(edges, edgeSI, edgeSI.EdgePropertyKeys(edges), emb, ec, o.Parallelism)
 	}
 	tm.Preprocess += time.Since(start)
 
@@ -495,7 +496,7 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	if b.Resolver != nil && b.Resolver != b.Graph {
 		maxEndpoints += b.Resolver.NumNodes()
 	}
-	ecands := schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, srcToks, dstToks, maxEndpoints)
+	ecands := schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, ec, maxEndpoints)
 	var etypes []*schema.EdgeType
 	if o.DisableMerging {
 		etypes = inc.sch.AppendEdgeTypes(ecands)
@@ -525,45 +526,32 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	}
 }
 
-// endpointTokens resolves the source and target label token of every
-// edge of the batch, looking first in the batch itself and then in its
-// resolver; "" marks an endpoint neither knows (yet). With local set
-// it also returns the tokens as the batch alone sees them — the
-// Word2Vec corpus by definition sees only the batch's own labels —
-// which alias the resolved slices when there is no separate resolver.
-func endpointTokens(b *pg.Batch, local bool, workers int) (src, dst, srcLocal, dstLocal []string) {
-	edges := b.Graph.Edges()
-	src = make([]string, len(edges))
-	dst = make([]string, len(edges))
-	fallback := b.Resolver != nil && b.Resolver != b.Graph
-	if local {
-		srcLocal, dstLocal = src, dst
-		if fallback {
-			srcLocal = make([]string, len(edges))
-			dstLocal = make([]string, len(edges))
+// endpointCodes resolves the source and target label token of every
+// edge as the batch itself knows it: an endpoint node in the batch has
+// the token its shape computed once in IndexNodes, so the pass builds
+// no token and the dictionary has one entry per distinct label set.
+// Code 0 ("") marks an endpoint the batch has no label for; (b')
+// completes those after the Word2Vec corpus — which by definition sees
+// only the batch's own labels — has read the codes.
+func endpointCodes(g *pg.Graph, nodeSI *pg.ShapeIndex, workers int) *pg.EndpointCodes {
+	edges := g.Edges()
+	ec := pg.NewEndpointCodes(len(edges))
+	shapeCode := make([]int32, nodeSI.NumShapes())
+	for s, sh := range nodeSI.Shapes {
+		shapeCode[s] = ec.Intern(sh.Token)
+	}
+	code := func(id pg.ID) int32 {
+		if row, ok := g.NodeIndex(id); ok {
+			return shapeCode[nodeSI.Rows[row]]
 		}
+		return 0
 	}
 	parallel.For(len(edges), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := &edges[i]
-			srcLabels := b.Graph.SrcLabels(e)
-			dstLabels := b.Graph.DstLabels(e)
-			sTok, dTok := pg.LabelToken(srcLabels), pg.LabelToken(dstLabels)
-			if fallback {
-				if local {
-					srcLocal[i], dstLocal[i] = sTok, dTok
-				}
-				if srcLabels == nil {
-					sTok = pg.LabelToken(b.Resolver.SrcLabels(e))
-				}
-				if dstLabels == nil {
-					dTok = pg.LabelToken(b.Resolver.DstLabels(e))
-				}
-			}
-			src[i], dst[i] = sTok, dTok
+			ec.Src[i], ec.Dst[i] = code(edges[i].Src), code(edges[i].Dst)
 		}
 	})
-	return src, dst, srcLocal, dstLocal
+	return ec
 }
 
 // RetractBatch removes a batch of previously processed elements from
@@ -676,6 +664,20 @@ func (inc *Incremental) Finalize() *Result {
 	return inc.result
 }
 
+// foreignEndpointToken resolves an endpoint the batch has no label for:
+// through the batch's resolver when the batch does not hold the node
+// (or holds it with nil labels), else as endpointTypeToken does.
+func (inc *Incremental) foreignEndpointToken(b *pg.Batch, id pg.ID) string {
+	if b.Resolver != nil && b.Resolver != b.Graph {
+		if n := b.Graph.Node(id); n == nil || n.Labels == nil {
+			if rn := b.Resolver.Node(id); rn != nil && len(rn.Labels) > 0 {
+				return pg.LabelToken(rn.Labels)
+			}
+		}
+	}
+	return inc.endpointTypeToken(id)
+}
+
 // endpointTypeToken resolves an unlabeled endpoint node to the name of
 // the node type it was assigned to (in this or any earlier batch), or
 // "" when the node has not been seen yet.
@@ -689,9 +691,9 @@ func (inc *Incremental) endpointTypeToken(id pg.ID) string {
 // embedder builds the batch's label embedder. The Word2Vec corpus
 // derives its node sentences from the distinct shapes of nodeSI
 // (count-weighted) instead of walking every node, and takes the
-// batch-local endpoint tokens srcLocal/dstLocal from the endpoint
-// pass instead of re-resolving every edge.
-func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcLocal, dstLocal []string) vectorize.Embedder {
+// batch-local endpoint codes ec from the endpoint pass instead of
+// re-resolving every edge.
+func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, ec *pg.EndpointCodes) vectorize.Embedder {
 	o := inc.opts
 	var inner vectorize.Embedder
 	if o.Embedding == EmbedHashed {
@@ -714,7 +716,7 @@ func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, srcLocal, d
 		if idDim < 4 {
 			idDim = 4
 		}
-		inner = newAnchoredEmbedder(word2vec.Train(vectorize.BuildCorpus(g, nodeSI, srcLocal, dstLocal), cfg),
+		inner = newAnchoredEmbedder(word2vec.Train(vectorize.BuildCorpus(g, nodeSI, ec), cfg),
 			word2vec.NewHashedEmbedder(idDim))
 	}
 	if o.LabelWeight != 1 {
@@ -830,12 +832,13 @@ func edgeItemSet(e *pg.Edge, srcTok, dstTok string) []string {
 
 // edgeItemSets returns the item set of each distinct edge shape,
 // cached across batches like nodeItemSets.
-func edgeItemSets(edges []pg.Edge, si *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
+func edgeItemSets(edges []pg.Edge, si *pg.ShapeIndex, ec *pg.EndpointCodes) [][]string {
 	sets := make([][]string, si.NumShapes())
 	for s, sh := range si.Shapes {
 		if sh.Items == nil {
-			r := si.Reps[s]
-			sh.Items = edgeItemSet(&edges[r], srcToks[r], dstToks[r])
+			r := int(si.Reps[s])
+			src, dst := ec.Tokens(r)
+			sh.Items = edgeItemSet(&edges[r], src, dst)
 		}
 		sets[s] = sh.Items
 	}

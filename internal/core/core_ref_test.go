@@ -47,7 +47,7 @@ func refProcessBatch(inc *Incremental, b *pg.Batch) {
 	} else {
 		// A nil shape index and nil endpoint tokens make BuildCorpus
 		// walk every node and resolve every edge itself.
-		emb = inc.embedder(g, nil, nil, nil)
+		emb = inc.embedder(g, nil, nil)
 		m := vectorize.NodesParallel(nodes, g.DistinctNodePropertyKeys(), emb, 1)
 		np := inc.elshParams(m.Vecs, nil, labels, &inc.result.NodeChoice, o.NodeParams, true)
 		nodeCl = lsh.ClusterEuclideanSparse(m.Vecs, m.BinStart, m.Bits, np)

@@ -286,3 +286,165 @@ func TestInterningEquivalenceCachedShapesOnly(t *testing.T) {
 		}
 	}
 }
+
+// endpointBatches builds the two batches of the endpoint-resolution
+// tests. Batch 1 carries multi-label Post nodes whose labels arrive in
+// both orders and with two property-key sets, labeled and unlabeled
+// Persons, and Persons it holds without labels that only its resolver
+// has labels for; batch 2 carries KNOWS edges into batch 1's
+// unlabeled Persons, which by then nothing but their discovered type
+// can name. It returns the batches plus one Person of each of the two
+// unlabeled kinds.
+func endpointBatches(t *testing.T) (batches func() []*pg.Batch, resolverOnly, unlabeled pg.ID) {
+	t.Helper()
+	put := func(g *pg.Graph, id pg.ID, labels []string, keys ...string) {
+		props := map[string]pg.Value{}
+		for _, k := range keys {
+			props[k] = pg.Str(fmt.Sprintf("%s%d", k, id))
+		}
+		if err := g.PutNode(id, labels, props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g1, g2, known := pg.NewGraph(), pg.NewGraph(), pg.NewGraph()
+	for _, g := range []*pg.Graph{g1, g2, known} {
+		g.AllowDanglingEdges(true)
+	}
+	const n = 40
+	person := func(i int) pg.ID { return pg.ID(i) }
+	postID := func(i int) pg.ID { return pg.ID(1000 + i) }
+	for i := 0; i < n; i++ {
+		// i%4: 0, 1 labeled; 2 labeled in the resolver only; 3 never.
+		var local, resolved []string
+		switch i % 4 {
+		case 0, 1:
+			local, resolved = []string{"Person"}, []string{"Person"}
+		case 2:
+			// A label discovery cannot infer from the batch: only the
+			// resolver lookup can produce it.
+			resolved = []string{"Moderator"}
+		}
+		put(g1, person(i), local, "name", "bday")
+		put(known, person(i), resolved, "name", "bday")
+
+		labels := []string{"Post", "Message"}
+		if i%2 == 1 {
+			labels = []string{"Message", "Post"}
+		}
+		keys := []string{"content"}
+		if i%3 == 0 {
+			keys = append(keys, "lang")
+		}
+		put(g1, postID(i), labels, keys...)
+		put(known, postID(i), labels, keys...)
+	}
+	edge := func(g *pg.Graph, id pg.ID, label string, src, dst pg.ID) {
+		if err := g.PutEdge(id, []string{label}, src, dst, map[string]pg.Value{"since": pg.Int(int64(id))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		edge(g1, pg.ID(i), "LIKES", person(i), postID((i*7+1)%n))
+		edge(g1, pg.ID(n+i), "KNOWS", person(i), person((i+5)%n))
+	}
+	for i := 0; i < n; i++ {
+		put(g2, pg.ID(2000+i), []string{"Person"}, "name", "bday")
+		edge(g2, pg.ID(2*n+i), "KNOWS", pg.ID(2000+i), person(4*(i%(n/4))+3))
+	}
+	batches = func() []*pg.Batch {
+		return []*pg.Batch{{Graph: g1, Resolver: known, Index: 1}, {Graph: g2, Resolver: known, Index: 2}}
+	}
+	return batches, person(2), person(3)
+}
+
+// TestInterningEquivalenceEndpointResolution covers every way an
+// endpoint gets its token — the in-batch node's shape (multi-label
+// sets given in either order), the resolver when the batch holds the
+// node without labels, and the discovered node type when a later
+// batch points at a node nothing has labels for — against the
+// per-element reference.
+func TestInterningEquivalenceEndpointResolution(t *testing.T) {
+	batches, resolverOnly, unlabeled := endpointBatches(t)
+	if n := batches()[0].Graph.Node(resolverOnly); n.Labels != nil || batches()[0].Resolver.Node(resolverOnly).Labels == nil {
+		t.Fatal("setup: batch 1 must hold a node without labels that its resolver has labels for")
+	}
+	for _, method := range []Method{ELSH, MinHash} {
+		inc := matchesReference(t, method.String(), Options{Seed: 1, Method: method}, batches)
+		src, dst := map[string]bool{}, map[string]bool{}
+		for _, et := range inc.sch.EdgeTypes {
+			if et.Labels["LIKES"] > 0 {
+				for tok := range et.SrcTokens {
+					src[tok] = true
+				}
+				for tok := range et.DstTokens {
+					dst[tok] = true
+				}
+			}
+		}
+		if !src["Person"] || !src["Moderator"] || len(dst) != 1 || !dst["Message&Post"] {
+			t.Errorf("%v: LIKES endpoints = %v -> %v, want Person and the resolver's Moderator among the sources and exactly Message&Post", method, src, dst)
+		}
+		// Batch 2's edges into the never-labeled Persons can only name
+		// their target by the type batch 1 discovered for it.
+		name := inc.result.NodeAssign[unlabeled].Name()
+		found := false
+		for _, et := range inc.sch.EdgeTypes {
+			found = found || (et.Labels["KNOWS"] > 0 && et.DstTokens[name])
+		}
+		if !found {
+			t.Errorf("%v: no KNOWS edge type targets %q, the type discovered for the unlabeled endpoint", method, name)
+		}
+	}
+}
+
+// TestEndpointCodesOnePerLabelSet: node shapes that differ only in
+// their property keys share a label token and so one dictionary code;
+// endpoints the batch has no label for — absent, or held without
+// labels — stay at code 0 for the resolver and the discovered types.
+func TestEndpointCodesOnePerLabelSet(t *testing.T) {
+	batches, _, _ := endpointBatches(t)
+	g := batches()[0].Graph
+	si := pg.NewShapeCache().IndexNodes(g.Nodes())
+	for _, workers := range []int{1, 4} {
+		ec := endpointCodes(g, si, workers)
+		if want := []string{"", "Person", "Message&Post"}; fmt.Sprint(ec.Table) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: dictionary %q over %d node shapes, want %q", workers, ec.Table, si.NumShapes(), want)
+		}
+		if si.NumShapes() <= len(ec.Table) {
+			t.Fatalf("setup: %d node shapes do not exceed the %d label sets", si.NumShapes(), len(ec.Table))
+		}
+		for i, e := range g.Edges() {
+			src, dst := ec.Tokens(i)
+			for _, end := range []struct {
+				id  pg.ID
+				tok string
+			}{{e.Src, src}, {e.Dst, dst}} {
+				want := pg.LabelToken(g.Node(end.id).Labels)
+				if end.tok != want {
+					t.Fatalf("workers=%d: edge %d endpoint %d coded %q, its node says %q", workers, e.ID, end.id, end.tok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDiscoverMallocsFollowShapes pins the scaling law of one-shot
+// discovery's allocation count: a clean graph five times the size has
+// the same shapes, so Discover may allocate more bytes (the per-row
+// index slices) but not more objects. Building a token per edge
+// endpoint made the count follow the edges.
+func TestDiscoverMallocsFollowShapes(t *testing.T) {
+	mallocs := func(scale float64) (float64, int) {
+		g := datagen.Generate(datagen.LDBC(), scale, 1).Graph
+		return testing.AllocsPerRun(3, func() { Discover(g, Options{Seed: 1, Parallelism: 1}) }), g.NumNodes() + g.NumEdges()
+	}
+	small, smallN := mallocs(1)
+	large, largeN := mallocs(5)
+	t.Logf("Discover allocations: %.0f for %d elements, %.0f for %d", small, smallN, large, largeN)
+	if largeN < 4*smallN {
+		t.Fatalf("setup: graphs of %d and %d elements are not 1:5", smallN, largeN)
+	}
+	if large > 1.5*small {
+		t.Fatalf("Discover allocations follow the elements, not the shapes: %.0f -> %.0f for a graph five times the size", small, large)
+	}
+}

@@ -76,7 +76,12 @@ func estimateMu(vecs [][]float64, rows []int32, seed int64) (float64, int) {
 		sample = n
 	}
 	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(n)[:sample]
+	idx, ok := perm32(rng, n)
+	pick := func() int { return int(idx[rng.Intn(sample)]) }
+	if !ok {
+		wide := rng.Perm(n)
+		pick = func() int { return wide[rng.Intn(sample)] }
+	}
 
 	pairs := maxSampledPairs
 	maxPairs := sample * (sample - 1) / 2
@@ -86,8 +91,7 @@ func estimateMu(vecs [][]float64, rows []int32, seed int64) (float64, int) {
 	var sum float64
 	count := 0
 	for count < pairs {
-		i := idx[rng.Intn(sample)]
-		j := idx[rng.Intn(sample)]
+		i, j := pick(), pick()
 		if i == j {
 			continue
 		}
@@ -99,6 +103,23 @@ func estimateMu(vecs [][]float64, rows []int32, seed int64) (float64, int) {
 		mu = 1e-6
 	}
 	return mu, sample
+}
+
+// perm32 is rng.Perm(n) in half the bytes: the same inside-out shuffle
+// over int32, with the same rng.Intn(i+1) draws, so it yields the same
+// permutation and leaves rng in the same state. It refuses — before
+// drawing anything — an n whose indices do not fit.
+func perm32(rng *rand.Rand, n int) ([]int32, bool) {
+	if n > math.MaxInt32 {
+		return nil, false
+	}
+	m := make([]int32, n)
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+	return m, true
 }
 
 func euclidean(a, b []float64) float64 {

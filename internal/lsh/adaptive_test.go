@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -120,5 +121,48 @@ func TestClampT(t *testing.T) {
 	}
 	if clampT(20) != 20 {
 		t.Error("in-range value must pass through")
+	}
+}
+
+// TestPerm32MatchesRandPerm holds the int32 shuffle estimateMu samples
+// with to rand.Perm: the same permutation value for value and the same
+// generator state afterwards, for every seed and size — which is what
+// keeps every AdaptiveChoice, and every golden behind one, where
+// rng.Perm put it.
+func TestPerm32MatchesRandPerm(t *testing.T) {
+	for seed := int64(-2); seed <= 40; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 100, 1001, 20000} {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			want := a.Perm(n)
+			got, ok := perm32(b, n)
+			if !ok || len(got) != n {
+				t.Fatalf("seed %d n %d: perm32 = %d values, ok %v", seed, n, len(got), ok)
+			}
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("seed %d n %d: perm32[%d] = %d, rand.Perm has %d", seed, n, i, got[i], want[i])
+				}
+			}
+			if x, y := a.Int63(), b.Int63(); x != y {
+				t.Fatalf("seed %d n %d: generators diverge after the shuffle", seed, n)
+			}
+		}
+	}
+}
+
+// TestPerm32RefusesWideIndices: an n whose indices do not fit int32 is
+// refused before anything is allocated or drawn, so the rand.Perm
+// estimateMu falls back to starts from an untouched generator.
+func TestPerm32RefusesWideIndices(t *testing.T) {
+	wide := int64(math.MaxInt32) + 1
+	if int64(int(wide)) != wide {
+		t.Skip("int is 32 bits: every slice length fits int32")
+	}
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	if got, ok := perm32(a, int(wide)); ok || got != nil {
+		t.Fatalf("perm32(MaxInt32+1) = %d values, ok %v; want a refusal", len(got), ok)
+	}
+	if x, y := a.Int63(), b.Int63(); x != y {
+		t.Fatal("a refused perm32 drew from the generator")
 	}
 }

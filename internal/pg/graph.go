@@ -210,6 +210,13 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
+// NodeIndex returns the position in Nodes() of the node with the given
+// ID: the row under which a ShapeIndex built over Nodes() files it.
+func (g *Graph) NodeIndex(id ID) (row int, ok bool) {
+	row, ok = g.nodeIdx[id]
+	return row, ok
+}
+
 // Node returns the node with the given ID, or nil if absent.
 func (g *Graph) Node(id ID) *Node {
 	i, ok := g.nodeIdx[id]

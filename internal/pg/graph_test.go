@@ -53,8 +53,14 @@ func TestGraphBasics(t *testing.T) {
 	if bob == nil || bob.LabelToken() != "Person" {
 		t.Fatalf("bob lookup failed: %+v", bob)
 	}
+	if row, ok := g.NodeIndex(ids["bob"]); !ok || &g.Nodes()[row] != bob {
+		t.Fatalf("NodeIndex(bob) = %d, %v; want bob's row in Nodes()", row, ok)
+	}
 	if g.Node(999) != nil {
 		t.Fatal("lookup of absent node must return nil")
+	}
+	if _, ok := g.NodeIndex(999); ok {
+		t.Fatal("NodeIndex of an absent node must report !ok")
 	}
 	if g.Edge(999) != nil {
 		t.Fatal("lookup of absent edge must return nil")

@@ -238,12 +238,31 @@ func (c *ShapeCache) IndexNodes(nodes []Node) *ShapeIndex {
 // first-occurrence order. srcToks and dstToks carry the resolved
 // endpoint label tokens, aligned with edges.
 func (c *ShapeCache) IndexEdges(edges []Edge, srcToks, dstToks []string) *ShapeIndex {
+	return c.indexEdges(edges, srcToks, dstToks, nil)
+}
+
+// IndexEdgesCoded is IndexEdges over dictionary-coded endpoint tokens:
+// the fingerprint takes ec.Table[code] where IndexEdges takes the
+// string, so both forms file an edge under the same shape.
+func (c *ShapeCache) IndexEdgesCoded(edges []Edge, ec *EndpointCodes) *ShapeIndex {
+	return c.indexEdges(edges, nil, nil, ec)
+}
+
+// indexEdges is the one fingerprint loop behind both forms: endpoint
+// tokens come from ec when it is non-nil, else from the two slices.
+func (c *ShapeCache) indexEdges(edges []Edge, srcToks, dstToks []string, ec *EndpointCodes) *ShapeIndex {
 	c.epoch++
 	si := &ShapeIndex{Rows: make([]int32, len(edges))}
 	for i := range edges {
 		e := &edges[i]
+		var srcTok, dstTok string
+		if ec != nil {
+			srcTok, dstTok = ec.Tokens(i)
+		} else {
+			srcTok, dstTok = srcToks[i], dstToks[i]
+		}
 		keys := c.canonicalPropKeys(e.Props)
-		c.buf = appendEdgeShapeKey(c.buf[:0], e, srcToks[i], dstToks[i], keys)
+		c.buf = appendEdgeShapeKey(c.buf[:0], e, srcTok, dstTok, keys)
 		sh, created := c.lookup()
 		if created {
 			sh.Token = e.LabelToken()
@@ -251,4 +270,44 @@ func (c *ShapeCache) IndexEdges(edges []Edge, srcToks, dstToks []string) *ShapeI
 		c.fold(si, i, sh)
 	}
 	return si
+}
+
+// EndpointCodes carries the endpoint label tokens of one batch's edges
+// dictionary-coded: a batch has a few dozen distinct tokens however
+// many edges, so an endpoint costs a 4-byte code, not a string header,
+// and a token is built once, not per edge. Table holds the distinct
+// tokens (Table[0] is "", the endpoint nothing resolves); Src and Dst
+// hold one code per edge, aligned with the batch's edges. Whatever
+// outlives the batch — shape keys, item sets, types — reads the token.
+type EndpointCodes struct {
+	Table    []string
+	Src, Dst []int32
+	codes    map[string]int32
+}
+
+// NewEndpointCodes returns n edges' codes, every endpoint unresolved.
+func NewEndpointCodes(n int) *EndpointCodes {
+	return &EndpointCodes{
+		Table: []string{""},
+		Src:   make([]int32, n),
+		Dst:   make([]int32, n),
+		codes: map[string]int32{"": 0},
+	}
+}
+
+// Intern returns tok's code, adding it to the table on first sight;
+// like the ShapeCache, a dictionary is filled from one goroutine.
+func (ec *EndpointCodes) Intern(tok string) int32 {
+	code, ok := ec.codes[tok]
+	if !ok {
+		code = int32(len(ec.Table))
+		ec.Table = append(ec.Table, tok)
+		ec.codes[tok] = code
+	}
+	return code
+}
+
+// Tokens returns the source and target token of edge i.
+func (ec *EndpointCodes) Tokens(i int) (src, dst string) {
+	return ec.Table[ec.Src[i]], ec.Table[ec.Dst[i]]
 }

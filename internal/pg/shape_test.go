@@ -2,6 +2,7 @@ package pg
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -85,6 +86,20 @@ func TestIndexEdgesShapeIncludesEndpoints(t *testing.T) {
 	}
 	if si.Rows[2] != si.Rows[3] {
 		t.Errorf("rows 2 and 3 should share a shape")
+	}
+
+	// The dictionary-coded form files every edge under the very same
+	// cache entries: the fingerprint reads the token, not the code.
+	ec := NewEndpointCodes(g.NumEdges())
+	for i, e := range g.Edges() {
+		ec.Src[i], ec.Dst[i] = ec.Intern(g.Node(e.Src).LabelToken()), ec.Intern(g.Node(e.Dst).LabelToken())
+	}
+	coded := c.IndexEdgesCoded(g.Edges(), ec)
+	if c.Size() != 3 || !reflect.DeepEqual(coded, si) {
+		t.Errorf("IndexEdgesCoded = %+v over %d cached shapes, want IndexEdges' %+v over 3", coded, c.Size(), si)
+	}
+	if want := []string{"", "A", "B"}; !reflect.DeepEqual(ec.Table, want) {
+		t.Errorf("dictionary = %q, want %q", ec.Table, want)
 	}
 }
 

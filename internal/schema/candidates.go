@@ -124,39 +124,33 @@ func BuildEdgeCandidates(edges []pg.Edge, assign []int, k int, srcToks, dstToks 
 // maxEndpoints caps the degree-map presizing at the number of known
 // node IDs, so hub-heavy clusters (many edges, few endpoints) do not
 // over-allocate.
-func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []int, k int, srcToks, dstToks []string, maxEndpoints int) []*EdgeType {
-	cands := make([]*EdgeType, k)
-	for i := range cands {
-		cands[i] = NewEdgeCandidate()
-	}
+func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []int, k int, ec *pg.EndpointCodes, maxEndpoints int) []*EdgeType {
 	// Shape counts bound each candidate's edge total — and distinct
 	// endpoints are additionally bounded by maxEndpoints — so the
-	// degree maps can be presized once instead of growing through a
+	// degree maps are presized once instead of growing through a
 	// dozen rehashes while the per-row loop fills them.
 	totals := make([]int, k)
 	for s := range si.Reps {
 		totals[assign[s]] += int(si.Counts[s])
 	}
-	for i, c := range cands {
-		hint := totals[i]
+	cands := make([]*EdgeType, k)
+	for i, hint := range totals {
 		if maxEndpoints > 0 && hint > maxEndpoints {
 			hint = maxEndpoints
 		}
-		if hint > 0 {
-			c.SrcDeg = make(map[pg.ID]int, hint)
-			c.DstDeg = make(map[pg.ID]int, hint)
-		}
+		cands[i] = newEdgeCandidate(hint)
 	}
 	obs := buildShapeObservers(si, func(s int) (*Type, []string) {
 		return &cands[assign[s]].Type, edges[si.Reps[s]].PropertyKeys()
 	}, func(s int) []string { return edges[si.Reps[s]].Labels })
 	for s, rep := range si.Reps {
 		c := cands[assign[s]]
-		if srcToks[rep] != "" {
-			c.SrcTokens[srcToks[rep]] = true
+		srcTok, dstTok := ec.Tokens(int(rep))
+		if srcTok != "" {
+			c.SrcTokens[srcTok] = true
 		}
-		if dstToks[rep] != "" {
-			c.DstTokens[dstToks[rep]] = true
+		if dstTok != "" {
+			c.DstTokens[dstTok] = true
 		}
 	}
 	// Per-endpoint degrees vary within a shape, so they stay per edge,

@@ -102,7 +102,11 @@ func TestBuildEdgeCandidatesInternedEquivalence(t *testing.T) {
 	}
 
 	plain := BuildEdgeCandidates(edges, rowAssign, k, srcToks, dstToks)
-	interned := BuildEdgeCandidatesInterned(edges, si, shapeAssign, k, srcToks, dstToks, 30)
+	ec := pg.NewEndpointCodes(len(edges))
+	for i := range edges {
+		ec.Src[i], ec.Dst[i] = ec.Intern(srcToks[i]), ec.Intern(dstToks[i])
+	}
+	interned := BuildEdgeCandidatesInterned(edges, si, shapeAssign, k, ec, 30)
 	for i := range plain {
 		a := candidateFingerprint(t, plain[i])
 		b := candidateFingerprint(t, interned[i])

@@ -462,12 +462,16 @@ func newType() Type {
 func NewNodeCandidate() *NodeType { return &NodeType{Type: newType()} }
 
 // NewEdgeCandidate returns an empty edge candidate.
-func NewEdgeCandidate() *EdgeType {
+func NewEdgeCandidate() *EdgeType { return newEdgeCandidate(0) }
+
+// newEdgeCandidate returns an empty edge candidate whose degree maps
+// are sized for endpoints distinct endpoint nodes.
+func newEdgeCandidate(endpoints int) *EdgeType {
 	return &EdgeType{
 		Type:      newType(),
 		SrcTokens: map[string]bool{},
 		DstTokens: map[string]bool{},
-		SrcDeg:    map[pg.ID]int{},
-		DstDeg:    map[pg.ID]int{},
+		SrcDeg:    make(map[pg.ID]int, endpoints),
+		DstDeg:    make(map[pg.ID]int, endpoints),
 	}
 }

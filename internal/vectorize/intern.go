@@ -22,17 +22,16 @@ func NodesInterned(nodes []pg.Node, si *pg.ShapeIndex, keys []string, emb Embedd
 }
 
 // EdgesInterned vectorizes only the shape representatives of edges,
-// gathering the representatives' endpoint tokens from the per-row
-// slices.
-func EdgesInterned(edges []pg.Edge, si *pg.ShapeIndex, keys []string, emb Embedder, srcToks, dstToks []string, workers int) *Matrix {
+// gathering the representatives' endpoint tokens from the batch's
+// endpoint codes.
+func EdgesInterned(edges []pg.Edge, si *pg.ShapeIndex, keys []string, emb Embedder, ec *pg.EndpointCodes, workers int) *Matrix {
 	n := si.NumShapes()
 	reps := make([]pg.Edge, n)
 	rsrc := make([]string, n)
 	rdst := make([]string, n)
 	for s, r := range si.Reps {
 		reps[s] = edges[r]
-		rsrc[s] = srcToks[r]
-		rdst[s] = dstToks[r]
+		rsrc[s], rdst[s] = ec.Tokens(int(r))
 	}
 	return EdgesParallel(reps, keys, emb, rsrc, rdst, workers)
 }

@@ -105,6 +105,15 @@ func TestBitsSortedAndConsistent(t *testing.T) {
 	}
 }
 
+// codesOf dictionary-codes per-edge endpoint tokens.
+func codesOf(srcToks, dstToks []string) *pg.EndpointCodes {
+	ec := pg.NewEndpointCodes(len(srcToks))
+	for i := range srcToks {
+		ec.Src[i], ec.Dst[i] = ec.Intern(srcToks[i]), ec.Intern(dstToks[i])
+	}
+	return ec
+}
+
 // TestEdgesInternedMatchesRepresentativeRows mirrors the node test for
 // the 3-embedding edge layout.
 func TestEdgesInternedMatchesRepresentativeRows(t *testing.T) {
@@ -134,7 +143,7 @@ func TestEdgesInternedMatchesRepresentativeRows(t *testing.T) {
 	emb := word2vec.NewHashedEmbedder(8)
 
 	full := EdgesParallel(edges, keys, emb, srcToks, dstToks, 1)
-	interned := EdgesInterned(edges, si, keys, emb, srcToks, dstToks, 1)
+	interned := EdgesInterned(edges, si, keys, emb, codesOf(srcToks, dstToks), 1)
 	if interned.Rows() != si.NumShapes() {
 		t.Fatalf("interned rows = %d, want %d", interned.Rows(), si.NumShapes())
 	}
@@ -155,8 +164,8 @@ func TestBuildCorpusFromShapesMatchesPerNode(t *testing.T) {
 	g := buildGraph(400, 900, 23)
 	si := pg.NewShapeCache().IndexNodes(g.Nodes())
 	srcToks, dstToks := graphEndpointTokens(g)
-	want := BuildCorpus(g, nil, nil, nil)
-	got := BuildCorpus(g, si, srcToks, dstToks)
+	want := BuildCorpus(g, nil, nil)
+	got := BuildCorpus(g, si, codesOf(srcToks, dstToks))
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("corpus from shapes has %d sentences, per-node walk %d; they must be identical", len(got), len(want))
 	}

@@ -113,12 +113,12 @@ func (m *Matrix) Dim() int {
 // nodeSI, when non-nil, is the shape index of g.Nodes(): node
 // sentences then come from the distinct shapes (one count-weighted
 // addition per shape instead of one per node; a node's sentence —
-// label token plus property keys — is exactly its shape). srcToks and
-// dstToks, when non-nil, carry the tokens of the endpoints' labels in
-// g itself ("" for endpoints not in g), aligned with g.Edges(), and
-// spare the corpus its own resolution walk. The corpus is
-// byte-identical with or without them.
-func BuildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) [][]string {
+// label token plus property keys — is exactly its shape). ec, when
+// non-nil, carries the tokens of the endpoints' labels in g itself
+// ("" for endpoints not in g), aligned with g.Edges(), and spares the
+// corpus its own resolution walk. The corpus is byte-identical with
+// or without them.
+func BuildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, ec *pg.EndpointCodes) [][]string {
 	type sent struct {
 		words []string
 		count int
@@ -177,8 +177,8 @@ func BuildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) 
 	for i := range edges {
 		e := &edges[i]
 		var src, dst string
-		if srcToks != nil {
-			src, dst = srcToks[i], dstToks[i]
+		if ec != nil {
+			src, dst = ec.Tokens(i)
 		} else {
 			src = pg.LabelToken(g.SrcLabels(e))
 			dst = pg.LabelToken(g.DstLabels(e))
@@ -223,7 +223,7 @@ func BuildCorpus(g *pg.Graph, nodeSI *pg.ShapeIndex, srcToks, dstToks []string) 
 // TrainEmbedder builds the label corpus of g and trains a Word2Vec
 // model on it with the given configuration.
 func TrainEmbedder(g *pg.Graph, cfg word2vec.Config) *word2vec.Model {
-	return word2vec.Train(BuildCorpus(g, nil, nil, nil), cfg)
+	return word2vec.Train(BuildCorpus(g, nil, nil), cfg)
 }
 
 // Nodes vectorizes the given nodes against a fixed property-key

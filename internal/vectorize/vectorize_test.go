@@ -103,7 +103,7 @@ func TestEdgeVectorLayout(t *testing.T) {
 
 func TestBuildCorpus(t *testing.T) {
 	g := exampleGraph(t)
-	corpus := BuildCorpus(g, nil, nil, nil)
+	corpus := BuildCorpus(g, nil, nil)
 	if len(corpus) == 0 {
 		t.Fatal("corpus must not be empty")
 	}
@@ -143,7 +143,7 @@ func TestCorpusDeduplicationIsLogCapped(t *testing.T) {
 		}
 		prev = id
 	}
-	corpus := BuildCorpus(g, nil, nil, nil)
+	corpus := BuildCorpus(g, nil, nil)
 	// 1024 identical node sentences + 1023 identical edge sentences
 	// must collapse to ~log2 multiplicity each, not thousands.
 	if len(corpus) > 30 {
