@@ -19,15 +19,14 @@ import (
 )
 
 // openFoldedBase builds a durable service on mem whose checkpoint is
-// a freshly folded base image of 2*baseN elements (baseN nodes plus
-// baseN ring edges) with an empty run chain, then reopens it with a
-// run-chain cap high enough that the measured compactions never fold.
+// a fresh base image of 2*baseN elements (baseN nodes plus baseN ring
+// edges) with an empty run chain, then reopens it with a run-chain cap
+// high enough that the measured compactions never fold.
 func openFoldedBase(tb testing.TB, mem *vfs.MemFS, dir string, baseN int) *pghive.DurableService {
 	tb.Helper()
 	dopts := pghive.DurableOptions{
 		NoSync:             true,
 		DisableAutoCompact: true,
-		MaxRuns:            1,
 		MaxTombstoneRatio:  1e9,
 		FS:                 mem,
 	}
@@ -35,9 +34,9 @@ func openFoldedBase(tb testing.TB, mem *vfs.MemFS, dir string, baseN int) *pghiv
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Ingest the base in chunks, then compact twice: the first
-	// compaction writes the whole base as one run, the second trips
-	// MaxRuns=1 and folds it into a base image with no runs on top.
+	// Ingest the base in chunks, then compact: a load this size
+	// outgrows the writer's dirty record, so the round captures the
+	// state whole and writes a base image with no runs on top.
 	const chunk = 1000
 	for off := 0; off < baseN; off += chunk {
 		n := min(chunk, baseN-off)
@@ -48,14 +47,8 @@ func openFoldedBase(tb testing.TB, mem *vfs.MemFS, dir string, baseN int) *pghiv
 	if err := d.Compact(); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := d.Ingest(stressGraph(tb, pghive.ID(baseN), 1)); err != nil {
-		tb.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		tb.Fatal(err)
-	}
-	if st := d.DurableStats(); st.Runs != 0 {
-		tb.Fatalf("base not folded: %d runs remain", st.Runs)
+	if st := d.DurableStats(); st.Runs != 0 || st.LastRound.FoldReason != pghive.FoldDirtyOverflow {
+		tb.Fatalf("bulk load not captured as a base: %d runs, fold reason %q", st.Runs, st.LastRound.FoldReason)
 	}
 	if err := d.Close(); err != nil {
 		tb.Fatal(err)

@@ -312,6 +312,29 @@ func TestServeHTTPDurable(t *testing.T) {
 	if !ck.Compacted || ck.Durable.CheckpointLSN != 2 {
 		t.Fatalf("checkpoint response %+v, want compacted at LSN 2", ck)
 	}
+	// ... including what the round it just ran cost: the wire names
+	// are the operator's (and the benchmark's) interface.
+	var wire struct {
+		Durable struct {
+			LastRound map[string]any `json:"lastRound"`
+			Rounds    *int           `json:"rounds"`
+			Folds     *int           `json:"folds"`
+		} `json:"durable"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"seconds", "lockHeldSeconds", "bytesWritten", "puts", "tombstones", "folded"} {
+		if _, ok := wire.Durable.LastRound[field]; !ok {
+			t.Fatalf("checkpoint response's lastRound lacks %q: %s", field, body)
+		}
+	}
+	if wire.Durable.Rounds == nil || *wire.Durable.Rounds != 1 || wire.Durable.Folds == nil || *wire.Durable.Folds != 0 {
+		t.Fatalf("checkpoint response lacks rounds: 1 / folds: 0: %s", body)
+	}
+	if r := ck.Durable.LastRound; r.Puts == 0 || r.BytesWritten == 0 || r.LockHeldSeconds <= 0 || r.LockHeldSeconds > r.Seconds {
+		t.Fatalf("checkpoint response's last round %+v, want a run with puts, bytes and a lock hold inside the round", r)
+	}
 
 	// One more write after the fold, so recovery exercises checkpoint
 	// + tail replay.
@@ -333,6 +356,9 @@ func TestServeHTTPDurable(t *testing.T) {
 	}
 	if st.Stats.Nodes != 10 || st.Durable.WALNextLSN != 4 {
 		t.Fatalf("durable stats %+v / %+v, want 10 nodes and next LSN 4", st.Stats, st.Durable)
+	}
+	if st.Durable.Rounds != 1 || st.Durable.LastRound != ck.Durable.LastRound {
+		t.Fatalf("/stats reports %d rounds, last %+v; POST /checkpoint reported %+v", st.Durable.Rounds, st.Durable.LastRound, ck.Durable.LastRound)
 	}
 
 	var live bytes.Buffer

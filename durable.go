@@ -12,23 +12,26 @@ package pghive
 //
 // Checkpoints are LSM-structured (internal/runfile): a generation is
 // a base image plus an ordered chain of immutable, checksummed delta
-// runs, named by an atomically-swapped manifest. The background
-// compactor folds only the WAL records sealed since the previous fold
-// into a run — the state diff of that span (core.ImageDelta) — so
-// steady-state compaction IO is proportional to what changed, not to
-// total state. When the chain grows past DurableOptions.MaxRuns or
-// accumulated tombstones cross MaxTombstoneRatio of the base, the
-// round folds base+runs+delta into a fresh base image instead
-// (a leveled merge with one level: base). Recovery reads the newest
+// runs, named by an atomically-swapped manifest. The live writer keeps
+// a record of what its writes changed since the previous round
+// (core.Dirty — the memtable of this layout); a compaction round lifts
+// that record into the state diff of the span (core.ImageDelta) and
+// writes it as a run, so a steady-state round's IO, CPU and memory are
+// proportional to what changed, not to total state. When the chain
+// grows past DurableOptions.MaxRuns, accumulated tombstones cross
+// MaxTombstoneRatio of the elements the generation holds, or the
+// record outgrew its bound, the round writes a fresh base image
+// instead (a leveled merge with one level: base). Recovery reads the newest
 // manifest that validates, loads the base, merges the runs in order,
 // and replays the WAL tail — and because each generation's WAL floor
 // is the PREVIOUS generation's covered LSN, a newest generation torn
 // by a crash on a lying disk falls back one generation and replays
 // the retained records to the identical state, loudly counting the
-// fallback in DurableStats. The compactor shares no lock with the
-// write path — it reads only sealed segment files and its own shadow
-// state — so writers are never blocked behind a fold, no matter how
-// large the log has grown.
+// fallback in DurableStats. The compactor holds the write lock only to
+// seal the log and lift the record — no encoding, no file of the
+// checkpoint layout, nothing proportional to the database — and does
+// the rest off it, so writers are never blocked behind a round's IO,
+// no matter how large the state has grown.
 //
 // Files a generation no longer references — superseded base images,
 // folded-away runs, old manifests, interrupted temporaries — are
@@ -50,9 +53,9 @@ package pghive
 //
 // Idempotency keys. A write submitted with a key is applied at most
 // once per key retention window: the key travels inside the WAL
-// record, so replay — recovery after a crash, the compactor's shadow
-// fold, and Rearm's catch-up — rebuilds the applied-key set from the
-// same bytes that rebuild the state. A client that timed out or got
+// record, so replay — recovery after a crash and Rearm's catch-up —
+// rebuilds the applied-key set from the same bytes that rebuild the
+// state. A client that timed out or got
 // a 5xx can therefore retry the same key blindly; if the first
 // attempt was applied (even if the ack was lost to a crash), the
 // retry reports "replayed" instead of double-applying.
@@ -147,9 +150,9 @@ type DurableOptions struct {
 	// fold IO but more files to merge at recovery.
 	MaxRuns int
 	// MaxTombstoneRatio forces a fold when the chain's accumulated
-	// deletions exceed this fraction of the base image's element
-	// count (default 0.5): past it, runs are mostly paying to
-	// remember what no longer exists.
+	// deletions exceed this fraction of the elements the generation
+	// holds — base and runs together (default 0.5): past it, runs are
+	// mostly paying to remember what no longer exists.
 	MaxTombstoneRatio float64
 	// FS is the filesystem the data directory lives on; nil selects
 	// the real OS. Fault-injection tests substitute vfs.MemFS /
@@ -254,10 +257,16 @@ type DurableService struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// compactTestHook, when non-nil, runs once per compaction round
-	// after the fold target is chosen and before any fold work — the
-	// point where the compactor is provably holding no lock a writer
-	// needs. Tests park the compactor here and assert writes proceed.
+	// lastRound / rounds / folds describe the compaction rounds that
+	// wrote a generation (DurableStats). Guarded by compactMu.
+	lastRound     CompactionRound
+	rounds, folds uint64
+
+	// compactTestHook, when non-nil, runs once per compaction round at
+	// the start of its off-lock phase — the round's delta is lifted and
+	// nothing is encoded or written yet — the point where the compactor
+	// is provably holding no lock a writer needs. Tests park the
+	// compactor here and assert writes proceed.
 	compactTestHook func()
 }
 
@@ -468,6 +477,9 @@ func tryCandidate(dir string, opts Options, dopts DurableOptions, fsys vfs.FS, c
 	if err != nil {
 		return nil, fmt.Errorf("pghive: durable: restore image: %w", err)
 	}
+	// Recording starts at the generation's image, so the replay below
+	// leaves exactly the WAL tail's changes for the first round to lift.
+	w.dirty = w.inc.Track()
 	covered := man.Covered()
 	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
 		SegmentBytes: dopts.SegmentBytes,
@@ -691,24 +703,30 @@ func (d *DurableService) DrainStream(ctx context.Context, r StreamReader, onBatc
 // written by Compact.
 func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCheckpoint(w) }
 
-// Compact folds every sealed WAL segment into the checkpoint
-// generation and prunes the segments below the resulting WAL floor.
-// It first seals the active segment, so a compaction captures
-// everything appended before the call. The fold runs entirely against
-// a private shadow pipeline seeded from the current generation's
-// merged image — no service lock is taken, so concurrent writers (and
-// readers) proceed at full speed. Safe to call concurrently with
-// writes; rounds serialize among themselves.
+// Compact writes what changed since the previous round as the next
+// checkpoint generation and prunes the WAL segments below the
+// resulting floor. It takes the write lock for one short stretch: seal
+// the active segment (so the round covers everything acknowledged
+// before the call) and lift the writer's record of what it changed
+// into the round's delta — work proportional to the change, with no
+// encoding and no checkpoint file touched. Everything after — encode,
+// write, fsync, manifest swap, ship, prune — runs off the lock, so
+// concurrent writers and readers proceed at full speed. Safe to call
+// concurrently with writes; rounds serialize among themselves.
 //
-// A steady-state round writes only the DELTA of the folded span as a
-// new run file and swaps in a manifest referencing it — IO is
-// proportional to what changed. When the chain would exceed
-// MaxRuns, or accumulated tombstones cross MaxTombstoneRatio of the
-// base, the round writes a fresh base image instead and the chain
-// collapses. Either way the new manifest's WAL floor is the PREVIOUS
-// generation's covered LSN, so if this round's files turn out torn
-// on a lying disk, recovery falls back one generation and replays
-// the retained records.
+// A steady-state round writes only the DELTA of the span as a new run
+// file and swaps in a manifest referencing it; it reads no file of the
+// generation. When the chain would exceed MaxRuns, or accumulated
+// tombstones cross MaxTombstoneRatio of the elements the generation
+// holds, the round writes a fresh base image instead — the merged
+// chain with the delta folded on — and the chain collapses. So does a
+// round whose record outgrew its bound (a bulk load): it captures the
+// state whole under the lock, the one round that holds it for longer.
+// Either way the new manifest's WAL floor is the PREVIOUS generation's
+// covered LSN, so if this round's files turn out torn on a lying disk,
+// recovery falls back one generation and replays the retained records.
+// A round that fails before the manifest swap hands its record back:
+// the next round covers both spans.
 //
 // A successful round also re-arms a disk-full degraded service: the
 // pruned segments are exactly the space the write path was starving
@@ -716,22 +734,21 @@ func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCh
 func (d *DurableService) Compact() error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
+	began := time.Now()
 
 	lg := d.wal()
+	covered := d.man.Covered()
+	d.w.mu.Lock()
+	locked := time.Now()
 	if err := lg.Rotate(); err != nil {
+		d.w.mu.Unlock()
 		return err
 	}
-	sealed := lg.Sealed()
-	var target uint64
-	for _, seg := range sealed {
-		if seg.Last > target {
-			target = seg.Last
-		}
-	}
-	covered := d.man.Covered()
+	target := d.appliedLSN
 	if target <= covered {
-		// Nothing new sealed since the last fold; still ship anything
-		// the backend is missing, prune any already-covered segments a
+		d.w.mu.Unlock()
+		// Nothing applied since the last round; still ship anything the
+		// backend is missing, prune any already-covered segments a
 		// crash may have left behind (gated by the ship watermark), and
 		// retry any sweep removals that failed last time.
 		_ = d.shipRoundLocked(context.Background())
@@ -742,77 +759,21 @@ func (d *DurableService) Compact() error {
 		d.clearDegradeIfWritable()
 		return nil
 	}
+	ch, err := d.w.liftLocked(covered, target)
+	d.w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	round := CompactionRound{LockHeldSeconds: time.Since(locked).Seconds()}
 	if d.compactTestHook != nil {
 		d.compactTestHook()
 	}
 
-	// Shadow replay: the current generation's merged image + sealed
-	// records up to the target, through the same apply path recovery
-	// uses. The bound keeps the fold off the active segment entirely —
-	// concurrent appends are never even read.
-	preImg, err := mergedImage(d.fs, d.dir, d.w.opts, d.man)
+	newMan, err := d.writeGeneration(ch, &round)
 	if err != nil {
-		return err
-	}
-	shadow, err := newWriter(d.w.opts, preImg, d.dopts.MaxIdempotencyKeys)
-	if err != nil {
-		return fmt.Errorf("pghive: durable: restore image: %w", err)
-	}
-	if err := lg.ReplayRange(covered, target, shadow.apply); err != nil {
-		return err
-	}
-	nextImg, err := shadow.image(target)
-	if err != nil {
-		return err
-	}
-	delta, err := core.DiffImage(preImg, nextImg)
-	if err != nil {
-		return err
-	}
-
-	newMan := &runfile.Manifest{
-		Version: runfile.ManifestVersion,
-		Seq:     d.manSeq + 1,
-		// One generation of WAL retention: floor at the PREVIOUS
-		// coverage so recovery can fall back past this round's files.
-		WALFloor: covered,
-	}
-	if d.ship != nil {
-		// Persist the upload watermark so a restart keeps gating prunes
-		// before its first shipping round completes.
-		newMan.ShippedLSN = d.ship.watermark
-	}
-	baseElems := max(d.man.BaseElements, 1)
-	fold := len(d.man.Runs)+1 > d.dopts.MaxRuns ||
-		float64(d.man.Tombstones()+delta.Tombstones()) > d.dopts.MaxTombstoneRatio*float64(baseElems)
-	if fold {
-		// Leveled merge: collapse base + runs + new delta into a fresh
-		// base image; the chain restarts empty.
-		path := checkpointPath(d.dir, target)
-		err := vfs.WriteFileAtomic(d.fs, path, func(w io.Writer) error {
-			return core.EncodeImage(w, nextImg)
-		})
-		if err != nil {
-			return err
-		}
-		newMan.Base = filepath.Base(path)
-		newMan.BaseLSN = target
-		newMan.BaseElements = nextImg.Elements()
-	} else {
-		payload, err := json.Marshal(delta)
-		if err != nil {
-			return fmt.Errorf("pghive: durable: encode run: %w", err)
-		}
-		info, err := runfile.WriteRun(d.fs, d.dir, covered, target, delta.Tombstones(), payload)
-		if err != nil {
-			return err
-		}
-		newMan.Base = d.man.Base
-		newMan.BaseLSN = d.man.BaseLSN
-		newMan.BaseElements = d.man.BaseElements
-		newMan.Runs = append(slices.Clone(d.man.Runs), info)
-	}
-	if err := runfile.WriteManifest(d.fs, d.dir, newMan); err != nil {
+		d.w.mu.Lock()
+		d.w.inc.Unlift(ch.spent)
+		d.w.mu.Unlock()
 		return err
 	}
 
@@ -829,11 +790,142 @@ func (d *DurableService) Compact() error {
 	// round — the gated prune simply retains more, loudly (ShipFailures).
 	_ = d.shipRoundLocked(context.Background())
 	d.sweepLocked()
-	if _, err := lg.Prune(d.pruneFloorLocked(newMan.WALFloor)); err != nil {
+	_, err = lg.Prune(d.pruneFloorLocked(newMan.WALFloor))
+	round.Seconds = time.Since(began).Seconds()
+	d.lastRound = round
+	d.rounds++
+	if round.Folded {
+		d.folds++
+	}
+	if err != nil {
 		return err
 	}
 	d.clearDegradeIfWritable()
 	return nil
+}
+
+// change is what one compaction round lifted from the live writer
+// under the write lock: the delta of the WAL span (from, to], or —
+// when the writer's record had overflowed — the whole state at to.
+type change struct {
+	from, to uint64
+	delta    *core.ImageDelta
+	whole    *core.Image
+	// elements is how many elements the state holds at to.
+	elements int
+	// spent goes back to the writer if the round fails.
+	spent *core.Dirty
+}
+
+// liftLocked takes the round's change out of the writer. Callers must
+// hold w.mu; the result shares nothing mutable with the live state.
+func (w *writer) liftLocked(from, to uint64) (*change, error) {
+	st := w.inc.Stats()
+	ch := &change{from: from, to: to, elements: st.Nodes + st.Edges}
+	ch.delta, ch.spent = w.inc.Lift(from, &core.CheckpointExtras{
+		Resolver:    w.resolver,
+		NextEdgeID:  w.nextEdgeID,
+		WALSeq:      to,
+		AppliedKeys: w.keys.since(from),
+	})
+	if ch.delta == nil {
+		var err error
+		if ch.whole, err = w.image(to); err != nil {
+			w.inc.Unlift(ch.spent)
+			return nil, err
+		}
+	}
+	return ch, nil
+}
+
+// Why a round wrote a base image instead of a run
+// (CompactionRound.FoldReason).
+const (
+	FoldMaxRuns        = "max-runs"
+	FoldTombstoneRatio = "tombstone-ratio"
+	FoldDirtyOverflow  = "dirty-overflow"
+)
+
+// writeGeneration makes the round's change durable off the write lock:
+// a run (or, on a fold, a base image) and the manifest naming it. It
+// fills in what the round wrote; the caller commits the manifest.
+func (d *DurableService) writeGeneration(ch *change, round *CompactionRound) (*runfile.Manifest, error) {
+	newMan := &runfile.Manifest{
+		Version: runfile.ManifestVersion,
+		Seq:     d.manSeq + 1,
+		// One generation of WAL retention: floor at the PREVIOUS
+		// coverage so recovery can fall back past this round's files.
+		WALFloor: ch.from,
+	}
+	if d.ship != nil {
+		// Persist the upload watermark so a restart keeps gating prunes
+		// before its first shipping round completes.
+		newMan.ShippedLSN = d.ship.watermark
+	}
+	if ch.delta == nil {
+		round.Puts = ch.elements
+	} else {
+		round.Puts, round.Tombstones = ch.delta.Puts(), ch.delta.Tombstones()
+	}
+	switch {
+	case ch.delta == nil:
+		round.FoldReason = FoldDirtyOverflow
+	case len(d.man.Runs)+1 > d.dopts.MaxRuns:
+		round.FoldReason = FoldMaxRuns
+	case float64(d.man.Tombstones()+round.Tombstones) > d.dopts.MaxTombstoneRatio*float64(max(ch.elements, 1)):
+		round.FoldReason = FoldTombstoneRatio
+	}
+	if round.FoldReason == "" {
+		payload, err := json.Marshal(ch.delta)
+		if err != nil {
+			return nil, fmt.Errorf("pghive: durable: encode run: %w", err)
+		}
+		info, err := runfile.WriteRun(d.fs, d.dir, ch.from, ch.to, round.Tombstones, payload)
+		if err != nil {
+			return nil, err
+		}
+		round.BytesWritten = info.Bytes
+		newMan.Base = d.man.Base
+		newMan.BaseLSN = d.man.BaseLSN
+		newMan.BaseElements = d.man.BaseElements
+		newMan.Runs = append(slices.Clone(d.man.Runs), info)
+	} else {
+		// Leveled merge: collapse base + runs + new delta into a fresh
+		// base image; the chain restarts empty.
+		img := ch.whole
+		if img == nil {
+			var err error
+			if img, err = mergedImage(d.fs, d.dir, d.w.opts, d.man); err != nil {
+				return nil, err
+			}
+			if err := ch.delta.Apply(img); err != nil {
+				return nil, err
+			}
+			// Merging concatenates applied keys; the live store (and a
+			// restore) keeps the newest MaxIdempotencyKeys of them.
+			if over := len(img.AppliedKeys) - d.dopts.MaxIdempotencyKeys; over > 0 {
+				img.AppliedKeys = img.AppliedKeys[over:]
+			}
+		}
+		path := checkpointPath(d.dir, ch.to)
+		err := vfs.WriteFileAtomic(d.fs, path, func(w io.Writer) error {
+			return core.EncodeImage(w, img)
+		})
+		if err != nil {
+			return nil, err
+		}
+		round.Folded = true
+		if fi, err := d.fs.Stat(path); err == nil { // a statistic: not worth failing the round for
+			round.BytesWritten = fi.Size()
+		}
+		newMan.Base = filepath.Base(path)
+		newMan.BaseLSN = ch.to
+		newMan.BaseElements = img.Elements()
+	}
+	if err := runfile.WriteManifest(d.fs, d.dir, newMan); err != nil {
+		return nil, err
+	}
+	return newMan, nil
 }
 
 // sweepLocked garbage-collects every checkpoint-layout file in the
@@ -1004,6 +1096,33 @@ type DurableStats struct {
 	ReadOnlyReason string `json:"readOnlyReason,omitempty"`
 	// IdempotencyKeys counts the retained applied-key set.
 	IdempotencyKeys int `json:"idempotencyKeys"`
+	// LastRound describes the most recent compaction round that wrote
+	// a generation (zero before the first); Rounds and Folds count such
+	// rounds, and those of them that wrote a base image, since open.
+	LastRound CompactionRound `json:"lastRound"`
+	Rounds    uint64          `json:"rounds"`
+	Folds     uint64          `json:"folds"`
+}
+
+// CompactionRound is what one compaction round cost.
+type CompactionRound struct {
+	// Seconds is the whole round, lift to prune. LockHeldSeconds is the
+	// part of it spent holding the write lock — sealing the log and
+	// lifting the delta — which is all a concurrent writer can wait on.
+	Seconds         float64 `json:"seconds"`
+	LockHeldSeconds float64 `json:"lockHeldSeconds"`
+	// BytesWritten is the size of the run or base image the round
+	// wrote (the manifest, a few hundred bytes, not counted).
+	BytesWritten int64 `json:"bytesWritten"`
+	// Puts / Tombstones count the entries the round's delta puts and
+	// deletes. A dirty-overflow round has no delta: its Puts are the
+	// elements of the state it captured whole.
+	Puts       int `json:"puts"`
+	Tombstones int `json:"tombstones"`
+	// Folded reports a round that wrote a base image instead of a run;
+	// FoldReason says why (one of the Fold* constants, "" for a run).
+	Folded     bool   `json:"folded"`
+	FoldReason string `json:"foldReason,omitempty"`
 }
 
 // DurableStats snapshots the durability counters.
@@ -1026,6 +1145,7 @@ func (d *DurableService) DurableStats() DurableStats {
 	}
 	st.RunTombstones = d.man.Tombstones()
 	st.RecoveryFallbacks = d.fallbacks
+	st.LastRound, st.Rounds, st.Folds = d.lastRound, d.rounds, d.folds
 	if d.ship != nil {
 		st.ShippedLSN = d.ship.watermark
 		st.ShipFailures = d.ship.failures
@@ -1128,6 +1248,19 @@ func (st *idemStore) len() int {
 	return len(st.m)
 }
 
+// since returns the retained keys applied above lsn, in LSN order: a
+// binary search and a copy of what it finds.
+func (st *idemStore) since(lsn uint64) []core.AppliedKey {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	live := st.fifo[st.head:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].LSN > lsn })
+	if i == len(live) {
+		return nil
+	}
+	return append([]core.AppliedKey(nil), live[i:]...)
+}
+
 // export returns the retained keys in LSN order — the deterministic
 // serialization the checkpoint image needs.
 func (st *idemStore) export() []core.AppliedKey {
@@ -1151,9 +1284,8 @@ func (w *writer) image(target uint64) (*core.Image, error) {
 }
 
 // apply folds one WAL record into the state through the same ingest
-// and retract live writes use — the one rule behind recovery, the
-// compactor's fold, Rearm's catch-up and a follower's tail — and
-// remembers the idempotency key it carried, where keys are tracked.
+// and retract live writes use — the one rule behind recovery, Rearm's
+// catch-up and a follower's tail — and remembers the idempotency key it carried, where keys are tracked.
 func (w *writer) apply(rec wal.Record) error {
 	g, key, retract, err := decodeWALRecord(rec)
 	if err != nil {

@@ -1,10 +1,11 @@
 package pghive
 
 // White-box proof that compaction cannot stall the write path: the
-// compactor is parked indefinitely inside its fold (via the test
-// hook, which runs while compactMu is held and the fold target is
-// chosen) and writers must still complete ingests, retractions, and
-// reads. This is deterministic — no timing heuristics anywhere: the
+// compactor is parked indefinitely at the start of its off-lock phase
+// (via the test hook, which runs while compactMu is held, after the
+// round's delta is lifted and before anything is encoded, written,
+// fsynced or shipped) and writers must still complete ingests,
+// retractions, and reads. This is deterministic — no timing heuristics anywhere: the
 // writes run inline, so if the compactor held any lock they need the
 // test deadlocks on the spot (and the go test timeout dumps every
 // goroutine), and the park itself is verified by a non-blocking read

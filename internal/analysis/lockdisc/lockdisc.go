@@ -12,7 +12,7 @@
 // The batch-apply rule itself (writer.ingest / retract / apply) carries
 // no suffix and is out of this analyzer's reach on purpose: it is ONE
 // function shared by owners that lock (live serving) and owners that
-// need no lock (recovery's and the compactor's private shadow state),
+// need no lock (recovery's and a follower bootstrap's private state),
 // so its contract is exclusive ownership, like core.Incremental's —
 // the suffix is kept for what only ever runs under the lock.
 //

@@ -20,9 +20,9 @@ package core
 // RestoreImage. The byte format is unchanged from version 1.
 //
 // An Image never aliases a live pipeline: CaptureImage and
-// RestoreImage copy, in both directions. Compaction depends on it — it
-// restores a writer from an image, replays onto that writer, and diffs
-// the result against the very image it restored from.
+// RestoreImage copy, in both directions. Compaction depends on it — a
+// round that captures the state whole encodes the image off the write
+// lock, while writes keep landing on the pipeline it was taken from.
 
 import (
 	"encoding/json"

@@ -268,6 +268,9 @@ type Incremental struct {
 	// batches counts ProcessBatch calls (RetractBatch excluded), so
 	// serving layers and checkpoints can report stream progress.
 	batches int
+	// dirty records what the batches change, for a durable owner's
+	// compaction rounds (see Track). Nil where nobody lifts it.
+	dirty *Dirty
 }
 
 // NewIncremental returns a streaming pipeline with an empty schema.
@@ -390,6 +393,8 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
+	d := inc.dirty
+	rec := d.admit(len(nodes)+len(edges), len(inc.result.NodeAssign)+len(inc.result.EdgeAssign))
 	if len(inc.result.NodeAssign) == 0 && len(nodes) > 0 {
 		inc.result.NodeAssign = make(map[pg.ID]*schema.NodeType, len(nodes))
 	}
@@ -405,6 +410,9 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	// components.
 	start := time.Now()
 	nodeSI := inc.nodeShapes.IndexNodes(nodes)
+	if rec {
+		d.nodeShapes = append(d.nodeShapes, nodeSI.Created...)
+	}
 	ec := endpointCodes(b.Graph, nodeSI, o.Parallelism)
 
 	// (b) Preprocess nodes: embeddings and representation structures
@@ -450,7 +458,18 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		ntypes = inc.sch.ExtractNodeTypes(ncands, o.Theta)
 	}
 	for row := range nodes {
-		inc.result.NodeAssign[nodes[row].ID] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
+		id := nodes[row].ID
+		if rec {
+			d.nodeAssigned(id, inc.result.NodeAssign[id])
+		}
+		inc.result.NodeAssign[id] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
+	}
+	if rec {
+		for _, t := range ntypes {
+			if t != nil {
+				d.nodeTypes[t.ID] = true
+			}
+		}
 	}
 	tm.Extract += time.Since(start)
 
@@ -467,6 +486,9 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		}
 	}
 	edgeSI := inc.edgeShapes.IndexEdgesCoded(edges, ec)
+	if rec {
+		d.edgeShapes = append(d.edgeShapes, edgeSI.Created...)
+	}
 	distinctEdgeLabels := len(edgeSI.EdgeLabels(edges))
 	var edgeMat *vectorize.Matrix
 	var edgeSets [][]string
@@ -504,7 +526,14 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		etypes = inc.sch.ExtractEdgeTypes(ecands, o.Theta)
 	}
 	for row := range edges {
-		inc.result.EdgeAssign[edges[row].ID] = etypes[edgeCl.Assign[edgeSI.Rows[row]]]
+		id := edges[row].ID
+		if rec {
+			d.edgeAssigned(id, inc.result.EdgeAssign[id])
+		}
+		inc.result.EdgeAssign[id] = etypes[edgeCl.Assign[edgeSI.Rows[row]]]
+	}
+	if rec {
+		d.edgesMerged(edges, inc.result.EdgeAssign)
 	}
 	tm.Extract += time.Since(start)
 
@@ -564,21 +593,31 @@ func endpointCodes(g *pg.Graph, nodeSI *pg.ShapeIndex, workers int) *pg.Endpoint
 func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 	start := time.Now()
 	nodes := b.Graph.Nodes()
+	edges := b.Graph.Edges()
+	d := inc.dirty
+	rec := d.admit(len(nodes)+len(edges), len(inc.result.NodeAssign)+len(inc.result.EdgeAssign))
 	for i := range nodes {
 		n := &nodes[i]
 		ty := inc.result.NodeAssign[n.ID]
 		if ty == nil {
 			continue
 		}
+		if rec {
+			d.nodeAssigned(n.ID, ty)
+			d.nodeTypes[ty.ID] = true
+		}
 		ty.Retract(n.Labels, n.Props)
 		delete(inc.result.NodeAssign, n.ID)
 	}
-	edges := b.Graph.Edges()
 	for i := range edges {
 		e := &edges[i]
 		ty := inc.result.EdgeAssign[e.ID]
 		if ty == nil {
 			continue
+		}
+		if rec {
+			d.edgeAssigned(e.ID, ty)
+			d.edgeRetracting(ty, e.Src, e.Dst)
 		}
 		ty.RetractEdge(e.Labels, e.Props, e.Src, e.Dst)
 		delete(inc.result.EdgeAssign, e.ID)

@@ -99,6 +99,12 @@ func (d *ImageDelta) Tombstones() int {
 		len(d.NodeShapeDel) + len(d.EdgeShapeDel) + len(d.ResolverDel)
 }
 
+// Puts counts the delta's upserts, as Tombstones counts its deletions.
+func (d *ImageDelta) Puts() int {
+	return len(d.NodeAssign) + len(d.EdgeAssign) +
+		len(d.NodeShapePut) + len(d.EdgeShapePut) + len(d.ResolverPut)
+}
+
 // DiffImage computes the delta that transforms base into next. Both
 // images must be canonical (as produced by CaptureImage / DecodeImage)
 // and next.WALSeq must not precede base.WALSeq.

@@ -51,6 +51,11 @@ type ShapeIndex struct {
 	Counts []int32
 	// Shapes maps each shape ordinal to its cache entry.
 	Shapes []*Shape
+	// Created lists the fingerprints this pass registered in the cache
+	// for the first time — what a durable owner must persist next —
+	// when the cache was asked to (ShapeCache.TrackCreated). Nil in
+	// steady state, when every shape has been seen before.
+	Created []string
 }
 
 // NumShapes returns the number of distinct shapes in the batch.
@@ -113,12 +118,20 @@ type ShapeCache struct {
 	epoch  uint64
 	buf    []byte   // reusable fingerprint buffer
 	keys   []string // reusable key scratch
+	// trackCreated makes every pass list the shapes it registers
+	// (ShapeIndex.Created). Off by default: one-shot discovery has
+	// nobody to tell.
+	trackCreated bool
 }
 
 // NewShapeCache returns an empty cache.
 func NewShapeCache() *ShapeCache {
 	return &ShapeCache{shapes: map[string]*Shape{}}
 }
+
+// TrackCreated makes every later indexing pass report the shapes it
+// registers for the first time in ShapeIndex.Created.
+func (c *ShapeCache) TrackCreated() { c.trackCreated = true }
 
 // Size returns the number of distinct shapes ever registered.
 func (c *ShapeCache) Size() int { return len(c.shapes) }
@@ -191,13 +204,18 @@ func appendEdgeShapeKey(dst []byte, e *Edge, srcTok, dstTok string, keys []strin
 }
 
 // lookup resolves the fingerprint currently in c.buf to its Shape,
-// reporting whether it had to be created. The string conversion in the
-// map read does not allocate; only first sight pays for the key copy.
-func (c *ShapeCache) lookup() (*Shape, bool) {
+// reporting whether it had to be created (and noting it in si if so).
+// The string conversion in the map read does not allocate; only first
+// sight pays for the key copy.
+func (c *ShapeCache) lookup(si *ShapeIndex) (*Shape, bool) {
 	sh, ok := c.shapes[string(c.buf)]
 	if !ok {
 		sh = &Shape{}
-		c.shapes[string(c.buf)] = sh
+		key := string(c.buf)
+		c.shapes[key] = sh
+		if c.trackCreated {
+			si.Created = append(si.Created, key)
+		}
 	}
 	return sh, !ok
 }
@@ -225,7 +243,7 @@ func (c *ShapeCache) IndexNodes(nodes []Node) *ShapeIndex {
 		n := &nodes[i]
 		keys := c.canonicalPropKeys(n.Props)
 		c.buf = appendNodeShapeKey(c.buf[:0], n, keys)
-		sh, created := c.lookup()
+		sh, created := c.lookup(si)
 		if created {
 			sh.Token = n.LabelToken()
 		}
@@ -263,7 +281,7 @@ func (c *ShapeCache) indexEdges(edges []Edge, srcToks, dstToks []string, ec *End
 		}
 		keys := c.canonicalPropKeys(e.Props)
 		c.buf = appendEdgeShapeKey(c.buf[:0], e, srcTok, dstTok, keys)
-		sh, created := c.lookup()
+		sh, created := c.lookup(si)
 		if created {
 			sh.Token = e.LabelToken()
 		}

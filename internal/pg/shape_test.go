@@ -163,3 +163,37 @@ func TestShapeCacheEpochPast32Bits(t *testing.T) {
 		t.Fatalf("Counts = %v, want [2 1]", si.Counts)
 	}
 }
+
+// TestShapeCacheTrackCreated: a tracked cache reports, per pass, the
+// fingerprints it registered for the first time — each resolvable
+// through Entry — and nothing for shapes it had seen.
+func TestShapeCacheTrackCreated(t *testing.T) {
+	g := NewGraph()
+	g.AddNode([]string{"A"}, nil)
+	g.AddNode([]string{"B"}, map[string]Value{"k": Int(1)})
+	g.AddNode([]string{"A"}, nil)
+
+	untracked := NewShapeCache()
+	if si := untracked.IndexNodes(g.Nodes()); si.Created != nil {
+		t.Fatalf("untracked cache reported %q", si.Created)
+	}
+
+	c := NewShapeCache()
+	c.TrackCreated()
+	first := c.IndexNodes(g.Nodes())
+	if len(first.Created) != 2 {
+		t.Fatalf("first pass created %q, want 2 fingerprints", first.Created)
+	}
+	for _, key := range first.Created {
+		e, ok := c.Entry(key)
+		if !ok || string(e.Key) != key {
+			t.Fatalf("Entry(%q) = %+v, %v", key, e, ok)
+		}
+	}
+	if _, ok := c.Entry("never registered"); ok {
+		t.Fatal("Entry found a fingerprint nobody registered")
+	}
+	if again := c.IndexNodes(g.Nodes()); again.Created != nil {
+		t.Fatalf("second pass over the same shapes created %q", again.Created)
+	}
+}

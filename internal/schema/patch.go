@@ -20,6 +20,19 @@ package schema
 // proof. The fallback degrades to the old behavior, never to a wrong
 // schema. (A fallback for new schemas with fields this model would
 // drop went with the text it guarded.) Nothing here encodes or decodes.
+//
+// Diff reads both schemas whole, tallies included: O(database). The
+// compaction path does not call it. A durable writer records which
+// types and which tallies it touched since its last round (Touched)
+// and Baseline.Lift builds the same patch from those alone. What that
+// costs, plainly: Lift does not run Diff's self-proof — applying the
+// patch and comparing the result with new is itself O(database) — so
+// a lifted patch is not re-checked at run time. It is held to Diff
+// from outside instead: the property and fuzz tests in the root
+// package compare every lifted run with DiffImage of two captured
+// images, byte for byte. Everything recovery refuses it still
+// refuses: Patch.Apply's checks, ImageDelta.Apply's contiguity, the
+// run CRCs.
 
 import (
 	"fmt"
@@ -30,6 +43,7 @@ import (
 	"strings"
 
 	"github.com/pghive/pghive/internal/keyed"
+	"github.com/pghive/pghive/internal/pg"
 )
 
 // patchVersion is the schema-patch format version.
@@ -87,6 +101,117 @@ func Diff(old, new *Persisted) *Patch {
 		return replace
 	}
 	return p
+}
+
+// Baseline is the bounded part of a schema at one point — the order of
+// its types and each type's head — which is all of the old side that
+// Lift needs. O(types), never O(database).
+type Baseline struct {
+	nodeIDs, edgeIDs     []int
+	nodeHeads, edgeHeads map[int]jsonType
+}
+
+// NewBaseline captures s's baseline.
+func NewBaseline(s *Schema) *Baseline {
+	b := &Baseline{
+		nodeHeads: make(map[int]jsonType, len(s.NodeTypes)),
+		edgeHeads: make(map[int]jsonType, len(s.EdgeTypes)),
+	}
+	for _, nt := range s.NodeTypes {
+		b.nodeIDs = append(b.nodeIDs, nt.ID)
+		b.nodeHeads[nt.ID] = typeToJSON(&nt.Type)
+	}
+	for _, et := range s.EdgeTypes {
+		b.edgeIDs = append(b.edgeIDs, et.ID)
+		b.edgeHeads[et.ID] = edgeHeadToJSON(et)
+	}
+	return b
+}
+
+// HasEdgeType reports whether the baseline holds an edge type with the
+// ID. A type it lacks is lifted whole, so its tallies need no record.
+func (b *Baseline) HasEdgeType(id int) bool {
+	_, ok := b.edgeHeads[id]
+	return ok
+}
+
+// Touched is what a schema's owner recorded about one edge type since
+// a baseline: the degree tallies it changed, each with the count the
+// node had before the first change (0 when it had none).
+type Touched struct {
+	Src, Dst map[pg.ID]int
+}
+
+// Lift builds the patch from the schema b was captured from to s —
+// what Diff returns for the two, persisted — and s's own baseline. It
+// reads only the types s gained and the ones named in nodes and edges,
+// which must cover every type changed since b; the rest are taken as
+// unchanged. The patch shares no memory with s.
+func (b *Baseline) Lift(s *Schema, nodes map[int]bool, edges map[int]*Touched) (*Patch, *Baseline) {
+	next := &Baseline{
+		nodeHeads: make(map[int]jsonType, len(s.NodeTypes)),
+		edgeHeads: make(map[int]jsonType, len(s.EdgeTypes)),
+	}
+	p := &Patch{Version: patchVersion}
+	for _, nt := range s.NodeTypes {
+		p.NodeIDs = append(p.NodeIDs, nt.ID)
+		head, known := b.nodeHeads[nt.ID]
+		if !known || nodes[nt.ID] {
+			now := typeToJSON(&nt.Type)
+			if !known || !reflect.DeepEqual(head, now) {
+				p.NodeTypes = append(p.NodeTypes, jsonTypePatch{ID: nt.ID, Head: &now})
+			}
+			head = now
+		}
+		next.nodeHeads[nt.ID] = head
+	}
+	for _, et := range s.EdgeTypes {
+		p.EdgeIDs = append(p.EdgeIDs, et.ID)
+		head, known := b.edgeHeads[et.ID]
+		if t := edges[et.ID]; !known || t != nil {
+			now := edgeHeadToJSON(et)
+			tp := jsonTypePatch{ID: et.ID}
+			if !known {
+				tp.Head = &now
+				tp.SrcDegSet, tp.DstDegSet = rekey[nodeKey](et.SrcDeg), rekey[nodeKey](et.DstDeg)
+			} else {
+				if !reflect.DeepEqual(head, now) {
+					tp.Head = &now
+				}
+				tp.SrcDegSet, tp.SrcDegDel = liftDeg(t.Src, et.SrcDeg)
+				tp.DstDegSet, tp.DstDegDel = liftDeg(t.Dst, et.DstDeg)
+			}
+			if tp.Head != nil || tp.SrcDegSet != nil || tp.SrcDegDel != nil || tp.DstDegSet != nil || tp.DstDegDel != nil {
+				p.EdgeTypes = append(p.EdgeTypes, tp)
+			}
+			head = now
+		}
+		next.edgeHeads[et.ID] = head
+	}
+	next.nodeIDs, next.edgeIDs = p.NodeIDs, p.EdgeIDs
+	if p.NodeTypes == nil && p.EdgeTypes == nil &&
+		slices.Equal(b.nodeIDs, next.nodeIDs) && slices.Equal(b.edgeIDs, next.edgeIDs) {
+		return nil, next
+	}
+	return p, next
+}
+
+// liftDeg is keyed.DiffMap over the touched keys alone: before holds
+// their old counts (0: absent), now the live tally.
+func liftDeg(before, now map[pg.ID]int) (set map[nodeKey]int, del []nodeKey) {
+	for id, was := range before {
+		switch count, ok := now[id]; {
+		case ok && count != was:
+			if set == nil {
+				set = map[nodeKey]int{}
+			}
+			set[nodeKey(id)] = count
+		case !ok && was != 0:
+			del = append(del, nodeKey(id))
+		}
+	}
+	slices.SortFunc(del, byDecimal)
+	return set, del
 }
 
 // Apply returns the schema the patch was diffed against, built from

@@ -159,13 +159,20 @@ func Persist(s *Schema) *Persisted {
 		p.NodeTypes = append(p.NodeTypes, typeToJSON(&nt.Type))
 	}
 	for _, et := range s.EdgeTypes {
-		jt := typeToJSON(&et.Type)
-		jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
+		jt := edgeHeadToJSON(et)
 		jt.SrcDeg, jt.DstDeg = rekey[nodeKey](et.SrcDeg), rekey[nodeKey](et.DstDeg)
-		jt.Cardinality = uint8(et.Cardinality)
 		p.EdgeTypes = append(p.EdgeTypes, jt)
 	}
 	return p
+}
+
+// edgeHeadToJSON persists an edge type less its degree tallies: the
+// bounded part patch.go compares and re-emits as a unit.
+func edgeHeadToJSON(et *EdgeType) jsonType {
+	jt := typeToJSON(&et.Type)
+	jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
+	jt.Cardinality = uint8(et.Cardinality)
+	return jt
 }
 
 // WriteJSON serializes the schema.

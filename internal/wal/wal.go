@@ -477,15 +477,6 @@ func (l *Log) Prune(upTo uint64) (int, error) {
 // cannot produce, and is reported rather than silently skipped. A
 // torn tail on the final segment ends the replay cleanly.
 func (l *Log) Replay(after uint64, fn func(Record) error) error {
-	return l.ReplayRange(after, 0, fn)
-}
-
-// ReplayRange is Replay bounded above: records with LSN > upTo are
-// not delivered and segments that start past the bound are never
-// opened (upTo 0 means unbounded). A compactor folding only the
-// sealed prefix passes its target so the live active segment — which
-// a concurrent writer is appending to — is not scanned at all.
-func (l *Log) ReplayRange(after, upTo uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -500,9 +491,6 @@ func (l *Log) ReplayRange(after, upTo uint64, fn func(Record) error) error {
 
 	var expect uint64
 	for _, seg := range segs {
-		if upTo > 0 && seg.First > upTo {
-			break
-		}
 		f, err := vfs.Open(l.fs, seg.Path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -518,9 +506,6 @@ func (l *Log) ReplayRange(after, upTo uint64, fn func(Record) error) error {
 			expect = rec.LSN + 1
 			if rec.LSN <= after {
 				return nil
-			}
-			if upTo > 0 && rec.LSN > upTo {
-				return ErrStopReplay
 			}
 			return fn(rec)
 		})

@@ -1,0 +1,224 @@
+package pghive_test
+
+// What a compaction round costs, pinned from outside the package: a
+// round carrying tombstones on a store that has no base (or a small
+// one) writes a run, not the database; a steady-state round's
+// allocations follow the write, not the store; and it reads no
+// checkpoint or run file.
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	pghive "github.com/pghive/pghive"
+	"github.com/pghive/pghive/internal/vfs"
+)
+
+// TestFirstTombstoneDoesNotFoldUnfoldedStore: the fold rule weighs the
+// chain's tombstones against the elements the generation holds, not
+// against the base image alone — so a store that never folded (base of
+// zero elements), or whose base is small beside its runs, does not
+// rewrite everything at the first retraction.
+func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
+	opts := pghive.Options{Seed: 9, Parallelism: 1}
+	open := func(t *testing.T, mem *vfs.MemFS, maxRuns int) *pghive.DurableService {
+		t.Helper()
+		d, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{
+			FS: mem, NoSync: true, DisableAutoCompact: true, MaxRuns: maxRuns,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	compact := func(t *testing.T, d *pghive.DurableService) pghive.DurableStats {
+		t.Helper()
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		return d.DurableStats()
+	}
+	// retractRound retracts one small batch in a round of its own and
+	// requires the round to have written a small run on top of loaded.
+	retractRound := func(t *testing.T, d *pghive.DurableService, victim *pghive.Graph, loaded pghive.DurableStats) {
+		t.Helper()
+		if _, err := d.Retract(victim); err != nil {
+			t.Fatal(err)
+		}
+		st := compact(t, d)
+		if st.BaseLSN != loaded.BaseLSN || st.Runs != loaded.Runs+1 {
+			t.Fatalf("the round carrying the first tombstones rewrote the store: base LSN %d -> %d, runs %d -> %d",
+				loaded.BaseLSN, st.BaseLSN, loaded.Runs, st.Runs)
+		}
+		if st.RunTombstones == 0 {
+			t.Fatal("setup: the retraction left no tombstones")
+		}
+		if wrote := st.RunBytes - loaded.RunBytes; wrote*5 > loaded.RunBytes {
+			t.Fatalf("a %d-element retraction wrote a %d-byte run beside %d bytes of chain: not O(batch)",
+				victim.NumNodes()+victim.NumEdges(), wrote, loaded.RunBytes)
+		}
+	}
+
+	t.Run("no base", func(t *testing.T) {
+		d := open(t, vfs.NewMemFS(), 100)
+		defer d.Close()
+		victim := stressGraph(t, 0, 10)
+		if _, err := d.Ingest(victim); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 5; i++ {
+			if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*i), 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded := compact(t, d)
+		if loaded.BaseLSN != 0 || loaded.Runs != 1 {
+			t.Fatalf("setup: want one run and no base, got base LSN %d and %d runs", loaded.BaseLSN, loaded.Runs)
+		}
+		retractRound(t, d, victim, loaded)
+	})
+
+	t.Run("small base under a long chain", func(t *testing.T) {
+		mem := vfs.NewMemFS()
+		// A 50-element base: one run, then a second round that trips
+		// MaxRuns 1 and folds.
+		d := open(t, mem, 1)
+		victim := stressGraph(t, 0, 10)
+		for _, g := range []*pghive.Graph{victim, stressGraph(t, 100, 14)} {
+			if _, err := d.Ingest(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compact(t, d)
+		if _, err := d.Ingest(stressGraph(t, 200, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if st := compact(t, d); st.BaseLSN == 0 || st.Runs != 0 {
+			t.Fatalf("setup: want a folded base, got base LSN %d and %d runs", st.BaseLSN, st.Runs)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// 5 k elements of chain on top of it, in five rounds.
+		d = open(t, mem, 100)
+		defer d.Close()
+		var loaded pghive.DurableStats
+		for i := 1; i <= 5; i++ {
+			if _, err := d.Ingest(stressGraph(t, pghive.ID(10_000*i), 500)); err != nil {
+				t.Fatal(err)
+			}
+			loaded = compact(t, d)
+		}
+		if loaded.Runs != 5 {
+			t.Fatalf("setup: want 5 runs over the base, got %d", loaded.Runs)
+		}
+		retractRound(t, d, victim, loaded)
+	})
+}
+
+// openLoaded returns a durable service on fsys holding n elements
+// (stressGraph chunks) under one checkpoint generation, with folding
+// off for the rounds the caller measures.
+func openLoaded(t *testing.T, fsys vfs.FS, n int) *pghive.DurableService {
+	t.Helper()
+	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 9, Parallelism: 1}, pghive.DurableOptions{
+		FS: fsys, NoSync: true, DisableAutoCompact: true, MaxRuns: 1 << 30, MaxTombstoneRatio: 1e9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 500 // nodes; as many edges
+	for off := 0; 2*off < n; off += chunk {
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(off), chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestCompactAllocsFollowChange: the same ~50-element write followed
+// by Compact on a 2 k-element and on a 20 k-element store. A round
+// that re-reads the generation and replays onto a second copy of the
+// state allocates in proportion to the store; one that lifts what the
+// writer recorded does not. (The write is inside the measured call on
+// both sides: a round with nothing to fold measures nothing.)
+func TestCompactAllocsFollowChange(t *testing.T) {
+	allocs := func(elements int) float64 {
+		d := openLoaded(t, vfs.NewMemFS(), elements)
+		defer d.Close()
+		next := pghive.ID(1 << 24)
+		round := func() {
+			if _, err := d.Ingest(stressGraph(t, next, 25)); err != nil {
+				t.Fatal(err)
+			}
+			next += 1000
+			if err := d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // the first round after the load, not a steady-state one
+		return testing.AllocsPerRun(5, round)
+	}
+	small, large := allocs(2_000), allocs(20_000)
+	t.Logf("ingest + Compact allocations: %.0f on 2 k elements, %.0f on 20 k", small, large)
+	if large > 1.5*small {
+		t.Fatalf("a compaction round's allocations follow the store, not the change: %.0f -> %.0f for a store ten times the size", small, large)
+	}
+}
+
+// readCountingFS counts read-only opens by file name.
+type readCountingFS struct {
+	vfs.FS
+	mu    sync.Mutex
+	reads []string
+}
+
+func (c *readCountingFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR) == 0 {
+		c.mu.Lock()
+		c.reads = append(c.reads, filepath.Base(name))
+		c.mu.Unlock()
+	}
+	return c.FS.OpenFile(name, flag, perm)
+}
+
+// TestSteadyRoundReadsNothing: a steady-state round opens no base
+// image and no run for reading — what it writes comes from memory.
+func TestSteadyRoundReadsNothing(t *testing.T) {
+	counting := &readCountingFS{FS: vfs.NewMemFS()}
+	d := openLoaded(t, counting, 2_000)
+	defer d.Close()
+	for i := 0; i < 3; i++ {
+		g := stressGraph(t, pghive.ID(1<<24+1000*i), 25)
+		if _, err := d.Ingest(g); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, err := d.Retract(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counting.mu.Lock()
+		counting.reads = nil
+		counting.mu.Unlock()
+		runs := d.DurableStats().Runs
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.DurableStats(); st.Runs != runs+1 {
+			t.Fatalf("round %d: want a steady-state round (one more run), got %d -> %d runs", i, runs, st.Runs)
+		}
+		for _, name := range counting.reads {
+			if strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".run") {
+				t.Fatalf("round %d read %s: a steady-state round reads nothing of the generation (all reads: %v)", i, name, counting.reads)
+			}
+		}
+	}
+}

@@ -57,11 +57,11 @@ type Reader struct {
 // (the serving analogue of a stream reader's resolver), so an edge
 // ingested in a later request still resolves endpoint labels for nodes
 // ingested earlier. ingest, retract and apply are the ONE batch-apply
-// rule behind live serving, WAL recovery, the compactor's fold and a
+// rule behind live serving, WAL recovery, Rearm's catch-up and a
 // follower's tail, which is what makes each bit-identical to the run
 // that logged the records. Not safe for concurrent use: an owner that
-// serves it holds mu around every call; a shadow owner (recovery,
-// compaction) is the only goroutine that ever sees it.
+// serves it holds mu around every call; a shadow owner (recovery, a
+// follower's bootstrap) is the only goroutine that ever sees it.
 type writer struct {
 	mu       writeLock
 	opts     Options
@@ -80,6 +80,11 @@ type writer struct {
 	// nil on a shadow writer, which replays without paying the
 	// copy-on-publish per record.
 	out *Reader
+	// dirty records what the applied batches change, so a compaction
+	// round can write that and nothing else (see DurableService.Compact).
+	// Nil where no round ever lifts it: plain services, followers, and
+	// the scratch writers recovery discards.
+	dirty *core.Dirty
 }
 
 // newWriter positions a writer at a materialized checkpoint image, or
@@ -214,6 +219,7 @@ func (w *writer) ingest(g *Graph) BatchTiming {
 			// Error impossible: absence was just checked and the owner
 			// serializes writes.
 			_ = w.resolver.PutNode(nodes[i].ID, nodes[i].Labels, nil)
+			w.dirty.ResolverAdded(nodes[i].ID)
 		}
 	}
 	edges := g.Edges()
@@ -236,7 +242,10 @@ func (w *writer) retract(g *Graph) BatchTiming {
 	bt := w.inc.RetractBatch(&Batch{Graph: g, Resolver: w.resolver})
 	nodes := g.Nodes()
 	for i := range nodes {
-		w.resolver.RemoveNode(nodes[i].ID)
+		if n := w.resolver.Node(nodes[i].ID); n != nil {
+			w.dirty.ResolverRemoving(n)
+			w.resolver.RemoveNode(n.ID)
+		}
 	}
 	w.publish()
 	return bt
