@@ -124,7 +124,7 @@ func runServe(args []string) {
 		shipBackend = store.NewDir(nil, *shipDir)
 	case *shipTo != "":
 		var err error
-		shipBackend, err = store.NewHTTP(*shipTo, *objectToken, nil)
+		shipBackend, err = store.NewHTTP(*shipTo, *objectToken, objectClient)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(2)
@@ -137,7 +137,7 @@ func runServe(args []string) {
 		fmt.Fprintln(os.Stderr, "pghive serve: -data-dir and -restore are mutually exclusive (a data directory recovers itself)")
 		os.Exit(2)
 	case *follow != "":
-		backend, err := store.NewHTTP(*follow, "", nil)
+		backend, err := store.NewHTTP(*follow, "", objectClient)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pghive serve:", err)
 			os.Exit(2)
@@ -684,6 +684,14 @@ func (t target) validate(w http.ResponseWriter, r *http.Request) {
 		"violations": violations, "truncated": rep.Truncated,
 	})
 }
+
+// objectClient carries the replication plane's object traffic (-ship-to
+// uploads, -follow fetches). Those calls are made by background rounds
+// whose only other bound is the service's Close, so each exchange gets
+// a deadline of its own: an endpoint that accepts and never answers
+// costs a round two minutes and a counted failure, not the leader's
+// compaction lock (and /stats) or the replica's tail loop for good.
+var objectClient = &http.Client{Timeout: 2 * time.Minute}
 
 // leaderProbeTimeout bounds one leader-position probe.
 const leaderProbeTimeout = 2 * time.Second

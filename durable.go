@@ -221,7 +221,7 @@ type DurableService struct {
 	// compactMu serializes compaction rounds (and Rearm) and guards
 	// the checkpoint-generation bookkeeping below. The write path
 	// never takes it.
-	compactMu sync.Mutex
+	compactMu compactLock
 	// man is the current generation (never nil; a synthesized Seq-0
 	// manifest stands in for a legacy or empty directory). prevMan is
 	// the previous generation, whose files the sweep keeps because
@@ -252,7 +252,12 @@ type DurableService struct {
 	commitCh   chan *commitReq
 	commitDone chan struct{}
 
-	stop      chan struct{}
+	// life ends when Close begins: the committer and the compactor exit
+	// on it, and everything the service does on its own initiative — a
+	// shipping round's backend calls — runs under it, so a backend that
+	// never answers cannot outlive Close.
+	life      context.Context
+	cancel    context.CancelFunc
 	done      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -269,6 +274,17 @@ type DurableService struct {
 	// compactor here and assert writes proceed.
 	compactTestHook func()
 }
+
+// compactLock is compactMu's type: a mutex whose Lock hands back the
+// witness the helpers that need the hold take (see writeHeld, whose
+// terms it shares). Taken before w.mu wherever both are held.
+type compactLock struct{ mu sync.Mutex }
+
+// compactHeld witnesses a hold of a DurableService's compactMu.
+type compactHeld struct{}
+
+func (l *compactLock) Lock() compactHeld { l.mu.Lock(); return compactHeld{} }
+func (l *compactLock) Unlock()           { l.mu.Unlock() }
 
 // wal returns the current write-ahead log. The pointer is atomic only
 // because Rearm swaps in a re-opened log while readers (DurableStats)
@@ -310,8 +326,8 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		fallbacks:  rec.fallbacks,
 		commitCh:   make(chan *commitReq),
 		commitDone: make(chan struct{}),
-		stop:       make(chan struct{}),
 	}
+	d.life, d.cancel = context.WithCancel(context.Background())
 	d.log.Store(rec.log)
 	if dopts.ShipTo != nil {
 		// The persisted watermark keeps the prune gate honest before
@@ -323,13 +339,15 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	// ship watermark — never reclaim what the backend does not hold),
 	// then sweep the files no kept generation references (stale
 	// images, orphaned runs, superseded manifests, temp residue).
-	if _, err := rec.log.Prune(d.pruneFloorLocked(rec.man.WALFloor)); err != nil {
+	held := d.compactMu.Lock()
+	if _, err := rec.log.Prune(d.pruneFloor(held, rec.man.WALFloor)); err != nil {
+		d.compactMu.Unlock()
+		d.cancel()
 		_ = rec.log.Close()
 		return nil, err
 	}
-	d.compactMu.Lock()
-	d.sweepLocked()
-	_ = d.shipRoundLocked(context.Background()) // best effort; retried each compaction
+	d.sweep(held)
+	_ = d.shipRound(held) // best effort; retried each compaction
 	d.compactMu.Unlock()
 	go d.commitLoop()
 	if !dopts.DisableAutoCompact {
@@ -567,22 +585,27 @@ func (d *DurableService) Degraded() (reason string, degraded bool) {
 	return "", false
 }
 
-// failFastLocked rejects writes in read-only mode before they touch
-// the WAL. Callers must hold w.mu.
-func (d *DurableService) failFastLocked() error {
+// failFast rejects writes in read-only mode before they touch the WAL.
+// It reads only an atomic, and still takes the witness: the verdict is
+// about the log the append that follows — under the same hold — will
+// use, and Rearm swaps that log and clears the reason under w.mu.
+func (d *DurableService) failFast(_ writeHeld) error {
 	if r := d.degradedReason.Load(); r != nil {
 		return &ReadOnlyError{Reason: *r}
 	}
 	return nil
 }
 
-// maybeDegradeLocked inspects a failed append and declares read-only
+// maybeDegrade inspects a failed append and declares read-only
 // mode when the failure is one no retry can outrun: a broken log
 // (every future append is refused anyway, better to say so cheaply)
 // or a full disk (retrying only hammers a volume that needs space
 // freed). A transient injected fault or I/O hiccup does NOT degrade —
-// the next write simply tries again. Callers must hold w.mu.
-func (d *DurableService) maybeDegradeLocked(err error) {
+// the next write simply tries again. Like failFast it touches only
+// atomics and takes the witness for ordering: under the hold the append
+// failed in, d.wal() is still the log that failed, and a Rearm cannot
+// clear the reason between the failure and this verdict.
+func (d *DurableService) maybeDegrade(_ writeHeld, err error) {
 	switch {
 	case d.wal().Broken():
 		d.degrade(DegradeWALBroken)
@@ -639,9 +662,9 @@ func encodeWALRecordPayload(t byte, key string, g *Graph) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// noteAppliedLocked records that the mutation logged at lsn is (about
-// to be) absorbed into the live state. Callers must hold w.mu.
-func (d *DurableService) noteAppliedLocked(key string, lsn uint64) {
+// noteApplied records that the mutation logged at lsn is (about to be)
+// absorbed into the live state.
+func (d *DurableService) noteApplied(_ writeHeld, key string, lsn uint64) {
 	d.appliedLSN = lsn
 	if key != "" {
 		d.w.keys.add(key, lsn)
@@ -732,13 +755,13 @@ func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCh
 // pruned segments are exactly the space the write path was starving
 // for. A broken-WAL degradation is not cleared here — see Rearm.
 func (d *DurableService) Compact() error {
-	d.compactMu.Lock()
+	held := d.compactMu.Lock()
 	defer d.compactMu.Unlock()
 	began := time.Now()
 
 	lg := d.wal()
 	covered := d.man.Covered()
-	d.w.mu.Lock()
+	wheld := d.w.mu.Lock()
 	locked := time.Now()
 	if err := lg.Rotate(); err != nil {
 		d.w.mu.Unlock()
@@ -751,15 +774,15 @@ func (d *DurableService) Compact() error {
 		// backend is missing, prune any already-covered segments a
 		// crash may have left behind (gated by the ship watermark), and
 		// retry any sweep removals that failed last time.
-		_ = d.shipRoundLocked(context.Background())
-		if _, err := lg.Prune(d.pruneFloorLocked(d.man.WALFloor)); err != nil {
+		_ = d.shipRound(held)
+		if _, err := lg.Prune(d.pruneFloor(held, d.man.WALFloor)); err != nil {
 			return err
 		}
-		d.sweepLocked()
+		d.sweep(held)
 		d.clearDegradeIfWritable()
 		return nil
 	}
-	ch, err := d.w.liftLocked(covered, target)
+	ch, err := d.w.lift(wheld, covered, target)
 	d.w.mu.Unlock()
 	if err != nil {
 		return err
@@ -769,7 +792,7 @@ func (d *DurableService) Compact() error {
 		d.compactTestHook()
 	}
 
-	newMan, err := d.writeGeneration(ch, &round)
+	newMan, err := d.writeGeneration(held, ch, &round)
 	if err != nil {
 		d.w.mu.Lock()
 		d.w.inc.Unlift(ch.spent)
@@ -788,9 +811,9 @@ func (d *DurableService) Compact() error {
 	// a successful round advances the watermark, so the prune below can
 	// reclaim what the backend now holds. Ship failures never fail the
 	// round — the gated prune simply retains more, loudly (ShipFailures).
-	_ = d.shipRoundLocked(context.Background())
-	d.sweepLocked()
-	_, err = lg.Prune(d.pruneFloorLocked(newMan.WALFloor))
+	_ = d.shipRound(held)
+	d.sweep(held)
+	_, err = lg.Prune(d.pruneFloor(held, newMan.WALFloor))
 	round.Seconds = time.Since(began).Seconds()
 	d.lastRound = round
 	d.rounds++
@@ -817,9 +840,9 @@ type change struct {
 	spent *core.Dirty
 }
 
-// liftLocked takes the round's change out of the writer. Callers must
-// hold w.mu; the result shares nothing mutable with the live state.
-func (w *writer) liftLocked(from, to uint64) (*change, error) {
+// lift takes the round's change out of the writer; the result shares
+// nothing mutable with the live state.
+func (w *writer) lift(_ writeHeld, from, to uint64) (*change, error) {
 	st := w.inc.Stats()
 	ch := &change{from: from, to: to, elements: st.Nodes + st.Edges}
 	ch.delta, ch.spent = w.inc.Lift(from, &core.CheckpointExtras{
@@ -847,9 +870,11 @@ const (
 )
 
 // writeGeneration makes the round's change durable off the write lock:
-// a run (or, on a fold, a base image) and the manifest naming it. It
-// fills in what the round wrote; the caller commits the manifest.
-func (d *DurableService) writeGeneration(ch *change, round *CompactionRound) (*runfile.Manifest, error) {
+// a run (or, on a fold, a base image) and the manifest naming it, built
+// on the current generation's bookkeeping (man, manSeq, the ship
+// watermark). It fills in what the round wrote; the caller commits the
+// manifest.
+func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *CompactionRound) (*runfile.Manifest, error) {
 	newMan := &runfile.Manifest{
 		Version: runfile.ManifestVersion,
 		Seq:     d.manSeq + 1,
@@ -928,7 +953,7 @@ func (d *DurableService) writeGeneration(ch *change, round *CompactionRound) (*r
 	return newMan, nil
 }
 
-// sweepLocked garbage-collects every checkpoint-layout file in the
+// sweep garbage-collects every checkpoint-layout file in the
 // data directory that neither the current nor the previous generation
 // references: superseded base images, folded-away or orphaned runs
 // (written but never committed by a manifest), stale manifests —
@@ -936,9 +961,8 @@ func (d *DurableService) writeGeneration(ch *change, round *CompactionRound) (*r
 // interrupted atomic writes. Removal failures are counted in
 // DurableStats (GCFailures / LastGCError) and retried on the next
 // sweep; the sweep itself never fails the caller, because leftover
-// files cost space, not correctness. Callers must hold compactMu (or
-// own d exclusively, as during OpenDurable).
-func (d *DurableService) sweepLocked() {
+// files cost space, not correctness.
+func (d *DurableService) sweep(_ compactHeld) {
 	keep := d.man.Files()
 	if d.man.Seq > 0 {
 		keep[runfile.ManifestName(d.man.Seq)] = true
@@ -1170,7 +1194,7 @@ func (d *DurableService) DurableStats() DurableStats {
 // directory recovers everything.
 func (d *DurableService) Close() error {
 	d.closeOnce.Do(func() {
-		close(d.stop)
+		d.cancel()
 		if d.done != nil {
 			<-d.done
 		}
@@ -1191,7 +1215,7 @@ func (d *DurableService) compactLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-d.stop:
+		case <-d.life.Done():
 			return
 		case <-t.C:
 			if err := d.Compact(); err != nil && d.dopts.OnCompactError != nil {

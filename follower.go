@@ -93,7 +93,10 @@ type Follower struct {
 	fetchFaults atomic.Int64
 	lastFault   atomic.Pointer[string]
 
-	stop      chan struct{}
+	// life ends when Close begins; the replication loop's backend calls
+	// run under it, so a backend that never answers cannot hang Close.
+	life      context.Context
+	cancel    context.CancelFunc
 	done      chan struct{}
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -110,13 +113,14 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 // backend IO happens until Bootstrap or Start.
 func NewFollower(opts Options, backend store.Backend, fopts FollowerOptions) *Follower {
 	w, _ := newWriter(opts, nil, 0) // the empty state cannot fail
-	return &Follower{
+	f := &Follower{
 		Reader:  w.serve(),
 		w:       w,
 		backend: backend,
 		fopts:   fopts.withDefaults(),
-		stop:    make(chan struct{}),
 	}
+	f.life, f.cancel = context.WithCancel(context.Background())
+	return f
 }
 
 // Ready reports whether a bootstrap has completed — before that the
@@ -390,14 +394,13 @@ func (f *Follower) Start() {
 			defer close(f.done)
 			t := time.NewTicker(f.fopts.PollInterval)
 			defer t.Stop()
-			ctx := context.Background()
-			_ = f.TailOnce(ctx)
+			_ = f.TailOnce(f.life)
 			for {
 				select {
-				case <-f.stop:
+				case <-f.life.Done():
 					return
 				case <-t.C:
-					_ = f.TailOnce(ctx)
+					_ = f.TailOnce(f.life)
 				}
 			}
 		}()
@@ -408,7 +411,7 @@ func (f *Follower) Start() {
 // last published snapshot.
 func (f *Follower) Close() error {
 	f.closeOnce.Do(func() {
-		close(f.stop)
+		f.cancel()
 		if f.done != nil {
 			<-f.done
 		}

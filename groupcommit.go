@@ -65,7 +65,7 @@ func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph,
 		return res.bt, res.replayed, res.err
 	case <-ctx.Done():
 		return BatchTiming{}, false, ctx.Err()
-	case <-d.stop:
+	case <-d.life.Done():
 		return BatchTiming{}, false, &DurabilityError{Err: wal.ErrClosed}
 	}
 }
@@ -73,18 +73,19 @@ func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph,
 // commitLoop is the committer goroutine: receive a request, take the
 // write lock, claim the other waiting requests, commit the group,
 // repeat. Every request it receives is answered, so shutdown strands
-// nobody: callers not yet received see d.stop in their own select.
+// nobody: callers not yet received see d.life end in their own select.
 func (d *DurableService) commitLoop() {
 	defer close(d.commitDone)
 	for {
 		select {
-		case <-d.stop:
+		case <-d.life.Done():
 			return
 		case req := <-d.commitCh:
 			// The lock wait is bounded by the deadline of the request in
 			// hand; the callers still parked in their hand-off select
 			// each watch their own.
-			if err := d.w.mu.LockContext(req.ctx); err != nil {
+			held, err := d.w.mu.LockContext(req.ctx)
+			if err != nil {
 				req.res <- commitRes{err: err}
 				continue
 			}
@@ -98,16 +99,15 @@ func (d *DurableService) commitLoop() {
 					break claim
 				}
 			}
-			d.commitGroupLocked(group)
+			d.commitGroup(held, group)
 			d.w.mu.Unlock()
 		}
 	}
 }
 
-// commitGroupLocked commits one group: filter, encode, one
-// AppendBatch, apply in log order, acknowledge. Callers must hold
-// w.mu.
-func (d *DurableService) commitGroupLocked(group []*commitReq) {
+// commitGroup commits one group: filter, encode, one AppendBatch, apply
+// in log order, acknowledge.
+func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 	// Admission per request. A key already in w.keys is durably applied
 	// from an earlier group — safe to ack replayed immediately. groupKeys
 	// catches two requests carrying the same idempotency key inside one
@@ -133,7 +133,7 @@ func (d *DurableService) commitGroupLocked(group []*commitReq) {
 				continue
 			}
 		}
-		if err := d.failFastLocked(); err != nil {
+		if err := d.failFast(held); err != nil {
 			req.res <- commitRes{err: err}
 			continue
 		}
@@ -159,7 +159,7 @@ func (d *DurableService) commitGroupLocked(group []*commitReq) {
 	// duplicates, whose originals are not durable either.
 	first, err := d.wal().AppendBatch(recs)
 	if err != nil {
-		d.maybeDegradeLocked(err)
+		d.maybeDegrade(held, err)
 		for _, p := range pend {
 			p.res <- commitRes{err: &DurabilityError{Err: err}}
 		}
@@ -172,7 +172,7 @@ func (d *DurableService) commitGroupLocked(group []*commitReq) {
 	// Apply in log order, publishing per batch — concurrent readers
 	// see one snapshot per batch, whatever the grouping.
 	for i, p := range pend {
-		d.noteAppliedLocked(p.key, first+uint64(i))
+		d.noteApplied(held, p.key, first+uint64(i))
 		var bt BatchTiming
 		if p.retract {
 			bt = d.w.retract(p.g)

@@ -42,6 +42,14 @@ type MemFS struct {
 	tmpSeq  int
 }
 
+// memHeld witnesses a hold of a MemFS's mu — which guards every node's
+// bytes too: only lock mints one, so what takes it cannot be reached
+// without the mutex. A witness outlives its Unlock; keep it in the
+// scope of the hold.
+type memHeld struct{}
+
+func (m *MemFS) lock() memHeld { m.mu.Lock(); return memHeld{} }
+
 // memNode is one file's content: data is the cache, synced the bytes
 // a crash preserves.
 type memNode struct {
@@ -160,14 +168,14 @@ func (m *MemFS) Remove(name string) error {
 }
 
 func (m *MemFS) Truncate(name string, size int64) error {
-	m.mu.Lock()
+	h := m.lock()
 	defer m.mu.Unlock()
 	name = memPath(name)
 	node, ok := m.live[name]
 	if !ok {
 		return pathError("truncate", name, fs.ErrNotExist)
 	}
-	return node.truncateLocked(size)
+	return node.truncate(h, size)
 }
 
 func (m *MemFS) Stat(name string) (fs.FileInfo, error) {
@@ -333,12 +341,12 @@ func (f *memFile) Sync() error {
 }
 
 func (f *memFile) Truncate(size int64) error {
-	f.fs.mu.Lock()
+	h := f.fs.lock()
 	defer f.fs.mu.Unlock()
 	if f.closed {
 		return pathError("truncate", f.name, fs.ErrClosed)
 	}
-	return f.node.truncateLocked(size)
+	return f.node.truncate(h, size)
 }
 
 func (f *memFile) Close() error {
@@ -351,7 +359,7 @@ func (f *memFile) Close() error {
 	return nil
 }
 
-func (n *memNode) truncateLocked(size int64) error {
+func (n *memNode) truncate(_ memHeld, size int64) error {
 	if size < 0 {
 		return fs.ErrInvalid
 	}

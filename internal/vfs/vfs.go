@@ -81,6 +81,17 @@ func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
 }
 
+// OpenWrite opens the existing file name write-only, positioned at its
+// start.
+func OpenWrite(fsys FS, name string) (File, error) {
+	return fsys.OpenFile(name, os.O_WRONLY, 0)
+}
+
+// CreateExcl creates name write-only and fails when it already exists.
+func CreateExcl(fsys FS, name string) (File, error) {
+	return fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+}
+
 // OrOS returns fsys, or the real OS filesystem when fsys is nil — the
 // defaulting rule every Options struct with an FS field uses.
 func OrOS(fsys FS) FS {

@@ -7,10 +7,10 @@ import (
 	"github.com/pghive/pghive/internal/vfs"
 )
 
-// TestRecordEndsInjectedFS pins the vfsio invariant that motivated
-// moving RecordEnds onto vfs.FS: the open must flow through the
-// injected filesystem, so a MemFS-only log is readable and a planned
-// open fault is actually seen.
+// TestRecordEndsInjectedFS pins the no-os-on-durable-paths rule that
+// motivated moving RecordEnds onto vfs.FS: the open must flow through
+// the injected filesystem, so a MemFS-only log is readable and a
+// planned open fault is actually seen.
 func TestRecordEndsInjectedFS(t *testing.T) {
 	mem := vfs.NewMemFS()
 	l, err := Open("wal", Options{FS: mem, SegmentBytes: 1 << 20})

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -151,6 +150,13 @@ type Log struct {
 	syncs atomic.Uint64
 }
 
+// logHeld witnesses a hold of a Log's mu: only lock mints one, so the
+// helpers that take it cannot be reached without the mutex. A witness
+// outlives its Unlock; keep it in the scope of the hold.
+type logHeld struct{}
+
+func (l *Log) lock() logHeld { l.mu.Lock(); return logHeld{} }
+
 // Open scans dir (creating it if needed), truncates the torn tail of
 // the final segment, and returns a log positioned to append after the
 // last durable record. Leftover temporary files from interrupted
@@ -211,7 +217,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if n := len(l.sealed); n > 0 {
 		tail := l.sealed[n-1]
 		if tail.Bytes < opts.SegmentBytes {
-			f, err := fsys.OpenFile(tail.Path, os.O_WRONLY, 0)
+			f, err := vfs.OpenWrite(fsys, tail.Path)
 			if err != nil {
 				return nil, fmt.Errorf("wal: %w", err)
 			}
@@ -275,7 +281,7 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 		}
 		total += int64(frameHeaderLen + bodyFixedLen + len(r.Payload))
 	}
-	l.mu.Lock()
+	h := l.lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
@@ -284,12 +290,12 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 		return 0, fmt.Errorf("wal: log broken by an earlier append failure that could not be rolled back")
 	}
 	if l.active != nil && l.activeInfo.Records > 0 && l.activeInfo.Bytes+total > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
+		if err := l.rotate(h); err != nil {
 			return 0, err
 		}
 	}
 	if l.active == nil {
-		if err := l.openSegmentLocked(); err != nil {
+		if err := l.openSegment(h); err != nil {
 			return 0, err
 		}
 	}
@@ -309,7 +315,7 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 	}
 
 	if _, err := l.active.Write(buf); err != nil {
-		l.rollbackAppendLocked()
+		l.rollbackAppend(h)
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if !l.opts.NoSync {
@@ -318,7 +324,7 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 			// durability is unknown; they MUST NOT survive — a retry
 			// would write second frames with the same LSNs and the
 			// continuity check would reject the log on recovery.
-			l.rollbackAppendLocked()
+			l.rollbackAppend(h)
 			return 0, fmt.Errorf("wal: sync: %w", err)
 		}
 		l.syncs.Add(1)
@@ -333,7 +339,7 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 	return first, nil
 }
 
-// rollbackAppendLocked discards the bytes of a failed append so the
+// rollbackAppend discards the bytes of a failed append so the
 // segment ends exactly at the last acknowledged record: without it, a
 // failed Sync could leave a complete frame on disk for an LSN the
 // caller will reuse (duplicate LSN → unrecoverable continuity error
@@ -341,7 +347,7 @@ func (l *Log) AppendBatch(recs []BatchRecord) (uint64, error) {
 // recovery's CRC scan stop before later acknowledged records. If the
 // rollback itself fails the log is marked broken and refuses further
 // appends — better unavailable than silently unrecoverable.
-func (l *Log) rollbackAppendLocked() {
+func (l *Log) rollbackAppend(_ logHeld) {
 	if err := l.active.Truncate(l.activeInfo.Bytes); err != nil {
 		l.broken = true
 		return
@@ -363,11 +369,11 @@ func (l *Log) rollbackAppendLocked() {
 	}
 }
 
-// openSegmentLocked creates the next segment file, named after the
-// LSN its first record will carry.
-func (l *Log) openSegmentLocked() error {
+// openSegment creates the next segment file, named after the LSN its
+// first record will carry.
+func (l *Log) openSegment(_ logHeld) error {
 	path := segmentName(l.dir, l.nextLSN)
-	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := vfs.CreateExcl(l.fs, path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -395,15 +401,15 @@ func (l *Log) openSegmentLocked() error {
 // so a compactor can fold everything appended so far. The next append
 // starts a fresh segment.
 func (l *Log) Rotate() error {
-	l.mu.Lock()
+	h := l.lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	return l.rotateLocked()
+	return l.rotate(h)
 }
 
-func (l *Log) rotateLocked() error {
+func (l *Log) rotate(_ logHeld) error {
 	if l.active == nil {
 		return nil
 	}

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -30,18 +31,39 @@ import (
 
 // flakyBackend wraps a store.Backend with a Put budget: after `allow`
 // successful Puts (negative = unlimited), every Put fails. Get/List
-// and Delete pass through so shipping state stays observable.
+// and Delete pass through so shipping state stays observable. Once
+// hung it accepts and never answers: a List or a Put (every round of a
+// leader or a follower starts with one) parks until its context ends,
+// signalling parked as it does.
 type flakyBackend struct {
 	inner store.Backend
 
 	mu    sync.Mutex
 	allow int
 	puts  int
+
+	hung   atomic.Bool
+	parked chan struct{}
+}
+
+func (b *flakyBackend) park(ctx context.Context) error {
+	if !b.hung.Load() {
+		return nil
+	}
+	select {
+	case b.parked <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return ctx.Err()
 }
 
 var errBackendDown = errors.New("backend down")
 
 func (b *flakyBackend) Put(ctx context.Context, name string, data []byte) error {
+	if err := b.park(ctx); err != nil {
+		return err
+	}
 	b.mu.Lock()
 	if b.allow >= 0 && b.puts >= b.allow {
 		b.mu.Unlock()
@@ -62,6 +84,9 @@ func (b *flakyBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	return b.inner.Get(ctx, name)
 }
 func (b *flakyBackend) List(ctx context.Context, prefix string) ([]string, error) {
+	if err := b.park(ctx); err != nil {
+		return nil, err
+	}
 	return b.inner.List(ctx, prefix)
 }
 func (b *flakyBackend) Delete(ctx context.Context, name string) error {
@@ -641,5 +666,65 @@ func TestShipGCRetainsFallbackGenerationTail(t *testing.T) {
 	}
 	if !bytes.Equal(serviceImage(t, d), serviceImage(t, f)) {
 		t.Fatal("follower image differs from leader after fallback bootstrap + tail")
+	}
+}
+
+// closesWithin fails the test unless Close returns inside a bound no
+// healthy run comes near.
+func closesWithin(t *testing.T, c interface{ Close() error }) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still blocked after 10s on a backend that never answers")
+	}
+}
+
+// A shipping round holds compactMu across its backend calls, and Close,
+// DurableStats and CheckpointLSN all take compactMu: a backend that
+// accepts and never answers must cost the round (a counted failure),
+// never Close — and through it every reader of the counters.
+func TestCloseEndsShipRoundOnHungBackend(t *testing.T) {
+	backend := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), allow: -1, parked: make(chan struct{}, 1)}
+	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
+		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 4096, ShipTo: backend,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Ingest(stressGraph(t, 1000, 40)); err != nil {
+		t.Fatal(err)
+	}
+	backend.hung.Store(true)
+	round := make(chan error, 1)
+	go func() { round <- d.Compact() }()
+	<-backend.parked // the round is inside the backend, holding compactMu
+	closesWithin(t, d)
+	if err := <-round; err != nil {
+		t.Fatalf("a ship failure failed the round: %v", err)
+	}
+	st := d.DurableStats()
+	if st.ShipFailures == 0 || !strings.Contains(st.LastShipError, context.Canceled.Error()) {
+		t.Fatalf("ShipFailures = %d (%q), want the cancelled round counted", st.ShipFailures, st.LastShipError)
+	}
+	if got := d.CheckpointLSN(); got == 0 || got != st.CheckpointLSN {
+		t.Fatalf("CheckpointLSN = %d, stats say %d: the round's generation did not commit", got, st.CheckpointLSN)
+	}
+}
+
+func TestFollowerCloseEndsTailOnHungBackend(t *testing.T) {
+	backend := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), parked: make(chan struct{}, 1)}
+	backend.hung.Store(true)
+	f := pghive.NewFollower(pghive.Options{Seed: 3, Parallelism: 1}, backend, pghive.FollowerOptions{})
+	f.Start()
+	<-backend.parked // the loop's first round is inside the backend
+	closesWithin(t, f)
+	if lag := f.Lag(context.Background()); lag.Ready || lag.FetchFaults == 0 {
+		t.Fatalf("ready=%v faults=%d: want the cancelled round counted and no bootstrap", lag.Ready, lag.FetchFaults)
 	}
 }

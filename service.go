@@ -169,24 +169,32 @@ func RestoreService(opts Options, r io.Reader) (*Service, error) {
 // Lock/Unlock mirror sync.Mutex for the paths that cannot time out.
 type writeLock chan struct{}
 
+// writeHeld witnesses a hold of a writer's mu. Only Lock and
+// LockContext mint one, so a function that takes it as a parameter
+// cannot be called by code that never took the lock — the compiler
+// holds the discipline, and handing over a compactHeld instead is a
+// type error. It says nothing about when: a witness outlives its
+// Unlock, so keep it in the scope of the hold.
+type writeHeld struct{}
+
 func newWriteLock() writeLock { return make(writeLock, 1) }
 
-func (l writeLock) Lock()   { l <- struct{}{} }
-func (l writeLock) Unlock() { <-l }
+func (l writeLock) Lock() writeHeld { l <- struct{}{}; return writeHeld{} }
+func (l writeLock) Unlock()         { <-l }
 
 // LockContext acquires the lock unless ctx has ended or ends first, in
 // which case the lock is NOT held and ctx.Err() is returned. An expired
 // ctx loses even to a free lock — that is what stops a stream whose
 // deadline passed between two of its batches.
-func (l writeLock) LockContext(ctx context.Context) error {
+func (l writeLock) LockContext(ctx context.Context) (writeHeld, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return writeHeld{}, err
 	}
 	select {
 	case l <- struct{}{}:
-		return nil
+		return writeHeld{}, nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return writeHeld{}, ctx.Err()
 	}
 }
 
@@ -275,7 +283,7 @@ func (s *Service) Ingest(g *Graph) BatchTiming {
 // batch starts processing it runs to completion — a published snapshot
 // is never half a batch.
 func (s *Service) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if err := s.w.mu.LockContext(ctx); err != nil {
+	if _, err := s.w.mu.LockContext(ctx); err != nil {
 		return BatchTiming{}, err
 	}
 	defer s.w.mu.Unlock()
@@ -294,7 +302,7 @@ func (s *Service) Retract(g *Graph) BatchTiming {
 // RetractContext is Retract with a deadline on write admission (see
 // IngestContext for the contract).
 func (s *Service) RetractContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if err := s.w.mu.LockContext(ctx); err != nil {
+	if _, err := s.w.mu.LockContext(ctx); err != nil {
 		return BatchTiming{}, err
 	}
 	defer s.w.mu.Unlock()
@@ -374,7 +382,7 @@ func (w *writer) seedStream(ctx context.Context, r StreamReader) error {
 	if !ok {
 		return nil
 	}
-	if err := w.mu.LockContext(ctx); err != nil {
+	if _, err := w.mu.LockContext(ctx); err != nil {
 		return err
 	}
 	defer w.mu.Unlock()

@@ -73,29 +73,29 @@ func (s *shipper) note(err error) error {
 	return err
 }
 
-// shipWatermarkLocked returns the upload watermark, or ^0 when
-// shipping is disabled (no gate). Callers must hold compactMu.
-func (d *DurableService) shipWatermarkLocked() uint64 {
+// shipWatermark returns the upload watermark, or ^0 when shipping is
+// disabled (no gate).
+func (d *DurableService) shipWatermark(_ compactHeld) uint64 {
 	if d.ship == nil {
 		return ^uint64(0)
 	}
 	return d.ship.watermark
 }
 
-// pruneFloorLocked gates a proposed WAL prune floor by the ship
-// watermark: while shipping is enabled, segments the backend does not
-// yet hold are retained no matter what the manifest's floor permits.
-// Callers must hold compactMu.
-func (d *DurableService) pruneFloorLocked(floor uint64) uint64 {
-	return min(floor, d.shipWatermarkLocked())
+// pruneFloor gates a proposed WAL prune floor by the ship watermark:
+// while shipping is enabled, segments the backend does not yet hold
+// are retained no matter what the manifest's floor permits.
+func (d *DurableService) pruneFloor(held compactHeld, floor uint64) uint64 {
+	return min(floor, d.shipWatermark(held))
 }
 
-// shipRoundLocked uploads everything the backend is missing and advances
+// shipRound uploads everything the backend is missing and advances
 // the watermark. The first error stops the current step (later rounds
-// retry) but the watermark still advances over what did upload.
-// Callers must hold compactMu.
-func (d *DurableService) shipRoundLocked(ctx context.Context) error {
-	s := d.ship
+// retry) but the watermark still advances over what did upload. The
+// backend calls run under the service's lifetime: the round holds
+// compactMu across them, so Close must be able to end them.
+func (d *DurableService) shipRound(held compactHeld) error {
+	s, ctx := d.ship, d.life
 	if s == nil {
 		return nil
 	}
@@ -190,17 +190,17 @@ func (d *DurableService) shipRoundLocked(ctx context.Context) error {
 		}
 	}
 
-	d.shipGCLocked(ctx)
+	d.shipGC(held, ctx)
 	return firstErr
 }
 
-// shipGCLocked deletes backend objects no follower can need anymore:
+// shipGC deletes backend objects no follower can need anymore:
 // checkpoint-layout objects outside the two newest shipped
 // generations, and segment objects wholly below the shipped
 // generation's WAL floor (the floor a follower falling back one
 // generation still replays from). Best effort — failures are counted
-// and the objects retried next round. Callers must hold compactMu.
-func (d *DurableService) shipGCLocked(ctx context.Context) {
+// and the objects retried next round.
+func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	s := d.ship
 	if s == nil || s.man == nil {
 		return
