@@ -1,19 +1,19 @@
-// bench_test.go contains one benchmark per table and figure of the
-// paper's evaluation (§5), plus ablation benches for the design
-// choices DESIGN.md calls out. Benchmarks run the same harness as
-// cmd/experiments at a reduced scale so `go test -bench=. -benchmem`
-// finishes on a laptop; raise benchScale for full-size runs.
+// bench_test.go holds only the paper's evaluation (§5): one benchmark
+// per table and figure, plus ablations of the discovery-core design
+// choices (§4; ARCHITECTURE.md, "Discovery core"). Benchmarks run the
+// same harness as cmd/experiments at a reduced scale so `go test
+// -bench=. -benchmem` finishes on a laptop; raise benchScale for
+// full-size runs. The system's end-to-end and per-layer performance is
+// measured by bench/ (`bash bench/run.sh`, metrics declared in
+// BENCHMARK.json).
 //
 // Quality metrics (F1*) are attached to the benchmark output via
 // b.ReportMetric, so a single run documents both cost and accuracy.
 package pghive_test
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/baselines/gmm"
@@ -236,152 +236,6 @@ func BenchmarkAblationSampledDataTypes(b *testing.B) {
 			}
 		})
 	}
-}
-
-// mixedWorkload generates the mixed datagen workload the parallelism
-// benchmarks run over: three structurally different datasets (social
-// LDBC, financial ICIJ, biomedical HET.IO) with property noise and
-// partial labels, so every pipeline stage — embedding, vectorization,
-// hashing, banding, merging — does real work.
-func mixedWorkload(scale float64) []*pghive.Graph {
-	var graphs []*pghive.Graph
-	for _, name := range []string{"LDBC", "ICIJ", "HET.IO"} {
-		d := datagen.Generate(datagen.ByName(name), scale, 1)
-		d = datagen.InjectNoise(d, 0.2, 0.7, 7)
-		graphs = append(graphs, d.Graph)
-	}
-	return graphs
-}
-
-// BenchmarkParallelDiscover contrasts fully sequential discovery
-// (Parallelism 1) with all-core discovery (Parallelism NumCPU) on the
-// mixed datagen workload, for both clustering methods. Compare the
-// two ns/op figures to read the wall-clock speedup.
-func BenchmarkParallelDiscover(b *testing.B) {
-	graphs := mixedWorkload(benchScale * 2)
-	for _, method := range []pghive.Method{pghive.ELSH, pghive.MinHash} {
-		for _, par := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%v/parallelism=%d", method, par), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for _, g := range graphs {
-						pghive.Discover(g, pghive.Options{Seed: 1, Method: method, Parallelism: par})
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelSpeedup runs the sequential and all-core pipelines
-// back to back on the mixed workload and reports their wall-clock
-// ratio as the "speedup" metric (values above 1 mean the parallel
-// run was faster; expect >1.5 on 4+ cores, ~1.0 on a single core).
-func BenchmarkParallelSpeedup(b *testing.B) {
-	graphs := mixedWorkload(benchScale * 2)
-	var seq, par time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for _, g := range graphs {
-			pghive.Discover(g, pghive.Options{Seed: 1, Parallelism: 1})
-		}
-		seq += time.Since(start)
-		start = time.Now()
-		for _, g := range graphs {
-			pghive.Discover(g, pghive.Options{Seed: 1, Parallelism: runtime.NumCPU()})
-		}
-		par += time.Since(start)
-	}
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup")
-	}
-}
-
-// dupHeavySpec declares a duplicate-heavy synthetic dataset: a
-// handful of types whose properties are mostly mandatory, so the
-// graph has millions of possible elements but only a few dozen
-// distinct shapes — the regime real production graphs live in and the
-// one shape interning targets. elements is the total node + edge
-// count at scale 1.
-func dupHeavySpec(elements int) *datagen.Spec {
-	p := func(key string, gen datagen.Gen) datagen.Prop {
-		return datagen.Prop{Key: key, Gen: gen, Prob: 1}
-	}
-	return &datagen.Spec{
-		Name: "DUPHEAVY",
-		Nodes: []datagen.NodeSpec{
-			{Name: "User", Labels: []string{"User"}, Weight: 4, Props: []datagen.Prop{
-				p("id", datagen.GInt), p("name", datagen.GString),
-				p("created", datagen.GDateTime), p("karma", datagen.GInt),
-				p("verified", datagen.GBool), p("bio", datagen.GString),
-				{Key: "email", Gen: datagen.GString, Prob: 0.5},
-			}},
-			{Name: "Post", Labels: []string{"Post"}, Weight: 4, Props: []datagen.Prop{
-				p("content", datagen.GString), p("created", datagen.GDateTime),
-				p("score", datagen.GInt), p("lang", datagen.GString),
-				p("length", datagen.GInt),
-			}},
-			{Name: "Tag", Labels: []string{"Tag"}, Weight: 1, Props: []datagen.Prop{
-				p("label", datagen.GString), p("uses", datagen.GInt),
-			}},
-			{Name: "Forum", Labels: []string{"Forum"}, Weight: 1, Props: []datagen.Prop{
-				p("title", datagen.GString), p("members", datagen.GInt),
-				p("created", datagen.GDate), p("moderated", datagen.GBool),
-			}},
-		},
-		Edges: []datagen.EdgeSpec{
-			{Name: "LIKES", Labels: []string{"LIKES"}, Src: "User", Dst: "Post", Weight: 4,
-				Props: []datagen.Prop{p("at", datagen.GDateTime), p("weight", datagen.GFloat)}},
-			{Name: "POSTED", Labels: []string{"POSTED"}, Src: "User", Dst: "Post", Weight: 3,
-				Props: []datagen.Prop{p("at", datagen.GDateTime)}},
-			{Name: "TAGGED", Labels: []string{"TAGGED"}, Src: "Post", Dst: "Tag", Weight: 2},
-			{Name: "MEMBER", Labels: []string{"MEMBER"}, Src: "User", Dst: "Forum", Weight: 1,
-				Props: []datagen.Prop{p("role", datagen.GString), {Key: "since", Gen: datagen.GDate, Prob: 0.8}}},
-		},
-		DefaultNodes: elements / 2,
-		DefaultEdges: elements - elements/2,
-	}
-}
-
-// BenchmarkShapeInterning measures discovery on duplicate-heavy
-// graphs at 10k and 100k elements, for both methods. Cost scales with
-// distinct shapes, not elements, so ns/op should grow far slower than
-// the graph. The sub-benchmark names keep the interned=true suffix
-// they had while a per-element pipeline existed beside this one:
-// BENCH_2.json records both (the per-element rows are the historical
-// measurement) and the bench-regression gate matches by name.
-func BenchmarkShapeInterning(b *testing.B) {
-	for _, elements := range []int{10000, 100000} {
-		d := datagen.Generate(dupHeavySpec(elements), 1, 1)
-		for _, method := range []pghive.Method{pghive.ELSH, pghive.MinHash} {
-			b.Run(fmt.Sprintf("%v/elements=%d/interned=true", method, elements), func(b *testing.B) {
-				opts := pghive.Options{Seed: 1, Method: method}
-				var res *pghive.Result
-				for i := 0; i < b.N; i++ {
-					res = pghive.Discover(d.Graph, opts)
-				}
-				b.ReportMetric(float64(res.NodeShapes+res.EdgeShapes), "shapes")
-				b.ReportMetric(float64(len(res.Schema.NodeTypes)), "node-types")
-			})
-		}
-	}
-}
-
-// BenchmarkDiscoverNoisy is one-shot discovery where Algorithm 2's
-// Jaccard passes do the work: LDBC scale 2 with 20% of the properties
-// and half the labels dropped, the input shape of the discover_noisy
-// regime in bench/. Thousands of unlabeled edge clusters meet
-// thousands of types; allocations stay O(clusters + types) because the
-// passes query a similarity index (internal/schema/simindex.go).
-func BenchmarkDiscoverNoisy(b *testing.B) {
-	d := datagen.InjectNoise(datagen.Generate(datagen.LDBC(), 2, 1), 0.2, 0.5, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *pghive.Result
-	for i := 0; i < b.N; i++ {
-		res = pghive.Discover(d.Graph, pghive.Options{Seed: 1})
-	}
-	b.ReportMetric(res.Timing.Extract.Seconds()/res.Timing.Total().Seconds(), "extract-share")
-	b.ReportMetric(float64(len(res.Schema.NodeTypes)+len(res.Schema.EdgeTypes)), "types")
 }
 
 func formatTheta(t float64) string {

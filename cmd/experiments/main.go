@@ -8,8 +8,8 @@
 //
 // Absolute times depend on the machine and the synthetic-dataset
 // scale; the experiment *shapes* (method ordering, degradation under
-// noise, incremental flatness) are what reproduce the paper. See
-// EXPERIMENTS.md for the paper-vs-measured record.
+// noise, incremental flatness) are what reproduce the paper. The
+// README's "Command-line tools" section shows how to run it.
 package main
 
 import (

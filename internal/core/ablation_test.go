@@ -1,7 +1,8 @@
 package core
 
-// ablation_test.go exercises, as regular tests, the design-choice
-// ablations DESIGN.md calls out — the bench versions live in the root
+// ablation_test.go exercises, as regular tests, ablations of the
+// discovery-core design choices ARCHITECTURE.md describes (hybrid
+// vectors, the merge step, θ) — the bench versions live in the root
 // bench suite, but the qualitative claims must hold on every test run.
 
 import (

@@ -1,12 +1,14 @@
 package pghive_test
 
 // What a compaction round costs, pinned from outside the package: a
-// round carrying tombstones on a store that has no base (or a small
-// one) writes a run, not the database; a steady-state round's
-// allocations follow the write, not the store; and it reads no
-// checkpoint or run file.
+// delta round writes far fewer bytes than the base image; a round
+// carrying tombstones on a store that has no base (or a small one)
+// writes a run, not the database; a steady-state round's allocations
+// follow the write, not the store, as a durable write's own do; and it
+// reads no checkpoint or run file.
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,6 +19,87 @@ import (
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/vfs"
 )
+
+// openFoldedBase builds a durable service on mem whose checkpoint is
+// a fresh base image of 2*baseN elements (baseN nodes plus baseN ring
+// edges) with an empty run chain, then reopens it with a run-chain cap
+// high enough that the measured compactions never fold.
+func openFoldedBase(t *testing.T, mem *vfs.MemFS, dir string, baseN int) *pghive.DurableService {
+	t.Helper()
+	dopts := pghive.DurableOptions{
+		NoSync:             true,
+		DisableAutoCompact: true,
+		MaxTombstoneRatio:  1e9,
+		FS:                 mem,
+	}
+	d, err := pghive.OpenDurable(dir, pghive.Options{Parallelism: 1}, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ingest the base in chunks, then compact: a load this size
+	// outgrows the writer's dirty record, so the round captures the
+	// state whole and writes a base image with no runs on top.
+	const chunk = 1000
+	for off := 0; off < baseN; off += chunk {
+		n := min(chunk, baseN-off)
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(off), n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.DurableStats(); st.Runs != 0 || st.LastRound.FoldReason != pghive.FoldDirtyOverflow {
+		t.Fatalf("bulk load not captured as a base: %d runs, fold reason %q", st.Runs, st.LastRound.FoldReason)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dopts.MaxRuns = 1 << 30
+	d, err = pghive.OpenDurable(dir, pghive.Options{Parallelism: 1}, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// baseImagePath reconstructs the base checkpoint file name from the
+// manifest stats (the layout is pinned by the runfile golden tests).
+func baseImagePath(dir string, st pghive.DurableStats) string {
+	return filepath.Join(dir, fmt.Sprintf("checkpoint-%020d.ckpt", st.BaseLSN))
+}
+
+// TestCompactionDeltaIOBound: compaction IO is proportional to what
+// changed, not to database size — on a 10k-element base, compacting a
+// 100-element delta must write at least 10x fewer checkpoint bytes
+// than the base image, which is what a round rewriting the whole
+// state would write.
+func TestCompactionDeltaIOBound(t *testing.T) {
+	const baseN, deltaN = 5_000, 50
+	mem := vfs.NewMemFS()
+	d := openFoldedBase(t, mem, "data", baseN)
+	defer d.Close()
+
+	st, err := mem.Stat(baseImagePath("data", d.DurableStats()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imageBytes := st.Size()
+
+	if _, err := d.Ingest(stressGraph(t, 1_000_000, deltaN)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	runBytes := d.DurableStats().RunBytes
+	if runBytes <= 0 {
+		t.Fatal("delta compaction wrote no run")
+	}
+	if runBytes*10 > imageBytes {
+		t.Fatalf("delta run is %d bytes vs %d-byte base image: less than the required 10x saving", runBytes, imageBytes)
+	}
+}
 
 // TestFirstTombstoneDoesNotFoldUnfoldedStore: the fold rule weighs the
 // chain's tombstones against the elements the generation holds, not
@@ -143,6 +226,41 @@ func openLoaded(t *testing.T, fsys vfs.FS, n int) *pghive.DurableService {
 	return d
 }
 
+// writeAllocs measures one 25-node + 25-edge durable Ingest on a store
+// loaded with n elements, followed by a compaction round when compact
+// is set. The graph is built inside the measured call on both sides.
+func writeAllocs(t *testing.T, n int, compact bool) float64 {
+	t.Helper()
+	d := openLoaded(t, vfs.NewMemFS(), n)
+	defer d.Close()
+	next := pghive.ID(1 << 24)
+	write := func() {
+		if _, err := d.Ingest(stressGraph(t, next, 25)); err != nil {
+			t.Fatal(err)
+		}
+		next += 1000
+		if !compact {
+			return
+		}
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // the first write (and round) after the load, not a steady-state one
+	return testing.AllocsPerRun(5, write)
+}
+
+// TestDurableIngestAllocsFollowBatch: one durable write — committer
+// hand-off, WAL append, apply, publish — on a 2 k-element and on a
+// 20 k-element store. Its allocations follow the batch, not the store.
+func TestDurableIngestAllocsFollowBatch(t *testing.T) {
+	small, large := writeAllocs(t, 2_000, false), writeAllocs(t, 20_000, false)
+	t.Logf("durable Ingest allocations: %.0f on 2 k elements, %.0f on 20 k", small, large)
+	if large > 1.5*small {
+		t.Fatalf("a durable write's allocations follow the store, not the batch: %.0f -> %.0f for a store ten times the size", small, large)
+	}
+}
+
 // TestCompactAllocsFollowChange: the same ~50-element write followed
 // by Compact on a 2 k-element and on a 20 k-element store. A round
 // that re-reads the generation and replays onto a second copy of the
@@ -150,23 +268,7 @@ func openLoaded(t *testing.T, fsys vfs.FS, n int) *pghive.DurableService {
 // writer recorded does not. (The write is inside the measured call on
 // both sides: a round with nothing to fold measures nothing.)
 func TestCompactAllocsFollowChange(t *testing.T) {
-	allocs := func(elements int) float64 {
-		d := openLoaded(t, vfs.NewMemFS(), elements)
-		defer d.Close()
-		next := pghive.ID(1 << 24)
-		round := func() {
-			if _, err := d.Ingest(stressGraph(t, next, 25)); err != nil {
-				t.Fatal(err)
-			}
-			next += 1000
-			if err := d.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		round() // the first round after the load, not a steady-state one
-		return testing.AllocsPerRun(5, round)
-	}
-	small, large := allocs(2_000), allocs(20_000)
+	small, large := writeAllocs(t, 2_000, true), writeAllocs(t, 20_000, true)
 	t.Logf("ingest + Compact allocations: %.0f on 2 k elements, %.0f on 20 k", small, large)
 	if large > 1.5*small {
 		t.Fatalf("a compaction round's allocations follow the store, not the change: %.0f -> %.0f for a store ten times the size", small, large)

@@ -169,6 +169,23 @@ func TestServiceConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestReaderReadsDoNotAllocate: a snapshot read is one atomic pointer
+// load, so Snapshot, Stats and Schema allocate nothing — the reason
+// reads stay flat however fast writes land.
+func TestReaderReadsDoNotAllocate(t *testing.T) {
+	svc := pghive.NewService(pghive.Options{Seed: 1})
+	svc.Ingest(writerGraph(0, 0))
+	for name, read := range map[string]func(){
+		"Snapshot": func() { _ = svc.Snapshot() },
+		"Stats":    func() { _ = svc.Stats() },
+		"Schema":   func() { _ = svc.Schema() },
+	} {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, n)
+		}
+	}
+}
+
 // TestServiceCSVEdgeIDsSkipIngestedIDs pins that a CSV stream drained
 // after explicit-ID ingestion starts numbering above every edge ID
 // the service has seen — CSV rows carry no IDs, and reusing an

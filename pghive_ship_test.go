@@ -155,7 +155,20 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A lone writer is a group of one: each sequential write pays
+	// exactly one fsync of its own.
+	const lone = 8
 	base := d.DurableStats().WALSyncs
+	for i := 0; i < lone; i++ {
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(100_000+1000*i), 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs := d.DurableStats().WALSyncs - base; syncs != lone {
+		t.Fatalf("%d sequential writes issued %d fsyncs, want exactly %d", lone, syncs, lone)
+	}
+	base = d.DurableStats().WALSyncs
 
 	// Hold the write lock via a gated checkpoint while a burst of
 	// writers waits at the hand-off: the committer cannot start a group
@@ -188,8 +201,8 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 		}
 	}
 	st := d.DurableStats()
-	if got := st.WALNextLSN - 1; got != writers {
-		t.Fatalf("logged %d records, want %d", got, writers)
+	if got := st.WALNextLSN - 1; got != lone+writers {
+		t.Fatalf("logged %d records, want %d", got, lone+writers)
 	}
 	syncs := st.WALSyncs - base
 	if syncs > 4 {
