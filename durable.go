@@ -86,14 +86,12 @@ import (
 
 // WAL record types. Keyed variants prefix the payload with the write's
 // idempotency key (u8 length + bytes), so the applied-key set is
-// reconstructible from the log alone. Type 3 is read, never written: a
-// streamed batch IS an ingest of its materialized graph and is logged
-// as one, but existing logs and shipped segments carry the tag it once
-// had and must keep replaying.
+// reconstructible from the log alone. Type 3 (a streamed batch, now
+// logged as the ingest it is) is retired: replay refuses it as an
+// unknown type rather than guess at its meaning.
 const (
 	walRecIngest       byte = 1
 	walRecRetract      byte = 2
-	walRecStream       byte = 3
 	walRecIngestKeyed  byte = 4
 	walRecRetractKeyed byte = 5
 )
@@ -1340,7 +1338,7 @@ func decodeWALRecord(rec wal.Record) (g *Graph, key string, retract bool, err er
 		payload = payload[1+n:]
 	}
 	switch rec.Type {
-	case walRecIngest, walRecStream, walRecIngestKeyed:
+	case walRecIngest, walRecIngestKeyed:
 	case walRecRetract, walRecRetractKeyed:
 		retract = true
 	default:

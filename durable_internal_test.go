@@ -17,6 +17,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/pghive/pghive/internal/store"
@@ -126,31 +127,29 @@ func TestCompactorNeverBlocksWriters(t *testing.T) {
 	}
 }
 
-// TestStreamRecordTypeStillReplays: nothing writes a type-3 record any
-// more, but logs and shipped segments written before that do contain
-// them. Both replay paths — local recovery and a follower's tail — must
-// keep applying one as the ingest it always was.
-func TestStreamRecordTypeStillReplays(t *testing.T) {
+// TestStreamRecordTypeRefused: WAL record type 3 is retired. A log or
+// shipped segment that still carries one must stop both replay paths —
+// local recovery and a follower's tail — with the unknown-type error;
+// neither may skip the record and apply the valid ingest logged after
+// it.
+func TestStreamRecordTypeRefused(t *testing.T) {
+	const retiredStreamType byte = 3
 	opts := Options{Seed: 1, Parallelism: 1}
 	g := internalStressGraph(t, 0, 8)
-	want := NewService(opts)
-	want.Ingest(g)
-	var wantImg bytes.Buffer
-	if err := want.WriteCheckpoint(&wantImg); err != nil {
+	payload, err := encodeWALRecordPayload(walRecIngest, "", g)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	payload, err := encodeWALRecordPayload(walRecStream, "", g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lg, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lg.Append(walRecStream, payload); err != nil {
-		t.Fatal(err)
+	for _, typ := range []byte{retiredStreamType, walRecIngest} {
+		if _, err := lg.Append(typ, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := lg.Rotate(); err != nil {
 		t.Fatal(err)
@@ -162,18 +161,15 @@ func TestStreamRecordTypeStillReplays(t *testing.T) {
 	if len(sealed) != 1 {
 		t.Fatalf("%d sealed segments, want 1", len(sealed))
 	}
+	const want = "wal record 1 has unknown type 3"
 
 	d, err := OpenDurable(dir, opts, DurableOptions{NoSync: true, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatalf("recovery over a type-3 record: %v", err)
+	if err == nil {
+		d.Close()
+		t.Fatal("recovery replayed past a type-3 record")
 	}
-	defer d.Close()
-	var got bytes.Buffer
-	if err := d.WriteCheckpoint(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), wantImg.Bytes()) {
-		t.Fatal("recovered type-3 record differs from a plain ingest of the same batch")
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery error %q, want it to contain %q", err, want)
 	}
 
 	// The same segment as a shipped object: no manifest, so the
@@ -189,17 +185,21 @@ func TestStreamRecordTypeStillReplays(t *testing.T) {
 	}
 	f := NewFollower(opts, backend, FollowerOptions{})
 	defer f.Close()
-	if err := f.TailOnce(ctx); err != nil {
-		t.Fatalf("tail over a type-3 record: %v", err)
+	err = f.TailOnce(ctx)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("tail over a type-3 record: error %v, want it to contain %q", err, want)
 	}
-	if f.AppliedLSN() != 1 {
-		t.Fatalf("follower applied LSN %d, want 1", f.AppliedLSN())
+	if f.AppliedLSN() != 0 {
+		t.Fatalf("follower applied LSN %d past a refused record, want 0", f.AppliedLSN())
 	}
-	got.Reset()
+	var empty, got bytes.Buffer
+	if err := NewService(opts).WriteCheckpoint(&empty); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.WriteCheckpoint(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), wantImg.Bytes()) {
-		t.Fatal("follower's replay of a type-3 record differs from a plain ingest of the same batch")
+	if !bytes.Equal(got.Bytes(), empty.Bytes()) {
+		t.Fatal("follower state moved after refusing the first record")
 	}
 }

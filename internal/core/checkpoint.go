@@ -180,11 +180,10 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 }
 
 // EncodeImage writes the image in the canonical checkpoint byte
-// format (indented JSON, sorted map keys, trailing newline).
+// format (compact JSON, sorted map keys, trailing newline). DecodeImage
+// reads the indented layout older directories hold just as well.
 func EncodeImage(w io.Writer, img *Image) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(img)
+	return json.NewEncoder(w).Encode(img)
 }
 
 // DecodeImage reads one checkpoint image and validates its version.

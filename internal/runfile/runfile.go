@@ -146,12 +146,16 @@ func (m *Manifest) Files() map[string]bool {
 	return files
 }
 
-// Validate checks the manifest's internal invariants: version, run
-// naming, chain contiguity from the base LSN, and a WAL floor at or
-// below the covered LSN.
+// Validate checks the manifest's internal invariants: version, a base
+// that is a plain file name in the manifest's directory, run naming,
+// chain contiguity from the base LSN, and a WAL floor at or below the
+// covered LSN.
 func (m *Manifest) Validate() error {
 	if m.Version != ManifestVersion {
 		return fmt.Errorf("runfile: unsupported manifest version %d", m.Version)
+	}
+	if m.Base != "" && (m.Base == "." || m.Base == ".." || filepath.Base(m.Base) != m.Base) {
+		return fmt.Errorf("runfile: manifest seq %d: base %q is not a file name", m.Seq, m.Base)
 	}
 	prev := m.BaseLSN
 	for i, r := range m.Runs {
@@ -293,14 +297,14 @@ func ReadRun(fsys vfs.FS, dir string, info RunInfo) ([]byte, error) {
 }
 
 // WriteManifest atomically writes m into dir under its generation
-// name. The payload is indented JSON inside the standard frame, so
-// manifests stay operator-readable and golden-diffable while torn
-// writes are still detected by checksum, not by JSON parse luck.
+// name. The payload is compact JSON with a trailing newline inside the
+// standard frame, so torn writes are detected by checksum, not by JSON
+// parse luck. ReadManifest accepts an indented payload too.
 func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	payload, err := json.MarshalIndent(m, "", "  ")
+	payload, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("runfile: encode manifest: %w", err)
 	}

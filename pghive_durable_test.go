@@ -14,7 +14,9 @@ package pghive_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -26,6 +28,8 @@ import (
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/datagen"
+	"github.com/pghive/pghive/internal/runfile"
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
 )
@@ -1176,4 +1180,157 @@ func TestOpenDurableRejectsUnknownRecordType(t *testing.T) {
 	if _, err := pghive.OpenDurable(dir, pghive.Options{Seed: 1}, pghive.DurableOptions{NoSync: true, DisableAutoCompact: true}); err == nil {
 		t.Fatal("OpenDurable accepted an unknown WAL record type")
 	}
+}
+
+// indented re-encodes one compact JSON document in the two-space
+// layout base images and manifest payloads were once written in.
+func indented(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, bytes.TrimSuffix(doc, []byte("\n")), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte('\n')
+	return buf.Bytes()
+}
+
+// requireCompact fails unless doc is compact JSON plus a newline.
+func requireCompact(t *testing.T, what string, doc []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte('\n')
+	if !bytes.Equal(buf.Bytes(), doc) {
+		t.Fatalf("%s is not written compact", what)
+	}
+}
+
+// framePayload returns what follows a framed file's header line.
+func framePayload(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
+		t.Fatal("framed file has no header line")
+	}
+	return raw[nl+1:]
+}
+
+// TestIndentedLayoutUpgradesInPlace: base images and manifests are
+// written compact, but a data directory written in the older indented
+// layout (valid frames and CRCs, same versions) must still open as it
+// is — recovery and a bootstrapping follower both reach the live
+// state — and the next fold rewrites it compact.
+func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
+	opts := pghive.Options{Seed: 1, Parallelism: 1}
+	// MaxRuns 1: every second round folds, so the generation below
+	// holds a base image and one run, and the round after recovery
+	// folds by merging that (indented) base.
+	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, MaxRuns: 1}
+	dir := t.TempDir()
+	d, err := pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(i*100), 40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := d.DurableStats()
+	if st.BaseLSN == 0 || st.Runs != 1 {
+		t.Fatalf("generation has base LSN %d and %d runs, want a base and 1 run", st.BaseLSN, st.Runs)
+	}
+	live := serviceImage(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the generation's base image and manifest as the older
+	// encoders wrote them.
+	basePath := baseImagePath(dir, st)
+	base, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCompact(t, "base image", base)
+	base = indented(t, base)
+	if err := os.WriteFile(basePath, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manName := runfile.ManifestName(st.ManifestSeq)
+	raw, err := os.ReadFile(filepath.Join(dir, manName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := framePayload(t, raw)
+	requireCompact(t, "manifest payload", payload)
+	payload = indented(t, payload)
+	crc := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+	man := append([]byte(fmt.Sprintf("PGHMFT1 crc=%08x len=%d\n", crc, len(payload))), payload...)
+	if err := os.WriteFile(filepath.Join(dir, manName), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := runfile.ReadManifest(nil, filepath.Join(dir, manName))
+	if err != nil {
+		t.Fatalf("indented manifest does not validate: %v", err)
+	}
+
+	// A follower bootstraps from the same objects.
+	ctx := context.Background()
+	backend := store.NewDir(vfs.NewMemFS(), "/backend")
+	if err := backend.Put(ctx, manName, man); err != nil {
+		t.Fatal(err)
+	}
+	for name := range m.Files() {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Put(ctx, name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := pghive.NewFollower(opts, backend, pghive.FollowerOptions{})
+	defer f.Close()
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatalf("follower bootstrap from indented objects: %v", err)
+	}
+	if !bytes.Equal(serviceImage(t, f), live) {
+		t.Fatal("follower bootstrapped from indented objects differs from the live service")
+	}
+
+	d, err = pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatalf("recovery of indented layout: %v", err)
+	}
+	defer d.Close()
+	if !bytes.Equal(serviceImage(t, d), live) {
+		t.Fatal("recovered indented layout differs from the live service")
+	}
+
+	// The next round folds the indented base and writes compact.
+	if _, err := d.Ingest(stressGraph(t, 1_000, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st = d.DurableStats()
+	if st.LastRound.FoldReason != pghive.FoldMaxRuns {
+		t.Fatalf("round after upgrade: fold reason %q, want %q", st.LastRound.FoldReason, pghive.FoldMaxRuns)
+	}
+	if base, err = os.ReadFile(baseImagePath(dir, st)); err != nil {
+		t.Fatal(err)
+	}
+	requireCompact(t, "folded base image", base)
+	if raw, err = os.ReadFile(filepath.Join(dir, runfile.ManifestName(st.ManifestSeq))); err != nil {
+		t.Fatal(err)
+	}
+	payload = framePayload(t, raw)
+	requireCompact(t, "folded manifest payload", payload)
 }
