@@ -37,7 +37,7 @@ import (
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/datagen"
 	"github.com/pghive/pghive/internal/lsh"
-	"github.com/pghive/pghive/internal/wal"
+	"github.com/pghive/pghive/internal/vfs"
 )
 
 // discoveryFlags registers on fs the discovery flags `pghive` and
@@ -267,7 +267,7 @@ func printSchema(format, mode, name string, s *pghive.Schema) {
 // write is atomic (temp file + rename): a crash mid-write must not
 // leave a truncated, unrestorable image at the target path.
 func persistSchema(path string, s *pghive.Schema) {
-	err := wal.WriteFileAtomic(path, func(w io.Writer) error {
+	err := vfs.WriteFileAtomic(vfs.OS, path, func(w io.Writer) error {
 		return pghive.WriteSchemaJSON(w, s)
 	})
 	if err != nil {

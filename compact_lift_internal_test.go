@@ -27,6 +27,7 @@ import (
 
 	"github.com/pghive/pghive/internal/core"
 	"github.com/pghive/pghive/internal/runfile"
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
 
@@ -162,7 +163,8 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 		if err != nil {
 			s.t.Fatal(err)
 		}
-		got, err := runfile.ReadRun(s.mem, liftDir, man.Runs[len(man.Runs)-1])
+		ri := man.Runs[len(man.Runs)-1]
+		got, err := runfile.ParseRun(ri, readMemFile(s.t, s.mem, filepath.Join(liftDir, ri.Name)))
 		if err != nil {
 			s.t.Fatal(err)
 		}
@@ -181,7 +183,7 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 			s.seen.runsWithSchemaPatch++
 		}
 	}
-	merged, err := mergedImage(s.mem, liftDir, s.opts, man)
+	merged, err := mergedImage(context.Background(), store.NewDir(s.mem, liftDir), s.opts, man)
 	if err != nil {
 		s.t.Fatalf("%s: merge generation %d: %v", step, man.Seq, err)
 	}

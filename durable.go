@@ -21,17 +21,25 @@ package pghive
 // grows past DurableOptions.MaxRuns, accumulated tombstones cross
 // MaxTombstoneRatio of the elements the generation holds, or the
 // record outgrew its bound, the round writes a fresh base image
-// instead (a leveled merge with one level: base). Recovery reads the newest
-// manifest that validates, loads the base, merges the runs in order,
-// and replays the WAL tail — and because each generation's WAL floor
-// is the PREVIOUS generation's covered LSN, a newest generation torn
-// by a crash on a lying disk falls back one generation and replays
-// the retained records to the identical state, loudly counting the
-// fallback in DurableStats. The compactor holds the write lock only to
-// seal the log and lift the record — no encoding, no file of the
-// checkpoint layout, nothing proportional to the database — and does
-// the rest off it, so writers are never blocked behind a round's IO,
-// no matter how large the state has grown.
+// instead (a leveled merge with one level: base). The compactor holds
+// the write lock only to seal the log and lift the record — no
+// encoding, no file of the checkpoint layout, nothing proportional to
+// the database — and does the rest off it, so writers are never
+// blocked behind a round's IO, no matter how large the state has grown.
+//
+// One generation walk reads this layout, for recovery and for a
+// follower's bootstrap alike (walkGenerations, over a store.Backend: a
+// data directory has the shipped layout, so recovery reads it through
+// store.Dir). It tries the manifests newest first; only when none
+// parses, each bare base image is a generation of its own, covering the
+// LSN its name states. Every generation is read by mergedImage, the one
+// reader of bases and runs — the compactor's fold and the shipper read
+// the directory through the same store.Dir — and recovery additionally
+// requires the WAL tail above it to replay. Because each generation's
+// WAL floor is the PREVIOUS generation's covered LSN, a newest
+// generation torn by a crash on a lying disk falls back one generation
+// and replays the retained records to the identical state, loudly
+// counting the fallback in DurableStats.
 //
 // Files a generation no longer references — superseded base images,
 // folded-away runs, old manifests, interrupted temporaries — are
@@ -70,7 +78,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,12 +103,7 @@ const (
 	walRecRetractKeyed byte = 5
 )
 
-const (
-	walSubdir      = "wal"
-	ckptPrefix     = "checkpoint-"
-	ckptSuffix     = ".ckpt"
-	ckptTmpPattern = "*.tmp"
-)
+const walSubdir = "wal"
 
 // MaxIdempotencyKeyLen bounds an idempotency key: the key is encoded
 // in the WAL record behind a one-byte length.
@@ -220,8 +222,8 @@ type DurableService struct {
 	// the checkpoint-generation bookkeeping below. The write path
 	// never takes it.
 	compactMu compactLock
-	// man is the current generation (never nil; a synthesized Seq-0
-	// manifest stands in for a legacy or empty directory). prevMan is
+	// man is the current generation (never nil; a Seq-0 manifest stands
+	// in for a bare base image or the empty state). prevMan is
 	// the previous generation, whose files the sweep keeps because
 	// the WAL floor deliberately permits falling back to it.
 	man     *runfile.Manifest
@@ -296,8 +298,11 @@ func (d *DurableService) wal() *wal.Log { return d.log.Load() }
 // When the newest generation does not validate — a manifest, base or
 // run torn by a crash the atomic-write protocol could not mask (a
 // lying disk) — recovery falls back to the previous generation, whose
-// WAL records were deliberately retained, and reports the skip in
-// DurableStats.RecoveryFallbacks. opts must match the options of the
+// WAL records were deliberately retained, or, when no manifest parses,
+// to a bare base image, and reports the skips in
+// DurableStats.RecoveryFallbacks. A file that is there but cannot be
+// read (an I/O error, not a torn payload) fails the open instead: it
+// says nothing about the generation. opts must match the options of the
 // run that produced the directory (like ResumeFromCheckpoint, the
 // files do not store them).
 func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableService, error) {
@@ -307,30 +312,58 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		return nil, fmt.Errorf("pghive: durable: %w", err)
 	}
 
-	rec, err := recoverDurable(dir, opts, dopts, fsys)
+	// A generation recovers only if the WAL tail above it replays too;
+	// one whose tail does not is skipped like a torn file.
+	var w *writer
+	var lg *wal.Log
+	gen, err := walkGenerations(context.Background(), store.NewDir(fsys, dir), opts, func(img *core.Image, man *runfile.Manifest) error {
+		cw, err := newWriter(opts, img, dopts.MaxIdempotencyKeys)
+		if err != nil {
+			return fmt.Errorf("restore image: %w", err)
+		}
+		// Recording starts at the generation's image, so the replay below
+		// leaves exactly the WAL tail's changes for the first round to lift.
+		cw.dirty = cw.inc.Track()
+		covered := man.Covered()
+		cl, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
+			SegmentBytes: dopts.SegmentBytes,
+			NoSync:       dopts.NoSync,
+			MinLSN:       covered + 1,
+			FS:           dopts.FS,
+		})
+		if err != nil {
+			return &recoveryHardError{err: err}
+		}
+		if err := cl.Replay(covered, cw.apply); err != nil {
+			_ = cl.Close()
+			return err
+		}
+		w, lg = cw, cl
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pghive: durable: %w", err)
 	}
 	d := &DurableService{
-		Reader:     rec.w.serve(),
-		w:          rec.w,
+		Reader:     w.serve(),
+		w:          w,
 		dir:        dir,
 		fs:         fsys,
 		dopts:      dopts,
-		appliedLSN: rec.log.NextLSN() - 1,
-		man:        rec.man,
-		prevMan:    rec.prev,
-		manSeq:     rec.maxSeq,
-		fallbacks:  rec.fallbacks,
+		appliedLSN: lg.NextLSN() - 1,
+		man:        gen.man,
+		prevMan:    gen.prev,
+		manSeq:     gen.maxSeq,
+		fallbacks:  len(gen.notes),
 		commitCh:   make(chan *commitReq),
 		commitDone: make(chan struct{}),
 	}
 	d.life, d.cancel = context.WithCancel(context.Background())
-	d.log.Store(rec.log)
+	d.log.Store(lg)
 	if dopts.ShipTo != nil {
 		// The persisted watermark keeps the prune gate honest before
 		// the first shipping round of this incarnation completes.
-		d.ship = &shipper{backend: dopts.ShipTo, watermark: rec.man.ShippedLSN}
+		d.ship = &shipper{backend: dopts.ShipTo, watermark: gen.man.ShippedLSN}
 	}
 	// Segments below the generation's WAL floor may survive a crash
 	// between manifest swap and pruning; finish the job (gated by the
@@ -338,10 +371,10 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	// then sweep the files no kept generation references (stale
 	// images, orphaned runs, superseded manifests, temp residue).
 	held := d.compactMu.Lock()
-	if _, err := rec.log.Prune(d.pruneFloor(held, rec.man.WALFloor)); err != nil {
+	if _, err := lg.Prune(d.pruneFloor(held, gen.man.WALFloor)); err != nil {
 		d.compactMu.Unlock()
 		d.cancel()
-		_ = rec.log.Close()
+		_ = lg.Close()
 		return nil, err
 	}
 	d.sweep(held)
@@ -355,201 +388,167 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	return d, nil
 }
 
-// recovered is the outcome of recoverDurable: a shadow writer holding
-// the recovered state, the opened log, and the generation bookkeeping.
-type recovered struct {
-	w         *writer
-	log       *wal.Log
-	man       *runfile.Manifest
-	prev      *runfile.Manifest
-	maxSeq    uint64
-	fallbacks int
+// walked is the generation walkGenerations settled on.
+type walked struct {
+	man *runfile.Manifest
+	// prev is the next-older candidate, or nil: the generation the WAL
+	// floor was chosen to protect, whose files the sweep keeps.
+	prev *runfile.Manifest
+	// maxSeq is the highest manifest generation listed, valid or not.
+	maxSeq uint64
+	// notes say why each generation tried before man was skipped.
+	notes []string
 }
 
-// candidate is one recovery starting point, newest first: a manifest
-// generation, a legacy bare checkpoint image (pre-manifest layout),
-// or the empty state (fresh directory).
-type candidate struct {
-	man       *runfile.Manifest // manifest generation, or nil
-	legacy    string            // legacy image path, or ""
-	legacyLSN uint64
-}
-
-// synth builds the in-memory manifest standing in for a non-manifest
-// candidate; elems is the loaded base image's element count.
-func (c candidate) synth(elems int) *runfile.Manifest {
-	m := &runfile.Manifest{Version: runfile.ManifestVersion}
-	if c.legacy != "" {
-		m.Base = filepath.Base(c.legacy)
-		m.BaseLSN = c.legacyLSN
-		m.BaseElements = elems
-		m.WALFloor = c.legacyLSN
-	}
-	return m
-}
-
-// recoverDurable walks the candidate generations newest-first until
-// one fully validates AND its WAL tail replays with LSN continuity.
-// Every skipped candidate is remembered; if none survives, the joined
-// notes become the error — recovery fails loudly, it never serves a
-// silently diverged state.
-func recoverDurable(dir string, opts Options, dopts DurableOptions, fsys vfs.FS) (*recovered, error) {
-	manifests, maxSeq, err := runfile.ListManifests(fsys, dir)
-	if err != nil {
-		return nil, fmt.Errorf("pghive: durable: %w", err)
-	}
-	var cands []candidate
-	var notes []string
-	for _, p := range manifests {
-		m, merr := runfile.ReadManifest(fsys, p)
-		if merr != nil {
-			notes = append(notes, merr.Error())
-			continue
-		}
-		cands = append(cands, candidate{man: m})
-	}
-	legacy, err := legacyCheckpoints(fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(cands) == 0 {
-		// Pre-manifest layout: bare images, newest first. A directory
-		// with no manifest and no image at all recovers from the empty
-		// state — but a directory whose every image is corrupt does
-		// NOT silently restart empty; it fails below with the notes.
-		for _, lc := range legacy {
-			cands = append(cands, candidate{legacy: lc.path, legacyLSN: lc.lsn})
-		}
-		if len(cands) == 0 && len(notes) == 0 {
-			cands = append(cands, candidate{})
-		}
-	}
-
-	for i, c := range cands {
-		rec, cerr := tryCandidate(dir, opts, dopts, fsys, c)
-		if cerr != nil {
-			var hard *recoveryHardError
-			if errors.As(cerr, &hard) {
-				return nil, hard.err
-			}
-			notes = append(notes, cerr.Error())
-			continue
-		}
-		rec.maxSeq = max(maxSeq, rec.man.Seq)
-		rec.fallbacks = len(notes)
-		// The next-older candidate (if any) is the generation the WAL
-		// floor was chosen to protect; keep its files for fallback.
-		for _, p := range cands[i+1:] {
-			if p.man != nil {
-				rec.prev = p.man
-				break
-			}
-			if p.legacy != "" {
-				rec.prev = p.synth(0)
-				break
-			}
-		}
-		return rec, nil
-	}
-	if len(notes) == 0 {
-		return nil, fmt.Errorf("pghive: durable: no recoverable state in %s", dir)
-	}
-	return nil, fmt.Errorf("pghive: durable: no generation recovers: %s", strings.Join(notes, "; "))
-}
-
-// recoveryHardError wraps a failure that no older generation can fix
-// (the WAL directory itself is unreadable); tryCandidate returns it
-// to stop the fallback walk.
+// recoveryHardError wraps a failure that no older generation can fix —
+// the WAL directory is unreadable, or the source failed to hand over an
+// object (fetch) — and stops walkGenerations.
 type recoveryHardError struct{ err error }
 
 func (e *recoveryHardError) Error() string { return e.err.Error() }
 
-// tryCandidate attempts a full recovery from one starting point:
-// merge the candidate's image chain, open the WAL above it, replay.
-func tryCandidate(dir string, opts Options, dopts DurableOptions, fsys vfs.FS, c candidate) (*recovered, error) {
-	var img *core.Image
-	var man *runfile.Manifest
-	var err error
-	switch {
-	case c.man != nil:
-		man = c.man
-		img, err = mergedImage(fsys, dir, opts, man)
-	case c.legacy != "":
-		img, err = core.LoadImage(fsys, c.legacy)
-		if err == nil && img.WALSeq != c.legacyLSN {
-			err = fmt.Errorf("pghive: durable: checkpoint %s covers WAL LSN %d, file name says %d", c.legacy, img.WALSeq, c.legacyLSN)
-		}
-		if err == nil {
-			man = c.synth(img.Elements())
-		}
-	default:
-		man = c.synth(0)
+// fetch reads one object of the checkpoint layout for the walk. An
+// absent object is a defect of the generation naming it, and the walk
+// moves on; any other Get failure says nothing about the generation (a
+// timeout, a 5xx, an I/O error), so it stops the walk rather than let
+// it settle on an older generation or a bare base. The caller retries.
+func fetch(ctx context.Context, src store.Backend, name string) ([]byte, error) {
+	data, err := src.Get(ctx, name)
+	if err != nil && !errors.Is(err, store.ErrNotFound) {
+		return nil, &recoveryHardError{err: fmt.Errorf("fetch %s: %w", name, err)}
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	w, err := newWriter(opts, img, dopts.MaxIdempotencyKeys)
-	if err != nil {
-		return nil, fmt.Errorf("pghive: durable: restore image: %w", err)
-	}
-	// Recording starts at the generation's image, so the replay below
-	// leaves exactly the WAL tail's changes for the first round to lift.
-	w.dirty = w.inc.Track()
-	covered := man.Covered()
-	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
-		SegmentBytes: dopts.SegmentBytes,
-		NoSync:       dopts.NoSync,
-		MinLSN:       covered + 1,
-		FS:           dopts.FS,
-	})
-	if err != nil {
-		return nil, &recoveryHardError{err: err}
-	}
-	if err := log.Replay(covered, w.apply); err != nil {
-		_ = log.Close()
-		return nil, err
-	}
-	return &recovered{w: w, log: log, man: man}, nil
+	return data, err
 }
 
-// mergedImage materializes the state a generation covers: its base
-// image (the options-derived empty state when Base is "") with the
-// delta runs folded on in order. Chain contiguity is enforced by
-// ImageDelta.Apply; payload integrity by the run frames and the
-// manifest's recorded CRCs.
-func mergedImage(fsys vfs.FS, dir string, opts Options, man *runfile.Manifest) (*core.Image, error) {
-	var img *core.Image
-	var err error
-	if man.Base == "" {
-		img, err = core.EmptyImage(opts)
-	} else {
-		img, err = core.LoadImage(fsys, filepath.Join(dir, man.Base))
-		if err == nil && img.WALSeq != man.BaseLSN {
-			err = fmt.Errorf("pghive: durable: base %s covers WAL LSN %d, manifest seq %d says %d", man.Base, img.WALSeq, man.Seq, man.BaseLSN)
+// walkGenerations is the one place that decides what a checkpoint
+// generation is: it walks the generations src holds, newest first, and
+// settles on the first whose image mergedImage reads and accept takes.
+// The candidates are the manifests that parse, newest first; only when
+// none does, each bare base image is the generation {Base, BaseLSN,
+// WALFloor: BaseLSN}, newest first (a base image states the LSN it
+// covers, so it needs no manifest). A source holding neither a manifest
+// nor a base — nor anything that failed to parse — holds the empty
+// state. A generation is skipped only for what its objects hold or lack;
+// a Get that fails otherwise stops the walk (see fetch). When no
+// candidate survives, the joined notes become the error: the walk fails
+// loudly, it never settles on a silently diverged state.
+func walkGenerations(ctx context.Context, src store.Backend, opts Options, accept func(*core.Image, *runfile.Manifest) error) (*walked, error) {
+	names, err := src.List(ctx, "")
+	if err != nil {
+		return nil, fmt.Errorf("list generations: %w", err)
+	}
+	seqs, bases := runfile.Generations(names)
+	var cands []*runfile.Manifest
+	var notes []string
+	for _, seq := range seqs {
+		name := runfile.ManifestName(seq)
+		data, err := fetch(ctx, src, name)
+		var hard *recoveryHardError
+		if errors.As(err, &hard) {
+			return nil, hard.err
+		}
+		if err != nil {
+			notes = append(notes, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		m, err := runfile.ParseManifest(name, data)
+		if err != nil {
+			notes = append(notes, err.Error())
+			continue
+		}
+		cands = append(cands, m)
+	}
+	if len(cands) == 0 {
+		for _, lsn := range bases {
+			cands = append(cands, &runfile.Manifest{
+				Version: runfile.ManifestVersion, Base: runfile.BaseName(lsn), BaseLSN: lsn, WALFloor: lsn,
+			})
+		}
+		if len(cands) == 0 && len(notes) == 0 {
+			cands = append(cands, &runfile.Manifest{Version: runfile.ManifestVersion})
 		}
 	}
-	if err != nil {
-		return nil, err
+	for i, man := range cands {
+		img, err := mergedImage(ctx, src, opts, man)
+		if err == nil {
+			if man.Seq == 0 {
+				man.BaseElements = img.Elements() // what a manifest would have recorded
+			}
+			err = accept(img, man)
+		}
+		var hard *recoveryHardError
+		if errors.As(err, &hard) {
+			return nil, hard.err
+		}
+		if err != nil {
+			notes = append(notes, err.Error())
+			continue
+		}
+		g := &walked{man: man, notes: notes}
+		if len(seqs) > 0 {
+			g.maxSeq = seqs[0]
+		}
+		if i+1 < len(cands) {
+			g.prev = cands[i+1]
+		}
+		return g, nil
+	}
+	return nil, fmt.Errorf("no generation recovers: %s", strings.Join(notes, "; "))
+}
+
+// mergedImage materializes the state a generation covers, reading its
+// files from src: the base image (the options-derived empty state when
+// Base is "") with the delta runs folded on in order. It is the only
+// reader of bases and runs, so every refusal lives here or below it:
+// frames and CRCs, each run's CRC against the manifest (runfile), the
+// base's WALSeq against BaseLSN, each run's span against the manifest,
+// and chain contiguity (ImageDelta.Apply).
+func mergedImage(ctx context.Context, src store.Backend, opts Options, man *runfile.Manifest) (*core.Image, error) {
+	var img *core.Image
+	if man.Base == "" {
+		var err error
+		if img, err = core.EmptyImage(opts); err != nil {
+			return nil, err
+		}
+	} else {
+		data, err := fetch(ctx, src, man.Base)
+		if err == nil {
+			img, err = core.ParseImage(data)
+		}
+		if err == nil && img.WALSeq != man.BaseLSN {
+			err = fmt.Errorf("covers WAL LSN %d, manifest seq %d says %d", img.WALSeq, man.Seq, man.BaseLSN)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("base %s: %w", man.Base, err)
+		}
 	}
 	for _, ri := range man.Runs {
-		payload, rerr := runfile.ReadRun(fsys, dir, ri)
-		if rerr != nil {
-			return nil, rerr
+		data, err := fetch(ctx, src, ri.Name)
+		if err != nil {
+			return nil, fmt.Errorf("run %s: %w", ri.Name, err)
+		}
+		payload, err := runfile.ParseRun(ri, data)
+		if err != nil {
+			return nil, err
 		}
 		var delta core.ImageDelta
 		if err := json.Unmarshal(payload, &delta); err != nil {
-			return nil, fmt.Errorf("pghive: durable: run %s: %w", ri.Name, err)
+			return nil, fmt.Errorf("run %s: %w", ri.Name, err)
 		}
 		if delta.FromLSN != ri.From || delta.ToLSN != ri.To {
-			return nil, fmt.Errorf("pghive: durable: run %s covers (%d, %d], manifest says (%d, %d]", ri.Name, delta.FromLSN, delta.ToLSN, ri.From, ri.To)
+			return nil, fmt.Errorf("run %s covers (%d, %d], manifest says (%d, %d]", ri.Name, delta.FromLSN, delta.ToLSN, ri.From, ri.To)
 		}
 		if err := delta.Apply(img); err != nil {
-			return nil, fmt.Errorf("pghive: durable: run %s: %w", ri.Name, err)
+			return nil, fmt.Errorf("run %s: %w", ri.Name, err)
 		}
 	}
 	return img, nil
 }
+
+// local is the data directory as a store.Backend: it has the shipped
+// layout, so the fold and the shipper read it the way a follower reads
+// a backend.
+func (d *DurableService) local() store.Backend { return store.NewDir(d.fs, d.dir) }
 
 // Dir returns the service's data directory.
 func (d *DurableService) Dir() string { return d.dir }
@@ -917,9 +916,10 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		// base image; the chain restarts empty.
 		img := ch.whole
 		if img == nil {
+			// A local read, like recovery's: Close must not cut a fold short.
 			var err error
-			if img, err = mergedImage(d.fs, d.dir, d.w.opts, d.man); err != nil {
-				return nil, err
+			if img, err = mergedImage(context.Background(), d.local(), d.w.opts, d.man); err != nil {
+				return nil, fmt.Errorf("pghive: durable: fold: %w", err)
 			}
 			if err := ch.delta.Apply(img); err != nil {
 				return nil, err
@@ -930,7 +930,7 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 				img.AppliedKeys = img.AppliedKeys[over:]
 			}
 		}
-		path := checkpointPath(d.dir, ch.to)
+		path := filepath.Join(d.dir, runfile.BaseName(ch.to))
 		err := vfs.WriteFileAtomic(d.fs, path, func(w io.Writer) error {
 			return core.EncodeImage(w, img)
 		})
@@ -941,7 +941,7 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		if fi, err := d.fs.Stat(path); err == nil { // a statistic: not worth failing the round for
 			round.BytesWritten = fi.Size()
 		}
-		newMan.Base = filepath.Base(path)
+		newMan.Base = runfile.BaseName(ch.to)
 		newMan.BaseLSN = ch.to
 		newMan.BaseElements = img.Elements()
 	}
@@ -961,37 +961,19 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 // sweep; the sweep itself never fails the caller, because leftover
 // files cost space, not correctness.
 func (d *DurableService) sweep(_ compactHeld) {
-	keep := d.man.Files()
-	if d.man.Seq > 0 {
-		keep[runfile.ManifestName(d.man.Seq)] = true
+	keep := runfile.Keep(d.man, d.prevMan)
+	paths, err := d.fs.Glob(filepath.Join(d.dir, "*"))
+	if err != nil {
+		d.noteGCFailure(err)
+		return
 	}
-	if d.prevMan != nil {
-		for f := range d.prevMan.Files() {
-			keep[f] = true
-		}
-		if d.prevMan.Seq > 0 {
-			keep[runfile.ManifestName(d.prevMan.Seq)] = true
-		}
-	}
-	patterns := []string{
-		ckptPrefix + "*" + ckptSuffix,
-		runfile.RunGlobPattern,
-		runfile.ManifestGlobPattern,
-		ckptTmpPattern,
-	}
-	for _, pat := range patterns {
-		names, err := d.fs.Glob(filepath.Join(d.dir, pat))
-		if err != nil {
-			d.noteGCFailure(err)
+	for _, p := range paths {
+		name := filepath.Base(p)
+		if keep[name] || !runfile.IsArtifact(name) && !strings.HasSuffix(name, vfs.TmpSuffix) {
 			continue
 		}
-		for _, p := range names {
-			if keep[filepath.Base(p)] {
-				continue
-			}
-			if err := d.fs.Remove(p); err != nil {
-				d.noteGCFailure(fmt.Errorf("remove %s: %w", p, err))
-			}
+		if err := d.fs.Remove(p); err != nil {
+			d.noteGCFailure(fmt.Errorf("remove %s: %w", p, err))
 		}
 	}
 }
@@ -1349,39 +1331,4 @@ func decodeWALRecord(rec wal.Record) (g *Graph, key string, retract bool, err er
 		return nil, "", false, fmt.Errorf("pghive: durable: wal record %d: %w", rec.LSN, err)
 	}
 	return g, key, retract, nil
-}
-
-// checkpointPath names the image covering WAL LSNs up to lsn.
-func checkpointPath(dir string, lsn uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%020d%s", ckptPrefix, lsn, ckptSuffix))
-}
-
-// legacyCheckpoint is one pre-manifest bare image in the data
-// directory.
-type legacyCheckpoint struct {
-	path string
-	lsn  uint64
-}
-
-// legacyCheckpoints lists the pre-manifest bare images, newest (by
-// filename LSN) first. The filename LSN is a claim, not a fact:
-// recovery verifies it against the image's own WALSeq and falls back
-// to the next candidate when they disagree.
-func legacyCheckpoints(fsys vfs.FS, dir string) ([]legacyCheckpoint, error) {
-	names, err := fsys.Glob(filepath.Join(dir, ckptPrefix+"*"+ckptSuffix))
-	if err != nil {
-		return nil, fmt.Errorf("pghive: durable: %w", err)
-	}
-	sort.Strings(names)
-	var out []legacyCheckpoint
-	for i := len(names) - 1; i >= 0; i-- {
-		base := filepath.Base(names[i])
-		num := strings.TrimSuffix(strings.TrimPrefix(base, ckptPrefix), ckptSuffix)
-		n, perr := strconv.ParseUint(num, 10, 64)
-		if perr != nil {
-			continue // not one of ours
-		}
-		out = append(out, legacyCheckpoint{path: names[i], lsn: n})
-	}
-	return out, nil
 }

@@ -2,10 +2,11 @@ package pghive
 
 // follower.go is the read-replica side of WAL shipping: a Follower
 // bootstraps from the newest consistent checkpoint generation a
-// storage backend holds (same fallback walk as local recovery) and
-// then tails the shipped WAL segments, applying records through
-// exactly the code path the leader's recovery uses and publishing each
-// batch with the same atomic-pointer snapshot swap. Reads on a
+// storage backend holds — through walkGenerations, the very walk local
+// recovery takes, bare-base fallback included — and then tails the
+// shipped WAL segments, applying records through exactly the code path
+// the leader's recovery uses and publishing each batch with the same
+// atomic-pointer snapshot swap. Reads on a
 // follower are therefore indistinguishable from reads on the leader at
 // the same LSN — WriteCheckpoint produces bit-identical images — they
 // just lag by the shipping horizon (the leader uploads sealed segments
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +39,6 @@ import (
 	"github.com/pghive/pghive/internal/core"
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
-	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
 )
 
@@ -193,100 +192,36 @@ func (f *Follower) noteFault(err error) error {
 	return err
 }
 
-// fetchGeneration materializes one shipped generation into a scratch
-// filesystem and merges it through the same reader recovery uses, so
-// every integrity check — manifest checksums, base/run CRCs, chain
-// contiguity, LSN cross-checks — applies to fetched bytes too.
-func (f *Follower) fetchGeneration(ctx context.Context, seq uint64) (*core.Image, *runfile.Manifest, error) {
-	scratch := vfs.NewMemFS()
-	const dir = "/replica"
-	if err := scratch.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	fetch := func(obj string) error {
-		data, err := f.backend.Get(ctx, obj)
-		if err != nil {
-			return fmt.Errorf("pghive: follower: fetch %s: %w", obj, err)
-		}
-		return vfs.WriteFileAtomic(scratch, dir+"/"+obj, func(w io.Writer) error {
-			_, werr := w.Write(data)
-			return werr
-		})
-	}
-	mf := runfile.ManifestName(seq)
-	if err := fetch(mf); err != nil {
-		return nil, nil, err
-	}
-	man, err := runfile.ReadManifest(scratch, dir+"/"+mf)
-	if err != nil {
-		return nil, nil, err
-	}
-	for obj := range man.Files() {
-		if err := fetch(obj); err != nil {
-			return nil, nil, err
-		}
-	}
-	img, err := mergedImage(scratch, dir, f.w.opts, man)
-	if err != nil {
-		return nil, nil, err
-	}
-	return img, man, nil
-}
-
 // Bootstrap restores the replica from the newest shipped generation
 // that fully validates, walking older generations on failure exactly
 // like local recovery (the backend keeps the previous generation for
-// this). A backend with no manifest yet bootstraps the empty state and
-// tails from LSN 1. On success the replica is Ready and positioned at
-// the generation's covered LSN; TailOnce picks up from there.
+// this), down to a bare base image when no manifest parses. A fetch
+// that fails for any reason but absence fails the bootstrap instead —
+// counted, and retried by the next TailOnce — so a flaky backend cannot
+// push the replica onto an older generation than the newest it holds. A
+// backend
+// with no manifest and no base yet bootstraps the empty state and tails
+// from LSN 1. On success the replica is Ready and positioned at the
+// generation's covered LSN; TailOnce picks up from there.
 func (f *Follower) Bootstrap(ctx context.Context) error {
-	names, err := f.backend.List(ctx, "")
+	var next *writer
+	gen, err := walkGenerations(ctx, f.backend, f.w.opts, func(img *core.Image, _ *runfile.Manifest) (err error) {
+		next, err = newWriter(f.w.opts, img, 0)
+		return err
+	})
 	if err != nil {
-		return f.noteFault(fmt.Errorf("pghive: follower: list backend: %w", err))
+		return f.noteFault(fmt.Errorf("pghive: follower: %w", err))
 	}
-	var seqs []uint64
-	for _, n := range names {
-		if seq, ok := runfile.ParseManifestSeq(n); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-
-	var img *core.Image
-	var man *runfile.Manifest
-	var notes []string
-	for _, seq := range seqs {
-		var gerr error
-		img, man, gerr = f.fetchGeneration(ctx, seq)
-		if gerr == nil {
-			break
-		}
-		notes = append(notes, gerr.Error())
-		img, man = nil, nil
-	}
-	if man == nil && len(notes) > 0 {
-		return f.noteFault(fmt.Errorf("pghive: follower: no shipped generation recovers: %s", strings.Join(notes, "; ")))
-	}
-	f.bootFallbacks.Store(int64(len(notes)))
-
-	// img is nil when the backend holds no manifest yet: the empty state.
-	next, err := newWriter(f.w.opts, img, 0)
-	if err != nil {
-		return f.noteFault(fmt.Errorf("pghive: follower: restore image: %w", err))
-	}
-	var covered, gen uint64
-	if man != nil {
-		covered, gen = man.Covered(), man.Seq
-	}
+	f.bootFallbacks.Store(int64(len(gen.notes)))
 
 	// Reposition the served writer in place: its lock and its Reader are
 	// what the rest of the process holds on to.
 	f.w.mu.Lock()
 	f.w.inc, f.w.resolver, f.w.nextEdgeID = next.inc, next.resolver, next.nextEdgeID
 	f.w.publish()
-	f.applied.Store(covered)
+	f.applied.Store(gen.man.Covered())
 	f.w.mu.Unlock()
-	f.bootGen.Store(gen)
+	f.bootGen.Store(gen.man.Seq)
 	f.ready.Store(true)
 	return nil
 }

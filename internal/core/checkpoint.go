@@ -12,7 +12,7 @@ package core
 // resolving to their discovered types).
 //
 // The materialized state is exposed as an Image: a plain value the
-// durable layer can capture, serialize, load, diff (delta.go) and
+// durable layer can capture, serialize, decode, diff (delta.go) and
 // merge without holding a live pipeline. It holds values all the way
 // down (the schema is a schema.Persisted, not its text) and is JSON
 // only past EncodeImage and before DecodeImage. WriteCheckpoint is
@@ -33,7 +33,6 @@ import (
 	"github.com/pghive/pghive/internal/lsh"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
-	"github.com/pghive/pghive/internal/vfs"
 )
 
 // CheckpointVersion is the format version WriteCheckpoint emits.
@@ -192,10 +191,24 @@ func DecodeImage(r io.Reader) (*Image, error) {
 	if err := json.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
+	return checkImageVersion(&img)
+}
+
+// ParseImage is DecodeImage over an image already in memory: it decodes
+// data in place rather than copying it into a decoder's buffer.
+func ParseImage(data []byte) (*Image, error) {
+	var img Image
+	if err := json.Unmarshal(data, &img); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	return checkImageVersion(&img)
+}
+
+func checkImageVersion(img *Image) (*Image, error) {
 	if img.Version != CheckpointVersion {
 		return nil, fmt.Errorf("core: unsupported checkpoint version %d", img.Version)
 	}
-	return &img, nil
+	return img, nil
 }
 
 // EmptyImage is the image of a freshly created discovery — the base
@@ -305,16 +318,4 @@ func ResumeFromCheckpoint(opts Options, r io.Reader) (*Incremental, *CheckpointE
 		return nil, nil, err
 	}
 	return RestoreImage(opts, img)
-}
-
-// LoadImage reads a checkpoint image from path on fsys (nil selects
-// the real OS) without restoring a live pipeline from it — the
-// durable layer's recovery and delta-diffing paths start here.
-func LoadImage(fsys vfs.FS, path string) (*Image, error) {
-	f, err := vfs.Open(vfs.OrOS(fsys), path)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	defer f.Close()
-	return DecodeImage(f)
 }

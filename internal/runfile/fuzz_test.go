@@ -3,14 +3,11 @@ package runfile
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
-
-	"github.com/pghive/pghive/internal/vfs"
 )
 
 // framed wraps payload in a manifest frame with a valid CRC, so seeds
@@ -23,8 +20,8 @@ func framed(payload string) []byte {
 // follower bootstrapping from shipped objects. Arbitrary file bytes
 // must be refused or accepted without panicking and without
 // allocating more than a constant factor of their length; an accepted
-// manifest names only files inside its directory and survives a
-// WriteManifest/ReadManifest round trip unchanged.
+// manifest names only checkpoint-layout files and survives a
+// WriteManifest/ParseManifest round trip unchanged.
 func FuzzReadManifest(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "manifest.golden"))
 	if err != nil {
@@ -48,34 +45,28 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add(framed(`{"version":1,"seq":4,"base":"../checkpoint-00000000000000000002.ckpt","baseLSN":2,"walFloor":0}`))
 	f.Add(framed(`{"version":1,"seq":4,"base":"..","baseLSN":2,"walFloor":0}`))
 
-	path := filepath.Join(dir, ManifestName(testManifest().Seq))
+	name := ManifestName(testManifest().Seq)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mem := newFS(t)
-		if err := vfs.WriteFileAtomic(mem, path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := ReadManifest(mem, path)
+		m, err := ParseManifest(name, data)
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); grew > limit {
-			t.Fatalf("ReadManifest of %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+			t.Fatalf("ParseManifest of %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
 		}
 		if err != nil {
 			return
 		}
-		for name := range m.Files() {
-			if name == "" || name == "." || name == ".." || filepath.Base(name) != name {
-				t.Fatalf("accepted manifest names %q, which is not a file in its directory", name)
+		for file := range m.Files() {
+			if !IsArtifact(file) {
+				t.Fatalf("accepted manifest names %q, which is not a checkpoint-layout file", file)
 			}
 		}
+		mem := newFS(t)
 		if err := WriteManifest(mem, dir, m); err != nil {
 			t.Fatalf("accepted manifest does not write back: %v", err)
 		}
-		back, err := ReadManifest(mem, path)
+		back, err := ParseManifest(name, readFile(t, mem, filepath.Join(dir, name)))
 		if err != nil {
 			t.Fatalf("rewritten manifest does not read back: %v", err)
 		}

@@ -2,33 +2,38 @@
 // layer's incremental checkpoints: immutable, checksummed delta run
 // files plus a manifest that names the current generation — the base
 // image, the ordered run chain on top of it, and the WAL floor the
-// generation allows pruning to.
+// generation allows pruning to — and the names of all three file kinds.
 //
 // The package owns only file-format concerns (framing, checksums,
-// naming, manifest invariants); what a run's payload MEANS is the
-// caller's business (the durable layer stores core.ImageDelta JSON).
-// Both file kinds share one frame: a single header line carrying a
-// magic tag, the payload's CRC-32C and its exact length, followed by
-// the payload bytes. A torn, truncated, or bit-flipped file fails the
-// frame check loudly instead of decoding to plausible garbage.
+// naming, manifest invariants, which files a generation keeps); what a
+// run's payload or a base image MEANS is the caller's business (the
+// durable layer stores core.ImageDelta JSON and core.Image JSON). Runs
+// and manifests share one frame: a single header line carrying a magic
+// tag, the payload's CRC-32C and its exact length, followed by the
+// payload bytes. A torn, truncated, or bit-flipped file fails the frame
+// check loudly instead of decoding to plausible garbage.
 //
-// Run files and manifests are immutable once renamed into place
-// (vfs.WriteFileAtomic); a new manifest generation supersedes the old
-// one by carrying a higher sequence number, and readers pick the
-// newest manifest that parses AND frames clean — which is what lets
-// recovery fall back a generation when the newest one was torn by a
-// crash on a lying disk. All IO flows through vfs.FS so fault
-// injection sees every operation.
+// Writers and readers differ on purpose. Writers go through vfs.FS
+// (vfs.WriteFileAtomic), so fault injection sees every operation and a
+// file is immutable once renamed into place. Readers take bytes
+// (ParseManifest, ParseRun): the caller fetched them from wherever the
+// layout lives — a data directory or a shipped object store — so the
+// same checks judge both. A new manifest generation supersedes the old
+// one by carrying a higher sequence number, and readers pick the newest
+// manifest that parses AND frames clean — which is what lets recovery
+// fall back a generation when the newest one was torn by a crash on a
+// lying disk.
 package runfile
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,19 +49,15 @@ const (
 	manifestMagic = "PGHMFT1"
 )
 
-// Name shapes. LSNs are zero-padded so lexicographic order equals
-// numeric order, like checkpoint images.
+// Name shapes. Numbers are zero-padded to 20 digits so lexicographic
+// order equals numeric order; the parsers accept only that spelling.
 const (
+	runPrefix      = "run-"
 	runSuffix      = ".run"
 	manifestPrefix = "manifest-"
 	manifestSuffix = ".mft"
-)
-
-// Glob patterns (relative to the data directory) matching the
-// package's file kinds — for the durable layer's GC sweep.
-const (
-	RunGlobPattern      = "run-*" + runSuffix
-	ManifestGlobPattern = manifestPrefix + "*" + manifestSuffix
+	basePrefix     = "checkpoint-"
+	baseSuffix     = ".ckpt"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -88,10 +89,11 @@ type RunInfo struct {
 type Manifest struct {
 	Version int `json:"version"`
 	// Seq orders generations; readers trust the highest sequence that
-	// validates. Zero is reserved for the implicit pre-manifest state.
+	// validates. Zero is reserved for a generation no manifest names:
+	// the empty state, or a bare base image.
 	Seq uint64 `json:"seq"`
-	// Base is the base image's file name ("" = the empty state; the
-	// options-derived image every chain starts from).
+	// Base is the base image's file name, BaseName(BaseLSN) ("" = the
+	// empty state; the options-derived image every chain starts from).
 	Base string `json:"base,omitempty"`
 	// BaseLSN is the WAL LSN the base image covers.
 	BaseLSN uint64 `json:"baseLSN"`
@@ -146,16 +148,36 @@ func (m *Manifest) Files() map[string]bool {
 	return files
 }
 
+// Keep returns the files the given generations hold on to: each one's
+// data files and its own manifest (nil generations are skipped). The
+// GC of a data directory and the GC of a shipping backend both keep
+// exactly this set for the current generation and the previous one,
+// which recovery may fall back to.
+func Keep(gens ...*Manifest) map[string]bool {
+	keep := make(map[string]bool)
+	for _, m := range gens {
+		if m == nil {
+			continue
+		}
+		for f := range m.Files() {
+			keep[f] = true
+		}
+		if m.Seq > 0 {
+			keep[ManifestName(m.Seq)] = true
+		}
+	}
+	return keep
+}
+
 // Validate checks the manifest's internal invariants: version, a base
-// that is a plain file name in the manifest's directory, run naming,
-// chain contiguity from the base LSN, and a WAL floor at or below the
-// covered LSN.
+// named for the LSN it covers, run naming, chain contiguity from the
+// base LSN, and a WAL floor at or below the covered LSN.
 func (m *Manifest) Validate() error {
 	if m.Version != ManifestVersion {
 		return fmt.Errorf("runfile: unsupported manifest version %d", m.Version)
 	}
-	if m.Base != "" && (m.Base == "." || m.Base == ".." || filepath.Base(m.Base) != m.Base) {
-		return fmt.Errorf("runfile: manifest seq %d: base %q is not a file name", m.Seq, m.Base)
+	if m.Base != "" && m.Base != BaseName(m.BaseLSN) || m.Base == "" && m.BaseLSN != 0 {
+		return fmt.Errorf("runfile: manifest seq %d: base %q is not the base image of LSN %d", m.Seq, m.Base, m.BaseLSN)
 	}
 	prev := m.BaseLSN
 	for i, r := range m.Runs {
@@ -178,7 +200,7 @@ func (m *Manifest) Validate() error {
 
 // RunName names the run covering WAL LSNs (from, to].
 func RunName(from, to uint64) string {
-	return fmt.Sprintf("run-%020d-%020d%s", from, to, runSuffix)
+	return fmt.Sprintf("%s%020d-%020d%s", runPrefix, from, to, runSuffix)
 }
 
 // ManifestName names the manifest of generation seq.
@@ -186,26 +208,93 @@ func ManifestName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", manifestPrefix, seq, manifestSuffix)
 }
 
+// BaseName names the base image covering WAL LSNs up to lsn.
+func BaseName(lsn uint64) string {
+	return fmt.Sprintf("%s%020d%s", basePrefix, lsn, baseSuffix)
+}
+
+// number parses the one spelling the name functions give a number:
+// exactly 20 decimal digits.
+func number(s string) (uint64, bool) {
+	if len(s) != 20 {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(s, 10, 64)
+	return n, err == nil
+}
+
+// between returns what name holds between prefix and suffix.
+func between(name, prefix, suffix string) (string, bool) {
+	s, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return "", false
+	}
+	return strings.CutSuffix(s, suffix)
+}
+
 // ParseManifestSeq extracts the generation number from a manifest
 // file name (base name or path).
 func ParseManifestSeq(name string) (uint64, bool) {
-	base := filepath.Base(name)
-	if !strings.HasPrefix(base, manifestPrefix) || !strings.HasSuffix(base, manifestSuffix) {
+	s, ok := between(filepath.Base(name), manifestPrefix, manifestSuffix)
+	if !ok {
 		return 0, false
 	}
-	num := strings.TrimSuffix(strings.TrimPrefix(base, manifestPrefix), manifestSuffix)
-	seq, err := strconv.ParseUint(num, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
+	return number(s)
 }
 
-// IsRun reports whether name (base name or path) is shaped like a run
-// file.
+// parseBaseLSN extracts the covered LSN from a base image's file name.
+func parseBaseLSN(name string) (uint64, bool) {
+	s, ok := between(name, basePrefix, baseSuffix)
+	if !ok {
+		return 0, false
+	}
+	return number(s)
+}
+
+// IsRun reports whether name (base name or path) is a run file's.
 func IsRun(name string) bool {
-	base := filepath.Base(name)
-	return strings.HasPrefix(base, "run-") && strings.HasSuffix(base, runSuffix)
+	span, ok := between(filepath.Base(name), runPrefix, runSuffix)
+	from, to, ok2 := strings.Cut(span, "-")
+	_, ok3 := number(from)
+	_, ok4 := number(to)
+	return ok && ok2 && ok3 && ok4
+}
+
+// IsArtifact reports whether name is a file of the checkpoint layout —
+// a manifest, a run or a base image, as its name function spells it.
+// Garbage collection removes only such files (foreign files in a shared
+// directory or bucket are never touched), and a valid manifest names
+// only such files.
+func IsArtifact(name string) bool {
+	if filepath.Base(name) != name {
+		return false
+	}
+	_, manifest := ParseManifestSeq(name)
+	_, base := parseBaseLSN(name)
+	return manifest || base || IsRun(name)
+}
+
+// Generations sorts a listing of a data directory or a backend into the
+// generation numbers of its manifests and the LSNs of its base images,
+// each newest first; every other name is ignored. seqs[0] is the
+// highest generation number present, valid or not — the floor for
+// allocating the next one, so a corrupt lingering manifest can never
+// outrank a fresh one.
+func Generations(names []string) (seqs, bases []uint64) {
+	for _, n := range names {
+		if filepath.Base(n) != n {
+			continue
+		}
+		if seq, ok := ParseManifestSeq(n); ok {
+			seqs = append(seqs, seq)
+		} else if lsn, ok := parseBaseLSN(n); ok {
+			bases = append(bases, lsn)
+		}
+	}
+	newestFirst := func(a, b uint64) int { return cmp.Compare(b, a) }
+	slices.SortFunc(seqs, newestFirst)
+	slices.SortFunc(bases, newestFirst)
+	return seqs, bases
 }
 
 // writeFramed stages magic + CRC + length + payload and atomically
@@ -220,37 +309,28 @@ func writeFramed(fsys vfs.FS, path, magic string, payload []byte) error {
 	})
 }
 
-// readFramed reads path and verifies its frame, returning the payload
-// and its (verified) CRC.
-func readFramed(fsys vfs.FS, path, magic string) ([]byte, uint32, error) {
-	f, err := vfs.Open(fsys, path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("runfile: %w", err)
-	}
-	defer f.Close()
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("runfile: %s: %w", path, err)
-	}
+// parseFramed verifies the frame of the file name holds raw, returning
+// the payload and its (verified) CRC.
+func parseFramed(name, magic string, raw []byte) ([]byte, uint32, error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
-		return nil, 0, fmt.Errorf("runfile: %s: missing frame header", path)
+		return nil, 0, fmt.Errorf("runfile: %s: missing frame header", name)
 	}
 	var gotMagic string
 	var crc uint32
 	var length int
 	if _, err := fmt.Sscanf(string(raw[:nl]), "%s crc=%x len=%d", &gotMagic, &crc, &length); err != nil {
-		return nil, 0, fmt.Errorf("runfile: %s: malformed frame header: %w", path, err)
+		return nil, 0, fmt.Errorf("runfile: %s: malformed frame header: %w", name, err)
 	}
 	if gotMagic != magic {
-		return nil, 0, fmt.Errorf("runfile: %s: magic %q, want %q", path, gotMagic, magic)
+		return nil, 0, fmt.Errorf("runfile: %s: magic %q, want %q", name, gotMagic, magic)
 	}
 	payload := raw[nl+1:]
 	if len(payload) != length {
-		return nil, 0, fmt.Errorf("runfile: %s: payload is %d bytes, frame says %d", path, len(payload), length)
+		return nil, 0, fmt.Errorf("runfile: %s: payload is %d bytes, frame says %d", name, len(payload), length)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, 0, fmt.Errorf("runfile: %s: payload CRC %08x, frame says %08x", path, got, crc)
+		return nil, 0, fmt.Errorf("runfile: %s: payload CRC %08x, frame says %08x", name, got, crc)
 	}
 	return payload, crc, nil
 }
@@ -280,13 +360,12 @@ func WriteRun(fsys vfs.FS, dir string, from, to uint64, tombstones int, payload 
 	}, nil
 }
 
-// ReadRun reads and verifies the run info describes: frame intact,
-// and CRC equal to the one the manifest recorded — so a leftover or
-// half-superseded file under the expected name cannot be mistaken for
-// the manifest's run.
-func ReadRun(fsys vfs.FS, dir string, info RunInfo) ([]byte, error) {
-	fsys = vfs.OrOS(fsys)
-	payload, crc, err := readFramed(fsys, filepath.Join(dir, info.Name), runMagic)
+// ParseRun verifies the bytes of the run info describes and returns
+// its payload: frame intact, and CRC equal to the one the manifest
+// recorded — so a leftover or half-superseded file under the expected
+// name cannot be mistaken for the manifest's run.
+func ParseRun(info RunInfo, data []byte) ([]byte, error) {
+	payload, crc, err := parseFramed(info.Name, runMagic, data)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +378,7 @@ func ReadRun(fsys vfs.FS, dir string, info RunInfo) ([]byte, error) {
 // WriteManifest atomically writes m into dir under its generation
 // name. The payload is compact JSON with a trailing newline inside the
 // standard frame, so torn writes are detected by checksum, not by JSON
-// parse luck. ReadManifest accepts an indented payload too.
+// parse luck. ParseManifest accepts an indented payload too.
 func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -316,57 +395,24 @@ func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
 	return nil
 }
 
-// ReadManifest reads and validates one manifest file. The generation
-// number embedded in the file must match the file's name — a manifest
-// renamed or copied under the wrong sequence is rejected.
-func ReadManifest(fsys vfs.FS, path string) (*Manifest, error) {
-	fsys = vfs.OrOS(fsys)
-	payload, _, err := readFramed(fsys, path, manifestMagic)
+// ParseManifest parses and validates the bytes of the manifest file
+// called name. The generation number embedded in the file must match
+// the name — a manifest renamed or copied under the wrong sequence is
+// rejected.
+func ParseManifest(name string, data []byte) (*Manifest, error) {
+	payload, _, err := parseFramed(name, manifestMagic, data)
 	if err != nil {
 		return nil, err
 	}
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, fmt.Errorf("runfile: %s: %w", path, err)
+		return nil, fmt.Errorf("runfile: %s: %w", name, err)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("runfile: %s: %w", path, err)
+		return nil, fmt.Errorf("runfile: %s: %w", name, err)
 	}
-	if seq, ok := ParseManifestSeq(path); !ok || seq != m.Seq {
-		return nil, fmt.Errorf("runfile: %s: file carries generation %d", path, m.Seq)
+	if seq, ok := ParseManifestSeq(name); !ok || seq != m.Seq {
+		return nil, fmt.Errorf("runfile: %s: file carries generation %d", name, m.Seq)
 	}
 	return &m, nil
-}
-
-// ListManifests returns the paths of every manifest-shaped file in
-// dir, newest generation first, plus the highest generation number
-// seen among them (valid or not) — the floor for allocating the next
-// generation, so a corrupt lingering manifest can never outrank a
-// fresh one.
-func ListManifests(fsys vfs.FS, dir string) (paths []string, maxSeq uint64, err error) {
-	fsys = vfs.OrOS(fsys)
-	names, err := fsys.Glob(filepath.Join(dir, ManifestGlobPattern))
-	if err != nil {
-		return nil, 0, fmt.Errorf("runfile: %w", err)
-	}
-	type cand struct {
-		path string
-		seq  uint64
-	}
-	var cands []cand
-	for _, n := range names {
-		seq, ok := ParseManifestSeq(n)
-		if !ok {
-			continue
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		cands = append(cands, cand{path: n, seq: seq})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
-	for _, c := range cands {
-		paths = append(paths, c.path)
-	}
-	return paths, maxSeq, nil
 }

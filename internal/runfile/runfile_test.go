@@ -1,7 +1,6 @@
 package runfile
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,6 +22,21 @@ func newFS(t *testing.T) *vfs.MemFS {
 	return mem
 }
 
+// readFile returns the bytes of path on mem.
+func readFile(t *testing.T, mem *vfs.MemFS, path string) []byte {
+	t.Helper()
+	f, err := vfs.Open(mem, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestRunRoundTrip(t *testing.T) {
 	mem := newFS(t)
 	payload := []byte(`{"version":1,"fromLSN":3,"toLSN":7}`)
@@ -40,7 +54,7 @@ func TestRunRoundTrip(t *testing.T) {
 	if st.Size() != info.Bytes {
 		t.Fatalf("file is %d bytes, info says %d", st.Size(), info.Bytes)
 	}
-	got, err := ReadRun(mem, dir, info)
+	got, err := ParseRun(info, readFile(t, mem, filepath.Join(dir, info.Name)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +107,7 @@ func TestRunRejectsDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.damage(t, mem, &info)
-			_, err = ReadRun(mem, dir, info)
+			_, err = ParseRun(info, readFile(t, mem, path))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("damaged run read: err=%v, want mention of %q", err, tc.want)
 			}
@@ -149,7 +163,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := WriteManifest(mem, dir, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(mem, filepath.Join(dir, ManifestName(m.Seq)))
+	got, err := ParseManifest(ManifestName(m.Seq), readFile(t, mem, filepath.Join(dir, ManifestName(m.Seq))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +195,9 @@ func TestManifestValidate(t *testing.T) {
 		{"chain gap", func(m *Manifest) { m.Runs[1].From = 6 }, "chain stands at"},
 		{"empty span", func(m *Manifest) { m.Runs[1].From, m.Runs[1].To = 5, 5 }, "empty span"},
 		{"misnamed run", func(m *Manifest) { m.Runs[0].Name = "run-x.run" }, "named"},
+		{"misnamed base", func(m *Manifest) { m.Base = ManifestName(3) }, "not the base image"},
+		{"base of another LSN", func(m *Manifest) { m.Base = BaseName(m.BaseLSN + 1) }, "not the base image"},
+		{"empty base past LSN 0", func(m *Manifest) { m.Base = "" }, "not the base image"},
 		{"floor above coverage", func(m *Manifest) { m.WALFloor = 10 }, "WAL floor"},
 	}
 	for _, tc := range cases {
@@ -210,51 +227,30 @@ func TestManifestSeqBinding(t *testing.T) {
 	if err := WriteManifest(mem, dir, m); err != nil {
 		t.Fatal(err)
 	}
-	impostor := filepath.Join(dir, ManifestName(m.Seq+3))
-	if err := mem.Rename(filepath.Join(dir, ManifestName(m.Seq)), impostor); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(mem, impostor); err == nil {
-		t.Fatal("ReadManifest accepted a manifest under the wrong generation name")
+	data := readFile(t, mem, filepath.Join(dir, ManifestName(m.Seq)))
+	if _, err := ParseManifest(ManifestName(m.Seq+3), data); err == nil {
+		t.Fatal("ParseManifest accepted a manifest under the wrong generation name")
 	}
 }
 
+// TestListManifests: a listing sorts into manifest generations and base
+// images, newest first. A garbage file under a parseable manifest name
+// still counts for sequence allocation (readers skip it when its frame
+// fails), and an unparseable name is ignored entirely.
 func TestListManifests(t *testing.T) {
-	mem := newFS(t)
-	for _, seq := range []uint64{1, 3} {
-		m := &Manifest{Version: ManifestVersion, Seq: seq, BaseLSN: 0, WALFloor: 0}
-		if err := WriteManifest(mem, dir, m); err != nil {
-			t.Fatal(err)
-		}
+	names := []string{
+		ManifestName(1), ManifestName(7), "manifest-abc.mft", ManifestName(3),
+		BaseName(2), BaseName(9), RunName(2, 5), "wal/" + ManifestName(8), "checkpoint-4.ckpt",
 	}
-	// A garbage file under a parseable manifest name still counts for
-	// sequence allocation (readers skip it when its frame fails), and
-	// an unparseable name is ignored entirely.
-	for name, data := range map[string]string{
-		ManifestName(7):    "garbage",
-		"manifest-abc.mft": "noise",
-	} {
-		f, err := mem.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprint(f, data)
-		f.Close()
-	}
-	paths, maxSeq, err := ListManifests(mem, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxSeq != 7 {
+	seqs, bases := Generations(names)
+	if maxSeq := seqs[0]; maxSeq != 7 {
 		t.Fatalf("maxSeq = %d, want 7", maxSeq)
 	}
-	want := []string{
-		filepath.Join(dir, ManifestName(7)),
-		filepath.Join(dir, ManifestName(3)),
-		filepath.Join(dir, ManifestName(1)),
+	if want := []uint64{7, 3, 1}; !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("seqs = %v, want %v (newest generation first)", seqs, want)
 	}
-	if !reflect.DeepEqual(paths, want) {
-		t.Fatalf("paths = %v, want %v (newest generation first)", paths, want)
+	if want := []uint64{9, 2}; !reflect.DeepEqual(bases, want) {
+		t.Fatalf("bases = %v, want %v (newest first)", bases, want)
 	}
 }
 
@@ -262,15 +258,28 @@ func TestNameHelpers(t *testing.T) {
 	if got := RunName(3, 12); got != "run-00000000000000000003-00000000000000000012.run" {
 		t.Fatalf("RunName: %s", got)
 	}
-	if !IsRun(RunName(3, 12)) || IsRun(ManifestName(3)) || IsRun("checkpoint-3.ckpt") {
+	if got := BaseName(12); got != "checkpoint-00000000000000000012.ckpt" {
+		t.Fatalf("BaseName: %s", got)
+	}
+	if !IsRun(RunName(3, 12)) || IsRun(ManifestName(3)) || IsRun("checkpoint-3.ckpt") || IsRun("run-3-12.run") {
 		t.Fatal("IsRun misclassifies")
 	}
 	if seq, ok := ParseManifestSeq(filepath.Join("a", "b", ManifestName(42))); !ok || seq != 42 {
 		t.Fatalf("ParseManifestSeq: %d %v", seq, ok)
 	}
-	for _, bad := range []string{"manifest-x.mft", "manifest-1.txt", "run-1-2.run"} {
+	for _, bad := range []string{"manifest-x.mft", "manifest-1.txt", "run-1-2.run", "manifest-42.mft", "manifest-+0000000000000000042.mft"} {
 		if _, ok := ParseManifestSeq(bad); ok {
 			t.Fatalf("ParseManifestSeq accepted %q", bad)
+		}
+	}
+	for _, good := range []string{ManifestName(1), RunName(1, 2), BaseName(0)} {
+		if !IsArtifact(good) {
+			t.Fatalf("IsArtifact refused %q", good)
+		}
+	}
+	for _, bad := range []string{"wal", "checkpoint-1.ckpt", "checkpoint-00000000000000000001.ckpt-123.tmp", "d/" + BaseName(1), "..", ""} {
+		if IsArtifact(bad) {
+			t.Fatalf("IsArtifact accepted %q", bad)
 		}
 	}
 }

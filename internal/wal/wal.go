@@ -57,7 +57,6 @@ const (
 	bodyFixedLen   = 9 // u64 lsn + u8 type
 
 	segSuffix = ".wal"
-	tmpSuffix = ".tmp"
 )
 
 // segMagic identifies (and versions) a segment file.
@@ -171,7 +170,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if tmps, err := fsys.Glob(filepath.Join(dir, "*"+tmpSuffix)); err == nil {
+	if tmps, err := fsys.Glob(filepath.Join(dir, "*"+vfs.TmpSuffix)); err == nil {
 		for _, t := range tmps {
 			fsys.Remove(t)
 		}

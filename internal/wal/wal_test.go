@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/pghive/pghive/internal/vfs"
 )
 
 // collect replays the whole log into a slice (payloads copied).
@@ -327,10 +329,12 @@ func TestClosedLogErrors(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic checks the atomic whole-file write on the real
+// filesystem together with Open's sweep of the temporaries it stages.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "image.ckpt")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
+	if err := vfs.WriteFileAtomic(vfs.OS, path, func(w io.Writer) error {
 		_, err := w.Write([]byte("v1"))
 		return err
 	}); err != nil {
@@ -341,7 +345,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	// A writer that fails must leave the previous content untouched
 	// and no temporary file behind.
-	err := WriteFileAtomic(path, func(w io.Writer) error {
+	err := vfs.WriteFileAtomic(vfs.OS, path, func(w io.Writer) error {
 		w.Write([]byte("half-written"))
 		return fmt.Errorf("boom")
 	})
@@ -351,12 +355,12 @@ func TestWriteFileAtomic(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "v1" {
 		t.Fatalf("failed write clobbered content: %q", got)
 	}
-	leftovers, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix))
+	leftovers, _ := filepath.Glob(filepath.Join(dir, "*"+vfs.TmpSuffix))
 	if len(leftovers) != 0 {
 		t.Fatalf("temp files left behind: %v", leftovers)
 	}
 	// Overwrite succeeds and replaces wholesale.
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
+	if err := vfs.WriteFileAtomic(vfs.OS, path, func(w io.Writer) error {
 		_, err := w.Write(bytes.Repeat([]byte("v2"), 1000))
 		return err
 	}); err != nil {
@@ -364,6 +368,23 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); len(got) != 2000 {
 		t.Fatalf("overwrite length %d, want 2000", len(got))
+	}
+	// A temporary left by a write interrupted before its rename is
+	// removed when the log in that directory opens; the image is kept.
+	stale := path + vfs.TmpSuffix
+	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temporary survived Open: %v", err)
+	}
+	if got, _ := os.ReadFile(path); len(got) != 2000 {
+		t.Fatalf("Open disturbed the image: length %d, want 2000", len(got))
 	}
 }
 

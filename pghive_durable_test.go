@@ -1275,7 +1275,7 @@ func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manName), man, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := runfile.ReadManifest(nil, filepath.Join(dir, manName))
+	m, err := runfile.ParseManifest(manName, man)
 	if err != nil {
 		t.Fatalf("indented manifest does not validate: %v", err)
 	}

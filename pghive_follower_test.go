@@ -13,12 +13,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	pghive "github.com/pghive/pghive"
+	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
@@ -351,4 +355,286 @@ func oldestShippedSegmentLSN(t *testing.T, b store.Backend) (uint64, bool) {
 		}
 	}
 	return oldest, ok
+}
+
+// TestFollowerBootstrapsFromBareBase: when every shipped manifest is
+// torn but the backend still holds the base image, the base is a
+// generation of its own — the rule local recovery follows — so a
+// follower bootstraps from it and tails the shipped WAL to the leader's
+// exact image instead of refusing to start.
+func TestFollowerBootstrapsFromBareBase(t *testing.T) {
+	ctx := context.Background()
+	backend := store.NewDir(vfs.NewMemFS(), "/backend")
+	opts := pghive.Options{Seed: 3, Parallelism: 1}
+	leader, st := shipBaseAndRun(t, opts, backend)
+
+	names, err := backend.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := 0
+	for _, name := range names {
+		if _, ok := runfile.ParseManifestSeq(name); !ok {
+			continue
+		}
+		data, err := backend.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Put(ctx, name, data[:len(data)/2]); err != nil {
+			t.Fatal(err)
+		}
+		torn++
+	}
+	if torn == 0 || !backendObjects(t, backend)[runfile.BaseName(st.BaseLSN)] {
+		t.Fatalf("backend holds %d manifests and base %v; the test needs both", torn, backendObjects(t, backend)[runfile.BaseName(st.BaseLSN)])
+	}
+
+	f := pghive.NewFollower(opts, backend, pghive.FollowerOptions{})
+	defer f.Close()
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatalf("bootstrap with every manifest torn: %v", err)
+	}
+	if got := f.AppliedLSN(); got != st.BaseLSN {
+		t.Fatalf("bootstrapped at LSN %d, want the bare base's %d", got, st.BaseLSN)
+	}
+	if lag := f.Lag(ctx); lag.BootstrapGeneration != 0 || lag.BootstrapFallbacks != int64(torn) {
+		t.Fatalf("lag = %+v, want generation 0 after skipping %d manifests", lag, torn)
+	}
+	if err := f.TailOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.AppliedLSN(), st.WALNextLSN-1; got != want {
+		t.Fatalf("follower tailed to LSN %d, leader at %d", got, want)
+	}
+	if !bytes.Equal(serviceImage(t, f), serviceImage(t, leader)) {
+		t.Fatal("follower bootstrapped from a bare base differs from the leader")
+	}
+}
+
+// shipBaseAndRun opens a leader shipping to backend and writes three
+// compaction rounds with MaxRuns 1: round 1 writes a run, round 2 folds
+// into a base image, round 3 puts a run on that base. The backend then
+// holds two manifest generations and a base image.
+func shipBaseAndRun(t *testing.T, opts pghive.Options, backend store.Backend) (*pghive.DurableService, pghive.DurableStats) {
+	t.Helper()
+	leader, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{
+		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 2048,
+		MaxRuns: 1, ShipTo: backend,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	for round := 0; round < 3; round++ {
+		if _, err := leader.Ingest(stressGraph(t, pghive.ID(1000*round), 20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := leader.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := leader.DurableStats()
+	if st.BaseLSN == 0 || st.Runs != 1 {
+		t.Fatalf("leader generation has base LSN %d and %d runs, want a base and one run", st.BaseLSN, st.Runs)
+	}
+	return leader, st
+}
+
+// failingGets wraps a backend so Gets of the objects fail matches error
+// out (a timeout, a 5xx) while fail is set; everything else passes
+// through.
+type failingGets struct {
+	store.Backend
+	fail    atomic.Bool
+	matches func(name string) bool
+}
+
+func (b *failingGets) Get(ctx context.Context, name string) ([]byte, error) {
+	if b.fail.Load() && b.matches(name) {
+		return nil, errors.New("injected fetch failure")
+	}
+	return b.Backend.Get(ctx, name)
+}
+
+// TestFollowerBootstrapStopsOnFetchFailure: a generation is skipped only
+// for what its objects hold or lack. When the backend fails to hand over
+// an object — every manifest (the bare base would be next), or the base
+// of a fold whose previous generation still recovers — the bootstrap
+// fails and counts a fault instead of settling on an older state, and
+// the retry after the backend heals lands on the newest generation.
+func TestFollowerBootstrapStopsOnFetchFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// failing advances the leader as the case needs and returns the
+		// objects whose Gets fail.
+		failing func(t *testing.T, leader *pghive.DurableService) func(string) bool
+	}{
+		{"every manifest", func(*testing.T, *pghive.DurableService) func(string) bool {
+			return func(name string) bool { _, ok := runfile.ParseManifestSeq(name); return ok }
+		}},
+		{"newest fold's base", func(t *testing.T, leader *pghive.DurableService) func(string) bool {
+			// A fourth round folds base + run into a new base; the previous
+			// generation (the old base plus its run) stays shipped.
+			if _, err := leader.Ingest(stressGraph(t, 3000, 20)); err != nil {
+				t.Fatal(err)
+			}
+			if err := leader.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			st := leader.DurableStats()
+			if st.Runs != 0 {
+				t.Fatalf("fourth round left %d runs, want a fold", st.Runs)
+			}
+			return func(name string) bool { return name == runfile.BaseName(st.BaseLSN) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			opts := pghive.Options{Seed: 3, Parallelism: 1}
+			backend := &failingGets{Backend: store.NewDir(vfs.NewMemFS(), "/backend")}
+			leader, _ := shipBaseAndRun(t, opts, backend)
+			backend.matches = tc.failing(t, leader)
+			st := leader.DurableStats()
+			backend.fail.Store(true)
+
+			f := pghive.NewFollower(opts, backend, pghive.FollowerOptions{})
+			defer f.Close()
+			if err := f.Bootstrap(ctx); err == nil {
+				t.Fatalf("bootstrap settled on generation %d at LSN %d through a failing backend",
+					f.Lag(ctx).BootstrapGeneration, f.AppliedLSN())
+			}
+			if lag := f.Lag(ctx); lag.Ready || lag.AppliedLSN != 0 || lag.FetchFaults != 1 {
+				t.Fatalf("lag = %+v, want not ready at LSN 0 with one fault", lag)
+			}
+
+			backend.fail.Store(false)
+			if err := f.TailOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Lag(ctx).BootstrapGeneration; got != st.ManifestSeq {
+				t.Fatalf("healed bootstrap restored generation %d, want the newest, %d", got, st.ManifestSeq)
+			}
+			if !bytes.Equal(serviceImage(t, f), serviceImage(t, leader)) {
+				t.Fatal("healed follower differs from the leader")
+			}
+		})
+	}
+}
+
+// TestFollowerBootstrapMatchesRecoveryFallback runs the damage cases of
+// TestDurableRecoveryGenerationFallback through a follower reading the
+// damaged data directory itself (it has the shipped layout, wal/
+// included): bootstrap and tail must land on the bytes, the generation
+// and the fallback count local recovery reaches, and fail where it
+// fails.
+func TestFollowerBootstrapMatchesRecoveryFallback(t *testing.T) {
+	opts := pghive.Options{Seed: 5, Parallelism: 1}
+	// MaxRuns 1: generation 1 is a run on the empty base, generation 2
+	// folds into a base image, generation 3 is a run on that base; the
+	// fourth ingest stays in the WAL.
+	dopts := pghive.DurableOptions{
+		NoSync: true, DisableAutoCompact: true, SegmentBytes: 2048,
+		MaxRuns: 1, MaxTombstoneRatio: 1e9,
+	}
+	dir, foldSnap := t.TempDir(), t.TempDir()
+	d, err := pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*i), 6)); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			if err := d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 1 {
+			copyTree(t, dir, foldSnap)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	manifest := runfile.ManifestName
+	base2, run23 := runfile.BaseName(2), runfile.RunName(2, 3)
+	truncate := func(n int64, names ...string) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			for _, name := range names {
+				if err := os.Truncate(filepath.Join(dir, name), n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		src    string
+		damage func(*testing.T, string)
+	}{
+		{"zero-byte newest manifest", dir, truncate(0, manifest(3))},
+		{"truncated newest manifest", dir, truncate(40, manifest(3))},
+		{"bit-flipped newest run", dir, func(t *testing.T, dir string) {
+			p := filepath.Join(dir, run23)
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xFF
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"missing newest run", dir, func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, run23)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"zero-byte fold base", foldSnap, truncate(0, base2)},
+		{"all manifests corrupt", dir, truncate(0, manifest(2), manifest(3))},
+		{"no generation recovers", dir, func(t *testing.T, dir string) {
+			truncate(0, manifest(2), manifest(3))(t, dir)
+			if err := os.Remove(filepath.Join(dir, base2)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := t.TempDir()
+			copyTree(t, tc.src, cp)
+			tc.damage(t, cp)
+
+			// The follower only reads; recovery, which sweeps and prunes,
+			// opens the same directory after it.
+			ctx := context.Background()
+			f := pghive.NewFollower(opts, store.NewDir(nil, cp), pghive.FollowerOptions{})
+			defer f.Close()
+			bootErr := f.Bootstrap(ctx)
+			rec, recErr := pghive.OpenDurable(cp, opts, dopts)
+			if (bootErr == nil) != (recErr == nil) {
+				t.Fatalf("follower bootstrap error %v, recovery error %v: they must agree", bootErr, recErr)
+			}
+			if recErr != nil {
+				return
+			}
+			defer rec.Close()
+			if err := f.TailOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st, lag := rec.DurableStats(), f.Lag(ctx)
+			if lag.BootstrapGeneration != st.ManifestSeq || lag.BootstrapFallbacks != int64(st.RecoveryFallbacks) {
+				t.Fatalf("follower bootstrapped generation %d after %d fallbacks, recovery took %d after %d",
+					lag.BootstrapGeneration, lag.BootstrapFallbacks, st.ManifestSeq, st.RecoveryFallbacks)
+			}
+			if got, want := f.AppliedLSN(), st.WALNextLSN-1; got != want {
+				t.Fatalf("follower at LSN %d, recovery at %d", got, want)
+			}
+			if !bytes.Equal(serviceImage(t, f), serviceImage(t, rec)) {
+				t.Fatal("follower and recovery reach different images from the same directory")
+			}
+		})
+	}
 }

@@ -107,19 +107,14 @@ func backendObjects(t *testing.T, b store.Backend) map[string]bool {
 }
 
 // backendManifest fetches and decodes one shipped manifest through the
-// same checksummed reader recovery uses.
+// same checksummed parser recovery uses.
 func backendManifest(t *testing.T, b store.Backend, obj string) *runfile.Manifest {
 	t.Helper()
 	data, err := b.Get(context.Background(), obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := vfs.NewMemFS()
-	if err := mem.MkdirAll("/x", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeMemFile(t, mem, "/x/"+obj, data)
-	m, err := runfile.ReadManifest(mem, "/x/"+obj)
+	m, err := runfile.ParseManifest(obj, data)
 	if err != nil {
 		t.Fatalf("shipped manifest %s does not decode: %v", obj, err)
 	}

@@ -8,7 +8,9 @@ package pghive
 // checkpoint generation's data files (base image, delta runs), then
 // its manifest LAST, so a follower that can fetch a manifest can
 // always fetch every file it references; a torn round leaves at worst
-// an unreferenced data object, never a dangling manifest.
+// an unreferenced data object, never a dangling manifest. The data
+// directory has the shipped layout, so every object is read from it
+// through a store.Dir and uploaded under its own name.
 //
 // The ship watermark is the highest LSN L such that every record up
 // to L is durable in the backend — the shipped generation's coverage
@@ -29,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -37,7 +38,6 @@ import (
 
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
-	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
 )
 
@@ -120,6 +120,20 @@ func (d *DurableService) shipRound(held compactHeld) error {
 		}
 	}
 
+	// upload copies one object of the data directory, which has the
+	// shipped layout, to the backend under the same name.
+	local := d.local()
+	upload := func(obj string) error {
+		data, err := local.Get(ctx, obj)
+		if err == nil {
+			err = s.backend.Put(ctx, obj, data)
+		}
+		if err == nil {
+			s.uploaded[obj] = true
+		}
+		return err
+	}
+
 	// Sealed segments, in LSN order (sealed files are immutable, so an
 	// object present in the backend is complete and final).
 	sealed := d.wal().Sealed()
@@ -128,15 +142,10 @@ func (d *DurableService) shipRound(held compactHeld) error {
 		if s.uploaded[obj] {
 			continue
 		}
-		data, err := readFileAll(d.fs, seg.Path)
-		if err == nil {
-			err = s.backend.Put(ctx, obj, data)
-		}
-		if err != nil {
+		if err := upload(obj); err != nil {
 			fail(fmt.Errorf("pghive: ship: segment %s: %w", obj, err))
 			break
 		}
-		s.uploaded[obj] = true
 	}
 
 	// The current generation: data files first, manifest last.
@@ -146,28 +155,17 @@ func (d *DurableService) shipRound(held compactHeld) error {
 			if s.uploaded[f] {
 				continue
 			}
-			data, err := readFileAll(d.fs, filepath.Join(d.dir, f))
-			if err == nil {
-				err = s.backend.Put(ctx, f, data)
-			}
-			if err != nil {
+			if err := upload(f); err != nil {
 				fail(fmt.Errorf("pghive: ship: %s: %w", f, err))
 				shipped = false
 				break
 			}
-			s.uploaded[f] = true
 		}
 		if shipped {
 			mf := runfile.ManifestName(cur.Seq)
-			data, err := readFileAll(d.fs, filepath.Join(d.dir, mf))
-			if err == nil {
-				err = s.backend.Put(ctx, mf, data)
-			}
-			if err != nil {
+			if err := upload(mf); err != nil {
 				fail(fmt.Errorf("pghive: ship: %s: %w", mf, err))
 				shipped = false
-			} else {
-				s.uploaded[mf] = true
 			}
 		}
 		if shipped {
@@ -205,21 +203,14 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	if s == nil || s.man == nil {
 		return
 	}
-	keep := s.man.Files()
-	keep[runfile.ManifestName(s.man.Seq)] = true
-	if s.prevMan != nil && s.prevMan.Seq > 0 {
-		for f := range s.prevMan.Files() {
-			keep[f] = true
-		}
-		keep[runfile.ManifestName(s.prevMan.Seq)] = true
-	}
+	keep := runfile.Keep(s.man, s.prevMan)
 	var segObjs []string
 	for obj := range s.uploaded {
 		if strings.HasPrefix(obj, shipObjectPrefix) {
 			segObjs = append(segObjs, obj)
 			continue
 		}
-		if keep[obj] || !isShippedArtifact(obj) {
+		if keep[obj] || !runfile.IsArtifact(obj) {
 			continue
 		}
 		if err := s.backend.Delete(ctx, obj); err != nil && !errors.Is(err, store.ErrNotFound) {
@@ -253,20 +244,6 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	}
 }
 
-// isShippedArtifact reports whether a backend object name is one of
-// the checkpoint-layout kinds the shipper manages (and may therefore
-// garbage-collect). Foreign objects in a shared bucket are never
-// touched.
-func isShippedArtifact(obj string) bool {
-	if _, ok := runfile.ParseManifestSeq(obj); ok {
-		return true
-	}
-	if runfile.IsRun(obj) {
-		return true
-	}
-	return strings.HasPrefix(obj, ckptPrefix) && strings.HasSuffix(obj, ckptSuffix)
-}
-
 // segObjectFirstLSN parses the first LSN out of a segment object name
 // ("wal/<%020d>.wal").
 func segObjectFirstLSN(obj string) (uint64, bool) {
@@ -279,14 +256,4 @@ func segObjectFirstLSN(obj string) (uint64, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// readFileAll reads one file through the service's vfs.
-func readFileAll(fsys vfs.FS, path string) ([]byte, error) {
-	f, err := vfs.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
