@@ -7,17 +7,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	pghive "github.com/pghive/pghive"
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/wal"
 )
 
@@ -239,24 +239,12 @@ func TestServeHTTPStreamedIngestDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var types []byte
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = wal.ScanSegment(f, func(rec wal.Record) error {
-			types = append(types, rec.Type)
-			return nil
-		})
-		f.Close()
-		if err != nil {
-			t.Fatalf("scan %s: %v", seg, err)
-		}
+	if err := wal.Replay(context.Background(), store.NewDir(nil, dir), 0, func(rec wal.Record) error {
+		types = append(types, rec.Type)
+		return nil
+	}); err != nil {
+		t.Fatalf("replay %s: %v", dir, err)
 	}
 	if !bytes.Equal(types, []byte{1, 1, 1, 1}) {
 		t.Fatalf("logged record types %v, want four plain ingest records (type 1)", types)

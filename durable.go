@@ -35,11 +35,16 @@ package pghive
 // LSN its name states. Every generation is read by mergedImage, the one
 // reader of bases and runs — the compactor's fold and the shipper read
 // the directory through the same store.Dir — and recovery additionally
-// requires the WAL tail above it to replay. Because each generation's
-// WAL floor is the PREVIOUS generation's covered LSN, a newest
-// generation torn by a crash on a lying disk falls back one generation
-// and replays the retained records to the identical state, loudly
-// counting the fallback in DurableStats.
+// requires the WAL tail above it to replay through wal.Replay, the one
+// reader of the log, which a follower's tail and Rearm use too
+// (catchUp). The tail is read from the segment holding the first
+// record the generation lacks, strictly contiguous from there: a
+// duplicate, a gap, or segments pruned past that record fail the
+// generation, never skip records. Because each generation's WAL floor
+// is the PREVIOUS generation's covered LSN, a newest generation torn by
+// a crash on a lying disk falls back one generation and replays the
+// retained records to the identical state, loudly counting the
+// fallback in DurableStats.
 //
 // Files a generation no longer references — superseded base images,
 // folded-away runs, old manifests, interrupted temporaries — are
@@ -102,8 +107,6 @@ const (
 	walRecIngestKeyed  byte = 4
 	walRecRetractKeyed byte = 5
 )
-
-const walSubdir = "wal"
 
 // MaxIdempotencyKeyLen bounds an idempotency key: the key is encoded
 // in the WAL record behind a one-byte length.
@@ -324,18 +327,9 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		// Recording starts at the generation's image, so the replay below
 		// leaves exactly the WAL tail's changes for the first round to lift.
 		cw.dirty = cw.inc.Track()
-		covered := man.Covered()
-		cl, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
-			SegmentBytes: dopts.SegmentBytes,
-			NoSync:       dopts.NoSync,
-			MinLSN:       covered + 1,
-			FS:           dopts.FS,
-		})
+		applied := man.Covered()
+		cl, err := catchUp(dir, dopts, applied, cw, &applied)
 		if err != nil {
-			return &recoveryHardError{err: err}
-		}
-		if err := cl.Replay(covered, cw.apply); err != nil {
-			_ = cl.Close()
 			return err
 		}
 		w, lg = cw, cl
@@ -386,6 +380,36 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		go d.compactLoop()
 	}
 	return d, nil
+}
+
+// catchUp opens the WAL of the data directory dir and replays onto w
+// every record above *applied, advancing *applied record by record —
+// the one job recovery and Rearm share. covered is the LSN the current
+// generation covers: a log whose every segment was pruned resumes
+// numbering above it. A log that does not open is a recoveryHardError,
+// since no older generation fixes it.
+func catchUp(dir string, dopts DurableOptions, covered uint64, w *writer, applied *uint64) (*wal.Log, error) {
+	lg, err := wal.Open(filepath.Join(dir, wal.Prefix), wal.Options{
+		SegmentBytes: dopts.SegmentBytes,
+		NoSync:       dopts.NoSync,
+		MinLSN:       covered + 1,
+		FS:           dopts.FS,
+	})
+	if err != nil {
+		return nil, &recoveryHardError{err: err}
+	}
+	err = wal.Replay(context.Background(), store.NewDir(dopts.FS, dir), *applied, func(rec wal.Record) error {
+		if err := w.apply(rec); err != nil {
+			return err
+		}
+		*applied = rec.LSN
+		return nil
+	})
+	if err != nil {
+		_ = lg.Close()
+		return nil, err
+	}
+	return lg, nil
 }
 
 // walked is the generation walkGenerations settled on.
@@ -1003,28 +1027,12 @@ func (d *DurableService) Rearm() error {
 		return nil
 	}
 	// Best effort: a broken log's close may itself fail; the reopen
-	// below re-reads the on-disk truth regardless.
+	// below re-reads the on-disk truth regardless. appliedLSN advances
+	// per record, so a Rearm retried after a replay that failed midway
+	// never applies a record twice.
 	_ = d.wal().Close()
-	lg, err := wal.Open(filepath.Join(d.dir, walSubdir), wal.Options{
-		SegmentBytes: d.dopts.SegmentBytes,
-		NoSync:       d.dopts.NoSync,
-		MinLSN:       d.man.Covered() + 1,
-		FS:           d.dopts.FS,
-	})
+	lg, err := catchUp(d.dir, d.dopts, d.man.Covered(), d.w, &d.appliedLSN)
 	if err != nil {
-		return fmt.Errorf("pghive: durable: rearm: %w", err)
-	}
-	// appliedLSN advances per record, so a Rearm retried after a replay
-	// that failed midway never applies a record twice.
-	err = lg.Replay(d.appliedLSN, func(rec wal.Record) error {
-		if err := d.w.apply(rec); err != nil {
-			return err
-		}
-		d.appliedLSN = rec.LSN
-		return nil
-	})
-	if err != nil {
-		_ = lg.Close()
 		return fmt.Errorf("pghive: durable: rearm: %w", err)
 	}
 	d.log.Store(lg)

@@ -142,7 +142,7 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	lg, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{NoSync: true})
+	lg, err := wal.Open(filepath.Join(dir, wal.Prefix), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	}
 	ctx := context.Background()
 	backend := store.NewDir(vfs.NewMemFS(), "/backend")
-	if err := backend.Put(ctx, shipObjectPrefix+filepath.Base(sealed[0].Path), seg); err != nil {
+	if err := backend.Put(ctx, wal.Prefix+filepath.Base(sealed[0].Path), seg); err != nil {
 		t.Fatal(err)
 	}
 	f := NewFollower(opts, backend, FollowerOptions{})

@@ -4,21 +4,23 @@ package pghive
 // bootstraps from the newest consistent checkpoint generation a
 // storage backend holds — through walkGenerations, the very walk local
 // recovery takes, bare-base fallback included — and then tails the
-// shipped WAL segments, applying records through exactly the code path
-// the leader's recovery uses and publishing each batch with the same
-// atomic-pointer snapshot swap. Reads on a
-// follower are therefore indistinguishable from reads on the leader at
-// the same LSN — WriteCheckpoint produces bit-identical images — they
-// just lag by the shipping horizon (the leader uploads sealed segments
-// at each compaction round, never the active one).
+// shipped WAL segments through wal.Replay, the very reader recovery and
+// Rearm use, applying records through exactly the code path the
+// leader's recovery uses and publishing each batch with the same
+// atomic-pointer snapshot swap. Reads on a follower are therefore
+// indistinguishable from reads on the leader at the same LSN —
+// WriteCheckpoint produces bit-identical images — they just lag by the
+// shipping horizon (the leader uploads sealed segments at each
+// compaction round, never the active one).
 //
-// Divergence is structurally impossible: a record is applied only when
-// its LSN is exactly appliedLSN+1. A torn or missing segment therefore
-// stops the tail — counted in FollowerLag.FetchFaults, retried next
-// poll — and when the gap can no longer be filled from segments (the
-// backend GC already reclaimed them) the follower re-bootstraps from a
-// newer shipped generation. The one thing a follower never does is
-// skip a record and keep serving.
+// Divergence is structurally impossible: the reader hands on a record
+// only when its LSN is exactly appliedLSN+1. A torn, missing or
+// repeated record therefore stops the tail — counted in
+// FollowerLag.FetchFaults, retried next poll — and when the gap can no
+// longer be filled from segments (the backend GC already reclaimed
+// them: a wal.PrunedError) the follower re-bootstraps from a newer
+// shipped generation. The one thing a follower never does is skip a
+// record and keep serving.
 //
 // A Follower has no write methods at all: its only mutators are
 // Bootstrap and TailOnce, which apply what the leader logged. The
@@ -27,11 +29,10 @@ package pghive
 // the dedicated ReadOnlyFollower reason.
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,95 +228,50 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 }
 
 // TailOnce fetches and applies every shipped WAL record above the
-// replica's position, in strict LSN order. Three outcomes per round:
-// fully caught up with the shipped horizon (nil); a fetch fault or LSN
-// discontinuity, counted and left for the next round to retry (error);
-// or a gap below the oldest retained segment — the backend GC has
+// replica's position, through wal.Replay — the reader recovery uses,
+// with its strict continuity rule. Three outcomes per round: fully
+// caught up with the shipped horizon (nil); a fetch fault, torn or
+// duplicated record, or LSN gap, counted and left for the next round
+// to retry (error); or a wal.PrunedError — the backend GC has
 // reclaimed records the replica never saw — which triggers a
-// re-bootstrap from a newer shipped generation. Records are applied
-// one at a time, each checked to be exactly the successor of the
-// last; a record that is not simply ends the round. The replica can
-// lag; it cannot diverge.
+// re-bootstrap from a newer shipped generation and a tail from there.
+// Records are applied one at a time, each exactly the successor of the
+// last. The replica can lag; it cannot diverge.
 func (f *Follower) TailOnce(ctx context.Context) error {
 	if !f.ready.Load() {
 		if err := f.Bootstrap(ctx); err != nil {
 			return err
 		}
 	}
-	names, err := f.backend.List(ctx, shipObjectPrefix)
-	if err != nil {
-		return f.noteFault(fmt.Errorf("pghive: follower: list segments: %w", err))
-	}
-	type seg struct {
-		obj   string
-		first uint64
-	}
-	var segs []seg
-	for _, n := range names {
-		if first, ok := segObjectFirstLSN(n); ok {
-			segs = append(segs, seg{obj: n, first: first})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-
-	// Start at the newest segment that can contain applied+1: segment
-	// names carry only their first LSN, so the containing segment is
-	// the last one starting at or below the target.
-	want := f.applied.Load() + 1
-	start := -1
-	for i, s := range segs {
-		if s.first <= want {
-			start = i
-		}
-	}
-	if start == -1 {
-		if len(segs) == 0 {
-			return nil // nothing shipped yet
-		}
-		// Every retained segment starts above the record the replica
-		// needs: the backend GC reclaimed the gap. A newer shipped
-		// generation must cover it — re-bootstrap from there.
-		f.noteFault(fmt.Errorf("pghive: follower: need LSN %d, oldest shipped segment starts at %d", want, segs[0].first))
+	err := f.tail(ctx)
+	var pruned *wal.PrunedError
+	if errors.As(err, &pruned) {
+		f.noteFault(fmt.Errorf("pghive: follower: %w", err))
 		f.ready.Store(false)
-		return f.Bootstrap(ctx)
+		if err := f.Bootstrap(ctx); err != nil {
+			return err
+		}
+		err = f.tail(ctx)
 	}
-
-	for _, s := range segs[start:] {
-		data, err := f.backend.Get(ctx, s.obj)
-		if err != nil {
-			return f.noteFault(fmt.Errorf("pghive: follower: fetch %s: %w", s.obj, err))
-		}
-		applied := f.applied.Load()
-		var gap error
-		if _, err := wal.ScanSegment(bytes.NewReader(data), func(rec wal.Record) error {
-			if rec.LSN <= applied {
-				return nil
-			}
-			if rec.LSN != applied+1 {
-				gap = fmt.Errorf("pghive: follower: %s jumps LSN %d -> %d", s.obj, applied, rec.LSN)
-				return wal.ErrStopReplay
-			}
-			// One record, one published snapshot, under the write lock —
-			// the same per-batch cadence the leader has.
-			f.w.mu.Lock()
-			err := f.w.apply(rec)
-			if err == nil {
-				f.applied.Store(rec.LSN)
-			}
-			f.w.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			applied = rec.LSN
-			return nil
-		}); err != nil && err != wal.ErrStopReplay {
-			return f.noteFault(err)
-		}
-		if gap != nil {
-			return f.noteFault(gap)
-		}
+	if err != nil {
+		return f.noteFault(fmt.Errorf("pghive: follower: %w", err))
 	}
 	return nil
+}
+
+// tail replays the shipped records above the applied LSN. Each record
+// is applied and published under the write lock — the same per-batch
+// cadence the leader has.
+func (f *Follower) tail(ctx context.Context) error {
+	return wal.Replay(ctx, f.backend, f.applied.Load(), func(rec wal.Record) error {
+		f.w.mu.Lock()
+		defer f.w.mu.Unlock()
+		if err := f.w.apply(rec); err != nil {
+			return err
+		}
+		f.applied.Store(rec.LSN)
+		return nil
+	})
 }
 
 // Start launches the managed replication loop: bootstrap (retried on

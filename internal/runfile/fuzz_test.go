@@ -1,6 +1,7 @@
 package runfile
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -72,6 +73,58 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, m) {
 			t.Fatalf("manifest round trip changed it:\n got %+v\nwant %+v", back, m)
+		}
+	})
+}
+
+// FuzzParseRun: a run file is hostile input too — recovery, the fold
+// and a bootstrapping follower all read runs a manifest names. Arbitrary
+// bytes, checked against a manifest entry with a fuzz-chosen CRC, must
+// be refused or accepted without panicking and within the same
+// allocation budget; an accepted payload carries exactly the recorded
+// CRC and survives a WriteRun/ParseRun round trip unchanged.
+func FuzzParseRun(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "run.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	const goldenCRC = 0x09df11b6
+	f.Add(golden, uint32(goldenCRC))
+	f.Add(golden, uint32(goldenCRC+1))               // a stale run under the right name
+	f.Add(golden[:len(golden)-3], uint32(goldenCRC)) // torn
+	f.Add([]byte{}, uint32(0))
+	f.Add([]byte(runMagic+" crc=00000000 len=0\n"), uint32(0))
+	f.Add([]byte(runMagic+" crc=00000000 len=999999999999\n"), uint32(0))
+	f.Add([]byte(runMagic+" crc=09DF11B6 len=+55\n"+string(golden[len(golden)-55:])), uint32(goldenCRC))
+	f.Add(framed(`{}`), crc32.Checksum([]byte(`{}`), crcTable)) // a manifest frame
+
+	f.Fuzz(func(t *testing.T, data []byte, crc uint32) {
+		info := RunInfo{Name: RunName(2, 5), From: 2, To: 5, CRC: crc}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := ParseRun(info, data)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); grew > limit {
+			t.Fatalf("ParseRun of %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if got := crc32.Checksum(payload, crcTable); got != crc {
+			t.Fatalf("accepted payload has CRC %08x, the manifest recorded %08x", got, crc)
+		}
+		mem := newFS(t)
+		back, err := WriteRun(mem, dir, info.From, info.To, 0, payload)
+		if err != nil {
+			t.Fatalf("accepted payload does not write back: %v", err)
+		}
+		raw := readFile(t, mem, filepath.Join(dir, back.Name))
+		if back.CRC != crc || back.Bytes != int64(len(raw)) {
+			t.Fatalf("rewritten run records CRC %08x and %d bytes, file has CRC %08x and %d bytes", back.CRC, back.Bytes, crc, len(raw))
+		}
+		again, err := ParseRun(back, raw)
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("rewritten run does not read back: %v", err)
 		}
 	})
 }

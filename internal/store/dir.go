@@ -58,15 +58,11 @@ func (d *Dir) Get(ctx context.Context, name string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f, err := vfs.Open(d.fsys, d.path(name))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, ErrNotFound
-		}
-		return nil, err
+	data, err := vfs.ReadFile(d.fsys, d.path(name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrNotFound
 	}
-	defer f.Close()
-	return io.ReadAll(f)
+	return data, err
 }
 
 // List returns the object names under prefix in lexicographic order.

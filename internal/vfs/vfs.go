@@ -22,6 +22,7 @@
 package vfs
 
 import (
+	"bytes"
 	"io"
 	"io/fs"
 	"os"
@@ -79,6 +80,29 @@ type FS interface {
 // Open opens name read-only.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
+}
+
+// ReadFile reads the whole file name into one buffer sized from the
+// open file, as os.ReadFile does.
+func ReadFile(fsys FS, name string) ([]byte, error) {
+	f, err := Open(fsys, name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // OpenWrite opens the existing file name write-only, positioned at its

@@ -57,6 +57,10 @@ func exercise(t *testing.T, fsys FS, dir string) {
 	if string(got) != "hello" {
 		t.Fatalf("content = %q, want %q", got, "hello")
 	}
+	// ReadFile reads the whole file whatever the handle's position.
+	if got, err := ReadFile(fsys, path); err != nil || string(got) != "hello" {
+		t.Fatalf("ReadFile = %q, %v; want %q", got, err, "hello")
+	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -97,6 +101,9 @@ func exercise(t *testing.T, fsys FS, dir string) {
 	}
 	if _, err := fsys.Stat(path2); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("stat removed: err = %v, want ErrNotExist", err)
+	}
+	if _, err := ReadFile(fsys, path2); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ReadFile of a removed file: err = %v, want ErrNotExist", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func batch(n int, tag string) []BatchRecord {
 
 func TestAppendBatchOneSyncPerGroup(t *testing.T) {
 	mem := vfs.NewMemFS()
-	l, err := Open("/w", Options{FS: mem})
+	l, err := Open("/wal", Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestAppendBatchOneSyncPerGroup(t *testing.T) {
 	// single appends.
 	var lsns []uint64
 	var payloads []string
-	if err := l.Replay(0, func(rec Record) error {
+	if err := replay(l, 0, func(rec Record) error {
 		lsns = append(lsns, rec.LSN)
 		payloads = append(payloads, string(rec.Payload))
 		return nil
@@ -81,7 +81,7 @@ func TestAppendBatchOneSyncPerGroup(t *testing.T) {
 
 func TestAppendBatchEmptyIsNoOp(t *testing.T) {
 	mem := vfs.NewMemFS()
-	l, err := Open("/w", Options{FS: mem})
+	l, err := Open("/wal", Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAppendBatchEmptyIsNoOp(t *testing.T) {
 // segment, so a group is never split across files.
 func TestAppendBatchNeverSpansRotation(t *testing.T) {
 	mem := vfs.NewMemFS()
-	l, err := Open("/w", Options{FS: mem, SegmentBytes: 256})
+	l, err := Open("/wal", Options{FS: mem, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestAppendBatchNeverSpansRotation(t *testing.T) {
 	}
 	// The active segment holds the whole group.
 	var seen int
-	if err := l.Replay(1, func(rec Record) error { seen++; return nil }); err != nil {
+	if err := replay(l, 1, func(rec Record) error { seen++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 8 {
@@ -142,7 +142,7 @@ func TestAppendBatchRollbackAllOrNothing(t *testing.T) {
 	// Sync 1: the seed append. Sync 2: the failed group.
 	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpSync, N: 2, Mode: vfs.FailLate, Err: boom})
 	ifs := vfs.NewInjectFS(mem, plan)
-	l, err := Open("/w", Options{FS: ifs})
+	l, err := Open("/wal", Options{FS: ifs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +168,13 @@ func TestAppendBatchRollbackAllOrNothing(t *testing.T) {
 	}
 
 	// Recovery sees seed + retry group, nothing of the doomed group.
-	l2, err := Open("/w", Options{FS: mem})
+	l2, err := Open("/wal", Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
 	var payloads []string
-	if err := l2.Replay(0, func(rec Record) error {
+	if err := replay(l2, 0, func(rec Record) error {
 		payloads = append(payloads, string(rec.Payload))
 		return nil
 	}); err != nil {
@@ -200,7 +200,7 @@ func TestAppendBatchRollbackFailureBreaksLog(t *testing.T) {
 		vfs.Fault{Op: vfs.OpTruncate, N: 1, Mode: vfs.FailEarly},
 	)
 	ifs := vfs.NewInjectFS(mem, plan)
-	l, err := Open("/w", Options{FS: ifs})
+	l, err := Open("/wal", Options{FS: ifs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,22 @@ package wal
 // torn tail. The corpus is seeded with real segments built by the
 // writer — the crash-point fixtures — plus truncated and corrupted
 // variants of them, so the fuzzer starts from the formats the durable
-// service actually produces.
+// service actually produces. The same bytes, split into one to three
+// segment objects under fuzz-chosen names, go through Replay: it may
+// refuse, but it hands fn only after+1, after+2, … and allocates
+// within a constant factor of its input.
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+
+	"github.com/pghive/pghive/internal/store"
+	"github.com/pghive/pghive/internal/vfs"
 )
 
 // buildSeedSegment writes records through a real Log and returns the
@@ -43,6 +52,29 @@ func buildSeedSegment(f *testing.F, payloads ...string) []byte {
 	return data
 }
 
+// splitSegments cuts data into one segment object per name (at most
+// three) at the cut points packed in cuts — the low half alone for two
+// names — and stores them under Prefix on a fresh MemFS. Every piece
+// after the first gets the segment magic, so a cut on a frame boundary
+// yields a well-formed segment. Names the backend refuses are skipped.
+func splitSegments(data []byte, cuts uint32, names string) store.Backend {
+	src := store.NewDir(vfs.NewMemFS(), "/data")
+	list := strings.Split(names, ",")
+	if len(list) > 3 {
+		list = list[:3]
+	}
+	lo, hi := int(cuts&0xffff)%(len(data)+1), int(cuts>>16)%(len(data)+1)
+	bounds := [][]int{{0, len(data)}, {0, lo, len(data)}, {0, min(lo, hi), max(lo, hi), len(data)}}[len(list)-1]
+	for i, name := range list {
+		piece := data[bounds[i]:bounds[i+1]]
+		if i > 0 {
+			piece = append(append([]byte(nil), segMagic...), piece...)
+		}
+		_ = src.Put(context.Background(), Prefix+name, piece)
+	}
+	return src
+}
+
 func FuzzWALReplay(f *testing.F) {
 	// Crash-point fixtures: an intact multi-record segment, the JSONL
 	// shape real WAL payloads carry, an empty log, and torn variants.
@@ -50,28 +82,40 @@ func FuzzWALReplay(f *testing.F) {
 	jsonl := buildSeedSegment(f,
 		`{"kind":"node","id":1,"labels":["Person"],"props":{"name":{"t":"string","v":"a"}}}`+"\n",
 		`{"kind":"edge","id":1,"labels":["KNOWS"],"src":1,"dst":1}`+"\n")
-	f.Add(intact)
-	f.Add(jsonl)
-	f.Add(intact[:len(intact)-5])                                // torn tail
-	f.Add(intact[:len(segMagic)+3])                              // torn first header
-	f.Add(append(append([]byte{}, intact...), 0xff, 0x00, 0xfe)) // trailing garbage
+	one := SegmentName(1)
+	f.Add(intact, uint32(0), one, uint8(0))
+	f.Add(jsonl, uint32(0), one, uint8(0))
+	f.Add(intact[:len(intact)-5], uint32(0), one, uint8(0))                                // torn tail
+	f.Add(intact[:len(segMagic)+3], uint32(0), one, uint8(0))                              // torn first header
+	f.Add(append(append([]byte{}, intact...), 0xff, 0x00, 0xfe), uint32(0), one, uint8(0)) // trailing garbage
 	flipped := append([]byte(nil), intact...)
 	flipped[len(flipped)/2] ^= 0x20 // bit flip mid-log
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add([]byte("PGHWAL1\n"))
-	f.Add([]byte("not a wal file at all"))
+	f.Add(flipped, uint32(0), one, uint8(0))
+	f.Add([]byte{}, uint32(0), one, uint8(0))
+	f.Add([]byte("PGHWAL1\n"), uint32(0), one, uint8(0))
+	f.Add([]byte("not a wal file at all"), uint32(0), one, uint8(0))
+	// Split on frame boundaries: records 1-2, 3 and 4 in three segments,
+	// read from after 1; the same with a gap in the names; and the four
+	// records written twice, so the second segment repeats LSNs 1-4.
+	var ends []int
+	if _, err := scan(intact, func(_ Record, end int64) error { ends = append(ends, int(end)); return nil }); err != nil || len(ends) != 4 {
+		f.Fatalf("seed segment holds %d records (%v), want 4", len(ends), err)
+	}
+	cuts := uint32(ends[1]) | uint32(ends[2])<<16
+	three := strings.Join([]string{SegmentName(1), SegmentName(3), SegmentName(4)}, ",")
+	f.Add(intact, cuts, three, uint8(1))
+	f.Add(intact, cuts, strings.Join([]string{SegmentName(1), SegmentName(5), SegmentName(9)}, ","), uint8(2))
+	f.Add(append(append([]byte(nil), intact...), intact[len(segMagic):]...), uint32(len(intact)), SegmentName(1)+","+SegmentName(5), uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint32, names string, after uint8) {
 		var recs []Record
-		valid, err := ScanSegment(bytes.NewReader(data), func(r Record) error {
+		valid, err := scan(data, func(r Record, _ int64) error {
 			recs = append(recs, Record{LSN: r.LSN, Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
 			return nil
 		})
 		if err != nil {
-			// The callback never errs and bytes.Reader has no I/O
-			// failures; any error here is a reader bug.
-			t.Fatalf("ScanSegment error on in-memory data: %v", err)
+			// The callback never errs; any error here is a reader bug.
+			t.Fatalf("scan error: %v", err)
 		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
@@ -81,7 +125,7 @@ func FuzzWALReplay(f *testing.F) {
 		// the reported prefix and re-scanning yields exactly the same
 		// records and the same (now clean) end.
 		var again []Record
-		valid2, err := ScanSegment(bytes.NewReader(data[:valid]), func(r Record) error {
+		valid2, err := scan(data[:valid], func(r Record, _ int64) error {
 			again = append(again, Record{LSN: r.LSN, Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
 			return nil
 		})
@@ -100,14 +144,34 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 
+		// The bytes as one to three segment objects: whatever Replay
+		// accepts is the contiguous run after+1, after+2, …, and reading
+		// it costs at most a constant factor of the input.
+		src := splitSegments(data, cuts, names)
+		from := uint64(after)
+		var got int
+		var before, done runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = Replay(context.Background(), src, from, func(r Record) error {
+			if want := from + 1 + uint64(got); r.LSN != want {
+				t.Fatalf("replay after %d handed LSN %d, want %d", from, r.LSN, want)
+			}
+			got++
+			return nil
+		})
+		runtime.ReadMemStats(&done)
+		if grew, limit := done.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*(len(data)+len(names))); grew > limit {
+			t.Fatalf("Replay of %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+
 		// Re-writing the recovered records through a fresh log and
-		// scanning that segment must reproduce types and payloads —
-		// the replay-then-rewrite loop a compactor performs.
+		// replaying it must reproduce types and payloads — the
+		// replay-then-rewrite loop a compactor performs.
 		if len(recs) == 0 {
 			return
 		}
-		dir := t.TempDir()
-		l, err := Open(dir, Options{NoSync: true})
+		mem := vfs.NewMemFS()
+		l, err := Open(strings.TrimSuffix(Prefix, "/"), Options{NoSync: true, FS: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +181,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		var rewritten []Record
-		if err := l.Replay(0, func(r Record) error {
+		if err := replay(l, 0, func(r Record) error {
 			rewritten = append(rewritten, Record{Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
 			return nil
 		}); err != nil {

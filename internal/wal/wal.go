@@ -26,21 +26,33 @@
 // whose CRC does not match ends the readable prefix of its segment:
 // scanning stops there, and Open truncates the final segment at that
 // point so appends continue after the last durable record.
+//
+// Segments are named SegmentName(first LSN) and live under Prefix: in
+// a data directory the log is the subdirectory Prefix names, and a
+// shipping backend holds each segment as the object Prefix+name. So one
+// reader serves both: Replay walks the segments of a store.Backend —
+// store.Dir over a data directory for recovery, the leader's backend
+// for a follower — with one start rule and one continuity rule.
 package wal
 
 import (
-	"bufio"
+	"bytes"
+	"cmp"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
 
@@ -59,15 +71,15 @@ const (
 	segSuffix = ".wal"
 )
 
+// Prefix is the object-name prefix of a segment in a store.Backend;
+// without its slash it is the subdirectory of a data directory that
+// holds the log.
+const Prefix = "wal/"
+
 // segMagic identifies (and versions) a segment file.
 var segMagic = []byte("PGHWAL1\n")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrStopReplay, returned by a Replay callback, halts the replay
-// without error — the way a caller bounded by a target LSN stops at
-// it.
-var ErrStopReplay = errors.New("wal: stop replay")
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -127,9 +139,8 @@ type SegmentInfo struct {
 }
 
 // Log is a segmented write-ahead log rooted in one directory. Append,
-// Rotate, Sealed, Prune and Close are safe for concurrent use; Replay
-// may run concurrently with appends (it reads sealed segments and the
-// active segment's already-durable prefix).
+// Rotate, Sealed, Prune and Close are safe for concurrent use. A Log
+// only writes; Replay reads.
 type Log struct {
 	dir  string
 	opts Options
@@ -175,7 +186,12 @@ func Open(dir string, opts Options) (*Log, error) {
 			fsys.Remove(t)
 		}
 	}
-	sort.Strings(names) // %020d names sort in LSN order
+	// Only segment names are the log's, and they sort in LSN order.
+	names = slices.DeleteFunc(names, func(p string) bool {
+		_, ok := ParseSegmentName(filepath.Base(p))
+		return !ok
+	})
+	sort.Strings(names)
 
 	l := &Log{dir: dir, opts: opts, fs: fsys, nextLSN: 1}
 	if opts.MinLSN > l.nextLSN {
@@ -232,11 +248,22 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// segmentName returns the file name of a segment whose first record
-// has the given LSN. Zero-padded decimal keeps lexical order equal to
-// LSN order.
-func segmentName(dir string, first uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%020d%s", first, segSuffix))
+// SegmentName names the segment whose first record has LSN first:
+// 20 zero-padded digits, so lexical order is LSN order.
+func SegmentName(first uint64) string {
+	return fmt.Sprintf("%020d%s", first, segSuffix)
+}
+
+// ParseSegmentName returns the first LSN a segment's name states. It
+// accepts only the spelling SegmentName gives; any other name is not a
+// segment of the log.
+func ParseSegmentName(name string) (uint64, bool) {
+	digits, ok := strings.CutSuffix(name, segSuffix)
+	if !ok || len(digits) != 20 {
+		return 0, false
+	}
+	first, err := strconv.ParseUint(digits, 10, 64)
+	return first, err == nil
 }
 
 // Append writes one record, fsyncs it (unless Options.NoSync), and
@@ -371,7 +398,7 @@ func (l *Log) rollbackAppend(_ logHeld) {
 // openSegment creates the next segment file, named after the LSN its
 // first record will carry.
 func (l *Log) openSegment(_ logHeld) error {
-	path := segmentName(l.dir, l.nextLSN)
+	path := filepath.Join(l.dir, SegmentName(l.nextLSN))
 	f, err := vfs.CreateExcl(l.fs, path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -474,53 +501,84 @@ func (l *Log) Prune(upTo uint64) (int, error) {
 	return removed, nil
 }
 
-// Replay streams every durable record with LSN > after, in LSN order,
-// to fn. A callback returning ErrStopReplay halts the replay without
-// error; any other callback error aborts it. Replay verifies LSN
-// continuity: a gap — a sealed segment torn in the middle of the log,
-// or records missing below the first segment — is corruption a crash
-// cannot produce, and is reported rather than silently skipped. A
-// torn tail on the final segment ends the replay cleanly.
-func (l *Log) Replay(after uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	segs := make([]SegmentInfo, len(l.sealed), len(l.sealed)+1)
-	copy(segs, l.sealed)
-	if l.active != nil && l.activeInfo.Records > 0 {
-		segs = append(segs, l.activeInfo)
-	}
-	l.mu.Unlock()
+// PrunedError reports a replay that cannot start: every segment the
+// source holds begins above the first record the replay needs, so the
+// records in between are gone (pruned, reclaimed or never shipped).
+type PrunedError struct {
+	// Want is the first LSN the replay needs; Oldest is the first LSN
+	// of the oldest segment the source holds.
+	Want, Oldest uint64
+}
 
-	var expect uint64
-	for _, seg := range segs {
-		f, err := vfs.Open(l.fs, seg.Path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+func (e *PrunedError) Error() string {
+	return fmt.Sprintf("wal: need LSN %d, oldest segment starts at %d", e.Want, e.Oldest)
+}
+
+// Replay streams every record of the log src holds with LSN > after,
+// in LSN order, to fn. It is the one reader of the log: recovery and
+// Rearm read a data directory through store.Dir, a follower reads the
+// backend its leader ships to.
+//
+// Reading starts at the last segment whose name states a first LSN at
+// or below after+1 — the one that can hold it — so segments a
+// checkpoint covers are never read. When every segment starts above
+// after+1 the result is a *PrunedError; a source with no segment holds
+// no records. From there continuity is strict: the first record read
+// may not lie above after+1, and every record after it must carry the
+// previous LSN + 1. A duplicate or a gap — a segment torn, flipped,
+// missing or repeated in the middle of the log, which no crash
+// produces — is an error, never skipped. A torn tail on the final
+// segment ends the replay cleanly. An error from fn aborts the replay
+// and is returned as is.
+//
+// Replay holds one segment in memory at a time: at most
+// Options.SegmentBytes, or the one oversized record such a segment
+// holds. A record's Payload is valid only during fn.
+func Replay(ctx context.Context, src store.Backend, after uint64, fn func(Record) error) error {
+	names, err := src.List(ctx, Prefix)
+	if err != nil {
+		return fmt.Errorf("wal: list segments: %w", err)
+	}
+	type segment struct {
+		name  string
+		first uint64
+	}
+	var segs []segment
+	for _, name := range names {
+		if first, ok := ParseSegmentName(strings.TrimPrefix(name, Prefix)); ok {
+			segs = append(segs, segment{name, first})
 		}
-		_, err = ScanSegment(f, func(rec Record) error {
-			if expect == 0 {
-				if rec.LSN > after+1 {
-					return fmt.Errorf("wal: log starts at LSN %d but records after %d are needed (pruned or lost segment)", rec.LSN, after)
-				}
-			} else if rec.LSN != expect {
-				return fmt.Errorf("wal: LSN gap: read %d, want %d (corrupt segment %s)", rec.LSN, expect, seg.Path)
+	}
+	if len(segs) == 0 {
+		return nil
+	}
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.first, b.first) })
+	start := -1
+	for i, s := range segs {
+		if s.first <= after+1 {
+			start = i
+		}
+	}
+	if start < 0 {
+		return &PrunedError{Want: after + 1, Oldest: segs[0].first}
+	}
+
+	next, started := after+1, false
+	for _, s := range segs[start:] {
+		data, err := src.Get(ctx, s.name)
+		if err != nil {
+			return fmt.Errorf("wal: fetch %s: %w", s.name, err)
+		}
+		if _, err := scan(data, func(rec Record, _ int64) error {
+			if rec.LSN != next && (started || rec.LSN > next) {
+				return fmt.Errorf("wal: %s holds LSN %d where %d is next: a duplicate or a gap", s.name, rec.LSN, next)
 			}
-			expect = rec.LSN + 1
+			started, next = true, rec.LSN+1
 			if rec.LSN <= after {
 				return nil
 			}
 			return fn(rec)
-		})
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("wal: %w", cerr)
-		}
-		if err == ErrStopReplay {
-			return nil
-		}
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 	}
@@ -577,12 +635,11 @@ func (l *Log) Close() error {
 // scanSegmentFile scans one segment file into a SegmentInfo.
 func scanSegmentFile(fsys vfs.FS, path string) (SegmentInfo, error) {
 	info := SegmentInfo{Path: path}
-	f, err := vfs.Open(fsys, path)
+	data, err := vfs.ReadFile(fsys, path)
 	if err != nil {
 		return info, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	info.Bytes, err = ScanSegment(f, func(rec Record) error {
+	info.Bytes, err = scan(data, func(rec Record, _ int64) error {
 		if info.Records == 0 {
 			info.First = rec.LSN
 		}
@@ -590,26 +647,7 @@ func scanSegmentFile(fsys vfs.FS, path string) (SegmentInfo, error) {
 		info.Records++
 		return nil
 	})
-	if err != nil {
-		return info, err
-	}
-	return info, nil
-}
-
-// ScanSegment reads a segment byte stream, invoking fn (which may be
-// nil) for every complete record, and returns the byte offset of the
-// end of the readable prefix — the truncation point that removes a
-// torn tail. Corruption never yields an error: a missing magic, an
-// implausible length, incomplete bytes, or a CRC mismatch simply ends
-// the prefix, exactly the "stop at the torn tail" recovery rule. The
-// returned error is fn's, or a real I/O failure of r.
-func ScanSegment(r io.Reader, fn func(Record) error) (int64, error) {
-	return scanSegment(r, func(rec Record, _ int64) error {
-		if fn == nil {
-			return nil
-		}
-		return fn(rec)
-	})
+	return info, err
 }
 
 // RecordEnds returns the byte offset just past each complete record
@@ -617,74 +655,50 @@ func ScanSegment(r io.Reader, fn func(Record) error) (int64, error) {
 // truncated at. Offsets are from the file start (magic included). A
 // nil fsys reads from the real filesystem.
 func RecordEnds(fsys vfs.FS, path string) ([]int64, error) {
-	f, err := vfs.Open(vfs.OrOS(fsys), path)
+	data, err := vfs.ReadFile(vfs.OrOS(fsys), path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
 	var ends []int64
-	_, err = scanSegment(f, func(_ Record, end int64) error {
+	_, err = scan(data, func(_ Record, end int64) error {
 		ends = append(ends, end)
 		return nil
 	})
 	return ends, err
 }
 
-// scanSegment is the scanner core: fn observes each record together
-// with the offset of its end.
-func scanSegment(r io.Reader, fn func(Record, int64) error) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	if string(magic) != string(segMagic) {
+// scan reads a segment's bytes, invoking fn for every complete record
+// (whose Payload aliases data) with the offset of its end, and returns
+// the end of the readable prefix — the truncation point that removes a
+// torn tail. Corruption never yields an error: a missing magic, an
+// implausible length, incomplete bytes, or a CRC mismatch simply ends
+// the prefix, exactly the "stop at the torn tail" recovery rule; the
+// returned error is fn's. A frame is read only when data holds all of
+// it, so a hostile length field costs nothing.
+func scan(data []byte, fn func(Record, int64) error) (int64, error) {
+	if !bytes.HasPrefix(data, segMagic) {
 		return 0, nil
 	}
-	valid := int64(len(segMagic))
-	header := make([]byte, frameHeaderLen)
-	var body []byte
-	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return valid, nil
-			}
-			return valid, fmt.Errorf("wal: %w", err)
+	off := len(segMagic)
+	for len(data)-off >= frameHeaderLen {
+		length := binary.LittleEndian.Uint32(data[off:])
+		crc := binary.LittleEndian.Uint32(data[off+4:])
+		if length < bodyFixedLen || length > MaxRecordBytes || int(length) > len(data)-off-frameHeaderLen {
+			break
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		crc := binary.LittleEndian.Uint32(header[4:8])
-		if length < bodyFixedLen || length > MaxRecordBytes {
-			return valid, nil
-		}
-		if cap(body) < int(length) {
-			body = make([]byte, length)
-		}
-		body = body[:length]
-		if _, err := io.ReadFull(br, body); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return valid, nil
-			}
-			return valid, fmt.Errorf("wal: %w", err)
-		}
+		body := data[off+frameHeaderLen : off+frameHeaderLen+int(length)]
 		if crc32.Checksum(body, castagnoli) != crc {
-			return valid, nil
+			break
 		}
+		off += frameHeaderLen + int(length)
 		rec := Record{
 			LSN:     binary.LittleEndian.Uint64(body[0:8]),
 			Type:    body[8],
 			Payload: body[bodyFixedLen:],
 		}
-		valid += int64(frameHeaderLen) + int64(length)
-		if err := fn(rec, valid); err != nil {
-			return valid, err
+		if err := fn(rec, int64(off)); err != nil {
+			return int64(off), err
 		}
 	}
-}
-
-// IsSegment reports whether name looks like a segment file name.
-func IsSegment(name string) bool {
-	return strings.HasSuffix(name, segSuffix)
+	return int64(off), nil
 }

@@ -2,20 +2,35 @@ package wal
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
+
+// logDir returns a fresh directory laid out as in a data directory: the
+// log lives under Prefix, where Replay looks for it.
+func logDir(t *testing.T) string {
+	return filepath.Join(t.TempDir(), strings.TrimSuffix(Prefix, "/"))
+}
+
+// replay runs Replay over the directory that holds l's.
+func replay(l *Log, after uint64, fn func(Record) error) error {
+	return Replay(context.Background(), store.NewDir(l.fs, filepath.Dir(l.dir)), after, fn)
+}
 
 // collect replays the whole log into a slice (payloads copied).
 func collect(t *testing.T, l *Log, after uint64) []Record {
 	t.Helper()
 	var recs []Record
-	err := l.Replay(after, func(r Record) error {
+	err := replay(l, after, func(r Record) error {
 		recs = append(recs, Record{LSN: r.LSN, Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
 		return nil
 	})
@@ -36,7 +51,7 @@ func appendN(t *testing.T, l *Log, n int, from int) {
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +97,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestRotationSealsAndPrunes(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	// Tiny threshold: every record rotates into its own segment.
 	l, err := Open(dir, Options{SegmentBytes: 1, NoSync: true})
 	if err != nil {
@@ -118,8 +133,9 @@ func TestRotationSealsAndPrunes(t *testing.T) {
 		t.Fatalf("replay after prune: %v", got)
 	}
 	// Replaying from 0 now must fail loudly: records 1-3 are gone.
-	if err := l.Replay(0, func(Record) error { return nil }); err == nil {
-		t.Fatal("replay over a pruned prefix succeeded; want gap error")
+	var pruned *PrunedError
+	if err := replay(l, 0, func(Record) error { return nil }); !errors.As(err, &pruned) || pruned.Want != 1 || pruned.Oldest != 4 {
+		t.Fatalf("replay over a pruned prefix: %v; want a PrunedError (need 1, oldest 4)", err)
 	}
 	// A rotate with no new records is a no-op, and appends continue.
 	if err := l.Rotate(); err != nil {
@@ -132,7 +148,7 @@ func TestRotationSealsAndPrunes(t *testing.T) {
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +239,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 }
 
 func TestMidLogCorruptionIsAnError(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{SegmentBytes: 1, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -253,29 +269,32 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.Replay(0, func(Record) error { return nil }); err == nil {
+	if err := replay(l2, 0, func(Record) error { return nil }); err == nil {
 		t.Fatal("replay over mid-log corruption succeeded; want error")
 	}
 }
 
 func TestReplayStop(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	appendN(t, l, 5, 0)
+	// A callback error halts the replay and comes back as is: a caller
+	// bounded by a target LSN stops there and recognizes its own error.
+	stop := errors.New("stop")
 	var seen []uint64
-	err = l.Replay(0, func(r Record) error {
+	err = replay(l, 0, func(r Record) error {
 		if r.LSN > 2 {
-			return ErrStopReplay
+			return stop
 		}
 		seen = append(seen, r.LSN)
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("ErrStopReplay leaked: %v", err)
+	if err != stop {
+		t.Fatalf("replay stopped with %v, want the callback's own error", err)
 	}
 	if len(seen) != 2 {
 		t.Fatalf("saw %d records before stop, want 2", len(seen))
@@ -283,7 +302,7 @@ func TestReplayStop(t *testing.T) {
 }
 
 func TestMinLSNFloorsNumbering(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{NoSync: true, MinLSN: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +320,7 @@ func TestMinLSNFloorsNumbering(t *testing.T) {
 	if got := collect(t, l, 41); len(got) != 1 {
 		t.Fatalf("replay after 41: %d records, want 1", len(got))
 	}
-	if err := l.Replay(0, func(Record) error { return nil }); err == nil {
+	if err := replay(l, 0, func(Record) error { return nil }); err == nil {
 		t.Fatal("replay from 0 over a pruned prefix succeeded; want gap error")
 	}
 }
@@ -321,8 +340,8 @@ func TestClosedLogErrors(t *testing.T) {
 	if _, err := l.Append(1, nil); err != ErrClosed {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
-	if err := l.Replay(0, nil); err != ErrClosed {
-		t.Fatalf("Replay after Close: %v, want ErrClosed", err)
+	if err := l.Rotate(); err != ErrClosed {
+		t.Fatalf("Rotate after Close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -389,7 +408,7 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 func TestOversizedRecordGetsOwnSegment(t *testing.T) {
-	dir := t.TempDir()
+	dir := logDir(t)
 	l, err := Open(dir, Options{SegmentBytes: 64, NoSync: true})
 	if err != nil {
 		t.Fatal(err)

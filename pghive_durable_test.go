@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -437,22 +439,9 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	// replay on top of generation 4 if generation 5 turns out torn —
 	// survives.
 	segs := walSegments(t, dir)
-	minLSN := uint64(1<<63 - 1)
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wal.ScanSegment(f, func(r wal.Record) error {
-			if r.LSN < minLSN {
-				minLSN = r.LSN
-			}
-			return nil
-		})
-		f.Close()
-	}
-	if minLSN != 5 {
-		t.Fatalf("oldest surviving WAL record is %d, want 5 (floor = previous generation's coverage)", minLSN)
+	var pruned *wal.PrunedError
+	if err := wal.Replay(context.Background(), store.NewDir(nil, dir), 0, func(wal.Record) error { return nil }); !errors.As(err, &pruned) || pruned.Oldest != 5 {
+		t.Fatalf("replay from LSN 1: %v; want the oldest surviving WAL record to be 5 (floor = previous generation's coverage)", err)
 	}
 
 	// Every mid-script generation snapshot recovers bit-identically —
@@ -880,43 +869,41 @@ func TestDurableGCSweep(t *testing.T) {
 	})
 }
 
-// TestDurableRecoveryGenerationFallback is the regression for the
-// second checkpoint-lifecycle bug: recovery must not trust the newest
-// generation's files just because they exist under the right names. A
-// zero-byte, truncated, or bit-flipped newest manifest, run, or base
-// image — what a crash on a lying disk leaves despite WriteFileAtomic
-// — falls back LOUDLY to the previous consistent generation, whose
-// WAL records were deliberately retained, and recovers the identical
-// state, counting the skip in DurableStats.RecoveryFallbacks. Only
-// when no generation survives at all does recovery fail, and it fails
-// with an error, never a silent empty restart.
-func TestDurableRecoveryGenerationFallback(t *testing.T) {
-	opts := pghive.Options{Seed: 5, Parallelism: 1}
-	graphs := []*pghive.Graph{
-		stressGraph(t, 0, 6), stressGraph(t, 1000, 6),
-		stressGraph(t, 2000, 6), stressGraph(t, 3000, 6),
-	}
-	// MaxRuns 1: compaction 1 writes a run on the empty base (gen 1),
-	// compaction 2 folds into a base image (gen 2), compaction 3 puts
-	// a run on that base (gen 3); the fourth ingest stays in the WAL.
-	dopts := pghive.DurableOptions{
-		NoSync: true, DisableAutoCompact: true, SegmentBytes: 2048,
-		MaxRuns: 1, MaxTombstoneRatio: 1e9,
-	}
-	refSvc := pghive.NewService(opts)
-	var refs [][]byte
-	for _, g := range graphs {
-		refSvc.Ingest(g)
-		refs = append(refs, serviceImage(t, refSvc))
-	}
+// damageFixture is the directory the damage table starts from. With
+// MaxRuns 1, compaction 1 writes a run on the empty base (generation 1),
+// compaction 2 folds into a base image (generation 2) and compaction 3
+// puts a run on that base (generation 3, covering LSN 3, WAL floor 2).
+// The last three ingests stay in the WAL, one record per segment:
+// wal/ holds the segments of LSNs 3, 4, 5 and 6.
+type damageFixture struct {
+	opts  pghive.Options
+	dopts pghive.DurableOptions
+	// dir is the closed directory; foldSnap is a copy taken right after
+	// the fold (generations 1 and 2, LSNs 1-2).
+	dir, foldSnap string
+	// refs[i] is the acked state after i+1 ingests.
+	refs [][]byte
+}
 
-	dir := t.TempDir()
-	d, err := pghive.OpenDurable(dir, opts, dopts)
+func newDamageFixture(t *testing.T) *damageFixture {
+	t.Helper()
+	fx := &damageFixture{
+		opts: pghive.Options{Seed: 5, Parallelism: 1},
+		dopts: pghive.DurableOptions{
+			NoSync: true, DisableAutoCompact: true, SegmentBytes: 1024,
+			MaxRuns: 1, MaxTombstoneRatio: 1e9,
+		},
+		dir: t.TempDir(), foldSnap: t.TempDir(),
+	}
+	refSvc := pghive.NewService(fx.opts)
+	d, err := pghive.OpenDurable(fx.dir, fx.opts, fx.dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var foldSnap string // directory state right after the fold (gen 2)
-	for i, g := range graphs {
+	for i := 0; i < 6; i++ {
+		g := stressGraph(t, pghive.ID(1000*i), 6)
+		refSvc.Ingest(g)
+		fx.refs = append(fx.refs, serviceImage(t, refSvc))
 		if _, err := d.Ingest(g); err != nil {
 			t.Fatal(err)
 		}
@@ -926,120 +913,194 @@ func TestDurableRecoveryGenerationFallback(t *testing.T) {
 			}
 		}
 		if i == 1 {
-			foldSnap = t.TempDir()
-			copyTree(t, dir, foldSnap)
+			copyTree(t, fx.dir, fx.foldSnap)
 		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var firsts []string
+	for _, seg := range walSegments(t, fx.dir) {
+		firsts = append(firsts, filepath.Base(seg))
+	}
+	if want := []string{wal.SegmentName(3), wal.SegmentName(4), wal.SegmentName(5), wal.SegmentName(6)}; fmt.Sprint(firsts) != fmt.Sprint(want) {
+		t.Fatalf("fixture WAL holds %v, want %v", firsts, want)
+	}
+	return fx
+}
 
-	manifest := func(seq uint64) string { return fmt.Sprintf("manifest-%020d.mft", seq) }
-	base2 := fmt.Sprintf("checkpoint-%020d.ckpt", 2)
-	run23 := fmt.Sprintf("run-%020d-%020d.run", 2, 3)
+// damaged returns a copy of the directory tc starts from, damaged.
+func (fx *damageFixture) damaged(t *testing.T, tc damageCase) string {
+	t.Helper()
+	src := fx.dir
+	if tc.fold {
+		src = fx.foldSnap
+	}
+	cp := t.TempDir()
+	copyTree(t, src, cp)
+	tc.damage(t, cp)
+	return cp
+}
 
-	// corruptAndRecover copies src, applies mutate, and opens it;
-	// recovery must succeed, match want, report at least minFallbacks
-	// skipped generations, and come back writable.
-	corruptAndRecover := func(t *testing.T, src string, mutate func(t *testing.T, dir string), want []byte, minFallbacks int) *pghive.DurableService {
-		t.Helper()
-		cp := t.TempDir()
-		copyTree(t, src, cp)
-		mutate(t, cp)
-		rec, err := pghive.OpenDurable(cp, opts, dopts)
+// damageCase is one row of the damage table: a directory the fixture
+// left, damaged the way a crash on a lying disk or a hostile copy
+// leaves it.
+type damageCase struct {
+	// name names the row; recovery's subtest appends then, what
+	// recovery does about it.
+	name, then string
+	// fold damages the fold snapshot instead of the final directory.
+	fold   bool
+	damage func(t *testing.T, dir string)
+	// recovers is how many ingests the recovered state holds; zero
+	// means recovery refuses the directory.
+	recovers int
+	// fallbacks is the least number of generations recovery skips.
+	fallbacks int
+	// nextSeq, when set, is the generation the first compaction after
+	// recovery writes.
+	nextSeq uint64
+}
+
+// damageCases is the one damage table: TestDurableRecoveryGenerationFallback
+// holds recovery to each row's outcome, and
+// TestFollowerBootstrapMatchesRecoveryFallback holds a follower reading
+// the same damaged directory to recovery's result.
+func damageCases() []damageCase {
+	manifest, seg := runfile.ManifestName, wal.SegmentName
+	base2, run23 := runfile.BaseName(2), runfile.RunName(2, 3)
+	path := func(dir, name string) string {
+		if strings.HasSuffix(name, ".wal") {
+			return filepath.Join(dir, "wal", name)
+		}
+		return filepath.Join(dir, name)
+	}
+	truncate := func(n int64, names ...string) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			for _, name := range names {
+				if err := os.Truncate(path(dir, name), n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	remove := func(names ...string) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			for _, name := range names {
+				if err := os.Remove(path(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	read := func(t *testing.T, dir, name string) []byte {
+		data, err := os.ReadFile(path(dir, name))
 		if err != nil {
-			t.Fatalf("fallback recovery failed: %v", err)
+			t.Fatal(err)
 		}
-		t.Cleanup(func() { rec.Close() })
-		if got := serviceImage(t, rec); !bytes.Equal(got, want) {
-			t.Fatal("fallback recovery diverges from the acked state")
-		}
-		st := rec.DurableStats()
-		if st.RecoveryFallbacks < minFallbacks {
-			t.Fatalf("RecoveryFallbacks = %d, want >= %d", st.RecoveryFallbacks, minFallbacks)
-		}
-		if st.ReadOnly {
-			t.Fatal("fallback recovery came back read-only")
-		}
-		return rec
+		return data
 	}
-	truncateTo := func(path string, n int64) func(*testing.T, string) {
-		return func(t *testing.T, dir string) {
-			t.Helper()
-			if err := os.Truncate(filepath.Join(dir, path), n); err != nil {
-				t.Fatal(err)
-			}
+	write := func(t *testing.T, dir, name string, data []byte) {
+		if err := os.WriteFile(path(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	flipLastByte := func(path string) func(*testing.T, string) {
+	flipLastByte := func(name string) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
-			t.Helper()
-			p := filepath.Join(dir, path)
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := read(t, dir, name)
 			data[len(data)-1] ^= 0xFF
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			write(t, dir, name, data)
 		}
 	}
+	return []damageCase{
+		{name: "zero-byte newest manifest", damage: truncate(0, manifest(3)), recovers: 6, fallbacks: 1},
+		{name: "truncated newest manifest", damage: truncate(40, manifest(3)), recovers: 6, fallbacks: 1},
+		{name: "bit-flipped newest run", damage: flipLastByte(run23), recovers: 6, fallbacks: 1},
+		{name: "missing newest run", damage: remove(run23), recovers: 6, fallbacks: 1},
+		// Generation 2's freshly written base image is torn; generation 1
+		// (empty base + first run) plus the retained WAL recovers LSNs 1-2.
+		{name: "zero-byte fold base", then: "falls back to pre-fold generation", fold: true,
+			damage: truncate(0, base2), recovers: 2, fallbacks: 1},
+		// Both manifest generations torn: the base image itself is a
+		// generation, and the WAL floor retained everything above it.
+		{name: "all manifests corrupt", then: "falls back to the bare image",
+			damage: truncate(0, manifest(2), manifest(3)), recovers: 6, fallbacks: 2, nextSeq: 4},
+		{name: "no generation recovers", then: "fails loudly", damage: func(t *testing.T, dir string) {
+			truncate(0, manifest(2), manifest(3))(t, dir)
+			remove(base2)(t, dir)
+		}},
+		// The torn record is the crash's; the records before it recover.
+		{name: "torn final segment", damage: func(t *testing.T, dir string) {
+			data := read(t, dir, seg(6))
+			write(t, dir, seg(6), data[:len(data)-3])
+		}, recovers: 5},
+		// A lost record with records after it is damage no crash leaves:
+		// every generation's tail crosses the gap, so nothing recovers.
+		{name: "bit flip in a middle segment", damage: flipLastByte(seg(5))},
+		{name: "deleted middle segment", damage: remove(seg(5))},
+		// Segment 5 starts with a second copy of record 4.
+		{name: "a segment that repeats an LSN", damage: func(t *testing.T, dir string) {
+			write(t, dir, seg(5), append(read(t, dir, seg(4)), read(t, dir, seg(5))[len("PGHWAL1\n"):]...))
+		}},
+		// Nothing above the covered LSN is left: the newest generation
+		// is all the directory says was written.
+		{name: "every segment above the covered LSN pruned", damage: remove(seg(4), seg(5), seg(6)), recovers: 3},
+		// Every remaining segment starts above what each generation
+		// needs next.
+		{name: "WAL pruned past the covered LSN", damage: remove(seg(3), seg(4))},
+	}
+}
 
-	t.Run("zero-byte newest manifest", func(t *testing.T) {
-		corruptAndRecover(t, dir, truncateTo(manifest(3), 0), refs[3], 1)
-	})
-	t.Run("truncated newest manifest", func(t *testing.T) {
-		corruptAndRecover(t, dir, truncateTo(manifest(3), 40), refs[3], 1)
-	})
-	t.Run("bit-flipped newest run", func(t *testing.T) {
-		corruptAndRecover(t, dir, flipLastByte(run23), refs[3], 1)
-	})
-	t.Run("missing newest run", func(t *testing.T) {
-		corruptAndRecover(t, dir, func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, run23)); err != nil {
+// TestDurableRecoveryGenerationFallback is the regression for the
+// second checkpoint-lifecycle bug: recovery must not trust the newest
+// generation's files just because they exist under the right names. A
+// zero-byte, truncated, or bit-flipped newest manifest, run, or base
+// image — what a crash on a lying disk leaves despite WriteFileAtomic
+// — falls back LOUDLY to the previous consistent generation, whose
+// WAL records were deliberately retained, and recovers the identical
+// state, counting the skip in DurableStats.RecoveryFallbacks. The WAL
+// rows hold the tail to the reader's rules: a torn final record is
+// dropped, a duplicate or a gap is refused. Where no generation
+// survives, recovery fails with an error, never a silent restart.
+func TestDurableRecoveryGenerationFallback(t *testing.T) {
+	fx := newDamageFixture(t)
+	for _, tc := range damageCases() {
+		t.Run(strings.TrimSpace(tc.name+" "+tc.then), func(t *testing.T) {
+			rec, err := pghive.OpenDurable(fx.damaged(t, tc), fx.opts, fx.dopts)
+			if tc.recovers == 0 {
+				if err == nil {
+					rec.Close()
+					t.Fatal("recovery from a directory with no consistent generation silently succeeded")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("fallback recovery failed: %v", err)
+			}
+			defer rec.Close()
+			if got := serviceImage(t, rec); !bytes.Equal(got, fx.refs[tc.recovers-1]) {
+				t.Fatal("fallback recovery diverges from the acked state")
+			}
+			st := rec.DurableStats()
+			if st.RecoveryFallbacks < tc.fallbacks {
+				t.Fatalf("RecoveryFallbacks = %d, want >= %d", st.RecoveryFallbacks, tc.fallbacks)
+			}
+			if st.ReadOnly {
+				t.Fatal("fallback recovery came back read-only")
+			}
+			if tc.nextSeq == 0 {
+				return
+			}
+			// The next compaction must allocate a generation above every
+			// corrupt manifest recovery skipped.
+			if err := rec.Compact(); err != nil {
 				t.Fatal(err)
 			}
-		}, refs[3], 1)
-	})
-	t.Run("zero-byte fold base falls back to pre-fold generation", func(t *testing.T) {
-		// On the fold snapshot, generation 2's freshly written base
-		// image is torn; generation 1 (empty base + first run) plus
-		// the retained WAL recovers records 1-2.
-		corruptAndRecover(t, foldSnap, truncateTo(base2, 0), refs[1], 1)
-	})
-	t.Run("all manifests corrupt falls back to the bare image", func(t *testing.T) {
-		// Both manifest generations torn: the base image itself is
-		// still a valid (legacy-layout) starting point, and the WAL
-		// floor retained everything above it.
-		rec := corruptAndRecover(t, dir, func(t *testing.T, dir string) {
-			truncateTo(manifest(2), 0)(t, dir)
-			truncateTo(manifest(3), 0)(t, dir)
-		}, refs[3], 2)
-		// The next compaction must allocate a generation above every
-		// corrupt manifest it skipped.
-		if err := rec.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if got := rec.DurableStats().ManifestSeq; got != 4 {
-			t.Fatalf("generation after fallback compaction = %d, want 4", got)
-		}
-	})
-	t.Run("no generation recovers fails loudly", func(t *testing.T) {
-		cp := t.TempDir()
-		copyTree(t, dir, cp)
-		for _, p := range []string{manifest(2), manifest(3)} {
-			if err := os.Truncate(filepath.Join(cp, p), 0); err != nil {
-				t.Fatal(err)
+			if got := rec.DurableStats().ManifestSeq; got != tc.nextSeq {
+				t.Fatalf("generation after fallback compaction = %d, want %d", got, tc.nextSeq)
 			}
-		}
-		if err := os.Remove(filepath.Join(cp, base2)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pghive.OpenDurable(cp, opts, dopts); err == nil {
-			t.Fatal("recovery from a directory with no consistent generation silently succeeded")
-		}
-	})
+		})
+	}
 }
 
 // TestDurableCompactionFaultCrashPoints drives an injected fault into

@@ -13,8 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -522,108 +520,33 @@ func TestFollowerBootstrapStopsOnFetchFailure(t *testing.T) {
 	}
 }
 
-// TestFollowerBootstrapMatchesRecoveryFallback runs the damage cases of
-// TestDurableRecoveryGenerationFallback through a follower reading the
-// damaged data directory itself (it has the shipped layout, wal/
-// included): bootstrap and tail must land on the bytes, the generation
-// and the fallback count local recovery reaches, and fail where it
-// fails.
+// TestFollowerBootstrapMatchesRecoveryFallback runs the damage table
+// through a follower reading the damaged data directory itself (it has
+// the shipped layout, wal/ included): bootstrap and tail must land on
+// the bytes, the LSN, the generation and the fallback count local
+// recovery reaches, and refuse where it refuses.
 func TestFollowerBootstrapMatchesRecoveryFallback(t *testing.T) {
-	opts := pghive.Options{Seed: 5, Parallelism: 1}
-	// MaxRuns 1: generation 1 is a run on the empty base, generation 2
-	// folds into a base image, generation 3 is a run on that base; the
-	// fourth ingest stays in the WAL.
-	dopts := pghive.DurableOptions{
-		NoSync: true, DisableAutoCompact: true, SegmentBytes: 2048,
-		MaxRuns: 1, MaxTombstoneRatio: 1e9,
-	}
-	dir, foldSnap := t.TempDir(), t.TempDir()
-	d, err := pghive.OpenDurable(dir, opts, dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*i), 6)); err != nil {
-			t.Fatal(err)
-		}
-		if i < 3 {
-			if err := d.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i == 1 {
-			copyTree(t, dir, foldSnap)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	manifest := runfile.ManifestName
-	base2, run23 := runfile.BaseName(2), runfile.RunName(2, 3)
-	truncate := func(n int64, names ...string) func(*testing.T, string) {
-		return func(t *testing.T, dir string) {
-			for _, name := range names {
-				if err := os.Truncate(filepath.Join(dir, name), n); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		src    string
-		damage func(*testing.T, string)
-	}{
-		{"zero-byte newest manifest", dir, truncate(0, manifest(3))},
-		{"truncated newest manifest", dir, truncate(40, manifest(3))},
-		{"bit-flipped newest run", dir, func(t *testing.T, dir string) {
-			p := filepath.Join(dir, run23)
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)-1] ^= 0xFF
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"missing newest run", dir, func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, run23)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"zero-byte fold base", foldSnap, truncate(0, base2)},
-		{"all manifests corrupt", dir, truncate(0, manifest(2), manifest(3))},
-		{"no generation recovers", dir, func(t *testing.T, dir string) {
-			truncate(0, manifest(2), manifest(3))(t, dir)
-			if err := os.Remove(filepath.Join(dir, base2)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
+	fx := newDamageFixture(t)
+	for _, tc := range damageCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := t.TempDir()
-			copyTree(t, tc.src, cp)
-			tc.damage(t, cp)
-
-			// The follower only reads; recovery, which sweeps and prunes,
-			// opens the same directory after it.
+			cp := fx.damaged(t, tc)
+			// The follower only reads; recovery, which truncates, sweeps and
+			// prunes, opens the same directory after it.
 			ctx := context.Background()
-			f := pghive.NewFollower(opts, store.NewDir(nil, cp), pghive.FollowerOptions{})
+			f := pghive.NewFollower(fx.opts, store.NewDir(nil, cp), pghive.FollowerOptions{})
 			defer f.Close()
-			bootErr := f.Bootstrap(ctx)
-			rec, recErr := pghive.OpenDurable(cp, opts, dopts)
-			if (bootErr == nil) != (recErr == nil) {
-				t.Fatalf("follower bootstrap error %v, recovery error %v: they must agree", bootErr, recErr)
+			followErr := f.Bootstrap(ctx)
+			if followErr == nil {
+				followErr = f.TailOnce(ctx)
+			}
+			rec, recErr := pghive.OpenDurable(cp, fx.opts, fx.dopts)
+			if (followErr == nil) != (recErr == nil) {
+				t.Fatalf("follower error %v, recovery error %v: they must agree", followErr, recErr)
 			}
 			if recErr != nil {
 				return
 			}
 			defer rec.Close()
-			if err := f.TailOnce(ctx); err != nil {
-				t.Fatal(err)
-			}
 			st, lag := rec.DurableStats(), f.Lag(ctx)
 			if lag.BootstrapGeneration != st.ManifestSeq || lag.BootstrapFallbacks != int64(st.RecoveryFallbacks) {
 				t.Fatalf("follower bootstrapped generation %d after %d fallbacks, recovery took %d after %d",

@@ -4,13 +4,15 @@ package pghive
 // (internal/store) so read-only followers can bootstrap and tail the
 // leader without sharing its filesystem. A shipping round runs under
 // compactMu — at OpenDurable and inside every Compact — and uploads,
-// in this order: sealed WAL segments (under "wal/"), then the current
-// checkpoint generation's data files (base image, delta runs), then
-// its manifest LAST, so a follower that can fetch a manifest can
-// always fetch every file it references; a torn round leaves at worst
-// an unreferenced data object, never a dangling manifest. The data
-// directory has the shipped layout, so every object is read from it
-// through a store.Dir and uploaded under its own name.
+// in this order: sealed WAL segments (under wal.Prefix, named by
+// wal.SegmentName), then the current checkpoint generation's data
+// files (base image, delta runs), then its manifest LAST, so a
+// follower that can fetch a manifest can always fetch every file it
+// references; a torn round leaves at worst an unreferenced data
+// object, never a dangling manifest. The data directory has the
+// shipped layout, so every object is read from it through a store.Dir
+// and uploaded under its own name, and a follower reads the backend
+// with the readers recovery uses on the directory.
 //
 // The ship watermark is the highest LSN L such that every record up
 // to L is durable in the backend — the shipped generation's coverage
@@ -33,16 +35,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/wal"
 )
-
-// shipObjectPrefix is the backend namespace for WAL segment objects.
-const shipObjectPrefix = walSubdir + "/"
 
 // shipper tracks what the backend durably holds. All fields are
 // guarded by DurableService.compactMu (shipping rounds and compaction
@@ -138,7 +136,7 @@ func (d *DurableService) shipRound(held compactHeld) error {
 	// object present in the backend is complete and final).
 	sealed := d.wal().Sealed()
 	for _, seg := range sealed {
-		obj := shipObjectPrefix + filepath.Base(seg.Path)
+		obj := wal.Prefix + filepath.Base(seg.Path)
 		if s.uploaded[obj] {
 			continue
 		}
@@ -180,7 +178,7 @@ func (d *DurableService) shipRound(held compactHeld) error {
 		s.watermark = s.man.Covered()
 	}
 	for _, seg := range sealed {
-		if !s.uploaded[shipObjectPrefix+filepath.Base(seg.Path)] {
+		if !s.uploaded[wal.Prefix+filepath.Base(seg.Path)] {
 			break
 		}
 		if seg.First <= s.watermark+1 && seg.Last > s.watermark {
@@ -206,7 +204,7 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	keep := runfile.Keep(s.man, s.prevMan)
 	var segObjs []string
 	for obj := range s.uploaded {
-		if strings.HasPrefix(obj, shipObjectPrefix) {
+		if strings.HasPrefix(obj, wal.Prefix) {
 			segObjs = append(segObjs, obj)
 			continue
 		}
@@ -232,7 +230,7 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 		floor = s.prevMan.Covered()
 	}
 	for i := 0; i+1 < len(segObjs); i++ {
-		next, ok := segObjectFirstLSN(segObjs[i+1])
+		next, ok := wal.ParseSegmentName(strings.TrimPrefix(segObjs[i+1], wal.Prefix))
 		if !ok || next > floor+1 {
 			break
 		}
@@ -242,18 +240,4 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 		}
 		delete(s.uploaded, segObjs[i])
 	}
-}
-
-// segObjectFirstLSN parses the first LSN out of a segment object name
-// ("wal/<%020d>.wal").
-func segObjectFirstLSN(obj string) (uint64, bool) {
-	base := strings.TrimPrefix(obj, shipObjectPrefix)
-	if !wal.IsSegment(base) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(base, ".wal"), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
