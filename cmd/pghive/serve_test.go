@@ -102,6 +102,10 @@ func TestServeHTTPEndpoints(t *testing.T) {
 		t.Fatalf("stats report %d nodes / %d edges / %d batches, want 20/19/2",
 			stats.Nodes, stats.Edges, stats.Batches)
 	}
+	// A plain service keeps no log, so its snapshot states no position.
+	if bytes.Contains(body, []byte(`"lsn"`)) {
+		t.Fatalf("plain /stats states a log position: %s", body)
+	}
 
 	// Every schema format, via ?format= and via Accept.
 	for _, c := range []struct {
@@ -342,8 +346,8 @@ func TestServeHTTPDurable(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats.Nodes != 10 || st.Durable.WALNextLSN != 4 {
-		t.Fatalf("durable stats %+v / %+v, want 10 nodes and next LSN 4", st.Stats, st.Durable)
+	if st.Stats.Nodes != 10 || st.Durable.WALNextLSN != 4 || st.Stats.LSN != 3 {
+		t.Fatalf("durable stats %+v / %+v, want 10 nodes at LSN 3 and next LSN 4", st.Stats, st.Durable)
 	}
 	if st.Durable.Rounds != 1 || st.Durable.LastRound != ck.Durable.LastRound {
 		t.Fatalf("/stats reports %d rounds, last %+v; POST /checkpoint reported %+v", st.Durable.Rounds, st.Durable.LastRound, ck.Durable.LastRound)

@@ -128,8 +128,8 @@ func TestFailedRoundHandsItsChangeBack(t *testing.T) {
 			// s.before is still the image of the last round that
 			// succeeded, so this checks one run across both spans.
 			s.compact("round after the failure")
-			if st := s.d.DurableStats(); st.Runs != gen.Runs+1 || st.CheckpointLSN != s.d.appliedLSN {
-				t.Fatalf("round after the failure: %d -> %d runs, covers LSN %d of %d", gen.Runs, st.Runs, st.CheckpointLSN, s.d.appliedLSN)
+			if st := s.d.DurableStats(); st.Runs != gen.Runs+1 || st.CheckpointLSN != s.d.Stats().LSN {
+				t.Fatalf("round after the failure: %d -> %d runs, covers LSN %d of %d", gen.Runs, st.Runs, st.CheckpointLSN, s.d.Stats().LSN)
 			}
 			s.reopen("end")
 			s.grow("after reopen", 3)

@@ -94,12 +94,12 @@ func (s *liftScript) open() {
 }
 
 // capture takes the live state's image the way a fold always has:
-// CaptureImage under the write lock, at the covered LSN.
+// CaptureImage under the write lock, at the writer's LSN.
 func (s *liftScript) capture() *core.Image {
 	s.t.Helper()
 	s.d.w.mu.Lock()
 	defer s.d.w.mu.Unlock()
-	img, err := s.d.w.image(s.d.appliedLSN)
+	img, err := s.d.w.image()
 	if err != nil {
 		s.t.Fatal(err)
 	}

@@ -10,6 +10,12 @@ package pghive
 // service bit-identical to one that never died (kill -9 at any record
 // boundary; a torn trailing record is truncated away).
 //
+// The writer owns its log position: only writer.apply, the one rule the
+// committer, recovery, Rearm and a follower's tail advance the state
+// through, moves it; replay refuses any record but the next. The log
+// numbers on above it, a round lifts up to it, and every snapshot
+// states it (ServiceStats.LSN).
+//
 // Checkpoints are LSM-structured (internal/runfile): a generation is
 // a base image plus an ordered chain of immutable, checksummed delta
 // runs, named by an atomically-swapped manifest. The live writer keeps
@@ -48,8 +54,9 @@ package pghive
 //
 // Files a generation no longer references — superseded base images,
 // folded-away runs, old manifests, interrupted temporaries — are
-// garbage-collected by a sweep at startup and after every compaction;
-// removal failures are surfaced in DurableStats (GCFailures /
+// garbage-collected by a sweep at startup and after every compaction,
+// inside reclaim, the one housekeeping step (ship, sweep, prune) both
+// run; removal failures are surfaced in DurableStats (GCFailures /
 // LastGCError) and retried on the next sweep, never silently dropped.
 //
 // Two robustness layers ride on top of durability:
@@ -210,12 +217,6 @@ type DurableService struct {
 	log   atomic.Pointer[wal.Log]
 	dopts DurableOptions
 
-	// appliedLSN is the LSN of the last WAL record whose mutation the
-	// live state has absorbed. Guarded by w.mu. Rearm replays records
-	// above it, which is what reconciles the live state with a frame
-	// that survived a rolled-back append.
-	appliedLSN uint64
-
 	// degradedReason, when non-nil, declares read-only mode and why.
 	// Set by the write path on unrecoverable append failures; cleared
 	// by Rearm and by compaction when the log is still writable.
@@ -327,8 +328,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		// Recording starts at the generation's image, so the replay below
 		// leaves exactly the WAL tail's changes for the first round to lift.
 		cw.dirty = cw.inc.Track()
-		applied := man.Covered()
-		cl, err := catchUp(dir, dopts, applied, cw, &applied)
+		cl, err := catchUp(dir, dopts, cw)
 		if err != nil {
 			return err
 		}
@@ -344,7 +344,6 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		dir:        dir,
 		fs:         fsys,
 		dopts:      dopts,
-		appliedLSN: lg.NextLSN() - 1,
 		man:        gen.man,
 		prevMan:    gen.prev,
 		manSeq:     gen.maxSeq,
@@ -359,20 +358,16 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		// the first shipping round of this incarnation completes.
 		d.ship = &shipper{backend: dopts.ShipTo, watermark: gen.man.ShippedLSN}
 	}
-	// Segments below the generation's WAL floor may survive a crash
-	// between manifest swap and pruning; finish the job (gated by the
-	// ship watermark — never reclaim what the backend does not hold),
-	// then sweep the files no kept generation references (stale
-	// images, orphaned runs, superseded manifests, temp residue).
+	// A crash between a manifest swap and the housekeeping after it
+	// leaves covered segments and unreferenced files behind; finish the
+	// job.
 	held := d.compactMu.Lock()
-	if _, err := lg.Prune(d.pruneFloor(held, gen.man.WALFloor)); err != nil {
+	if err := d.reclaim(held); err != nil {
 		d.compactMu.Unlock()
 		d.cancel()
 		_ = lg.Close()
 		return nil, err
 	}
-	d.sweep(held)
-	_ = d.shipRound(held) // best effort; retried each compaction
 	d.compactMu.Unlock()
 	go d.commitLoop()
 	if !dopts.DisableAutoCompact {
@@ -383,29 +378,22 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 }
 
 // catchUp opens the WAL of the data directory dir and replays onto w
-// every record above *applied, advancing *applied record by record —
-// the one job recovery and Rearm share. covered is the LSN the current
-// generation covers: a log whose every segment was pruned resumes
-// numbering above it. A log that does not open is a recoveryHardError,
-// since no older generation fixes it.
-func catchUp(dir string, dopts DurableOptions, covered uint64, w *writer, applied *uint64) (*wal.Log, error) {
+// every record above w's position — the one job recovery and Rearm
+// share. The log numbers on from w's position at least, so a log whose
+// every segment was pruned resumes above the state, and the committer's
+// next LSN is always the state's next. A log that does not open is a
+// recoveryHardError, since no older generation fixes it.
+func catchUp(dir string, dopts DurableOptions, w *writer) (*wal.Log, error) {
 	lg, err := wal.Open(filepath.Join(dir, wal.Prefix), wal.Options{
 		SegmentBytes: dopts.SegmentBytes,
 		NoSync:       dopts.NoSync,
-		MinLSN:       covered + 1,
+		MinLSN:       w.lsn + 1,
 		FS:           dopts.FS,
 	})
 	if err != nil {
 		return nil, &recoveryHardError{err: err}
 	}
-	err = wal.Replay(context.Background(), store.NewDir(dopts.FS, dir), *applied, func(rec wal.Record) error {
-		if err := w.apply(rec); err != nil {
-			return err
-		}
-		*applied = rec.LSN
-		return nil
-	})
-	if err != nil {
+	if err = wal.Replay(context.Background(), store.NewDir(dopts.FS, dir), w.lsn, w.replay); err != nil {
 		_ = lg.Close()
 		return nil, err
 	}
@@ -640,15 +628,6 @@ func (d *DurableService) degrade(reason string) {
 	d.degradedReason.CompareAndSwap(nil, &r)
 }
 
-// clearDegradeIfWritable lifts read-only mode when the log itself
-// still accepts appends — the disk-full path, where compaction just
-// freed superseded segments. A broken log stays degraded until Rearm.
-func (d *DurableService) clearDegradeIfWritable() {
-	if d.degradedReason.Load() != nil && !d.wal().Broken() {
-		d.degradedReason.Store(nil)
-	}
-}
-
 // walRecTypeFor selects the WAL record type for a write: keyed
 // variants when an idempotency key rides along.
 func walRecTypeFor(key string, retract bool) byte {
@@ -666,7 +645,7 @@ func walRecTypeFor(key string, retract bool) byte {
 
 // encodeWALRecordPayload serializes g (behind the idempotency key, for
 // keyed record types) into one WAL record payload — the inverse of
-// decodeWALRecord. Encode failures are wrapped in DurabilityError; a
+// writer.replay's decoding. Encode failures are wrapped in DurabilityError; a
 // malformed key is the caller's fault and returned plain.
 func encodeWALRecordPayload(t byte, key string, g *Graph) ([]byte, error) {
 	var buf bytes.Buffer
@@ -681,15 +660,6 @@ func encodeWALRecordPayload(t byte, key string, g *Graph) ([]byte, error) {
 		return nil, &DurabilityError{Err: fmt.Errorf("pghive: durable: encode batch: %w", err)}
 	}
 	return buf.Bytes(), nil
-}
-
-// noteApplied records that the mutation logged at lsn is (about to be)
-// absorbed into the live state.
-func (d *DurableService) noteApplied(_ writeHeld, key string, lsn uint64) {
-	d.appliedLSN = lsn
-	if key != "" {
-		d.w.keys.add(key, lsn)
-	}
 }
 
 // Ingest write-ahead logs the batch, then runs it through the
@@ -780,30 +750,20 @@ func (d *DurableService) Compact() error {
 	defer d.compactMu.Unlock()
 	began := time.Now()
 
-	lg := d.wal()
 	covered := d.man.Covered()
 	wheld := d.w.mu.Lock()
 	locked := time.Now()
-	if err := lg.Rotate(); err != nil {
+	if err := d.wal().Rotate(); err != nil {
 		d.w.mu.Unlock()
 		return err
 	}
-	target := d.appliedLSN
-	if target <= covered {
+	if d.w.lsn <= covered {
 		d.w.mu.Unlock()
-		// Nothing applied since the last round; still ship anything the
-		// backend is missing, prune any already-covered segments a
-		// crash may have left behind (gated by the ship watermark), and
-		// retry any sweep removals that failed last time.
-		_ = d.shipRound(held)
-		if _, err := lg.Prune(d.pruneFloor(held, d.man.WALFloor)); err != nil {
-			return err
-		}
-		d.sweep(held)
-		d.clearDegradeIfWritable()
-		return nil
+		// Nothing applied since the last round; still ship, and retry the
+		// sweep and the prune a crash or a failed removal left undone.
+		return d.reclaim(held)
 	}
-	ch, err := d.w.lift(wheld, covered, target)
+	ch, err := d.w.lift(wheld, covered)
 	d.w.mu.Unlock()
 	if err != nil {
 		return err
@@ -828,24 +788,14 @@ func (d *DurableService) Compact() error {
 	d.prevMan = d.man
 	d.man = newMan
 	d.manSeq = newMan.Seq
-	// Ship the new generation (and any sealed segments) before pruning:
-	// a successful round advances the watermark, so the prune below can
-	// reclaim what the backend now holds. Ship failures never fail the
-	// round — the gated prune simply retains more, loudly (ShipFailures).
-	_ = d.shipRound(held)
-	d.sweep(held)
-	_, err = lg.Prune(d.pruneFloor(held, newMan.WALFloor))
+	err = d.reclaim(held)
 	round.Seconds = time.Since(began).Seconds()
 	d.lastRound = round
 	d.rounds++
 	if round.Folded {
 		d.folds++
 	}
-	if err != nil {
-		return err
-	}
-	d.clearDegradeIfWritable()
-	return nil
+	return err
 }
 
 // change is what one compaction round lifted from the live writer
@@ -861,20 +811,20 @@ type change struct {
 	spent *core.Dirty
 }
 
-// lift takes the round's change out of the writer; the result shares
-// nothing mutable with the live state.
-func (w *writer) lift(_ writeHeld, from, to uint64) (*change, error) {
+// lift takes the change since from out of the writer, up to its own
+// position; the result shares nothing mutable with the live state.
+func (w *writer) lift(_ writeHeld, from uint64) (*change, error) {
 	st := w.inc.Stats()
-	ch := &change{from: from, to: to, elements: st.Nodes + st.Edges}
+	ch := &change{from: from, to: w.lsn, elements: st.Nodes + st.Edges}
 	ch.delta, ch.spent = w.inc.Lift(from, &core.CheckpointExtras{
 		Resolver:    w.resolver,
 		NextEdgeID:  w.nextEdgeID,
-		WALSeq:      to,
+		WALSeq:      w.lsn,
 		AppliedKeys: w.keys.since(from),
 	})
 	if ch.delta == nil {
 		var err error
-		if ch.whole, err = w.image(to); err != nil {
+		if ch.whole, err = w.image(); err != nil {
 			w.inc.Unlift(ch.spent)
 			return nil, err
 		}
@@ -1002,6 +952,24 @@ func (d *DurableService) sweep(_ compactHeld) {
 	}
 }
 
+// reclaim is the housekeeping after every round and at open, which may
+// follow a crash out of one: ship what the backend is missing (best
+// effort: counted, retried next round), sweep, then prune below the WAL
+// floor, gated by the watermark the shipping just advanced. A prune that
+// lands frees the space a disk-full service starves for, so it re-arms
+// one; a broken log stays degraded until Rearm.
+func (d *DurableService) reclaim(held compactHeld) error {
+	_ = d.shipRound(held)
+	d.sweep(held)
+	if _, err := d.wal().Prune(d.pruneFloor(held, d.man.WALFloor)); err != nil {
+		return err
+	}
+	if d.degradedReason.Load() != nil && !d.wal().Broken() {
+		d.degradedReason.Store(nil)
+	}
+	return nil
+}
+
 func (d *DurableService) noteGCFailure(err error) {
 	d.gcFailures.Add(1)
 	msg := err.Error()
@@ -1027,16 +995,15 @@ func (d *DurableService) Rearm() error {
 		return nil
 	}
 	// Best effort: a broken log's close may itself fail; the reopen
-	// below re-reads the on-disk truth regardless. appliedLSN advances
-	// per record, so a Rearm retried after a replay that failed midway
-	// never applies a record twice.
+	// below re-reads the on-disk truth regardless. The writer's position
+	// advances per record, so a Rearm retried after a replay that failed
+	// midway never applies a record twice.
 	_ = d.wal().Close()
-	lg, err := catchUp(d.dir, d.dopts, d.man.Covered(), d.w, &d.appliedLSN)
+	lg, err := catchUp(d.dir, d.dopts, d.w)
 	if err != nil {
 		return fmt.Errorf("pghive: durable: rearm: %w", err)
 	}
 	d.log.Store(lg)
-	d.appliedLSN = lg.NextLSN() - 1
 	d.degradedReason.Store(nil)
 	return nil
 }
@@ -1285,58 +1252,42 @@ func (st *idemStore) export() []core.AppliedKey {
 }
 
 // image captures the state as a checkpoint image covering WAL LSNs up
-// to target, applied idempotency keys included.
-func (w *writer) image(target uint64) (*core.Image, error) {
+// to the writer's position, applied idempotency keys included.
+func (w *writer) image() (*core.Image, error) {
 	return w.inc.CaptureImage(&core.CheckpointExtras{
 		Resolver:    w.resolver,
 		NextEdgeID:  w.nextEdgeID,
-		WALSeq:      target,
+		WALSeq:      w.lsn,
 		AppliedKeys: w.keys.export(),
 	})
 }
 
-// apply folds one WAL record into the state through the same ingest
-// and retract live writes use — the one rule behind recovery, Rearm's
-// catch-up and a follower's tail — and remembers the idempotency key it carried, where keys are tracked.
-func (w *writer) apply(rec wal.Record) error {
-	g, key, retract, err := decodeWALRecord(rec)
-	if err != nil {
-		return err
+// replay decodes one logged record — its graph, direction and, for
+// keyed types, the idempotency key before the graph — and folds it into
+// the state through apply: the path recovery, Rearm's catch-up and a
+// follower's tail share. It refuses any record but the writer's next,
+// so a duplicate, a gap or a second tail racing the first stops instead
+// of applying twice.
+func (w *writer) replay(rec wal.Record) error {
+	if rec.LSN != w.lsn+1 {
+		return fmt.Errorf("pghive: wal record %d is not the next after %d", rec.LSN, w.lsn)
 	}
-	if retract {
-		w.retract(g)
-	} else {
-		w.ingest(g)
-	}
-	if key != "" && w.keys != nil {
-		w.keys.add(key, rec.LSN)
-	}
-	return nil
-}
-
-// decodeWALRecord parses one WAL record into its graph, idempotency
-// key (keyed record types only), and mutation direction.
-func decodeWALRecord(rec wal.Record) (g *Graph, key string, retract bool, err error) {
-	payload := rec.Payload
+	payload, key := rec.Payload, ""
 	switch rec.Type {
+	case walRecIngest, walRecRetract:
 	case walRecIngestKeyed, walRecRetractKeyed:
-		if len(payload) < 1 || len(payload) < 1+int(payload[0]) {
-			return nil, "", false, fmt.Errorf("pghive: durable: wal record %d: truncated idempotency key", rec.LSN)
+		if len(payload) == 0 || len(payload) < 1+int(payload[0]) {
+			return fmt.Errorf("pghive: durable: wal record %d: truncated idempotency key", rec.LSN)
 		}
-		n := int(payload[0])
-		key = string(payload[1 : 1+n])
-		payload = payload[1+n:]
-	}
-	switch rec.Type {
-	case walRecIngest, walRecIngestKeyed:
-	case walRecRetract, walRecRetractKeyed:
-		retract = true
+		n := 1 + int(payload[0])
+		key, payload = string(payload[1:n]), payload[n:]
 	default:
-		return nil, "", false, fmt.Errorf("pghive: durable: wal record %d has unknown type %d", rec.LSN, rec.Type)
+		return fmt.Errorf("pghive: durable: wal record %d has unknown type %d", rec.LSN, rec.Type)
 	}
-	g, err = ReadJSONL(bytes.NewReader(payload), true)
+	g, err := ReadJSONL(bytes.NewReader(payload), true)
 	if err != nil {
-		return nil, "", false, fmt.Errorf("pghive: durable: wal record %d: %w", rec.LSN, err)
+		return fmt.Errorf("pghive: durable: wal record %d: %w", rec.LSN, err)
 	}
-	return g, key, retract, nil
+	w.apply(rec.LSN, key, g, rec.Type == walRecRetract || rec.Type == walRecRetractKeyed)
+	return nil
 }

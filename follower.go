@@ -5,22 +5,26 @@ package pghive
 // storage backend holds — through walkGenerations, the very walk local
 // recovery takes, bare-base fallback included — and then tails the
 // shipped WAL segments through wal.Replay, the very reader recovery and
-// Rearm use, applying records through exactly the code path the
-// leader's recovery uses and publishing each batch with the same
-// atomic-pointer snapshot swap. Reads on a follower are therefore
-// indistinguishable from reads on the leader at the same LSN —
-// WriteCheckpoint produces bit-identical images — they just lag by the
-// shipping horizon (the leader uploads sealed segments at each
+// Rearm use, applying each record through writer.replay — the rule
+// recovery and Rearm apply through, which is the committer's own
+// writer.apply — and publishing each batch with the same atomic-pointer
+// snapshot swap. Reads on a follower are therefore indistinguishable
+// from reads on the leader at the same LSN — WriteCheckpoint produces
+// bit-identical images, and the snapshot states that LSN
+// (ServiceStats.LSN, which AppliedLSN and Lag report) — they just lag
+// by the shipping horizon (the leader uploads sealed segments at each
 // compaction round, never the active one).
 //
-// Divergence is structurally impossible: the reader hands on a record
-// only when its LSN is exactly appliedLSN+1. A torn, missing or
-// repeated record therefore stops the tail — counted in
-// FollowerLag.FetchFaults, retried next poll — and when the gap can no
-// longer be filled from segments (the backend GC already reclaimed
-// them: a wal.PrunedError) the follower re-bootstraps from a newer
-// shipped generation. The one thing a follower never does is skip a
-// record and keep serving.
+// Divergence is structurally impossible: the writer owns its log
+// position, and replay applies a record only when its LSN is exactly
+// that position + 1, checked under the write lock — so neither a torn,
+// missing or repeated record nor a second TailOnce racing the first can
+// apply anything twice or out of order. Such a record stops the tail —
+// counted in FollowerLag.FetchFaults, retried next poll — and when the
+// gap can no longer be filled from segments (the backend GC already
+// reclaimed them: a wal.PrunedError) the follower re-bootstraps from a
+// newer shipped generation. The one thing a follower never does is skip
+// a record and keep serving.
 //
 // A Follower has no write methods at all: its only mutators are
 // Bootstrap and TailOnce, which apply what the leader logged. The
@@ -77,9 +81,6 @@ type Follower struct {
 	// replica serves the empty snapshot and /readyz-style probes
 	// should report not-ready.
 	ready atomic.Bool
-	// applied is the LSN of the last WAL record absorbed into the
-	// published state — atomic so Lag never takes the write lock.
-	applied atomic.Uint64
 
 	// bootGen / bootFallbacks describe the last bootstrap: the
 	// manifest generation restored and how many newer-but-broken
@@ -129,8 +130,8 @@ func NewFollower(opts Options, backend store.Backend, fopts FollowerOptions) *Fo
 func (f *Follower) Ready() bool { return f.ready.Load() }
 
 // AppliedLSN returns the LSN of the last WAL record the published
-// state has absorbed.
-func (f *Follower) AppliedLSN() uint64 { return f.applied.Load() }
+// state has absorbed: the position the current snapshot states.
+func (f *Follower) AppliedLSN() uint64 { return f.Stats().LSN }
 
 // FollowerLag describes how far a replica trails its leader.
 type FollowerLag struct {
@@ -161,7 +162,7 @@ type FollowerLag struct {
 func (f *Follower) Lag(ctx context.Context) FollowerLag {
 	lag := FollowerLag{
 		Ready:               f.ready.Load(),
-		AppliedLSN:          f.applied.Load(),
+		AppliedLSN:          f.AppliedLSN(),
 		BootstrapGeneration: f.bootGen.Load(),
 		BootstrapFallbacks:  f.bootFallbacks.Load(),
 		FetchFaults:         f.fetchFaults.Load(),
@@ -218,9 +219,8 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	// Reposition the served writer in place: its lock and its Reader are
 	// what the rest of the process holds on to.
 	f.w.mu.Lock()
-	f.w.inc, f.w.resolver, f.w.nextEdgeID = next.inc, next.resolver, next.nextEdgeID
+	f.w.inc, f.w.resolver, f.w.nextEdgeID, f.w.lsn = next.inc, next.resolver, next.nextEdgeID, next.lsn
 	f.w.publish()
-	f.applied.Store(gen.man.Covered())
 	f.w.mu.Unlock()
 	f.bootGen.Store(gen.man.Seq)
 	f.ready.Store(true)
@@ -261,16 +261,13 @@ func (f *Follower) TailOnce(ctx context.Context) error {
 
 // tail replays the shipped records above the applied LSN. Each record
 // is applied and published under the write lock — the same per-batch
-// cadence the leader has.
+// cadence the leader has — and only if it is still the writer's next,
+// so a concurrent tail that applied it first stops this one.
 func (f *Follower) tail(ctx context.Context) error {
-	return wal.Replay(ctx, f.backend, f.applied.Load(), func(rec wal.Record) error {
+	return wal.Replay(ctx, f.backend, f.AppliedLSN(), func(rec wal.Record) error {
 		f.w.mu.Lock()
 		defer f.w.mu.Unlock()
-		if err := f.w.apply(rec); err != nil {
-			return err
-		}
-		f.applied.Store(rec.LSN)
-		return nil
+		return f.w.replay(rec)
 	})
 }
 

@@ -9,8 +9,11 @@ package pghive
 // per-request admission checks (context expiry, idempotency replay,
 // read-only fail-fast), one wal.AppendBatch — N frames, ONE fsync —
 // then applies and publishes each batch in log order before
-// acknowledging anyone. A lone writer is a group of one: one frame, one
-// fsync, the same bytes on disk as a direct wal.Append.
+// acknowledging anyone. It applies through writer.apply, the rule
+// recovery, Rearm and a follower's tail replay through, so the writer's
+// LSN and the log's agree after every group. A lone writer is a group
+// of one: one frame, one fsync, the same bytes on disk as a direct
+// wal.Append.
 //
 // Two contracts ride on this path. Durability: no caller is
 // acknowledged before the fsync covering its record returns, and a
@@ -169,17 +172,11 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 		return
 	}
 
-	// Apply in log order, publishing per batch — concurrent readers
-	// see one snapshot per batch, whatever the grouping.
+	// Apply in log order through the rule replay uses, publishing per
+	// batch — concurrent readers see one snapshot per batch, whatever the
+	// grouping, each stating its LSN.
 	for i, p := range pend {
-		d.noteApplied(held, p.key, first+uint64(i))
-		var bt BatchTiming
-		if p.retract {
-			bt = d.w.retract(p.g)
-		} else {
-			bt = d.w.ingest(p.g)
-		}
-		p.res <- commitRes{bt: bt}
+		p.res <- commitRes{bt: d.w.apply(first+uint64(i), p.key, p.g, p.retract)}
 	}
 	// In-group duplicates ack only now: their originals are durable
 	// (the group fsync returned) and applied.

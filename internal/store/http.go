@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 )
 
@@ -114,7 +115,15 @@ func (h *HTTP) Get(ctx context.Context, name string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
+// maxListBytes bounds a list response body: a quarter of a million
+// object names, far past what two retained generations and their WAL
+// segments come to.
+const maxListBytes = 8 << 20
+
 // List returns the object names under prefix in lexicographic order.
+// The listing is hostile input: a body cut off at maxListBytes fails to
+// decode, a name ValidateName refuses or outside prefix fails the call,
+// and the names are sorted and deduplicated here, not trusted to be.
 func (h *HTTP) List(ctx context.Context, prefix string) ([]string, error) {
 	if err := validatePrefix(prefix); err != nil {
 		return nil, err
@@ -132,10 +141,16 @@ func (h *HTTP) List(ctx context.Context, prefix string) ([]string, error) {
 		return nil, statusErr("list", prefix, resp)
 	}
 	var lr listResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxListBytes)).Decode(&lr); err != nil {
 		return nil, fmt.Errorf("store: list %q: %w", prefix, err)
 	}
-	return lr.Objects, nil
+	for _, name := range lr.Objects {
+		if ValidateName(name) != nil || !strings.HasPrefix(name, prefix) {
+			return nil, fmt.Errorf("store: list %q: refused object name %q", prefix, name)
+		}
+	}
+	slices.Sort(lr.Objects)
+	return slices.Compact(lr.Objects), nil
 }
 
 // Delete removes the named object via an authenticated DELETE;

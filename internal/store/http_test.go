@@ -4,7 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pghive/pghive/internal/vfs"
@@ -76,6 +78,58 @@ func TestHandlerNoTokenRefusesMutations(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("PUT with no configured token: status %d, want 401", resp.StatusCode)
 	}
+}
+
+// FuzzHTTPList serves fuzzed list bodies to the HTTP client: List never
+// panics, allocates within the budget the other decoders of untrusted
+// bytes keep (1 MiB + 256 × input), and every listing it accepts holds
+// only valid names under the prefix, strictly sorted.
+func FuzzHTTPList(f *testing.F) {
+	f.Add([]byte(`{"objects":["manifest-00000000000000000002.mft","wal/00000000000000000001.wal"]}`), "")
+	f.Add([]byte(`{"objects":["wal/b.wal","wal/a.wal","wal/a.wal"]}`), "wal/")
+	f.Add([]byte(`{"objects":["../x"]}`), "")
+	f.Add([]byte(`{"objects":["wal/../x"]}`), "wal/")
+	f.Add([]byte(`{"objects":["manifest-1.mft"]}`), "wal/")
+	f.Add([]byte(`{"objects":[""]}`), "")
+	f.Add([]byte(`{"objects":null}`), "manifest-")
+	f.Add([]byte(`{"objects":[1,2]}`), "")
+	f.Add([]byte(`[]`), "")
+	f.Add([]byte(`{"objects":["a"]`), "")
+
+	var body atomic.Pointer[[]byte]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(*body.Load())
+	}))
+	defer srv.Close()
+	h, err := NewHTTP(srv.URL, "", srv.Client())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, prefix string) {
+		body.Store(&data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		names, err := h.List(context.Background(), prefix)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); grew > limit {
+			t.Fatalf("List of a %d-byte body allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		for i, name := range names {
+			if err := ValidateName(name); err != nil {
+				t.Fatalf("accepted an invalid name: %v", err)
+			}
+			if !strings.HasPrefix(name, prefix) {
+				t.Fatalf("accepted %q under prefix %q", name, prefix)
+			}
+			if i > 0 && names[i-1] >= name {
+				t.Fatalf("accepted listing is not strictly sorted: %q before %q", names[i-1], name)
+			}
+		}
+	})
 }
 
 // TestHTTPNotFound maps a 404 to ErrNotFound so the follower can tell

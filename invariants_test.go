@@ -365,8 +365,8 @@ var rows = []struct{ rule, path, src, want string }{
 
 	{"WitnessesComeFromLocks", "service.go", `type writeHeld struct{}; func (l writeLock) Lock() writeHeld { return writeHeld{} }; func (l writeLock) LockContext() (writeHeld, error) { var h writeHeld; return h, nil }`, ""},
 	{"WitnessesComeFromLocks", "service.go", `type writeHeld struct{}; func (l writeLock) Lock() writeHeld { return writeHeld{} }`, "the witness table expects writeLock.LockContext minting writeHeld here"},
-	{"WitnessesComeFromLocks", "groupcommit.go", `func (d *DurableService) BadLiteral() { d.noteApplied(writeHeld{}, 1) }`, "writeHeld named outside a parameter list"},
-	{"WitnessesComeFromLocks", "groupcommit.go", `func (d *DurableService) BadVar() { var h writeHeld; d.noteApplied(h, 1) }`, "writeHeld named outside a parameter list"},
+	{"WitnessesComeFromLocks", "groupcommit.go", `func (d *DurableService) BadLiteral() error { return d.failFast(writeHeld{}) }`, "writeHeld named outside a parameter list"},
+	{"WitnessesComeFromLocks", "groupcommit.go", `func (d *DurableService) BadVar() error { var h writeHeld; return d.failFast(h) }`, "writeHeld named outside a parameter list"},
 	{"WitnessesComeFromLocks", "ship.go", `type keeper struct{ h compactHeld }`, "compactHeld named outside a parameter list"},
 	{"WitnessesComeFromLocks", "ship.go", `func forge() (h compactHeld) { return }`, "compactHeld named outside a parameter list and outside compactLock.Lock"},
 	{"WitnessesComeFromLocks", "durable.go", `func (l *compactLock) Lock() compactHeld { l.mu.Lock(); _ = writeHeld{}; return compactHeld{} }`, "writeHeld named outside a parameter list"},

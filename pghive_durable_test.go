@@ -358,10 +358,12 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	}
 
 	// snaps freezes the directory right after each compaction — the
-	// file state a crash at that moment leaves behind.
+	// file state a crash at that moment leaves behind — with the LSN the
+	// live snapshot stated then.
 	type genSnap struct {
 		dir     string
 		records int
+		lsn     uint64
 	}
 	var snaps []genSnap
 	compact := func(records int, wantSeq uint64, wantRuns int, wantBaseLSN uint64) {
@@ -379,7 +381,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 		}
 		snap := t.TempDir()
 		copyTree(t, dir, snap)
-		snaps = append(snaps, genSnap{dir: snap, records: records})
+		snaps = append(snaps, genSnap{dir: snap, records: records, lsn: d.Stats().LSN})
 	}
 
 	for i, g := range fx.ingests {
@@ -433,6 +435,19 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	if fmt.Sprint(gotFiles) != fmt.Sprint(wantFiles) {
 		t.Fatalf("layout files after final compaction:\n  got  %v\n  want %v", gotFiles, wantFiles)
 	}
+	// A plain service restored from that base keeps no log, so its
+	// snapshot states no position, whatever LSN the base covers.
+	base, err := os.ReadFile(filepath.Join(dir, wantFiles[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := pghive.RestoreService(opts, bytes.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn := plain.Stats().LSN; lsn != 0 {
+		t.Fatalf("plain service restored from a base covering LSN 4 states LSN %d, want none", lsn)
+	}
 
 	// WAL retention: generation 5's floor is generation 4's coverage
 	// (LSN 4), so records 1-4 are pruned and record 5 — needed to
@@ -452,10 +467,13 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 			t.Fatalf("recover generation snapshot at %d records: %v", s.records, err)
 		}
 		img := serviceImage(t, rec)
-		st := rec.DurableStats()
+		st, lsn := rec.DurableStats(), rec.Stats().LSN
 		rec.Close()
 		if !bytes.Equal(img, ref[s.records]) {
 			t.Fatalf("recovery from generation snapshot at %d records diverges", s.records)
+		}
+		if lsn != s.lsn || lsn != uint64(s.records) {
+			t.Fatalf("recovery at %d records states LSN %d; before the crash the snapshot stated %d", s.records, lsn, s.lsn)
 		}
 		if st.RecoveryFallbacks != 0 {
 			t.Fatalf("snapshot at %d records needed %d fallbacks on a healthy disk", s.records, st.RecoveryFallbacks)

@@ -23,6 +23,7 @@ import (
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
+	"github.com/pghive/pghive/internal/wal"
 )
 
 // replicaWorld is one leader + backend pair on in-memory filesystems.
@@ -96,6 +97,9 @@ func TestFollowerBitIdenticalToLeader(t *testing.T) {
 	leaderLSN := w.leader.DurableStats().WALNextLSN - 1
 	if got := f.AppliedLSN(); got != leaderLSN {
 		t.Fatalf("follower applied LSN %d, leader at %d", got, leaderLSN)
+	}
+	if fl, ld := f.Stats().LSN, w.leader.Stats().LSN; fl != leaderLSN || ld != leaderLSN {
+		t.Fatalf("snapshots state LSN %d (follower) and %d (leader), want both at %d", fl, ld, leaderLSN)
 	}
 	if !bytes.Equal(serviceImage(t, w.leader), serviceImage(t, f)) {
 		t.Fatal("follower image differs from leader at the same LSN")
@@ -194,6 +198,74 @@ func TestFollowerTailsAcrossLeaderProgress(t *testing.T) {
 		if !bytes.Equal(serviceImage(t, w.leader), serviceImage(t, f)) {
 			t.Fatalf("round %d: follower image diverged", round)
 		}
+	}
+}
+
+// parkedSegments wraps a backend so that, while armed, every WAL-segment
+// Get announces itself on arrived and waits for release.
+type parkedSegments struct {
+	store.Backend
+	armed   atomic.Bool
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (b *parkedSegments) Get(ctx context.Context, name string) ([]byte, error) {
+	if b.armed.Load() && strings.HasPrefix(name, wal.Prefix) {
+		b.arrived <- struct{}{}
+		<-b.release
+	}
+	return b.Backend.Get(ctx, name)
+}
+
+// TestFollowerConcurrentTailsNeverDiverge: two TailOnce calls that both
+// start from the same position — each parked at its first segment fetch
+// until the other is inside too — must apply every record once. The
+// writer's own LSN decides what is next, under the write lock, so
+// whichever call comes second finds its record already applied and
+// stops: at most one fault, and the image the leader has.
+func TestFollowerConcurrentTailsNeverDiverge(t *testing.T) {
+	backend := &parkedSegments{
+		Backend: store.NewDir(vfs.NewMemFS(), "/backend"),
+		arrived: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	w := newReplicaWorld(t, backend)
+	f := w.follower()
+	ctx := context.Background()
+	if err := f.Bootstrap(ctx); err != nil { // the empty state, at LSN 0
+		t.Fatal(err)
+	}
+	w.writeRound(0, 6)
+
+	backend.armed.Store(true)
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() { errs <- f.TailOnce(ctx) }()
+	}
+	<-backend.arrived
+	<-backend.arrived
+	backend.armed.Store(false)
+	close(backend.release)
+	failed := 0
+	for range 2 {
+		if err := <-errs; err != nil {
+			failed++
+		}
+	}
+
+	leaderLSN := w.leader.DurableStats().WALNextLSN - 1
+	if got := f.AppliedLSN(); got != leaderLSN {
+		t.Fatalf("follower at LSN %d, leader at %d", got, leaderLSN)
+	}
+	if lb, fb := w.leader.Stats().Batches, f.Stats().Batches; lb != fb {
+		t.Fatalf("leader applied %d batches, the follower %d", lb, fb)
+	}
+	if !bytes.Equal(serviceImage(t, w.leader), serviceImage(t, f)) {
+		t.Fatal("concurrent tails left the follower's image different from the leader's")
+	}
+	if faults := f.Lag(ctx).FetchFaults; failed > 1 || faults > 1 {
+		t.Fatalf("%d tails failed and %d faults were counted, want at most one", failed, faults)
 	}
 }
 

@@ -12,6 +12,7 @@ package pghive_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	pghive "github.com/pghive/pghive"
@@ -107,6 +108,30 @@ func TestKeyedRetryAppliesExactlyOnceAcrossCrash(t *testing.T) {
 	}
 	if got := countsOf(d2.Stats()); got.Batches != want.Batches+1 {
 		t.Fatalf("fresh keyed write did not apply: %+v", got)
+	}
+}
+
+// TestLongestKeySurvivesReplay: a key of MaxIdempotencyKeyLen bytes —
+// its one-byte length prefix at 255 — decodes back out of the WAL
+// record on recovery, and the retry is recognized.
+func TestLongestKeySurvivesReplay(t *testing.T) {
+	mem := vfs.NewMemFS()
+	d := openIdemService(t, mem, 0)
+	key := strings.Repeat("k", pghive.MaxIdempotencyKeyLen)
+	g := stressGraph(t, 0, 5)
+	if _, _, err := d.IngestIdempotent(context.Background(), key, g); err != nil {
+		t.Fatal(err)
+	}
+	want := countsOf(d.Stats())
+
+	mem.Crash()
+	d2 := openIdemService(t, mem, 0)
+	defer d2.Close()
+	if _, replayed, err := d2.IngestIdempotent(context.Background(), key, g); err != nil || !replayed {
+		t.Fatalf("retry of the longest key after recovery: replayed=%v err=%v, want true/nil", replayed, err)
+	}
+	if got := countsOf(d2.Stats()); got != want {
+		t.Fatalf("replayed retry changed state: %+v, want %+v", got, want)
 	}
 }
 

@@ -32,6 +32,9 @@ type ServiceStats struct {
 	// Snapshot is the publication sequence number: 0 for the initial
 	// empty snapshot, incremented on every publish.
 	Snapshot uint64 `json:"snapshot"`
+	// LSN is the last WAL record the snapshot absorbed; zero, and absent
+	// from JSON, on a plain Service, which keeps no log.
+	LSN uint64 `json:"lsn,omitempty"`
 }
 
 // ServiceSnapshot is one immutable published state: a private deep
@@ -56,15 +59,19 @@ type Reader struct {
 // pipeline plus label-only endpoint bookkeeping kept across batches
 // (the serving analogue of a stream reader's resolver), so an edge
 // ingested in a later request still resolves endpoint labels for nodes
-// ingested earlier. ingest, retract and apply are the ONE batch-apply
-// rule behind live serving, WAL recovery, Rearm's catch-up and a
-// follower's tail, which is what makes each bit-identical to the run
-// that logged the records. Not safe for concurrent use: an owner that
-// serves it holds mu around every call; a shadow owner (recovery, a
-// follower's bootstrap) is the only goroutine that ever sees it.
+// ingested earlier. apply is the ONE rule that advances a logged state
+// — the committer, WAL recovery, Rearm's catch-up and a follower's tail
+// all call it — and it runs the ingest and retract a plain Service
+// calls, which is what makes each bit-identical to the run that logged
+// the records. Not safe for concurrent use: an owner that serves it
+// holds mu around every call; a shadow owner (recovery, a follower's
+// bootstrap) is the only goroutine that ever sees it.
 type writer struct {
-	mu       writeLock
-	opts     Options
+	mu   writeLock
+	opts Options
+	// lsn is the last WAL record the state absorbed: the image's WALSeq
+	// at start, then moved only by apply.
+	lsn      uint64
 	inc      *Incremental
 	resolver *Graph // label-only, cross-ingest endpoint bookkeeping
 	// nextEdgeID carries the sequential edge-ID counter across CSV
@@ -102,7 +109,7 @@ func newWriter(opts Options, img *core.Image, keyCap int) (*writer, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.inc, w.resolver, w.nextEdgeID = inc, extras.Resolver, extras.NextEdgeID
+		w.inc, w.resolver, w.nextEdgeID, w.lsn = inc, extras.Resolver, extras.NextEdgeID, extras.WALSeq
 		if w.keys != nil {
 			for _, k := range extras.AppliedKeys {
 				w.keys.add(k.Key, k.LSN)
@@ -155,6 +162,7 @@ func RestoreService(opts Options, r io.Reader) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	img.WALSeq = 0 // a durable base image's position means nothing without its log
 	w, err := newWriter(opts, img, 0)
 	if err != nil {
 		return nil, err
@@ -199,7 +207,8 @@ func (l writeLock) LockContext(ctx context.Context) (writeHeld, error) {
 }
 
 // publish clones the live schema, finalizes constraints on the clone,
-// and swaps it in under the next snapshot sequence number.
+// and swaps it in under the next snapshot sequence number, stating the
+// log position it absorbed.
 func (w *writer) publish() {
 	if w.out == nil {
 		return
@@ -207,7 +216,7 @@ func (w *writer) publish() {
 	sch := w.inc.Schema().Clone()
 	infer.Finalize(sch, w.opts.Infer)
 	st := ServiceStats{IncrementalStats: w.inc.Stats(),
-		NodeTypes: len(sch.NodeTypes), EdgeTypes: len(sch.EdgeTypes)}
+		NodeTypes: len(sch.NodeTypes), EdgeTypes: len(sch.EdgeTypes), LSN: w.lsn}
 	if prev := w.out.snap.Load(); prev != nil {
 		st.Snapshot = prev.Stats.Snapshot + 1
 	}
@@ -257,6 +266,20 @@ func (w *writer) retract(g *Graph) BatchTiming {
 	}
 	w.publish()
 	return bt
+}
+
+// apply absorbs the batch logged at lsn, and the idempotency key it
+// carried where keys are tracked, through ingest or retract, so the
+// snapshot they publish states lsn.
+func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) BatchTiming {
+	w.lsn = lsn
+	if key != "" && w.keys != nil {
+		w.keys.add(key, lsn)
+	}
+	if retract {
+		return w.retract(g)
+	}
+	return w.ingest(g)
 }
 
 // writeCheckpoint serializes the full state under the write lock (see
