@@ -6,7 +6,7 @@ package pghive
 // images whole — stays the definition, and this file holds the fast
 // path to it from outside: after every Compact of a generated write
 // sequence, the run the round wrote must equal
-// json.Marshal(DiffImage(image before, image after)) byte for byte,
+// core.EncodeDelta(DiffImage(image before, image after)) byte for byte,
 // with both images taken by the ordinary CaptureImage path, and the
 // generation on disk must merge to the live image. A fold round's
 // base image is held to the captured image the same way.
@@ -18,7 +18,6 @@ package pghive
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -159,7 +158,7 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 		if err != nil {
 			s.t.Fatal(err)
 		}
-		wantBytes, err := json.Marshal(want)
+		wantBytes, err := core.EncodeDelta(want)
 		if err != nil {
 			s.t.Fatal(err)
 		}

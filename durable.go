@@ -83,7 +83,6 @@ package pghive
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -543,8 +542,8 @@ func mergedImage(ctx context.Context, src store.Backend, opts Options, man *runf
 		if err != nil {
 			return nil, err
 		}
-		var delta core.ImageDelta
-		if err := json.Unmarshal(payload, &delta); err != nil {
+		delta, err := core.ParseDelta(payload)
+		if err != nil {
 			return nil, fmt.Errorf("run %s: %w", ri.Name, err)
 		}
 		if delta.FromLSN != ri.From || delta.ToLSN != ri.To {
@@ -872,7 +871,7 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		round.FoldReason = FoldTombstoneRatio
 	}
 	if round.FoldReason == "" {
-		payload, err := json.Marshal(ch.delta)
+		payload, err := core.EncodeDelta(ch.delta)
 		if err != nil {
 			return nil, fmt.Errorf("pghive: durable: encode run: %w", err)
 		}

@@ -17,7 +17,14 @@ package core
 // down (the schema is a schema.Persisted, not its text) and is JSON
 // only past EncodeImage and before DecodeImage. WriteCheckpoint is
 // CaptureImage + EncodeImage; ResumeFromCheckpoint is DecodeImage +
-// RestoreImage. The byte format is unchanged from version 1.
+// RestoreImage.
+//
+// The byte format is generation 2 (CheckpointVersion): compact JSON with
+// sorted keys, in which every element-keyed collection is grouped and
+// gap-coded — the assignments in keyed's form, the resolver as one ID
+// list per label set (ResolverNodes). An image of any other version is
+// refused by its version, never read. The schema inside an image keeps
+// its own format (schema.Persisted), which WriteSchemaJSON shares.
 //
 // An Image never aliases a live pipeline: CaptureImage and
 // RestoreImage copy, in both directions. Compaction depends on it — a
@@ -25,18 +32,23 @@ package core
 // lock, while writes keep landing on the pipeline it was taken from.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/lsh"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
 
-// CheckpointVersion is the format version WriteCheckpoint emits.
-const CheckpointVersion = 1
+// CheckpointVersion is the format version WriteCheckpoint emits and the
+// only one the decoders read.
+const CheckpointVersion = 2
 
 // ResolverNode is one persisted entry of the stream's endpoint
 // bookkeeping: a node ID and its labels (never properties or edges).
@@ -44,6 +56,74 @@ const CheckpointVersion = 1
 type ResolverNode struct {
 	ID     pg.ID    `json:"id"`
 	Labels []string `json:"labels,omitempty"`
+}
+
+// ResolverNodes is the resolver as an image holds it: one entry per
+// node, in ID order. A resolver holds many nodes and few label sets, so
+// it is written grouped — one gap-coded ID list per label set, the sets
+// in ascending order — and read back only in that spelling: no empty
+// group, no set twice, no node in two sets.
+type ResolverNodes []ResolverNode
+
+// resolverGroup is one label set's nodes on the wire.
+type resolverGroup struct {
+	Labels []string         `json:"labels,omitempty"`
+	IDs    keyed.IDs[pg.ID] `json:"ids"`
+}
+
+// MarshalJSON writes the groups; it refuses nodes out of ID order.
+func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
+	var groups []resolverGroup
+	at := map[string]int{}
+	for _, n := range ns {
+		// Joining on NUL costs nothing for the common single label. A label
+		// holding a NUL can make two sets share a key, so the group found
+		// is checked, and searched for on a mismatch.
+		key := strings.Join(n.Labels, "\x00")
+		i, ok := at[key]
+		if !ok || !slices.Equal(groups[i].Labels, n.Labels) {
+			i = slices.IndexFunc(groups, func(g resolverGroup) bool { return slices.Equal(g.Labels, n.Labels) })
+			if i < 0 {
+				i = len(groups)
+				groups = append(groups, resolverGroup{Labels: n.Labels})
+			}
+			at[key] = i
+		}
+		groups[i].IDs = append(groups[i].IDs, n.ID)
+	}
+	slices.SortFunc(groups, func(a, b resolverGroup) int { return slices.Compare(a.Labels, b.Labels) })
+	return json.Marshal(groups)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes. The nodes of one group
+// share its label slice; nothing modifies labels in place.
+func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
+	var groups []resolverGroup
+	if err := json.Unmarshal(data, &groups); err != nil {
+		return err
+	}
+	var out ResolverNodes
+	for i, g := range groups {
+		switch {
+		case len(g.IDs) == 0:
+			return fmt.Errorf("resolver: group %v is empty", g.Labels)
+		case g.Labels != nil && len(g.Labels) == 0, !slices.IsSorted(g.Labels):
+			return fmt.Errorf("resolver: label set %q is not canonical", g.Labels)
+		case i > 0 && slices.Compare(groups[i-1].Labels, g.Labels) >= 0:
+			return fmt.Errorf("resolver: label set %q after %q: sets must ascend", g.Labels, groups[i-1].Labels)
+		}
+		for _, id := range g.IDs {
+			out = append(out, ResolverNode{ID: id, Labels: g.Labels})
+		}
+	}
+	slices.SortFunc(out, func(a, b ResolverNode) int { return cmp.Compare(a.ID, b.ID) })
+	for i := 1; i < len(out); i++ {
+		if out[i].ID == out[i-1].ID {
+			return fmt.Errorf("resolver: node %d is in two label sets", out[i].ID)
+		}
+	}
+	*ns = out
+	return nil
 }
 
 // Image is the materialized checkpoint state — the on-disk layout of a
@@ -60,8 +140,8 @@ type Image struct {
 	// Batches counts processed batches.
 	Batches int `json:"batches"`
 	// NodeAssign / EdgeAssign map element IDs to schema type IDs.
-	NodeAssign map[pg.ID]int `json:"nodeAssign,omitempty"`
-	EdgeAssign map[pg.ID]int `json:"edgeAssign,omitempty"`
+	NodeAssign keyed.Map[pg.ID] `json:"nodeAssign,omitempty"`
+	EdgeAssign keyed.Map[pg.ID] `json:"edgeAssign,omitempty"`
 	// Accumulated Result counters.
 	NodeClusters int `json:"nodeClusters"`
 	EdgeClusters int `json:"edgeClusters"`
@@ -76,7 +156,7 @@ type Image struct {
 	EdgeShapeCache []pg.ShapeEntry `json:"edgeShapeCache,omitempty"`
 	// Resolver is the stream's label-only endpoint bookkeeping, in ID
 	// order.
-	Resolver []ResolverNode `json:"resolver,omitempty"`
+	Resolver ResolverNodes `json:"resolver,omitempty"`
 	// NextEdgeID preserves the CSV stream's sequential edge-ID counter
 	// (0 for JSONL streams, whose IDs are explicit in the input).
 	NextEdgeID pg.ID `json:"nextEdgeID,omitempty"`
@@ -179,36 +259,54 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 }
 
 // EncodeImage writes the image in the canonical checkpoint byte
-// format (compact JSON, sorted map keys, trailing newline). DecodeImage
-// reads the indented layout older directories hold just as well.
+// format (compact JSON, sorted map keys, trailing newline).
 func EncodeImage(w io.Writer, img *Image) error {
 	return json.NewEncoder(w).Encode(img)
 }
 
-// DecodeImage reads one checkpoint image and validates its version.
+// DecodeImage reads r to its end and parses it as one image (ParseImage).
 func DecodeImage(r io.Reader) (*Image, error) {
-	var img Image
-	if err := json.NewDecoder(r).Decode(&img); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	return checkImageVersion(&img)
+	return ParseImage(data)
 }
 
-// ParseImage is DecodeImage over an image already in memory: it decodes
-// data in place rather than copying it into a decoder's buffer.
+// ParseImage decodes one checkpoint image, refusing any other version
+// and any bytes after the image.
 func ParseImage(data []byte) (*Image, error) {
 	var img Image
-	if err := json.Unmarshal(data, &img); err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	if err := parseVersioned(data, &img, &img.Version, "checkpoint", CheckpointVersion); err != nil {
+		return nil, err
 	}
-	return checkImageVersion(&img)
+	return &img, nil
 }
 
-func checkImageVersion(img *Image) (*Image, error) {
-	if img.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d", img.Version)
+// parseVersioned unmarshals data into v, whose format version lands in
+// *version. A document of another version is refused by its version —
+// also when its body does not parse as this one's, as version 1's
+// element-keyed collections do not — so the error says what the bytes
+// are rather than where they stopped parsing.
+func parseVersioned(data []byte, v any, version *int, what string, want int) error {
+	if err := json.Unmarshal(data, v); err != nil {
+		var probe struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(data, &probe) == nil && probe.Version != want {
+			return checkVersion(what, probe.Version, want)
+		}
+		return fmt.Errorf("core: %s: %w", what, err)
 	}
-	return img, nil
+	return checkVersion(what, *version, want)
+}
+
+// checkVersion refuses a format version this build does not write.
+func checkVersion(what string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("core: %s version %d is not supported (this build reads version %d only)", what, got, want)
+	}
+	return nil
 }
 
 // EmptyImage is the image of a freshly created discovery — the base
@@ -237,8 +335,8 @@ func (inc *Incremental) WriteCheckpoint(w io.Writer, extras *CheckpointExtras) e
 // that the operator wants to change across restarts, and changing
 // discovery-relevant ones simply forfeits bit-identity).
 func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, error) {
-	if img.Version != CheckpointVersion {
-		return nil, nil, fmt.Errorf("core: unsupported checkpoint version %d", img.Version)
+	if err := checkVersion("checkpoint", img.Version, CheckpointVersion); err != nil {
+		return nil, nil, err
 	}
 	s, err := img.Schema.Restore()
 	if err != nil {

@@ -17,11 +17,18 @@ package core
 // key-sorted slices (shape caches, resolver). The scalars (counters,
 // adaptive choices) are O(types) and carried whole; the schema, whose
 // degree statistics grow with the database, as a structural patch
-// (schema.Diff). Nothing here encodes or decodes.
+// (schema.Diff).
+//
+// EncodeDelta and ParseDelta own a run's bytes (format generation 2,
+// as images). Element-keyed puts and tombstones are written the way
+// images write them: assignments and degree puts as keyed.Map value
+// groups, tombstones as gap-coded keyed.IDs, resolver puts grouped by
+// label set. A run of any other version is refused by its version.
 
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -31,14 +38,10 @@ import (
 	"github.com/pghive/pghive/internal/schema"
 )
 
-// DeltaVersion is the ImageDelta format version.
-const DeltaVersion = 1
-
-// Assign records one element's (re)assignment to a schema type.
-type Assign struct {
-	ID   pg.ID `json:"id"`
-	Type int   `json:"type"`
-}
+// DeltaVersion is the ImageDelta format version, the only one ParseDelta
+// reads. Version 2 writes the element-keyed puts and tombstones grouped
+// and gap-coded, as images are.
+const DeltaVersion = 2
 
 // ImageDelta is the difference between two checkpoint images: the
 // state change a span of WAL records (FromLSN, ToLSN] produced.
@@ -68,11 +71,11 @@ type ImageDelta struct {
 	NextTypeID   int                `json:"nextTypeID"`
 	NextEdgeID   pg.ID              `json:"nextEdgeID,omitempty"`
 
-	// Assignment puts and tombstones, ID-ascending.
-	NodeAssign   []Assign `json:"nodeAssign,omitempty"`
-	NodeUnassign []pg.ID  `json:"nodeUnassign,omitempty"`
-	EdgeAssign   []Assign `json:"edgeAssign,omitempty"`
-	EdgeUnassign []pg.ID  `json:"edgeUnassign,omitempty"`
+	// Assignment puts and tombstones.
+	NodeAssign   keyed.Map[pg.ID] `json:"nodeAssign,omitempty"`
+	NodeUnassign keyed.IDs[pg.ID] `json:"nodeUnassign,omitempty"`
+	EdgeAssign   keyed.Map[pg.ID] `json:"edgeAssign,omitempty"`
+	EdgeUnassign keyed.IDs[pg.ID] `json:"edgeUnassign,omitempty"`
 
 	// Shape-cache puts and tombstones, fingerprint-ascending (deleted
 	// fingerprints marshal as base64 like ShapeEntry keys).
@@ -82,8 +85,8 @@ type ImageDelta struct {
 	EdgeShapeDel [][]byte        `json:"edgeShapeDel,omitempty"`
 
 	// Resolver puts and tombstones, ID-ascending.
-	ResolverPut []ResolverNode `json:"resolverPut,omitempty"`
-	ResolverDel []pg.ID        `json:"resolverDel,omitempty"`
+	ResolverPut ResolverNodes    `json:"resolverPut,omitempty"`
+	ResolverDel keyed.IDs[pg.ID] `json:"resolverDel,omitempty"`
 
 	// AppliedKeys are the idempotency keys applied in (FromLSN, ToLSN],
 	// in LSN order. Keys the base image already carried are not
@@ -132,8 +135,8 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 
 		SchemaPatch: schema.Diff(&base.Schema, &next.Schema),
 	}
-	d.NodeAssign, d.NodeUnassign = assignList(keyed.DiffMap(base.NodeAssign, next.NodeAssign, cmp.Compare))
-	d.EdgeAssign, d.EdgeUnassign = assignList(keyed.DiffMap(base.EdgeAssign, next.EdgeAssign, cmp.Compare))
+	d.NodeAssign, d.NodeUnassign = keyed.DiffMap(base.NodeAssign, next.NodeAssign, cmp.Compare)
+	d.EdgeAssign, d.EdgeUnassign = keyed.DiffMap(base.EdgeAssign, next.EdgeAssign, cmp.Compare)
 	d.NodeShapePut, d.NodeShapeDel = diffSorted(base.NodeShapeCache, next.NodeShapeCache, shapeKey, bytes.Compare, shapeEqual)
 	d.EdgeShapePut, d.EdgeShapeDel = diffSorted(base.EdgeShapeCache, next.EdgeShapeCache, shapeKey, bytes.Compare, shapeEqual)
 	d.ResolverPut, d.ResolverDel = diffSorted(base.Resolver, next.Resolver, resolverKey, cmp.Compare, resolverEqual)
@@ -149,11 +152,11 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 // to ToLSN. The delta chain's contiguity is enforced here: applying a
 // run whose FromLSN is not exactly the image's covered LSN fails.
 func (d *ImageDelta) Apply(img *Image) error {
-	if d.Version != DeltaVersion {
-		return fmt.Errorf("core: delta: unsupported delta version %d", d.Version)
+	if err := checkVersion("delta", d.Version, DeltaVersion); err != nil {
+		return err
 	}
-	if img.Version != CheckpointVersion {
-		return fmt.Errorf("core: delta: unsupported image version %d", img.Version)
+	if err := checkVersion("checkpoint", img.Version, CheckpointVersion); err != nil {
+		return err
 	}
 	if d.FromLSN != img.WALSeq {
 		return fmt.Errorf("core: delta: run starts at LSN %d but image covers LSN %d", d.FromLSN, img.WALSeq)
@@ -176,8 +179,8 @@ func (d *ImageDelta) Apply(img *Image) error {
 	img.NextTypeID = d.NextTypeID
 	img.NextEdgeID = d.NextEdgeID
 
-	img.NodeAssign = keyed.ApplyMap(img.NodeAssign, assignSet(d.NodeAssign), d.NodeUnassign)
-	img.EdgeAssign = keyed.ApplyMap(img.EdgeAssign, assignSet(d.EdgeAssign), d.EdgeUnassign)
+	img.NodeAssign = keyed.ApplyMap(img.NodeAssign, d.NodeAssign, d.NodeUnassign)
+	img.EdgeAssign = keyed.ApplyMap(img.EdgeAssign, d.EdgeAssign, d.EdgeUnassign)
 	img.NodeShapeCache = applySorted(img.NodeShapeCache, d.NodeShapePut, d.NodeShapeDel, shapeKey, bytes.Compare)
 	img.EdgeShapeCache = applySorted(img.EdgeShapeCache, d.EdgeShapePut, d.EdgeShapeDel, shapeKey, bytes.Compare)
 	img.Resolver = applySorted(img.Resolver, d.ResolverPut, d.ResolverDel, resolverKey, cmp.Compare)
@@ -186,24 +189,19 @@ func (d *ImageDelta) Apply(img *Image) error {
 	return nil
 }
 
-// assignList spells keyed.DiffMap's puts the way a run carries them —
-// {id, type} pairs, ID-ascending — and passes the tombstones through;
-// assignSet reads the list back.
-func assignList(puts map[pg.ID]int, dels []pg.ID) ([]Assign, []pg.ID) {
-	var list []Assign
-	for id, t := range puts {
-		list = append(list, Assign{ID: id, Type: t})
-	}
-	slices.SortFunc(list, func(a, b Assign) int { return cmp.Compare(a.ID, b.ID) })
-	return list, dels
+// EncodeDelta writes the delta in the canonical run payload format
+// (compact JSON, sorted map keys).
+func EncodeDelta(d *ImageDelta) ([]byte, error) {
+	return json.Marshal(d)
 }
 
-func assignSet(list []Assign) map[pg.ID]int {
-	puts := make(map[pg.ID]int, len(list))
-	for _, a := range list {
-		puts[a.ID] = a.Type
+// ParseDelta decodes one run payload, refusing any other version.
+func ParseDelta(data []byte) (*ImageDelta, error) {
+	var d ImageDelta
+	if err := parseVersioned(data, &d, &d.Version, "delta", DeltaVersion); err != nil {
+		return nil, err
 	}
-	return puts
+	return &d, nil
 }
 
 // How the two key-sorted collections are keyed and compared.

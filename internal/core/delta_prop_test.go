@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,34 +26,54 @@ import (
 )
 
 // FuzzImageDeltaApply: a run file's payload is hostile until proven
-// otherwise. Arbitrary bytes that parse as an ImageDelta must apply to
-// a fixed small image without panicking and without allocating more
-// than a constant factor of their own length, and an accepted delta
-// must leave an image that still encodes and decodes.
+// otherwise. Arbitrary bytes that ParseDelta accepts must apply to a
+// fixed small image without panicking and without allocating more than
+// a constant factor of their own length, and an accepted delta must
+// leave an image that still encodes and decodes.
 func FuzzImageDeltaApply(f *testing.F) {
 	base, _ := goldenImages(f)
 	baseBytes := imageBytes(f, base)
+	// Version 1 spelled element-keyed collections one record per element.
+	// Its payloads are refused by their version, whatever else they hold.
+	for _, v1 := range []string{
+		`{"version":1,"fromLSN":3,"toLSN":4}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"replace":{"version":1,"nodeTypes":null,"edgeTypes":null}}}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"edgeIDs":[5,5,5,5,5,5,5,5],"edgeTypes":[{"id":5,"srcDegSet":{"1":1}}]}}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"nodeIDs":[42]}}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":7}}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"resolverPut":[{"id":9},{"id":2,"labels":["X"]},{"id":9,"labels":["Y"]}],"resolverDel":[77,2,2],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"nodeAssign":[{"id":1,"type":99}],"nodeUnassign":[1,1,500],"edgeUnassign":[100]}`,
+		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"edgeIDs":[5],"edgeTypes":[{"id":5,"srcDegDel":["012"]}]}}`,
+	} {
+		if _, err := ParseDelta([]byte(v1)); err == nil || !strings.Contains(err.Error(), "version 1 is not supported") {
+			f.Fatalf("version-1 payload %s: %v", v1, err)
+		}
+		f.Add([]byte(v1))
+	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "delta.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"replace":{"version":1,"nodeTypes":null,"edgeTypes":null}}}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"replace":{"version":1,"nodeTypes":null,"edgeTypes":null}}}`))
 	// Hostile shapes: a type listed many times, a new type without a
-	// head, an unknown patch version, unsorted and repeated puts, dels of
-	// keys that are not there, a non-canonical degree key.
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"edgeIDs":[5,5,5,5,5,5,5,5],"edgeTypes":[{"id":5,"srcDegSet":{"1":1}}]}}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"nodeIDs":[42]}}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":7}}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"resolverPut":[{"id":9},{"id":2,"labels":["X"]},{"id":9,"labels":["Y"]}],"resolverDel":[77,2,2],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"nodeAssign":[{"id":1,"type":99}],"nodeUnassign":[1,1,500],"edgeUnassign":[100]}`))
-	f.Add([]byte(`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"edgeIDs":[5],"edgeTypes":[{"id":5,"srcDegDel":["012"]}]}}`))
+	// head, an unknown patch version, unsorted and repeated shape puts,
+	// dels of keys that are not there, a non-canonical degree key, an ID
+	// in two groups, a long gap-coded run of tombstones.
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"edgeIDs":[5,5,5,5,5,5,5,5],"edgeTypes":[{"id":5,"srcDegSet":[{"v":1,"ids":[1]}]}]}}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"nodeIDs":[42]}}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":7}}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"resolverPut":[{"ids":[9]},{"labels":["X"],"ids":[2]}],"resolverDel":[2,75],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"nodeAssign":[{"v":99,"ids":[1]}],"nodeUnassign":[1,499],"edgeUnassign":[100]}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"edgeIDs":[5],"edgeTypes":[{"id":5,"srcDegDel":["012"]}]}}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"edgeAssign":[{"v":5,"ids":[100]},{"v":6,"ids":[100]}]}`))
+	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"nodeUnassign":[1` + strings.Repeat(",1", 2000) + `]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var d ImageDelta
-		if err := json.Unmarshal(data, &d); err != nil {
+		d, err := ParseDelta(data)
+		if err != nil {
 			return // refused where text is parsed
 		}
 		img, err := DecodeImage(bytes.NewReader(baseBytes))
@@ -163,12 +184,12 @@ func TestDeltaDiffApplyProperty(t *testing.T) {
 		} else if p != nil && p.Replace != nil {
 			replaced++
 		}
-		payload, err := json.Marshal(d)
+		payload, err := EncodeDelta(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decoded ImageDelta
-		if err := json.Unmarshal(payload, &decoded); err != nil {
+		decoded, err := ParseDelta(payload)
+		if err != nil {
 			t.Fatalf("seed %d: own payload refused: %v\n%s", seed, err, payload)
 		}
 		img := cloneImage(t, a)
@@ -200,32 +221,115 @@ func TestDeltaDiffApplyProperty(t *testing.T) {
 // far as a diff or an apply — the decoders refuse it.
 func TestMalformedSchemaTextRefusedAtDecode(t *testing.T) {
 	for _, text := range []string{
-		`{"version":1,"schema":not json}`,
-		`{"version":1,"schema":"junk"}`,
-		`{"version":1,"schema":{"version":1,"edgeTypes":[{"id":0,"srcDeg":{"012":1}}]}}`,
+		`{"version":2,"schema":not json}`,
+		`{"version":2,"schema":"junk"}`,
+		`{"version":2,"schema":{"version":1,"edgeTypes":[{"id":0,"srcDeg":{"012":1}}]}}`,
 	} {
 		if _, err := DecodeImage(strings.NewReader(text)); err == nil {
 			t.Errorf("DecodeImage accepted %s", text)
 		}
 	}
 	for _, text := range []string{
-		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":not json}`,
-		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":"junk"}`,
-		`{"version":1,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":1,"replace":"junk"}}`,
+		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":not json}`,
+		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":"junk"}`,
+		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"replace":"junk"}}`,
 	} {
-		var d ImageDelta
-		if err := json.Unmarshal([]byte(text), &d); err == nil {
+		if _, err := ParseDelta([]byte(text)); err == nil {
 			t.Errorf("an ImageDelta decoded from %s", text)
 		}
 	}
 	// An image with no schema member decodes (to the zero schema) and is
 	// refused by the first thing that needs a schema.
-	img, err := DecodeImage(strings.NewReader(`{"version":1}`))
+	img, err := DecodeImage(strings.NewReader(`{"version":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := RestoreImage(Options{}, img); err == nil {
 		t.Fatal("RestoreImage accepted an image without a schema")
+	}
+}
+
+// TestOtherVersionsRefusedByVersion: an image or a run of another
+// version is refused with an error naming that version — also a
+// version-1 document, whose element-keyed collections do not parse as
+// version 2's.
+func TestOtherVersionsRefusedByVersion(t *testing.T) {
+	for _, c := range []struct{ text, want string }{
+		{`{"version":1,"nodeAssign":{"1":0},"resolver":[{"id":1,"labels":["A"]}]}`, "checkpoint version 1 "},
+		{`{"version":1}`, "checkpoint version 1 "},
+		{`{"version":3,"nodeAssign":[{"v":0,"ids":[1]}]}`, "checkpoint version 3 "},
+	} {
+		if _, err := ParseImage([]byte(c.text)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseImage(%s): %v, want an error naming %q", c.text, err, c.want)
+		}
+	}
+	for _, c := range []struct{ text, want string }{
+		{`{"version":1,"fromLSN":3,"toLSN":4,"nodeAssign":[{"id":1,"type":0}]}`, "delta version 1 "},
+		{`{"fromLSN":3,"toLSN":4}`, "delta version 0 "},
+	} {
+		if _, err := ParseDelta([]byte(c.text)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseDelta(%s): %v, want an error naming %q", c.text, err, c.want)
+		}
+	}
+	// An image decoded from other bytes is refused where it is used, too.
+	if _, _, err := RestoreImage(Options{}, &Image{Version: 1}); err == nil || !strings.Contains(err.Error(), "version 1 ") {
+		t.Errorf("RestoreImage of a version-1 image: %v", err)
+	}
+}
+
+// TestImageParsersRefuseTrailingBytes: DecodeImage (RestoreService,
+// ResumeFromCheckpoint, serve -restore) and ParseImage (recovery) are
+// one parser, so both refuse an image followed by anything but
+// whitespace.
+func TestImageParsersRefuseTrailingBytes(t *testing.T) {
+	_, img := goldenImages(t)
+	good := imageBytes(t, img)
+	if _, err := DecodeImage(bytes.NewReader(append(slices.Clone(good), " \n"...))); err != nil {
+		t.Fatalf("trailing whitespace refused: %v", err)
+	}
+	for _, tail := range []string{"x", "{}", `{"version":2}`, "\x00"} {
+		bad := append(slices.Clone(good), tail...)
+		if _, err := DecodeImage(bytes.NewReader(bad)); err == nil {
+			t.Errorf("DecodeImage accepted an image followed by %q", tail)
+		}
+		if _, err := ParseImage(bad); err == nil {
+			t.Errorf("ParseImage accepted an image followed by %q", tail)
+		}
+	}
+}
+
+// TestResolverWireForm: the resolver is written one ID list per label
+// set, and only that spelling reads back.
+func TestResolverWireForm(t *testing.T) {
+	nodes := ResolverNodes{{ID: 1, Labels: []string{"B"}}, {ID: 2}, {ID: 3, Labels: []string{"A", "B"}}, {ID: 5, Labels: []string{"B"}}, {ID: 9, Labels: []string{"A\x00B"}}}
+	b, err := json.Marshal(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"ids":[2]},{"labels":["A","B"],"ids":[3]},{"labels":["A\u0000B"],"ids":[9]},{"labels":["B"],"ids":[1,4]}]`
+	if string(b) != want {
+		t.Fatalf("got %s, want %s", b, want)
+	}
+	var back ResolverNodes
+	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, nodes) {
+		t.Fatalf("round trip gave %v (%v)", back, err)
+	}
+	if _, err := json.Marshal(ResolverNodes{{ID: 2}, {ID: 1}}); err == nil {
+		t.Fatal("nodes out of ID order must not encode")
+	}
+	for _, text := range []string{
+		`[{"labels":["B"],"ids":[]}]`,                             // empty group
+		`[{"labels":["B"],"ids":[1]},{"labels":["A"],"ids":[2]}]`, // sets out of order
+		`[{"labels":["B"],"ids":[1]},{"labels":["B"],"ids":[2]}]`, // set twice
+		`[{"labels":["A"],"ids":[1]},{"labels":["B"],"ids":[1]}]`, // node in two sets
+		`[{"labels":["B","A"],"ids":[1]}]`,                        // labels unsorted
+		`[{"labels":[],"ids":[1]}]`,                               // empty set spelled out
+		`[{"labels":["A"],"ids":[1,0]}]`,                          // gap zero
+		`[{"id":1,"labels":["A"]}]`,                               // version 1's spelling
+	} {
+		if err := json.Unmarshal([]byte(text), &back); err == nil {
+			t.Errorf("accepted %s as %v", text, back)
+		}
 	}
 }
 

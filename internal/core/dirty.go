@@ -24,6 +24,7 @@ import (
 	"maps"
 	"slices"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
@@ -292,16 +293,19 @@ func (inc *Incremental) Unlift(spent *Dirty) {
 
 // liftAssign is keyed.DiffMap over the touched elements alone: before
 // holds their old type IDs, now the live assignments.
-func liftAssign[T any](before map[pg.ID]int, now map[pg.ID]*T, typeID func(*T) int) (puts []Assign, dels []pg.ID) {
-	for _, id := range slices.Sorted(maps.Keys(before)) {
-		was := before[id]
+func liftAssign[T any](before map[pg.ID]int, now map[pg.ID]*T, typeID func(*T) int) (puts keyed.Map[pg.ID], dels keyed.IDs[pg.ID]) {
+	for id, was := range before {
 		switch t := now[id]; {
 		case t == nil && was != unassigned:
 			dels = append(dels, id)
 		case t != nil && typeID(t) != was:
-			puts = append(puts, Assign{ID: id, Type: typeID(t)})
+			if puts == nil {
+				puts = keyed.Map[pg.ID]{}
+			}
+			puts[id] = typeID(t)
 		}
 	}
+	slices.Sort(dels)
 	return puts, dels
 }
 

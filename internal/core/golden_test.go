@@ -11,7 +11,6 @@ package core
 //	go test ./internal/core -run Golden -update
 
 import (
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -133,8 +132,8 @@ func goldenImages(t testing.TB) (base, next *Image) {
 
 	// Churn: the only Tag and the only HAS_TAG go away, so retraction
 	// compacts both types out of the schema; KNOWS loses three edges,
-	// which tombstones degree entries of a surviving type (nodes 12, 2
-	// and 9: the run format lists them in decimal-string order).
+	// which tombstones degree entries of a surviving type (nodes 2, 9
+	// and 12, listed in numeric order as gaps: [2,7,3]).
 	r := pg.NewGraph()
 	r.AllowDanglingEdges(true)
 	must(r.PutNode(20, []string{"Tag"}, map[string]pg.Value{"name": pg.Str("go")}))
@@ -182,7 +181,7 @@ func TestGoldenDeltaFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(d)
+	payload, err := EncodeDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +189,8 @@ func TestGoldenDeltaFormat(t *testing.T) {
 
 	// The pinned payload is what recovery parses: decoded and applied to
 	// the base it must rebuild the pinned image.
-	var decoded ImageDelta
-	if err := json.Unmarshal(payload, &decoded); err != nil {
+	decoded, err := ParseDelta(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	img := cloneImage(t, base)

@@ -2,6 +2,11 @@
 // map-shaped state: a delta run carries the entries to put and the
 // keys to delete. core diffs and folds element assignments with it,
 // schema the per-node degree tallies.
+//
+// It also owns how element-keyed state is written (wire.go): an ID
+// list as its first ID and the gaps (IDs), a map onto small ints as one
+// such list per value (Map). Base images and runs of format generation
+// 2 spell every assignment, tombstone list and degree put that way.
 package keyed
 
 import "slices"

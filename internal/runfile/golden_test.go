@@ -51,7 +51,7 @@ func TestGoldenRunFormat(t *testing.T) {
 	mem := newFS(t)
 	// A fixed payload: the byte layout under test is the frame, not
 	// the (caller-owned) payload encoding.
-	payload := []byte(`{"version":1,"fromLSN":2,"toLSN":5,"nodeUnassign":[7]}` + "\n")
+	payload := []byte(`{"version":2,"fromLSN":2,"toLSN":5,"nodeUnassign":[7]}` + "\n")
 	info, err := WriteRun(mem, dir, 2, 5, 1, payload)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,9 @@ package schema
 // run layout exists to avoid — so the patch diffs the degree maps
 // key-wise (keyed.DiffMap, the rule of every map an image holds) and
 // re-emits only each type's bounded "head" (labels, props, tokens,
-// counters) when it changed.
+// counters) when it changed. The degree puts and deletes are written in
+// keyed's wire form: grouped by count, node IDs gap-coded in numeric
+// order.
 //
 // Exactness contract, on values: Diff(old, new).Apply(old) equals new
 // — the same types in the same order, deeply equal heads, equal degree
@@ -19,7 +21,8 @@ package schema
 // unknown version, duplicate type IDs, a patch that fails its own
 // proof. The fallback degrades to the old behavior, never to a wrong
 // schema. (A fallback for new schemas with fields this model would
-// drop went with the text it guarded.) Nothing here encodes or decodes.
+// drop went with the text it guarded.) Nothing here encodes or decodes
+// beyond the field types that choose the wire form.
 //
 // Diff reads both schemas whole, tallies included: O(database). The
 // compaction path does not call it. A durable writer records which
@@ -35,31 +38,31 @@ package schema
 // run CRCs.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"reflect"
 	"slices"
-	"strconv"
-	"strings"
 
 	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 )
 
-// patchVersion is the schema-patch format version.
-const patchVersion = 1
+// patchVersion is the schema-patch format version; Apply refuses any
+// other.
+const patchVersion = 2
 
 // jsonTypePatch carries one type's change. Head is the full type with
 // the degree maps stripped — O(labels + props), re-emitted whole when
 // any of it changed or the type is new. The degree maps themselves
 // travel as key-wise upserts and deletions.
 type jsonTypePatch struct {
-	ID        int             `json:"id"`
-	Head      *jsonType       `json:"head,omitempty"`
-	SrcDegSet map[nodeKey]int `json:"srcDegSet,omitempty"`
-	SrcDegDel []nodeKey       `json:"srcDegDel,omitempty"`
-	DstDegSet map[nodeKey]int `json:"dstDegSet,omitempty"`
-	DstDegDel []nodeKey       `json:"dstDegDel,omitempty"`
+	ID        int                `json:"id"`
+	Head      *jsonType          `json:"head,omitempty"`
+	SrcDegSet keyed.Map[nodeKey] `json:"srcDegSet,omitempty"`
+	SrcDegDel keyed.IDs[nodeKey] `json:"srcDegDel,omitempty"`
+	DstDegSet keyed.Map[nodeKey] `json:"dstDegSet,omitempty"`
+	DstDegDel keyed.IDs[nodeKey] `json:"dstDegDel,omitempty"`
 }
 
 // Patch is the structural difference between two Persisted schemas —
@@ -198,19 +201,19 @@ func (b *Baseline) Lift(s *Schema, nodes map[int]bool, edges map[int]*Touched) (
 
 // liftDeg is keyed.DiffMap over the touched keys alone: before holds
 // their old counts (0: absent), now the live tally.
-func liftDeg(before, now map[pg.ID]int) (set map[nodeKey]int, del []nodeKey) {
+func liftDeg(before, now map[pg.ID]int) (set keyed.Map[nodeKey], del keyed.IDs[nodeKey]) {
 	for id, was := range before {
 		switch count, ok := now[id]; {
 		case ok && count != was:
 			if set == nil {
-				set = map[nodeKey]int{}
+				set = keyed.Map[nodeKey]{}
 			}
 			set[nodeKey(id)] = count
 		case !ok && was != 0:
 			del = append(del, nodeKey(id))
 		}
 	}
-	slices.SortFunc(del, byDecimal)
+	slices.Sort(del)
 	return set, del
 }
 
@@ -273,11 +276,6 @@ func headOf(t jsonType) jsonType {
 	return t
 }
 
-// byDecimal is the order the run format lists tombstoned keys in.
-func byDecimal(a, b nodeKey) int {
-	return strings.Compare(strconv.FormatInt(int64(a), 10), strconv.FormatInt(int64(b), 10))
-}
-
 func diffTypes(old, new []jsonType) (ids []int, patches []jsonTypePatch) {
 	byID := typesByID(old)
 	for i := range new {
@@ -298,8 +296,8 @@ func diffTypes(old, new []jsonType) (ids []int, patches []jsonTypePatch) {
 		if oh, nh := headOf(*ot), headOf(*nt); !reflect.DeepEqual(oh, nh) {
 			tp.Head = &nh
 		}
-		tp.SrcDegSet, tp.SrcDegDel = keyed.DiffMap(ot.SrcDeg, nt.SrcDeg, byDecimal)
-		tp.DstDegSet, tp.DstDegDel = keyed.DiffMap(ot.DstDeg, nt.DstDeg, byDecimal)
+		tp.SrcDegSet, tp.SrcDegDel = keyed.DiffMap(ot.SrcDeg, nt.SrcDeg, cmp.Compare)
+		tp.DstDegSet, tp.DstDegDel = keyed.DiffMap(ot.DstDeg, nt.DstDeg, cmp.Compare)
 		if tp.Head != nil || tp.SrcDegSet != nil || tp.SrcDegDel != nil || tp.DstDegSet != nil || tp.DstDegDel != nil {
 			patches = append(patches, tp)
 		}
@@ -342,7 +340,7 @@ func applyTypes(old []jsonType, ids []int, patches []jsonTypePatch, kind string)
 }
 
 // applyDeg is keyed.ApplyMap on a copy: old belongs to the base image.
-func applyDeg(old, set map[nodeKey]int, del []nodeKey) map[nodeKey]int {
+func applyDeg(old map[nodeKey]int, set keyed.Map[nodeKey], del keyed.IDs[nodeKey]) map[nodeKey]int {
 	if len(set) == 0 && len(del) == 0 {
 		return old
 	}

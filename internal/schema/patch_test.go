@@ -180,10 +180,21 @@ func TestSchemaPatchApplyRejects(t *testing.T) {
 	}
 	// Malformed TEXT is refused where text is parsed — see
 	// core.TestMalformedSchemaTextRefusedAtDecode. What reaches a Patch
-	// from a file is a degree key, and only its canonical spelling does.
-	var p Patch
-	if err := json.Unmarshal([]byte(`{"version":1,"edgeIDs":[2],"edgeTypes":[{"id":2,"srcDegDel":["012"]}]}`), &p); err == nil {
-		t.Fatal("non-canonical degree tombstone accepted")
+	// from a file is a degree key, and only its canonical spelling does:
+	// not version 1's decimal strings, not a gap of zero.
+	for _, text := range []string{
+		`{"version":2,"edgeIDs":[2],"edgeTypes":[{"id":2,"srcDegDel":["012"]}]}`,
+		`{"version":2,"edgeIDs":[2],"edgeTypes":[{"id":2,"srcDegDel":[12,0]}]}`,
+		`{"version":2,"edgeIDs":[2],"edgeTypes":[{"id":2,"dstDegSet":{"12":1}}]}`,
+	} {
+		var p Patch
+		if err := json.Unmarshal([]byte(text), &p); err == nil {
+			t.Fatalf("non-canonical degree key accepted: %s", text)
+		}
+	}
+	// A version-1 patch is refused by its version.
+	if _, err := (&Patch{Version: 1}).Apply(good); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 patch: %v", err)
 	}
 }
 

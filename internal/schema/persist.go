@@ -183,10 +183,15 @@ func WriteJSON(w io.Writer, s *Schema) error {
 }
 
 // ReadJSON restores a schema serialized by WriteJSON, rebuilding the
-// token indexes and the ID counter.
+// token indexes and the ID counter. It reads r to its end: bytes after
+// the schema are refused, not ignored.
 func ReadJSON(r io.Reader) (*Schema, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("schema: %w", err)
+	}
 	var p Persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("schema: %w", err)
 	}
 	return p.Restore()

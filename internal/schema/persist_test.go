@@ -141,6 +141,24 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
+// TestReadJSONRefusesTrailingBytes: a schema file holds one schema.
+// Whatever follows it is refused, as the image parser refuses it, not
+// silently dropped.
+func TestReadJSONRefusesTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, buildPersistFixture()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJSON(strings.NewReader(buf.String() + "\n \t")); err != nil {
+		t.Fatalf("trailing whitespace refused: %v", err)
+	}
+	for _, tail := range []string{"x", "{}", `{"version":1}`, "]"} {
+		if _, err := ReadJSON(strings.NewReader(buf.String() + tail)); err == nil {
+			t.Errorf("a schema followed by %q was accepted", tail)
+		}
+	}
+}
+
 // TestReadJSONRefusesNonCanonicalDegreeKeys: a degree key is a node ID
 // in its one canonical decimal spelling. The parser used to stop at
 // the first non-digit and ignore the rest, so every key of this blob

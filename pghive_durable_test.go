@@ -13,16 +13,18 @@ package pghive_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -1261,51 +1263,129 @@ func TestOpenDurableRejectsUnknownRecordType(t *testing.T) {
 	}
 }
 
-// indented re-encodes one compact JSON document in the two-space
-// layout base images and manifest payloads were once written in.
-func indented(t *testing.T, doc []byte) []byte {
+// versionOne re-spells a base image or run payload of format
+// generation 2 the way version 1 wrote it: element assignments, resolver
+// entries and tombstones one JSON record per element, degree puts and
+// deletes keyed by decimal strings.
+func versionOne(t *testing.T, doc []byte) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, bytes.TrimSuffix(doc, []byte("\n")), "", "  "); err != nil {
+	var m map[string]any
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	if err := dec.Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteByte('\n')
-	return buf.Bytes()
-}
+	type entry struct {
+		id  int64
+		val any
+	}
+	ungap := func(v any) []int64 {
+		var ids []int64
+		for i, n := range v.([]any) {
+			id, err := n.(json.Number).Int64()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				id += ids[i-1]
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	ungroup := func(v any, valKey string) []entry {
+		var out []entry
+		for _, g := range v.([]any) {
+			g := g.(map[string]any)
+			for _, id := range ungap(g["ids"]) {
+				out = append(out, entry{id, g[valKey]})
+			}
+		}
+		slices.SortFunc(out, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+		return out
+	}
+	decimal := func(id int64) string { return strconv.FormatInt(id, 10) }
+	byDecimal := func(v any) []string {
+		var keys []string
+		for _, id := range ungap(v) {
+			keys = append(keys, decimal(id))
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	object := func(v any, valKey string) map[string]any {
+		obj := map[string]any{}
+		for _, e := range ungroup(v, valKey) {
+			obj[decimal(e.id)] = e.val
+		}
+		return obj
+	}
 
-// requireCompact fails unless doc is compact JSON plus a newline.
-func requireCompact(t *testing.T, what string, doc []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, doc); err != nil {
+	_, isRun := m["fromLSN"]
+	m["version"] = 1
+	for _, k := range []string{"nodeAssign", "edgeAssign"} {
+		switch v, ok := m[k]; {
+		case !ok:
+		case isRun:
+			var list []any
+			for _, e := range ungroup(v, "v") {
+				list = append(list, map[string]any{"id": e.id, "type": e.val})
+			}
+			m[k] = list
+		default:
+			m[k] = object(v, "v")
+		}
+	}
+	for _, k := range []string{"nodeUnassign", "edgeUnassign", "resolverDel"} {
+		if v, ok := m[k]; ok {
+			m[k] = ungap(v)
+		}
+	}
+	for _, k := range []string{"resolver", "resolverPut"} {
+		if v, ok := m[k]; ok {
+			var list []any
+			for _, e := range ungroup(v, "labels") {
+				rec := map[string]any{"id": e.id}
+				if e.val != nil {
+					rec["labels"] = e.val
+				}
+				list = append(list, rec)
+			}
+			m[k] = list
+		}
+	}
+	if p, ok := m["schemaPatch"].(map[string]any); ok {
+		p["version"] = 1
+		types, _ := p["edgeTypes"].([]any)
+		for _, tp := range types {
+			tp := tp.(map[string]any)
+			for _, side := range []string{"srcDeg", "dstDeg"} {
+				if v, ok := tp[side+"Set"]; ok {
+					tp[side+"Set"] = object(v, "v")
+				}
+				if v, ok := tp[side+"Del"]; ok {
+					tp[side+"Del"] = byDecimal(v)
+				}
+			}
+		}
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteByte('\n')
-	if !bytes.Equal(buf.Bytes(), doc) {
-		t.Fatalf("%s is not written compact", what)
-	}
+	return append(out, '\n')
 }
 
-// framePayload returns what follows a framed file's header line.
-func framePayload(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		t.Fatal("framed file has no header line")
-	}
-	return raw[nl+1:]
-}
-
-// TestIndentedLayoutUpgradesInPlace: base images and manifests are
-// written compact, but a data directory written in the older indented
-// layout (valid frames and CRCs, same versions) must still open as it
-// is — recovery and a bootstrapping follower both reach the live
-// state — and the next fold rewrites it compact.
-func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
+// TestGenerationOneLayoutRefused: the on-disk format is generation 2,
+// and what came before is refused by its version, never read. A data
+// directory whose base image and run are version 1 does not open, and
+// the error names the version. A follower bootstrapping from the same
+// objects fails the same way and stays unready: it does not serve an
+// empty state in place of the leader's.
+func TestGenerationOneLayoutRefused(t *testing.T) {
 	opts := pghive.Options{Seed: 1, Parallelism: 1}
-	// MaxRuns 1: every second round folds, so the generation below
-	// holds a base image and one run, and the round after recovery
-	// folds by merging that (indented) base.
+	// MaxRuns 1: every second round folds, so the generation below holds
+	// a base image and one run.
 	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, MaxRuns: 1}
 	dir := t.TempDir()
 	d, err := pghive.OpenDurable(dir, opts, dopts)
@@ -1329,16 +1409,11 @@ func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the generation's base image and manifest as the older
-	// encoders wrote them.
+	// Rewrite the base image and the run as version 1 wrote them, and
+	// reframe the manifest around the run's new CRC.
 	basePath := baseImagePath(dir, st)
 	base, err := os.ReadFile(basePath)
 	if err != nil {
-		t.Fatal(err)
-	}
-	requireCompact(t, "base image", base)
-	base = indented(t, base)
-	if err := os.WriteFile(basePath, base, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	manName := runfile.ManifestName(st.ManifestSeq)
@@ -1346,26 +1421,38 @@ func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := framePayload(t, raw)
-	requireCompact(t, "manifest payload", payload)
-	payload = indented(t, payload)
-	crc := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	man := append([]byte(fmt.Sprintf("PGHMFT1 crc=%08x len=%d\n", crc, len(payload))), payload...)
-	if err := os.WriteFile(filepath.Join(dir, manName), man, 0o644); err != nil {
+	man, err := runfile.ParseManifest(manName, raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := runfile.ParseManifest(manName, man)
+	ri := man.Runs[0]
+	raw, err = os.ReadFile(filepath.Join(dir, ri.Name))
 	if err != nil {
-		t.Fatalf("indented manifest does not validate: %v", err)
+		t.Fatal(err)
+	}
+	payload, err := runfile.ParseRun(ri, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Runs[0], err = runfile.WriteRun(nil, dir, ri.From, ri.To, ri.Tombstones, versionOne(t, payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := runfile.WriteManifest(nil, dir, man); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.WriteFile(basePath, versionOne(t, base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The previous generation shares the base, so no generation recovers.
+	if _, err := pghive.OpenDurable(dir, opts, dopts); err == nil || !strings.Contains(err.Error(), "checkpoint version 1 is not supported") {
+		t.Fatalf("OpenDurable over a version-1 base: %v", err)
 	}
 
 	// A follower bootstraps from the same objects.
 	ctx := context.Background()
 	backend := store.NewDir(vfs.NewMemFS(), "/backend")
-	if err := backend.Put(ctx, manName, man); err != nil {
-		t.Fatal(err)
-	}
-	for name := range m.Files() {
+	for name := range man.Files() {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -1374,42 +1461,40 @@ func TestIndentedLayoutUpgradesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	raw, err = os.ReadFile(filepath.Join(dir, manName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.Put(ctx, manName, raw); err != nil {
+		t.Fatal(err)
+	}
 	f := pghive.NewFollower(opts, backend, pghive.FollowerOptions{})
 	defer f.Close()
-	if err := f.Bootstrap(ctx); err != nil {
-		t.Fatalf("follower bootstrap from indented objects: %v", err)
+	if err := f.Bootstrap(ctx); err == nil || !strings.Contains(err.Error(), "checkpoint version 1 is not supported") {
+		t.Fatalf("follower bootstrap from version-1 objects: %v", err)
 	}
-	if !bytes.Equal(serviceImage(t, f), live) {
-		t.Fatal("follower bootstrapped from indented objects differs from the live service")
+	if err := f.TailOnce(ctx); err == nil {
+		t.Fatal("a follower tailed on top of a refused bootstrap")
+	}
+	if lag := f.Lag(ctx); lag.Ready || !strings.Contains(lag.LastFault, "version 1") {
+		t.Fatalf("follower after a refused bootstrap: %+v", lag)
 	}
 
+	// Under a version-2 base, the version-1 run alone is refused: recovery
+	// skips its generation, as it skips a torn one, and reaches the live
+	// state from the previous generation and the WAL it retained.
+	if err := os.WriteFile(basePath, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	d, err = pghive.OpenDurable(dir, opts, dopts)
 	if err != nil {
-		t.Fatalf("recovery of indented layout: %v", err)
+		t.Fatalf("OpenDurable over a version-1 run: %v", err)
 	}
 	defer d.Close()
+	if fb := d.DurableStats().RecoveryFallbacks; fb != 1 {
+		t.Fatalf("recovery skipped %d generations, want the version-1 run's", fb)
+	}
 	if !bytes.Equal(serviceImage(t, d), live) {
-		t.Fatal("recovered indented layout differs from the live service")
+		t.Fatal("recovery past the version-1 run differs from the live service")
 	}
-
-	// The next round folds the indented base and writes compact.
-	if _, err := d.Ingest(stressGraph(t, 1_000, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st = d.DurableStats()
-	if st.LastRound.FoldReason != pghive.FoldMaxRuns {
-		t.Fatalf("round after upgrade: fold reason %q, want %q", st.LastRound.FoldReason, pghive.FoldMaxRuns)
-	}
-	if base, err = os.ReadFile(baseImagePath(dir, st)); err != nil {
-		t.Fatal(err)
-	}
-	requireCompact(t, "folded base image", base)
-	if raw, err = os.ReadFile(filepath.Join(dir, runfile.ManifestName(st.ManifestSeq))); err != nil {
-		t.Fatal(err)
-	}
-	payload = framePayload(t, raw)
-	requireCompact(t, "folded manifest payload", payload)
 }

@@ -11,7 +11,6 @@ package pghive_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -216,24 +215,19 @@ func TestServiceCSVEdgeIDsSkipIngestedIDs(t *testing.T) {
 // and shape caches legitimately keep history across churn; only the
 // resolver must shrink back.)
 func TestServiceRetractDropsResolverEntries(t *testing.T) {
-	resolverOf := func(svc *pghive.Service) []struct {
-		ID     pghive.ID `json:"id"`
-		Labels []string  `json:"labels"`
-	} {
+	resolverOf := func(svc *pghive.Service) []pghive.Node {
 		var buf bytes.Buffer
 		if err := svc.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		var ck struct {
-			Resolver []struct {
-				ID     pghive.ID `json:"id"`
-				Labels []string  `json:"labels"`
-			} `json:"resolver"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &ck); err != nil {
+		_, extras, err := pghive.ResumeFromCheckpoint(pghive.Options{Seed: 1}, &buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return ck.Resolver
+		if extras.Resolver == nil {
+			return nil
+		}
+		return extras.Resolver.Nodes()
 	}
 
 	svc := pghive.NewService(pghive.Options{Seed: 1})
