@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
 
@@ -241,11 +242,12 @@ func TestDirtyOverflowCapturesWhole(t *testing.T) {
 
 	// The round fails at its base-image write: the record it lifted
 	// was "everything", and so is the one handed back.
-	s.d.fs = vfs.NewInjectFS(s.mem, vfs.NewPlan(vfs.Fault{Op: vfs.OpOpen, N: 1}))
+	healthy := s.d.local
+	s.d.local = store.NewDir(vfs.NewInjectFS(s.mem, vfs.NewPlan(vfs.Fault{Op: vfs.OpOpen, N: 1})), s.d.dir)
 	if err := s.d.Compact(); err == nil || !strings.Contains(err.Error(), "atomic write") {
 		t.Fatalf("faulted overflow round: %v, want its base-image write to fail", err)
 	}
-	s.d.fs = s.mem
+	s.d.local = healthy
 	s.grow("after the failed round", 5)
 	s.compact("overflow round")
 	if st := s.d.DurableStats(); st.LastRound.FoldReason != FoldDirtyOverflow || st.Runs != 0 {

@@ -39,8 +39,8 @@ package pghive
 // store.Dir). It tries the manifests newest first; only when none
 // parses, each bare base image is a generation of its own, covering the
 // LSN its name states. Every generation is read by mergedImage, the one
-// reader of bases and runs — the compactor's fold and the shipper read
-// the directory through the same store.Dir — and recovery additionally
+// reader of bases and runs — the compactor's fold reads the directory
+// through it too — and recovery additionally
 // requires the WAL tail above it to replay through wal.Replay, the one
 // reader of the log, which a follower's tail and Rearm use too
 // (catchUp). The tail is read from the segment holding the first
@@ -52,12 +52,12 @@ package pghive
 // retained records to the identical state, loudly counting the
 // fallback in DurableStats.
 //
-// Files a generation no longer references — superseded base images,
-// folded-away runs, old manifests, interrupted temporaries — are
-// garbage-collected by a sweep at startup and after every compaction,
-// inside reclaim, the one housekeeping step (ship, sweep, prune) both
-// run; removal failures are surfaced in DurableStats (GCFailures /
-// LastGCError) and retried on the next sweep, never silently dropped.
+// A round Puts its run or base image, then its manifest, through the
+// same store.Dir (DurableService.local). One collector (collect) deletes
+// the layout's files no kept generation references, in the data
+// directory (the sweep, at startup and after every round, inside
+// reclaim) and in the backend (shipGC) alike; failures are surfaced in
+// DurableStats and retried next round, never silently dropped.
 //
 // Two robustness layers ride on top of durability:
 //
@@ -170,7 +170,7 @@ type DurableOptions struct {
 	// ShipTo, when non-nil, enables WAL shipping: sealed segments and
 	// checkpoint generations are uploaded to the backend after every
 	// compaction so followers can bootstrap and tail. While set, local
-	// pruning and GC never reclaim artifacts the backend does not yet
+	// pruning never reclaims a WAL segment the backend does not yet
 	// hold (see Manifest.ShippedLSN).
 	ShipTo store.Backend
 }
@@ -210,9 +210,11 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // from the newest generation that validates.
 type DurableService struct {
 	*Reader
-	w     *writer
-	dir   string
-	fs    vfs.FS
+	w   *writer
+	dir string
+	// local is the data directory, which has the shipped layout: the
+	// service's one handle on its bases, runs and manifests.
+	local *store.Dir
 	log   atomic.Pointer[wal.Log]
 	dopts DurableOptions
 
@@ -239,10 +241,9 @@ type DurableService struct {
 	// manifest, torn base or run) before one validated.
 	fallbacks int
 
-	// gcFailures / lastGCErr surface sweep removal failures; the next
-	// sweep retries the same files.
-	gcFailures atomic.Int64
-	lastGCErr  atomic.Pointer[string]
+	// gc counts the sweep's failed removals (guarded by compactMu); the
+	// next sweep retries the same files.
+	gc faults
 
 	// ship, when non-nil, tracks what the shipping backend durably
 	// holds (see ship.go). Guarded by compactMu.
@@ -319,7 +320,8 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	// one whose tail does not is skipped like a torn file.
 	var w *writer
 	var lg *wal.Log
-	gen, err := walkGenerations(context.Background(), store.NewDir(fsys, dir), opts, func(img *core.Image, man *runfile.Manifest) error {
+	local := store.NewDir(fsys, dir)
+	gen, err := walkGenerations(context.Background(), local, opts, func(img *core.Image, man *runfile.Manifest) error {
 		cw, err := newWriter(opts, img, dopts.MaxIdempotencyKeys)
 		if err != nil {
 			return fmt.Errorf("restore image: %w", err)
@@ -327,7 +329,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		// Recording starts at the generation's image, so the replay below
 		// leaves exactly the WAL tail's changes for the first round to lift.
 		cw.dirty = cw.inc.Track()
-		cl, err := catchUp(dir, dopts, cw)
+		cl, err := catchUp(dir, local, dopts, cw)
 		if err != nil {
 			return err
 		}
@@ -341,7 +343,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		Reader:     w.serve(),
 		w:          w,
 		dir:        dir,
-		fs:         fsys,
+		local:      local,
 		dopts:      dopts,
 		man:        gen.man,
 		prevMan:    gen.prev,
@@ -376,13 +378,14 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	return d, nil
 }
 
-// catchUp opens the WAL of the data directory dir and replays onto w
-// every record above w's position — the one job recovery and Rearm
-// share. The log numbers on from w's position at least, so a log whose
-// every segment was pruned resumes above the state, and the committer's
-// next LSN is always the state's next. A log that does not open is a
-// recoveryHardError, since no older generation fixes it.
-func catchUp(dir string, dopts DurableOptions, w *writer) (*wal.Log, error) {
+// catchUp opens the WAL of the data directory dir and replays onto w,
+// through local, every record above w's position — the one job
+// recovery and Rearm share. The log numbers on from w's position at
+// least, so a log whose every segment was pruned resumes above the
+// state, and the committer's next LSN is always the state's next. A log
+// that does not open is a recoveryHardError, since no older generation
+// fixes it.
+func catchUp(dir string, local *store.Dir, dopts DurableOptions, w *writer) (*wal.Log, error) {
 	lg, err := wal.Open(filepath.Join(dir, wal.Prefix), wal.Options{
 		SegmentBytes: dopts.SegmentBytes,
 		NoSync:       dopts.NoSync,
@@ -392,7 +395,7 @@ func catchUp(dir string, dopts DurableOptions, w *writer) (*wal.Log, error) {
 	if err != nil {
 		return nil, &recoveryHardError{err: err}
 	}
-	if err = wal.Replay(context.Background(), store.NewDir(dopts.FS, dir), w.lsn, w.replay); err != nil {
+	if err = wal.Replay(context.Background(), local, w.lsn, w.replay); err != nil {
 		_ = lg.Close()
 		return nil, err
 	}
@@ -555,11 +558,6 @@ func mergedImage(ctx context.Context, src store.Backend, opts Options, man *runf
 	}
 	return img, nil
 }
-
-// local is the data directory as a store.Backend: it has the shipped
-// layout, so the fold and the shipper read it the way a follower reads
-// a backend.
-func (d *DurableService) local() store.Backend { return store.NewDir(d.fs, d.dir) }
 
 // Dir returns the service's data directory.
 func (d *DurableService) Dir() string { return d.dir }
@@ -840,10 +838,10 @@ const (
 )
 
 // writeGeneration makes the round's change durable off the write lock:
-// a run (or, on a fold, a base image) and the manifest naming it, built
-// on the current generation's bookkeeping (man, manSeq, the ship
-// watermark). It fills in what the round wrote; the caller commits the
-// manifest.
+// it Puts a run (or, on a fold, a base image), then the manifest naming
+// it, built on the current generation's bookkeeping (man, manSeq, the
+// ship watermark). It fills in what the round wrote; the caller commits
+// the manifest.
 func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *CompactionRound) (*runfile.Manifest, error) {
 	newMan := &runfile.Manifest{
 		Version: runfile.ManifestVersion,
@@ -870,16 +868,17 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 	case float64(d.man.Tombstones()+round.Tombstones) > d.dopts.MaxTombstoneRatio*float64(max(ch.elements, 1)):
 		round.FoldReason = FoldTombstoneRatio
 	}
+	ctx := context.Background() // local IO, like recovery's: Close must not cut a round short
+	var name string
+	var data []byte
 	if round.FoldReason == "" {
 		payload, err := core.EncodeDelta(ch.delta)
 		if err != nil {
 			return nil, fmt.Errorf("pghive: durable: encode run: %w", err)
 		}
-		info, err := runfile.WriteRun(d.fs, d.dir, ch.from, ch.to, round.Tombstones, payload)
-		if err != nil {
-			return nil, err
-		}
-		round.BytesWritten = info.Bytes
+		var info runfile.RunInfo
+		data, info = runfile.EncodeRun(ch.from, ch.to, round.Tombstones, payload)
+		name = info.Name
 		newMan.Base = d.man.Base
 		newMan.BaseLSN = d.man.BaseLSN
 		newMan.BaseElements = d.man.BaseElements
@@ -889,9 +888,8 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		// base image; the chain restarts empty.
 		img := ch.whole
 		if img == nil {
-			// A local read, like recovery's: Close must not cut a fold short.
 			var err error
-			if img, err = mergedImage(context.Background(), d.local(), d.w.opts, d.man); err != nil {
+			if img, err = mergedImage(ctx, d.local, d.w.opts, d.man); err != nil {
 				return nil, fmt.Errorf("pghive: durable: fold: %w", err)
 			}
 			if err := ch.delta.Apply(img); err != nil {
@@ -903,50 +901,69 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 				img.AppliedKeys = img.AppliedKeys[over:]
 			}
 		}
-		path := filepath.Join(d.dir, runfile.BaseName(ch.to))
-		err := vfs.WriteFileAtomic(d.fs, path, func(w io.Writer) error {
-			return core.EncodeImage(w, img)
-		})
-		if err != nil {
-			return nil, err
+		var buf bytes.Buffer
+		if err := core.EncodeImage(&buf, img); err != nil {
+			return nil, fmt.Errorf("pghive: durable: encode base: %w", err)
 		}
+		name, data = runfile.BaseName(ch.to), buf.Bytes()
 		round.Folded = true
-		if fi, err := d.fs.Stat(path); err == nil { // a statistic: not worth failing the round for
-			round.BytesWritten = fi.Size()
-		}
-		newMan.Base = runfile.BaseName(ch.to)
+		newMan.Base = name
 		newMan.BaseLSN = ch.to
 		newMan.BaseElements = img.Elements()
 	}
-	if err := runfile.WriteManifest(d.fs, d.dir, newMan); err != nil {
+	manData, err := runfile.EncodeManifest(newMan)
+	if err != nil {
 		return nil, err
+	}
+	if err := d.local.Put(ctx, name, data); err != nil {
+		return nil, fmt.Errorf("pghive: durable: write %s: %w", name, err)
+	}
+	round.BytesWritten = int64(len(data))
+	if err := d.local.Put(ctx, runfile.ManifestName(newMan.Seq), manData); err != nil {
+		return nil, fmt.Errorf("pghive: durable: write %s: %w", runfile.ManifestName(newMan.Seq), err)
 	}
 	return newMan, nil
 }
 
-// sweep garbage-collects every checkpoint-layout file in the
-// data directory that neither the current nor the previous generation
-// references: superseded base images, folded-away or orphaned runs
-// (written but never committed by a manifest), stale manifests —
-// including corrupt ones recovery skipped — and temp residue from
-// interrupted atomic writes. Removal failures are counted in
-// DurableStats (GCFailures / LastGCError) and retried on the next
-// sweep; the sweep itself never fails the caller, because leftover
-// files cost space, not correctness.
-func (d *DurableService) sweep(_ compactHeld) {
-	keep := runfile.Keep(d.man, d.prevMan)
-	paths, err := d.fs.Glob(filepath.Join(d.dir, "*"))
-	if err != nil {
-		d.noteGCFailure(err)
-		return
-	}
-	for _, p := range paths {
-		name := filepath.Base(p)
-		if keep[name] || !runfile.IsArtifact(name) && !strings.HasSuffix(name, vfs.TmpSuffix) {
+// collect is the one collector of the checkpoint layout, for the sweep
+// and shipGC alike: it deletes from b each of names that is a layout
+// file (runfile.IsArtifact) keep does not hold, and no foreign object.
+// An object already gone counts as collected; a failed Delete goes to
+// fail, for the next round to retry. It returns what it deleted.
+func collect(ctx context.Context, b store.Backend, names []string, keep map[string]bool, fail func(error)) (deleted []string) {
+	for _, name := range names {
+		if keep[name] || !runfile.IsArtifact(name) {
 			continue
 		}
-		if err := d.fs.Remove(p); err != nil {
-			d.noteGCFailure(fmt.Errorf("remove %s: %w", p, err))
+		if err := b.Delete(ctx, name); err != nil && !errors.Is(err, store.ErrNotFound) {
+			fail(fmt.Errorf("gc %s: %w", name, err))
+			continue
+		}
+		deleted = append(deleted, name)
+	}
+	return deleted
+}
+
+// sweep garbage-collects the data directory: collect, keeping the
+// current and the previous generation, then the temp residue of
+// interrupted atomic writes, which no listing shows. Failures are
+// counted (GCFailures / LastGCError), never returned: leftover files
+// cost space, not correctness.
+func (d *DurableService) sweep(_ compactHeld) {
+	ctx, fsys := context.Background(), vfs.OrOS(d.dopts.FS)
+	if names, err := d.local.List(ctx, ""); err != nil {
+		d.gc.note(err)
+	} else {
+		collect(ctx, d.local, names, runfile.Keep(d.man, d.prevMan), d.gc.note)
+	}
+	tmps, err := fsys.Glob(filepath.Join(d.dir, "*"+vfs.TmpSuffix))
+	if err != nil {
+		d.gc.note(err)
+		return
+	}
+	for _, p := range tmps {
+		if err := fsys.Remove(p); err != nil {
+			d.gc.note(fmt.Errorf("remove %s: %w", p, err))
 		}
 	}
 }
@@ -958,7 +975,7 @@ func (d *DurableService) sweep(_ compactHeld) {
 // lands frees the space a disk-full service starves for, so it re-arms
 // one; a broken log stays degraded until Rearm.
 func (d *DurableService) reclaim(held compactHeld) error {
-	_ = d.shipRound(held)
+	d.shipRound(held)
 	d.sweep(held)
 	if _, err := d.wal().Prune(d.pruneFloor(held, d.man.WALFloor)); err != nil {
 		return err
@@ -969,11 +986,15 @@ func (d *DurableService) reclaim(held compactHeld) error {
 	return nil
 }
 
-func (d *DurableService) noteGCFailure(err error) {
-	d.gcFailures.Add(1)
-	msg := err.Error()
-	d.lastGCErr.Store(&msg)
+// faults counts the failures of a best-effort step — the sweep's
+// removals, a shipping round's uploads and deletions — and keeps the
+// last one; the next round retries.
+type faults struct {
+	count int64
+	last  string
 }
+
+func (f *faults) note(err error) { f.count, f.last = f.count+1, err.Error() }
 
 // Rearm restores write service after read-only degradation: it closes
 // the (possibly broken) log, re-opens it from disk — re-scanning what
@@ -998,7 +1019,7 @@ func (d *DurableService) Rearm() error {
 	// advances per record, so a Rearm retried after a replay that failed
 	// midway never applies a record twice.
 	_ = d.wal().Close()
-	lg, err := catchUp(d.dir, d.dopts, d.w)
+	lg, err := catchUp(d.dir, d.local, d.dopts, d.w)
 	if err != nil {
 		return fmt.Errorf("pghive: durable: rearm: %w", err)
 	}
@@ -1111,7 +1132,6 @@ func (d *DurableService) DurableStats() DurableStats {
 		WALNextLSN: lg.NextLSN(), WALBroken: lg.Broken(),
 		WALSyncs:        lg.Syncs(),
 		IdempotencyKeys: d.w.keys.len(),
-		GCFailures:      d.gcFailures.Load(),
 	}
 	d.compactMu.Lock()
 	st.CheckpointLSN = d.man.Covered()
@@ -1123,16 +1143,13 @@ func (d *DurableService) DurableStats() DurableStats {
 	}
 	st.RunTombstones = d.man.Tombstones()
 	st.RecoveryFallbacks = d.fallbacks
+	st.GCFailures, st.LastGCError = d.gc.count, d.gc.last
 	st.LastRound, st.Rounds, st.Folds = d.lastRound, d.rounds, d.folds
 	if d.ship != nil {
 		st.ShippedLSN = d.ship.watermark
-		st.ShipFailures = d.ship.failures
-		st.LastShipError = d.ship.lastErr
+		st.ShipFailures, st.LastShipError = d.ship.count, d.ship.last
 	}
 	d.compactMu.Unlock()
-	if msg := d.lastGCErr.Load(); msg != nil {
-		st.LastGCError = *msg
-	}
 	if reason, degraded := d.Degraded(); degraded {
 		st.ReadOnly, st.ReadOnlyReason = true, reason
 	}

@@ -22,7 +22,7 @@ func framed(payload string) []byte {
 // must be refused or accepted without panicking and without
 // allocating more than a constant factor of their length; an accepted
 // manifest names only checkpoint-layout files and survives a
-// WriteManifest/ParseManifest round trip unchanged.
+// EncodeManifest/ParseManifest round trip unchanged.
 func FuzzReadManifest(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "manifest.golden"))
 	if err != nil {
@@ -63,11 +63,11 @@ func FuzzReadManifest(f *testing.F) {
 				t.Fatalf("accepted manifest names %q, which is not a checkpoint-layout file", file)
 			}
 		}
-		mem := newFS(t)
-		if err := WriteManifest(mem, dir, m); err != nil {
-			t.Fatalf("accepted manifest does not write back: %v", err)
+		raw, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not encode back: %v", err)
 		}
-		back, err := ParseManifest(name, readFile(t, mem, filepath.Join(dir, name)))
+		back, err := ParseManifest(name, raw)
 		if err != nil {
 			t.Fatalf("rewritten manifest does not read back: %v", err)
 		}
@@ -82,7 +82,7 @@ func FuzzReadManifest(f *testing.F) {
 // bytes, checked against a manifest entry with a fuzz-chosen CRC, must
 // be refused or accepted without panicking and within the same
 // allocation budget; an accepted payload carries exactly the recorded
-// CRC and survives a WriteRun/ParseRun round trip unchanged.
+// CRC and survives an EncodeRun/ParseRun round trip unchanged.
 func FuzzParseRun(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "run.golden"))
 	if err != nil {
@@ -113,12 +113,7 @@ func FuzzParseRun(f *testing.F) {
 		if got := crc32.Checksum(payload, crcTable); got != crc {
 			t.Fatalf("accepted payload has CRC %08x, the manifest recorded %08x", got, crc)
 		}
-		mem := newFS(t)
-		back, err := WriteRun(mem, dir, info.From, info.To, 0, payload)
-		if err != nil {
-			t.Fatalf("accepted payload does not write back: %v", err)
-		}
-		raw := readFile(t, mem, filepath.Join(dir, back.Name))
+		raw, back := EncodeRun(info.From, info.To, 0, payload)
 		if back.CRC != crc || back.Bytes != int64(len(raw)) {
 			t.Fatalf("rewritten run records CRC %08x and %d bytes, file has CRC %08x and %d bytes", back.CRC, back.Bytes, crc, len(raw))
 		}

@@ -13,12 +13,13 @@
 // payload bytes. A torn, truncated, or bit-flipped file fails the frame
 // check loudly instead of decoding to plausible garbage.
 //
-// Writers and readers differ on purpose. Writers go through vfs.FS
-// (vfs.WriteFileAtomic), so fault injection sees every operation and a
-// file is immutable once renamed into place. Readers take bytes
-// (ParseManifest, ParseRun): the caller fetched them from wherever the
-// layout lives — a data directory or a shipped object store — so the
-// same checks judge both. A new manifest generation supersedes the old
+// Writers and readers both deal in bytes: the encoders (EncodeRun,
+// EncodeManifest) return a file's bytes and the parsers (ParseRun,
+// ParseManifest) check them. The caller moves them to and from wherever
+// the layout lives — a data directory through store.Dir, whose Put is
+// the fault-injectable temp file + fsync + rename protocol, or a
+// shipped object store — so one encoding is written and the same checks
+// judge it everywhere. A new manifest generation supersedes the old
 // one by carrying a higher sequence number, and readers pick the newest
 // manifest that parses AND frames clean — which is what lets recovery
 // fall back a generation when the newest one was torn by a crash on a
@@ -28,15 +29,16 @@ package runfile
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 
+	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 )
 
@@ -150,9 +152,9 @@ func (m *Manifest) Files() map[string]bool {
 
 // Keep returns the files the given generations hold on to: each one's
 // data files and its own manifest (nil generations are skipped). The
-// GC of a data directory and the GC of a shipping backend both keep
-// exactly this set for the current generation and the previous one,
-// which recovery may fall back to.
+// durable layer's one collector keeps exactly this set for a store's
+// current generation and the previous one, which recovery may fall
+// back to, in a data directory and a shipping backend alike.
 func Keep(gens ...*Manifest) map[string]bool {
 	keep := make(map[string]bool)
 	for _, m := range gens {
@@ -297,16 +299,11 @@ func Generations(names []string) (seqs, bases []uint64) {
 	return seqs, bases
 }
 
-// writeFramed stages magic + CRC + length + payload and atomically
-// renames it to path.
-func writeFramed(fsys vfs.FS, path, magic string, payload []byte) error {
-	return vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "%s crc=%08x len=%d\n", magic, crc32.Checksum(payload, crcTable), len(payload)); err != nil {
-			return err
-		}
-		_, err := w.Write(payload)
-		return err
-	})
+// frame returns the file holding payload: a header line of magic, the
+// payload's CRC-32C and its length, then the payload.
+func frame(magic string, payload []byte) []byte {
+	header := fmt.Sprintf("%s crc=%08x len=%d\n", magic, crc32.Checksum(payload, crcTable), len(payload))
+	return append([]byte(header), payload...)
 }
 
 // parseFramed verifies the frame of the file name holds raw, returning
@@ -335,29 +332,30 @@ func parseFramed(name, magic string, raw []byte) ([]byte, uint32, error) {
 	return payload, crc, nil
 }
 
-// frameSize returns the full on-disk size of a framed payload.
-func frameSize(magic string, payload []byte) int64 {
-	header := fmt.Sprintf("%s crc=%08x len=%d\n", magic, crc32.Checksum(payload, crcTable), len(payload))
-	return int64(len(header) + len(payload))
-}
-
-// WriteRun atomically writes the run covering (from, to] into dir and
-// returns its manifest entry. tombstones is the caller-counted number
-// of deletions in the payload.
-func WriteRun(fsys vfs.FS, dir string, from, to uint64, tombstones int, payload []byte) (RunInfo, error) {
-	fsys = vfs.OrOS(fsys)
-	name := RunName(from, to)
-	if err := writeFramed(fsys, filepath.Join(dir, name), runMagic, payload); err != nil {
-		return RunInfo{}, fmt.Errorf("runfile: write %s: %w", name, err)
-	}
-	return RunInfo{
-		Name:       name,
+// EncodeRun frames payload as the run covering (from, to] and returns
+// the file's bytes and its manifest entry. tombstones is the
+// caller-counted number of deletions in the payload.
+func EncodeRun(from, to uint64, tombstones int, payload []byte) ([]byte, RunInfo) {
+	data := frame(runMagic, payload)
+	return data, RunInfo{
+		Name:       RunName(from, to),
 		From:       from,
 		To:         to,
-		Bytes:      frameSize(runMagic, payload),
+		Bytes:      int64(len(data)),
 		CRC:        crc32.Checksum(payload, crcTable),
 		Tombstones: tombstones,
-	}, nil
+	}
+}
+
+// WriteRun atomically writes the run covering (from, to] into dir on
+// fsys — EncodeRun's bytes through store.Dir.Put, the durable layer's
+// own write path — and returns its manifest entry.
+func WriteRun(fsys vfs.FS, dir string, from, to uint64, tombstones int, payload []byte) (RunInfo, error) {
+	data, info := EncodeRun(from, to, tombstones, payload)
+	if err := store.NewDir(fsys, dir).Put(context.Background(), info.Name, data); err != nil {
+		return RunInfo{}, fmt.Errorf("runfile: write %s: %w", info.Name, err)
+	}
+	return info, nil
 }
 
 // ParseRun verifies the bytes of the run info describes and returns
@@ -375,24 +373,19 @@ func ParseRun(info RunInfo, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteManifest atomically writes m into dir under its generation
-// name. The payload is compact JSON with a trailing newline inside the
-// standard frame, so torn writes are detected by checksum, not by JSON
-// parse luck. ParseManifest accepts an indented payload too.
-func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
+// EncodeManifest returns the bytes of m's file, ManifestName(m.Seq):
+// compact JSON with a trailing newline inside the standard frame, so
+// torn writes are detected by checksum, not by JSON parse luck.
+// ParseManifest accepts an indented payload too.
+func EncodeManifest(m *Manifest) ([]byte, error) {
 	if err := m.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	payload, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("runfile: encode manifest: %w", err)
+		return nil, fmt.Errorf("runfile: encode manifest: %w", err)
 	}
-	payload = append(payload, '\n')
-	name := ManifestName(m.Seq)
-	if err := writeFramed(vfs.OrOS(fsys), filepath.Join(dir, name), manifestMagic, payload); err != nil {
-		return fmt.Errorf("runfile: write %s: %w", name, err)
-	}
-	return nil
+	return frame(manifestMagic, append(payload, '\n')), nil
 }
 
 // ParseManifest parses and validates the bytes of the manifest file

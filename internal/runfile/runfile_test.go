@@ -1,8 +1,8 @@
 package runfile
 
 import (
+	"bytes"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -37,6 +37,8 @@ func readFile(t *testing.T, mem *vfs.MemFS, path string) []byte {
 	return data
 }
 
+// TestRunRoundTrip: WriteRun puts EncodeRun's bytes on disk, and they
+// parse back to the payload under the entry it returned.
 func TestRunRoundTrip(t *testing.T) {
 	mem := newFS(t)
 	payload := []byte(`{"version":1,"fromLSN":3,"toLSN":7}`)
@@ -47,14 +49,14 @@ func TestRunRoundTrip(t *testing.T) {
 	if info.Name != RunName(3, 7) || info.From != 3 || info.To != 7 || info.Tombstones != 2 {
 		t.Fatalf("run info %+v", info)
 	}
-	st, err := mem.Stat(filepath.Join(dir, info.Name))
-	if err != nil {
-		t.Fatal(err)
+	data := readFile(t, mem, filepath.Join(dir, info.Name))
+	if want, wantInfo := EncodeRun(3, 7, 2, payload); !bytes.Equal(data, want) || info != wantInfo {
+		t.Fatalf("WriteRun wrote %q as %+v, EncodeRun gives %q as %+v", data, info, want, wantInfo)
 	}
-	if st.Size() != info.Bytes {
-		t.Fatalf("file is %d bytes, info says %d", st.Size(), info.Bytes)
+	if int64(len(data)) != info.Bytes {
+		t.Fatalf("file is %d bytes, info says %d", len(data), info.Bytes)
 	}
-	got, err := ParseRun(info, readFile(t, mem, filepath.Join(dir, info.Name)))
+	got, err := ParseRun(info, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,76 +71,30 @@ func TestRunRoundTrip(t *testing.T) {
 // does not match the manifest's recorded CRC — fails the read loudly.
 func TestRunRejectsDamage(t *testing.T) {
 	payload := []byte(`{"version":1,"fromLSN":3,"toLSN":7}`)
-	path := filepath.Join(dir, RunName(3, 7))
 	cases := []struct {
 		name   string
-		damage func(t *testing.T, mem *vfs.MemFS, info *RunInfo)
+		damage func(data []byte) []byte
 		want   string
 	}{
-		{"bit flip", func(t *testing.T, mem *vfs.MemFS, info *RunInfo) {
-			corruptByte(t, mem, path, -1)
+		{"bit flip", func(data []byte) []byte {
+			data[len(data)-1] ^= 0xFF
+			return data
 		}, "CRC"},
-		{"truncated", func(t *testing.T, mem *vfs.MemFS, info *RunInfo) {
-			if err := mem.Truncate(path, info.Bytes-5); err != nil {
-				t.Fatal(err)
-			}
-		}, "frame says"},
-		{"no header", func(t *testing.T, mem *vfs.MemFS, info *RunInfo) {
-			if err := mem.Truncate(path, 3); err != nil {
-				t.Fatal(err)
-			}
-		}, "missing frame header"},
-		{"wrong magic", func(t *testing.T, mem *vfs.MemFS, info *RunInfo) {
-			if err := writeFramed(mem, path, manifestMagic, payload); err != nil {
-				t.Fatal(err)
-			}
-		}, "magic"},
-		{"stale file under the right name", func(t *testing.T, mem *vfs.MemFS, info *RunInfo) {
-			if err := writeFramed(mem, path, runMagic, []byte(`{"other":true}`)); err != nil {
-				t.Fatal(err)
-			}
+		{"truncated", func(data []byte) []byte { return data[:len(data)-5] }, "frame says"},
+		{"no header", func(data []byte) []byte { return data[:3] }, "missing frame header"},
+		{"wrong magic", func([]byte) []byte { return frame(manifestMagic, payload) }, "magic"},
+		{"stale file under the right name", func([]byte) []byte {
+			return frame(runMagic, []byte(`{"other":true}`))
 		}, "manifest says"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := newFS(t)
-			info, err := WriteRun(mem, dir, 3, 7, 0, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(t, mem, &info)
-			_, err = ParseRun(info, readFile(t, mem, path))
+			data, info := EncodeRun(3, 7, 0, payload)
+			_, err := ParseRun(info, tc.damage(data))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("damaged run read: err=%v, want mention of %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func corruptByte(t *testing.T, mem *vfs.MemFS, path string, at int64) {
-	t.Helper()
-	f, err := mem.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if at < 0 {
-		end, err := f.Seek(at, io.SeekEnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at = end
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], at); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.Seek(at, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(b[:]); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -158,12 +114,12 @@ func testManifest() *Manifest {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	mem := newFS(t)
 	m := testManifest()
-	if err := WriteManifest(mem, dir, m); err != nil {
+	data, err := EncodeManifest(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseManifest(ManifestName(m.Seq), readFile(t, mem, filepath.Join(dir, ManifestName(m.Seq))))
+	got, err := ParseManifest(ManifestName(m.Seq), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +178,11 @@ func TestManifestValidate(t *testing.T) {
 // different generation number is rejected — the embedded sequence is
 // authoritative and must match the name it was committed under.
 func TestManifestSeqBinding(t *testing.T) {
-	mem := newFS(t)
 	m := testManifest()
-	if err := WriteManifest(mem, dir, m); err != nil {
+	data, err := EncodeManifest(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := readFile(t, mem, filepath.Join(dir, ManifestName(m.Seq)))
 	if _, err := ParseManifest(ManifestName(m.Seq+3), data); err == nil {
 		t.Fatal("ParseManifest accepted a manifest under the wrong generation name")
 	}

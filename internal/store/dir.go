@@ -14,9 +14,10 @@ import (
 
 // Dir is a Backend rooted in a local directory. Every operation flows
 // through the supplied vfs.FS, so the fault-injection filesystems see
-// each one; Put publishes via the same temp-file + rename + directory
-// fsync protocol the checkpoint writer uses, which is what makes the
-// atomic-publish contract hold even across a crash. Safe for
+// each one; Put publishes via the temp-file + fsync + rename + directory
+// fsync protocol (vfs.WriteFileAtomic), which is what makes the
+// atomic-publish contract hold even across a crash — and is how the
+// durable layer writes its own checkpoint files. Safe for
 // concurrent use (to the extent the underlying FS is).
 type Dir struct {
 	fsys vfs.FS

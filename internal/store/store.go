@@ -8,8 +8,9 @@
 //
 //   - Dir: a local-directory backend over a vfs.FS, so fault-injection
 //     tests (vfs.InjectFS) see every operation the shipper performs. A
-//     data directory has the shipped layout, so the durable layer reads
-//     its own checkpoints through a Dir, as a follower reads a backend.
+//     data directory has the shipped layout, so the durable layer reads,
+//     writes and collects its own checkpoints through a Dir, as a
+//     follower reads a backend.
 //   - HTTP: a client for the object endpoints a leader serves from its
 //     mux (GET/PUT/DELETE /v1/objects/...), with bearer-token auth on
 //     the mutating verbs; Handler is the matching server side over any

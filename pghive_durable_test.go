@@ -1437,7 +1437,10 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 	if man.Runs[0], err = runfile.WriteRun(nil, dir, ri.From, ri.To, ri.Tombstones, versionOne(t, payload)); err != nil {
 		t.Fatal(err)
 	}
-	if err := runfile.WriteManifest(nil, dir, man); err != nil {
+	if raw, err = runfile.EncodeManifest(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

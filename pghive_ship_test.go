@@ -6,9 +6,11 @@ package pghive_test
 // writer is a group of one: one frame, one fsync). Shipping's contract: after
 // a compaction round, the backend holds everything a follower needs
 // (manifest last, so a fetchable manifest implies fetchable files),
-// and NOTHING local is pruned or swept past what the backend durably
+// and no WAL segment is pruned locally past what the backend durably
 // holds — a dead backend stalls reclamation loudly, it never creates
-// records a follower can no longer fetch.
+// records a follower can no longer fetch. Checkpoint files are
+// collected per store: the local sweep keeps the data directory's two
+// generations, the backend GC the two newest shipped ones.
 
 import (
 	"bytes"
@@ -16,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -674,6 +677,108 @@ func TestShipGCRetainsFallbackGenerationTail(t *testing.T) {
 	}
 	if !bytes.Equal(serviceImage(t, d), serviceImage(t, f)) {
 		t.Fatal("follower image differs from leader after fallback bootstrap + tail")
+	}
+}
+
+// TestGCCollectsOnlyStaleArtifacts holds both collectors — the sweep of
+// the data directory and the GC of a shipping backend — to the contract
+// runfile.IsArtifact states: they delete stale files of the checkpoint
+// layout (an orphaned base image, an uncommitted run, a torn manifest
+// above the live generation) and never a foreign file sharing the
+// directory or bucket, and each store keeps both of its generations.
+// A backend delete that fails is counted and retried next round.
+func TestGCCollectsOnlyStaleArtifacts(t *testing.T) {
+	ctx := context.Background()
+	opts := pghive.Options{Seed: 3, Parallelism: 1}
+	mem, bmem := vfs.NewMemFS(), vfs.NewMemFS()
+	local, backend := store.NewDir(mem, "data"), store.NewDir(bmem, "/backend")
+	open := func(ship store.Backend) *pghive.DurableService {
+		t.Helper()
+		d, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{
+			FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, ShipTo: ship,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	round := func(d *pghive.DurableService, r int) {
+		t.Helper()
+		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*(r+1)), 30)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := open(backend)
+	round(d, 0)
+	round(d, 1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	foreign := []string{"notes.txt", "checkpoint-x.ckpt"}
+	stale := []string{runfile.BaseName(7), runfile.RunName(7, 8), runfile.ManifestName(9)}
+	for _, s := range []store.Backend{local, backend} {
+		for _, name := range append(slices.Clone(foreign), stale...) {
+			if err := s.Put(ctx, name, []byte("not the service's\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The first delete the backend is asked for fails: the stale base,
+	// first of the stale objects in name order.
+	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpRemove, N: 1})
+	d = open(store.NewDir(vfs.NewInjectFS(bmem, plan), "/backend"))
+	defer d.Close()
+	st := d.DurableStats()
+	if st.ShipFailures != 1 || !strings.Contains(st.LastShipError, stale[0]) {
+		t.Fatalf("ShipFailures = %d (%q), want the failed delete of %s counted", st.ShipFailures, st.LastShipError, stale[0])
+	}
+	if !backendObjects(t, backend)[stale[0]] {
+		t.Fatalf("%s left the backend although its delete failed", stale[0])
+	}
+	round(d, 2)
+	st = d.DurableStats()
+	if st.ShipFailures != 1 || st.GCFailures != 0 {
+		t.Fatalf("retry round: ShipFailures = %d (%q), GCFailures = %d (%q)", st.ShipFailures, st.LastShipError, st.GCFailures, st.LastGCError)
+	}
+	if st.ManifestSeq != 10 {
+		t.Fatalf("generation %d after a torn manifest 9, want 10", st.ManifestSeq)
+	}
+
+	// Both stores now keep the live generation and the one before it.
+	var gens []*runfile.Manifest
+	for _, seq := range []uint64{2, st.ManifestSeq} {
+		data, err := local.Get(ctx, runfile.ManifestName(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := runfile.ParseManifest(runfile.ManifestName(seq), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens = append(gens, m)
+	}
+	for where, s := range map[string]store.Backend{"data directory": local, "backend": backend} {
+		objs := backendObjects(t, s)
+		for _, name := range foreign {
+			if !objs[name] {
+				t.Errorf("%s: foreign file %s collected", where, name)
+			}
+		}
+		for _, name := range stale {
+			if objs[name] {
+				t.Errorf("%s: stale %s survived the round", where, name)
+			}
+		}
+		for name := range runfile.Keep(gens...) {
+			if !objs[name] {
+				t.Errorf("%s: kept generation file %s collected", where, name)
+			}
+		}
 	}
 }
 

@@ -17,12 +17,13 @@ package pghive
 // The ship watermark is the highest LSN L such that every record up
 // to L is durable in the backend — the shipped generation's coverage
 // extended by the contiguous uploaded sealed segments above it. While
-// shipping is enabled, nothing below min(WAL floor, watermark) may be
-// pruned locally (and the GC sweep keeps the shipped generations'
-// files): a backend outage must stall reclamation loudly, never
-// create records followers can no longer fetch. The watermark is
+// shipping is enabled, no WAL segment below min(WAL floor, watermark)
+// is pruned locally: a backend outage must stall reclamation loudly,
+// never create records followers can no longer fetch. The watermark is
 // persisted in each new manifest (Manifest.ShippedLSN) so a restart
-// keeps honoring it before the first round completes.
+// keeps honoring it before the first round completes. Checkpoint files
+// are collected per store (collect): the local sweep keeps the data
+// directory's two generations, the backend GC the two newest shipped.
 //
 // Shipping failures never fail a compaction and never degrade the
 // write path — they are counted in DurableStats (ShipFailures /
@@ -33,8 +34,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/pghive/pghive/internal/runfile"
@@ -55,20 +57,12 @@ type shipper struct {
 	// the file comment); it only advances.
 	watermark uint64
 	// man / prevMan are the newest and previous fully-uploaded
-	// generations — the sweep and the backend GC keep both, mirroring
-	// the local two-generation fallback rule.
+	// generations — the backend GC keeps both, mirroring the local
+	// two-generation fallback rule.
 	man     *runfile.Manifest
 	prevMan *runfile.Manifest
 
-	failures int64
-	lastErr  string
-}
-
-// note records a shipping failure and returns it.
-func (s *shipper) note(err error) error {
-	s.failures++
-	s.lastErr = err.Error()
-	return err
+	faults // failed uploads and deletions
 }
 
 // shipWatermark returns the upload watermark, or ^0 when shipping is
@@ -88,21 +82,14 @@ func (d *DurableService) pruneFloor(held compactHeld, floor uint64) uint64 {
 }
 
 // shipRound uploads everything the backend is missing and advances
-// the watermark. The first error stops the current step (later rounds
-// retry) but the watermark still advances over what did upload. The
-// backend calls run under the service's lifetime: the round holds
+// the watermark. A failure is counted and stops the current step (later
+// rounds retry), but the watermark still advances over what did upload.
+// The backend calls run under the service's lifetime: the round holds
 // compactMu across them, so Close must be able to end them.
-func (d *DurableService) shipRound(held compactHeld) error {
+func (d *DurableService) shipRound(held compactHeld) {
 	s, ctx := d.ship, d.life
 	if s == nil {
-		return nil
-	}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		s.note(err)
+		return
 	}
 
 	// Seed the uploaded set from the backend once per process: objects
@@ -110,7 +97,8 @@ func (d *DurableService) shipRound(held compactHeld) error {
 	if s.uploaded == nil {
 		names, err := s.backend.List(ctx, "")
 		if err != nil {
-			return s.note(fmt.Errorf("pghive: ship: list backend: %w", err))
+			s.note(fmt.Errorf("pghive: ship: list backend: %w", err))
+			return
 		}
 		s.uploaded = make(map[string]bool, len(names))
 		for _, n := range names {
@@ -120,9 +108,8 @@ func (d *DurableService) shipRound(held compactHeld) error {
 
 	// upload copies one object of the data directory, which has the
 	// shipped layout, to the backend under the same name.
-	local := d.local()
 	upload := func(obj string) error {
-		data, err := local.Get(ctx, obj)
+		data, err := d.local.Get(ctx, obj)
 		if err == nil {
 			err = s.backend.Put(ctx, obj, data)
 		}
@@ -141,7 +128,7 @@ func (d *DurableService) shipRound(held compactHeld) error {
 			continue
 		}
 		if err := upload(obj); err != nil {
-			fail(fmt.Errorf("pghive: ship: segment %s: %w", obj, err))
+			s.note(fmt.Errorf("pghive: ship: segment %s: %w", obj, err))
 			break
 		}
 	}
@@ -154,7 +141,7 @@ func (d *DurableService) shipRound(held compactHeld) error {
 				continue
 			}
 			if err := upload(f); err != nil {
-				fail(fmt.Errorf("pghive: ship: %s: %w", f, err))
+				s.note(fmt.Errorf("pghive: ship: %s: %w", f, err))
 				shipped = false
 				break
 			}
@@ -162,7 +149,7 @@ func (d *DurableService) shipRound(held compactHeld) error {
 		if shipped {
 			mf := runfile.ManifestName(cur.Seq)
 			if err := upload(mf); err != nil {
-				fail(fmt.Errorf("pghive: ship: %s: %w", mf, err))
+				s.note(fmt.Errorf("pghive: ship: %s: %w", mf, err))
 				shipped = false
 			}
 		}
@@ -187,35 +174,30 @@ func (d *DurableService) shipRound(held compactHeld) error {
 	}
 
 	d.shipGC(held, ctx)
-	return firstErr
 }
 
 // shipGC deletes backend objects no follower can need anymore:
-// checkpoint-layout objects outside the two newest shipped
-// generations, and segment objects wholly below the shipped
-// generation's WAL floor (the floor a follower falling back one
-// generation still replays from). Best effort — failures are counted
-// and the objects retried next round.
+// checkpoint-layout objects outside the two newest shipped generations
+// (collect, the sweep's collector, with their Keep set), and segment
+// objects wholly below the shipped generation's WAL floor (the floor a
+// follower falling back one generation still replays from). Best
+// effort — failures are counted and the objects retried next round.
 func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	s := d.ship
 	if s == nil || s.man == nil {
 		return
 	}
-	keep := runfile.Keep(s.man, s.prevMan)
+	names := slices.Sorted(maps.Keys(s.uploaded))
+	for _, obj := range collect(ctx, s.backend, names, runfile.Keep(s.man, s.prevMan), func(err error) {
+		s.note(fmt.Errorf("pghive: ship: %w", err))
+	}) {
+		delete(s.uploaded, obj)
+	}
 	var segObjs []string
-	for obj := range s.uploaded {
+	for _, obj := range names {
 		if strings.HasPrefix(obj, wal.Prefix) {
 			segObjs = append(segObjs, obj)
-			continue
 		}
-		if keep[obj] || !runfile.IsArtifact(obj) {
-			continue
-		}
-		if err := s.backend.Delete(ctx, obj); err != nil && !errors.Is(err, store.ErrNotFound) {
-			s.note(fmt.Errorf("pghive: ship: gc %s: %w", obj, err))
-			continue
-		}
-		delete(s.uploaded, obj)
 	}
 	// A segment object is deletable when its successor starts at or
 	// below floor+1 — everything it holds is then below the floor. The
@@ -224,7 +206,6 @@ func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	// generation, prevMan can be older than what WALFloor protects, and
 	// a follower falling back to it must still be able to tail from
 	// prevMan.Covered()+1.
-	sort.Strings(segObjs)
 	floor := s.man.WALFloor
 	if s.prevMan != nil && s.prevMan.Covered() < floor {
 		floor = s.prevMan.Covered()
