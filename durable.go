@@ -54,10 +54,13 @@ package pghive
 //
 // A round Puts its run or base image, then its manifest, through the
 // same store.Dir (DurableService.local). One collector (collect) deletes
-// the layout's files no kept generation references, in the data
-// directory (the sweep, at startup and after every round, inside
-// reclaim) and in the backend (shipGC) alike; failures are surfaced in
-// DurableStats and retried next round, never silently dropped.
+// everything a store holds that its two kept generations no longer
+// need — the layout's files they do not reference, and the WAL segments
+// at or below their floor (runfile.Floor, by wal.Reclaimable's rule) —
+// in the data directory (the sweep, at startup and after every round,
+// inside reclaim) and in the backend (shipGC) alike; failures are
+// surfaced in DurableStats and retried next round, never silently
+// dropped.
 //
 // Two robustness layers ride on top of durability:
 //
@@ -139,7 +142,7 @@ type DurableOptions struct {
 	NoSync bool
 	// CompactInterval is the background compaction cadence (default
 	// 1 minute). Each round folds every sealed WAL segment into a
-	// delta run (or a fresh base image, see MaxRuns) and prunes the
+	// delta run (or a fresh base image, see MaxRuns) and drops the
 	// segments below the manifest's WAL floor.
 	CompactInterval time.Duration
 	// DisableAutoCompact turns the background compactor off; call
@@ -169,8 +172,8 @@ type DurableOptions struct {
 	FS vfs.FS
 	// ShipTo, when non-nil, enables WAL shipping: sealed segments and
 	// checkpoint generations are uploaded to the backend after every
-	// compaction so followers can bootstrap and tail. While set, local
-	// pruning never reclaims a WAL segment the backend does not yet
+	// compaction so followers can bootstrap and tail. While set, the
+	// local sweep never drops a WAL segment the backend does not yet
 	// hold (see Manifest.ShippedLSN).
 	ShipTo store.Backend
 }
@@ -355,20 +358,14 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	d.life, d.cancel = context.WithCancel(context.Background())
 	d.log.Store(lg)
 	if dopts.ShipTo != nil {
-		// The persisted watermark keeps the prune gate honest before
+		// The persisted watermark keeps the sweep's WAL gate honest before
 		// the first shipping round of this incarnation completes.
 		d.ship = &shipper{backend: dopts.ShipTo, watermark: gen.man.ShippedLSN}
 	}
 	// A crash between a manifest swap and the housekeeping after it
 	// leaves covered segments and unreferenced files behind; finish the
 	// job.
-	held := d.compactMu.Lock()
-	if err := d.reclaim(held); err != nil {
-		d.compactMu.Unlock()
-		d.cancel()
-		_ = lg.Close()
-		return nil, err
-	}
+	d.reclaim(d.compactMu.Lock())
 	d.compactMu.Unlock()
 	go d.commitLoop()
 	if !dopts.DisableAutoCompact {
@@ -381,10 +378,10 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 // catchUp opens the WAL of the data directory dir and replays onto w,
 // through local, every record above w's position — the one job
 // recovery and Rearm share. The log numbers on from w's position at
-// least, so a log whose every segment was pruned resumes above the
+// least, so a log whose every segment was dropped resumes above the
 // state, and the committer's next LSN is always the state's next. A log
-// that does not open is a recoveryHardError, since no older generation
-// fixes it.
+// that does not open, or a segment that is there but cannot be read, is
+// a recoveryHardError, since no older generation fixes it.
 func catchUp(dir string, local *store.Dir, dopts DurableOptions, w *writer) (*wal.Log, error) {
 	lg, err := wal.Open(filepath.Join(dir, wal.Prefix), wal.Options{
 		SegmentBytes: dopts.SegmentBytes,
@@ -395,7 +392,7 @@ func catchUp(dir string, local *store.Dir, dopts DurableOptions, w *writer) (*wa
 	if err != nil {
 		return nil, &recoveryHardError{err: err}
 	}
-	if err = wal.Replay(context.Background(), local, w.lsn, w.replay); err != nil {
+	if err = wal.Replay(context.Background(), hardGets{local}, w.lsn, w.replay); err != nil {
 		_ = lg.Close()
 		return nil, err
 	}
@@ -416,18 +413,21 @@ type walked struct {
 
 // recoveryHardError wraps a failure that no older generation can fix —
 // the WAL directory is unreadable, or the source failed to hand over an
-// object (fetch) — and stops walkGenerations.
+// object (hardGets) — and stops walkGenerations.
 type recoveryHardError struct{ err error }
 
 func (e *recoveryHardError) Error() string { return e.err.Error() }
 
-// fetch reads one object of the checkpoint layout for the walk. An
-// absent object is a defect of the generation naming it, and the walk
-// moves on; any other Get failure says nothing about the generation (a
-// timeout, a 5xx, an I/O error), so it stops the walk rather than let
-// it settle on an older generation or a bare base. The caller retries.
-func fetch(ctx context.Context, src store.Backend, name string) ([]byte, error) {
-	data, err := src.Get(ctx, name)
+// hardGets is a source as recovery reads it: the walk its checkpoint
+// objects, catchUp its WAL segments. An absent object is a defect of the
+// generation naming it, and the walk moves on; any other Get failure
+// says nothing about the generation (a timeout, a 5xx, an I/O error), so
+// it is a recoveryHardError, which stops the walk rather than let it
+// settle on an older generation or a bare base. The caller retries.
+type hardGets struct{ store.Backend }
+
+func (h hardGets) Get(ctx context.Context, name string) ([]byte, error) {
+	data, err := h.Backend.Get(ctx, name)
 	if err != nil && !errors.Is(err, store.ErrNotFound) {
 		return nil, &recoveryHardError{err: fmt.Errorf("fetch %s: %w", name, err)}
 	}
@@ -443,7 +443,7 @@ func fetch(ctx context.Context, src store.Backend, name string) ([]byte, error) 
 // covers, so it needs no manifest). A source holding neither a manifest
 // nor a base — nor anything that failed to parse — holds the empty
 // state. A generation is skipped only for what its objects hold or lack;
-// a Get that fails otherwise stops the walk (see fetch). When no
+// a Get that fails otherwise stops the walk (see hardGets). When no
 // candidate survives, the joined notes become the error: the walk fails
 // loudly, it never settles on a silently diverged state.
 func walkGenerations(ctx context.Context, src store.Backend, opts Options, accept func(*core.Image, *runfile.Manifest) error) (*walked, error) {
@@ -451,12 +451,13 @@ func walkGenerations(ctx context.Context, src store.Backend, opts Options, accep
 	if err != nil {
 		return nil, fmt.Errorf("list generations: %w", err)
 	}
+	src = hardGets{src}
 	seqs, bases := runfile.Generations(names)
 	var cands []*runfile.Manifest
 	var notes []string
 	for _, seq := range seqs {
 		name := runfile.ManifestName(seq)
-		data, err := fetch(ctx, src, name)
+		data, err := src.Get(ctx, name)
 		var hard *recoveryHardError
 		if errors.As(err, &hard) {
 			return nil, hard.err
@@ -525,7 +526,7 @@ func mergedImage(ctx context.Context, src store.Backend, opts Options, man *runf
 			return nil, err
 		}
 	} else {
-		data, err := fetch(ctx, src, man.Base)
+		data, err := src.Get(ctx, man.Base)
 		if err == nil {
 			img, err = core.ParseImage(data)
 		}
@@ -537,7 +538,7 @@ func mergedImage(ctx context.Context, src store.Backend, opts Options, man *runf
 		}
 	}
 	for _, ri := range man.Runs {
-		data, err := fetch(ctx, src, ri.Name)
+		data, err := src.Get(ctx, ri.Name)
 		if err != nil {
 			return nil, fmt.Errorf("run %s: %w", ri.Name, err)
 		}
@@ -715,13 +716,13 @@ func (d *DurableService) DrainStream(ctx context.Context, r StreamReader, onBatc
 func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCheckpoint(w) }
 
 // Compact writes what changed since the previous round as the next
-// checkpoint generation and prunes the WAL segments below the
-// resulting floor. It takes the write lock for one short stretch: seal
+// checkpoint generation and drops the WAL segments below the resulting
+// floor. It takes the write lock for one short stretch: seal
 // the active segment (so the round covers everything acknowledged
 // before the call) and lift the writer's record of what it changed
 // into the round's delta — work proportional to the change, with no
 // encoding and no checkpoint file touched. Everything after — encode,
-// write, fsync, manifest swap, ship, prune — runs off the lock, so
+// write, fsync, manifest swap, ship, sweep — runs off the lock, so
 // concurrent writers and readers proceed at full speed. Safe to call
 // concurrently with writes; rounds serialize among themselves.
 //
@@ -740,7 +741,7 @@ func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCh
 // the next round covers both spans.
 //
 // A successful round also re-arms a disk-full degraded service: the
-// pruned segments are exactly the space the write path was starving
+// dropped segments are exactly the space the write path was starving
 // for. A broken-WAL degradation is not cleared here — see Rearm.
 func (d *DurableService) Compact() error {
 	held := d.compactMu.Lock()
@@ -757,8 +758,9 @@ func (d *DurableService) Compact() error {
 	if d.w.lsn <= covered {
 		d.w.mu.Unlock()
 		// Nothing applied since the last round; still ship, and retry the
-		// sweep and the prune a crash or a failed removal left undone.
-		return d.reclaim(held)
+		// sweep a crash or a failed removal left undone.
+		d.reclaim(held)
+		return nil
 	}
 	ch, err := d.w.lift(wheld, covered)
 	d.w.mu.Unlock()
@@ -785,14 +787,14 @@ func (d *DurableService) Compact() error {
 	d.prevMan = d.man
 	d.man = newMan
 	d.manSeq = newMan.Seq
-	err = d.reclaim(held)
+	d.reclaim(held)
 	round.Seconds = time.Since(began).Seconds()
 	d.lastRound = round
 	d.rounds++
 	if round.Folded {
 		d.folds++
 	}
-	return err
+	return nil
 }
 
 // change is what one compaction round lifted from the live writer
@@ -851,7 +853,7 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		WALFloor: ch.from,
 	}
 	if d.ship != nil {
-		// Persist the upload watermark so a restart keeps gating prunes
+		// Persist the upload watermark so a restart keeps gating the sweep
 		// before its first shipping round completes.
 		newMan.ShippedLSN = d.ship.watermark
 	}
@@ -925,16 +927,18 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 	return newMan, nil
 }
 
-// collect is the one collector of the checkpoint layout, for the sweep
-// and shipGC alike: it deletes from b each of names that is a layout
-// file (runfile.IsArtifact) keep does not hold, and no foreign object.
-// An object already gone counts as collected; a failed Delete goes to
-// fail, for the next round to retry. It returns what it deleted.
-func collect(ctx context.Context, b store.Backend, names []string, keep map[string]bool, fail func(error)) (deleted []string) {
-	for _, name := range names {
-		if keep[name] || !runfile.IsArtifact(name) {
-			continue
-		}
+// collect is the one collector of everything a store holds, for the
+// sweep and shipGC alike. Of names, the store's listing, it deletes from
+// b each layout file (runfile.IsArtifact) keep does not hold, then each
+// WAL segment that holds nothing above floor (wal.Reclaimable) — and no
+// foreign object. An object already gone counts as collected; a failed
+// Delete goes to fail, for the next round to retry. It returns what it
+// deleted.
+func collect(ctx context.Context, b store.Backend, names []string, keep map[string]bool, floor uint64, fail func(error)) (deleted []string) {
+	gone := slices.DeleteFunc(slices.Clone(names), func(name string) bool {
+		return keep[name] || !runfile.IsArtifact(name)
+	})
+	for _, name := range append(gone, wal.Reclaimable(names, floor)...) {
 		if err := b.Delete(ctx, name); err != nil && !errors.Is(err, store.ErrNotFound) {
 			fail(fmt.Errorf("gc %s: %w", name, err))
 			continue
@@ -945,45 +949,54 @@ func collect(ctx context.Context, b store.Backend, names []string, keep map[stri
 }
 
 // sweep garbage-collects the data directory: collect, keeping the
-// current and the previous generation, then the temp residue of
-// interrupted atomic writes, which no listing shows. Failures are
-// counted (GCFailures / LastGCError), never returned: leftover files
-// cost space, not correctness.
-func (d *DurableService) sweep(_ compactHeld) {
+// current and the previous generation and the WAL above their floor —
+// gated, while shipping, by the ship watermark, so no segment the
+// backend lacks is dropped — then the temp residue of interrupted
+// atomic writes, which no listing shows. Failures are counted
+// (GCFailures / LastGCError), never returned: leftover files cost space,
+// not correctness. It reports whether it ran clean: every listing and
+// every removal succeeded.
+func (d *DurableService) sweep(_ compactHeld) (clean bool) {
 	ctx, fsys := context.Background(), vfs.OrOS(d.dopts.FS)
-	if names, err := d.local.List(ctx, ""); err != nil {
+	names, err := d.local.List(ctx, "")
+	if err != nil {
 		d.gc.note(err)
-	} else {
-		collect(ctx, d.local, names, runfile.Keep(d.man, d.prevMan), d.gc.note)
+		return false
 	}
+	floor := runfile.Floor(d.man, d.prevMan)
+	if d.ship != nil {
+		floor = min(floor, d.ship.watermark)
+	}
+	clean = true
+	collect(ctx, d.local, names, runfile.Keep(d.man, d.prevMan), floor, func(err error) {
+		d.gc.note(err)
+		clean = false
+	})
 	tmps, err := fsys.Glob(filepath.Join(d.dir, "*"+vfs.TmpSuffix))
 	if err != nil {
 		d.gc.note(err)
-		return
+		return false
 	}
 	for _, p := range tmps {
 		if err := fsys.Remove(p); err != nil {
 			d.gc.note(fmt.Errorf("remove %s: %w", p, err))
+			clean = false
 		}
 	}
+	return clean
 }
 
 // reclaim is the housekeeping after every round and at open, which may
 // follow a crash out of one: ship what the backend is missing (best
-// effort: counted, retried next round), sweep, then prune below the WAL
-// floor, gated by the watermark the shipping just advanced. A prune that
-// lands frees the space a disk-full service starves for, so it re-arms
-// one; a broken log stays degraded until Rearm.
-func (d *DurableService) reclaim(held compactHeld) error {
+// effort: counted, retried next round), then sweep, gated by the
+// watermark the shipping just advanced. A sweep whose every removal
+// landed has freed the space a disk-full service starves for, so it
+// re-arms one; a broken log stays degraded until Rearm.
+func (d *DurableService) reclaim(held compactHeld) {
 	d.shipRound(held)
-	d.sweep(held)
-	if _, err := d.wal().Prune(d.pruneFloor(held, d.man.WALFloor)); err != nil {
-		return err
-	}
-	if d.degradedReason.Load() != nil && !d.wal().Broken() {
+	if d.sweep(held) && d.degradedReason.Load() != nil && !d.wal().Broken() {
 		d.degradedReason.Store(nil)
 	}
-	return nil
 }
 
 // faults counts the failures of a best-effort step — the sweep's
@@ -1074,7 +1087,8 @@ type DurableStats struct {
 	WALSyncs uint64 `json:"walSyncs"`
 	// ShippedLSN is the WAL shipping watermark: every record at or
 	// below it is durable in the configured backend (zero when
-	// shipping is disabled). Local pruning never passes it.
+	// shipping is disabled). The local sweep never drops a WAL segment
+	// above it.
 	ShippedLSN uint64 `json:"shippedLSN,omitempty"`
 	// ShipFailures counts failed backend uploads/GC deletions (each is
 	// retried on a later round); LastShipError is the most recent.
@@ -1105,7 +1119,7 @@ type DurableStats struct {
 
 // CompactionRound is what one compaction round cost.
 type CompactionRound struct {
-	// Seconds is the whole round, lift to prune. LockHeldSeconds is the
+	// Seconds is the whole round, lift to sweep. LockHeldSeconds is the
 	// part of it spent holding the write lock — sealing the log and
 	// lifting the delta — which is all a concurrent writer can wait on.
 	Seconds         float64 `json:"seconds"`

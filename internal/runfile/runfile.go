@@ -105,14 +105,14 @@ type Manifest struct {
 	// Runs is the delta chain, contiguous from BaseLSN.
 	Runs []RunInfo `json:"runs,omitempty"`
 	// WALFloor is the highest LSN whose segments this generation
-	// permits pruning. It deliberately trails Covered() by one
+	// permits dropping (see Floor). It deliberately trails Covered() by one
 	// generation so recovery can fall back to the PREVIOUS manifest
 	// and still find every WAL record above that older coverage.
 	WALFloor uint64 `json:"walFloor"`
 	// ShippedLSN is the shipping upload watermark at the time this
 	// generation was written: every WAL record at or below it was
-	// durable in the configured storage backend. Pruning must never
-	// pass min(WALFloor, ShippedLSN) while shipping is enabled — a
+	// durable in the configured storage backend. The data directory's
+	// collector never passes it while shipping is enabled — a
 	// segment deleted before it is uploaded is a record followers can
 	// never fetch. Zero when shipping is disabled or nothing has
 	// shipped; may exceed Covered() when sealed segments beyond the
@@ -169,6 +169,19 @@ func Keep(gens ...*Manifest) map[string]bool {
 		}
 	}
 	return keep
+}
+
+// Floor returns the WAL floor of a store that keeps the generations man
+// and prev (Keep): the highest LSN a replay from either of them never
+// needs. It is man's WALFloor, lowered to prev's coverage when prev is
+// older than the generation WALFloor protects — as in a backend whose
+// shipping skipped a generation. The durable layer's collector drops the
+// WAL segments that lie wholly at or below it (wal.Reclaimable).
+func Floor(man, prev *Manifest) uint64 {
+	if prev != nil {
+		return min(man.WALFloor, prev.Covered())
+	}
+	return man.WALFloor
 }
 
 // Validate checks the manifest's internal invariants: version, a base

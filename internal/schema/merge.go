@@ -236,18 +236,6 @@ func (s *Schema) UnifyNodeTypes(dst, src *NodeType) {
 	}
 }
 
-func dedupEdgeTypes(list []*EdgeType) []*EdgeType {
-	seen := map[*EdgeType]bool{}
-	out := list[:0]
-	for _, et := range list {
-		if !seen[et] {
-			seen[et] = true
-			out = append(out, et)
-		}
-	}
-	return out
-}
-
 // Merge folds another schema into s per the §4.6 merge rules: node
 // types unify by label set, then unlabeled against labeled, then
 // unlabeled against unlabeled; edge types merge by label; properties

@@ -4,10 +4,11 @@
 // (LSN), length-prefixed, and protected by a CRC, so a reader can
 // always tell a complete record from the torn tail a crash (or a
 // lying disk) leaves behind. The log is split into segment files that
-// rotate at a size threshold; a compaction layer that has folded a
-// prefix of the log into a checkpoint can delete the sealed segments
-// that prefix covers (Prune) without touching the segment still being
-// written.
+// rotate at a size threshold. The directory is the segment list: the
+// log keeps none of its own, Open reads only the newest segment, and
+// Sealed reads the rest from the names. A store whose checkpoints cover
+// a prefix of the log drops the segments that prefix covers by one rule
+// (Reclaimable), never the newest.
 //
 // The package is payload-agnostic: record types are caller-defined
 // bytes and payloads are opaque. Durability policy is per-log: by
@@ -30,9 +31,11 @@
 // Segments are named SegmentName(first LSN) and live under Prefix: in
 // a data directory the log is the subdirectory Prefix names, and a
 // shipping backend holds each segment as the object Prefix+name. So one
-// reader serves both: Replay walks the segments of a store.Backend —
-// store.Dir over a data directory for recovery, the leader's backend
-// for a follower — with one start rule and one continuity rule.
+// reader and one retention rule serve both: Replay walks the segments
+// of a store.Backend — store.Dir over a data directory for recovery,
+// the leader's backend for a follower — with one start rule and one
+// continuity rule, and Reclaimable picks the segments either store
+// drops, from the same parse of their names.
 package wal
 
 import (
@@ -46,7 +49,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,21 +141,19 @@ type SegmentInfo struct {
 }
 
 // Log is a segmented write-ahead log rooted in one directory. Append,
-// Rotate, Sealed, Prune and Close are safe for concurrent use. A Log
-// only writes; Replay reads.
+// Rotate, Sealed and Close are safe for concurrent use. A Log only
+// writes; Replay reads.
 type Log struct {
 	dir  string
 	opts Options
 	fs   vfs.FS
 
-	mu          sync.Mutex
-	closed      bool
-	broken      bool // a failed append could not be rolled back
-	active      vfs.File
-	activeInfo  SegmentInfo
-	sealed      []SegmentInfo
-	nextLSN     uint64
-	dirSyncedAt uint64 // last nextLSN at which the directory was fsynced
+	mu         sync.Mutex
+	closed     bool
+	broken     bool // a failed append could not be rolled back
+	active     vfs.File
+	activeInfo SegmentInfo
+	nextLSN    uint64
 
 	// syncs counts successful fsyncs of the active segment — the
 	// denominator of group-commit efficiency (records acked per fsync).
@@ -167,17 +167,22 @@ type logHeld struct{}
 
 func (l *Log) lock() logHeld { l.mu.Lock(); return logHeld{} }
 
-// Open scans dir (creating it if needed), truncates the torn tail of
-// the final segment, and returns a log positioned to append after the
-// last durable record. Leftover temporary files from interrupted
-// atomic writes are removed.
+// Open opens the log in dir (creating it if needed) and returns it
+// positioned to append after the last durable record. It reads only the
+// newest segment: it truncates that segment's torn tail and reopens it
+// for appending when it has room. A newest segment holding no complete
+// record carries no state and its name could collide with the next
+// segment the log creates, so Open drops it and reads the one before.
+// The older segments are the directory's, not Open's: Replay checks
+// them. Leftover temporary files from interrupted atomic writes are
+// removed.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.OrOS(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	names, err := fsys.Glob(filepath.Join(dir, "*"+segSuffix))
+	segs, err := dirSegments(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -186,64 +191,43 @@ func Open(dir string, opts Options) (*Log, error) {
 			fsys.Remove(t)
 		}
 	}
-	// Only segment names are the log's, and they sort in LSN order.
-	names = slices.DeleteFunc(names, func(p string) bool {
-		_, ok := ParseSegmentName(filepath.Base(p))
-		return !ok
-	})
-	sort.Strings(names)
 
-	l := &Log{dir: dir, opts: opts, fs: fsys, nextLSN: 1}
-	if opts.MinLSN > l.nextLSN {
-		l.nextLSN = opts.MinLSN
-	}
-	for i, name := range names {
-		info, err := scanSegmentFile(fsys, name)
-		if err != nil {
+	l := &Log{dir: dir, opts: opts, fs: fsys, nextLSN: max(1, opts.MinLSN)}
+	var tail SegmentInfo
+	for ; len(segs) > 0 && tail.Records == 0; segs = segs[:len(segs)-1] {
+		path := filepath.Join(dir, segs[len(segs)-1].name)
+		if tail, err = scanSegmentFile(fsys, path); err != nil {
 			return nil, err
 		}
-		last := i == len(names)-1
-		if info.Records == 0 {
-			// A segment with no complete record carries no state;
-			// drop it (its name could collide with the next segment
-			// this log creates).
-			if err := fsys.Remove(name); err != nil {
+		if tail.Records == 0 {
+			if err := fsys.Remove(path); err != nil {
 				return nil, fmt.Errorf("wal: %w", err)
 			}
-			continue
 		}
-		if last {
-			// Truncate the torn tail so the next append lands right
-			// after the last durable record.
-			if fi, err := fsys.Stat(name); err == nil && fi.Size() > info.Bytes {
-				if err := fsys.Truncate(name, info.Bytes); err != nil {
-					return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-				}
-			}
-		}
-		if info.Last >= l.nextLSN {
-			l.nextLSN = info.Last + 1
-		}
-		l.sealed = append(l.sealed, info)
 	}
-
-	// Reopen the final segment for appending when it has room;
-	// otherwise it stays sealed and the next append starts a segment.
-	if n := len(l.sealed); n > 0 {
-		tail := l.sealed[n-1]
-		if tail.Bytes < opts.SegmentBytes {
-			f, err := vfs.OpenWrite(fsys, tail.Path)
-			if err != nil {
-				return nil, fmt.Errorf("wal: %w", err)
-			}
-			if _, err := f.Seek(tail.Bytes, io.SeekStart); err != nil {
-				_ = f.Close()
-				return nil, fmt.Errorf("wal: %w", err)
-			}
-			l.active = f
-			l.activeInfo = tail
-			l.sealed = l.sealed[:n-1]
+	if tail.Records == 0 {
+		return l, nil
+	}
+	// Truncate the torn tail so the next append lands right after the
+	// last durable record.
+	if fi, err := fsys.Stat(tail.Path); err == nil && fi.Size() > tail.Bytes {
+		if err := fsys.Truncate(tail.Path, tail.Bytes); err != nil {
+			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
+	}
+	l.nextLSN = max(l.nextLSN, tail.Last+1)
+	// Reopen the segment for appending when it has room; otherwise it
+	// stays sealed and the next append starts a segment.
+	if tail.Bytes < opts.SegmentBytes {
+		f, err := vfs.OpenWrite(fsys, tail.Path)
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		if _, err := f.Seek(tail.Bytes, io.SeekStart); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		l.active, l.activeInfo = f, tail
 	}
 	return l, nil
 }
@@ -264,6 +248,60 @@ func ParseSegmentName(name string) (uint64, bool) {
 	}
 	first, err := strconv.ParseUint(digits, 10, 64)
 	return first, err == nil
+}
+
+// segment is one segment of a listing: its name as listed and the first
+// LSN the name states.
+type segment struct {
+	name  string
+	first uint64
+}
+
+// segments is the one parse of segment names, which Replay, Reclaimable
+// and the log's directory reads share: the names of a listing that are
+// prefix followed by a SegmentName spelling, in LSN order. Every other
+// name is not the log's.
+func segments(names []string, prefix string) []segment {
+	var segs []segment
+	for _, name := range names {
+		rest, ok := strings.CutPrefix(name, prefix)
+		if !ok {
+			continue
+		}
+		if first, ok := ParseSegmentName(rest); ok {
+			segs = append(segs, segment{name, first})
+		}
+	}
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.first, b.first) })
+	return segs
+}
+
+// dirSegments lists the segments in the log directory dir, by file name.
+func dirSegments(fsys vfs.FS, dir string) ([]segment, error) {
+	paths, err := fsys.Glob(filepath.Join(dir, "*"+segSuffix))
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return segments(paths, ""), nil
+}
+
+// Reclaimable is the one rule that decides which segments a store — a
+// data directory or a shipping backend — drops. Given the store's
+// listing and a floor its checkpoints cover every record up to, it
+// returns the segments (under Prefix) that hold nothing above the floor:
+// a segment goes when the segment after it starts at or below floor+1.
+// The newest segment never goes, whatever the floor: it carries the
+// log's position. Names that are not segments are ignored.
+func Reclaimable(names []string, floor uint64) []string {
+	segs := segments(names, Prefix)
+	var drop []string
+	for i := 0; i+1 < len(segs) && segs[i+1].first <= floor+1; i++ {
+		drop = append(drop, segs[i].name)
+	}
+	return drop
 }
 
 // Append writes one record, fsyncs it (unless Options.NoSync), and
@@ -448,19 +486,45 @@ func (l *Log) rotate(_ logHeld) error {
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.sealed = append(l.sealed, l.activeInfo)
 	l.active = nil
 	l.activeInfo = SegmentInfo{}
 	return nil
 }
 
-// Sealed returns the sealed segments in LSN order. The slice is a
-// copy; the infos are stable (sealed segments never change).
+// Sealed returns the sealed segments in LSN order: every segment in the
+// log's directory below the active one. It reads them from the
+// directory, not from the log: a segment's Last is one below the next
+// segment's first LSN, or the log's last LSN for the newest, and Bytes
+// is the file's size. A segment removed while Sealed reads is left out.
+// The listing fails only on a directory name that is not a valid glob
+// pattern, which Open has already refused; Sealed then reports none.
 func (l *Log) Sealed() []SegmentInfo {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SegmentInfo, len(l.sealed))
-	copy(out, l.sealed)
+	bound := l.nextLSN
+	if l.active != nil {
+		bound, _ = ParseSegmentName(filepath.Base(l.activeInfo.Path))
+	}
+	l.mu.Unlock()
+	segs, err := dirSegments(l.fs, l.dir)
+	if err != nil {
+		return nil
+	}
+	var out []SegmentInfo
+	for i, s := range segs {
+		if s.first >= bound {
+			break
+		}
+		next := bound
+		if i+1 < len(segs) {
+			next = min(segs[i+1].first, bound)
+		}
+		path := filepath.Join(l.dir, s.name)
+		fi, err := l.fs.Stat(path)
+		if err != nil {
+			continue
+		}
+		out = append(out, SegmentInfo{Path: path, First: s.first, Last: next - 1, Records: int(next - s.first), Bytes: fi.Size()})
+	}
 	return out
 }
 
@@ -479,26 +543,6 @@ func (l *Log) Broken() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.broken
-}
-
-// Prune deletes sealed segments whose every record has LSN <= upTo —
-// the segments a checkpoint covering upTo supersedes. It returns the
-// number of segments removed. The active segment is never touched.
-func (l *Log) Prune(upTo uint64) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	removed := 0
-	for len(l.sealed) > 0 && l.sealed[0].Last <= upTo {
-		if err := l.fs.Remove(l.sealed[0].Path); err != nil {
-			return removed, fmt.Errorf("wal: prune: %w", err)
-		}
-		l.sealed = l.sealed[1:]
-		removed++
-	}
-	return removed, nil
 }
 
 // PrunedError reports a replay that cannot start: every segment the
@@ -539,20 +583,10 @@ func Replay(ctx context.Context, src store.Backend, after uint64, fn func(Record
 	if err != nil {
 		return fmt.Errorf("wal: list segments: %w", err)
 	}
-	type segment struct {
-		name  string
-		first uint64
-	}
-	var segs []segment
-	for _, name := range names {
-		if first, ok := ParseSegmentName(strings.TrimPrefix(name, Prefix)); ok {
-			segs = append(segs, segment{name, first})
-		}
-	}
+	segs := segments(names, Prefix)
 	if len(segs) == 0 {
 		return nil
 	}
-	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.first, b.first) })
 	start := -1
 	for i, s := range segs {
 		if s.first <= after+1 {
@@ -585,26 +619,8 @@ func Replay(ctx context.Context, src store.Backend, after uint64, fn func(Record
 	return nil
 }
 
-// Sync flushes the active segment to stable storage (useful with
-// Options.NoSync to sync at batch boundaries).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.active == nil {
-		return nil
-	}
-	if err := l.active.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	l.syncs.Add(1)
-	return nil
-}
-
 // Syncs returns the number of successful fsyncs the log has issued on
-// its append path (AppendBatch groups and explicit Sync calls). With
+// its append path (AppendBatch groups). With
 // group commit, acked-records/Syncs is the batching efficiency; the
 // benchmark suite reports it.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,13 +122,24 @@ func TestRotationSealsAndPrunes(t *testing.T) {
 		}
 	}
 
-	// Prune everything up to LSN 3; replay must still work above it.
-	n, err := l.Prune(3)
+	// A store whose checkpoints cover LSN 3 drops the segments holding
+	// nothing above it, and never the newest; replay must still work
+	// above the floor.
+	names, err := store.NewDir(l.fs, filepath.Dir(dir)).List(context.Background(), Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("pruned %d segments, want 3", n)
+	if drop := Reclaimable(names, ^uint64(0)-1); !slices.Equal(drop, names[:4]) {
+		t.Fatalf("Reclaimable above every record = %v, want all but the newest of %v", drop, names)
+	}
+	drop := Reclaimable(names, 3)
+	if !slices.Equal(drop, names[:3]) {
+		t.Fatalf("Reclaimable(3) = %v, want the first 3 of %v", drop, names)
+	}
+	for _, name := range drop {
+		if err := os.Remove(filepath.Join(filepath.Dir(dir), name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := collect(t, l, 3); len(got) != 2 || got[0].LSN != 4 {
 		t.Fatalf("replay after prune: %v", got)
@@ -269,6 +281,11 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	// Open reads only the newest segment: the flipped one stays on disk
+	// for replay to judge, instead of vanishing as an empty segment.
+	if _, err := os.Stat(segs[0]); err != nil {
+		t.Fatalf("Open removed the corrupt first segment: %v", err)
+	}
 	if err := replay(l2, 0, func(Record) error { return nil }); err == nil {
 		t.Fatal("replay over mid-log corruption succeeded; want error")
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -1120,6 +1121,82 @@ func TestDurableRecoveryGenerationFallback(t *testing.T) {
 				t.Fatalf("generation after fallback compaction = %d, want %d", got, tc.nextSeq)
 			}
 		})
+	}
+}
+
+// openRecorder is a filesystem that records the path of every open, in
+// the order an InjectFS counts them (OpOpen: OpenFile and CreateTemp).
+type openRecorder struct {
+	vfs.FS
+	paths []string
+}
+
+func (o *openRecorder) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	o.paths = append(o.paths, name)
+	return o.FS.OpenFile(name, flag, perm)
+}
+
+func (o *openRecorder) CreateTemp(dir, pattern string) (vfs.File, error) {
+	o.paths = append(o.paths, dir)
+	return o.FS.CreateTemp(dir, pattern)
+}
+
+// TestUnreadableWALSegmentFailsRecovery: the newest generation's WAL
+// tail starts in a segment that is present but cannot be read — an open
+// fault, not damage. That says nothing about the generation, so recovery
+// fails, the way an unreadable checkpoint object fails it, instead of
+// skipping to the older generation (whose tail reads the segment again
+// and would recover). Once the disk answers, the same directory recovers
+// with no fallback.
+func TestUnreadableWALSegmentFailsRecovery(t *testing.T) {
+	fx := newDamageFixture(t)
+	// Generation 3 covers LSN 3, so its tail is segments 4, 5 and 6; the
+	// newest, 6, is the only one the log itself opens.
+	seg := filepath.Join("wal", wal.SegmentName(4))
+
+	probe := t.TempDir()
+	copyTree(t, fx.dir, probe)
+	rec := &openRecorder{FS: vfs.OrOS(nil)}
+	dopts := fx.dopts
+	dopts.FS = rec
+	d, err := pghive.OpenDurable(probe, fx.opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := slices.Index(rec.paths, filepath.Join(probe, seg)) + 1
+	if n == 0 {
+		t.Fatalf("recovery never opened %s (opens: %v)", seg, rec.paths)
+	}
+
+	dir := t.TempDir()
+	copyTree(t, fx.dir, dir)
+	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpOpen, N: n})
+	dopts.FS = vfs.NewInjectFS(vfs.OrOS(nil), plan)
+	if d, err := pghive.OpenDurable(dir, fx.opts, dopts); err == nil {
+		st := d.DurableStats()
+		d.Close()
+		t.Fatalf("recovery past an unreadable %s succeeded, skipping %d generations", seg, st.RecoveryFallbacks)
+	} else if !errors.Is(err, vfs.ErrInjected) || !strings.Contains(err.Error(), wal.SegmentName(4)) {
+		t.Fatalf("recovery error %v, want the injected open of %s", err, seg)
+	}
+	if len(plan.Fired()) != 1 {
+		t.Fatal("the open fault never fired")
+	}
+
+	dopts.FS = nil
+	d, err = pghive.OpenDurable(dir, fx.opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := serviceImage(t, d); !bytes.Equal(got, fx.refs[5]) {
+		t.Fatal("recovery once the segment reads diverges from the acked state")
+	}
+	if st := d.DurableStats(); st.RecoveryFallbacks != 0 {
+		t.Fatalf("RecoveryFallbacks = %d after the failed open, want 0", st.RecoveryFallbacks)
 	}
 }
 

@@ -680,6 +680,66 @@ func TestShipGCRetainsFallbackGenerationTail(t *testing.T) {
 	}
 }
 
+// TestShippedWALMatchesSealedSegments: one rule decides which WAL
+// segments a store drops, so with shipping healthy the backend and the
+// data directory hold the same segments after every round — the data
+// directory's sealed ones, all of them uploaded and none kept longer —
+// through writes, retractions and MaxRuns folds.
+func TestShippedWALMatchesSealedSegments(t *testing.T) {
+	ctx := context.Background()
+	mem := vfs.NewMemFS()
+	local, backend := store.NewDir(mem, "data"), store.NewDir(vfs.NewMemFS(), "/backend")
+	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, MaxRuns: 2, ShipTo: backend,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var prev *pghive.Graph
+	for r := 0; r < 8; r++ {
+		g := stressGraph(t, pghive.ID(1000*(r+1)), 20)
+		for i := 0; i < 3; i++ {
+			if _, err := d.Ingest(stressGraph(t, pghive.ID(100000*(r+1)+1000*i), 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.Ingest(g); err != nil {
+			t.Fatal(err)
+		}
+		if r%2 == 1 {
+			if _, err := d.Retract(prev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = g
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		st := d.DurableStats()
+		if st.ShipFailures != 0 || st.GCFailures != 0 {
+			t.Fatalf("round %d: ShipFailures %d (%q), GCFailures %d (%q) on healthy stores", r, st.ShipFailures, st.LastShipError, st.GCFailures, st.LastGCError)
+		}
+		mine, err := local.List(ctx, "wal/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped, err := backend.List(ctx, "wal/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mine) != st.WALSealedSegments {
+			t.Fatalf("round %d: data directory holds %d segments, %d of them sealed", r, len(mine), st.WALSealedSegments)
+		}
+		if !slices.Equal(mine, shipped) {
+			t.Fatalf("round %d (folds %d): data directory holds segments %v, backend %v", r, st.Folds, mine, shipped)
+		}
+		if r == 7 && (st.Folds == 0 || mine[0] == "wal/"+fmt.Sprintf("%020d.wal", 1)) {
+			t.Fatalf("script never folded (%d) or never dropped a segment (oldest %s)", st.Folds, mine[0])
+		}
+	}
+}
+
 // TestGCCollectsOnlyStaleArtifacts holds both collectors — the sweep of
 // the data directory and the GC of a shipping backend — to the contract
 // runfile.IsArtifact states: they delete stale files of the checkpoint

@@ -17,13 +17,15 @@ package pghive
 // The ship watermark is the highest LSN L such that every record up
 // to L is durable in the backend — the shipped generation's coverage
 // extended by the contiguous uploaded sealed segments above it. While
-// shipping is enabled, no WAL segment below min(WAL floor, watermark)
-// is pruned locally: a backend outage must stall reclamation loudly,
-// never create records followers can no longer fetch. The watermark is
-// persisted in each new manifest (Manifest.ShippedLSN) so a restart
-// keeps honoring it before the first round completes. Checkpoint files
-// are collected per store (collect): the local sweep keeps the data
-// directory's two generations, the backend GC the two newest shipped.
+// shipping is enabled, the local sweep drops no WAL segment above
+// min(WAL floor, watermark): a backend outage must stall reclamation
+// loudly, never create records followers can no longer fetch. The
+// watermark is persisted in each new manifest (Manifest.ShippedLSN) so
+// a restart keeps honoring it before the first round completes. Each
+// store is collected by the one collector (collect) with its own two
+// generations: the local sweep keeps the data directory's, the backend
+// GC the two newest shipped, and each drops the WAL segments below
+// those generations' floor.
 //
 // Shipping failures never fail a compaction and never degrade the
 // write path — they are counted in DurableStats (ShipFailures /
@@ -32,12 +34,10 @@ package pghive
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"github.com/pghive/pghive/internal/runfile"
 	"github.com/pghive/pghive/internal/store"
@@ -63,22 +63,6 @@ type shipper struct {
 	prevMan *runfile.Manifest
 
 	faults // failed uploads and deletions
-}
-
-// shipWatermark returns the upload watermark, or ^0 when shipping is
-// disabled (no gate).
-func (d *DurableService) shipWatermark(_ compactHeld) uint64 {
-	if d.ship == nil {
-		return ^uint64(0)
-	}
-	return d.ship.watermark
-}
-
-// pruneFloor gates a proposed WAL prune floor by the ship watermark:
-// while shipping is enabled, segments the backend does not yet hold
-// are retained no matter what the manifest's floor permits.
-func (d *DurableService) pruneFloor(held compactHeld, floor uint64) uint64 {
-	return min(floor, d.shipWatermark(held))
 }
 
 // shipRound uploads everything the backend is missing and advances
@@ -176,49 +160,20 @@ func (d *DurableService) shipRound(held compactHeld) {
 	d.shipGC(held, ctx)
 }
 
-// shipGC deletes backend objects no follower can need anymore:
-// checkpoint-layout objects outside the two newest shipped generations
-// (collect, the sweep's collector, with their Keep set), and segment
-// objects wholly below the shipped generation's WAL floor (the floor a
-// follower falling back one generation still replays from). Best
-// effort — failures are counted and the objects retried next round.
+// shipGC deletes backend objects no follower can need anymore: collect,
+// the sweep's collector, with the two newest shipped generations' Keep
+// set and WAL floor (the floor a follower falling back one generation
+// still replays from). Best effort — failures are counted and the
+// objects retried next round.
 func (d *DurableService) shipGC(_ compactHeld, ctx context.Context) {
 	s := d.ship
 	if s == nil || s.man == nil {
 		return
 	}
 	names := slices.Sorted(maps.Keys(s.uploaded))
-	for _, obj := range collect(ctx, s.backend, names, runfile.Keep(s.man, s.prevMan), func(err error) {
+	for _, obj := range collect(ctx, s.backend, names, runfile.Keep(s.man, s.prevMan), runfile.Floor(s.man, s.prevMan), func(err error) {
 		s.note(fmt.Errorf("pghive: ship: %w", err))
 	}) {
 		delete(s.uploaded, obj)
-	}
-	var segObjs []string
-	for _, obj := range names {
-		if strings.HasPrefix(obj, wal.Prefix) {
-			segObjs = append(segObjs, obj)
-		}
-	}
-	// A segment object is deletable when its successor starts at or
-	// below floor+1 — everything it holds is then below the floor. The
-	// floor is the newest generation's WAL floor gated by the retained
-	// fallback generation's coverage: when a shipping round skipped a
-	// generation, prevMan can be older than what WALFloor protects, and
-	// a follower falling back to it must still be able to tail from
-	// prevMan.Covered()+1.
-	floor := s.man.WALFloor
-	if s.prevMan != nil && s.prevMan.Covered() < floor {
-		floor = s.prevMan.Covered()
-	}
-	for i := 0; i+1 < len(segObjs); i++ {
-		next, ok := wal.ParseSegmentName(strings.TrimPrefix(segObjs[i+1], wal.Prefix))
-		if !ok || next > floor+1 {
-			break
-		}
-		if err := s.backend.Delete(ctx, segObjs[i]); err != nil && !errors.Is(err, store.ErrNotFound) {
-			s.note(fmt.Errorf("pghive: ship: gc %s: %w", segObjs[i], err))
-			break
-		}
-		delete(s.uploaded, segObjs[i])
 	}
 }
