@@ -41,7 +41,7 @@ func startShippingLeader(t *testing.T) (*pghive.DurableService, *httptest.Server
 	dur, err := pghive.OpenDurable("data", pghive.Options{Seed: 1, Parallelism: 2}, pghive.DurableOptions{
 		FS:                 vfs.NewMemFS(),
 		DisableAutoCompact: true,
-		SegmentBytes:       4096,
+		SegmentBytes:       512,
 		ShipTo:             backend,
 	})
 	if err != nil {

@@ -250,8 +250,8 @@ func TestServeHTTPStreamedIngestDurable(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("replay %s: %v", dir, err)
 	}
-	if !bytes.Equal(types, []byte{1, 1, 1, 1}) {
-		t.Fatalf("logged record types %v, want four plain ingest records (type 1)", types)
+	if !bytes.Equal(types, []byte{6, 6, 6, 6}) {
+		t.Fatalf("logged record types %v, want four ingest records (type 6)", types)
 	}
 
 	dur2, err := pghive.OpenDurable(dir, opts, dopts)

@@ -105,22 +105,6 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// WAL record types. Keyed variants prefix the payload with the write's
-// idempotency key (u8 length + bytes), so the applied-key set is
-// reconstructible from the log alone. Type 3 (a streamed batch, now
-// logged as the ingest it is) is retired: replay refuses it as an
-// unknown type rather than guess at its meaning.
-const (
-	walRecIngest       byte = 1
-	walRecRetract      byte = 2
-	walRecIngestKeyed  byte = 4
-	walRecRetractKeyed byte = 5
-)
-
-// MaxIdempotencyKeyLen bounds an idempotency key: the key is encoded
-// in the WAL record behind a one-byte length.
-const MaxIdempotencyKeyLen = 255
-
 // Declared read-only reasons (DurableService.Degraded,
 // DurableStats.ReadOnlyReason).
 const (
@@ -624,40 +608,6 @@ func (d *DurableService) maybeDegrade(_ writeHeld, err error) {
 func (d *DurableService) degrade(reason string) {
 	r := reason
 	d.degradedReason.CompareAndSwap(nil, &r)
-}
-
-// walRecTypeFor selects the WAL record type for a write: keyed
-// variants when an idempotency key rides along.
-func walRecTypeFor(key string, retract bool) byte {
-	switch {
-	case key != "" && retract:
-		return walRecRetractKeyed
-	case key != "":
-		return walRecIngestKeyed
-	case retract:
-		return walRecRetract
-	default:
-		return walRecIngest
-	}
-}
-
-// encodeWALRecordPayload serializes g (behind the idempotency key, for
-// keyed record types) into one WAL record payload — the inverse of
-// writer.replay's decoding. Encode failures are wrapped in DurabilityError; a
-// malformed key is the caller's fault and returned plain.
-func encodeWALRecordPayload(t byte, key string, g *Graph) ([]byte, error) {
-	var buf bytes.Buffer
-	if t == walRecIngestKeyed || t == walRecRetractKeyed {
-		if len(key) == 0 || len(key) > MaxIdempotencyKeyLen {
-			return nil, fmt.Errorf("pghive: durable: idempotency key must be 1..%d bytes, got %d", MaxIdempotencyKeyLen, len(key))
-		}
-		buf.WriteByte(byte(len(key)))
-		buf.WriteString(key)
-	}
-	if err := WriteJSONL(&buf, g); err != nil {
-		return nil, &DurabilityError{Err: fmt.Errorf("pghive: durable: encode batch: %w", err)}
-	}
-	return buf.Bytes(), nil
 }
 
 // Ingest write-ahead logs the batch, then runs it through the
@@ -1292,9 +1242,9 @@ func (w *writer) image() (*core.Image, error) {
 	})
 }
 
-// replay decodes one logged record — its graph, direction and, for
-// keyed types, the idempotency key before the graph — and folds it into
-// the state through apply: the path recovery, Rearm's catch-up and a
+// replay decodes one logged record — its direction from the type, its
+// idempotency key and graph from the payload — and folds it into the
+// state through apply: the path recovery, Rearm's catch-up and a
 // follower's tail share. It refuses any record but the writer's next,
 // so a duplicate, a gap or a second tail racing the first stops instead
 // of applying twice.
@@ -1302,22 +1252,13 @@ func (w *writer) replay(rec wal.Record) error {
 	if rec.LSN != w.lsn+1 {
 		return fmt.Errorf("pghive: wal record %d is not the next after %d", rec.LSN, w.lsn)
 	}
-	payload, key := rec.Payload, ""
-	switch rec.Type {
-	case walRecIngest, walRecRetract:
-	case walRecIngestKeyed, walRecRetractKeyed:
-		if len(payload) == 0 || len(payload) < 1+int(payload[0]) {
-			return fmt.Errorf("pghive: durable: wal record %d: truncated idempotency key", rec.LSN)
-		}
-		n := 1 + int(payload[0])
-		key, payload = string(payload[1:n]), payload[n:]
-	default:
+	if rec.Type != walRecIngest && rec.Type != walRecRetract {
 		return fmt.Errorf("pghive: durable: wal record %d has unknown type %d", rec.LSN, rec.Type)
 	}
-	g, err := ReadJSONL(bytes.NewReader(payload), true)
+	key, g, err := decodeWALRecordPayload(rec.Payload)
 	if err != nil {
 		return fmt.Errorf("pghive: durable: wal record %d: %w", rec.LSN, err)
 	}
-	w.apply(rec.LSN, key, g, rec.Type == walRecRetract || rec.Type == walRecRetractKeyed)
+	w.apply(rec.LSN, key, g, rec.Type == walRecRetract)
 	return nil
 }

@@ -14,18 +14,21 @@ package pghive
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
 )
 
-func internalStressGraph(t *testing.T, base ID, n int) *Graph {
+func internalStressGraph(t testing.TB, base ID, n int) *Graph {
 	t.Helper()
 	g := NewGraph()
 	for i := 0; i < n; i++ {
@@ -127,16 +130,16 @@ func TestCompactorNeverBlocksWriters(t *testing.T) {
 	}
 }
 
-// TestStreamRecordTypeRefused: WAL record type 3 is retired. A log or
-// shipped segment that still carries one must stop both replay paths —
-// local recovery and a follower's tail — with the unknown-type error;
-// neither may skip the record and apply the valid ingest logged after
+// refusedByBothReplays logs a record of type typ carrying payload, then
+// a valid ingest, into a fresh data directory, and requires both replay
+// paths — local recovery and a follower's tail over the same segment as
+// a shipped object — to stop at record 1 with an error containing want.
+// Neither may skip the record and apply the valid ingest logged after
 // it.
-func TestStreamRecordTypeRefused(t *testing.T) {
-	const retiredStreamType byte = 3
+func refusedByBothReplays(t *testing.T, typ byte, payload []byte, want string) {
+	t.Helper()
 	opts := Options{Seed: 1, Parallelism: 1}
-	g := internalStressGraph(t, 0, 8)
-	payload, err := encodeWALRecordPayload(walRecIngest, "", g)
+	valid, err := encodeWALRecordPayload("", internalStressGraph(t, 0, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +149,11 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, typ := range []byte{retiredStreamType, walRecIngest} {
-		if _, err := lg.Append(typ, payload); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := lg.Append(typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Append(walRecIngest, valid); err != nil {
+		t.Fatal(err)
 	}
 	if err := lg.Rotate(); err != nil {
 		t.Fatal(err)
@@ -161,12 +165,11 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	if len(sealed) != 1 {
 		t.Fatalf("%d sealed segments, want 1", len(sealed))
 	}
-	const want = "wal record 1 has unknown type 3"
 
 	d, err := OpenDurable(dir, opts, DurableOptions{NoSync: true, DisableAutoCompact: true})
 	if err == nil {
 		d.Close()
-		t.Fatal("recovery replayed past a type-3 record")
+		t.Fatal("recovery replayed past a refused record")
 	}
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("recovery error %q, want it to contain %q", err, want)
@@ -187,7 +190,7 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	defer f.Close()
 	err = f.TailOnce(ctx)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("tail over a type-3 record: error %v, want it to contain %q", err, want)
+		t.Fatalf("tail over a refused record: error %v, want it to contain %q", err, want)
 	}
 	if f.AppliedLSN() != 0 {
 		t.Fatalf("follower applied LSN %d past a refused record, want 0", f.AppliedLSN())
@@ -201,5 +204,110 @@ func TestStreamRecordTypeRefused(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), empty.Bytes()) {
 		t.Fatal("follower state moved after refusing the first record")
+	}
+}
+
+// TestStreamRecordTypeRefused: WAL record types 1–5 are retired — plain
+// JSONL ingests and retractions (1, 2), the streamed batch (3) and the
+// keyed variants (4, 5). A log or shipped segment that still carries
+// one, in the payload spelling it had, must stop both replay paths with
+// the unknown-type error.
+func TestStreamRecordTypeRefused(t *testing.T) {
+	var jsonl bytes.Buffer
+	if err := WriteJSONL(&jsonl, internalStressGraph(t, 0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	keyed := append([]byte{3, 'k', 'e', 'y'}, jsonl.Bytes()...)
+	for _, tc := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{1, jsonl.Bytes()},
+		{2, jsonl.Bytes()},
+		{3, jsonl.Bytes()},
+		{4, keyed},
+		{5, keyed},
+	} {
+		t.Run(fmt.Sprintf("type%d", tc.typ), func(t *testing.T) {
+			refusedByBothReplays(t, tc.typ, tc.payload, fmt.Sprintf("wal record 1 has unknown type %d", tc.typ))
+		})
+	}
+}
+
+// TestHostileWALPayloadRefused: a CRC-valid record whose payload is not
+// what the encoder writes stops both replay paths with the same error
+// and applies nothing.
+func TestHostileWALPayloadRefused(t *testing.T) {
+	jsonl := func(g *Graph) []byte {
+		var b bytes.Buffer
+		if err := WriteJSONL(&b, g); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	batch := internalStressGraph(t, 0, 8)
+	valid, err := encodeWALRecordPayload("key", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One node whose property is a megabyte of one letter: BestSpeed
+	// deflates it far past walInflateRatio.
+	repetitive := NewGraph()
+	if err := repetitive.PutNode(1, []string{"Blob"}, map[string]Value{"s": Str(strings.Repeat("a", 1<<20))}); err != nil {
+		t.Fatal(err)
+	}
+	repetitiveJSONL := jsonl(repetitive)
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"truncated key", []byte{5, 'k', 'e'}, "truncated idempotency key"},
+		{"no key length", nil, "truncated idempotency key"},
+		{"empty stream", []byte{0}, errWALNoFinalBlock.Error()},
+		{"no final block", rawDeflate(t, jsonl(batch), flate.BestSpeed, false), errWALNoFinalBlock.Error()},
+		{"bytes after the final block", append(bytes.Clone(valid), 0), errWALTrailing.Error()},
+		{"inflation above the bound", rawDeflate(t, repetitiveJSONL, flate.BestSpeed, true), errWALInflation.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refusedByBothReplays(t, walRecIngest, tc.payload, "wal record 1: "+tc.want)
+		})
+	}
+
+	// What the decoder refuses, the encoder never writes: it stores the
+	// windows of the repetitive batch that would take it past the bound.
+	payload, err := encodeWALRecordPayload("", repetitive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := walInflateLimit(len(payload) - 1); int64(len(repetitiveJSONL)) > limit {
+		t.Fatalf("the encoder wrote %d JSONL bytes in a %d-byte payload, past the decoder's bound of %d", len(repetitiveJSONL), len(payload), limit)
+	}
+	if _, g, err := decodeWALRecordPayload(payload); err != nil || g.NumNodes() != 1 {
+		t.Fatalf("the repetitive batch does not decode: %v", err)
+	}
+}
+
+// TestOverlongKeyRefusedBeforeAdmission: a malformed idempotency key is
+// refused where the record is encoded, in the caller's goroutine before
+// the hand-off. With the write lock held, the write fails at once with
+// the key error; it does not wait for the committer to get the lock, or
+// for its deadline to end the wait.
+func TestOverlongKeyRefusedBeforeAdmission(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), Options{Seed: 1, Parallelism: 1}, DurableOptions{NoSync: true, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.w.mu.Lock()
+	defer d.w.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	key := strings.Repeat("k", MaxIdempotencyKeyLen+1)
+	_, _, err = d.IngestIdempotent(ctx, key, internalStressGraph(t, 0, 2))
+	const want = "pghive: durable: idempotency key must be 1..255 bytes, got 256"
+	if err == nil || err.Error() != want {
+		t.Fatalf("overlong key: error %v, want %q", err, want)
 	}
 }

@@ -4,11 +4,13 @@ package pghive
 // Ingest, Retract, each batch of a DrainStream — goes through it.
 // Callers never take the write lock themselves: they hand a commit
 // request to a committer goroutine and block until it answers. The
-// committer takes the channel-based write lock, claims whoever else is
-// waiting (bounded by maxCommitGroup), and commits the group:
-// per-request admission checks (context expiry, idempotency replay,
-// read-only fail-fast), one wal.AppendBatch — N frames, ONE fsync —
-// then applies and publishes each batch in log order before
+// caller encodes its record payload in its own goroutine, before the
+// hand-off, so no encode or compression runs inside the serialized
+// section. The committer takes the channel-based write lock, claims
+// whoever else is waiting (bounded by maxCommitGroup), and commits the
+// group: per-request admission checks (context expiry, idempotency
+// replay, read-only fail-fast), one wal.AppendBatch — N frames, ONE
+// fsync — then applies and publishes each batch in log order before
 // acknowledging anyone. It applies through writer.apply, the rule
 // recovery, Rearm and a follower's tail replay through, so the writer's
 // LSN and the log's agree after every group. A lone writer is a group
@@ -32,16 +34,18 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// maxCommitGroup bounds how many writes share one fsync (and how long
-// the first of them waits for the last to be encoded).
+// maxCommitGroup bounds how many writes share one fsync (and how many
+// frames the one write to the segment carries). Encoding is not in the
+// group: every request arrives with its record payload.
 const maxCommitGroup = 64
 
-// commitReq is one durable write awaiting the committer.
+// commitReq is one durable write awaiting the committer, its record
+// already encoded.
 type commitReq struct {
-	ctx     context.Context
-	key     string
-	g       *Graph
-	retract bool
+	ctx context.Context
+	key string
+	g   *Graph
+	rec wal.BatchRecord
 	// res receives exactly one response; buffered so the committer
 	// never blocks on a caller.
 	res chan commitRes
@@ -54,14 +58,23 @@ type commitRes struct {
 	err      error
 }
 
-// submitCommit hands one durable write to the committer and blocks for
-// its outcome. The hand-off is unbuffered, so the select is the
-// admission point: until the committer receives the request, ctx (or
-// Close) withdraws it; once received it is always answered — the
+// submitCommit encodes one durable write's record, hands the write to
+// the committer and blocks for its outcome. A malformed key is refused
+// here, before admission. The hand-off is unbuffered, so the select is
+// the admission point: until the committer receives the request, ctx
+// (or Close) withdraws it; once received it is always answered — the
 // committer watches req.ctx on the caller's behalf until it holds the
 // write lock, and after that the write is happening regardless.
 func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
-	req := &commitReq{ctx: ctx, key: key, g: g, retract: retract, res: make(chan commitRes, 1)}
+	payload, err := encodeWALRecordPayload(key, g)
+	if err != nil {
+		return BatchTiming{}, false, err
+	}
+	rec := wal.BatchRecord{Type: walRecIngest, Payload: payload}
+	if retract {
+		rec.Type = walRecRetract
+	}
+	req := &commitReq{ctx: ctx, key: key, g: g, rec: rec, res: make(chan commitRes, 1)}
 	select {
 	case d.commitCh <- req:
 		res := <-req.res
@@ -108,7 +121,7 @@ func (d *DurableService) commitLoop() {
 	}
 }
 
-// commitGroup commits one group: filter, encode, one AppendBatch, apply
+// commitGroup commits one group: filter, one AppendBatch, apply
 // in log order, acknowledge.
 func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 	// Admission per request. A key already in w.keys is durably applied
@@ -140,17 +153,11 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 			req.res <- commitRes{err: err}
 			continue
 		}
-		t := walRecTypeFor(req.key, req.retract)
-		payload, err := encodeWALRecordPayload(t, req.key, req.g)
-		if err != nil {
-			req.res <- commitRes{err: err}
-			continue
-		}
 		if req.key != "" {
 			groupKeys[req.key] = true
 		}
 		pend = append(pend, req)
-		recs = append(recs, wal.BatchRecord{Type: t, Payload: payload})
+		recs = append(recs, req.rec)
 	}
 	if len(pend) == 0 {
 		return
@@ -176,7 +183,7 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 	// batch — concurrent readers see one snapshot per batch, whatever the
 	// grouping, each stating its LSN.
 	for i, p := range pend {
-		p.res <- commitRes{bt: d.w.apply(first+uint64(i), p.key, p.g, p.retract)}
+		p.res <- commitRes{bt: d.w.apply(first+uint64(i), p.key, p.g, p.rec.Type == walRecRetract)}
 	}
 	// In-group duplicates ack only now: their originals are durable
 	// (the group fsync returned) and applied.

@@ -304,7 +304,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 			dir := t.TempDir()
 			// Small segments force rotation, so crash points span
 			// multiple files.
-			dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, SegmentBytes: 32 << 10}
+			dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, SegmentBytes: 4 << 10}
 			fx.runDurable(t, dir, dopts, -1)
 
 			segs := walSegments(t, dir)
@@ -352,7 +352,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	// is effectively disabled so chain length alone decides folds and
 	// the generation sequence below is deterministic.
 	dopts := pghive.DurableOptions{
-		NoSync: true, DisableAutoCompact: true, SegmentBytes: 16 << 10,
+		NoSync: true, DisableAutoCompact: true, SegmentBytes: 4 << 10,
 		MaxRuns: 3, MaxTombstoneRatio: 1e9,
 	}
 	d, err := pghive.OpenDurable(dir, fx.opts, dopts)
@@ -641,7 +641,7 @@ func TestDurableServiceConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
 	d, err := pghive.OpenDurable(dir, opts, pghive.DurableOptions{
 		NoSync:          true,
-		SegmentBytes:    2 << 10,
+		SegmentBytes:    256,
 		CompactInterval: 2 * time.Millisecond,
 		OnCompactError:  func(err error) { t.Errorf("background compaction: %v", err) },
 	})
@@ -911,7 +911,7 @@ func newDamageFixture(t *testing.T) *damageFixture {
 	fx := &damageFixture{
 		opts: pghive.Options{Seed: 5, Parallelism: 1},
 		dopts: pghive.DurableOptions{
-			NoSync: true, DisableAutoCompact: true, SegmentBytes: 1024,
+			NoSync: true, DisableAutoCompact: true, SegmentBytes: 256,
 			MaxRuns: 1, MaxTombstoneRatio: 1e9,
 		},
 		dir: t.TempDir(), foldSnap: t.TempDir(),

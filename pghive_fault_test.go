@@ -274,7 +274,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 	dopts := pghive.DurableOptions{
 		FS:                 vfs.NewInjectFS(mem, plan),
 		DisableAutoCompact: true,
-		SegmentBytes:       2048, // rotate every few records so pruning happens
+		SegmentBytes:       768, // rotate every few records so pruning happens
 		// A tight chain bound so the three compaction ops of the script
 		// exercise run writes AND leveled folds: cmp0 writes a run on
 		// the empty base, cmp1 folds (the retraction's tombstones cross
@@ -370,7 +370,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 		appendTornTail(t, mem, sc.seed)
 	}
 
-	d2, err := pghive.OpenDurable(faultDataDir, opts, pghive.DurableOptions{FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, MaxRuns: 2})
+	d2, err := pghive.OpenDurable(faultDataDir, opts, pghive.DurableOptions{FS: mem, DisableAutoCompact: true, SegmentBytes: 768, MaxRuns: 2})
 	if err != nil {
 		t.Fatalf("%v: recovery after crash failed: %v", sc, err)
 	}

@@ -41,7 +41,7 @@ func newReplicaWorld(t *testing.T, backend store.Backend) *replicaWorld {
 	}
 	opts := pghive.Options{Seed: 3, Parallelism: 1}
 	d, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{
-		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 2048, ShipTo: backend,
+		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 256, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -413,7 +413,7 @@ func TestShipRoundUploadsGenerationManifestLast(t *testing.T) {
 	mem := vfs.NewMemFS()
 	backend := store.NewDir(vfs.NewMemFS(), "/backend")
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, SegmentBytes: 4096, ShipTo: backend,
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 512, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +466,7 @@ func TestShipManifestNeverDanglesOnPartialFailure(t *testing.T) {
 	probe := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), allow: -1}
 	mem := vfs.NewMemFS()
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, SegmentBytes: 4096, ShipTo: probe,
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 512, ShipTo: probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestShipManifestNeverDanglesOnPartialFailure(t *testing.T) {
 		backend := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), allow: allow}
 		mem := vfs.NewMemFS()
 		d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-			FS: mem, DisableAutoCompact: true, SegmentBytes: 4096, ShipTo: backend,
+			FS: mem, DisableAutoCompact: true, SegmentBytes: 512, ShipTo: backend,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -532,7 +532,7 @@ func TestPruneRetainsUnshippedSegments(t *testing.T) {
 	mem := vfs.NewMemFS()
 	backend := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), allow: 0} // down from the start
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, ShipTo: backend,
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 256, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +568,7 @@ func TestPruneRetainsUnshippedSegments(t *testing.T) {
 	// A restart with the backend still down must keep honoring the
 	// persisted watermark through its startup prune.
 	d, err = pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, ShipTo: backend,
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 256, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,7 +610,7 @@ func TestShipGCRetainsFallbackGenerationTail(t *testing.T) {
 	backend := &flakyBackend{inner: store.NewDir(vfs.NewMemFS(), "/b"), allow: -1}
 	opts := pghive.Options{Seed: 3, Parallelism: 1}
 	d, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{
-		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 2048, ShipTo: backend,
+		FS: vfs.NewMemFS(), DisableAutoCompact: true, SegmentBytes: 256, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -690,7 +690,7 @@ func TestShippedWALMatchesSealedSegments(t *testing.T) {
 	mem := vfs.NewMemFS()
 	local, backend := store.NewDir(mem, "data"), store.NewDir(vfs.NewMemFS(), "/backend")
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
-		FS: mem, DisableAutoCompact: true, SegmentBytes: 2048, MaxRuns: 2, ShipTo: backend,
+		FS: mem, DisableAutoCompact: true, SegmentBytes: 256, MaxRuns: 2, ShipTo: backend,
 	})
 	if err != nil {
 		t.Fatal(err)
