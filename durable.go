@@ -11,10 +11,10 @@ package pghive
 // boundary; a torn trailing record is truncated away).
 //
 // The writer owns its log position: only writer.apply, the one rule the
-// committer, recovery, Rearm and a follower's tail advance the state
-// through, moves it; replay refuses any record but the next. The log
-// numbers on above it, a round lifts up to it, and every snapshot
-// states it (ServiceStats.LSN).
+// caller holding the write lock, recovery, Rearm and a follower's tail
+// advance the state through, moves it; replay refuses any record but
+// the next. The log numbers on above it, a round lifts up to it, and
+// every snapshot states it (ServiceStats.LSN).
 //
 // Checkpoints are LSM-structured (internal/runfile): a generation is
 // a base image plus an ordered chain of immutable, checksummed delta
@@ -236,17 +236,10 @@ type DurableService struct {
 	// holds (see ship.go). Guarded by compactMu.
 	ship *shipper
 
-	// commitCh / commitDone are the committer goroutine's hand-off and
-	// exit signal (see groupcommit.go). The hand-off is unbuffered: a
-	// request is either still its caller's to abandon or already in the
-	// committer's hands, never parked in between.
-	commitCh   chan *commitReq
-	commitDone chan struct{}
-
-	// life ends when Close begins: the committer and the compactor exit
-	// on it, and everything the service does on its own initiative — a
-	// shipping round's backend calls — runs under it, so a backend that
-	// never answers cannot outlive Close.
+	// life ends when Close begins: the compactor exits on it, and
+	// everything the service does on its own initiative — a shipping
+	// round's backend calls — runs under it, so a backend that never
+	// answers cannot outlive Close.
 	life      context.Context
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -327,18 +320,17 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		return nil, fmt.Errorf("pghive: durable: %w", err)
 	}
 	d := &DurableService{
-		Reader:     w.serve(),
-		w:          w,
-		dir:        dir,
-		local:      local,
-		dopts:      dopts,
-		man:        gen.man,
-		prevMan:    gen.prev,
-		manSeq:     gen.maxSeq,
-		fallbacks:  len(gen.notes),
-		commitCh:   make(chan *commitReq),
-		commitDone: make(chan struct{}),
+		Reader:    w.serve(),
+		w:         w,
+		dir:       dir,
+		local:     local,
+		dopts:     dopts,
+		man:       gen.man,
+		prevMan:   gen.prev,
+		manSeq:    gen.maxSeq,
+		fallbacks: len(gen.notes),
 	}
+	w.commits, w.commit = make(chan *commitReq), d.commitGroup
 	d.life, d.cancel = context.WithCancel(context.Background())
 	d.log.Store(lg)
 	if dopts.ShipTo != nil {
@@ -351,7 +343,6 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	// job.
 	d.reclaim(d.compactMu.Lock())
 	d.compactMu.Unlock()
-	go d.commitLoop()
 	if !dopts.DisableAutoCompact {
 		d.done = make(chan struct{})
 		go d.compactLoop()
@@ -363,7 +354,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 // through local, every record above w's position — the one job
 // recovery and Rearm share. The log numbers on from w's position at
 // least, so a log whose every segment was dropped resumes above the
-// state, and the committer's next LSN is always the state's next. A log
+// state, and the next write's LSN is always the state's next. A log
 // that does not open, or a segment that is there but cannot be read, is
 // a recoveryHardError, since no older generation fixes it.
 func catchUp(dir string, local *store.Dir, dopts DurableOptions, w *writer) (*wal.Log, error) {
@@ -644,8 +635,8 @@ func (d *DurableService) RetractIdempotent(ctx context.Context, key string, g *G
 	return d.submitCommit(ctx, key, g, true)
 }
 
-// DrainStream feeds the stream through the committer one batch at a
-// time: each materialized batch is an ordinary unkeyed ingest — group-
+// DrainStream feeds the stream through the one commit path one batch
+// at a time: each materialized batch is an ordinary unkeyed ingest — group-
 // committed, deadline-checked and degradation-checked like any other —
 // so a crash mid-stream loses at most the batches not yet acknowledged,
 // and other writers interleave between a stream's batches. CSV streams
@@ -1133,7 +1124,6 @@ func (d *DurableService) Close() error {
 		if d.done != nil {
 			<-d.done
 		}
-		<-d.commitDone
 		d.compactMu.Lock()
 		defer d.compactMu.Unlock()
 		d.w.mu.Lock()

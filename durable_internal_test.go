@@ -291,9 +291,9 @@ func TestHostileWALPayloadRefused(t *testing.T) {
 
 // TestOverlongKeyRefusedBeforeAdmission: a malformed idempotency key is
 // refused where the record is encoded, in the caller's goroutine before
-// the hand-off. With the write lock held, the write fails at once with
-// the key error; it does not wait for the committer to get the lock, or
-// for its deadline to end the wait.
+// submit. With the write lock held, the write fails at once with the
+// key error; it does not wait for the lock, or for its deadline to end
+// the wait.
 func TestOverlongKeyRefusedBeforeAdmission(t *testing.T) {
 	d, err := OpenDurable(t.TempDir(), Options{Seed: 1, Parallelism: 1}, DurableOptions{NoSync: true, DisableAutoCompact: true})
 	if err != nil {

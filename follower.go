@@ -6,8 +6,8 @@ package pghive
 // recovery takes, bare-base fallback included — and then tails the
 // shipped WAL segments through wal.Replay, the very reader recovery and
 // Rearm use, applying each record through writer.replay — the rule
-// recovery and Rearm apply through, which is the committer's own
-// writer.apply — and publishing each batch with the same atomic-pointer
+// recovery and Rearm apply through, which is the durable group step's
+// own writer.apply — and publishing each batch with the same atomic-pointer
 // snapshot swap. Reads on a follower are therefore indistinguishable
 // from reads on the leader at the same LSN — WriteCheckpoint produces
 // bit-identical images, and the snapshot states that LSN
@@ -201,9 +201,8 @@ func (f *Follower) noteFault(err error) error {
 // that fails for any reason but absence fails the bootstrap instead —
 // counted, and retried by the next TailOnce — so a flaky backend cannot
 // push the replica onto an older generation than the newest it holds. A
-// backend
-// with no manifest and no base yet bootstraps the empty state and tails
-// from LSN 1. On success the replica is Ready and positioned at the
+// backend with no manifest and no base yet bootstraps the empty state
+// and tails from LSN 1. On success the replica is Ready and positioned at the
 // generation's covered LSN; TailOnce picks up from there.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	var next *writer

@@ -1,32 +1,37 @@
 package pghive
 
-// groupcommit.go is the one durable commit path: every durable write —
-// Ingest, Retract, each batch of a DrainStream — goes through it.
-// Callers never take the write lock themselves: they hand a commit
-// request to a committer goroutine and block until it answers. The
-// caller encodes its record payload in its own goroutine, before the
-// hand-off, so no encode or compression runs inside the serialized
-// section. The committer takes the channel-based write lock, claims
-// whoever else is waiting (bounded by maxCommitGroup), and commits the
-// group: per-request admission checks (context expiry, idempotency
-// replay, read-only fail-fast), one wal.AppendBatch — N frames, ONE
-// fsync — then applies and publishes each batch in log order before
-// acknowledging anyone. It applies through writer.apply, the rule
-// recovery, Rearm and a follower's tail replay through, so the writer's
-// LSN and the log's agree after every group. A lone writer is a group
-// of one: one frame, one fsync, the same bytes on disk as a direct
-// wal.Append.
+// groupcommit.go is the one commit path, with no goroutine of its own:
+// every write — Ingest, Retract, each batch of a DrainStream, on a
+// Service and a DurableService alike — goes through writer.submit. A
+// writer waits for the write lock and offers its request on the
+// writer's unbuffered hand-off in one select. The caller that gets the
+// lock claims whoever else is waiting (bounded by maxCommitGroup),
+// commits the group through its owner's group step and unlocks; a
+// claimed caller waits for the holder's answer.
+//
+// A DurableService encodes its record payload in the caller's
+// goroutine, before submit, so no encode or compression runs inside the
+// serialized section. Its group step, commitGroup, runs per-request
+// admission checks (context expiry, idempotency replay, read-only
+// fail-fast), one wal.AppendBatch — N frames, ONE fsync — then applies
+// and publishes each batch in log order before acknowledging anyone. It
+// applies through writer.apply, the rule recovery, Rearm and a
+// follower's tail replay through, so the writer's LSN and the log's
+// agree after every group. A lone writer is a group of one: the same
+// bytes on disk as a direct wal.Append. A plain Service's step applies
+// each request whose context is still live, and logs nothing.
 //
 // Two contracts ride on this path. Durability: no caller is
 // acknowledged before the fsync covering its record returns, and a
 // failed group fsync rolls every frame of the group back together
 // (wal.AppendBatch), so the group fails atomically and each caller may
 // retry — idempotency keys make that safe even when the failure was a
-// lying fsync. Deadline-bounded admission: until the committer holds
-// the write lock with a request in hand, that request's context can
-// still end the wait with nothing logged or applied — a long
+// lying fsync. Deadline-bounded admission: until a request is claimed,
+// or its caller holds the lock, its context withdraws it — a long
 // WriteCheckpoint holding the lock never parks a writer past its
-// deadline.
+// deadline. A step checks a request's context at admission only, so a
+// holder whose own context ends mid-group still commits, and still
+// answers everyone it claimed.
 
 import (
 	"context"
@@ -34,37 +39,62 @@ import (
 	"github.com/pghive/pghive/internal/wal"
 )
 
-// maxCommitGroup bounds how many writes share one fsync (and how many
-// frames the one write to the segment carries). Encoding is not in the
-// group: every request arrives with its record payload.
+// maxCommitGroup bounds how many writes share one group (for a durable
+// owner, one fsync and one write to the segment). Encoding is not in
+// the group: every durable request arrives with its record payload.
 const maxCommitGroup = 64
 
-// commitReq is one durable write awaiting the committer, its record
-// already encoded.
+// commitReq is one write awaiting a group. rec.Type says ingest or
+// retract for every owner; rec.Payload is the encoded record, nil on a
+// plain Service, which keeps no log.
 type commitReq struct {
 	ctx context.Context
 	key string
 	g   *Graph
 	rec wal.BatchRecord
-	// res receives exactly one response; buffered so the committer
-	// never blocks on a caller.
+	// res receives exactly one response; buffered so the holder never
+	// blocks on a caller.
 	res chan commitRes
 }
 
-// commitRes is the committer's answer to one request.
+// commitRes is the group step's answer to one request.
 type commitRes struct {
 	bt       BatchTiming
 	replayed bool
 	err      error
 }
 
-// submitCommit encodes one durable write's record, hands the write to
-// the committer and blocks for its outcome. A malformed key is refused
-// here, before admission. The hand-off is unbuffered, so the select is
-// the admission point: until the committer receives the request, ctx
-// (or Close) withdraws it; once received it is always answered — the
-// committer watches req.ctx on the caller's behalf until it holds the
-// write lock, and after that the write is happening regardless.
+// submit commits req through the owner's group step and returns its
+// answer. The hand-off is unbuffered, so the select in LockContext is
+// the admission point: until the request is claimed, or its caller
+// holds the lock, ctx withdraws it; once either happens it is always
+// answered. The holder claims without blocking: a writer that arrives
+// after the claim waits for the next holder, which may be itself.
+func (w *writer) submit(ctx context.Context, req *commitReq) commitRes {
+	req.ctx, req.res = ctx, make(chan commitRes, 1)
+	held, claimed, err := w.mu.LockContext(ctx, w.commits, req)
+	if err != nil {
+		return commitRes{err: err}
+	}
+	if !claimed {
+		group := []*commitReq{req}
+	claim:
+		for len(group) < maxCommitGroup {
+			select {
+			case r := <-w.commits:
+				group = append(group, r)
+			default:
+				break claim
+			}
+		}
+		w.commit(held, group)
+		w.mu.Unlock()
+	}
+	return <-req.res
+}
+
+// submitCommit encodes one durable write's record and submits it. A
+// malformed key is refused here, before admission.
 func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
 	payload, err := encodeWALRecordPayload(key, g)
 	if err != nil {
@@ -74,51 +104,8 @@ func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph,
 	if retract {
 		rec.Type = walRecRetract
 	}
-	req := &commitReq{ctx: ctx, key: key, g: g, rec: rec, res: make(chan commitRes, 1)}
-	select {
-	case d.commitCh <- req:
-		res := <-req.res
-		return res.bt, res.replayed, res.err
-	case <-ctx.Done():
-		return BatchTiming{}, false, ctx.Err()
-	case <-d.life.Done():
-		return BatchTiming{}, false, &DurabilityError{Err: wal.ErrClosed}
-	}
-}
-
-// commitLoop is the committer goroutine: receive a request, take the
-// write lock, claim the other waiting requests, commit the group,
-// repeat. Every request it receives is answered, so shutdown strands
-// nobody: callers not yet received see d.life end in their own select.
-func (d *DurableService) commitLoop() {
-	defer close(d.commitDone)
-	for {
-		select {
-		case <-d.life.Done():
-			return
-		case req := <-d.commitCh:
-			// The lock wait is bounded by the deadline of the request in
-			// hand; the callers still parked in their hand-off select
-			// each watch their own.
-			held, err := d.w.mu.LockContext(req.ctx)
-			if err != nil {
-				req.res <- commitRes{err: err}
-				continue
-			}
-			group := []*commitReq{req}
-		claim:
-			for len(group) < maxCommitGroup {
-				select {
-				case r := <-d.commitCh:
-					group = append(group, r)
-				default:
-					break claim
-				}
-			}
-			d.commitGroup(held, group)
-			d.w.mu.Unlock()
-		}
-	}
+	res := d.w.submit(ctx, &commitReq{key: key, g: g, rec: rec})
+	return res.bt, res.replayed, res.err
 }
 
 // commitGroup commits one group: filter, one AppendBatch, apply

@@ -258,8 +258,8 @@ func writeAllocs(t *testing.T, n int, compact bool) float64 {
 	return testing.AllocsPerRun(5, write)
 }
 
-// TestDurableIngestAllocsFollowBatch: one durable write — committer
-// hand-off, WAL append, apply, publish — on a 2 k-element and on a
+// TestDurableIngestAllocsFollowBatch: one durable write — submit, WAL
+// append, apply, publish — on a 2 k-element and on a
 // 20 k-element store. Its allocations follow the batch, not the store.
 func TestDurableIngestAllocsFollowBatch(t *testing.T) {
 	small, large := writeAllocs(t, 2_000, false), writeAllocs(t, 20_000, false)

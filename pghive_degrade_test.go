@@ -220,8 +220,8 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline did not interrupt the lock wait")
 	}
-	// Expiry means nothing was logged — the committer had the request in
-	// hand, but never the lock.
+	// Expiry means nothing was logged — the writer waited for the lock
+	// and never got it, and no holder claimed its request.
 	if got := d.DurableStats().WALNextLSN; got != nextLSN {
 		t.Fatalf("timed-out write moved WALNextLSN %d -> %d", nextLSN, got)
 	}

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -590,7 +591,7 @@ func stressGraph(t testing.TB, base pghive.ID, n int) *pghive.Graph {
 
 // TestDurableDrainStreamInterleavesWithWriters is
 // TestDrainStreamInterleavesWithWriters on the durable service, where
-// every batch — streamed or not — goes through the committer: the
+// every batch — streamed or not — goes through the one commit path: the
 // interleaved write is acknowledged within its deadline, and the log it
 // left recovers to the byte-identical state.
 func TestDurableDrainStreamInterleavesWithWriters(t *testing.T) {
@@ -710,6 +711,48 @@ func TestDurableServiceConcurrentStress(t *testing.T) {
 	}
 	if got := rec.Stats(); got.Batches != liveStats.Batches || got.Nodes != liveStats.Nodes || got.Edges != liveStats.Edges {
 		t.Fatalf("recovered stats %+v, live %+v", got, liveStats)
+	}
+}
+
+// TestWritesStartNoGoroutine: writes run on their callers' goroutines.
+// Neither a plain Service nor a DurableService with no compactor and no
+// shipping starts a goroutine of its own to commit them, so every
+// goroutine a deterministic simulation must schedule is one it started.
+func TestWritesStartNoGoroutine(t *testing.T) {
+	rootGoroutines := func() int {
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+		count := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "github.com/pghive/pghive.") {
+				count++
+			}
+		}
+		return count
+	}
+	opts := pghive.Options{Seed: 3, Parallelism: 1}
+	before := rootGoroutines()
+	s := pghive.NewService(opts)
+	d, err := pghive.OpenDurable("data", opts, pghive.DurableOptions{FS: vfs.NewMemFS(), DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if after := rootGoroutines(); after > before {
+		t.Fatalf("NewService and OpenDurable started %d goroutines in package pghive", after-before)
+	}
+	if _, err := s.IngestContext(context.Background(), stressGraph(t, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Ingest(stressGraph(t, 0, 3)); err != nil {
+		t.Fatal(err)
 	}
 }
 

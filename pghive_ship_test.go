@@ -127,8 +127,8 @@ func backendManifest(t *testing.T, b store.Backend, obj string) *runfile.Manifes
 // gateWriter is an io.Writer whose first Write signals entry and then
 // blocks until released. WriteCheckpoint into it holds the service
 // write lock for exactly the gated window — the test's deterministic
-// way to pile a burst of writers onto the committer's queue regardless
-// of scheduler or core count.
+// way to park a burst of writers behind the lock, for whichever of them
+// gets it next to claim, regardless of scheduler or core count.
 type gateWriter struct {
 	entered chan struct{}
 	release chan struct{}
@@ -169,9 +169,9 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	base = d.DurableStats().WALSyncs
 
 	// Hold the write lock via a gated checkpoint while a burst of
-	// writers waits at the hand-off: the committer cannot start a group
-	// until the gate opens, and then claims everyone waiting — a handful
-	// of fsyncs for 64 acknowledged writes.
+	// writers waits for it: no writer can start a group until the gate
+	// opens, and then the one that gets the lock claims everyone waiting
+	// — a handful of fsyncs for 64 acknowledged writes.
 	gate := newGateWriter()
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- d.WriteCheckpoint(gate) }()
@@ -227,8 +227,9 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 }
 
 func TestGroupCommitDegradesAndFailsFast(t *testing.T) {
-	// The second write's WAL fsync reports a full disk; the committer
-	// must degrade the service and fail the next write fast.
+	// The second write's WAL fsync reports a full disk; the caller
+	// holding the write lock must degrade the service, and the next
+	// write must fail fast.
 	plan := vfs.NewPlan(vfs.Fault{Op: vfs.OpSync, N: syncsThroughFirstIngest(t) + 1, Mode: vfs.FailEarly, Err: syscall.ENOSPC})
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
 		FS: vfs.NewInjectFS(vfs.NewMemFS(), plan), DisableAutoCompact: true,
@@ -272,10 +273,9 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	defer d.Close()
 
 	// A pre-fault write, then hold the write lock via a gated
-	// checkpoint: the committer takes the first keyed write in hand
-	// (blocked on the lock), the second waits at the hand-off, and both
-	// land in one group — the one whose fsync fails — when the gate
-	// opens.
+	// checkpoint: both keyed writes wait for the lock, and when the gate
+	// opens the one that gets it claims the other, so both land in one
+	// group — the one whose fsync fails.
 	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +371,10 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 }
 
 // TestGroupCommitCloseNeverStrandsWriters is the regression test for
-// the submitCommit/Close race: a request handed over just as d.stop
-// closed must not be left forever unanswered by a committer that has
-// already exited. Every writer racing Close must return — with success
-// or ErrClosed, never a hang.
+// the write/Close race: a write waiting for the write lock, or claimed
+// into a group, as Close begins must not be left forever unanswered.
+// Every writer racing Close must return — with success or ErrClosed,
+// never a hang.
 func TestGroupCommitCloseNeverStrandsWriters(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
@@ -403,7 +403,7 @@ func TestGroupCommitCloseNeverStrandsWriters(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("iter %d: writer stranded after Close — submitCommit never answered", iter)
+			t.Fatalf("iter %d: writer stranded after Close — its write never returned", iter)
 		}
 		d.Close()
 	}

@@ -1,9 +1,9 @@
 package pghive
 
 // service.go turns the single-caller incremental pipeline into a
-// long-running, concurrently queryable schema service. Writes
-// (Ingest, Retract, each batch of a DrainStream, checkpointing) are
-// serialized by a mutex; reads are lock-free against an immutable
+// long-running, concurrently queryable schema service. Writes are
+// serialized by the write lock, whose holder commits the writes waiting
+// behind it (groupcommit.go); reads are lock-free against an immutable
 // published snapshot (copy-on-publish): after every write batch the
 // service deep-copies the evolving schema, finalizes constraints on
 // the copy, and swaps it in atomically, so a reader never observes a
@@ -21,6 +21,7 @@ import (
 	"github.com/pghive/pghive/internal/schema"
 	"github.com/pghive/pghive/internal/serialize"
 	"github.com/pghive/pghive/internal/validate"
+	"github.com/pghive/pghive/internal/wal"
 )
 
 // ServiceStats summarizes a published snapshot.
@@ -60,15 +61,19 @@ type Reader struct {
 // (the serving analogue of a stream reader's resolver), so an edge
 // ingested in a later request still resolves endpoint labels for nodes
 // ingested earlier. apply is the ONE rule that advances a logged state
-// — the committer, WAL recovery, Rearm's catch-up and a follower's tail
-// all call it — and it runs the ingest and retract a plain Service
-// calls, which is what makes each bit-identical to the run that logged
-// the records. Not safe for concurrent use: an owner that serves it
-// holds mu around every call; a shadow owner (recovery, a follower's
-// bootstrap) is the only goroutine that ever sees it.
+// — the durable group step, WAL recovery, Rearm's catch-up and a
+// follower's tail all call it — and it runs the ingest and retract a
+// plain Service's step calls, which makes each bit-identical to the run
+// that logged the records. Not safe for concurrent use: an owner that
+// serves it holds mu around every call; a shadow owner (recovery, a
+// follower's bootstrap) is the only goroutine that ever sees it.
 type writer struct {
-	mu   writeLock
-	opts Options
+	mu writeLock
+	// commits is the hand-off writes waiting for mu offer themselves on,
+	// commit the owner's group step (see submit); nil on shadow writers.
+	commits chan *commitReq
+	commit  func(writeHeld, []*commitReq)
+	opts    Options
 	// lsn is the last WAL record the state absorbed: the image's WALSeq
 	// at start, then moved only by apply.
 	lsn      uint64
@@ -148,7 +153,28 @@ type Service struct {
 // observe a nil schema.
 func NewService(opts Options) *Service {
 	w, _ := newWriter(opts, nil, 0) // the empty state cannot fail
-	return &Service{Reader: w.serve(), w: w}
+	return newService(w)
+}
+
+// newService serves w as a plain Service, committing through its step.
+func newService(w *writer) *Service {
+	s := &Service{Reader: w.serve(), w: w}
+	w.commits, w.commit = make(chan *commitReq), s.commitGroup
+	return s
+}
+
+// commitGroup is a plain Service's group step: it applies each request
+// whose context is still live, logging nothing, so snapshots state LSN 0.
+func (s *Service) commitGroup(_ writeHeld, group []*commitReq) {
+	for _, req := range group {
+		if err := req.ctx.Err(); err != nil {
+			req.res <- commitRes{err: err}
+		} else if req.rec.Type == walRecRetract {
+			req.res <- commitRes{bt: s.w.retract(req.g)}
+		} else {
+			req.res <- commitRes{bt: s.w.ingest(req.g)}
+		}
+	}
 }
 
 // RestoreService resumes a service from a checkpoint written by
@@ -167,7 +193,7 @@ func RestoreService(opts Options, r io.Reader) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{Reader: w.serve(), w: w}, nil
+	return newService(w), nil
 }
 
 // writeLock is the write mutex, built on a one-slot channel so a
@@ -190,19 +216,22 @@ func newWriteLock() writeLock { return make(writeLock, 1) }
 func (l writeLock) Lock() writeHeld { l <- struct{}{}; return writeHeld{} }
 func (l writeLock) Unlock()         { <-l }
 
-// LockContext acquires the lock unless ctx has ended or ends first, in
-// which case the lock is NOT held and ctx.Err() is returned. An expired
-// ctx loses even to a free lock — that is what stops a stream whose
-// deadline passed between two of its batches.
-func (l writeLock) LockContext(ctx context.Context) (writeHeld, error) {
+// LockContext acquires the lock unless ctx ends first (ctx.Err() is
+// returned) or the holder claims req from handoff first (claimed is
+// true; req.res will answer): either way the lock is NOT held. A nil
+// handoff offers nothing. An expired ctx loses even to a free lock —
+// that is what stops a stream whose deadline passed between its batches.
+func (l writeLock) LockContext(ctx context.Context, handoff chan<- *commitReq, req *commitReq) (_ writeHeld, claimed bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return writeHeld{}, err
+		return writeHeld{}, false, err
 	}
 	select {
 	case l <- struct{}{}:
-		return writeHeld{}, nil
+		return writeHeld{}, false, nil
+	case handoff <- req:
+		return writeHeld{}, true, nil
 	case <-ctx.Done():
-		return writeHeld{}, ctx.Err()
+		return writeHeld{}, false, ctx.Err()
 	}
 }
 
@@ -306,11 +335,8 @@ func (s *Service) Ingest(g *Graph) BatchTiming {
 // batch starts processing it runs to completion — a published snapshot
 // is never half a batch.
 func (s *Service) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if _, err := s.w.mu.LockContext(ctx); err != nil {
-		return BatchTiming{}, err
-	}
-	defer s.w.mu.Unlock()
-	return s.w.ingest(g), nil
+	res := s.w.submit(ctx, &commitReq{g: g, rec: wal.BatchRecord{Type: walRecIngest}})
+	return res.bt, res.err
 }
 
 // Retract removes a batch of previously ingested elements (every
@@ -325,11 +351,8 @@ func (s *Service) Retract(g *Graph) BatchTiming {
 // RetractContext is Retract with a deadline on write admission (see
 // IngestContext for the contract).
 func (s *Service) RetractContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	if _, err := s.w.mu.LockContext(ctx); err != nil {
-		return BatchTiming{}, err
-	}
-	defer s.w.mu.Unlock()
-	return s.w.retract(g), nil
+	res := s.w.submit(ctx, &commitReq{g: g, rec: wal.BatchRecord{Type: walRecRetract}})
+	return res.bt, res.err
 }
 
 // csvLikeStream is the extra surface of readers that assign
@@ -405,7 +428,7 @@ func (w *writer) seedStream(ctx context.Context, r StreamReader) error {
 	if !ok {
 		return nil
 	}
-	if _, err := w.mu.LockContext(ctx); err != nil {
+	if _, _, err := w.mu.LockContext(ctx, nil, nil); err != nil {
 		return err
 	}
 	defer w.mu.Unlock()
