@@ -8,12 +8,13 @@
 //     backpressure signals) and on connection errors, honoring the
 //     server's Retry-After hint as the floor.
 //   - Idempotency keys on writes: every /ingest and /retract carries a
-//     generated Idempotency-Key header, and the server write-ahead
-//     logs applied keys — so retrying a write whose first attempt
-//     timed out, hit a 5xx, or raced a server crash applies the batch
-//     exactly once. Keyed writes (and GETs) are therefore also safe to
-//     retry on 5xx and mid-request connection failures, which unkeyed
-//     writes are not.
+//     generated Idempotency-Key header, and the server tracks applied
+//     keys — so retrying a write whose first attempt timed out or hit
+//     a 5xx applies the batch exactly once. A durable server
+//     write-ahead logs the keys, so that holds across a server crash
+//     too; a plain server holds them in memory only. Keyed writes (and
+//     GETs) are therefore also safe to retry on 5xx and mid-request
+//     connection failures, which unkeyed writes are not.
 //
 // A write refused with 409 read-only (the server's declared degraded
 // mode) is surfaced as *StatusError immediately: backoff cannot fix a

@@ -13,13 +13,14 @@ package main
 // past capacity), a bounded write queue (429 + Retry-After), a
 // per-request deadline propagated via context into the service write
 // path, a request-body cap (413), and panic recovery. Writes accept
-// an Idempotency-Key header in durable mode — a retried write whose
-// first attempt was applied answers "replayed" instead of applying
-// twice, even across a crash. A durable service that degrades to
-// read-only (broken WAL, full disk) answers writes with 409 and a
-// machine-readable reason until re-armed via POST /rearm or a
-// space-freeing compaction. SIGTERM drains: stop admitting, finish
-// in-flight requests within -drain-timeout, final checkpoint, exit.
+// an Idempotency-Key header — a retried write whose first attempt was
+// applied answers "replayed" instead of applying twice: in durable
+// mode even across a crash, in plain mode until the process exits.
+// A durable service that degrades to read-only (broken WAL, full disk)
+// answers writes with 409 and a machine-readable reason until re-armed
+// via POST /rearm or a space-freeing compaction. SIGTERM drains: stop
+// admitting, finish in-flight requests within -drain-timeout, final
+// checkpoint, exit.
 //
 //	pghive serve -listen :8080
 //	curl -X POST --data-binary @batch.jsonl localhost:8080/ingest
@@ -263,13 +264,13 @@ func runServe(args []string) {
 }
 
 // target is what one serve process fronts: the read side every role
-// has, plus the capabilities only some roles have. Exactly one of svc,
-// dur and fol is set, and it names the role: plain (an in-memory
-// writer), durable (the WAL-backed writer, which can also compact and
-// re-arm), or follower (a replica — it has no writer at all).
+// has, plus the capabilities only some roles have. The role is plain
+// (w alone: an in-memory writer), durable (w and dur: the WAL-backed
+// writer, which can also compact and re-arm), or follower (fol alone:
+// a replica — it has no writer at all).
 type target struct {
 	*pghive.Reader
-	svc *pghive.Service
+	w   writes
 	dur *pghive.DurableService
 	fol *pghive.Follower
 	// objects, when non-nil, serves the shipped artifacts at
@@ -280,10 +281,19 @@ type target struct {
 	gate      *admission.Gate // set by routes
 }
 
-func servePlain(svc *pghive.Service) target { return target{Reader: svc.Reader, svc: svc} }
+// writes is the write surface *pghive.Service and
+// *pghive.DurableService share.
+type writes interface {
+	IngestIdempotent(ctx context.Context, key string, g *pghive.Graph) (pghive.BatchTiming, bool, error)
+	RetractIdempotent(ctx context.Context, key string, g *pghive.Graph) (pghive.BatchTiming, bool, error)
+	DrainStream(ctx context.Context, r pghive.StreamReader, onBatch func(pghive.BatchTiming)) error
+	WriteCheckpoint(io.Writer) error
+}
+
+func servePlain(svc *pghive.Service) target { return target{Reader: svc.Reader, w: svc} }
 
 func serveDurable(dur *pghive.DurableService, objects http.Handler) target {
-	return target{Reader: dur.Reader, dur: dur, objects: objects}
+	return target{Reader: dur.Reader, w: dur, dur: dur, objects: objects}
 }
 
 func serveFollower(fol *pghive.Follower) target { return target{Reader: fol.Reader, fol: fol} }
@@ -310,12 +320,13 @@ type route struct {
 // machine-readable 409 read-only contract (reason "follower") on the
 // write routes, refused before the body is read, rather than a 404 it
 // might mistake for a missing feature — and the role decides what
-// stands behind each: writes go through the durable service's
-// write-ahead log when there is one (and can therefore fail with 500
-// when the log cannot be made durable, or 409 when the service has
-// degraded to declared read-only mode), idempotency keys are honored
-// only there, and POST /checkpoint folds the log into an on-disk image
-// instead of streaming one back.
+// stands behind each: writes go through the one write surface of
+// whichever service there is — through its write-ahead log when it is
+// durable (and can therefore fail with 500 when the log cannot be made
+// durable, or 409 when the service has degraded to declared read-only
+// mode), idempotency keys are honored by both (across crashes only
+// when durable), and POST /checkpoint on a durable service folds the
+// log into an on-disk image instead of streaming one back.
 func (t target) routes(batchSize int, gate *admission.Gate) []route {
 	t.batchSize, t.gate = batchSize, gate
 	rs := []route{
@@ -371,33 +382,10 @@ func newServeMux(t target, batchSize int, gate *admission.Gate) *http.ServeMux {
 	return mux
 }
 
-// write applies one atomic batch through the role's writer.
-func (t target) write(ctx context.Context, key string, g *pghive.Graph, retract bool) (replayed bool, err error) {
-	switch {
-	case t.dur != nil && retract:
-		_, replayed, err = t.dur.RetractIdempotent(ctx, key, g)
-	case t.dur != nil:
-		_, replayed, err = t.dur.IngestIdempotent(ctx, key, g)
-	case retract:
-		_, err = t.svc.RetractContext(ctx, g)
-	default:
-		_, err = t.svc.IngestContext(ctx, g)
-	}
-	return replayed, err
-}
-
 // idempotencyKey validates the Idempotency-Key header; on a contract
 // violation it writes the 400 and reports ok=false.
-func (t target) idempotencyKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+func idempotencyKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		return "", true
-	}
-	if t.dur == nil {
-		httpError(w, http.StatusBadRequest,
-			errors.New("Idempotency-Key requires durable mode (serve with -data-dir)"))
-		return "", false
-	}
 	if len(key) > pghive.MaxIdempotencyKeyLen {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("Idempotency-Key longer than %d bytes", pghive.MaxIdempotencyKeyLen))
@@ -408,7 +396,7 @@ func (t target) idempotencyKey(w http.ResponseWriter, r *http.Request) (string, 
 
 func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	key, ok := t.idempotencyKey(w, r)
+	key, ok := idempotencyKey(w, r)
 	if !ok {
 		return
 	}
@@ -422,36 +410,26 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 			requestError(w, r, err)
 			return
 		}
-		// The spooled body goes through as a sequence of ordinary
-		// writes, one per bounded batch, which other writers' batches
-		// may interleave with. Streamed ingestion is NOT atomic:
-		// batches that preceded a failure are already published when
-		// the error returns, so from the second batch on the error
+		// The spooled body drains as a sequence of ordinary writes,
+		// one per bounded batch, which other writers' batches may
+		// interleave with. Streamed ingestion is NOT atomic: batches
+		// that preceded a failure are already published when the
+		// error returns, so once a batch was applied the error
 		// response carries the stats the client needs to see how far
 		// the body got — blindly re-sending the same body would
 		// double-ingest the prefix.
-		stream := pghive.NewJSONLStream(bytes.NewReader(body), t.batchSize)
-		for applied := 0; ; applied++ {
-			b, err := stream.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				err = malformedBody{err}
-			} else {
-				_, err = t.write(r.Context(), "", b.Graph, false)
-			}
-			if err != nil {
-				var partial map[string]any
-				if applied > 0 {
-					partial = map[string]any{
-						"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
-						"stats": t.Stats(),
-					}
+		applied := 0
+		stream := malformedLines{pghive.NewJSONLStream(bytes.NewReader(body), t.batchSize)}
+		if err := t.w.DrainStream(r.Context(), stream, func(pghive.BatchTiming) { applied++ }); err != nil {
+			var partial map[string]any
+			if applied > 0 {
+				partial = map[string]any{
+					"note":  "streamed ingest is not atomic: batches before the error were already ingested and published",
+					"stats": t.Stats(),
 				}
-				serviceError(w, err, partial)
-				return
 			}
+			serviceError(w, err, partial)
+			return
 		}
 	} else {
 		// Keyed requests always land as one atomic batch, whatever
@@ -462,7 +440,7 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 			requestError(w, r, err)
 			return
 		}
-		if replayed, err = t.write(r.Context(), key, g, false); err != nil {
+		if _, replayed, err = t.w.IngestIdempotent(r.Context(), key, g); err != nil {
 			serviceError(w, err, nil)
 			return
 		}
@@ -475,7 +453,7 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (t target) retract(w http.ResponseWriter, r *http.Request) {
-	key, ok := t.idempotencyKey(w, r)
+	key, ok := idempotencyKey(w, r)
 	if !ok {
 		return
 	}
@@ -484,7 +462,7 @@ func (t target) retract(w http.ResponseWriter, r *http.Request) {
 		requestError(w, r, err)
 		return
 	}
-	replayed, err := t.write(r.Context(), key, g, true)
+	_, replayed, err := t.w.RetractIdempotent(r.Context(), key, g)
 	if err != nil {
 		serviceError(w, err, nil)
 		return
@@ -552,7 +530,7 @@ func (t target) checkpoint(w http.ResponseWriter, r *http.Request) {
 	if t.fol != nil {
 		write = t.fol.WriteCheckpoint
 	} else {
-		write = t.svc.WriteCheckpoint
+		write = t.w.WriteCheckpoint
 	}
 	var buf bytes.Buffer
 	if err := write(&buf); err != nil {
@@ -789,6 +767,18 @@ func requestError(w http.ResponseWriter, r *http.Request, err error) {
 // malformedBody marks a line of a streamed body that did not parse —
 // the one write failure that is the client's fault.
 type malformedBody struct{ error }
+
+// malformedLines is a stream whose every error but io.EOF is a
+// malformedBody.
+type malformedLines struct{ pghive.StreamReader }
+
+func (s malformedLines) Next() (*pghive.Batch, error) {
+	b, err := s.StreamReader.Next()
+	if err != nil && err != io.EOF {
+		err = malformedBody{err}
+	}
+	return b, err
+}
 
 // serviceError maps a failed service write to the declared status
 // contract; partial, when non-nil, is what a streamed ingest adds once

@@ -6,6 +6,7 @@ package main
 // re-arm, and idempotency keys over the wire.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	pghive "github.com/pghive/pghive"
+	"github.com/pghive/pghive/client"
 	"github.com/pghive/pghive/internal/admission"
 	"github.com/pghive/pghive/internal/vfs"
 )
@@ -164,7 +166,7 @@ func TestServeDegradedReadOnly409AndRearm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Ingest(g); err != nil {
+		if _, _, err := d.IngestIdempotent(context.Background(), "", g); err != nil {
 			t.Fatal(err)
 		}
 		syncs = probe.Ops()[vfs.OpSync]
@@ -264,15 +266,50 @@ func TestServeIdempotencyKeyOverHTTP(t *testing.T) {
 		t.Fatalf("retried keyed ingest: replayed=%v batches=%d, want true/1", replayed, batches)
 	}
 
-	// Contract violations are 400s: keys without durable mode, and
-	// oversized keys.
-	plainSrv := httptest.NewServer(newServeMux(servePlain(pghive.NewService(pghive.Options{Seed: 1})), 0, nil))
-	defer plainSrv.Close()
-	if code, body := postKeyed(t, plainSrv, "/ingest", "key-1", jsonlBatch(0)); code != http.StatusBadRequest {
-		t.Fatalf("keyed ingest without durable mode: %d %s, want 400", code, body)
-	}
+	// An oversized key is a contract violation: 400.
 	if code, body := postKeyed(t, srv, "/ingest", strings.Repeat("k", 300), jsonlBatch(0)); code != http.StatusBadRequest {
 		t.Fatalf("oversized key: %d %s, want 400", code, body)
+	}
+}
+
+// TestServeHTTPDefaultClientWritesPlainServer: the shipped client keys
+// every write, and a plain server — no -data-dir — honours the keys in
+// memory: a retried key answers replayed without applying again, and an
+// oversized key is still a 400.
+func TestServeHTTPDefaultClientWritesPlainServer(t *testing.T) {
+	plainSrv := httptest.NewServer(newServeMux(servePlain(pghive.NewService(pghive.Options{Seed: 1})), 0, nil))
+	defer plainSrv.Close()
+	ctx := context.Background()
+	batches := func(res *client.WriteResult) int {
+		var st struct {
+			Batches int `json:"batches"`
+		}
+		if err := json.Unmarshal(res.Stats, &st); err != nil {
+			t.Fatalf("decode %s: %v", res.Stats, err)
+		}
+		return st.Batches
+	}
+
+	res, err := client.New(plainSrv.URL, client.Options{}).IngestJSONL(ctx, []byte(jsonlBatch(0)))
+	if err != nil {
+		t.Fatalf("default client against a plain server: %v", err)
+	}
+	if res.Replayed || batches(res) != 1 {
+		t.Fatalf("first ingest: replayed=%v batches=%d, want false/1", res.Replayed, batches(res))
+	}
+	fixed := client.New(plainSrv.URL, client.Options{NewIdempotencyKey: func() string { return "fixed" }})
+	for i, want := range []bool{false, true} {
+		res, err := fixed.IngestJSONL(ctx, []byte(jsonlBatch(100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Replayed != want || batches(res) != 2 {
+			t.Fatalf("fixed-key ingest %d: replayed=%v batches=%d, want %v/2", i, res.Replayed, batches(res), want)
+		}
+	}
+
+	if code, body := postKeyed(t, plainSrv, "/ingest", strings.Repeat("k", 300), jsonlBatch(200)); code != http.StatusBadRequest {
+		t.Fatalf("oversized key on a plain server: %d %s, want 400", code, body)
 	}
 }
 

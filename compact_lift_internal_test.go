@@ -235,7 +235,7 @@ func (s *liftScript) retract(step string, i int) {
 	s.t.Helper()
 	g := s.live[i]
 	s.live = append(s.live[:i], s.live[i+1:]...)
-	if _, err := s.d.Retract(g); err != nil {
+	if _, _, err := s.d.RetractIdempotent(context.Background(), "", g); err != nil {
 		s.t.Fatalf("%s: retract: %v", step, err)
 	}
 	gone := map[ID]bool{}

@@ -170,7 +170,7 @@ func (o DurableOptions) withDefaults() DurableOptions {
 		o.CompactInterval = time.Minute
 	}
 	if o.MaxIdempotencyKeys <= 0 {
-		o.MaxIdempotencyKeys = 65536
+		o.MaxIdempotencyKeys = defaultMaxIdempotencyKeys
 	}
 	if o.MaxRuns <= 0 {
 		o.MaxRuns = 6
@@ -330,7 +330,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		manSeq:    gen.maxSeq,
 		fallbacks: len(gen.notes),
 	}
-	w.commits, w.commit = make(chan *commitReq), d.commitGroup
+	w.commits, w.commit, w.logs = make(chan *commitReq), d.commitGroup, true
 	d.life, d.cancel = context.WithCancel(context.Background())
 	d.log.Store(lg)
 	if dopts.ShipTo != nil {
@@ -601,38 +601,24 @@ func (d *DurableService) degrade(reason string) {
 	d.degradedReason.CompareAndSwap(nil, &r)
 }
 
-// Ingest write-ahead logs the batch, then runs it through the
-// pipeline and publishes a fresh snapshot. On error the log and the
-// served state are both unchanged.
-func (d *DurableService) Ingest(g *Graph) (BatchTiming, error) {
-	bt, _, err := d.IngestIdempotent(context.Background(), "", g)
-	return bt, err
-}
-
-// IngestIdempotent is Ingest with a deadline on write admission and an
-// optional idempotency key. If ctx ends while the call is queued
+// IngestIdempotent write-ahead logs the batch, then runs it through
+// the pipeline and publishes a fresh snapshot. On error the log and the
+// served state are both unchanged. If ctx ends while the call is queued
 // behind other writers, nothing is logged or applied and ctx's error
 // is returned. If a write with the same key was already applied — in
 // this process's lifetime or recovered from the WAL/checkpoint after a
-// crash — nothing is applied again and replayed is true ("" degrades
-// to an unkeyed ingest). The key is WAL-logged inside the batch's
-// record, so the at-most-once promise survives crashes, compaction,
-// and re-arm; it is bounded only by DurableOptions.MaxIdempotencyKeys.
+// crash — nothing is applied again and replayed is true ("" writes
+// unkeyed). The key is WAL-logged inside the batch's record, so the
+// at-most-once promise survives crashes, compaction, and re-arm; it is
+// bounded only by DurableOptions.MaxIdempotencyKeys.
 func (d *DurableService) IngestIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
-	return d.submitCommit(ctx, key, g, false)
+	return d.w.write(ctx, key, g, false)
 }
 
-// Retract write-ahead logs the retraction, then applies it (see
-// Service.Retract).
-func (d *DurableService) Retract(g *Graph) (BatchTiming, error) {
-	bt, _, err := d.RetractIdempotent(context.Background(), "", g)
-	return bt, err
-}
-
-// RetractIdempotent is Retract with a deadline on write admission and
-// an optional idempotency key (see IngestIdempotent for the contract).
+// RetractIdempotent write-ahead logs the retraction, then applies it
+// (see Service.Retract, and IngestIdempotent for the contract).
 func (d *DurableService) RetractIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
-	return d.submitCommit(ctx, key, g, true)
+	return d.w.write(ctx, key, g, true)
 }
 
 // DrainStream feeds the stream through the one commit path one batch
@@ -643,10 +629,7 @@ func (d *DurableService) RetractIdempotent(ctx context.Context, key string, g *G
 // are adopted into the service's edge-ID and resolver state (see
 // Service.DrainStream).
 func (d *DurableService) DrainStream(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	return d.w.drain(ctx, r, onBatch, func(ctx context.Context, g *Graph) (BatchTiming, error) {
-		bt, _, err := d.submitCommit(ctx, "", g, false)
-		return bt, err
-	})
+	return d.w.drain(ctx, r, onBatch)
 }
 
 // WriteCheckpoint serializes the served state as a restorable image
@@ -1150,8 +1133,13 @@ func (d *DurableService) compactLoop() {
 	}
 }
 
+// defaultMaxIdempotencyKeys is how many applied keys a writer retains:
+// DurableOptions.MaxIdempotencyKeys' default and a plain Service's bound.
+const defaultMaxIdempotencyKeys = 65536
+
 // idemStore is the bounded applied idempotency-key set: key → the LSN
-// of the WAL record that applied it, evicted oldest-first past cap.
+// of the WAL record that applied it (0 on a plain Service), evicted
+// oldest-first past cap.
 // Internally locked so stats readers never contend with the write
 // path for the service lock.
 type idemStore struct {

@@ -56,7 +56,7 @@ func TestCompactorNeverBlocksWriters(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := d.Ingest(internalStressGraph(t, ID(100*i), 8)); err != nil {
+		if _, _, err := d.IngestIdempotent(context.Background(), "", internalStressGraph(t, ID(100*i), 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,11 +78,11 @@ func TestCompactorNeverBlocksWriters(t *testing.T) {
 	// stack traces — no watchdog to misfire under CI load.
 	for i := 3; i < 8; i++ {
 		g := internalStressGraph(t, ID(100*i), 8)
-		if _, err := d.Ingest(g); err != nil {
+		if _, _, err := d.IngestIdempotent(context.Background(), "", g); err != nil {
 			t.Fatalf("ingest during compaction: %v", err)
 		}
 		if i == 5 {
-			if _, err := d.Retract(g); err != nil {
+			if _, _, err := d.RetractIdempotent(context.Background(), "", g); err != nil {
 				t.Fatalf("retract during compaction: %v", err)
 			}
 		}

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 	check(err)
 	start := time.Now()
 	for _, b := range parts[:batches/2] {
-		_, err := d1.Ingest(b.Graph)
+		_, _, err := d1.IngestIdempotent(context.Background(), "", b.Graph)
 		check(err)
 	}
 	preCrash := stateImage(d1)
@@ -99,7 +100,7 @@ func main() {
 	// until the chain crosses MaxRuns and folds into a fresh base.
 	fmt.Printf("phase 3: one compaction per batch (runs accumulate, then fold at %d)\n", dopts.MaxRuns)
 	for _, b := range parts[batches/2 : batches-1] {
-		_, err := d2.Ingest(b.Graph)
+		_, _, err := d2.IngestIdempotent(context.Background(), "", b.Graph)
 		check(err)
 		segsBefore := walFiles(dir)
 		check(d2.Compact())
@@ -115,7 +116,7 @@ func main() {
 
 	// Phase 4: one more batch after the last round, crash again, and
 	// recover through manifest -> base image -> delta runs -> WAL tail.
-	_, err = d2.Ingest(parts[batches-1].Graph)
+	_, _, err = d2.IngestIdempotent(context.Background(), "", parts[batches-1].Graph)
 	check(err)
 	preCrash2 := stateImage(d2)
 	fmt.Printf("phase 4: ingested final batch on top of the run chain\n")

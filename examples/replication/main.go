@@ -91,7 +91,7 @@ func main() {
 
 	half := len(parts) / 2
 	for _, p := range parts[:half] {
-		_, err := leader.Ingest(p.Graph)
+		_, _, err := leader.IngestIdempotent(context.Background(), "", p.Graph)
 		check(err)
 	}
 	check(leader.Compact()) // seals, folds, ships; the manifest publishes the generation
@@ -136,12 +136,12 @@ func main() {
 	// Phase 2: kill the leader mid-stream.
 	fmt.Println("\n=== kill the leader mid-stream ===")
 	for _, p := range parts[half : half+2] {
-		_, err := leader.Ingest(p.Graph)
+		_, _, err := leader.IngestIdempotent(context.Background(), "", p.Graph)
 		check(err)
 	}
 	check(leader.Compact()) // these batches ship...
 	for _, p := range parts[half+2 : half+4] {
-		_, err := leader.Ingest(p.Graph)
+		_, _, err := leader.IngestIdempotent(context.Background(), "", p.Graph)
 		check(err) // ...these are acked and WAL-durable but NOT yet shipped
 	}
 	shippedLSN := leader.DurableStats().ShippedLSN
@@ -161,7 +161,7 @@ func main() {
 	fmt.Println("\n=== leader recovers, followers converge ===")
 	leader = openLeader(leaderFS, backend)
 	for _, p := range parts[half+4:] {
-		_, err := leader.Ingest(p.Graph)
+		_, _, err := leader.IngestIdempotent(context.Background(), "", p.Graph)
 		check(err)
 	}
 	check(leader.Compact())

@@ -1,17 +1,19 @@
 package pghive
 
 // groupcommit.go is the one commit path, with no goroutine of its own:
-// every write — Ingest, Retract, each batch of a DrainStream, on a
-// Service and a DurableService alike — goes through writer.submit. A
-// writer waits for the write lock and offers its request on the
-// writer's unbuffered hand-off in one select. The caller that gets the
-// lock claims whoever else is waiting (bounded by maxCommitGroup),
-// commits the group through its owner's group step and unlocks; a
-// claimed caller waits for the holder's answer.
+// every write — Ingest, Retract, their keyed forms, each batch of a
+// DrainStream, on a Service and a DurableService alike — goes through
+// writer.write and then writer.submit. A writer waits for the write
+// lock and offers its request on the writer's unbuffered hand-off in
+// one select. The caller that gets the lock claims whoever else is
+// waiting (bounded by maxCommitGroup), commits the group through its
+// owner's group step and unlocks; a claimed caller waits for the
+// holder's answer. The owners differ only in that step.
 //
-// A DurableService encodes its record payload in the caller's
-// goroutine, before submit, so no encode or compression runs inside the
-// serialized section. Its group step, commitGroup, runs per-request
+// write refuses an overlong idempotency key before admission and, for
+// a DurableService, encodes the record payload in the caller's
+// goroutine, so no encode or compression runs inside the serialized
+// section. The durable group step, commitGroup, runs per-request
 // admission checks (context expiry, idempotency replay, read-only
 // fail-fast), one wal.AppendBatch — N frames, ONE fsync — then applies
 // and publishes each batch in log order before acknowledging anyone. It
@@ -19,7 +21,8 @@ package pghive
 // follower's tail replay through, so the writer's LSN and the log's
 // agree after every group. A lone writer is a group of one: the same
 // bytes on disk as a direct wal.Append. A plain Service's step applies
-// each request whose context is still live, and logs nothing.
+// each request whose context is still live and whose key it has not
+// seen, and logs nothing.
 //
 // Two contracts ride on this path. Durability: no caller is
 // acknowledged before the fsync covering its record returns, and a
@@ -35,6 +38,7 @@ package pghive
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/pghive/pghive/internal/wal"
 )
@@ -93,18 +97,24 @@ func (w *writer) submit(ctx context.Context, req *commitReq) commitRes {
 	return <-req.res
 }
 
-// submitCommit encodes one durable write's record and submits it. A
-// malformed key is refused here, before admission.
-func (d *DurableService) submitCommit(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
-	payload, err := encodeWALRecordPayload(key, g)
-	if err != nil {
-		return BatchTiming{}, false, err
+// write is the one write both owners take: it refuses a malformed key
+// before admission, encodes the record payload where the owner logs,
+// and submits.
+func (w *writer) write(ctx context.Context, key string, g *Graph, retract bool) (BatchTiming, bool, error) {
+	if len(key) > MaxIdempotencyKeyLen {
+		return BatchTiming{}, false, fmt.Errorf("pghive: durable: idempotency key must be 1..%d bytes, got %d", MaxIdempotencyKeyLen, len(key))
 	}
-	rec := wal.BatchRecord{Type: walRecIngest, Payload: payload}
+	req := &commitReq{key: key, g: g, rec: wal.BatchRecord{Type: walRecIngest}}
 	if retract {
-		rec.Type = walRecRetract
+		req.rec.Type = walRecRetract
 	}
-	res := d.w.submit(ctx, &commitReq{key: key, g: g, rec: rec})
+	if w.logs {
+		var err error
+		if req.rec.Payload, err = encodeWALRecordPayload(key, g); err != nil {
+			return BatchTiming{}, false, err
+		}
+	}
+	res := w.submit(ctx, req)
 	return res.bt, res.replayed, res.err
 }
 

@@ -9,6 +9,7 @@ package pghive
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -236,7 +237,7 @@ func TestServiceWritersParkedBehindLockCommitAsOneGroup(t *testing.T) {
 	for i := 0; i < k; i++ {
 		g := internalStressGraph(t, ID(1000*(i+1)), 3)
 		go func() {
-			_, err := s.IngestContext(context.Background(), g)
+			_, _, err := s.IngestIdempotent(context.Background(), "", g)
 			errs <- err
 		}()
 	}
@@ -253,5 +254,58 @@ func TestServiceWritersParkedBehindLockCommitAsOneGroup(t *testing.T) {
 	st := s.Stats()
 	if st.Snapshot != k || st.LSN != 0 || st.Nodes != 3*k {
 		t.Fatalf("stats %+v, want %d snapshots, LSN 0, %d nodes", st, k, 3*k)
+	}
+}
+
+// Two of k plain-Service writers parked behind a held lock share a key:
+// the group applies the key once and answers the other writer replayed,
+// and the applied-key set is bounded by the shared default.
+func TestServiceKeyedWritersInOneGroupApplyOnce(t *testing.T) {
+	s := NewService(Options{Seed: 1, Parallelism: 1})
+	var sizes []int
+	step := s.w.commit
+	s.w.commit = func(h writeHeld, group []*commitReq) {
+		sizes = append(sizes, len(group))
+		step(h, group)
+	}
+
+	const k = 6
+	keys := []string{"dup", "dup", "k2", "k3", "k4", "k5"}
+	s.w.mu.Lock()
+	replays := make(chan bool, k)
+	for i := 0; i < k; i++ {
+		g := internalStressGraph(t, ID(1000*(i+1)), 3)
+		go func() {
+			_, replayed, err := s.IngestIdempotent(context.Background(), keys[i], g)
+			if err != nil {
+				t.Error(err)
+			}
+			replays <- replayed
+		}()
+	}
+	parkedWriters(t, k)
+	s.w.mu.Unlock()
+	replayed := 0
+	for i := 0; i < k; i++ {
+		if <-replays {
+			replayed++
+		}
+	}
+	if len(sizes) != 1 || sizes[0] != k {
+		t.Fatalf("groups %v, want one group of %d", sizes, k)
+	}
+	if st := s.Stats(); replayed != 1 || st.Batches != k-1 || st.Nodes != 3*(k-1) || st.LSN != 0 {
+		t.Fatalf("%d replayed, stats %+v; want 1 replayed, %d batches, %d nodes, LSN 0", replayed, st, k-1, 3*(k-1))
+	}
+
+	// The key set holds at most the default, forgetting the oldest key.
+	if s.w.keys.len() != k-1 || s.w.keys.cap != defaultMaxIdempotencyKeys {
+		t.Fatalf("%d keys retained of cap %d, want %d of %d", s.w.keys.len(), s.w.keys.cap, k-1, defaultMaxIdempotencyKeys)
+	}
+	for i := 0; i < defaultMaxIdempotencyKeys; i++ {
+		s.w.keys.add(fmt.Sprint("fill-", i), 0)
+	}
+	if _, seen := s.w.keys.seen("dup"); seen || s.w.keys.len() != defaultMaxIdempotencyKeys {
+		t.Fatalf("after overfilling: %d keys, oldest still seen %v; want %d, false", s.w.keys.len(), seen, defaultMaxIdempotencyKeys)
 	}
 }

@@ -7,6 +7,7 @@ package histcheck
 // must not.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -212,9 +213,9 @@ func runLiveReplicated(t *testing.T, cfg Config) *History {
 
 	h, err := RunReplicated(func(session, server string) Client {
 		if server == "" {
-			// Writes go through the WAL-backed Ingest.
+			// Writes go through the WAL-backed IngestIdempotent.
 			return ServiceClient{Svc: leader.Reader, Write: func(g *pghive.Graph) error {
-				_, err := leader.Ingest(g)
+				_, _, err := leader.IngestIdempotent(context.Background(), "", g)
 				return err
 			}}
 		}

@@ -125,8 +125,8 @@ func noOSOnDurablePaths(f *file) {
 // handed a context — a context.Context, or the *http.Request carrying
 // the admission gate's deadline — never makes a fresh one, and an
 // exported Service / DurableService method takes its ctx first, named,
-// and uses it. The shims without a ctx parameter (Ingest calling
-// IngestContext(context.Background(), …)) have none to discard.
+// and uses it. The shims without a ctx parameter (Service.Ingest
+// writing with context.Background()) have none to discard.
 func contextPropagates(f *file) {
 	paramType := func(p *ast.Field) string { q, _ := callee(p.Type); return q }
 	mentions := func(n ast.Node, name string) (found bool) {

@@ -42,7 +42,7 @@ func openFoldedBase(t *testing.T, mem *vfs.MemFS, dir string, baseN int) *pghive
 	const chunk = 1000
 	for off := 0; off < baseN; off += chunk {
 		n := min(chunk, baseN-off)
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(off), n)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(off), n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestCompactionDeltaIOBound(t *testing.T) {
 	}
 	imageBytes := st.Size()
 
-	if _, err := d.Ingest(stressGraph(t, 1_000_000, deltaN)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 1_000_000, deltaN)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Compact(); err != nil {
@@ -137,7 +137,7 @@ func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
 	// requires the round to have written a small run on top of loaded.
 	retractRound := func(t *testing.T, d *pghive.DurableService, victim *pghive.Graph, loaded pghive.DurableStats) {
 		t.Helper()
-		if _, err := d.Retract(victim); err != nil {
+		if err := durableRetract(d, victim); err != nil {
 			t.Fatal(err)
 		}
 		st := compact(t, d)
@@ -158,11 +158,11 @@ func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
 		d := open(t, vfs.NewMemFS(), 100)
 		defer d.Close()
 		victim := stressGraph(t, 0, 10)
-		if _, err := d.Ingest(victim); err != nil {
+		if err := durableIngest(d, victim); err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i <= 5; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*i), 100)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(1000*i), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,12 +180,12 @@ func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
 		d := open(t, mem, 1)
 		victim := stressGraph(t, 0, 10)
 		for _, g := range []*pghive.Graph{victim, stressGraph(t, 100, 14)} {
-			if _, err := d.Ingest(g); err != nil {
+			if err := durableIngest(d, g); err != nil {
 				t.Fatal(err)
 			}
 		}
 		compact(t, d)
-		if _, err := d.Ingest(stressGraph(t, 200, 1)); err != nil {
+		if err := durableIngest(d, stressGraph(t, 200, 1)); err != nil {
 			t.Fatal(err)
 		}
 		if st := compact(t, d); st.BaseLSN == 0 || st.Runs != 0 {
@@ -199,7 +199,7 @@ func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
 		defer d.Close()
 		var loaded pghive.DurableStats
 		for i := 1; i <= 5; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(10_000*i), 500)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(10_000*i), 500)); err != nil {
 				t.Fatal(err)
 			}
 			loaded = compact(t, d)
@@ -224,7 +224,7 @@ func openLoaded(t *testing.T, fsys vfs.FS, n int) *pghive.DurableService {
 	}
 	const chunk = 500 // nodes; as many edges
 	for off := 0; 2*off < n; off += chunk {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(off), chunk)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(off), chunk)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func writeAllocs(t *testing.T, n int, compact bool) float64 {
 	defer d.Close()
 	next := pghive.ID(1 << 24)
 	write := func() {
-		if _, err := d.Ingest(stressGraph(t, next, 25)); err != nil {
+		if err := durableIngest(d, stressGraph(t, next, 25)); err != nil {
 			t.Fatal(err)
 		}
 		next += 1000
@@ -307,11 +307,11 @@ func TestSteadyRoundReadsNothing(t *testing.T) {
 	defer d.Close()
 	for i := 0; i < 3; i++ {
 		g := stressGraph(t, pghive.ID(1<<24+1000*i), 25)
-		if _, err := d.Ingest(g); err != nil {
+		if err := durableIngest(d, g); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			if _, err := d.Retract(g); err != nil {
+			if err := durableRetract(d, g); err != nil {
 				t.Fatal(err)
 			}
 		}

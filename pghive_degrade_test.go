@@ -41,7 +41,7 @@ func syncsThroughFirstIngest(t *testing.T) int {
 	t.Helper()
 	plan := vfs.NewPlan()
 	d := openDegradeService(t, vfs.NewInjectFS(vfs.NewMemFS(), plan))
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	n := plan.Ops()[vfs.OpSync]
@@ -59,12 +59,12 @@ func TestENOSPCDegradesToReadOnlyAndCompactionRearms(t *testing.T) {
 	d := openDegradeService(t, vfs.NewInjectFS(mem, plan))
 	defer d.Close()
 
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatalf("pre-fault ingest: %v", err)
 	}
 	snapBefore := d.Stats().Snapshot
 
-	_, err := d.Ingest(stressGraph(t, 1000, 5))
+	err := durableIngest(d, stressGraph(t, 1000, 5))
 	var de *pghive.DurabilityError
 	if !errors.As(err, &de) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("ENOSPC append returned %v, want DurabilityError wrapping ENOSPC", err)
@@ -81,7 +81,7 @@ func TestENOSPCDegradesToReadOnlyAndCompactionRearms(t *testing.T) {
 	// Writes fail fast with the declared error; reads keep serving the
 	// pre-fault snapshot.
 	var roe *pghive.ReadOnlyError
-	if _, err := d.Ingest(stressGraph(t, 2000, 5)); !errors.As(err, &roe) {
+	if err := durableIngest(d, stressGraph(t, 2000, 5)); !errors.As(err, &roe) {
 		t.Fatalf("degraded write returned %v, want ReadOnlyError", err)
 	}
 	if roe.Reason != pghive.DegradeDiskFull {
@@ -99,7 +99,7 @@ func TestENOSPCDegradesToReadOnlyAndCompactionRearms(t *testing.T) {
 	if _, degraded := d.Degraded(); degraded {
 		t.Fatal("successful compaction did not re-arm a disk-full service")
 	}
-	if _, err := d.Ingest(stressGraph(t, 3000, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 3000, 5)); err != nil {
 		t.Fatalf("post-rearm ingest: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestBrokenWALDegradesAndRearmRestoresWrites(t *testing.T) {
 	d := openDegradeService(t, vfs.NewInjectFS(mem, plan))
 	defer d.Close()
 
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatalf("pre-fault ingest: %v", err)
 	}
 	want := countsOf(d.Stats())
@@ -135,7 +135,7 @@ func TestBrokenWALDegradesAndRearmRestoresWrites(t *testing.T) {
 		t.Fatalf("Degraded() = %q/%v, want %q/true", reason, degraded, pghive.DegradeWALBroken)
 	}
 	var roe *pghive.ReadOnlyError
-	if _, err := d.Ingest(stressGraph(t, 2000, 5)); !errors.As(err, &roe) {
+	if err := durableIngest(d, stressGraph(t, 2000, 5)); !errors.As(err, &roe) {
 		t.Fatalf("broken-WAL write returned %v, want ReadOnlyError", err)
 	}
 
@@ -168,7 +168,7 @@ func TestBrokenWALDegradesAndRearmRestoresWrites(t *testing.T) {
 
 	// Either way the write landed exactly once, and further writes and
 	// recovery behave normally.
-	if _, err := d.Ingest(stressGraph(t, 3000, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 3000, 5)); err != nil {
 		t.Fatalf("post-rearm ingest: %v", err)
 	}
 	live := serviceImage(t, d)
@@ -185,7 +185,7 @@ func TestRearmOnHealthyServiceIsNoOp(t *testing.T) {
 	mem := vfs.NewMemFS()
 	d := openDegradeService(t, mem)
 	defer d.Close()
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	want := countsOf(d.Stats())
@@ -233,7 +233,7 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	// The lock is free again; re-submitting the same (unkeyed) write now
 	// applies it exactly once: the timed-out attempt left nothing behind
 	// to double it.
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatalf("post-release ingest: %v", err)
 	}
 	if got := d.DurableStats().WALNextLSN; got != nextLSN+1 {
@@ -241,7 +241,7 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	}
 	clean := openDegradeService(t, vfs.NewMemFS())
 	defer clean.Close()
-	if _, err := clean.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(clean, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serviceImage(t, d), serviceImage(t, clean)) {

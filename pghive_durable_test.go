@@ -133,12 +133,12 @@ func (fx *durableFixture) runDurable(t *testing.T, dir string, dopts pghive.Dura
 		step++
 	}
 	for _, g := range fx.ingests {
-		if _, err := d.Ingest(g); err != nil {
+		if err := durableIngest(d, g); err != nil {
 			t.Fatal(err)
 		}
 		maybeCompact()
 	}
-	if _, err := d.Retract(fx.retract); err != nil {
+	if err := durableRetract(d, fx.retract); err != nil {
 		t.Fatal(err)
 	}
 	maybeCompact()
@@ -389,7 +389,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	}
 
 	for i, g := range fx.ingests {
-		if _, err := d.Ingest(g); err != nil {
+		if err := durableIngest(d, g); err != nil {
 			t.Fatal(err)
 		}
 		if i < 3 {
@@ -402,7 +402,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 			compact(4, 4, 0, 4)
 		}
 	}
-	if _, err := d.Retract(fx.retract); err != nil {
+	if err := durableRetract(d, fx.retract); err != nil {
 		t.Fatal(err)
 	}
 	compact(5, 5, 1, 4)
@@ -521,7 +521,7 @@ func TestDurableCompactionRoundTrip(t *testing.T) {
 	}
 	refSvc := pghive.NewService(opts)
 	replayReference(t, refSvc, fx)
-	if _, err := rec.Ingest(fx.retract); err != nil {
+	if err := durableIngest(rec, fx.retract); err != nil {
 		t.Fatal(err)
 	}
 	refSvc.Ingest(fx.retract)
@@ -565,6 +565,18 @@ func replayReference(t *testing.T, svc *pghive.Service, fx *durableFixture) {
 	if err := svc.DrainStream(context.Background(), pghive.NewJSONLStream(bytes.NewReader(fx.streamData), fx.streamBS), nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// durableIngest and durableRetract write g to d unkeyed, with no
+// deadline, and return the write's error.
+func durableIngest(d *pghive.DurableService, g *pghive.Graph) error {
+	_, _, err := d.IngestIdempotent(context.Background(), "", g)
+	return err
+}
+
+func durableRetract(d *pghive.DurableService, g *pghive.Graph) error {
+	_, _, err := d.RetractIdempotent(context.Background(), "", g)
+	return err
 }
 
 // stressGraph builds a small explicit-ID graph so concurrent writers
@@ -660,12 +672,12 @@ func TestDurableServiceConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				base := pghive.ID(1_000_000*w + 1_000*i)
 				g := stressGraph(t, base, span)
-				if _, err := d.Ingest(g); err != nil {
+				if err := durableIngest(d, g); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
 				if i%3 == 2 {
-					if _, err := d.Retract(g); err != nil {
+					if err := durableRetract(d, g); err != nil {
 						t.Errorf("writer %d retract: %v", w, err)
 						return
 					}
@@ -748,10 +760,10 @@ func TestWritesStartNoGoroutine(t *testing.T) {
 	if after := rootGoroutines(); after > before {
 		t.Fatalf("NewService and OpenDurable started %d goroutines in package pghive", after-before)
 	}
-	if _, err := s.IngestContext(context.Background(), stressGraph(t, 0, 3)); err != nil {
+	if _, _, err := s.IngestIdempotent(context.Background(), "", stressGraph(t, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Ingest(stressGraph(t, 0, 3)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -819,13 +831,13 @@ func TestDurableGCSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Ingest(g1); err != nil {
+		if err := durableIngest(d, g1); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Ingest(g2); err != nil {
+		if err := durableIngest(d, g2); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Close(); err != nil {
@@ -875,7 +887,7 @@ func TestDurableGCSweep(t *testing.T) {
 			!memExists(t, mem, filepath.Join(dataDir, fmt.Sprintf("run-%020d-%020d.run", 0, 1))) {
 			t.Error("sweep removed the live generation's files")
 		}
-		if _, err := d.Ingest(g3); err != nil {
+		if err := durableIngest(d, g3); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Compact(); err != nil {
@@ -968,7 +980,7 @@ func newDamageFixture(t *testing.T) *damageFixture {
 		g := stressGraph(t, pghive.ID(1000*i), 6)
 		refSvc.Ingest(g)
 		fx.refs = append(fx.refs, serviceImage(t, refSvc))
-		if _, err := d.Ingest(g); err != nil {
+		if err := durableIngest(d, g); err != nil {
 			t.Fatal(err)
 		}
 		if i < 3 {
@@ -1289,7 +1301,7 @@ func TestDurableCompactionFaultCrashPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, g := range graphs {
-					if _, err := d.Ingest(g); err != nil {
+					if err := durableIngest(d, g); err != nil {
 						t.Fatal(err)
 					}
 					if i == 1 {
@@ -1513,7 +1525,7 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(i*100), 40)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(i*100), 40)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Compact(); err != nil {

@@ -299,7 +299,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 			// must work from whatever files it left behind.
 			opErr = d.Compact()
 		case fIngest:
-			if _, err := d.Ingest(op.g); err != nil {
+			if err := durableIngest(d, op.g); err != nil {
 				if !requireDeclaredWriteError(t, sc, err) {
 					tail = append(tail, refRec{id: op.id, g: op.g})
 				}
@@ -308,7 +308,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 				ack(refRec{id: op.id, g: op.g})
 			}
 		case fRetract:
-			if _, err := d.Retract(op.g); err != nil {
+			if err := durableRetract(d, op.g); err != nil {
 				if !requireDeclaredWriteError(t, sc, err) {
 					tail = append(tail, refRec{id: op.id, retract: true, g: op.g})
 				}
@@ -347,7 +347,7 @@ func runFaultSchedule(t *testing.T, opts pghive.Options, script []faultOp, sc fa
 			t.Errorf("%v: read-only declared without a machine-readable reason", sc)
 		}
 		var re *pghive.ReadOnlyError
-		if _, err := d.Ingest(script[0].g); !errors.As(err, &re) {
+		if err := durableIngest(d, script[0].g); !errors.As(err, &re) {
 			t.Errorf("%v: probe write in read-only mode returned %T (%v), want ReadOnlyError", sc, err, err)
 		}
 		if d.Snapshot() == nil {

@@ -55,7 +55,7 @@ func newReplicaWorld(t *testing.T, backend store.Backend) *replicaWorld {
 func (w *replicaWorld) writeRound(round, n int) {
 	w.t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := w.leader.Ingest(stressGraph(w.t, pghive.ID(100000*(round+1)+1000*(i+1)), 30)); err != nil {
+		if err := durableIngest(w.leader, stressGraph(w.t, pghive.ID(100000*(round+1)+1000*(i+1)), 30)); err != nil {
 			w.t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func (w *replicaWorld) follower() *pghive.Follower {
 func TestFollowerBitIdenticalToLeader(t *testing.T) {
 	w := newReplicaWorld(t, nil)
 	w.writeRound(0, 5)
-	if _, err := w.leader.Retract(stressGraph(t, 100000+1000*2, 30)); err != nil {
+	if err := durableRetract(w.leader, stressGraph(t, 100000+1000*2, 30)); err != nil {
 		t.Fatal(err)
 	}
 	w.writeRound(1, 3)
@@ -497,7 +497,7 @@ func shipBaseAndRun(t *testing.T, opts pghive.Options, backend store.Backend) (*
 	}
 	t.Cleanup(func() { leader.Close() })
 	for round := 0; round < 3; round++ {
-		if _, err := leader.Ingest(stressGraph(t, pghive.ID(1000*round), 20)); err != nil {
+		if err := durableIngest(leader, stressGraph(t, pghive.ID(1000*round), 20)); err != nil {
 			t.Fatal(err)
 		}
 		if err := leader.Compact(); err != nil {
@@ -546,7 +546,7 @@ func TestFollowerBootstrapStopsOnFetchFailure(t *testing.T) {
 		{"newest fold's base", func(t *testing.T, leader *pghive.DurableService) func(string) bool {
 			// A fourth round folds base + run into a new base; the previous
 			// generation (the old base plus its run) stays shipped.
-			if _, err := leader.Ingest(stressGraph(t, 3000, 20)); err != nil {
+			if err := durableIngest(leader, stressGraph(t, 3000, 20)); err != nil {
 				t.Fatal(err)
 			}
 			if err := leader.Compact(); err != nil {

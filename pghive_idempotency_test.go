@@ -47,7 +47,7 @@ func TestUnkeyedRetryDoubleAppliesAfterCrash(t *testing.T) {
 	mem := vfs.NewMemFS()
 	d := openIdemService(t, mem, 0)
 	g := stressGraph(t, 0, 5)
-	if _, err := d.Ingest(g); err != nil {
+	if err := durableIngest(d, g); err != nil {
 		t.Fatal(err)
 	}
 	before := countsOf(d.Stats())
@@ -58,7 +58,7 @@ func TestUnkeyedRetryDoubleAppliesAfterCrash(t *testing.T) {
 	if got := countsOf(d2.Stats()); got != before {
 		t.Fatalf("recovery lost state: %+v, want %+v", got, before)
 	}
-	if _, err := d2.Ingest(g); err != nil { // the client's blind retry
+	if err := durableIngest(d2, g); err != nil { // the client's blind retry
 		t.Fatal(err)
 	}
 	got := countsOf(d2.Stats())
@@ -198,7 +198,7 @@ func TestKeyedRetractExactlyOnce(t *testing.T) {
 	mem := vfs.NewMemFS()
 	d := openIdemService(t, mem, 0)
 	g := stressGraph(t, 0, 5)
-	if _, err := d.Ingest(g); err != nil {
+	if err := durableIngest(d, g); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := d.RetractIdempotent(context.Background(), "r1", g); err != nil {

@@ -340,7 +340,7 @@ func TestDrainStreamInterleavesWithWriters(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := svc.IngestContext(ctx, stressGraph(t, 2000, 5)); err != nil {
+	if _, _, err := svc.IngestIdempotent(ctx, "", stressGraph(t, 2000, 5)); err != nil {
 		t.Fatalf("ingest while a stream is parked between batches: %v", err)
 	}
 	close(ps.release)

@@ -159,7 +159,7 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	const lone = 8
 	base := d.DurableStats().WALSyncs
 	for i := 0; i < lone; i++ {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(100_000+1000*i), 50)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(100_000+1000*i), 50)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = d.Ingest(stressGraph(t, pghive.ID(1000*(i+1)), 50))
+			errs[i] = durableIngest(d, stressGraph(t, pghive.ID(1000*(i+1)), 50))
 		}(i)
 	}
 	time.Sleep(100 * time.Millisecond) // let every writer reach the queue
@@ -238,10 +238,10 @@ func TestGroupCommitDegradesAndFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.Ingest(stressGraph(t, 1000, 5))
+	err = durableIngest(d, stressGraph(t, 1000, 5))
 	var de *pghive.DurabilityError
 	if !errors.As(err, &de) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("ENOSPC append returned %v, want DurabilityError wrapping ENOSPC", err)
@@ -249,7 +249,7 @@ func TestGroupCommitDegradesAndFailsFast(t *testing.T) {
 	if reason, degraded := d.Degraded(); !degraded || reason != pghive.DegradeDiskFull {
 		t.Fatalf("Degraded() = %q, %v; want %q, true", reason, degraded, pghive.DegradeDiskFull)
 	}
-	_, err = d.Ingest(stressGraph(t, 2000, 5))
+	err = durableIngest(d, stressGraph(t, 2000, 5))
 	var ro *pghive.ReadOnlyError
 	if !errors.As(err, &ro) || ro.Reason != pghive.DegradeDiskFull {
 		t.Fatalf("degraded write returned %v, want ReadOnlyError(disk-full)", err)
@@ -276,7 +276,7 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	// checkpoint: both keyed writes wait for the lock, and when the gate
 	// opens the one that gets it claims the other, so both land in one
 	// group — the one whose fsync fails.
-	if _, err := d.Ingest(stressGraph(t, 0, 5)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	gate := newGateWriter()
@@ -334,7 +334,7 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 	<-gate.entered
 	dummyDone := make(chan error, 1)
 	go func() {
-		_, err := d.Ingest(stressGraph(t, 0, 5))
+		err := durableIngest(d, stressGraph(t, 0, 5))
 		dummyDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -393,7 +393,7 @@ func TestGroupCommitCloseNeverStrandsWriters(t *testing.T) {
 				<-start
 				// Success and refusal are both fine; returning is the
 				// assertion.
-				_, _ = d.Ingest(stressGraph(t, pghive.ID(1000*(i+1)), 3))
+				_ = durableIngest(d, stressGraph(t, pghive.ID(1000*(i+1)), 3))
 			}(i)
 		}
 		close(start)
@@ -420,7 +420,7 @@ func TestShipRoundUploadsGenerationManifestLast(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -472,7 +472,7 @@ func TestShipManifestNeverDanglesOnPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -495,7 +495,7 @@ func TestShipManifestNeverDanglesOnPartialFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 6; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(1000*(i+1)), 40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -542,7 +542,7 @@ func TestPruneRetainsUnshippedSegments(t *testing.T) {
 	// first-round segment.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 4; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(10000*round+1000*(i+1)), 40)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(10000*round+1000*(i+1)), 40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -620,7 +620,7 @@ func TestShipGCRetainsFallbackGenerationTail(t *testing.T) {
 	round := func(r int) {
 		t.Helper()
 		for i := 0; i < 4; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(100000*(r+1)+1000*(i+1)), 30)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(100000*(r+1)+1000*(i+1)), 30)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -700,15 +700,15 @@ func TestShippedWALMatchesSealedSegments(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		g := stressGraph(t, pghive.ID(1000*(r+1)), 20)
 		for i := 0; i < 3; i++ {
-			if _, err := d.Ingest(stressGraph(t, pghive.ID(100000*(r+1)+1000*i), 10)); err != nil {
+			if err := durableIngest(d, stressGraph(t, pghive.ID(100000*(r+1)+1000*i), 10)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := d.Ingest(g); err != nil {
+		if err := durableIngest(d, g); err != nil {
 			t.Fatal(err)
 		}
 		if r%2 == 1 {
-			if _, err := d.Retract(prev); err != nil {
+			if err := durableRetract(d, prev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -764,7 +764,7 @@ func TestGCCollectsOnlyStaleArtifacts(t *testing.T) {
 	}
 	round := func(d *pghive.DurableService, r int) {
 		t.Helper()
-		if _, err := d.Ingest(stressGraph(t, pghive.ID(1000*(r+1)), 30)); err != nil {
+		if err := durableIngest(d, stressGraph(t, pghive.ID(1000*(r+1)), 30)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Compact(); err != nil {
@@ -870,7 +870,7 @@ func TestCloseEndsShipRoundOnHungBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Ingest(stressGraph(t, 1000, 40)); err != nil {
+	if err := durableIngest(d, stressGraph(t, 1000, 40)); err != nil {
 		t.Fatal(err)
 	}
 	backend.hung.Store(true)

@@ -21,7 +21,6 @@ import (
 	"github.com/pghive/pghive/internal/schema"
 	"github.com/pghive/pghive/internal/serialize"
 	"github.com/pghive/pghive/internal/validate"
-	"github.com/pghive/pghive/internal/wal"
 )
 
 // ServiceStats summarizes a published snapshot.
@@ -60,19 +59,22 @@ type Reader struct {
 // pipeline plus label-only endpoint bookkeeping kept across batches
 // (the serving analogue of a stream reader's resolver), so an edge
 // ingested in a later request still resolves endpoint labels for nodes
-// ingested earlier. apply is the ONE rule that advances a logged state
-// — the durable group step, WAL recovery, Rearm's catch-up and a
-// follower's tail all call it — and it runs the ingest and retract a
-// plain Service's step calls, which makes each bit-identical to the run
-// that logged the records. Not safe for concurrent use: an owner that
-// serves it holds mu around every call; a shadow owner (recovery, a
-// follower's bootstrap) is the only goroutine that ever sees it.
+// ingested earlier. apply is the ONE rule that advances the state —
+// both owners' group steps (a plain Service's at LSN 0), WAL recovery,
+// Rearm's catch-up and a follower's tail all call it — which makes
+// each bit-identical to the run that logged the records. Not safe for
+// concurrent use: an owner that serves it holds mu around every call; a
+// shadow owner (recovery, a follower's bootstrap) is the only goroutine
+// that ever sees it.
 type writer struct {
 	mu writeLock
 	// commits is the hand-off writes waiting for mu offer themselves on,
-	// commit the owner's group step (see submit); nil on shadow writers.
+	// commit the owner's group step (see submit), and logs says the step
+	// write-ahead logs, so write encodes each record's payload; all zero
+	// on shadow writers.
 	commits chan *commitReq
 	commit  func(writeHeld, []*commitReq)
+	logs    bool
 	opts    Options
 	// lsn is the last WAL record the state absorbed: the image's WALSeq
 	// at start, then moved only by apply.
@@ -84,9 +86,10 @@ type writer struct {
 	// IDs, so a later stream must continue numbering where the
 	// previous one stopped.
 	nextEdgeID ID
-	// keys is the applied idempotency-key set, rebuilt from the same
-	// images and WAL records as the rest of the state. Nil where
-	// nothing is keyed: plain services and followers.
+	// keys is the applied idempotency-key set: on a durable owner
+	// rebuilt from the same images and WAL records as the rest of the
+	// state, on a plain Service held in memory only. Nil on followers,
+	// which take no writes.
 	keys *idemStore
 	// out receives a fresh snapshot after every applied batch. It is
 	// nil on a shadow writer, which replays without paying the
@@ -138,8 +141,9 @@ func (w *writer) serve() *Reader {
 
 // Service is a thread-safe serving wrapper around the §4.6
 // incremental pipeline: the embedded Reader for any number of
-// concurrent readers, and a write side (Ingest, Retract, DrainStream,
-// WriteCheckpoint) serialized internally, batch by batch. Element IDs
+// concurrent readers, and a write side (Ingest, Retract, their keyed
+// forms, DrainStream, WriteCheckpoint) serialized internally, batch by
+// batch. It keeps no log: its state lives in memory. Element IDs
 // must be unique across the service's lifetime — re-ingesting an ID
 // double-counts its statistics, exactly as re-feeding it to
 // Incremental would.
@@ -152,7 +156,7 @@ type Service struct {
 // initial published snapshot is empty but valid, so readers never
 // observe a nil schema.
 func NewService(opts Options) *Service {
-	w, _ := newWriter(opts, nil, 0) // the empty state cannot fail
+	w, _ := newWriter(opts, nil, defaultMaxIdempotencyKeys) // the empty state cannot fail
 	return newService(w)
 }
 
@@ -164,16 +168,18 @@ func newService(w *writer) *Service {
 }
 
 // commitGroup is a plain Service's group step: it applies each request
-// whose context is still live, logging nothing, so snapshots state LSN 0.
+// whose context is still live and whose key it has not seen, logging
+// nothing, so snapshots state LSN 0. Requests apply one at a time, so a
+// key applied earlier in the same group answers replayed too.
 func (s *Service) commitGroup(_ writeHeld, group []*commitReq) {
 	for _, req := range group {
-		if err := req.ctx.Err(); err != nil {
-			req.res <- commitRes{err: err}
-		} else if req.rec.Type == walRecRetract {
-			req.res <- commitRes{bt: s.w.retract(req.g)}
-		} else {
-			req.res <- commitRes{bt: s.w.ingest(req.g)}
+		res := commitRes{err: req.ctx.Err()}
+		if res.err == nil {
+			if _, res.replayed = s.w.keys.seen(req.key); !res.replayed { // "" is never seen
+				res.bt = s.w.apply(0, req.key, req.g, req.rec.Type == walRecRetract)
+			}
 		}
+		req.res <- res
 	}
 }
 
@@ -189,7 +195,7 @@ func RestoreService(opts Options, r io.Reader) (*Service, error) {
 		return nil, err
 	}
 	img.WALSeq = 0 // a durable base image's position means nothing without its log
-	w, err := newWriter(opts, img, 0)
+	w, err := newWriter(opts, img, defaultMaxIdempotencyKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -323,36 +329,38 @@ func (w *writer) writeCheckpoint(out io.Writer) error {
 }
 
 // Ingest runs one batch through the pipeline and publishes a fresh
-// snapshot. The graph is read during the call and not retained.
+// snapshot. The graph is read during the call and not retained. It is
+// IngestIdempotent with no deadline and no key, which cannot fail.
 func (s *Service) Ingest(g *Graph) BatchTiming {
-	bt, _ := s.IngestContext(context.Background(), g) // Background never expires
+	bt, _, _ := s.w.write(context.Background(), "", g, false)
 	return bt
 }
 
-// IngestContext is Ingest with a deadline on write admission: if ctx
-// has ended, or ends while the call is still queued behind other
-// writers, nothing is applied and ctx's error is returned. Once the
-// batch starts processing it runs to completion — a published snapshot
-// is never half a batch.
-func (s *Service) IngestContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	res := s.w.submit(ctx, &commitReq{g: g, rec: wal.BatchRecord{Type: walRecIngest}})
-	return res.bt, res.err
+// IngestIdempotent is Ingest with a deadline on write admission and an
+// optional idempotency key ("" for none). If ctx ends before the write
+// is admitted, nothing is applied and ctx's error is returned; an
+// admitted batch runs to completion, so a snapshot is never half a
+// batch. A key already applied answers replayed and applies nothing.
+// The keys live in memory only, the newest 65,536: a restart or
+// RestoreService forgets them (a DurableService logs them).
+func (s *Service) IngestIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
+	return s.w.write(ctx, key, g, false)
 }
 
 // Retract removes a batch of previously ingested elements (every
 // element must have been ingested earlier; see
 // Incremental.RetractBatch) and publishes a fresh snapshot. Types
-// whose last instance disappears are gone from the new snapshot.
+// whose last instance disappears are gone from the new snapshot. It is
+// RetractIdempotent with no deadline and no key, which cannot fail.
 func (s *Service) Retract(g *Graph) BatchTiming {
-	bt, _ := s.RetractContext(context.Background(), g) // Background never expires
+	bt, _, _ := s.w.write(context.Background(), "", g, true)
 	return bt
 }
 
-// RetractContext is Retract with a deadline on write admission (see
-// IngestContext for the contract).
-func (s *Service) RetractContext(ctx context.Context, g *Graph) (BatchTiming, error) {
-	res := s.w.submit(ctx, &commitReq{g: g, rec: wal.BatchRecord{Type: walRecRetract}})
-	return res.bt, res.err
+// RetractIdempotent is Retract with a deadline on write admission and
+// an optional idempotency key (see IngestIdempotent for the contract).
+func (s *Service) RetractIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
+	return s.w.write(ctx, key, g, true)
 }
 
 // csvLikeStream is the extra surface of readers that assign
@@ -367,15 +375,14 @@ type csvLikeStream interface {
 	SeedResolver(ID, []string) error
 }
 
-// DrainStream feeds the stream through IngestContext one batch at a
-// time, publishing a fresh snapshot after each, so concurrent readers
-// watch the schema evolve while the stream loads. The write lock is
-// taken per batch: other writers interleave between a stream's batches,
-// and ctx bounds each batch's write admission exactly as it bounds an
-// Ingest. Like Incremental.DrainStream it fills the per-batch memory
-// counters and returns on io.EOF (nil) or the first error. An error
-// mid-stream is not a rollback — batches already applied stay
-// published, and Stats tells the caller how far the stream got.
+// DrainStream writes the stream one unkeyed batch at a time, as
+// IngestIdempotent does, publishing a fresh snapshot after each, so
+// concurrent readers watch the schema evolve while the stream loads.
+// Other writers interleave between a stream's batches, and ctx bounds
+// each batch's write admission. Like Incremental.DrainStream it fills
+// the per-batch memory counters and returns on io.EOF (nil) or the
+// first error. An error mid-stream is not a rollback — batches already
+// applied stay published, and Stats tells the caller how far it got.
 //
 // CSV streams are adopted into the service's state before the first
 // batch: a fresh reader is seeded with the service's endpoint
@@ -387,15 +394,14 @@ type csvLikeStream interface {
 // streamed nodes); the overhead is bounded by the ID+labels index,
 // never properties.
 func (s *Service) DrainStream(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
-	return s.w.drain(ctx, r, onBatch, s.IngestContext)
+	return s.w.drain(ctx, r, onBatch)
 }
 
 // drain is the one stream loop behind Service and DurableService: seed
-// a CSV-like reader, then pull batches and hand each to write — the
-// owner's own one-batch ingest, which is where locking, the deadline
-// and (for a durable owner) logging happen.
-func (w *writer) drain(ctx context.Context, r StreamReader, onBatch func(BatchTiming),
-	write func(context.Context, *Graph) (BatchTiming, error)) error {
+// a CSV-like reader, then pull batches and write each, unkeyed, through
+// write — which is where locking, the deadline and (for a durable
+// owner) logging happen.
+func (w *writer) drain(ctx context.Context, r StreamReader, onBatch func(BatchTiming)) error {
 	if err := w.seedStream(ctx, r); err != nil {
 		return err
 	}
@@ -408,7 +414,7 @@ func (w *writer) drain(ctx context.Context, r StreamReader, onBatch func(BatchTi
 		if err != nil {
 			return err
 		}
-		bt, err := write(ctx, b.Graph)
+		bt, _, err := w.write(ctx, "", b.Graph, false)
 		if err != nil {
 			return err
 		}
@@ -485,5 +491,6 @@ func (r *Reader) WriteSchemaJSON(w io.Writer) error {
 // assignments, shape caches, endpoint bookkeeping — so RestoreService
 // can resume it bit-identically. The write lock is held for the
 // duration, so the image is consistent with exactly the batches whose
-// snapshots were published before the call returned.
+// snapshots were published before the call returned. The image carries
+// no idempotency keys: a restored Service has seen none.
 func (s *Service) WriteCheckpoint(w io.Writer) error { return s.w.writeCheckpoint(w) }

@@ -146,12 +146,9 @@ func (c *walCompressor) encode(final bool) error {
 // encodeWALRecordPayload spells one write — its idempotency key ("" for
 // none) and its batch — as a WAL record payload: the inverse of
 // decodeWALRecordPayload. Encode failures are wrapped in
-// DurabilityError; a malformed key is the caller's fault and returned
-// plain.
+// DurabilityError. The key is at most MaxIdempotencyKeyLen bytes:
+// writer.write refuses a longer one before it gets here.
 func encodeWALRecordPayload(key string, g *Graph) ([]byte, error) {
-	if len(key) > MaxIdempotencyKeyLen {
-		return nil, fmt.Errorf("pghive: durable: idempotency key must be 1..%d bytes, got %d", MaxIdempotencyKeyLen, len(key))
-	}
 	buf := bytes.NewBuffer(append([]byte{byte(len(key))}, key...))
 	c := walCompressors.Get().(*walCompressor)
 	defer walCompressors.Put(c)

@@ -9,6 +9,7 @@ package pghive
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -162,7 +163,7 @@ func TestWALBytesPerWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Ingest(g); err != nil {
+	if _, _, err := d.IngestIdempotent(context.Background(), "", g); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.wal().Rotate(); err != nil {
