@@ -145,6 +145,9 @@ func (c *Client) Retries() uint64 { return c.retries.Load() }
 
 // WriteResult is the server's acknowledgment of a write.
 type WriteResult struct {
+	// LSN is the log position the write was applied at — for a replay,
+	// the original write's; for a -batch-size body, its last batch's.
+	LSN uint64 `json:"lsn"`
 	// Replayed reports the write was a duplicate of an already-applied
 	// idempotency key: the batch was NOT applied again.
 	Replayed bool `json:"replayed"`
@@ -188,7 +191,7 @@ func (c *Client) write(ctx context.Context, path string, body []byte) (*WriteRes
 	if !c.opts.DisableIdempotencyKeys {
 		key = c.opts.NewIdempotencyKey()
 	}
-	data, attempts, err := c.do(ctx, http.MethodPost, path, body, key)
+	data, _, attempts, err := c.do(ctx, http.MethodPost, path, body, key)
 	if err != nil {
 		return nil, err
 	}
@@ -202,26 +205,30 @@ func (c *Client) write(ctx context.Context, path string, body []byte) (*WriteRes
 
 // Stats fetches the server's stats document verbatim.
 func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/stats", nil, "")
+	data, _, _, err := c.do(ctx, http.MethodGet, "/stats", nil, "")
 	return data, err
 }
 
 // Schema fetches the discovered schema in the given format (json,
-// pgschema, xsd, or dot; "" lets the server default).
-func (c *Client) Schema(ctx context.Context, format string) ([]byte, error) {
+// pgschema, xsd, or dot; "" lets the server default) and the LSN of
+// the state it renders, which the server sends as the ETag.
+func (c *Client) Schema(ctx context.Context, format string) (doc []byte, lsn uint64, err error) {
 	path := "/schema"
 	if format != "" {
 		path += "?format=" + format
 	}
-	data, _, err := c.do(ctx, http.MethodGet, path, nil, "")
-	return data, err
+	doc, hdr, _, err := c.do(ctx, http.MethodGet, path, nil, "")
+	if err == nil {
+		lsn, err = strconv.ParseUint(strings.Trim(hdr.Get("ETag"), `"`), 10, 64)
+	}
+	return doc, lsn, err
 }
 
 // Lag fetches a follower's replication position from GET /lag. Only
 // read-only replicas (pghive serve -follow) expose the endpoint; a
 // leader answers 404, surfaced as a *StatusError.
 func (c *Client) Lag(ctx context.Context) (*pghive.FollowerLag, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/lag", nil, "")
+	data, _, _, err := c.do(ctx, http.MethodGet, "/lag", nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -235,34 +242,34 @@ func (c *Client) Lag(ctx context.Context) (*pghive.FollowerLag, error) {
 // Healthy reports the server's /healthz verdict; a degraded-but-
 // serving instance is healthy. Any reachable server answers.
 func (c *Client) Healthy(ctx context.Context) error {
-	_, _, err := c.do(ctx, http.MethodGet, "/healthz", nil, "")
+	_, _, _, err := c.do(ctx, http.MethodGet, "/healthz", nil, "")
 	return err
 }
 
 // do runs one logical call under the retry policy and returns the
-// response body and the number of attempts used. key, when non-empty,
-// is sent as the Idempotency-Key header and marks the call safe to
-// retry past ambiguous failures.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, key string) ([]byte, int, error) {
+// response body and header and the number of attempts used. key, when
+// non-empty, is sent as the Idempotency-Key header and marks the call
+// safe to retry past ambiguous failures.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, key string) ([]byte, http.Header, int, error) {
 	idempotent := method == http.MethodGet || key != ""
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
 			c.retries.Add(1)
 		}
-		data, retryable, err := c.attempt(ctx, method, path, body, key)
+		data, hdr, retryable, err := c.attempt(ctx, method, path, body, key)
 		if err == nil {
-			return data, attempt, nil
+			return data, hdr, attempt, nil
 		}
 		// An ambiguous failure — the server may have done the work —
 		// is only safe to retry when the call is idempotent.
 		if retryable == retryAmbiguous && !idempotent {
-			return nil, attempt, err
+			return nil, nil, attempt, err
 		}
 		if retryable == retryNever || attempt >= c.opts.MaxAttempts {
-			return nil, attempt, err
+			return nil, nil, attempt, err
 		}
 		if err := c.sleep(ctx, c.backoff(attempt, err)); err != nil {
-			return nil, attempt, err
+			return nil, nil, attempt, err
 		}
 	}
 }
@@ -276,7 +283,7 @@ const (
 )
 
 // attempt performs one HTTP round trip.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, key string) ([]byte, retryClass, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, key string) ([]byte, http.Header, retryClass, error) {
 	actx := ctx
 	if c.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -289,7 +296,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	req, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
 	if err != nil {
-		return nil, retryNever, err
+		return nil, nil, retryNever, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/x-ndjson")
@@ -300,30 +307,30 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	resp, err := c.opts.HTTPClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, retryNever, ctx.Err() // the caller's deadline, not the attempt's
+			return nil, nil, retryNever, ctx.Err() // the caller's deadline, not the attempt's
 		}
-		return nil, retryAmbiguous, err
+		return nil, nil, retryAmbiguous, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return nil, retryAmbiguous, err
+		return nil, nil, retryAmbiguous, err
 	}
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		return data, retryNever, nil
+		return data, resp.Header, retryNever, nil
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 		se := &StatusError{Code: resp.StatusCode, Body: string(data)}
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			se.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return nil, retrySafe, se
+		return nil, nil, retrySafe, se
 	case resp.StatusCode >= 500:
-		return nil, retryAmbiguous, &StatusError{Code: resp.StatusCode, Body: string(data)}
+		return nil, nil, retryAmbiguous, &StatusError{Code: resp.StatusCode, Body: string(data)}
 	default:
 		// 4xx: the request itself is wrong (or refused by contract,
 		// like 409 read-only); a retry would repeat the refusal.
-		return nil, retryNever, &StatusError{Code: resp.StatusCode, Body: string(data)}
+		return nil, nil, retryNever, &StatusError{Code: resp.StatusCode, Body: string(data)}
 	}
 }
 

@@ -40,9 +40,12 @@ type chaosClient struct {
 	ctx context.Context
 }
 
-func (h *chaosClient) Ingest(g *pghive.Graph) error {
-	_, err := h.cl.Ingest(h.ctx, g)
-	return err
+func (h *chaosClient) Ingest(g *pghive.Graph) (uint64, error) {
+	res, err := h.cl.Ingest(h.ctx, g)
+	if err != nil {
+		return 0, err
+	}
+	return res.LSN, nil
 }
 
 func (h *chaosClient) Stats() (histcheck.Observation, error) {
@@ -52,23 +55,22 @@ func (h *chaosClient) Stats() (histcheck.Observation, error) {
 	}
 	var doc struct {
 		Stats struct {
-			Batches  int    `json:"batches"`
-			Nodes    int    `json:"nodes"`
-			Edges    int    `json:"edges"`
-			Snapshot uint64 `json:"snapshot"`
+			Batches int    `json:"batches"`
+			Nodes   int    `json:"nodes"`
+			Edges   int    `json:"edges"`
+			LSN     uint64 `json:"lsn"`
 		} `json:"stats"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return histcheck.Observation{}, fmt.Errorf("stats: %w", err)
 	}
 	return histcheck.Observation{
-		HasSnapshot: true, Snapshot: doc.Stats.Snapshot,
-		HasStats: true, Batches: doc.Stats.Batches, Nodes: doc.Stats.Nodes, Edges: doc.Stats.Edges,
+		LSN: doc.Stats.LSN, HasStats: true, Batches: doc.Stats.Batches, Nodes: doc.Stats.Nodes, Edges: doc.Stats.Edges,
 	}, nil
 }
 
 func (h *chaosClient) Schema() (histcheck.Observation, error) {
-	data, err := h.cl.Schema(h.ctx, "json")
+	data, lsn, err := h.cl.Schema(h.ctx, "json")
 	if err != nil {
 		return histcheck.Observation{}, err
 	}
@@ -85,7 +87,7 @@ func (h *chaosClient) Schema() (histcheck.Observation, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return histcheck.Observation{}, fmt.Errorf("schema: %w", err)
 	}
-	obs := histcheck.Observation{HasInstances: true}
+	obs := histcheck.Observation{LSN: lsn, HasInstances: true}
 	for _, ty := range doc.NodeTypes {
 		if !ty.Abstract {
 			obs.NodeInstances += ty.Instances

@@ -62,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -400,6 +401,7 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var ack pghive.BatchTiming
 	replayed := false
 	if t.batchSize > 0 && key == "" {
 		// Spool the body before applying anything: an oversized or
@@ -417,10 +419,11 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 		// error returns, so once a batch was applied the error
 		// response carries the stats the client needs to see how far
 		// the body got — blindly re-sending the same body would
-		// double-ingest the prefix.
+		// double-ingest the prefix. The response states the last
+		// batch's LSN.
 		applied := 0
 		stream := malformedLines{pghive.NewJSONLStream(bytes.NewReader(body), t.batchSize)}
-		if err := t.w.DrainStream(r.Context(), stream, func(pghive.BatchTiming) { applied++ }); err != nil {
+		if err := t.w.DrainStream(r.Context(), stream, func(bt pghive.BatchTiming) { ack = bt; applied++ }); err != nil {
 			var partial map[string]any
 			if applied > 0 {
 				partial = map[string]any{
@@ -440,13 +443,14 @@ func (t target) ingest(w http.ResponseWriter, r *http.Request) {
 			requestError(w, r, err)
 			return
 		}
-		if _, replayed, err = t.w.IngestIdempotent(r.Context(), key, g); err != nil {
+		if ack, replayed, err = t.w.IngestIdempotent(r.Context(), key, g); err != nil {
 			serviceError(w, err, nil)
 			return
 		}
 	}
 	writeJSON(w, map[string]any{
 		"elapsedMs": time.Since(start).Milliseconds(),
+		"lsn":       ack.LSN,
 		"replayed":  replayed,
 		"stats":     t.Stats(),
 	})
@@ -462,12 +466,12 @@ func (t target) retract(w http.ResponseWriter, r *http.Request) {
 		requestError(w, r, err)
 		return
 	}
-	_, replayed, err := t.w.RetractIdempotent(r.Context(), key, g)
+	ack, replayed, err := t.w.RetractIdempotent(r.Context(), key, g)
 	if err != nil {
 		serviceError(w, err, nil)
 		return
 	}
-	writeJSON(w, map[string]any{"replayed": replayed, "stats": t.Stats()})
+	writeJSON(w, map[string]any{"lsn": ack.LSN, "replayed": replayed, "stats": t.Stats()})
 }
 
 // rearm is the operator re-arm: re-open the WAL from disk and restore
@@ -592,7 +596,7 @@ func (t target) readyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // schema serves the published schema document in the format the
-// request negotiates.
+// request negotiates, from one snapshot whose LSN is the ETag.
 func (t target) schema(w http.ResponseWriter, r *http.Request) {
 	mode := pghive.Strict
 	switch strings.ToLower(r.URL.Query().Get("mode")) {
@@ -608,19 +612,17 @@ func (t target) schema(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "DiscoveredGraphType"
 	}
+	snap := t.Snapshot()
+	var ctype, doc string
 	switch schemaFormat(r) {
 	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		t.WriteSchemaJSON(w)
+		ctype = "application/json" // streamed below; no other format renders empty
 	case "pgschema":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, t.PGSchema(mode, name))
+		ctype, doc = "text/plain; charset=utf-8", pghive.PGSchema(snap.Schema, mode, name)
 	case "xsd":
-		w.Header().Set("Content-Type", "application/xml")
-		fmt.Fprint(w, t.XSD())
+		ctype, doc = "application/xml", pghive.XSD(snap.Schema)
 	case "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		fmt.Fprint(w, t.DOT(name))
+		ctype, doc = "text/vnd.graphviz", pghive.DOT(snap.Schema, name)
 	default:
 		// Only an explicit ?format= can land here (Accept
 		// negotiation always falls back to pgschema), and a bad
@@ -628,7 +630,15 @@ func (t target) schema(w http.ResponseWriter, r *http.Request) {
 		// content negotiation.
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown schema format (want json, pgschema, xsd, or dot)"))
+		return
 	}
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("ETag", `"`+strconv.FormatUint(snap.Stats.LSN, 10)+`"`)
+	if doc == "" {
+		pghive.WriteSchemaJSON(w, snap.Schema)
+		return
+	}
+	fmt.Fprint(w, doc)
 }
 
 // validate checks a posted batch against the published schema without
@@ -652,7 +662,7 @@ func (t target) validate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown mode %q (want loose or strict)", r.URL.Query().Get("mode")))
 		return
 	}
-	rep := t.Validate(g, mode)
+	rep := pghive.Validate(g, t.Snapshot().Schema, mode)
 	violations := make([]string, len(rep.Violations))
 	for i, v := range rep.Violations {
 		violations[i] = v.String()

@@ -3,9 +3,10 @@ package main
 // serve_hist_test.go: history-checked black-box test of the serve
 // mux. Concurrent writer and reader sessions drive the real HTTP
 // surface (POST /ingest, GET /stats, GET /schema) through
-// internal/histcheck's recording driver; the recorded history is then
-// checked offline for snapshot monotonicity, atomic batch visibility,
-// and stats determinism. A final tamper probe corrupts one recorded
+// internal/histcheck's recording driver, each ack and read stating its
+// LSN (the /ingest body, /stats, the /schema ETag); the recorded history
+// is then checked offline for LSN monotonicity, exact batch visibility,
+// and determinism. A final tamper probe corrupts one recorded
 // observation to prove the checker would have caught a server that
 // tore a batch.
 
@@ -16,6 +17,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	pghive "github.com/pghive/pghive"
@@ -31,22 +34,27 @@ type httpClient struct {
 	c    *http.Client
 }
 
-func (h *httpClient) Ingest(g *pghive.Graph) error {
+func (h *httpClient) Ingest(g *pghive.Graph) (uint64, error) {
 	var body bytes.Buffer
 	if err := pghive.WriteJSONL(&body, g); err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := h.c.Post(h.base+"/ingest", "application/x-ndjson", &body)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("ingest: status %d: %s", resp.StatusCode, b)
+		return 0, fmt.Errorf("ingest: status %d: %s", resp.StatusCode, b)
 	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	var ack struct {
+		LSN uint64 `json:"lsn"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return 0, fmt.Errorf("ingest: %w", err)
+	}
+	return ack.LSN, nil
 }
 
 func (h *httpClient) Stats() (histcheck.Observation, error) {
@@ -59,17 +67,16 @@ func (h *httpClient) Stats() (histcheck.Observation, error) {
 		return histcheck.Observation{}, fmt.Errorf("stats: status %d", resp.StatusCode)
 	}
 	var st struct {
-		Batches  int    `json:"batches"`
-		Nodes    int    `json:"nodes"`
-		Edges    int    `json:"edges"`
-		Snapshot uint64 `json:"snapshot"`
+		Batches int    `json:"batches"`
+		Nodes   int    `json:"nodes"`
+		Edges   int    `json:"edges"`
+		LSN     uint64 `json:"lsn"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return histcheck.Observation{}, fmt.Errorf("stats: %w", err)
 	}
 	return histcheck.Observation{
-		HasSnapshot: true, Snapshot: st.Snapshot,
-		HasStats: true, Batches: st.Batches, Nodes: st.Nodes, Edges: st.Edges,
+		LSN: st.LSN, HasStats: true, Batches: st.Batches, Nodes: st.Nodes, Edges: st.Edges,
 	}, nil
 }
 
@@ -81,6 +88,10 @@ func (h *httpClient) Schema() (histcheck.Observation, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return histcheck.Observation{}, fmt.Errorf("schema: status %d", resp.StatusCode)
+	}
+	lsn, err := strconv.ParseUint(strings.Trim(resp.Header.Get("ETag"), `"`), 10, 64)
+	if err != nil {
+		return histcheck.Observation{}, fmt.Errorf("schema: ETag: %w", err)
 	}
 	var doc struct {
 		NodeTypes []struct {
@@ -95,7 +106,7 @@ func (h *httpClient) Schema() (histcheck.Observation, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return histcheck.Observation{}, fmt.Errorf("schema: %w", err)
 	}
-	obs := histcheck.Observation{HasInstances: true}
+	obs := histcheck.Observation{LSN: lsn, HasInstances: true}
 	for _, ty := range doc.NodeTypes {
 		if !ty.Abstract {
 			obs.NodeInstances += ty.Instances
@@ -154,18 +165,18 @@ func TestServeHistoryChecked(t *testing.T) {
 	// flagged — otherwise the pass above proved nothing.
 	seen := map[uint64]int{}
 	for _, e := range h.Events {
-		if e.Obs != nil && e.Obs.HasSnapshot {
-			seen[e.Obs.Snapshot]++
+		if e.Obs != nil {
+			seen[e.Obs.LSN]++
 		}
 	}
-	// A snapshot observed once can only be caught by the visibility
-	// check. When the writers outran the readers and every observed
-	// snapshot was seen twice (about one run in twenty), tamper any
-	// observation: the determinism check must then catch it.
+	// An LSN observed once can only be caught by the visibility check.
+	// When the writers outran the readers and every observed LSN was
+	// seen twice, tamper any observation: the determinism check must
+	// then catch it.
 	tampered := false
 	for _, unique := range []bool{true, false} {
 		for _, e := range h.Events {
-			if o := e.Obs; !tampered && o != nil && o.HasStats && (seen[o.Snapshot] == 1 || !unique) {
+			if o := e.Obs; !tampered && o != nil && o.HasStats && (seen[o.LSN] == 1 || !unique) {
 				o.Nodes++
 				tampered = true
 			}

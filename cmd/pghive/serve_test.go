@@ -77,13 +77,15 @@ func TestServeHTTPEndpoints(t *testing.T) {
 	// Two ingest batches; the second one's edge endpoints partially
 	// refer to the first batch's nodes, exercising the cross-request
 	// resolver bookkeeping.
-	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
-		t.Fatalf("ingest 1: %d %s", code, body)
-	}
 	second := jsonlBatch(100) +
 		`{"kind":"edge","id":500,"labels":["KNOWS"],"src":100,"dst":3}` + "\n"
-	if code, body := post(t, srv, "/ingest", second); code != http.StatusOK {
-		t.Fatalf("ingest 2: %d %s", code, body)
+	for i, batch := range []string{jsonlBatch(0), second} {
+		// A plain service numbers its writes too: each ack states its LSN.
+		var ack struct{ LSN uint64 }
+		code, body := post(t, srv, "/ingest", batch)
+		if code != http.StatusOK || json.Unmarshal(body, &ack) != nil || ack.LSN != uint64(i+1) {
+			t.Fatalf("ingest %d: %d %s, want LSN %d", i+1, code, body, i+1)
+		}
 	}
 	if code, body := post(t, srv, "/ingest", "not json\n"); code != http.StatusBadRequest {
 		t.Fatalf("malformed ingest: %d %s", code, body)
@@ -102,9 +104,16 @@ func TestServeHTTPEndpoints(t *testing.T) {
 		t.Fatalf("stats report %d nodes / %d edges / %d batches, want 20/19/2",
 			stats.Nodes, stats.Edges, stats.Batches)
 	}
-	// A plain service keeps no log, so its snapshot states no position.
-	if bytes.Contains(body, []byte(`"lsn"`)) {
-		t.Fatalf("plain /stats states a log position: %s", body)
+	if stats.LSN != 2 {
+		t.Fatalf("plain /stats states LSN %d, want 2: %s", stats.LSN, body)
+	}
+	resp, err := http.Get(srv.URL + "/schema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if etag := resp.Header.Get("ETag"); etag != `"2"` {
+		t.Fatalf("/schema ETag %q, want the snapshot's LSN \"2\"", etag)
 	}
 
 	// Every schema format, via ?format= and via Accept.
@@ -206,8 +215,10 @@ func TestServeHTTPStreamedIngest(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	srv := httptest.NewServer(newServeMux(servePlain(svc), 5, nil))
 	defer srv.Close()
-	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
-		t.Fatalf("ingest: %d %s", code, body)
+	// The response states the LSN of the body's last batch.
+	var ack struct{ LSN uint64 }
+	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK || json.Unmarshal(body, &ack) != nil || ack.LSN != 4 {
+		t.Fatalf("ingest: %d %s, want LSN 4", code, body)
 	}
 	st := svc.Stats()
 	if st.Nodes != 10 || st.Edges != 9 {

@@ -607,8 +607,8 @@ func (d *DurableService) degrade(reason string) {
 // behind other writers, nothing is logged or applied and ctx's error
 // is returned. If a write with the same key was already applied — in
 // this process's lifetime or recovered from the WAL/checkpoint after a
-// crash — nothing is applied again and replayed is true ("" writes
-// unkeyed). The key is WAL-logged inside the batch's record, so the
+// crash — nothing is applied again and replayed is true, with the
+// first write's LSN in bt.LSN ("" writes unkeyed). The key is WAL-logged inside the batch's record, so the
 // at-most-once promise survives crashes, compaction, and re-arm; it is
 // bounded only by DurableOptions.MaxIdempotencyKeys.
 func (d *DurableService) IngestIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
@@ -1138,8 +1138,7 @@ func (d *DurableService) compactLoop() {
 const defaultMaxIdempotencyKeys = 65536
 
 // idemStore is the bounded applied idempotency-key set: key → the LSN
-// of the WAL record that applied it (0 on a plain Service), evicted
-// oldest-first past cap.
+// of the write that applied it, evicted oldest-first past cap.
 // Internally locked so stats readers never contend with the write
 // path for the service lock.
 type idemStore struct {

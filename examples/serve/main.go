@@ -65,12 +65,12 @@ func main() {
 	}
 
 	var checkpoint bytes.Buffer
-	fmt.Printf("%-6s %11s %11s %12s %9s\n", "batch", "node types", "edge types", "snapshot", "time")
+	fmt.Printf("%-6s %11s %11s %12s %9s\n", "batch", "node types", "edge types", "lsn", "time")
 	for i, b := range parts {
 		bt := svc.Ingest(b.Graph)
 		st := svc.Stats()
 		fmt.Printf("%-6d %11d %11d %12d %9s\n",
-			bt.Index, st.NodeTypes, st.EdgeTypes, st.Snapshot,
+			bt.Index, st.NodeTypes, st.EdgeTypes, st.LSN,
 			bt.Timing.Discovery().Round(100*time.Microsecond))
 		if i == batches/2-1 {
 			// Mid-stream checkpoint: the full state (schema,

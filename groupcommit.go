@@ -22,7 +22,7 @@ package pghive
 // agree after every group. A lone writer is a group of one: the same
 // bytes on disk as a direct wal.Append. A plain Service's step applies
 // each request whose context is still live and whose key it has not
-// seen, and logs nothing.
+// seen at the next LSN, and logs nothing.
 //
 // Two contracts ride on this path. Durability: no caller is
 // acknowledged before the fsync covering its record returns, and a
@@ -130,18 +130,18 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 	// ack without durability.
 	var pend, dups []*commitReq
 	var recs []wal.BatchRecord
-	groupKeys := make(map[string]bool)
+	groupKeys := make(map[string]int) // key → its request's index in pend
 	for _, req := range group {
 		if err := req.ctx.Err(); err != nil {
 			req.res <- commitRes{err: err}
 			continue
 		}
 		if req.key != "" {
-			if _, seen := d.w.keys.seen(req.key); seen {
-				req.res <- commitRes{replayed: true}
+			if lsn, seen := d.w.keys.seen(req.key); seen {
+				req.res <- commitRes{bt: BatchTiming{LSN: lsn}, replayed: true}
 				continue
 			}
-			if groupKeys[req.key] {
+			if _, dup := groupKeys[req.key]; dup {
 				dups = append(dups, req)
 				continue
 			}
@@ -151,7 +151,7 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 			continue
 		}
 		if req.key != "" {
-			groupKeys[req.key] = true
+			groupKeys[req.key] = len(pend)
 		}
 		pend = append(pend, req)
 		recs = append(recs, req.rec)
@@ -182,9 +182,9 @@ func (d *DurableService) commitGroup(held writeHeld, group []*commitReq) {
 	for i, p := range pend {
 		p.res <- commitRes{bt: d.w.apply(first+uint64(i), p.key, p.g, p.rec.Type == walRecRetract)}
 	}
-	// In-group duplicates ack only now: their originals are durable
-	// (the group fsync returned) and applied.
+	// In-group duplicates ack only now, with their originals' LSNs:
+	// those are durable (the group fsync returned) and applied.
 	for _, p := range dups {
-		p.res <- commitRes{replayed: true}
+		p.res <- commitRes{bt: BatchTiming{LSN: first + uint64(groupKeys[p.key])}, replayed: true}
 	}
 }

@@ -221,7 +221,7 @@ func TestSubmitGroupsAreBounded(t *testing.T) {
 }
 
 // k plain-Service writers parked behind a held lock are committed in one
-// group: each batch applied and published, no log position stated.
+// group: each batch applied and published at the next LSN.
 func TestServiceWritersParkedBehindLockCommitAsOneGroup(t *testing.T) {
 	s := NewService(Options{Seed: 1, Parallelism: 1})
 	var sizes []int
@@ -233,27 +233,34 @@ func TestServiceWritersParkedBehindLockCommitAsOneGroup(t *testing.T) {
 
 	const k = 6
 	s.w.mu.Lock()
-	errs := make(chan error, k)
+	acks := make(chan uint64, k)
 	for i := 0; i < k; i++ {
 		g := internalStressGraph(t, ID(1000*(i+1)), 3)
 		go func() {
-			_, _, err := s.IngestIdempotent(context.Background(), "", g)
-			errs <- err
+			bt, _, err := s.IngestIdempotent(context.Background(), "", g)
+			if err != nil {
+				t.Error(err)
+			}
+			acks <- bt.LSN
 		}()
 	}
 	parkedWriters(t, k)
 	s.w.mu.Unlock()
+	seen := make(map[uint64]bool)
 	for i := 0; i < k; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		seen[<-acks] = true
+	}
+	for lsn := uint64(1); lsn <= k; lsn++ {
+		if !seen[lsn] {
+			t.Fatalf("acks stated LSNs %v, want 1..%d", seen, k)
 		}
 	}
 	if len(sizes) != 1 || sizes[0] != k {
 		t.Fatalf("groups %v, want one group of %d", sizes, k)
 	}
 	st := s.Stats()
-	if st.Snapshot != k || st.LSN != 0 || st.Nodes != 3*k {
-		t.Fatalf("stats %+v, want %d snapshots, LSN 0, %d nodes", st, k, 3*k)
+	if st.LSN != k || st.Nodes != 3*k {
+		t.Fatalf("stats %+v, want LSN %d, %d nodes", st, k, 3*k)
 	}
 }
 
@@ -272,30 +279,49 @@ func TestServiceKeyedWritersInOneGroupApplyOnce(t *testing.T) {
 	const k = 6
 	keys := []string{"dup", "dup", "k2", "k3", "k4", "k5"}
 	s.w.mu.Lock()
-	replays := make(chan bool, k)
+	type ack struct {
+		key      string
+		lsn      uint64
+		replayed bool
+	}
+	acks := make(chan ack, k)
 	for i := 0; i < k; i++ {
 		g := internalStressGraph(t, ID(1000*(i+1)), 3)
 		go func() {
-			_, replayed, err := s.IngestIdempotent(context.Background(), keys[i], g)
+			bt, replayed, err := s.IngestIdempotent(context.Background(), keys[i], g)
 			if err != nil {
 				t.Error(err)
 			}
-			replays <- replayed
+			acks <- ack{keys[i], bt.LSN, replayed}
 		}()
 	}
 	parkedWriters(t, k)
 	s.w.mu.Unlock()
 	replayed := 0
+	dupLSNs := map[uint64]bool{}
 	for i := 0; i < k; i++ {
-		if <-replays {
+		a := <-acks
+		if a.replayed {
 			replayed++
+		}
+		if a.key == "dup" {
+			dupLSNs[a.lsn] = true
 		}
 	}
 	if len(sizes) != 1 || sizes[0] != k {
 		t.Fatalf("groups %v, want one group of %d", sizes, k)
 	}
-	if st := s.Stats(); replayed != 1 || st.Batches != k-1 || st.Nodes != 3*(k-1) || st.LSN != 0 {
-		t.Fatalf("%d replayed, stats %+v; want 1 replayed, %d batches, %d nodes, LSN 0", replayed, st, k-1, 3*(k-1))
+	if st := s.Stats(); replayed != 1 || st.Batches != k-1 || st.Nodes != 3*(k-1) || st.LSN != k-1 {
+		t.Fatalf("%d replayed, stats %+v; want 1 replayed, %d batches, %d nodes, LSN %d", replayed, st, k-1, 3*(k-1), k-1)
+	}
+	// Both "dup" writers, the applied one and the in-group replay, state
+	// one LSN; so does a later retry.
+	lsn, _ := s.w.keys.seen("dup")
+	if len(dupLSNs) != 1 || !dupLSNs[lsn] || lsn == 0 {
+		t.Fatalf("dup writers acked LSNs %v, want only the applied write's %d", dupLSNs, lsn)
+	}
+	if bt, replayed, err := s.IngestIdempotent(context.Background(), "dup", internalStressGraph(t, 9000, 3)); err != nil || !replayed || bt.LSN != lsn {
+		t.Fatalf("retry of dup: LSN %d replayed %v err %v, want LSN %d replayed", bt.LSN, replayed, err, lsn)
 	}
 
 	// The key set holds at most the default, forgetting the oldest key.

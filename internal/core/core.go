@@ -369,6 +369,10 @@ type BatchTiming struct {
 	// stop-the-world MemStats reads.
 	AllocBytes    uint64
 	HeapLiveBytes uint64
+	// LSN is the log position a serving owner acknowledged the batch
+	// at (a replayed write's is the original's); zero from the bare
+	// pipeline.
+	LSN uint64
 }
 
 // ProcessBatch runs preprocess → cluster → extract on one batch and

@@ -2,8 +2,8 @@ package histcheck
 
 // check.go: the offline history checker. Check never talks to a
 // service — it receives a History and decides whether every recorded
-// observation is explainable by SOME linearization of the scripted
-// batches. It is deliberately defensive: a malformed history (unknown
+// observation is the state the log names at the observation's LSN. It
+// is deliberately defensive: a malformed history (unknown
 // writer, out-of-order acks, inverted stamps) is reported as a
 // violation rather than trusted, so the checker can be fuzzed with
 // arbitrary bytes and driven by recorders it has never met.
@@ -39,14 +39,21 @@ const (
 	KindConservation = "conservation"
 )
 
-// maxPrefixCombos bounds the prefix-vector search per observation.
-// Honest recorders produce tiny ranges (a writer has at most one
-// batch in flight), so hitting the cap means the history is too loose
-// to verify cheaply; the observation is then accepted, not failed.
-const maxPrefixCombos = 1 << 16
+// ack is a validated acknowledgement: its batch, the LSN it was
+// written at, and its real-time window.
+type ack struct {
+	spec       BatchSpec
+	lsn        uint64
+	start, end int64
+}
 
-// ack is a validated acknowledgement with its real-time window.
-type ack struct{ start, end int64 }
+// inFlight is a batch its writer never saw acknowledged. It may have
+// been applied — after its writer's last ack returned, at a higher LSN.
+type inFlight struct {
+	spec  BatchSpec
+	after uint64 // the writer's last acked LSN (0: none)
+	since int64  // that ack's end stamp
+}
 
 // Check validates a recorded history against the serving contract.
 // It returns nil when every event is explainable, and the first
@@ -55,40 +62,50 @@ type ack struct{ start, end int64 }
 // ordering, then determinism, then visibility and conservation), so
 // a history with several defects reports a deterministic one.
 func Check(h *History) error {
+	_, err := check(h)
+	return err
+}
+
+// check is Check, also reporting the most in-flight choices one
+// observation's visibility check tried: at most 2^writers.
+func check(h *History) (int, error) {
 	if h == nil {
-		return &Violation{Kind: KindMalformed, Detail: "nil history"}
+		return 0, &Violation{Kind: KindMalformed, Detail: "nil history"}
 	}
 
 	replicas := make(map[string]bool, len(h.Replicas))
 	for _, r := range h.Replicas {
 		if r == "" {
-			return &Violation{Kind: KindMalformed, Detail: "empty replica name declared"}
+			return 0, &Violation{Kind: KindMalformed, Detail: "empty replica name declared"}
 		}
 		replicas[r] = true
 	}
 
 	// Well-formedness: every event belongs to a session, has a
 	// coherent stamp window, and is either an ack or an observation.
-	// Acks must name a scripted writer and arrive in 1..n order per
-	// writer (writers are sequential clients by construction).
+	// Acks must name a scripted writer, arrive in 1..n order per writer
+	// (writers are sequential clients by construction), each after the
+	// last in real time and in the log, and state distinct LSNs.
 	byWriter := make(map[string][]ack)
+	var acks []ack
+	lsns := make(map[uint64]bool)
 	var observations []Event
 	perSession := make(map[string][]Event)
 	for i, e := range h.Events {
 		if e.Session == "" {
-			return &Violation{Kind: KindMalformed, Detail: fmt.Sprintf("event %d has no session", i)}
+			return 0, &Violation{Kind: KindMalformed, Detail: fmt.Sprintf("event %d has no session", i)}
 		}
 		if e.Start >= e.End {
-			return &Violation{Kind: KindMalformed, Session: e.Session,
+			return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 				Detail: fmt.Sprintf("event %d stamp window [%d,%d) is empty or inverted", i, e.Start, e.End)}
 		}
 		if e.Server != "" {
 			if !replicas[e.Server] {
-				return &Violation{Kind: KindMalformed, Session: e.Session,
+				return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 					Detail: fmt.Sprintf("event %d names undeclared server %q", i, e.Server)}
 			}
 			if e.Writer != "" {
-				return &Violation{Kind: KindMalformed, Session: e.Session,
+				return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 					Detail: fmt.Sprintf("write acknowledged by read-only replica %q", e.Server)}
 			}
 		}
@@ -96,91 +113,108 @@ func Check(h *History) error {
 		case e.Writer != "" && e.Obs == nil:
 			spec, ok := h.Writers[e.Writer]
 			if !ok {
-				return &Violation{Kind: KindMalformed, Session: e.Session,
+				return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 					Detail: fmt.Sprintf("ack for unscripted writer %q", e.Writer)}
 			}
-			if want := len(byWriter[e.Writer]) + 1; e.Seq != want || e.Seq > len(spec) {
-				return &Violation{Kind: KindMalformed, Session: e.Session,
+			prev := byWriter[e.Writer]
+			if want := len(prev) + 1; e.Seq != want || e.Seq > len(spec) {
+				return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 					Detail: fmt.Sprintf("writer %q ack seq %d, want %d of %d", e.Writer, e.Seq, want, len(spec))}
 			}
-			byWriter[e.Writer] = append(byWriter[e.Writer], ack{e.Start, e.End})
+			if e.LSN == 0 || lsns[e.LSN] {
+				return 0, &Violation{Kind: KindMalformed, Session: e.Session,
+					Detail: fmt.Sprintf("writer %q ack %d states LSN %d, zero or already acked", e.Writer, e.Seq, e.LSN)}
+			}
+			if n := len(prev); n > 0 && (e.Start <= prev[n-1].end || e.LSN < prev[n-1].lsn) {
+				return 0, &Violation{Kind: KindMalformed,
+					Detail: fmt.Sprintf("writer %q acks %d and %d overlap in real time or run backwards in the log", e.Writer, n, n+1)}
+			}
+			lsns[e.LSN] = true
+			a := ack{spec[e.Seq-1], e.LSN, e.Start, e.End}
+			byWriter[e.Writer] = append(prev, a)
+			acks = append(acks, a)
 		case e.Writer == "" && e.Obs != nil:
 			observations = append(observations, e)
 		default:
-			return &Violation{Kind: KindMalformed, Session: e.Session,
+			return 0, &Violation{Kind: KindMalformed, Session: e.Session,
 				Detail: fmt.Sprintf("event %d is neither a pure ack nor a pure observation", i)}
 		}
 		perSession[e.Session] = append(perSession[e.Session], e)
 	}
-	// Acks must be recorded in stamp order (a sequential writer
-	// cannot acknowledge batch k+1 before batch k's window closed).
-	for w, acks := range byWriter {
-		for i := 1; i < len(acks); i++ {
-			if acks[i].start <= acks[i-1].end {
-				return &Violation{Kind: KindMalformed,
-					Detail: fmt.Sprintf("writer %q acks %d and %d overlap in real time", w, i, i+1)}
+	var flight []inFlight
+	for w, spec := range h.Writers {
+		for _, b := range spec {
+			if b.Nodes < 0 || b.Edges < 0 {
+				return 0, &Violation{Kind: KindMalformed, Detail: fmt.Sprintf("writer %q scripts a batch of negative size", w)}
 			}
+		}
+		if done := byWriter[w]; len(done) < len(spec) {
+			f := inFlight{spec: spec[len(done)]}
+			if n := len(done); n > 0 {
+				f.after, f.since = done[n-1].lsn, done[n-1].end
+			}
+			flight = append(flight, f)
 		}
 	}
 
 	if v := checkSessionMonotonicity(perSession); v != nil {
-		return v
+		return 0, v
 	}
 	if v := checkRealtimeMonotonicity(observations); v != nil {
-		return v
+		return 0, v
 	}
-	if v := checkSnapshotDeterminism(observations); v != nil {
-		return v
+	if v := checkDeterminism(observations); v != nil {
+		return 0, v
 	}
+	most := 0
 	for _, e := range observations {
 		if v := checkConservation(e); v != nil {
-			return v
+			return most, v
 		}
-		if v := checkVisibility(h, byWriter, e, replicas[e.Server]); v != nil {
-			return v
+		tried, v := checkVisibility(acks, flight, e, replicas[e.Server])
+		most = max(most, tried)
+		if v != nil {
+			return most, v
 		}
 	}
-	return nil
+	return most, nil
 }
 
 // checkSessionMonotonicity: within one session, in stamp order, the
-// observed snapshot sequence number never decreases. A client that
-// reads snapshot 7 and then snapshot 5 has time-travelled. Sequence
-// numbers are per-server registers, so a session that reads from
-// several servers is held to the rule independently per server.
+// observed LSN never decreases. A client that reads LSN 7 and then
+// LSN 5 has time-travelled. A replica may trail the leader, so a
+// session that reads from several servers is held to the rule
+// independently per server.
 func checkSessionMonotonicity(perSession map[string][]Event) *Violation {
 	for session, events := range perSession {
 		sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
 		last := make(map[string]uint64)
 		for _, e := range events {
-			if e.Obs == nil || !e.Obs.HasSnapshot {
+			if e.Obs == nil {
 				continue
 			}
-			if prev, have := last[e.Server]; have && e.Obs.Snapshot < prev {
+			if prev, have := last[e.Server]; have && e.Obs.LSN < prev {
 				return &Violation{Kind: KindMonotonicity, Session: session,
-					Detail: fmt.Sprintf("snapshot went backwards: %d after %d", e.Obs.Snapshot, prev)}
+					Detail: fmt.Sprintf("LSN went backwards: %d after %d", e.Obs.LSN, prev)}
 			}
-			last[e.Server] = e.Obs.Snapshot
+			last[e.Server] = e.Obs.LSN
 		}
 	}
 	return nil
 }
 
 // checkRealtimeMonotonicity: across ALL sessions, an observation that
-// finished before another began must not carry a newer snapshot of
-// the SAME server — each server's publication sequence is a single
-// register and reads of it must be consistent with real time.
-// Different servers are different registers: a replica lawfully
+// finished before another began must not carry a newer LSN of the SAME
+// server — each server's published state is a single register and
+// reads of it must be consistent with real time. A replica lawfully
 // trails the leader, so the sweep runs per server.
 func checkRealtimeMonotonicity(observations []Event) *Violation {
 	perServer := make(map[string][]Event)
 	for _, e := range observations {
-		if e.Obs.HasSnapshot {
-			perServer[e.Server] = append(perServer[e.Server], e)
-		}
+		perServer[e.Server] = append(perServer[e.Server], e)
 	}
-	for _, snaps := range perServer {
-		if v := realtimeSweep(snaps); v != nil {
+	for _, obs := range perServer {
+		if v := realtimeSweep(obs); v != nil {
 			return v
 		}
 	}
@@ -188,85 +222,65 @@ func checkRealtimeMonotonicity(observations []Event) *Violation {
 }
 
 // realtimeSweep runs the single-register real-time check over one
-// server's snapshot observations: sweep in Start order, folding in
-// the maximum snapshot among observations that have fully completed.
-func realtimeSweep(snaps []Event) *Violation {
-	byStart := append([]Event(nil), snaps...)
+// server's observations: sweep in Start order, folding in the maximum
+// LSN among observations that have fully completed.
+func realtimeSweep(obs []Event) *Violation {
+	byStart := append([]Event(nil), obs...)
 	sort.SliceStable(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-	byEnd := append([]Event(nil), snaps...)
+	byEnd := append([]Event(nil), obs...)
 	sort.SliceStable(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
 
-	var maxSnap uint64
+	var maxLSN uint64
 	var maxFrom string
 	done := 0
 	for _, e := range byStart {
 		for done < len(byEnd) && byEnd[done].End < e.Start {
-			if s := byEnd[done].Obs.Snapshot; s > maxSnap {
-				maxSnap, maxFrom = s, byEnd[done].Session
+			if n := byEnd[done].Obs.LSN; n > maxLSN {
+				maxLSN, maxFrom = n, byEnd[done].Session
 			}
 			done++
 		}
-		if e.Obs.Snapshot < maxSnap {
+		if e.Obs.LSN < maxLSN {
 			return &Violation{Kind: KindRealtime, Session: e.Session,
-				Detail: fmt.Sprintf("observed snapshot %d after session %s had already finished observing %d",
-					e.Obs.Snapshot, maxFrom, maxSnap)}
+				Detail: fmt.Sprintf("observed LSN %d after session %s had already finished observing %d",
+					e.Obs.LSN, maxFrom, maxLSN)}
 		}
 	}
 	return nil
 }
 
-// checkSnapshotDeterminism: a snapshot sequence number names exactly
-// one published state on its server, so every observation of it must
-// report the same stats — and, ordering one server's snapshots by
-// sequence, the batch counter must be non-decreasing (batches are
-// never un-processed). Sequence numbers are scoped per server: a
-// follower's snapshot 7 and the leader's snapshot 7 are unrelated
-// registers and are never compared.
-func checkSnapshotDeterminism(observations []Event) *Violation {
-	perServer := make(map[string][]Event)
-	for _, e := range observations {
-		perServer[e.Server] = append(perServer[e.Server], e)
+// totals is what an observation reports of its state: the stats'
+// element totals, or else its instance sums.
+func totals(o *Observation) (nodes, edges int, ok bool) {
+	if o.HasStats {
+		return o.Nodes, o.Edges, true
 	}
-	for _, obs := range perServer {
-		if v := determinismSweep(obs); v != nil {
-			return v
-		}
-	}
-	return nil
+	return o.NodeInstances, o.EdgeInstances, o.HasInstances
 }
 
-func determinismSweep(observations []Event) *Violation {
-	type statsAt struct {
-		batches, nodes, edges int
-		session               string
+// checkDeterminism: an LSN names exactly one state, on every server —
+// follower@n is leader@n — so every observation of it must report the
+// same totals.
+func checkDeterminism(observations []Event) *Violation {
+	type seenAt struct {
+		nodes, edges int
+		session      string
 	}
-	seen := make(map[uint64]statsAt)
+	seen := make(map[uint64]seenAt)
 	for _, e := range observations {
-		o := e.Obs
-		if !o.HasSnapshot || !o.HasStats {
+		nodes, edges, ok := totals(e.Obs)
+		if !ok {
 			continue
 		}
-		if prev, ok := seen[o.Snapshot]; ok {
-			if prev.batches != o.Batches || prev.nodes != o.Nodes || prev.edges != o.Edges {
-				return &Violation{Kind: KindDeterminism, Session: e.Session,
-					Detail: fmt.Sprintf("snapshot %d reported as (batches=%d nodes=%d edges=%d) and, to session %s, (batches=%d nodes=%d edges=%d)",
-						o.Snapshot, o.Batches, o.Nodes, o.Edges, prev.session, prev.batches, prev.nodes, prev.edges)}
-			}
+		prev, have := seen[e.Obs.LSN]
+		if !have {
+			seen[e.Obs.LSN] = seenAt{nodes, edges, e.Session}
 			continue
 		}
-		seen[o.Snapshot] = statsAt{o.Batches, o.Nodes, o.Edges, e.Session}
-	}
-	order := make([]uint64, 0, len(seen))
-	for s := range seen {
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for i := 1; i < len(order); i++ {
-		a, b := seen[order[i-1]], seen[order[i]]
-		if b.batches < a.batches {
-			return &Violation{Kind: KindDeterminism, Session: b.session,
-				Detail: fmt.Sprintf("batches regressed from %d (snapshot %d) to %d (snapshot %d)",
-					a.batches, order[i-1], b.batches, order[i])}
+		if prev.nodes != nodes || prev.edges != edges {
+			return &Violation{Kind: KindDeterminism, Session: e.Session,
+				Detail: fmt.Sprintf("LSN %d reported as (nodes=%d edges=%d) and, to session %s, (nodes=%d edges=%d)",
+					e.Obs.LSN, nodes, edges, prev.session, prev.nodes, prev.edges)}
 		}
 	}
 	return nil
@@ -291,100 +305,68 @@ func checkConservation(e Event) *Violation {
 	return nil
 }
 
-// checkVisibility: every observation must be a sum of whole scripted
-// batches — some per-writer prefix vector j, bounded below by the
-// acks that completed before the observation began and above by the
-// acks that started before it ended. Batches apply atomically, so a
-// count that no reachable vector explains means a reader saw a torn
-// or fabricated state.
-//
-// Replica observations keep the upper bound — a follower replays the
-// leader's log, so it can never show a batch whose ingest had not
-// even started by the time the read returned — but drop the lower
-// bound to zero: asynchronous shipping means arbitrary lag is legal.
-// The snapshot-equals-batches pin is also leader-only; a follower's
-// publication counter starts from its bootstrap image, not from the
-// scripted history's origin.
-func checkVisibility(h *History, byWriter map[string][]ack, e Event, replica bool) *Violation {
+// checkVisibility: an observation at LSN n shows exactly the batches
+// written at LSN <= n, n of them, in one scan of the acks. The acks
+// name most of them and must agree with real time: none may have begun
+// after the read returned, and on the leader every one acknowledged
+// before the read began is among them (a replica may lag). The other
+// positions up to n hold batches in flight — which of them is the one
+// unknown, so the check folds each in as visible or not, and returns
+// how many choices it kept.
+func checkVisibility(acks []ack, flight []inFlight, e Event, replica bool) (int, *Violation) {
 	o := e.Obs
-	if !o.HasStats && !o.HasInstances {
-		return nil
+	n := o.LSN
+	fail := func(format string, args ...any) *Violation {
+		return &Violation{Kind: KindVisibility, Session: e.Session, Detail: fmt.Sprintf("read at LSN %d: ", n) + fmt.Sprintf(format, args...)}
 	}
-	writers := make([]string, 0, len(h.Writers))
-	for w := range h.Writers {
-		writers = append(writers, w)
-	}
-	sort.Strings(writers)
-
-	// Per-writer visible-prefix bounds from the stamp evidence.
-	low := make([]int, len(writers))
-	high := make([]int, len(writers))
-	combos := 1
-	for i, w := range writers {
-		for _, a := range byWriter[w] {
-			if a.end < e.Start && !replica {
-				low[i]++
-			}
-			if a.start < e.End {
-				high[i]++
-			}
-		}
-		combos *= high[i] - low[i] + 1
-		if combos > maxPrefixCombos {
-			return nil // too loose to verify cheaply; not a violation
+	var known uint64
+	nodes, edges := 0, 0
+	for _, a := range acks {
+		switch {
+		case a.lsn <= n && a.start >= e.End:
+			return 0, fail("shows the write at LSN %d, which began after the read returned", a.lsn)
+		case a.lsn <= n:
+			known++
+			nodes, edges = nodes+a.spec.Nodes, edges+a.spec.Edges
+		case !replica && a.end < e.Start:
+			return 0, fail("misses the write at LSN %d, acknowledged before the read began", a.lsn)
 		}
 	}
-
-	// targets: (nodes, edges, batch count) the vector must hit.
-	// A stats observation pins all three; an instances-only
-	// observation pins nodes and edges (the schema document has no
-	// batch counter).
-	wantNodes, wantEdges := o.Nodes, o.Edges
-	if !o.HasStats {
-		wantNodes, wantEdges = o.NodeInstances, o.EdgeInstances
+	var maybe []BatchSpec
+	for _, f := range flight {
+		if f.after < n && f.since < e.End {
+			maybe = append(maybe, f.spec)
+		}
 	}
-
-	var search func(i, nodes, edges, batches int) bool
-	search = func(i, nodes, edges, batches int) bool {
-		if nodes > wantNodes || edges > wantEdges {
-			return false
-		}
-		if i == len(writers) {
-			if nodes != wantNodes || edges != wantEdges {
-				return false
-			}
-			// The batch-counter and snapshot pins are leader-only:
-			// a follower counts batches and publications from its
-			// bootstrap image onward, so only its element totals are
-			// tied to the scripted prefix lattice.
-			if !replica && o.HasStats && batches != o.Batches {
-				return false
-			}
-			// In the ingest-only-from-empty model each mutation
-			// publishes exactly one snapshot, so the sequence number
-			// equals the visible batch count.
-			if !replica && o.HasStats && o.HasSnapshot && uint64(batches) != o.Snapshot {
-				return false
-			}
-			return true
-		}
-		spec := h.Writers[writers[i]]
-		nodesAt, edgesAt := 0, 0
-		for k := 0; k <= high[i]; k++ {
-			if k >= low[i] && search(i+1, nodes+nodesAt, edges+edgesAt, batches+k) {
-				return true
-			}
-			if k < len(spec) {
-				nodesAt += spec[k].Nodes
-				edgesAt += spec[k].Edges
+	need := n - known
+	if need > uint64(len(maybe)) {
+		return 0, fail("%d positions are neither acknowledged nor in flight", need-uint64(len(maybe)))
+	}
+	if o.HasStats && (o.Batches < 0 || uint64(o.Batches) != n) {
+		return 0, fail("reports %d batches", o.Batches)
+	}
+	wantNodes, wantEdges, ok := totals(o)
+	if !ok {
+		return 0, nil
+	}
+	type sum struct {
+		k            uint64
+		nodes, edges int
+	}
+	reach := []sum{{0, nodes, edges}}
+	seen := map[sum]bool{reach[0]: true}
+	for _, b := range maybe {
+		for _, s := range reach { // the sums before b: b joins each at most once
+			t := sum{s.k + 1, s.nodes + b.Nodes, s.edges + b.Edges}
+			if t.k <= need && t.nodes <= wantNodes && t.edges <= wantEdges && !seen[t] {
+				seen[t] = true
+				reach = append(reach, t)
 			}
 		}
-		return false
 	}
-	if !search(0, 0, 0, 0) {
-		return &Violation{Kind: KindVisibility, Session: e.Session,
-			Detail: fmt.Sprintf("observation (nodes=%d edges=%d batches=%d snapshot=%d) matches no reachable batch-prefix state within bounds low=%v high=%v",
-				wantNodes, wantEdges, o.Batches, o.Snapshot, low, high)}
+	if !seen[sum{need, wantNodes, wantEdges}] {
+		return len(reach), fail("(nodes=%d edges=%d) is not the %d acknowledged batches (nodes=%d edges=%d) plus %d of %d in flight",
+			wantNodes, wantEdges, known, nodes, edges, need, len(maybe))
 	}
-	return nil
+	return len(reach), nil
 }

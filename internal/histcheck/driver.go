@@ -23,12 +23,13 @@ import (
 // never shares a Client across sessions.
 type Client interface {
 	// Ingest applies one batch; returning means the service
-	// acknowledged it (applied and published).
-	Ingest(g *pghive.Graph) error
-	// Stats reads the service's element totals (HasSnapshot+HasStats).
+	// acknowledged it (applied and published) at the LSN returned.
+	Ingest(g *pghive.Graph) (uint64, error)
+	// Stats reads the service's element totals (HasStats).
 	Stats() (Observation, error)
 	// Schema reads the published schema document and sums its
-	// non-abstract per-type instance counts (HasInstances).
+	// non-abstract per-type instance counts (HasInstances). Every read
+	// states the LSN it was served from.
 	Schema() (Observation, error)
 	// Snapshot reads stats and instance sums from ONE atomic
 	// snapshot when the transport can (ok=false when it cannot, e.g.
@@ -160,13 +161,13 @@ func RunReplicated(newClient func(session, server string) Client, cfg Config) (*
 				g := buildBatch(base+off, spec)
 				off += pghive.ID(spec.Nodes)
 				start := rec.tick()
-				err := c.Ingest(g)
+				lsn, err := c.Ingest(g)
 				end := rec.tick()
 				if err != nil {
 					fail(fmt.Errorf("histcheck: %s ingest %d: %w", name, k+1, err))
 					return
 				}
-				rec.record(Event{Session: name, Start: start, End: end, Writer: name, Seq: k + 1})
+				rec.record(Event{Session: name, Start: start, End: end, Writer: name, Seq: k + 1, LSN: lsn})
 
 				// Read-your-writes probe: a stats read issued after
 				// the ack must (per the stamps) include this batch.
@@ -292,18 +293,19 @@ func buildBatch(base pghive.ID, spec BatchSpec) *pghive.Graph {
 // its Snapshot reads stats and schema from one published
 // ServiceSnapshot, which is what makes the conservation invariant
 // checkable at all — and writes through Write, which wraps whatever
-// the type's own write method is. Write stays nil for a follower: a
-// replica has nothing to write through.
+// the type's own write method is and answers its ack's timing. Write
+// stays nil for a follower: a replica has nothing to write through.
 type ServiceClient struct {
 	Svc   *pghive.Reader
-	Write func(*pghive.Graph) error
+	Write func(*pghive.Graph) (pghive.BatchTiming, error)
 }
 
-func (c ServiceClient) Ingest(g *pghive.Graph) error {
+func (c ServiceClient) Ingest(g *pghive.Graph) (uint64, error) {
 	if c.Write == nil {
-		return errors.New("histcheck: read-only client")
+		return 0, errors.New("histcheck: read-only client")
 	}
-	return c.Write(g)
+	bt, err := c.Write(g)
+	return bt.LSN, err
 }
 
 func (c ServiceClient) Stats() (Observation, error) {
@@ -311,8 +313,9 @@ func (c ServiceClient) Stats() (Observation, error) {
 }
 
 func (c ServiceClient) Schema() (Observation, error) {
-	nodes, edges := instanceSums(c.Svc.Snapshot().Schema)
-	return Observation{HasInstances: true, NodeInstances: nodes, EdgeInstances: edges}, nil
+	snap := c.Svc.Snapshot()
+	nodes, edges := instanceSums(snap.Schema)
+	return Observation{LSN: snap.Stats.LSN, HasInstances: true, NodeInstances: nodes, EdgeInstances: edges}, nil
 }
 
 func (c ServiceClient) Snapshot() (Observation, bool, error) {
@@ -325,8 +328,7 @@ func (c ServiceClient) Snapshot() (Observation, bool, error) {
 
 func statsObservation(st pghive.ServiceStats) Observation {
 	return Observation{
-		HasSnapshot: true, Snapshot: st.Snapshot,
-		HasStats: true, Batches: st.Batches, Nodes: st.Nodes, Edges: st.Edges,
+		LSN: st.LSN, HasStats: true, Batches: st.Batches, Nodes: st.Nodes, Edges: st.Edges,
 	}
 }
 

@@ -29,13 +29,17 @@ func FuzzHistoryCheck(f *testing.F) {
 
 	// Seed 2: a minimal valid history.
 	f.Add([]byte(`{"writers":{"w0":[{"nodes":5,"edges":5}]},"events":[` +
-		`{"session":"w0","start":1,"end":2,"writer":"w0","seq":1},` +
-		`{"session":"r0","start":3,"end":4,"obs":{"hasSnapshot":true,"snapshot":1,"hasStats":true,"batches":1,"nodes":5,"edges":5}}]}`))
+		`{"session":"w0","start":1,"end":2,"writer":"w0","seq":1,"lsn":1},` +
+		`{"session":"r0","start":3,"end":4,"obs":{"lsn":1,"hasStats":true,"batches":1,"nodes":5,"edges":5}}]}`))
 	// Seed 3: a violating history (torn batch).
 	f.Add([]byte(`{"writers":{"w0":[{"nodes":5,"edges":5}]},"events":[` +
-		`{"session":"w0","start":1,"end":2,"writer":"w0","seq":1},` +
-		`{"session":"r0","start":3,"end":4,"obs":{"hasStats":true,"batches":1,"nodes":3,"edges":3}}]}`))
-	// Seed 4: structurally hostile values.
+		`{"session":"w0","start":1,"end":2,"writer":"w0","seq":1,"lsn":1},` +
+		`{"session":"r0","start":3,"end":4,"obs":{"lsn":1,"hasStats":true,"batches":1,"nodes":3,"edges":3}}]}`))
+	// Seed 4: two writers' batches in flight, one read able to show
+	// either, both or neither.
+	f.Add([]byte(`{"writers":{"w0":[{"nodes":5,"edges":5}],"w1":[{"nodes":10,"edges":10}]},"events":[` +
+		`{"session":"r0","start":1,"end":2,"obs":{"lsn":1,"hasStats":true,"batches":1,"nodes":10,"edges":10}}]}`))
+	// Seed 5: structurally hostile values.
 	f.Add([]byte(`{"writers":{"":[]},"events":[{"session":"x","start":9,"end":9,"obs":{}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,8 +47,11 @@ func FuzzHistoryCheck(f *testing.F) {
 		if err := json.Unmarshal(data, &h); err != nil {
 			return // not a history; nothing to check
 		}
-		// Whatever decoded, Check must terminate without panicking.
-		_ = Check(&h)
+		// Whatever decoded, Check must terminate without panicking,
+		// trying at most 2^writers in-flight choices per read.
+		if tried, _ := check(&h); len(h.Writers) < 31 && tried > 1<<len(h.Writers) {
+			t.Fatalf("tried %d in-flight choices with %d writers", tried, len(h.Writers))
+		}
 
 		// And a history the checker accepts must still be accepted
 		// after a JSON round trip (the checker is deterministic on

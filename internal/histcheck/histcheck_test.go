@@ -11,6 +11,7 @@ package histcheck
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 
 // plainClient adapts a plain in-memory service.
 func plainClient(svc *pghive.Service) Client {
-	return ServiceClient{Svc: svc.Reader, Write: func(g *pghive.Graph) error { svc.Ingest(g); return nil }}
+	return ServiceClient{Svc: svc.Reader, Write: func(g *pghive.Graph) (pghive.BatchTiming, error) { return svc.Ingest(g), nil }}
 }
 
 // runLive drives the scripted workload against a fresh in-process
@@ -103,24 +104,30 @@ func TestSeededViolationsAreCaught(t *testing.T) {
 		t.Fatalf("baseline history rejected: %v", err)
 	}
 
-	// Helpers shared by the tamper cases: which snapshot numbers were
-	// observed how often, the globally latest-ending snapshot
-	// observation, and the total scripted batch count.
-	snapCounts := func(h *History) map[uint64]int {
+	// Helpers shared by the tamper cases: which LSNs were observed how
+	// often, the latest-ending event, and the script's totals.
+	lsnCounts := func(h *History) map[uint64]int {
 		m := map[uint64]int{}
 		for _, e := range h.Events {
-			if e.Obs != nil && e.Obs.HasSnapshot {
-				m[e.Obs.Snapshot]++
+			if e.Obs != nil {
+				m[e.Obs.LSN]++
 			}
 		}
 		return m
 	}
-	totalBatches := func(h *History) int {
-		n := 0
-		for _, spec := range h.Writers {
-			n += len(spec)
+	maxEnd := func(h *History) (end int64) {
+		for _, e := range h.Events {
+			end = max(end, e.End)
 		}
-		return n
+		return end
+	}
+	scripted := func(h *History) (batches, nodes, edges int) {
+		for _, spec := range h.Writers {
+			for _, b := range spec {
+				batches, nodes, edges = batches+1, nodes+b.Nodes, edges+b.Edges
+			}
+		}
+		return batches, nodes, edges
 	}
 
 	cases := []struct {
@@ -131,67 +138,60 @@ func TestSeededViolationsAreCaught(t *testing.T) {
 		{
 			// A torn batch: one node appears without its batch. All
 			// scripted batch sizes are multiples of five, so +1 can
-			// never be a sum of whole batches. Tampering a snapshot
-			// that was observed exactly once keeps the determinism
-			// check out of the way — only visibility can object.
+			// never be a sum of whole batches. Tampering an LSN that
+			// was observed exactly once keeps the determinism check out
+			// of the way — only visibility can object.
 			name: "torn-batch-node-count",
 			kind: KindVisibility,
 			tamper: func(t *testing.T, h *History) {
-				counts := snapCounts(h)
+				counts := lsnCounts(h)
 				for i := range h.Events {
 					o := h.Events[i].Obs
 					// An atomic-snapshot observation would trip
 					// conservation instead; pick a stats-only read of
-					// a uniquely observed snapshot.
-					if o != nil && o.HasStats && o.HasSnapshot && !o.HasInstances && counts[o.Snapshot] == 1 {
+					// a uniquely observed LSN.
+					if o != nil && o.HasStats && !o.HasInstances && counts[o.LSN] == 1 {
 						o.Nodes++
 						return
 					}
 				}
-				t.Fatal("no uniquely observed snapshot to tamper")
+				t.Fatal("no uniquely observed LSN to tamper")
 			},
 		},
 		{
 			// A phantom batch: the latest-ending observation claims
-			// more batches than the whole script holds, on a snapshot
-			// number beyond any real one (so neither real-time order
-			// nor determinism is disturbed — only visibility).
+			// more batches than the whole script holds, at an LSN
+			// beyond every write (so neither real-time order nor
+			// determinism is disturbed — only visibility).
 			name: "phantom-batch",
 			kind: KindVisibility,
 			tamper: func(t *testing.T, h *History) {
-				var maxSnap uint64
-				for s := range snapCounts(h) {
-					if s > maxSnap {
-						maxSnap = s
-					}
-				}
 				best := -1
 				for i, e := range h.Events {
-					if e.Obs != nil && e.Obs.HasStats && e.Obs.HasSnapshot &&
-						(best < 0 || e.End > h.Events[best].End) {
+					if e.Obs != nil && e.Obs.HasStats && (best < 0 || e.End > h.Events[best].End) {
 						best = i
 					}
 				}
 				if best < 0 {
 					t.Fatal("no stats observation to tamper")
 				}
+				batches, _, _ := scripted(h)
 				o := h.Events[best].Obs
-				o.Snapshot = maxSnap + 1
-				o.Batches = totalBatches(h) + 1
+				o.LSN, o.Batches = uint64(batches+1), batches+1
 			},
 		},
 		{
-			// A client's snapshot moving backwards: rewind a session's
-			// last snapshot observation to its first, in a session
-			// that observed something newer in between. The rewound
-			// stats match the earlier observation exactly, so only
-			// the per-session time-travel is wrong.
+			// A client's LSN moving backwards: rewind a session's last
+			// observation to its first, in a session that observed
+			// something newer in between. The rewound stats match the
+			// earlier observation exactly, so only the per-session
+			// time-travel is wrong.
 			name: "snapshot-rewind",
 			kind: KindMonotonicity,
 			tamper: func(t *testing.T, h *History) {
 				idxsBySession := map[string][]int{}
 				for i, e := range h.Events {
-					if e.Obs != nil && e.Obs.HasSnapshot {
+					if e.Obs != nil {
 						idxsBySession[e.Session] = append(idxsBySession[e.Session], i)
 					}
 				}
@@ -202,45 +202,37 @@ func TestSeededViolationsAreCaught(t *testing.T) {
 					first := h.Events[idxs[0]].Obs
 					mid := h.Events[idxs[len(idxs)/2]].Obs
 					last := h.Events[idxs[len(idxs)-1]].Obs
-					if !(first.Snapshot < mid.Snapshot && mid.Snapshot <= last.Snapshot) {
+					if !(first.LSN < mid.LSN && mid.LSN <= last.LSN) {
 						continue
 					}
 					*last = *first // rewind below the middle observation
 					return
 				}
-				t.Fatal("no session with advancing snapshots to tamper")
+				t.Fatal("no session with advancing LSNs to tamper")
 			},
 		},
 		{
-			// One snapshot number, two different node counts: a fresh
-			// session re-observes the globally newest snapshot with
-			// five fewer nodes. The snapshot number is the maximum,
-			// so real-time order still holds; determinism cannot.
+			// One LSN, two different node counts: a fresh session
+			// re-observes the newest observed LSN with five fewer
+			// nodes. The LSN is the maximum, so real-time order still
+			// holds; determinism cannot.
 			name: "split-brain-snapshot",
 			kind: KindDeterminism,
 			tamper: func(t *testing.T, h *History) {
 				best := -1
 				for i, e := range h.Events {
-					if o := e.Obs; o != nil && o.HasStats && o.HasSnapshot && o.Nodes >= 5 &&
-						(best < 0 || o.Snapshot > h.Events[best].Obs.Snapshot) {
+					if o := e.Obs; o != nil && (best < 0 || o.LSN > h.Events[best].Obs.LSN) {
 						best = i
 					}
 				}
-				if best < 0 {
+				o := h.Events[best].Obs
+				nodes, edges, _ := totals(o)
+				if nodes < 5 {
 					t.Fatal("no observation large enough to tamper")
 				}
-				var maxEnd int64
-				for _, e := range h.Events {
-					if e.End > maxEnd {
-						maxEnd = e.End
-					}
-				}
-				dup := *h.Events[best].Obs
-				dup.Nodes -= 5
-				dup.HasInstances = false
-				h.Events = append(h.Events, Event{
-					Session: "r-split", Start: maxEnd + 1, End: maxEnd + 2, Obs: &dup,
-				})
+				end := maxEnd(h)
+				h.Events = append(h.Events, Event{Session: "r-split", Start: end + 1, End: end + 2,
+					Obs: &Observation{LSN: o.LSN, HasStats: true, Batches: int(o.LSN), Nodes: nodes - 5, Edges: edges}})
 			},
 		},
 		{
@@ -259,22 +251,20 @@ func TestSeededViolationsAreCaught(t *testing.T) {
 			},
 		},
 		{
-			// An acked write that never became visible: push an
-			// observation of the empty service to the end of real
-			// time, after every ack completed.
+			// An acked write that never became visible: after every
+			// other event, w0 is acknowledged one more batch at the
+			// next LSN, and a read at that LSN still shows the state
+			// before it.
 			name: "lost-write",
 			kind: KindVisibility,
 			tamper: func(t *testing.T, h *History) {
-				var maxEnd int64
-				for _, e := range h.Events {
-					if e.End > maxEnd {
-						maxEnd = e.End
-					}
-				}
-				h.Events = append(h.Events, Event{
-					Session: "r-late", Start: maxEnd + 1, End: maxEnd + 2,
-					Obs: &Observation{HasStats: true},
-				})
+				batches, nodes, edges := scripted(h)
+				end, lsn := maxEnd(h), uint64(batches+1)
+				h.Writers["w0"] = append(h.Writers["w0"], BatchSpec{Nodes: 5, Edges: 5})
+				h.Events = append(h.Events,
+					Event{Session: "w0", Start: end + 1, End: end + 2, Writer: "w0", Seq: len(h.Writers["w0"]), LSN: lsn},
+					Event{Session: "r-late", Start: end + 3, End: end + 4,
+						Obs: &Observation{LSN: lsn, HasStats: true, Batches: int(lsn), Nodes: nodes, Edges: edges}})
 			},
 		},
 	}
@@ -308,13 +298,12 @@ func obsEv(session string, start, end int64, o Observation) Event {
 	return Event{Session: session, Start: start, End: end, Obs: &o}
 }
 
-func ackEv(writer string, seq int, start, end int64) Event {
-	return Event{Session: writer, Start: start, End: end, Writer: writer, Seq: seq}
+func ackEv(writer string, seq int, lsn uint64, start, end int64) Event {
+	return Event{Session: writer, Start: start, End: end, Writer: writer, Seq: seq, LSN: lsn}
 }
 
-func statsObs(snap uint64, batches, nodes, edges int) Observation {
-	return Observation{HasSnapshot: true, Snapshot: snap, HasStats: true,
-		Batches: batches, Nodes: nodes, Edges: edges}
+func statsObs(lsn uint64, batches, nodes, edges int) Observation {
+	return Observation{LSN: lsn, HasStats: true, Batches: batches, Nodes: nodes, Edges: edges}
 }
 
 func TestCheckMinimalHistories(t *testing.T) {
@@ -327,31 +316,68 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "valid-sequential",
 			h: History{Writers: spec1(), Events: []Event{
 				obsEv("r0", 1, 2, statsObs(0, 0, 0, 0)),
-				ackEv("w0", 1, 3, 4),
+				ackEv("w0", 1, 1, 3, 4),
 				obsEv("r0", 5, 6, statsObs(1, 1, 5, 5)),
-				ackEv("w0", 2, 7, 8),
+				ackEv("w0", 2, 2, 7, 8),
 				obsEv("r0", 9, 10, statsObs(2, 2, 15, 15)),
 			}},
 		},
 		{
 			name: "valid-concurrent-read-may-miss-inflight-write",
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 10),
+				ackEv("w0", 1, 1, 1, 10),
 				obsEv("r0", 2, 3, statsObs(0, 0, 0, 0)), // overlaps the ack: either state is legal
+			}},
+		},
+		{
+			// Batch 2 was never acknowledged — its writer was still
+			// waiting when the history ended — yet it may have been
+			// applied, and is the only batch that can fill LSN 2.
+			name: "valid-in-flight-batch-visible",
+			h: History{Writers: spec1(), Events: []Event{
+				ackEv("w0", 1, 1, 1, 2),
+				obsEv("r0", 3, 4, statsObs(2, 2, 15, 15)),
+			}},
+		},
+		{
+			// One batch in flight cannot fill two positions.
+			name: "lsn-beyond-in-flight",
+			kind: KindVisibility,
+			h: History{Writers: map[string][]BatchSpec{"w0": {{Nodes: 5, Edges: 5}, {Nodes: 5, Edges: 5}, {Nodes: 5, Edges: 5}}},
+				Events: []Event{
+					ackEv("w0", 1, 1, 1, 2),
+					obsEv("r0", 3, 4, statsObs(3, 3, 15, 15)),
+				}},
+		},
+		{
+			// A stats read must count the batches its LSN names.
+			name: "batches-not-lsn",
+			kind: KindVisibility,
+			h: History{Writers: spec1(), Events: []Event{
+				ackEv("w0", 1, 1, 1, 2),
+				obsEv("r0", 3, 4, statsObs(1, 0, 5, 5)),
+			}},
+		},
+		{
+			name: "ack-lsn-reused",
+			kind: KindMalformed,
+			h: History{Writers: spec1(), Events: []Event{
+				ackEv("w0", 1, 1, 1, 2),
+				ackEv("w0", 2, 1, 3, 4),
 			}},
 		},
 		{
 			name: "ack-unknown-writer",
 			kind: KindMalformed,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w9", 1, 1, 2),
+				ackEv("w9", 1, 1, 1, 2),
 			}},
 		},
 		{
 			name: "ack-seq-gap",
 			kind: KindMalformed,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 2, 1, 2),
+				ackEv("w0", 2, 2, 1, 2),
 			}},
 		},
 		{
@@ -365,7 +391,7 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "session-time-travel",
 			kind: KindMonotonicity,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, statsObs(1, 1, 5, 5)),
 				obsEv("r0", 5, 6, statsObs(0, 0, 0, 0)),
 			}},
@@ -374,7 +400,7 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "cross-session-time-travel",
 			kind: KindRealtime,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, statsObs(1, 1, 5, 5)),
 				obsEv("r1", 5, 6, statsObs(0, 0, 0, 0)),
 			}},
@@ -383,7 +409,7 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "snapshot-determinism",
 			kind: KindDeterminism,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, statsObs(1, 1, 5, 5)),
 				obsEv("r1", 3, 4, statsObs(1, 1, 5, 4)),
 			}},
@@ -392,7 +418,7 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "torn-batch",
 			kind: KindVisibility,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, statsObs(1, 1, 3, 3)), // 3 of the 5 nodes: torn
 			}},
 		},
@@ -400,7 +426,7 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "read-your-writes-lost",
 			kind: KindVisibility,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("w0", 3, 4, statsObs(0, 0, 0, 0)), // own acked batch invisible
 			}},
 		},
@@ -408,17 +434,17 @@ func TestCheckMinimalHistories(t *testing.T) {
 			name: "schema-only-torn",
 			kind: KindVisibility,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
-				obsEv("r0", 3, 4, Observation{HasInstances: true, NodeInstances: 6, EdgeInstances: 5}),
+				ackEv("w0", 1, 1, 1, 2),
+				obsEv("r0", 3, 4, Observation{LSN: 1, HasInstances: true, NodeInstances: 6, EdgeInstances: 5}),
 			}},
 		},
 		{
 			name: "conservation",
 			kind: KindConservation,
 			h: History{Writers: spec1(), Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, Observation{
-					HasSnapshot: true, Snapshot: 1, HasStats: true, Batches: 1, Nodes: 5, Edges: 5,
+					LSN: 1, HasStats: true, Batches: 1, Nodes: 5, Edges: 5,
 					HasInstances: true, NodeInstances: 10, EdgeInstances: 5,
 				}),
 			}},
@@ -444,6 +470,31 @@ func TestCheckMinimalHistories(t *testing.T) {
 				t.Fatalf("error %q lacks package prefix", err)
 			}
 		})
+	}
+}
+
+// TestCheckTornReadPastSearchCap: a read that overlaps every ack may
+// lawfully be at any LSN, which left a prefix-vector search 5^7
+// candidate states — past its cap, where it gave up and passed the
+// history. Stated at an LSN, the read has one right answer: LSN 1 is
+// one whole batch of five nodes, never three.
+func TestCheckTornReadPastSearchCap(t *testing.T) {
+	h := History{Writers: map[string][]BatchSpec{}}
+	h.Events = append(h.Events, obsEv("r0", 1, 1000, statsObs(1, 1, 3, 3)))
+	tick, lsn := int64(2), uint64(1)
+	for k := 1; k <= 4; k++ {
+		for w := 0; w < 7; w++ {
+			name := fmt.Sprintf("w%d", w)
+			if k == 1 {
+				h.Writers[name] = []BatchSpec{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
+			}
+			h.Events = append(h.Events, ackEv(name, k, lsn, tick, tick+1))
+			tick, lsn = tick+2, lsn+1
+		}
+	}
+	err := Check(&h)
+	if v, ok := err.(*Violation); !ok || v.Kind != KindVisibility {
+		t.Fatalf("Check = %v, want a visibility violation", err)
 	}
 }
 

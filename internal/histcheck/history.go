@@ -6,46 +6,41 @@
 // inside the implementation.
 //
 // The workload model is deliberately narrow so the checker can be
-// exact: the service starts empty and every mutation is a scripted
-// ingest batch whose node/edge counts are known in advance (the
-// History carries the script). Under that model the set of states any
-// reader may observe is the product of per-writer prefixes — writer w
-// having j_w of its batches visible — and every recorded observation
-// must be explainable by some prefix vector consistent with the
-// real-time bounds the recorder stamped. Batch node counts are kept
-// multiples of five by the driver, so a torn batch (a state between
-// two prefixes) is arithmetically unreachable and a single off-by-one
-// in an observed node count is a detected violation, not noise.
+// exact: the service starts empty, every mutation is a scripted ingest
+// batch whose node/edge counts are known in advance (the History
+// carries the script), and the log names every state. An ack states
+// the LSN its batch was written at; a read states the LSN of the state
+// it was served from, which is therefore exactly the scripted batches
+// with LSN <= n — n of them, since LSNs count writes. The only unknown
+// is a batch its writer never saw acknowledged (at most one per
+// writer, in flight when the history ended), so a read costs a linear
+// scan of the acks plus at most 2^writers choices, not a search. Batch
+// node counts are kept multiples of five by the driver, so a torn batch
+// is arithmetically unreachable and a single off-by-one in an observed
+// node count is a detected violation, not noise.
 //
 // Histories may span replicas: every event carries the name of the
 // server it was recorded against (empty = the leader), and
-// History.Replicas declares which names are read-only followers.
-// A follower serves an asynchronously replicated prefix of the
-// leader's log, so the contract splits per server: snapshot
-// sequence numbers order reads only within one server (a replica
-// may lawfully trail the leader in real time), while atomicity is
-// universal — every state any server ever serves must still be a
-// sum of whole scripted batches. A replica observation therefore
-// keeps the visibility upper bound (it cannot show a write the
-// leader had not even begun) but drops the lower bound to zero
-// (lag is legal, tearing is not).
+// History.Replicas declares which names are read-only followers. Lag
+// is legal; a state at LSN n is the same everywhere.
 //
 // Checked invariants (see Check):
-//   - per-session snapshot monotonicity: a client never sees one
-//     server's publication sequence number move backwards;
-//   - real-time snapshot monotonicity, per server: an observation
-//     that finished before another began cannot carry a newer
-//     snapshot of the same server;
-//   - snapshot determinism, per server: two observations of the same
-//     server's snapshot sequence number report identical stats;
-//   - atomic batch visibility: every observed (nodes, edges, batches)
-//     triple is a sum of whole scripted batches, within the
-//     prefix-vector bounds implied by ack/observation stamps
-//     (replica reads: lower bounds zero, upper bounds unchanged);
+//   - per-session monotonicity: a client never sees one server's LSN
+//     move backwards;
+//   - real-time monotonicity, per server: an observation that finished
+//     before another began cannot carry a newer LSN of the same
+//     server;
+//   - determinism: every observation of LSN n, on any server, reports
+//     the same totals;
+//   - exact visibility: an observation at LSN n shows exactly the
+//     batches with LSN <= n (node, edge and batch totals), none whose
+//     write began after the read returned, and — on the leader — every
+//     batch acknowledged before the read began;
 //   - instance conservation: an atomic snapshot's per-type instance
 //     counts sum to its own node and edge totals;
-//   - writes are acknowledged only by the leader: an ack attributed
-//     to a declared replica is malformed, never explainable.
+//   - acks are well formed: in order per writer, at distinct LSNs, and
+//     only by the leader — an ack attributed to a declared replica is
+//     malformed, never explainable.
 package histcheck
 
 // BatchSpec is the externally visible size of one scripted ingest
@@ -56,17 +51,16 @@ type BatchSpec struct {
 	Edges int `json:"edges"`
 }
 
-// Observation is one read of the service's public state. The three
-// Has* flags record which facets the transport returned atomically:
-// a stats read carries HasSnapshot+HasStats, a schema read carries
-// HasInstances only, and an in-process snapshot carries all three —
-// which is what licenses the conservation check between its stats
-// and its instance sums.
+// Observation is one read of the service's public state, at the LSN
+// it was served from. The two Has* flags record which facets the
+// transport returned atomically: a stats read carries HasStats, a
+// schema read HasInstances, and an in-process snapshot both — which is
+// what licenses the conservation check between its stats and its
+// instance sums.
 type Observation struct {
-	// HasSnapshot: Snapshot is the publication sequence number the
-	// read was served from (0 = the initial empty snapshot).
-	HasSnapshot bool   `json:"hasSnapshot,omitempty"`
-	Snapshot    uint64 `json:"snapshot,omitempty"`
+	// LSN names the published state the read was served from (0 = the
+	// initial empty state).
+	LSN uint64 `json:"lsn"`
 
 	// HasStats: the service's own element totals.
 	HasStats bool `json:"hasStats,omitempty"`
@@ -101,9 +95,10 @@ type Event struct {
 
 	// Acknowledgement fields: Writer's batch number Seq (1-based
 	// index into History.Writers[Writer]) was durably applied and
-	// published before End.
+	// published at LSN before End.
 	Writer string `json:"writer,omitempty"`
 	Seq    int    `json:"seq,omitempty"`
+	LSN    uint64 `json:"lsn,omitempty"`
 
 	Obs *Observation `json:"obs,omitempty"`
 }

@@ -35,21 +35,22 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 			// read catches up to a whole-batch prefix.
 			name: "valid-replica-lags-leader",
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
-				ackEv("w0", 2, 3, 4),
+				ackEv("w0", 1, 1, 1, 2),
+				ackEv("w0", 2, 2, 3, 4),
 				obsEv("r0", 5, 6, statsObs(2, 2, 15, 15)),
 				replicaObsEv("a/r0", "a", 7, 8, statsObs(0, 0, 0, 0)),
 				replicaObsEv("a/r0", "a", 9, 10, statsObs(1, 1, 5, 5)),
 			}},
 		},
 		{
-			// A follower's publication counter starts at its bootstrap
-			// image, so snapshot numbers need not equal batch counts —
-			// only the element totals are pinned to the batch lattice.
-			name: "valid-replica-snapshot-counter-unaligned",
+			// A follower restores the batch counter with the rest of the
+			// state, so at LSN 1 it has counted one batch, like the
+			// leader.
+			name: "replica-batch-count-off",
+			kind: KindVisibility,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
-				replicaObsEv("a/r0", "a", 3, 4, statsObs(7, 0, 5, 5)),
+				ackEv("w0", 1, 1, 1, 2),
+				replicaObsEv("a/r0", "a", 3, 4, statsObs(1, 0, 5, 5)),
 			}},
 		},
 		{
@@ -81,7 +82,7 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 			name: "replica-torn-batch",
 			kind: KindVisibility,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				replicaObsEv("a/r0", "a", 3, 4, statsObs(1, 1, 3, 3)),
 			}},
 		},
@@ -92,9 +93,9 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 			name: "replica-sees-the-future",
 			kind: KindVisibility,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				replicaObsEv("a/r0", "a", 3, 4, statsObs(2, 2, 15, 15)),
-				ackEv("w0", 2, 5, 6),
+				ackEv("w0", 2, 2, 5, 6),
 			}},
 		},
 		{
@@ -103,28 +104,29 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 			name: "replica-internal-time-travel",
 			kind: KindRealtime,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				replicaObsEv("a/r0", "a", 3, 4, statsObs(1, 1, 5, 5)),
 				replicaObsEv("a/r1", "a", 5, 6, statsObs(0, 0, 0, 0)),
 			}},
 		},
 		{
-			// Determinism is per server: the same sequence number on
-			// one follower naming two different states is split brain.
+			// The same LSN on one follower naming two different states
+			// is split brain.
 			name: "replica-split-brain",
 			kind: KindDeterminism,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				replicaObsEv("a/r0", "a", 3, 4, statsObs(1, 1, 5, 5)),
 				replicaObsEv("a/r1", "a", 3, 4, statsObs(1, 1, 0, 0)),
 			}},
 		},
 		{
-			// ...but the leader's snapshot 1 and a follower's snapshot
-			// 1 are unrelated registers; differing stats are fine.
-			name: "valid-cross-server-same-seq",
+			// ...and so is LSN 1 naming one state on the leader and
+			// another on a follower: follower@n is leader@n.
+			name: "cross-server-same-lsn",
+			kind: KindDeterminism,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				obsEv("r0", 3, 4, statsObs(1, 1, 5, 5)),
 				replicaObsEv("a/r0", "a", 5, 6, statsObs(1, 0, 0, 0)),
 			}},
@@ -136,9 +138,9 @@ func TestCheckMinimalReplicaHistories(t *testing.T) {
 			name: "replica-conservation",
 			kind: KindConservation,
 			h: History{Writers: spec1(), Replicas: []string{"a"}, Events: []Event{
-				ackEv("w0", 1, 1, 2),
+				ackEv("w0", 1, 1, 1, 2),
 				replicaObsEv("a/r0", "a", 3, 4, Observation{
-					HasSnapshot: true, Snapshot: 1, HasStats: true, Batches: 1, Nodes: 5, Edges: 5,
+					LSN: 1, HasStats: true, Batches: 1, Nodes: 5, Edges: 5,
 					HasInstances: true, NodeInstances: 8, EdgeInstances: 5,
 				}),
 			}},
@@ -214,9 +216,9 @@ func runLiveReplicated(t *testing.T, cfg Config) *History {
 	h, err := RunReplicated(func(session, server string) Client {
 		if server == "" {
 			// Writes go through the WAL-backed IngestIdempotent.
-			return ServiceClient{Svc: leader.Reader, Write: func(g *pghive.Graph) error {
-				_, _, err := leader.IngestIdempotent(context.Background(), "", g)
-				return err
+			return ServiceClient{Svc: leader.Reader, Write: func(g *pghive.Graph) (pghive.BatchTiming, error) {
+				bt, _, err := leader.IngestIdempotent(context.Background(), "", g)
+				return bt, err
 			}}
 		}
 		return ServiceClient{Svc: followers[server].Reader}
@@ -251,54 +253,103 @@ func TestLiveReplicatedHistoryPasses(t *testing.T) {
 		t.Fatalf("recorded %d replica observations, want %d", replicaObs, want)
 	}
 
-	// Seeded corruption: tear a replica observation by three nodes.
-	// Every scripted batch is a multiple of five, so no prefix sum can
-	// absorb the change whatever the replica's lag was — the checker
-	// must refuse the tampered history. Tampering a (server, snapshot)
-	// pair observed exactly once keeps determinism out of the way so
-	// the flagged kind is specifically the torn state; if every pair
-	// was observed repeatedly, determinism catching the mismatch first
-	// is an equally valid refusal.
-	tampered := deepCopy(t, h)
-	type reg struct {
-		server string
-		snap   uint64
+	// Seeded corruptions of one replica stats observation, each of
+	// which the checker must refuse. Torn: three nodes more, which no
+	// sum of whole batches (all multiples of five) absorbs. Mislabelled:
+	// the totals of the next LSN under this one — a follower serving
+	// LSN n+1's state as LSN n. Tampering an LSN observed exactly once
+	// keeps determinism out of the way so the flagged kind is
+	// specifically visibility; if every LSN was observed repeatedly,
+	// determinism catching the mismatch first is an equally valid
+	// refusal.
+	next := map[uint64]BatchSpec{} // LSN → the batch acknowledged at it
+	for _, e := range h.Events {
+		if e.Writer != "" {
+			next[e.LSN] = h.Writers[e.Writer][e.Seq-1]
+		}
 	}
-	counts := map[reg]int{}
-	for _, e := range tampered.Events {
-		if e.Obs != nil && e.Obs.HasSnapshot {
-			counts[reg{e.Server, e.Obs.Snapshot}]++
+	for _, tc := range []struct {
+		name   string
+		tamper func(o *Observation) bool
+	}{
+		{"torn", func(o *Observation) bool { o.Nodes += 3; return true }},
+		{"mislabelled", func(o *Observation) bool {
+			b, ok := next[o.LSN+1]
+			if ok {
+				o.Batches, o.Nodes, o.Edges = o.Batches+1, o.Nodes+b.Nodes, o.Edges+b.Edges
+			}
+			return ok
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkTamperedReplicaRead(t, h, tc.tamper) })
+	}
+}
+
+// checkTamperedReplicaRead applies tamper to the first replica stats
+// observation it accepts — of an LSN observed once, when there is one —
+// and requires Check to refuse the result.
+func checkTamperedReplicaRead(t *testing.T, h *History, tamper func(*Observation) bool) {
+	t.Helper()
+	counts := map[uint64]int{}
+	for _, e := range h.Events {
+		if e.Obs != nil {
+			counts[e.Obs.LSN]++
 		}
 	}
 	seeded, unique := false, false
 	for pass := 0; pass < 2 && !seeded; pass++ {
+		tampered := deepCopy(t, h)
 		for _, e := range tampered.Events {
-			if e.Server == "" || e.Obs == nil || !e.Obs.HasStats {
+			if e.Server == "" || e.Obs == nil || !e.Obs.HasStats || (pass == 0 && counts[e.Obs.LSN] != 1) {
 				continue
 			}
-			if pass == 0 && counts[reg{e.Server, e.Obs.Snapshot}] != 1 {
+			if seeded, unique = tamper(e.Obs), pass == 0; !seeded {
 				continue
 			}
-			e.Obs.Nodes += 3
-			seeded, unique = true, pass == 0
+			err := Check(tampered)
+			if err == nil {
+				t.Fatal("checker accepted the tampered replica observation")
+			}
+			v, ok := err.(*Violation)
+			if !ok {
+				t.Fatalf("error %v is not a *Violation", err)
+			}
+			if unique && v.Kind != KindVisibility {
+				t.Fatalf("got %v, want kind %q", err, KindVisibility)
+			}
+			if !unique && v.Kind != KindVisibility && v.Kind != KindDeterminism {
+				t.Fatalf("got %v, want a visibility or determinism violation", err)
+			}
 			break
 		}
 	}
 	if !seeded {
 		t.Fatal("no replica stats observation to tamper")
 	}
-	err := Check(tampered)
-	if err == nil {
-		t.Fatal("checker accepted the torn replica observation")
-	}
-	v, ok := err.(*Violation)
-	if !ok {
-		t.Fatalf("error %v is not a *Violation", err)
-	}
-	if unique && v.Kind != KindVisibility {
-		t.Fatalf("got %v, want kind %q", err, KindVisibility)
-	}
-	if !unique && v.Kind != KindVisibility && v.Kind != KindDeterminism {
-		t.Fatalf("got %v, want a visibility or determinism violation", err)
+}
+
+// TestCheckFollowerMislabelCaught: a follower that serves LSN n+1's
+// state under LSN n is caught — by determinism when the leader was
+// read at LSN n, by visibility when it was not.
+func TestCheckFollowerMislabelCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		leader []Event
+		kind   string
+	}{
+		{"leader-read-at-n", []Event{obsEv("r0", 3, 4, statsObs(1, 1, 5, 5))}, KindDeterminism},
+		{"no-leader-read-at-n", nil, KindVisibility},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := History{Writers: spec1(), Replicas: []string{"a"}, Events: append([]Event{
+				ackEv("w0", 1, 1, 1, 2),
+				ackEv("w0", 2, 2, 5, 6),
+				replicaObsEv("a/r0", "a", 7, 8, statsObs(1, 2, 15, 15)), // LSN 2's state, stated as 1
+			}, tc.leader...)}
+			err := Check(&h)
+			if v, ok := err.(*Violation); !ok || v.Kind != tc.kind {
+				t.Fatalf("Check = %v, want kind %q", err, tc.kind)
+			}
+		})
 	}
 }

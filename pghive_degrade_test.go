@@ -62,7 +62,7 @@ func TestENOSPCDegradesToReadOnlyAndCompactionRearms(t *testing.T) {
 	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatalf("pre-fault ingest: %v", err)
 	}
-	snapBefore := d.Stats().Snapshot
+	lsnBefore := d.Stats().LSN
 
 	err := durableIngest(d, stressGraph(t, 1000, 5))
 	var de *pghive.DurabilityError
@@ -87,7 +87,7 @@ func TestENOSPCDegradesToReadOnlyAndCompactionRearms(t *testing.T) {
 	if roe.Reason != pghive.DegradeDiskFull {
 		t.Fatalf("ReadOnlyError reason %q, want %q", roe.Reason, pghive.DegradeDiskFull)
 	}
-	if got := d.Stats(); got.Snapshot != snapBefore || got.Nodes != 5 {
+	if got := d.Stats(); got.LSN != lsnBefore || got.Nodes != 5 {
 		t.Fatalf("degraded reads changed: %+v", got)
 	}
 

@@ -75,36 +75,36 @@ func TestKeyedRetryAppliesExactlyOnceAcrossCrash(t *testing.T) {
 	d := openIdemService(t, mem, 0)
 	g := stressGraph(t, 0, 5)
 	const key = "req-42"
-	_, replayed, err := d.IngestIdempotent(context.Background(), key, g)
+	first, replayed, err := d.IngestIdempotent(context.Background(), key, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed {
-		t.Fatal("first keyed write reported replayed")
+	if replayed || first.LSN != 1 {
+		t.Fatalf("first keyed write: replayed=%v LSN %d, want false/1", replayed, first.LSN)
 	}
 	want := countsOf(d.Stats())
 
 	// Same-process retry first (the ack was lost to the network, not a
-	// crash).
-	if _, replayed, err = d.IngestIdempotent(context.Background(), key, g); err != nil || !replayed {
-		t.Fatalf("in-process retry: replayed=%v err=%v, want true/nil", replayed, err)
+	// crash). Every replay states the first write's LSN.
+	if bt, replayed, err := d.IngestIdempotent(context.Background(), key, g); err != nil || !replayed || bt.LSN != first.LSN {
+		t.Fatalf("in-process retry: replayed=%v LSN %d err=%v, want true/%d/nil", replayed, bt.LSN, err, first.LSN)
 	}
 
 	mem.Crash()
 	d2 := openIdemService(t, mem, 0)
 	defer d2.Close()
-	if _, replayed, err = d2.IngestIdempotent(context.Background(), key, g); err != nil {
+	if bt, replayed, err := d2.IngestIdempotent(context.Background(), key, g); err != nil {
 		t.Fatal(err)
-	} else if !replayed {
-		t.Fatal("post-crash retry of an applied key was not recognized")
+	} else if !replayed || bt.LSN != first.LSN {
+		t.Fatalf("post-crash retry of an applied key: replayed=%v LSN %d, want true/%d", replayed, bt.LSN, first.LSN)
 	}
 	if got := countsOf(d2.Stats()); got != want {
 		t.Fatalf("post-crash retry changed state: %+v, want %+v", got, want)
 	}
 
-	// A fresh key still applies normally.
-	if _, replayed, err = d2.IngestIdempotent(context.Background(), "req-43", stressGraph(t, 1000, 5)); err != nil || replayed {
-		t.Fatalf("fresh key: replayed=%v err=%v, want false/nil", replayed, err)
+	// A fresh key still applies normally, at the next LSN.
+	if bt, replayed, err := d2.IngestIdempotent(context.Background(), "req-43", stressGraph(t, 1000, 5)); err != nil || replayed || bt.LSN != first.LSN+1 {
+		t.Fatalf("fresh key: replayed=%v LSN %d err=%v, want false/%d/nil", replayed, bt.LSN, err, first.LSN+1)
 	}
 	if got := countsOf(d2.Stats()); got.Batches != want.Batches+1 {
 		t.Fatalf("fresh keyed write did not apply: %+v", got)

@@ -48,14 +48,14 @@ func writerGraph(w, i int) *pghive.Graph {
 }
 
 // checkSnapshot asserts one published snapshot is internally
-// consistent. It returns the snapshot sequence number so readers can
-// assert publication order is monotone.
+// consistent. It returns the snapshot's LSN so readers can assert
+// publication order is monotone.
 func checkSnapshot(t *testing.T, snap *pghive.ServiceSnapshot) uint64 {
 	t.Helper()
 	s, st := snap.Schema, snap.Stats
 	if st.NodeTypes != len(s.NodeTypes) || st.EdgeTypes != len(s.EdgeTypes) {
-		t.Errorf("snapshot %d: stats report %d/%d types, schema has %d/%d",
-			st.Snapshot, st.NodeTypes, st.EdgeTypes, len(s.NodeTypes), len(s.EdgeTypes))
+		t.Errorf("LSN %d: stats report %d/%d types, schema has %d/%d",
+			st.LSN, st.NodeTypes, st.EdgeTypes, len(s.NodeTypes), len(s.EdgeTypes))
 	}
 	// Assignments must match the published schema: the per-type
 	// instance tallies of the snapshot sum exactly to the number of
@@ -65,35 +65,35 @@ func checkSnapshot(t *testing.T, snap *pghive.ServiceSnapshot) uint64 {
 	nodeSum, edgeSum := 0, 0
 	for _, nt := range s.NodeTypes {
 		if nt.Instances <= 0 {
-			t.Errorf("snapshot %d: node type %s exposed with %d instances",
-				st.Snapshot, nt.Name(), nt.Instances)
+			t.Errorf("LSN %d: node type %s exposed with %d instances",
+				st.LSN, nt.Name(), nt.Instances)
 		}
 		nodeSum += nt.Instances
 		for l, c := range nt.Labels {
 			if c < 0 || c > nt.Instances {
-				t.Errorf("snapshot %d: type %s label %q count %d outside [0, %d]",
-					st.Snapshot, nt.Name(), l, c, nt.Instances)
+				t.Errorf("LSN %d: type %s label %q count %d outside [0, %d]",
+					st.LSN, nt.Name(), l, c, nt.Instances)
 			}
 		}
 		for k, ps := range nt.Props {
 			if ps.Count <= 0 || ps.Count > nt.Instances {
-				t.Errorf("snapshot %d: type %s property %q count %d outside (0, %d]",
-					st.Snapshot, nt.Name(), k, ps.Count, nt.Instances)
+				t.Errorf("LSN %d: type %s property %q count %d outside (0, %d]",
+					st.LSN, nt.Name(), k, ps.Count, nt.Instances)
 			}
 		}
 	}
 	for _, et := range s.EdgeTypes {
 		if et.Instances <= 0 {
-			t.Errorf("snapshot %d: edge type %s exposed with %d instances",
-				st.Snapshot, et.Name(), et.Instances)
+			t.Errorf("LSN %d: edge type %s exposed with %d instances",
+				st.LSN, et.Name(), et.Instances)
 		}
 		edgeSum += et.Instances
 	}
 	if nodeSum != st.Nodes || edgeSum != st.Edges {
-		t.Errorf("snapshot %d: schema instances sum to %d nodes / %d edges, stats report %d / %d",
-			st.Snapshot, nodeSum, edgeSum, st.Nodes, st.Edges)
+		t.Errorf("LSN %d: schema instances sum to %d nodes / %d edges, stats report %d / %d",
+			st.LSN, nodeSum, edgeSum, st.Nodes, st.Edges)
 	}
-	return st.Snapshot
+	return st.LSN
 }
 
 func TestServiceConcurrentStress(t *testing.T) {
@@ -139,14 +139,14 @@ func TestServiceConcurrentStress(t *testing.T) {
 				snap := svc.Snapshot()
 				seq := checkSnapshot(t, snap)
 				if seq < lastSeq {
-					t.Errorf("snapshot sequence went backwards: %d after %d", seq, lastSeq)
+					t.Errorf("snapshot LSN went backwards: %d after %d", seq, lastSeq)
 				}
 				lastSeq = seq
 				// The base dataset is never retracted, so every
 				// snapshot — whatever the writers are doing — must
 				// still type all of its elements.
 				if rep := svc.Validate(base, pghive.ValidateLoose); !rep.Valid() {
-					t.Errorf("snapshot %d: base graph no longer loose-valid: %v",
+					t.Errorf("LSN %d: base graph no longer loose-valid: %v",
 						seq, rep.Violations[0])
 					return
 				}

@@ -318,8 +318,8 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 
 // TestGroupCommitInGroupDuplicateReplaysOnce: the success side of the
 // same scenario — two concurrent writes with one key yield exactly one
-// applied record and exactly one replayed:true, whether they shared a
-// group or not.
+// applied record and exactly one replayed:true, both acks stating that
+// record's LSN, whether they shared a group or not.
 func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 3, Parallelism: 1}, pghive.DurableOptions{
 		FS: vfs.NewMemFS(), DisableAutoCompact: true,
@@ -338,14 +338,18 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 		dummyDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
-	results := make(chan bool, 2)
+	type keyedRes struct {
+		lsn      uint64
+		replayed bool
+	}
+	results := make(chan keyedRes, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, replayed, err := d.IngestIdempotent(context.Background(), "same-key", stressGraph(t, 1000, 5))
+			bt, replayed, err := d.IngestIdempotent(context.Background(), "same-key", stressGraph(t, 1000, 5))
 			if err != nil {
 				t.Error(err)
 			}
-			results <- replayed
+			results <- keyedRes{bt.LSN, replayed}
 		}()
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -357,10 +361,16 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	replays := 0
-	for i := 0; i < 2; i++ {
-		if <-results {
+	var lsns [2]uint64
+	for i := range lsns {
+		r := <-results
+		if r.replayed {
 			replays++
 		}
+		lsns[i] = r.lsn
+	}
+	if lsns[0] != lsns[1] || lsns[0] == 0 {
+		t.Fatalf("same-key writes acked LSNs %v, want one record's", lsns)
 	}
 	if replays != 1 {
 		t.Fatalf("%d of 2 same-key writes replayed, want exactly 1", replays)

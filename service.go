@@ -29,12 +29,10 @@ type ServiceStats struct {
 	// NodeTypes / EdgeTypes count the snapshot's schema types.
 	NodeTypes int `json:"nodeTypes"`
 	EdgeTypes int `json:"edgeTypes"`
-	// Snapshot is the publication sequence number: 0 for the initial
-	// empty snapshot, incremented on every publish.
-	Snapshot uint64 `json:"snapshot"`
-	// LSN is the last WAL record the snapshot absorbed; zero, and absent
-	// from JSON, on a plain Service, which keeps no log.
-	LSN uint64 `json:"lsn,omitempty"`
+	// LSN names the snapshot: the last write it absorbed — its WAL
+	// record on a DurableService and a Follower, on a plain Service its
+	// count of writes since it was built or restored (0: none yet).
+	LSN uint64 `json:"lsn"`
 }
 
 // ServiceSnapshot is one immutable published state: a private deep
@@ -60,8 +58,8 @@ type Reader struct {
 // (the serving analogue of a stream reader's resolver), so an edge
 // ingested in a later request still resolves endpoint labels for nodes
 // ingested earlier. apply is the ONE rule that advances the state —
-// both owners' group steps (a plain Service's at LSN 0), WAL recovery,
-// Rearm's catch-up and a follower's tail all call it — which makes
+// both owners' group steps, WAL recovery, Rearm's catch-up and a
+// follower's tail all call it — which makes
 // each bit-identical to the run that logged the records. Not safe for
 // concurrent use: an owner that serves it holds mu around every call; a
 // shadow owner (recovery, a follower's bootstrap) is the only goroutine
@@ -76,8 +74,8 @@ type writer struct {
 	commit  func(writeHeld, []*commitReq)
 	logs    bool
 	opts    Options
-	// lsn is the last WAL record the state absorbed: the image's WALSeq
-	// at start, then moved only by apply.
+	// lsn is the last write the state absorbed: the image's WALSeq at
+	// start, then moved only by apply.
 	lsn      uint64
 	inc      *Incremental
 	resolver *Graph // label-only, cross-ingest endpoint bookkeeping
@@ -168,15 +166,16 @@ func newService(w *writer) *Service {
 }
 
 // commitGroup is a plain Service's group step: it applies each request
-// whose context is still live and whose key it has not seen, logging
-// nothing, so snapshots state LSN 0. Requests apply one at a time, so a
-// key applied earlier in the same group answers replayed too.
+// whose context is still live and whose key it has not seen at the
+// next LSN, logging nothing. Requests apply one at a time, so a key
+// applied earlier in the same group answers replayed too, with that
+// write's LSN.
 func (s *Service) commitGroup(_ writeHeld, group []*commitReq) {
 	for _, req := range group {
 		res := commitRes{err: req.ctx.Err()}
 		if res.err == nil {
-			if _, res.replayed = s.w.keys.seen(req.key); !res.replayed { // "" is never seen
-				res.bt = s.w.apply(0, req.key, req.g, req.rec.Type == walRecRetract)
+			if res.bt.LSN, res.replayed = s.w.keys.seen(req.key); !res.replayed { // "" is never seen
+				res.bt = s.w.apply(s.w.lsn+1, req.key, req.g, req.rec.Type == walRecRetract)
 			}
 		}
 		req.res <- res
@@ -242,20 +241,15 @@ func (l writeLock) LockContext(ctx context.Context, handoff chan<- *commitReq, r
 }
 
 // publish clones the live schema, finalizes constraints on the clone,
-// and swaps it in under the next snapshot sequence number, stating the
-// log position it absorbed.
+// and swaps it in under the LSN it absorbed.
 func (w *writer) publish() {
 	if w.out == nil {
 		return
 	}
 	sch := w.inc.Schema().Clone()
 	infer.Finalize(sch, w.opts.Infer)
-	st := ServiceStats{IncrementalStats: w.inc.Stats(),
-		NodeTypes: len(sch.NodeTypes), EdgeTypes: len(sch.EdgeTypes), LSN: w.lsn}
-	if prev := w.out.snap.Load(); prev != nil {
-		st.Snapshot = prev.Stats.Snapshot + 1
-	}
-	w.out.snap.Store(&ServiceSnapshot{Schema: sch, Stats: st})
+	w.out.snap.Store(&ServiceSnapshot{Schema: sch, Stats: ServiceStats{IncrementalStats: w.inc.Stats(),
+		NodeTypes: len(sch.NodeTypes), EdgeTypes: len(sch.EdgeTypes), LSN: w.lsn}})
 }
 
 // ingest runs one batch through the pipeline and publishes. It first
@@ -303,18 +297,21 @@ func (w *writer) retract(g *Graph) BatchTiming {
 	return bt
 }
 
-// apply absorbs the batch logged at lsn, and the idempotency key it
+// apply absorbs the batch written at lsn, and the idempotency key it
 // carried where keys are tracked, through ingest or retract, so the
-// snapshot they publish states lsn.
-func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) BatchTiming {
+// snapshot they publish and the timing it returns state lsn.
+func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) (bt BatchTiming) {
 	w.lsn = lsn
 	if key != "" && w.keys != nil {
 		w.keys.add(key, lsn)
 	}
 	if retract {
-		return w.retract(g)
+		bt = w.retract(g)
+	} else {
+		bt = w.ingest(g)
 	}
-	return w.ingest(g)
+	bt.LSN = lsn
+	return bt
 }
 
 // writeCheckpoint serializes the full state under the write lock (see
@@ -329,8 +326,10 @@ func (w *writer) writeCheckpoint(out io.Writer) error {
 }
 
 // Ingest runs one batch through the pipeline and publishes a fresh
-// snapshot. The graph is read during the call and not retained. It is
-// IngestIdempotent with no deadline and no key, which cannot fail.
+// snapshot, stating its LSN in bt.LSN: a Service numbers its writes
+// 1, 2, … from the state it was built at. The graph is read during the
+// call and not retained. It is IngestIdempotent with no deadline and
+// no key, which cannot fail.
 func (s *Service) Ingest(g *Graph) BatchTiming {
 	bt, _, _ := s.w.write(context.Background(), "", g, false)
 	return bt
@@ -340,8 +339,8 @@ func (s *Service) Ingest(g *Graph) BatchTiming {
 // optional idempotency key ("" for none). If ctx ends before the write
 // is admitted, nothing is applied and ctx's error is returned; an
 // admitted batch runs to completion, so a snapshot is never half a
-// batch. A key already applied answers replayed and applies nothing.
-// The keys live in memory only, the newest 65,536: a restart or
+// batch. A key already applied answers replayed, with the first
+// write's LSN, and applies nothing. The keys live in memory only, the newest 65,536: a restart or
 // RestoreService forgets them (a DurableService logs them).
 func (s *Service) IngestIdempotent(ctx context.Context, key string, g *Graph) (bt BatchTiming, replayed bool, err error) {
 	return s.w.write(ctx, key, g, false)
