@@ -2,7 +2,11 @@ package pg
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +63,195 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("round-trip of accepted input failed: %v\ninput: %q", err, data)
 		}
 	})
+}
+
+// FuzzJSONLMatchesRef holds the hand-written codec in io.go to the
+// encoding/json one kept in io_ref_test.go. On every input both readers
+// accept it or both refuse it, at the same line; what they accept, the
+// two writers encode to the same bytes. The exception is a line with a
+// quirk encoding/json lets through and the reader refuses on purpose
+// (jsonlQuirk): the reader refuses at the first such line, unless the
+// reference refused an earlier one. The writers are also held to each
+// other on a graph whose strings are the raw input, invalid UTF-8 and
+// all, which no decoded graph holds; and ParseLexical to the one the
+// reference used, on the raw input.
+func FuzzJSONLMatchesRef(f *testing.F) {
+	for _, seed := range jsonlQuirks {
+		f.Add(seed.line)
+	}
+	f.Add(`{"kind":"node","id":1,"labels":["Person"],"props":{"name":{"t":"string","v":"Alice"},"age":{"t":"int","v":"30"}}}` + "\n" +
+		`{"kind":"edge","id":1,"labels":["KNOWS"],"src":1,"dst":2,"props":{"since":{"t":"date","v":"2020-01-02"}}}`)
+	f.Add(`{"kind":"node","id":2,"props":{"x":5,"y":1.5,"z":true,"s":"hi","d":"2020-01-02","n":-0,"e":1E400}}`)
+	f.Add(`{"kind":"node","id":1,"props":{"x":{"t":"datetime","v":"2020-01-02 10:00:00"},"y":{"v":"7"},"z":{"t":"bool","v":"yes"}}}`)
+	f.Add(" { \"kind\" : \"node\" , \"id\" : 3 , \"labels\" : [ \"a\\u003c\\/b\" ] } \r\n\n{\"kind\":\"node\",\"id\":3}")
+	f.Add("{\"kind\":\"node\",\"id\":1,\"labels\":[\"\\ud83d\\ude00\\ud800\\u0041\\udc00\",\"\u2028<&>\x01\"]}")
+	f.Add(`{"kind":"node","id":01}`)
+	lexical := []string{"+5", "-", "+", ".5", "5.", "1e5", "1E+5", "9223372036854775808", "1e400", "0x1p-2", "0x_1p0", "1_000",
+		"Inf", "-infinity", "+nan", "NaN", "infin", "TRUE", "2020-01-02", "2020-1-02", "2020-01-02T10:00:00Z",
+		"2020-01-02T1:04:05+01:00", "2020-01-02 10:00:00", "2020-01-02T10:00:00.5Z", "20200-01-02", "x"}
+	props := make([]string, len(lexical))
+	for i, s := range lexical {
+		f.Add(s)
+		props[i] = strconv.Quote(s) + ":" + strconv.Quote(s)
+	}
+	f.Add(`{"kind":"node","id":1,"props":{` + strings.Join(props, ",") + `}}`)
+	f.Add(`{"kind":"edge","id":1,"src":1,"dst":2}` + "\n" + `{"kind":"edge","id":1}`)
+
+	f.Fuzz(func(t *testing.T, data string) {
+		got, err := ReadJSONL(strings.NewReader(data), true)
+		want, refErr := refReadJSONL(strings.NewReader(data), true)
+		wantLine := errorLine(t, refErr)
+		if q := jsonlQuirkLine(data); q > 0 && (refErr == nil || q < wantLine) {
+			wantLine = q
+		}
+		if gotLine := errorLine(t, err); (err == nil) != (wantLine == 0) || gotLine != wantLine {
+			t.Fatalf("reader: %v\nreference: %v (quirk line %d)\ninput: %q", err, refErr, jsonlQuirkLine(data), data)
+		}
+		if err == nil {
+			assertSameJSONL(t, got, want)
+		}
+
+		if got, want := ParseLexical(data), refParseLexical(data); got.Kind() != want.Kind() || !got.Equal(want) {
+			t.Fatalf("ParseLexical(%q) = %#v, reference %#v", data, got, want)
+		}
+		raw := NewGraph()
+		raw.AllowDanglingEdges(true)
+		_ = raw.PutNode(1, []string{data, "x"}, map[string]Value{data: Str(data), "k": ParseLexical(data)})
+		_ = raw.PutEdge(-1, []string{data}, 1, -1, map[string]Value{data: Float(float64(len(data)) / 3)})
+		assertSameJSONL(t, raw, raw)
+	})
+}
+
+// assertSameJSONL fails unless WriteJSONL(got) and the reference
+// writer's bytes for want are equal.
+func assertSameJSONL(t *testing.T, got, want *Graph) {
+	t.Helper()
+	var gotB, wantB bytes.Buffer
+	if err := WriteJSONL(&gotB, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteJSONL(&wantB, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotB.Bytes(), wantB.Bytes()) {
+		t.Fatalf("writers differ:\n got  %q\n want %q", gotB.Bytes(), wantB.Bytes())
+	}
+}
+
+var lineOfError = regexp.MustCompile(`^pg: line (\d+)[:,]`)
+
+// errorLine is the line a reader's error names, or 0 for no error.
+func errorLine(t *testing.T, err error) int {
+	t.Helper()
+	if err == nil {
+		return 0
+	}
+	m := lineOfError.FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("error names no line: %v", err)
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// jsonlQuirkLine is the first line, split as bufio.Scanner splits
+// lines, with a quirk (jsonlQuirk), or 0.
+func jsonlQuirkLine(data string) int {
+	for i, line := range strings.Split(data, "\n") {
+		if jsonlQuirk([]byte(strings.TrimSuffix(line, "\r"))) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// jsonlQuirk reports whether encoding/json, reading line as an element,
+// would let through what the reader refuses: a field name that is not
+// one of the element's (a different case of one included), a name
+// twice in one object, or a null label. It reads the line with
+// encoding/json's own tokenizer, so it decodes names as the reference
+// does.
+func jsonlQuirk(line []byte) bool {
+	if !json.Valid(line) {
+		return false // the reference refuses it too
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	el, ok := readJSONTree(dec).([]jsonMember)
+	if !ok {
+		return false
+	}
+	if quirkyObject(el, "kind", "id", "labels", "src", "dst", "props") {
+		return true
+	}
+	for _, m := range el {
+		switch v := m.val.(type) {
+		case []any:
+			if m.key == "labels" && slices.Contains(v, nil) {
+				return true
+			}
+		case []jsonMember:
+			if m.key != "props" {
+				continue
+			}
+			if quirkyObject(v) {
+				return true
+			}
+			for _, p := range v {
+				if tv, ok := p.val.([]jsonMember); ok && quirkyObject(tv, "t", "v") {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// quirkyObject reports whether obj repeats a name, or has one outside
+// names when names are given.
+func quirkyObject(obj []jsonMember, names ...string) bool {
+	seen := map[string]bool{}
+	for _, m := range obj {
+		if seen[m.key] || (len(names) > 0 && !slices.Contains(names, m.key)) {
+			return true
+		}
+		seen[m.key] = true
+	}
+	return false
+}
+
+// jsonMember is one name/value pair of an object, kept in order and
+// with repeats.
+type jsonMember struct {
+	key string
+	val any
+}
+
+// readJSONTree reads one value of valid JSON: an object as
+// []jsonMember, an array as []any, a scalar as its token.
+func readJSONTree(dec *json.Decoder) any {
+	tok, err := dec.Token()
+	if err != nil {
+		panic(err) // the input is valid JSON
+	}
+	switch tok {
+	case json.Delim('{'):
+		var obj []jsonMember
+		for dec.More() {
+			key, _ := dec.Token()
+			obj = append(obj, jsonMember{key.(string), readJSONTree(dec)})
+		}
+		_, _ = dec.Token()
+		return obj
+	case json.Delim('['):
+		arr := []any{}
+		for dec.More() {
+			arr = append(arr, readJSONTree(dec))
+		}
+		_, _ = dec.Token()
+		return arr
+	}
+	return tok
 }
 
 // FuzzReadCSV hardens the CSV ingestion path: arbitrary node and

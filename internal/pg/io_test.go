@@ -2,6 +2,7 @@ package pg
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -184,5 +185,120 @@ func TestJSONLTaglessObjectStaysString(t *testing.T) {
 	v := g.Node(1).Props["zip"]
 	if v.Kind() != KindString || v.AsString() != "02134" {
 		t.Fatalf("tagless object value = %#v, want Str(\"02134\")", v)
+	}
+}
+
+// jsonlQuirks are the decisions the reader takes where encoding/json,
+// which read JSONL before it, had a quirk. Each line is read by the
+// reader and by the reference kept in io_ref_test.go: want is what the
+// reader makes of it and ref what the reference made of it, as the
+// JSONL WriteJSONL writes back, "" for a refusal.
+//
+// The reader refuses what encoding/json let through with a guess:
+// field names in another case, names it does not know, a name twice
+// in one object, a null label. It keeps what is plain JSON: null for a
+// field is the field left out, an ID is an integer literal, \u escapes
+// and invalid UTF-8 decode as encoding/json decodes them.
+var jsonlQuirks = []struct {
+	name, line, want, ref string
+}{
+	{"field name in another case", `{"Kind":"node","ID":1}`,
+		"", `{"kind":"node","id":1}`},
+	{"field name folding to one", "{\"kind\":\"node\",\"id\":1,\"label\u017f\":[\"A\"]}",
+		"", `{"kind":"node","id":1,"labels":["A"]}`},
+	{"tag field name in another case", `{"kind":"node","id":1,"props":{"x":{"T":"int","V":"5"}}}`,
+		"", `{"kind":"node","id":1,"props":{"x":{"t":"int","v":"5"}}}`},
+	{"duplicate field", `{"kind":"node","id":1,"id":2}`,
+		"", `{"kind":"node","id":2}`},
+	{"duplicate props merge", `{"kind":"node","id":1,"props":{"a":1},"props":{"b":2}}`,
+		"", `{"kind":"node","id":1,"props":{"a":{"t":"int","v":"1"},"b":{"t":"int","v":"2"}}}`},
+	{"duplicate property", `{"kind":"node","id":1,"props":{"a":1,"a":2}}`,
+		"", `{"kind":"node","id":1,"props":{"a":{"t":"int","v":"2"}}}`},
+	{"duplicate tag", `{"kind":"node","id":1,"props":{"a":{"t":"int","t":"float","v":"5"}}}`,
+		"", `{"kind":"node","id":1,"props":{"a":{"t":"float","v":"5"}}}`},
+	{"unknown field", `{"kind":"node","id":1,"lables":["A"]}`,
+		"", `{"kind":"node","id":1}`},
+	{"unknown tag field", `{"kind":"node","id":1,"props":{"a":{"t":"int","v":"5","unit":"kg"}}}`,
+		"", `{"kind":"node","id":1,"props":{"a":{"t":"int","v":"5"}}}`},
+	{"null label", `{"kind":"node","id":1,"labels":["A",null]}`,
+		"", `{"kind":"node","id":1,"labels":["","A"]}`},
+	{"null labels and props", `{"kind":"node","id":1,"labels":null,"props":null}`,
+		`{"kind":"node","id":1}`, `{"kind":"node","id":1}`},
+	{"null id", `{"kind":"node","id":null,"labels":["A"]}`,
+		`{"kind":"node","id":0,"labels":["A"]}`, `{"kind":"node","id":0,"labels":["A"]}`},
+	{"null tag and value", `{"kind":"node","id":1,"props":{"a":{"t":null,"v":null}}}`,
+		`{"kind":"node","id":1,"props":{"a":{"t":"string","v":""}}}`, `{"kind":"node","id":1,"props":{"a":{"t":"string","v":""}}}`},
+	{"null kind", `{"kind":null,"id":1}`, "", ""},
+	{"id 1.0", `{"kind":"node","id":1.0}`, "", ""},
+	{"id 1e3", `{"kind":"node","id":1e3}`, "", ""},
+	{"id past int64", `{"kind":"node","id":9223372036854775808}`, "", ""},
+	{"id -0", `{"kind":"node","id":-0}`,
+		`{"kind":"node","id":0}`, `{"kind":"node","id":0}`},
+	{"untagged number forms", `{"kind":"node","id":1,"props":{"a":-0,"b":1.0,"c":1e3,"d":9223372036854775808}}`,
+		`{"kind":"node","id":1,"props":{"a":{"t":"int","v":"0"},"b":{"t":"float","v":"1"},"c":{"t":"float","v":"1000"},"d":{"t":"float","v":"9.223372036854776e+18"}}}`,
+		`{"kind":"node","id":1,"props":{"a":{"t":"int","v":"0"},"b":{"t":"float","v":"1"},"c":{"t":"float","v":"1000"},"d":{"t":"float","v":"9.223372036854776e+18"}}}`},
+	{"surrogate pair", `{"kind":"node","id":1,"labels":["\ud83d\ude00"]}`,
+		"{\"kind\":\"node\",\"id\":1,\"labels\":[\"\U0001F600\"]}", "{\"kind\":\"node\",\"id\":1,\"labels\":[\"\U0001F600\"]}"},
+	{"lone surrogates", `{"kind":"node","id":1,"labels":["\ud800A\udc00\ud83d"]}`,
+		"{\"kind\":\"node\",\"id\":1,\"labels\":[\"\ufffdA\ufffd\ufffd\"]}", "{\"kind\":\"node\",\"id\":1,\"labels\":[\"\ufffdA\ufffd\ufffd\"]}"},
+	{"invalid UTF-8", "{\"kind\":\"node\",\"id\":1,\"labels\":[\"a\xffb\xed\xa0\x80\"]}",
+		"{\"kind\":\"node\",\"id\":1,\"labels\":[\"a\ufffdb\ufffd\ufffd\ufffd\"]}", "{\"kind\":\"node\",\"id\":1,\"labels\":[\"a\ufffdb\ufffd\ufffd\ufffd\"]}"},
+	{"invalid UTF-8 outside a string", "{\"kind\":\"node\",\"id\":1}\xff", "", ""},
+}
+
+// TestJSONLQuirks pins each decision in jsonlQuirks, for the reader and
+// for the reference, so the table shows where the two part.
+func TestJSONLQuirks(t *testing.T) {
+	read := func(read func(io.Reader, bool) (*Graph, error), line string) string {
+		g, err := read(strings.NewReader(line), true)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "pg: line 1") {
+				t.Errorf("error names no line: %v", err)
+			}
+			return ""
+		}
+		var b bytes.Buffer
+		if err := WriteJSONL(&b, g); err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(b.String(), "\n")
+	}
+	for _, q := range jsonlQuirks {
+		t.Run(q.name, func(t *testing.T) {
+			if got := read(ReadJSONL, q.line); got != q.want {
+				t.Errorf("reader: %q, want %q", got, q.want)
+			}
+			if got := read(refReadJSONL, q.line); got != q.ref {
+				t.Errorf("reference: %q, want %q", got, q.ref)
+			}
+		})
+	}
+}
+
+// WriteJSONL writes a string that is not UTF-8 as encoding/json did:
+// each invalid byte as the escape \ufffd, which reads back as U+FFFD.
+func TestWriteJSONLInvalidUTF8(t *testing.T) {
+	g := NewGraph()
+	g.AddNode([]string{"a\xffb"}, map[string]Value{"k\xfe": Str("\xc0<\u2028>")})
+	var got, want bytes.Buffer
+	if err := WriteJSONL(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteJSONL(&want, g); err != nil {
+		t.Fatal(err)
+	}
+	const line = `{"kind":"node","id":0,"labels":["a\ufffdb"],"props":{"k\ufffd":{"t":"string","v":"\ufffd\u003c\u2028\u003e"}}}` + "\n"
+	if got.String() != line || want.String() != line {
+		t.Fatalf("wrote %q, reference %q, want %q", got.String(), want.String(), line)
+	}
+}
+
+// A line over the 16 MiB cap is refused with its line number, like
+// every other refusal.
+func TestJSONLOverlongLineNamesLine(t *testing.T) {
+	in := `{"kind":"node","id":1}` + "\n" + `{"kind":"node","id":2,"labels":["` + strings.Repeat("a", 1<<24) + `"]}` + "\n"
+	_, err := ReadJSONL(strings.NewReader(in), true)
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("ReadJSONL: %v, want an error naming line 2", err)
 	}
 }

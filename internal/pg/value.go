@@ -177,19 +177,31 @@ func (v Value) GoString() string {
 // lexical form: integer, then float, then boolean, then ISO date /
 // date-time via format checks, defaulting to string. It returns the
 // most specific Value the text is compatible with.
+//
+// A parser is tried only on text it could accept, since a parse that
+// fails allocates its error: a word that is none of the kinds costs
+// nothing to infer, which keeps a hostile WAL record's decode within
+// its allocation bound (walInflateRatio).
 func ParseLexical(s string) Value {
 	if s == "" {
 		return Str(s)
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i)
+	if mayBeInt(s) {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return Int(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f)
+	if mayBeFloat(s) {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return Float(f)
+		}
 	}
 	switch s {
 	case "true", "false", "TRUE", "FALSE", "True", "False":
 		return Bool(strings.EqualFold(s, "true"))
+	}
+	if !mayBeDate(s) {
+		return Str(s)
 	}
 	if t, err := time.Parse("2006-01-02", s); err == nil {
 		return Date(t)
@@ -201,4 +213,40 @@ func ParseLexical(s string) Value {
 		return DateTime(t)
 	}
 	return Str(s)
+}
+
+// mayBeInt reports whether s is a sign and decimal digits, all that
+// strconv.ParseInt accepts in base 10.
+func mayBeInt(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	return s != "" && digitsOnly(s)
+}
+
+// mayBeFloat reports whether s could be a float to strconv.ParseFloat:
+// after a sign, a digit or '.', or inf, infinity or nan in any case.
+func mayBeFloat(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	if s != "" && ('0' <= s[0] && s[0] <= '9' || s[0] == '.') {
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+}
+
+// mayBeDate reports whether s starts the way every layout ParseLexical
+// tries does: a four-digit year, then '-', and at least a day after.
+func mayBeDate(s string) bool {
+	return len(s) >= len("2006-01-02") && digitsOnly(s[:4]) && s[4] == '-'
+}
+
+func digitsOnly(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
