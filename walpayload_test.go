@@ -184,8 +184,8 @@ func TestWALBytesPerWrite(t *testing.T) {
 
 // TestLargeBatchDeflatesWithinBound: a bulk load is longer than one
 // window. The encoder stores the windows that would take the stream past
-// the decoder's bound and deflates the rest, so the batch still logs in
-// about half its JSONL, and decodes to the same JSONL.
+// the decoder's bound and deflates the rest, so the batch logs in about
+// a quarter of its JSONL (26.3% here), and decodes to the same JSONL.
 func TestLargeBatchDeflatesWithinBound(t *testing.T) {
 	g := datagen.Generate(datagen.LDBC(), 0.3, 1).Graph
 	var want, got bytes.Buffer
@@ -200,8 +200,8 @@ func TestLargeBatchDeflatesWithinBound(t *testing.T) {
 	if want.Len() < 4*flateWindow {
 		t.Fatalf("a %d-byte batch is too short to span windows", want.Len())
 	}
-	if 5*len(payload) > 3*want.Len() {
-		t.Fatalf("a %d-byte batch logs in %d bytes, want at most 60%%", want.Len(), len(payload))
+	if 100*len(payload) > 27*want.Len() {
+		t.Fatalf("a %d-byte batch logs in %d bytes, want at most 27%%", want.Len(), len(payload))
 	}
 	key, back, err := decodeWALRecordPayload(payload)
 	if err != nil {
