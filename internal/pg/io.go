@@ -74,9 +74,9 @@ type jsonlEncoder struct {
 	keys []string // one element's property keys, sorted
 }
 
-// flush writes the buffer out once it holds at least min bytes.
-func (e *jsonlEncoder) flush(min int) error {
-	if len(e.buf) < min {
+// flush writes the buffer out once it holds at least atLeast bytes.
+func (e *jsonlEncoder) flush(atLeast int) error {
+	if len(e.buf) < atLeast {
 		return nil
 	}
 	_, err := e.w.Write(e.buf)
@@ -124,29 +124,33 @@ func (e *jsonlEncoder) element(head string, id ID, labels []string, src, dst ID,
 	e.buf = append(b, '}', '\n')
 }
 
-// appendJSONValue appends v's tagged wire form, {"t":tag,"v":lexical}.
-// Only a string's lexical form can hold a byte JSON escapes; the others
-// are digits, signs, letters and '.', ':', '-', '+'.
+// appendJSONValue appends v's tagged wire form, {"t":tag,"v":lexical};
+// the zero Value is written as an empty string. Only a string's
+// lexical form can hold a byte JSON escapes; the others are digits,
+// signs, letters and '.', ':', '-', '+'.
 func appendJSONValue(b []byte, v Value) []byte {
-	switch v.kind {
+	kind := v.kind
+	if kind == KindInvalid {
+		kind = KindString
+	}
+	b = append(b, `{"t":"`...)
+	b = append(b, tagNames[kind]...)
+	b = append(b, `","v":`...)
+	if kind == KindString {
+		return append(appendJSONString(b, v.str), '}')
+	}
+	b = append(b, '"')
+	switch kind {
 	case KindInt:
-		b = append(b, `{"t":"int","v":"`...)
 		b = strconv.AppendInt(b, v.num, 10)
 	case KindFloat:
-		b = append(b, `{"t":"float","v":"`...)
 		b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	case KindBool:
-		b = append(b, `{"t":"bool","v":"`...)
 		b = strconv.AppendBool(b, v.num != 0)
 	case KindDate:
-		b = append(b, `{"t":"date","v":"`...)
 		b = v.AsTime().AppendFormat(b, "2006-01-02")
 	case KindDateTime:
-		b = append(b, `{"t":"datetime","v":"`...)
 		b = v.AsTime().AppendFormat(b, time.RFC3339)
-	default:
-		b = append(b, `{"t":"string","v":`...)
-		return append(appendJSONString(b, v.str), '}')
 	}
 	return append(b, '"', '}')
 }
@@ -254,24 +258,17 @@ var tagNames = [...]string{
 	KindString:   "string",
 }
 
-// tagKind is the kind a wire type tag names.
+// tagKind is the kind a wire type tag names. The tagless object form
+// {"v":"..."} has always meant string (only plain JSON scalars go
+// through inference), so existing hand-written files keep their kinds.
 func tagKind(tag []byte) (Kind, bool) {
-	switch string(tag) {
-	case "int":
-		return KindInt, true
-	case "float":
-		return KindFloat, true
-	case "bool":
-		return KindBool, true
-	case "date":
-		return KindDate, true
-	case "datetime":
-		return KindDateTime, true
-	case "string", "":
-		// The tagless object form {"v":"..."} has always meant string
-		// (only plain JSON scalars go through inference), so existing
-		// hand-written files keep their kinds.
+	if len(tag) == 0 {
 		return KindString, true
+	}
+	for k, name := range tagNames {
+		if name != "" && name == string(tag) {
+			return Kind(k), true
+		}
 	}
 	return KindInvalid, false
 }
