@@ -23,7 +23,6 @@ package pg
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -301,17 +300,23 @@ type jsonlDecoder struct {
 	labels []string
 	props  []jsonlProp
 	text   []byte // the line's property value strings, unescaped
+	lits   []byte // the text of the line's other property values
 	name   []byte // the string being read
 }
 
-// jsonlProp is a property of the line being decoded. A string value
-// is made once the line's strings are one string.
+// jsonlProp is a property of the line being decoded. Its value is made
+// once the whole line is read, from text[start:end] if text is set and
+// from lits[start:end] if not, so that the line's string values can be
+// cut out of one string. It is kept small: a line may hold a property
+// every five bytes, and this scratch is what such a line costs most.
 type jsonlProp struct {
 	key        string
-	val        Value
-	fromText   bool // the value is text[start:end]
-	infer      bool // for fromText: untagged, so run through ParseLexical
-	start, end int
+	start, end int32
+	text       bool
+	// In text, KindString, or KindInvalid for a plain JSON string to
+	// infer with ParseLexical; in lits, the wire type tag (KindBool for
+	// a plain JSON boolean), or KindInvalid for a plain JSON number.
+	tag Kind
 }
 
 // maxInterned bounds the intern table, so a stream that keeps
@@ -355,12 +360,7 @@ var (
 // decode reads one line.
 func (d *jsonlDecoder) decode(line []byte) (el jsonlElement, err error) {
 	d.data, d.pos = line, 0
-	d.labels, d.props, d.text = d.labels[:0], d.props[:0], d.text[:0]
-	// Every property is written with a ':', so this many always
-	// suffice: the scratch grows once, to its size, not by doubling.
-	if n := bytes.Count(line, []byte{':'}); cap(d.props) < n {
-		d.props = make([]jsonlProp, 0, n)
-	}
+	d.labels, d.props, d.text, d.lits = d.labels[:0], d.props[:0], d.text[:0], d.lits[:0]
 	err = d.object(elementFields, func(field int) (err error) {
 		switch field {
 		case 0:
@@ -429,8 +429,9 @@ func (d *jsonlDecoder) object(names []string, member func(int) error) error {
 	return nil
 }
 
-// propMap builds the line's property map, parsing the values written
-// as strings out of one string holding all of the line's text.
+// propMap builds the line's property map: it cuts the string values
+// out of one string holding all of the line's text and parses the
+// others.
 func (d *jsonlDecoder) propMap() (map[string]Value, error) {
 	if len(d.props) == 0 {
 		return nil, nil
@@ -442,18 +443,41 @@ func (d *jsonlDecoder) propMap() (map[string]Value, error) {
 	m := make(map[string]Value, len(d.props))
 	for i := range d.props {
 		p := &d.props[i]
+		var v Value
+		var err error
 		switch {
-		case p.fromText && p.infer:
-			p.val = ParseLexical(text[p.start:p.end])
-		case p.fromText:
-			p.val = Str(text[p.start:p.end])
+		case p.text && p.tag == KindString:
+			v = Str(text[p.start:p.end])
+		case p.text:
+			v = ParseLexical(text[p.start:p.end])
+		case p.tag == KindInvalid:
+			v, err = numberValue(string(d.lits[p.start:p.end]))
+		default:
+			v, err = fromJSONValue(p.tag, string(d.lits[p.start:p.end]))
 		}
-		m[p.key] = p.val
+		if err != nil {
+			return nil, fmt.Errorf("property %q: %w", p.key, err)
+		}
+		m[p.key] = v
 		if len(m) <= i {
 			return nil, fmt.Errorf("duplicate property %q", p.key)
 		}
 	}
 	return m, nil
+}
+
+// numberValue is the value of a plain JSON number: an int if it has
+// no fraction or exponent and fits, a float if not.
+func numberValue(lit string) (Value, error) {
+	if mayBeInt(lit) {
+		if i, err := strconv.ParseInt(lit, 10, 64); err == nil {
+			return Int(i), nil
+		}
+	}
+	if f, err := strconv.ParseFloat(lit, 64); err == nil {
+		return Float(f), nil
+	}
+	return Value{}, fmt.Errorf("number %s is out of range", strings.Clone(lit))
 }
 
 func (d *jsonlDecoder) kind() (string, error) {
@@ -520,6 +544,12 @@ func (d *jsonlDecoder) propList() error {
 		if err := d.propValue(&p); err != nil {
 			return fmt.Errorf("property %q: %w", p.key, err)
 		}
+		// Doubled as it fills, the scratch has cost at most four entries
+		// for each property of the longest line; append, which grows a
+		// long slice by a quarter at a time, would cost about six.
+		if len(d.props) == cap(d.props) {
+			d.props = append(make([]jsonlProp, 0, max(16, 2*len(d.props))), d.props...)
+		}
 		d.props = append(d.props, p)
 		if d.accept('}') {
 			return nil
@@ -531,23 +561,23 @@ func (d *jsonlDecoder) propList() error {
 }
 
 // propValue reads a tagged {"t":...,"v":...} object, whose fields may
-// come in either order or be absent, or a plain JSON scalar.
+// come in either order or be absent, or a plain JSON scalar, and keeps
+// its text for propMap.
 func (d *jsonlDecoder) propValue(p *jsonlProp) (err error) {
+	var lit []byte
 	switch {
 	case d.literal("true"):
-		p.val = Bool(true)
+		p.tag, lit = KindBool, d.data[d.pos-len("true"):d.pos]
 	case d.literal("false"):
-		p.val = Bool(false)
+		p.tag, lit = KindBool, d.data[d.pos-len("false"):d.pos]
 	case d.literal("null"):
 		return d.fail("null is not a valid property value")
 	case d.peek('"'):
-		p.fromText, p.infer = true, true
-		p.start = len(d.text)
-		d.text, err = d.appendString(d.text)
-		p.end = len(d.text)
+		p.text = true
+		return d.appendText(p)
 	case d.peek('{'):
 		tag := KindString
-		p.start, p.end = len(d.text), len(d.text)
+		p.start, p.end = int32(len(d.text)), int32(len(d.text))
 		err = d.object(valueFields, func(field int) (err error) {
 			if field == 0 {
 				if err := d.str(); err != nil {
@@ -559,32 +589,33 @@ func (d *jsonlDecoder) propValue(p *jsonlProp) (err error) {
 				}
 				return nil
 			}
-			p.start = len(d.text)
-			d.text, err = d.appendString(d.text)
-			p.end = len(d.text)
-			return err
+			return d.appendText(p)
 		})
+		p.tag = tag
 		if err != nil || tag == KindString {
-			p.fromText = true
+			p.text = true
 			return err
 		}
-		// A typed value is parsed now, so its text stays out of the
-		// string the line's string values share.
-		p.val, err = fromJSONValue(tag, string(d.text[p.start:p.end]))
+		// A typed value's text stays out of the string the line's
+		// string values share.
+		lit = d.text[p.start:p.end]
 		d.text = d.text[:p.start]
 	default:
-		lit, err := d.number()
-		if err != nil {
+		if lit, err = d.number(); err != nil {
 			return err
 		}
-		if i, err := strconv.ParseInt(string(lit), 10, 64); err == nil {
-			p.val = Int(i)
-		} else if f, err := strconv.ParseFloat(string(lit), 64); err == nil {
-			p.val = Float(f)
-		} else {
-			return d.fail(fmt.Sprintf("number %s is out of range", lit))
-		}
 	}
+	p.start = int32(len(d.lits))
+	d.lits = append(d.lits, lit...)
+	p.end = int32(len(d.lits))
+	return nil
+}
+
+// appendText reads a JSON string into text, as p's value.
+func (d *jsonlDecoder) appendText(p *jsonlProp) (err error) {
+	p.start = int32(len(d.text))
+	d.text, err = d.appendString(d.text)
+	p.end = int32(len(d.text))
 	return err
 }
 

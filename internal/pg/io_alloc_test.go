@@ -2,8 +2,10 @@ package pg_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/pghive/pghive/internal/datagen"
@@ -81,5 +83,96 @@ func TestWriteJSONLAllocs(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hostileJSONL are the lines that cost ReadJSONL the most per byte, each
+// built to about size bytes. What the reader allocates is bounded per
+// thing a line can hold, at the fewest bytes that thing can take:
+//
+//   - a property, five bytes at least (`"":0,`): a 32-byte scratch entry,
+//     four of them at most as the scratch doubles, and a slot in the
+//     property map, which is sized for every property the line names;
+//   - a label, three bytes at least (`"",`): a 16-byte scratch entry,
+//     which append grows to about six of, and the graph's copy;
+//   - a string byte: the unescaped text, grown the same way, and the one
+//     string a line's string values share;
+//   - an element, 23 bytes at least: the graph's node or edge and its
+//     index entry;
+//   - any byte: the line buffer, which doubles up to the longest line.
+//
+// Property names that repeat still count towards the map's size: the
+// line is refused only once its map is built.
+func hostileJSONL(size int) map[string][]byte {
+	repeat := func(head, item, tail string) []byte {
+		n := (size - len(head) - len(tail)) / (len(item) + 1)
+		return []byte(head + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + tail)
+	}
+	var elements strings.Builder
+	for id := 1; elements.Len() < size; id++ {
+		fmt.Fprintf(&elements, "{\"kind\":\"node\",\"id\":%d}\n", id)
+	}
+	return map[string][]byte{
+		"colons in a string":  []byte(`{"kind":"node","id":1,"props":{"s":"` + strings.Repeat(":", size) + `"}}`),
+		"repeated properties": repeat(`{"kind":"node","id":1,"props":{`, `"":0`, `}}`),
+		"short properties":    shortProps(size),
+		"empty labels":        repeat(`{"kind":"node","id":1,"labels":[`, `""`, `]}`),
+		"bare elements":       []byte(elements.String()),
+	}
+}
+
+// shortProps is a node line of about size bytes holding distinct
+// properties with the shortest names there are.
+func shortProps(size int) []byte {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+	b := []byte(`{"kind":"node","id":1,"props":{`)
+	for i := 0; len(b) < size; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		for n := i; ; n = n/len(alphabet) - 1 {
+			b = append(b, alphabet[n%len(alphabet)])
+			if n < len(alphabet) {
+				break
+			}
+		}
+		b = append(b, `":0`...)
+	}
+	return append(b, "}}"...)
+}
+
+// maxReadJSONLBytesPerByte is the most ReadJSONL may allocate per
+// JSONL byte, whatever the JSONL: the WAL's inflation bound
+// (walInflateRatio) rests on it.
+const maxReadJSONLBytesPerByte = 64
+
+// TestReadJSONLHostileAllocsPerByte pins ReadJSONL's allocation on the
+// costliest lines there are, across a range of sizes, since a map or a
+// slice costs the most per entry just past a size it grows at. The
+// costliest, repeated properties, measures 50 bytes per byte, with
+// Go 1.24's maps and with the older layout (GOEXPERIMENT=noswissmap).
+// A string full of colons costs no more than other text: 5.5.
+func TestReadJSONLHostileAllocsPerByte(t *testing.T) {
+	worst := map[string]float64{}
+	for size := 128 << 10; size < 256<<10; size += 16 << 10 {
+		for name, data := range hostileJSONL(size) {
+			var err error
+			b, _ := allocsPerRun(1, func() { _, err = pg.ReadJSONL(bytes.NewReader(data), true) })
+			if err != nil && name != "repeated properties" {
+				t.Fatalf("%s: %v", name, err)
+			}
+			worst[name] = max(worst[name], b/float64(len(data)))
+		}
+	}
+	for name, perByte := range worst {
+		t.Logf("%s: %.1f bytes per JSONL byte", name, perByte)
+		limit := float64(maxReadJSONLBytesPerByte)
+		if name == "colons in a string" {
+			limit = 8
+		}
+		if perByte > limit {
+			t.Errorf("%s: ReadJSONL allocates %.1f bytes per JSONL byte, want at most %.0f", name, perByte, limit)
+		}
 	}
 }
