@@ -45,14 +45,15 @@ const MaxIdempotencyKeyLen = 255
 // walInflateRatio and walInflateSlack bound what a payload's DEFLATE
 // stream may inflate to: ratio × its compressed size, plus the slack.
 // The bound keeps decoding a payload within 1 MiB + 256 bytes of
-// allocation per payload byte (FuzzWALPayload): ReadJSONL allocates up
-// to about 41 bytes per JSONL byte on the costliest shape measured (a
-// line of thousands of short integer properties; 4.5 on LDBC), so the
-// ratio cannot be above 6, and 5 leaves a margin. The slack lets an
-// ordinary write compress whole. A bulk load deflates almost every
-// window and logs about a quarter of its JSONL.
+// allocation per payload byte (FuzzWALPayload). ReadJSONL allocates at
+// most 64 bytes per JSONL byte on the costliest lines there are
+// (internal/pg's TestReadJSONLHostileAllocsPerByte; properties five
+// bytes apart measure 50, LDBC 4.5), so a ratio of 3 spends at most
+// 192 of the 256 bytes, and the slack at most 512 KiB of the MiB. The
+// slack lets an ordinary write compress whole; a bulk load logs about
+// 36% of its JSONL.
 const (
-	walInflateRatio = 5
+	walInflateRatio = 3
 	walInflateSlack = 8 << 10
 )
 

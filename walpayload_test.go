@@ -50,8 +50,7 @@ func rawDeflate(tb testing.TB, data []byte, level int, final bool) []byte {
 	return out.Bytes()
 }
 
-// manyProps is one node line carrying n short string properties: the
-// JSONL that costs ReadJSONL the most per byte.
+// manyProps is one node line carrying n short string properties.
 func manyProps(n int) []byte {
 	var b strings.Builder
 	b.WriteString(`{"kind":"node","id":1,"props":{`)
@@ -63,6 +62,33 @@ func manyProps(n int) []byte {
 	}
 	b.WriteString("}}\n")
 	return []byte(b.String())
+}
+
+// atBound is an unkeyed payload whose stream inflates to data, with
+// empty stored blocks in front of data deflated until data is just
+// inside walInflateLimit: the most a payload of its size may decode to.
+func atBound(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	stream := rawDeflate(tb, data, flate.BestCompression, true)[1:]
+	payload := []byte{0}
+	for walInflateLimit(len(payload)-1+len(stream)) < int64(len(data)) {
+		payload = append(payload, 0, 0, 0, 0xff, 0xff)
+	}
+	return append(payload, stream...)
+}
+
+// hostileLines are node lines of about size bytes that cost ReadJSONL
+// the most per byte: internal/pg's hostileJSONL, which bounds that cost,
+// in brief.
+func hostileLines(size int) [][]byte {
+	repeat := func(head, item, tail string) []byte {
+		return []byte(head + strings.Repeat(item+",", size/(len(item)+1)) + item + tail)
+	}
+	return [][]byte{
+		repeat(`{"kind":"node","id":1,"props":{`, `"":0`, `}}`),
+		repeat(`{"kind":"node","id":1,"labels":[`, `""`, `]}`),
+		[]byte(`{"kind":"node","id":1,"props":{"s":"` + strings.Repeat(":", size) + `"}}`),
+	}
 }
 
 // FuzzWALPayload: a WAL record payload is hostile until proven
@@ -99,7 +125,7 @@ func FuzzWALPayload(f *testing.F) {
 	f.Add([]byte(`{"kind":"node","id":1,"props":{"s":"` + strings.Repeat("a", 16<<10) + `"}}`))
 	// Hostile shapes: a truncated key, an empty stream, a stream with no
 	// final block, bytes after the final block, a stream inflating far
-	// past the bound, and the most allocation-heavy JSONL deflated to
+	// past the bound, and the most allocation-heavy JSONL inflating to
 	// just inside the bound and stored at any size.
 	node := []byte(`{"kind":"node","id":1}` + "\n")
 	f.Add(rawDeflate(f, node, flate.BestSpeed, false))
@@ -108,11 +134,10 @@ func FuzzWALPayload(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add(append(rawDeflate(f, node, flate.BestSpeed, true), 0))
 	f.Add(rawDeflate(f, bytes.Repeat(node, 1<<14), flate.BestSpeed, true))
-	n := 1
-	for walInflateLimit(len(rawDeflate(f, manyProps(2*n), flate.BestSpeed, true))-1) >= int64(len(manyProps(2*n))) {
-		n *= 2
+	f.Add(atBound(f, manyProps(1<<15)))
+	for _, line := range hostileLines(256 << 10) {
+		f.Add(atBound(f, line))
 	}
-	f.Add(rawDeflate(f, manyProps(n), flate.BestSpeed, true))
 	f.Add(rawDeflate(f, manyProps(1<<11), flate.NoCompression, true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -185,7 +210,7 @@ func TestWALBytesPerWrite(t *testing.T) {
 // TestLargeBatchDeflatesWithinBound: a bulk load is longer than one
 // window. The encoder stores the windows that would take the stream past
 // the decoder's bound and deflates the rest, so the batch logs in about
-// a quarter of its JSONL (26.3% here), and decodes to the same JSONL.
+// a third of its JSONL (36.3% here), and decodes to the same JSONL.
 func TestLargeBatchDeflatesWithinBound(t *testing.T) {
 	g := datagen.Generate(datagen.LDBC(), 0.3, 1).Graph
 	var want, got bytes.Buffer
@@ -200,8 +225,8 @@ func TestLargeBatchDeflatesWithinBound(t *testing.T) {
 	if want.Len() < 4*flateWindow {
 		t.Fatalf("a %d-byte batch is too short to span windows", want.Len())
 	}
-	if 100*len(payload) > 27*want.Len() {
-		t.Fatalf("a %d-byte batch logs in %d bytes, want at most 27%%", want.Len(), len(payload))
+	if 100*len(payload) > 37*want.Len() {
+		t.Fatalf("a %d-byte batch logs in %d bytes, want at most 37%%", want.Len(), len(payload))
 	}
 	key, back, err := decodeWALRecordPayload(payload)
 	if err != nil {
