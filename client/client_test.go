@@ -212,3 +212,33 @@ func TestCallerContextCancellationWinsOverRetry(t *testing.T) {
 		t.Fatal("cancellation did not interrupt the backoff sleep")
 	}
 }
+
+func TestHealthyAnswersNilFromServingMux(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	if err := New(srv.URL, fastOpts()).Healthy(context.Background()); err != nil {
+		t.Fatalf("Healthy: %v", err)
+	}
+}
+
+func TestHealthyFailsFastOnClosedServer(t *testing.T) {
+	srv := httptest.NewServer(http.NewServeMux())
+	srv.Close()
+
+	const deadline = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	err := New(srv.URL, fastOpts()).Healthy(ctx)
+	if err == nil {
+		t.Fatal("Healthy on a closed server answered nil")
+	}
+	if elapsed := time.Since(start); elapsed >= deadline {
+		t.Fatalf("Healthy took %v, want an answer within %v", elapsed, deadline)
+	}
+}

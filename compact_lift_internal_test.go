@@ -383,7 +383,7 @@ var liftConfigs = []struct {
 	{"defaults", Options{Seed: 5, Parallelism: 1}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}},
 	{"folding", Options{Seed: 5, Parallelism: 1}, DurableOptions{MaxRuns: 3, MaxTombstoneRatio: 0.2}},
 	{"minhash", Options{Seed: 5, Parallelism: 1, Method: MinHash}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}},
-	{"postprocess", Options{Seed: 5, Parallelism: 1, PostProcess: true, Embedding: EmbedHashed}, DurableOptions{MaxRuns: 4}},
+	{"postprocess", Options{Seed: 5, Parallelism: 1, PostProcess: true}, DurableOptions{MaxRuns: 4}},
 }
 
 // TestCompactLiftMatchesDiffProperty: on seeded random scripts, every

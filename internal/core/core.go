@@ -38,37 +38,18 @@ func (m Method) String() string {
 	return "PG-HIVE-ELSH"
 }
 
-// EmbeddingMode selects how label tokens are embedded for ELSH.
-type EmbeddingMode uint8
-
-const (
-	// EmbedWord2Vec trains a skip-gram model on the label corpus of
-	// each processed graph or batch (the paper's approach, §4.1).
-	EmbedWord2Vec EmbeddingMode = iota
-	// EmbedHashed derives deterministic hash-based unit vectors per
-	// token with no training: cheaper, and stable across batches.
-	EmbedHashed
-)
-
 // Options configures a discovery run.
 type Options struct {
 	// Method is the clustering scheme (default ELSH).
 	Method Method
 	// Theta is the Jaccard merge threshold θ (default 0.9, §4.3).
 	Theta float64
-	// Embedding selects the label-embedding provider for ELSH.
-	Embedding EmbeddingMode
-	// EmbedDim is the Word2Vec dimension d (default 16).
-	EmbedDim int
 	// LabelWeight scales the label-embedding block of the hybrid
 	// vectors relative to the binary property block (default 3). A
 	// weight above 1 keeps semantically different but structurally
 	// similar elements apart under heavy property noise — the role
 	// §4.1 assigns to the hybrid representation.
 	LabelWeight float64
-	// W2V optionally overrides the full Word2Vec configuration; the
-	// zero value uses defaults with EmbedDim and Seed applied.
-	W2V word2vec.Config
 	// NodeParams / EdgeParams pin the LSH parameters; nil selects the
 	// adaptive strategy of §4.2.
 	NodeParams *lsh.Params
@@ -83,7 +64,10 @@ type Options struct {
 	DisableMerging bool
 	// Infer configures data-type inference sampling.
 	Infer infer.Options
-	// Seed drives every random choice in the pipeline.
+	// Seed drives the random choices of discovery: Word2Vec training
+	// and the LSH projections and parameter adaptation. §4.4 sampled
+	// data-type inference draws from Infer.Seed instead, which Seed
+	// does not set.
 	Seed int64
 	// Parallelism is the number of worker goroutines each parallel
 	// stage uses: endpoint resolution, vectorization, LSH signature
@@ -101,9 +85,6 @@ func (o Options) withDefaults() Options {
 	if o.Theta <= 0 {
 		o.Theta = schema.DefaultTheta
 	}
-	if o.EmbedDim <= 0 {
-		o.EmbedDim = 16
-	}
 	if o.LabelWeight <= 0 {
 		o.LabelWeight = 3
 	}
@@ -111,81 +92,47 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// scaledEmbedder multiplies an inner embedder's vectors by a constant
-// weight, giving the label block more influence on Euclidean
-// distances than individual property bits. Vectors are memoized per
-// token; not safe for concurrent use.
-type scaledEmbedder struct {
-	inner vectorize.Embedder
+// labelEmbedder embeds a label token as w·word2vec(t) ⊕ w·hashed(t):
+// a trained semantic half concatenated with a hash-based identity half
+// of the same token, both scaled by the label weight w. The semantic
+// half keeps co-occurring labels close (what §4.1 wants from
+// Word2Vec); the identity half lower-bounds the distance between
+// *distinct* label tokens, so labels that appear in identical contexts
+// (CALLER/CALLED between the same endpoint types) cannot collapse to
+// indistinguishable vectors and silently merge their types. The weight
+// gives the label block more influence on Euclidean distances than
+// individual property bits. Vectors are memoized per token; not safe
+// for concurrent use.
+type labelEmbedder struct {
+	sem   *word2vec.Model
+	id    *word2vec.HashedEmbedder
 	w     float64
 	cache map[string][]float64
 }
 
-func newScaledEmbedder(inner vectorize.Embedder, w float64) *scaledEmbedder {
-	return &scaledEmbedder{inner: inner, w: w, cache: map[string][]float64{}}
-}
+// semDim and idDim are the widths of the trained and the hashed half.
+const semDim, idDim = 8, 8
 
-func (s *scaledEmbedder) Dim() int { return s.inner.Dim() }
+func (e *labelEmbedder) Dim() int { return semDim + idDim }
 
-// Preload forwards batch cache warming to the inner embedder when it
-// supports it; the scaled copies themselves are built lazily on the
-// (serial) Vector path.
-func (s *scaledEmbedder) Preload(tokens []string, workers int) {
-	if p, ok := s.inner.(vectorize.Preloader); ok {
-		p.Preload(tokens, workers)
-	}
-}
-
-func (s *scaledEmbedder) Vector(token string) []float64 {
-	if v, ok := s.cache[token]; ok {
-		return v
-	}
-	v := s.inner.Vector(token)
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x * s.w
-	}
-	s.cache[token] = out
-	return out
-}
-
-// anchoredEmbedder concatenates a trained semantic embedding with a
-// hash-based identity embedding of the same token. The semantic half
-// keeps co-occurring labels close (what §4.1 wants from Word2Vec); the
-// identity half lower-bounds the distance between *distinct* label
-// tokens, so labels that appear in identical contexts (CALLER/CALLED
-// between the same endpoint types) cannot collapse to
-// indistinguishable vectors and silently merge their types.
-type anchoredEmbedder struct {
-	sem   vectorize.Embedder
-	id    *word2vec.HashedEmbedder
-	cache map[string][]float64
-}
-
-func newAnchoredEmbedder(sem vectorize.Embedder, id *word2vec.HashedEmbedder) *anchoredEmbedder {
-	return &anchoredEmbedder{sem: sem, id: id, cache: map[string][]float64{}}
-}
-
-func (a *anchoredEmbedder) Dim() int { return a.sem.Dim() + a.id.Dim() }
-
-// Preload warms the hashed identity half (and the semantic half when
-// it supports preloading) with a worker pool; the concatenated
+// Preload warms the hashed half with a worker pool; the weighted
 // vectors are built lazily on the (serial) Vector path.
-func (a *anchoredEmbedder) Preload(tokens []string, workers int) {
-	a.id.Preload(tokens, workers)
-	if p, ok := a.sem.(vectorize.Preloader); ok {
-		p.Preload(tokens, workers)
-	}
+func (e *labelEmbedder) Preload(tokens []string, workers int) {
+	e.id.Preload(tokens, workers)
 }
 
-func (a *anchoredEmbedder) Vector(token string) []float64 {
-	if v, ok := a.cache[token]; ok {
+func (e *labelEmbedder) Vector(token string) []float64 {
+	if v, ok := e.cache[token]; ok {
 		return v
 	}
-	out := make([]float64, 0, a.Dim())
-	out = append(out, a.sem.Vector(token)...)
-	out = append(out, a.id.Vector(token)...)
-	a.cache[token] = out
+	out := make([]float64, 0, semDim+idDim)
+	for _, x := range e.sem.Vector(token) {
+		out = append(out, x*e.w)
+	}
+	for _, x := range e.id.Vector(token) {
+		out = append(out, x*e.w)
+	}
+	e.cache[token] = out
 	return out
 }
 
@@ -737,35 +684,12 @@ func (inc *Incremental) endpointTypeToken(id pg.ID) string {
 // batch-local endpoint codes ec from the endpoint pass instead of
 // re-resolving every edge.
 func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, ec *pg.EndpointCodes) vectorize.Embedder {
-	o := inc.opts
-	var inner vectorize.Embedder
-	if o.Embedding == EmbedHashed {
-		inner = word2vec.NewHashedEmbedder(o.EmbedDim)
-	} else {
-		// Word2Vec mode splits the budget between a trained semantic
-		// half and a hashed identity half (see anchoredEmbedder).
-		semDim := o.EmbedDim / 2
-		if semDim < 4 {
-			semDim = 4
-		}
-		cfg := o.W2V
-		if cfg.Dim == 0 {
-			cfg.Dim = semDim
-		}
-		if cfg.Seed == 0 {
-			cfg.Seed = o.Seed + 1
-		}
-		idDim := o.EmbedDim - cfg.Dim
-		if idDim < 4 {
-			idDim = 4
-		}
-		inner = newAnchoredEmbedder(word2vec.Train(vectorize.BuildCorpus(g, nodeSI, ec), cfg),
-			word2vec.NewHashedEmbedder(idDim))
+	return &labelEmbedder{
+		sem:   word2vec.Train(vectorize.BuildCorpus(g, nodeSI, ec), word2vec.Config{Dim: semDim, Seed: inc.opts.Seed + 1}),
+		id:    word2vec.NewHashedEmbedder(idDim),
+		w:     inc.opts.LabelWeight,
+		cache: map[string][]float64{},
 	}
-	if o.LabelWeight != 1 {
-		return newScaledEmbedder(inner, o.LabelWeight)
-	}
-	return inner
 }
 
 // elshParams resolves the ELSH parameters: pinned ones pass through,

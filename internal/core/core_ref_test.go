@@ -14,7 +14,7 @@ package core
 // same type for every single element.
 //
 // What the two share on purpose is everything that has no per-shape
-// form: option defaults, the embedder wrappers, LSH parameter
+// form: option defaults, the label embedder, LSH parameter
 // resolution, the MinHash item-set definition, the schema merge and
 // the §4.4 post-processing.
 

@@ -278,14 +278,6 @@ func TestAdaptiveChoiceRecorded(t *testing.T) {
 	}
 }
 
-func TestHashedEmbeddingMode(t *testing.T) {
-	g := socialGraph(150, 1.0, 0, 10)
-	res := Discover(g, Options{Seed: 10, Embedding: EmbedHashed})
-	if len(res.Schema.NodeTypes) != 4 {
-		t.Errorf("hashed embedding node types = %d, want 4", len(res.Schema.NodeTypes))
-	}
-}
-
 func TestTimingPopulated(t *testing.T) {
 	g := socialGraph(200, 1.0, 0, 11)
 	res := Discover(g, Options{Seed: 11})

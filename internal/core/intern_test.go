@@ -200,11 +200,10 @@ func TestInterningEquivalenceResolverOnlyEndpoints(t *testing.T) {
 	}
 }
 
-// TestInterningEquivalenceHashedEmbedding covers the EmbedHashed
-// embedding mode on heavily label-dropped data, where many elements
-// share the unlabeled shapes.
-func TestInterningEquivalenceHashedEmbedding(t *testing.T) {
-	matchesReference(t, "MB6", Options{Seed: 1, Embedding: EmbedHashed}, oneBatch(noisyDataset("MB6", 0.3, 0.5)))
+// TestInterningEquivalenceLabelDropped covers heavily label-dropped
+// data, where many elements share the unlabeled shapes.
+func TestInterningEquivalenceLabelDropped(t *testing.T) {
+	matchesReference(t, "MB6", Options{Seed: 1}, oneBatch(noisyDataset("MB6", 0.3, 0.5)))
 }
 
 // TestInterningEquivalenceAllDistinctShapes is the worst case for

@@ -12,41 +12,26 @@ import (
 // ("we leave for future work the identification of more detailed
 // datatypes, such as enumerated types or bounded ranges").
 
-// EnumOptions tunes enumeration detection.
-type EnumOptions struct {
-	// MaxValues is the largest closed value set reported as an enum
-	// (default 8; must be ≤ schema.EnumTrackLimit).
-	MaxValues int
-	// MinSupport requires at least this many observations per
-	// distinct value on average before a set counts as closed
-	// (default 3), so tiny samples don't produce spurious enums.
-	MinSupport int
-}
-
-func (o EnumOptions) withDefaults() EnumOptions {
-	if o.MaxValues <= 0 {
-		o.MaxValues = 8
-	}
-	if o.MaxValues > schema.EnumTrackLimit {
-		o.MaxValues = schema.EnumTrackLimit
-	}
-	if o.MinSupport <= 0 {
-		o.MinSupport = 3
-	}
-	return o
-}
+const (
+	// enumMaxValues is the largest closed value set reported as an
+	// enum; it must not exceed schema.EnumTrackLimit.
+	enumMaxValues = 8
+	// enumMinSupport requires at least this many observations per
+	// distinct value on average before a set counts as closed, so tiny
+	// samples don't produce spurious enums.
+	enumMinSupport = 3
+)
 
 // RefineDataTypes derives enumerations and integer ranges for every
 // property of a type whose base data type allows them. It must run
 // after DataTypes (it reads PropStat.DataType).
-func RefineDataTypes(t *schema.Type, o EnumOptions) {
-	o = o.withDefaults()
+func RefineDataTypes(t *schema.Type) {
 	for _, ps := range t.Props {
 		ps.Enum = nil
 		ps.HasIntRange = false
 		switch ps.DataType {
 		case pg.KindString:
-			if ps.DistinctOverflow || len(ps.Distinct) == 0 || len(ps.Distinct) > o.MaxValues {
+			if ps.DistinctOverflow || len(ps.Distinct) == 0 || len(ps.Distinct) > enumMaxValues {
 				continue
 			}
 			// Pure string column (no mixed kinds were generalized
@@ -55,7 +40,7 @@ func RefineDataTypes(t *schema.Type, o EnumOptions) {
 			if ps.Kinds[pg.KindString] != ps.Count {
 				continue
 			}
-			if ps.Count < o.MinSupport*len(ps.Distinct) {
+			if ps.Count < enumMinSupport*len(ps.Distinct) {
 				continue
 			}
 			vals := make([]string, 0, len(ps.Distinct))

@@ -30,7 +30,7 @@ func TestEnumDetection(t *testing.T) {
 	ty := buildTypeFromValues(t, "color", vals)
 	Constraints(&ty.Type)
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	ps := ty.Props["color"]
 	if len(ps.Enum) != 3 {
 		t.Fatalf("Enum = %v, want 3 values", ps.Enum)
@@ -48,7 +48,7 @@ func TestEnumRejectsOpenDomains(t *testing.T) {
 	}
 	ty := buildTypeFromValues(t, "name", vals)
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	if ty.Props["name"].Enum != nil {
 		t.Errorf("open string domain must not be an enum: %v", ty.Props["name"].Enum)
 	}
@@ -62,7 +62,7 @@ func TestEnumRejectsLowSupport(t *testing.T) {
 	vals := []pg.Value{pg.Str("a"), pg.Str("b"), pg.Str("c"), pg.Str("d")}
 	ty := buildTypeFromValues(t, "x", vals)
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	if ty.Props["x"].Enum != nil {
 		t.Errorf("low-support domain must not be an enum: %v", ty.Props["x"].Enum)
 	}
@@ -76,7 +76,7 @@ func TestEnumRejectsMixedKinds(t *testing.T) {
 	}
 	ty := buildTypeFromValues(t, "x", vals)
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	if ty.Props["x"].Enum != nil {
 		t.Errorf("mixed-kind column must not be an enum: %v", ty.Props["x"].Enum)
 	}
@@ -86,7 +86,7 @@ func TestIntRange(t *testing.T) {
 	vals := []pg.Value{pg.Int(5), pg.Int(-3), pg.Int(40), pg.Int(12)}
 	ty := buildTypeFromValues(t, "n", vals)
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	ps := ty.Props["n"]
 	if !ps.HasIntRange {
 		t.Fatal("integer column must carry a range")
@@ -111,7 +111,7 @@ func TestRangeMergesAcrossClusters(t *testing.T) {
 	s.ExtractNodeTypes(mk(-100, 10), 0.9)
 	ty := s.NodeTypeByToken("T")
 	DataTypes(&ty.Type, Options{})
-	RefineDataTypes(&ty.Type, EnumOptions{})
+	RefineDataTypes(&ty.Type)
 	ps := ty.Props["n"]
 	if ps.MinInt != -100 || ps.MaxInt != 12 {
 		t.Errorf("merged range = [%d, %d], want [-100, 12]", ps.MinInt, ps.MaxInt)

@@ -26,12 +26,6 @@ type Options struct {
 	MinSample int
 	// Seed drives the sampling.
 	Seed int64
-	// Enums tunes the enumeration/range refinement (zero value =
-	// defaults).
-	Enums EnumOptions
-	// DisableRefinement turns off enum and integer-range detection
-	// (§4.4's future-work datatypes, on by default).
-	DisableRefinement bool
 }
 
 func (o Options) withDefaults() Options {
@@ -216,22 +210,18 @@ func Cardinality(t *schema.EdgeType) {
 }
 
 // Finalize runs all §4.4 post-processing over a schema: property
-// constraints, property data types (plus enum/range refinement unless
-// disabled), and edge cardinalities.
+// constraints, property data types with their enum/range refinement,
+// and edge cardinalities.
 func Finalize(s *schema.Schema, o Options) {
 	for _, nt := range s.NodeTypes {
 		Constraints(&nt.Type)
 		DataTypes(&nt.Type, o)
-		if !o.DisableRefinement {
-			RefineDataTypes(&nt.Type, o.Enums)
-		}
+		RefineDataTypes(&nt.Type)
 	}
 	for _, et := range s.EdgeTypes {
 		Constraints(&et.Type)
 		DataTypes(&et.Type, o)
-		if !o.DisableRefinement {
-			RefineDataTypes(&et.Type, o.Enums)
-		}
+		RefineDataTypes(&et.Type)
 		Cardinality(et)
 	}
 }

@@ -69,15 +69,6 @@ type Clustering struct {
 	NumClusters int
 }
 
-// Members groups row indices by cluster ID.
-func (c *Clustering) Members() [][]int {
-	members := make([][]int, c.NumClusters)
-	for row, cl := range c.Assign {
-		members[cl] = append(members[cl], row)
-	}
-	return members
-}
-
 // ClusterEuclidean buckets vectors with p-stable projections:
 // h_i(v) = ⌊(a_i·v + u_i)/b⌋ with a_i ~ N(0,1)^D and u_i ~ U[0,b).
 // Rows whose per-band keys coincide are unioned. Signature

@@ -232,20 +232,6 @@ func TestClusteringDenseIDsProperty(t *testing.T) {
 	}
 }
 
-func TestMembers(t *testing.T) {
-	c := &Clustering{Assign: []int{0, 1, 0, 2, 1}, NumClusters: 3}
-	m := c.Members()
-	if len(m) != 3 {
-		t.Fatalf("Members groups = %d, want 3", len(m))
-	}
-	if len(m[0]) != 2 || m[0][0] != 0 || m[0][1] != 2 {
-		t.Errorf("cluster 0 members = %v", m[0])
-	}
-	if len(m[1]) != 2 || len(m[2]) != 1 {
-		t.Errorf("cluster sizes wrong: %v", m)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	uf := newUnionFind(6)
 	uf.union(0, 1)

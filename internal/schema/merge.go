@@ -235,34 +235,3 @@ func (s *Schema) UnifyNodeTypes(dst, src *NodeType) {
 		}
 	}
 }
-
-// Merge folds another schema into s per the §4.6 merge rules: node
-// types unify by label set, then unlabeled against labeled, then
-// unlabeled against unlabeled; edge types merge by label; properties
-// union. The result is the least general schema covering both inputs
-// (monotone by Lemmas 1 and 2). It returns a mapping from o's types
-// to the types of s they were merged into, so callers holding
-// assignments into o can rewrite them.
-func (s *Schema) Merge(o *Schema, theta float64) (map[*NodeType]*NodeType, map[*EdgeType]*EdgeType) {
-	nodeCands := make([]*NodeType, len(o.NodeTypes))
-	copy(nodeCands, o.NodeTypes)
-	edgeCands := make([]*EdgeType, len(o.EdgeTypes))
-	copy(edgeCands, o.EdgeTypes)
-
-	nres := s.ExtractNodeTypes(nodeCands, theta)
-	eres := s.ExtractEdgeTypes(edgeCands, theta)
-
-	nmap := make(map[*NodeType]*NodeType, len(nodeCands))
-	for i, c := range nodeCands {
-		if nres[i] != nil {
-			nmap[c] = nres[i]
-		}
-	}
-	emap := make(map[*EdgeType]*EdgeType, len(edgeCands))
-	for i, c := range edgeCands {
-		if eres[i] != nil {
-			emap[c] = eres[i]
-		}
-	}
-	return nmap, emap
-}

@@ -21,7 +21,7 @@ import (
 // Config holds the training hyperparameters.
 type Config struct {
 	// Dim is the embedding dimensionality d (paper Example 3 uses 5;
-	// the pipeline default is 16).
+	// the default is 16, and discovery's label embedder trains 8).
 	Dim int
 	// Window is the skip-gram context radius.
 	Window int
@@ -283,10 +283,9 @@ func (m *Model) Similarity(a, b string) float64 {
 
 // HashedEmbedder produces deterministic pseudo-embeddings from token
 // hashes alone, with no training: the same token always maps to the
-// same unit vector, across processes and batches. It is the
-// embedding provider used when retraining Word2Vec per batch is
-// undesirable (the incremental pipeline offers it as an option) and
-// in tests that need stable vectors.
+// same unit vector, across processes and batches. Discovery's label
+// embedder uses it as the identity half next to the trained Word2Vec
+// half, and tests use it where they need stable vectors.
 type HashedEmbedder struct {
 	dim   int
 	cache map[string][]float64

@@ -174,8 +174,6 @@ type (
 	Method = core.Method
 	// BatchTiming is the per-batch cost record of a streaming run.
 	BatchTiming = core.BatchTiming
-	// EmbeddingMode selects how label tokens are embedded for ELSH.
-	EmbeddingMode = core.EmbeddingMode
 	// Timing breaks a run into pipeline phases.
 	Timing = core.Timing
 	// LSHParams pins explicit LSH parameters (overriding §4.2's
@@ -183,7 +181,7 @@ type (
 	LSHParams = lsh.Params
 	// InferOptions configures §4.4 post-processing.
 	InferOptions = infer.Options
-	// Word2VecConfig tunes the label-embedding training.
+	// Word2VecConfig tunes the label-embedding training of AlignOptions.W2V.
 	Word2VecConfig = word2vec.Config
 )
 
@@ -193,14 +191,6 @@ const (
 	ELSH = core.ELSH
 	// MinHash selects MinHash LSH over label/property token sets.
 	MinHash = core.MinHash
-)
-
-// Embedding modes.
-const (
-	// EmbedWord2Vec trains a skip-gram model per batch (the default).
-	EmbedWord2Vec = core.EmbedWord2Vec
-	// EmbedHashed derives deterministic hash-based vectors per token.
-	EmbedHashed = core.EmbedHashed
 )
 
 // Discover runs the full PG-HIVE pipeline (Algorithm 1) over a graph.
