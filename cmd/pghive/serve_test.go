@@ -188,7 +188,7 @@ func TestServeHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.PGSchema(pghive.Strict, "G") != svc.PGSchema(pghive.Strict, "G") {
+	if pghive.PGSchema(restored.Schema(), pghive.Strict, "G") != pghive.PGSchema(svc.Schema(), pghive.Strict, "G") {
 		t.Fatal("restored service serves a different schema")
 	}
 

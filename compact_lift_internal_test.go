@@ -373,8 +373,7 @@ func (s *liftScript) run(script []byte) {
 
 // liftConfigs are the option sets scripts run under: the defaults, a
 // chain short enough that most scripts fold (by length and by
-// tombstones), MinHash (shape entries carry item sets), and per-batch
-// post-processing (derived fields live in the writer's schema).
+// tombstones), and MinHash (shape entries carry item sets).
 var liftConfigs = []struct {
 	name  string
 	opts  Options
@@ -383,7 +382,6 @@ var liftConfigs = []struct {
 	{"defaults", Options{Seed: 5, Parallelism: 1}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}},
 	{"folding", Options{Seed: 5, Parallelism: 1}, DurableOptions{MaxRuns: 3, MaxTombstoneRatio: 0.2}},
 	{"minhash", Options{Seed: 5, Parallelism: 1, Method: MinHash}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}},
-	{"postprocess", Options{Seed: 5, Parallelism: 1, PostProcess: true}, DurableOptions{MaxRuns: 4}},
 }
 
 // TestCompactLiftMatchesDiffProperty: on seeded random scripts, every

@@ -58,7 +58,7 @@ func main() {
 						panic("reader observed a type with zero instances")
 					}
 				}
-				_ = svc.PGSchema(pghive.Strict, "Live")
+				_ = pghive.PGSchema(snap.Schema, pghive.Strict, "Live")
 				reads.Add(1)
 			}
 		}()
@@ -93,18 +93,19 @@ func main() {
 		restored.Ingest(b.Graph)
 	}
 
-	a, b := render(svc.Reader), render(restored.Reader)
+	final := svc.Schema()
+	a, b := render(final), render(restored.Schema())
 	fmt.Printf("restored-from-checkpoint schema identical to uninterrupted run: %v\n", a == b)
 	if a != b {
 		os.Exit(1)
 	}
-	fmt.Printf("\n%s", svc.PGSchema(pghive.Strict, "SocialNetwork"))
+	fmt.Printf("\n%s", pghive.PGSchema(final, pghive.Strict, "SocialNetwork"))
 }
 
-// render fingerprints every serialization of the published schema.
-func render(svc *pghive.Reader) string {
-	return svc.PGSchema(pghive.Strict, "G") + svc.PGSchema(pghive.Loose, "G") +
-		svc.XSD() + svc.DOT("G")
+// render fingerprints every serialization of a published schema.
+func render(s *pghive.Schema) string {
+	return pghive.PGSchema(s, pghive.Strict, "G") + pghive.PGSchema(s, pghive.Loose, "G") +
+		pghive.XSD(s) + pghive.DOT(s, "G")
 }
 
 func newRand() *rand.Rand { return rand.New(rand.NewSource(seed + 21)) }

@@ -54,9 +54,6 @@ type Options struct {
 	// adaptive strategy of §4.2.
 	NodeParams *lsh.Params
 	EdgeParams *lsh.Params
-	// PostProcess runs §4.4 inference after every batch (Algorithm 1
-	// line 7 flag); the final batch always runs it.
-	PostProcess bool
 	// DisableMerging skips the Algorithm 2 type-extraction merge and
 	// turns every raw LSH cluster into its own type. Only useful for
 	// the merge-step ablation; incremental discovery degenerates to
@@ -114,12 +111,6 @@ type labelEmbedder struct {
 const semDim, idDim = 8, 8
 
 func (e *labelEmbedder) Dim() int { return semDim + idDim }
-
-// Preload warms the hashed half with a worker pool; the weighted
-// vectors are built lazily on the (serial) Vector path.
-func (e *labelEmbedder) Preload(tokens []string, workers int) {
-	e.id.Preload(tokens, workers)
-}
 
 func (e *labelEmbedder) Vector(token string) []float64 {
 	if v, ok := e.cache[token]; ok {
@@ -218,6 +209,10 @@ type Incremental struct {
 	// dirty records what the batches change, for a durable owner's
 	// compaction rounds (see Track). Nil where nobody lifts it.
 	dirty *Dirty
+	// hashed is the identity half of every batch's label embedder. Its
+	// vectors depend on the token alone, so one cache serves every
+	// batch and a token is hashed once per pipeline.
+	hashed *word2vec.HashedEmbedder
 }
 
 // NewIncremental returns a streaming pipeline with an empty schema.
@@ -243,6 +238,7 @@ func ResumeIncremental(opts Options, s *schema.Schema) *Incremental {
 		},
 		nodeShapes: pg.NewShapeCache(),
 		edgeShapes: pg.NewShapeCache(),
+		hashed:     word2vec.NewHashedEmbedder(idDim),
 	}
 }
 
@@ -324,7 +320,8 @@ type BatchTiming struct {
 
 // ProcessBatch runs preprocess → cluster → extract on one batch and
 // merges the discovered types into the schema (Algorithm 1 lines
-// 3–6). If Options.PostProcess is set, §4.4 inference runs too.
+// 3–6). Line 7's per-batch post-processing is a Finalize call after
+// the batch.
 //
 // Elements are grouped by shape — label set, property-key set, and
 // endpoint tokens for edges — and only the first occurrence of each
@@ -488,13 +485,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	}
 	tm.Extract += time.Since(start)
 
-	// (e)-(g) Optional per-batch post-processing (Algorithm 1 line 7).
-	if o.PostProcess {
-		start = time.Now()
-		infer.Finalize(inc.sch, o.Infer)
-		tm.PostProcess = time.Since(start)
-	}
-
 	inc.result.Timing.add(tm)
 	inc.batches++
 	inc.result.NodeShapes += nodeSI.NumShapes()
@@ -540,7 +530,7 @@ func endpointCodes(g *pg.Graph, nodeSI *pg.ShapeIndex, workers int) *pg.Endpoint
 // processed earlier (its statistics were added then); elements never
 // seen are skipped. Types whose last instance disappears are removed
 // from the schema. Constraints and cardinalities reflect the
-// retraction after the next Finalize (or per-batch post-processing).
+// retraction after the next Finalize.
 func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 	start := time.Now()
 	nodes := b.Graph.Nodes()
@@ -574,13 +564,7 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 		delete(inc.result.EdgeAssign, e.ID)
 	}
 	inc.sch.Compact()
-	var tm Timing
-	tm.Extract = time.Since(start)
-	if inc.opts.PostProcess {
-		pp := time.Now()
-		infer.Finalize(inc.sch, inc.opts.Infer)
-		tm.PostProcess = time.Since(pp)
-	}
+	tm := Timing{Extract: time.Since(start)}
 	inc.result.Timing.add(tm)
 	return BatchTiming{Index: b.Index, Timing: tm}
 }
@@ -645,8 +629,10 @@ func DiscoverStream(r pg.StreamReader, opts Options, onBatch func(BatchTiming)) 
 	return inc.Finalize(), nil
 }
 
-// Finalize runs the §4.4 post-processing (always, per Algorithm 1
-// line 7's i = n case) and returns the accumulated result.
+// Finalize runs the §4.4 post-processing and returns the accumulated
+// result. Algorithm 1 line 7 post-processes after the last batch (the
+// i = n case) and, when asked, after any batch: call Finalize after
+// that batch. The pipeline stays open for more batches either way.
 func (inc *Incremental) Finalize() *Result {
 	start := time.Now()
 	infer.Finalize(inc.sch, inc.opts.Infer)
@@ -678,7 +664,8 @@ func (inc *Incremental) endpointTypeToken(id pg.ID) string {
 	return ""
 }
 
-// embedder builds the batch's label embedder. The Word2Vec corpus
+// embedder builds the batch's label embedder: a Word2Vec model trained
+// on the batch beside the pipeline's hashed half. The Word2Vec corpus
 // derives its node sentences from the distinct shapes of nodeSI
 // (count-weighted) instead of walking every node, and takes the
 // batch-local endpoint codes ec from the endpoint pass instead of
@@ -686,7 +673,7 @@ func (inc *Incremental) endpointTypeToken(id pg.ID) string {
 func (inc *Incremental) embedder(g *pg.Graph, nodeSI *pg.ShapeIndex, ec *pg.EndpointCodes) vectorize.Embedder {
 	return &labelEmbedder{
 		sem:   word2vec.Train(vectorize.BuildCorpus(g, nodeSI, ec), word2vec.Config{Dim: semDim, Seed: inc.opts.Seed + 1}),
-		id:    word2vec.NewHashedEmbedder(idDim),
+		id:    inc.hashed,
 		w:     inc.opts.LabelWeight,
 		cache: map[string][]float64{},
 	}

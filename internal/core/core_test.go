@@ -300,13 +300,15 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestPerBatchPostProcess: Algorithm 1's per-batch post-processing is
+// Finalize after the batch.
 func TestPerBatchPostProcess(t *testing.T) {
 	g := socialGraph(100, 1.0, 0, 12)
-	inc := NewIncremental(Options{Seed: 12, PostProcess: true})
+	inc := NewIncremental(Options{Seed: 12})
 	batches := pg.SplitBatches(g, 2, rand.New(rand.NewSource(12)))
-	bt := inc.ProcessBatch(batches[0])
-	if bt.Timing.PostProcess <= 0 {
-		t.Error("per-batch post-processing must be timed when enabled")
+	inc.ProcessBatch(batches[0])
+	if res := inc.Finalize(); res.Timing.PostProcess <= 0 {
+		t.Error("mid-stream post-processing must be timed")
 	}
 	// Constraints must already be available mid-stream.
 	person := inc.Schema().NodeTypeByToken("Person")

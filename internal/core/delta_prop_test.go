@@ -335,12 +335,15 @@ func TestResolverWireForm(t *testing.T) {
 
 // aliasPipeline is a pipeline with some history, plus a growth batch
 // and a retraction that both touch types and nodes it already knows.
+// Each batch is finalized, so the images carry derived fields.
 func aliasPipeline() (inc *Incremental, grow, shrink *pg.Batch) {
 	g := socialGraph(120, 0.7, 0.1, 41)
 	batches := pg.SplitBatches(g, 3, rand.New(rand.NewSource(41)))
-	inc = NewIncremental(Options{Seed: 41, Parallelism: 1, PostProcess: true})
+	inc = NewIncremental(Options{Seed: 41, Parallelism: 1})
 	inc.ProcessBatch(batches[0])
+	inc.Finalize()
 	inc.ProcessBatch(batches[1])
+	inc.Finalize()
 	return inc, batches[2], batches[0]
 }
 
@@ -374,7 +377,7 @@ func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := imageBytes(t, img)
-	inc, _, err := RestoreImage(Options{Seed: 41, Parallelism: 1, PostProcess: true}, img)
+	inc, _, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

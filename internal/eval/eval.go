@@ -102,44 +102,6 @@ func MajorityF1(pred map[pg.ID]int, truth map[pg.ID]string) float64 {
 	return sum / float64(n)
 }
 
-// Accuracy returns the fraction of elements whose ground-truth type
-// matches their cluster's majority type (the per-placement correctness
-// notion §5 describes).
-func Accuracy(pred map[pg.ID]int, truth map[pg.ID]string) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	clusterCounts := map[int]map[string]int{}
-	for id, cl := range pred {
-		ty, ok := truth[id]
-		if !ok {
-			continue
-		}
-		mc := clusterCounts[cl]
-		if mc == nil {
-			mc = map[string]int{}
-			clusterCounts[cl] = mc
-		}
-		mc[ty]++
-	}
-	correct, total := 0, 0
-	for _, counts := range clusterCounts {
-		bestN, sum := 0, 0
-		for _, c := range counts {
-			if c > bestN {
-				bestN = c
-			}
-			sum += c
-		}
-		correct += bestN
-		total += sum
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // NodeAssignments converts a node type assignment into opaque cluster
 // IDs for MajorityF1.
 func NodeAssignments(a map[pg.ID]*schema.NodeType) map[pg.ID]int {

@@ -18,9 +18,6 @@ func TestMajorityF1Perfect(t *testing.T) {
 	if f1 := MajorityF1(pred, truth); f1 != 1 {
 		t.Fatalf("perfect clustering F1 = %v, want 1", f1)
 	}
-	if acc := Accuracy(pred, truth); acc != 1 {
-		t.Fatalf("perfect clustering accuracy = %v, want 1", acc)
-	}
 }
 
 func TestMajorityF1FragmentationIsFree(t *testing.T) {
@@ -59,17 +56,11 @@ func TestMajorityF1MixingHurts(t *testing.T) {
 	if math.Abs(f1-0.4118) > 0.01 {
 		t.Fatalf("mixed cluster F1 = %v, want ≈ 0.412", f1)
 	}
-	if acc := Accuracy(pred, truth); math.Abs(acc-0.7) > 1e-9 {
-		t.Fatalf("accuracy = %v, want 0.7", acc)
-	}
 }
 
 func TestMajorityF1Empty(t *testing.T) {
 	if MajorityF1(nil, nil) != 0 {
 		t.Error("empty inputs must score 0")
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Error("empty accuracy must be 0")
 	}
 }
 

@@ -127,9 +127,10 @@ func SampleTally(t *Tally, rate float64, minSample int, seed int64) Tally {
 	return out
 }
 
-// compatible reports whether a value of kind k conforms to the
-// inferred data type dt.
-func compatible(k pg.Kind, dt pg.Kind) bool {
+// Conforms reports whether a value of kind k conforms to the inferred
+// data type dt: the §4.4 data-type lattice, which decides both what
+// inference may infer and what validation accepts.
+func Conforms(k, dt pg.Kind) bool {
 	switch dt {
 	case pg.KindString:
 		return true
@@ -160,7 +161,7 @@ func SamplingError(full *Tally, sampledKind pg.Kind) float64 {
 	}
 	bad := 0
 	for k := range full {
-		if full[k] > 0 && !compatible(pg.Kind(k), sampledKind) {
+		if full[k] > 0 && !Conforms(pg.Kind(k), sampledKind) {
 			bad += full[k]
 		}
 	}

@@ -51,7 +51,7 @@ func TestDataTypeCompatibilityProperty(t *testing.T) {
 		ta := tally(int(a%50), int(b%50), int(c%50), int(d%50), int(e%50), int(s%50))
 		dt := DataTypeFromTally(&ta)
 		for k := range ta {
-			if ta[k] > 0 && !compatible(pg.Kind(k), dt) {
+			if ta[k] > 0 && !Conforms(pg.Kind(k), dt) {
 				return false
 			}
 		}

@@ -53,16 +53,3 @@ func For(n, workers int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// Map runs fn(i) for every i in [0, n) across `workers` goroutines and
-// collects the results in index order. Like For, the output is
-// deterministic because each index writes only its own slot.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
-}

@@ -51,16 +51,3 @@ func TestForSequentialWhenOneWorker(t *testing.T) {
 		t.Fatalf("expected 1 inline call, got %d", calls)
 	}
 }
-
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	fn := func(i int) int { return i*i + 7 }
-	want := Map(513, 1, fn)
-	for _, workers := range []int{2, 4, 16} {
-		got := Map(513, workers, fn)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -183,6 +183,20 @@ func TestStatsMatchesPaperExample(t *testing.T) {
 	}
 }
 
+// TestStatsCountsPatternsInjectively: a key holding a separator byte,
+// and a label holding the label-token joiner, are patterns of their
+// own. Four nodes, four Def. 3.5 patterns.
+func TestStatsCountsPatternsInjectively(t *testing.T) {
+	g := NewGraph()
+	g.AddNode([]string{"P"}, map[string]Value{"a\x1fb": Int(1)})
+	g.AddNode([]string{"P"}, map[string]Value{"a": Int(1), "b": Int(1)})
+	g.AddNode([]string{"a&b"}, nil)
+	g.AddNode([]string{"a", "b"}, nil)
+	if s := ComputeStats(g); s.NodePatterns != 4 {
+		t.Errorf("NodePatterns = %d, want 4", s.NodePatterns)
+	}
+}
+
 func TestClone(t *testing.T) {
 	g, ids := buildExampleGraph(t)
 	c := g.Clone()

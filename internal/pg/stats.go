@@ -1,67 +1,34 @@
 package pg
 
-import "strings"
-
 // Stats summarizes a graph the way Table 2 of the paper does: element
 // counts, distinct individual labels, and distinct structural patterns
 // (Def. 3.5 node patterns (L, K); Def. 3.6 edge patterns (L, K, R)).
 type Stats struct {
-	Nodes            int
-	Edges            int
-	NodeLabels       int
-	EdgeLabels       int
-	NodePropertyKeys int
-	EdgePropertyKeys int
-	NodePatterns     int
-	EdgePatterns     int
+	Nodes        int
+	Edges        int
+	NodeLabels   int
+	EdgeLabels   int
+	NodePatterns int
+	EdgePatterns int
 }
 
 // ComputeStats scans the graph once and returns its Table-2 style
-// statistics.
+// statistics. A pattern is a shape: ShapeCache fingerprints a node's
+// (L, K) injectively, and an edge's (L, K, R) with R spelled as the
+// endpoints' label tokens, as discovery files it.
 func ComputeStats(g *Graph) Stats {
-	var s Stats
-	s.Nodes = g.NumNodes()
-	s.Edges = g.NumEdges()
-	s.NodeLabels = len(g.DistinctNodeLabels())
-	s.EdgeLabels = len(g.DistinctEdgeLabels())
-	s.NodePropertyKeys = len(g.DistinctNodePropertyKeys())
-	s.EdgePropertyKeys = len(g.DistinctEdgePropertyKeys())
-
-	np := map[string]struct{}{}
-	for i := range g.Nodes() {
-		n := &g.Nodes()[i]
-		np[patternKey(n.LabelToken(), n.PropertyKeys(), "", "")] = struct{}{}
+	edges := g.Edges()
+	src, dst := make([]string, len(edges)), make([]string, len(edges))
+	for i := range edges {
+		src[i] = LabelToken(g.SrcLabels(&edges[i]))
+		dst[i] = LabelToken(g.DstLabels(&edges[i]))
 	}
-	s.NodePatterns = len(np)
-
-	ep := map[string]struct{}{}
-	for i := range g.Edges() {
-		e := &g.Edges()[i]
-		src := LabelToken(g.SrcLabels(e))
-		dst := LabelToken(g.DstLabels(e))
-		ep[patternKey(e.LabelToken(), e.PropertyKeys(), src, dst)] = struct{}{}
+	return Stats{
+		Nodes:        g.NumNodes(),
+		Edges:        g.NumEdges(),
+		NodeLabels:   len(g.DistinctNodeLabels()),
+		EdgeLabels:   len(g.DistinctEdgeLabels()),
+		NodePatterns: NewShapeCache().IndexNodes(g.Nodes()).NumShapes(),
+		EdgePatterns: NewShapeCache().IndexEdges(edges, src, dst).NumShapes(),
 	}
-	s.EdgePatterns = len(ep)
-	return s
-}
-
-// patternKey builds a canonical string key for a (label-token,
-// property-key-set, endpoints) pattern. The separator bytes cannot
-// occur in labels produced by the generators or the JSONL loader
-// escaping, so the key is collision-free for our inputs.
-func patternKey(labelToken string, keys []string, src, dst string) string {
-	var b strings.Builder
-	b.WriteString(labelToken)
-	b.WriteByte(0x1e)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		b.WriteString(k)
-	}
-	b.WriteByte(0x1e)
-	b.WriteString(src)
-	b.WriteByte(0x1e)
-	b.WriteString(dst)
-	return b.String()
 }

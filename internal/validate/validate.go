@@ -16,6 +16,7 @@ package validate
 import (
 	"fmt"
 
+	"github.com/pghive/pghive/internal/infer"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
@@ -218,7 +219,7 @@ func validateProps(r *Report, id pg.ID, isEdge bool, t *schema.Type, props map[s
 				Detail: fmt.Sprintf("property %q not declared by type %s", k, t.Name())})
 			continue
 		}
-		if !kindConforms(v.Kind(), ps.DataType) {
+		if !infer.Conforms(v.Kind(), ps.DataType) {
 			r.add(Violation{Element: id, IsEdge: isEdge, Rule: "datatype",
 				Detail: fmt.Sprintf("property %q value %q has kind %s, type declares %s",
 					k, v.Lexical(), v.Kind(), ps.DataType)})
@@ -241,26 +242,6 @@ func validateProps(r *Report, id pg.ID, isEdge bool, t *schema.Type, props map[s
 			r.add(Violation{Element: id, IsEdge: isEdge, Rule: "mandatory",
 				Detail: fmt.Sprintf("mandatory property %q of type %s missing", k, t.Name())})
 		}
-	}
-}
-
-// kindConforms mirrors the compatibility rules of the infer package.
-func kindConforms(k, dt pg.Kind) bool {
-	switch dt {
-	case pg.KindString:
-		return true
-	case pg.KindInt:
-		return k == pg.KindInt
-	case pg.KindFloat:
-		return k == pg.KindInt || k == pg.KindFloat
-	case pg.KindBool:
-		return k == pg.KindBool
-	case pg.KindDate:
-		return k == pg.KindDate
-	case pg.KindDateTime:
-		return k == pg.KindDate || k == pg.KindDateTime
-	default:
-		return false
 	}
 }
 

@@ -19,48 +19,27 @@ import (
 // *word2vec.Model and *word2vec.HashedEmbedder satisfy it. Embedders
 // are not required to be safe for concurrent use: the vectorizers
 // resolve every distinct token exactly once on the calling goroutine
-// (via Preload when supported) before fanning row construction out to
-// workers.
+// before fanning row construction out to workers.
 type Embedder interface {
 	Dim() int
 	Vector(token string) []float64
 }
 
-// Preloader is the optional fast path for parallel vectorization: an
-// Embedder that can compute and cache the vectors of many tokens at
-// once, using up to `workers` goroutines internally.
-// *word2vec.HashedEmbedder implements it.
-type Preloader interface {
-	Preload(tokens []string, workers int)
-}
-
 var (
-	_ Embedder  = (*word2vec.Model)(nil)
-	_ Embedder  = (*word2vec.HashedEmbedder)(nil)
-	_ Preloader = (*word2vec.HashedEmbedder)(nil)
+	_ Embedder = (*word2vec.Model)(nil)
+	_ Embedder = (*word2vec.HashedEmbedder)(nil)
 )
 
 // resolveVectors returns the embedding of every distinct token in
 // toks, resolving each exactly once on the calling goroutine so that
 // non-concurrency-safe embedders stay safe while row construction
-// runs on a worker pool. Preloader embedders batch-compute their
-// cache first.
-func resolveVectors(toks []string, emb Embedder, workers int) map[string][]float64 {
-	distinct := make([]string, 0, 16)
-	seen := map[string]struct{}{}
+// runs on a worker pool.
+func resolveVectors(toks []string, emb Embedder) map[string][]float64 {
+	vecs := map[string][]float64{}
 	for _, t := range toks {
-		if _, ok := seen[t]; ok {
-			continue
+		if _, ok := vecs[t]; !ok {
+			vecs[t] = emb.Vector(t)
 		}
-		seen[t] = struct{}{}
-		distinct = append(distinct, t)
-	}
-	if p, ok := emb.(Preloader); ok {
-		p.Preload(distinct, workers)
-	}
-	vecs := make(map[string][]float64, len(distinct))
-	for _, t := range distinct {
-		vecs[t] = emb.Vector(t)
 	}
 	return vecs
 }
@@ -253,7 +232,7 @@ func NodesParallel(nodes []pg.Node, keys []string, emb Embedder, workers int) *M
 	for i := range nodes {
 		m.Tokens[i] = nodes[i].LabelToken()
 	}
-	tokVecs := resolveVectors(m.Tokens, emb, workers)
+	tokVecs := resolveVectors(m.Tokens, emb)
 	backing := make([]float64, len(nodes)*width)
 	parallel.For(len(nodes), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -305,7 +284,7 @@ func EdgesParallel(edges []pg.Edge, keys []string, emb Embedder, srcToks, dstTok
 	all = append(all, m.Tokens...)
 	all = append(all, srcToks...)
 	all = append(all, dstToks...)
-	tokVecs := resolveVectors(all, emb, workers)
+	tokVecs := resolveVectors(all, emb)
 	backing := make([]float64, len(edges)*width)
 	parallel.For(len(edges), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

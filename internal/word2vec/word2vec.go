@@ -14,8 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"github.com/pghive/pghive/internal/parallel"
 )
 
 // Config holds the training hyperparameters.
@@ -315,28 +313,6 @@ func (h *HashedEmbedder) Vector(token string) []float64 {
 	v := hashedVector(token, h.dim)
 	h.cache[token] = v
 	return v
-}
-
-// Preload computes and caches the vectors of every not-yet-seen token
-// using up to `workers` goroutines (workers <= 0 selects
-// runtime.NumCPU()). Vector generation is a pure function of the
-// token, so the cache contents are identical for every worker count.
-// Preload itself must not run concurrently with other methods; after
-// it returns, concurrent Vector reads of preloaded tokens are safe
-// because they only hit the cache.
-func (h *HashedEmbedder) Preload(tokens []string, workers int) {
-	missing := make([]string, 0, len(tokens))
-	for _, tok := range tokens {
-		if _, ok := h.cache[tok]; !ok {
-			missing = append(missing, tok)
-		}
-	}
-	vecs := parallel.Map(len(missing), workers, func(i int) []float64 {
-		return hashedVector(missing[i], h.dim)
-	})
-	for i, tok := range missing {
-		h.cache[tok] = vecs[i]
-	}
 }
 
 // hashedVector derives the deterministic unit vector of a token:

@@ -335,8 +335,8 @@ func TestServiceCheckpointCarriesCSVState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := stayUp.PGSchema(pghive.Strict, "G") + stayUp.XSD() + stayUp.DOT("G")
-	b := restored.PGSchema(pghive.Strict, "G") + restored.XSD() + restored.DOT("G")
+	a := schemaFingerprint(stayUp.Schema())
+	b := schemaFingerprint(restored.Schema())
 	if a != b {
 		t.Error("restarted service schema differs from uninterrupted service")
 	}

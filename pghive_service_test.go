@@ -107,8 +107,8 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	svc.Ingest(base)
-	baseFP := svc.PGSchema(pghive.Strict, "G") + svc.XSD() + svc.DOT("G")
-	if rep := svc.Validate(base, pghive.ValidateLoose); !rep.Valid() {
+	baseFP := schemaFingerprint(svc.Schema())
+	if rep := pghive.Validate(base, svc.Schema(), pghive.ValidateLoose); !rep.Valid() {
 		t.Fatalf("base graph invalid against its own schema: %v", rep.Violations[0])
 	}
 
@@ -145,12 +145,12 @@ func TestServiceConcurrentStress(t *testing.T) {
 				// The base dataset is never retracted, so every
 				// snapshot — whatever the writers are doing — must
 				// still type all of its elements.
-				if rep := svc.Validate(base, pghive.ValidateLoose); !rep.Valid() {
+				if rep := pghive.Validate(base, snap.Schema, pghive.ValidateLoose); !rep.Valid() {
 					t.Errorf("LSN %d: base graph no longer loose-valid: %v",
 						seq, rep.Violations[0])
 					return
 				}
-				if svc.PGSchema(pghive.Strict, "G") == "" || svc.XSD() == "" || svc.DOT("G") == "" {
+				if pghive.PGSchema(snap.Schema, pghive.Strict, "G") == "" || pghive.XSD(snap.Schema) == "" || pghive.DOT(snap.Schema, "G") == "" {
 					t.Error("serialization of a snapshot came back empty")
 					return
 				}
@@ -163,7 +163,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	// Every writer retracted everything it ingested, so the final
 	// published schema is the base-only schema again, bit-identically.
-	if got := svc.PGSchema(pghive.Strict, "G") + svc.XSD() + svc.DOT("G"); got != baseFP {
+	if got := schemaFingerprint(svc.Schema()); got != baseFP {
 		t.Error("final schema after ingest/retract churn differs from the base schema")
 	}
 }
@@ -264,7 +264,7 @@ func TestServiceRetractRestoresBaseline(t *testing.T) {
 	d := datagen.Generate(datagen.POLE(), 0.5, 1)
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	svc.Ingest(d.Graph)
-	baseFP := svc.PGSchema(pghive.Strict, "G") + svc.PGSchema(pghive.Loose, "G") + svc.XSD() + svc.DOT("G")
+	baseFP := schemaFingerprint(svc.Schema())
 	baseStats := svc.Stats()
 
 	for w := 0; w < 3; w++ {
@@ -275,7 +275,7 @@ func TestServiceRetractRestoresBaseline(t *testing.T) {
 		}
 	}
 
-	gotFP := svc.PGSchema(pghive.Strict, "G") + svc.PGSchema(pghive.Loose, "G") + svc.XSD() + svc.DOT("G")
+	gotFP := schemaFingerprint(svc.Schema())
 	if gotFP != baseFP {
 		t.Error("ingest+retract cycles changed the published schema")
 	}
@@ -295,7 +295,7 @@ func TestServiceRetractRestoresBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoredFP := restored.PGSchema(pghive.Strict, "G") + restored.PGSchema(pghive.Loose, "G") + restored.XSD() + restored.DOT("G")
+	restoredFP := schemaFingerprint(restored.Schema())
 	if restoredFP != baseFP {
 		t.Error("checkpoint round trip changed the published schema")
 	}

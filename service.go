@@ -19,8 +19,6 @@ import (
 	"github.com/pghive/pghive/internal/infer"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
-	"github.com/pghive/pghive/internal/serialize"
-	"github.com/pghive/pghive/internal/validate"
 )
 
 // ServiceStats summarizes a published snapshot.
@@ -460,24 +458,6 @@ func (r *Reader) Schema() *Schema { return r.Snapshot().Schema }
 
 // Stats returns the current published statistics.
 func (r *Reader) Stats() ServiceStats { return r.Snapshot().Stats }
-
-// Validate checks a graph against the current published schema.
-func (r *Reader) Validate(g *Graph, mode ValidationMode) *ValidationReport {
-	return validate.Graph(g, r.Snapshot().Schema, mode)
-}
-
-// PGSchema renders the published schema as PG-Schema (§4.5).
-func (r *Reader) PGSchema(mode SerializationMode, graphName string) string {
-	return serialize.PGSchema(r.Snapshot().Schema, mode, graphName)
-}
-
-// XSD renders the published schema as an XML Schema document.
-func (r *Reader) XSD() string { return serialize.XSD(r.Snapshot().Schema) }
-
-// DOT renders the published schema as Graphviz DOT.
-func (r *Reader) DOT(graphName string) string {
-	return serialize.DOT(r.Snapshot().Schema, graphName)
-}
 
 // WriteSchemaJSON writes the published schema in the persisted schema
 // format (statistics included, service state excluded — use
