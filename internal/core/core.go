@@ -462,11 +462,7 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 
 	// (d') Extract edge types.
 	start = time.Now()
-	maxEndpoints := b.Graph.NumNodes()
-	if b.Resolver != nil && b.Resolver != b.Graph {
-		maxEndpoints += b.Resolver.NumNodes()
-	}
-	ecands := schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, ec, maxEndpoints)
+	ecands := schema.BuildEdgeCandidatesInterned(edges, edgeSI, edgeCl.Assign, edgeCl.NumClusters, ec)
 	var etypes []*schema.EdgeType
 	if o.DisableMerging {
 		etypes = inc.sch.AppendEdgeTypes(ecands)

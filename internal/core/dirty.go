@@ -168,9 +168,9 @@ func (d *Dirty) edgesMerged(edges []pg.Edge, assigned map[pg.ID]*schema.EdgeType
 	for e, n := range raised {
 		tt := d.edgeTypes[e.t.ID]
 		if e.dst {
-			firstTouch(tt.Dst, e.node, e.t.DstDeg[e.node]-n)
+			firstTouch(tt.Dst, e.node, e.t.DstDeg.Get(e.node)-n)
 		} else {
-			firstTouch(tt.Src, e.node, e.t.SrcDeg[e.node]-n)
+			firstTouch(tt.Src, e.node, e.t.SrcDeg.Get(e.node)-n)
 		}
 	}
 }
@@ -179,8 +179,8 @@ func (d *Dirty) edgesMerged(edges []pg.Edge, assigned map[pg.ID]*schema.EdgeType
 // tallies one edge of type t holds.
 func (d *Dirty) edgeRetracting(t *schema.EdgeType, src, dst pg.ID) {
 	if tt := d.edgeTouched(t); tt != nil {
-		firstTouch(tt.Src, src, t.SrcDeg[src])
-		firstTouch(tt.Dst, dst, t.DstDeg[dst])
+		firstTouch(tt.Src, src, t.SrcDeg.Get(src))
+		firstTouch(tt.Dst, dst, t.DstDeg.Get(dst))
 	}
 }
 

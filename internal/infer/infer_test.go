@@ -161,10 +161,10 @@ func TestCardinalityInterpretation(t *testing.T) {
 	mk := func(srcDeg, dstDeg map[pg.ID]int) *schema.EdgeType {
 		et := schema.NewEdgeCandidate()
 		for id, d := range srcDeg {
-			et.SrcDeg[id] = d
+			et.SrcDeg.Add(id, d)
 		}
 		for id, d := range dstDeg {
-			et.DstDeg[id] = d
+			et.DstDeg.Add(id, d)
 		}
 		return et
 	}

@@ -106,9 +106,8 @@ func BuildEdgeCandidates(edges []pg.Edge, assign []int, k int, srcToks, dstToks 
 		if dstToks[row] != "" {
 			c.DstTokens[dstToks[row]] = true
 		}
-		c.SrcDeg[e.Src]++
-		c.DstDeg[e.Dst]++
 	}
+	countEndpoints(cands, edges, func(row int) int { return assign[row] })
 	for _, c := range cands {
 		c.Token = pg.LabelToken(c.SortedLabels())
 		c.Abstract = c.Token == ""
@@ -121,24 +120,10 @@ func BuildEdgeCandidates(edges []pg.Edge, assign []int, k int, srcToks, dstToks 
 // Labels, instance counts and endpoint tokens are shape-determined
 // and added once per shape (counts weighted); property values and
 // per-endpoint degrees vary within a shape and are observed per edge.
-// maxEndpoints caps the degree-map presizing at the number of known
-// node IDs, so hub-heavy clusters (many edges, few endpoints) do not
-// over-allocate.
-func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []int, k int, ec *pg.EndpointCodes, maxEndpoints int) []*EdgeType {
-	// Shape counts bound each candidate's edge total — and distinct
-	// endpoints are additionally bounded by maxEndpoints — so the
-	// degree maps are presized once instead of growing through a
-	// dozen rehashes while the per-row loop fills them.
-	totals := make([]int, k)
-	for s := range si.Reps {
-		totals[assign[s]] += int(si.Counts[s])
-	}
+func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []int, k int, ec *pg.EndpointCodes) []*EdgeType {
 	cands := make([]*EdgeType, k)
-	for i, hint := range totals {
-		if maxEndpoints > 0 && hint > maxEndpoints {
-			hint = maxEndpoints
-		}
-		cands[i] = newEdgeCandidate(hint)
+	for i := range cands {
+		cands[i] = NewEdgeCandidate()
 	}
 	obs := buildShapeObservers(si, func(s int) (*Type, []string) {
 		return &cands[assign[s]].Type, edges[si.Reps[s]].PropertyKeys()
@@ -153,18 +138,48 @@ func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []in
 			c.DstTokens[dstTok] = true
 		}
 	}
-	// Per-endpoint degrees vary within a shape, so they stay per edge,
-	// but the candidate itself resolves through the shape ordinal.
 	for row := range edges {
-		e := &edges[row]
-		obs[si.Rows[row]].observeRow(e.Props)
-		c := cands[assign[si.Rows[row]]]
-		c.SrcDeg[e.Src]++
-		c.DstDeg[e.Dst]++
+		obs[si.Rows[row]].observeRow(edges[row].Props)
 	}
+	countEndpoints(cands, edges, func(row int) int { return assign[si.Rows[row]] })
 	for _, c := range cands {
 		c.Token = pg.LabelToken(c.SortedLabels())
 		c.Abstract = c.Token == ""
 	}
 	return cands
+}
+
+// countEndpoints sets each candidate's degree tallies from the edges
+// cand assigns to it. The endpoints are grouped by candidate in one
+// buffer, one ID per edge, which each side reuses; each tally is then
+// built from its group in bulk, sorted through a second buffer as long
+// as the largest group.
+func countEndpoints(cands []*EdgeType, edges []pg.Edge, cand func(row int) int) {
+	start := make([]int, len(cands)+1)
+	for row := range edges {
+		start[cand(row)+1]++
+	}
+	widest := 0
+	for i := range cands {
+		widest = max(widest, start[i+1])
+		start[i+1] += start[i]
+	}
+	ids, scratch := make([]pg.ID, len(edges)), make([]pg.ID, widest)
+	next := make([]int, len(cands))
+	group := func(end func(e *pg.Edge) pg.ID) {
+		copy(next, start)
+		for row := range edges {
+			c := cand(row)
+			ids[next[c]] = end(&edges[row])
+			next[c]++
+		}
+	}
+	group(func(e *pg.Edge) pg.ID { return e.Src })
+	for i, c := range cands {
+		c.SrcDeg = countDegrees(ids[start[i]:start[i+1]], scratch)
+	}
+	group(func(e *pg.Edge) pg.ID { return e.Dst })
+	for i, c := range cands {
+		c.DstDeg = countDegrees(ids[start[i]:start[i+1]], scratch)
+	}
 }

@@ -106,7 +106,7 @@ func TestBuildEdgeCandidatesInternedEquivalence(t *testing.T) {
 	for i := range edges {
 		ec.Src[i], ec.Dst[i] = ec.Intern(srcToks[i]), ec.Intern(dstToks[i])
 	}
-	interned := BuildEdgeCandidatesInterned(edges, si, shapeAssign, k, ec, 30)
+	interned := BuildEdgeCandidatesInterned(edges, si, shapeAssign, k, ec)
 	for i := range plain {
 		a := candidateFingerprint(t, plain[i])
 		b := candidateFingerprint(t, interned[i])

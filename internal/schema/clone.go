@@ -1,12 +1,15 @@
 package schema
 
-// clone.go deep-copies schemas. The serving layer publishes an
-// immutable snapshot of the evolving schema after every write batch
+// clone.go copies schemas. The serving layer publishes an immutable
+// snapshot of the evolving schema after every write batch
 // (copy-on-publish), so concurrent readers never observe a
 // half-merged schema; that requires a copy that shares no mutable
-// state — maps, slices, or type pointers — with the original.
-
-import "github.com/pghive/pghive/internal/pg"
+// state with the original. A copy takes each type's bounded head —
+// labels, property statistics, endpoint tokens — as fresh maps, and
+// shares the immutable leaves of its degree tallies (degrees.go),
+// which grow with the database. Cloning costs O(types × properties);
+// a write after it copies only the tally leaves it changes, so a
+// publish costs O(types × properties + edges changed).
 
 // Clone returns a deep copy of the stat: no maps or slices are shared
 // with the receiver.
@@ -44,7 +47,8 @@ func (t *NodeType) Clone() *NodeType {
 	return cp
 }
 
-// Clone returns a deep copy of the edge type.
+// Clone returns a copy of the edge type that shares its degree
+// tallies' leaves, and nothing mutable, with the receiver.
 func (t *EdgeType) Clone() *EdgeType {
 	cp := &EdgeType{Cardinality: t.Cardinality}
 	t.Type.cloneCore(&cp.Type)
@@ -56,20 +60,14 @@ func (t *EdgeType) Clone() *EdgeType {
 	for k := range t.DstTokens {
 		cp.DstTokens[k] = true
 	}
-	cp.SrcDeg = make(map[pg.ID]int, len(t.SrcDeg))
-	for id, d := range t.SrcDeg {
-		cp.SrcDeg[id] = d
-	}
-	cp.DstDeg = make(map[pg.ID]int, len(t.DstDeg))
-	for id, d := range t.DstDeg {
-		cp.DstDeg[id] = d
-	}
+	cp.SrcDeg, cp.DstDeg = t.SrcDeg.Clone(), t.DstDeg.Clone()
 	return cp
 }
 
-// Clone returns a deep copy of the schema: every type, statistic, and
-// index is copied, and the ID counter carries over, so the copy can
-// evolve (or be served) independently of the original.
+// Clone returns a copy of the schema: every type head, statistic and
+// index is copied, degree tallies share their immutable leaves, and
+// the ID counter carries over, so the copy and the original evolve
+// (or are served) independently of each other.
 func (s *Schema) Clone() *Schema {
 	c := New()
 	c.nextID = s.nextID

@@ -84,8 +84,8 @@ func genEquivCase(seed int64, n int) equivCase {
 			c := NewEdgeCandidate()
 			for j := 0; j < instances; j++ {
 				c.observe(ls, props)
-				c.SrcDeg[pg.ID(rng.Intn(4))]++
-				c.DstDeg[pg.ID(rng.Intn(4))]++
+				c.SrcDeg.Add(pg.ID(rng.Intn(4)), 1)
+				c.DstDeg.Add(pg.ID(rng.Intn(4)), 1)
 			}
 			for _, tok := range pick(labels, 0.3) {
 				c.SrcTokens[tok] = true

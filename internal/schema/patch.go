@@ -176,7 +176,7 @@ func (b *Baseline) Lift(s *Schema, nodes map[int]bool, edges map[int]*Touched) (
 			tp := jsonTypePatch{ID: et.ID}
 			if !known {
 				tp.Head = &now
-				tp.SrcDegSet, tp.DstDegSet = rekey[nodeKey](et.SrcDeg), rekey[nodeKey](et.DstDeg)
+				tp.SrcDegSet, tp.DstDegSet = persistDegrees(et.SrcDeg), persistDegrees(et.DstDeg)
 			} else {
 				if !reflect.DeepEqual(head, now) {
 					tp.Head = &now
@@ -201,15 +201,15 @@ func (b *Baseline) Lift(s *Schema, nodes map[int]bool, edges map[int]*Touched) (
 
 // liftDeg is keyed.DiffMap over the touched keys alone: before holds
 // their old counts (0: absent), now the live tally.
-func liftDeg(before, now map[pg.ID]int) (set keyed.Map[nodeKey], del keyed.IDs[nodeKey]) {
+func liftDeg(before map[pg.ID]int, now Degrees) (set keyed.Map[nodeKey], del keyed.IDs[nodeKey]) {
 	for id, was := range before {
-		switch count, ok := now[id]; {
-		case ok && count != was:
+		switch count := now.Get(id); {
+		case count != 0 && count != was:
 			if set == nil {
 				set = keyed.Map[nodeKey]{}
 			}
 			set[nodeKey(id)] = count
-		case !ok && was != 0:
+		case count == 0 && was != 0:
 			del = append(del, nodeKey(id))
 		}
 	}

@@ -87,13 +87,27 @@ func canonMap(m map[string]int) map[string]int {
 	return maps.Clone(m)
 }
 
-// rekey copies a degree tally between its live and persisted key types.
-func rekey[To, From ~int64](m map[From]int) map[To]int {
-	out := make(map[To]int, len(m))
-	for id, d := range m {
-		out[To(id)] = d
+// persistDegrees copies a degree tally into its persisted form.
+func persistDegrees(d Degrees) map[nodeKey]int {
+	out := make(map[nodeKey]int, d.Len())
+	for id, n := range d.All() {
+		out[nodeKey(id)] = n
 	}
 	return out
+}
+
+// restoreDegrees builds a live tally from its persisted form in bulk.
+// A tally holds no count below one, so such a count is corruption.
+func restoreDegrees(m map[nodeKey]int) (Degrees, error) {
+	e := make([]degEntry, 0, len(m))
+	for k, n := range m {
+		if n < 1 {
+			return Degrees{}, fmt.Errorf("degree %d for node %d", n, k)
+		}
+		e = append(e, degEntry{pg.ID(k), n})
+	}
+	slices.SortFunc(e, byNode)
+	return packLeaves(e), nil
 }
 
 func propToJSON(ps *PropStat) jsonProp {
@@ -160,7 +174,7 @@ func Persist(s *Schema) *Persisted {
 	}
 	for _, et := range s.EdgeTypes {
 		jt := edgeHeadToJSON(et)
-		jt.SrcDeg, jt.DstDeg = rekey[nodeKey](et.SrcDeg), rekey[nodeKey](et.DstDeg)
+		jt.SrcDeg, jt.DstDeg = persistDegrees(et.SrcDeg), persistDegrees(et.DstDeg)
 		p.EdgeTypes = append(p.EdgeTypes, jt)
 	}
 	return p
@@ -222,7 +236,12 @@ func (p *Persisted) Restore() (*Schema, error) {
 		}
 		et := NewEdgeCandidate()
 		et.Type, et.Cardinality = core, Cardinality(jt.Cardinality)
-		et.SrcDeg, et.DstDeg = rekey[pg.ID](jt.SrcDeg), rekey[pg.ID](jt.DstDeg)
+		if et.SrcDeg, err = restoreDegrees(jt.SrcDeg); err == nil {
+			et.DstDeg, err = restoreDegrees(jt.DstDeg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("schema: edge type %d: %w", jt.ID, err)
+		}
 		for _, tok := range jt.SrcTokens {
 			et.SrcTokens[tok] = true
 		}

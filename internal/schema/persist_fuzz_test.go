@@ -35,8 +35,8 @@ func fuzzSeedSchema() []byte {
 	et.Instances = 2
 	et.SrcTokens["Person"] = true
 	et.DstTokens["Person"] = true
-	et.SrcDeg[pg.ID(1)] = 2
-	et.DstDeg[pg.ID(2)] = 1
+	et.SrcDeg.Add(pg.ID(1), 2)
+	et.DstDeg.Add(pg.ID(2), 1)
 	et.Cardinality = CardManyToOne
 	s.AppendEdgeTypes([]*EdgeType{et})
 	var buf bytes.Buffer

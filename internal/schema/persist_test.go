@@ -183,8 +183,8 @@ func TestReadJSONRefusesNonCanonicalDegreeKeys(t *testing.T) {
 			t.Errorf("canonical degree key %q refused: %v", key, err)
 			continue
 		}
-		if got := s.EdgeTypes[0].SrcDeg; len(got) != 1 || got[id] != 3 {
-			t.Errorf("degree key %q restored as %v", key, got)
+		if got := s.EdgeTypes[0].SrcDeg; got.Len() != 1 || got.Get(id) != 3 {
+			t.Errorf("degree key %q restored as %v", key, persistDegrees(got))
 		}
 	}
 }

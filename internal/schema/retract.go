@@ -64,18 +64,8 @@ func (t *Type) Retract(labels []string, props map[string]pg.Value) {
 // evidence of its endpoints.
 func (t *EdgeType) RetractEdge(labels []string, props map[string]pg.Value, src, dst pg.ID) {
 	t.Retract(labels, props)
-	if t.SrcDeg[src] > 0 {
-		t.SrcDeg[src]--
-		if t.SrcDeg[src] == 0 {
-			delete(t.SrcDeg, src)
-		}
-	}
-	if t.DstDeg[dst] > 0 {
-		t.DstDeg[dst]--
-		if t.DstDeg[dst] == 0 {
-			delete(t.DstDeg, dst)
-		}
-	}
+	t.SrcDeg.Dec(src)
+	t.DstDeg.Dec(dst)
 }
 
 // Compact removes node and edge types whose instance count reached

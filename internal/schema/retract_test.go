@@ -56,17 +56,17 @@ func TestRetractDistinctValues(t *testing.T) {
 func TestRetractEdgeDegrees(t *testing.T) {
 	et := NewEdgeCandidate()
 	et.observe([]string{"R"}, nil)
-	et.SrcDeg[1]++
-	et.DstDeg[2]++
+	et.SrcDeg.Add(1, 1)
+	et.DstDeg.Add(2, 1)
 	et.observe([]string{"R"}, nil)
-	et.SrcDeg[1]++
-	et.DstDeg[3]++
+	et.SrcDeg.Add(1, 1)
+	et.DstDeg.Add(3, 1)
 	et.RetractEdge([]string{"R"}, nil, 1, 3)
 	if et.MaxOutDegree() != 1 {
 		t.Errorf("out degree = %d, want 1", et.MaxOutDegree())
 	}
-	if len(et.DstDeg) != 1 {
-		t.Errorf("dst degrees = %v", et.DstDeg)
+	if et.DstDeg.Len() != 1 {
+		t.Errorf("dst degrees = %v", persistDegrees(et.DstDeg))
 	}
 }
 

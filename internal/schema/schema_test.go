@@ -31,8 +31,8 @@ func edgeCand(labels []string, src, dst string, keys ...string) *EdgeType {
 	if dst != "" {
 		c.DstTokens[dst] = true
 	}
-	c.SrcDeg[1]++
-	c.DstDeg[2]++
+	c.SrcDeg.Add(1, 1)
+	c.DstDeg.Add(2, 1)
 	c.Token = pg.LabelToken(c.SortedLabels())
 	c.Abstract = c.Token == ""
 	return c
@@ -250,8 +250,8 @@ func TestCardinalityAccumulation(t *testing.T) {
 	// Three edges out of node 1, one into each of 3 targets.
 	for dst := pg.ID(10); dst < 13; dst++ {
 		c.observe([]string{"LIKES"}, nil)
-		c.SrcDeg[1]++
-		c.DstDeg[dst]++
+		c.SrcDeg.Add(1, 1)
+		c.DstDeg.Add(dst, 1)
 	}
 	if c.MaxOutDegree() != 3 {
 		t.Errorf("MaxOutDegree = %d, want 3", c.MaxOutDegree())

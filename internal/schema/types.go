@@ -292,8 +292,8 @@ type EdgeType struct {
 	// SrcDeg and DstDeg accumulate, per concrete endpoint node, how
 	// many instances of this edge type attach to it; the maxima drive
 	// cardinality inference (§4.4).
-	SrcDeg map[pg.ID]int
-	DstDeg map[pg.ID]int
+	SrcDeg Degrees
+	DstDeg Degrees
 	// Cardinality is derived by infer.Finalize.
 	Cardinality Cardinality
 }
@@ -308,22 +308,12 @@ func (t *EdgeType) SortedDstTokens() []string { return sortedSet(t.DstTokens) }
 func sortedSet(m map[string]bool) []string { return slices.Sorted(maps.Keys(m)) }
 
 // MaxOutDegree returns max over sources of the per-source instance
-// count (max_out(ρ), §4.4).
-func (t *EdgeType) MaxOutDegree() int { return maxDeg(t.SrcDeg) }
+// count (max_out(ρ), §4.4). O(1).
+func (t *EdgeType) MaxOutDegree() int { return t.SrcDeg.Max() }
 
 // MaxInDegree returns max over targets of the per-target instance
-// count (max_in(ρ), §4.4).
-func (t *EdgeType) MaxInDegree() int { return maxDeg(t.DstDeg) }
-
-func maxDeg(m map[pg.ID]int) int {
-	max := 0
-	for _, d := range m {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
+// count (max_in(ρ), §4.4). O(1).
+func (t *EdgeType) MaxInDegree() int { return t.DstDeg.Max() }
 
 func (t *EdgeType) mergeEdge(o *EdgeType) {
 	t.mergeCore(&o.Type)
@@ -333,12 +323,8 @@ func (t *EdgeType) mergeEdge(o *EdgeType) {
 	for k := range o.DstTokens {
 		t.DstTokens[k] = true
 	}
-	for id, d := range o.SrcDeg {
-		t.SrcDeg[id] += d
-	}
-	for id, d := range o.DstDeg {
-		t.DstDeg[id] += d
-	}
+	t.SrcDeg.absorb(o.SrcDeg)
+	t.DstDeg.absorb(o.DstDeg)
 }
 
 // Schema is a schema graph (Def. 3.4): node types, edge types, and —
@@ -462,16 +448,6 @@ func newType() Type {
 func NewNodeCandidate() *NodeType { return &NodeType{Type: newType()} }
 
 // NewEdgeCandidate returns an empty edge candidate.
-func NewEdgeCandidate() *EdgeType { return newEdgeCandidate(0) }
-
-// newEdgeCandidate returns an empty edge candidate whose degree maps
-// are sized for endpoints distinct endpoint nodes.
-func newEdgeCandidate(endpoints int) *EdgeType {
-	return &EdgeType{
-		Type:      newType(),
-		SrcTokens: map[string]bool{},
-		DstTokens: map[string]bool{},
-		SrcDeg:    make(map[pg.ID]int, endpoints),
-		DstDeg:    make(map[pg.ID]int, endpoints),
-	}
+func NewEdgeCandidate() *EdgeType {
+	return &EdgeType{Type: newType(), SrcTokens: map[string]bool{}, DstTokens: map[string]bool{}}
 }

@@ -257,6 +257,9 @@ type (
 	NodeType = schema.NodeType
 	// EdgeType is a discovered edge type (Def. 3.3).
 	EdgeType = schema.EdgeType
+	// Degrees is an edge type's per-endpoint degree tally (SrcDeg,
+	// DstDeg): read it with Get, Len, Max and All.
+	Degrees = schema.Degrees
 	// PropStat carries a property's constraints and statistics.
 	PropStat = schema.PropStat
 	// Cardinality classifies edge multiplicities (1:1, N:1, 1:N, M:N).

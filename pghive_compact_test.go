@@ -4,14 +4,16 @@ package pghive_test
 // delta round writes far fewer bytes than the base image; a round
 // carrying tombstones on a store that has no base (or a small one)
 // writes a run, not the database; a steady-state round's allocations
-// follow the write, not the store, as a durable write's own do; and it
-// reads no checkpoint or run file.
+// follow the write, not the store, as a durable write's own do, in
+// objects and in bytes; and it reads no checkpoint or run file.
 
 import (
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,7 +218,13 @@ func TestFirstTombstoneDoesNotFoldUnfoldedStore(t *testing.T) {
 // off for the rounds the caller measures.
 func openLoaded(t *testing.T, fsys vfs.FS, n int) *pghive.DurableService {
 	t.Helper()
-	d, err := pghive.OpenDurable("data", pghive.Options{Seed: 9, Parallelism: 1}, pghive.DurableOptions{
+	return openLoadedIn(t, fsys, "data", n)
+}
+
+// openLoadedIn is openLoaded with the data directory named.
+func openLoadedIn(t *testing.T, fsys vfs.FS, dir string, n int) *pghive.DurableService {
+	t.Helper()
+	d, err := pghive.OpenDurable(dir, pghive.Options{Seed: 9, Parallelism: 1}, pghive.DurableOptions{
 		FS: fsys, NoSync: true, DisableAutoCompact: true, MaxRuns: 1 << 30, MaxTombstoneRatio: 1e9,
 	})
 	if err != nil {
@@ -280,6 +288,53 @@ func TestCompactAllocsFollowChange(t *testing.T) {
 	t.Logf("ingest + Compact allocations: %.0f on 2 k elements, %.0f on 20 k", small, large)
 	if large > 1.5*small {
 		t.Fatalf("a compaction round's allocations follow the store, not the change: %.0f -> %.0f for a store ten times the size", small, large)
+	}
+}
+
+// writeBytes measures the bytes one 25-node + 25-edge durable Ingest
+// allocates on a store loaded with n elements: TotalAlloc across the
+// write, median of five writes. Each is measured after a GC and one
+// more write, which refills the pools the GC emptied. The store is on
+// disk, as MemFS copies a whole file on every append; the graph is
+// built outside the measured call.
+func writeBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	d := openLoadedIn(t, vfs.OS, filepath.Join(t.TempDir(), "data"), n)
+	defer d.Close()
+	next := pghive.ID(1 << 24)
+	write := func(g *pghive.Graph) {
+		if err := durableIngest(d, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(stressGraph(t, next, 25)) // the first write after the load, not a steady-state one
+	var ms runtime.MemStats
+	samples := make([]uint64, 5)
+	for i := range samples {
+		warm, g := stressGraph(t, next+1000, 25), stressGraph(t, next+2000, 25)
+		next += 2000
+		runtime.GC()
+		write(warm)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		write(g)
+		runtime.ReadMemStats(&ms)
+		samples[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(samples)
+	return samples[len(samples)/2]
+}
+
+// TestPublishAllocsFollowBatch: the bytes one durable write allocates —
+// submit, WAL append, apply and the publish of a snapshot — on a 2 k-
+// and on a 20 k-element store. A publish that copied every degree
+// tally would allocate in proportion to the store; one that shares the
+// tally leaves the write did not touch allocates for the batch.
+func TestPublishAllocsFollowBatch(t *testing.T) {
+	small, large := writeBytes(t, 2_000), writeBytes(t, 20_000)
+	t.Logf("durable Ingest bytes: %d on 2 k elements, %d on 20 k", small, large)
+	if float64(large) > 1.5*float64(small) {
+		t.Fatalf("a write's allocated bytes follow the store, not the batch: %d -> %d for a store ten times the size", small, large)
 	}
 }
 

@@ -168,6 +168,92 @@ func TestServiceConcurrentStress(t *testing.T) {
 	}
 }
 
+// linkGraph builds n LINK edges with IDs from first, between nodes of
+// a 300-node base, so every batch changes degree tallies the base
+// built: counts rise in every leaf, and a retraction takes some to 0.
+func linkGraph(first pghive.ID, n int, end func(j int) (src, dst pghive.ID)) *pghive.Graph {
+	g := pghive.NewGraph()
+	g.AllowDanglingEdges(true)
+	for j := 0; j < n; j++ {
+		src, dst := end(j)
+		_ = g.PutEdge(first+pghive.ID(j), []string{"LINK"}, src, dst, nil)
+	}
+	return g
+}
+
+// TestServiceHeldSnapshotRendersUnchanged: a reader holds one published
+// schema while writes ingest and retract edges of the same edge type,
+// and other readers render and clone it concurrently. Run with -race.
+// The held schema shares its degree tallies with the live one until a
+// write copies what it changes, so a write that reached it would show
+// as a changed rendering or a race.
+func TestServiceHeldSnapshotRendersUnchanged(t *testing.T) {
+	const nodes = 300
+	base := linkGraph(0, 2*nodes, func(j int) (pghive.ID, pghive.ID) {
+		return pghive.ID(j % nodes), pghive.ID((j * 7) % nodes)
+	})
+	for i := 0; i < nodes; i++ {
+		_ = base.PutNode(pghive.ID(i), []string{"P"}, map[string]pghive.Value{"k": pghive.Int(int64(i))})
+	}
+	svc := pghive.NewService(pghive.Options{Seed: 1, Parallelism: 1})
+	svc.Ingest(base)
+	held := svc.Schema()
+	render := func(s *pghive.Schema) string {
+		var b strings.Builder
+		if err := pghive.WriteSchemaJSON(&b, s); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	want := render(held)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_ = render(svc.Schema())
+				if render(held) != want || render(held.Clone()) != want {
+					t.Error("a held snapshot changed under a write")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		g := linkGraph(pghive.ID(10_000+100*i), 50, func(j int) (pghive.ID, pghive.ID) {
+			return pghive.ID((i*17 + j*5) % nodes), pghive.ID((j * 31) % nodes)
+		})
+		svc.Ingest(g)
+		if i%2 == 1 {
+			svc.Retract(g)
+		}
+	}
+	// Both base edges out of the first 50 nodes: their out-degree
+	// tallies drop to zero and leave the live tally.
+	svc.Retract(linkGraph(0, 50, func(j int) (pghive.ID, pghive.ID) {
+		return pghive.ID(j), pghive.ID((j * 7) % nodes)
+	}))
+	svc.Retract(linkGraph(nodes, 50, func(j int) (pghive.ID, pghive.ID) {
+		return pghive.ID(j), pghive.ID(((nodes + j) * 7) % nodes)
+	}))
+	close(done)
+	readers.Wait()
+	if got := render(held); got != want {
+		t.Fatalf("held snapshot renders differently after the writes:\nbefore %s\nafter  %s", want, got)
+	}
+	if render(svc.Schema()) == want {
+		t.Fatal("setup: the writes left the live schema as it was")
+	}
+}
+
 // TestReaderReadsDoNotAllocate: a snapshot read is one atomic pointer
 // load, so Snapshot, Stats and Schema allocate nothing — the reason
 // reads stay flat however fast writes land.
