@@ -152,19 +152,16 @@ func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []in
 // countEndpoints sets each candidate's degree tallies from the edges
 // cand assigns to it. The endpoints are grouped by candidate in one
 // buffer, one ID per edge, which each side reuses; each tally is then
-// built from its group in bulk, sorted through a second buffer as long
-// as the largest group.
+// built from its group in bulk.
 func countEndpoints(cands []*EdgeType, edges []pg.Edge, cand func(row int) int) {
 	start := make([]int, len(cands)+1)
 	for row := range edges {
 		start[cand(row)+1]++
 	}
-	widest := 0
 	for i := range cands {
-		widest = max(widest, start[i+1])
 		start[i+1] += start[i]
 	}
-	ids, scratch := make([]pg.ID, len(edges)), make([]pg.ID, widest)
+	ids := make([]pg.ID, len(edges))
 	next := make([]int, len(cands))
 	group := func(end func(e *pg.Edge) pg.ID) {
 		copy(next, start)
@@ -176,10 +173,10 @@ func countEndpoints(cands []*EdgeType, edges []pg.Edge, cand func(row int) int) 
 	}
 	group(func(e *pg.Edge) pg.ID { return e.Src })
 	for i, c := range cands {
-		c.SrcDeg = countDegrees(ids[start[i]:start[i+1]], scratch)
+		c.SrcDeg = countDegrees(ids[start[i]:start[i+1]])
 	}
 	group(func(e *pg.Edge) pg.ID { return e.Dst })
 	for i, c := range cands {
-		c.DstDeg = countDegrees(ids[start[i]:start[i+1]], scratch)
+		c.DstDeg = countDegrees(ids[start[i]:start[i+1]])
 	}
 }

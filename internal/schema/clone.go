@@ -7,9 +7,12 @@ package schema
 // state with the original. A copy takes each type's bounded head —
 // labels, property statistics, endpoint tokens — as fresh maps, and
 // shares the immutable leaves of its degree tallies (degrees.go),
-// which grow with the database. Cloning costs O(types × properties);
-// a write after it copies only the tally leaves it changes, so a
-// publish costs O(types × properties + edges changed).
+// which grow with the database. Cloning costs O(types × properties).
+// A write after it copies, per tally it touches, the tally's root (one
+// pointer per leaf of at most leafCap entries, and the histogram) and
+// each leaf it writes, so a write and its publish cost
+// O(types × properties + edges changed × leafCap + Σ touched tallies'
+// Len/leafCap).
 
 // Clone returns a deep copy of the stat: no maps or slices are shared
 // with the receiver.

@@ -8,9 +8,10 @@ package schema
 // batch, so a tally must be cheap to copy and cheap to change after a
 // copy. It is a persistent structure: sorted leaves of at most leafCap
 // (node, count) entries under one root. Clone shares the root; the
-// first write after a clone copies the root (one pointer per leaf) and
-// then each leaf it writes, once. A copy therefore costs nothing per
-// entry, and the writer pays for the leaves a batch touches. A leaf is
+// first write after a clone copies the root (one pointer per leaf, so
+// Len/leafCap pointers, and the histogram) and then each leaf it
+// writes, once. A copy therefore costs nothing per entry, and the
+// writer pays for the roots and leaves a batch touches. A leaf is
 // written in place only by the root that made it (its owner); every
 // other root copies it first, so a published tally never changes.
 //
@@ -178,9 +179,13 @@ func (d *Degrees) Dec(id pg.ID) {
 	}
 }
 
-// absorb adds every count of o to d. A small o is added entry by entry,
-// so the leaves it does not touch stay shared; a large one is merged
-// with d, both in node order, into fresh leaves in one pass.
+// absorb adds every count of o to d. Entry by entry, each entry may
+// copy a leaf of up to leafCap entries, but the leaves o does not touch
+// stay shared; a merge of the two tallies, both in node order, into
+// fresh leaves writes all of d and o once. So o is added entry by entry
+// when that costs at most the merge (o.Len()*leafCap <= d.Len()), and
+// always when it fits in one leaf, so that a small write's cost does
+// not grow with d. Discovery's merges of large clusters take the merge.
 func (d *Degrees) absorb(o Degrees) {
 	switch {
 	case o.Len() == 0:
@@ -222,13 +227,12 @@ func (d *Degrees) absorb(o Degrees) {
 }
 
 // countDegrees builds the tally in which each node's count is the
-// number of times it occurs in ids. It sorts ids in place, using
-// scratch, which is at least as long, as sortIDs does.
-func countDegrees(ids, scratch []pg.ID) Degrees {
+// number of times it occurs in ids. It sorts ids in place.
+func countDegrees(ids []pg.ID) Degrees {
 	if len(ids) == 0 {
 		return Degrees{}
 	}
-	sortIDs(ids, scratch)
+	slices.Sort(ids)
 	distinct := 1
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[i-1] {
@@ -244,40 +248,6 @@ func countDegrees(ids, scratch []pg.ID) Degrees {
 		}
 	}
 	return packLeaves(e)
-}
-
-// sortIDs sorts ids. A long slice takes an LSD radix sort over the
-// bytes its range spans, with scratch, at least as long, as the other
-// buffer: a batch's endpoints are mostly dense IDs, and this is
-// several times faster than a comparison sort on them.
-func sortIDs(ids, scratch []pg.ID) {
-	if len(ids) < 256 {
-		slices.Sort(ids)
-		return
-	}
-	lo, hi := ids[0], ids[0]
-	for _, id := range ids {
-		lo, hi = min(lo, id), max(hi, id)
-	}
-	span := uint64(hi) - uint64(lo)
-	src, dst := ids, scratch[:len(ids)]
-	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
-		var at [256]int
-		for _, id := range src {
-			at[byte((uint64(id)-uint64(lo))>>shift)]++
-		}
-		sum := 0
-		for b, n := range at {
-			at[b], sum = sum, sum+n
-		}
-		for _, id := range src {
-			b := byte((uint64(id) - uint64(lo)) >> shift)
-			dst[at[b]] = id
-			at[b]++
-		}
-		src, dst = dst, src
-	}
-	copy(ids, src)
 }
 
 // packLeaves cuts sorted, distinct, positive entries into full leaves

@@ -5,10 +5,11 @@ package pghive
 // serialized by the write lock, whose holder commits the writes waiting
 // behind it (groupcommit.go); reads are lock-free against an immutable
 // published snapshot (copy-on-publish): after every write batch the
-// service deep-copies the evolving schema, finalizes constraints on
-// the copy, and swaps it in atomically, so a reader never observes a
-// half-merged schema, a type with zero instances, or constraints that
-// lag the statistics.
+// service copies the evolving schema (each type's bounded head; the
+// degree tallies share their leaves, schema/degrees.go), finalizes
+// constraints on the copy, and swaps it in atomically, so a reader
+// never observes a half-merged schema, a type with zero instances, or
+// constraints that lag the statistics.
 
 import (
 	"context"
