@@ -57,8 +57,8 @@ type liftScript struct {
 // exercised, so a generator drifting away from the interesting cases
 // fails the test instead of passing it vacuously.
 type liftCoverage struct {
-	runs, runsWithTombstones, runsWithSchemaPatch int
-	folds                                         map[string]int
+	runs, runsWithTombstones, runsWithTallies int
+	folds                                     map[string]int
 }
 
 func newLiftScript(t testing.TB, opts Options, dopts DurableOptions, seen *liftCoverage) *liftScript {
@@ -178,8 +178,8 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 		if want.Tombstones() > 0 {
 			s.seen.runsWithTombstones++
 		}
-		if want.SchemaPatch != nil {
-			s.seen.runsWithSchemaPatch++
+		if len(want.Tallies) > 0 {
+			s.seen.runsWithTallies++
 		}
 	}
 	merged, err := mergedImage(context.Background(), store.NewDir(s.mem, liftDir), s.opts, man)
@@ -400,10 +400,10 @@ func TestCompactLiftMatchesDiffProperty(t *testing.T) {
 				rng.Read(script)
 				newLiftScript(t, cfg.opts, cfg.dopts, seen).run(script)
 			}
-			t.Logf("%d runs checked (%d with tombstones, %d with a schema patch), folds %v",
-				seen.runs, seen.runsWithTombstones, seen.runsWithSchemaPatch, seen.folds)
-			if seen.runsWithTombstones == 0 || seen.runsWithSchemaPatch == 0 {
-				t.Error("no checked run carried tombstones, or none a schema patch: the generator no longer reaches them")
+			t.Logf("%d runs checked (%d with tombstones, %d with tally changes), folds %v",
+				seen.runs, seen.runsWithTombstones, seen.runsWithTallies, seen.folds)
+			if seen.runsWithTombstones == 0 || seen.runsWithTallies == 0 {
+				t.Error("no checked run carried tombstones, or none tally changes: the generator no longer reaches them")
 			}
 			if cfg.name == "folding" && (seen.folds[FoldMaxRuns] == 0 || seen.folds[FoldTombstoneRatio] == 0) {
 				t.Errorf("folds %v: want both max-runs and tombstone-ratio folds checked", seen.folds)

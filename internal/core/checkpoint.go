@@ -19,12 +19,14 @@ package core
 // CaptureImage + EncodeImage; ResumeFromCheckpoint is DecodeImage +
 // RestoreImage.
 //
-// The byte format is generation 2 (CheckpointVersion): compact JSON with
+// The byte format is generation 3 (CheckpointVersion): compact JSON with
 // sorted keys, in which every element-keyed collection is grouped and
-// gap-coded — the assignments in keyed's form, the resolver as one ID
-// list per label set (ResolverNodes). An image of any other version is
-// refused by its version, never read. The schema inside an image keeps
-// its own format (schema.Persisted), which WriteSchemaJSON shares.
+// gap-coded — the assignments and the degree tallies (tally.go) in
+// keyed's form, the resolver as one ID list per label set
+// (ResolverNodes). An image of any other version is refused by its
+// version, never read. The schema inside an image is its heads alone
+// (schema.Persisted): WriteSchemaJSON writes the same heads with each
+// edge type's tallies inside it, and an image keeps those in Tallies.
 //
 // An Image never aliases a live pipeline: CaptureImage and
 // RestoreImage copy, in both directions. Compaction depends on it — a
@@ -47,8 +49,9 @@ import (
 )
 
 // CheckpointVersion is the format version WriteCheckpoint emits and the
-// only one the decoders read.
-const CheckpointVersion = 2
+// only one the decoders read. Version 3 keeps the degree tallies in
+// Tallies, beside the schema's heads.
+const CheckpointVersion = 3
 
 // ResolverNode is one persisted entry of the stream's endpoint
 // bookkeeping: a node ID and its labels (never properties or edges).
@@ -135,8 +138,11 @@ func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
 // checkable by comparing encoded images.
 type Image struct {
 	Version int `json:"version"`
-	// Schema is the evolving schema: what WriteSchemaJSON encodes.
+	// Schema is the evolving schema's heads: what WriteSchemaJSON
+	// encodes, less the degree tallies.
 	Schema schema.Persisted `json:"schema"`
+	// Tallies are the edge types' degree tallies, in type-ID order.
+	Tallies Tallies `json:"tallies,omitempty"`
 	// Batches counts processed batches.
 	Batches int `json:"batches"`
 	// NodeAssign / EdgeAssign map element IDs to schema type IDs.
@@ -216,6 +222,7 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 	img := &Image{
 		Version:        CheckpointVersion,
 		Schema:         *schema.Persist(inc.sch),
+		Tallies:        captureTallies(inc.sch.EdgeTypes),
 		Batches:        inc.batches,
 		NextTypeID:     inc.sch.NextTypeID(),
 		NodeClusters:   inc.result.NodeClusters,
@@ -360,6 +367,9 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	edgeByID := make(map[int]*schema.EdgeType, len(s.EdgeTypes))
 	for _, et := range s.EdgeTypes {
 		edgeByID[et.ID] = et
+	}
+	if err := restoreTallies(img.Tallies, edgeByID); err != nil {
+		return nil, nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if len(img.NodeAssign) > 0 {
 		inc.result.NodeAssign = make(map[pg.ID]*schema.NodeType, len(img.NodeAssign))

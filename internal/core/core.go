@@ -412,13 +412,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		}
 		inc.result.NodeAssign[id] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
 	}
-	if rec {
-		for _, t := range ntypes {
-			if t != nil {
-				d.nodeTypes[t.ID] = true
-			}
-		}
-	}
 	tm.Extract += time.Since(start)
 
 	// (b') Preprocess edges: complete the endpoints the batch has no
@@ -541,7 +534,6 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 		}
 		if rec {
 			d.nodeAssigned(n.ID, ty)
-			d.nodeTypes[ty.ID] = true
 		}
 		ty.Retract(n.Labels, n.Props)
 		delete(inc.result.NodeAssign, n.ID)
@@ -559,7 +551,9 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 		ty.RetractEdge(e.Labels, e.Props, e.Src, e.Dst)
 		delete(inc.result.EdgeAssign, e.ID)
 	}
-	inc.sch.Compact()
+	if _, removed := inc.sch.Compact(); rec {
+		d.edgeTypesRemoved(removed)
+	}
 	tm := Timing{Extract: time.Since(start)}
 	inc.result.Timing.add(tm)
 	return BatchTiming{Index: b.Index, Timing: tm}

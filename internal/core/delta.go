@@ -12,16 +12,15 @@ package core
 //
 // Every keyed collection travels as puts and deletes — the deletes
 // are the tombstones of the run layout — under one rule per shape:
-// keyed.DiffMap / ApplyMap for maps (the assignments here, the degree
-// tallies inside the schema patch), diffSorted / applySorted for
+// keyed.DiffMap / ApplyMap for maps (the assignments, and per edge type
+// the degree tallies, tally.go), diffSorted / applySorted for
 // key-sorted slices (shape caches, resolver). The scalars (counters,
-// adaptive choices) are O(types) and carried whole; the schema, whose
-// degree statistics grow with the database, as a structural patch
-// (schema.Diff).
+// adaptive choices) and the schema's heads are O(types × properties)
+// and carried whole.
 //
-// EncodeDelta and ParseDelta own a run's bytes (format generation 2,
+// EncodeDelta and ParseDelta own a run's bytes (format generation 3,
 // as images). Element-keyed puts and tombstones are written the way
-// images write them: assignments and degree puts as keyed.Map value
+// images write them: assignments and tally puts as keyed.Map value
 // groups, tombstones as gap-coded keyed.IDs, resolver puts grouped by
 // label set. A run of any other version is refused by its version.
 
@@ -39,9 +38,9 @@ import (
 )
 
 // DeltaVersion is the ImageDelta format version, the only one ParseDelta
-// reads. Version 2 writes the element-keyed puts and tombstones grouped
-// and gap-coded, as images are.
-const DeltaVersion = 2
+// reads. Version 3 carries the schema's heads whole and the degree
+// tallies as their own puts and tombstones.
+const DeltaVersion = 3
 
 // ImageDelta is the difference between two checkpoint images: the
 // state change a span of WAL records (FromLSN, ToLSN] produced.
@@ -56,11 +55,9 @@ type ImageDelta struct {
 	FromLSN uint64 `json:"fromLSN"`
 	ToLSN   uint64 `json:"toLSN"`
 
-	// SchemaPatch is the structural schema diff (schema.Diff); absent
-	// when the schema did not change across the span.
-	SchemaPatch *schema.Patch `json:"schemaPatch,omitempty"`
-
-	// Whole-value replacements: O(schema), not O(elements).
+	// Whole-value replacements: O(schema), not O(elements). Schema is
+	// the heads at ToLSN, as an image holds them.
+	Schema       schema.Persisted   `json:"schema"`
 	Batches      int                `json:"batches"`
 	NodeClusters int                `json:"nodeClusters"`
 	EdgeClusters int                `json:"edgeClusters"`
@@ -70,6 +67,9 @@ type ImageDelta struct {
 	EdgeChoice   lsh.AdaptiveChoice `json:"edgeChoice"`
 	NextTypeID   int                `json:"nextTypeID"`
 	NextEdgeID   pg.ID              `json:"nextEdgeID,omitempty"`
+
+	// Degree tally puts and tombstones, per edge type in type-ID order.
+	Tallies TallyChanges `json:"tallies,omitempty"`
 
 	// Assignment puts and tombstones.
 	NodeAssign   keyed.Map[pg.ID] `json:"nodeAssign,omitempty"`
@@ -133,7 +133,8 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 		NextTypeID:   next.NextTypeID,
 		NextEdgeID:   next.NextEdgeID,
 
-		SchemaPatch: schema.Diff(&base.Schema, &next.Schema),
+		Schema:  next.Schema,
+		Tallies: diffTallies(base.Tallies, next.Tallies),
 	}
 	d.NodeAssign, d.NodeUnassign = keyed.DiffMap(base.NodeAssign, next.NodeAssign, cmp.Compare)
 	d.EdgeAssign, d.EdgeUnassign = keyed.DiffMap(base.EdgeAssign, next.EdgeAssign, cmp.Compare)
@@ -162,13 +163,8 @@ func (d *ImageDelta) Apply(img *Image) error {
 		return fmt.Errorf("core: delta: run starts at LSN %d but image covers LSN %d", d.FromLSN, img.WALSeq)
 	}
 
-	if d.SchemaPatch != nil {
-		patched, err := d.SchemaPatch.Apply(&img.Schema)
-		if err != nil {
-			return fmt.Errorf("core: delta: schema patch: %w", err)
-		}
-		img.Schema = *patched
-	}
+	img.Schema = d.Schema
+	img.Tallies = applyTallies(img.Tallies, d.Tallies)
 	img.Batches = d.Batches
 	img.NodeClusters = d.NodeClusters
 	img.EdgeClusters = d.EdgeClusters

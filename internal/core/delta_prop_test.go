@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 )
 
@@ -50,26 +51,48 @@ func FuzzImageDeltaApply(f *testing.F) {
 		}
 		f.Add([]byte(v1))
 	}
+	// Generation 2 carried the degree tallies inside a structural schema
+	// patch. Its payloads are refused by their version too.
+	gen2, err := os.ReadFile(filepath.Join("testdata", "delta.gen2.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, v2 := range [][]byte{
+		gen2,
+		[]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"edgeIDs":[5,5,5,5,5,5,5,5],"edgeTypes":[{"id":5,"srcDegSet":[{"v":1,"ids":[1]}]}]}}`),
+	} {
+		if _, err := ParseDelta(v2); err == nil || !strings.Contains(err.Error(), "version 2 is not supported") {
+			f.Fatalf("version-2 payload %s: %v", v2, err)
+		}
+		f.Add(v2)
+	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "delta.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"replace":{"version":1,"nodeTypes":null,"edgeTypes":null}}}`))
-	// Hostile shapes: a type listed many times, a new type without a
-	// head, an unknown patch version, unsorted and repeated shape puts,
-	// dels of keys that are not there, a non-canonical degree key, an ID
-	// in two groups, a long gap-coded run of tombstones.
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"edgeIDs":[5,5,5,5,5,5,5,5],"edgeTypes":[{"id":5,"srcDegSet":[{"v":1,"ids":[1]}]}]}}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"nodeIDs":[42]}}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":7}}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"resolverPut":[{"ids":[9]},{"labels":["X"],"ids":[2]}],"resolverDel":[2,75],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"nodeAssign":[{"v":99,"ids":[1]}],"nodeUnassign":[1,499],"edgeUnassign":[100]}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"edgeIDs":[5],"edgeTypes":[{"id":5,"srcDegDel":["012"]}]}}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"edgeAssign":[{"v":5,"ids":[100]},{"v":6,"ids":[100]}]}`))
-	f.Add([]byte(`{"version":2,"fromLSN":3,"toLSN":4,"nodeUnassign":[1` + strings.Repeat(",1", 2000) + `]}`))
+	f.Add([]byte(`{"version":3,"fromLSN":3,"toLSN":4}`))
+	// Hostile shapes: unsorted and repeated shape puts, dels of keys that
+	// are not there, an ID in two groups, a long gap-coded run of
+	// tombstones; and tally groups that list a type twice, out of order,
+	// empty, or with a count below one.
+	f.Add([]byte(`{"version":3,"fromLSN":3,"toLSN":4,"resolverPut":[{"ids":[9]},{"labels":["X"],"ids":[2]}],"resolverDel":[2,75],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`))
+	f.Add([]byte(`{"version":3,"fromLSN":3,"toLSN":4,"nodeAssign":[{"v":99,"ids":[1]}],"nodeUnassign":[1,499],"edgeUnassign":[100]}`))
+	f.Add([]byte(`{"version":3,"fromLSN":3,"toLSN":4,"edgeAssign":[{"v":5,"ids":[100]},{"v":6,"ids":[100]}]}`))
+	f.Add([]byte(`{"version":3,"fromLSN":3,"toLSN":4,"nodeUnassign":[1` + strings.Repeat(",1", 2000) + `]}`))
+	for _, tallies := range []string{
+		`[{"type":5,"srcPut":[{"v":1,"ids":[1]}]},{"type":5,"srcDel":[1]}]`, // a type twice
+		`[{"type":6,"srcPut":[{"v":1,"ids":[1]}]},{"type":5,"dstDel":[2]}]`, // out of order
+		`[{"type":5}]`, // an empty group
+		`[{"type":5,"dstPut":[{"v":0,"ids":[1]}]}]`, // a count below one
+	} {
+		seed := []byte(`{"version":3,"fromLSN":3,"toLSN":4,"tallies":` + tallies + `}`)
+		if _, err := ParseDelta(seed); err == nil {
+			f.Fatalf("hostile tallies accepted: %s", seed)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ParseDelta(data)
@@ -100,30 +123,30 @@ func FuzzImageDeltaApply(f *testing.F) {
 
 // genImage draws a small image from a tiny vocabulary, so that two
 // draws overlap in every collection: types that survive, change head,
-// change only degrees, appear and vanish; collections that are empty
-// (and must encode as absent); and — when dupIDs — a schema listing a
-// type ID twice, which only a replace patch can carry.
-func genImage(rng *rand.Rand, dupIDs bool) (img *Image, dup bool) {
+// change only degrees, appear and vanish; and collections that are
+// empty (and must encode as absent).
+func genImage(rng *rand.Rand) *Image {
+	var tallies Tallies
 	genTypes := func(edge bool) []map[string]any {
 		var types []map[string]any
 		for _, id := range rng.Perm(5)[:rng.Intn(5)] {
 			lbl := fmt.Sprintf("L%d", id)
-			ty := map[string]any{"id": id, "token": lbl, "labels": map[string]int{lbl: 1 + rng.Intn(3)}, "instances": 1 + rng.Intn(2)}
-			if edge {
-				for _, side := range []string{"srcDeg", "dstDeg"} {
-					deg := map[string]int{}
-					for _, node := range rng.Perm(12)[:rng.Intn(4)] {
-						deg[fmt.Sprint(node)] = 1 + rng.Intn(2)
+			types = append(types, map[string]any{"id": id, "token": lbl, "labels": map[string]int{lbl: 1 + rng.Intn(3)}, "instances": 1 + rng.Intn(2)})
+			if !edge {
+				continue
+			}
+			t := Tally{Type: id}
+			for _, side := range []*keyed.Map[pg.ID]{&t.Src, &t.Dst} {
+				for _, node := range rng.Perm(12)[:rng.Intn(4)] {
+					if *side == nil {
+						*side = keyed.Map[pg.ID]{}
 					}
-					if len(deg) > 0 {
-						ty[side] = deg
-					}
+					(*side)[pg.ID(node)] = 1 + rng.Intn(2)
 				}
 			}
-			types = append(types, ty)
-		}
-		if dupIDs && len(types) > 0 {
-			types, dup = append(types, types[0]), true
+			if len(t.Src)+len(t.Dst) > 0 {
+				tallies = append(tallies, t)
+			}
 		}
 		return types
 	}
@@ -131,8 +154,9 @@ func genImage(rng *rand.Rand, dupIDs bool) (img *Image, dup bool) {
 	if err != nil {
 		panic(err)
 	}
-	img = &Image{
-		Version: CheckpointVersion, Schema: mustSchema(string(text)),
+	slices.SortFunc(tallies, func(a, b Tally) int { return a.Type - b.Type })
+	img := &Image{
+		Version: CheckpointVersion, Schema: mustSchema(string(text)), Tallies: tallies,
 		Batches: rng.Intn(9), NodeClusters: rng.Intn(9), NextTypeID: 5 + rng.Intn(3), NextEdgeID: pg.ID(rng.Intn(3)),
 		NodeAssign: map[pg.ID]int{}, EdgeAssign: map[pg.ID]int{},
 	}
@@ -153,7 +177,7 @@ func genImage(rng *rand.Rand, dupIDs bool) (img *Image, dup bool) {
 			img.Resolver = append(img.Resolver, ResolverNode{ID: pg.ID(k), Labels: []string{"A", "B"}[:rng.Intn(3)]})
 		}
 	}
-	return img, dup
+	return img
 }
 
 // TestDeltaDiffApplyProperty: Apply(Diff(a, b), a) ≡ b under image
@@ -161,11 +185,10 @@ func genImage(rng *rand.Rand, dupIDs bool) (img *Image, dup bool) {
 // JSON the way a run file carries it — and diffing modifies neither
 // image.
 func TestDeltaDiffApplyProperty(t *testing.T) {
-	replaced := 0
+	tallied := 0
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, dupA := genImage(rng, seed%7 == 3)
-		b, dupB := genImage(rng, seed%5 == 2)
+		a, b := genImage(rng), genImage(rng)
 		a.WALSeq = uint64(rng.Intn(4))
 		b.WALSeq = a.WALSeq + uint64(rng.Intn(3))
 		a.AppliedKeys = []AppliedKey{{Key: "old", LSN: a.WALSeq}}[:rng.Intn(2)]
@@ -179,10 +202,8 @@ func TestDeltaDiffApplyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if p := d.SchemaPatch; p != nil && (p.Replace != nil) != (dupA || dupB) {
-			t.Fatalf("seed %d: duplicate IDs %v/%v, replace patch %v", seed, dupA, dupB, p.Replace != nil)
-		} else if p != nil && p.Replace != nil {
-			replaced++
+		if len(d.Tallies) > 0 {
+			tallied++
 		}
 		payload, err := EncodeDelta(d)
 		if err != nil {
@@ -211,8 +232,8 @@ func TestDeltaDiffApplyProperty(t *testing.T) {
 			t.Fatalf("seed %d: diffing or applying modified an input image", seed)
 		}
 	}
-	if replaced == 0 {
-		t.Fatal("no generated pair exercised the replace fallback")
+	if tallied == 0 {
+		t.Fatal("no generated pair changed a degree tally")
 	}
 }
 
@@ -221,18 +242,18 @@ func TestDeltaDiffApplyProperty(t *testing.T) {
 // far as a diff or an apply — the decoders refuse it.
 func TestMalformedSchemaTextRefusedAtDecode(t *testing.T) {
 	for _, text := range []string{
-		`{"version":2,"schema":not json}`,
-		`{"version":2,"schema":"junk"}`,
-		`{"version":2,"schema":{"version":1,"edgeTypes":[{"id":0,"srcDeg":{"012":1}}]}}`,
+		`{"version":3,"schema":not json}`,
+		`{"version":3,"schema":"junk"}`,
+		`{"version":3,"schema":{"version":1,"edgeTypes":[{"id":0,"srcDeg":{"012":1}}]}}`,
 	} {
 		if _, err := DecodeImage(strings.NewReader(text)); err == nil {
 			t.Errorf("DecodeImage accepted %s", text)
 		}
 	}
 	for _, text := range []string{
-		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":not json}`,
-		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":"junk"}`,
-		`{"version":2,"fromLSN":3,"toLSN":4,"schemaPatch":{"version":2,"replace":"junk"}}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"schema":not json}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"schema":"junk"}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"schema":{"version":1,"nodeTypes":"junk"}}`,
 	} {
 		if _, err := ParseDelta([]byte(text)); err == nil {
 			t.Errorf("an ImageDelta decoded from %s", text)
@@ -240,7 +261,7 @@ func TestMalformedSchemaTextRefusedAtDecode(t *testing.T) {
 	}
 	// An image with no schema member decodes (to the zero schema) and is
 	// refused by the first thing that needs a schema.
-	img, err := DecodeImage(strings.NewReader(`{"version":2}`))
+	img, err := DecodeImage(strings.NewReader(`{"version":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +278,7 @@ func TestOtherVersionsRefusedByVersion(t *testing.T) {
 	for _, c := range []struct{ text, want string }{
 		{`{"version":1,"nodeAssign":{"1":0},"resolver":[{"id":1,"labels":["A"]}]}`, "checkpoint version 1 "},
 		{`{"version":1}`, "checkpoint version 1 "},
-		{`{"version":3,"nodeAssign":[{"v":0,"ids":[1]}]}`, "checkpoint version 3 "},
+		{`{"version":4,"nodeAssign":[{"v":0,"ids":[1]}]}`, "checkpoint version 4 "},
 	} {
 		if _, err := ParseImage([]byte(c.text)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseImage(%s): %v, want an error naming %q", c.text, err, c.want)
@@ -277,6 +298,49 @@ func TestOtherVersionsRefusedByVersion(t *testing.T) {
 	}
 }
 
+// TestGenerationTwoRefused: the image and run that generation 2 wrote
+// (the goldens before the degree tallies left the schema, kept as
+// fixtures) are refused by their version, not read.
+func TestGenerationTwoRefused(t *testing.T) {
+	for _, c := range []struct {
+		file, want string
+		parse      func([]byte) error
+	}{
+		{"image.gen2.json", "checkpoint version 2 is not supported", func(b []byte) error { _, err := ParseImage(b); return err }},
+		{"delta.gen2.json", "delta version 2 is not supported", func(b []byte) error { _, err := ParseDelta(b); return err }},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.parse(data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error naming %q", c.file, err, c.want)
+		}
+	}
+}
+
+// TestTalliesRefuseHostileGroups: an image's tally collection reads in
+// one spelling only, and RestoreImage refuses tallies for an edge type
+// its schema lacks.
+func TestTalliesRefuseHostileGroups(t *testing.T) {
+	for _, tallies := range []string{
+		`[{"type":5,"src":[{"v":1,"ids":[1]}]},{"type":5,"dst":[{"v":1,"ids":[2]}]}]`, // a type twice
+		`[{"type":6,"src":[{"v":1,"ids":[1]}]},{"type":5,"dst":[{"v":1,"ids":[2]}]}]`, // out of order
+		`[{"type":5}]`, // an empty group
+		`[{"type":5,"src":[{"v":-1,"ids":[1]}],"dst":[{"v":1,"ids":[2]}]}]`, // a count below one
+	} {
+		if _, err := ParseImage([]byte(`{"version":3,"tallies":` + tallies + `}`)); err == nil {
+			t.Errorf("ParseImage accepted tallies %s", tallies)
+		}
+	}
+	_, img := goldenImages(t)
+	img = cloneImage(t, img)
+	img.Tallies = append(img.Tallies, Tally{Type: 1000, Src: keyed.Map[pg.ID]{1: 1}})
+	if _, _, err := RestoreImage(Options{}, img); err == nil || !strings.Contains(err.Error(), "unknown edge type 1000") {
+		t.Fatalf("RestoreImage of tallies for a type the schema lacks: %v", err)
+	}
+}
+
 // TestImageParsersRefuseTrailingBytes: DecodeImage (RestoreService,
 // ResumeFromCheckpoint, serve -restore) and ParseImage (recovery) are
 // one parser, so both refuse an image followed by anything but
@@ -287,7 +351,7 @@ func TestImageParsersRefuseTrailingBytes(t *testing.T) {
 	if _, err := DecodeImage(bytes.NewReader(append(slices.Clone(good), " \n"...))); err != nil {
 		t.Fatalf("trailing whitespace refused: %v", err)
 	}
-	for _, tail := range []string{"x", "{}", `{"version":2}`, "\x00"} {
+	for _, tail := range []string{"x", "{}", `{"version":3}`, "\x00"} {
 		bad := append(slices.Clone(good), tail...)
 		if _, err := DecodeImage(bytes.NewReader(bad)); err == nil {
 			t.Errorf("DecodeImage accepted an image followed by %q", tail)
@@ -396,8 +460,8 @@ func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SchemaPatch == nil || d.SchemaPatch.Replace != nil {
-		t.Fatalf("expected a structural schema patch, got %+v", d.SchemaPatch)
+	if len(d.Tallies) == 0 {
+		t.Fatalf("expected tally changes, got %+v", d)
 	}
 	got := cloneImage(t, img)
 	if err := d.Apply(got); err != nil {
@@ -431,7 +495,7 @@ func TestCaptureImageIsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.SchemaPatch != nil || d.Tombstones() != 0 || len(d.NodeAssign)+len(d.NodeShapePut)+len(d.EdgeShapePut)+len(d.ResolverPut) != 0 {
+		if len(d.Tallies) != 0 || d.Tombstones() != 0 || len(d.NodeAssign)+len(d.NodeShapePut)+len(d.EdgeShapePut)+len(d.ResolverPut) != 0 {
 			t.Fatalf("an image differs from its decoded self: %+v", d)
 		}
 	}

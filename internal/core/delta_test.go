@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
@@ -20,7 +21,7 @@ func mustSchema(text string) schema.Persisted {
 
 // deltaBase and deltaNext are hand-built canonical images exercising
 // every collection the differ walks: assignments added, re-typed, and
-// removed; shape-cache entries replaced and tombstoned; resolver
+// removed; an edge type's tallies dropped with the type; shape-cache entries replaced and tombstoned; resolver
 // nodes relabeled and deleted; applied keys before and after the base
 // coverage.
 func deltaBase() *Image {
@@ -28,7 +29,8 @@ func deltaBase() *Image {
 		Version: CheckpointVersion,
 		Schema: mustSchema(`{"version":1,
 			"nodeTypes":[{"id":0,"labels":{"A":2},"token":"A","instances":2},{"id":1,"labels":{"B":1},"token":"B","instances":1}],
-			"edgeTypes":[{"id":2,"labels":{"E":1},"token":"E","instances":1,"srcTokens":["A"],"dstTokens":["B"],"srcDeg":{"1":1},"dstDeg":{"2":1}}]}`),
+			"edgeTypes":[{"id":2,"labels":{"E":1},"token":"E","instances":1,"srcTokens":["A"],"dstTokens":["B"]}]}`),
+		Tallies:      Tallies{{Type: 2, Src: keyed.Map[pg.ID]{1: 1}, Dst: keyed.Map[pg.ID]{2: 1}}},
 		Batches:      3,
 		NodeAssign:   map[pg.ID]int{1: 0, 2: 1, 3: 0},
 		EdgeAssign:   map[pg.ID]int{10: 0},

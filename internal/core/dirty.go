@@ -3,13 +3,16 @@ package core
 // dirty.go is the durable layer's memtable. A tracked Incremental
 // records, as its writes apply, what they changed since the last
 // compaction round — which elements were (re)assigned or unassigned,
-// which shapes the caches gained, which types were touched and which
-// of their degree tallies, which resolver entries came and went — each
-// with the value it had before the round's first touch. Lift turns the
-// record into the round's ImageDelta by reading the live state at
-// exactly those keys: the delta DiffImage would compute between an
-// image captured when the round began and one captured now, without
-// either image. The before-values are what make churn net out: an
+// which shapes the caches gained, which degree tally entries changed,
+// which resolver entries came and went — each with the value it had
+// before the round's first touch. Lift turns the record into the
+// round's ImageDelta by reading the live state at exactly those keys,
+// plus the schema's heads, which a run carries whole: the delta
+// DiffImage would compute between an image captured when the round
+// began and one captured now, without either image. A type the round
+// created needs no case of its own: its tally entries had 0 before,
+// as every entry a record has not seen. The before-values are what
+// make churn net out: an
 // element ingested and retracted inside one round was unassigned
 // before and is unassigned now, so it leaves no trace in the run, as
 // it would leave none in a diff.
@@ -42,16 +45,12 @@ const unassigned = -1
 // the last Lift. The zero of every collection is "untouched". It is
 // written under the same serialization as the writes themselves.
 type Dirty struct {
-	// base is the schema's bounded part as the record began.
-	base *schema.Baseline
-
 	// nodeAssign / edgeAssign hold each touched element's type ID
 	// before its first touch (unassigned when it had none).
 	nodeAssign, edgeAssign map[pg.ID]int
-	// nodeTypes / edgeTypes name the types whose statistics a write
-	// changed; an edge type's entry also holds its touched tallies.
-	nodeTypes map[int]bool
-	edgeTypes map[int]*schema.Touched
+	// tallies holds each touched degree tally entry's count before its
+	// first touch (0 when the node had none).
+	tallies map[tallyKey]int
 	// nodeShapes / edgeShapes are the fingerprints the caches gained.
 	nodeShapes, edgeShapes []string
 	// resolver holds each touched resolver entry's labels before its
@@ -63,18 +62,24 @@ type Dirty struct {
 	overflowed bool
 }
 
+// tallyKey names one degree tally entry: an edge type's count of the
+// node as source, or as target when dst.
+type tallyKey struct {
+	typ  int
+	node pg.ID
+	dst  bool
+}
+
 type resolverBefore struct {
 	labels  []string
 	present bool
 }
 
-func newDirty(base *schema.Baseline) *Dirty {
+func newDirty() *Dirty {
 	return &Dirty{
-		base:       base,
 		nodeAssign: map[pg.ID]int{},
 		edgeAssign: map[pg.ID]int{},
-		nodeTypes:  map[int]bool{},
-		edgeTypes:  map[int]*schema.Touched{},
+		tallies:    map[tallyKey]int{},
 		resolver:   map[pg.ID]resolverBefore{},
 	}
 }
@@ -87,7 +92,7 @@ func newDirty(base *schema.Baseline) *Dirty {
 func (inc *Incremental) Track() *Dirty {
 	inc.nodeShapes.TrackCreated()
 	inc.edgeShapes.TrackCreated()
-	inc.dirty = newDirty(schema.NewBaseline(inc.sch))
+	inc.dirty = newDirty()
 	return inc.dirty
 }
 
@@ -130,21 +135,12 @@ func (d *Dirty) edgeAssigned(id pg.ID, was *schema.EdgeType) {
 	firstTouch(d.edgeAssign, id, before)
 }
 
-// edgeTouched marks an edge type changed and returns its tally record,
-// nil for a type the baseline lacks: that one is lifted whole.
-func (d *Dirty) edgeTouched(t *schema.EdgeType) *schema.Touched {
-	tt := d.edgeTypes[t.ID]
-	if tt == nil {
-		tt = &schema.Touched{}
-		if d.base.HasEdgeType(t.ID) {
-			tt.Src, tt.Dst = map[pg.ID]int{}, map[pg.ID]int{}
-		}
-		d.edgeTypes[t.ID] = tt
+// tally returns the live count of a tally entry in type t.
+func tally(t *schema.EdgeType, k tallyKey) int {
+	if k.dst {
+		return t.DstDeg.Get(k.node)
 	}
-	if tt.Src == nil {
-		return nil
-	}
-	return tt
+	return t.SrcDeg.Get(k.node)
 }
 
 // edgesMerged records the degree tallies a batch's edges raised, after
@@ -153,34 +149,40 @@ func (d *Dirty) edgeTouched(t *schema.EdgeType) *schema.Touched {
 // batch's own edges at that endpoint.
 func (d *Dirty) edgesMerged(edges []pg.Edge, assigned map[pg.ID]*schema.EdgeType) {
 	type endpoint struct {
-		t    *schema.EdgeType
-		node pg.ID
-		dst  bool
+		t *schema.EdgeType
+		k tallyKey
 	}
 	raised := map[endpoint]int{}
 	for i := range edges {
 		e := &edges[i]
-		if t := assigned[e.ID]; d.edgeTouched(t) != nil {
-			raised[endpoint{t, e.Src, false}]++
-			raised[endpoint{t, e.Dst, true}]++
-		}
+		t := assigned[e.ID]
+		raised[endpoint{t, tallyKey{t.ID, e.Src, false}}]++
+		raised[endpoint{t, tallyKey{t.ID, e.Dst, true}}]++
 	}
 	for e, n := range raised {
-		tt := d.edgeTypes[e.t.ID]
-		if e.dst {
-			firstTouch(tt.Dst, e.node, e.t.DstDeg.Get(e.node)-n)
-		} else {
-			firstTouch(tt.Src, e.node, e.t.SrcDeg.Get(e.node)-n)
-		}
+		firstTouch(d.tallies, e.k, tally(e.t, e.k)-n)
 	}
 }
 
 // edgeRetracting records, before RetractEdge lowers them, the two
 // tallies one edge of type t holds.
 func (d *Dirty) edgeRetracting(t *schema.EdgeType, src, dst pg.ID) {
-	if tt := d.edgeTouched(t); tt != nil {
-		firstTouch(tt.Src, src, t.SrcDeg.Get(src))
-		firstTouch(tt.Dst, dst, t.DstDeg.Get(dst))
+	for _, k := range []tallyKey{{t.ID, src, false}, {t.ID, dst, true}} {
+		firstTouch(d.tallies, k, tally(t, k))
+	}
+}
+
+// edgeTypesRemoved records the tallies retraction's compaction takes
+// with the types it removes. They are empty unless a retraction named
+// endpoints its edges did not have.
+func (d *Dirty) edgeTypesRemoved(types []*schema.EdgeType) {
+	for _, t := range types {
+		for id, n := range t.SrcDeg.All() {
+			firstTouch(d.tallies, tallyKey{t.ID, id, false}, n)
+		}
+		for id, n := range t.DstDeg.All() {
+			firstTouch(d.tallies, tallyKey{t.ID, id, true}, n)
+		}
 	}
 }
 
@@ -210,20 +212,17 @@ func (d *Dirty) ResolverRemoving(n *pg.Node) {
 // state whole. Serialize with writes, like every other read.
 func (inc *Incremental) Lift(from uint64, extras *CheckpointExtras) (*ImageDelta, *Dirty) {
 	spent := *inc.dirty
+	*inc.dirty = *newDirty()
 	if spent.overflowed {
-		*inc.dirty = *newDirty(schema.NewBaseline(inc.sch))
 		return nil, &spent
 	}
-	patch, base := spent.base.Lift(inc.sch, spent.nodeTypes, spent.edgeTypes)
-	*inc.dirty = *newDirty(base)
 
 	d := &ImageDelta{
 		Version: DeltaVersion,
 		FromLSN: from,
 		ToLSN:   extras.WALSeq,
 
-		SchemaPatch: patch,
-
+		Schema:       *schema.Persist(inc.sch),
 		Batches:      inc.batches,
 		NodeClusters: inc.result.NodeClusters,
 		EdgeClusters: inc.result.EdgeClusters,
@@ -234,6 +233,7 @@ func (inc *Incremental) Lift(from uint64, extras *CheckpointExtras) (*ImageDelta
 		NextTypeID:   inc.sch.NextTypeID(),
 		NextEdgeID:   extras.NextEdgeID,
 
+		Tallies:      liftTallies(spent.tallies, inc.sch.EdgeTypes),
 		NodeShapePut: liftShapes(inc.nodeShapes, spent.nodeShapes),
 		EdgeShapePut: liftShapes(inc.edgeShapes, spent.edgeShapes),
 		AppliedKeys:  extras.AppliedKeys,
@@ -261,28 +261,14 @@ func (inc *Incremental) Unlift(spent *Dirty) {
 		*cur = Dirty{overflowed: true}
 		return
 	}
-	cur.base = spent.base
 	for id, was := range spent.nodeAssign {
 		cur.nodeAssign[id] = was
 	}
 	for id, was := range spent.edgeAssign {
 		cur.edgeAssign[id] = was
 	}
-	for id := range spent.nodeTypes {
-		cur.nodeTypes[id] = true
-	}
-	for id, tt := range spent.edgeTypes {
-		// A type cur lifts whole keeps no tallies: spent.base, now the
-		// baseline again, may hold it where cur's did not.
-		if now := cur.edgeTypes[id]; now != nil && now.Src != nil && tt.Src != nil {
-			for node, was := range now.Src {
-				firstTouch(tt.Src, node, was)
-			}
-			for node, was := range now.Dst {
-				firstTouch(tt.Dst, node, was)
-			}
-		}
-		cur.edgeTypes[id] = tt
+	for k, was := range spent.tallies {
+		cur.tallies[k] = was
 	}
 	cur.nodeShapes = append(spent.nodeShapes, cur.nodeShapes...)
 	cur.edgeShapes = append(spent.edgeShapes, cur.edgeShapes...)
@@ -307,6 +293,51 @@ func liftAssign[T any](before map[pg.ID]int, now map[pg.ID]*T, typeID func(*T) i
 	}
 	slices.Sort(dels)
 	return puts, dels
+}
+
+// liftTallies is keyed.DiffMap over the touched tally entries alone:
+// before holds their old counts (0: none), types the live ones. An
+// entry of a type that is gone counts 0.
+func liftTallies(before map[tallyKey]int, types []*schema.EdgeType) TallyChanges {
+	byID := make(map[int]*schema.EdgeType, len(types))
+	for _, t := range types {
+		byID[t.ID] = t
+	}
+	changed := map[int]*TallyChange{}
+	for k, was := range before {
+		now := 0
+		if t := byID[k.typ]; t != nil {
+			now = tally(t, k)
+		}
+		if now == was {
+			continue
+		}
+		c := changed[k.typ]
+		if c == nil {
+			c = &TallyChange{Type: k.typ}
+			changed[k.typ] = c
+		}
+		puts, dels := &c.SrcPut, &c.SrcDel
+		if k.dst {
+			puts, dels = &c.DstPut, &c.DstDel
+		}
+		if now == 0 {
+			*dels = append(*dels, k.node)
+			continue
+		}
+		if *puts == nil {
+			*puts = keyed.Map[pg.ID]{}
+		}
+		(*puts)[k.node] = now
+	}
+	var out TallyChanges
+	for _, typ := range slices.Sorted(maps.Keys(changed)) {
+		c := changed[typ]
+		slices.Sort(c.SrcDel)
+		slices.Sort(c.DstDel)
+		out = append(out, *c)
+	}
+	return out
 }
 
 // liftShapes exports the named cache entries in fingerprint order.

@@ -1,0 +1,190 @@
+package core
+
+// tally.go holds the §4.4 degree tallies as an image collection. Each
+// edge type counts, per endpoint node, the instances that leave it
+// (src) and enter it (dst); the tallies grow with the database, the
+// rest of the schema with its types. So an image keeps them beside the
+// schema's heads, as it keeps the assignments: one group per edge type,
+// in type-ID order, with each side a keyed.Map of node → count. A run
+// carries them the same way, as per-type puts and tombstones under
+// keyed.DiffMap / ApplyMap, while the heads ride whole.
+//
+// The decoders refuse a type listed twice or out of ascending order, an
+// empty group and a count below one.
+
+import (
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"slices"
+
+	"github.com/pghive/pghive/internal/keyed"
+	"github.com/pghive/pghive/internal/pg"
+	"github.com/pghive/pghive/internal/schema"
+)
+
+// Tally is one edge type's degree tallies.
+type Tally struct {
+	Type int              `json:"type"`
+	Src  keyed.Map[pg.ID] `json:"src,omitempty"`
+	Dst  keyed.Map[pg.ID] `json:"dst,omitempty"`
+}
+
+// Tallies is an image's tally collection, one group per edge type with
+// any count, in type-ID order.
+type Tallies []Tally
+
+// TallyChange is one edge type's tally puts and tombstones in a run.
+type TallyChange struct {
+	Type   int              `json:"type"`
+	SrcPut keyed.Map[pg.ID] `json:"srcPut,omitempty"`
+	SrcDel keyed.IDs[pg.ID] `json:"srcDel,omitempty"`
+	DstPut keyed.Map[pg.ID] `json:"dstPut,omitempty"`
+	DstDel keyed.IDs[pg.ID] `json:"dstDel,omitempty"`
+}
+
+// TallyChanges is a run's tally member, in type-ID order.
+type TallyChanges []TallyChange
+
+func (c *TallyChange) empty() bool {
+	return len(c.SrcPut)+len(c.SrcDel)+len(c.DstPut)+len(c.DstDel) == 0
+}
+
+// UnmarshalJSON reads the groups, refusing what checkGroup refuses.
+func (ts *Tallies) UnmarshalJSON(data []byte) error {
+	var groups []Tally
+	if err := json.Unmarshal(data, &groups); err != nil {
+		return err
+	}
+	for i, g := range groups {
+		ordered := i == 0 || g.Type > groups[i-1].Type
+		if err := checkGroup(g.Type, ordered, len(g.Src)+len(g.Dst) == 0, g.Src, g.Dst); err != nil {
+			return err
+		}
+	}
+	*ts = groups
+	return nil
+}
+
+// UnmarshalJSON reads the changes, refusing what checkGroup refuses.
+func (cs *TallyChanges) UnmarshalJSON(data []byte) error {
+	var changes []TallyChange
+	if err := json.Unmarshal(data, &changes); err != nil {
+		return err
+	}
+	for i, c := range changes {
+		ordered := i == 0 || c.Type > changes[i-1].Type
+		if err := checkGroup(c.Type, ordered, c.empty(), c.SrcPut, c.DstPut); err != nil {
+			return err
+		}
+	}
+	*cs = changes
+	return nil
+}
+
+// checkGroup refuses a decoded group of edge type typ whose type does
+// not ascend from the previous group's, that is empty, or that counts
+// below one.
+func checkGroup(typ int, ordered, empty bool, counts ...keyed.Map[pg.ID]) error {
+	switch {
+	case !ordered:
+		return fmt.Errorf("tallies: edge type %d out of order: types must ascend", typ)
+	case empty:
+		return fmt.Errorf("tallies: edge type %d has an empty group", typ)
+	}
+	for _, m := range counts {
+		for id, c := range m {
+			if c < 1 {
+				return fmt.Errorf("tallies: edge type %d counts %d for node %d", typ, c, id)
+			}
+		}
+	}
+	return nil
+}
+
+// captureTallies copies the live tallies of every edge type that has
+// any into an image's collection.
+func captureTallies(types []*schema.EdgeType) Tallies {
+	var out Tallies
+	for _, et := range types {
+		if et.SrcDeg.Len()+et.DstDeg.Len() > 0 {
+			out = append(out, Tally{Type: et.ID, Src: schema.DegreeCounts[pg.ID](et.SrcDeg), Dst: schema.DegreeCounts[pg.ID](et.DstDeg)})
+		}
+	}
+	slices.SortFunc(out, func(a, b Tally) int { return cmp.Compare(a.Type, b.Type) })
+	return out
+}
+
+// restoreTallies gives each edge type of a restored schema its
+// tallies; a group for a type the schema lacks is corruption.
+func restoreTallies(ts Tallies, byID map[int]*schema.EdgeType) error {
+	for _, t := range ts {
+		et := byID[t.Type]
+		if et == nil {
+			return fmt.Errorf("tallies for unknown edge type %d", t.Type)
+		}
+		var err error
+		if et.SrcDeg, err = schema.DegreesOf(t.Src); err == nil {
+			et.DstDeg, err = schema.DegreesOf(t.Dst)
+		}
+		if err != nil {
+			return fmt.Errorf("edge type %d: %w", t.Type, err)
+		}
+	}
+	return nil
+}
+
+// diffTallies is keyed.DiffMap per edge type, walking both collections
+// in type order: a type only base has loses every entry, a type only
+// next has puts every entry.
+func diffTallies(base, next Tallies) TallyChanges {
+	var out TallyChanges
+	for i, j := 0, 0; i < len(base) || j < len(next); {
+		var b, n Tally
+		switch {
+		case j == len(next) || i < len(base) && base[i].Type < next[j].Type:
+			b, n = base[i], Tally{Type: base[i].Type}
+			i++
+		case i == len(base) || base[i].Type > next[j].Type:
+			b, n = Tally{Type: next[j].Type}, next[j]
+			j++
+		default:
+			b, n = base[i], next[j]
+			i, j = i+1, j+1
+		}
+		c := TallyChange{Type: n.Type}
+		c.SrcPut, c.SrcDel = keyed.DiffMap(b.Src, n.Src, cmp.Compare)
+		c.DstPut, c.DstDel = keyed.DiffMap(b.Dst, n.Dst, cmp.Compare)
+		if !c.empty() {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// applyTallies folds a run's changes onto the collection in place
+// (keyed.ApplyMap per side) and drops the groups left empty.
+func applyTallies(ts Tallies, cs TallyChanges) Tallies {
+	if len(cs) == 0 {
+		return ts
+	}
+	byType := make(map[int]Tally, len(ts)+len(cs))
+	for _, t := range ts {
+		byType[t.Type] = t
+	}
+	for _, c := range cs {
+		t := byType[c.Type]
+		t.Type = c.Type
+		t.Src = keyed.ApplyMap(t.Src, c.SrcPut, c.SrcDel)
+		t.Dst = keyed.ApplyMap(t.Dst, c.DstPut, c.DstDel)
+		byType[c.Type] = t
+	}
+	var out Tallies
+	for _, t := range byType {
+		if len(t.Src)+len(t.Dst) > 0 {
+			out = append(out, t)
+		}
+	}
+	slices.SortFunc(out, func(a, b Tally) int { return cmp.Compare(a.Type, b.Type) })
+	return out
+}

@@ -1,12 +1,12 @@
 // Package keyed is the durability plane's one put/tombstone rule for
 // map-shaped state: a delta run carries the entries to put and the
-// keys to delete. core diffs and folds element assignments with it,
-// schema the per-node degree tallies.
+// keys to delete. core diffs and folds the element assignments and the
+// per-node degree tallies with it.
 //
 // It also owns how element-keyed state is written (wire.go): an ID
 // list as its first ID and the gaps (IDs), a map onto small ints as one
 // such list per value (Map). Base images and runs of format generation
-// 2 spell every assignment, tombstone list and degree put that way.
+// 3 spell every assignment, degree tally and tombstone list that way.
 package keyed
 
 import "slices"

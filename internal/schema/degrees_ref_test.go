@@ -86,7 +86,7 @@ func runDegreesScript(t *testing.T, script []byte) {
 				want[i][pg.ID(k)] = c
 			}
 			var err error
-			if got[i], err = restoreDegrees(m); err != nil {
+			if got[i], err = DegreesOf(m); err != nil {
 				t.Fatal(err)
 			}
 		case 5: // absorb, a tally into itself included

@@ -4,6 +4,14 @@ package schema
 // statistics that power incremental merging and §4.4 inference — as
 // JSON, so a discovery session can be suspended and resumed: load the
 // schema, keep feeding batches, and constraints stay exact.
+//
+// Two forms share one type. Persisted, what Persist returns, holds
+// every type's head and no degree tallies: it is O(types ×
+// properties), and a checkpoint image carries it beside its own
+// collection of tallies (core.Tallies). The schema document, what
+// WriteJSON writes and ReadJSON reads, is the same value with each
+// edge type's tallies inside it as srcDeg/dstDeg objects keyed by
+// decimal node ID.
 
 import (
 	"encoding/json"
@@ -45,13 +53,13 @@ type jsonType struct {
 	Cardinality uint8           `json:"cardinality,omitempty"`
 }
 
-// Persisted is what WriteJSON encodes and ReadJSON decodes, as the
-// value the durability plane (core.Image, patch.go) holds and diffs;
-// only package schema looks inside. It shares no memory with any live
-// Schema (Persist and Restore copy every map and slice) and is never
-// modified once built. Persist emits the canonical form — outside the
-// degree tallies an empty collection is nil — so a captured type head
-// and the same head decoded from its own bytes are deeply equal.
+// Persisted is the schema's heads, as the durability plane
+// (core.Image, core.ImageDelta) holds and carries them; only package
+// schema looks inside. It shares no memory with any live Schema
+// (Persist and Restore copy every map and slice) and is never modified
+// once built. Persist emits the canonical form — an empty collection
+// is nil — so a captured schema and the same schema decoded from its
+// own bytes are deeply equal.
 type Persisted struct {
 	Version   int        `json:"version"`
 	NodeTypes []jsonType `json:"nodeTypes"`
@@ -60,10 +68,10 @@ type Persisted struct {
 
 const persistVersion = 1
 
-// nodeKey is a node ID keying a degree tally. In JSON it is its
-// canonical decimal spelling — a map key or, in a patch's tombstone
-// list, a string — and decodes from nothing else: "012", " 12" and
-// "12abc" are refused, not folded onto node 12 in map iteration order.
+// nodeKey is a node ID keying a degree tally in the schema document.
+// In JSON it is its canonical decimal spelling, a map key, and decodes
+// from nothing else: "012", " 12" and "12abc" are refused, not folded
+// onto node 12 in map iteration order.
 type nodeKey pg.ID
 
 func (k nodeKey) MarshalText() ([]byte, error) {
@@ -87,18 +95,22 @@ func canonMap(m map[string]int) map[string]int {
 	return maps.Clone(m)
 }
 
-// persistDegrees copies a degree tally into its persisted form.
-func persistDegrees(d Degrees) map[nodeKey]int {
-	out := make(map[nodeKey]int, d.Len())
+// DegreeCounts copies a tally into a map of node counts, nil when it is
+// empty.
+func DegreeCounts[K ~int64](d Degrees) map[K]int {
+	if d.Len() == 0 {
+		return nil
+	}
+	out := make(map[K]int, d.Len())
 	for id, n := range d.All() {
-		out[nodeKey(id)] = n
+		out[K(id)] = n
 	}
 	return out
 }
 
-// restoreDegrees builds a live tally from its persisted form in bulk.
-// A tally holds no count below one, so such a count is corruption.
-func restoreDegrees(m map[nodeKey]int) (Degrees, error) {
+// DegreesOf builds a tally from node counts in bulk. A tally holds no
+// count below one, so such a count is corruption.
+func DegreesOf[K ~int64](m map[K]int) (Degrees, error) {
 	e := make([]degEntry, 0, len(m))
 	for k, n := range m {
 		if n < 1 {
@@ -166,34 +178,31 @@ func typeFromJSON(jt jsonType) (Type, error) {
 	return t, nil
 }
 
-// Persist captures the schema as a Persisted value in canonical form.
+// Persist captures the schema's heads as a Persisted value in
+// canonical form: no degree tallies.
 func Persist(s *Schema) *Persisted {
 	p := &Persisted{Version: persistVersion}
 	for _, nt := range s.NodeTypes {
 		p.NodeTypes = append(p.NodeTypes, typeToJSON(&nt.Type))
 	}
 	for _, et := range s.EdgeTypes {
-		jt := edgeHeadToJSON(et)
-		jt.SrcDeg, jt.DstDeg = persistDegrees(et.SrcDeg), persistDegrees(et.DstDeg)
+		jt := typeToJSON(&et.Type)
+		jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
+		jt.Cardinality = uint8(et.Cardinality)
 		p.EdgeTypes = append(p.EdgeTypes, jt)
 	}
 	return p
 }
 
-// edgeHeadToJSON persists an edge type less its degree tallies: the
-// bounded part patch.go compares and re-emits as a unit.
-func edgeHeadToJSON(et *EdgeType) jsonType {
-	jt := typeToJSON(&et.Type)
-	jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
-	jt.Cardinality = uint8(et.Cardinality)
-	return jt
-}
-
-// WriteJSON serializes the schema.
+// WriteJSON serializes the schema as the document: heads and tallies.
 func WriteJSON(w io.Writer, s *Schema) error {
+	p := Persist(s)
+	for i, et := range s.EdgeTypes {
+		p.EdgeTypes[i].SrcDeg, p.EdgeTypes[i].DstDeg = DegreeCounts[nodeKey](et.SrcDeg), DegreeCounts[nodeKey](et.DstDeg)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(Persist(s))
+	return enc.Encode(p)
 }
 
 // ReadJSON restores a schema serialized by WriteJSON, rebuilding the
@@ -208,11 +217,16 @@ func ReadJSON(r io.Reader) (*Schema, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("schema: %w", err)
 	}
-	return p.Restore()
+	return p.restore(true)
 }
 
-// Restore builds a live schema, token indexes and ID counter included.
-func (p *Persisted) Restore() (*Schema, error) {
+// Restore builds a live schema, token indexes and ID counter included,
+// with empty degree tallies: the heads Persist captured. Tallies in it
+// are refused; they belong to the schema document alone.
+func (p *Persisted) Restore() (*Schema, error) { return p.restore(false) }
+
+// restore builds the live schema, reading the tallies of a document.
+func (p *Persisted) restore(document bool) (*Schema, error) {
 	if p.Version != persistVersion {
 		return nil, fmt.Errorf("schema: unsupported version %d", p.Version)
 	}
@@ -236,8 +250,13 @@ func (p *Persisted) Restore() (*Schema, error) {
 		}
 		et := NewEdgeCandidate()
 		et.Type, et.Cardinality = core, Cardinality(jt.Cardinality)
-		if et.SrcDeg, err = restoreDegrees(jt.SrcDeg); err == nil {
-			et.DstDeg, err = restoreDegrees(jt.DstDeg)
+		switch {
+		case document:
+			if et.SrcDeg, err = DegreesOf(jt.SrcDeg); err == nil {
+				et.DstDeg, err = DegreesOf(jt.DstDeg)
+			}
+		case jt.SrcDeg != nil || jt.DstDeg != nil:
+			err = fmt.Errorf("degree tallies outside the schema document")
 		}
 		if err != nil {
 			return nil, fmt.Errorf("schema: edge type %d: %w", jt.ID, err)

@@ -49,11 +49,11 @@ func assertTypesEqual(t *testing.T, want, got *Schema) {
 		wh, gh := *w, *g
 		wh.SrcDeg, wh.DstDeg, gh.SrcDeg, gh.DstDeg = Degrees{}, Degrees{}, Degrees{}, Degrees{}
 		if !reflect.DeepEqual(wh, gh) ||
-			!reflect.DeepEqual(persistDegrees(w.SrcDeg), persistDegrees(g.SrcDeg)) ||
-			!reflect.DeepEqual(persistDegrees(w.DstDeg), persistDegrees(g.DstDeg)) {
+			!reflect.DeepEqual(DegreeCounts[nodeKey](w.SrcDeg), DegreeCounts[nodeKey](g.SrcDeg)) ||
+			!reflect.DeepEqual(DegreeCounts[nodeKey](w.DstDeg), DegreeCounts[nodeKey](g.DstDeg)) {
 			t.Errorf("edge type %d (%s) differs after round trip:\nwant %+v %v %v\ngot  %+v %v %v",
-				i, w.Name(), wh, persistDegrees(w.SrcDeg), persistDegrees(w.DstDeg),
-				gh, persistDegrees(g.SrcDeg), persistDegrees(g.DstDeg))
+				i, w.Name(), wh, DegreeCounts[nodeKey](w.SrcDeg), DegreeCounts[nodeKey](w.DstDeg),
+				gh, DegreeCounts[nodeKey](g.SrcDeg), DegreeCounts[nodeKey](g.DstDeg))
 		}
 	}
 }

@@ -184,7 +184,7 @@ func TestReadJSONRefusesNonCanonicalDegreeKeys(t *testing.T) {
 			continue
 		}
 		if got := s.EdgeTypes[0].SrcDeg; got.Len() != 1 || got.Get(id) != 3 {
-			t.Errorf("degree key %q restored as %v", key, persistDegrees(got))
+			t.Errorf("degree key %q restored as %v", key, DegreeCounts[nodeKey](got))
 		}
 	}
 }

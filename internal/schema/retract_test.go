@@ -66,7 +66,7 @@ func TestRetractEdgeDegrees(t *testing.T) {
 		t.Errorf("out degree = %d, want 1", et.MaxOutDegree())
 	}
 	if et.DstDeg.Len() != 1 {
-		t.Errorf("dst degrees = %v", persistDegrees(et.DstDeg))
+		t.Errorf("dst degrees = %v", DegreeCounts[nodeKey](et.DstDeg))
 	}
 }
 

@@ -291,17 +291,13 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
-	f.fs.mu.Lock()
+	h := f.fs.lock()
 	defer f.fs.mu.Unlock()
 	if f.closed {
 		return 0, pathError("write", f.name, fs.ErrClosed)
 	}
 	end := f.pos + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.node.data = grown
-	}
+	f.node.grow(h, end)
 	copy(f.node.data[f.pos:end], p)
 	f.pos = end
 	return len(p), nil
@@ -336,7 +332,12 @@ func (f *memFile) Sync() error {
 	if f.closed {
 		return pathError("sync", f.name, fs.ErrClosed)
 	}
-	f.node.synced = append([]byte(nil), f.node.data...)
+	// Nothing else holds synced (Crash copies it), so its buffer is
+	// reused, and sized like the cache's so it grows as rarely.
+	if cap(f.node.synced) < len(f.node.data) {
+		f.node.synced = make([]byte, 0, cap(f.node.data))
+	}
+	f.node.synced = append(f.node.synced[:0], f.node.data...)
 	return nil
 }
 
@@ -359,7 +360,7 @@ func (f *memFile) Close() error {
 	return nil
 }
 
-func (n *memNode) truncate(_ memHeld, size int64) error {
+func (n *memNode) truncate(h memHeld, size int64) error {
 	if size < 0 {
 		return fs.ErrInvalid
 	}
@@ -367,10 +368,26 @@ func (n *memNode) truncate(_ memHeld, size int64) error {
 		n.data = n.data[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, n.data)
-	n.data = grown
+	n.grow(h, size)
 	return nil
+}
+
+// grow lengthens the cache to size. The bytes it adds read as zero,
+// also where a shrinking truncate left old ones in the buffer, and a
+// full buffer doubles, so a file written by appends costs O(1) per
+// byte.
+func (n *memNode) grow(_ memHeld, size int64) {
+	old := int64(len(n.data))
+	if size <= old {
+		return
+	}
+	if size > int64(cap(n.data)) {
+		grown := make([]byte, old, max(size, 2*int64(cap(n.data))))
+		copy(grown, n.data)
+		n.data = grown
+	}
+	n.data = n.data[:size]
+	clear(n.data[old:])
 }
 
 // memInfo is the fs.FileInfo of a MemFS entry.

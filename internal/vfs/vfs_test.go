@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -350,5 +351,81 @@ func TestWriteFileAtomicOS(t *testing.T) {
 	b, err := os.ReadFile(path)
 	if err != nil || string(b) != "v1" {
 		t.Fatalf("content=%q err=%v", b, err)
+	}
+}
+
+// TestMemFSAppendsCostTheirBytes: a file written by appends, each
+// synced, as a WAL segment is, allocates in proportion to its final
+// size. A MemFS that copied the whole file on every append and every
+// sync allocated quadratically.
+func TestMemFSAppendsCostTheirBytes(t *testing.T) {
+	const appends, size = 2000, 100
+	m := NewMemFS()
+	f, err := m.OpenFile("seg", os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, size)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range appends {
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	alloc, final := after.TotalAlloc-before.TotalAlloc, uint64(appends*size)
+	t.Logf("%d appends of %d B and their syncs allocated %d B for a %d B file", appends, size, alloc, final)
+	if alloc > 8*final {
+		t.Fatalf("appends allocated %d B, more than 8x the %d B file", alloc, final)
+	}
+}
+
+// TestMemFSGapsReadZero: bytes a write past the end or a growing
+// Truncate adds read as zero, also where a shrinking Truncate left old
+// bytes in the buffer.
+func TestMemFSGapsReadZero(t *testing.T) {
+	m := NewMemFS()
+	f, err := m.OpenFile("f", os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() string {
+		t.Helper()
+		buf := make([]byte, 16)
+		n, err := f.ReadAt(buf, 0)
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		return string(buf[:n])
+	}
+	write := func(off int64, s string) {
+		t.Helper()
+		if _, err := f.Seek(off, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, "abcdef")
+	if err := f.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	write(4, "x")
+	if got := read(); got != "ab\x00\x00x" {
+		t.Fatalf("after a write past the end: %q", got)
+	}
+	if err := f.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Truncate("f", 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "a\x00\x00\x00" {
+		t.Fatalf("after a growing Truncate: %q", got)
 	}
 }

@@ -76,10 +76,12 @@ func baseImagePath(dir string, st pghive.DurableStats) string {
 // 100-element delta must write at least 10x fewer checkpoint bytes
 // than the base image, which is what a round rewriting the whole
 // state would write. And what a run spends per written element is
-// bounded: format generation 2 writes element-keyed state grouped and
-// gap-coded, 1,550 bytes for this run (15.5 per element, 77x under a
-// 118,791-byte base); generation 1 wrote one JSON record per element,
-// 6,276 bytes (62.8 per element, beside a 335,399-byte base).
+// bounded: format generation 3 writes element-keyed state, degree
+// tallies included, grouped and gap-coded, 1,502 bytes for this run
+// (15.0 per element, 34x under a 51,060-byte base); generation 2, with
+// the tallies inside the schema, wrote 1,550 beside a 118,791-byte
+// base, and generation 1, one JSON record per element, 6,276 bytes
+// (62.8 per element, beside a 335,399-byte base).
 func TestCompactionDeltaIOBound(t *testing.T) {
 	const baseN, deltaN = 5_000, 50
 	mem := vfs.NewMemFS()

@@ -1395,10 +1395,11 @@ func TestOpenDurableRejectsUnknownRecordType(t *testing.T) {
 	}
 }
 
-// versionOne re-spells a base image or run payload of format
-// generation 2 the way version 1 wrote it: element assignments, resolver
-// entries and tombstones one JSON record per element, degree puts and
-// deletes keyed by decimal strings.
+// versionOne re-spells a base image or run payload of the current
+// format the way version 1 wrote it: element assignments, resolver
+// entries and tombstones one JSON record per element. The degree
+// tallies keep their current place and spelling; a version-1 document
+// is refused by its version before they are read.
 func versionOne(t *testing.T, doc []byte) []byte {
 	t.Helper()
 	var m map[string]any
@@ -1437,14 +1438,6 @@ func versionOne(t *testing.T, doc []byte) []byte {
 		return out
 	}
 	decimal := func(id int64) string { return strconv.FormatInt(id, 10) }
-	byDecimal := func(v any) []string {
-		var keys []string
-		for _, id := range ungap(v) {
-			keys = append(keys, decimal(id))
-		}
-		slices.Sort(keys)
-		return keys
-	}
 	object := func(v any, valKey string) map[string]any {
 		obj := map[string]any{}
 		for _, e := range ungroup(v, valKey) {
@@ -1486,21 +1479,6 @@ func versionOne(t *testing.T, doc []byte) []byte {
 			m[k] = list
 		}
 	}
-	if p, ok := m["schemaPatch"].(map[string]any); ok {
-		p["version"] = 1
-		types, _ := p["edgeTypes"].([]any)
-		for _, tp := range types {
-			tp := tp.(map[string]any)
-			for _, side := range []string{"srcDeg", "dstDeg"} {
-				if v, ok := tp[side+"Set"]; ok {
-					tp[side+"Set"] = object(v, "v")
-				}
-				if v, ok := tp[side+"Del"]; ok {
-					tp[side+"Del"] = byDecimal(v)
-				}
-			}
-		}
-	}
 	out, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -1508,17 +1486,11 @@ func versionOne(t *testing.T, doc []byte) []byte {
 	return append(out, '\n')
 }
 
-// TestGenerationOneLayoutRefused: the on-disk format is generation 2,
-// and what came before is refused by its version, never read. A data
-// directory whose base image and run are version 1 does not open, and
-// the error names the version. A follower bootstrapping from the same
-// objects fails the same way and stays unready: it does not serve an
-// empty state in place of the leader's.
-func TestGenerationOneLayoutRefused(t *testing.T) {
-	opts := pghive.Options{Seed: 1, Parallelism: 1}
-	// MaxRuns 1: every second round folds, so the generation below holds
-	// a base image and one run.
-	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, MaxRuns: 1}
+// layoutWithRun builds a data directory whose newest generation is a
+// base image and one run (MaxRuns 1: every second round folds), closes
+// it, and returns its stats and the live image.
+func layoutWithRun(t *testing.T, opts pghive.Options, dopts pghive.DurableOptions) (string, pghive.DurableStats, []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	d, err := pghive.OpenDurable(dir, opts, dopts)
 	if err != nil {
@@ -1540,14 +1512,14 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, st, live
+}
 
-	// Rewrite the base image and the run as version 1 wrote them, and
-	// reframe the manifest around the run's new CRC.
-	basePath := baseImagePath(dir, st)
-	base, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+// rewriteLayout replaces the payload of the generation's run with what
+// run makes of it, reframing the manifest around the run's new CRC,
+// and returns the manifest.
+func rewriteLayout(t *testing.T, dir string, st pghive.DurableStats, run func([]byte) []byte) *runfile.Manifest {
+	t.Helper()
 	manName := runfile.ManifestName(st.ManifestSeq)
 	raw, err := os.ReadFile(filepath.Join(dir, manName))
 	if err != nil {
@@ -1566,7 +1538,7 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Runs[0], err = runfile.WriteRun(nil, dir, ri.From, ri.To, ri.Tombstones, versionOne(t, payload)); err != nil {
+	if man.Runs[0], err = runfile.WriteRun(nil, dir, ri.From, ri.To, ri.Tombstones, run(payload)); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err = runfile.EncodeManifest(man); err != nil {
@@ -1575,19 +1547,23 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return man
+}
 
-	if err := os.WriteFile(basePath, versionOne(t, base), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The previous generation shares the base, so no generation recovers.
-	if _, err := pghive.OpenDurable(dir, opts, dopts); err == nil || !strings.Contains(err.Error(), "checkpoint version 1 is not supported") {
-		t.Fatalf("OpenDurable over a version-1 base: %v", err)
-	}
-
-	// A follower bootstraps from the same objects.
+// bootstrapRefused puts the objects of a generation whose base the
+// leader refuses where a follower bootstraps from, and checks that the
+// follower refuses them the same way and stays unready: it does not
+// serve an empty state in place of the leader's.
+func bootstrapRefused(t *testing.T, opts pghive.Options, dir string, man *runfile.Manifest, want string) {
+	t.Helper()
 	ctx := context.Background()
 	backend := store.NewDir(vfs.NewMemFS(), "/backend")
+	var names []string
 	for name := range man.Files() {
+		names = append(names, name)
+	}
+	names = append(names, runfile.ManifestName(man.Seq)) // manifest last
+	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -1596,32 +1572,52 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err = os.ReadFile(filepath.Join(dir, manName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.Put(ctx, manName, raw); err != nil {
-		t.Fatal(err)
-	}
 	f := pghive.NewFollower(opts, backend, pghive.FollowerOptions{})
 	defer f.Close()
-	if err := f.Bootstrap(ctx); err == nil || !strings.Contains(err.Error(), "checkpoint version 1 is not supported") {
-		t.Fatalf("follower bootstrap from version-1 objects: %v", err)
+	if err := f.Bootstrap(ctx); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("follower bootstrap: %v, want an error naming %q", err, want)
 	}
 	if err := f.TailOnce(ctx); err == nil {
 		t.Fatal("a follower tailed on top of a refused bootstrap")
 	}
-	if lag := f.Lag(ctx); lag.Ready || !strings.Contains(lag.LastFault, "version 1") {
+	if lag := f.Lag(ctx); lag.Ready || !strings.Contains(lag.LastFault, want) {
 		t.Fatalf("follower after a refused bootstrap: %+v", lag)
 	}
+}
 
-	// Under a version-2 base, the version-1 run alone is refused: recovery
+// TestGenerationOneLayoutRefused: the on-disk format is generation 3,
+// and version 1 is refused by its version, never read. A data
+// directory whose base image and run are version 1 does not open, and
+// the error names the version. A follower bootstrapping from the same
+// objects fails the same way and stays unready.
+func TestGenerationOneLayoutRefused(t *testing.T) {
+	opts := pghive.Options{Seed: 1, Parallelism: 1}
+	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, MaxRuns: 1}
+	dir, st, live := layoutWithRun(t, opts, dopts)
+
+	// Rewrite the base image and the run as version 1 wrote them.
+	man := rewriteLayout(t, dir, st, func(payload []byte) []byte { return versionOne(t, payload) })
+	basePath := baseImagePath(dir, st)
+	base, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, versionOne(t, base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The previous generation shares the base, so no generation recovers.
+	if _, err := pghive.OpenDurable(dir, opts, dopts); err == nil || !strings.Contains(err.Error(), "checkpoint version 1 is not supported") {
+		t.Fatalf("OpenDurable over a version-1 base: %v", err)
+	}
+	bootstrapRefused(t, opts, dir, man, "checkpoint version 1 is not supported")
+
+	// Under a current base, the version-1 run alone is refused: recovery
 	// skips its generation, as it skips a torn one, and reaches the live
 	// state from the previous generation and the WAL it retained.
 	if err := os.WriteFile(basePath, base, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err = pghive.OpenDurable(dir, opts, dopts)
+	d, err := pghive.OpenDurable(dir, opts, dopts)
 	if err != nil {
 		t.Fatalf("OpenDurable over a version-1 run: %v", err)
 	}
@@ -1631,5 +1627,54 @@ func TestGenerationOneLayoutRefused(t *testing.T) {
 	}
 	if !bytes.Equal(serviceImage(t, d), live) {
 		t.Fatal("recovery past the version-1 run differs from the live service")
+	}
+}
+
+// TestGenerationTwoLayoutRefused: generation 2 kept the degree tallies
+// inside the schema and carried them in runs as a structural schema
+// patch. Its image and run (the core goldens of that generation, kept
+// as fixtures) are refused the way version 1 is: a data directory
+// holding them does not open, the error names version 2, and a
+// follower bootstrapping from them stays unready. A generation-2 run
+// under a current base is skipped like a torn one.
+func TestGenerationTwoLayoutRefused(t *testing.T) {
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("internal", "core", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	opts := pghive.Options{Seed: 1, Parallelism: 1}
+	dopts := pghive.DurableOptions{NoSync: true, DisableAutoCompact: true, MaxRuns: 1}
+	dir, st, live := layoutWithRun(t, opts, dopts)
+
+	man := rewriteLayout(t, dir, st, func([]byte) []byte { return fixture("delta.gen2.json") })
+	basePath := baseImagePath(dir, st)
+	base, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, fixture("image.gen2.json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pghive.OpenDurable(dir, opts, dopts); err == nil || !strings.Contains(err.Error(), "checkpoint version 2 is not supported") {
+		t.Fatalf("OpenDurable over a version-2 base: %v", err)
+	}
+	bootstrapRefused(t, opts, dir, man, "checkpoint version 2 is not supported")
+
+	if err := os.WriteFile(basePath, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := pghive.OpenDurable(dir, opts, dopts)
+	if err != nil {
+		t.Fatalf("OpenDurable over a version-2 run: %v", err)
+	}
+	defer d.Close()
+	if fb := d.DurableStats().RecoveryFallbacks; fb != 1 {
+		t.Fatalf("recovery skipped %d generations, want the version-2 run's", fb)
+	}
+	if !bytes.Equal(serviceImage(t, d), live) {
+		t.Fatal("recovery past the version-2 run differs from the live service")
 	}
 }
