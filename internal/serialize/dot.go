@@ -24,10 +24,11 @@ func DOT(s *schema.Schema, graphName string) string {
 	b.WriteString("  edge [fontname=\"Helvetica\", fontsize=9];\n\n")
 
 	// Node types as records: name | prop rows.
-	names := map[string]bool{}
+	n := newNames(s)
+	declared := map[string]bool{}
 	for _, nt := range s.NodeTypes {
-		name := typeName(&nt.Type)
-		names[name] = true
+		name := n.types[&nt.Type]
+		declared[name] = true
 		var rows []string
 		header := dotEscape(nt.Name())
 		if nt.Abstract {
@@ -67,8 +68,8 @@ func DOT(s *schema.Schema, graphName string) string {
 		}
 		for _, src := range srcs {
 			for _, dst := range dsts {
-				sn := endpointNodeName(src, names, &b, &anon)
-				dn := endpointNodeName(dst, names, &b, &anon)
+				sn := endpointNodeName(n, src, declared, &b, &anon)
+				dn := endpointNodeName(n, dst, declared, &b, &anon)
 				fmt.Fprintf(&b, "  %s -> %s [label=\"%s\"];\n", sn, dn, label)
 			}
 		}
@@ -80,18 +81,18 @@ func DOT(s *schema.Schema, graphName string) string {
 // endpointNodeName maps an endpoint token to its type node, declaring
 // a placeholder point node for endpoints that have no declared type
 // (unresolved or external).
-func endpointNodeName(token string, names map[string]bool, b *strings.Builder, anon *int) string {
+func endpointNodeName(n names, token string, declared map[string]bool, b *strings.Builder, anon *int) string {
 	if token == "" {
 		*anon++
 		name := fmt.Sprintf("unresolved_%d", *anon)
 		fmt.Fprintf(b, "  %s [shape=point];\n", name)
 		return name
 	}
-	name := camel(token) + "Type"
-	if !names[name] {
+	name := n.endpoint(token)
+	if !declared[name] {
 		// Endpoint token that is not a declared node type (e.g. an
 		// abstract type name): declare an oval for it once.
-		names[name] = true
+		declared[name] = true
 		fmt.Fprintf(b, "  %s [shape=oval, label=\"%s\"];\n", ident(name), dotEscape(token))
 	}
 	return ident(name)

@@ -7,7 +7,9 @@ package serialize
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/pghive/pghive/internal/schema"
@@ -46,12 +48,13 @@ func PGSchema(s *schema.Schema, mode Mode, graphName string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CREATE GRAPH TYPE %s %s {\n", ident(graphName), mode)
 
+	n := newNames(s)
 	var lines []string
 	for _, nt := range s.NodeTypes {
-		lines = append(lines, nodeTypeDecl(nt, mode))
+		lines = append(lines, nodeTypeDecl(n, nt, mode))
 	}
 	for _, et := range s.EdgeTypes {
-		lines = append(lines, edgeTypeDecls(et, mode)...)
+		lines = append(lines, edgeTypeDecls(n, et, mode)...)
 	}
 	b.WriteString(strings.Join(lines, ",\n"))
 	if len(lines) > 0 {
@@ -61,10 +64,10 @@ func PGSchema(s *schema.Schema, mode Mode, graphName string) string {
 	return b.String()
 }
 
-func nodeTypeDecl(nt *schema.NodeType, mode Mode) string {
+func nodeTypeDecl(n names, nt *schema.NodeType, mode Mode) string {
 	var b strings.Builder
 	b.WriteString("  (")
-	b.WriteString(typeName(&nt.Type))
+	b.WriteString(n.types[&nt.Type])
 	b.WriteString(" : ")
 	if nt.Abstract {
 		b.WriteString("ABSTRACT")
@@ -76,7 +79,7 @@ func nodeTypeDecl(nt *schema.NodeType, mode Mode) string {
 	return b.String()
 }
 
-func edgeTypeDecls(et *schema.EdgeType, mode Mode) []string {
+func edgeTypeDecls(n names, et *schema.EdgeType, mode Mode) []string {
 	srcs := et.SortedSrcTokens()
 	dsts := et.SortedDstTokens()
 	if len(srcs) == 0 {
@@ -94,14 +97,14 @@ func edgeTypeDecls(et *schema.EdgeType, mode Mode) []string {
 		for _, dst := range dsts {
 			var b strings.Builder
 			b.WriteString("  (: ")
-			b.WriteString(endpointName(src))
+			b.WriteString(n.endpoint(src))
 			b.WriteString(")-[")
-			b.WriteString(typeName(&et.Type))
+			b.WriteString(n.types[&et.Type])
 			b.WriteString(" : ")
 			b.WriteString(label)
 			b.WriteString(propsBlock(&et.Type, mode))
 			b.WriteString("]->(: ")
-			b.WriteString(endpointName(dst))
+			b.WriteString(n.endpoint(dst))
 			b.WriteString(")")
 			if mode == Strict && et.Cardinality != schema.CardUnknown {
 				fmt.Fprintf(&b, " /* cardinality %s */", et.Cardinality)
@@ -148,21 +151,49 @@ func propsBlock(t *schema.Type, mode Mode) string {
 	return " { " + strings.Join(parts, ", ") + " }"
 }
 
-// typeName derives the declared type-variable name from a type:
-// lowerCamel of the token plus "Type" (e.g. WORKS_AT → worksAtType,
-// Person&Student → personStudentType), or abstract<id>Type.
-func typeName(t *schema.Type) string {
-	if t.Abstract || t.Token == "" {
-		return fmt.Sprintf("abstract%dType", t.ID)
-	}
-	return camel(t.Token) + "Type"
+// names is one render's type-variable names: lowerCamel of the token
+// plus "Type" (WORKS_AT → worksAtType, Person&Student →
+// personStudentType), or abstract<id>Type. Types are named in
+// declaration order, node types first, and one whose name an earlier
+// type took gets its ID appended (hasCreator12Type), so distinct types
+// never share a name. nodes maps a node token to its first type's name.
+type names struct {
+	types map[*schema.Type]string
+	nodes map[string]string
 }
 
-// endpointName names an endpoint reference from a label token; the
-// empty token (unresolved endpoint) renders as the open pattern.
-func endpointName(token string) string {
-	if token == "" {
-		return ""
+func newNames(s *schema.Schema) names {
+	n := names{types: map[*schema.Type]string{}, nodes: map[string]string{}}
+	taken := map[string]bool{}
+	add := func(t *schema.Type) string {
+		name := "abstract" + strconv.Itoa(t.ID) + "Type"
+		if !t.Abstract && t.Token != "" {
+			name = camel(t.Token) + "Type"
+		}
+		for taken[name] {
+			name = strings.TrimSuffix(name, "Type") + strconv.Itoa(t.ID) + "Type"
+		}
+		taken[name] = true
+		n.types[t] = name
+		return name
+	}
+	for _, nt := range s.NodeTypes {
+		if name := add(&nt.Type); nt.Token != "" && n.nodes[nt.Token] == "" {
+			n.nodes[nt.Token] = name
+		}
+	}
+	for _, et := range s.EdgeTypes {
+		add(&et.Type)
+	}
+	return n
+}
+
+// endpoint names the node type an endpoint token refers to. The empty
+// token (unresolved endpoint) renders as the open pattern, and a token
+// no node type carries as its lowerCamel name.
+func (n names) endpoint(token string) string {
+	if token == "" || n.nodes[token] != "" {
+		return n.nodes[token]
 	}
 	return camel(token) + "Type"
 }
@@ -239,13 +270,5 @@ func ident(s string) string {
 // SortedTypeNames returns every declared type name, sorted — a
 // convenience for tests and tools that diff schema outputs.
 func SortedTypeNames(s *schema.Schema) []string {
-	var names []string
-	for _, nt := range s.NodeTypes {
-		names = append(names, typeName(&nt.Type))
-	}
-	for _, et := range s.EdgeTypes {
-		names = append(names, typeName(&et.Type))
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Values(newNames(s).types))
 }

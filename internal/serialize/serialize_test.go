@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"encoding/xml"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -229,5 +230,70 @@ func TestEmptySchemaSerializes(t *testing.T) {
 			}
 			t.Fatalf("empty XSD not well-formed: %v", err)
 		}
+	}
+}
+
+// Distinct types render distinct names in every format, even when their
+// tokens camel alike (a_b, aB, a&b) or one edge label spans two types
+// with disjoint endpoints (LDBC's HAS_CREATOR); endpoint references name
+// the node type their token is.
+func TestDistinctTypesRenderDistinctNames(t *testing.T) {
+	s := schema.New()
+	var nodes []*schema.NodeType
+	for _, tok := range []string{"a_b", "aB", "a&b"} {
+		nt := schema.NewNodeCandidate()
+		nt.Token = tok
+		for _, l := range strings.Split(tok, "&") {
+			nt.Labels[l] = 1
+		}
+		nt.Instances = 1
+		nodes = append(nodes, nt)
+	}
+	s.AppendNodeTypes(nodes)
+	var edges []*schema.EdgeType
+	for _, src := range []string{"a_b", "a&b"} {
+		et := schema.NewEdgeCandidate()
+		et.Token = "HAS_CREATOR"
+		et.Labels["HAS_CREATOR"] = 1
+		et.Instances = 1
+		et.SrcTokens[src] = true
+		et.DstTokens["aB"] = true
+		edges = append(edges, et)
+	}
+	s.AppendEdgeTypes(edges)
+
+	declared := func(out, pattern string) map[string]int {
+		names := map[string]int{}
+		for _, m := range regexp.MustCompile(`(?m)`+pattern).FindAllStringSubmatch(out, -1) {
+			names[m[1]]++
+		}
+		return names
+	}
+	pgs := PGSchema(s, Strict, "G")
+	nodeNames, edgeNames := declared(pgs, `^  \((\w+) : `), declared(pgs, `-\[(\w+) : `)
+	if len(nodeNames) != 3 || len(edgeNames) != 2 {
+		t.Errorf("PG-Schema declares %d node and %d edge type names for 3 and 2 types:\n%s", len(nodeNames), len(edgeNames), pgs)
+	}
+	for name := range edgeNames {
+		if nodeNames[name] > 0 {
+			t.Errorf("PG-Schema names a node type and an edge type %s", name)
+		}
+	}
+	for _, want := range []string{
+		"(: aBType)-[hasCreatorType : HAS_CREATOR]->(: aB1Type)",
+		"(: aB2Type)-[hasCreator4Type : HAS_CREATOR]->(: aB1Type)",
+	} {
+		if !strings.Contains(pgs, want) {
+			t.Errorf("PG-Schema lacks %q:\n%s", want, pgs)
+		}
+	}
+	xsd := XSD(s)
+	for name, n := range declared(xsd, `<xs:complexType name="(\w+)">`) {
+		if n > 1 {
+			t.Errorf("XSD declares complexType %s %d times", name, n)
+		}
+	}
+	if got := declared(DOT(s, "G"), `^  (\w+) \[label="\{`); len(got) != 3 {
+		t.Errorf("DOT declares node names %v for 3 node types", got)
 	}
 }

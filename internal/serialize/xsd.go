@@ -36,11 +36,12 @@ func XSD(s *schema.Schema) string {
 	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	b.WriteString(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" elementFormDefault="qualified">` + "\n")
 
+	n := newNames(s)
 	for _, nt := range s.NodeTypes {
-		writeComplexType(&b, &nt.Type, "node", nil, nil, schema.CardUnknown)
+		writeComplexType(&b, n.types[&nt.Type], &nt.Type, "node", nil, nil, schema.CardUnknown)
 	}
 	for _, et := range s.EdgeTypes {
-		writeComplexType(&b, &et.Type, "edge", et.SortedSrcTokens(), et.SortedDstTokens(), et.Cardinality)
+		writeComplexType(&b, n.types[&et.Type], &et.Type, "edge", et.SortedSrcTokens(), et.SortedDstTokens(), et.Cardinality)
 	}
 
 	// Top-level graph element: a sequence of any declared type.
@@ -48,12 +49,12 @@ func XSD(s *schema.Schema) string {
 	b.WriteString("    <xs:complexType>\n")
 	b.WriteString("      <xs:choice minOccurs=\"0\" maxOccurs=\"unbounded\">\n")
 	for _, nt := range s.NodeTypes {
-		fmt.Fprintf(&b, "        <xs:element name=%q type=%q/>\n",
-			xmlName(typeName(&nt.Type)), xmlName(typeName(&nt.Type)))
+		name := xmlName(n.types[&nt.Type])
+		fmt.Fprintf(&b, "        <xs:element name=%q type=%q/>\n", name, name)
 	}
 	for _, et := range s.EdgeTypes {
-		fmt.Fprintf(&b, "        <xs:element name=%q type=%q/>\n",
-			xmlName(typeName(&et.Type)), xmlName(typeName(&et.Type)))
+		name := xmlName(n.types[&et.Type])
+		fmt.Fprintf(&b, "        <xs:element name=%q type=%q/>\n", name, name)
 	}
 	b.WriteString("      </xs:choice>\n")
 	b.WriteString("    </xs:complexType>\n")
@@ -62,8 +63,8 @@ func XSD(s *schema.Schema) string {
 	return b.String()
 }
 
-func writeComplexType(b *strings.Builder, t *schema.Type, kind string, srcs, dsts []string, card schema.Cardinality) {
-	fmt.Fprintf(b, "  <xs:complexType name=%q>\n", xmlName(typeName(t)))
+func writeComplexType(b *strings.Builder, name string, t *schema.Type, kind string, srcs, dsts []string, card schema.Cardinality) {
+	fmt.Fprintf(b, "  <xs:complexType name=%q>\n", xmlName(name))
 	fmt.Fprintf(b, "    <xs:annotation>\n")
 	fmt.Fprintf(b, "      <xs:documentation>%s type; labels: %s",
 		kind, xmlEscape(strings.Join(t.SortedLabels(), ", ")))

@@ -10,6 +10,7 @@ package pghive_test
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -383,16 +384,22 @@ var rows = []struct{ rule, path, src, want string }{
 	{"SortedMapOutput", "internal/serialize/s.go", `import "io"; func GoodCount(w io.Writer, m map[string]int, s []string) (n int) { for _, v := range m { n += v }; for _, v := range s { io.WriteString(w, v) }; return n }`, ""},
 }
 
+// skipDir reports the directories a walk of the module skips: bench/ is
+// a module of its own, and testdata holds no code of this one.
+func skipDir(p string, d fs.DirEntry) bool {
+	name := d.Name()
+	return d.IsDir() && p != "." && (name == "bench" || name == "testdata" || name[0] == '.')
+}
+
 func TestInvariants(t *testing.T) {
-	// Every non-test Go file of the module, wanting silence. bench/ is a
-	// module of its own and testdata holds no code of this one.
+	// Every non-test Go file of the module, wanting silence.
 	var tree []*file
 	pkgs := map[string]*pkg{}
 	err := fs.WalkDir(os.DirFS("."), ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if name := d.Name(); d.IsDir() && p != "." && (name == "bench" || name == "testdata" || name[0] == '.') {
+		if skipDir(p, d) {
 			return fs.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
@@ -442,5 +449,57 @@ func TestInvariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// go test compiles an example with no output comment but never runs it.
+// So every example of the module states its output, and a seeded file
+// proves the check sees one that does not.
+func TestEveryExampleHasOutput(t *testing.T) {
+	silent := func(f *ast.File) (names []string) {
+		for _, ex := range doc.Examples(f) {
+			if ex.Output == "" && !ex.EmptyOutput {
+				names = append(names, "Example"+ex.Name)
+			}
+		}
+		return names
+	}
+	examples := 0
+	err := fs.WalkDir(os.DirFS("."), ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if skipDir(p, d) {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		examples += len(doc.Examples(f))
+		for _, name := range silent(f) {
+			t.Errorf("%s: %s has no output comment, so go test never runs it", p, name)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if examples == 0 {
+		t.Error("the walk found no example")
+	}
+	seeded, err := parser.ParseFile(fset, "seed_test.go", "package p\n"+
+		"func ExampleA() {\n\t// Output: a\n}\n"+
+		"func ExampleB() {}\n"+
+		"func ExampleC() {\n\t// Unordered output: c\n}\n"+
+		"func ExampleD() {\n\t// Output:\n}\n", parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := silent(seeded); !slices.Equal(got, []string{"ExampleB"}) {
+		t.Errorf("seeded examples: want only ExampleB silent, got %v", got)
 	}
 }

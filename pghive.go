@@ -25,7 +25,7 @@
 // # Incremental discovery
 //
 //	inc := pghive.NewIncremental(pghive.Options{})
-//	for batch := range stream {
+//	for _, batch := range pghive.SplitBatches(g, 10, rand.New(rand.NewSource(1))) {
 //		inc.ProcessBatch(batch)
 //	}
 //	res := inc.Finalize()
@@ -42,7 +42,8 @@
 // training, adaptive LSH parameter choice) always run sequentially.
 // Set Parallelism to 1 to force fully sequential execution.
 //
-// See the examples/ directory for runnable end-to-end programs.
+// The package examples are runnable walkthroughs, each checked against
+// its output: go test -run Example -v .
 package pghive
 
 import (
