@@ -14,6 +14,8 @@ package schema
 // decimal node ID.
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,15 +70,11 @@ type Persisted struct {
 
 const persistVersion = 1
 
-// nodeKey is a node ID keying a degree tally in the schema document.
-// In JSON it is its canonical decimal spelling, a map key, and decodes
-// from nothing else: "012", " 12" and "12abc" are refused, not folded
-// onto node 12 in map iteration order.
+// nodeKey is a node ID keying a degree tally in the schema document
+// ReadJSON reads. In JSON it is its canonical decimal spelling, a map
+// key, and decodes from nothing else: "012", " 12" and "12abc" are
+// refused, not folded onto node 12 in map iteration order.
 type nodeKey pg.ID
-
-func (k nodeKey) MarshalText() ([]byte, error) {
-	return strconv.AppendInt(nil, int64(k), 10), nil
-}
 
 func (k *nodeKey) UnmarshalText(text []byte) error {
 	id, err := strconv.ParseInt(string(text), 10, 64)
@@ -186,23 +184,189 @@ func Persist(s *Schema) *Persisted {
 		p.NodeTypes = append(p.NodeTypes, typeToJSON(&nt.Type))
 	}
 	for _, et := range s.EdgeTypes {
-		jt := typeToJSON(&et.Type)
-		jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
-		jt.Cardinality = uint8(et.Cardinality)
-		p.EdgeTypes = append(p.EdgeTypes, jt)
+		p.EdgeTypes = append(p.EdgeTypes, edgeToJSON(et))
 	}
 	return p
 }
 
-// WriteJSON serializes the schema as the document: heads and tallies.
+func edgeToJSON(et *EdgeType) jsonType {
+	jt := typeToJSON(&et.Type)
+	jt.SrcTokens, jt.DstTokens = et.SortedSrcTokens(), et.SortedDstTokens()
+	jt.Cardinality = uint8(et.Cardinality)
+	return jt
+}
+
+// WriteJSON serializes the schema as the document: heads and tallies,
+// byte for byte what encoding/json's two-space indented encoding of
+// the whole document would be. It streams. Each type's head goes
+// through encoding/json on its own, and each tally goes from its
+// leaves straight to a buffered w, keys in encoding/json's order: the
+// bytes of their decimal spelling ("-2" < "0" < "10" < "9"). So it
+// holds O(types × properties) and one scratch copy of the largest
+// tally, never the document.
 func WriteJSON(w io.Writer, s *Schema) error {
-	p := Persist(s)
-	for i, et := range s.EdgeTypes {
-		p.EdgeTypes[i].SrcDeg, p.EdgeTypes[i].DstDeg = DegreeCounts[nodeKey](et.SrcDeg), DegreeCounts[nodeKey](et.DstDeg)
+	maxLen := 0
+	for _, et := range s.EdgeTypes {
+		maxLen = max(maxLen, et.SrcDeg.Len(), et.DstDeg.Len())
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+	d := docWriter{w: bufio.NewWriter(w), scratch: make([]degEntry, 0, maxLen)}
+	d.w.WriteString("{\n  \"version\": " + strconv.Itoa(persistVersion) + ",\n  \"nodeTypes\": ")
+	d.array(len(s.NodeTypes), func(i int) {
+		d.head(typeToJSON(&s.NodeTypes[i].Type))
+	})
+	d.w.WriteString(",\n  \"edgeTypes\": ")
+	d.array(len(s.EdgeTypes), func(i int) {
+		et := s.EdgeTypes[i]
+		jt := edgeToJSON(et)
+		jt.Cardinality = 0 // follows the tallies, as in jsonType
+		d.head(jt)
+		d.tally("srcDeg", et.SrcDeg)
+		d.tally("dstDeg", et.DstDeg)
+		if et.Cardinality != CardUnknown {
+			d.w.WriteString(",\n      \"cardinality\": " + strconv.Itoa(int(et.Cardinality)))
+		}
+	})
+	d.w.WriteString("\n}\n")
+	if d.err != nil {
+		return d.err
+	}
+	return d.w.Flush()
+}
+
+// docWriter writes the schema document. A failed write is kept by the
+// bufio.Writer and reported by Flush; err is a head encoding refused.
+type docWriter struct {
+	w       *bufio.Writer
+	err     error
+	scratch []degEntry // the tally at hand
+	line    []byte     // one tally entry's line
+	sep     string     // what precedes the next entry's key
+}
+
+// typeEnd closes a type object in the document's nodeTypes or
+// edgeTypes array.
+const typeEnd = "\n    }"
+
+// array writes n types as a document array, null when there are none
+// (Persist leaves the slice nil). Each elem writes one type object
+// without its closing brace.
+func (d *docWriter) array(n int, elem func(i int)) {
+	if n == 0 {
+		d.w.WriteString("null")
+		return
+	}
+	for i := range n {
+		if i == 0 {
+			d.w.WriteString("[\n    ")
+		} else {
+			d.w.WriteString(",\n    ")
+		}
+		elem(i)
+		d.w.WriteString(typeEnd)
+	}
+	d.w.WriteString("\n  ]")
+}
+
+// head writes a type's head at its depth in the document, leaving the
+// object open for the fields that follow it: tallies and cardinality,
+// which come last in jsonType and are zero in jt. The object has its
+// id and instances, so it is never empty.
+func (d *docWriter) head(jt jsonType) {
+	b, err := json.MarshalIndent(jt, "    ", "  ")
+	if err != nil {
+		d.err = cmp.Or(d.err, err)
+		return
+	}
+	d.w.Write(b[:len(b)-len(typeEnd)])
+}
+
+// tally writes a non-empty tally as the object field key, its entries
+// in key order. Node order (All) is that order already within each run
+// of IDs of one sign and one spelling length, except that a negative
+// run is backwards (-12 < -11, but "-11" < "-12"); and every negative
+// key precedes the rest ("-" < "0"). So the writer reverses the
+// negative entries and merges the runs of each sign, at most 19.
+func (d *docWriter) tally(key string, t Degrees) {
+	if t.Len() == 0 {
+		return
+	}
+	e := d.scratch[:0]
+	for id, n := range t.All() {
+		e = append(e, degEntry{id, n})
+	}
+	neg, _ := slices.BinarySearchFunc(e, 0, cmpEntry)
+	slices.Reverse(e[:neg])
+	d.w.WriteString(",\n      \"" + key + "\": {")
+	d.sep = "\n        \""
+	d.merge(e[:neg])
+	d.merge(e[neg:])
+	d.w.WriteString("\n      }")
+}
+
+// keyRun is a run of tally entries whose IDs share a sign and a
+// spelling length of digits, in ascending magnitude: e[next:end].
+type keyRun struct{ next, end, digits int }
+
+// merge writes entries of one sign, in ascending magnitude, in key
+// order. Two run heads compare as their digits padded with zeros to
+// 19, which fit a uint64; equal padded spellings mean the shorter is a
+// prefix of the other, and a prefix comes first.
+func (d *docWriter) merge(e []degEntry) {
+	var buf [19]keyRun // one per spelling length
+	runs := buf[:0]
+	for i := 0; i < len(e); {
+		r := keyRun{next: i, digits: 1}
+		for r.digits < 19 && magnitude(e[i].id) >= pow10[r.digits] {
+			r.digits++
+		}
+		i++
+		for i < len(e) && magnitude(e[i].id) < pow10[r.digits] {
+			i++
+		}
+		r.end = i
+		runs = append(runs, r)
+	}
+	padded := func(r keyRun) uint64 { return magnitude(e[r.next].id) * pow10[19-r.digits] }
+	for len(runs) > 0 {
+		least := 0
+		for k := 1; k < len(runs); k++ {
+			if p, q := padded(runs[k]), padded(runs[least]); p < q || p == q && runs[k].digits < runs[least].digits {
+				least = k
+			}
+		}
+		r := &runs[least]
+		d.entry(e[r.next])
+		if r.next++; r.next == r.end {
+			runs = slices.Delete(runs, least, least+1)
+		}
+	}
+}
+
+// entry writes one tally entry as a line of the tally's object.
+func (d *docWriter) entry(x degEntry) {
+	b := append(d.line[:0], d.sep...)
+	b = strconv.AppendInt(b, int64(x.id), 10)
+	b = append(b, "\": "...)
+	b = strconv.AppendInt(b, int64(x.n), 10)
+	d.w.Write(b)
+	d.line, d.sep = b, ",\n        \""
+}
+
+// pow10[i] is 10^i; 10^19 is the first power above every int64.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// magnitude is |id|, math.MinInt64 included.
+func magnitude(id pg.ID) uint64 {
+	if id < 0 {
+		return -uint64(id)
+	}
+	return uint64(id)
 }
 
 // ReadJSON restores a schema serialized by WriteJSON, rebuilding the

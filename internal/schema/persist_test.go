@@ -2,6 +2,7 @@ package schema
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,6 +186,21 @@ func TestReadJSONRefusesNonCanonicalDegreeKeys(t *testing.T) {
 		}
 		if got := s.EdgeTypes[0].SrcDeg; got.Len() != 1 || got.Get(id) != 3 {
 			t.Errorf("degree key %q restored as %v", key, DegreeCounts[nodeKey](got))
+		}
+	}
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteJSONReportsWriteError: the document streams through a
+// buffer, and a write the buffer passes on fails WriteJSON.
+func TestWriteJSONReportsWriteError(t *testing.T) {
+	for _, s := range []*Schema{New(), buildPersistFixture()} {
+		if err := WriteJSON(failWriter{}, s); err == nil || err.Error() != "disk full" {
+			t.Fatalf("WriteJSON to a failing writer: %v, want disk full", err)
 		}
 	}
 }

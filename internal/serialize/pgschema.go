@@ -158,12 +158,13 @@ func propsBlock(t *schema.Type, mode Mode) string {
 // type took gets its ID appended (hasCreator12Type), so distinct types
 // never share a name. nodes maps a node token to its first type's name.
 type names struct {
-	types map[*schema.Type]string
-	nodes map[string]string
+	schema *schema.Schema
+	types  map[*schema.Type]string
+	nodes  map[string]string
 }
 
 func newNames(s *schema.Schema) names {
-	n := names{types: map[*schema.Type]string{}, nodes: map[string]string{}}
+	n := names{schema: s, types: map[*schema.Type]string{}, nodes: map[string]string{}}
 	taken := map[string]bool{}
 	add := func(t *schema.Type) string {
 		name := "abstract" + strconv.Itoa(t.ID) + "Type"
@@ -189,11 +190,17 @@ func newNames(s *schema.Schema) names {
 }
 
 // endpoint names the node type an endpoint token refers to. The empty
-// token (unresolved endpoint) renders as the open pattern, and a token
-// no node type carries as its lowerCamel name.
+// token (unresolved endpoint) renders as the open pattern. A token no
+// node type carries resolves through the schema's token index, which
+// UnifyNodeTypes points from a unified-away token (Organization) to the
+// type that absorbed it (Company); a token that resolves to nothing
+// renders as its lowerCamel name.
 func (n names) endpoint(token string) string {
 	if token == "" || n.nodes[token] != "" {
 		return n.nodes[token]
+	}
+	if nt := n.schema.NodeTypeByToken(token); nt != nil && n.types[&nt.Type] != "" {
+		return n.types[&nt.Type]
 	}
 	return camel(token) + "Type"
 }
