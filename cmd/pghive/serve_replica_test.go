@@ -96,9 +96,9 @@ func replicaGraph(t *testing.T, base pghive.ID, n int) *pghive.Graph {
 	t.Helper()
 	g := pghive.NewGraph()
 	for i := 0; i < n; i++ {
-		if err := g.PutNode(base+pghive.ID(i), []string{"Repl"}, map[string]pghive.Value{
+		if err := g.PutNode(base+pghive.ID(i), []string{"Repl"}, pghive.PropsOf(map[string]pghive.Value{
 			"k": pghive.Int(int64(i)),
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -270,7 +270,7 @@ func (s *liftScript) batch(arg byte, label string, props map[string]Value) *Grap
 		if label != "" {
 			labels = []string{label}
 		}
-		if err := g.PutNode(s.nextNode, labels, p); err != nil {
+		if err := g.PutNode(s.nextNode, labels, PropsOf(p)); err != nil {
 			s.t.Fatal(err)
 		}
 		s.nextNode++
@@ -282,7 +282,7 @@ func (s *liftScript) batch(arg byte, label string, props map[string]Value) *Grap
 		if len(s.nodes) > 0 && i%2 == 1 {
 			dst = s.nodes[int(arg)%len(s.nodes)] // an endpoint from an earlier write
 		}
-		if err := g.PutEdge(s.nextEdge, []string{rel}, src, dst, map[string]Value{"w": Int(int64(i))}); err != nil {
+		if err := g.PutEdge(s.nextEdge, []string{rel}, src, dst, PropsOf(map[string]Value{"w": Int(int64(i))})); err != nil {
 			s.t.Fatal(err)
 		}
 		s.nextEdge++
@@ -327,7 +327,7 @@ func (s *liftScript) step(i int, op, arg byte) {
 		if len(s.promised) > 0 {
 			g := s.graph()
 			for _, id := range s.promised {
-				if err := g.PutNode(id, []string{"Late"}, map[string]Value{"at": Int(int64(id))}); err != nil {
+				if err := g.PutNode(id, []string{"Late"}, PropsOf(map[string]Value{"at": Int(int64(id))})); err != nil {
 					s.t.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ func internalStressGraph(t testing.TB, base ID, n int) *Graph {
 	t.Helper()
 	g := NewGraph()
 	for i := 0; i < n; i++ {
-		if err := g.PutNode(base+ID(i), []string{"Blocked"}, map[string]Value{"k": Int(int64(i))}); err != nil {
+		if err := g.PutNode(base+ID(i), []string{"Blocked"}, PropsOf(map[string]Value{"k": Int(int64(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestHostileWALPayloadRefused(t *testing.T) {
 	// One node whose property is a megabyte of one letter: BestSpeed
 	// deflates it far past walInflateRatio.
 	repetitive := NewGraph()
-	if err := repetitive.PutNode(1, []string{"Blob"}, map[string]Value{"s": Str(strings.Repeat("a", 1<<20))}); err != nil {
+	if err := repetitive.PutNode(1, []string{"Blob"}, PropsOf(map[string]Value{"s": Str(strings.Repeat("a", 1<<20))})); err != nil {
 		t.Fatal(err)
 	}
 	repetitiveJSONL := jsonl(repetitive)

@@ -81,10 +81,10 @@ func Discover(g *pg.Graph) (*Result, error) {
 	// typeRecord parses every property value's lexical form to build
 	// the element's (key → datatype) record, SchemI's per-element
 	// preprocessing. The parsed kinds feed the group records.
-	typeRecord := func(props map[string]pg.Value) int {
+	typeRecord := func(props pg.Props) int {
 		kinds := 0
-		for _, v := range props {
-			kinds += int(pg.ParseLexical(v.Lexical()).Kind())
+		for _, p := range props {
+			kinds += int(pg.ParseLexical(p.Val.Lexical()).Kind())
 		}
 		return kinds
 	}

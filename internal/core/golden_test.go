@@ -76,21 +76,21 @@ func goldenImages(t testing.TB) (base, next *Image) {
 	}
 
 	g1 := pg.NewGraph()
-	must(g1.PutNode(1, []string{"Person"}, person("ann", 31)))
-	must(g1.PutNode(2, []string{"Person"}, person("bob", 42)))
-	must(g1.PutNode(3, []string{"Person"}, person("cy", 27)))
-	must(g1.PutNode(4, []string{"Person"}, person("di", 58)))
-	must(g1.PutNode(9, []string{"Person"}, person("fay", 64)))
-	must(g1.PutNode(12, []string{"Person"}, person("gus", 19)))
-	must(g1.PutNode(10, []string{"City"}, map[string]pg.Value{"name": pg.Str("Oslo")}))
-	must(g1.PutNode(11, []string{"City"}, map[string]pg.Value{"name": pg.Str("Rome")}))
-	must(g1.PutNode(20, []string{"Tag"}, map[string]pg.Value{"name": pg.Str("go")}))
-	must(g1.PutNode(30, []string{"Organisation"}, map[string]pg.Value{"name": pg.Str("ACME"), "url": pg.Str("a.example")}))
-	must(g1.PutNode(31, []string{"Company"}, map[string]pg.Value{"name": pg.Str("Initech"), "url": pg.Str("i.example")}))
-	must(g1.PutEdge(100, []string{"KNOWS"}, 1, 2, map[string]pg.Value{"since": pg.Int(2019)}))
-	must(g1.PutEdge(101, []string{"KNOWS"}, 2, 3, map[string]pg.Value{"since": pg.Int(2021)}))
-	must(g1.PutEdge(104, []string{"KNOWS"}, 9, 12, map[string]pg.Value{"since": pg.Int(2001)}))
-	must(g1.PutEdge(105, []string{"KNOWS"}, 12, 9, map[string]pg.Value{"since": pg.Int(2002)}))
+	must(g1.PutNode(1, []string{"Person"}, pg.PropsOf(person("ann", 31))))
+	must(g1.PutNode(2, []string{"Person"}, pg.PropsOf(person("bob", 42))))
+	must(g1.PutNode(3, []string{"Person"}, pg.PropsOf(person("cy", 27))))
+	must(g1.PutNode(4, []string{"Person"}, pg.PropsOf(person("di", 58))))
+	must(g1.PutNode(9, []string{"Person"}, pg.PropsOf(person("fay", 64))))
+	must(g1.PutNode(12, []string{"Person"}, pg.PropsOf(person("gus", 19))))
+	must(g1.PutNode(10, []string{"City"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("Oslo")})))
+	must(g1.PutNode(11, []string{"City"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("Rome")})))
+	must(g1.PutNode(20, []string{"Tag"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("go")})))
+	must(g1.PutNode(30, []string{"Organisation"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("ACME"), "url": pg.Str("a.example")})))
+	must(g1.PutNode(31, []string{"Company"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("Initech"), "url": pg.Str("i.example")})))
+	must(g1.PutEdge(100, []string{"KNOWS"}, 1, 2, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2019)})))
+	must(g1.PutEdge(101, []string{"KNOWS"}, 2, 3, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2021)})))
+	must(g1.PutEdge(104, []string{"KNOWS"}, 9, 12, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2001)})))
+	must(g1.PutEdge(105, []string{"KNOWS"}, 12, 9, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2002)})))
 	must(g1.PutEdge(110, []string{"LIVES_IN"}, 1, 10, nil))
 	must(g1.PutEdge(111, []string{"LIVES_IN"}, 2, 10, nil))
 	must(g1.PutEdge(120, []string{"HAS_TAG"}, 1, 20, nil))
@@ -119,11 +119,11 @@ func goldenImages(t testing.TB) (base, next *Image) {
 	g2.AllowDanglingEdges(true)
 	p5 := person("eve", 35)
 	p5["email"] = pg.Str("eve@example")
-	must(g2.PutNode(5, []string{"Person"}, p5))
-	must(g2.PutNode(40, []string{"Post"}, map[string]pg.Value{"content": pg.Str("hi"), "lang": pg.Str("en")}))
-	must(g2.PutNode(50, nil, person("anon", 50)))
-	must(g2.PutEdge(102, []string{"KNOWS"}, 3, 1, map[string]pg.Value{"since": pg.Int(2022)}))
-	must(g2.PutEdge(103, []string{"KNOWS"}, 5, 1, map[string]pg.Value{"since": pg.Int(2023)}))
+	must(g2.PutNode(5, []string{"Person"}, pg.PropsOf(p5)))
+	must(g2.PutNode(40, []string{"Post"}, pg.PropsOf(map[string]pg.Value{"content": pg.Str("hi"), "lang": pg.Str("en")})))
+	must(g2.PutNode(50, nil, pg.PropsOf(person("anon", 50))))
+	must(g2.PutEdge(102, []string{"KNOWS"}, 3, 1, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2022)})))
+	must(g2.PutEdge(103, []string{"KNOWS"}, 5, 1, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2023)})))
 	must(g2.PutEdge(130, []string{"WROTE"}, 1, 40, nil))
 	resolver2 := labelOnly(t, map[pg.ID][]string{
 		1: {"Person"}, 3: {"Person"}, 5: {"Person"}, 40: {"Post"},
@@ -136,11 +136,11 @@ func goldenImages(t testing.TB) (base, next *Image) {
 	// and 12, listed in numeric order as gaps: [2,7,3]).
 	r := pg.NewGraph()
 	r.AllowDanglingEdges(true)
-	must(r.PutNode(20, []string{"Tag"}, map[string]pg.Value{"name": pg.Str("go")}))
+	must(r.PutNode(20, []string{"Tag"}, pg.PropsOf(map[string]pg.Value{"name": pg.Str("go")})))
 	must(r.PutEdge(120, []string{"HAS_TAG"}, 1, 20, nil))
-	must(r.PutEdge(101, []string{"KNOWS"}, 2, 3, map[string]pg.Value{"since": pg.Int(2021)}))
-	must(r.PutEdge(104, []string{"KNOWS"}, 9, 12, map[string]pg.Value{"since": pg.Int(2001)}))
-	must(r.PutEdge(105, []string{"KNOWS"}, 12, 9, map[string]pg.Value{"since": pg.Int(2002)}))
+	must(r.PutEdge(101, []string{"KNOWS"}, 2, 3, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2021)})))
+	must(r.PutEdge(104, []string{"KNOWS"}, 9, 12, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2001)})))
+	must(r.PutEdge(105, []string{"KNOWS"}, 12, 9, pg.PropsOf(map[string]pg.Value{"since": pg.Int(2002)})))
 	inc.RetractBatch(&pg.Batch{Graph: r, Resolver: r, Index: 3})
 
 	// Alignment: Company is merged into Organisation and its instances

@@ -256,7 +256,7 @@ func TestInterningEquivalenceCachedShapesOnly(t *testing.T) {
 				props["extra"] = pg.Str("x")
 			}
 			for _, in := range []*pg.Graph{g, all} {
-				if err := in.PutNode(id, labels[i%len(labels)], props); err != nil {
+				if err := in.PutNode(id, labels[i%len(labels)], pg.PropsOf(props)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -269,7 +269,7 @@ func TestInterningEquivalenceCachedShapesOnly(t *testing.T) {
 			if first > 0 && i%2 == 1 {
 				dst -= first
 			}
-			if err := g.PutEdge(first+pg.ID(i), []string{"R"}, src, dst, map[string]pg.Value{"w": pg.Int(int64(i))}); err != nil {
+			if err := g.PutEdge(first+pg.ID(i), []string{"R"}, src, dst, pg.PropsOf(map[string]pg.Value{"w": pg.Int(int64(i))})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -305,7 +305,7 @@ func endpointBatches(t *testing.T) (batches func() []*pg.Batch, resolverOnly, un
 		for _, k := range keys {
 			props[k] = pg.Str(fmt.Sprintf("%s%d", k, id))
 		}
-		if err := g.PutNode(id, labels, props); err != nil {
+		if err := g.PutNode(id, labels, pg.PropsOf(props)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +342,7 @@ func endpointBatches(t *testing.T) (batches func() []*pg.Batch, resolverOnly, un
 		put(known, postID(i), labels, keys...)
 	}
 	edge := func(g *pg.Graph, id pg.ID, label string, src, dst pg.ID) {
-		if err := g.PutEdge(id, []string{label}, src, dst, map[string]pg.Value{"since": pg.Int(int64(id))}); err != nil {
+		if err := g.PutEdge(id, []string{label}, src, dst, pg.PropsOf(map[string]pg.Value{"since": pg.Int(int64(id))})); err != nil {
 			t.Fatal(err)
 		}
 	}

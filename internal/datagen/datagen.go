@@ -11,7 +11,8 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/pghive/pghive/internal/pg"
@@ -222,9 +223,13 @@ func Generate(spec *Spec, scale float64, seed int64) *Dataset {
 		if count < 1 {
 			count = 1
 		}
+		props := newPropMaker(ns.Props)
 		for i := 0; i < count; i++ {
-			props := genProps(ns.Props, rng)
-			id := g.AddNode(ns.Labels, props)
+			// The ID AddNode would assign, since nodes are only added;
+			// PutNode cannot fail on it, and the keys are distinct
+			// (newPropMaker).
+			id := pg.ID(g.NumNodes())
+			_ = g.PutNode(id, ns.Labels, props.draw(rng))
 			d.NodeTruth[id] = ns.Name
 			instances[ns.Name] = append(instances[ns.Name], id)
 		}
@@ -245,11 +250,53 @@ func Generate(spec *Spec, scale float64, seed int64) *Dataset {
 	return d
 }
 
-func genProps(specs []Prop, rng *rand.Rand) map[string]pg.Value {
-	props := map[string]pg.Value{}
-	for _, p := range specs {
-		if p.Prob >= 1 || rng.Float64() < p.Prob {
-			props[p.Key] = p.Gen.value(rng)
+// propMaker draws one type's properties and lays them out in key
+// order: the draws follow the declaration order, which fixes the
+// generated values per seed, and the Props come out sorted with no
+// sort per element.
+type propMaker struct {
+	specs []Prop
+	order []int // spec indices, by key
+	drawn []bool
+	vals  []pg.Value
+}
+
+func newPropMaker(specs []Prop) *propMaker {
+	m := &propMaker{
+		specs: specs,
+		order: make([]int, len(specs)),
+		drawn: make([]bool, len(specs)),
+		vals:  make([]pg.Value, len(specs)),
+	}
+	for i := range m.order {
+		m.order[i] = i
+	}
+	slices.SortFunc(m.order, func(a, b int) int { return strings.Compare(specs[a].Key, specs[b].Key) })
+	for i := 1; i < len(m.order); i++ {
+		if k := specs[m.order[i]].Key; k == specs[m.order[i-1]].Key {
+			panic(fmt.Sprintf("datagen: property %q declared twice", k))
+		}
+	}
+	return m
+}
+
+// draw returns one element's properties, nil when it drew none.
+func (m *propMaker) draw(rng *rand.Rand) pg.Props {
+	n := 0
+	for i, p := range m.specs {
+		m.drawn[i] = p.Prob >= 1 || rng.Float64() < p.Prob
+		if m.drawn[i] {
+			m.vals[i] = p.Gen.value(rng)
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	props := make(pg.Props, 0, n)
+	for _, i := range m.order {
+		if m.drawn[i] {
+			props = append(props, pg.Prop{Key: m.specs[i].Key, Val: m.vals[i]})
 		}
 	}
 	return props
@@ -257,9 +304,10 @@ func genProps(specs []Prop, rng *rand.Rand) map[string]pg.Value {
 
 func wireEdges(d *Dataset, es EdgeSpec, srcs, dsts []pg.ID, count int, rng *rand.Rand) {
 	g := d.Graph
+	props := newPropMaker(es.Props)
 	addEdge := func(src, dst pg.ID) {
-		id, err := g.AddEdge(es.Labels, src, dst, genProps(es.Props, rng))
-		if err != nil {
+		id := pg.ID(g.NumEdges()) // what AddEdge would assign: edges are only added
+		if g.PutEdge(id, es.Labels, src, dst, props.draw(rng)) != nil {
 			return
 		}
 		d.EdgeTruth[id] = es.Name
@@ -313,7 +361,7 @@ func InjectNoise(d *Dataset, propNoise, labelAvail float64, seed int64) *Dataset
 	nodes := g.Nodes()
 	for i := range nodes {
 		n := &nodes[i]
-		dropProps(n.Props, propNoise, rng)
+		n.Props = dropProps(n.Props, propNoise, rng)
 		if labelAvail < 1 && rng.Float64() >= labelAvail {
 			n.Labels = nil
 		}
@@ -321,7 +369,7 @@ func InjectNoise(d *Dataset, propNoise, labelAvail float64, seed int64) *Dataset
 	edges := g.Edges()
 	for i := range edges {
 		e := &edges[i]
-		dropProps(e.Props, propNoise, rng)
+		e.Props = dropProps(e.Props, propNoise, rng)
 		if labelAvail < 1 && rng.Float64() >= labelAvail {
 			e.Labels = nil
 		}
@@ -335,23 +383,23 @@ func InjectNoise(d *Dataset, propNoise, labelAvail float64, seed int64) *Dataset
 	}
 }
 
-func dropProps(props map[string]pg.Value, noise float64, rng *rand.Rand) {
+// dropProps removes each property with probability noise, in place,
+// and returns what is left. It draws once per property in key order,
+// so noise injection is reproducible for a fixed seed.
+func dropProps(props pg.Props, noise float64, rng *rand.Rand) pg.Props {
 	if noise <= 0 || len(props) == 0 {
-		return
+		return props
 	}
-	// Draw over sorted keys: map iteration order is randomized per
-	// process, and pairing rng draws with it would make noise
-	// injection non-reproducible for a fixed seed.
-	keys := make([]string, 0, len(props))
-	for k := range props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if rng.Float64() < noise {
-			delete(props, k)
+	kept := props[:0]
+	for _, p := range props {
+		if rng.Float64() >= noise {
+			kept = append(kept, p)
 		}
 	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
 }
 
 // Stats returns the Table 2-style statistics of the generated graph

@@ -100,8 +100,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		if na.LabelToken() != nb.LabelToken() || len(na.Props) != len(nb.Props) {
 			t.Fatalf("node %d differs between runs", na.ID)
 		}
-		for k, v := range na.Props {
-			if !nb.Props[k].Equal(v) {
+		for k, v := range na.Props.All() {
+			if !nb.Props.Get(k).Equal(v) {
 				t.Fatalf("node %d prop %q differs", na.ID, k)
 			}
 		}
@@ -205,7 +205,7 @@ func TestMixedValueGenerators(t *testing.T) {
 	kinds := map[pg.Kind]int{}
 	for i := range d.Graph.Nodes() {
 		n := &d.Graph.Nodes()[i]
-		if v, ok := n.Props["internal_id"]; ok {
+		if v := n.Props.Get("internal_id"); v.IsValid() {
 			kinds[v.Kind()]++
 		}
 	}

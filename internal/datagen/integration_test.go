@@ -78,7 +78,7 @@ func TestSchemaValidatesItsOwnData(t *testing.T) {
 				t.Fatalf("node %d label %q not covered by type %s", n.ID, l, ty.Name())
 			}
 		}
-		for k := range n.Props {
+		for k := range n.Props.All() {
 			if ty.Props[k] == nil {
 				t.Fatalf("node %d property %q not covered by type %s", n.ID, k, ty.Name())
 			}
@@ -95,7 +95,7 @@ func TestSchemaValidatesItsOwnData(t *testing.T) {
 				t.Fatalf("edge %d label %q not covered by type %s", e.ID, l, ty.Name())
 			}
 		}
-		for k := range e.Props {
+		for k := range e.Props.All() {
 			if ty.Props[k] == nil {
 				t.Fatalf("edge %d property %q not covered by type %s", e.ID, k, ty.Name())
 			}
@@ -116,7 +116,7 @@ func TestMandatorySoundness(t *testing.T) {
 	for i := range d.Graph.Nodes() {
 		n := &d.Graph.Nodes()[i]
 		ty := res.NodeAssign[n.ID]
-		for k := range n.Props {
+		for k := range n.Props.All() {
 			present[typeKey(ty.ID, k)]++
 		}
 	}

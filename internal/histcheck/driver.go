@@ -272,9 +272,7 @@ func buildBatch(base pghive.ID, spec BatchSpec) *pghive.Graph {
 	g := pghive.NewGraph()
 	for i := 0; i < spec.Nodes; i++ {
 		id := base + pghive.ID(i)
-		if err := g.PutNode(id, []string{"Hist"}, map[string]pghive.Value{
-			"k": pghive.Int(int64(i)),
-		}); err != nil {
+		if err := g.PutNode(id, []string{"Hist"}, pghive.Props{{Key: "k", Val: pghive.Int(int64(i))}}); err != nil {
 			panic(err) // scripted IDs are disjoint by construction
 		}
 	}

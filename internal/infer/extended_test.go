@@ -13,7 +13,7 @@ func buildTypeFromValues(t *testing.T, key string, values []pg.Value) *schema.No
 	nodes := make([]pg.Node, len(values))
 	for i, v := range values {
 		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"T"},
-			Props: map[string]pg.Value{key: v}}
+			Props: pg.PropsOf(map[string]pg.Value{key: v})}
 	}
 	assign := make([]int, len(nodes))
 	cands := schema.BuildNodeCandidates(nodes, assign, 1)
@@ -102,7 +102,7 @@ func TestRangeMergesAcrossClusters(t *testing.T) {
 		nodes := make([]pg.Node, 3)
 		for i := range nodes {
 			nodes[i] = pg.Node{ID: pg.ID(ids + i), Labels: []string{"T"},
-				Props: map[string]pg.Value{"n": pg.Int(base + int64(i))}}
+				Props: pg.PropsOf(map[string]pg.Value{"n": pg.Int(base + int64(i))})}
 		}
 		return schema.BuildNodeCandidates(nodes, []int{0, 0, 0}, 1)
 	}

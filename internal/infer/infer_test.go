@@ -145,7 +145,7 @@ func TestConstraints(t *testing.T) {
 		if i == 0 {
 			props["url"] = pg.Str("http")
 		}
-		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"Org"}, Props: props}
+		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"Org"}, Props: pg.PropsOf(props)}
 	}
 	ty := schema.BuildNodeCandidates(nodes, []int{0, 0, 0}, 1)[0]
 	Constraints(&ty.Type)
@@ -192,15 +192,15 @@ func TestCardinalityInterpretation(t *testing.T) {
 func TestFinalizeEndToEnd(t *testing.T) {
 	s := schema.New()
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Person"}, Props: map[string]pg.Value{"name": pg.Str("a"), "age": pg.Int(30)}},
-		{ID: 1, Labels: []string{"Person"}, Props: map[string]pg.Value{"name": pg.Str("b"), "age": pg.Int(31)}},
-		{ID: 2, Labels: []string{"Person"}, Props: map[string]pg.Value{"name": pg.Str("c")}},
+		{ID: 0, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{"name": pg.Str("a"), "age": pg.Int(30)})},
+		{ID: 1, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{"name": pg.Str("b"), "age": pg.Int(31)})},
+		{ID: 2, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{"name": pg.Str("c")})},
 	}
 	cands := schema.BuildNodeCandidates(nodes, []int{0, 0, 0}, 1)
 	s.ExtractNodeTypes(cands, 0)
 
 	edges := []pg.Edge{
-		{ID: 0, Labels: []string{"KNOWS"}, Src: 0, Dst: 1, Props: map[string]pg.Value{"since": pg.Int(2020)}},
+		{ID: 0, Labels: []string{"KNOWS"}, Src: 0, Dst: 1, Props: pg.PropsOf(map[string]pg.Value{"since": pg.Int(2020)})},
 		{ID: 1, Labels: []string{"KNOWS"}, Src: 0, Dst: 2, Props: nil},
 	}
 	ecands := schema.BuildEdgeCandidates(edges, []int{0, 0}, 1, []string{"Person", "Person"}, []string{"Person", "Person"})
@@ -235,7 +235,7 @@ func TestFinalizeSampledMode(t *testing.T) {
 		if i < 10 {
 			v = pg.Str("oops")
 		}
-		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"T"}, Props: map[string]pg.Value{"p": v}}
+		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"T"}, Props: pg.PropsOf(map[string]pg.Value{"p": v})}
 	}
 	assign := make([]int, len(nodes))
 	cands := schema.BuildNodeCandidates(nodes, assign, 1)

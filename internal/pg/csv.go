@@ -31,8 +31,8 @@ type nodeCSVReader struct {
 	cr     *csv.Reader
 	idCol  int
 	lblCol int
-	props  map[int]csvProp
-	line   int // 1-based line of the most recently read record
+	props  []csvProp // sorted by key
+	line   int       // 1-based line of the most recently read record
 }
 
 func newNodeCSVReader(r io.Reader) (*nodeCSVReader, error) {
@@ -43,7 +43,7 @@ func newNodeCSVReader(r io.Reader) (*nodeCSVReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pg: csv header: %w", err)
 	}
-	nr := &nodeCSVReader{cr: cr, idCol: -1, lblCol: -1, props: map[int]csvProp{}, line: 1}
+	nr := &nodeCSVReader{cr: cr, idCol: -1, lblCol: -1, line: 1}
 	for i, h := range header {
 		switch {
 		case strings.HasSuffix(h, ":ID"):
@@ -52,22 +52,22 @@ func newNodeCSVReader(r io.Reader) (*nodeCSVReader, error) {
 			nr.lblCol = i
 		case strings.HasSuffix(h, ":IGNORE"):
 		default:
-			cp, err := parseCSVHeader(h)
+			cp, err := parseCSVHeader(i, h)
 			if err != nil {
 				return nil, err
 			}
-			nr.props[i] = cp
+			nr.props = append(nr.props, cp)
 		}
 	}
 	if nr.idCol < 0 {
 		return nil, fmt.Errorf("pg: node csv needs an :ID column, header %v", header)
 	}
-	return nr, nil
+	return nr, sortCSVProps(nr.props)
 }
 
 // next returns the next node row, or io.EOF at the end of the file.
 // Errors carry the 1-based line number.
-func (nr *nodeCSVReader) next() (id ID, labels []string, props map[string]Value, err error) {
+func (nr *nodeCSVReader) next() (id ID, labels []string, props Props, err error) {
 	rec, err := nr.cr.Read()
 	if err == io.EOF {
 		return 0, nil, nil, io.EOF
@@ -102,7 +102,7 @@ type edgeCSVReader struct {
 	srcCol  int
 	dstCol  int
 	typeCol int
-	props   map[int]csvProp
+	props   []csvProp // sorted by key
 	line    int
 }
 
@@ -114,7 +114,7 @@ func newEdgeCSVReader(r io.Reader) (*edgeCSVReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pg: csv header: %w", err)
 	}
-	er := &edgeCSVReader{cr: cr, srcCol: -1, dstCol: -1, typeCol: -1, props: map[int]csvProp{}, line: 1}
+	er := &edgeCSVReader{cr: cr, srcCol: -1, dstCol: -1, typeCol: -1, line: 1}
 	for i, h := range header {
 		switch {
 		case strings.HasSuffix(h, ":START_ID"):
@@ -125,21 +125,21 @@ func newEdgeCSVReader(r io.Reader) (*edgeCSVReader, error) {
 			er.typeCol = i
 		case strings.HasSuffix(h, ":IGNORE"):
 		default:
-			cp, err := parseCSVHeader(h)
+			cp, err := parseCSVHeader(i, h)
 			if err != nil {
 				return nil, err
 			}
-			er.props[i] = cp
+			er.props = append(er.props, cp)
 		}
 	}
 	if er.srcCol < 0 || er.dstCol < 0 {
 		return nil, fmt.Errorf("pg: relationship csv needs :START_ID and :END_ID columns, header %v", header)
 	}
-	return er, nil
+	return er, sortCSVProps(er.props)
 }
 
 // next returns the next edge row, or io.EOF at the end of the file.
-func (er *edgeCSVReader) next() (src, dst ID, labels []string, props map[string]Value, err error) {
+func (er *edgeCSVReader) next() (src, dst ID, labels []string, props Props, err error) {
 	rec, err := er.cr.Read()
 	if err == io.EOF {
 		return 0, 0, nil, nil, io.EOF
@@ -214,17 +214,29 @@ func ReadEdgesCSV(r io.Reader, g *Graph) (int, error) {
 		if err != nil {
 			return count, err
 		}
-		if _, err := g.AddEdge(labels, src, dst, props); err != nil {
+		if _, err := g.addEdge(labels, src, dst, props); err != nil {
 			return count, fmt.Errorf("pg: csv line %d: %w", er.line, err)
 		}
 		count++
 	}
 }
 
-// csvProp describes one property column: key plus declared type.
+// csvProp describes one property column: its index, key and declared
+// type.
 type csvProp struct {
+	col  int
 	key  string
 	kind string // "", "int", "long", "float", "double", "boolean", "bool", "string", "date", "datetime"
+}
+
+// sortCSVProps puts a header's property columns in key order, the
+// order a row's Props takes, and refuses a key two columns name: a
+// row could not say which of the two cells it holds.
+func sortCSVProps(cols []csvProp) error {
+	if k, dup := sortUnique(cols, func(cp csvProp) string { return cp.key }); dup {
+		return fmt.Errorf("pg: csv header: property %q names two columns", k)
+	}
+	return nil
 }
 
 // parseCSVHeader splits a property column header into key and declared
@@ -232,65 +244,81 @@ type csvProp struct {
 // — silently treating `age:itn` as an untyped column named "age:itn"
 // would let a typo downgrade every value in the column to lexical
 // inference.
-func parseCSVHeader(h string) (csvProp, error) {
+func parseCSVHeader(col int, h string) (csvProp, error) {
 	i := strings.LastIndexByte(h, ':')
 	if i < 0 {
-		return csvProp{key: h}, nil
+		return csvProp{col: col, key: h}, nil
 	}
 	kind := strings.ToLower(h[i+1:])
 	switch kind {
 	case "int", "long", "float", "double", "boolean", "bool", "string", "date", "datetime":
-		return csvProp{key: h[:i], kind: kind}, nil
+		return csvProp{col: col, key: h[:i], kind: kind}, nil
 	default:
 		return csvProp{}, fmt.Errorf("pg: csv header: column %q: unknown type suffix %q", h, h[i+1:])
 	}
 }
 
-func csvProps(rec []string, cols map[int]csvProp) (map[string]Value, error) {
-	props := map[string]Value{}
-	for i, cp := range cols {
-		if i >= len(rec) || rec[i] == "" {
-			continue // absent property
-		}
-		raw := rec[i]
-		switch cp.kind {
-		case "int", "long":
-			v, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", cp.key, err)
-			}
-			props[cp.key] = Int(v)
-		case "float", "double":
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", cp.key, err)
-			}
-			props[cp.key] = Float(v)
-		case "boolean", "bool":
-			// Only true/false are booleans; anything else ("yes", "1",
-			// a stray shift of the row) is rejected like the numeric
-			// branches reject unparsable cells — silently mapping it to
-			// false would corrupt the discovered schema.
-			switch {
-			case strings.EqualFold(raw, "true"):
-				props[cp.key] = Bool(true)
-			case strings.EqualFold(raw, "false"):
-				props[cp.key] = Bool(false)
-			default:
-				return nil, fmt.Errorf("column %q: invalid boolean %q", cp.key, raw)
-			}
-		case "string":
-			props[cp.key] = Str(raw)
-		case "date", "datetime":
-			v := ParseLexical(raw)
-			if v.Kind() != KindDate && v.Kind() != KindDateTime {
-				props[cp.key] = Str(raw) // malformed temporal: keep raw
-			} else {
-				props[cp.key] = v
-			}
-		default:
-			props[cp.key] = ParseLexical(raw)
+// csvProps builds a row's properties, in key order, from its
+// non-empty cells.
+func csvProps(rec []string, cols []csvProp) (Props, error) {
+	n := 0
+	for _, cp := range cols {
+		if cp.col < len(rec) && rec[cp.col] != "" {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	props := make(Props, 0, n)
+	for _, cp := range cols {
+		if cp.col >= len(rec) || rec[cp.col] == "" {
+			continue // absent property
+		}
+		v, err := csvValue(cp, rec[cp.col])
+		if err != nil {
+			return nil, fmt.Errorf("column %q: %w", cp.key, err)
+		}
+		props = append(props, Prop{Key: cp.key, Val: v})
+	}
 	return props, nil
+}
+
+// csvValue is one cell's value, by its column's declared type.
+func csvValue(cp csvProp, raw string) (Value, error) {
+	switch cp.kind {
+	case "int", "long":
+		v, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil {
+			return Value{}, err
+		}
+		return Int(v), nil
+	case "float", "double":
+		v, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return Value{}, err
+		}
+		return Float(v), nil
+	case "boolean", "bool":
+		// Only true/false are booleans; anything else ("yes", "1", a
+		// stray shift of the row) is rejected like the numeric branches
+		// reject unparsable cells — silently mapping it to false would
+		// corrupt the discovered schema.
+		switch {
+		case strings.EqualFold(raw, "true"):
+			return Bool(true), nil
+		case strings.EqualFold(raw, "false"):
+			return Bool(false), nil
+		}
+		return Value{}, fmt.Errorf("invalid boolean %q", raw)
+	case "string":
+		return Str(raw), nil
+	case "date", "datetime":
+		v := ParseLexical(raw)
+		if v.Kind() != KindDate && v.Kind() != KindDateTime {
+			return Str(raw), nil // malformed temporal: keep raw
+		}
+		return v, nil
+	}
+	return ParseLexical(raw), nil
 }

@@ -30,23 +30,23 @@ func TestReadNodesCSV(t *testing.T) {
 	if alice.LabelToken() != "Person" {
 		t.Errorf("alice labels = %v", alice.Labels)
 	}
-	if alice.Props["age"].Kind() != KindInt || alice.Props["age"].AsInt() != 30 {
-		t.Errorf("age = %#v", alice.Props["age"])
+	if alice.Props.Get("age").Kind() != KindInt || alice.Props.Get("age").AsInt() != 30 {
+		t.Errorf("age = %#v", alice.Props.Get("age"))
 	}
-	if alice.Props["score"].Kind() != KindFloat {
-		t.Errorf("score = %#v", alice.Props["score"])
+	if alice.Props.Get("score").Kind() != KindFloat {
+		t.Errorf("score = %#v", alice.Props.Get("score"))
 	}
-	if !alice.Props["active"].AsBool() {
+	if !alice.Props.Get("active").AsBool() {
 		t.Error("active should be true")
 	}
-	if alice.Props["joined"].Kind() != KindDate {
-		t.Errorf("joined = %#v", alice.Props["joined"])
+	if alice.Props.Get("joined").Kind() != KindDate {
+		t.Errorf("joined = %#v", alice.Props.Get("joined"))
 	}
 	bob := g.Node(2)
 	if bob.LabelToken() != "Person&Student" {
 		t.Errorf("bob labels = %v", bob.Labels)
 	}
-	if _, ok := bob.Props["score"]; ok {
+	if bob.Props.Get("score").IsValid() {
 		t.Error("empty cell must be an absent property")
 	}
 	carol := g.Node(3)
@@ -74,8 +74,8 @@ func TestReadEdgesCSV(t *testing.T) {
 	if e.LabelToken() != "KNOWS" || e.Src != 1 || e.Dst != 2 {
 		t.Errorf("edge 0 = %+v", e)
 	}
-	if e.Props["since"].AsInt() != 2019 {
-		t.Errorf("since = %#v", e.Props["since"])
+	if e.Props.Get("since").AsInt() != 2019 {
+		t.Errorf("since = %#v", e.Props.Get("since"))
 	}
 	multi := g.Edge(2)
 	if multi.LabelToken() != "FOLLOWS&LIKES" {
@@ -122,7 +122,7 @@ func TestCSVMalformedTemporalKeptAsString(t *testing.T) {
 	if _, err := ReadNodesCSV(strings.NewReader(csv), g); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Node(1).Props["d"].Kind(); got != KindString {
+	if got := g.Node(1).Props.Get("d").Kind(); got != KindString {
 		t.Errorf("malformed date kind = %v, want STRING", got)
 	}
 }
@@ -201,7 +201,7 @@ func TestCSVMalformedBooleanError(t *testing.T) {
 	if _, err := ReadNodesCSV(strings.NewReader("id:ID,a:boolean,b:bool\n1,TRUE,False\n"), g); err != nil {
 		t.Fatal(err)
 	}
-	if !g.Node(1).Props["a"].AsBool() || g.Node(1).Props["b"].AsBool() {
+	if !g.Node(1).Props.Get("a").AsBool() || g.Node(1).Props.Get("b").AsBool() {
 		t.Errorf("props = %v", g.Node(1).Props)
 	}
 }
@@ -227,7 +227,7 @@ func TestCSVUnknownTypeSuffixError(t *testing.T) {
 	if _, err := ReadNodesCSV(strings.NewReader("id:ID,age\n1,30\n"), g2); err != nil {
 		t.Fatal(err)
 	}
-	if g2.Node(1).Props["age"].Kind() != KindInt {
-		t.Errorf("untyped column must stay lexically inferred: %#v", g2.Node(1).Props["age"])
+	if g2.Node(1).Props.Get("age").Kind() != KindInt {
+		t.Errorf("untyped column must stay lexically inferred: %#v", g2.Node(1).Props.Get("age"))
 	}
 }

@@ -116,8 +116,8 @@ func FuzzJSONLMatchesRef(f *testing.F) {
 		}
 		raw := NewGraph()
 		raw.AllowDanglingEdges(true)
-		_ = raw.PutNode(1, []string{data, "x"}, map[string]Value{data: Str(data), "k": ParseLexical(data)})
-		_ = raw.PutEdge(-1, []string{data}, 1, -1, map[string]Value{data: Float(float64(len(data)) / 3)})
+		_ = raw.PutNode(1, []string{data, "x"}, PropsOf(map[string]Value{data: Str(data), "k": ParseLexical(data)}))
+		_ = raw.PutEdge(-1, []string{data}, 1, -1, PropsOf(map[string]Value{data: Float(float64(len(data)) / 3)}))
 		assertSameJSONL(t, raw, raw)
 	})
 }
@@ -252,6 +252,120 @@ func readJSONTree(dec *json.Decoder) any {
 		return arr
 	}
 	return tok
+}
+
+// FuzzPropsMatchMap holds Props to the map it replaced. The fuzzer
+// writes a list of (key, value) pairs: the keys are list's lines, the
+// values come from vals. The Props the JSONL decoder builds from a line
+// holding those pairs, and the one PutNode keeps when handed them in
+// that order, must each agree with a map model on Get, Len and iteration order (keys
+// ascending), and each must be refused exactly when a key repeats.
+func FuzzPropsMatchMap(f *testing.F) {
+	f.Add("name\nage\nbio", []byte{1, 2, 3})
+	f.Add("b\na\nb", []byte{7})
+	f.Add("", []byte{})
+	f.Add("\n\n", []byte{0})
+	f.Add("z\ny\nx\nw\nv\nu\nt\ns\nr\nq\np\no\nn\nm", []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add("\xff\n\xfe\n\u2028\n<&>", []byte{2})
+
+	f.Fuzz(func(t *testing.T, list string, vals []byte) {
+		keys := strings.Split(list, "\n")
+		pairs := make([]Prop, len(keys))
+		for i, k := range keys {
+			var b byte
+			if len(vals) > 0 {
+				b = vals[i%len(vals)]
+			}
+			var v Value
+			switch b % 4 {
+			case 0:
+				v = Int(int64(b) - 100)
+			case 1:
+				v = Str(strings.Repeat(k, int(b%3)))
+			case 2:
+				v = Float(float64(b) / 3)
+			default:
+				v = Bool(b%8 == 3)
+			}
+			pairs[i] = Prop{Key: k, Val: v}
+		}
+
+		// The decoder reads keys as JSON strings, where each byte of
+		// invalid UTF-8 becomes U+FFFD, as converting to runes does.
+		line := []byte(`{"kind":"node","id":1,"props":{`)
+		decoded := make([]Prop, len(pairs))
+		for i, p := range pairs {
+			if i > 0 {
+				line = append(line, ',')
+			}
+			line = appendJSONValue(append(appendJSONString(line, p.Key), ':'), p.Val)
+			decoded[i] = Prop{Key: string([]rune(p.Key)), Val: p.Val}
+			if p.Val.Kind() == KindString {
+				decoded[i].Val = Str(string([]rune(p.Val.AsString())))
+			}
+		}
+		line = append(line, "}}\n"...)
+		g, err := ReadJSONL(bytes.NewReader(line), false)
+		var fromLine Props
+		if err == nil {
+			fromLine = g.Node(1).Props
+		}
+		assertPropsMatchMap(t, "decoder", decoded, fromLine, err)
+
+		g = NewGraph()
+		var put Props
+		if err = g.PutNode(1, nil, slices.Clone(pairs)); err == nil {
+			put = g.Node(1).Props
+		}
+		assertPropsMatchMap(t, "PutNode", pairs, put, err)
+	})
+}
+
+// assertPropsMatchMap fails unless ps, built from pairs with error err,
+// is what a map filled with pairs says: refused iff a key repeats, and
+// otherwise the same keys, ascending, with the same values.
+func assertPropsMatchMap(t *testing.T, name string, pairs []Prop, ps Props, err error) {
+	t.Helper()
+	model := map[string]Value{}
+	repeats := false
+	for _, p := range pairs {
+		if _, ok := model[p.Key]; ok {
+			repeats = true
+		}
+		model[p.Key] = p.Val
+	}
+	if repeats != (err != nil) {
+		t.Fatalf("%s: error %v, but a key repeats: %v (pairs %v)", name, err, repeats, pairs)
+	}
+	if repeats {
+		return
+	}
+	if ps.Len() != len(model) {
+		t.Fatalf("%s: Len %d, map holds %d", name, ps.Len(), len(model))
+	}
+	want := make([]string, 0, len(model))
+	for k := range model {
+		want = append(want, k)
+	}
+	slices.Sort(want)
+	var got []string
+	for k, v := range ps.All() {
+		got = append(got, k)
+		if !v.Equal(model[k]) {
+			t.Fatalf("%s: All yields %q = %#v, map holds %#v", name, k, v, model[k])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: iteration order %q, want %q", name, got, want)
+	}
+	for k, v := range model {
+		if got := ps.Get(k); !got.Equal(v) {
+			t.Fatalf("%s: Get(%q) = %#v, map holds %#v", name, k, got, v)
+		}
+		if absent := k + "\x00"; model[absent].Kind() == KindInvalid && ps.Get(absent).IsValid() {
+			t.Fatalf("%s: Get(%q) of an absent key is valid", name, absent)
+		}
+	}
 }
 
 // FuzzReadCSV hardens the CSV ingestion path: arbitrary node and

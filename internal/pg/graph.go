@@ -2,6 +2,7 @@ package pg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,11 +14,11 @@ type ID int64
 // Node is a property-graph node: a finite (possibly empty) label set
 // and a finite set of key-value properties (Def. 3.1). Labels are kept
 // sorted so that identical label sets compare equal and produce the
-// same label token (§4.1).
+// same label token (§4.1); properties are kept sorted by key (Props).
 type Node struct {
 	ID     ID
 	Labels []string
-	Props  map[string]Value
+	Props  Props
 }
 
 // Edge is a directed property-graph edge between two nodes. Like
@@ -27,7 +28,7 @@ type Edge struct {
 	Labels []string
 	Src    ID
 	Dst    ID
-	Props  map[string]Value
+	Props  Props
 }
 
 // LabelToken returns the canonical token for a label set: the sorted
@@ -55,22 +56,10 @@ func (n *Node) LabelToken() string { return LabelToken(n.Labels) }
 func (e *Edge) LabelToken() string { return LabelToken(e.Labels) }
 
 // PropertyKeys returns the node's property keys in sorted order.
-func (n *Node) PropertyKeys() []string { return sortedKeys(n.Props) }
+func (n *Node) PropertyKeys() []string { return n.Props.keys() }
 
 // PropertyKeys returns the edge's property keys in sorted order.
-func (e *Edge) PropertyKeys() []string { return sortedKeys(e.Props) }
-
-func sortedKeys(m map[string]Value) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
+func (e *Edge) PropertyKeys() []string { return e.Props.keys() }
 
 // Graph is an in-memory property graph (Def. 3.1): disjoint node and
 // edge sets, a total endpoint function for edges, and partial label
@@ -104,20 +93,27 @@ func NewGraph() *Graph {
 func (g *Graph) AllowDanglingEdges(ok bool) { g.allowDang = ok }
 
 // AddNode inserts a node with a fresh ID and returns it. The labels
-// slice is copied and sorted; the property map is taken over by the
-// graph.
+// slice is copied and sorted; the map's properties are copied into
+// the node's Props.
 func (g *Graph) AddNode(labels []string, props map[string]Value) ID {
 	id := g.nextNode
 	g.nextNode++
-	g.putNode(id, labels, props)
+	g.putNode(id, labels, PropsOf(props))
 	return id
 }
 
-// PutNode inserts a node with an explicit ID (used by loaders).
-// It returns an error if the ID is already present.
-func (g *Graph) PutNode(id ID, labels []string, props map[string]Value) error {
+// PutNode inserts a node with an explicit ID (used by loaders). The
+// graph takes props over, and shares it with whoever else holds it;
+// nil means no properties and costs nothing. Props out of key order
+// are sorted in place. It returns an error if the ID is already
+// present or props holds a key twice.
+func (g *Graph) PutNode(id ID, labels []string, props Props) error {
 	if _, dup := g.nodeIdx[id]; dup {
 		return fmt.Errorf("pg: duplicate node id %d", id)
+	}
+	props, err := sortProps(props)
+	if err != nil {
+		return fmt.Errorf("pg: node %d: %w", id, err)
 	}
 	g.putNode(id, labels, props)
 	if id >= g.nextNode {
@@ -126,12 +122,9 @@ func (g *Graph) PutNode(id ID, labels []string, props map[string]Value) error {
 	return nil
 }
 
-func (g *Graph) putNode(id ID, labels []string, props map[string]Value) {
+func (g *Graph) putNode(id ID, labels []string, props Props) {
 	ls := append([]string(nil), labels...)
 	sort.Strings(ls)
-	if props == nil {
-		props = map[string]Value{}
-	}
 	g.nodeIdx[id] = len(g.nodes)
 	g.nodes = append(g.nodes, Node{ID: id, Labels: ls, Props: props})
 }
@@ -139,6 +132,10 @@ func (g *Graph) putNode(id ID, labels []string, props map[string]Value) {
 // AddEdge inserts a directed edge with a fresh ID and returns it.
 // Unless AllowDanglingEdges is set, both endpoints must exist.
 func (g *Graph) AddEdge(labels []string, src, dst ID, props map[string]Value) (ID, error) {
+	return g.addEdge(labels, src, dst, PropsOf(props))
+}
+
+func (g *Graph) addEdge(labels []string, src, dst ID, props Props) (ID, error) {
 	if !g.allowDang {
 		if _, ok := g.nodeIdx[src]; !ok {
 			return 0, fmt.Errorf("pg: edge source node %d not found", src)
@@ -153,10 +150,15 @@ func (g *Graph) AddEdge(labels []string, src, dst ID, props map[string]Value) (I
 	return id, nil
 }
 
-// PutEdge inserts an edge with an explicit ID (used by loaders).
-func (g *Graph) PutEdge(id ID, labels []string, src, dst ID, props map[string]Value) error {
+// PutEdge inserts an edge with an explicit ID (used by loaders), taking
+// props over as PutNode does.
+func (g *Graph) PutEdge(id ID, labels []string, src, dst ID, props Props) error {
 	if _, dup := g.edgeIdx[id]; dup {
 		return fmt.Errorf("pg: duplicate edge id %d", id)
+	}
+	props, err := sortProps(props)
+	if err != nil {
+		return fmt.Errorf("pg: edge %d: %w", id, err)
 	}
 	if !g.allowDang {
 		if _, ok := g.nodeIdx[src]; !ok {
@@ -173,12 +175,9 @@ func (g *Graph) PutEdge(id ID, labels []string, src, dst ID, props map[string]Va
 	return nil
 }
 
-func (g *Graph) putEdge(id ID, labels []string, src, dst ID, props map[string]Value) {
+func (g *Graph) putEdge(id ID, labels []string, src, dst ID, props Props) {
 	ls := append([]string(nil), labels...)
 	sort.Strings(ls)
-	if props == nil {
-		props = map[string]Value{}
-	}
 	g.edgeIdx[id] = len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, Labels: ls, Src: src, Dst: dst, Props: props})
 }
@@ -273,20 +272,14 @@ func (g *Graph) Clone() *Graph {
 	for i, n := range g.nodes {
 		cp := n
 		cp.Labels = append([]string(nil), n.Labels...)
-		cp.Props = make(map[string]Value, len(n.Props))
-		for k, v := range n.Props {
-			cp.Props[k] = v
-		}
+		cp.Props = slices.Clone(n.Props)
 		c.nodes[i] = cp
 		c.nodeIdx[n.ID] = i
 	}
 	for i, e := range g.edges {
 		cp := e
 		cp.Labels = append([]string(nil), e.Labels...)
-		cp.Props = make(map[string]Value, len(e.Props))
-		for k, v := range e.Props {
-			cp.Props[k] = v
-		}
+		cp.Props = slices.Clone(e.Props)
 		c.edges[i] = cp
 		c.edgeIdx[e.ID] = i
 	}
@@ -322,8 +315,8 @@ func (g *Graph) DistinctEdgeLabels() []string {
 func (g *Graph) DistinctNodePropertyKeys() []string {
 	set := map[string]struct{}{}
 	for i := range g.nodes {
-		for k := range g.nodes[i].Props {
-			set[k] = struct{}{}
+		for _, p := range g.nodes[i].Props {
+			set[p.Key] = struct{}{}
 		}
 	}
 	return setToSorted(set)
@@ -334,8 +327,8 @@ func (g *Graph) DistinctNodePropertyKeys() []string {
 func (g *Graph) DistinctEdgePropertyKeys() []string {
 	set := map[string]struct{}{}
 	for i := range g.edges {
-		for k := range g.edges[i].Props {
-			set[k] = struct{}{}
+		for _, p := range g.edges[i].Props {
+			set[p.Key] = struct{}{}
 		}
 	}
 	return setToSorted(set)

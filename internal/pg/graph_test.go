@@ -202,9 +202,13 @@ func TestClone(t *testing.T) {
 	c := g.Clone()
 	// Mutating the clone must not leak into the original.
 	cb := c.Node(ids["bob"])
-	cb.Props["name"] = Str("Robert")
+	for i := range cb.Props {
+		if cb.Props[i].Key == "name" {
+			cb.Props[i].Val = Str("Robert")
+		}
+	}
 	cb.Labels[0] = "Human"
-	if g.Node(ids["bob"]).Props["name"].AsString() != "Bob" {
+	if g.Node(ids["bob"]).Props.Get("name").AsString() != "Bob" {
 		t.Error("clone shares property map with original")
 	}
 	if g.Node(ids["bob"]).Labels[0] != "Person" {
@@ -241,9 +245,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if len(have.Props) != len(want.Props) {
 			t.Errorf("node %d props count %d != %d", want.ID, len(have.Props), len(want.Props))
 		}
-		for k, v := range want.Props {
-			if !have.Props[k].Equal(v) {
-				t.Errorf("node %d prop %q: %#v != %#v", want.ID, k, have.Props[k], v)
+		for k, v := range want.Props.All() {
+			if !have.Props.Get(k).Equal(v) {
+				t.Errorf("node %d prop %q: %#v != %#v", want.ID, k, have.Props.Get(k), v)
 			}
 		}
 	}

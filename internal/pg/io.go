@@ -15,11 +15,12 @@ package pg
 // each line to one reused buffer, byte for byte what encoding/json
 // writes for the same element. The reader makes one pass over a line,
 // interns label and property-key strings across lines, cuts every
-// property string of a line out of one allocation and sizes each
-// property map once. It accepts what encoding/json accepted before it,
-// except where encoding/json guessed: a field name in another case, an
-// unknown field, a name twice in one object and a null label are
-// refused (README, TestJSONLQuirks).
+// property string of a line out of one allocation and builds the
+// line's Props in one more, sized to its properties. It accepts what
+// encoding/json accepted before it, except where encoding/json
+// guessed: a field name in another case, an unknown field, a name
+// twice in one object and a null label are refused (README,
+// TestJSONLQuirks).
 
 import (
 	"bufio"
@@ -45,7 +46,7 @@ import (
 // HTML-safe, with U+2028 and U+2029 escaped and invalid UTF-8 as
 // \ufffd.
 func WriteJSONL(w io.Writer, g *Graph) error {
-	e := jsonlEncoder{w: w, buf: make([]byte, 0, 4<<10), keys: make([]string, 0, 16)}
+	e := jsonlEncoder{w: w, buf: make([]byte, 0, 4<<10)}
 	for i := range g.Nodes() {
 		n := &g.Nodes()[i]
 		e.element(`{"kind":"node","id":`, n.ID, n.Labels, 0, 0, n.Props)
@@ -68,9 +69,8 @@ func WriteJSONL(w io.Writer, g *Graph) error {
 const jsonlFlushAt = 32 << 10
 
 type jsonlEncoder struct {
-	w    io.Writer
-	buf  []byte
-	keys []string // one element's property keys, sorted
+	w   io.Writer
+	buf []byte
 }
 
 // flush writes the buffer out once it holds at least atLeast bytes.
@@ -83,7 +83,7 @@ func (e *jsonlEncoder) flush(atLeast int) error {
 	return err
 }
 
-func (e *jsonlEncoder) element(head string, id ID, labels []string, src, dst ID, props map[string]Value) {
+func (e *jsonlEncoder) element(head string, id ID, labels []string, src, dst ID, props Props) {
 	b := append(e.buf, head...)
 	b = strconv.AppendInt(b, int64(id), 10)
 	if len(labels) > 0 {
@@ -105,18 +105,13 @@ func (e *jsonlEncoder) element(head string, id ID, labels []string, src, dst ID,
 		b = strconv.AppendInt(b, int64(dst), 10)
 	}
 	if len(props) > 0 {
-		e.keys = e.keys[:0]
-		for k := range props {
-			e.keys = append(e.keys, k)
-		}
-		slices.Sort(e.keys)
 		b = append(b, `,"props":{`...)
-		for i, k := range e.keys {
+		for i, p := range props {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, k)
-			b = appendJSONValue(append(b, ':'), props[k])
+			b = appendJSONString(b, p.Key)
+			b = appendJSONValue(append(b, ':'), p.Val)
 		}
 		b = append(b, '}')
 	}
@@ -143,7 +138,7 @@ func appendJSONValue(b []byte, v Value) []byte {
 	case KindInt:
 		b = strconv.AppendInt(b, v.num, 10)
 	case KindFloat:
-		b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
+		b = strconv.AppendFloat(b, v.float(), 'g', -1, 64)
 	case KindBool:
 		b = strconv.AppendBool(b, v.num != 0)
 	case KindDate:
@@ -281,7 +276,7 @@ type jsonlElement struct {
 	labels []string
 	src    ID
 	dst    ID
-	props  map[string]Value
+	props  Props
 }
 
 // jsonlDecoder decodes the JSONL wire format one element at a time,
@@ -388,7 +383,7 @@ func (d *jsonlDecoder) decode(line []byte) (el jsonlElement, err error) {
 		return el, fmt.Errorf("unknown element kind %q", "")
 	}
 	el.labels = d.labels
-	el.props, err = d.propMap()
+	el.props, err = d.buildProps()
 	return el, err
 }
 
@@ -429,18 +424,23 @@ func (d *jsonlDecoder) object(names []string, member func(int) error) error {
 	return nil
 }
 
-// propMap builds the line's property map: it cuts the string values
-// out of one string holding all of the line's text and parses the
-// others.
-func (d *jsonlDecoder) propMap() (map[string]Value, error) {
+// buildProps builds the line's Props. It sorts the line's properties
+// by key and refuses a name given twice before it allocates anything,
+// then cuts the string values out of one string holding all of the
+// line's text, parses the others, and fills one slice sized to the
+// line.
+func (d *jsonlDecoder) buildProps() (Props, error) {
 	if len(d.props) == 0 {
 		return nil, nil
+	}
+	if k, dup := sortUnique(d.props, func(p jsonlProp) string { return p.key }); dup {
+		return nil, fmt.Errorf("duplicate property %q", k)
 	}
 	var text string
 	if len(d.text) > 0 {
 		text = string(d.text)
 	}
-	m := make(map[string]Value, len(d.props))
+	ps := make(Props, len(d.props))
 	for i := range d.props {
 		p := &d.props[i]
 		var v Value
@@ -458,12 +458,9 @@ func (d *jsonlDecoder) propMap() (map[string]Value, error) {
 		if err != nil {
 			return nil, fmt.Errorf("property %q: %w", p.key, err)
 		}
-		m[p.key] = v
-		if len(m) <= i {
-			return nil, fmt.Errorf("duplicate property %q", p.key)
-		}
+		ps[i] = Prop{Key: p.key, Val: v}
 	}
-	return m, nil
+	return ps, nil
 }
 
 // numberValue is the value of a plain JSON number: an int if it has
@@ -562,7 +559,7 @@ func (d *jsonlDecoder) propList() error {
 
 // propValue reads a tagged {"t":...,"v":...} object, whose fields may
 // come in either order or be absent, or a plain JSON scalar, and keeps
-// its text for propMap.
+// its text for buildProps.
 func (d *jsonlDecoder) propValue(p *jsonlProp) (err error) {
 	var lit []byte
 	switch {

@@ -40,12 +40,13 @@ func ldbcJSONL(tb testing.TB) (*pg.Graph, []byte) {
 
 // TestReadJSONLAllocsPerByte pins what loading JSONL allocates.
 // encoding/json cost 13.5 bytes per JSONL byte in 24.7 mallocs per
-// element here. The decoder now costs 2.08 bytes per byte, and the
-// property maps it hands over are most of that: Go gives a map of one
-// to eight properties a 528-560 byte table. What is left is one string
-// per line holding the line's string values. ReadJSONL adds the graph
-// that holds the elements: 4.53 bytes per byte in 2.75 mallocs per
-// element.
+// element here. The decoder costs 0.58 bytes per byte: per line, one
+// Props of 48-byte entries sized to the line's properties, and one
+// string holding the line's string values. When it handed over a map
+// per element it cost 2.08, since Go gives a map of one to eight
+// entries a 528-560 byte table. ReadJSONL adds the graph that holds the
+// elements: 3.24 bytes per byte in 1.73 mallocs per element (4.53 and
+// 2.75 with maps).
 func TestReadJSONLAllocsPerByte(t *testing.T) {
 	g, data := ldbcJSONL(t)
 	elems := float64(g.NumNodes() + g.NumEdges())
@@ -61,20 +62,48 @@ func TestReadJSONLAllocsPerByte(t *testing.T) {
 	perByte := float64(len(data))
 	t.Logf("%d bytes, %.0f elements: decoder %.2f B/B %.2f mallocs/element; ReadJSONL %.2f B/B %.2f mallocs/element",
 		len(data), elems, decB/perByte, decM/elems, readB/perByte, readM/elems)
-	if decB > 2.2*perByte {
-		t.Errorf("the decoder allocates %.2f bytes per JSONL byte, want at most 2.2", decB/perByte)
+	if decB > 0.75*perByte {
+		t.Errorf("the decoder allocates %.2f bytes per JSONL byte, want at most 0.75", decB/perByte)
 	}
-	if readB > 5*perByte {
-		t.Errorf("ReadJSONL allocates %.2f bytes per JSONL byte, want at most 5", readB/perByte)
+	if readB > 3.6*perByte {
+		t.Errorf("ReadJSONL allocates %.2f bytes per JSONL byte, want at most 3.6", readB/perByte)
 	}
-	if readM > 4*elems {
-		t.Errorf("ReadJSONL mallocs %.2f times per element, want at most 4", readM/elems)
+	if readM > 2*elems {
+		t.Errorf("ReadJSONL mallocs %.2f times per element, want at most 2", readM/elems)
+	}
+}
+
+// TestDecodedGraphBytesPerElement pins what a decoded graph costs to
+// hold, which is what a server's resident set follows: the live heap,
+// after collection, of the LDBC graph ReadJSONL returns. Each element
+// holds a Props, one slice of 48-byte entries sized to its properties,
+// and its 32-byte Values keep a float's bits where an int's would go:
+// 189 bytes per element. A map per element and 40-byte Values held
+// 398.
+func TestDecodedGraphBytesPerElement(t *testing.T) {
+	_, data := ldbcJSONL(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := pg.ReadJSONL(bytes.NewReader(data), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	elems := float64(g.NumNodes() + g.NumEdges())
+	perElem := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / elems
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(data)
+	t.Logf("%.0f elements hold %.0f bytes each", elems, perElem)
+	if perElem > 250 {
+		t.Errorf("a decoded graph holds %.0f bytes per element, want at most 250", perElem)
 	}
 }
 
 // TestWriteJSONLAllocs pins that encoding allocates per call, not per
-// element: a handful for the line buffer as it grows to the flush size
-// and for the key slice. encoding/json cost 5.8 mallocs per element.
+// element: a handful for the line buffer as it grows to the flush size.
+// encoding/json cost 5.8 mallocs per element.
 func TestWriteJSONLAllocs(t *testing.T) {
 	g, _ := ldbcJSONL(t)
 	var err error
@@ -91,8 +120,8 @@ func TestWriteJSONLAllocs(t *testing.T) {
 // thing a line can hold, at the fewest bytes that thing can take:
 //
 //   - a property, five bytes at least (`"":0,`): a 32-byte scratch entry,
-//     four of them at most as the scratch doubles, and a slot in the
-//     property map, which is sized for every property the line names;
+//     four of them at most as the scratch doubles, and its 48-byte entry
+//     in the line's Props;
 //   - a label, three bytes at least (`"",`): a 16-byte scratch entry,
 //     which append grows to about six of, and the graph's copy;
 //   - a string byte: the unescaped text, grown the same way, and the one
@@ -101,8 +130,8 @@ func TestWriteJSONLAllocs(t *testing.T) {
 //     index entry;
 //   - any byte: the line buffer, which doubles up to the longest line.
 //
-// Property names that repeat still count towards the map's size: the
-// line is refused only once its map is built.
+// A line that names a property twice costs only its scratch: it is
+// refused when its properties are sorted, before its Props is made.
 func hostileJSONL(size int) map[string][]byte {
 	repeat := func(head, item, tail string) []byte {
 		n := (size - len(head) - len(tail)) / (len(item) + 1)
@@ -150,9 +179,11 @@ const maxReadJSONLBytesPerByte = 64
 // TestReadJSONLHostileAllocsPerByte pins ReadJSONL's allocation on the
 // costliest lines there are, across a range of sizes, since a map or a
 // slice costs the most per entry just past a size it grows at. The
-// costliest, repeated properties, measures 50 bytes per byte, with
-// Go 1.24's maps and with the older layout (GOEXPERIMENT=noswissmap).
-// A string full of colons costs no more than other text: 5.5.
+// costliest, empty labels, measures 38.7 bytes per byte. Properties,
+// which cost up to 50 when each element held a map, now cost 31.6
+// (short distinct names) and 26.7 (one name repeated, refused before
+// its Props is made). A string full of colons costs no more than other
+// text: 5.5.
 func TestReadJSONLHostileAllocsPerByte(t *testing.T) {
 	worst := map[string]float64{}
 	for size := 128 << 10; size < 256<<10; size += 16 << 10 {

@@ -169,7 +169,7 @@ func refWriteJSONL(w io.Writer, g *Graph) error {
 		el := refJSONElement{Kind: "node", ID: int64(n.ID), Labels: n.Labels}
 		if len(n.Props) > 0 {
 			el.Props = make(map[string]refJSONValue, len(n.Props))
-			for k, v := range n.Props {
+			for k, v := range n.Props.All() {
 				el.Props[k] = refToJSONValue(v)
 			}
 		}
@@ -183,7 +183,7 @@ func refWriteJSONL(w io.Writer, g *Graph) error {
 			Src: int64(e.Src), Dst: int64(e.Dst)}
 		if len(e.Props) > 0 {
 			el.Props = make(map[string]refJSONValue, len(e.Props))
-			for k, v := range e.Props {
+			for k, v := range e.Props.All() {
 				el.Props[k] = refToJSONValue(v)
 			}
 		}
@@ -279,9 +279,9 @@ func (d *refJSONLDecoder) addTo(g *Graph, el refJSONLElement) error {
 	var err error
 	switch el.kind {
 	case "node":
-		err = g.PutNode(el.id, el.labels, el.props)
+		err = g.PutNode(el.id, el.labels, PropsOf(el.props))
 	case "edge":
-		err = g.PutEdge(el.id, el.labels, el.src, el.dst, el.props)
+		err = g.PutEdge(el.id, el.labels, el.src, el.dst, PropsOf(el.props))
 	}
 	if err != nil {
 		return fmt.Errorf("pg: line %d: %w", d.line, err)

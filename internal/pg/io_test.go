@@ -71,7 +71,7 @@ func TestJSONLKindFidelity(t *testing.T) {
 			return false
 		}
 		for k, want := range props {
-			v := have.Props[k]
+			v := have.Props.Get(k)
 			if v.Kind() != want.Kind() {
 				t.Logf("prop %q: kind %v -> %v (lexical %q)", k, want.Kind(), v.Kind(), want.Lexical())
 				return false
@@ -97,7 +97,7 @@ func TestJSONLFloatTagPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.Node(1).Props["x"]
+	v := g.Node(1).Props.Get("x")
 	if v.Kind() != KindFloat {
 		t.Fatalf("float tag ignored: got kind %v, want DOUBLE", v.Kind())
 	}
@@ -150,23 +150,23 @@ func TestJSONLUntaggedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := g.Node(1).Props
-	if p["i"].Kind() != KindInt || p["i"].AsInt() != 5 {
-		t.Errorf("i = %#v, want Int 5", p["i"])
+	if p.Get("i").Kind() != KindInt || p.Get("i").AsInt() != 5 {
+		t.Errorf("i = %#v, want Int 5", p.Get("i"))
 	}
-	if p["f"].Kind() != KindFloat || p["f"].AsFloat() != 1.25 {
-		t.Errorf("f = %#v, want Float 1.25", p["f"])
+	if p.Get("f").Kind() != KindFloat || p.Get("f").AsFloat() != 1.25 {
+		t.Errorf("f = %#v, want Float 1.25", p.Get("f"))
 	}
-	if p["e"].Kind() != KindFloat || p["e"].AsFloat() != 2000 {
-		t.Errorf("e = %#v, want Float 2000", p["e"])
+	if p.Get("e").Kind() != KindFloat || p.Get("e").AsFloat() != 2000 {
+		t.Errorf("e = %#v, want Float 2000", p.Get("e"))
 	}
-	if p["b"].Kind() != KindBool || !p["b"].AsBool() {
-		t.Errorf("b = %#v, want Bool true", p["b"])
+	if p.Get("b").Kind() != KindBool || !p.Get("b").AsBool() {
+		t.Errorf("b = %#v, want Bool true", p.Get("b"))
 	}
-	if p["s"].Kind() != KindString || p["s"].AsString() != "hello" {
-		t.Errorf("s = %#v, want Str hello", p["s"])
+	if p.Get("s").Kind() != KindString || p.Get("s").AsString() != "hello" {
+		t.Errorf("s = %#v, want Str hello", p.Get("s"))
 	}
-	if p["d"].Kind() != KindDate {
-		t.Errorf("d = %#v, want Date (untagged strings run lexical inference)", p["d"])
+	if p.Get("d").Kind() != KindDate {
+		t.Errorf("d = %#v, want Date (untagged strings run lexical inference)", p.Get("d"))
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"kind":"node","id":1,"props":{"x":null}}`+"\n"), false); err == nil {
 		t.Error("null property value must be rejected")
@@ -182,7 +182,7 @@ func TestJSONLTaglessObjectStaysString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := g.Node(1).Props["zip"]
+	v := g.Node(1).Props.Get("zip")
 	if v.Kind() != KindString || v.AsString() != "02134" {
 		t.Fatalf("tagless object value = %#v, want Str(\"02134\")", v)
 	}

@@ -1,6 +1,10 @@
 package pg
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+)
 
 // Element shapes. Two nodes have the same shape when they carry the
 // same label set and the same property-key set; two edges additionally
@@ -80,8 +84,8 @@ func (si *ShapeIndex) NodeLabels(nodes []Node) []string {
 func (si *ShapeIndex) NodePropertyKeys(nodes []Node) []string {
 	set := map[string]struct{}{}
 	for _, rep := range si.Reps {
-		for k := range nodes[rep].Props {
-			set[k] = struct{}{}
+		for _, p := range nodes[rep].Props {
+			set[p.Key] = struct{}{}
 		}
 	}
 	return setToSorted(set)
@@ -102,8 +106,8 @@ func (si *ShapeIndex) EdgeLabels(edges []Edge) []string {
 func (si *ShapeIndex) EdgePropertyKeys(edges []Edge) []string {
 	set := map[string]struct{}{}
 	for _, rep := range si.Reps {
-		for k := range edges[rep].Props {
-			set[k] = struct{}{}
+		for _, p := range edges[rep].Props {
+			set[p.Key] = struct{}{}
 		}
 	}
 	return setToSorted(set)
@@ -144,31 +148,30 @@ func appendComponent(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// canonicalPropKeys fills the cache's scratch slice with the map's
-// keys in canonical (length, key) order, allocation-free after
-// warm-up. Any fixed total order works for fingerprinting — the
-// encoding stays injective — and length-first ordering decides almost
-// every comparison with an integer compare.
-func (c *ShapeCache) canonicalPropKeys(props map[string]Value) []string {
+// canonicalPropKeys fills the cache's scratch slice with the
+// element's keys in canonical (length, key) order, allocation-free
+// after warm-up, in O(k log k) for k keys. Any fixed total order works
+// for fingerprinting — the encoding stays injective — but this one is
+// what persisted caches (NodeShapeCache, EdgeShapeCache) hold, so it
+// stays the order of record even though Props comes sorted by bytes.
+func (c *ShapeCache) canonicalPropKeys(props Props) []string {
 	ks := c.keys[:0]
-	for k := range props {
-		ks = append(ks, k)
+	for _, p := range props {
+		ks = append(ks, p.Key)
 	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && keyLess(ks[j], ks[j-1]); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
+	if !slices.IsSortedFunc(ks, cmpKeyCanonical) {
+		slices.SortFunc(ks, cmpKeyCanonical)
 	}
 	c.keys = ks
 	return ks
 }
 
-// keyLess orders property keys by (length, bytes).
-func keyLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
+// cmpKeyCanonical orders property keys by (length, bytes).
+func cmpKeyCanonical(a, b string) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
 	}
-	return a < b
+	return cmp.Compare(a, b)
 }
 
 // appendNodeShapeKey appends n's shape fingerprint to dst: the label

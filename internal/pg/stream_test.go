@@ -75,9 +75,9 @@ func sameGraph(t *testing.T, got, want *Graph) {
 		if g == nil || LabelToken(g.Labels) != LabelToken(w.Labels) || len(g.Props) != len(w.Props) {
 			t.Fatalf("node %d differs: %+v vs %+v", w.ID, g, w)
 		}
-		for k, v := range w.Props {
-			if !g.Props[k].Equal(v) {
-				t.Fatalf("node %d prop %q: %#v vs %#v", w.ID, k, g.Props[k], v)
+		for k, v := range w.Props.All() {
+			if !g.Props.Get(k).Equal(v) {
+				t.Fatalf("node %d prop %q: %#v vs %#v", w.ID, k, g.Props.Get(k), v)
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 // Package pg implements the property-graph data model used throughout
-// PG-HIVE: typed property values, nodes, edges, and an in-memory graph
-// store with JSONL import/export and batch streaming.
+// PG-HIVE: typed property values, nodes and edges, and an in-memory
+// graph store with JSONL import/export and batch streaming.
 //
 // It is the stand-in for the Neo4j storage layer the paper loads from
 // (§4.1): PG-HIVE only needs the nodes, edges and their key-value
 // properties in memory, so a single-process store preserves all
-// algorithmic behaviour.
+// algorithmic behaviour. What it holds per element is what a server's
+// memory follows, so an element's properties are one key-sorted slice
+// (Props) of 48-byte entries, each a key and a 32-byte Value, not a
+// map: a decoded LDBC graph holds about 190 bytes per element.
 package pg
 
 import (
@@ -60,21 +63,20 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed property value. The zero Value is
-// invalid (absent). Values are small (no heap indirection for numeric
-// kinds) so property maps stay compact for multi-million element
-// graphs.
+// invalid (absent). A Value is 32 bytes with no heap indirection for
+// the non-string kinds, so property sets stay compact for
+// multi-million element graphs.
 type Value struct {
 	kind Kind
-	num  int64   // int, bool (0/1), date/datetime (unix seconds)
-	f    float64 // float
-	str  string  // string
+	num  int64  // int, bool (0/1), date/datetime (unix seconds), float (IEEE bits)
+	str  string // string
 }
 
 // Int returns an integer value.
 func Int(v int64) Value { return Value{kind: KindInt, num: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, num: int64(math.Float64bits(v))} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -110,13 +112,19 @@ func (v Value) IsValid() bool { return v.kind != KindInvalid }
 func (v Value) AsInt() int64 { return v.num }
 
 // AsFloat returns the numeric payload as float64 for KindInt and
-// KindFloat values.
+// KindFloat values, and 0 for the other kinds.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
+	switch v.kind {
+	case KindInt:
 		return float64(v.num)
+	case KindFloat:
+		return v.float()
 	}
-	return v.f
+	return 0
 }
+
+// float is a KindFloat value's payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.num)) }
 
 // AsBool returns the boolean payload; it is only meaningful for KindBool.
 func (v Value) AsBool() bool { return v.num != 0 }
@@ -135,7 +143,8 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		f, g := v.float(), o.float()
+		return f == g || (math.IsNaN(f) && math.IsNaN(g))
 	case KindString:
 		return v.str == o.str
 	default:
@@ -151,7 +160,7 @@ func (v Value) Lexical() string {
 	case KindInt:
 		return strconv.FormatInt(v.num, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindBool:
 		if v.num != 0 {
 			return "true"

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -86,6 +87,23 @@ func TestValueEqual(t *testing.T) {
 	nan := Float(math.NaN())
 	if !nan.Equal(nan) {
 		t.Error("NaN values should compare equal for schema purposes")
+	}
+	if !Float(0).Equal(Float(math.Copysign(0, -1))) {
+		t.Error("0 and -0 are equal floats, whatever their bits")
+	}
+}
+
+// TestValueAndPropSizes pins what a property costs: a Value keeps a
+// float's bits in the int payload, and a Prop is a key and a Value.
+func TestValueAndPropSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Errorf("a Value is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Prop{}); n != 48 {
+		t.Errorf("a Prop is %d bytes, want 48", n)
+	}
+	if Bool(true).AsFloat() != 0 || Date(time.Unix(86400, 0)).AsFloat() != 0 {
+		t.Error("AsFloat is 0 for a kind that is not a number")
 	}
 }
 

@@ -50,20 +50,19 @@ func BuildNodeCandidatesInterned(nodes []pg.Node, si *pg.ShapeIndex, assign []in
 }
 
 // shapeObserver pre-resolves, per shape, the candidate's PropStat for
-// each of the shape's property keys, so observing a row costs one map
-// access per key instead of a map iteration plus a candidate-props
-// lookup per key.
+// each of the shape's property keys, in key order, so observing a row
+// costs no lookup at all.
 type shapeObserver struct {
-	keys  []string
 	stats []*PropStat
 }
 
 // observeRow folds one row's property values into the pre-resolved
-// stats. Every key is present: rows of a shape share its exact
-// property-key set.
-func (o *shapeObserver) observeRow(props map[string]pg.Value) {
-	for j, k := range o.keys {
-		o.stats[j].observeValue(props[k])
+// stats. Rows of a shape share its exact property-key set, and Props
+// holds it in key order, so a row's j-th property is the shape's j-th
+// key.
+func (o *shapeObserver) observeRow(props pg.Props) {
+	for j, p := range props {
+		o.stats[j].observeValue(p.Val)
 	}
 }
 
@@ -83,7 +82,7 @@ func buildShapeObservers(si *pg.ShapeIndex, target func(s int) (*Type, []string)
 			}
 			stats[j] = ps
 		}
-		obs[s] = shapeObserver{keys: keys, stats: stats}
+		obs[s] = shapeObserver{stats: stats}
 	}
 	return obs
 }

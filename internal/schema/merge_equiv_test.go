@@ -74,7 +74,7 @@ func genEquivCase(seed int64, n int) equivCase {
 			ls, props, instances := shape()
 			c := NewNodeCandidate()
 			for j := 0; j < instances; j++ {
-				c.observe(ls, props)
+				c.observe(ls, pg.PropsOf(props))
 			}
 			c.Token = pg.LabelToken(c.SortedLabels())
 			nodes = append(nodes, c)
@@ -83,7 +83,7 @@ func genEquivCase(seed int64, n int) equivCase {
 			ls, props, instances := shape()
 			c := NewEdgeCandidate()
 			for j := 0; j < instances; j++ {
-				c.observe(ls, props)
+				c.observe(ls, pg.PropsOf(props))
 				c.SrcDeg.Add(pg.ID(rng.Intn(4)), 1)
 				c.DstDeg.Add(pg.ID(rng.Intn(4)), 1)
 			}

@@ -32,7 +32,7 @@ func randomCandidates(seed int64, n int) []*NodeType {
 			}
 		}
 		for j := 0; j < 1+rng.Intn(3); j++ {
-			c.observe(ls, props)
+			c.observe(ls, pg.PropsOf(props))
 		}
 		c.Token = pg.LabelToken(c.SortedLabels())
 		c.Abstract = c.Token == ""

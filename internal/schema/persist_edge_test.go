@@ -176,9 +176,9 @@ func TestPersistRetractionResidue(t *testing.T) {
 	// The property must survive the retraction (Count stays positive)
 	// while its *last tracked string* goes away — a mixed-kind
 	// property does exactly that.
-	nt.observe([]string{"P"}, map[string]pg.Value{"tag": pg.Str("only")})
-	nt.observe([]string{"P"}, map[string]pg.Value{"tag": pg.Int(5)})
-	nt.Retract([]string{"P"}, map[string]pg.Value{"tag": pg.Str("only")})
+	nt.observe([]string{"P"}, pg.PropsOf(map[string]pg.Value{"tag": pg.Str("only")}))
+	nt.observe([]string{"P"}, pg.PropsOf(map[string]pg.Value{"tag": pg.Int(5)}))
+	nt.Retract([]string{"P"}, pg.PropsOf(map[string]pg.Value{"tag": pg.Str("only")}))
 	if ps := nt.Props["tag"]; ps == nil || ps.Count != 1 {
 		t.Fatal("fixture lost the property entirely; the residue case needs it to survive")
 	}

@@ -14,22 +14,22 @@ func buildPersistFixture() *Schema {
 	s := New()
 	// A labeled node type with rich property stats.
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Person"}, Props: map[string]pg.Value{
-			"name": pg.Str("a"), "age": pg.Int(30), "status": pg.Str("active")}},
-		{ID: 1, Labels: []string{"Person"}, Props: map[string]pg.Value{
-			"name": pg.Str("b"), "age": pg.Int(40), "status": pg.Str("idle")}},
+		{ID: 0, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{
+			"name": pg.Str("a"), "age": pg.Int(30), "status": pg.Str("active")})},
+		{ID: 1, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{
+			"name": pg.Str("b"), "age": pg.Int(40), "status": pg.Str("idle")})},
 	}
 	cands := BuildNodeCandidates(nodes, []int{0, 0}, 1)
 	s.ExtractNodeTypes(cands, 0.9)
 	// An abstract node type.
 	u := NewNodeCandidate()
-	u.observe(nil, map[string]pg.Value{"x": pg.Float(1.5)})
+	u.observe(nil, pg.PropsOf(map[string]pg.Value{"x": pg.Float(1.5)}))
 	u.Token, u.Abstract = "", true
 	s.ExtractNodeTypes([]*NodeType{u}, 0.9)
 	// An edge type with endpoints and degrees.
 	edges := []pg.Edge{
 		{ID: 0, Labels: []string{"KNOWS"}, Src: 0, Dst: 1,
-			Props: map[string]pg.Value{"since": pg.Int(2020)}},
+			Props: pg.PropsOf(map[string]pg.Value{"since": pg.Int(2020)})},
 		{ID: 1, Labels: []string{"KNOWS"}, Src: 0, Dst: 0, Props: nil},
 	}
 	ecands := BuildEdgeCandidates(edges, []int{0, 0}, 1,
@@ -105,8 +105,8 @@ func TestPersistThenContinueIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := restored.NodeTypeByToken("Person").Instances
-	more := []pg.Node{{ID: 5, Labels: []string{"Person"}, Props: map[string]pg.Value{
-		"name": pg.Str("c"), "email": pg.Str("c@x")}}}
+	more := []pg.Node{{ID: 5, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{
+		"name": pg.Str("c"), "email": pg.Str("c@x")})}}
 	cands := BuildNodeCandidates(more, []int{0}, 1)
 	restored.ExtractNodeTypes(cands, 0.9)
 	person := restored.NodeTypeByToken("Person")

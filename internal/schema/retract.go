@@ -38,7 +38,7 @@ func (s *PropStat) retractValue(v pg.Value) {
 // labels and properties. The caller must pass the same labels and
 // property values the instance carried when it was merged in;
 // retracting data that was never observed corrupts the statistics.
-func (t *Type) Retract(labels []string, props map[string]pg.Value) {
+func (t *Type) Retract(labels []string, props pg.Props) {
 	t.Instances--
 	for _, l := range labels {
 		if t.Labels[l] > 0 {
@@ -48,21 +48,21 @@ func (t *Type) Retract(labels []string, props map[string]pg.Value) {
 			}
 		}
 	}
-	for k, v := range props {
-		ps := t.Props[k]
+	for _, p := range props {
+		ps := t.Props[p.Key]
 		if ps == nil {
 			continue
 		}
-		ps.retractValue(v)
+		ps.retractValue(p.Val)
 		if ps.Count <= 0 {
-			delete(t.Props, k)
+			delete(t.Props, p.Key)
 		}
 	}
 }
 
 // RetractEdge reverses one edge observation, including the degree
 // evidence of its endpoints.
-func (t *EdgeType) RetractEdge(labels []string, props map[string]pg.Value, src, dst pg.ID) {
+func (t *EdgeType) RetractEdge(labels []string, props pg.Props, src, dst pg.ID) {
 	t.Retract(labels, props)
 	t.SrcDeg.Dec(src)
 	t.DstDeg.Dec(dst)

@@ -10,10 +10,10 @@ import (
 
 func TestRetractReversesObserve(t *testing.T) {
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"T"}, Props: map[string]pg.Value{
-			"a": pg.Int(5), "s": pg.Str("x")}},
-		{ID: 1, Labels: []string{"T"}, Props: map[string]pg.Value{
-			"a": pg.Int(9)}},
+		{ID: 0, Labels: []string{"T"}, Props: pg.PropsOf(map[string]pg.Value{
+			"a": pg.Int(5), "s": pg.Str("x")})},
+		{ID: 1, Labels: []string{"T"}, Props: pg.PropsOf(map[string]pg.Value{
+			"a": pg.Int(9)})},
 	}
 	cands := BuildNodeCandidates(nodes, []int{0, 0}, 1)
 	ty := cands[0]
@@ -43,10 +43,10 @@ func TestRetractReversesObserve(t *testing.T) {
 
 func TestRetractDistinctValues(t *testing.T) {
 	ty := NewNodeCandidate()
-	ty.observe([]string{"T"}, map[string]pg.Value{"s": pg.Str("a")})
-	ty.observe([]string{"T"}, map[string]pg.Value{"s": pg.Str("a")})
-	ty.observe([]string{"T"}, map[string]pg.Value{"s": pg.Str("b")})
-	ty.Retract([]string{"T"}, map[string]pg.Value{"s": pg.Str("b")})
+	ty.observe([]string{"T"}, pg.PropsOf(map[string]pg.Value{"s": pg.Str("a")}))
+	ty.observe([]string{"T"}, pg.PropsOf(map[string]pg.Value{"s": pg.Str("a")}))
+	ty.observe([]string{"T"}, pg.PropsOf(map[string]pg.Value{"s": pg.Str("b")}))
+	ty.Retract([]string{"T"}, pg.PropsOf(map[string]pg.Value{"s": pg.Str("b")}))
 	ps := ty.Props["s"]
 	if len(ps.Distinct) != 1 || ps.Distinct["a"] != 2 {
 		t.Errorf("distinct after retract = %v", ps.Distinct)
@@ -76,7 +76,7 @@ func TestCompactRemovesEmptyTypes(t *testing.T) {
 	c2 := labeledCand([]string{"B"}, "y")
 	s.ExtractNodeTypes([]*NodeType{c1, c2}, 0.9)
 	a := s.NodeTypeByToken("A")
-	a.Retract([]string{"A"}, map[string]pg.Value{"x": pg.Str("x")})
+	a.Retract([]string{"A"}, pg.PropsOf(map[string]pg.Value{"x": pg.Str("x")}))
 	removedN, _ := s.Compact()
 	if len(removedN) != 1 || removedN[0] != a {
 		t.Fatalf("removed = %v", removedN)
@@ -91,7 +91,7 @@ func TestCompactRemovesEmptyTypes(t *testing.T) {
 	e1 := edgeCand([]string{"R"}, "A", "B")
 	s.ExtractEdgeTypes([]*EdgeType{e1}, 0.9)
 	r := s.EdgeTypeByToken("R")
-	r.RetractEdge([]string{"R"}, map[string]pg.Value{}, 1, 2)
+	r.RetractEdge([]string{"R"}, nil, 1, 2)
 	_, removedE := s.Compact()
 	if len(removedE) != 1 {
 		t.Fatalf("removed edges = %v", removedE)
@@ -109,7 +109,7 @@ func TestRetractInverseProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%10) + 1
 		base := NewNodeCandidate()
-		base.observe([]string{"T"}, map[string]pg.Value{"k": pg.Int(1)})
+		base.observe([]string{"T"}, pg.PropsOf(map[string]pg.Value{"k": pg.Int(1)}))
 		snapshot := base.Instances
 
 		type inst struct {
@@ -126,11 +126,11 @@ func TestRetractInverseProperty(t *testing.T) {
 				props["s"] = pg.Str([]string{"a", "b"}[rng.Intn(2)])
 			}
 			in := inst{labels: []string{"T"}, props: props}
-			base.observe(in.labels, in.props)
+			base.observe(in.labels, pg.PropsOf(in.props))
 			added = append(added, in)
 		}
 		for _, in := range added {
-			base.Retract(in.labels, in.props)
+			base.Retract(in.labels, pg.PropsOf(in.props))
 		}
 		if base.Instances != snapshot {
 			return false

@@ -12,7 +12,7 @@ func labeledCand(labels []string, keys ...string) *NodeType {
 	for _, k := range keys {
 		props[k] = pg.Str("x")
 	}
-	c.observe(labels, props)
+	c.observe(labels, pg.PropsOf(props))
 	c.Token = pg.LabelToken(c.SortedLabels())
 	c.Abstract = c.Token == ""
 	return c
@@ -24,7 +24,7 @@ func edgeCand(labels []string, src, dst string, keys ...string) *EdgeType {
 	for _, k := range keys {
 		props[k] = pg.Str("x")
 	}
-	c.observe(labels, props)
+	c.observe(labels, pg.PropsOf(props))
 	if src != "" {
 		c.SrcTokens[src] = true
 	}
@@ -328,9 +328,9 @@ func TestSchemaMergeMonotone(t *testing.T) {
 
 func TestBuildNodeCandidates(t *testing.T) {
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Person"}, Props: map[string]pg.Value{"name": pg.Str("a"), "age": pg.Int(3)}},
-		{ID: 1, Labels: []string{"Person"}, Props: map[string]pg.Value{"name": pg.Str("b")}},
-		{ID: 2, Labels: nil, Props: map[string]pg.Value{"x": pg.Float(1)}},
+		{ID: 0, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{"name": pg.Str("a"), "age": pg.Int(3)})},
+		{ID: 1, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{"name": pg.Str("b")})},
+		{ID: 2, Labels: nil, Props: pg.PropsOf(map[string]pg.Value{"x": pg.Float(1)})},
 	}
 	assign := []int{0, 0, 1}
 	cands := BuildNodeCandidates(nodes, assign, 2)
@@ -353,7 +353,7 @@ func TestBuildNodeCandidates(t *testing.T) {
 
 func TestBuildEdgeCandidates(t *testing.T) {
 	edges := []pg.Edge{
-		{ID: 0, Labels: []string{"KNOWS"}, Src: 1, Dst: 2, Props: map[string]pg.Value{"since": pg.Int(2020)}},
+		{ID: 0, Labels: []string{"KNOWS"}, Src: 1, Dst: 2, Props: pg.PropsOf(map[string]pg.Value{"since": pg.Int(2020)})},
 		{ID: 1, Labels: []string{"KNOWS"}, Src: 1, Dst: 3, Props: nil},
 	}
 	cands := BuildEdgeCandidates(edges, []int{0, 0}, 1, []string{"Person", "Person"}, []string{"Person", ""})

@@ -222,7 +222,7 @@ func (t *Type) SortedLabels() []string {
 func (t *Type) HasLabel(l string) bool { return t.Labels[l] > 0 }
 
 // observe tallies one instance's labels and properties.
-func (t *Type) observe(labels []string, props map[string]pg.Value) {
+func (t *Type) observe(labels []string, props pg.Props) {
 	t.observeShape(labels, 1)
 	t.observeProps(props)
 }
@@ -241,14 +241,14 @@ func (t *Type) observeShape(labels []string, count int) {
 // observeProps tallies one instance's property values. Values vary
 // within a shape, so the interned builders still observe them per
 // element.
-func (t *Type) observeProps(props map[string]pg.Value) {
-	for k, v := range props {
-		ps := t.Props[k]
+func (t *Type) observeProps(props pg.Props) {
+	for _, p := range props {
+		ps := t.Props[p.Key]
 		if ps == nil {
 			ps = &PropStat{}
-			t.Props[k] = ps
+			t.Props[p.Key] = ps
 		}
-		ps.observeValue(v)
+		ps.observeValue(p.Val)
 	}
 }
 

@@ -18,23 +18,23 @@ func figure1Schema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Person"}, Props: map[string]pg.Value{
+		{ID: 0, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{
 			"name": pg.Str("Bob"), "gender": pg.Str("male"),
-			"bday": pg.ParseLexical("1980-05-02")}},
-		{ID: 1, Labels: []string{"Person"}, Props: map[string]pg.Value{
+			"bday": pg.ParseLexical("1980-05-02")})},
+		{ID: 1, Labels: []string{"Person"}, Props: pg.PropsOf(map[string]pg.Value{
 			"name": pg.Str("John"), "gender": pg.Str("male"),
-			"bday": pg.ParseLexical("2005-09-24")}},
-		{ID: 2, Labels: []string{"Org."}, Props: map[string]pg.Value{
-			"name": pg.Str("Example"), "url": pg.Str("example.com")}},
-		{ID: 3, Labels: nil, Props: map[string]pg.Value{"mystery": pg.Int(1)}},
+			"bday": pg.ParseLexical("2005-09-24")})},
+		{ID: 2, Labels: []string{"Org."}, Props: pg.PropsOf(map[string]pg.Value{
+			"name": pg.Str("Example"), "url": pg.Str("example.com")})},
+		{ID: 3, Labels: nil, Props: pg.PropsOf(map[string]pg.Value{"mystery": pg.Int(1)})},
 	}
 	cands := schema.BuildNodeCandidates(nodes, []int{0, 0, 1, 2}, 3)
 	s.ExtractNodeTypes(cands, 0.9)
 
 	edges := []pg.Edge{
 		{ID: 0, Labels: []string{"WORKS_AT"}, Src: 0, Dst: 2,
-			Props: map[string]pg.Value{"from": pg.Int(2000)}},
-		{ID: 1, Labels: []string{"WORKS_AT"}, Src: 1, Dst: 2, Props: map[string]pg.Value{"from": pg.Int(2001)}},
+			Props: pg.PropsOf(map[string]pg.Value{"from": pg.Int(2000)})},
+		{ID: 1, Labels: []string{"WORKS_AT"}, Src: 1, Dst: 2, Props: pg.PropsOf(map[string]pg.Value{"from": pg.Int(2001)})},
 		{ID: 2, Labels: []string{"KNOWS"}, Src: 0, Dst: 1, Props: nil},
 	}
 	ecands := schema.BuildEdgeCandidates(edges, []int{0, 0, 1}, 2,
@@ -67,8 +67,8 @@ func TestPGSchemaStrict(t *testing.T) {
 func TestPGSchemaStrictOptionalMarker(t *testing.T) {
 	s := schema.New()
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"Post"}, Props: map[string]pg.Value{"imgFile": pg.Str("a.png")}},
-		{ID: 1, Labels: []string{"Post"}, Props: map[string]pg.Value{"content": pg.Str("hi")}},
+		{ID: 0, Labels: []string{"Post"}, Props: pg.PropsOf(map[string]pg.Value{"imgFile": pg.Str("a.png")})},
+		{ID: 1, Labels: []string{"Post"}, Props: pg.PropsOf(map[string]pg.Value{"content": pg.Str("hi")})},
 	}
 	cands := schema.BuildNodeCandidates(nodes, []int{0, 1}, 2)
 	s.ExtractNodeTypes(cands, 0.9)
@@ -129,8 +129,8 @@ func TestXSDWellFormed(t *testing.T) {
 func TestXSDOptionalMinOccurs(t *testing.T) {
 	s := schema.New()
 	nodes := []pg.Node{
-		{ID: 0, Labels: []string{"T"}, Props: map[string]pg.Value{"a": pg.Int(1), "b": pg.Int(2)}},
-		{ID: 1, Labels: []string{"T"}, Props: map[string]pg.Value{"a": pg.Int(3)}},
+		{ID: 0, Labels: []string{"T"}, Props: pg.PropsOf(map[string]pg.Value{"a": pg.Int(1), "b": pg.Int(2)})},
+		{ID: 1, Labels: []string{"T"}, Props: pg.PropsOf(map[string]pg.Value{"a": pg.Int(3)})},
 	}
 	cands := schema.BuildNodeCandidates(nodes, []int{0, 0}, 1)
 	s.ExtractNodeTypes(cands, 0.9)
@@ -155,7 +155,7 @@ func TestXSDEnumRestriction(t *testing.T) {
 	for i := range nodes {
 		status := []string{"open", "closed", "pending"}[i%3]
 		nodes[i] = pg.Node{ID: pg.ID(i), Labels: []string{"Case"},
-			Props: map[string]pg.Value{"status": pg.Str(status)}}
+			Props: pg.PropsOf(map[string]pg.Value{"status": pg.Str(status)})}
 	}
 	assign := make([]int, len(nodes))
 	cands := schema.BuildNodeCandidates(nodes, assign, 1)

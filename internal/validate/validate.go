@@ -15,6 +15,7 @@ package validate
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pghive/pghive/internal/infer"
 	"github.com/pghive/pghive/internal/pg"
@@ -78,9 +79,14 @@ func (r *Report) add(v Violation) bool {
 	return true
 }
 
-// Graph validates every node and edge of g against s.
+// Graph validates every node and edge of g against s. The report is a
+// function of its inputs: nodes, then edges, in graph order, each
+// element's violations in property-key order, then the cardinality
+// violations by edge type in schema order and by node ID — so
+// identical requests get identical reports, a truncated one included.
 func Graph(g *pg.Graph, s *schema.Schema, mode Mode) *Report {
 	r := &Report{}
+	mandatory := mandatoryKeys{}
 	nodeTypeOf := map[pg.ID]*schema.NodeType{}
 	nodes := g.Nodes()
 	for i := range nodes {
@@ -96,7 +102,7 @@ func Graph(g *pg.Graph, s *schema.Schema, mode Mode) *Report {
 		}
 		nodeTypeOf[n.ID] = nt
 		if mode == Strict {
-			validateProps(r, n.ID, false, &nt.Type, n.Props)
+			validateProps(r, n.ID, false, &nt.Type, n.Props, mandatory)
 		}
 	}
 	edges := g.Edges()
@@ -114,7 +120,7 @@ func Graph(g *pg.Graph, s *schema.Schema, mode Mode) *Report {
 			continue
 		}
 		if mode == Strict {
-			validateProps(r, e.ID, true, &et.Type, e.Props)
+			validateProps(r, e.ID, true, &et.Type, e.Props, mandatory)
 			if degOut[et] == nil {
 				degOut[et] = map[pg.ID]int{}
 				degIn[et] = map[pg.ID]int{}
@@ -124,7 +130,7 @@ func Graph(g *pg.Graph, s *schema.Schema, mode Mode) *Report {
 		}
 	}
 	if mode == Strict {
-		validateCardinalities(r, degOut, degIn)
+		validateCardinalities(r, s, degOut, degIn)
 	}
 	return r
 }
@@ -163,9 +169,9 @@ func coversLabels(have map[string]int, want []string) bool {
 	return true
 }
 
-func coversKeys(have map[string]*schema.PropStat, want map[string]pg.Value) bool {
-	for k := range want {
-		if have[k] == nil {
+func coversKeys(have map[string]*schema.PropStat, want pg.Props) bool {
+	for _, p := range want {
+		if have[p.Key] == nil {
 			return false
 		}
 	}
@@ -208,11 +214,30 @@ func endpointToken(g *pg.Graph, id pg.ID, nodeTypeOf map[pg.ID]*schema.NodeType)
 	return ""
 }
 
+// mandatoryKeys memoizes, per type, its mandatory property keys in
+// sorted order, so one validation computes them once per type, not
+// once per element.
+type mandatoryKeys map[*schema.Type][]string
+
+func (m mandatoryKeys) of(t *schema.Type) []string {
+	ks, ok := m[t]
+	if !ok {
+		for _, k := range t.PropertyKeys() {
+			if t.Props[k].Mandatory {
+				ks = append(ks, k)
+			}
+		}
+		m[t] = ks
+	}
+	return ks
+}
+
 // validateProps applies the STRICT property rules of one element
-// against its type.
-func validateProps(r *Report, id pg.ID, isEdge bool, t *schema.Type, props map[string]pg.Value) {
+// against its type, in property-key order.
+func validateProps(r *Report, id pg.ID, isEdge bool, t *schema.Type, props pg.Props, mandatory mandatoryKeys) {
 	// Undeclared properties.
-	for k, v := range props {
+	for _, p := range props {
+		k, v := p.Key, p.Val
 		ps := t.Props[k]
 		if ps == nil {
 			r.add(Violation{Element: id, IsEdge: isEdge, Rule: "undeclared-property",
@@ -237,8 +262,8 @@ func validateProps(r *Report, id pg.ID, isEdge bool, t *schema.Type, props map[s
 		}
 	}
 	// Missing mandatory properties.
-	for k, ps := range t.Props {
-		if ps.Mandatory && !props[k].IsValid() {
+	for _, k := range mandatory.of(t) {
+		if !props.Get(k).IsValid() {
 			r.add(Violation{Element: id, IsEdge: isEdge, Rule: "mandatory",
 				Detail: fmt.Sprintf("mandatory property %q of type %s missing", k, t.Name())})
 		}
@@ -255,9 +280,14 @@ func contains(s []string, v string) bool {
 }
 
 // validateCardinalities checks observed degrees against each edge
-// type's declared cardinality class.
-func validateCardinalities(r *Report, degOut, degIn map[*schema.EdgeType]map[pg.ID]int) {
-	for et, outs := range degOut {
+// type's declared cardinality class: edge types in schema order, and
+// within one, out-degrees then in-degrees by node ID.
+func validateCardinalities(r *Report, s *schema.Schema, degOut, degIn map[*schema.EdgeType]map[pg.ID]int) {
+	for _, et := range s.EdgeTypes {
+		outs, ok := degOut[et]
+		if !ok {
+			continue
+		}
 		maxOut, maxIn := 1, 1
 		switch et.Cardinality {
 		case schema.CardManyToMany:
@@ -270,22 +300,26 @@ func validateCardinalities(r *Report, degOut, degIn map[*schema.EdgeType]map[pg.
 			continue
 		}
 		if maxOut > 0 {
-			for src, d := range outs {
-				if d > maxOut {
-					r.add(Violation{Element: src, Rule: "cardinality",
-						Detail: fmt.Sprintf("node has %d outgoing %s edges, type declares %s",
-							d, et.Name(), et.Cardinality)})
-				}
-			}
+			overDegree(r, outs, maxOut, "outgoing", et)
 		}
 		if maxIn > 0 {
-			for dst, d := range degIn[et] {
-				if d > maxIn {
-					r.add(Violation{Element: dst, Rule: "cardinality",
-						Detail: fmt.Sprintf("node has %d incoming %s edges, type declares %s",
-							d, et.Name(), et.Cardinality)})
-				}
-			}
+			overDegree(r, degIn[et], maxIn, "incoming", et)
 		}
+	}
+}
+
+// overDegree reports, by node ID, every node whose degree exceeds max.
+func overDegree(r *Report, deg map[pg.ID]int, max int, dir string, et *schema.EdgeType) {
+	var over []pg.ID
+	for id, d := range deg {
+		if d > max {
+			over = append(over, id)
+		}
+	}
+	slices.Sort(over)
+	for _, id := range over {
+		r.add(Violation{Element: id, Rule: "cardinality",
+			Detail: fmt.Sprintf("node has %d %s %s edges, type declares %s",
+				deg[id], dir, et.Name(), et.Cardinality)})
 	}
 }

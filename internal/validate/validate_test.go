@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,7 +66,7 @@ func TestLooseToleratesExtraProperties(t *testing.T) {
 			break
 		}
 	}
-	person.Props["undeclared_hobby"] = pg.Str("chess")
+	person.Props = withProp(person.Props, "undeclared_hobby", pg.Str("chess"))
 	if r := Graph(g, s, Loose); !r.Valid() {
 		t.Fatalf("LOOSE must tolerate extra properties: %v", r.Violations[0])
 	}
@@ -89,7 +91,7 @@ func TestStrictMandatoryViolation(t *testing.T) {
 	for i := range g.Nodes() {
 		n := &g.Nodes()[i]
 		if n.LabelToken() == "Officer" {
-			delete(n.Props, "badge_no") // mandatory for Officer
+			n.Props = withProp(n.Props, "badge_no", pg.Value{}) // mandatory for Officer
 			break
 		}
 	}
@@ -111,7 +113,7 @@ func TestStrictDatatypeViolation(t *testing.T) {
 	for i := range g.Nodes() {
 		n := &g.Nodes()[i]
 		if n.LabelToken() == "Person" {
-			n.Props["age"] = pg.Str("forty") // age is INT
+			n.Props = withProp(n.Props, "age", pg.Str("forty")) // age is INT
 			break
 		}
 	}
@@ -226,6 +228,84 @@ func TestCardinalityViolation(t *testing.T) {
 	}
 }
 
+// TestReportIsDeterministic: identical validations give identical
+// reports — violations in property-key order within an element, and
+// cardinality violations by edge type, then node ID — so a leader and
+// a follower, or two identical requests, cannot disagree, even past
+// MaxViolations, where the order decides which violations are kept.
+func TestReportIsDeterministic(t *testing.T) {
+	g := pg.NewGraph()
+	var people, orgs []pg.ID
+	for i := 0; i < 30; i++ {
+		people = append(people, g.AddNode([]string{"Person"}, map[string]pg.Value{"name": pg.Str("p")}))
+	}
+	for i := 0; i < 5; i++ {
+		orgs = append(orgs, g.AddNode([]string{"Org"}, map[string]pg.Value{"url": pg.Str("u")}))
+	}
+	for i, p := range people {
+		if _, err := g.AddEdge([]string{"WORKS_AT"}, p, orgs[i%len(orgs)], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := core.Discover(g, core.Options{Seed: 6})
+	infer.Finalize(res.Schema, infer.Options{})
+	if wa := res.Schema.EdgeTypeByToken("WORKS_AT"); wa.Cardinality != schema.CardManyToOne {
+		t.Skipf("fixture produced %v instead of N:1", wa.Cardinality)
+	}
+	// Six undeclared properties and a missing mandatory one on one
+	// node, and a second job, over N:1, for six people.
+	six := map[string]pg.Value{}
+	for _, k := range []string{"f", "b", "e", "a", "d", "c"} {
+		six[k] = pg.Int(1)
+	}
+	g.AddNode([]string{"Person"}, six)
+	for _, p := range people[:6] {
+		if _, err := g.AddEdge([]string{"WORKS_AT"}, p, orgs[4], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, g *pg.Graph) *Report {
+		first := Graph(g, res.Schema, Strict)
+		for i := 0; i < 50; i++ {
+			if r := Graph(g, res.Schema, Strict); !reflect.DeepEqual(r, first) {
+				t.Fatalf("%s: validation %d differs from the first:\n%v\n%v", name, i+2, r.Violations, first.Violations)
+			}
+		}
+		return first
+	}
+	r := check("six violations", g)
+	var got []string
+	for _, v := range r.Violations {
+		got = append(got, v.Rule)
+	}
+	want := []string{"undeclared-property", "undeclared-property", "undeclared-property",
+		"undeclared-property", "undeclared-property", "undeclared-property", "mandatory",
+		"cardinality", "cardinality", "cardinality", "cardinality", "cardinality", "cardinality"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rules %v, want %v", got, want)
+	}
+	for i, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		if !strings.Contains(r.Violations[i].Detail, strconv.Quote(k)) {
+			t.Errorf("violation %d: %s, want property %q (key order)", i, r.Violations[i].Detail, k)
+		}
+	}
+	for i := 8; i < len(r.Violations); i++ {
+		if r.Violations[i].Element <= r.Violations[i-1].Element {
+			t.Errorf("cardinality violations not by node ID: %v", r.Violations[7:])
+		}
+	}
+
+	// Past MaxViolations the order decides which violations are kept.
+	wide := map[string]pg.Value{}
+	for i := 0; i < MaxViolations+200; i++ {
+		wide[strconv.Itoa(i)] = pg.Int(1)
+	}
+	g.AddNode([]string{"Person"}, wide)
+	if r := check("truncated", g); !r.Truncated {
+		t.Fatal("the report should be truncated")
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Element: 7, IsEdge: true, Rule: "enum", Detail: "bad"}
 	if got := v.String(); got != "edge 7: enum: bad" {
@@ -238,4 +318,18 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// withProp returns a copy of ps with key k set to v, or removed when v
+// is the zero Value.
+func withProp(ps pg.Props, k string, v pg.Value) pg.Props {
+	m := map[string]pg.Value{}
+	for key, val := range ps.All() {
+		m[key] = val
+	}
+	m[k] = v
+	if !v.IsValid() {
+		delete(m, k)
+	}
+	return pg.PropsOf(m)
 }

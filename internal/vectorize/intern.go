@@ -35,14 +35,3 @@ func EdgesInterned(edges []pg.Edge, si *pg.ShapeIndex, keys []string, emb Embedd
 	}
 	return EdgesParallel(reps, keys, emb, rsrc, rdst, workers)
 }
-
-// sortBits sorts a row's set-bit positions ascending. Per-row bit
-// counts are small, where insertion sort beats sort.Slice and
-// allocates nothing.
-func sortBits(bits []int32) {
-	for i := 1; i < len(bits); i++ {
-		for j := i; j > 0 && bits[j] < bits[j-1]; j-- {
-			bits[j], bits[j-1] = bits[j-1], bits[j]
-		}
-	}
-}

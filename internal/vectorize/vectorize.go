@@ -8,6 +8,7 @@ package vectorize
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/pghive/pghive/internal/parallel"
@@ -240,13 +241,13 @@ func NodesParallel(nodes []pg.Node, keys []string, emb Embedder, workers int) *M
 			row := backing[i*width : (i+1)*width]
 			copy(row[:d], tokVecs[m.Tokens[i]])
 			bits := make([]int32, 0, len(n.Props))
-			for k := range n.Props {
-				if j, ok := keyIdx[k]; ok {
+			for _, p := range n.Props {
+				if j, ok := keyIdx[p.Key]; ok {
 					row[d+j] = 1
 					bits = append(bits, int32(j))
 				}
 			}
-			sortBits(bits)
+			slices.Sort(bits) // in order already when keys is sorted
 			m.IDs[i] = n.ID
 			m.Vecs[i] = row
 			m.Bits[i] = bits
@@ -294,13 +295,13 @@ func EdgesParallel(edges []pg.Edge, keys []string, emb Embedder, srcToks, dstTok
 			copy(row[d:2*d], tokVecs[srcToks[i]])
 			copy(row[2*d:3*d], tokVecs[dstToks[i]])
 			bits := make([]int32, 0, len(e.Props))
-			for k := range e.Props {
-				if j, ok := keyIdx[k]; ok {
+			for _, p := range e.Props {
+				if j, ok := keyIdx[p.Key]; ok {
 					row[3*d+j] = 1
 					bits = append(bits, int32(j))
 				}
 			}
-			sortBits(bits)
+			slices.Sort(bits) // in order already when keys is sorted
 			m.IDs[i] = e.ID
 			m.Vecs[i] = row
 			m.Bits[i] = bits

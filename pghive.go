@@ -72,6 +72,10 @@ type (
 	ID = pg.ID
 	// Value is a typed property value.
 	Value = pg.Value
+	// Props is an element's property set, sorted by key.
+	Props = pg.Props
+	// Prop is one property: a key and its value.
+	Prop = pg.Prop
 	// Kind enumerates property value kinds.
 	Kind = pg.Kind
 	// Batch is one increment of a graph stream.
@@ -97,6 +101,8 @@ var (
 	// ParseLexical infers the most specific value from text (§4.4
 	// priority order).
 	ParseLexical = pg.ParseLexical
+	// PropsOf builds a Props from a map.
+	PropsOf = pg.PropsOf
 )
 
 // Property value kinds.

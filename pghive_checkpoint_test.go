@@ -248,7 +248,7 @@ func TestCheckpointPreservesTypeIDCounterAfterRetract(t *testing.T) {
 	mkGraph := func(label string, base pghive.ID) *pghive.Graph {
 		g := pghive.NewGraph()
 		for j := pghive.ID(0); j < 5; j++ {
-			_ = g.PutNode(base+j, []string{label}, map[string]pghive.Value{"k": pghive.Int(int64(j))})
+			_ = g.PutNode(base+j, []string{label}, pghive.PropsOf(map[string]pghive.Value{"k": pghive.Int(int64(j))}))
 		}
 		return g
 	}

@@ -585,9 +585,9 @@ func stressGraph(t testing.TB, base pghive.ID, n int) *pghive.Graph {
 	g := pghive.NewGraph()
 	for i := 0; i < n; i++ {
 		id := base + pghive.ID(i)
-		if err := g.PutNode(id, []string{"Stress"}, map[string]pghive.Value{
+		if err := g.PutNode(id, []string{"Stress"}, pghive.PropsOf(map[string]pghive.Value{
 			"k": pghive.Int(int64(i)),
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

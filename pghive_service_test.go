@@ -34,10 +34,10 @@ func writerGraph(w, i int) *pghive.Graph {
 	const n = 20
 	for j := 0; j < n; j++ {
 		id := base + pghive.ID(i*n+j)
-		_ = g.PutNode(id, []string{label}, map[string]pghive.Value{
+		_ = g.PutNode(id, []string{label}, pghive.PropsOf(map[string]pghive.Value{
 			fmt.Sprintf("w%d_key", w): pghive.Int(int64(j)),
 			fmt.Sprintf("w%d_tag", w): pghive.Str(fmt.Sprintf("v%d", j%3)),
-		})
+		}))
 	}
 	for j := 0; j < n; j++ {
 		src := base + pghive.ID(i*n+j)
@@ -193,7 +193,7 @@ func TestServiceHeldSnapshotRendersUnchanged(t *testing.T) {
 		return pghive.ID(j % nodes), pghive.ID((j * 7) % nodes)
 	})
 	for i := 0; i < nodes; i++ {
-		_ = base.PutNode(pghive.ID(i), []string{"P"}, map[string]pghive.Value{"k": pghive.Int(int64(i))})
+		_ = base.PutNode(pghive.ID(i), []string{"P"}, pghive.PropsOf(map[string]pghive.Value{"k": pghive.Int(int64(i))}))
 	}
 	svc := pghive.NewService(pghive.Options{Seed: 1, Parallelism: 1})
 	svc.Ingest(base)

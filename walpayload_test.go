@@ -114,7 +114,7 @@ func FuzzWALPayload(f *testing.F) {
 	}
 	// A batch the encoder stores, because it deflates past the bound.
 	blob := NewGraph()
-	if err := blob.PutNode(1, []string{"Blob"}, map[string]Value{"s": Str(strings.Repeat("a", 16<<10))}); err != nil {
+	if err := blob.PutNode(1, []string{"Blob"}, PropsOf(map[string]Value{"s": Str(strings.Repeat("a", 16<<10))})); err != nil {
 		f.Fatal(err)
 	}
 	stored, err := encodeWALRecordPayload("", blob)
