@@ -525,10 +525,10 @@ func (t target) checkpoint(w http.ResponseWriter, r *http.Request) {
 	// Plain services and followers stream their state image — a
 	// follower owns no WAL to fold, and the streamed image is how
 	// operators (and CI) verify bit-identity with the leader at the
-	// same LSN. Serialize into memory first: WriteCheckpoint holds the
-	// write lock, so streaming it straight to a slow (or stalled)
-	// client would block every ingest for as long as the client cares
-	// to read — and a mid-write network error would deliver a
+	// same LSN. WriteCheckpoint captures the state under the write lock
+	// and encodes it after releasing it, so a slow (or stalled) client
+	// blocks no ingest either way. It still serializes into memory
+	// first: an encoding error mid-image must answer 500, not deliver a
 	// truncated image under a 200 status.
 	var write func(io.Writer) error
 	if t.fol != nil {

@@ -331,8 +331,8 @@ func TestServeRequestDeadlineAnswers503(t *testing.T) {
 
 			// Hold the write lock so the HTTP write must queue past its
 			// deadline.
-			hold := &holdWriter{held: make(chan struct{}), release: make(chan struct{})}
-			go dur.WriteCheckpoint(hold)
+			hold := &lockHolder{held: make(chan struct{}), release: make(chan struct{})}
+			go dur.DrainStream(context.Background(), hold, nil)
 			<-hold.held
 			defer close(hold.release)
 
@@ -348,16 +348,21 @@ func TestServeRequestDeadlineAnswers503(t *testing.T) {
 	}
 }
 
-// holdWriter blocks WriteCheckpoint — and with it the write lock —
-// inside its first Write until released.
-type holdWriter struct {
+// lockHolder holds a service's write lock until released. It is a
+// CSV-like stream whose NextEdgeID blocks: DrainStream asks it under the
+// write lock, while seeding it from the service's state.
+type lockHolder struct {
 	held    chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (h *holdWriter) Write(p []byte) (int, error) {
+func (h *lockHolder) NextEdgeID() pghive.ID {
 	h.once.Do(func() { close(h.held) })
 	<-h.release
-	return len(p), nil
+	return 1
 }
+
+func (h *lockHolder) SetNextEdgeID(pghive.ID)                {}
+func (h *lockHolder) SeedResolver(pghive.ID, []string) error { return nil }
+func (h *lockHolder) Next() (*pghive.Batch, error)           { return nil, io.EOF }

@@ -19,9 +19,10 @@ package core
 // CaptureImage + EncodeImage; ResumeFromCheckpoint is DecodeImage +
 // RestoreImage.
 //
-// The byte format is generation 3 (CheckpointVersion): compact JSON with
-// sorted keys, in which every element-keyed collection is grouped and
-// gap-coded — the assignments and the degree tallies (tally.go) in
+// The byte format is generation 3 (CheckpointVersion), which
+// imagecodec.go writes and reads: compact JSON with its members in
+// declaration order, in which every element-keyed collection is grouped
+// and gap-coded — the assignments and the degree tallies (tally.go) in
 // keyed's form, the resolver as one ID list per label set
 // (ResolverNodes). An image of any other version is refused by its
 // version, never read. The schema inside an image is its heads alone
@@ -34,13 +35,11 @@ package core
 // lock, while writes keep landing on the pipeline it was taken from.
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/lsh"
@@ -74,28 +73,11 @@ type resolverGroup struct {
 	IDs    keyed.IDs[pg.ID] `json:"ids"`
 }
 
-// MarshalJSON writes the groups; it refuses nodes out of ID order.
+// MarshalJSON writes the groups; it refuses a label set whose nodes are
+// out of ID order.
 func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
-	var groups []resolverGroup
-	at := map[string]int{}
-	for _, n := range ns {
-		// Joining on NUL costs nothing for the common single label. A label
-		// holding a NUL can make two sets share a key, so the group found
-		// is checked, and searched for on a mismatch.
-		key := strings.Join(n.Labels, "\x00")
-		i, ok := at[key]
-		if !ok || !slices.Equal(groups[i].Labels, n.Labels) {
-			i = slices.IndexFunc(groups, func(g resolverGroup) bool { return slices.Equal(g.Labels, n.Labels) })
-			if i < 0 {
-				i = len(groups)
-				groups = append(groups, resolverGroup{Labels: n.Labels})
-			}
-			at[key] = i
-		}
-		groups[i].IDs = append(groups[i].IDs, n.ID)
-	}
-	slices.SortFunc(groups, func(a, b resolverGroup) int { return slices.Compare(a.Labels, b.Labels) })
-	return json.Marshal(groups)
+	var g keyed.Grouper[pg.ID]
+	return appendResolver(&g, nil, ns)
 }
 
 // UnmarshalJSON reads what MarshalJSON writes. The nodes of one group
@@ -107,32 +89,40 @@ func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
 	}
 	var out ResolverNodes
 	for i, g := range groups {
-		switch {
-		case len(g.IDs) == 0:
-			return fmt.Errorf("resolver: group %v is empty", g.Labels)
-		case g.Labels != nil && len(g.Labels) == 0, !slices.IsSorted(g.Labels):
-			return fmt.Errorf("resolver: label set %q is not canonical", g.Labels)
-		case i > 0 && slices.Compare(groups[i-1].Labels, g.Labels) >= 0:
-			return fmt.Errorf("resolver: label set %q after %q: sets must ascend", g.Labels, groups[i-1].Labels)
+		var prev []string
+		if i > 0 {
+			prev = groups[i-1].Labels
+		}
+		if err := checkResolverGroup(g.Labels, len(g.IDs), prev, i == 0); err != nil {
+			return err
 		}
 		for _, id := range g.IDs {
 			out = append(out, ResolverNode{ID: id, Labels: g.Labels})
 		}
 	}
-	slices.SortFunc(out, func(a, b ResolverNode) int { return cmp.Compare(a.ID, b.ID) })
-	for i := 1; i < len(out); i++ {
-		if out[i].ID == out[i-1].ID {
-			return fmt.Errorf("resolver: node %d is in two label sets", out[i].ID)
-		}
+	return sortResolver(out, ns)
+}
+
+// checkResolverGroup refuses a decoded resolver group of n nodes that is
+// empty, whose label set is not canonical, or whose set does not ascend
+// from the previous group's, prev.
+func checkResolverGroup(labels []string, n int, prev []string, first bool) error {
+	switch {
+	case n == 0:
+		return fmt.Errorf("resolver: group %v is empty", labels)
+	case labels != nil && len(labels) == 0, !slices.IsSorted(labels):
+		return fmt.Errorf("resolver: label set %q is not canonical", labels)
+	case !first && slices.Compare(prev, labels) >= 0:
+		return fmt.Errorf("resolver: label set %q after %q: sets must ascend", labels, prev)
 	}
-	*ns = out
 	return nil
 }
 
 // Image is the materialized checkpoint state — the on-disk layout of a
-// checkpoint file and the value delta runs are diffed against. Maps
-// marshal with sorted keys and shape entries are exported in
-// fingerprint order, so identical states serialize to identical bytes
+// checkpoint file and the value delta runs are diffed against. Its
+// members are written in declaration order (imagecodec.go), keyed
+// collections in ascending order and shape entries in fingerprint
+// order, so identical states serialize to identical bytes
 // — which is what lets tests (and operators) diff checkpoints
 // directly, and what makes the recovered-state bit-identity property
 // checkable by comparing encoded images.
@@ -265,38 +255,13 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 	return img, nil
 }
 
-// EncodeImage writes the image in the canonical checkpoint byte
-// format (compact JSON, sorted map keys, trailing newline).
-func EncodeImage(w io.Writer, img *Image) error {
-	return json.NewEncoder(w).Encode(img)
-}
-
-// DecodeImage reads r to its end and parses it as one image (ParseImage).
-func DecodeImage(r io.Reader) (*Image, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return ParseImage(data)
-}
-
-// ParseImage decodes one checkpoint image, refusing any other version
-// and any bytes after the image.
-func ParseImage(data []byte) (*Image, error) {
-	var img Image
-	if err := parseVersioned(data, &img, &img.Version, "checkpoint", CheckpointVersion); err != nil {
-		return nil, err
-	}
-	return &img, nil
-}
-
-// parseVersioned unmarshals data into v, whose format version lands in
-// *version. A document of another version is refused by its version —
-// also when its body does not parse as this one's, as version 1's
-// element-keyed collections do not — so the error says what the bytes
-// are rather than where they stopped parsing.
-func parseVersioned(data []byte, v any, version *int, what string, want int) error {
-	if err := json.Unmarshal(data, v); err != nil {
+// parseVersioned decodes data with decode, which leaves the format
+// version in *version. A document of another version is refused by its
+// version — also when its body does not decode as this one's, as
+// version 1's element-keyed collections do not — so the error says what
+// the bytes are rather than where they stopped parsing.
+func parseVersioned(data []byte, decode func([]byte) error, version *int, what string, want int) error {
+	if err := decode(data); err != nil {
 		var probe struct {
 			Version int `json:"version"`
 		}

@@ -194,7 +194,7 @@ func EncodeDelta(d *ImageDelta) ([]byte, error) {
 // ParseDelta decodes one run payload, refusing any other version.
 func ParseDelta(data []byte) (*ImageDelta, error) {
 	var d ImageDelta
-	if err := parseVersioned(data, &d, &d.Version, "delta", DeltaVersion); err != nil {
+	if err := parseVersioned(data, func(data []byte) error { return json.Unmarshal(data, &d) }, &d.Version, "delta", DeltaVersion); err != nil {
 		return nil, err
 	}
 	return &d, nil

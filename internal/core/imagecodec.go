@@ -1,0 +1,547 @@
+package core
+
+// imagecodec.go writes and reads the checkpoint image's bytes by hand,
+// the bytes encoding/json wrote for an Image before (image_ref_test.go
+// keeps that codec as the oracle they are held to).
+//
+// The writer emits the members in declaration order, each member that
+// is tagged omitempty only when it is not empty, and a trailing
+// newline. The members that grow with the types (the schema's heads,
+// the adaptive choices, the shape caches, the applied keys) go through
+// encoding/json one at a time, so their escaping and number spelling
+// are encoding/json's. The members that grow with the elements (the
+// assignments, each tally's sides, the resolver) are grouped by value
+// straight from the image into the destination through one
+// keyed.Grouper, whose ID scratch they share: writing costs that
+// scratch and the distinct values, not a map or a buffer per member.
+//
+// The reader walks the members in the same order. Any member may be
+// absent and none may come twice, out of order, under another name or
+// in another case, and no whitespace may stand outside a string; after
+// the object only whitespace may follow. The element-keyed members are
+// decoded in place into collections made at their size; the others are
+// handed, as their raw bytes, to encoding/json.
+
+import (
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"hash/maphash"
+	"io"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+
+	"github.com/pghive/pghive/internal/keyed"
+	"github.com/pghive/pghive/internal/pg"
+)
+
+// imageChunk is how many bytes the writer gathers before it hands them
+// to the destination.
+const imageChunk = 32 << 10
+
+// EncodeImage writes the image in the canonical checkpoint byte format
+// (compact JSON, members in declaration order, trailing newline). On an
+// error w may have received a prefix of the image.
+func EncodeImage(w io.Writer, img *Image) error {
+	e := &imageWriter{w: w, b: make([]byte, 0, 2*imageChunk), sep: '{'}
+	e.g.Flush = e.flush
+	e.int("version", int64(img.Version))
+	e.json("schema", &img.Schema)
+	if len(img.Tallies) > 0 {
+		e.name("tallies")
+		e.b = append(e.b, '[')
+		for i, t := range img.Tallies {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = strconv.AppendInt(append(e.b, `{"type":`...), int64(t.Type), 10)
+			if len(t.Src) > 0 {
+				e.b = e.g.AppendMap(append(e.b, `,"src":`...), t.Src)
+			}
+			if len(t.Dst) > 0 {
+				e.b = e.g.AppendMap(append(e.b, `,"dst":`...), t.Dst)
+			}
+			e.b = append(e.b, '}')
+		}
+		e.b = append(e.b, ']')
+	}
+	e.int("batches", int64(img.Batches))
+	e.assign("nodeAssign", img.NodeAssign)
+	e.assign("edgeAssign", img.EdgeAssign)
+	e.int("nodeClusters", int64(img.NodeClusters))
+	e.int("edgeClusters", int64(img.EdgeClusters))
+	e.int("nodeShapes", int64(img.NodeShapes))
+	e.int("edgeShapes", int64(img.EdgeShapes))
+	e.json("nodeChoice", &img.NodeChoice)
+	e.json("edgeChoice", &img.EdgeChoice)
+	if len(img.NodeShapeCache) > 0 {
+		e.json("nodeShapeCache", img.NodeShapeCache)
+	}
+	if len(img.EdgeShapeCache) > 0 {
+		e.json("edgeShapeCache", img.EdgeShapeCache)
+	}
+	if len(img.Resolver) > 0 && e.err == nil {
+		e.name("resolver")
+		e.b, e.err = appendResolver(&e.g, e.b, img.Resolver)
+	}
+	if img.NextEdgeID != 0 {
+		e.int("nextEdgeID", int64(img.NextEdgeID))
+	}
+	e.int("nextTypeID", int64(img.NextTypeID))
+	if img.WALSeq != 0 {
+		e.name("walSeq")
+		e.b = strconv.AppendUint(e.b, img.WALSeq, 10)
+	}
+	if len(img.AppliedKeys) > 0 {
+		e.json("appliedKeys", img.AppliedKeys)
+	}
+	e.b = append(e.b, "}\n"...)
+	if e.err != nil {
+		return e.err
+	}
+	_, err := w.Write(e.b)
+	return err
+}
+
+// imageWriter gathers an image's bytes in b and hands them to w a chunk
+// at a time. err is the first failure, a refused member or a failed
+// write; after it nothing more is written.
+type imageWriter struct {
+	w   io.Writer
+	b   []byte
+	g   keyed.Grouper[pg.ID]
+	sep byte // what precedes the next member: the object's brace, then a comma
+	err error
+}
+
+// flush hands b to w once it holds a chunk, and returns what to go on
+// appending to.
+func (e *imageWriter) flush(b []byte) []byte {
+	if len(b) < imageChunk {
+		return b
+	}
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+	return b[:0]
+}
+
+// name opens a member.
+func (e *imageWriter) name(name string) {
+	e.b = append(e.flush(e.b), e.sep, '"')
+	e.b = append(append(e.b, name...), '"', ':')
+	e.sep = ','
+}
+
+func (e *imageWriter) int(name string, v int64) {
+	e.name(name)
+	e.b = strconv.AppendInt(e.b, v, 10)
+}
+
+func (e *imageWriter) assign(name string, m keyed.Map[pg.ID]) {
+	if len(m) > 0 {
+		e.name(name)
+		e.b = e.g.AppendMap(e.b, m)
+	}
+}
+
+// json writes a member that grows with the types through encoding/json.
+func (e *imageWriter) json(name string, v any) {
+	if e.err != nil {
+		return
+	}
+	text, err := json.Marshal(v)
+	if err != nil {
+		e.err = err
+		return
+	}
+	e.name(name)
+	e.b = append(e.b, text...)
+}
+
+// appendResolver appends the resolver's groups: one gap-coded ID list
+// per label set, the sets in ascending order. It refuses a set whose
+// nodes are not in ascending ID order.
+func appendResolver(g *keyed.Grouper[pg.ID], b []byte, ns ResolverNodes) ([]byte, error) {
+	var sets labelSets
+	for i := range ns {
+		sets.index(ns[i].Labels)
+	}
+	byLabels := make([]int, len(sets.sets))
+	for i := range byLabels {
+		byLabels[i] = i
+	}
+	slices.SortFunc(byLabels, func(a, b int) int { return slices.Compare(sets.sets[a], sets.sets[b]) })
+	rank := make([]int, len(byLabels))
+	for r, i := range byLabels {
+		rank[i] = r
+	}
+	return g.AppendGroups(b, len(rank), func(put func(pg.ID, int)) {
+		for i := range ns {
+			put(ns[i].ID, rank[sets.index(ns[i].Labels)])
+		}
+	}, false, func(b []byte, r int) []byte {
+		b = append(b, '{')
+		if labels := sets.sets[byLabels[r]]; len(labels) > 0 {
+			text, _ := json.Marshal(labels) // strings always marshal
+			b = append(append(append(b, `"labels":`...), text...), ',')
+		}
+		return append(b, `"ids":`...)
+	})
+}
+
+// labelSets numbers the distinct label sets of a resolver in the order
+// they are first seen, without building a key per node: a set is found
+// by its hash and then compared, and a run of nodes with one set costs
+// a comparison each.
+type labelSets struct {
+	sets [][]string
+	at   map[uint64]int // hash → the first set with it
+	seed maphash.Seed
+	last int
+}
+
+func (ls *labelSets) index(labels []string) int {
+	if ls.last < len(ls.sets) && slices.Equal(ls.sets[ls.last], labels) {
+		return ls.last
+	}
+	if ls.at == nil {
+		ls.at, ls.seed = map[uint64]int{}, maphash.MakeSeed()
+	}
+	var h maphash.Hash
+	h.SetSeed(ls.seed)
+	for _, l := range labels {
+		h.WriteString(l)
+		h.WriteByte(0)
+	}
+	sum := h.Sum64()
+	i, ok := ls.at[sum]
+	switch {
+	case !ok:
+		i = len(ls.sets)
+		ls.sets = append(ls.sets, labels)
+		ls.at[sum] = i
+	case !slices.Equal(ls.sets[i], labels): // two sets on one hash
+		if i = slices.IndexFunc(ls.sets, func(s []string) bool { return slices.Equal(s, labels) }); i < 0 {
+			i = len(ls.sets)
+			ls.sets = append(ls.sets, labels)
+		}
+	}
+	ls.last = i
+	return i
+}
+
+// DecodeImage reads r to its end and parses it as one image (ParseImage).
+func DecodeImage(r io.Reader) (*Image, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	return ParseImage(data)
+}
+
+// ParseImage decodes one checkpoint image, refusing any other version,
+// any other spelling of the envelope and any bytes but whitespace after
+// the image.
+func ParseImage(data []byte) (*Image, error) {
+	var img Image
+	if err := parseVersioned(data, func(data []byte) error { return readImage(data, &img) }, &img.Version, "checkpoint", CheckpointVersion); err != nil {
+		return nil, err
+	}
+	return &img, nil
+}
+
+// imageMembers are Image's JSON member names in declaration order, the
+// order they are written and read in.
+var imageMembers = func() []string {
+	t := reflect.TypeFor[Image]()
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}()
+
+// readImage decodes the members of one image into img.
+func readImage(data []byte, img *Image) error {
+	r := &imageReader{data: data}
+	next := 0 // the first member that may still come
+	err := r.seq("{", "}", func() error {
+		name, err := r.name()
+		if err != nil {
+			return err
+		}
+		i := slices.Index(imageMembers[next:], name)
+		if i < 0 {
+			return r.fail(fmt.Sprintf("member %q is unknown, repeated or out of order", name))
+		}
+		next += i + 1
+		if err := r.member(img, next-1); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, c := range data[r.pos:] {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return r.fail("trailing bytes")
+		}
+	}
+	return nil
+}
+
+// imageReader walks one encoded image.
+type imageReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *imageReader) fail(why string) error {
+	return fmt.Errorf("offset %d: %s", r.pos, why)
+}
+
+// accept consumes s if it is next.
+func (r *imageReader) accept(s string) bool {
+	if len(r.data)-r.pos < len(s) || string(r.data[r.pos:r.pos+len(s)]) != s {
+		return false
+	}
+	r.pos += len(s)
+	return true
+}
+
+// expect consumes s, or fails where it is not next.
+func (r *imageReader) expect(s string) error {
+	if !r.accept(s) {
+		return r.fail(fmt.Sprintf("want %q", s))
+	}
+	return nil
+}
+
+// seq consumes an object or an array: open, elements separated by
+// commas, close. elem consumes one element.
+func (r *imageReader) seq(open, close string, elem func() error) error {
+	if err := r.expect(open); err != nil {
+		return err
+	}
+	if r.accept(close) {
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		if r.accept(close) {
+			return nil
+		}
+		if err := r.expect(","); err != nil {
+			return err
+		}
+	}
+}
+
+// name consumes a member name and its colon. Member names hold no
+// escapes, so a name spelled with one is one no member has.
+func (r *imageReader) name() (string, error) {
+	if err := r.expect(`"`); err != nil {
+		return "", err
+	}
+	start := r.pos
+	for r.pos < len(r.data) && r.data[r.pos] != '"' {
+		r.pos++
+	}
+	name := string(r.data[start:r.pos])
+	if err := r.expect(`":`); err != nil {
+		return "", err
+	}
+	return name, nil
+}
+
+// member decodes the value of Image's i-th member into img.
+func (r *imageReader) member(img *Image, i int) error {
+	switch imageMembers[i] {
+	case "tallies":
+		return r.tallies(&img.Tallies)
+	case "nodeAssign":
+		return r.keyedMap(&img.NodeAssign)
+	case "edgeAssign":
+		return r.keyedMap(&img.EdgeAssign)
+	case "resolver":
+		return r.resolver(&img.Resolver)
+	}
+	return r.json(reflect.ValueOf(img).Elem().Field(i).Addr().Interface())
+}
+
+// json decodes the JSON value at the reader's position into v through
+// encoding/json, after finding where it ends.
+func (r *imageReader) json(v any) error {
+	raw, err := r.value()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
+}
+
+// value consumes one JSON value and returns its bytes, refusing
+// whitespace outside its strings. It finds only where the value ends;
+// encoding/json checks the rest.
+func (r *imageReader) value() ([]byte, error) {
+	start, depth := r.pos, 0
+	for r.pos < len(r.data) {
+		c := r.data[r.pos]
+		switch c {
+		case '"':
+			for r.pos++; r.pos < len(r.data) && r.data[r.pos] != '"'; r.pos++ {
+				if r.data[r.pos] == '\\' {
+					r.pos++
+				}
+			}
+			if r.pos >= len(r.data) {
+				return nil, r.fail("unterminated string")
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 { // a scalar, closed by what holds it
+				return r.data[start:r.pos], nil
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				return r.data[start:r.pos], nil
+			}
+		case ' ', '\t', '\n', '\r':
+			return nil, r.fail("whitespace outside a string")
+		}
+		r.pos++
+		if depth == 0 && (c == '"' || c == '}' || c == ']') {
+			return r.data[start:r.pos], nil
+		}
+	}
+	return r.data[start:], nil
+}
+
+// keyedMap decodes a keyed.Map in place.
+func (r *imageReader) keyedMap(m *keyed.Map[pg.ID]) error {
+	v, n, err := keyed.DecodeMap[pg.ID](r.data[r.pos:])
+	if err != nil {
+		return err
+	}
+	r.pos += n
+	*m = v
+	return nil
+}
+
+// tallies decodes the tally groups, refusing what checkGroup refuses.
+func (r *imageReader) tallies(ts *Tallies) error {
+	out := Tallies{}
+	err := r.seq("[", "]", func() error {
+		var t Tally
+		if err := r.expect(`{"type":`); err != nil {
+			return err
+		}
+		if err := r.json(&t.Type); err != nil {
+			return err
+		}
+		if r.accept(`,"src":`) {
+			if err := r.keyedMap(&t.Src); err != nil {
+				return err
+			}
+		}
+		if r.accept(`,"dst":`) {
+			if err := r.keyedMap(&t.Dst); err != nil {
+				return err
+			}
+		}
+		if err := r.expect("}"); err != nil {
+			return err
+		}
+		ordered := len(out) == 0 || t.Type > out[len(out)-1].Type
+		if err := checkGroup(t.Type, ordered, len(t.Src)+len(t.Dst) == 0, t.Src, t.Dst); err != nil {
+			return err
+		}
+		out = append(out, t)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	*ts = out
+	return nil
+}
+
+// resolver decodes the resolver's groups into one slice made at its
+// size: a first pass reads each group's labels and counts its IDs, a
+// second places them.
+func (r *imageReader) resolver(ns *ResolverNodes) error {
+	type group struct {
+		labels []string
+		ids    int // where the group's ID list starts
+	}
+	var groups []group
+	total := 0
+	err := r.seq("[", "]", func() error {
+		var g group
+		if err := r.expect("{"); err != nil {
+			return err
+		}
+		if r.accept(`"labels":`) {
+			if err := r.json(&g.labels); err != nil {
+				return err
+			}
+			if err := r.expect(","); err != nil {
+				return err
+			}
+		}
+		if err := r.expect(`"ids":`); err != nil {
+			return err
+		}
+		g.ids = r.pos
+		count, n, err := keyed.DecodeIDs(r.data[r.pos:], func(pg.ID) error { return nil })
+		if err != nil {
+			return err
+		}
+		r.pos += n
+		if err := r.expect("}"); err != nil {
+			return err
+		}
+		var prev []string
+		if len(groups) > 0 {
+			prev = groups[len(groups)-1].labels
+		}
+		if err := checkResolverGroup(g.labels, count, prev, len(groups) == 0); err != nil {
+			return err
+		}
+		groups = append(groups, g)
+		total += count
+		return nil
+	})
+	if err != nil || total == 0 {
+		return err
+	}
+	out := make(ResolverNodes, 0, total)
+	for _, g := range groups {
+		// The first pass read these bytes without a refusal.
+		keyed.DecodeIDs(r.data[g.ids:], func(id pg.ID) error {
+			out = append(out, ResolverNode{ID: id, Labels: g.labels})
+			return nil
+		})
+	}
+	return sortResolver(out, ns)
+}
+
+// sortResolver puts decoded resolver nodes in ID order into *ns,
+// refusing a node in two label sets.
+func sortResolver(out ResolverNodes, ns *ResolverNodes) error {
+	slices.SortFunc(out, func(a, b ResolverNode) int { return cmp.Compare(a.ID, b.ID) })
+	for i := 1; i < len(out); i++ {
+		if out[i].ID == out[i-1].ID {
+			return fmt.Errorf("resolver: node %d is in two label sets", out[i].ID)
+		}
+	}
+	*ns = out
+	return nil
+}

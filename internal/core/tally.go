@@ -50,22 +50,6 @@ func (c *TallyChange) empty() bool {
 	return len(c.SrcPut)+len(c.SrcDel)+len(c.DstPut)+len(c.DstDel) == 0
 }
 
-// UnmarshalJSON reads the groups, refusing what checkGroup refuses.
-func (ts *Tallies) UnmarshalJSON(data []byte) error {
-	var groups []Tally
-	if err := json.Unmarshal(data, &groups); err != nil {
-		return err
-	}
-	for i, g := range groups {
-		ordered := i == 0 || g.Type > groups[i-1].Type
-		if err := checkGroup(g.Type, ordered, len(g.Src)+len(g.Dst) == 0, g.Src, g.Dst); err != nil {
-			return err
-		}
-	}
-	*ts = groups
-	return nil
-}
-
 // UnmarshalJSON reads the changes, refusing what checkGroup refuses.
 func (cs *TallyChanges) UnmarshalJSON(data []byte) error {
 	var changes []TallyChange

@@ -5,8 +5,10 @@
 //
 // It also owns how element-keyed state is written (wire.go): an ID
 // list as its first ID and the gaps (IDs), a map onto small ints as one
-// such list per value (Map). Base images and runs of format generation
-// 3 spell every assignment, degree tally and tombstone list that way.
+// such list per value (Map), written through one Grouper whose ID
+// scratch every collection reuses. Base images and runs of format
+// generation 3 spell every assignment, degree tally and tombstone list
+// that way.
 package keyed
 
 import "slices"

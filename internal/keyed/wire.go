@@ -16,7 +16,6 @@ package keyed
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -45,31 +44,109 @@ func (s *IDs[K]) UnmarshalJSON(data []byte) (err error) {
 
 // MarshalJSON writes the value groups.
 func (m Map[K]) MarshalJSON() ([]byte, error) {
-	byValue := map[int][]K{}
-	for id, v := range m {
-		byValue[v] = append(byValue[v], id)
-	}
-	b := make([]byte, 0, 2+4*len(m)+24*len(byValue))
-	b = append(b, '[')
-	for i, v := range slices.Sorted(maps.Keys(byValue)) {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"v":`...)
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, `,"ids":`...)
-		ids := byValue[v]
-		slices.Sort(ids)
-		b, _ = appendIDs(b, ids) // distinct map keys, sorted: always ascends
-		b = append(b, '}')
-	}
-	return append(b, ']'), nil
+	var g Grouper[K]
+	return g.AppendMap(make([]byte, 0, 2+4*len(m)), m), nil
 }
 
 // UnmarshalJSON reads what MarshalJSON writes and nothing else.
 func (m *Map[K]) UnmarshalJSON(data []byte) (err error) {
 	*m, err = parseMap[K](data)
 	return err
+}
+
+// Grouper appends collections in their grouped form: one
+// {head,"ids":IDs} object per group. It counts the items of each group,
+// places every ID in one scratch slice at its group's offset and writes
+// the groups from there, so a collection costs the scratch (which every
+// collection a Grouper writes reuses) and its distinct values, never a
+// slice per group.
+type Grouper[K ~int64] struct {
+	// Flush, when set, is handed the bytes appended so far after each
+	// group and returns the buffer to go on with: how a writer streams a
+	// collection to its destination in bounded memory.
+	Flush func(b []byte) []byte
+
+	ids  []K
+	ends []int
+	rank map[int]int // AppendMap: a value's group
+	vals []int       // AppendMap: the distinct values, ascending
+}
+
+// AppendMap appends m's JSON form: one {"v":value,"ids":IDs} group per
+// distinct value, in ascending value order.
+func (g *Grouper[K]) AppendMap(b []byte, m Map[K]) []byte {
+	if g.rank == nil {
+		g.rank = map[int]int{}
+	}
+	clear(g.rank)
+	g.vals = g.vals[:0]
+	for _, v := range m {
+		if _, ok := g.rank[v]; !ok {
+			g.rank[v] = 0
+			g.vals = append(g.vals, v)
+		}
+	}
+	slices.Sort(g.vals)
+	for i, v := range g.vals {
+		g.rank[v] = i
+	}
+	b, _ = g.AppendGroups(b, len(g.vals), func(put func(K, int)) {
+		for id, v := range m {
+			put(id, g.rank[v])
+		}
+	}, true, func(b []byte, i int) []byte {
+		b = append(b, `{"v":`...)
+		b = strconv.AppendInt(b, int64(g.vals[i]), 10)
+		return append(b, `,"ids":`...)
+	})
+	return b // distinct map keys, sorted: always ascends
+}
+
+// AppendGroups appends items sorted into groups as a JSON array: for
+// each non-empty group in index order, head's opening of it, its IDs
+// gap-coded and a closing brace. each hands put every item's ID and
+// group index; it is called twice, to count and then to fill, and a
+// group keeps its IDs in the order of the second call unless sort is
+// set. It refuses a group whose IDs do not then strictly ascend.
+func (g *Grouper[K]) AppendGroups(b []byte, groups int, each func(put func(id K, group int)), sort bool, head func(b []byte, group int) []byte) ([]byte, error) {
+	g.ends = slices.Grow(g.ends[:0], groups+1)[:groups+1]
+	clear(g.ends)
+	n := 0
+	each(func(_ K, i int) { g.ends[i+1]++; n++ })
+	for i := range groups {
+		g.ends[i+1] += g.ends[i]
+	}
+	if cap(g.ids) < n {
+		g.ids = make([]K, n, max(n, 2*cap(g.ids)))
+	}
+	g.ids = g.ids[:n]
+	// ends[i] is group i's fill position while filling, and its end after.
+	each(func(id K, i int) { g.ids[g.ends[i]] = id; g.ends[i]++ })
+	b = append(b, '[')
+	start, first := 0, true
+	for i := range groups {
+		ids := g.ids[start:g.ends[i]]
+		start = g.ends[i]
+		if len(ids) == 0 {
+			continue
+		}
+		if sort {
+			slices.Sort(ids)
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		var err error
+		if b, err = appendIDs(head(b, i), ids); err != nil {
+			return nil, err
+		}
+		b = append(b, '}')
+		if g.Flush != nil {
+			b = g.Flush(b)
+		}
+	}
+	return append(b, ']'), nil
 }
 
 func appendIDs[K ~int64](b []byte, ids []K) ([]byte, error) {
@@ -91,14 +168,13 @@ func appendIDs[K ~int64](b []byte, ids []K) ([]byte, error) {
 
 // parseIDs decodes a gap-coded list; [] is nil.
 func parseIDs[K ~int64](data []byte) (IDs[K], error) {
-	r := &reader{data: data}
 	var ids IDs[K]
-	_, err := r.ids(func(id int64) error {
-		ids = append(ids, K(id))
+	_, n, err := DecodeIDs(data, func(id K) error {
+		ids = append(ids, id)
 		return nil
 	})
-	if err == nil {
-		err = r.end()
+	if err == nil && n != len(data) {
+		err = (&reader{data: data, pos: n}).end()
 	}
 	if err != nil {
 		return nil, err
@@ -108,59 +184,97 @@ func parseIDs[K ~int64](data []byte) (IDs[K], error) {
 
 // parseMap decodes value groups; [] is nil.
 func parseMap[K ~int64](data []byte) (Map[K], error) {
-	r := &reader{data: data}
-	if err := r.expect("["); err != nil {
-		return nil, err
+	m, n, err := DecodeMap[K](data)
+	if err == nil && n != len(data) {
+		err = (&reader{data: data, pos: n}).end()
 	}
-	var m Map[K]
-	if !r.accept("]") {
-		m = Map[K]{}
-		for prev := int64(0); ; {
-			if err := r.expect(`{"v":`); err != nil {
-				return nil, err
-			}
-			v, err := r.int()
-			if err != nil {
-				return nil, err
-			}
-			if len(m) > 0 && v <= prev {
-				return nil, r.fail(fmt.Sprintf("group %d after group %d: groups must ascend", v, prev))
-			}
-			if int64(int(v)) != v {
-				return nil, r.fail(fmt.Sprintf("value %d overflows int", v))
-			}
-			prev = v
-			if err := r.expect(`,"ids":`); err != nil {
-				return nil, err
-			}
-			n, err := r.ids(func(id int64) error {
-				if _, dup := m[K(id)]; dup {
-					return r.fail(fmt.Sprintf("ID %d is in two groups", id))
-				}
-				m[K(id)] = int(v)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				return nil, r.fail(fmt.Sprintf("group %d is empty", v))
-			}
-			if err := r.expect("}"); err != nil {
-				return nil, err
-			}
-			if r.accept("]") {
-				break
-			}
-			if err := r.expect(","); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := r.end(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// DecodeIDs reads the gap-coded list at the start of data, handing each
+// ID to emit in order. It reports how many IDs it read and how many
+// bytes the list spans; what follows is the caller's.
+func DecodeIDs[K ~int64](data []byte, emit func(K) error) (count, n int, err error) {
+	r := &reader{data: data}
+	count, err = r.ids(func(id int64) error { return emit(K(id)) })
+	return count, r.pos, err
+}
+
+// DecodeMap reads the value groups at the start of data and reports how
+// many bytes they span; what follows is the caller's. It reads them
+// twice, first to check their spelling and count their IDs, so the map
+// is made once at its size; [] is nil.
+func DecodeMap[K ~int64](data []byte) (Map[K], int, error) {
+	r := &reader{data: data}
+	n := 0
+	if err := r.groups(func(int64, int64) error { n++; return nil }); err != nil {
+		return nil, 0, err
+	}
+	if n == 0 {
+		return nil, r.pos, nil
+	}
+	m := make(Map[K], n)
+	r.pos = 0
+	err := r.groups(func(id, v int64) error {
+		if _, dup := m[K(id)]; dup {
+			return r.fail(fmt.Sprintf("ID %d is in two groups", id))
+		}
+		m[K(id)] = int(v)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, r.pos, nil
+}
+
+// groups consumes value groups, handing put each ID with its group's
+// value.
+func (r *reader) groups(put func(id, v int64) error) error {
+	if err := r.expect("["); err != nil {
+		return err
+	}
+	if r.accept("]") {
+		return nil
+	}
+	for first, prev := true, int64(0); ; first = false {
+		if err := r.expect(`{"v":`); err != nil {
+			return err
+		}
+		v, err := r.int()
+		if err != nil {
+			return err
+		}
+		if !first && v <= prev {
+			return r.fail(fmt.Sprintf("group %d after group %d: groups must ascend", v, prev))
+		}
+		if int64(int(v)) != v {
+			return r.fail(fmt.Sprintf("value %d overflows int", v))
+		}
+		prev = v
+		if err := r.expect(`,"ids":`); err != nil {
+			return err
+		}
+		n, err := r.ids(func(id int64) error { return put(id, v) })
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return r.fail(fmt.Sprintf("group %d is empty", v))
+		}
+		if err := r.expect("}"); err != nil {
+			return err
+		}
+		if r.accept("]") {
+			return nil
+		}
+		if err := r.expect(","); err != nil {
+			return err
+		}
+	}
 }
 
 // reader walks one encoded collection. Only a refusal allocates.

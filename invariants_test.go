@@ -103,7 +103,7 @@ var rules = []struct {
 	{"ContextPropagates", nil, contextPropagates},
 	{"DurableErrorsChecked", []string{"durable.go", "internal/wal/*.go"}, durableErrorsChecked},
 	{"WitnessesComeFromLocks", nil, witnessesComeFromLocks},
-	{"SortedMapOutput", []string{"internal/serialize/*.go", "internal/schema/*.go", "internal/core/checkpoint.go"}, sortedMapOutput},
+	{"SortedMapOutput", []string{"internal/serialize/*.go", "internal/schema/*.go", "internal/core/checkpoint.go", "internal/core/imagecodec.go"}, sortedMapOutput},
 }
 
 func governs(scope []string, p string) bool {

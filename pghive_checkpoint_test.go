@@ -15,6 +15,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/datagen"
@@ -356,5 +357,71 @@ func TestServiceCheckpointCarriesCSVState(t *testing.T) {
 	}
 	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
 		t.Error("final checkpoints of uninterrupted and restarted service differ")
+	}
+}
+
+// blockingWriter stands for a client that stops reading: its first
+// Write announces itself on started and then waits for release.
+type blockingWriter struct {
+	started, release chan struct{}
+	buf              bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if w.started != nil {
+		close(w.started)
+		w.started = nil
+		<-w.release
+	}
+	return w.buf.Write(p)
+}
+
+// TestWriteCheckpointEncodesOffTheWriteLock: a checkpoint whose
+// destination stalls does not stall writes. WriteCheckpoint captures
+// the state under the write lock and encodes it after releasing the
+// lock, so an Ingest completes while the image's first Write is
+// blocked, and the image is the state as captured, without that
+// ingest.
+func TestWriteCheckpointEncodesOffTheWriteLock(t *testing.T) {
+	mkGraph := func(label string, base pghive.ID) *pghive.Graph {
+		g := pghive.NewGraph()
+		for j := pghive.ID(0); j < 5; j++ {
+			_ = g.PutNode(base+j, []string{label}, pghive.PropsOf(map[string]pghive.Value{"k": pghive.Int(int64(j))}))
+		}
+		return g
+	}
+	svc := pghive.NewService(pghive.Options{Seed: 1})
+	svc.Ingest(mkGraph("A", 0))
+	var want bytes.Buffer
+	if err := svc.WriteCheckpoint(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	started := w.started
+	done := make(chan error, 1)
+	go func() { done <- svc.WriteCheckpoint(w) }()
+	<-started
+	ingested := make(chan struct{})
+	go func() {
+		svc.Ingest(mkGraph("B", 100))
+		close(ingested)
+	}()
+	select {
+	case <-ingested:
+	case <-time.After(10 * time.Second):
+		close(w.release)
+		<-done
+		t.Fatal("an Ingest waited on a checkpoint blocked in its destination's Write")
+	}
+	close(w.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.buf.Bytes(), want.Bytes()) {
+		t.Fatal("the image written while an Ingest landed differs from the state it was captured at")
+	}
+	if got := len(svc.Schema().NodeTypes); got != 2 {
+		t.Fatalf("after the ingest the schema has %d node types, want 2", got)
 	}
 }

@@ -202,11 +202,11 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 	d := openDegradeService(t, mem)
 	defer d.Close()
 
-	// A checkpoint into a writer that blocks stands in for whatever
+	// A stream that blocks while it is seeded stands in for whatever
 	// holds the write lock for long.
-	bs := newGateWriter()
+	bs := newLockGate()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.WriteCheckpoint(bs) }()
+	go func() { drainDone <- d.DrainStream(context.Background(), bs, nil) }()
 	<-bs.entered
 
 	nextLSN := d.DurableStats().WALNextLSN
@@ -228,7 +228,7 @@ func TestWriteDeadlineFailsFastWhenLockIsHeld(t *testing.T) {
 
 	close(bs.release)
 	if err := <-drainDone; err != nil {
-		t.Fatalf("checkpoint: %v", err)
+		t.Fatalf("gated drain: %v", err)
 	}
 	// The lock is free again; re-submitting the same (unkeyed) write now
 	// applies it exactly once: the timed-out attempt left nothing behind

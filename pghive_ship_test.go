@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -124,26 +125,32 @@ func backendManifest(t *testing.T, b store.Backend, obj string) *runfile.Manifes
 	return m
 }
 
-// gateWriter is an io.Writer whose first Write signals entry and then
-// blocks until released. WriteCheckpoint into it holds the service
-// write lock for exactly the gated window — the test's deterministic
-// way to park a burst of writers behind the lock, for whichever of them
-// gets it next to claim, regardless of scheduler or core count.
-type gateWriter struct {
+// lockGate holds a service's write lock for exactly a gated window —
+// the test's deterministic way to park a burst of writers behind the
+// lock, for whichever of them gets it next to claim, regardless of
+// scheduler or core count. It is a CSV-like stream whose NextEdgeID
+// signals entry and then blocks until released: DrainStream asks it
+// under the write lock, while seeding it from the service's state, so
+// draining it holds the lock for the gated window and then ends.
+type lockGate struct {
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func newGateWriter() *gateWriter {
-	return &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+func newLockGate() *lockGate {
+	return &lockGate{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (w *gateWriter) Write(p []byte) (int, error) {
-	w.once.Do(func() { close(w.entered) })
-	<-w.release
-	return len(p), nil
+func (g *lockGate) NextEdgeID() pghive.ID {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return 1
 }
+
+func (g *lockGate) SetNextEdgeID(pghive.ID)                {}
+func (g *lockGate) SeedResolver(pghive.ID, []string) error { return nil }
+func (g *lockGate) Next() (*pghive.Batch, error)           { return nil, io.EOF }
 
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	mem := vfs.NewMemFS()
@@ -168,13 +175,13 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	}
 	base = d.DurableStats().WALSyncs
 
-	// Hold the write lock via a gated checkpoint while a burst of
+	// Hold the write lock via a gated stream while a burst of
 	// writers waits for it: no writer can start a group until the gate
 	// opens, and then the one that gets the lock claims everyone waiting
 	// — a handful of fsyncs for 64 acknowledged writes.
-	gate := newGateWriter()
+	gate := newLockGate()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.WriteCheckpoint(gate) }()
+	go func() { drainDone <- d.DrainStream(context.Background(), gate, nil) }()
 	<-gate.entered
 
 	const writers = 64
@@ -273,15 +280,15 @@ func TestGroupCommitInGroupDuplicateFailsWithGroup(t *testing.T) {
 	defer d.Close()
 
 	// A pre-fault write, then hold the write lock via a gated
-	// checkpoint: both keyed writes wait for the lock, and when the gate
+	// stream: both keyed writes wait for the lock, and when the gate
 	// opens the one that gets it claims the other, so both land in one
 	// group — the one whose fsync fails.
 	if err := durableIngest(d, stressGraph(t, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	gate := newGateWriter()
+	gate := newLockGate()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.WriteCheckpoint(gate) }()
+	go func() { drainDone <- d.DrainStream(context.Background(), gate, nil) }()
 	<-gate.entered
 
 	type keyedRes struct {
@@ -328,9 +335,9 @@ func TestGroupCommitInGroupDuplicateReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	gate := newGateWriter()
+	gate := newLockGate()
 	drainDone := make(chan error, 1)
-	go func() { drainDone <- d.WriteCheckpoint(gate) }()
+	go func() { drainDone <- d.DrainStream(context.Background(), gate, nil) }()
 	<-gate.entered
 	dummyDone := make(chan error, 1)
 	go func() {

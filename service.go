@@ -313,15 +313,21 @@ func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) (bt Batch
 	return bt
 }
 
-// writeCheckpoint serializes the full state under the write lock (see
-// Service.WriteCheckpoint).
+// writeCheckpoint captures the full state under the write lock and
+// encodes it after releasing the lock (see Service.WriteCheckpoint). An
+// image never aliases the pipeline it was captured from, so writes may
+// land while it is encoded.
 func (w *writer) writeCheckpoint(out io.Writer) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inc.WriteCheckpoint(out, &core.CheckpointExtras{
+	img, err := w.inc.CaptureImage(&core.CheckpointExtras{
 		Resolver:   w.resolver,
 		NextEdgeID: w.nextEdgeID,
 	})
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return core.EncodeImage(out, img)
 }
 
 // Ingest runs one batch through the pipeline and publishes a fresh
@@ -469,8 +475,9 @@ func (r *Reader) WriteSchemaJSON(w io.Writer) error {
 
 // WriteCheckpoint serializes the service's full state — schema,
 // assignments, shape caches, endpoint bookkeeping — so RestoreService
-// can resume it bit-identically. The write lock is held for the
-// duration, so the image is consistent with exactly the batches whose
-// snapshots were published before the call returned. The image carries
-// no idempotency keys: a restored Service has seen none.
+// can resume it bit-identically. The state is captured under the write
+// lock, so the image is consistent with exactly the batches whose
+// snapshots were published before the capture; it is encoded into w
+// after the lock is released, so a slow w stalls no write. The image
+// carries no idempotency keys: a restored Service has seen none.
 func (s *Service) WriteCheckpoint(w io.Writer) error { return s.w.writeCheckpoint(w) }
