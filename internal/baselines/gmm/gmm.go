@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 	"github.com/pghive/pghive/internal/vectorize"
@@ -74,8 +75,9 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of a GMMSchema run: node types only.
 type Result struct {
-	Schema     *schema.Schema
-	NodeAssign map[pg.ID]*schema.NodeType
+	Schema *schema.Schema
+	// NodeAssign maps every node to its type's ID.
+	NodeAssign keyed.Column[pg.ID, int32]
 	Components int
 	Elapsed    time.Duration
 }
@@ -123,13 +125,11 @@ func Discover(g *pg.Graph, opts Options) (*Result, error) {
 	s := schema.New()
 	cands := schema.BuildNodeCandidates(nodes, assign, len(model.comps))
 	types := s.ExtractNodeTypes(cands, 1.01) // θ>1: no Jaccard merging — GMMSchema has no such step
-	nodeAssign := make(map[pg.ID]*schema.NodeType, len(nodes))
-	for i := range nodes {
-		nodeAssign[nodes[i].ID] = types[assign[i]]
-	}
 	return &Result{
-		Schema:     s,
-		NodeAssign: nodeAssign,
+		Schema: s,
+		NodeAssign: keyed.Build(len(nodes),
+			func(i int) pg.ID { return nodes[i].ID },
+			func(i int) int32 { return int32(types[assign[i]].ID) }),
 		Components: len(model.comps),
 		Elapsed:    time.Since(start),
 	}, nil

@@ -41,8 +41,8 @@ func TestDiscoverCleanData(t *testing.T) {
 			t.Errorf("Type%d missing from GMM schema", ty)
 		}
 	}
-	if len(res.NodeAssign) != g.NumNodes() {
-		t.Errorf("assignments = %d, want %d", len(res.NodeAssign), g.NumNodes())
+	if res.NodeAssign.Len() != g.NumNodes() {
+		t.Errorf("assignments = %d, want %d", res.NodeAssign.Len(), g.NumNodes())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestDiscoverSamplingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All 300 nodes must still be assigned despite fitting on 50.
-	if len(res.NodeAssign) != 300 {
-		t.Errorf("assignments = %d, want 300", len(res.NodeAssign))
+	if res.NodeAssign.Len() != 300 {
+		t.Errorf("assignments = %d, want 300", res.NodeAssign.Len())
 	}
 }
 

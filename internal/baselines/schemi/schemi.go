@@ -26,6 +26,7 @@ import (
 	"errors"
 	"time"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 	"github.com/pghive/pghive/internal/schema"
 )
@@ -35,9 +36,10 @@ var ErrUnlabeled = errors.New("schemi: SchemI requires every node and edge to be
 
 // Result is the outcome of a SchemI run.
 type Result struct {
-	Schema     *schema.Schema
-	NodeAssign map[pg.ID]*schema.NodeType
-	EdgeAssign map[pg.ID]*schema.EdgeType
+	Schema *schema.Schema
+	// NodeAssign / EdgeAssign map every element to its type's ID.
+	NodeAssign keyed.Column[pg.ID, int32]
+	EdgeAssign keyed.Column[pg.ID, int32]
 	Elapsed    time.Duration
 }
 
@@ -162,17 +164,14 @@ func Discover(g *pg.Graph) (*Result, error) {
 	// distinguish same-label types either.
 	etypes := s.ExtractEdgeTypes(ecands, 1.01)
 
-	res := &Result{
-		Schema:     s,
-		NodeAssign: make(map[pg.ID]*schema.NodeType, len(nodes)),
-		EdgeAssign: make(map[pg.ID]*schema.EdgeType, len(edges)),
-	}
-	for i := range nodes {
-		res.NodeAssign[nodes[i].ID] = ntypes[nodeGroupOf[i]]
-	}
-	for i := range edges {
-		res.EdgeAssign[edges[i].ID] = etypes[edgeGroupOf[i]]
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return &Result{
+		Schema: s,
+		NodeAssign: keyed.Build(len(nodes),
+			func(i int) pg.ID { return nodes[i].ID },
+			func(i int) int32 { return int32(ntypes[nodeGroupOf[i]].ID) }),
+		EdgeAssign: keyed.Build(len(edges),
+			func(i int) pg.ID { return edges[i].ID },
+			func(i int) int32 { return int32(etypes[edgeGroupOf[i]].ID) }),
+		Elapsed: time.Since(start),
+	}, nil
 }

@@ -46,9 +46,9 @@ func TestDiscoverCollapsesMultiLabelOntoFirstLabel(t *testing.T) {
 	}
 	// All 14 people share one type assignment.
 	seen := map[int]bool{}
-	for id, ty := range res.NodeAssign {
+	for id, ty := range res.NodeAssign.All() {
 		if g.Node(id).Labels[0] == "Person" {
-			seen[ty.ID] = true
+			seen[int(ty)] = true
 		}
 	}
 	if len(seen) != 1 {
@@ -99,7 +99,9 @@ func TestDiscoverEdgesIgnoreEndpoints(t *testing.T) {
 	if got := len(res.Schema.EdgeTypes); got != 1 {
 		t.Fatalf("edge types = %d, want 1 (label-only typing)", got)
 	}
-	if res.EdgeAssign[0] != res.EdgeAssign[1] {
+	t0, _ := res.EdgeAssign.Get(0)
+	t1, _ := res.EdgeAssign.Get(1)
+	if t0 != t1 {
 		t.Error("both REL edges must map to the same SchemI type")
 	}
 }
@@ -110,11 +112,11 @@ func TestDiscoverAssignsEveryElement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.NodeAssign) != g.NumNodes() {
-		t.Errorf("node assignments = %d, want %d", len(res.NodeAssign), g.NumNodes())
+	if res.NodeAssign.Len() != g.NumNodes() {
+		t.Errorf("node assignments = %d, want %d", res.NodeAssign.Len(), g.NumNodes())
 	}
-	if len(res.EdgeAssign) != g.NumEdges() {
-		t.Errorf("edge assignments = %d, want %d", len(res.EdgeAssign), g.NumEdges())
+	if res.EdgeAssign.Len() != g.NumEdges() {
+		t.Errorf("edge assignments = %d, want %d", res.EdgeAssign.Len(), g.NumEdges())
 	}
 	if res.Elapsed <= 0 {
 		t.Error("elapsed time must be recorded")

@@ -37,11 +37,11 @@ func hetioLike(n int, noise float64, seed int64) (*pg.Graph, map[pg.ID]string) {
 // purityOf computes majority-cluster purity of node assignments.
 func purityOf(res *Result, truth map[pg.ID]string) float64 {
 	perType := map[int]map[string]int{}
-	for id, ty := range res.NodeAssign {
-		if perType[ty.ID] == nil {
-			perType[ty.ID] = map[string]int{}
+	for id, ty := range res.NodeAssign.All() {
+		if perType[int(ty)] == nil {
+			perType[int(ty)] = map[string]int{}
 		}
-		perType[ty.ID][truth[id]]++
+		perType[int(ty)][truth[id]]++
 	}
 	correct, total := 0, 0
 	for _, m := range perType {

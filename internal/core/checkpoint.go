@@ -224,18 +224,8 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 		NodeShapeCache: inc.nodeShapes.Export(),
 		EdgeShapeCache: inc.edgeShapes.Export(),
 	}
-	if len(inc.result.NodeAssign) > 0 {
-		img.NodeAssign = make(map[pg.ID]int, len(inc.result.NodeAssign))
-		for id, t := range inc.result.NodeAssign {
-			img.NodeAssign[id] = t.ID
-		}
-	}
-	if len(inc.result.EdgeAssign) > 0 {
-		img.EdgeAssign = make(map[pg.ID]int, len(inc.result.EdgeAssign))
-		for id, t := range inc.result.EdgeAssign {
-			img.EdgeAssign[id] = t.ID
-		}
-	}
+	img.NodeAssign = captureAssign(inc.result.NodeAssign)
+	img.EdgeAssign = captureAssign(inc.result.EdgeAssign)
 	if extras != nil {
 		img.NextEdgeID = extras.NextEdgeID
 		img.WALSeq = extras.WALSeq
@@ -325,36 +315,14 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	inc.result.NodeChoice = img.NodeChoice
 	inc.result.EdgeChoice = img.EdgeChoice
 
-	nodeByID := make(map[int]*schema.NodeType, len(s.NodeTypes))
-	for _, nt := range s.NodeTypes {
-		nodeByID[nt.ID] = nt
-	}
-	edgeByID := make(map[int]*schema.EdgeType, len(s.EdgeTypes))
-	for _, et := range s.EdgeTypes {
-		edgeByID[et.ID] = et
-	}
-	if err := restoreTallies(img.Tallies, edgeByID); err != nil {
+	if err := restoreTallies(img.Tallies, s); err != nil {
 		return nil, nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if len(img.NodeAssign) > 0 {
-		inc.result.NodeAssign = make(map[pg.ID]*schema.NodeType, len(img.NodeAssign))
-		for id, tid := range img.NodeAssign {
-			t := nodeByID[tid]
-			if t == nil {
-				return nil, nil, fmt.Errorf("core: checkpoint: node %d assigned to unknown type %d", id, tid)
-			}
-			inc.result.NodeAssign[id] = t
-		}
+	if inc.result.NodeAssign, err = restoreAssign("node", img.NodeAssign, func(t int) bool { return s.NodeTypeByID(t) != nil }); err != nil {
+		return nil, nil, err
 	}
-	if len(img.EdgeAssign) > 0 {
-		inc.result.EdgeAssign = make(map[pg.ID]*schema.EdgeType, len(img.EdgeAssign))
-		for id, tid := range img.EdgeAssign {
-			t := edgeByID[tid]
-			if t == nil {
-				return nil, nil, fmt.Errorf("core: checkpoint: edge %d assigned to unknown type %d", id, tid)
-			}
-			inc.result.EdgeAssign[id] = t
-		}
+	if inc.result.EdgeAssign, err = restoreAssign("edge", img.EdgeAssign, func(t int) bool { return s.EdgeTypeByID(t) != nil }); err != nil {
+		return nil, nil, err
 	}
 
 	if inc.nodeShapes, err = pg.RestoreShapeCache(img.NodeShapeCache); err != nil {
@@ -376,6 +344,38 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 		extras.Resolver = g
 	}
 	return inc, extras, nil
+}
+
+// captureAssign copies assignments into an image's map, nil when there
+// are none.
+func captureAssign(c keyed.Column[pg.ID, int32]) keyed.Map[pg.ID] {
+	if c.Len() == 0 {
+		return nil
+	}
+	m := make(keyed.Map[pg.ID], c.Len())
+	for id, t := range c.All() {
+		m[id] = int(t)
+	}
+	return m
+}
+
+// restoreAssign packs an image's assignments of what ("node", "edge")
+// back into a column, refusing a type ID that known refuses.
+func restoreAssign(what string, m keyed.Map[pg.ID], known func(t int) bool) (keyed.Column[pg.ID, int32], error) {
+	ids := make([]pg.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	types := make([]int32, len(ids))
+	for i, id := range ids {
+		t := m[id]
+		if int(int32(t)) != t || !known(t) {
+			return keyed.Column[pg.ID, int32]{}, fmt.Errorf("core: checkpoint: %s %d assigned to unknown type %d", what, id, t)
+		}
+		types[i] = int32(t)
+	}
+	return keyed.FromRun(ids, types), nil
 }
 
 // ResumeFromCheckpoint restores a discovery from a checkpoint written

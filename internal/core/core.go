@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/pghive/pghive/internal/infer"
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/lsh"
 	"github.com/pghive/pghive/internal/parallel"
 	"github.com/pghive/pghive/internal/pg"
@@ -160,10 +161,11 @@ func (t *Timing) add(o Timing) {
 type Result struct {
 	// Schema is the discovered schema graph.
 	Schema *schema.Schema
-	// NodeAssign / EdgeAssign map every element to its final type,
-	// for downstream validation and for the F1* evaluation.
-	NodeAssign map[pg.ID]*schema.NodeType
-	EdgeAssign map[pg.ID]*schema.EdgeType
+	// NodeAssign / EdgeAssign map every element to the ID of its final
+	// type, for downstream validation and for the F1* evaluation.
+	// NodeTypeOf / EdgeTypeOf resolve an element's type in Schema.
+	NodeAssign keyed.Column[pg.ID, int32]
+	EdgeAssign keyed.Column[pg.ID, int32]
 	// NodeClusters / EdgeClusters count the raw LSH clusters before
 	// merging.
 	NodeClusters int
@@ -182,6 +184,27 @@ type Result struct {
 	// incremental mode).
 	Timing Timing
 }
+
+// NodeTypeOf returns the type the node is assigned to, nil when it has
+// none.
+func (r *Result) NodeTypeOf(id pg.ID) *schema.NodeType {
+	if t, ok := r.NodeAssign.Get(id); ok {
+		return r.Schema.NodeTypeByID(int(t))
+	}
+	return nil
+}
+
+// EdgeTypeOf returns the type the edge is assigned to, nil when it has
+// none.
+func (r *Result) EdgeTypeOf(id pg.ID) *schema.EdgeType {
+	if t, ok := r.EdgeAssign.Get(id); ok {
+		return r.Schema.EdgeTypeByID(int(t))
+	}
+	return nil
+}
+
+// reassign is the assignments' merge rule: the batch's type wins.
+func reassign(_, t int32) int32 { return t }
 
 // Discover runs the full static pipeline over a graph.
 func Discover(g *pg.Graph, opts Options) *Result {
@@ -229,13 +252,9 @@ func ResumeIncremental(opts Options, s *schema.Schema) *Incremental {
 		s = schema.New()
 	}
 	return &Incremental{
-		opts: opts,
-		sch:  s,
-		result: &Result{
-			Schema:     s,
-			NodeAssign: map[pg.ID]*schema.NodeType{},
-			EdgeAssign: map[pg.ID]*schema.EdgeType{},
-		},
+		opts:       opts,
+		sch:        s,
+		result:     &Result{Schema: s},
 		nodeShapes: pg.NewShapeCache(),
 		edgeShapes: pg.NewShapeCache(),
 		hashed:     word2vec.NewHashedEmbedder(idDim),
@@ -277,8 +296,8 @@ type IncrementalStats struct {
 func (inc *Incremental) Stats() IncrementalStats {
 	return IncrementalStats{
 		Batches:          inc.batches,
-		Nodes:            len(inc.result.NodeAssign),
-		Edges:            len(inc.result.EdgeAssign),
+		Nodes:            inc.result.NodeAssign.Len(),
+		Edges:            inc.result.EdgeAssign.Len(),
 		NodeClusters:     inc.result.NodeClusters,
 		EdgeClusters:     inc.result.EdgeClusters,
 		NodeShapes:       inc.result.NodeShapes,
@@ -342,13 +361,7 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
 	d := inc.dirty
-	rec := d.admit(len(nodes)+len(edges), len(inc.result.NodeAssign)+len(inc.result.EdgeAssign))
-	if len(inc.result.NodeAssign) == 0 && len(nodes) > 0 {
-		inc.result.NodeAssign = make(map[pg.ID]*schema.NodeType, len(nodes))
-	}
-	if len(inc.result.EdgeAssign) == 0 && len(edges) > 0 {
-		inc.result.EdgeAssign = make(map[pg.ID]*schema.EdgeType, len(edges))
-	}
+	rec := d.admit(len(nodes)+len(edges), inc.result.NodeAssign.Len()+inc.result.EdgeAssign.Len())
 
 	// (a) Index the node shapes, then resolve edge endpoint labels
 	// through them. Both depend only on the batch, never on discovered
@@ -405,13 +418,14 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	} else {
 		ntypes = inc.sch.ExtractNodeTypes(ncands, o.Theta)
 	}
-	for row := range nodes {
-		id := nodes[row].ID
-		if rec {
-			d.nodeAssigned(id, inc.result.NodeAssign[id])
+	if rec {
+		for row := range nodes {
+			assigned(d.nodeAssign, nodes[row].ID, inc.result.NodeAssign)
 		}
-		inc.result.NodeAssign[id] = ntypes[nodeCl.Assign[nodeSI.Rows[row]]]
 	}
+	inc.result.NodeAssign.Merge(keyed.Build(len(nodes),
+		func(row int) pg.ID { return nodes[row].ID },
+		func(row int) int32 { return int32(ntypes[nodeCl.Assign[nodeSI.Rows[row]]].ID) }), reassign)
 	tm.Extract += time.Since(start)
 
 	// (b') Preprocess edges: complete the endpoints the batch has no
@@ -462,16 +476,16 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	} else {
 		etypes = inc.sch.ExtractEdgeTypes(ecands, o.Theta)
 	}
-	for row := range edges {
-		id := edges[row].ID
-		if rec {
-			d.edgeAssigned(id, inc.result.EdgeAssign[id])
-		}
-		inc.result.EdgeAssign[id] = etypes[edgeCl.Assign[edgeSI.Rows[row]]]
-	}
+	edgeType := func(row int) *schema.EdgeType { return etypes[edgeCl.Assign[edgeSI.Rows[row]]] }
 	if rec {
-		d.edgesMerged(edges, inc.result.EdgeAssign)
+		for row := range edges {
+			assigned(d.edgeAssign, edges[row].ID, inc.result.EdgeAssign)
+		}
+		d.edgesMerged(edges, edgeType)
 	}
+	inc.result.EdgeAssign.Merge(keyed.Build(len(edges),
+		func(row int) pg.ID { return edges[row].ID },
+		func(row int) int32 { return int32(edgeType(row).ID) }), reassign)
 	tm.Extract += time.Since(start)
 
 	inc.result.Timing.add(tm)
@@ -525,31 +539,31 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
 	d := inc.dirty
-	rec := d.admit(len(nodes)+len(edges), len(inc.result.NodeAssign)+len(inc.result.EdgeAssign))
+	rec := d.admit(len(nodes)+len(edges), inc.result.NodeAssign.Len()+inc.result.EdgeAssign.Len())
 	for i := range nodes {
 		n := &nodes[i]
-		ty := inc.result.NodeAssign[n.ID]
+		ty := inc.result.NodeTypeOf(n.ID)
 		if ty == nil {
 			continue
 		}
 		if rec {
-			d.nodeAssigned(n.ID, ty)
+			assigned(d.nodeAssign, n.ID, inc.result.NodeAssign)
 		}
 		ty.Retract(n.Labels, n.Props)
-		delete(inc.result.NodeAssign, n.ID)
+		inc.result.NodeAssign.Delete(n.ID)
 	}
 	for i := range edges {
 		e := &edges[i]
-		ty := inc.result.EdgeAssign[e.ID]
+		ty := inc.result.EdgeTypeOf(e.ID)
 		if ty == nil {
 			continue
 		}
 		if rec {
-			d.edgeAssigned(e.ID, ty)
+			assigned(d.edgeAssign, e.ID, inc.result.EdgeAssign)
 			d.edgeRetracting(ty, e.Src, e.Dst)
 		}
 		ty.RetractEdge(e.Labels, e.Props, e.Src, e.Dst)
-		delete(inc.result.EdgeAssign, e.ID)
+		inc.result.EdgeAssign.Delete(e.ID)
 	}
 	if _, removed := inc.sch.Compact(); rec {
 		d.edgeTypesRemoved(removed)
@@ -648,7 +662,7 @@ func (inc *Incremental) foreignEndpointToken(b *pg.Batch, id pg.ID) string {
 // the node type it was assigned to (in this or any earlier batch), or
 // "" when the node has not been seen yet.
 func (inc *Incremental) endpointTypeToken(id pg.ID) string {
-	if t := inc.result.NodeAssign[id]; t != nil {
+	if t := inc.result.NodeTypeOf(id); t != nil {
 		return t.Name()
 	}
 	return ""

@@ -19,7 +19,7 @@ func TestDisableMergingProducesRawClusters(t *testing.T) {
 		t.Errorf("no-merge node types (%d) must equal raw clusters (%d)",
 			len(raw.Schema.NodeTypes), raw.NodeClusters)
 	}
-	if len(raw.NodeAssign) != g.NumNodes() {
+	if raw.NodeAssign.Len() != g.NumNodes() {
 		t.Error("assignments must still cover every node")
 	}
 }
@@ -51,19 +51,19 @@ func TestEdgeEndpointsResolveToNodeTypes(t *testing.T) {
 	}
 	res := Discover(g, Options{Seed: 9})
 	// A→A edges and A→B edges must land in different types.
-	tA := res.EdgeAssign[aa[0]]
-	tB := res.EdgeAssign[ab[0]]
+	tA := res.EdgeTypeOf(aa[0])
+	tB := res.EdgeTypeOf(ab[0])
 	if tA == tB {
 		t.Fatal("edges with different endpoint types collapsed despite type-resolved endpoints")
 	}
 	pureA, pureB := 0, 0
 	for _, id := range aa {
-		if res.EdgeAssign[id] == tA {
+		if res.EdgeTypeOf(id) == tA {
 			pureA++
 		}
 	}
 	for _, id := range ab {
-		if res.EdgeAssign[id] == tB {
+		if res.EdgeTypeOf(id) == tB {
 			pureB++
 		}
 	}

@@ -55,7 +55,7 @@ func refProcessBatch(inc *Incremental, b *pg.Batch) {
 	inc.result.NodeClusters += nodeCl.NumClusters
 	ntypes := inc.sch.ExtractNodeTypes(schema.BuildNodeCandidates(nodes, nodeCl.Assign, nodeCl.NumClusters), o.Theta)
 	for i := range nodes {
-		inc.result.NodeAssign[nodes[i].ID] = ntypes[nodeCl.Assign[i]]
+		inc.result.NodeAssign.Set(nodes[i].ID, int32(ntypes[nodeCl.Assign[i]].ID))
 	}
 
 	// Edge endpoints: the endpoint node's labels in the batch itself,
@@ -99,6 +99,6 @@ func refProcessBatch(inc *Incremental, b *pg.Batch) {
 	inc.result.EdgeClusters += edgeCl.NumClusters
 	etypes := inc.sch.ExtractEdgeTypes(schema.BuildEdgeCandidates(edges, edgeCl.Assign, edgeCl.NumClusters, srcToks, dstToks), o.Theta)
 	for i := range edges {
-		inc.result.EdgeAssign[edges[i].ID] = etypes[edgeCl.Assign[i]]
+		inc.result.EdgeAssign.Set(edges[i].ID, int32(etypes[edgeCl.Assign[i]].ID))
 	}
 }

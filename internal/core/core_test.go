@@ -93,11 +93,11 @@ func TestDiscoverCleanGraph(t *testing.T) {
 		t.Errorf("edge types = %d, want exactly 4", len(s.EdgeTypes))
 	}
 	// Every element must be assigned.
-	if len(res.NodeAssign) != g.NumNodes() {
-		t.Errorf("node assignments = %d, want %d", len(res.NodeAssign), g.NumNodes())
+	if res.NodeAssign.Len() != g.NumNodes() {
+		t.Errorf("node assignments = %d, want %d", res.NodeAssign.Len(), g.NumNodes())
 	}
-	if len(res.EdgeAssign) != g.NumEdges() {
-		t.Errorf("edge assignments = %d, want %d", len(res.EdgeAssign), g.NumEdges())
+	if res.EdgeAssign.Len() != g.NumEdges() {
+		t.Errorf("edge assignments = %d, want %d", res.EdgeAssign.Len(), g.NumEdges())
 	}
 	// Person properties: all mandatory at 0 noise.
 	person := s.NodeTypeByToken("Person")
@@ -181,7 +181,7 @@ func TestDiscoverFullyUnlabeled(t *testing.T) {
 			t.Errorf("type %s should be abstract with no labels", nt.Name())
 		}
 	}
-	if len(res.NodeAssign) != g.NumNodes() {
+	if res.NodeAssign.Len() != g.NumNodes() {
 		t.Error("all nodes must be assigned even without labels")
 	}
 }
@@ -222,8 +222,8 @@ func TestIncrementalMatchesStaticCoverage(t *testing.T) {
 			t.Errorf("incremental lost edge type %q", et.Token)
 		}
 	}
-	if len(res.NodeAssign) != g.NumNodes() {
-		t.Errorf("incremental assignments = %d, want %d", len(res.NodeAssign), g.NumNodes())
+	if res.NodeAssign.Len() != g.NumNodes() {
+		t.Errorf("incremental assignments = %d, want %d", res.NodeAssign.Len(), g.NumNodes())
 	}
 }
 

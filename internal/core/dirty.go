@@ -119,20 +119,16 @@ func firstTouch[K comparable, V any](m map[K]V, k K, before V) {
 	}
 }
 
-func (d *Dirty) nodeAssigned(id pg.ID, was *schema.NodeType) {
-	before := unassigned
-	if was != nil {
-		before = was.ID
+// assigned records in before the element's type ID in assign, unless
+// an earlier touch did.
+func assigned(before map[pg.ID]int, id pg.ID, assign keyed.Column[pg.ID, int32]) {
+	if _, ok := before[id]; ok {
+		return
 	}
-	firstTouch(d.nodeAssign, id, before)
-}
-
-func (d *Dirty) edgeAssigned(id pg.ID, was *schema.EdgeType) {
-	before := unassigned
-	if was != nil {
-		before = was.ID
+	before[id] = unassigned
+	if t, ok := assign.Get(id); ok {
+		before[id] = int(t)
 	}
-	firstTouch(d.edgeAssign, id, before)
 }
 
 // tally returns the live count of a tally entry in type t.
@@ -144,10 +140,10 @@ func tally(t *schema.EdgeType, k tallyKey) int {
 }
 
 // edgesMerged records the degree tallies a batch's edges raised, after
-// the merge that raised them: assigned names the type each edge ended
-// in, and a tally's count before the batch is its count now less the
-// batch's own edges at that endpoint.
-func (d *Dirty) edgesMerged(edges []pg.Edge, assigned map[pg.ID]*schema.EdgeType) {
+// the merge that raised them: typeOf names the type edge i ended in, and
+// a tally's count before the batch is its count now less the batch's
+// own edges at that endpoint.
+func (d *Dirty) edgesMerged(edges []pg.Edge, typeOf func(i int) *schema.EdgeType) {
 	type endpoint struct {
 		t *schema.EdgeType
 		k tallyKey
@@ -155,7 +151,7 @@ func (d *Dirty) edgesMerged(edges []pg.Edge, assigned map[pg.ID]*schema.EdgeType
 	raised := map[endpoint]int{}
 	for i := range edges {
 		e := &edges[i]
-		t := assigned[e.ID]
+		t := typeOf(i)
 		raised[endpoint{t, tallyKey{t.ID, e.Src, false}}]++
 		raised[endpoint{t, tallyKey{t.ID, e.Dst, true}}]++
 	}
@@ -233,13 +229,13 @@ func (inc *Incremental) Lift(from uint64, extras *CheckpointExtras) (*ImageDelta
 		NextTypeID:   inc.sch.NextTypeID(),
 		NextEdgeID:   extras.NextEdgeID,
 
-		Tallies:      liftTallies(spent.tallies, inc.sch.EdgeTypes),
+		Tallies:      liftTallies(spent.tallies, inc.sch),
 		NodeShapePut: liftShapes(inc.nodeShapes, spent.nodeShapes),
 		EdgeShapePut: liftShapes(inc.edgeShapes, spent.edgeShapes),
 		AppliedKeys:  extras.AppliedKeys,
 	}
-	d.NodeAssign, d.NodeUnassign = liftAssign(spent.nodeAssign, inc.result.NodeAssign, func(t *schema.NodeType) int { return t.ID })
-	d.EdgeAssign, d.EdgeUnassign = liftAssign(spent.edgeAssign, inc.result.EdgeAssign, func(t *schema.EdgeType) int { return t.ID })
+	d.NodeAssign, d.NodeUnassign = liftAssign(spent.nodeAssign, inc.result.NodeAssign)
+	d.EdgeAssign, d.EdgeUnassign = liftAssign(spent.edgeAssign, inc.result.EdgeAssign)
 	for _, id := range slices.Sorted(maps.Keys(spent.resolver)) {
 		was := spent.resolver[id]
 		switch n := extras.Resolver.Node(id); {
@@ -279,16 +275,16 @@ func (inc *Incremental) Unlift(spent *Dirty) {
 
 // liftAssign is keyed.DiffMap over the touched elements alone: before
 // holds their old type IDs, now the live assignments.
-func liftAssign[T any](before map[pg.ID]int, now map[pg.ID]*T, typeID func(*T) int) (puts keyed.Map[pg.ID], dels keyed.IDs[pg.ID]) {
+func liftAssign(before map[pg.ID]int, now keyed.Column[pg.ID, int32]) (puts keyed.Map[pg.ID], dels keyed.IDs[pg.ID]) {
 	for id, was := range before {
-		switch t := now[id]; {
-		case t == nil && was != unassigned:
+		switch t, ok := now.Get(id); {
+		case !ok && was != unassigned:
 			dels = append(dels, id)
-		case t != nil && typeID(t) != was:
+		case ok && int(t) != was:
 			if puts == nil {
 				puts = keyed.Map[pg.ID]{}
 			}
-			puts[id] = typeID(t)
+			puts[id] = int(t)
 		}
 	}
 	slices.Sort(dels)
@@ -296,17 +292,13 @@ func liftAssign[T any](before map[pg.ID]int, now map[pg.ID]*T, typeID func(*T) i
 }
 
 // liftTallies is keyed.DiffMap over the touched tally entries alone:
-// before holds their old counts (0: none), types the live ones. An
-// entry of a type that is gone counts 0.
-func liftTallies(before map[tallyKey]int, types []*schema.EdgeType) TallyChanges {
-	byID := make(map[int]*schema.EdgeType, len(types))
-	for _, t := range types {
-		byID[t.ID] = t
-	}
+// before holds their old counts (0: none), s the live ones. An entry of
+// a type that is gone counts 0.
+func liftTallies(before map[tallyKey]int, s *schema.Schema) TallyChanges {
 	changed := map[int]*TallyChange{}
 	for k, was := range before {
 		now := 0
-		if t := byID[k.typ]; t != nil {
+		if t := s.EdgeTypeByID(k.typ); t != nil {
 			now = tally(t, k)
 		}
 		if now == was {

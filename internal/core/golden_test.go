@@ -150,10 +150,14 @@ func goldenImages(t testing.TB) (base, next *Image) {
 		t.Fatal("setup: Organisation / Company types not discovered")
 	}
 	inc.sch.UnifyNodeTypes(org, company)
-	for id, ty := range inc.result.NodeAssign {
-		if ty == company {
-			inc.result.NodeAssign[id] = org
+	var retyped []pg.ID
+	for id, ty := range inc.result.NodeAssign.All() {
+		if int(ty) == company.ID {
+			retyped = append(retyped, id)
 		}
+	}
+	for _, id := range retyped {
+		inc.result.NodeAssign.Set(id, int32(org.ID))
 	}
 	inc.Finalize()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -85,11 +86,13 @@ func TestIncrementalShapeCacheReuse(t *testing.T) {
 // so a comparison catches even one element moving between two types
 // of the same name.
 func fullSnapshot(res *Result) string {
-	lines := make([]string, 0, len(res.NodeAssign)+len(res.EdgeAssign))
-	for id, ty := range res.NodeAssign {
+	lines := make([]string, 0, res.NodeAssign.Len()+res.EdgeAssign.Len())
+	for id := range res.NodeAssign.All() {
+		ty := res.NodeTypeOf(id)
 		lines = append(lines, fmt.Sprintf("n%d=%d/%s", id, ty.ID, ty.Name()))
 	}
-	for id, ty := range res.EdgeAssign {
+	for id := range res.EdgeAssign.All() {
+		ty := res.EdgeTypeOf(id)
 		lines = append(lines, fmt.Sprintf("e%d=%d/%s", id, ty.ID, ty.Name()))
 	}
 	sort.Strings(lines)
@@ -389,7 +392,7 @@ func TestInterningEquivalenceEndpointResolution(t *testing.T) {
 		}
 		// Batch 2's edges into the never-labeled Persons can only name
 		// their target by the type batch 1 discovered for it.
-		name := inc.result.NodeAssign[unlabeled].Name()
+		name := inc.result.NodeTypeOf(unlabeled).Name()
 		found := false
 		for _, et := range inc.sch.EdgeTypes {
 			found = found || (et.Labels["KNOWS"] > 0 && et.DstTokens[name])
@@ -449,5 +452,30 @@ func TestDiscoverMallocsFollowShapes(t *testing.T) {
 	}
 	if large > 1.5*small {
 		t.Fatalf("Discover allocations follow the elements, not the shapes: %.0f -> %.0f for a graph five times the size", small, large)
+	}
+}
+
+// TestDiscoverBytesPerElement pins what one-shot discovery allocates per
+// element on a clean graph (LDBC scale 5, 70 k elements, one worker):
+// at most 56 B. A map entry per element for the type assignments cost
+// ~34 B of it; the assignments are two columns of 12 B per element.
+func TestDiscoverBytesPerElement(t *testing.T) {
+	g := datagen.Generate(datagen.LDBC(), 5, 1).Graph
+	elems := g.NumNodes() + g.NumEdges()
+	var ms runtime.MemStats
+	samples := make([]uint64, 3)
+	for i := range samples {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		Discover(g, Options{Seed: 1, Parallelism: 1})
+		runtime.ReadMemStats(&ms)
+		samples[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(samples)
+	perElem := float64(samples[1]) / float64(elems)
+	t.Logf("Discover allocates %d B for %d elements: %.1f B per element", samples[1], elems, perElem)
+	if perElem > 56 {
+		t.Fatalf("Discover allocates %.1f B per element, want at most 56", perElem)
 	}
 }

@@ -33,13 +33,13 @@ func TestRetractBatchRemovesContribution(t *testing.T) {
 	}
 	// Retracted elements lose their assignment.
 	for i := range batches[1].Graph.Nodes() {
-		if inc.result.NodeAssign[batches[1].Graph.Nodes()[i].ID] != nil {
+		if inc.result.NodeTypeOf(batches[1].Graph.Nodes()[i].ID) != nil {
 			t.Fatal("retracted node still assigned")
 		}
 	}
 	// Remaining elements keep theirs.
 	for i := range batches[0].Graph.Nodes() {
-		if inc.result.NodeAssign[batches[0].Graph.Nodes()[i].ID] == nil {
+		if inc.result.NodeTypeOf(batches[0].Graph.Nodes()[i].ID) == nil {
 			t.Fatal("surviving node lost its assignment")
 		}
 	}

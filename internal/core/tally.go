@@ -101,9 +101,9 @@ func captureTallies(types []*schema.EdgeType) Tallies {
 
 // restoreTallies gives each edge type of a restored schema its
 // tallies; a group for a type the schema lacks is corruption.
-func restoreTallies(ts Tallies, byID map[int]*schema.EdgeType) error {
+func restoreTallies(ts Tallies, s *schema.Schema) error {
 	for _, t := range ts {
-		et := byID[t.Type]
+		et := s.EdgeTypeByID(t.Type)
 		if et == nil {
 			return fmt.Errorf("tallies for unknown edge type %d", t.Type)
 		}

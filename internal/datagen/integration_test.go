@@ -69,7 +69,7 @@ func TestSchemaValidatesItsOwnData(t *testing.T) {
 	infer.Finalize(res.Schema, infer.Options{})
 	for i := range d.Graph.Nodes() {
 		n := &d.Graph.Nodes()[i]
-		ty := res.NodeAssign[n.ID]
+		ty := res.NodeTypeOf(n.ID)
 		if ty == nil {
 			t.Fatalf("node %d unassigned", n.ID)
 		}
@@ -86,7 +86,7 @@ func TestSchemaValidatesItsOwnData(t *testing.T) {
 	}
 	for i := range d.Graph.Edges() {
 		e := &d.Graph.Edges()[i]
-		ty := res.EdgeAssign[e.ID]
+		ty := res.EdgeTypeOf(e.ID)
 		if ty == nil {
 			t.Fatalf("edge %d unassigned", e.ID)
 		}
@@ -115,7 +115,7 @@ func TestMandatorySoundness(t *testing.T) {
 	present := map[string]int{} // typeID:key → count
 	for i := range d.Graph.Nodes() {
 		n := &d.Graph.Nodes()[i]
-		ty := res.NodeAssign[n.ID]
+		ty := res.NodeTypeOf(n.ID)
 		for k := range n.Props.All() {
 			present[typeKey(ty.ID, k)]++
 		}
@@ -146,7 +146,7 @@ func TestCardinalitySoundness(t *testing.T) {
 		counts := map[int64]int{}
 		for i := range d.Graph.Edges() {
 			e := &d.Graph.Edges()[i]
-			if res.EdgeAssign[e.ID] == et {
+			if res.EdgeTypeOf(e.ID) == et {
 				counts[int64(e.Src)]++
 			}
 		}

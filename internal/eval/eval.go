@@ -8,8 +8,8 @@ import (
 	"math"
 	"sort"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
-	"github.com/pghive/pghive/internal/schema"
 )
 
 // MajorityF1 computes the majority-based macro F1* of §5: every
@@ -102,26 +102,18 @@ func MajorityF1(pred map[pg.ID]int, truth map[pg.ID]string) float64 {
 	return sum / float64(n)
 }
 
-// NodeAssignments converts a node type assignment into opaque cluster
-// IDs for MajorityF1.
-func NodeAssignments(a map[pg.ID]*schema.NodeType) map[pg.ID]int {
-	out := make(map[pg.ID]int, len(a))
-	for id, t := range a {
-		if t != nil {
-			out[id] = t.ID
-		}
-	}
-	return out
-}
+// NodeAssignments converts a node type assignment (node → type ID) into
+// opaque cluster IDs for MajorityF1.
+func NodeAssignments(a keyed.Column[pg.ID, int32]) map[pg.ID]int { return clusters(a) }
 
-// EdgeAssignments converts an edge type assignment into opaque cluster
-// IDs for MajorityF1.
-func EdgeAssignments(a map[pg.ID]*schema.EdgeType) map[pg.ID]int {
-	out := make(map[pg.ID]int, len(a))
-	for id, t := range a {
-		if t != nil {
-			out[id] = t.ID
-		}
+// EdgeAssignments converts an edge type assignment (edge → type ID) into
+// opaque cluster IDs for MajorityF1.
+func EdgeAssignments(a keyed.Column[pg.ID, int32]) map[pg.ID]int { return clusters(a) }
+
+func clusters(a keyed.Column[pg.ID, int32]) map[pg.ID]int {
+	out := make(map[pg.ID]int, a.Len())
+	for id, t := range a.All() {
+		out[id] = int(t)
 	}
 	return out
 }

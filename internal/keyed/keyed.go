@@ -9,6 +9,10 @@
 // scratch every collection reuses. Base images and runs of format
 // generation 3 spell every assignment, degree tally and tombstone list
 // that way.
+//
+// In memory, element-keyed state is a Column (column.go): a persistent,
+// ID-sorted column that the pipeline's assignments and the schema's
+// degree tallies are built on.
 package keyed
 
 import "slices"

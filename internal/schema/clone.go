@@ -8,11 +8,11 @@ package schema
 // labels, property statistics, endpoint tokens — as fresh maps, and
 // shares the immutable leaves of its degree tallies (degrees.go),
 // which grow with the database. Cloning costs O(types × properties).
-// A write after it copies, per tally it touches, the tally's root (one
-// pointer per leaf of at most leafCap entries, and the histogram) and
-// each leaf it writes, so a write and its publish cost
-// O(types × properties + edges changed × leafCap + Σ touched tallies'
-// Len/leafCap).
+// A write after it copies, per tally it touches, the root of the
+// tally's column (one header per leaf of at most 64 entries), its
+// histogram and each leaf it writes, so a write and its publish cost
+// O(types × properties + edges changed × 64 + Σ touched tallies'
+// Len/64).
 
 // Clone returns a deep copy of the stat: no maps or slices are shared
 // with the receiver.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 
@@ -109,15 +110,20 @@ func DegreeCounts[K ~int64](d Degrees) map[K]int {
 // DegreesOf builds a tally from node counts in bulk. A tally holds no
 // count below one, so such a count is corruption.
 func DegreesOf[K ~int64](m map[K]int) (Degrees, error) {
-	e := make([]degEntry, 0, len(m))
-	for k, n := range m {
-		if n < 1 {
-			return Degrees{}, fmt.Errorf("degree %d for node %d", n, k)
-		}
-		e = append(e, degEntry{pg.ID(k), n})
+	nodes := make([]pg.ID, 0, len(m))
+	for k := range m {
+		nodes = append(nodes, pg.ID(k))
 	}
-	slices.SortFunc(e, byNode)
-	return packLeaves(e), nil
+	slices.Sort(nodes)
+	counts := make([]int32, len(nodes))
+	for i, id := range nodes {
+		n := m[K(id)]
+		if n < 1 || n > math.MaxInt32 {
+			return Degrees{}, fmt.Errorf("degree %d for node %d", n, id)
+		}
+		counts[i] = int32(n)
+	}
+	return degreesOf(nodes, counts), nil
 }
 
 func propToJSON(ps *PropStat) jsonProp {
@@ -303,6 +309,14 @@ func (d *docWriter) tally(key string, t Degrees) {
 	d.w.WriteString("\n      }")
 }
 
+// degEntry is one tally entry as the document writer orders it.
+type degEntry struct {
+	id pg.ID
+	n  int
+}
+
+func cmpEntry(e degEntry, id pg.ID) int { return cmp.Compare(e.id, id) }
+
 // keyRun is a run of tally entries whose IDs share a sign and a
 // spelling length of digits, in ascending magnitude: e[next:end].
 type keyRun struct{ next, end, digits int }
@@ -437,5 +451,8 @@ func (p *Persisted) restore(document bool) (*Schema, error) {
 		}
 		s.SetNextTypeID(et.ID + 1)
 	}
+	// A live schema lists its types in ID order; so does a restored one.
+	slices.SortStableFunc(s.NodeTypes, func(a, b *NodeType) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortStableFunc(s.EdgeTypes, func(a, b *EdgeType) int { return cmp.Compare(a.ID, b.ID) })
 	return s, nil
 }

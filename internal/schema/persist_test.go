@@ -204,3 +204,32 @@ func TestWriteJSONReportsWriteError(t *testing.T) {
 		}
 	}
 }
+
+// TestReadJSONListsTypesInIDOrder: a document that lists its types out
+// of ID order restores them in ID order, as a live schema keeps them,
+// and each resolves by its ID.
+func TestReadJSONListsTypesInIDOrder(t *testing.T) {
+	doc := `{"version":1,"nodeTypes":[{"id":7,"token":"B","labels":{"B":1},"instances":1},{"id":2,"token":"A","labels":{"A":1},"instances":1}],` +
+		`"edgeTypes":[{"id":9,"token":"R","labels":{"R":1},"instances":1},{"id":4,"token":"S","labels":{"S":1},"instances":1}]}`
+	s, err := ReadJSON(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NodeTypes[0].ID != 2 || s.EdgeTypes[0].ID != 4 {
+		t.Fatalf("types not in ID order: node %d, edge %d first", s.NodeTypes[0].ID, s.EdgeTypes[0].ID)
+	}
+	for _, c := range []struct {
+		id   int
+		want string
+	}{{2, "A"}, {7, "B"}} {
+		if nt := s.NodeTypeByID(c.id); nt == nil || nt.Token != c.want {
+			t.Errorf("NodeTypeByID(%d) = %v, want %s", c.id, nt, c.want)
+		}
+	}
+	if et := s.EdgeTypeByID(9); et == nil || et.Token != "R" {
+		t.Errorf("EdgeTypeByID(9) = %v, want R", et)
+	}
+	if s.NodeTypeByID(9) != nil || s.EdgeTypeByID(2) != nil || s.NodeTypeByID(3) != nil {
+		t.Error("an ID resolved to a type of the other kind, or to no type's")
+	}
+}

@@ -10,6 +10,7 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -349,6 +350,26 @@ func New() *Schema {
 		byNodeToken: map[string]*NodeType{},
 		byEdgeToken: map[string][]*EdgeType{},
 	}
+}
+
+// NodeTypeByID returns the schema's node type with the given ID, or nil.
+// NodeTypes and EdgeTypes are each in ascending ID order — types get
+// their IDs from one counter as they are added, and restore sorts — so
+// the per-element state that names types by ID resolves them by binary
+// search, with no index to keep.
+func (s *Schema) NodeTypeByID(id int) *NodeType {
+	if i, ok := slices.BinarySearchFunc(s.NodeTypes, id, func(t *NodeType, id int) int { return cmp.Compare(t.ID, id) }); ok {
+		return s.NodeTypes[i]
+	}
+	return nil
+}
+
+// EdgeTypeByID returns the schema's edge type with the given ID, or nil.
+func (s *Schema) EdgeTypeByID(id int) *EdgeType {
+	if i, ok := slices.BinarySearchFunc(s.EdgeTypes, id, func(t *EdgeType, id int) int { return cmp.Compare(t.ID, id) }); ok {
+		return s.EdgeTypes[i]
+	}
+	return nil
 }
 
 // NodeTypeByToken returns the labeled node type with the given

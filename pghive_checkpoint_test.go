@@ -120,18 +120,20 @@ func assertResultsIdentical(t *testing.T, name string, want, got *pghive.Result)
 		t.Errorf("%s: rendered schema differs from uninterrupted run", name)
 		return
 	}
-	if len(got.NodeAssign) != len(want.NodeAssign) || len(got.EdgeAssign) != len(want.EdgeAssign) {
+	if got.NodeAssign.Len() != want.NodeAssign.Len() || got.EdgeAssign.Len() != want.EdgeAssign.Len() {
 		t.Errorf("%s: assignment counts differ: %d/%d vs %d/%d", name,
-			len(got.NodeAssign), len(got.EdgeAssign), len(want.NodeAssign), len(want.EdgeAssign))
+			got.NodeAssign.Len(), got.EdgeAssign.Len(), want.NodeAssign.Len(), want.EdgeAssign.Len())
 		return
 	}
-	for id, ty := range want.NodeAssign {
-		if g := got.NodeAssign[id]; g == nil || g.Name() != ty.Name() || g.ID != ty.ID {
+	for id := range want.NodeAssign.All() {
+		ty := want.NodeTypeOf(id)
+		if g := got.NodeTypeOf(id); g == nil || g.Name() != ty.Name() || g.ID != ty.ID {
 			t.Fatalf("%s: node %d assigned %v, want %s", name, id, g, ty.Name())
 		}
 	}
-	for id, ty := range want.EdgeAssign {
-		if g := got.EdgeAssign[id]; g == nil || g.Name() != ty.Name() || g.ID != ty.ID {
+	for id := range want.EdgeAssign.All() {
+		ty := want.EdgeTypeOf(id)
+		if g := got.EdgeTypeOf(id); g == nil || g.Name() != ty.Name() || g.ID != ty.ID {
 			t.Fatalf("%s: edge %d assigned %v, want %s", name, id, g, ty.Name())
 		}
 	}

@@ -35,7 +35,7 @@ func snapshot(res *pghive.Result) string {
 		pghive.XSD(res.Schema),
 		res.NodeClusters, res.EdgeClusters,
 		len(res.Schema.NodeTypes), len(res.Schema.EdgeTypes),
-		len(res.NodeAssign), len(res.EdgeAssign))
+		res.NodeAssign.Len(), res.EdgeAssign.Len())
 }
 
 // TestDiscoverParallelDeterminism: fixed-seed Discover with

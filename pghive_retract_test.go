@@ -21,7 +21,7 @@ func TestPublicAPIRetraction(t *testing.T) {
 		t.Errorf("schema after full retraction: %d node types, %d edge types",
 			len(res.Schema.NodeTypes), len(res.Schema.EdgeTypes))
 	}
-	if len(res.NodeAssign) != 0 {
-		t.Errorf("assignments must be cleared, have %d", len(res.NodeAssign))
+	if res.NodeAssign.Len() != 0 {
+		t.Errorf("assignments must be cleared, have %d", res.NodeAssign.Len())
 	}
 }

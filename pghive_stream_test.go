@@ -54,16 +54,18 @@ func TestDiscoverStreamMatchesOneShot(t *testing.T) {
 				continue
 			}
 			// Element-level agreement, not just schema-level.
-			if len(res.NodeAssign) != len(one.NodeAssign) || len(res.EdgeAssign) != len(one.EdgeAssign) {
+			if res.NodeAssign.Len() != one.NodeAssign.Len() || res.EdgeAssign.Len() != one.EdgeAssign.Len() {
 				t.Fatalf("%s: assignment counts differ", name)
 			}
-			for id, ty := range one.NodeAssign {
-				if got := res.NodeAssign[id]; got == nil || got.Name() != ty.Name() {
+			for id := range one.NodeAssign.All() {
+				ty := one.NodeTypeOf(id)
+				if got := res.NodeTypeOf(id); got == nil || got.Name() != ty.Name() {
 					t.Fatalf("%s: node %d assigned %v, want %s", name, id, got, ty.Name())
 				}
 			}
-			for id, ty := range one.EdgeAssign {
-				if got := res.EdgeAssign[id]; got == nil || got.Name() != ty.Name() {
+			for id := range one.EdgeAssign.All() {
+				ty := one.EdgeTypeOf(id)
+				if got := res.EdgeTypeOf(id); got == nil || got.Name() != ty.Name() {
 					t.Fatalf("%s: edge %d assigned %v, want %s", name, id, got, ty.Name())
 				}
 			}

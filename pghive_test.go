@@ -121,8 +121,8 @@ func TestPublicAPIIncremental(t *testing.T) {
 	if res.Schema.NodeTypeByToken("Person") == nil {
 		t.Error("incremental run lost the Person type")
 	}
-	if len(res.NodeAssign) != g.NumNodes() {
-		t.Errorf("assignments = %d, want %d", len(res.NodeAssign), g.NumNodes())
+	if res.NodeAssign.Len() != g.NumNodes() {
+		t.Errorf("assignments = %d, want %d", res.NodeAssign.Len(), g.NumNodes())
 	}
 }
 
