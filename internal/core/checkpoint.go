@@ -29,10 +29,11 @@ package core
 // (schema.Persisted): WriteSchemaJSON writes the same heads with each
 // edge type's tallies inside it, and an image keeps those in Tallies.
 //
-// An Image never aliases a live pipeline: CaptureImage and
-// RestoreImage copy, in both directions. Compaction depends on it — a
-// round that captures the state whole encodes the image off the write
-// lock, while writes keep landing on the pipeline it was taken from.
+// An image shares the pipeline's columns copy-on-write; writes on
+// either side never reach the other. CaptureImage and RestoreImage
+// share them with an O(1) keyed.Column.Clone. Compaction depends on it
+// — a round that captures the state whole encodes the image off the
+// write lock, while writes keep landing on the pipeline it came from.
 
 import (
 	"encoding/json"
@@ -136,8 +137,8 @@ type Image struct {
 	// Batches counts processed batches.
 	Batches int `json:"batches"`
 	// NodeAssign / EdgeAssign map element IDs to schema type IDs.
-	NodeAssign keyed.Map[pg.ID] `json:"nodeAssign,omitempty"`
-	EdgeAssign keyed.Map[pg.ID] `json:"edgeAssign,omitempty"`
+	NodeAssign keyed.Column[pg.ID, int32] `json:"nodeAssign,omitempty"`
+	EdgeAssign keyed.Column[pg.ID, int32] `json:"edgeAssign,omitempty"`
 	// Accumulated Result counters.
 	NodeClusters int `json:"nodeClusters"`
 	EdgeClusters int `json:"edgeClusters"`
@@ -176,7 +177,7 @@ type Image struct {
 // Elements counts the assigned elements (nodes + edges) the image
 // holds — the denominator of the durable layer's tombstone ratio.
 func (img *Image) Elements() int {
-	return len(img.NodeAssign) + len(img.EdgeAssign)
+	return img.NodeAssign.Len() + img.EdgeAssign.Len()
 }
 
 // AppliedKey records one applied idempotency key and the WAL LSN of
@@ -221,11 +222,11 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 		EdgeShapes:     inc.result.EdgeShapes,
 		NodeChoice:     inc.result.NodeChoice,
 		EdgeChoice:     inc.result.EdgeChoice,
+		NodeAssign:     inc.result.NodeAssign.Clone(),
+		EdgeAssign:     inc.result.EdgeAssign.Clone(),
 		NodeShapeCache: inc.nodeShapes.Export(),
 		EdgeShapeCache: inc.edgeShapes.Export(),
 	}
-	img.NodeAssign = captureAssign(inc.result.NodeAssign)
-	img.EdgeAssign = captureAssign(inc.result.EdgeAssign)
 	if extras != nil {
 		img.NextEdgeID = extras.NextEdgeID
 		img.WALSeq = extras.WALSeq
@@ -318,12 +319,13 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	if err := restoreTallies(img.Tallies, s); err != nil {
 		return nil, nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if inc.result.NodeAssign, err = restoreAssign("node", img.NodeAssign, func(t int) bool { return s.NodeTypeByID(t) != nil }); err != nil {
+	if err := checkAssign("node", img.NodeAssign, func(t int) bool { return s.NodeTypeByID(t) != nil }); err != nil {
 		return nil, nil, err
 	}
-	if inc.result.EdgeAssign, err = restoreAssign("edge", img.EdgeAssign, func(t int) bool { return s.EdgeTypeByID(t) != nil }); err != nil {
+	if err := checkAssign("edge", img.EdgeAssign, func(t int) bool { return s.EdgeTypeByID(t) != nil }); err != nil {
 		return nil, nil, err
 	}
+	inc.result.NodeAssign, inc.result.EdgeAssign = img.NodeAssign.Clone(), img.EdgeAssign.Clone()
 
 	if inc.nodeShapes, err = pg.RestoreShapeCache(img.NodeShapeCache); err != nil {
 		return nil, nil, fmt.Errorf("core: checkpoint: node shapes: %w", err)
@@ -346,36 +348,15 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	return inc, extras, nil
 }
 
-// captureAssign copies assignments into an image's map, nil when there
-// are none.
-func captureAssign(c keyed.Column[pg.ID, int32]) keyed.Map[pg.ID] {
-	if c.Len() == 0 {
-		return nil
-	}
-	m := make(keyed.Map[pg.ID], c.Len())
+// checkAssign refuses an image's assignments of what ("node", "edge")
+// when one names a type ID that known refuses.
+func checkAssign(what string, c keyed.Column[pg.ID, int32], known func(t int) bool) error {
 	for id, t := range c.All() {
-		m[id] = int(t)
-	}
-	return m
-}
-
-// restoreAssign packs an image's assignments of what ("node", "edge")
-// back into a column, refusing a type ID that known refuses.
-func restoreAssign(what string, m keyed.Map[pg.ID], known func(t int) bool) (keyed.Column[pg.ID, int32], error) {
-	ids := make([]pg.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	types := make([]int32, len(ids))
-	for i, id := range ids {
-		t := m[id]
-		if int(int32(t)) != t || !known(t) {
-			return keyed.Column[pg.ID, int32]{}, fmt.Errorf("core: checkpoint: %s %d assigned to unknown type %d", what, id, t)
+		if !known(int(t)) {
+			return fmt.Errorf("core: checkpoint: %s %d assigned to unknown type %d", what, id, t)
 		}
-		types[i] = int32(t)
 	}
-	return keyed.FromRun(ids, types), nil
+	return nil
 }
 
 // ResumeFromCheckpoint restores a discovery from a checkpoint written

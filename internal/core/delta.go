@@ -12,15 +12,16 @@ package core
 //
 // Every keyed collection travels as puts and deletes — the deletes
 // are the tombstones of the run layout — under one rule per shape:
-// keyed.DiffMap / ApplyMap for maps (the assignments, and per edge type
-// the degree tallies, tally.go), diffSorted / applySorted for
+// keyed.Diff / Column.Apply for columns (the assignments, and per edge
+// type the degree tallies, tally.go), diffSorted / applySorted for
 // key-sorted slices (shape caches, resolver). The scalars (counters,
 // adaptive choices) and the schema's heads are O(types × properties)
-// and carried whole.
+// and carried whole. A column diff skips the leaves its two sides
+// share, and an apply shares the puts' leaves copy-on-write.
 //
 // EncodeDelta and ParseDelta own a run's bytes (format generation 3,
 // as images). Element-keyed puts and tombstones are written the way
-// images write them: assignments and tally puts as keyed.Map value
+// images write them: assignments and tally puts as keyed.Column value
 // groups, tombstones as gap-coded keyed.IDs, resolver puts grouped by
 // label set. A run of any other version is refused by its version.
 
@@ -29,6 +30,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"github.com/pghive/pghive/internal/keyed"
@@ -72,10 +74,10 @@ type ImageDelta struct {
 	Tallies TallyChanges `json:"tallies,omitempty"`
 
 	// Assignment puts and tombstones.
-	NodeAssign   keyed.Map[pg.ID] `json:"nodeAssign,omitempty"`
-	NodeUnassign keyed.IDs[pg.ID] `json:"nodeUnassign,omitempty"`
-	EdgeAssign   keyed.Map[pg.ID] `json:"edgeAssign,omitempty"`
-	EdgeUnassign keyed.IDs[pg.ID] `json:"edgeUnassign,omitempty"`
+	NodeAssign   keyed.Column[pg.ID, int32] `json:"nodeAssign,omitempty"`
+	NodeUnassign keyed.IDs[pg.ID]           `json:"nodeUnassign,omitempty"`
+	EdgeAssign   keyed.Column[pg.ID, int32] `json:"edgeAssign,omitempty"`
+	EdgeUnassign keyed.IDs[pg.ID]           `json:"edgeUnassign,omitempty"`
 
 	// Shape-cache puts and tombstones, fingerprint-ascending (deleted
 	// fingerprints marshal as base64 like ShapeEntry keys).
@@ -104,7 +106,7 @@ func (d *ImageDelta) Tombstones() int {
 
 // Puts counts the delta's upserts, as Tombstones counts its deletions.
 func (d *ImageDelta) Puts() int {
-	return len(d.NodeAssign) + len(d.EdgeAssign) +
+	return d.NodeAssign.Len() + d.EdgeAssign.Len() +
 		len(d.NodeShapePut) + len(d.EdgeShapePut) + len(d.ResolverPut)
 }
 
@@ -136,8 +138,8 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 		Schema:  next.Schema,
 		Tallies: diffTallies(base.Tallies, next.Tallies),
 	}
-	d.NodeAssign, d.NodeUnassign = keyed.DiffMap(base.NodeAssign, next.NodeAssign, cmp.Compare)
-	d.EdgeAssign, d.EdgeUnassign = keyed.DiffMap(base.EdgeAssign, next.EdgeAssign, cmp.Compare)
+	d.NodeAssign, d.NodeUnassign = keyed.Diff(base.NodeAssign, next.NodeAssign)
+	d.EdgeAssign, d.EdgeUnassign = keyed.Diff(base.EdgeAssign, next.EdgeAssign)
 	d.NodeShapePut, d.NodeShapeDel = diffSorted(base.NodeShapeCache, next.NodeShapeCache, shapeKey, bytes.Compare, shapeEqual)
 	d.EdgeShapePut, d.EdgeShapeDel = diffSorted(base.EdgeShapeCache, next.EdgeShapeCache, shapeKey, bytes.Compare, shapeEqual)
 	d.ResolverPut, d.ResolverDel = diffSorted(base.Resolver, next.Resolver, resolverKey, cmp.Compare, resolverEqual)
@@ -175,8 +177,8 @@ func (d *ImageDelta) Apply(img *Image) error {
 	img.NextTypeID = d.NextTypeID
 	img.NextEdgeID = d.NextEdgeID
 
-	img.NodeAssign = keyed.ApplyMap(img.NodeAssign, d.NodeAssign, d.NodeUnassign)
-	img.EdgeAssign = keyed.ApplyMap(img.EdgeAssign, d.EdgeAssign, d.EdgeUnassign)
+	img.NodeAssign.Apply(d.NodeAssign, d.NodeUnassign)
+	img.EdgeAssign.Apply(d.EdgeAssign, d.EdgeUnassign)
 	img.NodeShapeCache = applySorted(img.NodeShapeCache, d.NodeShapePut, d.NodeShapeDel, shapeKey, bytes.Compare)
 	img.EdgeShapeCache = applySorted(img.EdgeShapeCache, d.EdgeShapePut, d.EdgeShapeDel, shapeKey, bytes.Compare)
 	img.Resolver = applySorted(img.Resolver, d.ResolverPut, d.ResolverDel, resolverKey, cmp.Compare)
@@ -185,10 +187,17 @@ func (d *ImageDelta) Apply(img *Image) error {
 	return nil
 }
 
-// EncodeDelta writes the delta in the canonical run payload format
-// (compact JSON, sorted map keys).
+// EncodeDelta writes the delta in the canonical run payload format:
+// compact JSON, members in declaration order, each tagged omitempty
+// only when it is not empty, the element-keyed ones grouped and
+// gap-coded as an image's are (imagecodec.go).
 func EncodeDelta(d *ImageDelta) ([]byte, error) {
-	return json.Marshal(d)
+	var e imageWriter
+	e.members(reflect.ValueOf(d).Elem())
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
 }
 
 // ParseDelta decodes one run payload, refusing any other version.

@@ -136,15 +136,12 @@ func genImage(rng *rand.Rand) *Image {
 				continue
 			}
 			t := Tally{Type: id}
-			for _, side := range []*keyed.Map[pg.ID]{&t.Src, &t.Dst} {
+			for _, side := range []*keyed.Column[pg.ID, int32]{&t.Src, &t.Dst} {
 				for _, node := range rng.Perm(12)[:rng.Intn(4)] {
-					if *side == nil {
-						*side = keyed.Map[pg.ID]{}
-					}
-					(*side)[pg.ID(node)] = 1 + rng.Intn(2)
+					side.Set(pg.ID(node), int32(1+rng.Intn(2)))
 				}
 			}
-			if len(t.Src)+len(t.Dst) > 0 {
+			if t.Src.Len()+t.Dst.Len() > 0 {
 				tallies = append(tallies, t)
 			}
 		}
@@ -158,13 +155,12 @@ func genImage(rng *rand.Rand) *Image {
 	img := &Image{
 		Version: CheckpointVersion, Schema: mustSchema(string(text)), Tallies: tallies,
 		Batches: rng.Intn(9), NodeClusters: rng.Intn(9), NextTypeID: 5 + rng.Intn(3), NextEdgeID: pg.ID(rng.Intn(3)),
-		NodeAssign: map[pg.ID]int{}, EdgeAssign: map[pg.ID]int{},
 	}
 	for _, id := range rng.Perm(10)[:rng.Intn(6)] {
-		img.NodeAssign[pg.ID(id)] = rng.Intn(3)
+		img.NodeAssign.Set(pg.ID(id), int32(rng.Intn(3)))
 	}
 	for _, id := range rng.Perm(10)[:rng.Intn(3)] {
-		img.EdgeAssign[pg.ID(100+id)] = rng.Intn(3)
+		img.EdgeAssign.Set(pg.ID(100+id), int32(rng.Intn(3)))
 	}
 	for k := byte(0); k < 6; k++ {
 		if rng.Intn(2) == 0 {
@@ -335,7 +331,7 @@ func TestTalliesRefuseHostileGroups(t *testing.T) {
 	}
 	_, img := goldenImages(t)
 	img = cloneImage(t, img)
-	img.Tallies = append(img.Tallies, Tally{Type: 1000, Src: keyed.Map[pg.ID]{1: 1}})
+	img.Tallies = append(img.Tallies, Tally{Type: 1000, Src: columnOf(map[pg.ID]int{1: 1})})
 	if _, _, err := RestoreImage(Options{}, img); err == nil || !strings.Contains(err.Error(), "unknown edge type 1000") {
 		t.Fatalf("RestoreImage of tallies for a type the schema lacks: %v", err)
 	}
@@ -411,10 +407,48 @@ func aliasPipeline() (inc *Incremental, grow, shrink *pg.Batch) {
 	return inc, batches[2], batches[0]
 }
 
+// assertImageWritesStayOff writes to an image that may share columns
+// with the pipeline inc — a Set or a Delete on every entry of every
+// column, then d applied, as recovery and a fold apply runs — and fails
+// unless inc then captures want, the bytes of its state.
+func assertImageWritesStayOff(t *testing.T, inc *Incremental, want []byte, img *Image, d *ImageDelta) {
+	t.Helper()
+	scribble := func(c *keyed.Column[pg.ID, int32]) {
+		var ids []pg.ID
+		var vals []int32
+		for id, v := range c.All() {
+			ids, vals = append(ids, id), append(vals, v)
+		}
+		for i, id := range ids {
+			if id%2 == 0 {
+				c.Delete(id)
+			} else {
+				c.Set(id, vals[i]+1)
+			}
+		}
+	}
+	scribble(&img.NodeAssign)
+	scribble(&img.EdgeAssign)
+	for i := range img.Tallies {
+		scribble(&img.Tallies[i].Src)
+		scribble(&img.Tallies[i].Dst)
+	}
+	if err := d.Apply(img); err != nil {
+		t.Fatal(err)
+	}
+	now, err := inc.CaptureImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(imageBytes(t, now), want) {
+		t.Fatal("a write to an image reached the pipeline it shares columns with")
+	}
+}
+
 // TestImageDoesNotAliasCapturedPipeline: writes to a pipeline after
-// CaptureImage leave the captured image as it was. bench/layers.go
-// captures, keeps writing to the same pipeline, captures again and
-// diffs the two.
+// CaptureImage leave the captured image as it was, and writes to the
+// image leave the pipeline as it is. bench/layers.go captures, keeps
+// writing to the same pipeline, captures again and diffs the two.
 func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 	inc, grow, shrink := aliasPipeline()
 	img, err := inc.CaptureImage(nil)
@@ -428,12 +462,22 @@ func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 	if !bytes.Equal(imageBytes(t, img), want) {
 		t.Fatal("a write to the pipeline changed an image captured before it")
 	}
+	later, err := inc.CaptureImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DiffImage(img, later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertImageWritesStayOff(t, inc, imageBytes(t, later), img, d)
 }
 
 // TestImageDoesNotAliasRestoredPipeline: writes to a pipeline built by
-// RestoreImage leave the image it was built from as it was. Compaction
-// restores a writer from the merged image, replays onto it and diffs
-// the result against that same image.
+// RestoreImage leave the image it was built from as it was, and writes
+// to that image leave the pipeline as it is. Compaction restores a
+// writer from the merged image, replays onto it and diffs the result
+// against that same image.
 func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 	src, grow, shrink := aliasPipeline()
 	img, err := src.CaptureImage(nil)
@@ -470,6 +514,15 @@ func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 	if !bytes.Equal(imageBytes(t, got), imageBytes(t, next)) {
 		t.Fatal("Apply(Diff(restored-from, captured-after)) does not rebuild the captured image")
 	}
+	// An image read from bytes shares its columns with nothing until a
+	// pipeline is restored from it.
+	decoded := cloneImage(t, img)
+	restored, _, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertImageWritesStayOff(t, inc, imageBytes(t, next), img, d)
+	assertImageWritesStayOff(t, restored, want, decoded, d)
 }
 
 // TestCaptureImageIsCanonical: the schema CaptureImage holds is deeply
@@ -495,7 +548,7 @@ func TestCaptureImageIsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Tallies) != 0 || d.Tombstones() != 0 || len(d.NodeAssign)+len(d.NodeShapePut)+len(d.EdgeShapePut)+len(d.ResolverPut) != 0 {
+		if len(d.Tallies) != 0 || d.Tombstones() != 0 || d.NodeAssign.Len()+len(d.NodeShapePut)+len(d.EdgeShapePut)+len(d.ResolverPut) != 0 {
 			t.Fatalf("an image differs from its decoded self: %+v", d)
 		}
 	}

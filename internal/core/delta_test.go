@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	"github.com/pghive/pghive/internal/keyed"
@@ -19,6 +21,13 @@ func mustSchema(text string) schema.Persisted {
 	return p
 }
 
+// columnOf builds the column holding m's entries, for a hand-built
+// image.
+func columnOf(m map[pg.ID]int) keyed.Column[pg.ID, int32] {
+	ids := slices.Sorted(maps.Keys(m))
+	return keyed.Build(len(ids), func(i int) pg.ID { return ids[i] }, func(i int) int32 { return int32(m[ids[i]]) })
+}
+
 // deltaBase and deltaNext are hand-built canonical images exercising
 // every collection the differ walks: assignments added, re-typed, and
 // removed; an edge type's tallies dropped with the type; shape-cache entries replaced and tombstoned; resolver
@@ -30,10 +39,10 @@ func deltaBase() *Image {
 		Schema: mustSchema(`{"version":1,
 			"nodeTypes":[{"id":0,"labels":{"A":2},"token":"A","instances":2},{"id":1,"labels":{"B":1},"token":"B","instances":1}],
 			"edgeTypes":[{"id":2,"labels":{"E":1},"token":"E","instances":1,"srcTokens":["A"],"dstTokens":["B"]}]}`),
-		Tallies:      Tallies{{Type: 2, Src: keyed.Map[pg.ID]{1: 1}, Dst: keyed.Map[pg.ID]{2: 1}}},
+		Tallies:      Tallies{{Type: 2, Src: columnOf(map[pg.ID]int{1: 1}), Dst: columnOf(map[pg.ID]int{2: 1})}},
 		Batches:      3,
-		NodeAssign:   map[pg.ID]int{1: 0, 2: 1, 3: 0},
-		EdgeAssign:   map[pg.ID]int{10: 0},
+		NodeAssign:   columnOf(map[pg.ID]int{1: 0, 2: 1, 3: 0}),
+		EdgeAssign:   columnOf(map[pg.ID]int{10: 0}),
 		NodeClusters: 2,
 		EdgeClusters: 1,
 		NodeShapes:   3,
@@ -62,8 +71,8 @@ func deltaNext() *Image {
 			"nodeTypes":[{"id":0,"labels":{"A":1},"token":"A","instances":1},{"id":1,"labels":{"B":2},"token":"B","instances":2}],
 			"edgeTypes":null}`),
 		Batches:      5,
-		NodeAssign:   map[pg.ID]int{1: 1, 3: 0, 4: 1}, // 1 re-typed, 2 gone, 4 new
-		EdgeAssign:   map[pg.ID]int{},                 // 10 gone
+		NodeAssign:   columnOf(map[pg.ID]int{1: 1, 3: 0, 4: 1}), // 1 re-typed, 2 gone, 4 new
+		EdgeAssign:   columnOf(map[pg.ID]int{}),                 // 10 gone
 		NodeClusters: 3,
 		EdgeClusters: 0,
 		NodeShapes:   4,
@@ -150,7 +159,7 @@ func TestDeltaChainApply(t *testing.T) {
 	base, next := deltaBase(), deltaNext()
 	mid := cloneImage(t, base)
 	mid.Batches = 4
-	mid.NodeAssign[4] = 1
+	mid.NodeAssign.Set(4, 1)
 	mid.Resolver = append(mid.Resolver, ResolverNode{ID: 4, Labels: []string{"C"}})
 	mid.WALSeq = 5
 
@@ -182,7 +191,7 @@ func TestDeltaEmptyDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Tombstones() != 0 || len(d.NodeAssign) != 0 || len(d.NodeShapePut) != 0 || len(d.ResolverPut) != 0 || len(d.AppliedKeys) != 0 {
+	if d.Tombstones() != 0 || d.NodeAssign.Len() != 0 || len(d.NodeShapePut) != 0 || len(d.ResolverPut) != 0 || len(d.AppliedKeys) != 0 {
 		t.Fatalf("self-diff is not empty: %+v", d)
 	}
 	img := cloneImage(t, base)

@@ -24,6 +24,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"maps"
 	"slices"
 
@@ -273,61 +274,64 @@ func (inc *Incremental) Unlift(spent *Dirty) {
 	}
 }
 
-// liftAssign is keyed.DiffMap over the touched elements alone: before
-// holds their old type IDs, now the live assignments.
-func liftAssign(before map[pg.ID]int, now keyed.Column[pg.ID, int32]) (puts keyed.Map[pg.ID], dels keyed.IDs[pg.ID]) {
-	for id, was := range before {
+// liftAssign is keyed.Diff over the touched elements alone: before
+// holds their old type IDs, now the live assignments. It walks the
+// elements in ID order, so its puts and tombstones ascend.
+func liftAssign(before map[pg.ID]int, now keyed.Column[pg.ID, int32]) (puts keyed.Column[pg.ID, int32], dels keyed.IDs[pg.ID]) {
+	var ids []pg.ID
+	var types []int32
+	for _, id := range slices.Sorted(maps.Keys(before)) {
 		switch t, ok := now.Get(id); {
-		case !ok && was != unassigned:
+		case !ok && before[id] != unassigned:
 			dels = append(dels, id)
-		case ok && int(t) != was:
-			if puts == nil {
-				puts = keyed.Map[pg.ID]{}
-			}
-			puts[id] = int(t)
+		case ok && int(t) != before[id]:
+			ids, types = append(ids, id), append(types, t)
 		}
 	}
-	slices.Sort(dels)
-	return puts, dels
+	return keyed.FromRun(ids, types), dels
 }
 
-// liftTallies is keyed.DiffMap over the touched tally entries alone:
+// liftTallies is keyed.Diff over the touched tally entries alone:
 // before holds their old counts (0: none), s the live ones. An entry of
-// a type that is gone counts 0.
+// a type that is gone counts 0. It walks each side of each type in node
+// order, so the side's puts and tombstones ascend.
 func liftTallies(before map[tallyKey]int, s *schema.Schema) TallyChanges {
-	changed := map[int]*TallyChange{}
-	for k, was := range before {
-		now := 0
-		if t := s.EdgeTypeByID(k.typ); t != nil {
-			now = tally(t, k)
-		}
-		if now == was {
-			continue
-		}
-		c := changed[k.typ]
-		if c == nil {
-			c = &TallyChange{Type: k.typ}
-			changed[k.typ] = c
-		}
-		puts, dels := &c.SrcPut, &c.SrcDel
-		if k.dst {
-			puts, dels = &c.DstPut, &c.DstDel
-		}
-		if now == 0 {
-			*dels = append(*dels, k.node)
-			continue
-		}
-		if *puts == nil {
-			*puts = keyed.Map[pg.ID]{}
-		}
-		(*puts)[k.node] = now
+	sides := map[tallyKey][]pg.ID{} // a type's side (no node) → its touched nodes
+	for k := range before {
+		side := tallyKey{typ: k.typ, dst: k.dst}
+		sides[side] = append(sides[side], k.node)
 	}
 	var out TallyChanges
-	for _, typ := range slices.Sorted(maps.Keys(changed)) {
-		c := changed[typ]
-		slices.Sort(c.SrcDel)
-		slices.Sort(c.DstDel)
-		out = append(out, *c)
+	for _, side := range slices.SortedFunc(maps.Keys(sides), func(a, b tallyKey) int { return cmp.Compare(a.typ, b.typ) }) {
+		t := s.EdgeTypeByID(side.typ)
+		var nodes []pg.ID
+		var counts []int32
+		var dels keyed.IDs[pg.ID]
+		slices.Sort(sides[side])
+		for _, node := range sides[side] {
+			k, now := tallyKey{side.typ, node, side.dst}, 0
+			if t != nil {
+				now = tally(t, k)
+			}
+			switch was := before[k]; {
+			case now == 0 && was != 0:
+				dels = append(dels, node)
+			case now != was:
+				nodes, counts = append(nodes, node), append(counts, int32(now))
+			}
+		}
+		if len(nodes)+len(dels) == 0 {
+			continue
+		}
+		if len(out) == 0 || out[len(out)-1].Type != side.typ {
+			out = append(out, TallyChange{Type: side.typ})
+		}
+		c := &out[len(out)-1]
+		if side.dst {
+			c.DstPut, c.DstDel = keyed.FromRun(nodes, counts), dels
+		} else {
+			c.SrcPut, c.SrcDel = keyed.FromRun(nodes, counts), dels
+		}
 	}
 	return out
 }

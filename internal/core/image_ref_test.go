@@ -67,19 +67,32 @@ type refTally struct {
 func toRefImage(img *Image) *refImage {
 	r := &refImage{
 		Version: img.Version, Schema: img.Schema, Batches: img.Batches,
-		NodeAssign: refMap(img.NodeAssign), EdgeAssign: refMap(img.EdgeAssign),
+		NodeAssign: refMapOf(img.NodeAssign), EdgeAssign: refMapOf(img.EdgeAssign),
 		NodeClusters: img.NodeClusters, EdgeClusters: img.EdgeClusters, NodeShapes: img.NodeShapes, EdgeShapes: img.EdgeShapes,
 		NodeChoice: img.NodeChoice, EdgeChoice: img.EdgeChoice, NodeShapeCache: img.NodeShapeCache, EdgeShapeCache: img.EdgeShapeCache,
 		Resolver: refResolver(img.Resolver), NextEdgeID: img.NextEdgeID, NextTypeID: img.NextTypeID, WALSeq: img.WALSeq, AppliedKeys: img.AppliedKeys,
 	}
 	for _, t := range img.Tallies {
-		r.Tallies = append(r.Tallies, refTally{Type: t.Type, Src: refMap(t.Src), Dst: refMap(t.Dst)})
+		r.Tallies = append(r.Tallies, refTally{Type: t.Type, Src: refMapOf(t.Src), Dst: refMapOf(t.Dst)})
 	}
 	return r
 }
 
-// refMap is keyed.Map as it was written.
+// refMap is an element-keyed collection as it was held and written
+// before images held columns: a map, grouped by value on the way out.
 type refMap map[pg.ID]int
+
+// refMapOf copies a column into a refMap, nil when it is empty.
+func refMapOf(c keyed.Column[pg.ID, int32]) refMap {
+	if c.Len() == 0 {
+		return nil
+	}
+	m := make(refMap, c.Len())
+	for id, v := range c.All() {
+		m[id] = int(v)
+	}
+	return m
+}
 
 func (m refMap) MarshalJSON() ([]byte, error) {
 	byValue := map[int][]pg.ID{}
@@ -140,7 +153,7 @@ func (ts *Tallies) UnmarshalJSON(data []byte) error {
 	}
 	for i, g := range groups {
 		ordered := i == 0 || g.Type > groups[i-1].Type
-		if err := checkGroup(g.Type, ordered, len(g.Src)+len(g.Dst) == 0, g.Src, g.Dst); err != nil {
+		if err := checkGroup(g.Type, ordered, g.Src.Len()+g.Dst.Len() == 0, g.Src, g.Dst); err != nil {
 			return err
 		}
 	}

@@ -11,9 +11,10 @@ package core
 // encoding/json one at a time, so their escaping and number spelling
 // are encoding/json's. The members that grow with the elements (the
 // assignments, each tally's sides, the resolver) are grouped by value
-// straight from the image into the destination through one
-// keyed.Grouper, whose ID scratch they share: writing costs that
-// scratch and the distinct values, not a map or a buffer per member.
+// straight from the image's columns, in ID order, into the destination
+// through one keyed.Grouper, whose ID scratch they share: writing costs
+// that scratch and the distinct values, not a sort, a map or a buffer
+// per member. EncodeDelta writes a run through the same writer.
 //
 // The reader walks the members in the same order. Any member may be
 // absent and none may come twice, out of order, under another name or
@@ -45,59 +46,10 @@ const imageChunk = 32 << 10
 // (compact JSON, members in declaration order, trailing newline). On an
 // error w may have received a prefix of the image.
 func EncodeImage(w io.Writer, img *Image) error {
-	e := &imageWriter{w: w, b: make([]byte, 0, 2*imageChunk), sep: '{'}
+	e := &imageWriter{w: w, b: make([]byte, 0, 2*imageChunk)}
 	e.g.Flush = e.flush
-	e.int("version", int64(img.Version))
-	e.json("schema", &img.Schema)
-	if len(img.Tallies) > 0 {
-		e.name("tallies")
-		e.b = append(e.b, '[')
-		for i, t := range img.Tallies {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.b = strconv.AppendInt(append(e.b, `{"type":`...), int64(t.Type), 10)
-			if len(t.Src) > 0 {
-				e.b = e.g.AppendMap(append(e.b, `,"src":`...), t.Src)
-			}
-			if len(t.Dst) > 0 {
-				e.b = e.g.AppendMap(append(e.b, `,"dst":`...), t.Dst)
-			}
-			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
-	}
-	e.int("batches", int64(img.Batches))
-	e.assign("nodeAssign", img.NodeAssign)
-	e.assign("edgeAssign", img.EdgeAssign)
-	e.int("nodeClusters", int64(img.NodeClusters))
-	e.int("edgeClusters", int64(img.EdgeClusters))
-	e.int("nodeShapes", int64(img.NodeShapes))
-	e.int("edgeShapes", int64(img.EdgeShapes))
-	e.json("nodeChoice", &img.NodeChoice)
-	e.json("edgeChoice", &img.EdgeChoice)
-	if len(img.NodeShapeCache) > 0 {
-		e.json("nodeShapeCache", img.NodeShapeCache)
-	}
-	if len(img.EdgeShapeCache) > 0 {
-		e.json("edgeShapeCache", img.EdgeShapeCache)
-	}
-	if len(img.Resolver) > 0 && e.err == nil {
-		e.name("resolver")
-		e.b, e.err = appendResolver(&e.g, e.b, img.Resolver)
-	}
-	if img.NextEdgeID != 0 {
-		e.int("nextEdgeID", int64(img.NextEdgeID))
-	}
-	e.int("nextTypeID", int64(img.NextTypeID))
-	if img.WALSeq != 0 {
-		e.name("walSeq")
-		e.b = strconv.AppendUint(e.b, img.WALSeq, 10)
-	}
-	if len(img.AppliedKeys) > 0 {
-		e.json("appliedKeys", img.AppliedKeys)
-	}
-	e.b = append(e.b, "}\n"...)
+	e.members(reflect.ValueOf(img).Elem())
+	e.b = append(e.b, '\n')
 	if e.err != nil {
 		return e.err
 	}
@@ -105,9 +57,9 @@ func EncodeImage(w io.Writer, img *Image) error {
 	return err
 }
 
-// imageWriter gathers an image's bytes in b and hands them to w a chunk
-// at a time. err is the first failure, a refused member or a failed
-// write; after it nothing more is written.
+// imageWriter gathers an image's or a run's bytes in b and hands them to
+// w, when there is one, a chunk at a time. err is the first failure, a
+// refused member or a failed write; after it nothing more is written.
 type imageWriter struct {
 	w   io.Writer
 	b   []byte
@@ -119,7 +71,7 @@ type imageWriter struct {
 // flush hands b to w once it holds a chunk, and returns what to go on
 // appending to.
 func (e *imageWriter) flush(b []byte) []byte {
-	if len(b) < imageChunk {
+	if e.w == nil || len(b) < imageChunk {
 		return b
 	}
 	if e.err == nil {
@@ -135,29 +87,74 @@ func (e *imageWriter) name(name string) {
 	e.sep = ','
 }
 
-func (e *imageWriter) int(name string, v int64) {
-	e.name(name)
-	e.b = strconv.AppendInt(e.b, v, 10)
+// members writes v, an addressable Image, ImageDelta or tally group, as
+// an object of its members (wireMembers). A number is spelled as
+// encoding/json spells it. A column, an ID list and the resolver are
+// grouped and gap-coded straight from where they are, and a tally
+// collection is an array of groups written the same way. Everything
+// else goes through encoding/json.
+func (e *imageWriter) members(v reflect.Value) {
+	e.sep = '{'
+	for i, m := range wireMembers[v.Type()] {
+		f := v.Field(i)
+		if m.omitEmpty && empty(f) {
+			continue
+		}
+		if e.err != nil {
+			return
+		}
+		e.name(m.name)
+		switch x := f.Addr().Interface().(type) {
+		case *keyed.Column[pg.ID, int32]:
+			e.b = keyed.AppendColumn(&e.g, e.b, *x)
+		case *keyed.IDs[pg.ID]:
+			e.b, e.err = keyed.AppendIDs(e.b, *x)
+		case *ResolverNodes:
+			e.b, e.err = appendResolver(&e.g, e.b, *x)
+		case *Tallies, *TallyChanges:
+			e.b = append(e.b, '[')
+			for j := range f.Len() {
+				if j > 0 {
+					e.b = append(e.b, ',')
+				}
+				e.members(f.Index(j))
+			}
+			e.b = append(e.b, ']')
+		default:
+			switch {
+			case f.CanInt():
+				e.b = strconv.AppendInt(e.b, f.Int(), 10)
+			case f.CanUint():
+				e.b = strconv.AppendUint(e.b, f.Uint(), 10)
+			default:
+				e.json(x)
+			}
+		}
+	}
+	if e.sep == '{' { // no member
+		e.b = append(e.b, '{')
+	}
+	e.b = append(e.b, '}')
+	e.sep = ','
 }
 
-func (e *imageWriter) assign(name string, m keyed.Map[pg.ID]) {
-	if len(m) > 0 {
-		e.name(name)
-		e.b = e.g.AppendMap(e.b, m)
+// empty reports whether an omitempty member is left out: by
+// encoding/json's rule, or as a column without entries.
+func empty(f reflect.Value) bool {
+	if c, ok := f.Addr().Interface().(*keyed.Column[pg.ID, int32]); ok {
+		return c.Len() == 0
 	}
+	return f.Kind() == reflect.Slice && f.Len() == 0 || f.IsZero()
 }
 
-// json writes a member that grows with the types through encoding/json.
-func (e *imageWriter) json(name string, v any) {
-	if e.err != nil {
-		return
-	}
+// json writes a member's value that grows with the types through
+// encoding/json.
+func (e *imageWriter) json(v any) {
 	text, err := json.Marshal(v)
 	if err != nil {
 		e.err = err
 		return
 	}
-	e.name(name)
 	e.b = append(e.b, text...)
 }
 
@@ -182,7 +179,7 @@ func appendResolver(g *keyed.Grouper[pg.ID], b []byte, ns ResolverNodes) ([]byte
 		for i := range ns {
 			put(ns[i].ID, rank[sets.index(ns[i].Labels)])
 		}
-	}, false, func(b []byte, r int) []byte {
+	}, func(b []byte, r int) []byte {
 		b = append(b, '{')
 		if labels := sets.sets[byLabels[r]]; len(labels) > 0 {
 			text, _ := json.Marshal(labels) // strings always marshal
@@ -253,32 +250,43 @@ func ParseImage(data []byte) (*Image, error) {
 	return &img, nil
 }
 
-// imageMembers are Image's JSON member names in declaration order, the
-// order they are written and read in.
-var imageMembers = func() []string {
-	t := reflect.TypeFor[Image]()
-	names := make([]string, t.NumField())
-	for i := range names {
-		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+// member is one of a struct's JSON members.
+type member struct {
+	name      string
+	omitEmpty bool
+}
+
+// wireMembers are the JSON members, in declaration order, of the
+// structs an image and a run are written from: the order the members
+// are written and read in.
+var wireMembers = func() map[reflect.Type][]member {
+	out := map[reflect.Type][]member{}
+	for _, v := range []any{Image{}, ImageDelta{}, Tally{}, TallyChange{}} {
+		t := reflect.TypeOf(v)
+		for i := range t.NumField() {
+			name, opt, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			out[t] = append(out[t], member{name, opt == "omitempty"})
+		}
 	}
-	return names
+	return out
 }()
 
 // readImage decodes the members of one image into img.
 func readImage(data []byte, img *Image) error {
 	r := &imageReader{data: data}
+	members := wireMembers[reflect.TypeFor[Image]()]
 	next := 0 // the first member that may still come
 	err := r.seq("{", "}", func() error {
 		name, err := r.name()
 		if err != nil {
 			return err
 		}
-		i := slices.Index(imageMembers[next:], name)
+		i := slices.IndexFunc(members[next:], func(m member) bool { return m.name == name })
 		if i < 0 {
 			return r.fail(fmt.Sprintf("member %q is unknown, repeated or out of order", name))
 		}
 		next += i + 1
-		if err := r.member(img, next-1); err != nil {
+		if err := r.member(img, members[next-1].name, next-1); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		return nil
@@ -360,15 +368,15 @@ func (r *imageReader) name() (string, error) {
 	return name, nil
 }
 
-// member decodes the value of Image's i-th member into img.
-func (r *imageReader) member(img *Image, i int) error {
-	switch imageMembers[i] {
+// member decodes the value of Image's i-th member, name, into img.
+func (r *imageReader) member(img *Image, name string, i int) error {
+	switch name {
 	case "tallies":
 		return r.tallies(&img.Tallies)
 	case "nodeAssign":
-		return r.keyedMap(&img.NodeAssign)
+		return r.column(&img.NodeAssign)
 	case "edgeAssign":
-		return r.keyedMap(&img.EdgeAssign)
+		return r.column(&img.EdgeAssign)
 	case "resolver":
 		return r.resolver(&img.Resolver)
 	}
@@ -424,14 +432,14 @@ func (r *imageReader) value() ([]byte, error) {
 	return r.data[start:], nil
 }
 
-// keyedMap decodes a keyed.Map in place.
-func (r *imageReader) keyedMap(m *keyed.Map[pg.ID]) error {
-	v, n, err := keyed.DecodeMap[pg.ID](r.data[r.pos:])
+// column decodes a column in place.
+func (r *imageReader) column(c *keyed.Column[pg.ID, int32]) error {
+	v, n, err := keyed.DecodeColumn[pg.ID, int32](r.data[r.pos:])
 	if err != nil {
 		return err
 	}
 	r.pos += n
-	*m = v
+	*c = v
 	return nil
 }
 
@@ -447,12 +455,12 @@ func (r *imageReader) tallies(ts *Tallies) error {
 			return err
 		}
 		if r.accept(`,"src":`) {
-			if err := r.keyedMap(&t.Src); err != nil {
+			if err := r.column(&t.Src); err != nil {
 				return err
 			}
 		}
 		if r.accept(`,"dst":`) {
-			if err := r.keyedMap(&t.Dst); err != nil {
+			if err := r.column(&t.Dst); err != nil {
 				return err
 			}
 		}
@@ -460,7 +468,7 @@ func (r *imageReader) tallies(ts *Tallies) error {
 			return err
 		}
 		ordered := len(out) == 0 || t.Type > out[len(out)-1].Type
-		if err := checkGroup(t.Type, ordered, len(t.Src)+len(t.Dst) == 0, t.Src, t.Dst); err != nil {
+		if err := checkGroup(t.Type, ordered, t.Src.Len()+t.Dst.Len() == 0, t.Src, t.Dst); err != nil {
 			return err
 		}
 		out = append(out, t)

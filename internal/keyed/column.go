@@ -1,9 +1,11 @@
 package keyed
 
 // column.go holds Column, the in-memory form of element-keyed state: an
-// ID → value map kept as sorted leaves of at most leafCap entries, each
-// leaf's keys and values in two arrays (struct of arrays), under one
-// root. The pipeline's assignments and degree tallies are columns.
+// ID → small int map kept as sorted leaves of at most leafCap entries,
+// each leaf's keys and values in two arrays (struct of arrays), under
+// one root. The pipeline's assignments and degree tallies are columns,
+// and so are the images and runs that persist them: Diff and Apply are
+// their put/tombstone rule.
 //
 // It is persistent. Clone shares the root; the first write after a
 // share copies the root (one small header per leaf) and then each leaf
@@ -29,15 +31,16 @@ import (
 // it touches.
 const leafCap = 64
 
-// Column maps IDs to values. The zero value is empty. A Column is
+// Column maps IDs to small ints: type IDs, counts. The zero value is
+// empty. A Column is
 // written by one goroutine at a time; Clone may run on any number of
 // goroutines at once, and a clone and its original then change
 // independently.
-type Column[K ~int64, V any] struct {
+type Column[K ~int64, V ~int32] struct {
 	r *root[K, V]
 }
 
-type root[K ~int64, V any] struct {
+type root[K ~int64, V ~int32] struct {
 	// shared is set by Clone, possibly on several goroutines holding
 	// one published snapshot; a shared root is never written again.
 	shared atomic.Bool
@@ -46,7 +49,7 @@ type root[K ~int64, V any] struct {
 }
 
 // slab holds the entries of one leaf, or of every leaf of a bulk build.
-type slab[K ~int64, V any] struct {
+type slab[K ~int64, V ~int32] struct {
 	keys []K
 	vals []V
 }
@@ -55,7 +58,7 @@ type slab[K ~int64, V any] struct {
 // holding the leaf made s for it alone: then the leaf spans s, and that
 // root writes s in place. Every other slab is only read, and a root
 // that copies another's headers clears the mark.
-type leaf[K ~int64, V any] struct {
+type leaf[K ~int64, V ~int32] struct {
 	s      *slab[K, V]
 	lo, hi int32
 }
@@ -67,24 +70,33 @@ func (l leaf[K, V]) vals() []V { return l.s.vals[max(l.lo, 0):l.hi] }
 // taking over both slices. It sorts the run by key first unless the
 // keys already ascend, and then packs it into full leaves over the two
 // slices in a constant number of allocations.
-func FromRun[K ~int64, V any](keys []K, vals []V) Column[K, V] {
+func FromRun[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
 	if len(keys) != len(vals) {
 		panic("keyed: a run's keys and values differ in length")
 	}
+	if _, ok := sortRun(keys, vals); !ok {
+		panic("keyed: a run holds a key twice")
+	}
+	return pack(keys, vals)
+}
+
+// sortRun sorts a run by key unless its keys already ascend, and then
+// reports a key it holds twice, if any.
+func sortRun[K ~int64, V ~int32](keys []K, vals []V) (dup K, ok bool) {
 	if !slices.IsSorted(keys) {
 		sort.Sort(run[K, V]{keys, vals})
 	}
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
-			panic("keyed: a run holds a key twice")
+			return keys[i], false
 		}
 	}
-	return pack(keys, vals)
+	return dup, true
 }
 
 // Build is FromRun over a run of n entries, entry i being (key(i),
 // val(i)).
-func Build[K ~int64, V any](n int, key func(i int) K, val func(i int) V) Column[K, V] {
+func Build[K ~int64, V ~int32](n int, key func(i int) K, val func(i int) V) Column[K, V] {
 	keys, vals := make([]K, n), make([]V, n)
 	for i := range n {
 		keys[i], vals[i] = key(i), val(i)
@@ -93,7 +105,7 @@ func Build[K ~int64, V any](n int, key func(i int) K, val func(i int) V) Column[
 }
 
 // run sorts a run's keys and values together, in place.
-type run[K ~int64, V any] struct {
+type run[K ~int64, V ~int32] struct {
 	keys []K
 	vals []V
 }
@@ -106,7 +118,7 @@ func (r run[K, V]) Swap(i, j int) {
 }
 
 // pack cuts sorted, distinct entries into full leaves over one slab.
-func pack[K ~int64, V any](keys []K, vals []V) Column[K, V] {
+func pack[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
 	if len(keys) == 0 {
 		return Column[K, V]{}
 	}
@@ -238,7 +250,7 @@ func (c *Column[K, V]) Merge(o Column[K, V], combine func(old, v V) V) {
 		keys := make([]K, 0, c.Len()+o.Len())
 		vals := make([]V, 0, c.Len()+o.Len())
 		var zero V
-		a, b := cursor[K, V]{rest: c.r.leaves}, cursor[K, V]{rest: o.r.leaves}
+		a, b := c.cursor(), o.cursor()
 		for a.more() || b.more() {
 			switch {
 			case !b.more() || a.more() && a.keys[0] < b.keys[0]:
@@ -257,12 +269,59 @@ func (c *Column[K, V]) Merge(o Column[K, V], combine func(old, v V) V) {
 	}
 }
 
+// Diff returns what turns base into next: the entries next holds that
+// base lacks or holds with another value, and the keys only base holds,
+// both in ascending key order — the order a run lists them in. It walks
+// the two columns side by side and skips a leaf they share whole, so a
+// column diffed against an earlier clone of itself costs the leaves
+// written since for what it builds.
+func Diff[K ~int64, V ~int32](base, next Column[K, V]) (puts Column[K, V], dels IDs[K]) {
+	var keys []K
+	var vals []V
+	a, b := base.cursor(), next.cursor()
+	for a.more() || b.more() {
+		switch {
+		case !b.more() || a.more() && a.keys[0] < b.keys[0]:
+			dels = append(dels, a.keys[0])
+			a.next()
+		case !a.more() || b.keys[0] < a.keys[0]:
+			keys, vals = append(keys, b.keys[0]), append(vals, b.vals[0])
+			b.next()
+		case &a.keys[0] == &b.keys[0] && len(a.keys) == len(b.keys): // the rest of a shared leaf
+			a.keys, b.keys = nil, nil
+		default:
+			if a.vals[0] != b.vals[0] {
+				keys, vals = append(keys, b.keys[0]), append(vals, b.vals[0])
+			}
+			a.next()
+			b.next()
+		}
+	}
+	return pack(keys, vals), dels
+}
+
+// Apply folds a diff onto c: the puts, then the dels. A del of a key c
+// lacks changes nothing.
+func (c *Column[K, V]) Apply(puts Column[K, V], dels []K) {
+	c.Merge(puts, func(_, v V) V { return v })
+	for _, k := range dels {
+		c.Delete(k)
+	}
+}
+
 // cursor walks a column's leaves in key order: keys[0], vals[0] is the
 // entry at hand.
-type cursor[K ~int64, V any] struct {
+type cursor[K ~int64, V ~int32] struct {
 	rest []leaf[K, V]
 	keys []K
 	vals []V
+}
+
+func (c Column[K, V]) cursor() (u cursor[K, V]) {
+	if c.r != nil {
+		u.rest = c.r.leaves
+	}
+	return u
 }
 
 func (u *cursor[K, V]) more() bool {
@@ -292,7 +351,7 @@ func (c *Column[K, V]) own() *root[K, V] {
 }
 
 // fresh returns a leaf over a new slab of its own holding the entries.
-func fresh[K ~int64, V any](keys []K, vals []V) leaf[K, V] {
+func fresh[K ~int64, V ~int32](keys []K, vals []V) leaf[K, V] {
 	return leaf[K, V]{&slab[K, V]{keys, vals}, -1, int32(len(keys))}
 }
 

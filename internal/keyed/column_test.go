@@ -1,13 +1,16 @@
 package keyed
 
 // column_test.go holds Column to the map it stands for: random scripts
-// of sets, deletes, merges of sorted and unsorted runs and clones run on
-// a few columns and on one reference map each, and after every step
-// each column must agree with its map and keep its own invariants. A
-// clone gets a map of its own, so a write on either side of a clone
-// that reached the other side fails the comparison.
+// of sets, deletes, merges of sorted and unsorted runs, clones, and
+// diffs applied onto clones run on a few columns and on one reference
+// map each, and after every step each column must agree with its map
+// and keep its own invariants. A clone gets a map of its own, so a
+// write on either side of a clone that reached the other side fails the
+// comparison; a diff is held to DiffMap and its apply to ApplyMap
+// (keyed_test.go).
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -49,7 +52,7 @@ func runColumnScript(t *testing.T, script []byte) {
 		want[i] = map[id]int32{}
 	}
 	for step := 0; len(s.b) > 0; step++ {
-		op := s.next() % 7
+		op := s.next() % 8
 		switch op {
 		case 0: // set
 			i, k, v := s.slot(), s.key(), int32(s.next())
@@ -97,6 +100,29 @@ func runColumnScript(t *testing.T, script []byte) {
 					got[i].Set(k, int32(j))
 					want[i][k] = int32(j)
 				}
+			}
+		case 7: // diff two columns, apply the diff to a clone of the first
+			from, next, to := s.slot(), s.slot(), s.slot()
+			puts, dels := Diff(got[from], got[next])
+			wantPuts, wantDels := DiffMap(want[from], want[next], cmp.Compare[id])
+			if msg := columnDiffers(puts, wantPuts); msg != "" {
+				t.Fatalf("step %d: Diff puts: %s", step, msg)
+			}
+			if !slices.Equal(dels, wantDels) {
+				t.Fatalf("step %d: Diff dels %v, want %v", step, dels, wantDels)
+			}
+			// 1<<40 is no key a script makes: deleting it changes nothing.
+			got[to] = got[from].Clone()
+			got[to].Apply(puts, append(dels, 1<<40))
+			want[to] = ApplyMap(maps.Clone(want[from]), wantPuts, append(wantDels, 1<<40))
+			if want[to] == nil {
+				want[to] = map[id]int32{}
+			}
+			if !maps.Equal(want[to], want[next]) {
+				t.Fatalf("step %d: the oracle's apply of its diff is not the target", step)
+			}
+			if msg := columnDiffers(puts, wantPuts); msg != "" {
+				t.Fatalf("step %d: Apply changed the puts it read: %s", step, msg)
 			}
 		}
 		for i := range got {
@@ -172,9 +198,10 @@ func TestColumnMatchesMap(t *testing.T) {
 
 func FuzzColumnMatchesMap(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 5, 1, 1, 0, 5})                                  // set, delete
-	f.Add([]byte{6, 0, 10, 129, 1, 2, 0, 1, 6, 1, 40, 3, 1, 0, 0, 100}) // split, clone, write both sides
-	f.Add([]byte{3, 0, 200, 2, 4, 1, 100, 1, 4, 0, 9, 0, 5, 0})         // merge sorted and drawn runs, merge itself
+	f.Add([]byte{0, 0, 5, 1, 1, 0, 5})                                                // set, delete
+	f.Add([]byte{6, 0, 10, 129, 1, 2, 0, 1, 6, 1, 40, 3, 1, 0, 0, 100})               // split, clone, write both sides
+	f.Add([]byte{3, 0, 200, 2, 4, 1, 100, 1, 4, 0, 9, 0, 5, 0})                       // merge sorted and drawn runs, merge itself
+	f.Add([]byte{6, 0, 10, 129, 1, 2, 0, 1, 6, 1, 60, 30, 1, 7, 0, 1, 2, 7, 1, 0, 3}) // diff a column and its clone, both ways
 	f.Fuzz(func(t *testing.T, script []byte) { runColumnScript(t, script) })
 }
 

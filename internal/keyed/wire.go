@@ -3,16 +3,16 @@ package keyed
 // wire.go is the on-disk form of element-keyed collections. Element IDs
 // are dense in practice and a collection holds many of them, so a list
 // is written as its first ID followed by the gaps between neighbours,
-// and a map onto a small int (a type ID, a degree) as one such list per
-// value:
+// and a column (an ID → small int map: a type ID, a degree) as one such
+// list per value:
 //
 //	IDs{10000017, 10000018, 10000019, 10000022}  →  [10000017,1,1,3]
-//	Map{7: 3, 9: 3, 12: 1}                       →  [{"v":1,"ids":[12]},{"v":3,"ids":[7,2]}]
+//	Column{7: 3, 9: 3, 12: 1}                    →  [{"v":1,"ids":[12]},{"v":3,"ids":[7,2]}]
 //
 // Exactly one spelling of each value decodes: no whitespace, no sign or
 // leading zero on a gap, gaps above zero, no sum past int64, groups in
-// ascending value order, none empty and no ID in two of them. So bytes
-// the decoders accept re-encode to themselves.
+// ascending value order, none empty, no value past int32 and no ID in
+// two of them. So bytes the decoders accept re-encode to themselves.
 
 import (
 	"fmt"
@@ -25,15 +25,10 @@ import (
 // members of a group. Its JSON form is the first ID and then the gaps.
 type IDs[K ~int64] []K
 
-// Map maps IDs onto small ints — element assignments, degree tallies.
-// Its JSON form is one {"v":value,"ids":IDs} group per value, in
-// ascending value order.
-type Map[K ~int64] map[K]int
-
 // MarshalJSON writes the gap-coded list; it refuses a list that does not
 // strictly ascend.
 func (s IDs[K]) MarshalJSON() ([]byte, error) {
-	return appendIDs(make([]byte, 0, 2+4*len(s)), s)
+	return AppendIDs(make([]byte, 0, 2+4*len(s)), s)
 }
 
 // UnmarshalJSON reads what MarshalJSON writes and nothing else.
@@ -43,14 +38,20 @@ func (s *IDs[K]) UnmarshalJSON(data []byte) (err error) {
 }
 
 // MarshalJSON writes the value groups.
-func (m Map[K]) MarshalJSON() ([]byte, error) {
+func (c Column[K, V]) MarshalJSON() ([]byte, error) {
 	var g Grouper[K]
-	return g.AppendMap(make([]byte, 0, 2+4*len(m)), m), nil
+	return AppendColumn(&g, make([]byte, 0, 2+4*c.Len()), c), nil
 }
 
 // UnmarshalJSON reads what MarshalJSON writes and nothing else.
-func (m *Map[K]) UnmarshalJSON(data []byte) (err error) {
-	*m, err = parseMap[K](data)
+func (c *Column[K, V]) UnmarshalJSON(data []byte) error {
+	v, n, err := DecodeColumn[K, V](data)
+	if err == nil && n != len(data) {
+		err = (&reader{data: data, pos: n}).end()
+	}
+	if err == nil {
+		*c = v
+	}
 	return err
 }
 
@@ -68,22 +69,23 @@ type Grouper[K ~int64] struct {
 
 	ids  []K
 	ends []int
-	rank map[int]int // AppendMap: a value's group
-	vals []int       // AppendMap: the distinct values, ascending
+	rank map[int32]int // AppendColumn: a value's group
+	vals []int32       // AppendColumn: the distinct values, ascending
 }
 
-// AppendMap appends m's JSON form: one {"v":value,"ids":IDs} group per
-// distinct value, in ascending value order.
-func (g *Grouper[K]) AppendMap(b []byte, m Map[K]) []byte {
+// AppendColumn appends c's JSON form: one {"v":value,"ids":IDs} group
+// per distinct value, in ascending value order. It walks c in ID order,
+// so each group's IDs ascend as they are placed.
+func AppendColumn[K ~int64, V ~int32](g *Grouper[K], b []byte, c Column[K, V]) []byte {
 	if g.rank == nil {
-		g.rank = map[int]int{}
+		g.rank = map[int32]int{}
 	}
 	clear(g.rank)
 	g.vals = g.vals[:0]
-	for _, v := range m {
-		if _, ok := g.rank[v]; !ok {
-			g.rank[v] = 0
-			g.vals = append(g.vals, v)
+	for _, v := range c.All() {
+		if _, ok := g.rank[int32(v)]; !ok {
+			g.rank[int32(v)] = 0
+			g.vals = append(g.vals, int32(v))
 		}
 	}
 	slices.Sort(g.vals)
@@ -91,24 +93,24 @@ func (g *Grouper[K]) AppendMap(b []byte, m Map[K]) []byte {
 		g.rank[v] = i
 	}
 	b, _ = g.AppendGroups(b, len(g.vals), func(put func(K, int)) {
-		for id, v := range m {
-			put(id, g.rank[v])
+		for id, v := range c.All() {
+			put(id, g.rank[int32(v)])
 		}
-	}, true, func(b []byte, i int) []byte {
+	}, func(b []byte, i int) []byte {
 		b = append(b, `{"v":`...)
 		b = strconv.AppendInt(b, int64(g.vals[i]), 10)
 		return append(b, `,"ids":`...)
 	})
-	return b // distinct map keys, sorted: always ascends
+	return b // a column's keys ascend
 }
 
 // AppendGroups appends items sorted into groups as a JSON array: for
 // each non-empty group in index order, head's opening of it, its IDs
 // gap-coded and a closing brace. each hands put every item's ID and
 // group index; it is called twice, to count and then to fill, and a
-// group keeps its IDs in the order of the second call unless sort is
-// set. It refuses a group whose IDs do not then strictly ascend.
-func (g *Grouper[K]) AppendGroups(b []byte, groups int, each func(put func(id K, group int)), sort bool, head func(b []byte, group int) []byte) ([]byte, error) {
+// group keeps its IDs in the order of the second call. It refuses a
+// group whose IDs do not strictly ascend.
+func (g *Grouper[K]) AppendGroups(b []byte, groups int, each func(put func(id K, group int)), head func(b []byte, group int) []byte) ([]byte, error) {
 	g.ends = slices.Grow(g.ends[:0], groups+1)[:groups+1]
 	clear(g.ends)
 	n := 0
@@ -130,15 +132,12 @@ func (g *Grouper[K]) AppendGroups(b []byte, groups int, each func(put func(id K,
 		if len(ids) == 0 {
 			continue
 		}
-		if sort {
-			slices.Sort(ids)
-		}
 		if !first {
 			b = append(b, ',')
 		}
 		first = false
 		var err error
-		if b, err = appendIDs(head(b, i), ids); err != nil {
+		if b, err = AppendIDs(head(b, i), ids); err != nil {
 			return nil, err
 		}
 		b = append(b, '}')
@@ -149,7 +148,9 @@ func (g *Grouper[K]) AppendGroups(b []byte, groups int, each func(put func(id K,
 	return append(b, ']'), nil
 }
 
-func appendIDs[K ~int64](b []byte, ids []K) ([]byte, error) {
+// AppendIDs appends the gap-coded list; it refuses a list that does not
+// strictly ascend.
+func AppendIDs[K ~int64](b []byte, ids []K) ([]byte, error) {
 	b = append(b, '[')
 	for i, id := range ids {
 		if i == 0 {
@@ -182,18 +183,6 @@ func parseIDs[K ~int64](data []byte) (IDs[K], error) {
 	return ids, nil
 }
 
-// parseMap decodes value groups; [] is nil.
-func parseMap[K ~int64](data []byte) (Map[K], error) {
-	m, n, err := DecodeMap[K](data)
-	if err == nil && n != len(data) {
-		err = (&reader{data: data, pos: n}).end()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // DecodeIDs reads the gap-coded list at the start of data, handing each
 // ID to emit in order. It reports how many IDs it read and how many
 // bytes the list spans; what follows is the caller's.
@@ -203,32 +192,30 @@ func DecodeIDs[K ~int64](data []byte, emit func(K) error) (count, n int, err err
 	return count, r.pos, err
 }
 
-// DecodeMap reads the value groups at the start of data and reports how
-// many bytes they span; what follows is the caller's. It reads them
-// twice, first to check their spelling and count their IDs, so the map
-// is made once at its size; [] is nil.
-func DecodeMap[K ~int64](data []byte) (Map[K], int, error) {
+// DecodeColumn reads the value groups at the start of data into a
+// column and reports how many bytes they span; what follows is the
+// caller's. It reads them twice, first to check their spelling and
+// count their IDs, so the column's two arrays are made once at their
+// size, and then sorts the groups' entries into ID order.
+func DecodeColumn[K ~int64, V ~int32](data []byte) (Column[K, V], int, error) {
 	r := &reader{data: data}
 	n := 0
 	if err := r.groups(func(int64, int64) error { n++; return nil }); err != nil {
-		return nil, 0, err
+		return Column[K, V]{}, 0, err
 	}
 	if n == 0 {
-		return nil, r.pos, nil
+		return Column[K, V]{}, r.pos, nil
 	}
-	m := make(Map[K], n)
+	keys, vals := make([]K, 0, n), make([]V, 0, n)
 	r.pos = 0
-	err := r.groups(func(id, v int64) error {
-		if _, dup := m[K(id)]; dup {
-			return r.fail(fmt.Sprintf("ID %d is in two groups", id))
-		}
-		m[K(id)] = int(v)
+	r.groups(func(id, v int64) error { // read once without a refusal
+		keys, vals = append(keys, K(id)), append(vals, V(v))
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
+	if dup, ok := sortRun(keys, vals); !ok {
+		return Column[K, V]{}, 0, fmt.Errorf("keyed: ID %d is in two groups", dup)
 	}
-	return m, r.pos, nil
+	return pack(keys, vals), r.pos, nil
 }
 
 // groups consumes value groups, handing put each ID with its group's
@@ -251,8 +238,8 @@ func (r *reader) groups(put func(id, v int64) error) error {
 		if !first && v <= prev {
 			return r.fail(fmt.Sprintf("group %d after group %d: groups must ascend", v, prev))
 		}
-		if int64(int(v)) != v {
-			return r.fail(fmt.Sprintf("value %d overflows int", v))
+		if int64(int32(v)) != v {
+			return r.fail(fmt.Sprintf("value %d overflows int32", v))
 		}
 		prev = v
 		if err := r.expect(`,"ids":`); err != nil {

@@ -2,7 +2,6 @@ package keyed
 
 import (
 	"encoding/json"
-	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -11,11 +10,19 @@ import (
 
 type id int64
 
+// parseColumn decodes value groups as encoding/json hands them to a
+// column.
+func parseColumn(data []byte) (Column[id, int32], error) {
+	var c Column[id, int32]
+	err := c.UnmarshalJSON(data)
+	return c, err
+}
+
 // TestWireForm pins the two spellings and their round trip through
 // encoding/json, which is how images and runs carry them.
 func TestWireForm(t *testing.T) {
 	ids := IDs[id]{10000017, 10000018, 10000019, 10000022}
-	m := Map[id]{7: 3, 9: 3, 12: 1, -4: 0}
+	m := columnOf(map[id]int32{7: 3, 9: 3, 12: 1, -4: 0})
 	for _, c := range []struct {
 		v    any
 		want string
@@ -24,7 +31,7 @@ func TestWireForm(t *testing.T) {
 		{m, `[{"v":0,"ids":[-4]},{"v":1,"ids":[12]},{"v":3,"ids":[7,2]}]`},
 		{IDs[id]{math.MinInt64, math.MaxInt64}, `[-9223372036854775808,18446744073709551615]`},
 		{IDs[id](nil), `[]`},
-		{Map[id](nil), `[]`},
+		{Column[id, int32]{}, `[]`},
 	} {
 		got, err := json.Marshal(c.v)
 		if err != nil || string(got) != c.want {
@@ -33,22 +40,22 @@ func TestWireForm(t *testing.T) {
 	}
 
 	var holder struct {
-		Dels IDs[id] `json:"dels,omitempty"`
-		Puts Map[id] `json:"puts,omitempty"`
+		Dels IDs[id]           `json:"dels,omitempty"`
+		Puts Column[id, int32] `json:"puts"`
 	}
-	if b, _ := json.Marshal(holder); string(b) != `{}` {
-		t.Fatalf("empty collections must be absent, got %s", b)
+	if b, _ := json.Marshal(holder); string(b) != `{"puts":[]}` {
+		t.Fatalf("an empty list must be absent and an empty column [], got %s", b)
 	}
 	holder.Dels, holder.Puts = ids, m
 	b, err := json.Marshal(holder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder.Dels, holder.Puts = nil, nil
+	holder.Dels, holder.Puts = nil, Column[id, int32]{}
 	if err := json.Unmarshal(b, &holder); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(holder.Dels, ids) || !maps.Equal(holder.Puts, m) {
+	if !slices.Equal(holder.Dels, ids) || columnDiffers(holder.Puts, map[id]int32{7: 3, 9: 3, 12: 1, -4: 0}) != "" {
 		t.Fatalf("round trip through %s gave %v / %v", b, holder.Dels, holder.Puts)
 	}
 
@@ -80,6 +87,7 @@ var refusals = []struct{ why, ids, m string }{
 	{why: "null", ids: `null`, m: `null`},
 	{why: "object", ids: `{}`, m: `{"7":1}`},
 	{why: "empty input", ids: ``, m: ``},
+	{why: "value overflows int32", m: `[{"v":2147483648,"ids":[1]}]`},
 }
 
 func TestWireFormRefuses(t *testing.T) {
@@ -90,8 +98,8 @@ func TestWireFormRefuses(t *testing.T) {
 			}
 		}
 		if c.m != "" || c.why == "empty input" {
-			if got, err := parseMap[id]([]byte(c.m)); err == nil {
-				t.Errorf("%s: parseMap(%s) accepted %v", c.why, c.m, got)
+			if got, err := parseColumn([]byte(c.m)); err == nil {
+				t.Errorf("%s: parseColumn(%s) accepted %v", c.why, c.m, got)
 			}
 		}
 	}
@@ -113,7 +121,7 @@ func FuzzWireForm(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		ids, idsErr := parseIDs[id](data)
-		m, mErr := parseMap[id](data)
+		m, mErr := parseColumn(data)
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
@@ -125,7 +133,7 @@ func FuzzWireForm(f *testing.F) {
 		}
 		if mErr == nil {
 			if got, err := m.MarshalJSON(); err != nil || string(got) != string(data) {
-				t.Fatalf("Map %s re-encodes as %s (%v)", data, got, err)
+				t.Fatalf("Column %s re-encodes as %s (%v)", data, got, err)
 			}
 		}
 	})

@@ -2,18 +2,19 @@ package schema
 
 // change_test.go exercises the two halves a delta run carries a schema
 // change in, on hand-built fixtures: the heads (Persisted) whole, and
-// each edge type's degree tallies as keyed.DiffMap puts and tombstones
-// over DegreeCounts, folded back with keyed.ApplyMap and DegreesOf. A
+// each edge type's degree tallies as keyed.Diff puts and tombstones
+// over the tallies' Counts, folded back with Column.Apply and
+// DegreesFrom. A
 // change that touches a few endpoints must cost a few entries, and the
 // two halves must rebuild the target exactly, also when read back from
 // their own bytes.
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/pghive/pghive/internal/keyed"
@@ -80,15 +81,31 @@ type tallyChange struct {
 	Del []pg.ID       `json:"del,omitempty"`
 }
 
-func diffCounts(base, next map[pg.ID]int) tallyChange {
-	puts, dels := keyed.DiffMap(base, next, cmp.Compare[pg.ID])
-	return tallyChange{Put: puts, Del: dels}
+// countsColumn is the column of node counts m holds.
+func countsColumn(m map[pg.ID]int) keyed.Column[pg.ID, int32] {
+	ids := slices.Sorted(maps.Keys(m))
+	return keyed.Build(len(ids), func(i int) pg.ID { return ids[i] }, func(i int) int32 { return int32(m[ids[i]]) })
 }
 
-// applyCounts folds c onto a copy of base and rebuilds the tally.
+func diffCounts(base, next map[pg.ID]int) tallyChange {
+	puts, dels := keyed.Diff(countsColumn(base), countsColumn(next))
+	c := tallyChange{Del: dels}
+	for id, n := range puts.All() {
+		if c.Put == nil {
+			c.Put = map[pg.ID]int{}
+		}
+		c.Put[id] = int(n)
+	}
+	return c
+}
+
+// applyCounts folds c onto a column of base's counts and adopts it as a
+// tally.
 func applyCounts(t *testing.T, base map[pg.ID]int, c tallyChange) Degrees {
 	t.Helper()
-	d, err := DegreesOf(keyed.ApplyMap(maps.Clone(base), c.Put, c.Del))
+	counts := countsColumn(base)
+	counts.Apply(countsColumn(c.Put), c.Del)
+	d, err := DegreesFrom(counts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package schema
 
 import (
 	"cmp"
+	"fmt"
 	"iter"
 	"math"
 	"slices"
@@ -70,6 +71,25 @@ func (d Degrees) All() iter.Seq2[pg.ID, int] {
 			}
 		}
 	}
+}
+
+// Counts returns the node counts as a column that shares every leaf
+// with d: how a checkpoint image holds a tally. O(1).
+func (d Degrees) Counts() keyed.Column[pg.ID, int32] { return d.counts.Clone() }
+
+// DegreesFrom takes a column of node counts over as a tally (a caller
+// that keeps using the column clones it first) and builds the histogram
+// in one pass over it. A tally holds no count below one, so such a
+// count is corruption.
+func DegreesFrom(counts keyed.Column[pg.ID, int32]) (Degrees, error) {
+	d := Degrees{counts: counts, hist: &histogram{}}
+	for id, n := range counts.All() {
+		if n < 1 {
+			return Degrees{}, fmt.Errorf("degree %d for node %d", n, id)
+		}
+		d.hist.move(0, n)
+	}
+	return d, nil
 }
 
 // Clone returns a tally that shares every leaf with d. O(1).
@@ -141,16 +161,7 @@ func countDegrees(ids []pg.ID) Degrees {
 			nodes, counts = append(nodes, id), append(counts, 1)
 		}
 	}
-	return degreesOf(nodes, counts)
-}
-
-// degreesOf builds a tally from a run of distinct nodes and their
-// positive counts, taking the slices over.
-func degreesOf(nodes []pg.ID, counts []int32) Degrees {
-	d := Degrees{counts: keyed.FromRun(nodes, counts), hist: &histogram{}}
-	for _, n := range counts {
-		d.hist.move(0, n)
-	}
+	d, _ := DegreesFrom(keyed.FromRun(nodes, counts)) // every count is at least one
 	return d
 }
 

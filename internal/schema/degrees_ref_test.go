@@ -21,6 +21,19 @@ import (
 
 const degSlots = 4
 
+// DegreeCounts copies a tally into a map of node counts, nil when it is
+// empty: the form the tests compare tallies in.
+func DegreeCounts[K ~int64](d Degrees) map[K]int {
+	if d.Len() == 0 {
+		return nil
+	}
+	out := make(map[K]int, d.Len())
+	for id, n := range d.All() {
+		out[K(id)] = n
+	}
+	return out
+}
+
 // leafCap is keyed.Column's leaf size, which the scripts' runs cross.
 const leafCap = 64
 

@@ -24,6 +24,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/pg"
 )
 
@@ -94,36 +95,16 @@ func canonMap(m map[string]int) map[string]int {
 	return maps.Clone(m)
 }
 
-// DegreeCounts copies a tally into a map of node counts, nil when it is
-// empty.
-func DegreeCounts[K ~int64](d Degrees) map[K]int {
-	if d.Len() == 0 {
-		return nil
-	}
-	out := make(map[K]int, d.Len())
-	for id, n := range d.All() {
-		out[K(id)] = n
-	}
-	return out
-}
-
 // DegreesOf builds a tally from node counts in bulk. A tally holds no
 // count below one, so such a count is corruption.
 func DegreesOf[K ~int64](m map[K]int) (Degrees, error) {
-	nodes := make([]pg.ID, 0, len(m))
-	for k := range m {
-		nodes = append(nodes, pg.ID(k))
-	}
-	slices.Sort(nodes)
-	counts := make([]int32, len(nodes))
-	for i, id := range nodes {
-		n := m[K(id)]
-		if n < 1 || n > math.MaxInt32 {
-			return Degrees{}, fmt.Errorf("degree %d for node %d", n, id)
+	nodes := slices.Sorted(maps.Keys(m))
+	for _, k := range nodes {
+		if n := m[k]; n < 1 || n > math.MaxInt32 {
+			return Degrees{}, fmt.Errorf("degree %d for node %d", n, k)
 		}
-		counts[i] = int32(n)
 	}
-	return degreesOf(nodes, counts), nil
+	return DegreesFrom(keyed.Build(len(nodes), func(i int) pg.ID { return pg.ID(nodes[i]) }, func(i int) int32 { return int32(m[nodes[i]]) }))
 }
 
 func propToJSON(ps *PropStat) jsonProp {

@@ -315,8 +315,8 @@ func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) (bt Batch
 
 // writeCheckpoint captures the full state under the write lock and
 // encodes it after releasing the lock (see Service.WriteCheckpoint). An
-// image never aliases the pipeline it was captured from, so writes may
-// land while it is encoded.
+// image shares the pipeline's columns copy-on-write; writes on either
+// side never reach the other, so writes may land while it is encoded.
 func (w *writer) writeCheckpoint(out io.Writer) error {
 	w.mu.Lock()
 	img, err := w.inc.CaptureImage(&core.CheckpointExtras{
