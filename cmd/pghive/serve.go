@@ -613,16 +613,17 @@ func (t target) schema(w http.ResponseWriter, r *http.Request) {
 		name = "DiscoveredGraphType"
 	}
 	snap := t.Snapshot()
-	var ctype, doc string
+	var ctype string
+	var render func() string // nil for json, which streams
 	switch schemaFormat(r) {
 	case "json":
-		ctype = "application/json" // streamed below; no other format renders empty
+		ctype = "application/json"
 	case "pgschema":
-		ctype, doc = "text/plain; charset=utf-8", pghive.PGSchema(snap.Schema, mode, name)
+		ctype, render = "text/plain; charset=utf-8", func() string { return pghive.PGSchema(snap.Schema, mode, name) }
 	case "xsd":
-		ctype, doc = "application/xml", pghive.XSD(snap.Schema)
+		ctype, render = "application/xml", func() string { return pghive.XSD(snap.Schema) }
 	case "dot":
-		ctype, doc = "text/vnd.graphviz", pghive.DOT(snap.Schema, name)
+		ctype, render = "text/vnd.graphviz", func() string { return pghive.DOT(snap.Schema, name) }
 	default:
 		// Only an explicit ?format= can land here (Accept
 		// negotiation always falls back to pgschema), and a bad
@@ -632,13 +633,33 @@ func (t target) schema(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown schema format (want json, pgschema, xsd, or dot)"))
 		return
 	}
+	etag := `"` + strconv.FormatUint(snap.Stats.LSN, 10) + `"`
+	w.Header().Set("ETag", etag)
+	if noneMatch(r.Header.Values("If-None-Match"), etag) {
+		// The client holds this snapshot's document: nothing is rendered.
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	w.Header().Set("Content-Type", ctype)
-	w.Header().Set("ETag", `"`+strconv.FormatUint(snap.Stats.LSN, 10)+`"`)
-	if doc == "" {
+	if render == nil {
 		pghive.WriteSchemaJSON(w, snap.Schema)
 		return
 	}
-	fmt.Fprint(w, doc)
+	fmt.Fprint(w, render())
+}
+
+// noneMatch reports whether If-None-Match header values match etag: a
+// "*", or etag in one of their comma-separated lists, compared weakly
+// (a W/ prefix ignored), as RFC 9110 §13.1.2 has it for a GET.
+func noneMatch(values []string, etag string) bool {
+	for _, v := range values {
+		for _, tag := range strings.Split(v, ",") {
+			if tag = strings.TrimSpace(tag); tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // validate checks a posted batch against the published schema without

@@ -69,6 +69,59 @@ func jsonlBatch(firstID int) string {
 	return b.String()
 }
 
+// TestSchemaIfNoneMatch: GET /schema answers 304 with no body when
+// If-None-Match names the snapshot's ETag (weakly or in a list) or is
+// "*", and the document otherwise; a bad format is still a 400.
+func TestSchemaIfNoneMatch(t *testing.T) {
+	svc := pghive.NewService(pghive.Options{Seed: 1})
+	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, nil))
+	defer srv.Close()
+	if code, body := post(t, srv, "/ingest", jsonlBatch(0)); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	for _, c := range []struct {
+		path, ifNoneMatch string
+		want              int
+	}{
+		{"/schema", `"1"`, http.StatusNotModified},
+		{"/schema?format=xsd", `W/"1"`, http.StatusNotModified},
+		{"/schema", `"0", "1"`, http.StatusNotModified},
+		{"/schema?format=dot", `*`, http.StatusNotModified},
+		{"/schema", `"0"`, http.StatusOK},
+		{"/schema?format=json", `"10"`, http.StatusOK},
+		{"/schema", ``, http.StatusOK},
+		{"/schema?format=nope", `"1"`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest("GET", srv.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", c.ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s with If-None-Match %s: %d, want %d", c.path, c.ifNoneMatch, resp.StatusCode, c.want)
+		}
+		switch {
+		case c.want == http.StatusNotModified && len(body) != 0:
+			t.Fatalf("%s with If-None-Match %s: a 304 carries %d bytes", c.path, c.ifNoneMatch, len(body))
+		case c.want == http.StatusOK && len(body) == 0:
+			t.Fatalf("%s with If-None-Match %s: no document", c.path, c.ifNoneMatch)
+		case c.want != http.StatusBadRequest && resp.Header.Get("ETag") != `"1"`:
+			t.Fatalf("%s: ETag %q, want \"1\"", c.path, resp.Header.Get("ETag"))
+		}
+	}
+}
+
 func TestServeHTTPEndpoints(t *testing.T) {
 	svc := pghive.NewService(pghive.Options{Seed: 1})
 	srv := httptest.NewServer(newServeMux(servePlain(svc), 0, nil))

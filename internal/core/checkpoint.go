@@ -24,23 +24,22 @@ package core
 // declaration order, in which every element-keyed collection is grouped
 // and gap-coded — the assignments and the degree tallies (tally.go) in
 // keyed's form, the resolver as one ID list per label set
-// (ResolverNodes). An image of any other version is refused by its
-// version, never read. The schema inside an image is its heads alone
+// (pg.AppendLabelIndex). An image of any other version is refused by
+// its version, never read. The schema inside an image is its heads alone
 // (schema.Persisted): WriteSchemaJSON writes the same heads with each
 // edge type's tallies inside it, and an image keeps those in Tallies.
 //
-// An image shares the pipeline's columns copy-on-write; writes on
-// either side never reach the other. CaptureImage and RestoreImage
-// share them with an O(1) keyed.Column.Clone. Compaction depends on it
-// — a round that captures the state whole encodes the image off the
-// write lock, while writes keep landing on the pipeline it came from.
+// An image shares the pipeline's columns and the resolver's index
+// copy-on-write; writes on either side never reach the other.
+// CaptureImage and RestoreImage share them with an O(1) Clone.
+// Compaction depends on it — a round that captures the state whole
+// encodes the image off the write lock, while writes keep landing on
+// the pipeline it came from.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 
 	"github.com/pghive/pghive/internal/keyed"
 	"github.com/pghive/pghive/internal/lsh"
@@ -52,72 +51,6 @@ import (
 // only one the decoders read. Version 3 keeps the degree tallies in
 // Tallies, beside the schema's heads.
 const CheckpointVersion = 3
-
-// ResolverNode is one persisted entry of the stream's endpoint
-// bookkeeping: a node ID and its labels (never properties or edges).
-// Labels are in sorted order (pg.Graph canonicalizes them on insert).
-type ResolverNode struct {
-	ID     pg.ID    `json:"id"`
-	Labels []string `json:"labels,omitempty"`
-}
-
-// ResolverNodes is the resolver as an image holds it: one entry per
-// node, in ID order. A resolver holds many nodes and few label sets, so
-// it is written grouped — one gap-coded ID list per label set, the sets
-// in ascending order — and read back only in that spelling: no empty
-// group, no set twice, no node in two sets.
-type ResolverNodes []ResolverNode
-
-// resolverGroup is one label set's nodes on the wire.
-type resolverGroup struct {
-	Labels []string         `json:"labels,omitempty"`
-	IDs    keyed.IDs[pg.ID] `json:"ids"`
-}
-
-// MarshalJSON writes the groups; it refuses a label set whose nodes are
-// out of ID order.
-func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
-	var g keyed.Grouper[pg.ID]
-	return appendResolver(&g, nil, ns)
-}
-
-// UnmarshalJSON reads what MarshalJSON writes. The nodes of one group
-// share its label slice; nothing modifies labels in place.
-func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
-	var groups []resolverGroup
-	if err := json.Unmarshal(data, &groups); err != nil {
-		return err
-	}
-	var out ResolverNodes
-	for i, g := range groups {
-		var prev []string
-		if i > 0 {
-			prev = groups[i-1].Labels
-		}
-		if err := checkResolverGroup(g.Labels, len(g.IDs), prev, i == 0); err != nil {
-			return err
-		}
-		for _, id := range g.IDs {
-			out = append(out, ResolverNode{ID: id, Labels: g.Labels})
-		}
-	}
-	return sortResolver(out, ns)
-}
-
-// checkResolverGroup refuses a decoded resolver group of n nodes that is
-// empty, whose label set is not canonical, or whose set does not ascend
-// from the previous group's, prev.
-func checkResolverGroup(labels []string, n int, prev []string, first bool) error {
-	switch {
-	case n == 0:
-		return fmt.Errorf("resolver: group %v is empty", labels)
-	case labels != nil && len(labels) == 0, !slices.IsSorted(labels):
-		return fmt.Errorf("resolver: label set %q is not canonical", labels)
-	case !first && slices.Compare(prev, labels) >= 0:
-		return fmt.Errorf("resolver: label set %q after %q: sets must ascend", labels, prev)
-	}
-	return nil
-}
 
 // Image is the materialized checkpoint state — the on-disk layout of a
 // checkpoint file and the value delta runs are diffed against. Its
@@ -151,9 +84,8 @@ type Image struct {
 	// in byte-wise fingerprint order.
 	NodeShapeCache []pg.ShapeEntry `json:"nodeShapeCache,omitempty"`
 	EdgeShapeCache []pg.ShapeEntry `json:"edgeShapeCache,omitempty"`
-	// Resolver is the stream's label-only endpoint bookkeeping, in ID
-	// order.
-	Resolver ResolverNodes `json:"resolver,omitempty"`
+	// Resolver is the stream's endpoint bookkeeping.
+	Resolver pg.LabelIndex `json:"resolver,omitempty"`
 	// NextEdgeID preserves the CSV stream's sequential edge-ID counter
 	// (0 for JSONL streams, whose IDs are explicit in the input).
 	NextEdgeID pg.ID `json:"nextEdgeID,omitempty"`
@@ -191,9 +123,11 @@ type AppliedKey struct {
 // the Incremental but must survive a restore for bit-identical
 // resumption.
 type CheckpointExtras struct {
-	// Resolver is the stream's endpoint bookkeeping graph
-	// (StreamReader.Resolver()); nil when no stream is involved.
-	Resolver *pg.Graph
+	// Resolver is the stream's endpoint bookkeeping
+	// (JSONLStream.Resolver(), a *pg.LabelIndex); nil when no stream is
+	// involved. CaptureImage also takes a *pg.Graph, whose nodes it
+	// indexes; RestoreImage hands back a *pg.LabelIndex.
+	Resolver pg.Resolver
 	// NextEdgeID is the CSV stream's next sequential edge ID; leave 0
 	// for JSONL streams.
 	NextEdgeID pg.ID
@@ -231,16 +165,9 @@ func (inc *Incremental) CaptureImage(extras *CheckpointExtras) (*Image, error) {
 		img.NextEdgeID = extras.NextEdgeID
 		img.WALSeq = extras.WALSeq
 		img.AppliedKeys = extras.AppliedKeys
-		if extras.Resolver != nil {
-			nodes := extras.Resolver.Nodes()
-			img.Resolver = make([]ResolverNode, len(nodes))
-			for i := range nodes {
-				img.Resolver[i] = ResolverNode{ID: nodes[i].ID, Labels: nodes[i].Labels}
-			}
-			// Canonical ID order, not insertion order: two logically
-			// identical states whose nodes arrived in different orders
-			// still serialize to identical bytes.
-			sort.Slice(img.Resolver, func(i, j int) bool { return img.Resolver[i].ID < img.Resolver[j].ID })
+		var ok bool
+		if img.Resolver, ok = pg.IndexOf(extras.Resolver); !ok {
+			return nil, fmt.Errorf("core: checkpoint: resolver %T is neither a *pg.LabelIndex nor a *pg.Graph", extras.Resolver)
 		}
 	}
 	return img, nil
@@ -335,15 +262,9 @@ func RestoreImage(opts Options, img *Image) (*Incremental, *CheckpointExtras, er
 	}
 
 	extras := &CheckpointExtras{NextEdgeID: img.NextEdgeID, WALSeq: img.WALSeq, AppliedKeys: img.AppliedKeys}
-	if len(img.Resolver) > 0 {
-		g := pg.NewGraph()
-		g.AllowDanglingEdges(true)
-		for _, rn := range img.Resolver {
-			if err := g.PutNode(rn.ID, rn.Labels, nil); err != nil {
-				return nil, nil, fmt.Errorf("core: checkpoint: resolver: %w", err)
-			}
-		}
-		extras.Resolver = g
+	if img.Resolver.Len() > 0 {
+		resolver := img.Resolver.Clone()
+		extras.Resolver = &resolver
 	}
 	return inc, extras, nil
 }
@@ -363,7 +284,7 @@ func checkAssign(what string, c keyed.Column[pg.ID, int32], known func(t int) bo
 // by WriteCheckpoint. It returns the Incremental, positioned exactly
 // where the interrupted run stood, plus the persisted stream extras:
 // seed a new StreamReader over the remaining input with the returned
-// resolver nodes (SeedResolver) — and, for CSV, SetNextEdgeID — and
+// resolver's nodes (SeedResolver) — and, for CSV, SetNextEdgeID — and
 // the finished run is bit-identical to one that never stopped.
 // opts must match the interrupted run's options (see RestoreImage).
 func ResumeFromCheckpoint(opts Options, r io.Reader) (*Incremental, *CheckpointExtras, error) {

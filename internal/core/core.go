@@ -648,14 +648,29 @@ func (inc *Incremental) Finalize() *Result {
 // through the batch's resolver when the batch does not hold the node
 // (or holds it with nil labels), else as endpointTypeToken does.
 func (inc *Incremental) foreignEndpointToken(b *pg.Batch, id pg.ID) string {
-	if b.Resolver != nil && b.Resolver != b.Graph {
+	if b.Resolver != nil && b.Resolver != pg.Resolver(b.Graph) {
 		if n := b.Graph.Node(id); n == nil || n.Labels == nil {
-			if rn := b.Resolver.Node(id); rn != nil && len(rn.Labels) > 0 {
-				return pg.LabelToken(rn.Labels)
+			if tok, ok := resolveToken(b.Resolver, id); ok {
+				return tok
 			}
 		}
 	}
 	return inc.endpointTypeToken(id)
+}
+
+// resolveToken returns the token of the labels r holds for the node,
+// and whether it holds the node with at least one label. An index
+// keeps each label set's token; any other resolver's labels are
+// joined.
+func resolveToken(r pg.Resolver, id pg.ID) (string, bool) {
+	if x, ok := r.(*pg.LabelIndex); ok {
+		return x.NodeToken(id)
+	}
+	labels, ok := r.NodeLabels(id)
+	if !ok || len(labels) == 0 {
+		return "", false
+	}
+	return pg.LabelToken(labels), true
 }
 
 // endpointTypeToken resolves an unlabeled endpoint node to the name of

@@ -66,9 +66,7 @@ func refProcessBatch(inc *Incremental, b *pg.Batch) {
 			ls = n.Labels
 		}
 		if ls == nil && b.Resolver != nil {
-			if n := b.Resolver.Node(id); n != nil {
-				ls = n.Labels
-			}
+			ls, _ = b.Resolver.NodeLabels(id)
 		}
 		if tok := pg.LabelToken(ls); tok != "" {
 			return tok

@@ -13,8 +13,9 @@ package core
 // Every keyed collection travels as puts and deletes — the deletes
 // are the tombstones of the run layout — under one rule per shape:
 // keyed.Diff / Column.Apply for columns (the assignments, and per edge
-// type the degree tallies, tally.go), diffSorted / applySorted for
-// key-sorted slices (shape caches, resolver). The scalars (counters,
+// type the degree tallies, tally.go), pg.DiffLabelIndex /
+// LabelIndex.Apply for the resolver, diffSorted / applySorted for the
+// shape caches. The scalars (counters,
 // adaptive choices) and the schema's heads are O(types × properties)
 // and carried whole. A column diff skips the leaves its two sides
 // share, and an apply shares the puts' leaves copy-on-write.
@@ -27,7 +28,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -87,7 +87,7 @@ type ImageDelta struct {
 	EdgeShapeDel [][]byte        `json:"edgeShapeDel,omitempty"`
 
 	// Resolver puts and tombstones, ID-ascending.
-	ResolverPut ResolverNodes    `json:"resolverPut,omitempty"`
+	ResolverPut pg.LabelIndex    `json:"resolverPut,omitempty"`
 	ResolverDel keyed.IDs[pg.ID] `json:"resolverDel,omitempty"`
 
 	// AppliedKeys are the idempotency keys applied in (FromLSN, ToLSN],
@@ -107,7 +107,7 @@ func (d *ImageDelta) Tombstones() int {
 // Puts counts the delta's upserts, as Tombstones counts its deletions.
 func (d *ImageDelta) Puts() int {
 	return d.NodeAssign.Len() + d.EdgeAssign.Len() +
-		len(d.NodeShapePut) + len(d.EdgeShapePut) + len(d.ResolverPut)
+		len(d.NodeShapePut) + len(d.EdgeShapePut) + d.ResolverPut.Len()
 }
 
 // DiffImage computes the delta that transforms base into next. Both
@@ -142,7 +142,7 @@ func DiffImage(base, next *Image) (*ImageDelta, error) {
 	d.EdgeAssign, d.EdgeUnassign = keyed.Diff(base.EdgeAssign, next.EdgeAssign)
 	d.NodeShapePut, d.NodeShapeDel = diffSorted(base.NodeShapeCache, next.NodeShapeCache, shapeKey, bytes.Compare, shapeEqual)
 	d.EdgeShapePut, d.EdgeShapeDel = diffSorted(base.EdgeShapeCache, next.EdgeShapeCache, shapeKey, bytes.Compare, shapeEqual)
-	d.ResolverPut, d.ResolverDel = diffSorted(base.Resolver, next.Resolver, resolverKey, cmp.Compare, resolverEqual)
+	d.ResolverPut, d.ResolverDel = pg.DiffLabelIndex(&base.Resolver, &next.Resolver)
 	for _, k := range next.AppliedKeys {
 		if k.LSN > base.WALSeq {
 			d.AppliedKeys = append(d.AppliedKeys, k)
@@ -181,7 +181,7 @@ func (d *ImageDelta) Apply(img *Image) error {
 	img.EdgeAssign.Apply(d.EdgeAssign, d.EdgeUnassign)
 	img.NodeShapeCache = applySorted(img.NodeShapeCache, d.NodeShapePut, d.NodeShapeDel, shapeKey, bytes.Compare)
 	img.EdgeShapeCache = applySorted(img.EdgeShapeCache, d.EdgeShapePut, d.EdgeShapeDel, shapeKey, bytes.Compare)
-	img.Resolver = applySorted(img.Resolver, d.ResolverPut, d.ResolverDel, resolverKey, cmp.Compare)
+	img.Resolver.Apply(&d.ResolverPut, d.ResolverDel)
 	img.AppliedKeys = append(img.AppliedKeys, d.AppliedKeys...)
 	img.WALSeq = d.ToLSN
 	return nil
@@ -209,13 +209,11 @@ func ParseDelta(data []byte) (*ImageDelta, error) {
 	return &d, nil
 }
 
-// How the two key-sorted collections are keyed and compared.
+// How the shape caches are keyed and compared.
 func shapeKey(e pg.ShapeEntry) []byte { return e.Key }
 func shapeEqual(a, b pg.ShapeEntry) bool {
 	return a.Token == b.Token && slices.Equal(a.Items, b.Items)
 }
-func resolverKey(n ResolverNode) pg.ID     { return n.ID }
-func resolverEqual(a, b ResolverNode) bool { return slices.Equal(a.Labels, b.Labels) }
 
 // diffSorted merge-walks two key-sorted slices into the entries next
 // holds that base lacks or holds differently, and the keys only base

@@ -170,7 +170,7 @@ func genImage(rng *rand.Rand) *Image {
 			img.EdgeShapeCache = append(img.EdgeShapeCache, pg.ShapeEntry{Key: []byte{k, 1}, Items: []string{"a", "b"}[:rng.Intn(3)]})
 		}
 		if rng.Intn(2) == 0 {
-			img.Resolver = append(img.Resolver, ResolverNode{ID: pg.ID(k), Labels: []string{"A", "B"}[:rng.Intn(3)]})
+			img.Resolver.Put(pg.ID(k), []string{"A", "B"}[:rng.Intn(3)])
 		}
 	}
 	return img
@@ -407,11 +407,39 @@ func aliasPipeline() (inc *Incremental, grow, shrink *pg.Batch) {
 	return inc, batches[2], batches[0]
 }
 
+// aliasResolver is a resolver of every node aliasPipeline's batches
+// hold, put one by one as a serving writer keeps one beside its
+// pipeline: no clone has shared it yet.
+func aliasResolver(grow *pg.Batch) *CheckpointExtras {
+	var x pg.LabelIndex
+	for id, labels := range grow.Resolver.(*pg.LabelIndex).All() {
+		x.Put(id, labels)
+	}
+	return &CheckpointExtras{Resolver: &x}
+}
+
+// scribbleResolver removes every other node of x and puts one new node
+// with a label set x has not seen.
+func scribbleResolver(x *pg.LabelIndex) {
+	var ids []pg.ID
+	for id := range x.All() {
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if id%2 == 0 {
+			x.Remove(id)
+		}
+	}
+	x.Put(1<<40, []string{"Scribbled"})
+}
+
 // assertImageWritesStayOff writes to an image that may share columns
-// with the pipeline inc — a Set or a Delete on every entry of every
-// column, then d applied, as recovery and a fold apply runs — and fails
-// unless inc then captures want, the bytes of its state.
-func assertImageWritesStayOff(t *testing.T, inc *Incremental, want []byte, img *Image, d *ImageDelta) {
+// with the pipeline inc, or its index with the resolver in extras — a
+// Set or a Delete on every entry of every column, a Remove of every
+// other resolver node and a Put, then d applied, as recovery and a fold
+// apply runs — and fails unless inc then captures want, the bytes of
+// its state.
+func assertImageWritesStayOff(t *testing.T, inc *Incremental, extras *CheckpointExtras, want []byte, img *Image, d *ImageDelta) {
 	t.Helper()
 	scribble := func(c *keyed.Column[pg.ID, int32]) {
 		var ids []pg.ID
@@ -433,10 +461,11 @@ func assertImageWritesStayOff(t *testing.T, inc *Incremental, want []byte, img *
 		scribble(&img.Tallies[i].Src)
 		scribble(&img.Tallies[i].Dst)
 	}
+	scribbleResolver(&img.Resolver)
 	if err := d.Apply(img); err != nil {
 		t.Fatal(err)
 	}
-	now, err := inc.CaptureImage(nil)
+	now, err := inc.CaptureImage(extras)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +480,8 @@ func assertImageWritesStayOff(t *testing.T, inc *Incremental, want []byte, img *
 // writing to the same pipeline, captures again and diffs the two.
 func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 	inc, grow, shrink := aliasPipeline()
-	img, err := inc.CaptureImage(nil)
+	extras := aliasResolver(grow)
+	img, err := inc.CaptureImage(extras)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +489,11 @@ func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 	inc.ProcessBatch(grow)
 	inc.RetractBatch(shrink)
 	inc.Finalize()
+	scribbleResolver(extras.Resolver.(*pg.LabelIndex))
 	if !bytes.Equal(imageBytes(t, img), want) {
-		t.Fatal("a write to the pipeline changed an image captured before it")
+		t.Fatal("a write to the pipeline or its resolver changed an image captured before it")
 	}
-	later, err := inc.CaptureImage(nil)
+	later, err := inc.CaptureImage(extras)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +501,7 @@ func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertImageWritesStayOff(t, inc, imageBytes(t, later), img, d)
+	assertImageWritesStayOff(t, inc, extras, imageBytes(t, later), img, d)
 }
 
 // TestImageDoesNotAliasRestoredPipeline: writes to a pipeline built by
@@ -480,23 +511,24 @@ func TestImageDoesNotAliasCapturedPipeline(t *testing.T) {
 // against that same image.
 func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 	src, grow, shrink := aliasPipeline()
-	img, err := src.CaptureImage(nil)
+	img, err := src.CaptureImage(aliasResolver(grow))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := imageBytes(t, img)
-	inc, _, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, img)
+	inc, extras, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc.ProcessBatch(grow)
 	inc.RetractBatch(shrink)
 	inc.Finalize()
+	scribbleResolver(extras.Resolver.(*pg.LabelIndex))
 	if !bytes.Equal(imageBytes(t, img), want) {
-		t.Fatal("a write to the restored pipeline changed the image it was restored from")
+		t.Fatal("a write to the restored pipeline or its resolver changed the image it was restored from")
 	}
 	// And what compaction then does with the pair is exact.
-	next, err := inc.CaptureImage(nil)
+	next, err := inc.CaptureImage(extras)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,12 +549,12 @@ func TestImageDoesNotAliasRestoredPipeline(t *testing.T) {
 	// An image read from bytes shares its columns with nothing until a
 	// pipeline is restored from it.
 	decoded := cloneImage(t, img)
-	restored, _, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, decoded)
+	restored, restoredExtras, err := RestoreImage(Options{Seed: 41, Parallelism: 1}, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertImageWritesStayOff(t, inc, imageBytes(t, next), img, d)
-	assertImageWritesStayOff(t, restored, want, decoded, d)
+	assertImageWritesStayOff(t, inc, extras, imageBytes(t, next), img, d)
+	assertImageWritesStayOff(t, restored, restoredExtras, want, decoded, d)
 }
 
 // TestCaptureImageIsCanonical: the schema CaptureImage holds is deeply
@@ -548,7 +580,7 @@ func TestCaptureImageIsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Tallies) != 0 || d.Tombstones() != 0 || d.NodeAssign.Len()+len(d.NodeShapePut)+len(d.EdgeShapePut)+len(d.ResolverPut) != 0 {
+		if len(d.Tallies) != 0 || d.Tombstones() != 0 || d.NodeAssign.Len()+len(d.NodeShapePut)+len(d.EdgeShapePut)+d.ResolverPut.Len() != 0 {
 			t.Fatalf("an image differs from its decoded self: %+v", d)
 		}
 	}

@@ -28,6 +28,15 @@ func columnOf(m map[pg.ID]int) keyed.Column[pg.ID, int32] {
 	return keyed.Build(len(ids), func(i int) pg.ID { return ids[i] }, func(i int) int32 { return int32(m[ids[i]]) })
 }
 
+// indexOf builds a resolver of the nodes.
+func indexOf(nodes []ResolverNode) pg.LabelIndex {
+	var x pg.LabelIndex
+	for _, n := range nodes {
+		x.Put(n.ID, n.Labels)
+	}
+	return x
+}
+
 // deltaBase and deltaNext are hand-built canonical images exercising
 // every collection the differ walks: assignments added, re-typed, and
 // removed; an edge type's tallies dropped with the type; shape-cache entries replaced and tombstoned; resolver
@@ -52,11 +61,11 @@ func deltaBase() *Image {
 			{Key: []byte{0x02}, Token: "t1"},
 		},
 		EdgeShapeCache: []pg.ShapeEntry{{Key: []byte{0x09}, Token: "e0"}},
-		Resolver: []ResolverNode{
+		Resolver: indexOf([]ResolverNode{
 			{ID: 1, Labels: []string{"A"}},
 			{ID: 2, Labels: []string{"B"}},
 			{ID: 3, Labels: []string{"A"}},
-		},
+		}),
 		NextEdgeID:  11,
 		NextTypeID:  2,
 		WALSeq:      3,
@@ -82,11 +91,11 @@ func deltaNext() *Image {
 			{Key: []byte{0x03}, Token: "t3"}, // added; 0x02 tombstoned
 		},
 		EdgeShapeCache: nil, // 0x09 tombstoned
-		Resolver: []ResolverNode{
+		Resolver: indexOf([]ResolverNode{
 			{ID: 1, Labels: []string{"A", "X"}}, // relabeled
 			{ID: 3, Labels: []string{"A"}},      // unchanged
 			{ID: 4, Labels: []string{"C"}},      // added; 2 deleted
-		},
+		}),
 		NextEdgeID:  11,
 		NextTypeID:  3,
 		WALSeq:      7,
@@ -160,7 +169,7 @@ func TestDeltaChainApply(t *testing.T) {
 	mid := cloneImage(t, base)
 	mid.Batches = 4
 	mid.NodeAssign.Set(4, 1)
-	mid.Resolver = append(mid.Resolver, ResolverNode{ID: 4, Labels: []string{"C"}})
+	mid.Resolver.Put(4, []string{"C"})
 	mid.WALSeq = 5
 
 	d1, err := DiffImage(base, mid)
@@ -191,7 +200,7 @@ func TestDeltaEmptyDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Tombstones() != 0 || d.NodeAssign.Len() != 0 || len(d.NodeShapePut) != 0 || len(d.ResolverPut) != 0 || len(d.AppliedKeys) != 0 {
+	if d.Tombstones() != 0 || d.NodeAssign.Len() != 0 || len(d.NodeShapePut) != 0 || d.ResolverPut.Len() != 0 || len(d.AppliedKeys) != 0 {
 		t.Fatalf("self-diff is not empty: %+v", d)
 	}
 	img := cloneImage(t, base)

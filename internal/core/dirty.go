@@ -190,11 +190,11 @@ func (d *Dirty) ResolverAdded(id pg.ID) {
 	}
 }
 
-// ResolverRemoving records, before the owner's resolver drops the
-// node, the labels it holds for it.
-func (d *Dirty) ResolverRemoving(n *pg.Node) {
+// ResolverRemoving records that the owner's resolver drops the node,
+// which it held with the labels.
+func (d *Dirty) ResolverRemoving(id pg.ID, labels []string) {
 	if d.on() {
-		firstTouch(d.resolver, n.ID, resolverBefore{labels: n.Labels, present: true})
+		firstTouch(d.resolver, id, resolverBefore{labels: labels, present: true})
 	}
 }
 
@@ -239,11 +239,11 @@ func (inc *Incremental) Lift(from uint64, extras *CheckpointExtras) (*ImageDelta
 	d.EdgeAssign, d.EdgeUnassign = liftAssign(spent.edgeAssign, inc.result.EdgeAssign)
 	for _, id := range slices.Sorted(maps.Keys(spent.resolver)) {
 		was := spent.resolver[id]
-		switch n := extras.Resolver.Node(id); {
-		case n == nil && was.present:
+		switch labels, ok := extras.Resolver.NodeLabels(id); {
+		case !ok && was.present:
 			d.ResolverDel = append(d.ResolverDel, id)
-		case n != nil && !(was.present && slices.Equal(was.labels, n.Labels)):
-			d.ResolverPut = append(d.ResolverPut, ResolverNode{ID: id, Labels: n.Labels})
+		case ok && !(was.present && slices.Equal(was.labels, labels)):
+			d.ResolverPut.Put(id, labels)
 		}
 	}
 	return d, &spent

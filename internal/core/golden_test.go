@@ -38,17 +38,16 @@ func checkGolden(t testing.TB, got []byte, golden string) {
 	}
 }
 
-// labelOnly builds a resolver graph: IDs and labels, nothing else.
-func labelOnly(t testing.TB, nodes map[pg.ID][]string) *pg.Graph {
+// labelOnly builds a resolver: IDs and labels.
+func labelOnly(t testing.TB, nodes map[pg.ID][]string) *pg.LabelIndex {
 	t.Helper()
-	g := pg.NewGraph()
-	g.AllowDanglingEdges(true)
+	var x pg.LabelIndex
 	for id, labels := range nodes {
-		if err := g.PutNode(id, labels, nil); err != nil {
-			t.Fatal(err)
+		if !x.Put(id, labels) {
+			t.Fatalf("node %d put twice", id)
 		}
 	}
-	return g
+	return &x
 }
 
 // goldenImages runs a real Incremental through a span that exercises

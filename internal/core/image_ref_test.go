@@ -12,6 +12,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"slices"
@@ -70,7 +71,7 @@ func toRefImage(img *Image) *refImage {
 		NodeAssign: refMapOf(img.NodeAssign), EdgeAssign: refMapOf(img.EdgeAssign),
 		NodeClusters: img.NodeClusters, EdgeClusters: img.EdgeClusters, NodeShapes: img.NodeShapes, EdgeShapes: img.EdgeShapes,
 		NodeChoice: img.NodeChoice, EdgeChoice: img.EdgeChoice, NodeShapeCache: img.NodeShapeCache, EdgeShapeCache: img.EdgeShapeCache,
-		Resolver: refResolver(img.Resolver), NextEdgeID: img.NextEdgeID, NextTypeID: img.NextTypeID, WALSeq: img.WALSeq, AppliedKeys: img.AppliedKeys,
+		Resolver: refResolverOf(&img.Resolver), NextEdgeID: img.NextEdgeID, NextTypeID: img.NextTypeID, WALSeq: img.WALSeq, AppliedKeys: img.AppliedKeys,
 	}
 	for _, t := range img.Tallies {
 		r.Tallies = append(r.Tallies, refTally{Type: t.Type, Src: refMapOf(t.Src), Dst: refMapOf(t.Dst)})
@@ -117,8 +118,60 @@ func (m refMap) MarshalJSON() ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// refResolver is ResolverNodes as it was written.
+// ResolverNode is one resolver entry as images held it before they
+// held a pg.LabelIndex: a node ID and its labels.
+type ResolverNode struct {
+	ID     pg.ID    `json:"id"`
+	Labels []string `json:"labels,omitempty"`
+}
+
+// resolverGroup is one label set's nodes on the wire.
+type resolverGroup struct {
+	Labels []string         `json:"labels,omitempty"`
+	IDs    keyed.IDs[pg.ID] `json:"ids"`
+}
+
+// refResolver is the resolver as it was held and written, one entry per
+// node in ID order.
 type refResolver []ResolverNode
+
+// ResolverNodes is a resolver spelled as its nodes, written and read
+// through pg.LabelIndex's wire form: TestResolverWireForm's view of it.
+// Nodes out of ID order, which no index holds, do not encode.
+type ResolverNodes []ResolverNode
+
+func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
+	var x pg.LabelIndex
+	for i, n := range ns {
+		if i > 0 && n.ID <= ns[i-1].ID {
+			return nil, fmt.Errorf("resolver: node %d after node %d", n.ID, ns[i-1].ID)
+		}
+		x.Put(n.ID, n.Labels)
+	}
+	return x.MarshalJSON()
+}
+
+func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
+	var x pg.LabelIndex
+	if err := x.UnmarshalJSON(data); err != nil {
+		return err
+	}
+	*ns = (*ns)[:0]
+	for id, labels := range x.All() {
+		*ns = append(*ns, ResolverNode{ID: id, Labels: labels})
+	}
+	return nil
+}
+
+// refResolverOf copies an index into a refResolver, nil when it is
+// empty.
+func refResolverOf(x *pg.LabelIndex) refResolver {
+	var ns refResolver
+	for id, labels := range x.All() {
+		ns = append(ns, ResolverNode{ID: id, Labels: labels})
+	}
+	return ns
+}
 
 func (ns refResolver) MarshalJSON() ([]byte, error) {
 	var groups []resolverGroup

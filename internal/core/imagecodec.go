@@ -24,10 +24,8 @@ package core
 // handed, as their raw bytes, to encoding/json.
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"reflect"
 	"slices"
@@ -109,8 +107,8 @@ func (e *imageWriter) members(v reflect.Value) {
 			e.b = keyed.AppendColumn(&e.g, e.b, *x)
 		case *keyed.IDs[pg.ID]:
 			e.b, e.err = keyed.AppendIDs(e.b, *x)
-		case *ResolverNodes:
-			e.b, e.err = appendResolver(&e.g, e.b, *x)
+		case *pg.LabelIndex:
+			e.b = pg.AppendLabelIndex(&e.g, e.b, x)
 		case *Tallies, *TallyChanges:
 			e.b = append(e.b, '[')
 			for j := range f.Len() {
@@ -139,10 +137,13 @@ func (e *imageWriter) members(v reflect.Value) {
 }
 
 // empty reports whether an omitempty member is left out: by
-// encoding/json's rule, or as a column without entries.
+// encoding/json's rule, or as a column or an index without entries.
 func empty(f reflect.Value) bool {
-	if c, ok := f.Addr().Interface().(*keyed.Column[pg.ID, int32]); ok {
-		return c.Len() == 0
+	switch x := f.Addr().Interface().(type) {
+	case *keyed.Column[pg.ID, int32]:
+		return x.Len() == 0
+	case *pg.LabelIndex:
+		return x.Len() == 0
 	}
 	return f.Kind() == reflect.Slice && f.Len() == 0 || f.IsZero()
 }
@@ -156,78 +157,6 @@ func (e *imageWriter) json(v any) {
 		return
 	}
 	e.b = append(e.b, text...)
-}
-
-// appendResolver appends the resolver's groups: one gap-coded ID list
-// per label set, the sets in ascending order. It refuses a set whose
-// nodes are not in ascending ID order.
-func appendResolver(g *keyed.Grouper[pg.ID], b []byte, ns ResolverNodes) ([]byte, error) {
-	var sets labelSets
-	for i := range ns {
-		sets.index(ns[i].Labels)
-	}
-	byLabels := make([]int, len(sets.sets))
-	for i := range byLabels {
-		byLabels[i] = i
-	}
-	slices.SortFunc(byLabels, func(a, b int) int { return slices.Compare(sets.sets[a], sets.sets[b]) })
-	rank := make([]int, len(byLabels))
-	for r, i := range byLabels {
-		rank[i] = r
-	}
-	return g.AppendGroups(b, len(rank), func(put func(pg.ID, int)) {
-		for i := range ns {
-			put(ns[i].ID, rank[sets.index(ns[i].Labels)])
-		}
-	}, func(b []byte, r int) []byte {
-		b = append(b, '{')
-		if labels := sets.sets[byLabels[r]]; len(labels) > 0 {
-			text, _ := json.Marshal(labels) // strings always marshal
-			b = append(append(append(b, `"labels":`...), text...), ',')
-		}
-		return append(b, `"ids":`...)
-	})
-}
-
-// labelSets numbers the distinct label sets of a resolver in the order
-// they are first seen, without building a key per node: a set is found
-// by its hash and then compared, and a run of nodes with one set costs
-// a comparison each.
-type labelSets struct {
-	sets [][]string
-	at   map[uint64]int // hash → the first set with it
-	seed maphash.Seed
-	last int
-}
-
-func (ls *labelSets) index(labels []string) int {
-	if ls.last < len(ls.sets) && slices.Equal(ls.sets[ls.last], labels) {
-		return ls.last
-	}
-	if ls.at == nil {
-		ls.at, ls.seed = map[uint64]int{}, maphash.MakeSeed()
-	}
-	var h maphash.Hash
-	h.SetSeed(ls.seed)
-	for _, l := range labels {
-		h.WriteString(l)
-		h.WriteByte(0)
-	}
-	sum := h.Sum64()
-	i, ok := ls.at[sum]
-	switch {
-	case !ok:
-		i = len(ls.sets)
-		ls.sets = append(ls.sets, labels)
-		ls.at[sum] = i
-	case !slices.Equal(ls.sets[i], labels): // two sets on one hash
-		if i = slices.IndexFunc(ls.sets, func(s []string) bool { return slices.Equal(s, labels) }); i < 0 {
-			i = len(ls.sets)
-			ls.sets = append(ls.sets, labels)
-		}
-	}
-	ls.last = i
-	return i
 }
 
 // DecodeImage reads r to its end and parses it as one image (ParseImage).
@@ -481,23 +410,18 @@ func (r *imageReader) tallies(ts *Tallies) error {
 	return nil
 }
 
-// resolver decodes the resolver's groups into one slice made at its
-// size: a first pass reads each group's labels and counts its IDs, a
-// second places them.
-func (r *imageReader) resolver(ns *ResolverNodes) error {
-	type group struct {
-		labels []string
-		ids    int // where the group's ID list starts
-	}
-	var groups []group
-	total := 0
+// resolver decodes the resolver's groups into an index: a first pass
+// reads each group's labels and counts its IDs, a second places them.
+func (r *imageReader) resolver(x *pg.LabelIndex) error {
+	var b pg.LabelIndexBuilder
+	var starts []int // where each group's ID list starts
 	err := r.seq("[", "]", func() error {
-		var g group
+		var labels []string
 		if err := r.expect("{"); err != nil {
 			return err
 		}
 		if r.accept(`"labels":`) {
-			if err := r.json(&g.labels); err != nil {
+			if err := r.json(&labels); err != nil {
 				return err
 			}
 			if err := r.expect(","); err != nil {
@@ -507,7 +431,7 @@ func (r *imageReader) resolver(ns *ResolverNodes) error {
 		if err := r.expect(`"ids":`); err != nil {
 			return err
 		}
-		g.ids = r.pos
+		starts = append(starts, r.pos)
 		count, n, err := keyed.DecodeIDs(r.data[r.pos:], func(pg.ID) error { return nil })
 		if err != nil {
 			return err
@@ -516,40 +440,18 @@ func (r *imageReader) resolver(ns *ResolverNodes) error {
 		if err := r.expect("}"); err != nil {
 			return err
 		}
-		var prev []string
-		if len(groups) > 0 {
-			prev = groups[len(groups)-1].labels
-		}
-		if err := checkResolverGroup(g.labels, count, prev, len(groups) == 0); err != nil {
-			return err
-		}
-		groups = append(groups, g)
-		total += count
-		return nil
+		return b.Group(labels, count)
 	})
-	if err != nil || total == 0 {
+	if err != nil {
 		return err
 	}
-	out := make(ResolverNodes, 0, total)
-	for _, g := range groups {
+	for _, at := range starts {
 		// The first pass read these bytes without a refusal.
-		keyed.DecodeIDs(r.data[g.ids:], func(id pg.ID) error {
-			out = append(out, ResolverNode{ID: id, Labels: g.labels})
+		keyed.DecodeIDs(r.data[at:], func(id pg.ID) error {
+			b.Put(id)
 			return nil
 		})
 	}
-	return sortResolver(out, ns)
-}
-
-// sortResolver puts decoded resolver nodes in ID order into *ns,
-// refusing a node in two label sets.
-func sortResolver(out ResolverNodes, ns *ResolverNodes) error {
-	slices.SortFunc(out, func(a, b ResolverNode) int { return cmp.Compare(a.ID, b.ID) })
-	for i := 1; i < len(out); i++ {
-		if out[i].ID == out[i-1].ID {
-			return fmt.Errorf("resolver: node %d is in two label sets", out[i].ID)
-		}
-	}
-	*ns = out
-	return nil
+	*x, err = b.Build()
+	return err
 }

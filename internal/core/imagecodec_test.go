@@ -25,24 +25,27 @@ import (
 )
 
 // servedImage is the image a serving writer would capture after
-// ingesting g in one batch: the pipeline plus a label-only resolver of
-// g's nodes.
+// ingesting g in one batch: the pipeline plus a label index of g's
+// nodes.
 func servedImage(t testing.TB, g *pg.Graph) *Image {
 	t.Helper()
 	inc := NewIncremental(Options{Seed: 1, Parallelism: 1})
 	inc.ProcessBatch(&pg.Batch{Graph: g, Resolver: g, Index: 1})
-	resolver := pg.NewGraph()
-	resolver.AllowDanglingEdges(true)
-	for _, n := range g.Nodes() {
-		if err := resolver.PutNode(n.ID, n.Labels, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	img, err := inc.CaptureImage(&CheckpointExtras{Resolver: resolver, NextEdgeID: 7, WALSeq: 9, AppliedKeys: []AppliedKey{{Key: "k<&>", LSN: 9}}})
+	img, err := inc.CaptureImage(&CheckpointExtras{Resolver: nodeIndex(g), NextEdgeID: 7, WALSeq: 9, AppliedKeys: []AppliedKey{{Key: "k<&>", LSN: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return img
+}
+
+// nodeIndex is the label index of g's nodes, as a serving writer keeps
+// it.
+func nodeIndex(g *pg.Graph) *pg.LabelIndex {
+	var x pg.LabelIndex
+	for _, n := range g.Nodes() {
+		x.Put(n.ID, n.Labels)
+	}
+	return &x
 }
 
 // oddGraph holds labels and property keys that encoding/json escapes or
@@ -150,9 +153,9 @@ func TestImageCodecMatchesRef(t *testing.T) {
 		if err != nil || !bytes.Equal(assertCodecMatchesRef(t, name, back2), again) {
 			t.Fatalf("%s: the image read back is not a fixpoint (%v)", name, err)
 		}
-		if len(img.Resolver) > 0 {
+		if img.Resolver.Len() > 0 {
 			got, err := img.Resolver.MarshalJSON()
-			want, refErr := refResolver(img.Resolver).MarshalJSON()
+			want, refErr := refResolverOf(&img.Resolver).MarshalJSON()
 			if err != nil || refErr != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: resolver writes %s (%v), the oracle %s (%v)", name, got, err, want, refErr)
 			}
@@ -234,14 +237,17 @@ func FuzzImageCodecMatchesRef(f *testing.F) {
 }
 
 // TestImageCodecAllocsPerElement pins what an image costs per element
-// of a served store (LDBC scale 2 in one batch). With a label-only
-// resolver, encoding allocates ≤ 24 bytes and parsing ≤ 42; through
+// of a served store (LDBC scale 2 in one batch). With a label index as
+// the resolver, encoding allocates ≤ 24 bytes and parsing ≤ 42; through
 // encoding/json they were ~70–80 and ~147, most of it a map or a buffer
-// per collection, and parsing was 64.4 while images held maps. Without
-// a resolver, the whole way out (CaptureImage + EncodeImage) allocates
-// ≤ 24 bytes and the whole way in (ParseImage + RestoreImage) ≤ 48:
-// capture shares the pipeline's columns and restore adopts the image's,
-// where both copied every element through a map (70.9 and 83.0).
+// per collection, and parsing was 64.4 while images held maps. The
+// whole way out (CaptureImage + EncodeImage) allocates ≤ 24 bytes and
+// the whole way in (ParseImage + RestoreImage) ≤ 48, without a resolver
+// and with one: capture shares the pipeline's columns and the index,
+// and restore adopts the image's, where both copied every element
+// through a map (70.9 and 83.0) and, with the resolver a pg.Graph,
+// capture copied and sorted its nodes and restore rebuilt it node by
+// node (22.4 and 104.5).
 func TestImageCodecAllocsPerElement(t *testing.T) {
 	g := datagen.Generate(datagen.LDBC(), 2, 1).Graph
 	img := servedImage(t, g)
@@ -282,15 +288,8 @@ func TestImageCodecAllocsPerElement(t *testing.T) {
 	opts := Options{Seed: 1, Parallelism: 1}
 	inc := NewIncremental(opts)
 	inc.ProcessBatch(&pg.Batch{Graph: g, Resolver: g, Index: 1})
-	resolver := pg.NewGraph()
-	resolver.AllowDanglingEdges(true)
-	for _, n := range g.Nodes() {
-		if err := resolver.PutNode(n.ID, n.Labels, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var out, in [2]float64
-	for i, extras := range []*CheckpointExtras{nil, {Resolver: resolver}} {
+	for i, extras := range []*CheckpointExtras{nil, {Resolver: nodeIndex(g)}} {
 		captured, err := inc.CaptureImage(extras)
 		if err != nil {
 			t.Fatal(err)
@@ -316,10 +315,12 @@ func TestImageCodecAllocsPerElement(t *testing.T) {
 		})
 	}
 	t.Logf("CaptureImage + EncodeImage %.1f B/element (%.1f with the resolver), ParseImage + RestoreImage %.1f B/element (%.1f with the resolver)", out[0], out[1], in[0], in[1])
-	if out[0] > 24 {
-		t.Errorf("CaptureImage + EncodeImage allocate %.1f bytes per element, want ≤ 24", out[0])
-	}
-	if in[0] > 48 {
-		t.Errorf("ParseImage + RestoreImage allocate %.1f bytes per element, want ≤ 48", in[0])
+	for i, with := range []string{"", " with the resolver"} {
+		if out[i] > 24 {
+			t.Errorf("CaptureImage + EncodeImage allocate %.1f bytes per element%s, want ≤ 24", out[i], with)
+		}
+		if in[i] > 48 {
+			t.Errorf("ParseImage + RestoreImage allocate %.1f bytes per element%s, want ≤ 48", in[i], with)
+		}
 	}
 }

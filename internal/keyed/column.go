@@ -71,13 +71,60 @@ func (l leaf[K, V]) vals() []V { return l.s.vals[max(l.lo, 0):l.hi] }
 // keys already ascend, and then packs it into full leaves over the two
 // slices in a constant number of allocations.
 func FromRun[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
+	c, _, ok := FromRuns(keys, vals, nil)
+	if !ok {
+		panic("keyed: a run holds a key twice")
+	}
+	return c
+}
+
+// FromRuns is FromRun for a run that may hold a key twice, as a decoded
+// one may: it reports such a key and builds nothing. When ends is
+// given, the run is consecutive runs whose keys each ascend, the i-th
+// ending at ends[i], and they are merged pairwise through one scratch
+// copy of the run rather than sorted: O(n log len(ends)).
+func FromRuns[K ~int64, V ~int32](keys []K, vals []V, ends []int) (c Column[K, V], dup K, ok bool) {
 	if len(keys) != len(vals) {
 		panic("keyed: a run's keys and values differ in length")
 	}
-	if _, ok := sortRun(keys, vals); !ok {
-		panic("keyed: a run holds a key twice")
+	if len(ends) > 1 {
+		keys, vals = mergeRuns(keys, vals, ends)
 	}
-	return pack(keys, vals)
+	if dup, ok = sortRun(keys, vals); !ok {
+		return c, dup, false
+	}
+	return pack(keys, vals), dup, true
+}
+
+// mergeRuns merges the ascending runs of keys and vals that end at ends
+// pairwise, a round at a time, between the run and one scratch copy,
+// and returns whichever holds the result.
+func mergeRuns[K ~int64, V ~int32](keys []K, vals []V, ends []int) ([]K, []V) {
+	ks, vs := make([]K, len(keys)), make([]V, len(vals))
+	ends = slices.Clone(ends)
+	for len(ends) > 1 {
+		next, lo := ends[:0], 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
+			a, b, out := lo, mid, lo
+			for ; a < mid && b < hi; out++ {
+				if keys[b] < keys[a] {
+					ks[out], vs[out] = keys[b], vals[b]
+					b++
+				} else {
+					ks[out], vs[out] = keys[a], vals[a]
+					a++
+				}
+			}
+			copy(vs[out:], vals[a:mid])
+			out += copy(ks[out:], keys[a:mid])
+			copy(ks[out:hi], keys[b:hi])
+			copy(vs[out:hi], vals[b:hi])
+			next, lo = append(next, hi), hi
+		}
+		keys, ks, vals, vs, ends = ks, keys, vs, vals, next
+	}
+	return keys, vals
 }
 
 // sortRun sorts a run by key unless its keys already ascend, and then
@@ -188,6 +235,14 @@ func (c *Column[K, V]) Set(k K, v V) {
 		return
 	}
 	i := r.leafFor(k)
+	if l := r.leaves[i]; i == len(r.leaves)-1 && int(l.hi-max(l.lo, 0)) >= leafCap && k > l.keys()[l.hi-max(l.lo, 0)-1] {
+		// A key past a full last leaf starts a leaf of its own, so a
+		// column set in key order fills its leaves instead of halving
+		// them.
+		r.leaves = append(r.leaves, fresh([]K{k}, []V{v}))
+		r.n++
+		return
+	}
 	s := r.ownLeaf(i)
 	j, ok := slices.BinarySearch(s.keys, k)
 	if ok {
@@ -238,19 +293,37 @@ func (c *Column[K, V]) Merge(o Column[K, V], combine func(old, v V) V) {
 	case o.Len() == 0:
 	case c.Len() == 0:
 		*c = o.Clone()
-	case o.Len() <= leafCap || o.Len()*leafCap <= c.Len():
+	default:
 		if o.r == c.r {
 			o = o.Clone() // c's writes must not reach the entries being read
 		}
-		for k, v := range o.All() {
-			old, _ := c.Get(k)
-			c.Set(k, combine(old, v))
+		c.merge(o.cursor(), o.Len(), combine)
+	}
+}
+
+// MergeRun is Merge of a run of entries with distinct keys in
+// ascending order, which it only reads: c keeps no part of the run.
+func (c *Column[K, V]) MergeRun(keys []K, vals []V, combine func(old, v V) V) {
+	if len(keys) != len(vals) {
+		panic("keyed: a run's keys and values differ in length")
+	}
+	c.merge(cursor[K, V]{keys: keys, vals: vals}, len(keys), combine)
+}
+
+// merge is Merge's fold of the n entries o walks, by Merge's rule.
+func (c *Column[K, V]) merge(o cursor[K, V], n int, combine func(old, v V) V) {
+	switch {
+	case n == 0:
+	case n <= leafCap || n*leafCap <= c.Len():
+		for ; o.more(); o.next() {
+			old, _ := c.Get(o.keys[0])
+			c.Set(o.keys[0], combine(old, o.vals[0]))
 		}
 	default:
-		keys := make([]K, 0, c.Len()+o.Len())
-		vals := make([]V, 0, c.Len()+o.Len())
+		keys := make([]K, 0, c.Len()+n)
+		vals := make([]V, 0, c.Len()+n)
 		var zero V
-		a, b := c.cursor(), o.cursor()
+		a, b := c.cursor(), o
 		for a.more() || b.more() {
 			switch {
 			case !b.more() || a.more() && a.keys[0] < b.keys[0]:
@@ -276,6 +349,15 @@ func (c *Column[K, V]) Merge(o Column[K, V], combine func(old, v V) V) {
 // column diffed against an earlier clone of itself costs the leaves
 // written since for what it builds.
 func Diff[K ~int64, V ~int32](base, next Column[K, V]) (puts Column[K, V], dels IDs[K]) {
+	return DiffFunc(base, next, func(a, b V) bool { return a == b })
+}
+
+// DiffFunc is Diff with equal deciding whether base's value a and
+// next's value b for one key are the same, for columns whose values
+// name entries of two different tables. A leaf the two share is
+// skipped whole, so equal(v, v) must hold for every value a shared
+// leaf holds.
+func DiffFunc[K ~int64, V ~int32](base, next Column[K, V], equal func(a, b V) bool) (puts Column[K, V], dels IDs[K]) {
 	var keys []K
 	var vals []V
 	a, b := base.cursor(), next.cursor()
@@ -290,7 +372,7 @@ func Diff[K ~int64, V ~int32](base, next Column[K, V]) (puts Column[K, V], dels 
 		case &a.keys[0] == &b.keys[0] && len(a.keys) == len(b.keys): // the rest of a shared leaf
 			a.keys, b.keys = nil, nil
 		default:
-			if a.vals[0] != b.vals[0] {
+			if !equal(a.vals[0], b.vals[0]) {
 				keys, vals = append(keys, b.keys[0]), append(vals, b.vals[0])
 			}
 			a.next()

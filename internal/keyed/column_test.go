@@ -341,3 +341,92 @@ func BenchmarkColumnMerge(b *testing.B) {
 		})
 	}
 }
+
+// TestColumnSetInOrderFillsLeaves: a column set one key at a time in
+// ascending order, as a bulk load sets the resolver, fills its leaves
+// instead of leaving each half full after a split, and keeps what its
+// slabs hold to the entries' bytes.
+func TestColumnSetInOrderFillsLeaves(t *testing.T) {
+	var c Column[id, int32]
+	const n = 10 * leafCap
+	for i := range n {
+		c.Set(id(3*i), int32(i))
+	}
+	if len(c.r.leaves) != n/leafCap {
+		t.Fatalf("%d entries set in order fill %d leaves, want %d", n, len(c.r.leaves), n/leafCap)
+	}
+	held := 0
+	for _, l := range c.r.leaves {
+		held += cap(l.s.keys)*8 + cap(l.s.vals)*4
+	}
+	if perEntry := float64(held) / n; perEntry > 12 {
+		t.Fatalf("slabs hold %.1f B per entry, want 12", perEntry)
+	}
+	for i := range n {
+		if v, ok := c.Get(id(3 * i)); !ok || v != int32(i) {
+			t.Fatalf("Get(%d) = %d, %v", 3*i, v, ok)
+		}
+	}
+}
+
+// TestFromRunsMergesRuns: a run made of ascending runs, merged, builds
+// the column the same entries build sorted, and a key two runs hold is
+// reported, whatever the number of runs.
+func TestFromRunsMergesRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, runs := range []int{1, 2, 3, 7, 64} {
+		var keys []id
+		var vals []int32
+		var ends []int
+		for range runs {
+			n := rng.Intn(200)
+			run := make([]id, n)
+			for i := range run {
+				run[i] = id(rng.Intn(1 << 20))
+			}
+			slices.Sort(run)
+			run = slices.Compact(run)
+			for _, k := range run {
+				keys, vals = append(keys, k), append(vals, int32(k%7))
+			}
+			ends = append(ends, len(keys))
+		}
+		want := map[id]int32{}
+		distinct := true
+		for i, k := range keys {
+			if _, ok := want[k]; ok {
+				distinct = false
+			}
+			want[k] = vals[i]
+		}
+		if mk, mv := mergeRuns(slices.Clone(keys), slices.Clone(vals), ends); !slices.IsSorted(mk) || len(mv) != len(mk) {
+			t.Fatalf("%d runs merge out of order", runs)
+		} else {
+			for i, k := range mk {
+				if mv[i] != int32(k%7) {
+					t.Fatalf("%d runs: the merge parts %d from its value", runs, k)
+				}
+			}
+		}
+		c, dup, ok := FromRuns(slices.Clone(keys), slices.Clone(vals), ends)
+		if ok != distinct {
+			t.Fatalf("%d runs: ok = %v (dup %d), want %v", runs, ok, dup, distinct)
+		}
+		if !ok {
+			if n := len(slices.DeleteFunc(slices.Clone(keys), func(k id) bool { return k != dup })); n < 2 {
+				t.Fatalf("%d runs: reported %d, which one run holds", runs, dup)
+			}
+			continue
+		}
+		var got []id
+		for k, v := range c.All() {
+			if want[k] != v {
+				t.Fatalf("%d runs: %d → %d, want %d", runs, k, v, want[k])
+			}
+			got = append(got, k)
+		}
+		if len(got) != len(want) || !slices.IsSorted(got) {
+			t.Fatalf("%d runs: %d entries in order %v, want %d ascending", runs, len(got), slices.IsSorted(got), len(want))
+		}
+	}
+}

@@ -212,10 +212,11 @@ func DecodeColumn[K ~int64, V ~int32](data []byte) (Column[K, V], int, error) {
 		keys, vals = append(keys, K(id)), append(vals, V(v))
 		return nil
 	})
-	if dup, ok := sortRun(keys, vals); !ok {
+	c, dup, ok := FromRuns(keys, vals, nil)
+	if !ok {
 		return Column[K, V]{}, 0, fmt.Errorf("keyed: ID %d is in two groups", dup)
 	}
-	return pack(keys, vals), r.pos, nil
+	return c, r.pos, nil
 }
 
 // groups consumes value groups, handing put each ID with its group's

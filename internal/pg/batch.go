@@ -11,8 +11,9 @@ type Batch struct {
 	// Graph holds the batch's own nodes and edges.
 	Graph *Graph
 	// Resolver resolves endpoint nodes that arrived in earlier
-	// batches. It may be nil for the first batch.
-	Resolver *Graph
+	// batches: a stream's LabelIndex, or a Graph holding them. It may
+	// be nil for the first batch.
+	Resolver Resolver
 	// Index is the 1-based position of the batch in the stream.
 	Index int
 }
@@ -24,7 +25,7 @@ type Batch struct {
 // batches routinely contain dangling edges, which is exactly the
 // streaming condition the incremental pipeline must tolerate. The
 // returned batches share no structure with g other than the property
-// maps, and each Resolver is the accumulated union of all earlier
+// maps, and each Resolver is a LabelIndex of the nodes of all earlier
 // batches plus the batch itself.
 func SplitBatches(g *Graph, n int, rng *rand.Rand) []*Batch {
 	if n < 1 {
@@ -40,12 +41,10 @@ func SplitBatches(g *Graph, n int, rng *rand.Rand) []*Batch {
 	}
 
 	batches := make([]*Batch, n)
-	acc := NewGraph()
-	acc.AllowDanglingEdges(true)
 	for b := 0; b < n; b++ {
 		bg := NewGraph()
 		bg.AllowDanglingEdges(true)
-		batches[b] = &Batch{Graph: bg, Resolver: acc, Index: b + 1}
+		batches[b] = &Batch{Graph: bg, Index: b + 1}
 	}
 	nodes := g.Nodes()
 	for i := range nodes {
@@ -61,14 +60,15 @@ func SplitBatches(g *Graph, n int, rng *rand.Rand) []*Batch {
 	}
 	// The resolver for batch i must contain everything up to and
 	// including batch i, so endpoint labels of intra-batch edges
-	// resolve too. Build cumulative graphs.
+	// resolve too: each batch gets a clone of the accumulated index.
+	var acc LabelIndex
 	for b := 0; b < n; b++ {
-		for i := range batches[b].Graph.Nodes() {
-			nd := &batches[b].Graph.Nodes()[i]
-			_ = acc.PutNode(nd.ID, nd.Labels, nd.Props)
+		nodes := batches[b].Graph.Nodes()
+		for i := range nodes {
+			acc.Put(nodes[i].ID, nodes[i].Labels)
 		}
 		cum := acc.Clone()
-		batches[b].Resolver = cum
+		batches[b].Resolver = &cum
 	}
 	return batches
 }

@@ -184,10 +184,9 @@ func (g *Graph) putEdge(id ID, labels []string, src, dst ID, props Props) {
 
 // RemoveNode deletes a node by ID, reporting whether it was present.
 // The hole is filled by swapping the last node in, so insertion order
-// is not preserved. Edges are not touched — this exists for the
-// label-only bookkeeping graphs (stream and service resolvers), which
-// must drop entries when elements are retracted or they grow without
-// bound under churn.
+// is not preserved. Edges are not touched — this exists for a
+// label-only graph kept as a batch resolver, which must drop entries
+// when elements are retracted or it grows without bound under churn.
 func (g *Graph) RemoveNode(id ID) bool {
 	i, ok := g.nodeIdx[id]
 	if !ok {

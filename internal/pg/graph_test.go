@@ -321,14 +321,14 @@ func TestSplitBatchesResolverProperty(t *testing.T) {
 			// Every node delivered so far must be resolvable.
 			for i := range b.Graph.Nodes() {
 				id := b.Graph.Nodes()[i].ID
-				if b.Resolver.Node(id) == nil {
+				if _, ok := b.Resolver.NodeLabels(id); !ok {
 					return false
 				}
 			}
 		}
 		// The final resolver holds the whole node set.
 		last := batches[len(batches)-1]
-		return total == g.NumNodes() && last.Resolver.NumNodes() == g.NumNodes()
+		return total == g.NumNodes() && last.Resolver.(*LabelIndex).Len() == g.NumNodes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -347,10 +347,10 @@ func TestEndpointLabelsAcrossBatches(t *testing.T) {
 				e := &b.Graph.Edges()[i]
 				src, dst := b.Graph.SrcLabels(e), b.Graph.DstLabels(e)
 				if src == nil {
-					src = b.Resolver.SrcLabels(e)
+					src, _ = b.Resolver.NodeLabels(e.Src)
 				}
 				if dst == nil {
-					dst = b.Resolver.DstLabels(e)
+					dst, _ = b.Resolver.NodeLabels(e.Dst)
 				}
 				wantSrc := g.Node(e.Src).Labels
 				wantDst := g.Node(e.Dst).Labels

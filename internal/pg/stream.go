@@ -24,10 +24,10 @@ const DefaultStreamBatchSize = 8192
 //     keeps returning that error.
 //   - Each batch carries at most the configured number of elements
 //     (nodes plus edges).
-//   - Batch.Resolver is the reader's shared bookkeeping graph: it
-//     holds a label-only copy (no properties) of every node seen so
-//     far — including the current batch's — so edges whose endpoints
-//     arrived in earlier batches still resolve their endpoint labels.
+//   - Batch.Resolver is the reader's shared bookkeeping, a LabelIndex:
+//     it holds the labels of every node seen so far — including the
+//     current batch's — so edges whose endpoints arrived in earlier
+//     batches still resolve their endpoint labels.
 //     The reader appends to it on every Next call, so a batch must be
 //     consumed before the next one is requested (exactly how
 //     Incremental.DrainStream drives it); batches are not safe to
@@ -42,11 +42,10 @@ type StreamReader interface {
 }
 
 // streamState is the bookkeeping shared by the concrete readers: the
-// label-only resolver graph, the batch under construction, and the
-// batch counter.
+// label index, the batch under construction, and the batch counter.
 type streamState struct {
 	batchSize int
-	resolver  *Graph
+	resolver  *LabelIndex
 	cur       *Graph
 	index     int
 }
@@ -55,9 +54,7 @@ func newStreamState(batchSize int) streamState {
 	if batchSize <= 0 {
 		batchSize = DefaultStreamBatchSize
 	}
-	resolver := NewGraph()
-	resolver.AllowDanglingEdges(true)
-	s := streamState{batchSize: batchSize, resolver: resolver}
+	s := streamState{batchSize: batchSize, resolver: &LabelIndex{}}
 	s.reset()
 	return s
 }
@@ -71,20 +68,23 @@ func (s *streamState) full() bool {
 	return s.cur.NumNodes()+s.cur.NumEdges() >= s.batchSize
 }
 
-// trackNode records a node in the resolver with its labels only — the
-// per-node memory cost of the stream. A duplicate ID here means the
-// node already arrived in an earlier batch.
+// trackNode records a node's labels in the resolver — the per-node
+// memory cost of the stream. A duplicate ID here means the node
+// already arrived in an earlier batch.
 func (s *streamState) trackNode(id ID, labels []string) error {
-	return s.resolver.PutNode(id, labels, nil)
+	if !s.resolver.Put(id, labels) {
+		return fmt.Errorf("pg: duplicate node id %d", id)
+	}
+	return nil
 }
 
-// Resolver exposes the stream's label-only endpoint bookkeeping: every
-// node seen so far, with labels but no properties or edges. Checkpoint
-// writers persist it so a resumed stream over the remaining input can
-// still resolve edges whose endpoints arrived before the checkpoint.
-// The returned graph is owned by the stream; callers must not mutate
-// it and must read it only between Next calls.
-func (s *streamState) Resolver() *Graph { return s.resolver }
+// Resolver exposes the stream's endpoint bookkeeping: the labels of
+// every node seen so far. Checkpoint writers persist it so a resumed
+// stream over the remaining input can still resolve edges whose
+// endpoints arrived before the checkpoint. The returned index is owned
+// by the stream; callers must not mutate it and must read it (or
+// Clone it) only between Next calls.
+func (s *streamState) Resolver() *LabelIndex { return s.resolver }
 
 // SeedResolver pre-registers a node in the endpoint bookkeeping, as if
 // it had streamed through earlier — how a checkpoint-restored run
@@ -281,10 +281,10 @@ func (s *CSVStream) step() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.erName, err)
 		}
-		if s.resolver.Node(src) == nil {
+		if _, ok := s.resolver.NodeLabels(src); !ok {
 			return fmt.Errorf("%s: pg: csv line %d: edge source node %d not found", s.erName, s.er.line, src)
 		}
-		if s.resolver.Node(dst) == nil {
+		if _, ok := s.resolver.NodeLabels(dst); !ok {
 			return fmt.Errorf("%s: pg: csv line %d: edge target node %d not found", s.erName, s.er.line, dst)
 		}
 		if err := s.cur.PutEdge(s.nextEdge, labels, src, dst, props); err != nil {

@@ -3,6 +3,7 @@ package pg
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,18 +37,15 @@ func drain(t *testing.T, r StreamReader, batchSize int) (*Graph, int) {
 		}
 		// The resolver is endpoint bookkeeping, not a graph copy: it
 		// holds every node seen so far (including this batch's) with
-		// labels only — no property values, no edges.
-		if b.Resolver.NumEdges() != 0 {
-			t.Fatalf("batch %d: resolver holds %d edges, want 0", b.Index, b.Resolver.NumEdges())
-		}
+		// its labels.
 		for i := range b.Graph.Nodes() {
 			n := &b.Graph.Nodes()[i]
-			rn := b.Resolver.Node(n.ID)
-			if rn == nil {
+			labels, ok := b.Resolver.NodeLabels(n.ID)
+			if !ok {
 				t.Fatalf("batch %d: node %d missing from resolver", b.Index, n.ID)
 			}
-			if len(rn.Props) != 0 {
-				t.Fatalf("batch %d: resolver node %d carries %d properties, want 0 (bounded bookkeeping)", b.Index, n.ID, len(rn.Props))
+			if !slices.Equal(labels, n.Labels) {
+				t.Fatalf("batch %d: resolver holds node %d with %v, want %v", b.Index, n.ID, labels, n.Labels)
 			}
 			if err := union.PutNode(n.ID, n.Labels, n.Props); err != nil {
 				t.Fatal(err)
@@ -215,9 +213,8 @@ func TestCSVStreamErrors(t *testing.T) {
 }
 
 // The memory contract: while streaming a graph much larger than one
-// batch, the reader retains only the resolver bookkeeping — nodes
-// with labels, never properties or edges — plus the batch under
-// construction. (Batch graphs themselves are handed off and not
+// batch, the reader retains only the resolver bookkeeping — a label
+// index of the nodes — plus the batch under construction. (Batch graphs themselves are handed off and not
 // retained; this is what keeps streamed ingestion bounded.)
 func TestStreamBoundedBookkeeping(t *testing.T) {
 	var buf bytes.Buffer
@@ -242,14 +239,9 @@ func TestStreamBoundedBookkeeping(t *testing.T) {
 		t.Fatalf("batches = %d, want 20", batches)
 	}
 	// After draining, the reader's bookkeeping is exactly the node
-	// set with labels only.
-	if s.resolver.NumNodes() != 500 || s.resolver.NumEdges() != 0 {
-		t.Fatalf("resolver: %d nodes, %d edges", s.resolver.NumNodes(), s.resolver.NumEdges())
-	}
-	for i := range s.resolver.Nodes() {
-		if len(s.resolver.Nodes()[i].Props) != 0 {
-			t.Fatal("resolver must not retain property values")
-		}
+	// set.
+	if s.resolver.Len() != 500 {
+		t.Fatalf("resolver: %d nodes, want 500", s.resolver.Len())
 	}
 	// The batch under construction was handed off: nothing pending.
 	if s.cur.NumNodes()+s.cur.NumEdges() != 0 {

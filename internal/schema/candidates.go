@@ -1,6 +1,10 @@
 package schema
 
-import "github.com/pghive/pghive/internal/pg"
+import (
+	"slices"
+
+	"github.com/pghive/pghive/internal/pg"
+)
 
 // BuildNodeCandidates turns an LSH clustering of nodes into candidate
 // node types: one per cluster, carrying the cluster representative
@@ -148,34 +152,27 @@ func BuildEdgeCandidatesInterned(edges []pg.Edge, si *pg.ShapeIndex, assign []in
 	return cands
 }
 
-// countEndpoints sets each candidate's degree tallies from the edges
-// cand assigns to it. The endpoints are grouped by candidate in one
-// buffer, one ID per edge, which each side reuses; each tally is then
-// built from its group in bulk.
+// countEndpoints gives each candidate its pending degree counts: the
+// rows of the edges cand assigns to it, grouped by candidate in one
+// buffer the candidates share. They are counted only when the candidate
+// becomes a type (EdgeType.settle), or go straight into the type that
+// absorbs it (EdgeType.mergeEdge).
 func countEndpoints(cands []*EdgeType, edges []pg.Edge, cand func(row int) int) {
-	start := make([]int, len(cands)+1)
+	start := make([]int32, len(cands)+1)
 	for row := range edges {
 		start[cand(row)+1]++
 	}
 	for i := range cands {
 		start[i+1] += start[i]
 	}
-	ids := make([]pg.ID, len(edges))
-	next := make([]int, len(cands))
-	group := func(end func(e *pg.Edge) pg.ID) {
-		copy(next, start)
-		for row := range edges {
-			c := cand(row)
-			ids[next[c]] = end(&edges[row])
-			next[c]++
-		}
+	g := &endpointGroups{edges: edges, rows: make([]int32, len(edges))}
+	next := slices.Clone(start[:len(cands)])
+	for row := range edges {
+		c := cand(row)
+		g.rows[next[c]] = int32(row)
+		next[c]++
 	}
-	group(func(e *pg.Edge) pg.ID { return e.Src })
 	for i, c := range cands {
-		c.SrcDeg = countDegrees(ids[start[i]:start[i+1]])
-	}
-	group(func(e *pg.Edge) pg.ID { return e.Dst })
-	for i, c := range cands {
-		c.DstDeg = countDegrees(ids[start[i]:start[i+1]])
+		c.pending = pendingDegrees{g, start[i], start[i+1]}
 	}
 }

@@ -140,29 +140,85 @@ func (d *Degrees) absorb(o Degrees) {
 	}
 }
 
-// countDegrees builds the tally in which each node's count is the
-// number of times it occurs in ids. It sorts ids in place.
-func countDegrees(ids []pg.ID) Degrees {
+// degreeRun is a tally not yet built: distinct node IDs in ascending
+// order and each node's count.
+type degreeRun struct {
+	nodes  []pg.ID
+	counts []int32
+}
+
+// runOf folds endpoint IDs into a run: each node once, with the number
+// of times it occurs. It sorts ids in place and writes the run over the
+// front of ids and counts, which is as long.
+func runOf(ids []pg.ID, counts []int32) degreeRun {
 	if len(ids) == 0 {
-		return Degrees{}
+		return degreeRun{}
 	}
 	slices.Sort(ids)
-	distinct := 1
-	for i := 1; i < len(ids); i++ {
-		if ids[i] != ids[i-1] {
-			distinct++
-		}
-	}
-	nodes, counts := make([]pg.ID, 0, distinct), make([]int32, 0, distinct)
-	for _, id := range ids {
-		if k := len(nodes); k > 0 && nodes[k-1] == id {
+	k := 0
+	for i, id := range ids {
+		if i > 0 && id == ids[k-1] {
 			counts[k-1]++
-		} else {
-			nodes, counts = append(nodes, id), append(counts, 1)
+			continue
 		}
+		ids[k], counts[k] = id, 1
+		k++
 	}
-	d, _ := DegreesFrom(keyed.FromRun(nodes, counts)) // every count is at least one
-	return d
+	return degreeRun{ids[:k:k], counts[:k:k]}
+}
+
+// endpointGroups are a batch's edges grouped by the candidate they
+// build: each candidate's rows, in row order, and a scratch its counts
+// are folded in, which one count after another reuses.
+type endpointGroups struct {
+	edges  []pg.Edge
+	rows   []int32
+	ids    []pg.ID
+	counts []int32
+}
+
+// pendingDegrees are a candidate's edges, rows[lo:hi] of g, before
+// they are counted; the zero value has none.
+type pendingDegrees struct {
+	g      *endpointGroups
+	lo, hi int32
+}
+
+// run folds the pending edges' endpoints on one side into a run in the
+// groups' scratch, which the next run overwrites.
+func (p pendingDegrees) run(end func(e *pg.Edge) pg.ID) degreeRun {
+	g, n := p.g, int(p.hi-p.lo)
+	if cap(g.ids) < n {
+		g.ids, g.counts = make([]pg.ID, max(n, 2*cap(g.ids))), make([]int32, max(n, 2*cap(g.ids)))
+	}
+	ids := g.ids[:n]
+	for i, row := range g.rows[p.lo:p.hi] {
+		ids[i] = end(&g.edges[row])
+	}
+	return runOf(ids, g.counts[:n])
+}
+
+// absorbInto adds the pending edges' counts to src and dst.
+func (p pendingDegrees) absorbInto(src, dst *Degrees) {
+	if p.g == nil {
+		return
+	}
+	src.absorbRun(p.run(func(e *pg.Edge) pg.ID { return e.Src }))
+	dst.absorbRun(p.run(func(e *pg.Edge) pg.ID { return e.Dst }))
+}
+
+// absorbRun adds every count of r to d, as absorb adds a tally's; d
+// keeps no part of r.
+func (d *Degrees) absorbRun(r degreeRun) {
+	if d.Len() == 0 && len(r.nodes) > 0 {
+		// Built whole, at its size: as a tally of a new type is.
+		*d, _ = DegreesFrom(keyed.FromRun(slices.Clone(r.nodes), slices.Clone(r.counts))) // every count is at least one
+		return
+	}
+	d.counts.MergeRun(r.nodes, r.counts, func(old, n int32) int32 {
+		d.move(old, old+n)
+		return old + n
+	})
 }
 
 // move records in the histogram that one node's count went from one

@@ -82,15 +82,14 @@ func runDegreesScript(t *testing.T, script []byte) {
 		case 2: // clone
 			from, to := s.slot(), s.slot()
 			got[to], want[to] = got[from].Clone(), maps.Clone(want[from])
-		case 3: // bulk build from a list of endpoints
+		case 3: // absorb a list of endpoints: built whole into an empty tally
 			i, n := s.slot(), 4*s.next()
 			ids := make([]pg.ID, n)
-			want[i] = map[pg.ID]int{}
 			for j := range ids {
 				ids[j] = s.id()
 				want[i][ids[j]]++
 			}
-			got[i] = countDegrees(ids)
+			got[i].absorbRun(runOf(ids, make([]int32, n)))
 		case 4: // bulk build from a persisted map
 			i, n := s.slot(), s.next()
 			m := map[nodeKey]int{}
@@ -136,6 +135,14 @@ func runDegreesScript(t *testing.T, script []byte) {
 			}
 		}
 	}
+}
+
+// countDegrees builds the tally in which each node's count is the
+// number of times it occurs in ids, as a candidate's becomes a type's.
+func countDegrees(ids []pg.ID) Degrees {
+	var d Degrees
+	d.absorbRun(runOf(ids, make([]int32, len(ids))))
+	return d
 }
 
 // degreesDiffer returns how d differs from m, or how d breaks its own

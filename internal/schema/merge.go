@@ -206,6 +206,7 @@ func (s *Schema) AppendEdgeTypes(cands []*EdgeType) []*EdgeType {
 			continue
 		}
 		c.Abstract = c.Token == ""
+		c.settle()
 		c.ID = s.nextID
 		s.nextID++
 		s.EdgeTypes = append(s.EdgeTypes, c)

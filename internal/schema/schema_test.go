@@ -367,8 +367,10 @@ func TestBuildEdgeCandidates(t *testing.T) {
 	if len(c.DstTokens) != 1 {
 		t.Errorf("empty endpoint tokens must be skipped: %v", c.DstTokens)
 	}
-	if c.MaxOutDegree() != 2 || c.MaxInDegree() != 1 {
-		t.Errorf("degrees: out=%d in=%d", c.MaxOutDegree(), c.MaxInDegree())
+	// A candidate's endpoints are counted when it becomes a type.
+	et := New().ExtractEdgeTypes(cands, 0)[0]
+	if et.MaxOutDegree() != 2 || et.MaxInDegree() != 1 {
+		t.Errorf("degrees: out=%d in=%d", et.MaxOutDegree(), et.MaxInDegree())
 	}
 }
 

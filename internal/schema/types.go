@@ -297,6 +297,10 @@ type EdgeType struct {
 	DstDeg Degrees
 	// Cardinality is derived by infer.Finalize.
 	Cardinality Cardinality
+	// pending are a built candidate's edges, whose endpoints are
+	// counted when it becomes a type (settle) or a type absorbs it
+	// (mergeEdge). A type has none.
+	pending pendingDegrees
 }
 
 // SortedSrcTokens returns the source endpoint tokens in sorted order.
@@ -326,6 +330,14 @@ func (t *EdgeType) mergeEdge(o *EdgeType) {
 	}
 	t.SrcDeg.absorb(o.SrcDeg)
 	t.DstDeg.absorb(o.DstDeg)
+	o.pending.absorbInto(&t.SrcDeg, &t.DstDeg)
+}
+
+// settle counts the endpoints of a candidate that becomes a type into
+// its tallies, and lets the batch's edges go.
+func (t *EdgeType) settle() {
+	t.pending.absorbInto(&t.SrcDeg, &t.DstDeg)
+	t.pending = pendingDegrees{}
 }
 
 // Schema is a schema graph (Def. 3.4): node types, edge types, and —
@@ -450,6 +462,7 @@ func (s *Schema) addNodeType(t *NodeType) {
 }
 
 func (s *Schema) addEdgeType(t *EdgeType) {
+	t.settle()
 	t.ID = s.nextID
 	s.nextID++
 	s.EdgeTypes = append(s.EdgeTypes, t)

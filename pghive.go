@@ -143,6 +143,11 @@ type (
 	JSONLStream = pg.JSONLStream
 	// CSVStream streams neo4j-admin style bulk CSV files.
 	CSVStream = pg.CSVStream
+	// LabelIndex is a stream's endpoint bookkeeping: node ID → labels.
+	LabelIndex = pg.LabelIndex
+	// Resolver is what a Batch resolves foreign endpoints through: a
+	// *LabelIndex or a *Graph.
+	Resolver = pg.Resolver
 )
 
 // DefaultStreamBatchSize is the batch size used when a stream is
@@ -250,7 +255,8 @@ type (
 // checkpoint written by Incremental.WriteCheckpoint: the returned
 // pipeline continues exactly where the interrupted run stood. Seed a
 // new StreamReader over the remaining input with the returned extras
-// (SeedResolver; SetNextEdgeID for CSV) to finish the stream
+// (SeedResolver with each node of the *LabelIndex in extras.Resolver;
+// SetNextEdgeID for CSV) to finish the stream
 // bit-identically. opts must match the interrupted run's options.
 func ResumeFromCheckpoint(opts Options, r io.Reader) (*Incremental, *CheckpointExtras, error) {
 	return core.ResumeFromCheckpoint(opts, r)

@@ -73,9 +73,9 @@ func checkpointedStreamRun(t *testing.T, data []byte, opts pghive.Options, bs, k
 			t.Fatal(err)
 		}
 		var again bytes.Buffer
-		resolver := (*pghive.Graph)(nil)
+		var resolver *pghive.LabelIndex
 		if extras != nil {
-			resolver = extras.Resolver
+			resolver, _ = extras.Resolver.(*pghive.LabelIndex)
 		}
 		if err := inc2.WriteCheckpoint(&again, &pghive.CheckpointExtras{Resolver: resolver}); err != nil {
 			t.Fatal(err)
@@ -89,9 +89,8 @@ func checkpointedStreamRun(t *testing.T, data []byte, opts pghive.Options, bs, k
 		inc = inc2
 		stream = pghive.NewJSONLStream(bytes.NewReader(skipLines(data, consumed)), bs)
 		if resolver != nil {
-			nodes := resolver.Nodes()
-			for i := range nodes {
-				if err := stream.SeedResolver(nodes[i].ID, nodes[i].Labels); err != nil {
+			for id, labels := range resolver.All() {
+				if err := stream.SeedResolver(id, labels); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -228,9 +227,8 @@ func TestCheckpointResumeCSVStream(t *testing.T) {
 	}
 	phase2 := pghive.NewCSVStream(nil, []io.Reader{strings.NewReader(knows2.String())}, 30)
 	phase2.SetNextEdgeID(extras.NextEdgeID)
-	nodes := extras.Resolver.Nodes()
-	for i := range nodes {
-		if err := phase2.SeedResolver(nodes[i].ID, nodes[i].Labels); err != nil {
+	for id, labels := range extras.Resolver.(*pghive.LabelIndex).All() {
+		if err := phase2.SeedResolver(id, labels); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -77,7 +77,7 @@ type writer struct {
 	// start, then moved only by apply.
 	lsn      uint64
 	inc      *Incremental
-	resolver *Graph // label-only, cross-ingest endpoint bookkeeping
+	resolver *pg.LabelIndex // cross-ingest endpoint bookkeeping
 	// nextEdgeID carries the sequential edge-ID counter across CSV
 	// streams (and their checkpoints); CSV rows have no explicit edge
 	// IDs, so a later stream must continue numbering where the
@@ -114,7 +114,8 @@ func newWriter(opts Options, img *core.Image, keyCap int) (*writer, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.inc, w.resolver, w.nextEdgeID, w.lsn = inc, extras.Resolver, extras.NextEdgeID, extras.WALSeq
+		w.resolver, _ = extras.Resolver.(*pg.LabelIndex) // nil when the image holds none
+		w.inc, w.nextEdgeID, w.lsn = inc, extras.NextEdgeID, extras.WALSeq
 		if w.keys != nil {
 			for _, k := range extras.AppliedKeys {
 				w.keys.add(k.Key, k.LSN)
@@ -122,8 +123,7 @@ func newWriter(opts Options, img *core.Image, keyCap int) (*writer, error) {
 		}
 	}
 	if w.resolver == nil {
-		w.resolver = pg.NewGraph()
-		w.resolver.AllowDanglingEdges(true)
+		w.resolver = &pg.LabelIndex{}
 	}
 	return w, nil
 }
@@ -260,10 +260,7 @@ func (w *writer) publish() {
 func (w *writer) ingest(g *Graph) BatchTiming {
 	nodes := g.Nodes()
 	for i := range nodes {
-		if w.resolver.Node(nodes[i].ID) == nil {
-			// Error impossible: absence was just checked and the owner
-			// serializes writes.
-			_ = w.resolver.PutNode(nodes[i].ID, nodes[i].Labels, nil)
+		if w.resolver.Put(nodes[i].ID, nodes[i].Labels) {
 			w.dirty.ResolverAdded(nodes[i].ID)
 		}
 	}
@@ -287,9 +284,8 @@ func (w *writer) retract(g *Graph) BatchTiming {
 	bt := w.inc.RetractBatch(&Batch{Graph: g, Resolver: w.resolver})
 	nodes := g.Nodes()
 	for i := range nodes {
-		if n := w.resolver.Node(nodes[i].ID); n != nil {
-			w.dirty.ResolverRemoving(n)
-			w.resolver.RemoveNode(n.ID)
+		if labels, ok := w.resolver.Remove(nodes[i].ID); ok {
+			w.dirty.ResolverRemoving(nodes[i].ID, labels)
 		}
 	}
 	w.publish()
@@ -445,11 +441,10 @@ func (w *writer) seedStream(ctx context.Context, r StreamReader) error {
 	if c.NextEdgeID() == 0 && w.nextEdgeID > 0 {
 		c.SetNextEdgeID(w.nextEdgeID)
 	}
-	nodes := w.resolver.Nodes()
-	for i := range nodes {
+	for id, labels := range w.resolver.All() {
 		// Error means the reader tracked the ID already; its labels
 		// win, matching Ingest's first-labels-win rule.
-		_ = c.SeedResolver(nodes[i].ID, nodes[i].Labels)
+		_ = c.SeedResolver(id, labels)
 	}
 	return nil
 }
