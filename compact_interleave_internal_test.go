@@ -2,11 +2,11 @@ package pghive
 
 // Interleavings of a compaction round with everything that can happen
 // around it, each driven deterministically and each ending in the
-// oracle of compact_lift_internal_test.go: writes landing while the
+// oracle of compact_round_internal_test.go: writes landing while the
 // round is parked off-lock, rounds that fail at the run write, the
 // manifest write and the rename, a crash and recovery before the
 // round, a broken-WAL degradation and Rearm before it, and a load
-// that overflows the writer's record.
+// that overflows the round's bound.
 
 import (
 	"context"
@@ -139,9 +139,10 @@ func TestFailedRoundHandsItsChangeBack(t *testing.T) {
 	}
 }
 
-// TestFirstRoundAfterRecoveryLiftsTheTail: restoring from the image
-// leaves the record empty and replaying the WAL tail fills it, so the
-// first round after a crash writes exactly the tail's delta.
+// TestFirstRoundAfterRecoveryLiftsTheTail: the recovered generation's
+// image is the first round's base and replaying the WAL tail moves the
+// state past it, so the first round after a crash writes exactly the
+// tail's delta.
 func TestFirstRoundAfterRecoveryLiftsTheTail(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := newLiftScriptOn(t, interleaveOpts, DurableOptions{FS: mem, MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}, noCoverage(), mem)
@@ -172,8 +173,8 @@ func TestFirstRoundAfterRecoveryLiftsTheTail(t *testing.T) {
 
 // TestRearmThenCompactLiftsWhatReplayApplied: a write whose append
 // broke the WAL is reconciled by Rearm — applied from the log if its
-// frame survived — through the same apply rule that records; the round
-// after it lifts the state the service actually holds.
+// frame survived — through the same apply rule the writes use; the
+// round after it writes the state the service actually holds.
 func TestRearmThenCompactLiftsWhatReplayApplied(t *testing.T) {
 	dopts := DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}
 	prefix := func(s *liftScript) {
@@ -226,10 +227,10 @@ func TestRearmThenCompactLiftsWhatReplayApplied(t *testing.T) {
 	s.compact("round after reopen")
 }
 
-// TestDirtyOverflowCapturesWhole: a load that outgrows the writer's
-// record makes the round capture the state whole and write a base —
+// TestDirtyOverflowCapturesWhole: a load that outgrows the round's
+// bound makes the round write the captured state whole as a base —
 // equal to the captured image, like any fold — and the rounds after it
-// lift from a fresh record. A failed overflow round stays overflowed.
+// write runs again. A failed overflow round stays overflowed.
 func TestDirtyOverflowCapturesWhole(t *testing.T) {
 	s := newLiftScript(t, interleaveOpts, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}, noCoverage())
 	defer func() { s.d.Close() }()
@@ -240,8 +241,8 @@ func TestDirtyOverflowCapturesWhole(t *testing.T) {
 	}
 	s.retract("bulk load", 0)
 
-	// The round fails at its base-image write: the record it lifted
-	// was "everything", and so is the one handed back.
+	// The round fails at its base-image write: the load it took had
+	// overflowed, and so has the one handed back.
 	healthy := s.d.local
 	s.d.local = store.NewDir(vfs.NewInjectFS(s.mem, vfs.NewPlan(vfs.Fault{Op: vfs.OpOpen, N: 1})), s.d.dir)
 	if err := s.d.Compact(); err == nil || !strings.Contains(err.Error(), "atomic write") {

@@ -1,11 +1,10 @@
 package pghive
 
-// The oracle for compaction's fast path. A round no longer diffs two
-// images: it lifts the delta from what the live writer recorded
-// (core.Dirty). core.DiffImage — slow, obviously right, reading both
-// images whole — stays the definition, and this file holds the fast
-// path to it from outside: after every Compact of a generated write
-// sequence, the run the round wrote must equal
+// The oracle for compaction rounds. A round diffs the image it captures
+// under the write lock against the one the previous round left behind,
+// with the keys it merges in and the base it keeps across a failure;
+// this file holds that from outside: after every Compact of a generated
+// write sequence, the run the round wrote must equal
 // core.EncodeDelta(DiffImage(image before, image after)) byte for byte,
 // with both images taken by the ordinary CaptureImage path, and the
 // generation on disk must merge to the live image. A fold round's
@@ -13,7 +12,7 @@ package pghive
 //
 // Sequences are byte scripts (two bytes per step: operation, argument)
 // so the property test — seeded random scripts over several option
-// sets — and FuzzCompactLiftMatchesDiff share one interpreter.
+// sets — and FuzzCompactRoundMatchesDiff share one interpreter.
 
 import (
 	"bytes"
@@ -92,8 +91,8 @@ func (s *liftScript) open() {
 	s.d = d
 }
 
-// capture takes the live state's image the way a fold always has:
-// CaptureImage under the write lock, at the writer's LSN.
+// capture takes the live state's image whole: CaptureImage under the
+// write lock, at the writer's LSN, with every retained applied key.
 func (s *liftScript) capture() *core.Image {
 	s.t.Helper()
 	s.d.w.mu.Lock()
@@ -103,6 +102,17 @@ func (s *liftScript) capture() *core.Image {
 		s.t.Fatal(err)
 	}
 	return img
+}
+
+// image captures the state as a checkpoint image covering WAL LSNs up
+// to the writer's position, applied idempotency keys included.
+func (w *writer) image() (*core.Image, error) {
+	return w.inc.CaptureImage(&core.CheckpointExtras{
+		Resolver:    w.resolver,
+		NextEdgeID:  w.nextEdgeID,
+		WALSeq:      w.lsn,
+		AppliedKeys: w.keys.export(),
+	})
 }
 
 func readMemFile(t testing.TB, fsys vfs.FS, path string) []byte {
@@ -168,7 +178,7 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 			s.t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantBytes) {
-			s.t.Fatalf("%s: lifted run differs from DiffImage(before, after)\n got %s\nwant %s", step, got, wantBytes)
+			s.t.Fatalf("%s: the round's run differs from DiffImage(before, after)\n got %s\nwant %s", step, got, wantBytes)
 		}
 		if st.LastRound.Puts != want.Puts() || st.LastRound.Tombstones != want.Tombstones() {
 			s.t.Fatalf("%s: LastRound reports %d puts / %d tombstones, the diff has %d / %d",
@@ -193,7 +203,7 @@ func (s *liftScript) checkRound(step string, after *core.Image) {
 }
 
 // reopen closes the service and recovers it: the recovered image must
-// equal the live one, and the first round after recovery must lift
+// equal the live one, and the first round after recovery must write
 // exactly the replayed WAL tail.
 func (s *liftScript) reopen(step string) {
 	s.t.Helper()
@@ -384,9 +394,9 @@ var liftConfigs = []struct {
 	{"minhash", Options{Seed: 5, Parallelism: 1, Method: MinHash}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}},
 }
 
-// TestCompactLiftMatchesDiffProperty: on seeded random scripts, every
-// run a round lifts equals DiffImage of the captured images around it.
-func TestCompactLiftMatchesDiffProperty(t *testing.T) {
+// TestCompactRoundMatchesDiffProperty: on seeded random scripts, every
+// run a round writes equals DiffImage of the captured images around it.
+func TestCompactRoundMatchesDiffProperty(t *testing.T) {
 	scripts := 40
 	if testing.Short() {
 		scripts = 8
@@ -412,9 +422,9 @@ func TestCompactLiftMatchesDiffProperty(t *testing.T) {
 	}
 }
 
-// FuzzCompactLiftMatchesDiff lets the fuzzer write the scripts. The
+// FuzzCompactRoundMatchesDiff lets the fuzzer write the scripts. The
 // first byte picks the option set.
-func FuzzCompactLiftMatchesDiff(f *testing.F) {
+func FuzzCompactRoundMatchesDiff(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 9, 1, 4, 0, 9, 0})                          // grow, round, retract, round
 	f.Add([]byte{1, 3, 7, 3, 2, 9, 1, 7, 5, 9, 1, 4, 0, 9, 1, 4, 0})  // churn, rounds, solo type dies, folds
 	f.Add([]byte{2, 5, 2, 9, 1, 6, 0, 9, 1, 1, 4, 2, 9, 9, 0})        // edges before endpoints, abstract, merge, reopen
@@ -427,4 +437,45 @@ func FuzzCompactLiftMatchesDiff(f *testing.F) {
 		cfg := liftConfigs[int(data[0])%len(liftConfigs)]
 		newLiftScript(t, cfg.opts, cfg.dopts, &liftCoverage{folds: map[string]int{}}).run(data[1:])
 	})
+}
+
+// TestCompactRoundCoversTalliesOfCompactedType: a retraction that names
+// endpoints its edges did not have leaves counts behind in a type it
+// empties, and the schema's compaction drops the type with them. The
+// round's run must still be DiffImage's, which tombstones those counts.
+func TestCompactRoundCoversTalliesOfCompactedType(t *testing.T) {
+	seen := &liftCoverage{folds: map[string]int{}}
+	s := newLiftScript(t, Options{Seed: 1, Parallelism: 1}, DurableOptions{MaxRuns: 1 << 20, MaxTombstoneRatio: 1e9}, seen)
+	defer func() { s.d.Close() }()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := s.graph()
+	for id := ID(1); id <= 4; id++ {
+		must(g.PutNode(id, []string{"P"}, nil))
+	}
+	must(g.PutEdge(10, []string{"R"}, 1, 2, nil))
+	must(g.PutEdge(11, []string{"R"}, 3, 2, nil))
+	must(g.PutEdge(12, []string{"S"}, 1, 4, nil))
+	s.ingest("setup", g, "")
+	s.compact("setup")
+
+	r := s.graph()
+	must(r.PutEdge(10, []string{"R"}, 1, 9, nil))
+	must(r.PutEdge(11, []string{"R"}, 3, 9, nil))
+	must(r.PutEdge(12, []string{"S"}, 1, 4, nil))
+	if _, _, err := s.d.RetractIdempotent(context.Background(), "", r); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.d.Schema().EdgeTypes); n != 0 {
+		t.Fatalf("setup: %d edge types survive the retraction, want none", n)
+	}
+	s.compact("retraction")
+	if seen.runs != 2 || seen.runsWithTallies != 2 {
+		t.Fatalf("checked %d runs, %d with tally changes; want both rounds to write runs carrying them", seen.runs, seen.runsWithTallies)
+	}
+	s.reopen("end")
 }

@@ -18,20 +18,24 @@ package pghive
 //
 // Checkpoints are LSM-structured (internal/runfile): a generation is
 // a base image plus an ordered chain of immutable, checksummed delta
-// runs, named by an atomically-swapped manifest. The live writer keeps
-// a record of what its writes changed since the previous round
-// (core.Dirty — the memtable of this layout); a compaction round lifts
-// that record into the state diff of the span (core.ImageDelta) and
-// writes it as a run, so a steady-state round's IO, CPU and memory are
-// proportional to what changed, not to total state. When the chain
+// runs, named by an atomically-swapped manifest. The service holds the
+// image its current generation merges to (base). Every element-keyed
+// member of an image is a copy-on-write column that a capture shares
+// with the live state, so base costs only the old copies of the leaves
+// the writes since have touched — those leaves are the memtable of this
+// layout. A compaction round captures the state and writes
+// core.DiffImage(base, captured) as a run. The diff skips every leaf
+// the two images share, so a steady-state round's IO, CPU and memory
+// are proportional to what changed, not to total state. When the chain
 // grows past DurableOptions.MaxRuns, accumulated tombstones cross
-// MaxTombstoneRatio of the elements the generation holds, or the
-// record outgrew its bound, the round writes a fresh base image
-// instead (a leveled merge with one level: base). The compactor holds
-// the write lock only to seal the log and lift the record — no
-// encoding, no file of the checkpoint layout, nothing proportional to
-// the database — and does the rest off it, so writers are never
-// blocked behind a round's IO, no matter how large the state has grown.
+// MaxTombstoneRatio of the elements the generation holds, or the writes
+// of the span named more elements than the overflow rule allows, the
+// round writes the captured image as a fresh base instead (a leveled
+// merge with one level: base). The compactor holds the write lock only
+// to seal the log and capture the state — no diff, no encoding, no file
+// of the checkpoint layout, nothing proportional to the database or the
+// change — and does the rest off it, so writers are never blocked
+// behind a round's IO, no matter how large the state has grown.
 //
 // One generation walk reads this layout, for recovery and for a
 // follower's bootstrap alike (walkGenerations, over a store.Backend: a
@@ -39,8 +43,7 @@ package pghive
 // store.Dir). It tries the manifests newest first; only when none
 // parses, each bare base image is a generation of its own, covering the
 // LSN its name states. Every generation is read by mergedImage, the one
-// reader of bases and runs — the compactor's fold reads the directory
-// through it too — and recovery additionally
+// reader of bases and runs, and recovery additionally
 // requires the WAL tail above it to replay through wal.Replay, the one
 // reader of the log, which a follower's tail and Rearm use too
 // (catchUp). The tail is read from the segment holding the first
@@ -220,6 +223,13 @@ type DurableService struct {
 	// the WAL floor deliberately permits falling back to it.
 	man     *runfile.Manifest
 	prevMan *runfile.Manifest
+	// base is the image man's files merge to, with the applied keys
+	// trimmed as a restore trims them: the recovered generation's at
+	// open, then each committed round's capture. It shares the live
+	// state's columns copy-on-write, so holding it pins only the old
+	// copies of what the writes since then touched; the next round
+	// diffs against it.
+	base *core.Image
 	// manSeq is the highest generation number observed on disk, valid
 	// or not — the floor for allocating the next one, so a corrupt
 	// lingering manifest can never outrank a fresh one.
@@ -252,10 +262,10 @@ type DurableService struct {
 	rounds, folds uint64
 
 	// compactTestHook, when non-nil, runs once per compaction round at
-	// the start of its off-lock phase — the round's delta is lifted and
-	// nothing is encoded or written yet — the point where the compactor
-	// is provably holding no lock a writer needs. Tests park the
-	// compactor here and assert writes proceed.
+	// the start of its off-lock phase — the round's state is captured
+	// and nothing is diffed, encoded or written yet — the point where
+	// the compactor is provably holding no lock a writer needs. Tests
+	// park the compactor here and assert writes proceed.
 	compactTestHook func()
 }
 
@@ -300,20 +310,20 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 	// one whose tail does not is skipped like a torn file.
 	var w *writer
 	var lg *wal.Log
+	var base *core.Image
 	local := store.NewDir(fsys, dir)
 	gen, err := walkGenerations(context.Background(), local, opts, func(img *core.Image, man *runfile.Manifest) error {
 		cw, err := newWriter(opts, img, dopts.MaxIdempotencyKeys)
 		if err != nil {
 			return fmt.Errorf("restore image: %w", err)
 		}
-		// Recording starts at the generation's image, so the replay below
-		// leaves exactly the WAL tail's changes for the first round to lift.
-		cw.dirty = cw.inc.Track()
 		cl, err := catchUp(dir, local, dopts, cw)
 		if err != nil {
 			return err
 		}
-		w, lg = cw, cl
+		// The generation's image is the first round's base, so that
+		// round's diff is exactly the WAL tail the replay applied.
+		w, lg, base = cw, cl, img
 		return nil
 	})
 	if err != nil {
@@ -327,6 +337,7 @@ func OpenDurable(dir string, opts Options, dopts DurableOptions) (*DurableServic
 		dopts:     dopts,
 		man:       gen.man,
 		prevMan:   gen.prev,
+		base:      base,
 		manSeq:    gen.maxSeq,
 		fallbacks: len(gen.notes),
 	}
@@ -643,26 +654,28 @@ func (d *DurableService) WriteCheckpoint(w io.Writer) error { return d.w.writeCh
 // checkpoint generation and drops the WAL segments below the resulting
 // floor. It takes the write lock for one short stretch: seal
 // the active segment (so the round covers everything acknowledged
-// before the call) and lift the writer's record of what it changed
-// into the round's delta — work proportional to the change, with no
-// encoding and no checkpoint file touched. Everything after — encode,
-// write, fsync, manifest swap, ship, sweep — runs off the lock, so
-// concurrent writers and readers proceed at full speed. Safe to call
-// concurrently with writes; rounds serialize among themselves.
+// before the call) and capture the state — an O(1) Clone of each
+// element-keyed column, a copy of what is O(types) or O(shapes), and
+// no encoding or checkpoint file. Everything after — the diff against
+// the previous round's image, encode, write, fsync, manifest swap,
+// ship, sweep — runs off the lock, so concurrent writers and readers
+// proceed at full speed. Safe to call concurrently with writes; rounds
+// serialize among themselves.
 //
 // A steady-state round writes only the DELTA of the span as a new run
-// file and swaps in a manifest referencing it; it reads no file of the
-// generation. When the chain would exceed MaxRuns, or accumulated
-// tombstones cross MaxTombstoneRatio of the elements the generation
-// holds, the round writes a fresh base image instead — the merged
-// chain with the delta folded on — and the chain collapses. So does a
-// round whose record outgrew its bound (a bulk load): it captures the
-// state whole under the lock, the one round that holds it for longer.
-// Either way the new manifest's WAL floor is the PREVIOUS generation's
-// covered LSN, so if this round's files turn out torn on a lying disk,
-// recovery falls back one generation and replays the retained records.
-// A round that fails before the manifest swap hands its record back:
-// the next round covers both spans.
+// file — core.DiffImage of the two images, which skips the column
+// leaves they share, so it costs what the writes touched — and swaps
+// in a manifest referencing it; it reads no file of the generation.
+// When the chain would exceed MaxRuns, or accumulated tombstones cross
+// MaxTombstoneRatio of the elements the generation holds, the round
+// writes the captured image as a fresh base instead and the chain
+// collapses. So does a round whose writes named more elements than the
+// overflow rule allows (a bulk load, see roundLoad), without building
+// the diff. Either way the new manifest's WAL floor is the PREVIOUS
+// generation's covered LSN, so if this round's files turn out torn on
+// a lying disk, recovery falls back one generation and replays the
+// retained records. A round that fails before the manifest swap keeps
+// the previous image as its base: the next round covers both spans.
 //
 // A successful round also re-arms a disk-full degraded service: the
 // dropped segments are exactly the space the write path was starving
@@ -695,11 +708,16 @@ func (d *DurableService) Compact() error {
 	if d.compactTestHook != nil {
 		d.compactTestHook()
 	}
+	// The generation this round writes holds the applied keys
+	// mergedImage would read back, trimmed as a restore trims them: the
+	// newest of the current generation's keys followed by the span's.
+	keys := append(slices.Clip(d.base.AppliedKeys), ch.next.AppliedKeys...)
+	ch.next.AppliedKeys = keys[max(len(keys)-d.dopts.MaxIdempotencyKeys, 0):]
 
 	newMan, err := d.writeGeneration(held, ch, &round)
 	if err != nil {
 		d.w.mu.Lock()
-		d.w.inc.Unlift(ch.spent)
+		d.w.load.merge(ch.load)
 		d.w.mu.Unlock()
 		return err
 	}
@@ -711,6 +729,7 @@ func (d *DurableService) Compact() error {
 	d.prevMan = d.man
 	d.man = newMan
 	d.manSeq = newMan.Seq
+	d.base = ch.next
 	d.reclaim(held)
 	round.Seconds = time.Since(began).Seconds()
 	d.lastRound = round
@@ -721,38 +740,62 @@ func (d *DurableService) Compact() error {
 	return nil
 }
 
-// change is what one compaction round lifted from the live writer
-// under the write lock: the delta of the WAL span (from, to], or —
-// when the writer's record had overflowed — the whole state at to.
+// change is what one compaction round took from the live writer
+// under the write lock: the state at to, and the load of the writes in
+// (from, to].
 type change struct {
 	from, to uint64
-	delta    *core.ImageDelta
-	whole    *core.Image
-	// elements is how many elements the state holds at to.
-	elements int
-	// spent goes back to the writer if the round fails.
-	spent *core.Dirty
+	// next is the state at to. Its applied keys are those above from
+	// until Compact merges in the base's.
+	next *core.Image
+	load roundLoad
 }
 
-// lift takes the change since from out of the writer, up to its own
-// position; the result shares nothing mutable with the live state.
+// lift captures the state at the writer's position for the round that
+// covers (from, w.lsn], and takes the load of the writes since the last
+// one. The image shares the live columns copy-on-write, so writes after
+// the lock is released never reach it.
 func (w *writer) lift(_ writeHeld, from uint64) (*change, error) {
-	st := w.inc.Stats()
-	ch := &change{from: from, to: w.lsn, elements: st.Nodes + st.Edges}
-	ch.delta, ch.spent = w.inc.Lift(from, &core.CheckpointExtras{
+	next, err := w.inc.CaptureImage(&core.CheckpointExtras{
 		Resolver:    w.resolver,
 		NextEdgeID:  w.nextEdgeID,
 		WALSeq:      w.lsn,
 		AppliedKeys: w.keys.since(from),
 	})
-	if ch.delta == nil {
-		var err error
-		if ch.whole, err = w.image(); err != nil {
-			w.inc.Unlift(ch.spent)
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
+	ch := &change{from: from, to: w.lsn, next: next, load: w.load}
+	w.load = roundLoad{}
 	return ch, nil
+}
+
+// minRoundLoad is the number of elements the writes between two rounds
+// may always name without folding the round, however small the store.
+const minRoundLoad = 4096
+
+// roundLoad is the weight of the writes since the last committed round,
+// as the overflow rule reads it: how many elements they named — a bound
+// on the elements whose state they changed — and whether that count
+// ever passed max(minRoundLoad, live/2) of the elements the state held
+// when one of them was applied. Past it the run would rival a base
+// image, so the round folds (FoldDirtyOverflow) and builds no diff.
+type roundLoad struct {
+	elements   int
+	overflowed bool
+}
+
+// add weighs a write naming n elements, applied to a state of live.
+func (l *roundLoad) add(n, live int) {
+	l.elements += n
+	l.overflowed = l.overflowed || l.elements > max(minRoundLoad, live/2)
+}
+
+// merge hands a failed round's load back to the writer, whose next
+// round covers that span too.
+func (l *roundLoad) merge(o roundLoad) {
+	l.elements += o.elements
+	l.overflowed = l.overflowed || o.overflowed
 }
 
 // Why a round wrote a base image instead of a run
@@ -764,10 +807,11 @@ const (
 )
 
 // writeGeneration makes the round's change durable off the write lock:
-// it Puts a run (or, on a fold, a base image), then the manifest naming
-// it, built on the current generation's bookkeeping (man, manSeq, the
-// ship watermark). It fills in what the round wrote; the caller commits
-// the manifest.
+// unless its load overflowed, it diffs the captured state against the
+// base, then Puts a run (or, on a fold, the captured image as a base),
+// then the manifest naming it, built on the current generation's
+// bookkeeping (man, manSeq, the ship watermark). It fills in what the
+// round wrote; the caller commits the manifest.
 func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *CompactionRound) (*runfile.Manifest, error) {
 	newMan := &runfile.Manifest{
 		Version: runfile.ManifestVersion,
@@ -781,24 +825,27 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		// before its first shipping round completes.
 		newMan.ShippedLSN = d.ship.watermark
 	}
-	if ch.delta == nil {
-		round.Puts = ch.elements
+	var delta *core.ImageDelta
+	if ch.load.overflowed {
+		round.Puts, round.FoldReason = ch.next.Elements(), FoldDirtyOverflow
 	} else {
-		round.Puts, round.Tombstones = ch.delta.Puts(), ch.delta.Tombstones()
-	}
-	switch {
-	case ch.delta == nil:
-		round.FoldReason = FoldDirtyOverflow
-	case len(d.man.Runs)+1 > d.dopts.MaxRuns:
-		round.FoldReason = FoldMaxRuns
-	case float64(d.man.Tombstones()+round.Tombstones) > d.dopts.MaxTombstoneRatio*float64(max(ch.elements, 1)):
-		round.FoldReason = FoldTombstoneRatio
+		var err error
+		if delta, err = core.DiffImage(d.base, ch.next); err != nil {
+			return nil, fmt.Errorf("pghive: durable: %w", err)
+		}
+		round.Puts, round.Tombstones = delta.Puts(), delta.Tombstones()
+		switch {
+		case len(d.man.Runs)+1 > d.dopts.MaxRuns:
+			round.FoldReason = FoldMaxRuns
+		case float64(d.man.Tombstones()+round.Tombstones) > d.dopts.MaxTombstoneRatio*float64(max(ch.next.Elements(), 1)):
+			round.FoldReason = FoldTombstoneRatio
+		}
 	}
 	ctx := context.Background() // local IO, like recovery's: Close must not cut a round short
 	var name string
 	var data []byte
 	if round.FoldReason == "" {
-		payload, err := core.EncodeDelta(ch.delta)
+		payload, err := core.EncodeDelta(delta)
 		if err != nil {
 			return nil, fmt.Errorf("pghive: durable: encode run: %w", err)
 		}
@@ -810,32 +857,18 @@ func (d *DurableService) writeGeneration(_ compactHeld, ch *change, round *Compa
 		newMan.BaseElements = d.man.BaseElements
 		newMan.Runs = append(slices.Clone(d.man.Runs), info)
 	} else {
-		// Leveled merge: collapse base + runs + new delta into a fresh
-		// base image; the chain restarts empty.
-		img := ch.whole
-		if img == nil {
-			var err error
-			if img, err = mergedImage(ctx, d.local, d.w.opts, d.man); err != nil {
-				return nil, fmt.Errorf("pghive: durable: fold: %w", err)
-			}
-			if err := ch.delta.Apply(img); err != nil {
-				return nil, err
-			}
-			// Merging concatenates applied keys; the live store (and a
-			// restore) keeps the newest MaxIdempotencyKeys of them.
-			if over := len(img.AppliedKeys) - d.dopts.MaxIdempotencyKeys; over > 0 {
-				img.AppliedKeys = img.AppliedKeys[over:]
-			}
-		}
+		// Leveled merge: the captured state is what base + runs + the
+		// new delta merge to, so it becomes the fresh base image; the
+		// chain restarts empty.
 		var buf bytes.Buffer
-		if err := core.EncodeImage(&buf, img); err != nil {
+		if err := core.EncodeImage(&buf, ch.next); err != nil {
 			return nil, fmt.Errorf("pghive: durable: encode base: %w", err)
 		}
 		name, data = runfile.BaseName(ch.to), buf.Bytes()
 		round.Folded = true
 		newMan.Base = name
 		newMan.BaseLSN = ch.to
-		newMan.BaseElements = img.Elements()
+		newMan.BaseElements = ch.next.Elements()
 	}
 	manData, err := runfile.EncodeManifest(newMan)
 	if err != nil {
@@ -1045,7 +1078,7 @@ type DurableStats struct {
 type CompactionRound struct {
 	// Seconds is the whole round, lift to sweep. LockHeldSeconds is the
 	// part of it spent holding the write lock — sealing the log and
-	// lifting the delta — which is all a concurrent writer can wait on.
+	// capturing the state — which is all a concurrent writer can wait on.
 	Seconds         float64 `json:"seconds"`
 	LockHeldSeconds float64 `json:"lockHeldSeconds"`
 	// BytesWritten is the size of the run or base image the round
@@ -1206,17 +1239,6 @@ func (st *idemStore) export() []core.AppliedKey {
 		return nil
 	}
 	return append([]core.AppliedKey(nil), st.fifo[st.head:]...)
-}
-
-// image captures the state as a checkpoint image covering WAL LSNs up
-// to the writer's position, applied idempotency keys included.
-func (w *writer) image() (*core.Image, error) {
-	return w.inc.CaptureImage(&core.CheckpointExtras{
-		Resolver:    w.resolver,
-		NextEdgeID:  w.nextEdgeID,
-		WALSeq:      w.lsn,
-		AppliedKeys: w.keys.export(),
-	})
 }
 
 // replay decodes one logged record — its direction from the type, its

@@ -3,7 +3,7 @@ package pghive
 // White-box proof that compaction cannot stall the write path: the
 // compactor is parked indefinitely at the start of its off-lock phase
 // (via the test hook, which runs while compactMu is held, after the
-// round's delta is lifted and before anything is encoded, written,
+// round's state is captured and before anything is diffed, written,
 // fsynced or shipped) and writers must still complete ingests,
 // retractions, and reads. This is deterministic — no timing heuristics anywhere: the
 // writes run inline, so if the compactor held any lock they need the
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -309,5 +310,79 @@ func TestOverlongKeyRefusedBeforeAdmission(t *testing.T) {
 	const want = "pghive: durable: idempotency key must be 1..255 bytes, got 256"
 	if err == nil || err.Error() != want {
 		t.Fatalf("overlong key: error %v, want %q", err, want)
+	}
+}
+
+// lockedRoundAllocs runs one compaction round and returns what its
+// stretch under the write lock — from the call to the start of the
+// off-lock phase, where the test hook runs — allocates, in bytes and in
+// objects.
+func lockedRoundAllocs(t *testing.T, d *DurableService) (heap, objects uint64) {
+	t.Helper()
+	var ms runtime.MemStats
+	d.compactTestHook = func() {
+		runtime.ReadMemStats(&ms)
+		heap, objects = ms.TotalAlloc-heap, ms.Mallocs-objects
+	}
+	defer func() { d.compactTestHook = nil }()
+	runtime.ReadMemStats(&ms)
+	heap, objects = ms.TotalAlloc, ms.Mallocs
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.DurableStats(); st.LastRound.Folded {
+		t.Fatalf("measured round folded (%s), want a run", st.LastRound.FoldReason)
+	}
+	return heap, objects
+}
+
+// TestRoundLockHoldAllocsIgnoreChange: the stretch of a round that
+// holds the write lock — seal the segment, capture the state — costs
+// the same after 20 writes as after 2,000 on the same store. A round
+// that built its change under the lock would allocate in proportion to
+// the writes; one that captures shares every element-keyed column and
+// copies only what is O(types) or O(shapes). Every write is one node
+// and one edge into the base, of the base's shapes, with no key.
+func TestRoundLockHoldAllocsIgnoreChange(t *testing.T) {
+	d, err := OpenDurable(filepath.Join(t.TempDir(), "data"), Options{Seed: 9, Parallelism: 1}, DurableOptions{
+		NoSync: true, DisableAutoCompact: true, MaxRuns: 1 << 30, MaxTombstoneRatio: 1e9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const baseNodes = 5_000
+	for off := 0; off < baseNodes; off += 1_000 {
+		if _, _, err := d.IngestIdempotent(context.Background(), "", internalStressGraph(t, ID(off), 1_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	next := ID(1 << 24)
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			g := NewGraph()
+			g.AllowDanglingEdges(true)
+			if err := g.PutNode(next, []string{"Blocked"}, PropsOf(map[string]Value{"k": Int(int64(i))})); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.PutEdge(next, []string{"NEXT"}, next, ID(i%baseNodes), nil); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			if _, _, err := d.IngestIdempotent(context.Background(), "", g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(20)
+	smallB, smallM := lockedRoundAllocs(t, d)
+	write(2_000)
+	largeB, largeM := lockedRoundAllocs(t, d)
+	t.Logf("locked stretch of a round: %d B in %d objects after 20 writes, %d B in %d objects after 2,000", smallB, smallM, largeB, largeM)
+	if float64(largeB) > 1.5*float64(smallB) || float64(largeM) > 1.5*float64(smallM) {
+		t.Fatalf("the locked stretch of a round follows the writes: %d B / %d objects after 20, %d B / %d after 2,000", smallB, smallM, largeB, largeM)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	pghive "github.com/pghive/pghive"
 	"github.com/pghive/pghive/internal/datagen"
@@ -169,9 +168,12 @@ func ExampleOpenDurable() {
 // bootstrap from the newest shipped generation and tail the log. A
 // follower at LSN n is bit-identical to the leader at n; when the
 // leader dies the followers keep serving what was shipped, and they
-// catch up once a recovered leader ships again. It all runs over
-// in-memory filesystems; store.NewHTTP in place of store.NewDir is the
-// deployed shape (pghive serve -ship-dir and -follow).
+// catch up once a recovered leader ships again. The followers take one
+// Bootstrap and then one TailOnce after each leader step — what Start's
+// poll loop does on its own cadence — so every count printed is the
+// same on every run. It all runs over in-memory filesystems;
+// store.NewHTTP in place of store.NewDir is the deployed shape (pghive
+// serve -ship-dir and -follow).
 func ExampleNewFollower() {
 	backend := store.NewDir(vfs.NewMemFS(), "/objects")
 	leaderFS := vfs.NewMemFS()
@@ -183,12 +185,9 @@ func ExampleNewFollower() {
 		return leader
 	}
 	catchUp := func(f *pghive.Follower, target uint64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for f.AppliedLSN() != target || !f.Ready() {
-			if time.Now().After(deadline) {
-				panic(fmt.Sprintf("follower stuck at LSN %d, want %d", f.AppliedLSN(), target))
-			}
-			time.Sleep(2 * time.Millisecond)
+		check(f.TailOnce(context.Background()))
+		if f.AppliedLSN() != target {
+			panic(fmt.Sprintf("follower at LSN %d, want %d", f.AppliedLSN(), target))
 		}
 	}
 
@@ -203,9 +202,9 @@ func ExampleNewFollower() {
 
 	var followers []*pghive.Follower
 	for i := 0; i < 2; i++ {
-		f := pghive.NewFollower(pghive.Options{Seed: 42}, backend, pghive.FollowerOptions{PollInterval: time.Millisecond})
-		f.Start()
+		f := pghive.NewFollower(pghive.Options{Seed: 42}, backend, pghive.FollowerOptions{})
 		defer f.Close()
+		check(f.Bootstrap(context.Background()))
 		followers = append(followers, f)
 	}
 	target, want := leader.DurableStats().WALNextLSN-1, stateImage(leader)

@@ -229,9 +229,6 @@ type Incremental struct {
 	// batches counts ProcessBatch calls (RetractBatch excluded), so
 	// serving layers and checkpoints can report stream progress.
 	batches int
-	// dirty records what the batches change, for a durable owner's
-	// compaction rounds (see Track). Nil where nobody lifts it.
-	dirty *Dirty
 	// hashed is the identity half of every batch's label embedder. Its
 	// vectors depend on the token alone, so one cache serves every
 	// batch and a token is hashed once per pipeline.
@@ -360,8 +357,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
-	d := inc.dirty
-	rec := d.admit(len(nodes)+len(edges), inc.result.NodeAssign.Len()+inc.result.EdgeAssign.Len())
 
 	// (a) Index the node shapes, then resolve edge endpoint labels
 	// through them. Both depend only on the batch, never on discovered
@@ -371,9 +366,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	// components.
 	start := time.Now()
 	nodeSI := inc.nodeShapes.IndexNodes(nodes)
-	if rec {
-		d.nodeShapes = append(d.nodeShapes, nodeSI.Created...)
-	}
 	ec := endpointCodes(b.Graph, nodeSI, o.Parallelism)
 
 	// (b) Preprocess nodes: embeddings and representation structures
@@ -418,11 +410,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	} else {
 		ntypes = inc.sch.ExtractNodeTypes(ncands, o.Theta)
 	}
-	if rec {
-		for row := range nodes {
-			assigned(d.nodeAssign, nodes[row].ID, inc.result.NodeAssign)
-		}
-	}
 	inc.result.NodeAssign.Merge(keyed.Build(len(nodes),
 		func(row int) pg.ID { return nodes[row].ID },
 		func(row int) int32 { return int32(ntypes[nodeCl.Assign[nodeSI.Rows[row]]].ID) }), reassign)
@@ -441,9 +428,6 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 		}
 	}
 	edgeSI := inc.edgeShapes.IndexEdgesCoded(edges, ec)
-	if rec {
-		d.edgeShapes = append(d.edgeShapes, edgeSI.Created...)
-	}
 	distinctEdgeLabels := len(edgeSI.EdgeLabels(edges))
 	var edgeMat *vectorize.Matrix
 	var edgeSets [][]string
@@ -476,16 +460,9 @@ func (inc *Incremental) ProcessBatch(b *pg.Batch) BatchTiming {
 	} else {
 		etypes = inc.sch.ExtractEdgeTypes(ecands, o.Theta)
 	}
-	edgeType := func(row int) *schema.EdgeType { return etypes[edgeCl.Assign[edgeSI.Rows[row]]] }
-	if rec {
-		for row := range edges {
-			assigned(d.edgeAssign, edges[row].ID, inc.result.EdgeAssign)
-		}
-		d.edgesMerged(edges, edgeType)
-	}
 	inc.result.EdgeAssign.Merge(keyed.Build(len(edges),
 		func(row int) pg.ID { return edges[row].ID },
-		func(row int) int32 { return int32(edgeType(row).ID) }), reassign)
+		func(row int) int32 { return int32(etypes[edgeCl.Assign[edgeSI.Rows[row]]].ID) }), reassign)
 	tm.Extract += time.Since(start)
 
 	inc.result.Timing.add(tm)
@@ -538,16 +515,11 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 	start := time.Now()
 	nodes := b.Graph.Nodes()
 	edges := b.Graph.Edges()
-	d := inc.dirty
-	rec := d.admit(len(nodes)+len(edges), inc.result.NodeAssign.Len()+inc.result.EdgeAssign.Len())
 	for i := range nodes {
 		n := &nodes[i]
 		ty := inc.result.NodeTypeOf(n.ID)
 		if ty == nil {
 			continue
-		}
-		if rec {
-			assigned(d.nodeAssign, n.ID, inc.result.NodeAssign)
 		}
 		ty.Retract(n.Labels, n.Props)
 		inc.result.NodeAssign.Delete(n.ID)
@@ -558,16 +530,10 @@ func (inc *Incremental) RetractBatch(b *pg.Batch) BatchTiming {
 		if ty == nil {
 			continue
 		}
-		if rec {
-			assigned(d.edgeAssign, e.ID, inc.result.EdgeAssign)
-			d.edgeRetracting(ty, e.Src, e.Dst)
-		}
 		ty.RetractEdge(e.Labels, e.Props, e.Src, e.Dst)
 		inc.result.EdgeAssign.Delete(e.ID)
 	}
-	if _, removed := inc.sch.Compact(); rec {
-		d.edgeTypesRemoved(removed)
-	}
+	inc.sch.Compact()
 	tm := Timing{Extract: time.Since(start)}
 	inc.result.Timing.add(tm)
 	return BatchTiming{Index: b.Index, Timing: tm}

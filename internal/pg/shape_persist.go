@@ -34,16 +34,6 @@ func (c *ShapeCache) Export() []ShapeEntry {
 	return out
 }
 
-// Entry returns the persisted form of the shape registered under the
-// fingerprint — one element of Export — or false when there is none.
-func (c *ShapeCache) Entry(key string) (ShapeEntry, bool) {
-	sh, ok := c.shapes[key]
-	if !ok {
-		return ShapeEntry{}, false
-	}
-	return ShapeEntry{Key: []byte(key), Token: sh.Token, Items: sh.Items}, true
-}
-
 // RestoreShapeCache rebuilds a cache from exported entries. Duplicate
 // keys are rejected — a checkpoint cannot legitimately contain two
 // shapes with the same injective fingerprint.

@@ -104,7 +104,7 @@ var rules = []struct {
 	{"DurableErrorsChecked", []string{"durable.go", "internal/wal/*.go"}, durableErrorsChecked},
 	{"WitnessesComeFromLocks", nil, witnessesComeFromLocks},
 	{"SortedMapOutput", []string{"internal/serialize/*.go", "internal/schema/*.go", "internal/keyed/*.go",
-		"internal/core/checkpoint.go", "internal/core/imagecodec.go", "internal/core/delta.go", "internal/core/tally.go", "internal/core/dirty.go"}, sortedMapOutput},
+		"internal/core/checkpoint.go", "internal/core/imagecodec.go", "internal/core/delta.go", "internal/core/tally.go"}, sortedMapOutput},
 }
 
 func governs(scope []string, p string) bool {
@@ -382,7 +382,6 @@ var rows = []struct{ rule, path, src, want string }{
 	{"SortedMapOutput", "internal/schema/s.go", `func BadCollect(m map[string]int) (keys []string) { for k := range m { keys = append(keys, k) }; return keys }`, "range over map reaches append with no sort in BadCollect"},
 	{"SortedMapOutput", "internal/core/checkpoint.go", `func Keys(m map[string]int) (out []string) { for k := range m { out = append(out, k) }; return out }`, "range over map reaches append with no sort in Keys"},
 	{"SortedMapOutput", "internal/keyed/wire.go", `func Keys(m map[int64]int32) (out []int64) { for k := range m { out = append(out, k) }; return out }`, "range over map reaches append with no sort in Keys"},
-	{"SortedMapOutput", "internal/core/dirty.go", `func Dels(m map[int64]int) (out []int64) { for k, n := range m { if n == 0 { out = append(out, k) } }; return out }`, "range over map reaches append with no sort in Dels"},
 	{"SortedMapOutput", "internal/core/core.go", `func Keys(m map[string]int) (out []string) { for k := range m { out = append(out, k) }; return out }`, ""},
 	{"SortedMapOutput", "internal/serialize/s.go", `import "io"; func GoodCount(w io.Writer, m map[string]int, s []string) (n int) { for _, v := range m { n += v }; for _, v := range s { io.WriteString(w, v) }; return n }`, ""},
 }

@@ -357,11 +357,30 @@ func (c *readCountingFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.
 }
 
 // TestSteadyRoundReadsNothing: a steady-state round opens no base
-// image and no run for reading — what it writes comes from memory.
+// image and no run for reading — what it writes comes from memory — and
+// neither does a fold, for the chain's length or for its tombstones: a
+// fold writes the state it captured.
 func TestSteadyRoundReadsNothing(t *testing.T) {
 	counting := &readCountingFS{FS: vfs.NewMemFS()}
 	d := openLoaded(t, counting, 2_000)
-	defer d.Close()
+	defer func() { d.Close() }()
+	// round compacts and fails if the round opened a file of the
+	// generation for reading.
+	round := func(what string) pghive.DurableStats {
+		t.Helper()
+		counting.mu.Lock()
+		counting.reads = nil
+		counting.mu.Unlock()
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range counting.reads {
+			if strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".run") {
+				t.Fatalf("%s read %s: a round reads nothing of the generation (all reads: %v)", what, name, counting.reads)
+			}
+		}
+		return d.DurableStats()
+	}
 	for i := 0; i < 3; i++ {
 		g := stressGraph(t, pghive.ID(1<<24+1000*i), 25)
 		if err := durableIngest(d, g); err != nil {
@@ -372,20 +391,38 @@ func TestSteadyRoundReadsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		counting.mu.Lock()
-		counting.reads = nil
-		counting.mu.Unlock()
 		runs := d.DurableStats().Runs
-		if err := d.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if st := d.DurableStats(); st.Runs != runs+1 {
+		if st := round(fmt.Sprintf("round %d", i)); st.Runs != runs+1 {
 			t.Fatalf("round %d: want a steady-state round (one more run), got %d -> %d runs", i, runs, st.Runs)
 		}
-		for _, name := range counting.reads {
-			if strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".run") {
-				t.Fatalf("round %d read %s: a steady-state round reads nothing of the generation (all reads: %v)", i, name, counting.reads)
-			}
+	}
+
+	reopen := func(maxRuns int, maxTombstoneRatio float64) {
+		t.Helper()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
 		}
+		var err error
+		d, err = pghive.OpenDurable("data", pghive.Options{Seed: 9, Parallelism: 1}, pghive.DurableOptions{
+			FS: counting, NoSync: true, DisableAutoCompact: true, MaxRuns: maxRuns, MaxTombstoneRatio: maxTombstoneRatio,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen(3, 1e9)
+	g := stressGraph(t, 1<<25, 25)
+	if err := durableIngest(d, g); err != nil {
+		t.Fatal(err)
+	}
+	if st := round("max-runs fold"); st.LastRound.FoldReason != pghive.FoldMaxRuns {
+		t.Fatalf("round on a full chain: %+v, want a %s fold", st.LastRound, pghive.FoldMaxRuns)
+	}
+	reopen(1<<30, 1e-9)
+	if err := durableRetract(d, g); err != nil {
+		t.Fatal(err)
+	}
+	if st := round("tombstone-ratio fold"); st.LastRound.FoldReason != pghive.FoldTombstoneRatio {
+		t.Fatalf("round carrying tombstones: %+v, want a %s fold", st.LastRound, pghive.FoldTombstoneRatio)
 	}
 }

@@ -92,11 +92,9 @@ type writer struct {
 	// nil on a shadow writer, which replays without paying the
 	// copy-on-publish per record.
 	out *Reader
-	// dirty records what the applied batches change, so a compaction
-	// round can write that and nothing else (see DurableService.Compact).
-	// Nil where no round ever lifts it: plain services, followers, and
-	// the scratch writers recovery discards.
-	dirty *core.Dirty
+	// load is what the writes since the last compaction round weighed,
+	// for the overflow rule (see roundLoad).
+	load roundLoad
 }
 
 // newWriter positions a writer at a materialized checkpoint image, or
@@ -260,9 +258,7 @@ func (w *writer) publish() {
 func (w *writer) ingest(g *Graph) BatchTiming {
 	nodes := g.Nodes()
 	for i := range nodes {
-		if w.resolver.Put(nodes[i].ID, nodes[i].Labels) {
-			w.dirty.ResolverAdded(nodes[i].ID)
-		}
+		w.resolver.Put(nodes[i].ID, nodes[i].Labels)
 	}
 	edges := g.Edges()
 	for i := range edges {
@@ -284,9 +280,7 @@ func (w *writer) retract(g *Graph) BatchTiming {
 	bt := w.inc.RetractBatch(&Batch{Graph: g, Resolver: w.resolver})
 	nodes := g.Nodes()
 	for i := range nodes {
-		if labels, ok := w.resolver.Remove(nodes[i].ID); ok {
-			w.dirty.ResolverRemoving(nodes[i].ID, labels)
-		}
+		w.resolver.Remove(nodes[i].ID)
 	}
 	w.publish()
 	return bt
@@ -294,12 +288,15 @@ func (w *writer) retract(g *Graph) BatchTiming {
 
 // apply absorbs the batch written at lsn, and the idempotency key it
 // carried where keys are tracked, through ingest or retract, so the
-// snapshot they publish and the timing it returns state lsn.
+// snapshot they publish and the timing it returns state lsn. It weighs
+// the batch for the next compaction round's overflow rule too.
 func (w *writer) apply(lsn uint64, key string, g *Graph, retract bool) (bt BatchTiming) {
 	w.lsn = lsn
 	if key != "" && w.keys != nil {
 		w.keys.add(key, lsn)
 	}
+	st := w.inc.Stats()
+	w.load.add(g.NumNodes()+g.NumEdges(), st.Nodes+st.Edges)
 	if retract {
 		bt = w.retract(g)
 	} else {
