@@ -17,6 +17,7 @@ import (
 	"compress/flate"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pghive/pghive/internal/datagen"
 	"github.com/pghive/pghive/internal/store"
 	"github.com/pghive/pghive/internal/vfs"
 	"github.com/pghive/pghive/internal/wal"
@@ -384,5 +386,84 @@ func TestRoundLockHoldAllocsIgnoreChange(t *testing.T) {
 	t.Logf("locked stretch of a round: %d B in %d objects after 20 writes, %d B in %d objects after 2,000", smallB, smallM, largeB, largeM)
 	if float64(largeB) > 1.5*float64(smallB) || float64(largeM) > 1.5*float64(smallM) {
 		t.Fatalf("the locked stretch of a round follows the writes: %d B / %d objects after 20, %d B / %d after 2,000", smallB, smallM, largeB, largeM)
+	}
+}
+
+// TestHeldBasePinsBytesPerEntry pins what a held compaction base costs
+// per column entry. The store is LDBC scale 1, grown by 640 writes of
+// ~50 elements whose IDs are those of a second LDBC graph shifted past
+// the first and cut at random, as bench's ledger makes its growth
+// writes, and compacted; 200 more such writes then touch leaves all
+// over the growth range. Until the next round commits, the base keeps
+// the old copy of every leaf they touched: the live heap with the base
+// held, less the live heap once that round has made its capture the
+// base, divided by the store's column entries (assignments, resolver,
+// degree tallies). With every leaf's entries 12 bytes it pinned 10.4
+// B per entry (1.23 MB); with narrow leaves of 6-byte entries, 6.5.
+func TestHeldBasePinsBytesPerEntry(t *testing.T) {
+	d, err := OpenDurable(filepath.Join(t.TempDir(), "data"), Options{Seed: 1, Parallelism: 1}, DurableOptions{
+		NoSync: true, DisableAutoCompact: true, MaxRuns: 1 << 30, MaxTombstoneRatio: 1e9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ingest := func(g *Graph) {
+		if _, _, err := d.IngestIdempotent(context.Background(), "", g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(datagen.Generate(datagen.LDBC(), 1, 1).Graph)
+	const growthOff = 10_000_000
+	growth := datagen.Generate(datagen.LDBC(), 3, 2).Graph
+	batches := make([]*Graph, (growth.NumNodes()+growth.NumEdges())/50)
+	for i := range batches {
+		batches[i] = NewGraph()
+		batches[i].AllowDanglingEdges(true)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range growth.Nodes() {
+		if err := batches[rng.Intn(len(batches))].PutNode(n.ID+growthOff, n.Labels, n.Props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range growth.Edges() {
+		if err := batches[rng.Intn(len(batches))].PutEdge(e.ID+growthOff, e.Labels, e.Src+growthOff, e.Dst+growthOff, e.Props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(batches) < 840 {
+		t.Fatalf("setup: %d growth batches, want 840", len(batches))
+	}
+	for _, g := range batches[:640] {
+		ingest(g)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range batches[640:840] {
+		ingest(g)
+	}
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	held := live()
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	pinned := held - live()
+	img := d.base
+	entries := img.NodeAssign.Len() + img.EdgeAssign.Len() + img.Resolver.Len()
+	for _, tl := range img.Tallies {
+		entries += tl.Src.Len() + tl.Dst.Len()
+	}
+	perEntry := float64(pinned) / float64(entries)
+	t.Logf("a base held over 200 writes pins %d B: %.1f B per column entry of %d", pinned, perEntry, entries)
+	if perEntry > 7.2 {
+		t.Errorf("a held base pins %.1f B per column entry, want ≤ 7.2", perEntry)
 	}
 }

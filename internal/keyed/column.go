@@ -11,17 +11,28 @@ package keyed
 // share copies the root (one small header per leaf) and then each leaf
 // it writes, once, so a published copy never changes and a writer pays
 // for the leaves it touches. A leaf is written in place only through
-// the slab its own root made for it; a bulk build's leaves share two
-// slabs (all keys, all values) that no write changes.
+// the slab its own root made for it; a bulk build's leaves share the
+// slabs it made (one per leaf form), which no write changes.
 //
-// Laws: a bulk build of n sorted entries costs the two slabs, one
-// header per leaf and a constant number of allocations, ≤ 13 B per
-// entry for 8-byte keys and 4-byte values; Clone is O(1); Get is
-// O(log n); a write after a share copies O(n/leafCap) headers plus each
-// leaf it touches once.
+// A leaf is narrow exactly when its keys span less than 2^16 — its last
+// key less its first fits a uint16: its header holds its first key and
+// its slab each key's offset from it, 2 bytes a key. Any other leaf is
+// wide and keeps its keys whole, 8 bytes each. Element IDs are dense,
+// so nearly every leaf is narrow; hashed IDs and IDs at the ends of
+// int64 make wide ones. Every leaf takes the form its span allows where
+// it is made: a bulk build, a leaf's copy-on-write copy, an insert that
+// stretches it, a delete that shrinks it, a split.
+//
+// Laws: a bulk build of n sorted entries costs its slabs, one header per
+// leaf and a constant number of allocations: ≤ 7 B per entry when its
+// leaves are narrow (2-byte offsets, 4-byte values), ≤ 13 when they are
+// wide (8-byte keys); Clone is O(1); Get is O(log n); a write after a
+// share copies O(n/leafCap) headers plus each leaf it touches once,
+// ~6 B per entry of a narrow leaf.
 
 import (
 	"iter"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -30,6 +41,12 @@ import (
 // leafCap bounds a leaf: the most entries one write copies for one key
 // it touches.
 const leafCap = 64
+
+// fits reports whether keys from first to last make a narrow leaf: their
+// span fits a uint16, however far apart two int64s are.
+func fits[K ~int64](first, last K) bool {
+	return uint64(last)-uint64(first) <= math.MaxUint16
+}
 
 // Column maps IDs to small ints: type IDs, counts. The zero value is
 // empty. A Column is
@@ -48,28 +65,70 @@ type root[K ~int64, V ~int32] struct {
 	leaves []leaf[K, V] // in key order, none empty
 }
 
-// slab holds the entries of one leaf, or of every leaf of a bulk build.
+// slab holds the entries of one leaf, or of every leaf of one form that
+// a bulk build made: a narrow slab holds offsets and no keys, a wide
+// one keys and no offsets.
 type slab[K ~int64, V ~int32] struct {
-	keys []K
+	offs []uint16 // narrow: each key less its leaf's first key
+	keys []K      // wide
 	vals []V
 }
 
-// leaf is the entries slab s holds at [lo, hi). lo is -1 when the root
-// holding the leaf made s for it alone: then the leaf spans s, and that
-// root writes s in place. Every other slab is only read, and a root
-// that copies another's headers clears the mark.
+func (s *slab[K, V]) narrow() bool { return s.keys == nil }
+
+// leaf is the entries slab s holds at [lo, hi), the least of them
+// first. lo is -1 when the root holding the leaf made s for it alone:
+// then the leaf spans s, and that root writes s in place. Every other
+// slab is only read, and a root that copies another's headers clears
+// the mark.
 type leaf[K ~int64, V ~int32] struct {
+	first  K
 	s      *slab[K, V]
 	lo, hi int32
 }
 
-func (l leaf[K, V]) keys() []K { return l.s.keys[max(l.lo, 0):l.hi] }
-func (l leaf[K, V]) vals() []V { return l.s.vals[max(l.lo, 0):l.hi] }
+func (l leaf[K, V]) len() int       { return int(l.hi - max(l.lo, 0)) }
+func (l leaf[K, V]) vals() []V      { return l.s.vals[max(l.lo, 0):l.hi] }
+func (l leaf[K, V]) offs() []uint16 { return l.s.offs[max(l.lo, 0):l.hi] }
+func (l leaf[K, V]) wideKeys() []K  { return l.s.keys[max(l.lo, 0):l.hi] }
+func (l leaf[K, V]) last() K        { return l.key(l.len() - 1) }
+func (l leaf[K, V]) key(j int) K {
+	if l.s.narrow() {
+		return l.first + K(l.offs()[j])
+	}
+	return l.wideKeys()[j]
+}
+
+// appendKeys appends the leaf's keys to ks.
+func (l leaf[K, V]) appendKeys(ks []K) []K {
+	if !l.s.narrow() {
+		return append(ks, l.wideKeys()...)
+	}
+	for _, o := range l.offs() {
+		ks = append(ks, l.first+K(o))
+	}
+	return ks
+}
+
+// search returns where k is in the leaf, or where it would go, and
+// whether it is there.
+func (l leaf[K, V]) search(k K) (int, bool) {
+	if !l.s.narrow() {
+		return slices.BinarySearch(l.wideKeys(), k)
+	}
+	switch {
+	case k < l.first:
+		return 0, false
+	case !fits(l.first, k):
+		return l.len(), false
+	}
+	return slices.BinarySearch(l.offs(), uint16(k-l.first))
+}
 
 // FromRun builds a column from a run of entries with distinct keys,
 // taking over both slices. It sorts the run by key first unless the
-// keys already ascend, and then packs it into full leaves over the two
-// slices in a constant number of allocations.
+// keys already ascend, and then packs it into full leaves in a
+// constant number of allocations.
 func FromRun[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
 	c, _, ok := FromRuns(keys, vals, nil)
 	if !ok {
@@ -81,74 +140,123 @@ func FromRun[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
 // FromRuns is FromRun for a run that may hold a key twice, as a decoded
 // one may: it reports such a key and builds nothing. When ends is
 // given, the run is consecutive runs whose keys each ascend, the i-th
-// ending at ends[i], and they are merged pairwise through one scratch
-// copy of the run rather than sorted: O(n log len(ends)).
+// ending at ends[i], and they are merged straight into the column's
+// leaves rather than sorted: O(n log len(ends)), with no scratch copy.
 func FromRuns[K ~int64, V ~int32](keys []K, vals []V, ends []int) (c Column[K, V], dup K, ok bool) {
 	if len(keys) != len(vals) {
 		panic("keyed: a run's keys and values differ in length")
 	}
 	if len(ends) > 1 {
-		keys, vals = mergeRuns(keys, vals, ends)
-	}
-	if dup, ok = sortRun(keys, vals); !ok {
-		return c, dup, false
-	}
-	return pack(keys, vals), dup, true
-}
-
-// mergeRuns merges the ascending runs of keys and vals that end at ends
-// pairwise, a round at a time, between the run and one scratch copy,
-// and returns whichever holds the result.
-func mergeRuns[K ~int64, V ~int32](keys []K, vals []V, ends []int) ([]K, []V) {
-	ks, vs := make([]K, len(keys)), make([]V, len(vals))
-	ends = slices.Clone(ends)
-	for len(ends) > 1 {
-		next, lo := ends[:0], 0
-		for i := 0; i < len(ends); i += 2 {
-			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
-			a, b, out := lo, mid, lo
-			for ; a < mid && b < hi; out++ {
-				if keys[b] < keys[a] {
-					ks[out], vs[out] = keys[b], vals[b]
-					b++
-				} else {
-					ks[out], vs[out] = keys[a], vals[a]
-					a++
-				}
+		heads := make([]head[K, V], 0, len(ends))
+		lo := 0
+		for _, hi := range ends {
+			if hi > lo {
+				heads = append(heads, head[K, V]{keys[lo], vals[lo], lo, hi})
 			}
-			copy(vs[out:], vals[a:mid])
-			out += copy(ks[out:], keys[a:mid])
-			copy(ks[out:hi], keys[b:hi])
-			copy(vs[out:hi], vals[b:hi])
-			next, lo = append(next, hi), hi
+			lo = hi
 		}
-		keys, ks, vals, vs, ends = ks, keys, vs, vals, next
+		return mergeHeads(len(keys), heads, func(h *head[K, V]) bool {
+			if h.at++; h.at == h.end {
+				return false
+			}
+			h.key, h.val = keys[h.at], vals[h.at]
+			return true
+		})
 	}
-	return keys, vals
-}
-
-// sortRun sorts a run by key unless its keys already ascend, and then
-// reports a key it holds twice, if any.
-func sortRun[K ~int64, V ~int32](keys []K, vals []V) (dup K, ok bool) {
 	if !slices.IsSorted(keys) {
 		sort.Sort(run[K, V]{keys, vals})
 	}
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
-			return keys[i], false
+			return c, keys[i], false
 		}
 	}
-	return dup, true
+	return pack(keys, vals), dup, true
+}
+
+// head is the entry at hand of one ascending source of a merge, and
+// where the source's next entry is.
+type head[K ~int64, V ~int32] struct {
+	key     K
+	val     V
+	at, end int
+}
+
+// mergeHeads merges ascending sources of n entries in all, whose first
+// entries are heads, into a column through a min-heap of their heads;
+// next moves a head to its source's next entry, or reports that the
+// source is spent. It reports a key two sources hold.
+func mergeHeads[K ~int64, V ~int32](n int, heads []head[K, V], next func(*head[K, V]) bool) (c Column[K, V], dup K, ok bool) {
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
+	}
+	p := newPacker[K, V](n, n, n)
+	for len(heads) > 0 {
+		h := &heads[0]
+		if p.n+p.fill > 0 {
+			switch prev := p.prev(); {
+			case h.key == prev:
+				return c, h.key, false
+			case h.key < prev:
+				panic("keyed: a merged run does not ascend")
+			}
+		}
+		p.add(h.key, h.val)
+		if !next(h) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(heads, 0)
+	}
+	return p.column(), dup, true
+}
+
+// siftDown moves heads[i] down the min-heap to where its key belongs.
+func siftDown[K ~int64, V ~int32](heads []head[K, V], i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(heads) {
+			return
+		}
+		if c+1 < len(heads) && heads[c+1].key < heads[c].key {
+			c++
+		}
+		if heads[i].key <= heads[c].key {
+			return
+		}
+		heads[i], heads[c] = heads[c], heads[i]
+		i = c
+	}
 }
 
 // Build is FromRun over a run of n entries, entry i being (key(i),
-// val(i)).
+// val(i)). When the keys ascend it writes the leaves straight from key
+// and val, calling key twice per entry, and makes no run at all.
 func Build[K ~int64, V ~int32](n int, key func(i int) K, val func(i int) V) Column[K, V] {
-	keys, vals := make([]K, n), make([]V, n)
+	narrow := 0
+	var first, prev K
 	for i := range n {
-		keys[i], vals[i] = key(i), val(i)
+		k := key(i)
+		if i > 0 && k <= prev {
+			keys, vals := make([]K, n), make([]V, n)
+			for i := range n {
+				keys[i], vals[i] = key(i), val(i)
+			}
+			return FromRun(keys, vals)
+		}
+		if i%leafCap == 0 {
+			first = k
+		}
+		if (i%leafCap == leafCap-1 || i == n-1) && fits(first, k) {
+			narrow += i%leafCap + 1
+		}
+		prev = k
 	}
-	return FromRun(keys, vals)
+	p := newPacker[K, V](n, narrow, n-narrow)
+	for i := range n {
+		p.add(key(i), val(i))
+	}
+	return p.column()
 }
 
 // run sorts a run's keys and values together, in place.
@@ -164,18 +272,127 @@ func (r run[K, V]) Swap(i, j int) {
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
-// pack cuts sorted, distinct entries into full leaves over one slab.
+// pack cuts sorted, distinct entries into full leaves. When the leaves
+// all take one form it takes over the run: its values as they are, and
+// its keys as the wide leaves' keys or, for narrow leaves, dropped for
+// offsets. A run of both forms is copied into a slab per form.
 func pack[K ~int64, V ~int32](keys []K, vals []V) Column[K, V] {
-	if len(keys) == 0 {
-		return Column[K, V]{}
+	n, narrow := len(keys), 0
+	for lo := 0; lo < n; lo += leafCap {
+		if hi := min(lo+leafCap, n); fits(keys[lo], keys[hi-1]) {
+			narrow += hi - lo
+		}
 	}
-	r := &root[K, V]{n: len(keys)}
+	switch {
+	case n == 0:
+		return Column[K, V]{}
+	case narrow != 0 && narrow != n:
+		p := newPacker[K, V](n, narrow, n-narrow)
+		for i, k := range keys {
+			p.add(k, vals[i])
+		}
+		return p.column()
+	}
 	s := &slab[K, V]{keys: keys, vals: vals}
-	r.leaves = make([]leaf[K, V], (len(keys)+leafCap-1)/leafCap)
+	if narrow == n {
+		s.keys, s.offs = nil, make([]uint16, n)
+	}
+	r := &root[K, V]{n: n, leaves: make([]leaf[K, V], (n+leafCap-1)/leafCap)}
 	for i := range r.leaves {
-		r.leaves[i] = leaf[K, V]{s, int32(i * leafCap), int32(min((i+1)*leafCap, len(keys)))}
+		lo, hi := i*leafCap, min((i+1)*leafCap, n)
+		r.leaves[i] = leaf[K, V]{keys[lo], s, int32(lo), int32(hi)}
+		if s.narrow() {
+			for j := lo; j < hi; j++ {
+				s.offs[j] = uint16(keys[j] - keys[lo])
+			}
+		}
 	}
 	return Column[K, V]{r}
+}
+
+// packer cuts sorted, distinct entries, handed to it one at a time,
+// into full leaves, each in the form its span allows: the narrow leaves'
+// entries go to one slab, the wide leaves' to another. Each slab is
+// made when its form first comes, with room for as many entries as that
+// form may still get, and is cut down to its entries at the end when
+// they fill less than half of it. A leaf's entries wait in the packer
+// until it is full, so a packer lives on its caller's stack.
+type packer[K ~int64, V ~int32] struct {
+	left               int // entries still to come, at most
+	narrowMax, wideMax int // entries each form may get, at most
+	n, fill            int // entries in leaves; entries waiting
+	narrow, wide       *slab[K, V]
+	leaves             []leaf[K, V]
+	keys               [leafCap]K
+	vals               [leafCap]V
+}
+
+// newPacker returns a packer for at most n entries, at most narrow of
+// them in narrow leaves and wide in wide ones.
+func newPacker[K ~int64, V ~int32](n, narrow, wide int) packer[K, V] {
+	return packer[K, V]{left: n, narrowMax: narrow, wideMax: wide, leaves: make([]leaf[K, V], 0, (n+leafCap-1)/leafCap)}
+}
+
+func (p *packer[K, V]) add(k K, v V) {
+	p.keys[p.fill], p.vals[p.fill] = k, v
+	if p.fill++; p.fill == leafCap {
+		p.cut()
+	}
+}
+
+// prev returns the last key added; one has been.
+func (p *packer[K, V]) prev() K {
+	if p.fill > 0 {
+		return p.keys[p.fill-1]
+	}
+	return p.leaves[len(p.leaves)-1].last()
+}
+
+// cut makes a leaf of the entries waiting.
+func (p *packer[K, V]) cut() {
+	n := p.fill
+	if n == 0 {
+		return
+	}
+	keys, vals := p.keys[:n], p.vals[:n]
+	var s *slab[K, V]
+	if fits(keys[0], keys[n-1]) {
+		if p.narrow == nil {
+			room := min(p.narrowMax, p.left)
+			p.narrow = &slab[K, V]{offs: make([]uint16, 0, room), vals: make([]V, 0, room)}
+		}
+		s = p.narrow
+		for _, k := range keys {
+			s.offs = append(s.offs, uint16(k-keys[0]))
+		}
+	} else {
+		if p.wide == nil {
+			room := min(p.wideMax, p.left)
+			p.wide = &slab[K, V]{keys: make([]K, 0, room), vals: make([]V, 0, room)}
+		}
+		s = p.wide
+		s.keys = append(s.keys, keys...)
+	}
+	lo := len(s.vals)
+	s.vals = append(s.vals, vals...)
+	p.leaves = append(p.leaves, leaf[K, V]{keys[0], s, int32(lo), int32(len(s.vals))})
+	p.n += n
+	p.left -= n
+	p.fill = 0
+}
+
+// column returns the column of every entry added.
+func (p *packer[K, V]) column() Column[K, V] {
+	p.cut()
+	if p.n == 0 {
+		return Column[K, V]{}
+	}
+	for _, s := range []*slab[K, V]{p.narrow, p.wide} {
+		if s != nil && 2*len(s.vals) < cap(s.vals) {
+			s.offs, s.keys, s.vals = slices.Clone(s.offs), slices.Clone(s.keys), slices.Clone(s.vals)
+		}
+	}
+	return Column[K, V]{&root[K, V]{n: p.n, leaves: p.leaves}}
 }
 
 // Len returns the number of entries.
@@ -188,31 +405,22 @@ func (c Column[K, V]) Len() int {
 
 // Get returns the key's value and whether the column holds it.
 func (c Column[K, V]) Get(k K) (V, bool) {
-	if c.r == nil || len(c.r.leaves) == 0 {
-		var zero V
-		return zero, false
+	if c.r != nil && len(c.r.leaves) > 0 {
+		l := c.r.leaves[c.r.leafFor(k)]
+		if j, ok := l.search(k); ok {
+			return l.vals()[j], true
+		}
 	}
-	l := c.r.leaves[c.r.leafFor(k)]
-	j, ok := slices.BinarySearch(l.keys(), k)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return l.vals()[j], true
+	var zero V
+	return zero, false
 }
 
 // All yields every entry in ascending key order.
 func (c Column[K, V]) All() iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
-		if c.r == nil {
-			return
-		}
-		for _, l := range c.r.leaves {
-			vals := l.vals()
-			for j, k := range l.keys() {
-				if !yield(k, vals[j]) {
-					return
-				}
+		for u := c.cursor(); u.more(); u.next() {
+			if !yield(u.key(), u.vals[0]) {
+				return
 			}
 		}
 	}
@@ -235,29 +443,71 @@ func (c *Column[K, V]) Set(k K, v V) {
 		return
 	}
 	i := r.leafFor(k)
-	if l := r.leaves[i]; i == len(r.leaves)-1 && int(l.hi-max(l.lo, 0)) >= leafCap && k > l.keys()[l.hi-max(l.lo, 0)-1] {
+	l := r.leaves[i]
+	j, ok := l.search(k)
+	switch {
+	case ok:
+		r.ownLeaf(i, 0).vals[j] = v
+		return
+	case i == len(r.leaves)-1 && l.len() >= leafCap && j == l.len():
 		// A key past a full last leaf starts a leaf of its own, so a
 		// column set in key order fills its leaves instead of halving
 		// them.
 		r.leaves = append(r.leaves, fresh([]K{k}, []V{v}))
-		r.n++
-		return
+	default:
+		r.insert(i, j, k, v)
 	}
-	s := r.ownLeaf(i)
-	j, ok := slices.BinarySearch(s.keys, k)
-	if ok {
-		s.vals[j] = v
-		return
-	}
-	s.keys, s.vals = slices.Insert(s.keys, j, k), slices.Insert(s.vals, j, v)
-	r.leaves[i].hi++
 	r.n++
-	if h := len(s.keys) / 2; len(s.keys) > leafCap {
-		upper := fresh(slices.Clone(s.keys[h:]), slices.Clone(s.vals[h:]))
+}
+
+// insert puts k, v at place j of leaf i, which lacks k: in place when
+// the leaf keeps its form, else in its wide copy. A leaf it overflows
+// splits in two.
+func (r *root[K, V]) insert(i, j int, k K, v V) {
+	if l := r.leaves[i]; l.s.narrow() && !fits(min(l.first, k), max(l.last(), k)) {
+		var kb [leafCap + 1]K
+		var vb [leafCap + 1]V
+		r.leaves[i] = fresh(slices.Insert(l.appendKeys(kb[:0]), j, k), slices.Insert(append(vb[:0], l.vals()...), j, v))
+	} else {
+		s, l := r.ownLeaf(i, 1), &r.leaves[i]
+		if s.narrow() {
+			if k < l.first {
+				for x, d := range s.offs {
+					s.offs[x] = d + uint16(l.first-k)
+				}
+				l.first = k
+			}
+			s.offs = slices.Insert(s.offs, j, uint16(k-l.first))
+		} else {
+			s.keys = slices.Insert(s.keys, j, k)
+			l.first = s.keys[0]
+		}
+		s.vals = slices.Insert(s.vals, j, v)
+		l.hi++
+	}
+	if r.leaves[i].len() > leafCap {
+		r.split(i)
+	}
+}
+
+// split cuts leaf i, one entry past full and over a slab of its own,
+// into halves, each in the form its span allows.
+func (r *root[K, V]) split(i int) {
+	l := r.leaves[i]
+	var kb [leafCap + 1]K
+	keys, vals, h := l.appendKeys(kb[:0]), l.vals(), l.len()/2
+	upper := fresh(keys[h:], vals[h:])
+	switch s := l.s; {
+	case s.narrow():
+		s.offs, s.vals = s.offs[:h], s.vals[:h]
+		r.leaves[i].hi = int32(h)
+	case !fits(keys[0], keys[h-1]):
 		s.keys, s.vals = s.keys[:h], s.vals[:h]
 		r.leaves[i].hi = int32(h)
-		r.leaves = slices.Insert(r.leaves, i+1, upper)
+	default:
+		r.leaves[i] = fresh(keys[:h], vals[:h])
 	}
+	r.leaves = slices.Insert(r.leaves, i+1, upper)
 }
 
 // Delete removes the key and reports whether the column held it. A
@@ -268,14 +518,39 @@ func (c *Column[K, V]) Delete(k K) bool {
 	}
 	r := c.own()
 	i := r.leafFor(k)
-	s := r.ownLeaf(i)
-	j, _ := slices.BinarySearch(s.keys, k)
-	s.keys, s.vals = slices.Delete(s.keys, j, j+1), slices.Delete(s.vals, j, j+1)
-	r.leaves[i].hi--
+	l := r.leaves[i]
+	j, _ := l.search(k)
 	r.n--
-	if len(s.keys) == 0 {
+	n := l.len()
+	if n == 1 {
 		r.leaves = slices.Delete(r.leaves, i, i+1)
+		return true
 	}
+	first, last := l.first, l.last()
+	if j == 0 {
+		first = l.key(1)
+	} else if j == n-1 {
+		last = l.key(n - 2)
+	}
+	if !l.s.narrow() && fits(first, last) {
+		var kb [leafCap]K
+		var vb [leafCap]V
+		r.leaves[i] = fresh(slices.Delete(l.appendKeys(kb[:0]), j, j+1), slices.Delete(append(vb[:0], l.vals()...), j, j+1))
+		return true
+	}
+	s := r.ownLeaf(i, 0)
+	s.vals = slices.Delete(s.vals, j, j+1)
+	if s.narrow() {
+		s.offs = slices.Delete(s.offs, j, j+1)
+		if d := s.offs[0]; d > 0 {
+			for x, o := range s.offs {
+				s.offs[x] = o - d
+			}
+		}
+	} else {
+		s.keys = slices.Delete(s.keys, j, j+1)
+	}
+	r.leaves[i].first, r.leaves[i].hi = first, r.leaves[i].hi-1
 	return true
 }
 
@@ -316,29 +591,28 @@ func (c *Column[K, V]) merge(o cursor[K, V], n int, combine func(old, v V) V) {
 	case n == 0:
 	case n <= leafCap || n*leafCap <= c.Len():
 		for ; o.more(); o.next() {
-			old, _ := c.Get(o.keys[0])
-			c.Set(o.keys[0], combine(old, o.vals[0]))
+			old, _ := c.Get(o.key())
+			c.Set(o.key(), combine(old, o.vals[0]))
 		}
 	default:
-		keys := make([]K, 0, c.Len()+n)
-		vals := make([]V, 0, c.Len()+n)
+		p := newPacker[K, V](c.Len()+n, c.Len()+n, c.Len()+n)
 		var zero V
 		a, b := c.cursor(), o
 		for a.more() || b.more() {
 			switch {
-			case !b.more() || a.more() && a.keys[0] < b.keys[0]:
-				keys, vals = append(keys, a.keys[0]), append(vals, a.vals[0])
+			case !b.more() || a.more() && a.key() < b.key():
+				p.add(a.key(), a.vals[0])
 				a.next()
-			case !a.more() || b.keys[0] < a.keys[0]:
-				keys, vals = append(keys, b.keys[0]), append(vals, combine(zero, b.vals[0]))
+			case !a.more() || b.key() < a.key():
+				p.add(b.key(), combine(zero, b.vals[0]))
 				b.next()
 			default:
-				keys, vals = append(keys, a.keys[0]), append(vals, combine(a.vals[0], b.vals[0]))
+				p.add(a.key(), combine(a.vals[0], b.vals[0]))
 				a.next()
 				b.next()
 			}
 		}
-		*c = pack(keys, vals)
+		*c = p.column()
 	}
 }
 
@@ -363,17 +637,17 @@ func DiffFunc[K ~int64, V ~int32](base, next Column[K, V], equal func(a, b V) bo
 	a, b := base.cursor(), next.cursor()
 	for a.more() || b.more() {
 		switch {
-		case !b.more() || a.more() && a.keys[0] < b.keys[0]:
-			dels = append(dels, a.keys[0])
+		case !b.more() || a.more() && a.key() < b.key():
+			dels = append(dels, a.key())
 			a.next()
-		case !a.more() || b.keys[0] < a.keys[0]:
-			keys, vals = append(keys, b.keys[0]), append(vals, b.vals[0])
+		case !a.more() || b.key() < a.key():
+			keys, vals = append(keys, b.key()), append(vals, b.vals[0])
 			b.next()
-		case &a.keys[0] == &b.keys[0] && len(a.keys) == len(b.keys): // the rest of a shared leaf
-			a.keys, b.keys = nil, nil
+		case &a.vals[0] == &b.vals[0] && len(a.vals) == len(b.vals): // the rest of a shared leaf
+			a.vals, b.vals = nil, nil
 		default:
 			if !equal(a.vals[0], b.vals[0]) {
-				keys, vals = append(keys, b.keys[0]), append(vals, b.vals[0])
+				keys, vals = append(keys, b.key()), append(vals, b.vals[0])
 			}
 			a.next()
 			b.next()
@@ -391,12 +665,15 @@ func (c *Column[K, V]) Apply(puts Column[K, V], dels []K) {
 	}
 }
 
-// cursor walks a column's leaves in key order: keys[0], vals[0] is the
-// entry at hand.
+// cursor walks a column's leaves, or one run, in key order: key() and
+// vals[0] are the entry at hand. A narrow leaf's keys are first plus
+// offs, a wide leaf's or a run's are keys.
 type cursor[K ~int64, V ~int32] struct {
-	rest []leaf[K, V]
-	keys []K
-	vals []V
+	rest  []leaf[K, V]
+	first K
+	offs  []uint16
+	keys  []K
+	vals  []V
 }
 
 func (c Column[K, V]) cursor() (u cursor[K, V]) {
@@ -407,13 +684,32 @@ func (c Column[K, V]) cursor() (u cursor[K, V]) {
 }
 
 func (u *cursor[K, V]) more() bool {
-	for len(u.keys) == 0 && len(u.rest) > 0 {
-		u.keys, u.vals, u.rest = u.rest[0].keys(), u.rest[0].vals(), u.rest[1:]
+	for len(u.vals) == 0 && len(u.rest) > 0 {
+		l := u.rest[0]
+		u.rest, u.first, u.vals = u.rest[1:], l.first, l.vals()
+		if u.offs, u.keys = nil, nil; l.s.narrow() {
+			u.offs = l.offs()
+		} else {
+			u.keys = l.wideKeys()
+		}
 	}
-	return len(u.keys) > 0
+	return len(u.vals) > 0
 }
 
-func (u *cursor[K, V]) next() { u.keys, u.vals = u.keys[1:], u.vals[1:] }
+func (u *cursor[K, V]) key() K {
+	if u.keys != nil {
+		return u.keys[0]
+	}
+	return u.first + K(u.offs[0])
+}
+
+func (u *cursor[K, V]) next() {
+	if u.vals = u.vals[1:]; u.keys != nil {
+		u.keys = u.keys[1:]
+	} else {
+		u.offs = u.offs[1:]
+	}
+}
 
 // own returns c's root, made writable: a shared root is copied, leaf
 // headers and all, with no leaf marked as its own, so every leaf must
@@ -432,26 +728,45 @@ func (c *Column[K, V]) own() *root[K, V] {
 	return c.r
 }
 
-// fresh returns a leaf over a new slab of its own holding the entries.
+// fresh returns a leaf over a new slab of its own holding the entries,
+// in the form their span allows. It keeps neither slice.
 func fresh[K ~int64, V ~int32](keys []K, vals []V) leaf[K, V] {
-	return leaf[K, V]{&slab[K, V]{keys, vals}, -1, int32(len(keys))}
+	n := len(keys)
+	s := &slab[K, V]{vals: slices.Clone(vals)}
+	if fits(keys[0], keys[n-1]) {
+		s.offs = make([]uint16, n)
+		for j, k := range keys {
+			s.offs[j] = uint16(k - keys[0])
+		}
+	} else {
+		s.keys = slices.Clone(keys)
+	}
+	return leaf[K, V]{keys[0], s, -1, int32(n)}
 }
 
 // ownLeaf returns leaf i's slab, which r may write in place: the leaf
-// is first copied into a slab of its own unless r made its slab.
-func (r *root[K, V]) ownLeaf(i int) *slab[K, V] {
+// is first copied, in its form, into a slab of its own with room for
+// extra more entries unless r made its slab.
+func (r *root[K, V]) ownLeaf(i, extra int) *slab[K, V] {
 	l := r.leaves[i]
-	if l.lo >= 0 {
-		n := int(l.hi - l.lo)
-		l = fresh(append(make([]K, 0, n+1), l.keys()...), append(make([]V, 0, n+1), l.vals()...))
-		r.leaves[i] = l
+	if l.lo < 0 {
+		return l.s
 	}
-	return l.s
+	n := l.len()
+	s := &slab[K, V]{vals: append(make([]V, 0, n+extra), l.vals()...)}
+	if l.s.narrow() {
+		s.offs = append(make([]uint16, 0, n+extra), l.offs()...)
+	} else {
+		s.keys = append(make([]K, 0, n+extra), l.wideKeys()...)
+	}
+	r.leaves[i] = leaf[K, V]{l.first, s, -1, int32(n)}
+	return s
 }
 
 // leafFor returns the index of the leaf whose range holds k: the last
-// leaf starting at or below it, or the first leaf. r has a leaf.
+// leaf starting at or below it, or the first leaf. It reads only the
+// headers. r has a leaf.
 func (r *root[K, V]) leafFor(k K) int {
-	i := sort.Search(len(r.leaves), func(i int) bool { return r.leaves[i].keys()[0] > k })
+	i := sort.Search(len(r.leaves), func(i int) bool { return r.leaves[i].first > k })
 	return max(i-1, 0)
 }

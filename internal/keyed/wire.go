@@ -194,25 +194,32 @@ func DecodeIDs[K ~int64](data []byte, emit func(K) error) (count, n int, err err
 
 // DecodeColumn reads the value groups at the start of data into a
 // column and reports how many bytes they span; what follows is the
-// caller's. It reads them twice, first to check their spelling and
-// count their IDs, so the column's two arrays are made once at their
-// size, and then sorts the groups' entries into ID order.
+// caller's. It reads them once to check their spelling and note where
+// each group starts, and then merges the groups, each ascending, in ID
+// order straight into the column's leaves, reading each group's gaps as
+// the merge reaches them: no ID is held anywhere but in the column.
 func DecodeColumn[K ~int64, V ~int32](data []byte) (Column[K, V], int, error) {
 	r := &reader{data: data}
+	var heads []head[K, V]
 	n := 0
-	if err := r.groups(func(int64, int64) error { n++; return nil }); err != nil {
+	if err := r.groups(func(id, v int64) error {
+		if len(heads) == 0 || heads[len(heads)-1].val != V(v) {
+			heads = append(heads, head[K, V]{key: K(id), val: V(v), at: r.pos})
+		}
+		n++
+		return nil
+	}); err != nil {
 		return Column[K, V]{}, 0, err
 	}
-	if n == 0 {
-		return Column[K, V]{}, r.pos, nil
-	}
-	keys, vals := make([]K, 0, n), make([]V, 0, n)
-	r.pos = 0
-	r.groups(func(id, v int64) error { // read once without a refusal
-		keys, vals = append(keys, K(id)), append(vals, V(v))
-		return nil
+	c, dup, ok := mergeHeads(n, heads, func(h *head[K, V]) bool {
+		g := reader{data: data, pos: h.at}
+		if !g.accept(",") { // the group's "]"
+			return false
+		}
+		gap, _ := g.uint() // read without a refusal once
+		h.key, h.at = h.key+K(gap), g.pos
+		return true
 	})
-	c, dup, ok := FromRuns(keys, vals, nil)
 	if !ok {
 		return Column[K, V]{}, 0, fmt.Errorf("keyed: ID %d is in two groups", dup)
 	}

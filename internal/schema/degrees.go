@@ -212,7 +212,8 @@ func (p pendingDegrees) absorbInto(src, dst *Degrees) {
 func (d *Degrees) absorbRun(r degreeRun) {
 	if d.Len() == 0 && len(r.nodes) > 0 {
 		// Built whole, at its size: as a tally of a new type is.
-		*d, _ = DegreesFrom(keyed.FromRun(slices.Clone(r.nodes), slices.Clone(r.counts))) // every count is at least one
+		// Build writes the run's ascending nodes straight into leaves.
+		*d, _ = DegreesFrom(keyed.Build(len(r.nodes), func(i int) pg.ID { return r.nodes[i] }, func(i int) int32 { return r.counts[i] })) // every count is at least one
 		return
 	}
 	d.counts.MergeRun(r.nodes, r.counts, func(old, n int32) int32 {
