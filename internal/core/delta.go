@@ -21,14 +21,16 @@ package core
 // share, and an apply shares the puts' leaves copy-on-write.
 //
 // EncodeDelta and ParseDelta own a run's bytes (format generation 3,
-// as images). Element-keyed puts and tombstones are written the way
-// images write them: assignments and tally puts as keyed.Column value
-// groups, tombstones as gap-coded keyed.IDs, resolver puts grouped by
-// label set. A run of any other version is refused by its version.
+// as images): they are the image codec's writer and reader
+// (imagecodec.go), walking an ImageDelta's members. Element-keyed puts
+// and tombstones are written and read the way images hold them:
+// assignments and tally puts as keyed.Column value groups, tombstones
+// as gap-coded keyed.IDs, resolver puts grouped by label set. A run has
+// the image's one envelope spelling, and a run of any other version is
+// refused by its version.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
@@ -200,10 +202,12 @@ func EncodeDelta(d *ImageDelta) ([]byte, error) {
 	return e.b, nil
 }
 
-// ParseDelta decodes one run payload, refusing any other version.
+// ParseDelta decodes one run payload as ParseImage decodes an image,
+// refusing any other version, any other spelling of the envelope and
+// any bytes but whitespace after the run.
 func ParseDelta(data []byte) (*ImageDelta, error) {
 	var d ImageDelta
-	if err := parseVersioned(data, func(data []byte) error { return json.Unmarshal(data, &d) }, &d.Version, "delta", DeltaVersion); err != nil {
+	if err := parseVersioned(data, func(data []byte) error { return read(data, &d) }, &d.Version, "delta", DeltaVersion); err != nil {
 		return nil, err
 	}
 	return &d, nil

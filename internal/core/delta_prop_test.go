@@ -358,6 +358,36 @@ func TestImageParsersRefuseTrailingBytes(t *testing.T) {
 	}
 }
 
+// ResolverNodes is a resolver spelled as its nodes, written through
+// pg.LabelIndex's wire form and read back through pg.DecodeLabelIndex
+// (parseResolverNodes): TestResolverWireForm's view of it. Nodes out of
+// ID order, which no index holds, do not encode.
+type ResolverNodes []ResolverNode
+
+func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
+	var x pg.LabelIndex
+	for i, n := range ns {
+		if i > 0 && n.ID <= ns[i-1].ID {
+			return nil, fmt.Errorf("resolver: node %d after node %d", n.ID, ns[i-1].ID)
+		}
+		x.Put(n.ID, n.Labels)
+	}
+	return x.MarshalJSON()
+}
+
+// parseResolverNodes reads a resolver's wire form, the whole of data.
+func parseResolverNodes(data []byte) (ResolverNodes, error) {
+	x, n, err := pg.DecodeLabelIndex(data)
+	if err := wholeInput(n, data, err); err != nil {
+		return nil, err
+	}
+	var ns ResolverNodes
+	for id, labels := range x.All() {
+		ns = append(ns, ResolverNode{ID: id, Labels: labels})
+	}
+	return ns, nil
+}
+
 // TestResolverWireForm: the resolver is written one ID list per label
 // set, and only that spelling reads back.
 func TestResolverWireForm(t *testing.T) {
@@ -370,8 +400,8 @@ func TestResolverWireForm(t *testing.T) {
 	if string(b) != want {
 		t.Fatalf("got %s, want %s", b, want)
 	}
-	var back ResolverNodes
-	if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(back, nodes) {
+	back, err := parseResolverNodes(b)
+	if err != nil || !reflect.DeepEqual(back, nodes) {
 		t.Fatalf("round trip gave %v (%v)", back, err)
 	}
 	if _, err := json.Marshal(ResolverNodes{{ID: 2}, {ID: 1}}); err == nil {
@@ -387,7 +417,7 @@ func TestResolverWireForm(t *testing.T) {
 		`[{"labels":["A"],"ids":[1,0]}]`,                          // gap zero
 		`[{"id":1,"labels":["A"]}]`,                               // version 1's spelling
 	} {
-		if err := json.Unmarshal([]byte(text), &back); err == nil {
+		if back, err := parseResolverNodes([]byte(text)); err == nil {
 			t.Errorf("accepted %s as %v", text, back)
 		}
 	}

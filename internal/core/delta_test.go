@@ -124,8 +124,8 @@ func cloneImage(t testing.TB, img *Image) *Image {
 // TestDeltaDiffApplyRoundTrip is the exactness contract the run
 // layout rests on: Apply(base, Diff(base, next)) rebuilds next
 // byte-identically under image serialization — including after the
-// delta itself round-trips through JSON, which is how run files carry
-// it.
+// delta itself round-trips through its run payload, which is how run
+// files carry it.
 func TestDeltaDiffApplyRoundTrip(t *testing.T) {
 	base, next := deltaBase(), deltaNext()
 	d, err := DiffImage(base, next)
@@ -145,12 +145,12 @@ func TestDeltaDiffApplyRoundTrip(t *testing.T) {
 		t.Fatalf("delta applied keys: %+v, want just k2", d.AppliedKeys)
 	}
 
-	payload, err := json.Marshal(d)
+	payload, err := EncodeDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded ImageDelta
-	if err := json.Unmarshal(payload, &decoded); err != nil {
+	decoded, err := ParseDelta(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	img := cloneImage(t, base)

@@ -7,8 +7,13 @@ package core
 // named refEncodeImage and refParseImage, as the oracle
 // TestImageCodecMatchesRef and FuzzImageCodecMatchesRef hold the codec
 // to. refImage mirrors Image member for member, with the collections
-// the old way; the reader decodes into Image itself, whose tally
-// collection reads through the old UnmarshalJSON below.
+// the old way. The reader decodes into refImageIn, which is Image with
+// its element-keyed members mirrored by types that encoding/json hands
+// their raw bytes to: refColumn, refIDs and refIndex read those bytes
+// through the wire decoders (keyed.DecodeColumn, keyed.DecodeIDs,
+// pg.DecodeLabelIndex) and nothing else, so the oracle and the codec
+// differ in how they read the envelope around them, which is
+// encoding/json's here.
 
 import (
 	"encoding/json"
@@ -30,11 +35,89 @@ func refEncodeImage(w io.Writer, img *Image) error {
 }
 
 func refParseImage(data []byte) (*Image, error) {
-	var img Image
-	if err := parseVersioned(data, func(data []byte) error { return json.Unmarshal(data, &img) }, &img.Version, "checkpoint", CheckpointVersion); err != nil {
+	var in refImageIn
+	if err := parseVersioned(data, func(data []byte) error { return json.Unmarshal(data, &in) }, &in.Version, "checkpoint", CheckpointVersion); err != nil {
 		return nil, err
 	}
+	img := in.Image
+	img.NodeAssign, img.EdgeAssign = keyed.Column[pg.ID, int32](in.NodeAssign), keyed.Column[pg.ID, int32](in.EdgeAssign)
+	img.Resolver = pg.LabelIndex(in.Resolver)
+	if in.Tallies != nil {
+		img.Tallies = Tallies{}
+	}
+	for _, t := range in.Tallies {
+		img.Tallies = append(img.Tallies, Tally{Type: t.Type, Src: keyed.Column[pg.ID, int32](t.Src), Dst: keyed.Column[pg.ID, int32](t.Dst)})
+	}
 	return &img, nil
+}
+
+// refImageIn is what the oracle reads an image into: Image, whose
+// element-keyed members the mirrored ones shadow.
+type refImageIn struct {
+	Image
+	Tallies    []refTallyIn `json:"tallies"`
+	NodeAssign refColumn    `json:"nodeAssign"`
+	EdgeAssign refColumn    `json:"edgeAssign"`
+	Resolver   refIndex     `json:"resolver"`
+}
+
+type refTallyIn struct {
+	Type int       `json:"type"`
+	Src  refColumn `json:"src"`
+	Dst  refColumn `json:"dst"`
+}
+
+// refColumn, refIDs and refIndex read one element-keyed collection each,
+// handed to them by encoding/json, through its wire decoder.
+type (
+	refColumn keyed.Column[pg.ID, int32]
+	refIDs    keyed.IDs[pg.ID]
+	refIndex  pg.LabelIndex
+)
+
+// wholeInput refuses what a wire decoder left of its input.
+func wholeInput(n int, data []byte, err error) error {
+	if err == nil && n != len(data) {
+		return fmt.Errorf("trailing bytes at offset %d", n)
+	}
+	return err
+}
+
+func (c *refColumn) UnmarshalJSON(data []byte) error {
+	v, n, err := keyed.DecodeColumn[pg.ID, int32](data)
+	*c = refColumn(v)
+	return wholeInput(n, data, err)
+}
+
+func (s *refIDs) UnmarshalJSON(data []byte) error {
+	*s = nil // [] is nil
+	_, n, err := keyed.DecodeIDs(data, func(id pg.ID) error {
+		*s = append(*s, id)
+		return nil
+	})
+	return wholeInput(n, data, err)
+}
+
+func (s refIDs) MarshalJSON() ([]byte, error) { return keyed.IDs[pg.ID](s).MarshalJSON() }
+
+// UnmarshalJSON reads the resolver's groups through encoding/json, which
+// takes any spelling of the JSON around them, and hands them to
+// pg.DecodeLabelIndex spelled as AppendLabelIndex writes them.
+func (x *refIndex) UnmarshalJSON(data []byte) error {
+	var groups []struct {
+		Labels []string `json:"labels,omitempty"`
+		IDs    refIDs   `json:"ids"`
+	}
+	if err := json.Unmarshal(data, &groups); err != nil {
+		return err
+	}
+	b, err := json.Marshal(groups)
+	if err != nil {
+		return err
+	}
+	v, n, err := pg.DecodeLabelIndex(b)
+	*x = refIndex(v)
+	return wholeInput(n, b, err)
 }
 
 type refImage struct {
@@ -135,34 +218,6 @@ type resolverGroup struct {
 // node in ID order.
 type refResolver []ResolverNode
 
-// ResolverNodes is a resolver spelled as its nodes, written and read
-// through pg.LabelIndex's wire form: TestResolverWireForm's view of it.
-// Nodes out of ID order, which no index holds, do not encode.
-type ResolverNodes []ResolverNode
-
-func (ns ResolverNodes) MarshalJSON() ([]byte, error) {
-	var x pg.LabelIndex
-	for i, n := range ns {
-		if i > 0 && n.ID <= ns[i-1].ID {
-			return nil, fmt.Errorf("resolver: node %d after node %d", n.ID, ns[i-1].ID)
-		}
-		x.Put(n.ID, n.Labels)
-	}
-	return x.MarshalJSON()
-}
-
-func (ns *ResolverNodes) UnmarshalJSON(data []byte) error {
-	var x pg.LabelIndex
-	if err := x.UnmarshalJSON(data); err != nil {
-		return err
-	}
-	*ns = (*ns)[:0]
-	for id, labels := range x.All() {
-		*ns = append(*ns, ResolverNode{ID: id, Labels: labels})
-	}
-	return nil
-}
-
 // refResolverOf copies an index into a refResolver, nil when it is
 // empty.
 func refResolverOf(x *pg.LabelIndex) refResolver {
@@ -194,22 +249,4 @@ func (ns refResolver) MarshalJSON() ([]byte, error) {
 	}
 	slices.SortFunc(groups, func(a, b resolverGroup) int { return slices.Compare(a.Labels, b.Labels) })
 	return json.Marshal(groups)
-}
-
-// UnmarshalJSON is how the image's tally collection was read: through
-// encoding/json, refusing what checkGroup refuses. Only the oracle
-// decodes a Tallies through encoding/json.
-func (ts *Tallies) UnmarshalJSON(data []byte) error {
-	var groups []Tally
-	if err := json.Unmarshal(data, &groups); err != nil {
-		return err
-	}
-	for i, g := range groups {
-		ordered := i == 0 || g.Type > groups[i-1].Type
-		if err := checkGroup(g.Type, ordered, g.Src.Len()+g.Dst.Len() == 0, g.Src, g.Dst); err != nil {
-			return err
-		}
-	}
-	*ts = groups
-	return nil
 }

@@ -1,8 +1,9 @@
 package core
 
-// imagecodec.go writes and reads the checkpoint image's bytes by hand,
-// the bytes encoding/json wrote for an Image before (image_ref_test.go
-// keeps that codec as the oracle they are held to).
+// imagecodec.go writes and reads the bytes of a checkpoint image and of
+// a run by hand, the bytes encoding/json wrote for an Image and an
+// ImageDelta before (image_ref_test.go and delta_ref_test.go keep that
+// codec as the oracle they are held to).
 //
 // The writer emits the members in declaration order, each member that
 // is tagged omitempty only when it is not empty, and a trailing
@@ -16,14 +17,17 @@ package core
 // that scratch and the distinct values, not a sort, a map or a buffer
 // per member. EncodeDelta writes a run through the same writer.
 //
-// The reader walks the members in the same order. Any member may be
+// The reader mirrors the writer: one walk over the same members reads
+// an image (ParseImage) and a run (ParseDelta). Any member may be
 // absent and none may come twice, out of order, under another name or
-// in another case, and no whitespace may stand outside a string; after
-// the object only whitespace may follow. The element-keyed members are
-// decoded in place into collections made at their size; the others are
-// handed, as their raw bytes, to encoding/json.
+// in another case, no whitespace may stand outside a string, and a
+// tally group starts with its type; after the object only whitespace
+// may follow. The element-keyed members are decoded in place into
+// collections made at their size; the others are handed, as their raw
+// bytes, to encoding/json.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -173,7 +177,7 @@ func DecodeImage(r io.Reader) (*Image, error) {
 // the image.
 func ParseImage(data []byte) (*Image, error) {
 	var img Image
-	if err := parseVersioned(data, func(data []byte) error { return readImage(data, &img) }, &img.Version, "checkpoint", CheckpointVersion); err != nil {
+	if err := parseVersioned(data, func(data []byte) error { return read(data, &img) }, &img.Version, "checkpoint", CheckpointVersion); err != nil {
 		return nil, err
 	}
 	return &img, nil
@@ -200,27 +204,11 @@ var wireMembers = func() map[reflect.Type][]member {
 	return out
 }()
 
-// readImage decodes the members of one image into img.
-func readImage(data []byte, img *Image) error {
+// read decodes data, one image or run, into v, an *Image or an
+// *ImageDelta: its members, then nothing but whitespace.
+func read(data []byte, v any) error {
 	r := &imageReader{data: data}
-	members := wireMembers[reflect.TypeFor[Image]()]
-	next := 0 // the first member that may still come
-	err := r.seq("{", "}", func() error {
-		name, err := r.name()
-		if err != nil {
-			return err
-		}
-		i := slices.IndexFunc(members[next:], func(m member) bool { return m.name == name })
-		if i < 0 {
-			return r.fail(fmt.Sprintf("member %q is unknown, repeated or out of order", name))
-		}
-		next += i + 1
-		if err := r.member(img, members[next-1].name, next-1); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := r.members(reflect.ValueOf(v).Elem()); err != nil {
 		return err
 	}
 	for _, c := range data[r.pos:] {
@@ -231,7 +219,7 @@ func readImage(data []byte, img *Image) error {
 	return nil
 }
 
-// imageReader walks one encoded image.
+// imageReader walks one encoded image or run.
 type imageReader struct {
 	data []byte
 	pos  int
@@ -297,19 +285,92 @@ func (r *imageReader) name() (string, error) {
 	return name, nil
 }
 
-// member decodes the value of Image's i-th member, name, into img.
-func (r *imageReader) member(img *Image, name string, i int) error {
-	switch name {
-	case "tallies":
-		return r.tallies(&img.Tallies)
-	case "nodeAssign":
-		return r.column(&img.NodeAssign)
-	case "edgeAssign":
-		return r.column(&img.EdgeAssign)
-	case "resolver":
-		return r.resolver(&img.Resolver)
+// members reads v, an addressable Image, ImageDelta or tally group, from
+// an object of its members as imageWriter.members writes it: in
+// declaration order (wireMembers), any of them absent and none twice,
+// out of order, under another name or in another case. A column, an ID
+// list and the resolver decode in place into collections made at their
+// size, and a tally collection is an array of groups read the same way.
+// Everything else goes, as its raw bytes, to encoding/json.
+func (r *imageReader) members(v reflect.Value) error {
+	members := wireMembers[v.Type()]
+	next := 0 // the first member that may still come
+	return r.seq("{", "}", func() error {
+		name, err := r.name()
+		if err != nil {
+			return err
+		}
+		i := slices.IndexFunc(members[next:], func(m member) bool { return m.name == name })
+		if i < 0 {
+			return r.fail(fmt.Sprintf("member %q is unknown, repeated or out of order", name))
+		}
+		next += i + 1
+		if err := r.member(v.Field(next - 1)); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	})
+}
+
+// member decodes one member's value into f.
+func (r *imageReader) member(f reflect.Value) error {
+	var n int
+	var err error
+	switch x := f.Addr().Interface().(type) {
+	case *keyed.Column[pg.ID, int32]:
+		*x, n, err = keyed.DecodeColumn[pg.ID, int32](r.data[r.pos:])
+	case *keyed.IDs[pg.ID]:
+		// Counted first, then filled into one slice of that size.
+		var count int
+		if count, n, err = keyed.DecodeIDs(r.data[r.pos:], func(pg.ID) error { return nil }); err == nil && count > 0 {
+			ids := make(keyed.IDs[pg.ID], 0, count)
+			keyed.DecodeIDs(r.data[r.pos:], func(id pg.ID) error {
+				ids = append(ids, id)
+				return nil
+			})
+			*x = ids
+		}
+	case *pg.LabelIndex:
+		*x, n, err = pg.DecodeLabelIndex(r.data[r.pos:])
+	case *Tallies, *TallyChanges:
+		return r.groups(f)
+	default:
+		return r.json(x)
 	}
-	return r.json(reflect.ValueOf(img).Elem().Field(i).Addr().Interface())
+	r.pos += n
+	return err
+}
+
+// groups decodes a tally collection: an array of groups, each an object
+// of its members that starts with its type, refusing what checkGroup
+// refuses.
+func (r *imageReader) groups(f reflect.Value) error {
+	out := reflect.MakeSlice(f.Type(), 0, 0)
+	prev := 0
+	err := r.seq("[", "]", func() error {
+		if !bytes.HasPrefix(r.data[r.pos:], []byte(`{"type":`)) {
+			return r.fail(`want {"type":`)
+		}
+		g := reflect.New(f.Type().Elem())
+		if err := r.members(g.Elem()); err != nil {
+			return err
+		}
+		typ := int(g.Elem().Field(0).Int()) // Type, a group's first member
+		ordered := out.Len() == 0 || typ > prev
+		prev = typ
+		out = reflect.Append(out, g.Elem())
+		switch g := g.Interface().(type) {
+		case *Tally:
+			return checkGroup(typ, ordered, g.Src.Len()+g.Dst.Len() == 0, g.Src, g.Dst)
+		case *TallyChange:
+			return checkGroup(typ, ordered, g.empty(), g.SrcPut, g.DstPut)
+		}
+		return nil
+	})
+	if err == nil {
+		f.Set(out)
+	}
+	return err
 }
 
 // json decodes the JSON value at the reader's position into v through
@@ -359,99 +420,4 @@ func (r *imageReader) value() ([]byte, error) {
 		}
 	}
 	return r.data[start:], nil
-}
-
-// column decodes a column in place.
-func (r *imageReader) column(c *keyed.Column[pg.ID, int32]) error {
-	v, n, err := keyed.DecodeColumn[pg.ID, int32](r.data[r.pos:])
-	if err != nil {
-		return err
-	}
-	r.pos += n
-	*c = v
-	return nil
-}
-
-// tallies decodes the tally groups, refusing what checkGroup refuses.
-func (r *imageReader) tallies(ts *Tallies) error {
-	out := Tallies{}
-	err := r.seq("[", "]", func() error {
-		var t Tally
-		if err := r.expect(`{"type":`); err != nil {
-			return err
-		}
-		if err := r.json(&t.Type); err != nil {
-			return err
-		}
-		if r.accept(`,"src":`) {
-			if err := r.column(&t.Src); err != nil {
-				return err
-			}
-		}
-		if r.accept(`,"dst":`) {
-			if err := r.column(&t.Dst); err != nil {
-				return err
-			}
-		}
-		if err := r.expect("}"); err != nil {
-			return err
-		}
-		ordered := len(out) == 0 || t.Type > out[len(out)-1].Type
-		if err := checkGroup(t.Type, ordered, t.Src.Len()+t.Dst.Len() == 0, t.Src, t.Dst); err != nil {
-			return err
-		}
-		out = append(out, t)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	*ts = out
-	return nil
-}
-
-// resolver decodes the resolver's groups into an index: a first pass
-// reads each group's labels and counts its IDs, a second places them.
-func (r *imageReader) resolver(x *pg.LabelIndex) error {
-	var b pg.LabelIndexBuilder
-	var starts []int // where each group's ID list starts
-	err := r.seq("[", "]", func() error {
-		var labels []string
-		if err := r.expect("{"); err != nil {
-			return err
-		}
-		if r.accept(`"labels":`) {
-			if err := r.json(&labels); err != nil {
-				return err
-			}
-			if err := r.expect(","); err != nil {
-				return err
-			}
-		}
-		if err := r.expect(`"ids":`); err != nil {
-			return err
-		}
-		starts = append(starts, r.pos)
-		count, n, err := keyed.DecodeIDs(r.data[r.pos:], func(pg.ID) error { return nil })
-		if err != nil {
-			return err
-		}
-		r.pos += n
-		if err := r.expect("}"); err != nil {
-			return err
-		}
-		return b.Group(labels, count)
-	})
-	if err != nil {
-		return err
-	}
-	for _, at := range starts {
-		// The first pass read these bytes without a refusal.
-		keyed.DecodeIDs(r.data[at:], func(id pg.ID) error {
-			b.Put(id)
-			return nil
-		})
-	}
-	*x, err = b.Build()
-	return err
 }

@@ -163,10 +163,27 @@ func TestImageCodecMatchesRef(t *testing.T) {
 	}
 }
 
-// TestImageEnvelopeRefusals pins the spellings of an image the oracle
-// read and ParseImage refuses: a member unknown, reordered, repeated or
-// case-folded, and whitespace inside the object. Every image a writer of
-// this format wrote has none of them.
+// runRefusals are spellings of a run the oracle reads and ParseDelta
+// refuses, as ParseImage refuses them in an image.
+var runRefusals = []struct{ why, text string }{
+	{"unknown member", `{"version":3,"fromLSN":3,"toLSN":4,"extra":1}`},
+	{"members reordered", `{"version":3,"toLSN":4,"fromLSN":3}`},
+	{"member repeated", `{"version":3,"fromLSN":3,"toLSN":4,"toLSN":4}`},
+	{"member case-folded", `{"version":3,"fromLSN":3,"ToLSN":4}`},
+	{"whitespace between members", `{"version":3, "fromLSN":3,"toLSN":4}`},
+	{"leading whitespace", ` {"version":3,"fromLSN":3,"toLSN":4}`},
+	{"tally members reordered", `{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"srcPut":[{"v":1,"ids":[1]}],"type":5}]}`},
+	{"resolver group members reordered", `{"version":3,"fromLSN":3,"toLSN":4,"resolverPut":[{"ids":[1],"labels":["A"]}]}`},
+	{"whitespace in a resolver group", `{"version":3,"fromLSN":3,"toLSN":4,"resolverPut":[{"labels":["A"], "ids":[1]}]}`},
+	{"tallies null", `{"version":3,"fromLSN":3,"toLSN":4,"tallies":null}`},
+	{"tally group without its type", `{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"srcPut":[{"v":1,"ids":[1]}]}]}`},
+}
+
+// TestImageEnvelopeRefusals pins the spellings of an image or a run the
+// oracles read and ParseImage and ParseDelta refuse: a member unknown,
+// reordered, repeated or case-folded, whitespace inside the object or
+// before it, and a tally group without its type. Every image and run a
+// writer of this format wrote has none of them.
 func TestImageEnvelopeRefusals(t *testing.T) {
 	_, img := goldenImages(t)
 	good := string(imageBytes(t, img))
@@ -190,6 +207,14 @@ func TestImageEnvelopeRefusals(t *testing.T) {
 		}
 		if img, err := ParseImage([]byte(c.text)); err == nil {
 			t.Errorf("%s: ParseImage accepted %s as %+v", c.why, c.text, img)
+		}
+	}
+	for _, c := range runRefusals {
+		if _, err := refParseDelta([]byte(c.text)); err != nil {
+			t.Fatalf("run, %s: the oracle refuses %s too (%v): not a new refusal", c.why, c.text, err)
+		}
+		if d, err := ParseDelta([]byte(c.text)); err == nil {
+			t.Errorf("run, %s: ParseDelta accepted %s as %+v", c.why, c.text, d)
 		}
 	}
 }
@@ -232,6 +257,58 @@ func FuzzImageCodecMatchesRef(f *testing.F) {
 		}
 		if again := assertCodecMatchesRef(t, "fuzz", back); !bytes.Equal(again, b) {
 			t.Fatalf("encode(decode(b)) != b:\n%q\n%q", again, b)
+		}
+	})
+}
+
+// FuzzDeltaCodecMatchesRef: whatever ParseDelta accepts, the oracle
+// reads as an equal run, and EncodeDelta writes it as bytes that read
+// back and re-encode to themselves.
+func FuzzDeltaCodecMatchesRef(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "delta.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, text := range []string{
+		`{}`, `{"version":3,"fromLSN":3,"toLSN":4}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"resolverPut":[{"ids":[9]},{"labels":["X"],"ids":[2]}],"resolverDel":[2,75],"nodeShapePut":[{"key":"Ag=="},{"key":"AQ=="},{"key":"Ag=="}],"nodeShapeDel":["AQ==","/w=="]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"nodeAssign":[{"v":99,"ids":[1]}],"nodeUnassign":[1,499],"edgeUnassign":[100]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"edgeAssign":[{"v":5,"ids":[100]},{"v":6,"ids":[100]}]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"nodeUnassign":[1` + strings.Repeat(",1", 2000) + `]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"type":5,"srcPut":[{"v":1,"ids":[1]}]},{"type":5,"srcDel":[1]}]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"type":6,"srcPut":[{"v":1,"ids":[1]}]},{"type":5,"dstDel":[2]}]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"type":5}]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"type":5,"dstPut":[{"v":0,"ids":[1]}]}]}`,
+		`{"version":3,"fromLSN":3,"toLSN":4,"tallies":[{"type":-1,"srcDel":[-4,9],"dstPut":[{"v":2,"ids":[7]}]}],"resolverPut":[{"labels":["\u003c","\u2028","\ufffd"],"ids":[0]}]}`,
+	} {
+		f.Add([]byte(text))
+	}
+	for _, c := range runRefusals {
+		f.Add([]byte(c.text))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ParseDelta(data)
+		if err != nil {
+			return
+		}
+		ref, err := refParseDelta(data)
+		if err != nil {
+			t.Fatalf("ParseDelta accepted what the oracle refuses (%v):\n%q", err, data)
+		}
+		if !reflect.DeepEqual(d, ref) {
+			t.Fatalf("ParseDelta and the oracle read different runs from\n%q", data)
+		}
+		b, err := EncodeDelta(d)
+		if err != nil {
+			t.Fatalf("a run ParseDelta read does not encode: %v\n%q", err, data)
+		}
+		back, err := ParseDelta(b)
+		if err != nil {
+			t.Fatalf("own bytes refused: %v\n%q", err, b)
+		}
+		if again, err := EncodeDelta(back); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("encode(decode(b)) != b (%v):\n%q\n%q", err, again, b)
 		}
 	})
 }
@@ -282,6 +359,30 @@ func TestImageCodecAllocsPerElement(t *testing.T) {
 	}
 	if dec > 42 {
 		t.Errorf("ParseImage allocates %.1f bytes per element, want ≤ 42", dec)
+	}
+
+	// The run of the same image against the empty one: every element a
+	// put, read by the same member walk.
+	empty, err := EmptyImage(Options{Seed: 1, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DiffImage(empty, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := EncodeDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDec := perElement(func() {
+		if _, err := ParseDelta(run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d-byte run: ParseDelta %.1f B/element", len(run), runDec)
+	if runDec > 23.2 {
+		t.Errorf("ParseDelta allocates %.1f bytes per element, want ≤ 23.2", runDec)
 	}
 
 	// The way out and the way in, without a resolver and with one.

@@ -10,11 +10,12 @@ package core
 // carries them the same way, as per-type puts and tombstones under
 // keyed.Diff / Column.Apply, while the heads ride whole.
 //
-// The decoders refuse a type listed twice or out of ascending order, an
-// empty group and a count below one.
+// The reader (imagecodec.go) reads a group of either kind as an object
+// of its members, its type first, and refuses (checkGroup) a type
+// listed twice or out of ascending order, an empty group and a count
+// below one.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/pghive/pghive/internal/keyed"
@@ -47,22 +48,6 @@ type TallyChanges []TallyChange
 
 func (c *TallyChange) empty() bool {
 	return c.SrcPut.Len()+len(c.SrcDel)+c.DstPut.Len()+len(c.DstDel) == 0
-}
-
-// UnmarshalJSON reads the changes, refusing what checkGroup refuses.
-func (cs *TallyChanges) UnmarshalJSON(data []byte) error {
-	var changes []TallyChange
-	if err := json.Unmarshal(data, &changes); err != nil {
-		return err
-	}
-	for i, c := range changes {
-		ordered := i == 0 || c.Type > changes[i-1].Type
-		if err := checkGroup(c.Type, ordered, c.empty(), c.SrcPut, c.DstPut); err != nil {
-			return err
-		}
-	}
-	*cs = changes
-	return nil
 }
 
 // checkGroup refuses a decoded group of edge type typ whose type does

@@ -13,6 +13,9 @@ package keyed
 // leading zero on a gap, gaps above zero, no sum past int64, groups in
 // ascending value order, none empty, no value past int32 and no ID in
 // two of them. So bytes the decoders accept re-encode to themselves.
+// The decoders (DecodeIDs, DecodeColumn) read a collection at the start
+// of their input and say where it ends, for the image and run reader
+// to go on from there.
 
 import (
 	"fmt"
@@ -31,28 +34,10 @@ func (s IDs[K]) MarshalJSON() ([]byte, error) {
 	return AppendIDs(make([]byte, 0, 2+4*len(s)), s)
 }
 
-// UnmarshalJSON reads what MarshalJSON writes and nothing else.
-func (s *IDs[K]) UnmarshalJSON(data []byte) (err error) {
-	*s, err = parseIDs[K](data)
-	return err
-}
-
 // MarshalJSON writes the value groups.
 func (c Column[K, V]) MarshalJSON() ([]byte, error) {
 	var g Grouper[K]
 	return AppendColumn(&g, make([]byte, 0, 2+4*c.Len()), c), nil
-}
-
-// UnmarshalJSON reads what MarshalJSON writes and nothing else.
-func (c *Column[K, V]) UnmarshalJSON(data []byte) error {
-	v, n, err := DecodeColumn[K, V](data)
-	if err == nil && n != len(data) {
-		err = (&reader{data: data, pos: n}).end()
-	}
-	if err == nil {
-		*c = v
-	}
-	return err
 }
 
 // Grouper appends collections in their grouped form: one
@@ -167,22 +152,6 @@ func AppendIDs[K ~int64](b []byte, ids []K) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// parseIDs decodes a gap-coded list; [] is nil.
-func parseIDs[K ~int64](data []byte) (IDs[K], error) {
-	var ids IDs[K]
-	_, n, err := DecodeIDs(data, func(id K) error {
-		ids = append(ids, id)
-		return nil
-	})
-	if err == nil && n != len(data) {
-		err = (&reader{data: data, pos: n}).end()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
 // DecodeIDs reads the gap-coded list at the start of data, handing each
 // ID to emit in order. It reports how many IDs it read and how many
 // bytes the list spans; what follows is the caller's.
@@ -295,13 +264,6 @@ func (r *reader) accept(s string) bool {
 func (r *reader) expect(s string) error {
 	if !r.accept(s) {
 		return r.fail(fmt.Sprintf("want %q", s))
-	}
-	return nil
-}
-
-func (r *reader) end() error {
-	if r.pos != len(r.data) {
-		return r.fail("trailing bytes")
 	}
 	return nil
 }

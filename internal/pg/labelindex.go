@@ -16,8 +16,8 @@ package pg
 // append on either side never lands in the other's. Set numbers are
 // the order an index first saw its sets in and stay in memory: two
 // indexes number alike sets apart, so Diff and Apply compare labels,
-// and the wire form (AppendLabelIndex) writes each set's labels, the
-// sets in ascending order.
+// and the wire form (AppendLabelIndex, DecodeLabelIndex) holds each
+// set's labels, the sets in ascending order.
 
 import (
 	"encoding/binary"
@@ -280,88 +280,136 @@ func (x LabelIndex) MarshalJSON() ([]byte, error) {
 	return AppendLabelIndex(&g, make([]byte, 0, 2+4*x.Len()), &x), nil
 }
 
-// labelGroup is one label set's nodes on the wire.
-type labelGroup struct {
-	Labels []string      `json:"labels,omitempty"`
-	IDs    keyed.IDs[ID] `json:"ids"`
-}
-
-// UnmarshalJSON reads the wire form through encoding/json, which
-// takes any spelling of the JSON around the groups; the image reader
-// takes only the one AppendLabelIndex writes.
-func (x *LabelIndex) UnmarshalJSON(data []byte) error {
-	var groups []labelGroup
-	if err := json.Unmarshal(data, &groups); err != nil {
-		return err
-	}
-	var b LabelIndexBuilder
-	for _, g := range groups {
-		if err := b.Group(g.Labels, len(g.IDs)); err != nil {
+// DecodeLabelIndex reads the wire form at the start of data, in the one
+// spelling AppendLabelIndex writes, and reports how many bytes it spans;
+// what follows is the caller's. It refuses a group that is empty, whose
+// label set is not canonical or does not ascend from the one before, and
+// a node in two groups. A first pass reads each group's labels and
+// counts its nodes; a second merges the groups' nodes, each list
+// ascending, into the index's column. The index's table is the groups.
+func DecodeLabelIndex(data []byte) (LabelIndex, int, error) {
+	r := &wireReader{data: data}
+	var x LabelIndex
+	var starts, ends []int // each group's ID list: where it starts in data, where its nodes end among all
+	all := 0
+	group := func() error {
+		var labels []string
+		if err := r.expect("{"); err != nil {
 			return err
 		}
+		if r.accept(`"labels":`) {
+			var err error
+			if labels, err = r.labels(); err != nil {
+				return err
+			}
+			if err := r.expect(","); err != nil {
+				return err
+			}
+		}
+		if err := r.expect(`"ids":`); err != nil {
+			return err
+		}
+		starts = append(starts, r.pos)
+		n, span, err := keyed.DecodeIDs(data[r.pos:], func(ID) error { return nil })
+		r.pos += span
+		if err != nil {
+			return err
+		}
+		switch {
+		case n == 0:
+			return fmt.Errorf("resolver: group %q is empty", labels)
+		case labels != nil && len(labels) == 0, !slices.IsSorted(labels):
+			return fmt.Errorf("resolver: label set %q is not canonical", labels)
+		case len(x.sets) > 0 && slices.Compare(x.sets[len(x.sets)-1].labels, labels) >= 0:
+			return fmt.Errorf("resolver: label set %q after %q: sets must ascend", labels, x.sets[len(x.sets)-1].labels)
+		}
+		x.sets = append(x.sets, labelSet{labels, LabelToken(labels)})
+		all += n
+		ends = append(ends, all)
+		return r.expect("}")
 	}
-	for _, g := range groups {
-		for _, id := range g.IDs {
-			b.Put(id)
+	if err := r.expect("["); err != nil {
+		return LabelIndex{}, 0, err
+	}
+	for !r.accept("]") {
+		if len(starts) > 0 {
+			if err := r.expect(","); err != nil {
+				return LabelIndex{}, 0, err
+			}
+		}
+		if err := group(); err != nil {
+			return LabelIndex{}, 0, err
 		}
 	}
-	var err error
-	*x, err = b.Build()
-	return err
-}
-
-// LabelIndexBuilder builds an index from the groups of its wire form,
-// decoded: first every group's labels and size (Group), then the
-// groups' nodes, group by group in the same order (Put). It refuses a
-// group that is empty, whose label set is not canonical or that does
-// not ascend from the one before, and a node in two groups.
-type LabelIndexBuilder struct {
-	sets []labelSet
-	ends []int // where each group's nodes end among keys
-	keys []ID
-	vals []int32
-}
-
-// Group adds the next group: its labels and how many nodes it holds.
-func (b *LabelIndexBuilder) Group(labels []string, n int) error {
-	switch {
-	case n == 0:
-		return fmt.Errorf("resolver: group %v is empty", labels)
-	case labels != nil && len(labels) == 0, !slices.IsSorted(labels):
-		return fmt.Errorf("resolver: label set %q is not canonical", labels)
-	case len(b.sets) > 0 && slices.Compare(b.sets[len(b.sets)-1].labels, labels) >= 0:
-		return fmt.Errorf("resolver: label set %q after %q: sets must ascend", labels, b.sets[len(b.sets)-1].labels)
+	keys, vals := make([]ID, 0, all), make([]int32, 0, all)
+	for g, at := range starts {
+		// The first pass read these bytes without a refusal.
+		keyed.DecodeIDs(data[at:], func(id ID) error {
+			keys, vals = append(keys, id), append(vals, int32(g))
+			return nil
+		})
 	}
-	b.sets = append(b.sets, labelSet{labels, LabelToken(labels)})
-	b.ends = append(b.ends, n+b.total())
+	ids, dup, ok := keyed.FromRuns(keys, vals, ends)
+	switch {
+	case !ok:
+		return LabelIndex{}, 0, fmt.Errorf("resolver: node %d is in two label sets", dup)
+	case ids.Len() == 0:
+		return LabelIndex{}, r.pos, nil
+	}
+	x.ids = ids
+	return x, r.pos, nil
+}
+
+// wireReader walks one index's wire form.
+type wireReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *wireReader) fail(why string) error {
+	return fmt.Errorf("resolver: offset %d: %s", r.pos, why)
+}
+
+// accept consumes s if it is next.
+func (r *wireReader) accept(s string) bool {
+	if len(r.data)-r.pos < len(s) || string(r.data[r.pos:r.pos+len(s)]) != s {
+		return false
+	}
+	r.pos += len(s)
+	return true
+}
+
+// expect consumes s, or fails where it is not next.
+func (r *wireReader) expect(s string) error {
+	if !r.accept(s) {
+		return r.fail(fmt.Sprintf("want %q", s))
+	}
 	return nil
 }
 
-func (b *LabelIndexBuilder) total() int {
-	if len(b.ends) == 0 {
-		return 0
+// labels consumes a label array, which ends at the first ']' outside a
+// string, and decodes it through encoding/json, which checks the rest.
+// No whitespace may stand outside a string.
+func (r *wireReader) labels() ([]string, error) {
+	start := r.pos
+	if err := r.expect("["); err != nil {
+		return nil, err
 	}
-	return b.ends[len(b.ends)-1]
-}
-
-// Put adds the next node; the groups' nodes ascend within each group.
-func (b *LabelIndexBuilder) Put(id ID) {
-	if b.keys == nil {
-		b.keys, b.vals = make([]ID, 0, b.total()), make([]int32, 0, b.total())
+	for quoted := false; r.pos < len(r.data); r.pos++ {
+		switch c := r.data[r.pos]; {
+		case c == '"':
+			quoted = !quoted
+		case quoted:
+			if c == '\\' {
+				r.pos++
+			}
+		case c == ']':
+			r.pos++
+			var labels []string
+			return labels, json.Unmarshal(r.data[start:r.pos], &labels)
+		case c == ' ', c == '\t', c == '\n', c == '\r':
+			return nil, r.fail("whitespace outside a string")
+		}
 	}
-	group, _ := slices.BinarySearch(b.ends, len(b.keys)+1)
-	b.keys, b.vals = append(b.keys, id), append(b.vals, int32(group))
-}
-
-// Build returns the index, in ID order: the groups' nodes merged. Its
-// table is the groups.
-func (b *LabelIndexBuilder) Build() (LabelIndex, error) {
-	ids, dup, ok := keyed.FromRuns(b.keys, b.vals, b.ends)
-	switch {
-	case !ok:
-		return LabelIndex{}, fmt.Errorf("resolver: node %d is in two label sets", dup)
-	case ids.Len() == 0:
-		return LabelIndex{}, nil
-	}
-	return LabelIndex{ids: ids, sets: b.sets}, nil
+	return nil, r.fail("unterminated label list")
 }

@@ -130,9 +130,9 @@ func checkIndex(t *testing.T, h *indexHandle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back LabelIndex
-	if err := back.UnmarshalJSON(b); err != nil || !back.equal(&h.x) {
-		t.Fatalf("UnmarshalJSON(%s): %v", b, err)
+	back, n, err := DecodeLabelIndex(b)
+	if err != nil || n != len(b) || !back.equal(&h.x) {
+		t.Fatalf("DecodeLabelIndex(%s) read %d bytes: %v", b, n, err)
 	}
 	if again, _ := back.MarshalJSON(); string(again) != string(b) {
 		t.Fatalf("encode(decode(b)) = %s, want %s", again, b)
